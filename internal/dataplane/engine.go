@@ -45,15 +45,26 @@ type FlatPacket struct {
 	extraBridge map[string]uint64
 }
 
+// newFlat makes an empty packet in three allocations: the struct, one slab
+// of words and one of flags. Each slice is carved with its capacity capped,
+// so an append reallocates instead of running into its neighbour.
 func (l *Layout) newFlat() *FlatPacket {
+	nf, nv, nb := len(l.fieldName), len(l.validName), len(l.bridgeName)
+	words := make([]uint64, nf+nb)
+	flags := make([]bool, 2*nf+2*nv+nb)
+	carve := func(n int) []bool {
+		s := flags[:n:n]
+		flags = flags[n:]
+		return s
+	}
 	return &FlatPacket{
 		lay:       l,
-		Fields:    make([]uint64, len(l.fieldName)),
-		fieldSet:  make([]bool, len(l.fieldName)),
-		Valid:     make([]bool, len(l.validName)),
-		validSet:  make([]bool, len(l.validName)),
-		Bridge:    make([]uint64, len(l.bridgeName)),
-		bridgeSet: make([]bool, len(l.bridgeName)),
+		Fields:    words[:nf:nf],
+		fieldSet:  carve(nf),
+		Valid:     carve(nv),
+		validSet:  carve(nv),
+		Bridge:    words[nf:],
+		bridgeSet: carve(nb),
 	}
 }
 

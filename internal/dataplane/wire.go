@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lyra/internal/ir"
@@ -8,23 +9,33 @@ import (
 )
 
 // bitWriter packs values MSB-first at arbitrary bit widths, the way header
-// fields sit on the wire.
+// fields sit on the wire. It ORs into buf, which the caller sizes (zeroed)
+// for everything it will write: a write past the end is a bug and panics.
 type bitWriter struct {
 	buf  []byte
 	nbit int
 }
 
+// write packs the low `bits` bits of v. Fields wider than 64 bits carry only
+// their low 64; the leading bits stay zero.
 func (w *bitWriter) write(v uint64, bits int) {
-	for i := bits - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		byteIdx := w.nbit / 8
-		if byteIdx >= len(w.buf) {
-			w.buf = append(w.buf, 0)
-		}
-		if bit == 1 {
-			w.buf[byteIdx] |= 1 << uint(7-w.nbit%8)
-		}
-		w.nbit++
+	if bits > 64 {
+		w.nbit += bits - 64
+		bits = 64
+	}
+	v &= 1<<uint(bits) - 1
+	pos, total := w.nbit>>3, w.nbit&7+bits // total: bits in use from buf[pos] on, at most 71
+	w.nbit += bits
+	if total > 64 {
+		w.buf[pos+8] |= byte(v << uint(72-total))
+		v >>= uint(total - 64)
+		total = 64
+	}
+	// Left-align behind the bits buf[pos] already holds, then OR out a byte
+	// at a time; trailing zero bytes need no store.
+	for v <<= uint(64 - total); v != 0; v <<= 8 {
+		w.buf[pos] |= byte(v >> 56)
+		pos++
 	}
 }
 
@@ -36,43 +47,95 @@ type bitReader struct {
 
 func (r *bitReader) remaining() int { return len(r.buf)*8 - r.nbit }
 
+// read unpacks the next `bits` bits. Of a field wider than 64 bits only the
+// low 64 are returned.
 func (r *bitReader) read(bits int) (uint64, error) {
 	if bits > r.remaining() {
 		return 0, fmt.Errorf("dataplane: truncated packet: need %d bits, have %d", bits, r.remaining())
 	}
-	var v uint64
-	for i := 0; i < bits; i++ {
-		byteIdx := r.nbit / 8
-		bit := (r.buf[byteIdx] >> uint(7-r.nbit%8)) & 1
-		v = v<<1 | uint64(bit)
-		r.nbit++
+	if bits > 64 {
+		r.nbit += bits - 64
+		bits = 64
 	}
-	return v, nil
+	pos, sh := r.nbit>>3, uint(r.nbit&7)
+	r.nbit += bits
+	if pos+8 <= len(r.buf) {
+		v := binary.BigEndian.Uint64(r.buf[pos:]) << sh
+		if int(sh)+bits > 64 { // the field spills into a ninth byte
+			v |= uint64(r.buf[pos+8]) >> (8 - sh)
+		}
+		return v >> uint(64-bits), nil
+	}
+	// Within 8 bytes of the end: gather just the bytes the field touches.
+	end := (r.nbit + 7) >> 3
+	var v uint64
+	for _, b := range r.buf[pos:end] {
+		v = v<<8 | uint64(b)
+	}
+	return v >> uint(end*8-r.nbit) & (1<<uint(bits) - 1), nil
 }
 
-// headerLayout returns a header instance's fields (name, bits) in wire
-// order, resolving through the instance's type or a packet declaration.
-func headerLayout(irp *ir.Program, instance string) ([][2]interface{}, bool) {
+// headerLayout returns a header instance's fields in wire order (name is
+// the full "hdr.field" key, slot unresolved) and their total width,
+// resolving through the instance's type or a packet declaration.
+func headerLayout(irp *ir.Program, instance string) (fields []wireField, totalBits int, ok bool) {
 	src := irp.Source
-	if inst := src.Instance(instance); inst != nil {
-		if ht := src.Header(inst.TypeName); ht != nil {
-			out := make([][2]interface{}, len(ht.Fields))
-			for i, f := range ht.Fields {
-				out[i] = [2]interface{}{f.Name, f.Type.Bits}
+	var decl []ast.Field
+	if inst := src.Instance(instance); inst != nil && src.Header(inst.TypeName) != nil {
+		decl, ok = src.Header(inst.TypeName).Fields, true
+	} else {
+		for _, pk := range src.Packets {
+			if pk.Name == instance {
+				decl, ok = pk.Fields, true
+				break
 			}
-			return out, true
 		}
 	}
-	for _, pk := range src.Packets {
-		if pk.Name == instance {
-			out := make([][2]interface{}, len(pk.Fields))
-			for i, f := range pk.Fields {
-				out[i] = [2]interface{}{f.Name, f.Type.Bits}
-			}
-			return out, true
+	for _, f := range decl {
+		fields = append(fields, wireField{slot: -1, name: instance + "." + f.Name, bits: f.Type.Bits})
+		totalBits += f.Type.Bits
+	}
+	return fields, totalBits, ok
+}
+
+// startState names the parse graph's entry: "start", or the first node when
+// none is called that. The program must have parser nodes.
+func startState(src *ast.Program) string {
+	for _, pn := range src.Parsers {
+		if pn.Name == "start" {
+			return "start"
 		}
 	}
-	return nil, false
+	return src.Parsers[0].Name
+}
+
+// parserNode returns the first parser node called name, or nil; "", accept
+// and ingress end the walk and name no node.
+func parserNode(src *ast.Program, name string) *ast.ParserNode {
+	if name == "" || name == "accept" || name == "ingress" {
+		return nil
+	}
+	for _, pn := range src.Parsers {
+		if pn.Name == name {
+			return pn
+		}
+	}
+	return nil
+}
+
+// nextState evaluates a node's select against the packet's fields.
+func nextState(sel *ast.SelectStmt, pkt *Packet) (string, error) {
+	keyStr, err := selectKey(sel.Key)
+	if err != nil {
+		return "", err
+	}
+	v := pkt.Fields[keyStr]
+	for _, c := range sel.Cases {
+		if c.Value == v {
+			return c.Next, nil
+		}
+	}
+	return sel.Default, nil
 }
 
 // wireOrder returns header instances in on-the-wire order: the program's
@@ -97,39 +160,25 @@ func wireOrder(irp *ir.Program) []string {
 	visited := map[string]bool{}
 	var visit func(name string)
 	visit = func(name string) {
-		if name == "" || name == "accept" || name == "ingress" || visited[name] {
+		pn := parserNode(src, name)
+		if pn == nil || visited[name] {
 			return
 		}
 		visited[name] = true
-		for _, pn := range src.Parsers {
-			if pn.Name != name {
-				continue
-			}
-			for _, e := range pn.Extracts {
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
-			if pn.Select != nil {
-				for _, c := range pn.Select.Cases {
-					visit(c.Next)
-				}
-				visit(pn.Select.Default)
+		for _, e := range pn.Extracts {
+			if !seen[e] {
+				seen[e] = true
+				out = append(out, e)
 			}
 		}
-	}
-	start := "start"
-	found := false
-	for _, pn := range src.Parsers {
-		if pn.Name == "start" {
-			found = true
+		if pn.Select != nil {
+			for _, c := range pn.Select.Cases {
+				visit(c.Next)
+			}
+			visit(pn.Select.Default)
 		}
 	}
-	if !found {
-		start = src.Parsers[0].Name
-	}
-	visit(start)
+	visit(startState(src))
 	// Headers never mentioned in the parse graph (added mid-pipeline, like
 	// INT metadata) follow in declaration order.
 	for _, inst := range src.Instances {
@@ -144,87 +193,68 @@ func wireOrder(irp *ir.Program) []string {
 // the payload. With a parse graph, headers are emitted in the order the
 // parser would extract them for this packet's select values (so the bytes
 // re-parse to the same packet); headers the graph never reaches — and all
-// headers in graph-less programs — follow in declaration order.
+// headers in graph-less programs — follow in declaration order. The output
+// is sized exactly: pass one collects the headers, pass two writes them.
 func Serialize(irp *ir.Program, pkt *Packet, payload []byte) ([]byte, error) {
-	w := &bitWriter{}
+	var emit [][]wireField
+	bits := 0
 	emitted := map[string]bool{}
-	emit := func(h string) error {
+	add := func(h string) error {
 		if emitted[h] || !pkt.Valid[h] {
 			return nil
 		}
-		layout, ok := headerLayout(irp, h)
+		layout, n, ok := headerLayout(irp, h)
 		if !ok {
 			return fmt.Errorf("dataplane: no layout for header %q", h)
 		}
-		for _, f := range layout {
-			name, bits := f[0].(string), f[1].(int)
-			w.write(mask(pkt.Fields[h+"."+name], bits), bits)
-		}
 		emitted[h] = true
+		emit = append(emit, layout)
+		bits += n
 		return nil
 	}
 	src := irp.Source
 	if len(src.Parsers) > 0 {
-		state := "start"
-		found := false
-		for _, pn := range src.Parsers {
-			if pn.Name == "start" {
-				found = true
-			}
-		}
-		if !found {
-			state = src.Parsers[0].Name
-		}
-		for state != "" && state != "accept" && state != "ingress" {
-			var node *ast.ParserNode
-			for _, pn := range src.Parsers {
-				if pn.Name == state {
-					node = pn
-					break
-				}
-			}
-			if node == nil {
-				break
-			}
-			stop := false
+		// Emission is idempotent per header and the select values are fixed,
+		// so a revisited state repeats the walk from there to no effect; a
+		// walk longer than the state count has revisited one, and stops.
+		node := parserNode(src, startState(src))
+	walk:
+		for steps := 0; node != nil && steps < len(src.Parsers); steps++ {
 			for _, h := range node.Extracts {
 				if !pkt.Valid[h] {
-					stop = true // parser would extract garbage; packet ends here
-					break
+					break walk // parser would extract garbage; packet ends here
 				}
-				if err := emit(h); err != nil {
+				if err := add(h); err != nil {
 					return nil, err
 				}
 			}
-			if stop || node.Select == nil {
+			if node.Select == nil {
 				break
 			}
-			keyStr, err := selectKey(node.Select.Key)
+			next, err := nextState(node.Select, pkt)
 			if err != nil {
 				return nil, err
 			}
-			v := pkt.Fields[keyStr]
-			next := node.Select.Default
-			for _, c := range node.Select.Cases {
-				if c.Value == v {
-					next = c.Next
-					break
-				}
-			}
-			state = next
+			node = parserNode(src, next)
 		}
 	}
 	// Remaining valid headers (graph-less programs, or headers added
 	// mid-pipeline that no parser state reaches) in declaration order.
 	for _, h := range wireOrder(irp) {
-		if err := emit(h); err != nil {
+		if err := add(h); err != nil {
 			return nil, err
 		}
 	}
-	if w.nbit%8 != 0 {
-		w.nbit = (w.nbit/8 + 1) * 8 // pad to a byte boundary
+	hdr := (bits + 7) / 8 // padded to a byte boundary
+	out := make([]byte, hdr+len(payload))
+	w := bitWriter{buf: out}
+	for _, layout := range emit {
+		for _, f := range layout {
+			w.write(pkt.Fields[f.name], f.bits)
+		}
 	}
-	return append(w.buf, payload...), nil
+	copy(out[hdr:], payload)
+	return out, nil
 }
 
 // ParseBytes runs the program's parse graph over raw bytes, producing a
@@ -237,17 +267,16 @@ func ParseBytes(irp *ir.Program, data []byte) (*Packet, []byte, error) {
 	src := irp.Source
 
 	extract := func(h string) error {
-		layout, ok := headerLayout(irp, h)
+		layout, _, ok := headerLayout(irp, h)
 		if !ok {
 			return fmt.Errorf("dataplane: no layout for header %q", h)
 		}
 		for _, f := range layout {
-			name, bits := f[0].(string), f[1].(int)
-			v, err := r.read(bits)
+			v, err := r.read(f.bits)
 			if err != nil {
 				return err
 			}
-			pkt.Fields[h+"."+name] = v
+			pkt.Fields[f.name] = v
 		}
 		pkt.Valid[h] = true
 		return nil
@@ -255,12 +284,7 @@ func ParseBytes(irp *ir.Program, data []byte) (*Packet, []byte, error) {
 
 	if len(src.Parsers) == 0 {
 		for _, h := range wireOrder(irp) {
-			layout, _ := headerLayout(irp, h)
-			need := 0
-			for _, f := range layout {
-				need += f[1].(int)
-			}
-			if r.remaining() < need {
+			if _, need, _ := headerLayout(irp, h); r.remaining() < need {
 				break
 			}
 			if err := extract(h); err != nil {
@@ -268,24 +292,10 @@ func ParseBytes(irp *ir.Program, data []byte) (*Packet, []byte, error) {
 			}
 		}
 	} else {
-		state := "start"
-		found := false
-		for _, pn := range src.Parsers {
-			if pn.Name == "start" {
-				found = true
-			}
-		}
-		if !found {
-			state = src.Parsers[0].Name
-		}
-		for state != "" && state != "accept" && state != "ingress" {
-			var node *ast.ParserNode
-			for _, pn := range src.Parsers {
-				if pn.Name == state {
-					node = pn
-					break
-				}
-			}
+		// A cycle terminates because every trip extracts (the checker
+		// rejects cycles that extract nothing) and the bytes run out.
+		for state := startState(src); state != "" && state != "accept" && state != "ingress"; {
+			node := parserNode(src, state)
 			if node == nil {
 				return nil, nil, fmt.Errorf("dataplane: parse state %q undefined", state)
 			}
@@ -297,19 +307,10 @@ func ParseBytes(irp *ir.Program, data []byte) (*Packet, []byte, error) {
 			if node.Select == nil {
 				break
 			}
-			keyStr, err := selectKey(node.Select.Key)
-			if err != nil {
+			var err error
+			if state, err = nextState(node.Select, pkt); err != nil {
 				return nil, nil, err
 			}
-			v := pkt.Fields[keyStr]
-			next := node.Select.Default
-			for _, c := range node.Select.Cases {
-				if c.Value == v {
-					next = c.Next
-					break
-				}
-			}
-			state = next
 		}
 	}
 	// Payload: remaining whole bytes.

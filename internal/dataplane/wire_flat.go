@@ -10,6 +10,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"lyra/internal/ir"
 )
@@ -145,17 +146,10 @@ func (c *WireCodec) ensureHeader(irp *ir.Program, name string) int {
 	if s, ok := c.lay.validSlot[name]; ok {
 		wh.validSlot = s
 	}
-	if layout, ok := headerLayout(irp, name); ok {
-		wh.haveLayout = true
-		for _, f := range layout {
-			fname, bits := f[0].(string), f[1].(int)
-			key := name + "." + fname
-			slot := -1
-			if s, ok := c.lay.fieldSlot[key]; ok {
-				slot = s
-			}
-			wh.fields = append(wh.fields, wireField{slot: slot, name: key, bits: bits})
-			wh.totalBits += bits
+	wh.fields, wh.totalBits, wh.haveLayout = headerLayout(irp, name)
+	for i := range wh.fields {
+		if s, ok := c.lay.fieldSlot[wh.fields[i].name]; ok {
+			wh.fields[i].slot = s
 		}
 	}
 	hi := len(c.headers)
@@ -264,68 +258,69 @@ func (c *WireCodec) ParseBytesFlat(data []byte) (*FlatPacket, []byte, error) {
 
 // SerializeFlat packs a flat packet's valid headers into wire bytes
 // followed by the payload, reading field values straight from the slot
-// arrays. Byte-identical to Serialize over the equivalent map packet.
+// arrays. Byte-identical to Serialize over the equivalent map packet, and
+// like it two-pass: the output is the call's one allocation, sized exactly
+// (callers that retain outputs pay for capacity, not length).
 func (c *WireCodec) SerializeFlat(f *FlatPacket, payload []byte) ([]byte, error) {
-	w := bitWriter{}
-	emitted := make([]bool, len(c.headers))
-	emit := func(hi int) error {
+	var scratch [16]int // backs emit on the stack; a 17th header spills to the heap
+	emit, bits := scratch[:0], 0
+	add := func(hi int) error {
 		h := &c.headers[hi]
-		if emitted[hi] || !c.headerValid(f, h) {
+		if !c.headerValid(f, h) || slices.Contains(emit, hi) {
 			return nil
 		}
 		if !h.haveLayout {
 			return fmt.Errorf("dataplane: no layout for header %q", h.name)
 		}
-		for i := range h.fields {
-			fl := &h.fields[i]
-			w.write(mask(c.fieldVal(f, fl.slot, fl.name), fl.bits), fl.bits)
-		}
-		emitted[hi] = true
+		emit = append(emit, hi)
+		bits += h.totalBits
 		return nil
 	}
-	if len(c.states) > 0 {
-		si := c.start
-		for si >= 0 {
-			st := &c.states[si]
-			stop := false
-			for _, hi := range st.extracts {
-				if !c.headerValid(f, &c.headers[hi]) {
-					stop = true // parser would extract garbage; packet ends here
-					break
-				}
-				if err := emit(hi); err != nil {
-					return nil, err
-				}
+	// The walk stops after len(states) steps: see Serialize on cycles.
+	si := c.start
+walk:
+	for steps := 0; si >= 0 && steps < len(c.states); steps++ {
+		st := &c.states[si]
+		for _, hi := range st.extracts {
+			if !c.headerValid(f, &c.headers[hi]) {
+				break walk // parser would extract garbage; packet ends here
 			}
-			if stop || !st.hasSelect {
+			if err := add(hi); err != nil {
+				return nil, err
+			}
+		}
+		if !st.hasSelect {
+			break
+		}
+		if st.keyErr != nil {
+			return nil, st.keyErr
+		}
+		v := c.fieldVal(f, st.keySlot, st.keyName)
+		si = st.defaultNext // wireStateUndefined ends the walk silently, as in Serialize
+		for i := range st.cases {
+			if st.cases[i].value == v {
+				si = st.cases[i].next
 				break
 			}
-			if st.keyErr != nil {
-				return nil, st.keyErr
-			}
-			v := c.fieldVal(f, st.keySlot, st.keyName)
-			next := st.defaultNext
-			for i := range st.cases {
-				if st.cases[i].value == v {
-					next = st.cases[i].next
-					break
-				}
-			}
-			if next == wireStateUndefined {
-				break // Serialize walks past undefined states silently
-			}
-			si = next
 		}
 	}
 	for _, hi := range c.order {
-		if err := emit(hi); err != nil {
+		if err := add(hi); err != nil {
 			return nil, err
 		}
 	}
-	if w.nbit%8 != 0 {
-		w.nbit = (w.nbit/8 + 1) * 8 // pad to a byte boundary
+	hdr := (bits + 7) / 8 // padded to a byte boundary
+	out := make([]byte, hdr+len(payload))
+	w := bitWriter{buf: out}
+	for _, hi := range emit {
+		fields := c.headers[hi].fields
+		for i := range fields {
+			fl := &fields[i]
+			w.write(c.fieldVal(f, fl.slot, fl.name), fl.bits)
+		}
 	}
-	return append(w.buf, payload...), nil
+	copy(out[hdr:], payload)
+	return out, nil
 }
 
 // Codec returns the engine's bytes-native wire codec, precompiling the

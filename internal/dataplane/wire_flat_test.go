@@ -2,15 +2,32 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
+
+	"lyra/internal/ir"
+	"lyra/internal/lang/parser"
 )
 
-// wireEngine compiles wireSrc and returns its deployment engine plus IR,
-// the fixtures the flat-vs-map wire comparisons run against.
-func wireEngine(t testing.TB) (*Engine, *Deployment) {
+// engineFor deploys src with every algorithm PER-SW on ToR3 and returns the
+// engine, whose Layout and parse graph are all the wire tests need.
+func engineFor(t testing.TB, src string) *Engine {
 	t.Helper()
-	plan, _ := compile(t, wireSrc, "noop: [ ToR3 | PER-SW | - ]")
+	prog, err := parser.Parse("test.lyra", []byte(src))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	var scope strings.Builder
+	for _, a := range prog.Algorithms {
+		fmt.Fprintf(&scope, "%s: [ ToR3 | PER-SW | - ]\n", a.Name)
+	}
+	plan, _ := compile(t, src, scope.String())
 	dep, err := NewDeployment(plan, NewTables())
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +36,17 @@ func wireEngine(t testing.TB) (*Engine, *Deployment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, dep
+	return eng
+}
+
+// testProgram reads one of testdata/programs.
+func testProgram(t testing.TB, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("../../testdata/programs", name+".lyra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // checkWireFlatAgreement is the byte-level oracle: the flat codec and the
@@ -68,15 +95,8 @@ func checkWireFlatAgreement(t *testing.T, eng *Engine, data []byte) {
 //
 //	go test ./internal/dataplane -fuzz FuzzWireFlatRoundTrip
 func FuzzWireFlatRoundTrip(f *testing.F) {
-	plan, irp := compile(f, wireSrc, "noop: [ ToR3 | PER-SW | - ]")
-	dep, err := NewDeployment(plan, NewTables())
-	if err != nil {
-		f.Fatal(err)
-	}
-	eng, err := dep.Engine()
-	if err != nil {
-		f.Fatal(err)
-	}
+	eng := engineFor(f, wireSrc)
+	irp := eng.dep.Plan.Input.IR
 	// Seed with structurally interesting inputs: a full ethernet+ipv4
 	// packet, an ethernet+probe+ipv4 chain, truncations, and junk.
 	pkt := NewPacket()
@@ -115,7 +135,7 @@ func FuzzWireFlatRoundTrip(f *testing.F) {
 // random wire packets (valid serializations, truncations, and raw noise)
 // checked for byte-level agreement between the two paths.
 func TestWireFlatSweep(t *testing.T) {
-	eng, _ := wireEngine(t)
+	eng := engineFor(t, wireSrc)
 	irp := eng.dep.Plan.Input.IR
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
@@ -172,15 +192,7 @@ header b_t b;
 pipeline[P]{noop};
 algorithm noop { q = a.x; }
 `
-	plan, _ := compile(t, src, "noop: [ ToR3 | PER-SW | - ]")
-	dep, err := NewDeployment(plan, NewTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := dep.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engineFor(t, src)
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 50; i++ {
 		data := make([]byte, rng.Intn(10))
@@ -192,7 +204,7 @@ algorithm noop { q = a.x; }
 // TestWireFlatDirectSlots asserts the parse really is bytes-native: the
 // extracted fields land in the layout's slots (not the overflow maps).
 func TestWireFlatDirectSlots(t *testing.T) {
-	eng, _ := wireEngine(t)
+	eng := engineFor(t, wireSrc)
 	irp := eng.dep.Plan.Input.IR
 	pkt := NewPacket()
 	pkt.Valid["ethernet"] = true
@@ -220,5 +232,265 @@ func TestWireFlatDirectSlots(t *testing.T) {
 	}
 	if s, ok := eng.layout.validSlot["ipv4"]; !ok || !f.Valid[s] {
 		t.Fatalf("ipv4 validity not deposited in its slot")
+	}
+}
+
+// randomWirePacket builds a packet the program's parser accepts: it walks
+// the parse graph down a random select arm per state (setting the key field
+// to that arm's value), or takes a prefix of a graph-less program's headers,
+// and fills every other field of the headers on the way with random bits.
+// Now and then a header the walk missed is valid too, as if added
+// mid-pipeline.
+func randomWirePacket(rng *rand.Rand, irp *ir.Program) *Packet {
+	pkt := NewPacket()
+	fill := func(h string) {
+		pkt.Valid[h] = true
+		layout, _, _ := headerLayout(irp, h)
+		for _, f := range layout {
+			pkt.Fields[f.name] = mask(rng.Uint64(), f.bits)
+		}
+	}
+	src, order := irp.Source, wireOrder(irp)
+	if len(src.Parsers) == 0 {
+		for _, h := range order[:rng.Intn(len(order)+1)] {
+			fill(h)
+		}
+		return pkt
+	}
+	node := parserNode(src, startState(src))
+	for steps := 0; node != nil && steps < 16; steps++ {
+		for _, h := range node.Extracts {
+			fill(h)
+		}
+		if node.Select == nil {
+			break
+		}
+		next := node.Select.Default
+		if n := len(node.Select.Cases); rng.Intn(n+1) > 0 {
+			arm := node.Select.Cases[rng.Intn(n)]
+			if key, err := selectKey(node.Select.Key); err == nil {
+				pkt.Fields[key], next = arm.Value, arm.Next
+			}
+		}
+		node = parserNode(src, next)
+	}
+	if h := order[rng.Intn(len(order))]; rng.Intn(4) == 0 && !pkt.Valid[h] {
+		fill(h)
+	}
+	return pkt
+}
+
+// sweepWireAgreement drives one engine's two wire paths with valid frames
+// (also serialized from the packet on both paths, which is the only way a
+// header outside the parse graph reaches a serializer), their truncations,
+// and noise.
+func sweepWireAgreement(t *testing.T, eng *Engine, rng *rand.Rand, rounds int) {
+	t.Helper()
+	irp := eng.dep.Plan.Input.IR
+	for i := 0; i < rounds; i++ {
+		pkt := randomWirePacket(rng, irp)
+		payload := make([]byte, rng.Intn(6))
+		rng.Read(payload)
+		frame, err := Serialize(irp, pkt, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := eng.SerializeFlat(eng.Flatten(pkt), payload)
+		if err != nil || !bytes.Equal(frame, flat) {
+			t.Fatalf("serializing %s:\n  map:  %x\n  flat: %x (%v)", pkt.Summary(), frame, flat, err)
+		}
+		checkWireFlatAgreement(t, eng, frame)
+		checkWireFlatAgreement(t, eng, frame[:rng.Intn(len(frame)+1)])
+		noise := make([]byte, rng.Intn(len(frame)+9))
+		rng.Read(noise)
+		checkWireFlatAgreement(t, eng, noise)
+	}
+}
+
+// awkwardSrc has one header no field of which ends on a byte boundary until
+// the last, fields at, just under and over the 64-bit word, and a total that
+// is not a multiple of 8.
+const awkwardSrc = `
+header_type odd_t { bit[1] a; bit[3] b; bit[9] c; bit[13] d; bit[63] e; bit[64] f; bit[65] g; bit[128] h; }
+header odd_t odd;
+header_type tail_t { bit[5] x; bit[16] y; }
+header tail_t tail;
+pipeline[P]{noop};
+algorithm noop { q = odd.c; }
+`
+
+// cyclicSrc is a parse graph with a cycle the checker accepts (every trip
+// extracts): a stack of ethernet headers ended by ether_type 0x0800.
+const cyclicSrc = `
+header_type ethernet_t { bit[48] dst_mac; bit[48] src_mac; bit[16] ether_type; }
+header ethernet_t ethernet;
+parser_node start { extract(ethernet); select(ethernet.ether_type) { 0x0800: accept; default: start; } }
+pipeline[P]{noop};
+algorithm noop { x = ethernet.ether_type; }
+`
+
+// TestWireFlatCorpus widens the byte-level oracle from wireSrc (whose fields
+// are all whole bytes) to every program in testdata/programs — the scenario
+// programs among them; TestWireFlatScenarios replays their own traffic — a
+// graph-less program, the awkward header, and the cyclic graph.
+func TestWireFlatCorpus(t *testing.T) {
+	sources := map[string]string{"graphless": lbSrc, "awkward": awkwardSrc, "cyclic": cyclicSrc}
+	files, err := filepath.Glob("../../testdata/programs/*.lyra")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".lyra")
+		sources[name] = testProgram(t, name)
+	}
+	for name, src := range sources {
+		t.Run(name, func(t *testing.T) {
+			sweepWireAgreement(t, engineFor(t, src), rand.New(rand.NewSource(16)), 60)
+		})
+	}
+}
+
+// TestWireCycleTerminates is the regression for the hang: a packet whose
+// select value keeps the walk on a cycle made Serialize and SerializeFlat
+// spin forever. All four entry points must return, the serializers with the
+// header emitted once, the parsers with the stack consumed or a truncation.
+func TestWireCycleTerminates(t *testing.T) {
+	eng := engineFor(t, cyclicSrc)
+	irp := eng.dep.Plan.Input.IR
+	pkt := NewPacket()
+	pkt.Valid["ethernet"] = true
+	pkt.Fields["ethernet.dst_mac"] = 0x112233445566
+	pkt.Fields["ethernet.ether_type"] = 0x1234
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		once, err := Serialize(irp, pkt, nil)
+		if err != nil || len(once) != 14 {
+			t.Errorf("Serialize on the cycle: %x, %v; want the 14-byte header once", once, err)
+		}
+		flat, err := eng.SerializeFlat(eng.Flatten(pkt), nil)
+		if err != nil || !bytes.Equal(flat, once) {
+			t.Errorf("SerializeFlat on the cycle: %x, %v; want %x", flat, err, once)
+		}
+		pkt.Fields["ethernet.ether_type"] = 0x0800
+		last, _ := Serialize(irp, pkt, []byte{0xaa})
+		stack := append(append(append([]byte{}, once...), once...), last...)
+		got, payload, err := ParseBytes(irp, stack)
+		if err != nil || got.Fields["ethernet.ether_type"] != 0x0800 || !bytes.Equal(payload, []byte{0xaa}) {
+			t.Errorf("ParseBytes of a 3-deep stack: %v, payload %x, %v", got, payload, err)
+		}
+		checkWireFlatAgreement(t, eng, stack)
+		// Never leaving the cycle ends in truncation, on both paths alike.
+		if _, _, err := ParseBytes(irp, stack[:28]); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("ParseBytes stuck on the cycle: err %v, want truncation", err)
+		}
+		checkWireFlatAgreement(t, eng, stack[:28])
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wire codec did not return on a cyclic parse graph")
+	}
+}
+
+// TestWireFlatAllocContract pins the allocation budget of the bytes-native
+// path: a parse makes the packet (struct, word slab, flag slab), a serialize
+// makes the output and nothing else, sized exactly.
+func TestWireFlatAllocContract(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under the race detector")
+	}
+	for name, src := range map[string]string{"lb": lbSrc, "switch": testProgram(t, "switch"), "awkward": awkwardSrc} {
+		eng := engineFor(t, src)
+		irp := eng.dep.Plan.Input.IR
+		rng := rand.New(rand.NewSource(17))
+		for i := 0; i < 20; i++ {
+			frame, err := Serialize(irp, randomWirePacket(rng, irp), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frame) == 0 {
+				continue // an empty output is no allocation at all
+			}
+			f, _, err := eng.ParseBytesFlat(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(50, func() { eng.ParseBytesFlat(frame) }); n > 3 {
+				t.Errorf("%s: ParseBytesFlat allocates %v times per frame, want <= 3", name, n)
+			}
+			if n := testing.AllocsPerRun(50, func() { eng.SerializeFlat(f, nil) }); n != 1 {
+				t.Errorf("%s: SerializeFlat allocates %v times per frame, want 1", name, n)
+			}
+			if out, _ := eng.SerializeFlat(f, nil); cap(out) != len(out) {
+				t.Errorf("%s: SerializeFlat output len %d cap %d: outputs are retained, so capacity must equal length", name, len(out), cap(out))
+			}
+		}
+	}
+}
+
+// TestNewFlatSlabIsolation: newFlat carves a packet's slices out of two
+// slabs, and an append to one must reallocate, not write into the next.
+func TestNewFlatSlabIsolation(t *testing.T) {
+	eng := engineFor(t, wireSrc)
+	f := eng.NewFlatPacket()
+	if len(f.Fields) == 0 || len(f.Valid) == 0 {
+		t.Fatal("layout too small to test")
+	}
+	_ = append(f.Fields, ^uint64(0))
+	_ = append(f.fieldSet, true)
+	_ = append(f.Valid, true)
+	_ = append(f.validSet, true)
+	_ = append(f.Bridge, ^uint64(0))
+	_ = append(f.bridgeSet, true)
+	for name, flags := range map[string][]bool{"fieldSet": f.fieldSet, "Valid": f.Valid, "validSet": f.validSet, "bridgeSet": f.bridgeSet} {
+		if slices.Contains(flags, true) {
+			t.Errorf("an append ran into %s: %v", name, flags)
+		}
+	}
+	for name, words := range map[string][]uint64{"Fields": f.Fields, "Bridge": f.Bridge} {
+		if slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
+			t.Errorf("an append ran into %s: %v", name, words)
+		}
+	}
+}
+
+var wireCodecSink int
+
+// BenchmarkWireCodec times the bytes-native codec alone, per frame, on a
+// graph-less program (the load balancer) and a four-state parse graph
+// (switch.lyra, whose vlan and ipv4 headers are not byte-aligned).
+func BenchmarkWireCodec(b *testing.B) {
+	for _, prog := range []struct{ name, src string }{{"lb", lbSrc}, {"switch", testProgram(b, "switch")}} {
+		eng := engineFor(b, prog.src)
+		var err error
+		irp := eng.dep.Plan.Input.IR
+		rng := rand.New(rand.NewSource(18))
+		frames := make([][]byte, 64)
+		pkts := make([]*FlatPacket, len(frames))
+		for i := range frames {
+			for len(frames[i]) == 0 { // an empty frame would time nothing
+				if frames[i], err = Serialize(irp, randomWirePacket(rng, irp), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if pkts[i], _, err = eng.ParseBytesFlat(frames[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(prog.name+"/parse", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, _, _ := eng.ParseBytesFlat(frames[i%len(frames)])
+				wireCodecSink += len(f.Fields)
+			}
+		})
+		b.Run(prog.name+"/serialize", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, _ := eng.SerializeFlat(pkts[i%len(pkts)], nil)
+				wireCodecSink += len(out)
+			}
+		})
 	}
 }

@@ -2,43 +2,79 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestBitWriterReaderRoundTrip(t *testing.T) {
-	f := func(vals []uint32, widths []uint8) bool {
-		w := &bitWriter{}
-		var want []uint64
-		var bits []int
-		for i, v := range vals {
-			if i >= len(widths) {
-				break
-			}
-			b := int(widths[i]%33) + 1 // 1..33 bits
-			want = append(want, mask(uint64(v), b))
-			bits = append(bits, b)
-			w.write(uint64(v), b)
-		}
-		r := &bitReader{buf: w.buf}
-		for i, b := range bits {
-			got, err := r.read(b)
-			if err != nil || got != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+// bitSerialWrite and bitSerialRead are the bit-at-a-time loops the
+// word-wise primitives replaced, kept as their oracle.
+func bitSerialWrite(buf []byte, nbit int, v uint64, bits int) {
+	for i := bits - 1; i >= 0; i, nbit = i-1, nbit+1 {
+		buf[nbit/8] |= byte(v>>uint(i)&1) << uint(7-nbit%8)
 	}
 }
 
-func TestBitReaderTruncation(t *testing.T) {
-	r := &bitReader{buf: []byte{0xff}}
-	if _, err := r.read(9); err == nil {
-		t.Fatal("reading past the end must fail")
+func bitSerialRead(buf []byte, nbit, bits int) (v uint64) {
+	for i := 0; i < bits; i, nbit = i+1, nbit+1 {
+		v = v<<1 | uint64(buf[nbit/8]>>uint(7-nbit%8)&1)
+	}
+	return v
+}
+
+// TestBitPrimitivesMatchBitSerial holds read and write to the bit-serial
+// reference over random widths 1-128 from random starting bit offsets, and
+// reads every buffer through to its truncation error.
+func TestBitPrimitivesMatchBitSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 2000; trial++ {
+		start := rng.Intn(64)
+		widths := make([]int, 1+rng.Intn(12))
+		total := start
+		for i := range widths {
+			widths[i] = 1 + rng.Intn(128)
+			if rng.Intn(3) == 0 {
+				widths[i] = 1 + rng.Intn(16) // plenty of sub-byte and straddling fields
+			}
+			total += widths[i]
+		}
+
+		// write: both start behind `start` bits that are already set, which
+		// the ORing writers must leave alone.
+		got, want := make([]byte, (total+7)/8), make([]byte, (total+7)/8)
+		bitSerialWrite(got, 0, ^uint64(0), start)
+		bitSerialWrite(want, 0, ^uint64(0), start)
+		w := bitWriter{buf: got, nbit: start}
+		at := start
+		for _, bits := range widths {
+			v := rng.Uint64()
+			w.write(v, bits)
+			bitSerialWrite(want, at, v, bits)
+			at += bits
+		}
+		if w.nbit != total || !bytes.Equal(got, want) {
+			t.Fatalf("write widths %v from bit %d: nbit %d (want %d)\n  got  %x\n  want %x", widths, start, w.nbit, total, got, want)
+		}
+
+		// read: random bytes, cut short so the last reads hit the tail path
+		// and then the truncation error.
+		buf := make([]byte, rng.Intn(len(got)+1))
+		rng.Read(buf)
+		r := bitReader{buf: buf, nbit: min(start, len(buf)*8)}
+		for _, bits := range widths {
+			at, have := r.nbit, r.remaining()
+			v, err := r.read(bits)
+			if bits > have {
+				wantErr := fmt.Sprintf("dataplane: truncated packet: need %d bits, have %d", bits, have)
+				if err == nil || err.Error() != wantErr || r.nbit != at {
+					t.Fatalf("read %d of %d bits: err %v, nbit %d -> %d; want %q", bits, have, err, at, r.nbit, wantErr)
+				}
+				break
+			}
+			if ref := bitSerialRead(buf, at, bits); err != nil || v != ref || r.nbit != at+bits {
+				t.Fatalf("read %d bits at %d of %x: got %#x, %v (nbit %d); want %#x", bits, at, buf, v, err, r.nbit, ref)
+			}
+		}
 	}
 }
 

@@ -239,6 +239,57 @@ func (c *checker) checkParsers() {
 			}
 		}
 	}
+	c.checkParserProgress()
+}
+
+// checkParserProgress rejects a parse-graph cycle none of whose states
+// extracts a bit: a walk caught in one consumes no input and never ends. A
+// cycle that does extract is legal (it parses a header stack and ends when
+// the bytes run out).
+func (c *checker) checkParserProgress() {
+	idle := func(p *ast.ParserNode) bool {
+		for _, e := range p.Extracts {
+			inst := c.insts[e]
+			if inst == nil || c.headers[inst.TypeName] == nil || len(c.headers[inst.TypeName].Fields) > 0 {
+				return false // unknown names are reported above; don't pile on
+			}
+		}
+		return true
+	}
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	state := map[string]int{}
+	var visit func(p *ast.ParserNode)
+	visit = func(p *ast.ParserNode) {
+		state[p.Name] = onPath
+		if p.Select != nil {
+			nexts := []string{p.Select.Default}
+			for _, cs := range p.Select.Cases {
+				nexts = append(nexts, cs.Next)
+			}
+			for _, n := range nexts {
+				q := c.parsers[n]
+				if q == nil || !idle(q) {
+					continue
+				}
+				switch state[n] {
+				case onPath:
+					c.errorf(p.Select.At, "parser_node %q loops back to %q through nodes that extract nothing: parsing would never end", p.Name, n)
+				case unseen:
+					visit(q)
+				}
+			}
+		}
+		state[p.Name] = done
+	}
+	for _, p := range c.prog.Parsers {
+		if c.parsers[p.Name] == p && idle(p) && state[p.Name] == unseen {
+			visit(p)
+		}
+	}
 }
 
 func (c *checker) checkBlock(body []ast.Stmt, scope map[string]bool) {

@@ -150,6 +150,35 @@ parser_node start {
 }`, "unknown node")
 }
 
+// A cycle whose states extract nothing would hang every wire parser; one
+// that extracts on each trip is a header stack and stays legal.
+func TestParserIdleCycle(t *testing.T) {
+	const hdrs = `
+header_type eth_t { bit[16] ty; }
+header eth_t eth;
+header_type none_t { }
+header none_t none;
+`
+	for name, graph := range map[string]string{
+		"self": `parser_node start { extract(eth); select(eth.ty) { default: spin; } }
+parser_node spin { select(eth.ty) { 1: accept; default: spin; } }`,
+		"two": `parser_node start { extract(eth); select(eth.ty) { default: a; } }
+parser_node a { select(eth.ty) { 1: accept; default: b; } }
+parser_node b { select(eth.ty) { 2: a; default: accept; } }`,
+		"fieldless": `parser_node start { extract(eth); select(eth.ty) { default: a; } }
+parser_node a { extract(none); select(eth.ty) { default: a; } }`,
+	} {
+		err := check(t, hdrs+graph)
+		list, _ := err.(ErrorList)
+		if len(list) != 1 || !strings.Contains(list[0].Msg, "extract nothing") || list[0].Pos.Line == 0 {
+			t.Errorf("%s: want one positioned idle-cycle error, got %v", name, err)
+		}
+	}
+	if err := check(t, hdrs+`parser_node start { extract(eth); select(eth.ty) { 0x0800: accept; default: start; } }`); err != nil {
+		t.Errorf("extracting cycle rejected: %v", err)
+	}
+}
+
 func TestPacketMetadataFieldAccepted(t *testing.T) {
 	src := `
 packet in_pkt { fields { bit[9] ingress_port; } }
