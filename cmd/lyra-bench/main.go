@@ -29,7 +29,8 @@
 // certified improvement; the scale experiment appends a provenance-stamped
 // run to the "scale" key of -scale-out (default -out) and, with
 // -scale-assert, exits nonzero unless symmetry dedup was active, the lazy
-// enumerator bounded the path working set, and the dedup compile beat the
+// enumerator bounded the path working set, no single switch-down of the
+// churn loop reprogrammed more than one pod, and the dedup compile beat the
 // no-dedup baseline by the given factor.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whichever
@@ -90,7 +91,7 @@ func main() {
 		scaleSeed      = flag.Int64("scale-seed", 1, "churn storm seed for the scale sweep")
 		scalePortfolio = flag.Int("scale-portfolio", 0, "portfolio width per component (0 = canonical solver only)")
 		scaleRepeats   = flag.Int("scale-repeats", 0, "timed-compile repetitions per point, fastest recorded (0 = default 3; plans are byte-identical across repeats)")
-		scaleAssert    = flag.Float64("scale-assert", 0, "fail unless symmetry dedup is active, peak paths held stays bounded, and the dedup compile beats no-dedup by this factor at every k >= 16 (0 = no assertion)")
+		scaleAssert    = flag.Float64("scale-assert", 0, "fail unless symmetry dedup is active, peak paths held stays bounded, a single switch-down reprograms at most one pod at every k >= 16, and the dedup compile beats no-dedup by this factor there (0 = no assertion)")
 		scaleOut       = flag.String("scale-out", "", "append the scale run to this JSON artifact (defaults to -out)")
 
 		optimizeK       = flag.Int("optimize-k", 4, "fat-tree pod size for the rewrite-search experiment")

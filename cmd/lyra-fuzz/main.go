@@ -41,7 +41,7 @@ func main() {
 		shrink   = flag.Bool("shrink", true, "minimize failing cases before writing bundles")
 		parallel = flag.Int("parallel", 0, "compiler worker pool size for the parallel compile (0 = all CPUs)")
 		stateful = flag.Bool("stateful", false, "generate flow-keyed stateful streaming cases and run the streaming oracle (stream-vs-one-shot, every tier, chunked lanes)")
-		incr     = flag.Bool("incremental", false, "cross-check each compiling case against an incremental identity recompile (cached solver reuse must reproduce the plan)")
+		incr     = flag.Bool("incremental", false, "cross-check each compiling case against an incremental identity recompile (cached solver reuse must reproduce the plan) and against a recompile through one seeded fault (must equal a from-scratch compile of the mutated topology)")
 		optimize = flag.Bool("optimize", false, "cross-check each compiling case against a rewrite-search compile (the optimized deployment must keep the original's reference semantics)")
 		scale    = flag.Bool("scale", false, "cross-check each compiling case against the datacenter-scale modes (no symmetry dedup, 2-way solver portfolio, lazy path enumeration — all must be byte-identical)")
 		quiet    = flag.Bool("q", false, "suppress per-case progress dots")

@@ -49,7 +49,7 @@ func (p *nplPrinter) close() {
 }
 
 func (p *nplPrinter) program() {
-	p.line("/* NPL program for switch %s (%s), generated by Lyra. */", p.sp.Switch, p.sp.Model.Name)
+	p.b.WriteString(codeHeader("NPL", p.sp))
 	p.line("")
 	p.structs()
 	p.bus()

@@ -47,7 +47,7 @@ func (p *p414Printer) close(suffix string) {
 }
 
 func (p *p414Printer) program() {
-	p.line("/* P4_14 program for switch %s (%s), generated by Lyra. */", p.sp.Switch, p.sp.Model.Name)
+	p.b.WriteString(codeHeader("P4_14", p.sp))
 	p.line("")
 	p.headers()
 	p.metadata()

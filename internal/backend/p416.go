@@ -49,7 +49,7 @@ func (p *p416Printer) close(suffix string) {
 }
 
 func (p *p416Printer) program() {
-	p.line("/* P4_16 program for switch %s (%s), generated by Lyra. */", p.sp.Switch, p.sp.Model.Name)
+	p.b.WriteString(codeHeader("P4_16", p.sp))
 	p.line("#include <core.p4>")
 	p.line("#include <v1model.p4>")
 	p.line("")

@@ -93,27 +93,21 @@ func MetaFieldName(v *ir.Var) string {
 
 // Build normalizes a plan into per-switch programs.
 func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
+	return build(plan, nil)
+}
+
+// build is Build restricted to the switches in only (nil = all of them).
+func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
 	out := map[string]*SwitchProgram{}
 
 	// Global bridge layout: consistent across the network.
-	var bridgeVars []encode.BridgeVar
-	seenBridge := map[string]bool{}
-	var bridgeSwitches []string
+	bridgeHeader := buildBridgeHeader(plan.BridgeLayout())
+	bridgeSwitches := make([]string, 0, len(plan.Bridges))
 	for sw := range plan.Bridges {
 		bridgeSwitches = append(bridgeSwitches, sw)
 	}
 	sort.Strings(bridgeSwitches)
-	for _, sw := range bridgeSwitches {
-		for _, bv := range plan.Bridges[sw] {
-			key := BridgeFieldName(bv.Alg, bv.Var)
-			if !seenBridge[key] {
-				seenBridge[key] = true
-				bridgeVars = append(bridgeVars, bv)
-			}
-		}
-	}
-	bridgeHeader := buildBridgeHeader(bridgeVars)
 
 	// Exports indexed by variable, exporters in sorted-switch order, so
 	// importsOf resolves "some other switch exports v" in O(1) per read
@@ -132,6 +126,9 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 	for alg, m := range plan.Placement {
 		for id, hosts := range m {
 			for _, h := range hosts {
+				if only != nil && !only[h] {
+					continue
+				}
 				algs := placedBy[h]
 				if algs == nil {
 					algs = map[string]map[int]bool{}
@@ -148,6 +145,9 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 	}
 
 	for _, sw := range plan.Input.Net.Switches {
+		if only != nil && !only[sw.Name] {
+			continue
+		}
 		var instrs []*ir.Instr
 		placedSet := placedBy[sw.Name]
 		for _, a := range irp.Algorithms {

@@ -197,7 +197,7 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, opt)
 	}
 
-	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil, nil, nil)
+	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil)
 	if res != nil {
 		res.Optimization = optRep
 	}
@@ -234,7 +234,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 	}); err != nil {
 		return nil, nil, err
 	}
-	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev.Fingerprints, prev.Artifacts, prev.SolverCache)
+	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,10 +242,12 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 }
 
 // solveAndTranslate is the shared back half of the pipeline: encode +
-// solve, translate (incrementally when prev fingerprints are supplied),
-// and verify. Every stage is timed into tr; CompileTime is stamped last so
-// it spans the whole pipeline, verification included.
-func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prevFPs map[string]string, prevArts map[string]*backend.Artifact, prevCache *encode.Cache) (*Result, error) {
+// solve, translate and verify. With a previous result, every switch whose
+// plan fingerprint is unchanged keeps that result's artifact and its
+// verification report — same content, same object — and only the rest are
+// built, emitted and verified. Every stage is timed into tr; CompileTime is
+// stamped last so it spans the whole pipeline, verification included.
+func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result) (*Result, error) {
 	// Back-end: synthesis + constraint encoding + SMT solve (§5).
 	opts := encode.DefaultOptions()
 	opts.Objective = req.Objective
@@ -257,14 +259,15 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	if req.SolveBudget > 0 {
 		opts.TimeBudget = req.SolveBudget
 	}
-	// Component solvers persist across recompiles: Recompile reuses the
-	// previous Result's IR verbatim, so a component untouched by the
-	// topology delta hits the cache and re-solves incrementally.
-	cache := prevCache
-	if cache == nil {
-		cache = encode.NewCache()
+	// Component solvers and replayed twin plans persist across recompiles:
+	// Recompile reuses the previous Result's IR verbatim, so a component
+	// untouched by the topology delta hits the cache.
+	if prev != nil {
+		opts.Cache = prev.SolverCache
 	}
-	opts.Cache = cache
+	if opts.Cache == nil {
+		opts.Cache = encode.NewCache()
+	}
 	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, opts)
 	if err != nil {
 		return nil, err
@@ -272,29 +275,35 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	tr.done(PhaseEncode, plan.EncodeTime)
 	tr.done(PhaseSolve, plan.SolveTime)
 
-	// Translation to chip-specific code (§5.7–§5.8). With previous
-	// fingerprints available, only changed switches are re-emitted; the
-	// rest reuse their existing artifacts byte-for-byte.
+	// Translation to chip-specific code (§5.7–§5.8), for the switches whose
+	// fingerprint the previous result does not already answer.
 	cgStart := time.Now()
 	fps := plan.Fingerprints()
 	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism}
-	reused := map[string]*backend.Artifact{}
-	if prevFPs != nil {
+	kept := map[string]*backend.Artifact{}
+	if prev != nil {
 		topts.Only = map[string]bool{}
 		for sw, fp := range fps {
-			if prevFPs[sw] == fp && prevArts[sw] != nil {
-				reused[sw] = prevArts[sw]
+			if art := prev.Artifacts[sw]; art != nil && prev.Fingerprints[sw] == fp {
+				kept[sw] = art
 			} else {
 				topts.Only[sw] = true
 			}
 		}
 	}
-	arts, err := backend.Translate(plan, topts)
+	fresh, err := backend.Translate(plan, topts)
 	if err != nil {
 		return nil, fmt.Errorf("translate: %w", err)
 	}
-	for sw, art := range reused {
-		arts[sw] = art
+	arts := fresh
+	if len(kept) > 0 {
+		arts = make(map[string]*backend.Artifact, len(fresh)+len(kept))
+		for sw, art := range fresh {
+			arts[sw] = art
+		}
+		for sw, art := range kept {
+			arts[sw] = art
+		}
 	}
 	tr.done(PhaseCodegen, time.Since(cgStart))
 
@@ -304,7 +313,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		Artifacts:      arts,
 		Fingerprints:   fps,
 		Diagnostics:    plan.Diagnostics,
-		SolverCache:    cache,
+		SolverCache:    opts.Cache,
 		SolverStats:    plan.Stats,
 		SolveInstances: plan.Instances,
 		SolveTime:      plan.SolveTime,
@@ -314,7 +323,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	var verifyErr error
 	if !req.SkipVerify {
 		vStart := time.Now()
-		res.Reports = verify.PlanParallel(plan, arts, req.Parallelism)
+		res.Reports = verifyReusing(plan, arts, fresh, kept, prev, req.Parallelism)
 		tr.done(PhaseVerify, time.Since(vStart))
 		for _, r := range res.Reports {
 			if !r.OK {
@@ -338,6 +347,29 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		return res, verifyErr
 	}
 	return res, nil
+}
+
+// verifyReusing returns one report per artifact in sorted switch order: the
+// previous result's report for every kept artifact (the very object that
+// report was made from) and a fresh check of the others. A previous result
+// that was not itself fully verified carries nothing forward.
+func verifyReusing(plan *encode.Plan, arts, fresh, kept map[string]*backend.Artifact, prev *Result, workers int) []verify.Report {
+	if len(kept) == 0 || len(prev.Reports) != len(prev.Artifacts) {
+		return verify.PlanParallel(plan, arts, workers)
+	}
+	checked := verify.PlanParallel(plan, fresh, workers)
+	out := make([]verify.Report, 0, len(arts))
+	for _, r := range prev.Reports { // sorted by switch, like checked
+		if kept[r.Switch] == nil {
+			continue
+		}
+		for len(checked) > 0 && checked[0].Switch < r.Switch {
+			out = append(out, checked[0])
+			checked = checked[1:]
+		}
+		out = append(out, r)
+	}
+	return append(out, checked...)
 }
 
 // computeDelta classifies every switch touched by either result.

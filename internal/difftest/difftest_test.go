@@ -1,11 +1,18 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"lyra"
+	"lyra/internal/asic"
+	"lyra/internal/lang/parser"
+	"lyra/internal/topo"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -72,10 +79,12 @@ func TestCampaignAllExplained(t *testing.T) {
 	}
 }
 
-// TestCampaignIncrementalOracle runs the incremental-vs-oneshot solver
-// check: every compiling case is recompiled through the identity scenario
-// on its cached persistent solver, and the incremental result must be
-// byte-identical to the one-shot compile.
+// TestCampaignIncrementalOracle runs the incremental-vs-oneshot check:
+// every compiling case is recompiled through the identity scenario on its
+// cached persistent solver, and the incremental result must be
+// byte-identical to the one-shot compile; then through one fault drawn from
+// the case seed, and that result must be byte-identical to a from-scratch
+// compile of the mutated topology.
 func TestCampaignIncrementalOracle(t *testing.T) {
 	sum := Run(25, 1, Options{SkipShrink: true, Incremental: true}, nil)
 	if n := sum.Unexplained(); n != 0 {
@@ -188,6 +197,81 @@ func TestSeededBugCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// symmetricCase is a sharded load balancer, in the generator's packet
+// vocabulary, on a uniform two-pod fat tree with one wildcard MULTI-SW scope:
+// the pods are renamings of each other, so every programmed switch has a twin
+// of the same plan shape, and the connection table splits along each
+// Agg->ToR path (bridged hit signal, gated downstream shard).
+func symmetricCase(t *testing.T) *Case {
+	t.Helper()
+	prog, err := parser.Parse("symmetric.lyra", []byte(`
+header_type base_t { bit[16] kind; bit[32] a; bit[32] b; bit[32] c; bit[32] out0; }
+header base_t base;
+pipeline[MAIN]{alg0};
+algorithm alg0 {
+  extern dict<bit[32] k, bit[32] v>[4000000] conn;
+  extern dict<bit[32] k, bit[32] v>[1000000] vip;
+  bit[32] h;
+  h = base.a + base.b;
+  if (h in conn) {
+    base.out0 = conn[h];
+  } else {
+    if (base.c in vip) {
+      base.out0 = vip[base.c];
+    }
+  }
+}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.MultiPodFatTree(2, 4, func(string, int) *asic.Model { return asic.Tofino32Q })
+	c := &Case{Prog: prog, Topo: SpecOf(net), Entries: map[string][]Entry{}}
+	c.Scopes = []ScopeSpec{{Alg: "alg0", MultiSw: true,
+		Region: []string{"ToR*", "Agg*"}, From: []string{"Agg*"}, To: []string{"ToR*"}}}
+	for i := uint64(0); i < 8; i++ {
+		c.Trace = append(c.Trace, TracePacket{Valid: []string{"base"}, Fields: map[string]uint64{
+			"base.kind": 0x10, "base.a": i, "base.b": 2 * i, "base.c": 100 + i}})
+		if i%2 == 0 {
+			c.Entries["conn"] = append(c.Entries["conn"], Entry{Key: 3 * i, Value: 1000 + i})
+		}
+		c.Entries["vip"] = append(c.Entries["vip"], Entry{Key: 100 + i, Value: 2000 + i})
+	}
+	return c
+}
+
+// TestSeededBugsCaughtOnSymmetricFabric: translation and verification run
+// once per plan shape, so a fabric of same-shape twins is where a seeded
+// backend bug could hide behind a clean twin. Every mutation must still
+// surface as an unexplained outcome there.
+func TestSeededBugsCaughtOnSymmetricFabric(t *testing.T) {
+	c := symmetricCase(t)
+	net, err := c.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lyra.New().Compile(context.Background(), c.Source(), c.ScopeText(), net)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	bodies := map[string]bool{}
+	for _, a := range res.Artifacts {
+		bodies[a.Code[strings.IndexByte(a.Code, '\n'):]] = true
+	}
+	if len(bodies)*2 > len(res.Artifacts) {
+		t.Fatalf("%d distinct programs on %d switches — not every switch has a same-shape twin",
+			len(bodies), len(res.Artifacts))
+	}
+	if out := NewOracle(Options{}).Check(c); out.Class != Equivalent {
+		t.Fatalf("clean case: %s", out)
+	}
+	for _, name := range MutationNames() {
+		if out := NewOracle(Options{Mutation: name}).Check(c); out.Class.Explained() {
+			t.Errorf("%s went undetected on the symmetric fabric: %s", name, out)
+		}
+	}
+}
+
 // caseWeight is a coarse size metric: statements + switches + packets.
 func caseWeight(c *Case) int {
 	n := len(c.Topo.Switches) + len(c.Trace)
@@ -271,7 +355,9 @@ func TestCorpusReplay(t *testing.T) {
 			continue
 		}
 		t.Run(e.Name(), func(t *testing.T) {
-			out, meta, err := Replay(filepath.Join(corpusDir, e.Name()), Options{})
+			// Incremental adds the identity and seeded-fault recompile legs
+			// on top of the plain check.
+			out, meta, err := Replay(filepath.Join(corpusDir, e.Name()), Options{Incremental: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,12 +28,16 @@ type Options struct {
 	Mutation string
 	// SkipShrink disables minimization of failing cases in Run.
 	SkipShrink bool
-	// Incremental adds an incremental-vs-oneshot solver check: every
+	// Incremental adds an incremental-vs-oneshot check in two legs. Every
 	// compiling case is recompiled through the identity scenario (no
 	// network change), which re-solves each component on its cached
-	// persistent solver. The incremental result must be byte-identical to
-	// the one-shot compile — same switch set, same artifacts, same plan
-	// fingerprints — and must actually have reused the solver.
+	// persistent solver: the result must be byte-identical to the one-shot
+	// compile — same switch set, same artifacts, same plan fingerprints —
+	// and must actually have reused the solver. It is then recompiled
+	// through one fault drawn from the case seed (a switch-down, link-down
+	// or degrade touching a programmed switch), and that result must be
+	// byte-identical to a from-scratch compile of the separately mutated
+	// topology, with a verification report for every artifact.
 	Incremental bool
 	// Stateful switches Run's generator to GenerateStateful: flow-keyed
 	// stateful programs with long chunked traces, which additionally put
@@ -244,6 +248,9 @@ func (o *Oracle) Check(c *Case) Outcome {
 		if out := o.checkIncremental(compiled[0].res); out != nil {
 			return *out
 		}
+		if out := o.checkIncrementalFault(c, compiled[0].res); out != nil {
+			return *out
+		}
 	}
 	if o.opts.Optimize {
 		if out := o.checkOptimize(c, compiled[0].res); out != nil {
@@ -291,6 +298,97 @@ func (o *Oracle) checkIncremental(base *lyra.Result) *Outcome {
 	if st := inc.SolverStats; st.SolveCalls < 2*st.Encodes {
 		return &Outcome{Class: SolverDisagreement,
 			Detail: fmt.Sprintf("incremental: identity recompile re-encoded instead of reusing the solver (SolveCalls=%d Encodes=%d)", st.SolveCalls, st.Encodes)}
+	}
+	return nil
+}
+
+// seededFault draws one fault from the case seed: a switch-down or a degrade
+// of a programmed switch, or the loss of a link at one. It returns the
+// scenario and the scope text a from-scratch compile of the mutated topology
+// takes — Recompile resolves scopes leniently, a fresh compile does not, so a
+// scope naming the dead switch has it struck out. ok is false when the case
+// offers no such fault (a scope would lose its last switch, or the chosen
+// switch has no link).
+func seededFault(c *Case, base *lyra.Result) (sc lyra.Scenario, scopeText string, ok bool) {
+	r := rng(c.Seed ^ 0x5eedfa17)
+	placed := base.Switches()
+	sw := placed[r.Intn(len(placed))]
+	scopeText = c.ScopeText()
+	var ev lyra.FaultEvent
+	switch r.Intn(3) {
+	case 0:
+		without := removeSwitch(c, sw)
+		if without == nil {
+			return sc, "", false
+		}
+		ev, scopeText = lyra.SwitchDown(sw), without.ScopeText()
+	case 1:
+		var peers []string
+		for _, l := range c.Topo.Links {
+			if l[0] == sw {
+				peers = append(peers, l[1])
+			} else if l[1] == sw {
+				peers = append(peers, l[0])
+			}
+		}
+		if len(peers) == 0 {
+			return sc, "", false
+		}
+		ev = lyra.LinkDown(sw, peers[r.Intn(len(peers))])
+	default:
+		ev = lyra.Degrade(sw, 1, 0.5+0.4*r.Float64(), 1)
+	}
+	return lyra.Scenario{Name: ev.String(), Events: []lyra.FaultEvent{ev}}, scopeText, true
+}
+
+// checkIncrementalFault is the non-identity leg of the incremental oracle:
+// base is recompiled through one seeded fault, and the result must be what
+// compiling the mutated topology from nothing gives — same switch set,
+// artifacts and fingerprints — with one verification report per artifact.
+// A fault that leaves the case infeasible must do so both ways. A nil return
+// means the check passed (or the case offers no fault to draw).
+func (o *Oracle) checkIncrementalFault(c *Case, base *lyra.Result) *Outcome {
+	sc, scopeText, ok := seededFault(c, base)
+	if !ok {
+		return nil
+	}
+	fail := func(format string, args ...any) *Outcome {
+		return &Outcome{Class: SolverDisagreement,
+			Detail: fmt.Sprintf("incremental: %s: %s", sc.Name, fmt.Sprintf(format, args...))}
+	}
+	mutated, err := c.Network()
+	if err != nil {
+		return &Outcome{Class: GeneratorError, Detail: err.Error()}
+	}
+	if err := sc.Apply(mutated); err != nil {
+		return &Outcome{Class: GeneratorError, Detail: err.Error()}
+	}
+	scratch, serr := lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1)).
+		Compile(context.Background(), c.Source(), scopeText, mutated)
+	inc, _, ierr := base.Recompile(sc)
+	switch {
+	case serr != nil && !errors.Is(serr, lyra.ErrInfeasible):
+		// The strict scope resolution of a fresh compile rejected the
+		// mutated topology (a pattern or a path set went empty): there is
+		// no reference to compare with.
+		return nil
+	case serr != nil && ierr == nil:
+		return fail("recompile succeeded where a from-scratch compile is infeasible: %v", serr)
+	case serr != nil:
+		return nil
+	case ierr != nil:
+		return fail("recompile failed where a from-scratch compile succeeded: %v", ierr)
+	}
+	if d := diffResults(inc, scratch); d != "" {
+		return fail("recompile diverges from a from-scratch compile: %s", d)
+	}
+	if len(inc.Reports) != len(inc.Artifacts) {
+		return fail("%d verification reports for %d artifacts", len(inc.Reports), len(inc.Artifacts))
+	}
+	for i, sw := range inc.Switches() {
+		if inc.Reports[i].Switch != sw {
+			return fail("report %d is for %s, want %s", i, inc.Reports[i].Switch, sw)
+		}
 	}
 	return nil
 }

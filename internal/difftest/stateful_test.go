@@ -229,7 +229,7 @@ func TestStatefulCorpusReplay(t *testing.T) {
 			if c.FlowField == "" {
 				t.Fatal("stateful bundle lost its flow directive")
 			}
-			out, meta2, err := Replay(filepath.Join(statefulCorpusDir, e.Name()), Options{})
+			out, meta2, err := Replay(filepath.Join(statefulCorpusDir, e.Name()), Options{Incremental: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,8 @@ const DefaultCacheEntries = 128
 // their learnt clauses, VSIDS activity, and saved phases — so a later Solve
 // over an unchanged component (typically a Recompile whose topology delta
 // left the component untouched) resumes incrementally instead of re-encoding
-// from scratch.
+// from scratch. It also memoises the plans replayed onto symmetric twins
+// (see twinKey), under the same bound and eviction policy.
 //
 // An entry is keyed by the identity of the root IR program (Recompile reuses
 // the previous Result's IR verbatim, so pointer equality is exact) plus a
@@ -32,7 +33,8 @@ const DefaultCacheEntries = 128
 // evicts the least-recently-used entry. Take/put transfers ownership: take
 // removes the entry, so two concurrent solves can never share one solver,
 // and the encoder is only put back after a successful solve leaves it in a
-// reusable state.
+// reusable state. Memoised plans are immutable, so they stay in the cache
+// while any number of concurrent solves read them.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -47,8 +49,10 @@ type cacheKey struct {
 	key  string
 }
 
+// cacheEntry holds a solved component's encoder or a twin's replayed plan.
 type cacheEntry struct {
 	enc      *encoder
+	plan     *Plan
 	lastUsed uint64
 }
 
@@ -61,7 +65,7 @@ func NewCacheLimited(maxEntries int) *Cache {
 	return &Cache{entries: map[cacheKey]*cacheEntry{}, cap: maxEntries}
 }
 
-// Len reports the number of cached component encoders.
+// Len reports the number of cached entries (encoders and memoised plans).
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -108,14 +112,42 @@ func (c *Cache) take(root *ir.Program, key string) *encoder {
 }
 
 // put inserts an encoder, reporting whether the LRU bound evicted another
-// entry to make room.
+// entry to make room. The encoder's Input is dropped — take's caller installs
+// the current one — so a cached solver does not pin the network (and the
+// scopes' path sets) of the compile that built it.
 func (c *Cache) put(root *ir.Program, key string, e *encoder) (evicted bool) {
 	if c == nil || e == nil {
 		return false
 	}
+	e.in = nil
+	return c.insert(cacheKey{root, key}, &cacheEntry{enc: e})
+}
+
+// plan returns the plan memoised under key, marking it recently used, or nil.
+func (c *Cache) plan(root *ir.Program, key string) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := cacheKey{root, key}
+	e := c.entries[cacheKey{root, key}]
+	if e == nil {
+		return nil
+	}
+	c.tick++
+	e.lastUsed = c.tick
+	return e.plan
+}
+
+// putPlan memoises a plan, reporting whether that evicted another entry.
+// From here on the plan is shared and must not be modified.
+func (c *Cache) putPlan(root *ir.Program, key string, p *Plan) (evicted bool) {
+	if c == nil {
+		return false
+	}
+	return c.insert(cacheKey{root, key}, &cacheEntry{plan: p})
+}
+
+func (c *Cache) insert(k cacheKey, e *cacheEntry) (evicted bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, present := c.entries[k]; !present && c.cap > 0 && len(c.entries) >= c.cap {
 		// Evict the least-recently-used entry. The scan is O(entries), which
 		// the small cap keeps trivial next to a single solver's footprint.
@@ -132,7 +164,8 @@ func (c *Cache) put(root *ir.Program, key string, e *encoder) (evicted bool) {
 		evicted = true
 	}
 	c.tick++
-	c.entries[k] = &cacheEntry{enc: e, lastUsed: c.tick}
+	e.lastUsed = c.tick
+	c.entries[k] = e
 	return evicted
 }
 

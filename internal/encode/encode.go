@@ -182,6 +182,13 @@ type Plan struct {
 	Allocations map[string]*asic.Allocation
 	// Shards maps extern name -> switch -> entries.
 	Shards map[string]map[string]int64
+	// shardGroups maps extern name -> switch -> the shard map of the
+	// component that switch's shard belongs to, in a plan merged from several
+	// components (nil otherwise: Shards[extern] is then the one group). See
+	// ShardGroup.
+	shardGroups map[string]map[string]map[string]int64
+	// hashes memoises Shapes and Fingerprints.
+	hashes switchHashes
 
 	// EncodeTime and SolveTime split the wall-clock time Solve spent:
 	// constraint construction versus SMT search. With concurrent component
@@ -196,10 +203,12 @@ type Plan struct {
 	Instances int
 	// Classes counts the symmetry equivalence classes actually solved;
 	// Replayed counts the components whose placement was replayed from an
-	// isomorphic representative instead of solved (Instances = Classes +
-	// Replayed when dedup ran).
+	// isomorphic representative instead of solved, and Reused those whose
+	// previously replayed plan was taken from the cache by content key
+	// (Instances = Classes + Replayed + Reused when dedup ran).
 	Classes  int
 	Replayed int
+	Reused   int
 	// PathsEnumerated totals the flow paths walked by the lazy enumerator
 	// across all components; PeakPathsHeld is the largest number of
 	// materialized (unique candidate-hop) path slices any single component
@@ -265,12 +274,13 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	for i := range repOf {
 		repOf[i] = -1
 	}
+	classFP := make([]string, len(comps)) // canonical fingerprint, twins only
 	if !opts.NoSymmetryDedup && len(comps) > 1 {
 		classOf := map[string]int{}
 		for i, c := range comps {
 			if fp, ok := canonicalFingerprint(c); ok {
 				if j, dup := classOf[fp]; dup {
-					repOf[i] = j
+					repOf[i], classFP[i] = j, fp
 				} else {
 					classOf[fp] = i
 				}
@@ -298,14 +308,25 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		r := &results[i]
 		r.plan, r.enc, r.slv, r.err = solveOne(i, label)
 	})
-	// Replay twins from their representatives; a failed replay (which the
-	// isomorphism argument rules out, but fall back soundly anyway) demotes
-	// the twin to a direct solve.
+	// Twins: a twin whose exact content is already in the cache — same class,
+	// same concrete switches, same plan-shaping options — reuses the plan it
+	// was given last time; the others are replayed from their representatives
+	// and memoised. A failed replay (which the isomorphism argument rules out,
+	// but fall back soundly anyway) demotes the twin to a direct solve.
 	var twinIdx []int
 	for i, r := range repOf {
 		if r >= 0 {
 			twinIdx = append(twinIdx, i)
 		}
+	}
+	memo := opts.Cache
+	if opts.ReencodeEachAttempt {
+		memo = nil
+	}
+	optsKey := ""
+	if memo != nil && len(twinIdx) > 0 {
+		optsKey = fmt.Sprintf("%d\x00%s\x00%t\x00%v\x00%d\x00%d", opts.Objective, opts.PreferSwitch,
+			opts.ForceReplication, opts.Ladder, opts.ConflictBudget, opts.Portfolio)
 	}
 	par.For(len(twinIdx), opts.Parallelism, func(k int) {
 		i := twinIdx[k]
@@ -315,10 +336,19 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 			r.err = rep.err // surfaced via the representative below
 			return
 		}
+		key := ""
+		if memo != nil {
+			key = twinKey(classFP[i], comps[i].In, optsKey)
+			if r.plan = memo.plan(in.IR, key); r.plan != nil {
+				r.reused = true
+				return
+			}
+		}
 		rStart := time.Now()
 		plan, err := replayComponent(comps[i].In, comps[repOf[i]].In, rep.plan)
 		if err == nil {
 			r.plan, r.enc, r.replayed = plan, time.Since(rStart), true
+			r.evicted = memo.putPlan(in.IR, key, plan)
 			return
 		}
 		r.plan, r.enc, r.slv, r.err = solveOne(i, comps[i].Label())
@@ -343,6 +373,12 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	for _, r := range results {
 		if r.replayed {
 			plan.Replayed++
+		}
+		if r.reused {
+			plan.Reused++
+		}
+		if r.evicted {
+			plan.Stats.CacheEvictions++
 		}
 	}
 
@@ -459,14 +495,22 @@ type componentResult struct {
 	enc, slv time.Duration
 	err      error
 	replayed bool // placement replayed from an isomorphic representative
+	reused   bool // plan is the cache's memoised one: shared, never written
+	evicted  bool // memoising the replayed plan evicted a cache entry
 }
 
 // mergePlans unions per-component plans into one whole-program plan.
 // Components touch disjoint switch sets, so the switch-keyed maps union
 // without collisions; Shards is keyed by extern name, which two components
-// may share, so its inner per-switch maps union element-wise. After a scope
-// split the same algorithm may appear in several components (one per switch
-// group), so Placement unions its per-instruction host lists as well.
+// may share, so its inner per-switch maps union element-wise while
+// shardGroups remembers which component each switch's shard came from. After
+// a scope split the same algorithm may appear in several components (one per
+// switch group), so Placement unions its per-instruction host lists as well.
+//
+// Component plans are only read: a plan taken from the cache is shared with
+// other compiles, so every map and slice the merge would write into is the
+// merged plan's own. Per-switch values (table lists, bridge lists,
+// allocations, shard maps) are adopted by reference and never modified.
 func mergePlans(in *Input, results []componentResult) *Plan {
 	merged := &Plan{
 		Input:       in,
@@ -475,17 +519,19 @@ func mergePlans(in *Input, results []componentResult) *Plan {
 		Bridges:     map[string][]BridgeVar{},
 		Allocations: map[string]*asic.Allocation{},
 		Shards:      map[string]map[string]int64{},
+		shardGroups: map[string]map[string]map[string]int64{},
 		Diagnostics: &Diagnostics{},
 	}
 	for _, r := range results {
 		p := r.plan
 		for alg, m := range p.Placement {
-			if ex := merged.Placement[alg]; ex == nil {
-				merged.Placement[alg] = m
-			} else {
-				for id, hosts := range m {
-					ex[id] = mergeHosts(ex[id], hosts)
-				}
+			ex := merged.Placement[alg]
+			if ex == nil {
+				ex = make(map[int][]string, len(m))
+				merged.Placement[alg] = ex
+			}
+			for id, hosts := range m {
+				ex[id] = append(ex[id], hosts...)
 			}
 		}
 		for sw, ts := range p.Tables {
@@ -500,9 +546,11 @@ func mergePlans(in *Input, results []componentResult) *Plan {
 		for ext, bySwitch := range p.Shards {
 			if merged.Shards[ext] == nil {
 				merged.Shards[ext] = map[string]int64{}
+				merged.shardGroups[ext] = map[string]map[string]int64{}
 			}
 			for sw, n := range bySwitch {
 				merged.Shards[ext][sw] = n
+				merged.shardGroups[ext][sw] = bySwitch
 			}
 		}
 		merged.Stats.Add(p.Stats)
@@ -528,35 +576,16 @@ func mergePlans(in *Input, results []componentResult) *Plan {
 			}
 		}
 	}
-	return merged
-}
-
-// mergeHosts unions two sorted host lists into a sorted list.
-func mergeHosts(a, b []string) []string {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	// Each component's host list is sorted and the components are disjoint,
+	// but their name ranges interleave ("Agg10_1" < "Agg1_1").
+	for _, m := range merged.Placement {
+		for _, hosts := range m {
+			if !sort.StringsAreSorted(hosts) {
+				sort.Strings(hosts)
+			}
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return merged
 }
 
 // attemptCfg is the mutable configuration one ladder rung can relax.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strings"
 
 	"lyra/internal/scope"
 )
@@ -115,12 +116,24 @@ func scopeUnion(in *Input) []string {
 	return union
 }
 
+// twinKey is the exact content key of a twin component: its symmetry class
+// (the canonical fingerprint — algorithms, index-renamed scopes and paths, the
+// chip model behind every index), the concrete switches the indices stand
+// for, and the rendered options that shape a plan. Replay is byte-identical
+// to solving the twin directly, and a direct solve is a function of exactly
+// this content, so a plan memoised under the key is the plan any later solve
+// of the same content would be given.
+func twinKey(classFP string, in *Input, optsKey string) string {
+	return "twin\x00" + optsKey + "\x00" + classFP + "\x00" + strings.Join(scopeUnion(in), ",")
+}
+
 // replayComponent transplants a representative component's solved placement
 // onto an isomorphic twin: placements are renamed through the index-aligned
 // switch bijection and the twin's tables, shards, allocations, and bridges
 // are re-derived by the resource theory from the twin's own synthesis. Any
 // failure (which the isomorphism argument rules out) is returned so the
-// caller can fall back to a direct solve.
+// caller can fall back to a direct solve. The plan carries no Input: it is
+// memoised across compiles and must not pin this compile's network.
 func replayComponent(twin, rep *Input, repPlan *Plan) (*Plan, error) {
 	tu, ru := scopeUnion(twin), scopeUnion(rep)
 	if len(tu) != len(ru) {
@@ -169,7 +182,6 @@ func replayComponent(twin, rep *Input, repPlan *Plan) (*Plan, error) {
 		return nil, fmt.Errorf("encode: replay: %s", conflict.reason)
 	}
 	plan := &Plan{
-		Input:       twin,
 		Placement:   placement,
 		Tables:      out.placedTables,
 		Bridges:     map[string][]BridgeVar{},

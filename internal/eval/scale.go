@@ -116,6 +116,13 @@ type ScalePoint struct {
 	CacheEvicted  int64   `json:"cache_evictions"`
 	SolverSolves  int64   `json:"solver_solves"`
 	SolverEncodes int64   `json:"solver_encodes"`
+
+	// Reprogrammed is the number of switches each churn event's delta
+	// reprograms, in event order (even events are switch-downs, odd ones
+	// link-downs); MaxSwitchDownReprogrammed is its maximum over the
+	// switch-downs. A dead ToR may touch its own pod, not the fabric.
+	Reprogrammed              []int `json:"reprogrammed"`
+	MaxSwitchDownReprogrammed int   `json:"max_switch_down_reprogrammed"`
 }
 
 // ScaleRun is one provenance-stamped sweep, appended to the
@@ -265,10 +272,15 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 				return nil, fmt.Errorf("scale k=%d churn %d: %w", k, ev, err)
 			}
 			evStart := time.Now()
-			if _, _, err := core.Recompile(ctx, res, req, degraded); err != nil {
+			_, delta, err := core.Recompile(ctx, res, req, degraded)
+			if err != nil {
 				return nil, fmt.Errorf("scale k=%d churn %d (%s): %w", k, ev, event, err)
 			}
 			lat = append(lat, float64(time.Since(evStart).Microseconds())/1000)
+			pt.Reprogrammed = append(pt.Reprogrammed, len(delta.Reprogram))
+			if event.Kind == faults.KindSwitchDown && len(delta.Reprogram) > pt.MaxSwitchDownReprogrammed {
+				pt.MaxSwitchDownReprogrammed = len(delta.Reprogram)
+			}
 		}
 		if len(lat) > 0 {
 			sort.Float64s(lat)
@@ -314,8 +326,9 @@ func sameFingerprints(a, b map[string]string) error {
 // enumeration must bound the working set (the peak held is strictly below
 // the total streamed), and the dedup compile must beat the no-dedup
 // baseline by at least minSpeedup at every k >= 16 (smaller k is too quick
-// for the ratio to be meaningful against timer noise). Returns the
-// violations (empty = contract held).
+// for the ratio to be meaningful against timer noise). At k >= 16 a single
+// switch-down must also stay local: it may reprogram at most the k switches
+// of one pod. Returns the violations (empty = contract held).
 func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 	var violations []string
 	for _, pt := range points {
@@ -329,6 +342,11 @@ func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 					fmt.Sprintf("k=%d: peak paths held (%d) not below total enumerated (%d)", pt.K, pt.PeakPathsHeld, pt.PathsEnumerated))
 			}
 		}
+		if pt.K >= 16 && pt.MaxSwitchDownReprogrammed > pt.K {
+			violations = append(violations,
+				fmt.Sprintf("k=%d: a single switch-down reprogrammed %d switches, more than the %d of one pod",
+					pt.K, pt.MaxSwitchDownReprogrammed, pt.K))
+		}
 		if pt.K >= 16 && minSpeedup > 0 && pt.Speedup < minSpeedup {
 			violations = append(violations,
 				fmt.Sprintf("k=%d: dedup speedup %.2fx below the %.1fx floor (%.1fms vs %.1fms)",
@@ -341,12 +359,12 @@ func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 // FormatScale renders the sweep for the CLI: one summary line per k.
 func FormatScale(points []ScalePoint) string {
 	var b strings.Builder
-	b.WriteString("   k  switches  compile(ms)  no-dedup(ms)  speedup  classes  peak-paths    recompile p50/max\n")
+	b.WriteString("   k  switches  compile(ms)  no-dedup(ms)  speedup  classes  peak-paths    recompile p50/max  switch-down reprograms\n")
 	for _, pt := range points {
-		fmt.Fprintf(&b, "  %2d  %8d  %11.1f  %12.1f  %6.2fx  %3d/%-3d  %5d/%-6d  %8.1f/%.1fms\n",
+		fmt.Fprintf(&b, "  %2d  %8d  %11.1f  %12.1f  %6.2fx  %3d/%-3d  %5d/%-6d  %8.1f/%.1fms  <= %d\n",
 			pt.K, pt.Switches, pt.CompileMS, pt.NoDedupCompileMS, pt.Speedup,
 			pt.Classes, pt.Components, pt.PeakPathsHeld, pt.PathsEnumerated,
-			pt.RecompileP50, pt.RecompileMax)
+			pt.RecompileP50, pt.RecompileMax, pt.MaxSwitchDownReprogrammed)
 	}
 	return b.String()
 }

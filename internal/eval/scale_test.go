@@ -41,6 +41,13 @@ func TestRunScaleSmall(t *testing.T) {
 	if pt.RecompileMax <= 0 {
 		t.Error("churn loop recorded no recompile latency")
 	}
+	if len(pt.Reprogrammed) != pt.ChurnEvents {
+		t.Errorf("%d per-event reprogram counts for %d churn events", len(pt.Reprogrammed), pt.ChurnEvents)
+	}
+	if pt.MaxSwitchDownReprogrammed == 0 || pt.MaxSwitchDownReprogrammed > pt.K {
+		t.Errorf("a switch-down reprogrammed %d switches, want between 1 and the %d of its pod",
+			pt.MaxSwitchDownReprogrammed, pt.K)
+	}
 	if violations := CheckScale(points, 0); len(violations) > 0 {
 		t.Errorf("CheckScale violations: %v", violations)
 	}
@@ -100,6 +107,14 @@ func TestCheckScaleFlagsRegressions(t *testing.T) {
 	}
 	if v := CheckScale(good, 2.0); len(v) != 0 {
 		t.Errorf("clean point flagged: %v", v)
+	}
+	// One dead ToR reprogramming more than its own pod is a violation.
+	global := []ScalePoint{
+		{K: 16, Pods: 16, Components: 16, Replayed: 15, PathsEnumerated: 1024, PeakPathsHeld: 64, Speedup: 3.5,
+			MaxSwitchDownReprogrammed: 255},
+	}
+	if v := CheckScale(global, 2.0); len(v) != 1 {
+		t.Errorf("fabric-wide reprogramming: got %v, want one violation", v)
 	}
 	// Small k is exempt from the speedup floor — single-digit-millisecond
 	// compiles are timer noise — but not from the structural checks.

@@ -104,12 +104,10 @@ func (s Scenario) String() string {
 	return s.Name + ": " + strings.Join(parts, ", ")
 }
 
-// Apply mutates the network in event order, atomically: events are applied
-// to a clone, which replaces net's contents only once every event has
-// succeeded. A failing event therefore aborts with an error and leaves net
-// exactly as it was — earlier events of the scenario are never stranded
-// half-applied on a live topology.
-func (s Scenario) Apply(net *topo.Network) error {
+// Applied returns a clone of net with every event applied in order; net
+// itself is never touched. It is the one clone a recompile needs: the caller
+// keeps the pristine topology and compiles against the returned one.
+func (s Scenario) Applied(net *topo.Network) (*topo.Network, error) {
 	work := net.Clone()
 	for _, e := range s.Events {
 		var err error
@@ -126,8 +124,21 @@ func (s Scenario) Apply(net *topo.Network) error {
 			err = fmt.Errorf("faults: unknown event kind %d", e.Kind)
 		}
 		if err != nil {
-			return fmt.Errorf("faults: scenario %s: event %s: %w", s.Name, e, err)
+			return nil, fmt.Errorf("faults: scenario %s: event %s: %w", s.Name, e, err)
 		}
+	}
+	return work, nil
+}
+
+// Apply mutates the network in event order, atomically: events are applied
+// to a clone (see Applied), which replaces net's contents only once every
+// event has succeeded. A failing event therefore aborts with an error and
+// leaves net exactly as it was — earlier events of the scenario are never
+// stranded half-applied on a live topology.
+func (s Scenario) Apply(net *topo.Network) error {
+	work, err := s.Applied(net)
+	if err != nil {
+		return err
 	}
 	net.ReplaceWith(work)
 	return nil

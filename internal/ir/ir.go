@@ -6,6 +6,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lyra/internal/lang/ast"
@@ -27,7 +28,9 @@ func (v *Var) String() string {
 	if v == nil {
 		return "<nil>"
 	}
-	return fmt.Sprintf("%s.%d", v.Name, v.Ver)
+	// Not fmt: this is the sort key and map key of per-switch loops in
+	// placement replay, program building and fingerprinting.
+	return v.Name + "." + strconv.Itoa(v.Ver)
 }
 
 // OperandKind discriminates Operand.

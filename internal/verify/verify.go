@@ -8,6 +8,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"lyra/internal/asic"
@@ -41,20 +42,49 @@ func Plan(plan *encode.Plan, arts map[string]*backend.Artifact) []Report {
 	return PlanParallel(plan, arts, 1)
 }
 
-// PlanParallel is Plan with the per-switch admission and lint checks fanned
-// out over a bounded worker pool (workers <= 0 selects GOMAXPROCS). Each
-// switch is checked independently and reports are returned in sorted switch
-// order, so the result is identical at any parallelism level.
+// PlanParallel is Plan with the admission and lint checks fanned out over a
+// bounded worker pool (workers <= 0 selects GOMAXPROCS). Reports are returned
+// in sorted switch order and are identical at any parallelism level.
+//
+// There is one verdict per plan shape (backend.ShapeLeads): the shape covers
+// everything admission and the lint consume, so the first switch of each
+// shape is checked and the others are stamped with its report — provided
+// their program text past the header line is byte-for-byte the checked one,
+// which is compared here rather than taken on the shape's word.
 func PlanParallel(plan *encode.Plan, arts map[string]*backend.Artifact, workers int) []Report {
 	keys := sortedKeys(arts)
 	if len(keys) == 0 {
 		return nil
 	}
+	lead := backend.ShapeLeads(plan, keys)
+	var own []int // the switches checked on their own
+	for i, sw := range keys {
+		if lead[i] != i && !sameProgram(arts[keys[lead[i]]], arts[sw]) {
+			lead[i] = i
+		}
+		if lead[i] == i {
+			own = append(own, i)
+		}
+	}
 	out := make([]Report, len(keys))
-	par.For(len(keys), workers, func(i int) {
+	par.For(len(own), workers, func(k int) {
+		i := own[k]
 		out[i] = verifyOne(keys[i], arts[keys[i]])
 	})
+	for i, sw := range keys {
+		if lead[i] != i {
+			out[i] = out[lead[i]]
+			out[i].Switch = sw
+		}
+	}
 	return out
+}
+
+// sameProgram reports whether two artifacts carry the same program text in
+// the same language, the first line — the comment naming the switch — aside.
+func sameProgram(a, b *backend.Artifact) bool {
+	body := func(code string) string { return code[strings.IndexByte(code, '\n')+1:] }
+	return a.Dialect == b.Dialect && body(a.Code) == body(b.Code)
 }
 
 // verifyOne re-admits and lints a single switch's artifact.
@@ -220,11 +250,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	// insertion sort keeps this dependency-free
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }

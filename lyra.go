@@ -373,7 +373,7 @@ func (c *Compiler) Compile(ctx context.Context, source, scopeSpec string, net *N
 	defer recoverInternal(&err)
 	creq := c.coreRequest(source, scopeSpec, net)
 	cres, err := corePipeline(ctx, creq)
-	res = wrapResult(cres, creq, net)
+	res = c.wrapResult(cres, creq, net)
 	if err != nil {
 		return res, fmt.Errorf("lyra: %w", err)
 	}
@@ -392,14 +392,14 @@ func (c *Compiler) Recompile(ctx context.Context, prev *Result, sc Scenario) (re
 	if prev == nil || prev.cres == nil {
 		return nil, nil, fmt.Errorf("lyra: recompile requires a completed compilation")
 	}
-	degraded := prev.net.Clone()
-	if err := sc.Apply(degraded); err != nil {
+	degraded, err := sc.Applied(prev.net)
+	if err != nil {
 		return nil, nil, fmt.Errorf("lyra: applying scenario %s: %w", sc.Name, err)
 	}
 	creq := c.coreRequest(prev.creq.Source, prev.creq.ScopeSpec, degraded)
 	creq.SourceName = prev.creq.SourceName
 	cres, delta, err := recompilePipeline(ctx, prev.cres, creq, degraded)
-	res = wrapResult(cres, creq, degraded)
+	res = c.wrapResult(cres, creq, degraded)
 	if err != nil {
 		return res, delta, fmt.Errorf("lyra: recompile after %s: %w", sc.Name, err)
 	}
@@ -492,6 +492,9 @@ type Result struct {
 	cres *core.Result
 	creq core.Request
 	net  *Network
+	// compiler is the configuration that produced this result; the legacy
+	// Result.Recompile recompiles under it.
+	compiler *Compiler
 }
 
 // Compile runs the full Lyra pipeline: parse, check, preprocess, analyze,
@@ -533,22 +536,13 @@ func (r *Result) Recompile(sc Scenario) (*Result, *Delta, error) {
 	return r.RecompileContext(context.Background(), sc)
 }
 
-// RecompileContext is Recompile with cooperative cancellation.
-func (r *Result) RecompileContext(ctx context.Context, sc Scenario) (res *Result, delta *Delta, err error) {
-	defer recoverInternal(&err)
-	if r == nil || r.cres == nil {
+// RecompileContext is Recompile with cooperative cancellation. It is
+// Compiler.Recompile under the configuration that produced r.
+func (r *Result) RecompileContext(ctx context.Context, sc Scenario) (*Result, *Delta, error) {
+	if r == nil || r.compiler == nil {
 		return nil, nil, fmt.Errorf("lyra: recompile requires a completed compilation")
 	}
-	degraded := r.net.Clone()
-	if err := sc.Apply(degraded); err != nil {
-		return nil, nil, fmt.Errorf("lyra: applying scenario %s: %w", sc.Name, err)
-	}
-	cres, delta, err := recompilePipeline(ctx, r.cres, r.creq, degraded)
-	res = wrapResult(cres, r.creq, degraded)
-	if err != nil {
-		return res, delta, fmt.Errorf("lyra: recompile after %s: %w", sc.Name, err)
-	}
-	return res, delta, nil
+	return r.compiler.Recompile(ctx, r, sc)
 }
 
 // Network returns the topology this result was compiled against (after
@@ -573,11 +567,12 @@ func (r *Result) ArtifactFingerprint() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
+func (c *Compiler) wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
 	if cres == nil {
 		return nil
 	}
 	return &Result{
+		compiler:       c,
 		Artifacts:      cres.Artifacts,
 		Reports:        cres.Reports,
 		Fingerprints:   cres.Fingerprints,

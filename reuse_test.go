@@ -1,0 +1,402 @@
+package lyra
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"lyra/internal/asic"
+	"lyra/internal/backend"
+	"lyra/internal/topo"
+	"lyra/internal/verify"
+)
+
+// podLB is the load balancer with a connection table too large for one
+// switch, so every pod splits it along its Agg->ToR paths: the plan has
+// sharded externs, bridged hit signals and, on a uniform fabric, one
+// placement component per pod that is a renaming of every other.
+const podLB = `
+header_type ipv4_t { bit[32] srcAddr; bit[32] dstAddr; bit[8] protocol; }
+header ipv4_t ipv4;
+pipeline[LB]{loadbalancer};
+algorithm loadbalancer {
+  extern dict<bit[32] hash, bit[32] ip>[4000000] conn_table;
+  extern dict<bit[32] vip, bit[32] dip>[100000] vip_table;
+  bit[32] hash;
+  hash = crc32_hash(ipv4.srcAddr, ipv4.dstAddr, ipv4.protocol);
+  if (hash in conn_table) {
+    ipv4.dstAddr = conn_table[hash];
+  } else {
+    if (ipv4.dstAddr in vip_table) {
+      ipv4.dstAddr = vip_table[ipv4.dstAddr];
+    }
+  }
+}
+`
+
+const podScope = `loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`
+
+func uniformPods(pods, k int) *Network {
+	return topo.MultiPodFatTree(pods, k, func(string, int) *asic.Model { return asic.Tofino32Q })
+}
+
+var podSwitch = regexp.MustCompile(`^(?:ToR|Agg)(\d+)_\d+$`)
+
+// podOf returns the pod number in a fat-tree switch name ("Agg12_3" -> 12),
+// or 0 for a core switch.
+func podOf(sw string) int {
+	m := podSwitch.FindStringSubmatch(sw)
+	if m == nil {
+		return 0
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// sameAsScratch demands that an incremental result is the deployment a
+// from-scratch compile of the same topology produces — every artifact's code,
+// control-plane stub and plan fingerprint — and that it is fully verified.
+func sameAsScratch(t *testing.T, label string, inc, scratch *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(inc.Switches(), scratch.Switches()) {
+		t.Fatalf("%s: switch sets differ:\n  incremental %v\n  scratch     %v", label, inc.Switches(), scratch.Switches())
+	}
+	for _, sw := range scratch.Switches() {
+		a, b := inc.Artifact(sw), scratch.Artifact(sw)
+		if a.Code != b.Code {
+			t.Errorf("%s: %s: code differs from a from-scratch compile", label, sw)
+		}
+		if a.ControlPlane != b.ControlPlane {
+			t.Errorf("%s: %s: control-plane stub differs from a from-scratch compile:\n--- incremental\n%s--- scratch\n%s",
+				label, sw, a.ControlPlane, b.ControlPlane)
+		}
+		if inc.Fingerprints[sw] != scratch.Fingerprints[sw] {
+			t.Errorf("%s: %s: fingerprint differs from a from-scratch compile", label, sw)
+		}
+	}
+	if len(inc.Reports) != len(inc.Artifacts) {
+		t.Fatalf("%s: %d reports for %d artifacts", label, len(inc.Reports), len(inc.Artifacts))
+	}
+	for i, r := range inc.Reports {
+		if r.Switch != inc.Switches()[i] {
+			t.Errorf("%s: report %d is for %s, want %s (sorted, one per artifact)", label, i, r.Switch, inc.Switches()[i])
+		}
+		if !r.OK {
+			t.Errorf("%s: %s: verification failed: %v", label, r.Switch, r.Problems)
+		}
+	}
+}
+
+// TestRecompileEqualsFromScratch: whatever the fault, Recompile must hand
+// back exactly what compiling the mutated topology from nothing would. The
+// degrade row is the stale-artifact regression: shrinking one Agg of pod 1
+// re-shards pod 1 only, and a pod-2 stub that listed the whole fabric's
+// shards went stale behind an unchanged fingerprint.
+func TestRecompileEqualsFromScratch(t *testing.T) {
+	ctx := context.Background()
+	c := New(WithLazyPaths(0))
+	for _, dim := range [][2]int{{2, 4}, {4, 8}} {
+		pods, k := dim[0], dim[1]
+		base, err := c.Compile(ctx, podLB, podScope, uniformPods(pods, k))
+		if err != nil {
+			t.Fatalf("pods=%d k=%d: base compile: %v", pods, k, err)
+		}
+		for _, ev := range []FaultEvent{
+			SwitchDown("ToR1_1"),
+			LinkDown("ToR1_2", "Agg1_1"),
+			Degrade("Agg1_1", 1, 0.8, 1),
+		} {
+			label := fmt.Sprintf("pods=%d k=%d %s", pods, k, ev)
+			sc := Scenario{Name: ev.String(), Events: []FaultEvent{ev}}
+			inc, _, err := c.Recompile(ctx, base, sc)
+			if err != nil {
+				t.Fatalf("%s: recompile: %v", label, err)
+			}
+			mutated := uniformPods(pods, k)
+			if err := sc.Apply(mutated); err != nil {
+				t.Fatal(err)
+			}
+			scratch, err := c.Compile(ctx, podLB, podScope, mutated)
+			if err != nil {
+				t.Fatalf("%s: from-scratch compile: %v", label, err)
+			}
+			sameAsScratch(t, label, inc, scratch)
+		}
+	}
+}
+
+// TestRecompileLocality: a fault inside one pod must not reprogram another.
+func TestRecompileLocality(t *testing.T) {
+	ctx := context.Background()
+	c := New(WithLazyPaths(0))
+	base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
+	if err != nil {
+		t.Fatalf("base compile: %v", err)
+	}
+	for pod := 1; pod <= 4; pod++ {
+		tor := fmt.Sprintf("ToR%d_%d", pod, pod)
+		_, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{SwitchDown(tor)}})
+		if err != nil {
+			t.Fatalf("switch-down %s: %v", tor, err)
+		}
+		if !reflect.DeepEqual(delta.Removed, []string{tor}) {
+			t.Errorf("switch-down %s: Removed = %v", tor, delta.Removed)
+		}
+		if len(delta.Reprogram) == 0 {
+			t.Errorf("switch-down %s reprogrammed nothing", tor)
+		}
+		for _, sw := range delta.Reprogram {
+			if podOf(sw) != pod {
+				t.Errorf("switch-down %s reprogrammed %s, a switch of another pod", tor, sw)
+			}
+		}
+
+		agg := fmt.Sprintf("Agg%d_1", pod)
+		_, delta, err = c.Recompile(ctx, base, Scenario{Events: []FaultEvent{LinkDown(tor, agg)}})
+		if err != nil {
+			t.Fatalf("link-down %s-%s: %v", tor, agg, err)
+		}
+		if len(delta.Removed) != 0 {
+			t.Errorf("link-down %s-%s: Removed = %v", tor, agg, delta.Removed)
+		}
+		for _, sw := range delta.Reprogram {
+			if podOf(sw) != pod {
+				t.Errorf("link-down %s-%s reprogrammed %s, a switch of another pod", tor, agg, sw)
+			}
+		}
+	}
+}
+
+// TestShardStubListsOwnComponent: the shard list of a control-plane stub
+// names exactly the ShardCount switches its header line counts, all of them
+// in the switch's own placement component (here: its pod), with the entries
+// the plan gave them.
+func TestShardStubListsOwnComponent(t *testing.T) {
+	res, err := New(WithLazyPaths(0)).Compile(context.Background(), podLB, podScope, uniformPods(4, 8))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	head := regexp.MustCompile(`^# (\w+) is split across (\d+) switches:$`)
+	row := regexp.MustCompile(`^#   (\S+)\s+holds (\d+) entries$`)
+	split := 0
+	for _, sw := range res.Switches() {
+		lines := strings.Split(res.Artifact(sw).ControlPlane, "\n")
+		for i := 0; i < len(lines); i++ {
+			m := head.FindStringSubmatch(lines[i])
+			if m == nil {
+				continue
+			}
+			split++
+			want, _ := strconv.Atoi(m[2])
+			listed := 0
+			for i+1 < len(lines) {
+				r := row.FindStringSubmatch(lines[i+1])
+				if r == nil {
+					break
+				}
+				i++
+				listed++
+				if podOf(r[1]) != podOf(sw) {
+					t.Errorf("%s: stub of %s lists %s, a switch of another component", sw, m[1], r[1])
+				}
+				if n, _ := strconv.ParseInt(r[2], 10, 64); n != res.Shards(m[1])[r[1]] {
+					t.Errorf("%s: stub says %s holds %d entries of %s, plan says %d", sw, r[1], n, m[1], res.Shards(m[1])[r[1]])
+				}
+			}
+			if listed != want {
+				t.Errorf("%s: stub of %s lists %d hosts under a header counting %d", sw, m[1], listed, want)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no split extern in the plan — the test is vacuous")
+	}
+}
+
+// translateAndVerify runs the two memoised stages on a compiled plan.
+func translateAndVerify(t *testing.T, res *Result, d Dialect) (map[string]*Artifact, []Report) {
+	t.Helper()
+	arts, err := backend.Translate(res.plan, &backend.Options{P4Dialect: d})
+	if err != nil {
+		t.Fatalf("translate: %v", err)
+	}
+	return arts, verify.PlanParallel(res.plan, arts, 0)
+}
+
+// TestShapeMemoMatchesPerSwitch: emitting and verifying once per plan shape
+// must give every switch byte-for-byte the artifact and the report that
+// emitting and verifying it on its own gives. A no-op backend.TestMutation
+// forces the per-switch path, the same switch the seeded-bug tests rely on.
+// Covers every program under testdata/programs in both P4 dialects on the
+// testbed (PER-SW on all ToRs and Aggs: four Tofino twins emitting P4, four
+// Trident-4 twins emitting NPL) and the sharded load balancer on a
+// mixed-chip multi-pod tree.
+func TestShapeMemoMatchesPerSwitch(t *testing.T) {
+	type input struct {
+		name, src, scope string
+		net              *Network
+	}
+	var inputs []input
+	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.lyra"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs under testdata/programs: %v", err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".lyra")
+		src := loadProgram(t, name)
+		inputs = append(inputs, input{name, src, perSwitchScope(t, src, "ToR*,Agg*"), Testbed()})
+	}
+	inputs = append(inputs, input{"pod-lb-mixed-chips", podLB, podScope,
+		topo.MultiPodFatTree(4, 4, func(layer string, _ int) *asic.Model {
+			if layer == "Agg" {
+				return asic.Trident4
+			}
+			return asic.Tofino32Q
+		})})
+
+	shared, npl := 0, 0
+	for _, in := range inputs {
+		for _, d := range []Dialect{P414, P416} {
+			label := fmt.Sprintf("%s/%s", in.name, d)
+			res, err := New(WithDialect(d), WithLazyPaths(0)).Compile(context.Background(), in.src, in.scope, in.net)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", label, err)
+			}
+			arts, reports := translateAndVerify(t, res, d)
+			backend.TestMutation = func(string, *backend.SwitchProgram) {}
+			plainArts, plainReports := translateAndVerify(t, res, d)
+			backend.TestMutation = nil
+
+			shapes := map[string]bool{}
+			for _, s := range res.plan.Shapes() {
+				shapes[s] = true
+			}
+			shared += len(arts) - len(shapes)
+			if len(arts) != len(plainArts) {
+				t.Fatalf("%s: %d artifacts with the memo, %d without", label, len(arts), len(plainArts))
+			}
+			for sw, want := range plainArts {
+				got := arts[sw]
+				if got == nil {
+					t.Fatalf("%s: %s missing with the memo", label, sw)
+				}
+				if got.Dialect == "NPL" {
+					npl++
+				}
+				if got.Code != want.Code || got.ControlPlane != want.ControlPlane {
+					t.Errorf("%s: %s: text differs between per-shape and per-switch emission", label, sw)
+				}
+				if got.Dialect != want.Dialect || got.LoC != want.LoC || got.LogicLoC != want.LogicLoC ||
+					got.Tables != want.Tables || got.Actions != want.Actions || got.Registers != want.Registers ||
+					got.Switch != want.Switch || got.Model != want.Model || got.Alloc != want.Alloc {
+					t.Errorf("%s: %s: artifact metadata differs between per-shape and per-switch emission", label, sw)
+				}
+				// The compile itself went through the memo too.
+				if c := res.Artifact(sw); c.Code != want.Code || c.ControlPlane != want.ControlPlane {
+					t.Errorf("%s: %s: compiled artifact differs from per-switch emission", label, sw)
+				}
+			}
+			if !reflect.DeepEqual(reports, plainReports) {
+				t.Errorf("%s: reports differ between per-shape and per-switch verification:\n  memo  %+v\n  plain %+v",
+					label, reports, plainReports)
+			}
+		}
+	}
+	if shared == 0 || npl == 0 {
+		t.Fatalf("%d switches shared a shape, %d NPL artifacts — the test is vacuous", shared, npl)
+	}
+}
+
+// TestShapeMemoBypassedUnderMutation: a seeded backend bug changes one
+// switch's program without changing its plan shape. If that switch took its
+// text from a same-shape twin the bug would vanish from the artifact, so
+// translation must emit every switch on its own while a mutation is set.
+func TestShapeMemoBypassedUnderMutation(t *testing.T) {
+	res, err := New(WithLazyPaths(0)).Compile(context.Background(), podLB, podScope, uniformPods(2, 4))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	// The last switch exporting a bridge variable that has a twin earlier in
+	// the order: with the memo on it would be instantiated, not emitted.
+	shapes := res.plan.Shapes()
+	seen := map[string]bool{}
+	target := ""
+	for _, sw := range res.Switches() {
+		if seen[shapes[sw]] && len(res.plan.Bridges[sw]) > 0 {
+			target = sw
+		}
+		seen[shapes[sw]] = true
+	}
+	if target == "" {
+		t.Fatal("no exporting switch with a same-shape twin before it")
+	}
+	backend.TestMutation = func(sw string, sp *backend.SwitchProgram) {
+		if sw == target {
+			backend.MutationDropExports(sw, sp)
+		}
+	}
+	defer func() { backend.TestMutation = nil }()
+	arts, err := backend.Translate(res.plan, nil)
+	if err != nil {
+		t.Fatalf("translate: %v", err)
+	}
+	if arts[target].Code == res.Artifact(target).Code {
+		t.Errorf("%s: the seeded bug is invisible in its artifact — it was instantiated from a twin", target)
+	}
+	for sw, a := range arts {
+		if sw != target && a.Code != res.Artifact(sw).Code {
+			t.Errorf("%s: code changed although only %s was mutated", sw, target)
+		}
+	}
+}
+
+// TestConcurrentRecompilesShareTwinPlans: two recompiles from one base run
+// at once, both reading the twin plans the base compile memoised. Under
+// -race any write to a shared plan is a reported race; both results must
+// still equal from-scratch compiles.
+func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
+	ctx := context.Background()
+	c := New(WithLazyPaths(0))
+	base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
+	if err != nil {
+		t.Fatalf("base compile: %v", err)
+	}
+	scs := []Scenario{
+		{Name: "a", Events: []FaultEvent{SwitchDown("ToR2_1")}},
+		{Name: "b", Events: []FaultEvent{SwitchDown("ToR3_4")}},
+	}
+	incs := make([]*Result, len(scs))
+	errs := make([]error, len(scs))
+	var wg sync.WaitGroup
+	for i := range scs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			incs[i], _, errs[i] = c.Recompile(ctx, base, scs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, sc := range scs {
+		if errs[i] != nil {
+			t.Fatalf("%s: recompile: %v", sc.Name, errs[i])
+		}
+		if incs[i].plan.Reused == 0 {
+			t.Errorf("%s: no twin plan was reused from the cache", sc.Name)
+		}
+		mutated := uniformPods(4, 8)
+		if err := sc.Apply(mutated); err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := c.Compile(ctx, podLB, podScope, mutated)
+		if err != nil {
+			t.Fatalf("%s: from-scratch compile: %v", sc.Name, err)
+		}
+		sameAsScratch(t, sc.Name, incs[i], scratch)
+	}
+}
