@@ -49,7 +49,7 @@ func (p *nplPrinter) close() {
 }
 
 func (p *nplPrinter) program() {
-	p.b.WriteString(codeHeader("NPL", p.sp))
+	p.b.WriteString(codeHeader("NPL", p.sp, ""))
 	p.line("")
 	p.structs()
 	p.bus()

@@ -47,7 +47,7 @@ func (p *p414Printer) close(suffix string) {
 }
 
 func (p *p414Printer) program() {
-	p.b.WriteString(codeHeader("P4_14", p.sp))
+	p.b.WriteString(codeHeader("P4_14", p.sp, ""))
 	p.line("")
 	p.headers()
 	p.metadata()

@@ -49,7 +49,7 @@ func (p *p416Printer) close(suffix string) {
 }
 
 func (p *p416Printer) program() {
-	p.b.WriteString(codeHeader("P4_16", p.sp))
+	p.b.WriteString(codeHeader("P4_16", p.sp, ""))
 	p.line("#include <core.p4>")
 	p.line("#include <v1model.p4>")
 	p.line("")

@@ -97,74 +97,38 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 }
 
 // build is Build restricted to the switches in only (nil = all of them).
+//
+// A program is a function of the switch's plan shape (encode.Plan.Shapes):
+// chip model, placed instructions, table geometry, exports, imports and the
+// bridge layout are all the shape digests. So one program is built per shape,
+// and every other switch of the shape gets a shallow copy of it that differs
+// only in which switch it names — the headers, tables, instructions and maps
+// behind the copies are shared and read-only. Under TestMutation every switch
+// is built on its own, because a seeded bug changes a program without
+// changing its shape.
 func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
-	out := map[string]*SwitchProgram{}
+	shapes := plan.Shapes()
+	out := make(map[string]*SwitchProgram, len(shapes))
 
 	// Global bridge layout: consistent across the network.
 	bridgeHeader := buildBridgeHeader(plan.BridgeLayout())
-	bridgeSwitches := make([]string, 0, len(plan.Bridges))
-	for sw := range plan.Bridges {
-		bridgeSwitches = append(bridgeSwitches, sw)
-	}
-	sort.Strings(bridgeSwitches)
 
-	// Exports indexed by variable, exporters in sorted-switch order, so
-	// importsOf resolves "some other switch exports v" in O(1) per read
-	// instead of rescanning every switch's bridge list.
-	exportsByVar := map[*ir.Var][]bridgeExport{}
-	for _, sw := range bridgeSwitches {
-		for _, bv := range plan.Bridges[sw] {
-			exportsByVar[bv.Var] = append(exportsByVar[bv.Var], bridgeExport{sw: sw, bv: bv})
+	byShape := map[string]*SwitchProgram{}
+	plan.EachHost(func(sw string, instrs []*ir.Instr) {
+		if only != nil && !only[sw] {
+			return
 		}
-	}
-
-	// The placement inverted once: switch -> algorithm -> placed IDs.
-	// Inverting inside the switch loop rescanned every placement of every
-	// algorithm per switch — quadratic in the switch count on a fat tree.
-	placedBy := map[string]map[string]map[int]bool{}
-	for alg, m := range plan.Placement {
-		for id, hosts := range m {
-			for _, h := range hosts {
-				if only != nil && !only[h] {
-					continue
-				}
-				algs := placedBy[h]
-				if algs == nil {
-					algs = map[string]map[int]bool{}
-					placedBy[h] = algs
-				}
-				set := algs[alg]
-				if set == nil {
-					set = map[int]bool{}
-					algs[alg] = set
-				}
-				set[id] = true
-			}
-		}
-	}
-
-	for _, sw := range plan.Input.Net.Switches {
-		if only != nil && !only[sw.Name] {
-			continue
-		}
-		var instrs []*ir.Instr
-		placedSet := placedBy[sw.Name]
-		for _, a := range irp.Algorithms {
-			if set := placedSet[a.Name]; set != nil {
-				for _, in := range a.Instrs {
-					if set[in.ID] {
-						instrs = append(instrs, in)
-					}
-				}
-			}
-		}
-		if len(instrs) == 0 {
-			continue
+		model := plan.Input.Net.Switch(sw).ASIC
+		if like := byShape[shapes[sw]]; like != nil && TestMutation == nil {
+			sp := *like
+			sp.Switch, sp.Model = sw, model
+			out[sw] = &sp
+			return
 		}
 		sp := &SwitchProgram{
-			Switch:    sw.Name,
-			Model:     sw.ASIC,
+			Switch:    sw,
+			Model:     model,
 			Instrs:    instrs,
 			HitGuards: map[string]*ir.Var{},
 		}
@@ -175,9 +139,9 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 		for _, in := range instrs {
 			placed[in] = true
 		}
-		sp.Tables = filterPlaced(orderTables(plan.Tables[sw.Name]), placed)
-		sp.Exports = plan.Bridges[sw.Name]
-		sp.Imports = importsOf(exportsByVar, sw.Name, instrs)
+		sp.Tables = filterPlaced(orderTables(plan.Tables[sw]), placed)
+		sp.Exports = plan.Bridges[sw]
+		sp.Imports = plan.Imports(sw, instrs)
 		if len(sp.Exports) > 0 || len(sp.Imports) > 0 {
 			sp.Bridge = bridgeHeader
 		}
@@ -194,9 +158,10 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 				}
 			}
 		}
-		applyTestMutation(sw.Name, sp)
-		out[sw.Name] = sp
-	}
+		byShape[shapes[sw]] = sp
+		applyTestMutation(sw, sp)
+		out[sw] = sp
+	})
 	return out, nil
 }
 
@@ -412,41 +377,5 @@ func egressTables(tables []*encode.PlacedTable) map[string]bool {
 			}
 		}
 	}
-	return out
-}
-
-// bridgeExport is one switch's export of a bridge variable, indexed by
-// variable in Build so import resolution is O(1) per read.
-type bridgeExport struct {
-	sw string
-	bv encode.BridgeVar
-}
-
-// importsOf finds bridge variables the switch reads from upstream. A var
-// that is also defined locally is still imported when another switch
-// exports it: shard copies of a split table need the upstream hit signal
-// and value at switch entry (the local copy overwrites them only when it
-// actually executes).
-func importsOf(exportsByVar map[*ir.Var][]bridgeExport, sw string, instrs []*ir.Instr) []encode.BridgeVar {
-	seen := map[*ir.Var]bool{}
-	var out []encode.BridgeVar
-	for _, in := range instrs {
-		for _, v := range in.Reads() {
-			if seen[v] {
-				continue
-			}
-			// Import if some other switch exports it.
-			for _, e := range exportsByVar[v] {
-				if e.sw != sw {
-					seen[v] = true
-					out = append(out, e.bv)
-					break
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Var.String() < out[j].Var.String()
-	})
 	return out
 }

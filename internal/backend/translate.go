@@ -68,10 +68,10 @@ type Artifact struct {
 // SwitchProgram and writes into its own index-addressed slot, so output is
 // identical at any parallelism level.
 //
-// Program text is emitted once per plan shape (see ShapeLeads): the first
-// switch of each shape runs the printer, and the others take its text with
-// their own header line. A symmetric fabric has a handful of shapes for
-// thousands of switches.
+// Program text and the control-plane stub are rendered once per plan shape
+// (see ShapeLeads): the first switch of each shape runs the printers, and the
+// others take its text with their own name in it. A symmetric fabric has a
+// handful of shapes for thousands of switches.
 func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -82,23 +82,16 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	}
 	targets := sortedProgKeys(programs)
 	lead := ShapeLeads(plan, targets)
-	var firsts, rest []int
-	for i := range targets {
+	emitted := make([]*emission, len(targets)) // leads only
+	par.For(len(targets), opts.Parallelism, func(i int) {
 		if lead[i] == i {
-			firsts = append(firsts, i)
-		} else {
-			rest = append(rest, i)
+			emitted[i] = emit(programs[targets[i]], opts.P4Dialect)
 		}
-	}
-	arts := make([]*Artifact, len(targets))
-	cache := &cpCache{}
-	par.For(len(firsts), opts.Parallelism, func(k int) {
-		i := firsts[k]
-		arts[i] = emitSwitch(plan, programs[targets[i]], opts.P4Dialect, cache, nil)
 	})
-	par.For(len(rest), opts.Parallelism, func(k int) {
-		i := rest[k]
-		arts[i] = emitSwitch(plan, programs[targets[i]], opts.P4Dialect, cache, arts[lead[i]])
+	arts := make([]*Artifact, len(targets))
+	docs := &shardDocs{plan: plan}
+	par.For(len(targets), opts.Parallelism, func(i int) {
+		arts[i] = emitted[lead[i]].artifact(plan, programs[targets[i]], docs)
 	})
 	out := make(map[string]*Artifact, len(targets))
 	for i, sw := range targets {
@@ -133,52 +126,53 @@ func ShapeLeads(plan *encode.Plan, sws []string) []int {
 	return lead
 }
 
-// codeHeader is the first line of every emitted program — the only place
-// the switch name occurs in it, which is what lets switches of one shape
-// share the rest of the text.
-func codeHeader(lang string, sp *SwitchProgram) string {
-	return fmt.Sprintf("/* %s program for switch %s (%s), generated by Lyra. */\n", lang, sp.Switch, sp.Model.Name)
+// emission is one shape's rendered output with the switch name cut out: the
+// program text after its first line — the comment naming the switch, the only
+// place the name occurs in it — and the control-plane stub as segments
+// between holes. Every switch of the shape instantiates it with one
+// exact-sized allocation per text.
+type emission struct {
+	like Artifact // everything the shape decides: dialect and the Figure 9 metrics
+	body string   // program text after the header line
+	stub stubTemplate
 }
 
-// emitSwitch renders one switch's program: data-plane code in the chip's
-// language, the control-plane stubs, and the Figure 9 metrics. When like is
-// non-nil it is the artifact of a switch with the same plan shape, and the
-// program text and line counts are taken from it instead of printed again.
-func emitSwitch(plan *encode.Plan, sp *SwitchProgram, dialect Dialect, cache *cpCache, like *Artifact) *Artifact {
-	art := &Artifact{
-		Switch:  sp.Switch,
-		Model:   sp.Model,
-		Program: sp,
-		Alloc:   plan.Allocations[sp.Switch],
-	}
-	if like != nil {
-		art.Dialect, art.LoC, art.LogicLoC = like.Dialect, like.LoC, like.LogicLoC
-		art.Code = codeHeader(like.Dialect, sp) + like.Code[len(codeHeader(like.Dialect, like.Program)):]
-	} else {
-		art.Dialect, art.Code = emitCode(sp, dialect)
-		art.LoC = countLines(art.Code)
-		art.LogicLoC = logicLines(art.Code)
-	}
-	art.ControlPlane = emitControlPlane(plan, sp, cache)
-	art.Tables = len(sp.Tables)
-	for _, t := range sp.Tables {
-		art.Actions += len(t.Actions)
-	}
-	art.Registers = len(sp.Registers)
-	return art
-}
-
-// emitCode prints the program in the chip's language, P4 in the given
-// dialect.
-func emitCode(sp *SwitchProgram, dialect Dialect) (lang, code string) {
+// emit renders a switch program in the chip's language, P4 in the given
+// dialect, and its control-plane stub.
+func emit(sp *SwitchProgram, dialect Dialect) *emission {
+	lang, code := "P4_14", ""
 	switch {
 	case sp.Model.Lang == asic.LangNPL:
-		return "NPL", EmitNPL(sp)
+		lang, code = "NPL", EmitNPL(sp)
 	case dialect == DialectP416:
-		return "P4_16", EmitP416(sp)
+		lang, code = "P4_16", EmitP416(sp)
 	default:
-		return "P4_14", EmitP414(sp)
+		code = EmitP414(sp)
 	}
+	e := &emission{body: code[strings.IndexByte(code, '\n')+1:], stub: renderStub(sp)}
+	e.like = Artifact{
+		Dialect: lang, LoC: countLines(code), LogicLoC: logicLines(code),
+		Tables: len(sp.Tables), Registers: len(sp.Registers),
+	}
+	for _, t := range sp.Tables {
+		e.like.Actions += len(t.Actions)
+	}
+	return e
+}
+
+// codeHeader is the first line of every emitted program, with what follows
+// it: one concatenation, so a switch's whole text is one allocation.
+func codeHeader(lang string, sp *SwitchProgram, body string) string {
+	return "/* " + lang + " program for switch " + sp.Switch + " (" + sp.Model.Name + "), generated by Lyra. */\n" + body
+}
+
+// artifact instantiates the emission for one switch of its shape.
+func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, docs *shardDocs) *Artifact {
+	art := e.like
+	art.Switch, art.Model, art.Program, art.Alloc = sp.Switch, sp.Model, sp, plan.Allocations[sp.Switch]
+	art.Code = codeHeader(art.Dialect, sp, e.body)
+	art.ControlPlane = e.stub.fill(sp.Switch, docs)
+	return &art
 }
 
 func sortedProgKeys(m map[string]*SwitchProgram) []string {
@@ -237,66 +231,89 @@ func logicLines(code string) int {
 	return n
 }
 
-// cpCache memoizes the shard-documentation blocks across the switches of
-// one Translate call. A block lists the switches of one shard group — the
-// same text in the stub of every member — so each is rendered once, by the
-// first member to ask, and filed under all of them.
-type cpCache struct {
+// shardDocs renders the shard-documentation blocks of one Translate call. A
+// block lists the switches of one shard group — the same text in the stub of
+// every member — so each is rendered once, by the first member to ask.
+type shardDocs struct {
+	plan   *encode.Plan
 	mu     sync.Mutex
-	blocks map[shardHost]string
+	blocks map[*encode.Shard]string // keyed by the group's first element
 }
 
-// shardHost names one switch's shard of one extern.
-type shardHost struct{ extern, sw string }
-
-// shardDoc renders (or recalls) the shard-split comment block for one
-// extern on one switch: the hosts of the switch's own shard group, which is
-// exactly the shardCount switches the header line counts. A nil cache
-// renders inline.
-func (c *cpCache) shardDoc(plan *encode.Plan, name, sw string, shardCount int) string {
-	if c != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if doc, ok := c.blocks[shardHost{name, sw}]; ok {
-			return doc
-		}
+// of returns the shard-split comment block for one extern on one switch: the
+// hosts of the switch's own shard group, which is exactly the ShardCount
+// switches the header line counts.
+func (d *shardDocs) of(extern, sw string) string {
+	group := d.plan.ShardGroup(extern, sw)
+	if len(group) == 0 {
+		return ""
 	}
-	group := plan.ShardGroup(name, sw)
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s is split across %d switches:\n", name, shardCount)
-	hosts := make([]string, 0, len(group))
-	for h := range group {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		fmt.Fprintf(&b, "#   %-8s holds %d entries\n", h, group[h])
-	}
-	doc := b.String()
-	if c != nil {
-		if c.blocks == nil {
-			c.blocks = map[shardHost]string{}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	doc, ok := d.blocks[&group[0]]
+	if !ok {
+		var b strings.Builder
+		fmt.Fprintf(&b, "# %s is split across %d switches:\n", extern, len(group))
+		for _, s := range group {
+			fmt.Fprintf(&b, "#   %-8s holds %d entries\n", s.Switch, s.Entries)
 		}
-		for _, h := range hosts {
-			c.blocks[shardHost{name, h}] = doc
+		doc = b.String()
+		if d.blocks == nil {
+			d.blocks = map[*encode.Shard]string{}
 		}
+		d.blocks[&group[0]] = doc
 	}
 	return doc
 }
 
-// EmitControlPlane generates the §5.8 control-plane interface: for each
-// extern table placed on the switch, empty Python entry-manipulation
-// functions plus shard documentation, so operators fill tables without
-// knowing how they were split or placed.
-func EmitControlPlane(plan *encode.Plan, sp *SwitchProgram) string {
-	return emitControlPlane(plan, sp, nil)
+// stubTemplate is a control-plane stub with holes: text[i] precedes hole i,
+// and the last text follows the last hole. A hole naming an extern takes that
+// extern's shard documentation; the others take the switch name.
+type stubTemplate struct {
+	text  []string
+	holes []string
 }
 
-func emitControlPlane(plan *encode.Plan, sp *SwitchProgram, cache *cpCache) string {
+// fill instantiates the stub for one switch in one exact-sized allocation.
+func (t *stubTemplate) fill(sw string, docs *shardDocs) string {
+	var few [8]string // a stub with at most this many holes fills off the stack
+	vals := few[:0]
+	n := len(t.text[len(t.holes)])
+	for i, extern := range t.holes {
+		v := sw
+		if extern != "" {
+			v = docs.of(extern, sw)
+		}
+		vals = append(vals, v)
+		n += len(t.text[i]) + len(v)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Control-plane interface for switch %s, generated by Lyra.\n", sp.Switch)
-	fmt.Fprintf(&b, "# Fill these in to manipulate table entries; Lyra has already\n")
-	fmt.Fprintf(&b, "# decided how each extern variable maps onto physical tables.\n\n")
+	b.Grow(n)
+	for i, v := range vals {
+		b.WriteString(t.text[i])
+		b.WriteString(v)
+	}
+	b.WriteString(t.text[len(vals)])
+	return b.String()
+}
+
+// renderStub generates the §5.8 control-plane interface of a switch program
+// as a template: for each extern table placed on the switch, empty Python
+// entry-manipulation functions plus shard documentation, so operators fill
+// tables without knowing how they were split or placed.
+func renderStub(sp *SwitchProgram) stubTemplate {
+	var t stubTemplate
+	var b strings.Builder
+	hole := func(extern string) {
+		t.text = append(t.text, b.String())
+		t.holes = append(t.holes, extern)
+		b.Reset()
+	}
+	b.WriteString("# Control-plane interface for switch ")
+	hole("")
+	b.WriteString(", generated by Lyra.\n")
+	b.WriteString("# Fill these in to manipulate table entries; Lyra has already\n")
+	b.WriteString("# decided how each extern variable maps onto physical tables.\n\n")
 	seen := map[string]bool{}
 	for _, pt := range sp.Tables {
 		if pt.Kind != synth.MatchExtern || seen[pt.Extern.Name] {
@@ -305,7 +322,7 @@ func emitControlPlane(plan *encode.Plan, sp *SwitchProgram, cache *cpCache) stri
 		seen[pt.Extern.Name] = true
 		name := pt.Extern.Name
 		if pt.ShardCount > 1 {
-			b.WriteString(cache.shardDoc(plan, name, sp.Switch, pt.ShardCount))
+			hole(name)
 		}
 		keys := fieldNames(pt.Extern.Keys)
 		vals := fieldNames(pt.Extern.Values)
@@ -314,7 +331,9 @@ func emitControlPlane(plan *encode.Plan, sp *SwitchProgram, cache *cpCache) stri
 			params += ", " + strings.Join(vals, ", ")
 		}
 		fmt.Fprintf(&b, "def %s_entry_set(%s):\n", name, params)
-		fmt.Fprintf(&b, "    \"\"\"Install an entry into %s (table %s on %s).\"\"\"\n", name, pt.Name, sp.Switch)
+		fmt.Fprintf(&b, "    \"\"\"Install an entry into %s (table %s on ", name, pt.Name)
+		hole("")
+		b.WriteString(").\"\"\"\n")
 		fmt.Fprintf(&b, "    pass\n\n")
 		fmt.Fprintf(&b, "def %s_entry_get(%s):\n", name, strings.Join(keys, ", "))
 		fmt.Fprintf(&b, "    \"\"\"Read an entry from %s.\"\"\"\n", name)
@@ -331,7 +350,8 @@ func emitControlPlane(plan *encode.Plan, sp *SwitchProgram, cache *cpCache) stri
 			fmt.Fprintf(&b, "    pass\n\n")
 		}
 	}
-	return b.String()
+	t.text = append(t.text, b.String())
+	return t
 }
 
 func fieldNames(fs []ast.Field) []string {

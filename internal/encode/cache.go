@@ -1,40 +1,39 @@
 package encode
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"lyra/internal/ir"
 )
 
 // DefaultCacheEntries bounds the solver cache when the caller does not pick
-// a size: generous enough to hold every component of a large compile, small
+// a size: generous enough to hold every symmetry class of a large compile —
+// and every component of a 64-pod fabric compiled with dedup off — small
 // enough that a long churn loop over many distinct topology states cannot
-// grow the resident set without bound (each entry pins a full solver).
-const DefaultCacheEntries = 128
+// grow the resident set without bound (each entry pins a full solver, about
+// half a megabyte for one pod of a k=32 fat tree).
+const DefaultCacheEntries = 96
 
 // Cache retains solved components' encoders — persistent SMT solvers with
 // their learnt clauses, VSIDS activity, and saved phases — so a later Solve
 // over an unchanged component (typically a Recompile whose topology delta
 // left the component untouched) resumes incrementally instead of re-encoding
-// from scratch. It also memoises the plans replayed onto symmetric twins
-// (see twinKey), under the same bound and eviction policy.
+// from scratch.
 //
 // An entry is keyed by the identity of the root IR program (Recompile reuses
 // the previous Result's IR verbatim, so pointer equality is exact) plus a
 // content key over everything else the encoding depends on: the component's
-// algorithms, their resolved scopes, and the ASIC specifications of every
-// scope switch. Any delta that touches one of those produces a different key
-// and the component encodes fresh.
+// canonical fingerprint — its algorithms, their index-renamed scopes and flow
+// paths, and the ASIC specification behind every index (capacity facts learned
+// by the resource theory are permanent clauses, so a changed chip must miss) —
+// and the switches the indices stand for. Any delta that touches one of those
+// produces a different key and the component encodes fresh.
 //
 // The cache is bounded: once the entry cap is reached, inserting a new key
 // evicts the least-recently-used entry. Take/put transfers ownership: take
 // removes the entry, so two concurrent solves can never share one solver,
 // and the encoder is only put back after a successful solve leaves it in a
-// reusable state. Memoised plans are immutable, so they stay in the cache
-// while any number of concurrent solves read them.
+// reusable state.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -49,10 +48,9 @@ type cacheKey struct {
 	key  string
 }
 
-// cacheEntry holds a solved component's encoder or a twin's replayed plan.
+// cacheEntry holds a solved component's encoder.
 type cacheEntry struct {
 	enc      *encoder
-	plan     *Plan
 	lastUsed uint64
 }
 
@@ -65,7 +63,7 @@ func NewCacheLimited(maxEntries int) *Cache {
 	return &Cache{entries: map[cacheKey]*cacheEntry{}, cap: maxEntries}
 }
 
-// Len reports the number of cached entries (encoders and memoised plans).
+// Len reports the number of cached encoders.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -114,38 +112,18 @@ func (c *Cache) take(root *ir.Program, key string) *encoder {
 // put inserts an encoder, reporting whether the LRU bound evicted another
 // entry to make room. The encoder's Input is dropped — take's caller installs
 // the current one — so a cached solver does not pin the network (and the
-// scopes' path sets) of the compile that built it.
+// scopes' path sets) of the compile that built it; so are the allocator memo
+// and the resource state of its last model, which the next solve rebuilds.
 func (c *Cache) put(root *ir.Program, key string, e *encoder) (evicted bool) {
 	if c == nil || e == nil {
 		return false
 	}
 	e.in = nil
-	return c.insert(cacheKey{root, key}, &cacheEntry{enc: e})
-}
-
-// plan returns the plan memoised under key, marking it recently used, or nil.
-func (c *Cache) plan(root *ir.Program, key string) *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[cacheKey{root, key}]
-	if e == nil {
-		return nil
+	e.allocs = nil
+	if t := e.theory; t != nil {
+		t.allocations, t.placedTables, t.shards = nil, nil, nil
 	}
-	c.tick++
-	e.lastUsed = c.tick
-	return e.plan
-}
-
-// putPlan memoises a plan, reporting whether that evicted another entry.
-// From here on the plan is shared and must not be modified.
-func (c *Cache) putPlan(root *ir.Program, key string, p *Plan) (evicted bool) {
-	if c == nil {
-		return false
-	}
-	return c.insert(cacheKey{root, key}, &cacheEntry{plan: p})
-}
-
-func (c *Cache) insert(k cacheKey, e *cacheEntry) (evicted bool) {
+	k := cacheKey{root, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, present := c.entries[k]; !present && c.cap > 0 && len(c.entries) >= c.cap {
@@ -164,55 +142,6 @@ func (c *Cache) insert(k cacheKey, e *cacheEntry) (evicted bool) {
 		evicted = true
 	}
 	c.tick++
-	e.lastUsed = c.tick
-	c.entries[k] = e
+	c.entries[k] = &cacheEntry{enc: e, lastUsed: c.tick}
 	return evicted
-}
-
-// componentKey renders the encoding-relevant content of a component input:
-// algorithm names (IR content is covered by the root pointer), each scope's
-// deployment mode, switch list and flow paths, and the ASIC model of every
-// scope switch (capacity facts learned by the resource theory are permanent
-// clauses, so a changed chip spec must miss). Paths render through EachPath
-// so lazy scopes key on the same content as materialized ones; a scope whose
-// enumeration overflows its budget keys as such (and will fail encoding the
-// same way on every attempt).
-func componentKey(in *Input) string {
-	var b strings.Builder
-	algs := make([]string, 0, len(in.IR.Algorithms))
-	for _, a := range in.IR.Algorithms {
-		algs = append(algs, a.Name)
-	}
-	sort.Strings(algs)
-	seenSw := map[string]bool{}
-	var sws []string
-	for _, name := range algs {
-		fmt.Fprintf(&b, "alg %s", name)
-		if rs := in.Scopes[name]; rs != nil {
-			fmt.Fprintf(&b, " deploy=%d switches=%v paths=[", rs.Deploy, rs.Switches)
-			if err := rs.EachPath(func(p []string) bool {
-				fmt.Fprintf(&b, "%v ", p)
-				return true
-			}); err != nil {
-				b.WriteString("overflow")
-			}
-			b.WriteByte(']')
-			for _, sw := range rs.Switches {
-				if !seenSw[sw] {
-					seenSw[sw] = true
-					sws = append(sws, sw)
-				}
-			}
-		}
-		b.WriteByte('\n')
-	}
-	sort.Strings(sws)
-	for _, sw := range sws {
-		if s := in.Net.Switch(sw); s != nil {
-			fmt.Fprintf(&b, "sw %s asic=%+v\n", sw, s.ASIC)
-		} else {
-			fmt.Fprintf(&b, "sw %s missing\n", sw)
-		}
-	}
-	return b.String()
 }

@@ -147,11 +147,12 @@ func DefaultOptions() *Options {
 	}
 }
 
-// PlacedTable is a synthesized table bound to a switch with its concrete
-// entry allotment (full size, or a shard of a split extern).
+// PlacedTable is a synthesized table as one switch hosts it, with its concrete
+// entry allotment (full size, or a shard of a split extern). It names no
+// switch: the switches of a symmetry class that host it at the same index
+// share one value.
 type PlacedTable struct {
 	*synth.Table
-	Switch  string
 	Entries int64
 	// ShardIndex/ShardCount describe the split when >1 switch hosts the
 	// extern (0/1 when unsplit).
@@ -182,11 +183,13 @@ type Plan struct {
 	Allocations map[string]*asic.Allocation
 	// Shards maps extern name -> switch -> entries.
 	Shards map[string]map[string]int64
-	// shardGroups maps extern name -> switch -> the shard map of the
-	// component that switch's shard belongs to, in a plan merged from several
-	// components (nil otherwise: Shards[extern] is then the one group). See
-	// ShardGroup.
-	shardGroups map[string]map[string]map[string]int64
+	// shardGroups maps extern name -> switch -> the shards of the component
+	// that switch's shard belongs to, for externs split across several
+	// switches. See ShardGroup.
+	shardGroups map[string]map[string][]Shard
+	// bound is the plan as it was assembled: one binding per placement
+	// component, in component order. See Bindings.
+	bound []Binding
 	// hashes memoises Shapes and Fingerprints.
 	hashes switchHashes
 
@@ -202,13 +205,10 @@ type Plan struct {
 	// disjoint components the placement problem split into).
 	Instances int
 	// Classes counts the symmetry equivalence classes actually solved;
-	// Replayed counts the components whose placement was replayed from an
-	// isomorphic representative instead of solved, and Reused those whose
-	// previously replayed plan was taken from the cache by content key
-	// (Instances = Classes + Replayed + Reused when dedup ran).
+	// Replayed counts the components bound to the template of an isomorphic
+	// representative instead of solved (Instances = Classes + Replayed).
 	Classes  int
 	Replayed int
-	Reused   int
 	// PathsEnumerated totals the flow paths walked by the lazy enumerator
 	// across all components; PeakPathsHeld is the largest number of
 	// materialized (unique candidate-hop) path slices any single component
@@ -229,20 +229,22 @@ type Plan struct {
 	Diagnostics *Diagnostics
 }
 
+// Bindings returns the plan as bound templates, one per placement component
+// in component order. The slice and everything it points to are shared and
+// read-only.
+func (p *Plan) Bindings() []Binding { return p.bound }
+
 // HostsOf returns the switches hosting an instruction.
-func (p *Plan) HostsOf(alg string, id int) []string {
-	if m := p.Placement[alg]; m != nil {
-		return m[id]
-	}
-	return nil
-}
+func (p *Plan) HostsOf(alg string, id int) []string { return p.Placement[alg][id] }
 
 // Solve encodes and solves the placement problem. The input is first
 // partitioned into independent components (disjoint algorithm scopes on
-// disjoint switch sets); each component is encoded and solved as its own
-// SMT instance on a bounded worker pool, and the per-component plans are
-// merged. Overlapping scopes fuse into one component, so a fully coupled
-// program degenerates to the original monolithic solve.
+// disjoint switch sets); one representative of each symmetry class of
+// components is encoded and solved as its own SMT instance on a bounded
+// worker pool, its solved plan becomes the class's Template, and the plan is
+// every component's binding of its template, merged. Overlapping scopes fuse
+// into one component, so a fully coupled program degenerates to the original
+// monolithic solve.
 //
 // When an attempt fails and opts.Ladder is non-empty, that component walks
 // the fallback ladder: each applicable rung relaxes the configuration and
@@ -264,40 +266,47 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 
 	comps := Partition(in)
 	results := make([]componentResult, len(comps))
+	bound := make([]Binding, len(comps))
+	for i, c := range comps {
+		bound[i].Switches = scopeUnion(c.In)
+	}
 
 	// Symmetry classes: components with identical canonical fingerprints
 	// (same algorithms, same index-renamed scope/path shape, same chip
 	// model per index) are isomorphic SMT instances. Only the first member
-	// of each class — the representative — is solved; every twin's
-	// placement is replayed from it through the switch bijection.
-	repOf := make([]int, len(comps)) // -1 = representative / solve directly
-	for i := range repOf {
-		repOf[i] = -1
-	}
-	classFP := make([]string, len(comps)) // canonical fingerprint, twins only
-	if !opts.NoSymmetryDedup && len(comps) > 1 {
-		classOf := map[string]int{}
-		for i, c := range comps {
-			if fp, ok := canonicalFingerprint(c); ok {
-				if j, dup := classOf[fp]; dup {
-					repOf[i], classFP[i] = j, fp
-				} else {
-					classOf[fp] = i
-				}
-			}
+	// of each class — the representative — is solved; its solved plan becomes
+	// the class's template, and every member is a binding of that template.
+	// The fingerprint with the concrete switches behind its indices is the
+	// component's exact content, which is what keys the solver cache.
+	dedup := !opts.NoSymmetryDedup && len(comps) > 1
+	caching := opts.Cache != nil && !opts.ReencodeEachAttempt
+	repOf := make([]int, len(comps))
+	cacheKeys := make([]string, len(comps)) // "" = not cached
+	classOf := map[string]int{}
+	models := map[*asic.Model][]byte{}
+	for i, c := range comps {
+		repOf[i] = i
+		if !dedup && !caching {
+			continue
+		}
+		fp, ok := canonicalFingerprint(c, bound[i].Switches, models)
+		if !ok {
+			continue
+		}
+		if j, dup := classOf[fp]; dup && dedup {
+			repOf[i] = j
+			continue
+		}
+		classOf[fp] = i
+		if caching {
+			cacheKeys[i] = fp + strings.Join(bound[i].Switches, "\x00")
 		}
 	}
 	var solveIdx []int
 	for i, r := range repOf {
-		if r < 0 {
+		if r == i {
 			solveIdx = append(solveIdx, i)
 		}
-	}
-	solveOne := func(i int, label string) (*Plan, time.Duration, time.Duration, error) {
-		if opts.Portfolio > 1 {
-			return solvePortfolio(ctx, comps[i].In, in.IR, opts, deadline, label)
-		}
-		return solveComponent(ctx, comps[i].In, in.IR, opts, deadline, label)
 	}
 	par.For(len(solveIdx), opts.Parallelism, func(k int) {
 		i := solveIdx[k]
@@ -306,81 +315,35 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 			label = comps[i].Label()
 		}
 		r := &results[i]
-		r.plan, r.enc, r.slv, r.err = solveOne(i, label)
-	})
-	// Twins: a twin whose exact content is already in the cache — same class,
-	// same concrete switches, same plan-shaping options — reuses the plan it
-	// was given last time; the others are replayed from their representatives
-	// and memoised. A failed replay (which the isomorphism argument rules out,
-	// but fall back soundly anyway) demotes the twin to a direct solve.
-	var twinIdx []int
-	for i, r := range repOf {
-		if r >= 0 {
-			twinIdx = append(twinIdx, i)
+		if opts.Portfolio > 1 {
+			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, in.IR, opts, cacheKeys[i], deadline, label)
+		} else {
+			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, in.IR, opts, cacheKeys[i], deadline, label)
 		}
-	}
-	memo := opts.Cache
-	if opts.ReencodeEachAttempt {
-		memo = nil
-	}
-	optsKey := ""
-	if memo != nil && len(twinIdx) > 0 {
-		optsKey = fmt.Sprintf("%d\x00%s\x00%t\x00%v\x00%d\x00%d", opts.Objective, opts.PreferSwitch,
-			opts.ForceReplication, opts.Ladder, opts.ConflictBudget, opts.Portfolio)
-	}
-	par.For(len(twinIdx), opts.Parallelism, func(k int) {
-		i := twinIdx[k]
-		rep := &results[repOf[i]]
-		r := &results[i]
-		if rep.err != nil {
-			r.err = rep.err // surfaced via the representative below
-			return
+		if r.err == nil {
+			tStart := time.Now()
+			bound[i].Template = newTemplate(r.plan, bound[i].Switches)
+			r.enc += time.Since(tStart)
 		}
-		key := ""
-		if memo != nil {
-			key = twinKey(classFP[i], comps[i].In, optsKey)
-			if r.plan = memo.plan(in.IR, key); r.plan != nil {
-				r.reused = true
-				return
-			}
-		}
-		rStart := time.Now()
-		plan, err := replayComponent(comps[i].In, comps[repOf[i]].In, rep.plan)
-		if err == nil {
-			r.plan, r.enc, r.replayed = plan, time.Since(rStart), true
-			r.evicted = memo.putPlan(in.IR, key, plan)
-			return
-		}
-		r.plan, r.enc, r.slv, r.err = solveOne(i, comps[i].Label())
 	})
 	// Deterministic error selection: the lowest-index failing component
 	// wins, regardless of which goroutine finished first.
-	for i, r := range results {
-		if r.err != nil {
+	for _, i := range solveIdx {
+		if err := results[i].err; err != nil {
 			if len(comps) > 1 {
-				return nil, fmt.Errorf("component %s: %w", comps[i].Label(), r.err)
+				return nil, fmt.Errorf("component %s: %w", comps[i].Label(), err)
 			}
-			return nil, r.err
+			return nil, err
 		}
+	}
+	for i, r := range repOf {
+		bound[i].Template = bound[r].Template
 	}
 
-	plan := results[0].plan
-	if len(comps) > 1 {
-		plan = mergePlans(in, results)
-	}
+	plan := mergePlans(in, bound, results)
 	plan.Instances = len(comps)
 	plan.Classes = len(solveIdx)
-	for _, r := range results {
-		if r.replayed {
-			plan.Replayed++
-		}
-		if r.reused {
-			plan.Reused++
-		}
-		if r.evicted {
-			plan.Stats.CacheEvictions++
-		}
-	}
+	plan.Replayed = len(comps) - len(solveIdx)
 
 	// Attribute the wall time of this call to encode vs. solve in
 	// proportion to the (possibly overlapping) per-instance durations, so
@@ -400,13 +363,14 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 
 // solveComponent runs the fallback-ladder loop for one component on a single
 // persistent encoder: the component is encoded once (or taken from the
-// solver cache), every ladder rung is expressed as a different assumption
+// solver cache under cacheKey, the component's exact content; "" bypasses the
+// cache), every ladder rung is expressed as a different assumption
 // set on the same solver, and learnt clauses, VSIDS activity, and saved
 // phases carry across attempts. The accumulated durations split constraint
 // construction (enc) from search (slv). With opts.ReencodeEachAttempt the
 // encoder is discarded between attempts, reproducing the historical
 // rebuild-per-rung behavior as a benchmark baseline.
-func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
+func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Options, cacheKey string, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
 		prefer:         opts.PreferSwitch,
@@ -418,10 +382,8 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 	step := "initial"
 
 	var e *encoder
-	cacheKey := ""
 	cacheHit := false
-	if opts.Cache != nil && !opts.ReencodeEachAttempt {
-		cacheKey = componentKey(in)
+	if cacheKey != "" {
 		if e = opts.Cache.take(rootIR, cacheKey); e != nil {
 			// The key guarantees content equality, so only the Input identity
 			// needs refreshing: the cached encoder was built against the
@@ -463,7 +425,7 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 			if cacheHit {
 				p.Stats.CacheHits++
 			}
-			if opts.Cache != nil && !opts.ReencodeEachAttempt {
+			if cacheKey != "" {
 				e.solver.Ctx = nil
 				if opts.Cache.put(rootIR, cacheKey, e) {
 					p.Stats.CacheEvictions++
@@ -488,76 +450,97 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 	}
 }
 
-// componentResult carries one component's solve outcome back from the
-// worker pool, slot-addressed by component index.
+// componentResult carries one representative's solve outcome back from the
+// worker pool, slot-addressed by component index (zero for a twin).
 type componentResult struct {
 	plan     *Plan
 	enc, slv time.Duration
 	err      error
-	replayed bool // placement replayed from an isomorphic representative
-	reused   bool // plan is the cache's memoised one: shared, never written
-	evicted  bool // memoising the replayed plan evicted a cache entry
 }
 
-// mergePlans unions per-component plans into one whole-program plan.
-// Components touch disjoint switch sets, so the switch-keyed maps union
-// without collisions; Shards is keyed by extern name, which two components
-// may share, so its inner per-switch maps union element-wise while
-// shardGroups remembers which component each switch's shard came from. After
-// a scope split the same algorithm may appear in several components (one per
-// switch group), so Placement unions its per-instruction host lists as well.
-//
-// Component plans are only read: a plan taken from the cache is shared with
-// other compiles, so every map and slice the merge would write into is the
-// merged plan's own. Per-switch values (table lists, bridge lists,
-// allocations, shard maps) are adopted by reference and never modified.
-func mergePlans(in *Input, results []componentResult) *Plan {
+// mergePlans assembles the whole-program plan: every component's binding is
+// written straight into the plan's name-keyed maps (see Plan.bind), and the
+// solver-side accounting of the representatives is summed. Components touch
+// disjoint switch sets, so the switch-keyed maps union without collisions;
+// Shards is keyed by extern name, which two components may share, so its
+// inner per-switch maps union element-wise while shardGroups remembers which
+// component each switch's shard came from. After a scope split the same
+// algorithm may appear in several components (one per switch group), so
+// Placement unions its per-instruction host lists as well.
+func mergePlans(in *Input, bound []Binding, results []componentResult) *Plan {
+	// Size everything up front: the plan's maps and host lists are written
+	// once per switch of a datacenter, and growing them doubled the merge.
+	uses := map[*Template]int{}
+	for _, b := range bound {
+		uses[b.Template]++
+	}
+	hosting, exporting, hosts := 0, 0, 0
+	hostsOf := map[*ir.Instr]int{} // instruction -> hosts over all components
+	shardsOf := map[string]int{}   // extern -> shards over all components
+	splitOf := map[string]int{}    // extern -> those in groups of several
+	for t, n := range uses {
+		hosting += n * t.hosting
+		exporting += n * t.exporting
+		for ext, at := range t.shards {
+			shardsOf[ext] += n * len(at)
+			if len(at) > 1 {
+				splitOf[ext] += n * len(at)
+			}
+		}
+		for i := range t.slots {
+			for _, inst := range t.slots[i].instrs {
+				hostsOf[inst] += n
+				hosts += n
+			}
+		}
+	}
 	merged := &Plan{
 		Input:       in,
-		Placement:   map[string]map[int][]string{},
-		Tables:      map[string][]*PlacedTable{},
-		Bridges:     map[string][]BridgeVar{},
-		Allocations: map[string]*asic.Allocation{},
-		Shards:      map[string]map[string]int64{},
-		shardGroups: map[string]map[string]map[string]int64{},
+		Placement:   make(map[string]map[int][]string, len(in.IR.Algorithms)),
+		Tables:      make(map[string][]*PlacedTable, hosting),
+		Bridges:     make(map[string][]BridgeVar, exporting),
+		Allocations: make(map[string]*asic.Allocation, hosting),
+		Shards:      make(map[string]map[string]int64, len(shardsOf)),
+		shardGroups: make(map[string]map[string][]Shard, len(splitOf)),
+		bound:       bound,
 		Diagnostics: &Diagnostics{},
+	}
+	hostLists := make([]string, hosts) // every host list of the plan, end to end
+	for _, a := range in.IR.Algorithms {
+		m := make(map[int][]string, len(a.Instrs))
+		for _, inst := range a.Instrs {
+			n := hostsOf[inst]
+			m[inst.ID], hostLists = hostLists[:0:n], hostLists[n:]
+			if n == 0 {
+				m[inst.ID] = nil
+			}
+		}
+		merged.Placement[a.Name] = m
+	}
+	for ext, n := range shardsOf {
+		merged.Shards[ext] = make(map[string]int64, n)
+	}
+	for ext, n := range splitOf {
+		merged.shardGroups[ext] = make(map[string][]Shard, n)
+	}
+	for _, b := range bound {
+		merged.bind(b)
+	}
+	// Each component's host list is sorted and the components are disjoint,
+	// but their name ranges interleave ("Agg10_1" < "Agg1_1").
+	for _, m := range merged.Placement {
+		for _, hosts := range m {
+			if !sort.StringsAreSorted(hosts) {
+				sort.Strings(hosts)
+			}
+		}
 	}
 	for _, r := range results {
 		p := r.plan
-		for alg, m := range p.Placement {
-			ex := merged.Placement[alg]
-			if ex == nil {
-				ex = make(map[int][]string, len(m))
-				merged.Placement[alg] = ex
-			}
-			for id, hosts := range m {
-				ex[id] = append(ex[id], hosts...)
-			}
-		}
-		for sw, ts := range p.Tables {
-			merged.Tables[sw] = ts
-		}
-		for sw, bs := range p.Bridges {
-			merged.Bridges[sw] = bs
-		}
-		for sw, al := range p.Allocations {
-			merged.Allocations[sw] = al
-		}
-		for ext, bySwitch := range p.Shards {
-			if merged.Shards[ext] == nil {
-				merged.Shards[ext] = map[string]int64{}
-				merged.shardGroups[ext] = map[string]map[string]int64{}
-			}
-			for sw, n := range bySwitch {
-				merged.Shards[ext][sw] = n
-				merged.shardGroups[ext][sw] = bySwitch
-			}
+		if p == nil {
+			continue
 		}
 		merged.Stats.Add(p.Stats)
-		merged.PathsEnumerated += p.PathsEnumerated
-		if p.PeakPathsHeld > merged.PeakPathsHeld {
-			merged.PeakPathsHeld = p.PeakPathsHeld
-		}
 		merged.EncodedVars += p.EncodedVars
 		merged.EncodedClauses += p.EncodedClauses
 		merged.PortfolioRacers += p.PortfolioRacers
@@ -573,15 +556,6 @@ func mergePlans(in *Input, results []componentResult) *Plan {
 					deg = "component " + label + ": " + deg
 				}
 				merged.Diagnostics.Degraded = append(merged.Diagnostics.Degraded, deg)
-			}
-		}
-	}
-	// Each component's host list is sorted and the components are disjoint,
-	// but their name ranges interleave ("Agg10_1" < "Agg1_1").
-	for _, m := range merged.Placement {
-		for _, hosts := range m {
-			if !sort.StringsAreSorted(hosts) {
-				sort.Strings(hosts)
 			}
 		}
 	}
@@ -742,6 +716,10 @@ type encoder struct {
 	groups     map[string]smt.Lit
 	groupOrder []string
 
+	// allocs memoises chip admission by program content, from the encoder's
+	// first theory check until it is parked in the solver cache; see allocate.
+	allocs map[string]*asic.Allocation
+
 	// useLits memoizes the ObjMinSwitches indicator literals: OrEquals
 	// introduces fresh variables, so on a persistent solver they must be
 	// created once and reused across attempts.
@@ -796,9 +774,6 @@ type algPrep struct {
 // from the scope's (possibly lazy) path set. It never materializes the full
 // path list.
 func (e *encoder) prepare() error {
-	if e.prep != nil {
-		return nil
-	}
 	prep := map[string]*algPrep{}
 	for _, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
@@ -1002,7 +977,7 @@ func (e *encoder) encode() error {
 		// on the switch where it matched).
 		e.encodeExternGroups(a, candidates)
 	}
-	e.theory = newResourceTheory(e)
+	e.theory = &resourceTheory{e: e}
 	e.solver.AddTheory(e.theory)
 	return nil
 }

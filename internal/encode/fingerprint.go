@@ -11,6 +11,7 @@ import (
 	"lyra/internal/asic"
 	"lyra/internal/ir"
 	"lyra/internal/synth"
+	"lyra/internal/topo"
 )
 
 // switchHashes is the memoised pair of per-switch content hashes of a plan,
@@ -37,9 +38,43 @@ import (
 // of switches exporting a field is not part of any other switch's hash, and
 // imports are rendered explicitly instead of being implied by that number.
 type switchHashes struct {
-	once   sync.Once
-	shapes map[string]string
-	full   map[string]string
+	once      sync.Once
+	shapes    map[string]string
+	full      map[string]string
+	exporters map[*ir.Var]exporter
+}
+
+// exporter records, for one bridged variable, how many switches export it and
+// (when unique) which one, so "some other switch exports v" — the rule a
+// switch imports by — resolves in O(1) per read. Every exporter of a variable
+// carries the same BridgeVar: it is a function of the variable and its writer.
+type exporter struct {
+	bv    BridgeVar
+	count int
+	only  string
+}
+
+func (e exporter) importedBy(sw string) bool { return e.count > 1 || (e.count == 1 && e.only != sw) }
+
+// Imports returns the bridge variables a switch placing instrs reads from
+// upstream, sorted by variable. A variable that is also defined locally is
+// still imported when another switch exports it: shard copies of a split
+// table need the upstream hit signal and value at switch entry (the local
+// copy overwrites them only when it actually executes).
+func (p *Plan) Imports(sw string, instrs []*ir.Instr) []BridgeVar {
+	p.hashes.once.Do(p.hashSwitches)
+	seen := map[*ir.Var]bool{}
+	var out []BridgeVar
+	for _, in := range instrs {
+		for _, v := range in.Reads() {
+			if e := p.hashes.exporters[v]; !seen[v] && e.importedBy(sw) {
+				seen[v] = true
+				out = append(out, e.bv)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Var.String() < out[j].Var.String() })
+	return out
 }
 
 // Shapes returns the name-free shape hash of every switch hosting anything
@@ -81,73 +116,128 @@ func (p *Plan) BridgeLayout() []BridgeVar {
 	return layout
 }
 
-// ShardGroup returns the shard map (switch -> entries) of the placement
-// component hosting sw's shard of the extern: exactly the ShardCount switches
-// the extern's table on sw is split across. The map is shared: do not modify
-// it.
-func (p *Plan) ShardGroup(extern, sw string) map[string]int64 {
-	if g := p.shardGroups[extern][sw]; g != nil {
-		return g
-	}
-	return p.Shards[extern]
-}
-
-// shardHost names one switch's shard of one extern.
-type shardHost struct{ extern, sw string }
+// ShardGroup returns the shards of the placement component hosting sw's shard
+// of a split extern, sorted by switch: exactly the ShardCount switches the
+// extern's table on sw is split across. Every member of a group gets the same
+// slice, which is shared: do not modify it.
+func (p *Plan) ShardGroup(extern, sw string) []Shard { return p.shardGroups[extern][sw] }
 
 func hexSum(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:])
 }
 
-// hashSwitches fills p.hashes. The rendering is hand-rolled appends into one
-// reused buffer, not fmt: it runs once per programmed switch per compile, and
-// fmt's reflection overhead was a measurable slice of a datacenter-scale
-// compile. Everything plan-wide — the placement index inverted to per-switch
-// form, the bridge layout digest, the importers of every exported variable,
-// one digest per shard group, one rendering per chip model — is computed once
-// up front, so the pass is O(plan) rather than O(switches x placements).
-func (p *Plan) hashSwitches() {
-	algs := sortedKeys(p.Placement)
-	placedIDs := map[string]map[string][]int{} // switch -> alg -> sorted IDs
-	for _, alg := range algs {
-		for id, hosts := range p.Placement[alg] {
-			for _, h := range hosts {
-				m := placedIDs[h]
-				if m == nil {
-					m = map[string][]int{}
-					placedIDs[h] = m
+// slotShape is the part of a switch's hash input that its template slot
+// determines, whichever switch is bound to it: the name-free local input
+// (chip model, placed instruction IDs, table geometry, exports; nil for a slot
+// hosting nothing) and the variables the placed instructions read, sorted by
+// rendered name — a switch imports those some other switch exports.
+type slotShape struct {
+	local []byte
+	reads []readVar
+}
+
+type readVar struct {
+	v    *ir.Var
+	name string // "alg.var"
+}
+
+// slotShapes renders every slot of the template as bound by bd — any binding
+// of the template gives the same bytes, since the class fingerprint proves the
+// chip model behind every index renders equally. models memoises the model
+// rendering across templates.
+func (bd Binding) slotShapes(net *topo.Network, models map[*asic.Model]string) []slotShape {
+	out := make([]slotShape, len(bd.Template.slots))
+	for i := range bd.Template.slots {
+		s := &bd.Template.slots[i]
+		if len(s.instrs) == 0 {
+			continue
+		}
+		model := net.Switch(bd.Switches[i]).ASIC
+		m, ok := models[model]
+		if !ok {
+			// %+v covers every capacity fact admission consults, so a
+			// degraded chip that kept its name still changes the hash.
+			m = "model=" + hexSum([]byte(fmt.Sprintf("%+v", *model))) + "\n"
+			models[model] = m
+		}
+		out[i].local = s.appendLocal([]byte(m))
+		seen := map[*ir.Var]bool{}
+		for _, in := range s.instrs {
+			for _, v := range in.Reads() {
+				if !seen[v] {
+					seen[v] = true
+					out[i].reads = append(out[i].reads, readVar{v, in.Alg + "." + v.String()})
 				}
-				m[alg] = append(m[alg], id)
 			}
 		}
+		reads := out[i].reads
+		sort.Slice(reads, func(a, b int) bool { return reads[a].name < reads[b].name })
 	}
-	for _, m := range placedIDs {
-		for _, ids := range m {
-			sort.Ints(ids)
-		}
-	}
+	return out
+}
 
-	// Var.String goes through fmt; render each bridged variable once.
-	varNames := map[*ir.Var]string{}
-	nameOf := func(alg string, v *ir.Var) string {
-		n, ok := varNames[v]
-		if !ok {
-			n = alg + "." + v.String()
-			varNames[v] = n
-		}
-		return n
+// appendLocal renders the slot's own, name-free share of the shape hash
+// input: the placed instruction IDs per algorithm in name order, the table
+// geometry and the exports.
+func (s *slot) appendLocal(b []byte) []byte {
+	byAlg := map[string][]int{}
+	for _, in := range s.instrs {
+		byAlg[in.Alg] = append(byAlg[in.Alg], in.ID)
 	}
-	appendBridgeVar := func(b []byte, bv BridgeVar) []byte {
-		b = append(b, nameOf(bv.Alg, bv.Var)...)
-		b = append(b, " bits="...)
-		b = strconv.AppendInt(b, int64(bv.Bits), 10)
-		if bv.Hit {
-			b = append(b, " hit"...)
+	for _, alg := range sortedKeys(byAlg) {
+		ids := byAlg[alg]
+		sort.Ints(ids)
+		b = append(b, "alg="...)
+		b = append(b, alg...)
+		b = append(b, " ids="...)
+		for _, id := range ids {
+			b = strconv.AppendInt(b, int64(id), 10)
+			b = append(b, ',')
 		}
-		return b
+		b = append(b, '\n')
 	}
+	for _, pt := range s.tables {
+		b = append(b, "table="...)
+		b = append(b, pt.Name...)
+		b = append(b, " entries="...)
+		b = strconv.AppendInt(b, pt.Entries, 10)
+		b = append(b, " shard="...)
+		b = strconv.AppendInt(b, int64(pt.ShardIndex), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(pt.ShardCount), 10)
+		b = append(b, '\n')
+	}
+	for _, bv := range s.bridges {
+		b = append(b, "export="...)
+		b = appendBridgeVar(b, bv)
+		b = append(b, '\n')
+	}
+	return b
+}
 
+func appendBridgeVar(b []byte, bv BridgeVar) []byte {
+	b = append(b, bv.Alg...)
+	b = append(b, '.')
+	b = append(b, bv.Var.String()...)
+	b = append(b, " bits="...)
+	b = strconv.AppendInt(b, int64(bv.Bits), 10)
+	if bv.Hit {
+		b = append(b, " hit"...)
+	}
+	return b
+}
+
+// hashSwitches fills p.hashes, one binding at a time. What a switch hosts is
+// its template slot, so the name-free local part of the hash input is rendered
+// once per template and copied per switch; what depends on the rest of the
+// plan is added per switch: the imports (see Imports), the network-wide bridge
+// layout digest, and one digest per shard group. The rendering is hand-rolled
+// appends into one reused buffer, not fmt: it runs once per programmed switch
+// per compile.
+func (p *Plan) hashSwitches() {
 	var b []byte
 	for _, bv := range p.BridgeLayout() {
 		b = appendBridgeVar(b, bv)
@@ -155,157 +245,89 @@ func (p *Plan) hashSwitches() {
 	}
 	bridgeDigest := hexSum(b)
 
-	// exporters[v] records how many switches export v and (when unique)
-	// which one, so "some other switch exports v" resolves in O(1) per read —
-	// the same rule backend.Build imports by.
-	type exp struct {
-		count int
-		only  string
-	}
-	exporters := map[*ir.Var]exp{}
+	exporters := map[*ir.Var]exporter{}
 	for sw, bvs := range p.Bridges {
 		for _, bv := range bvs {
 			e := exporters[bv.Var]
-			e.count++
-			e.only = sw
-			exporters[bv.Var] = e
+			exporters[bv.Var] = exporter{bv, e.count + 1, sw}
 		}
 	}
-	imports := map[string][]string{} // switch -> sorted "alg.var" it imports
-	if len(exporters) > 0 {
-		for _, a := range p.Input.IR.Algorithms {
-			placed := p.Placement[a.Name]
-			for _, in := range a.Instrs {
-				hosts := placed[in.ID]
-				if len(hosts) == 0 {
+	p.hashes.exporters = exporters
+
+	p.hashes.shapes = make(map[string]string, len(p.Allocations)) // every hosting switch has one
+	p.hashes.full = make(map[string]string, len(p.Allocations))
+	groupDigests := map[string]string{} // extern -> digest of the current binding's shard group
+	slotShapes := map[*Template][]slotShape{}
+	models := map[*asic.Model]string{}
+	for _, bd := range p.bound {
+		clear(groupDigests)
+		shapes, ok := slotShapes[bd.Template]
+		if !ok {
+			shapes = bd.slotShapes(p.Input.Net, models)
+			slotShapes[bd.Template] = shapes
+		}
+		for i, sw := range bd.Switches {
+			s := &bd.Template.slots[i]
+			if shapes[i].local == nil {
+				continue
+			}
+			b = append(b[:0], shapes[i].local...)
+			imports, last := false, ""
+			for _, r := range shapes[i].reads {
+				if exporters[r.v].importedBy(sw) && r.name != last {
+					b = append(b, "import="...)
+					b = append(b, r.name...)
+					b = append(b, '\n')
+					imports, last = true, r.name
+				}
+			}
+			// A switch that imports or exports anything declares and parses the
+			// whole lyra_bridge header; the others are not invalidated by layout
+			// changes.
+			if len(s.bridges) > 0 || imports {
+				b = append(b, "bridge="...)
+				b = append(b, bridgeDigest...)
+				b = append(b, '\n')
+			}
+			shape := hexSum(b)
+			p.hashes.shapes[sw] = shape
+
+			// The full fingerprint: the shape plus the shard groups the
+			// control-plane stub lists.
+			b = append(b[:0], shape...)
+			for _, pt := range s.tables {
+				if pt.Kind != synth.MatchExtern || pt.ShardCount <= 1 {
 					continue
 				}
-				for _, v := range in.Reads() {
-					e, ok := exporters[v]
-					if !ok {
-						continue
-					}
-					name := nameOf(a.Name, v)
-					for _, h := range hosts {
-						if e.count > 1 || e.only != h {
-							imports[h] = append(imports[h], name)
-						}
-					}
+				name := pt.Extern.Name
+				d, ok := groupDigests[name]
+				if !ok {
+					d = bd.digestShardGroup(name)
+					groupDigests[name] = d
 				}
+				b = append(b, " shards="...)
+				b = append(b, name...)
+				b = append(b, ':')
+				b = append(b, d...)
 			}
-		}
-		for _, vs := range imports {
-			sort.Strings(vs)
-		}
-	}
-
-	models := map[*asic.Model]string{}
-	groupDigests := map[shardHost]string{} // digest of the shard group each shard belongs to
-
-	p.hashes.shapes = make(map[string]string, len(placedIDs))
-	p.hashes.full = make(map[string]string, len(placedIDs))
-	for sw, placed := range placedIDs {
-		b = b[:0]
-		if s := p.Input.Net.Switch(sw); s != nil {
-			m, ok := models[s.ASIC]
-			if !ok {
-				// %+v covers every capacity fact admission consults, so a
-				// degraded chip that kept its name still changes the hash.
-				m = "model=" + hexSum([]byte(fmt.Sprintf("%+v", *s.ASIC))) + "\n"
-				models[s.ASIC] = m
+			if len(b) > len(shape) {
+				p.hashes.full[sw] = hexSum(b)
+			} else {
+				p.hashes.full[sw] = shape
 			}
-			b = append(b, m...)
-		}
-		for _, alg := range algs {
-			ids := placed[alg]
-			if len(ids) == 0 {
-				continue
-			}
-			b = append(b, "alg="...)
-			b = append(b, alg...)
-			b = append(b, " ids="...)
-			for _, id := range ids {
-				b = strconv.AppendInt(b, int64(id), 10)
-				b = append(b, ',')
-			}
-			b = append(b, '\n')
-		}
-		for _, pt := range p.Tables[sw] {
-			b = append(b, "table="...)
-			b = append(b, pt.Name...)
-			b = append(b, " entries="...)
-			b = strconv.AppendInt(b, pt.Entries, 10)
-			b = append(b, " shard="...)
-			b = strconv.AppendInt(b, int64(pt.ShardIndex), 10)
-			b = append(b, '/')
-			b = strconv.AppendInt(b, int64(pt.ShardCount), 10)
-			b = append(b, '\n')
-		}
-		for _, bv := range p.Bridges[sw] {
-			b = append(b, "export="...)
-			b = appendBridgeVar(b, bv)
-			b = append(b, '\n')
-		}
-		last := ""
-		for _, v := range imports[sw] {
-			if v != last {
-				b = append(b, "import="...)
-				b = append(b, v...)
-				b = append(b, '\n')
-				last = v
-			}
-		}
-		// A switch that imports or exports anything declares and parses the
-		// whole lyra_bridge header; the others are not invalidated by layout
-		// changes.
-		if len(p.Bridges[sw]) > 0 || len(imports[sw]) > 0 {
-			b = append(b, "bridge="...)
-			b = append(b, bridgeDigest...)
-			b = append(b, '\n')
-		}
-		shape := hexSum(b)
-		p.hashes.shapes[sw] = shape
-
-		// The full fingerprint: the shape plus the shard groups the
-		// control-plane stub lists.
-		b = append(b[:0], shape...)
-		for _, pt := range p.Tables[sw] {
-			if pt.Kind != synth.MatchExtern || pt.ShardCount <= 1 {
-				continue
-			}
-			name := pt.Extern.Name
-			d, ok := groupDigests[shardHost{name, sw}]
-			if !ok {
-				d = p.digestShardGroup(name, sw, groupDigests)
-			}
-			b = append(b, " shards="...)
-			b = append(b, name...)
-			b = append(b, ':')
-			b = append(b, d...)
-		}
-		if len(b) > len(shape) {
-			p.hashes.full[sw] = hexSum(b)
-		} else {
-			p.hashes.full[sw] = shape
 		}
 	}
 }
 
-// digestShardGroup hashes the hosts and entries of sw's shard group of one
-// extern and records the digest under every member of the group, so each
-// group is rendered once however many switches it spans.
-func (p *Plan) digestShardGroup(extern, sw string, digests map[shardHost]string) string {
-	group := p.ShardGroup(extern, sw)
+// digestShardGroup hashes the hosts and entries of the binding's shard group
+// of one extern, in switch order.
+func (bd Binding) digestShardGroup(extern string) string {
 	var b []byte
-	for _, h := range sortedKeys(group) {
-		b = append(b, h...)
+	for _, s := range bd.Template.shards[extern] {
+		b = append(b, bd.Switches[s.index]...)
 		b = append(b, '=')
-		b = strconv.AppendInt(b, group[h], 10)
+		b = strconv.AppendInt(b, s.entries, 10)
 		b = append(b, ',')
 	}
-	d := hexSum(b)
-	for h := range group {
-		digests[shardHost{extern, h}] = d
-	}
-	return d
+	return hexSum(b)
 }

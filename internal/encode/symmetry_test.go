@@ -78,8 +78,8 @@ func planEqual(t *testing.T, ctx string, a, b *Plan) {
 
 // TestSymmetryDedupByteIdenticalMultiSW: a MULTI-SW algorithm over a
 // 4-pod fat tree scope-splits into 4 isomorphic per-pod components; the
-// dedup path must solve one and replay the rest into a plan byte-identical
-// to solving all four. Run under -race in CI (the replay fan-out is
+// dedup path must solve one and bind the rest into a plan byte-identical
+// to solving all four. Run under -race in CI (representatives are solved in
 // parallel).
 func TestSymmetryDedupByteIdenticalMultiSW(t *testing.T) {
 	net := podNet(4, 4)
@@ -146,7 +146,7 @@ algorithm int_in {
 	}
 	planEqual(t, "per-sw dedup vs no-dedup", dedup, base)
 	// A PER-SW scope is one component (per-switch independence is already
-	// internal to the encoder), so dedup has nothing to replay — the
+	// internal to the encoder), so dedup has nothing to bind twice — the
 	// assertion is that enabling it changes nothing.
 	if dedup.Replayed != 0 {
 		t.Errorf("Replayed = %d for a single-component PER-SW solve, want 0", dedup.Replayed)
@@ -421,107 +421,5 @@ func TestCachedEncoderHoldsNoInput(t *testing.T) {
 				t.Errorf("round %d: cached encoder still holds its Input", round)
 			}
 		}
-	}
-}
-
-// TestTwinPlansReusedByContent: a twin component whose content is unchanged
-// takes the plan it was given last time from the cache instead of being
-// replayed again; a fault in one pod leaves the other pods' twins reusable;
-// the merged plan is the one a cache-less solve produces; and merging never
-// writes into a memoised plan, which other solves may be reading.
-func TestTwinPlansReusedByContent(t *testing.T) {
-	net := podNet(4, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true, AllowMissing: true}
-	src := subst(lbSrc, "4000000", "100000")
-	in := buildInputOpts(t, src, podLBScope, net, ropts)
-	opts := DefaultOptions()
-	opts.Cache = NewCache()
-
-	first, err := Solve(in, opts)
-	if err != nil {
-		t.Fatalf("first solve: %v", err)
-	}
-	if first.Classes != 1 || first.Replayed != 3 || first.Reused != 0 {
-		t.Fatalf("first solve Classes/Replayed/Reused = %d/%d/%d, want 1/3/0", first.Classes, first.Replayed, first.Reused)
-	}
-	type snapshot struct {
-		plan      *Plan
-		placement map[string]map[int][]string
-	}
-	var memo []snapshot
-	for _, e := range opts.Cache.entries {
-		if e.plan == nil {
-			continue
-		}
-		if e.plan.Input != nil {
-			t.Error("memoised twin plan holds an Input")
-		}
-		cp := map[string]map[int][]string{}
-		for alg, m := range e.plan.Placement {
-			cp[alg] = map[int][]string{}
-			for id, hosts := range m {
-				cp[alg][id] = append([]string(nil), hosts...)
-			}
-		}
-		memo = append(memo, snapshot{e.plan, cp})
-	}
-	if len(memo) != 3 {
-		t.Fatalf("%d twin plans memoised, want 3", len(memo))
-	}
-
-	again, err := Solve(in, opts)
-	if err != nil {
-		t.Fatalf("second solve: %v", err)
-	}
-	if again.Classes != 1 || again.Replayed != 0 || again.Reused != 3 {
-		t.Errorf("second solve Classes/Replayed/Reused = %d/%d/%d, want 1/0/3", again.Classes, again.Replayed, again.Reused)
-	}
-	planEqual(t, "memoised twins vs first solve", again, first)
-
-	// Fail a ToR of the last pod: that pod becomes a class of its own, the
-	// representative re-solves on its cached solver, the other two twins are
-	// untouched content and come from the memo.
-	degraded := net.Clone()
-	if err := degraded.RemoveSwitch("ToR4_1"); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := scope.Parse(podLBScope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scopes, err := spec.ResolveWith(degraded, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := Solve(&Input{IR: in.IR, Net: degraded, Scopes: scopes}, opts)
-	if err != nil {
-		t.Fatalf("degraded solve: %v", err)
-	}
-	if inc.Classes != 2 || inc.Replayed != 0 || inc.Reused != 2 {
-		t.Errorf("degraded solve Classes/Replayed/Reused = %d/%d/%d, want 2/0/2", inc.Classes, inc.Replayed, inc.Reused)
-	}
-	scratch, err := Solve(&Input{IR: in.IR, Net: degraded, Scopes: scopes}, DefaultOptions())
-	if err != nil {
-		t.Fatalf("cache-less degraded solve: %v", err)
-	}
-	planEqual(t, "memoised twins vs cache-less solve", inc, scratch)
-
-	for _, s := range memo {
-		if !reflect.DeepEqual(s.plan.Placement, s.placement) {
-			t.Error("a merge wrote into a memoised twin plan's placement")
-		}
-	}
-
-	// A different objective shapes a different plan: it must not be answered
-	// from twins memoised under the default one.
-	other := DefaultOptions()
-	other.Cache = opts.Cache
-	other.Objective = ObjMinSwitches
-	diff, err := Solve(in, other)
-	if err != nil {
-		t.Fatalf("min-switches solve: %v", err)
-	}
-	if diff.Reused != 0 {
-		t.Errorf("min-switches solve reused %d twin plans memoised under another objective", diff.Reused)
 	}
 }

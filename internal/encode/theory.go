@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
+	"strconv"
 
 	"lyra/internal/asic"
 	"lyra/internal/ir"
@@ -29,10 +29,6 @@ type resourceTheory struct {
 	lastReason   string
 }
 
-func newResourceTheory(e *encoder) *resourceTheory {
-	return &resourceTheory{e: e}
-}
-
 // Check implements smt.Theory.
 func (t *resourceTheory) Check(m *smt.Model) []smt.Lit {
 	// 1. Which instructions sit on which switch?
@@ -46,25 +42,15 @@ func (t *resourceTheory) Check(m *smt.Model) []smt.Lit {
 		}
 		placed[pv.sw][pv.alg] = append(placed[pv.sw][pv.alg], pv.instr)
 	}
-	out, conflict := t.derive(placed)
-	if conflict != nil {
-		t.lastReason = conflict.reason
-		if conflict.path != nil {
-			return t.conflictForPath(m, conflict.alg, conflict.path, conflict.extern)
-		}
-		return t.conflictForSwitch(m, conflict.sw)
+	conflict := t.derive(placed)
+	if conflict == nil {
+		return nil
 	}
-	t.allocations = out.allocations
-	t.placedTables = out.placedTables
-	t.shards = out.shards
-	return nil
-}
-
-// deriveOut is the resource state a feasible placement implies.
-type deriveOut struct {
-	allocations  map[string]*asic.Allocation
-	placedTables map[string][]*PlacedTable
-	shards       map[string]map[string]int64
+	t.lastReason = conflict.reason
+	if conflict.path != nil {
+		return t.conflictForPath(m, conflict.alg, conflict.path, conflict.extern)
+	}
+	return t.conflictForSwitch(m, conflict.sw)
 }
 
 // deriveConflict names the infeasibility derive hit: either a switch whose
@@ -81,10 +67,10 @@ type deriveConflict struct {
 // derive runs the model-free half of the theory check: from the placement
 // map (switch -> alg -> instruction IDs) it determines valid tables, splits
 // externs into shards along the flow paths, and admits every switch through
-// its chip allocator. It is deterministic in its input alone, which is what
-// lets symmetry replay re-derive a twin component's allocations from a
-// renamed placement without a solver (see symmetry.go).
-func (t *resourceTheory) derive(placed map[string]map[string][]int) (*deriveOut, *deriveConflict) {
+// its chip allocator, materializing the result on the theory when everything
+// fits. It is deterministic in its input alone, which is what makes a solved
+// component a template for its whole symmetry class (see Template).
+func (t *resourceTheory) derive(placed map[string]map[string][]int) *deriveConflict {
 	e := t.e
 	switches := sortedKeys(placed)
 
@@ -145,27 +131,14 @@ func (t *resourceTheory) derive(placed map[string]map[string][]int) (*deriveOut,
 	}
 
 	// 4. First-pass admission with fixed tables only; compute leftover
-	// capacity per switch for shard resolution. Identical per-switch
-	// programs (PER-SW replicas) share one allocator run via the cache.
-	allocCache := map[string]*asic.Allocation{}
-	cachedAllocate := func(model *asic.Model, spec *asic.ProgramSpec) (*asic.Allocation, error) {
-		key := specKey(model, spec)
-		if a, ok := allocCache[key]; ok {
-			return a, nil
-		}
-		a, err := asic.Allocate(model, spec)
-		if err == nil {
-			allocCache[key] = a
-		}
-		return a, err
-	}
+	// capacity per switch for shard resolution.
 	leftoverBlocks := map[string]int64{}
 	for _, sw := range switches {
 		model := e.in.Net.Switch(sw).ASIC
 		spec := t.buildSpec(sw, valid[sw], shards, splittable, placed[sw])
-		alloc, err := cachedAllocate(model, spec)
+		alloc, err := e.allocate(model, spec)
 		if err != nil {
-			return nil, &deriveConflict{reason: err.Error(), sw: sw}
+			return &deriveConflict{reason: err.Error(), sw: sw}
 		}
 		total := int64(model.Stages) * int64(model.SRAMBlocks)
 		if model.Stages == 0 {
@@ -241,7 +214,7 @@ func (t *resourceTheory) derive(placed map[string]map[string][]int) (*deriveOut,
 				need -= take
 			}
 			if need > 0 {
-				return nil, &deriveConflict{
+				return &deriveConflict{
 					reason: fmt.Sprintf("extern %s: %d entries do not fit along path %v", name, need, p),
 					alg:    decl.Alg, path: p, extern: name,
 				}
@@ -262,10 +235,10 @@ func (t *resourceTheory) derive(placed map[string]map[string][]int) (*deriveOut,
 	placedTables := map[string][]*PlacedTable{}
 	for _, sw := range switches {
 		model := e.in.Net.Switch(sw).ASIC
-		spec := t.buildSpecFinal(sw, valid[sw], shards, placed[sw])
-		alloc, err := cachedAllocate(model, spec)
+		spec := t.buildSpec(sw, valid[sw], shards, nil, placed[sw])
+		alloc, err := e.allocate(model, spec)
 		if err != nil {
-			return nil, &deriveConflict{reason: err.Error(), sw: sw}
+			return &deriveConflict{reason: err.Error(), sw: sw}
 		}
 		allocations[sw] = alloc
 		for _, st := range valid[sw] {
@@ -284,12 +257,13 @@ func (t *resourceTheory) derive(placed map[string]map[string][]int) (*deriveOut,
 				}
 			}
 			placedTables[sw] = append(placedTables[sw], &PlacedTable{
-				Table: st.tab, Switch: sw, Entries: entries,
+				Table: st.tab, Entries: entries,
 				ShardIndex: idx, ShardCount: count,
 			})
 		}
 	}
-	return &deriveOut{allocations: allocations, placedTables: placedTables, shards: shards}, nil
+	t.allocations, t.placedTables, t.shards = allocations, placedTables, shards
+	return nil
 }
 
 // swTable pairs a conditional table with the instructions of it that the
@@ -299,8 +273,9 @@ type swTable struct {
 	placedIn []int
 }
 
-// buildSpec creates the admission spec for pass 1, with splittable externs
-// excluded (their shards are sized afterwards against leftover capacity).
+// buildSpec creates an admission spec. Pass 1 excludes the splittable externs
+// (their shards are sized afterwards against leftover capacity); the final
+// pass passes none and admits every table at its concrete shard size.
 func (t *resourceTheory) buildSpec(sw string, tabs []*swTable, shards map[string]map[string]int64, splittable map[string]bool, placedAlgs map[string][]int) *asic.ProgramSpec {
 	return t.spec(sw, tabs, func(tb *synth.Table) (int64, bool) {
 		if tb.Kind == synth.MatchExtern {
@@ -316,30 +291,67 @@ func (t *resourceTheory) buildSpec(sw string, tabs []*swTable, shards map[string
 	}, placedAlgs)
 }
 
-// buildSpecFinal creates the admission spec with concrete shard sizes.
-func (t *resourceTheory) buildSpecFinal(sw string, tabs []*swTable, shards map[string]map[string]int64, placedAlgs map[string][]int) *asic.ProgramSpec {
-	return t.spec(sw, tabs, func(tb *synth.Table) (int64, bool) {
-		if tb.Kind == synth.MatchExtern {
-			if sh := shards[tb.Extern.Name][sw]; sh > 0 {
-				return sh, true
-			}
+// allocate admits a program through the chip allocator, once per distinct
+// (chip model, program): switches with identical implied programs (PER-SW
+// replicas, the ToRs of a pod) share one allocator run, mirroring the paper's
+// parallel generation of identical per-switch code (§7.2 "the compilation
+// time stays the same"). The memo belongs to the encoder, not to one theory
+// check, so across the checks and ladder attempts of a solve only the switches
+// whose implied program changed between models are re-admitted; it is dropped
+// when the solver is parked in the cache (Cache.put), so a parked solver pins
+// no allocation its last plan does not use. Allocations are immutable once
+// made.
+func (e *encoder) allocate(model *asic.Model, spec *asic.ProgramSpec) (*asic.Allocation, error) {
+	key := specKey(model, spec)
+	if a, ok := e.allocs[key]; ok {
+		return a, nil
+	}
+	a, err := asic.Allocate(model, spec)
+	if err == nil {
+		if e.allocs == nil {
+			e.allocs = map[string]*asic.Allocation{}
 		}
-		return tb.Entries(), true
-	}, placedAlgs)
+		e.allocs[key] = a
+	}
+	return a, err
 }
 
-// specKey builds a cache signature for an admission check: switches with
-// the same chip model and identical implied programs (PER-SW replicas)
-// share one allocator run, mirroring the paper's parallel generation of
-// identical per-switch code (§7.2 "the compilation time stays the same").
+// specKey is the memo key of an admission check: the chip model's name and
+// everything of the program the allocator reads.
 func specKey(model *asic.Model, spec *asic.ProgramSpec) string {
-	var b strings.Builder
-	b.WriteString(model.Name)
+	b := make([]byte, 0, 64+48*len(spec.Tables)+4*len(spec.Fields))
+	b = append(b, model.Name...)
 	for _, ts := range spec.Tables {
-		fmt.Fprintf(&b, "|%s:%d:%d:%d:%d:%v:%v", ts.Name, ts.Entries, ts.MatchBits, ts.ActionBits, ts.Actions, ts.Stateful, ts.Deps)
+		b = append(b, '|')
+		b = append(b, ts.Name...)
+		for _, n := range [...]int64{ts.Entries, int64(ts.MatchBits), int64(ts.ActionBits), int64(ts.Actions)} {
+			b = append(b, ':')
+			b = strconv.AppendInt(b, n, 10)
+		}
+		b = append(b, ':')
+		b = strconv.AppendBool(b, ts.Stateful)
+		b = append(b, ':')
+		b = appendInts(b, ts.Deps)
 	}
-	fmt.Fprintf(&b, "#%v#%d#%d", spec.Fields, spec.ParserEntries, spec.CodePathLen)
-	return b.String()
+	b = append(b, '#')
+	b = appendInts(b, spec.Fields)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(spec.ParserEntries), 10)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(spec.CodePathLen), 10)
+	return string(b)
+}
+
+// appendInts renders xs the way fmt's %v does: "[1 2 3]".
+func appendInts(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // spec assembles an asic.ProgramSpec from the valid tables on a switch.

@@ -114,14 +114,33 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
+// maxPresizedBody caps the buffer readBody allocates on a Content-Length's
+// word alone; a longer body is read by growing.
+const maxPresizedBody = 64 << 20
+
+// readBody reads the whole body, into a buffer of the declared size when the
+// server sent one (the daemon always does).
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+		raw := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, raw)
+		return raw, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // decodeResponse reads and closes the body: nil on 2xx (out filled), an
-// *APIError otherwise.
+// *APIError otherwise. A 2xx whose body cannot be read to its end or does not
+// decode is an error of kind "bad-response", never a silently zero out.
 func decodeResponse(resp *http.Response, out any) *APIError {
 	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out != nil {
-			json.Unmarshal(raw, out)
+		if err == nil && out != nil {
+			err = json.Unmarshal(raw, out)
+		}
+		if err != nil {
+			return &APIError{Status: resp.StatusCode, Kind: "bad-response", Message: err.Error()}
 		}
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -476,4 +477,58 @@ func TestDrainCleanNoLeak(t *testing.T) {
 
 	ts.Close()
 	leak.Check(t, baseline)
+}
+
+// TestClientRejectsBadResponseBody: a 2xx whose body is cut short or is not
+// the JSON it claims to be must surface as a typed error, not as a zero
+// CompileResponse with a nil error.
+func TestClientRejectsBadResponseBody(t *testing.T) {
+	full := `{"fingerprint":"abc","switches":[{"switch":"ToR1"}]}`
+	for _, tc := range []struct {
+		name  string
+		serve http.HandlerFunc
+	}{
+		{"cut short of its Content-Length", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", fmt.Sprint(len(full)))
+			w.Write([]byte(full[:len(full)/2])) // the server closes the connection on the shortfall
+		}},
+		{"cut short without a length", func(w http.ResponseWriter, r *http.Request) {
+			w.(http.Flusher).Flush() // chunked
+			w.Write([]byte(full[:len(full)/2]))
+		}},
+		{"not JSON", func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("<html>it works</html>"))
+		}},
+	} {
+		ts := httptest.NewServer(tc.serve)
+		resp, err := (&Client{BaseURL: ts.URL}).Compile(context.Background(), lbRequest())
+		ts.Close()
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Kind != "bad-response" || apiErr.Status != http.StatusOK {
+			t.Errorf("%s: err = %v, want an *APIError of kind bad-response on a 200", tc.name, err)
+		}
+		if apiErr != nil && apiErr.Retryable() {
+			t.Errorf("%s: a garbled body must not be retried blindly", tc.name)
+		}
+		if tc.name == "not JSON" && resp.Fingerprint != "" {
+			t.Errorf("%s: response carries a fingerprint %q", tc.name, resp.Fingerprint)
+		}
+	}
+	// The daemon's own responses carry their length and are compact.
+	_, cl := newTestDaemon(t, Config{})
+	httpResp, err := http.Post(cl.BaseURL+"/v1/compile", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	raw, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if httpResp.ContentLength != int64(len(raw)) {
+		t.Errorf("Content-Length %d on a %d-byte body", httpResp.ContentLength, len(raw))
+	}
+	if strings.Count(string(raw), "\n") != 1 || !strings.HasSuffix(string(raw), "\n") {
+		t.Errorf("response is not one compact line: %q", raw)
+	}
 }

@@ -245,12 +245,18 @@ func errKind(err error) (kind string, status int) {
 	}
 }
 
+// writeJSON encodes the body compactly into one buffer and sends it with its
+// length, so the client can read it into a buffer of exactly that size.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	raw, err := json.Marshal(body)
+	if err != nil { // a response value that cannot be marshalled is a bug: 422/"internal", like a panic
+		status, raw = http.StatusUnprocessableEntity, []byte(`{"error":"encoding response","kind":"internal"}`)
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)+1))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	w.Write(raw) // a failed write means the client is gone
+	w.Write([]byte{'\n'})
 }
 
 // writeError emits the uniform error body; shed/draining responses carry
