@@ -4,50 +4,66 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"lyra/internal/encode"
 )
 
-// TestRecompileReusesSolverIncrementally: a fault outside the deployment
-// region leaves the component's encoding unchanged, so Recompile must
-// re-solve the cached persistent solver (no re-encode) and a fault inside
-// the region must rebuild it.
-func TestRecompileReusesSolverIncrementally(t *testing.T) {
+// TestRecompileSolvesOnlyNewClasses: a fault outside the deployment region
+// changes switch records inside it (Agg3 and Agg4 lose a core link) but no
+// flow path, so the component is re-canonicalised into the class the base
+// already solved and Recompile binds that template — nothing encoded, nothing
+// solved; a fault inside the region makes a new class, which is encoded and
+// solved once, and the same fault a second time is a memo hit.
+func TestRecompileSolvesOnlyNewClasses(t *testing.T) {
 	base := compileQuickLB(t)
 	if base.SolverStats.Encodes != 1 || base.SolverStats.SolveCalls != 1 {
 		t.Fatalf("base stats = %+v, want one encode and one solve", base.SolverStats)
 	}
+	bound := func(res *Result) *encode.Template { return res.plan.Bindings()[0].Template }
 
-	// Core1 carries no loadbalancer scope: same component key, cache hit.
-	res, _, err := base.Recompile(Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
+	// Core1 carries no loadbalancer scope: same class, memo hit.
+	res, delta, err := base.Recompile(Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
-	if res.SolverStats.Encodes != 1 {
-		t.Errorf("Encodes = %d after irrelevant fault, want 1 (cached encoding reused)", res.SolverStats.Encodes)
+	if st := res.SolverStats; st.Encodes != 0 || st.SolveCalls != 0 || st.CacheHits != 1 {
+		t.Errorf("stats after an irrelevant fault = %+v, want the class answered from the memo and nothing encoded or solved", st)
 	}
-	if res.SolverStats.SolveCalls != 2 {
-		t.Errorf("SolveCalls = %d, want 2 (incremental re-solve on the same solver)", res.SolverStats.SolveCalls)
+	if bound(res) != bound(base) {
+		t.Error("an irrelevant fault changed the template the component is bound to")
+	}
+	if len(delta.Reprogram)+len(delta.Removed) != 0 {
+		t.Errorf("an irrelevant fault produced a device delta: %v", delta)
 	}
 
-	// Agg3 is inside the region: the scope resolution changes, the key
-	// misses, and the component encodes fresh.
+	// Agg3 is inside the region: the scope resolution changes, the class is
+	// new, and the component encodes fresh.
 	res2, _, err := base.Recompile(Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
-	if res2.SolverStats.Encodes != 1 || res2.SolverStats.SolveCalls != 1 {
-		t.Errorf("stats after in-region fault = %+v, want a fresh encode+solve", res2.SolverStats)
+	if st := res2.SolverStats; st.Encodes != 1 || st.SolveCalls != 1 || st.CacheHits != 0 {
+		t.Errorf("stats after in-region fault = %+v, want a fresh encode+solve", st)
+	}
+	if bound(res2) == bound(base) {
+		t.Error("an in-region fault left the component bound to the base's template")
+	}
+	// The same fault again is a class the memo knows by now.
+	res2b, _, err := base.Recompile(Scenario{Name: "agg3 again", Events: []FaultEvent{SwitchDown("Agg3")}})
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if st := res2b.SolverStats; st.Encodes != 0 || st.CacheHits != 1 || bound(res2b) != bound(res2) {
+		t.Errorf("stats of a repeated fault = %+v, want the damaged class answered from the memo", st)
 	}
 
-	// Chained irrelevant faults keep riding the same solver.
+	// Chained irrelevant faults keep binding the same template.
 	res3, _, err := res.Recompile(Scenario{Name: "core2", Events: []FaultEvent{SwitchDown("Core2")}})
 	if err != nil {
 		t.Fatalf("chained recompile: %v", err)
 	}
-	if res3.SolverStats.Encodes != 1 {
-		t.Errorf("Encodes = %d after chained irrelevant fault, want 1", res3.SolverStats.Encodes)
-	}
-	if res3.SolverStats.SolveCalls != 3 {
-		t.Errorf("SolveCalls = %d, want 3", res3.SolverStats.SolveCalls)
+	if st := res3.SolverStats; st.Encodes != 0 || st.SolveCalls != 0 || bound(res3) != bound(base) {
+		t.Errorf("stats after chained irrelevant fault = %+v, want nothing encoded or solved", st)
 	}
 	checkForwarding(t, res3, "chained-incremental")
 }

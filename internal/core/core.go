@@ -83,11 +83,11 @@ type Result struct {
 	// Diagnostics is the solver's fallback-ladder trail (what, if
 	// anything, was given up to reach the plan).
 	Diagnostics *encode.Diagnostics
-	// SolverCache retains each solved component's persistent SMT solver.
-	// Recompile threads it forward: a component whose encoding the topology
-	// delta left unchanged re-solves incrementally (learnt clauses, VSIDS
-	// activity, and saved phases intact) instead of re-encoding.
-	SolverCache *encode.Cache
+	// Cache memoises every symmetry class solved for this program as its
+	// template. Recompile threads it forward: a component whose class is
+	// known — every intact pod, and a damaged one whose shape was seen
+	// before — is bound without encoding or solving anything.
+	Cache *encode.Cache
 
 	// Phases is the per-phase timing breakdown, in pipeline order. The
 	// legacy CompileTime/SolveTime pair is derived from the same clock:
@@ -197,19 +197,22 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, opt)
 	}
 
-	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil)
+	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil, nil)
 	if res != nil {
 		res.Optimization = optRep
 	}
 	return res, err
 }
 
-// Recompile re-solves placement after a network change (the §6.3 loop):
-// the front-end products of prev are reused verbatim, scopes are
-// re-resolved leniently against the degraded network (a region naming a
-// dead switch shrinks to its survivors), and only switches whose plan
-// slice changed are re-translated. The Delta lists what must actually be
-// pushed to hardware.
+// Recompile re-solves placement after a network change (the §6.3 loop): the
+// front-end products of prev are reused verbatim, and the fault, not the
+// fabric, is the unit of everything after. Scopes are re-resolved leniently
+// against the degraded network (a region naming a dead switch shrinks to its
+// survivors) — from prev's resolution and the delta between the two networks
+// when the change is faults only; placement components the change left alone
+// are taken over from prev's plan as they are, and only switches whose plan
+// slice changed are re-translated and re-verified. The Delta lists what must
+// actually be pushed to hardware.
 func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network) (*Result, *Delta, error) {
 	start := time.Now()
 	if prev == nil || prev.IR == nil {
@@ -225,29 +228,35 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 		if err != nil {
 			return fmt.Errorf("scope: %w", err)
 		}
-		if scopes, err = spec.ResolveWith(net, scope.ResolveOpts{
-			AllowMissing: true, LazyPaths: req.LazyPaths, MaxPaths: req.MaxPaths,
-		}); err != nil {
+		opts := scope.ResolveOpts{AllowMissing: true, LazyPaths: req.LazyPaths, MaxPaths: req.MaxPaths}
+		if prev.Plan != nil {
+			scopes, err = spec.ResolveAfter(prev.Plan.Input.Scopes, net, net.Since(prev.Plan.Input.Net), opts)
+		} else {
+			scopes, err = spec.ResolveWith(net, opts)
+		}
+		if err != nil {
 			return fmt.Errorf("scope: %w", err)
 		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev)
+	delta := &Delta{}
+	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev, delta)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, computeDelta(prev, res), nil
+	return res, delta, nil
 }
 
 // solveAndTranslate is the shared back half of the pipeline: encode +
 // solve, translate and verify. With a previous result, every switch whose
 // plan fingerprint is unchanged keeps that result's artifact and its
-// verification report — same content, same object — and only the rest are
-// built, emitted and verified. Every stage is timed into tr; CompileTime is
-// stamped last so it spans the whole pipeline, verification included.
-func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result) (*Result, error) {
+// verification report — same content, same object — only the rest are
+// built, emitted and verified, and delta is filled in with which is which.
+// Every stage is timed into tr; CompileTime is stamped last so it spans the
+// whole pipeline, verification included.
+func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result, delta *Delta) (*Result, error) {
 	// Back-end: synthesis + constraint encoding + SMT solve (§5).
 	opts := encode.DefaultOptions()
 	opts.Objective = req.Objective
@@ -259,11 +268,11 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	if req.SolveBudget > 0 {
 		opts.TimeBudget = req.SolveBudget
 	}
-	// Component solvers and replayed twin plans persist across recompiles:
-	// Recompile reuses the previous Result's IR verbatim, so a component
-	// untouched by the topology delta hits the cache.
+	// Solved classes and the decomposition persist across recompiles:
+	// Recompile reuses the previous Result's IR verbatim, so whatever the
+	// topology delta left alone is not solved, or even looked at, again.
 	if prev != nil {
-		opts.Cache = prev.SolverCache
+		opts.Cache, opts.Prev = prev.Cache, prev.Plan
 	}
 	if opts.Cache == nil {
 		opts.Cache = encode.NewCache()
@@ -276,32 +285,50 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	tr.done(PhaseSolve, plan.SolveTime)
 
 	// Translation to chip-specific code (§5.7–§5.8), for the switches whose
-	// fingerprint the previous result does not already answer.
+	// fingerprint the previous result does not already answer. One pass over
+	// the fingerprints decides, per switch, between the previous artifact and
+	// a new one, and is the delta.
 	cgStart := time.Now()
 	fps := plan.Fingerprints()
 	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism}
-	kept := map[string]*backend.Artifact{}
+	arts := make(map[string]*backend.Artifact, len(fps))
 	if prev != nil {
 		topts.Only = map[string]bool{}
+		delta.Unchanged = make([]string, 0, len(fps))
+		survived := 0 // switches programmed before and now
 		for sw, fp := range fps {
-			if art := prev.Artifacts[sw]; art != nil && prev.Fingerprints[sw] == fp {
-				kept[sw] = art
+			was, programmed := prev.Fingerprints[sw]
+			if programmed {
+				survived++
+			}
+			if art := prev.Artifacts[sw]; art != nil && programmed && was == fp {
+				arts[sw] = art
+				delta.Unchanged = append(delta.Unchanged, sw)
 			} else {
 				topts.Only[sw] = true
+				delta.Reprogram = append(delta.Reprogram, sw)
 			}
 		}
+		if survived != len(prev.Fingerprints) {
+			for sw := range prev.Fingerprints {
+				if _, ok := fps[sw]; !ok {
+					delta.Removed = append(delta.Removed, sw)
+				}
+			}
+		}
+		sort.Strings(delta.Reprogram)
+		sort.Strings(delta.Unchanged)
+		sort.Strings(delta.Removed)
 	}
+	kept := len(arts)
 	fresh, err := backend.Translate(plan, topts)
 	if err != nil {
 		return nil, fmt.Errorf("translate: %w", err)
 	}
-	arts := fresh
-	if len(kept) > 0 {
-		arts = make(map[string]*backend.Artifact, len(fresh)+len(kept))
+	if kept == 0 {
+		arts = fresh
+	} else {
 		for sw, art := range fresh {
-			arts[sw] = art
-		}
-		for sw, art := range kept {
 			arts[sw] = art
 		}
 	}
@@ -313,7 +340,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		Artifacts:      arts,
 		Fingerprints:   fps,
 		Diagnostics:    plan.Diagnostics,
-		SolverCache:    opts.Cache,
+		Cache:          opts.Cache,
 		SolverStats:    plan.Stats,
 		SolveInstances: plan.Instances,
 		SolveTime:      plan.SolveTime,
@@ -323,7 +350,13 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	var verifyErr error
 	if !req.SkipVerify {
 		vStart := time.Now()
-		res.Reports = verifyReusing(plan, arts, fresh, kept, prev, req.Parallelism)
+		if kept == 0 || len(prev.Reports) != len(prev.Artifacts) {
+			// Nothing to carry, or a previous result that was not itself
+			// fully verified and so carries nothing forward.
+			res.Reports = verify.PlanParallel(plan, arts, req.Parallelism)
+		} else {
+			res.Reports = mergeReports(prev.Reports, delta.Unchanged, verify.PlanParallel(plan, fresh, req.Parallelism))
+		}
 		tr.done(PhaseVerify, time.Since(vStart))
 		for _, r := range res.Reports {
 			if !r.OK {
@@ -349,20 +382,20 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	return res, nil
 }
 
-// verifyReusing returns one report per artifact in sorted switch order: the
+// mergeReports returns one report per artifact in sorted switch order: the
 // previous result's report for every kept artifact (the very object that
-// report was made from) and a fresh check of the others. A previous result
-// that was not itself fully verified carries nothing forward.
-func verifyReusing(plan *encode.Plan, arts, fresh, kept map[string]*backend.Artifact, prev *Result, workers int) []verify.Report {
-	if len(kept) == 0 || len(prev.Reports) != len(prev.Artifacts) {
-		return verify.PlanParallel(plan, arts, workers)
-	}
-	checked := verify.PlanParallel(plan, fresh, workers)
-	out := make([]verify.Report, 0, len(arts))
-	for _, r := range prev.Reports { // sorted by switch, like checked
-		if kept[r.Switch] == nil {
+// report was made from) merged with the fresh checks of the others. All three
+// inputs are sorted by switch.
+func mergeReports(prev []verify.Report, kept []string, checked []verify.Report) []verify.Report {
+	out := make([]verify.Report, 0, len(kept)+len(checked))
+	for _, r := range prev {
+		if len(kept) == 0 {
+			break
+		}
+		if r.Switch != kept[0] {
 			continue
 		}
+		kept = kept[1:]
 		for len(checked) > 0 && checked[0].Switch < r.Switch {
 			out = append(out, checked[0])
 			checked = checked[1:]
@@ -370,25 +403,4 @@ func verifyReusing(plan *encode.Plan, arts, fresh, kept map[string]*backend.Arti
 		out = append(out, r)
 	}
 	return append(out, checked...)
-}
-
-// computeDelta classifies every switch touched by either result.
-func computeDelta(prev, next *Result) *Delta {
-	d := &Delta{}
-	for sw, fp := range next.Fingerprints {
-		if prevFP, ok := prev.Fingerprints[sw]; ok && prevFP == fp {
-			d.Unchanged = append(d.Unchanged, sw)
-		} else {
-			d.Reprogram = append(d.Reprogram, sw)
-		}
-	}
-	for sw := range prev.Fingerprints {
-		if _, ok := next.Fingerprints[sw]; !ok {
-			d.Removed = append(d.Removed, sw)
-		}
-	}
-	sort.Strings(d.Reprogram)
-	sort.Strings(d.Unchanged)
-	sort.Strings(d.Removed)
-	return d
 }

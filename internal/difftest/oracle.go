@@ -274,9 +274,9 @@ func (o *Oracle) Check(c *Case) Outcome {
 }
 
 // checkIncremental recompiles base through the identity scenario (no
-// topology change) and demands that the incremental re-solve — each
-// component resuming its cached persistent solver, learnt clauses and saved
-// phases intact — lands on exactly the one-shot result. A nil return means
+// topology change) and demands that the incremental path — every component
+// taken over from the base plan as it is — lands on exactly the one-shot
+// result without building an encoder or calling a solver. A nil return means
 // the check passed.
 func (o *Oracle) checkIncremental(base *lyra.Result) *Outcome {
 	inc, delta, err := base.Recompile(lyra.Scenario{Name: "identity"})
@@ -292,12 +292,9 @@ func (o *Oracle) checkIncremental(base *lyra.Result) *Outcome {
 		return &Outcome{Class: SolverDisagreement,
 			Detail: fmt.Sprintf("incremental: identity recompile produced a device delta: %v", delta)}
 	}
-	// Each component's cached solver carries its Encodes=1 from the one-shot
-	// compile plus at least two Solve calls (one per compile); a component
-	// that re-encoded shows a fresh solver with a single call.
-	if st := inc.SolverStats; st.SolveCalls < 2*st.Encodes {
+	if st := inc.SolverStats; st.Encodes != 0 || st.SolveCalls != 0 {
 		return &Outcome{Class: SolverDisagreement,
-			Detail: fmt.Sprintf("incremental: identity recompile re-encoded instead of reusing the solver (SolveCalls=%d Encodes=%d)", st.SolveCalls, st.Encodes)}
+			Detail: fmt.Sprintf("incremental: identity recompile solved again instead of carrying the plan over (SolveCalls=%d Encodes=%d)", st.SolveCalls, st.Encodes)}
 	}
 	return nil
 }

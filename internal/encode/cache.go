@@ -6,34 +6,30 @@ import (
 	"lyra/internal/ir"
 )
 
-// DefaultCacheEntries bounds the solver cache when the caller does not pick
-// a size: generous enough to hold every symmetry class of a large compile —
-// and every component of a 64-pod fabric compiled with dedup off — small
-// enough that a long churn loop over many distinct topology states cannot
-// grow the resident set without bound (each entry pins a full solver, about
-// half a megabyte for one pod of a k=32 fat tree).
+// DefaultCacheEntries bounds the class memo when the caller does not pick a
+// size: generous enough to hold every symmetry class a long churn loop meets
+// on a large fabric (one per damaged-pod shape), small enough that many
+// distinct topology states cannot grow the resident set without bound. An
+// entry is a Template — kilobytes, however many pods are bound to it.
 const DefaultCacheEntries = 96
 
-// Cache retains solved components' encoders — persistent SMT solvers with
-// their learnt clauses, VSIDS activity, and saved phases — so a later Solve
-// over an unchanged component (typically a Recompile whose topology delta
-// left the component untouched) resumes incrementally instead of re-encoding
-// from scratch.
+// Cache is a bounded memo from symmetry class to solved Template. A component
+// whose class is in the memo is bound with no encoder built and no solver
+// called, whichever compile or recompile solved the class first and whatever
+// its switches were called there: every intact pod of a fabric, always, and a
+// damaged pod whose shape was seen before.
 //
 // An entry is keyed by the identity of the root IR program (Recompile reuses
-// the previous Result's IR verbatim, so pointer equality is exact) plus a
-// content key over everything else the encoding depends on: the component's
-// canonical fingerprint — its algorithms, their index-renamed scopes and flow
-// paths, and the ASIC specification behind every index (capacity facts learned
-// by the resource theory are permanent clauses, so a changed chip must miss) —
-// and the switches the indices stand for. Any delta that touches one of those
-// produces a different key and the component encodes fresh.
+// the previous Result's IR verbatim, so pointer equality is exact, and no
+// other compile can ever hit it) plus the class key: the component's
+// name-free canonical fingerprint — its algorithms, their index-renamed scopes
+// and flow paths, the ASIC specification behind every index — and the options
+// that shape the solved plan (see Options.shapeKey). The value is immutable
+// and carries its own fallback-ladder trail, so what a class gave up to be
+// placed is reported by every plan bound to it.
 //
-// The cache is bounded: once the entry cap is reached, inserting a new key
-// evicts the least-recently-used entry. Take/put transfers ownership: take
-// removes the entry, so two concurrent solves can never share one solver,
-// and the encoder is only put back after a successful solve leaves it in a
-// reusable state.
+// The memo is bounded: once the entry cap is reached, inserting a new key
+// evicts the least-recently-used entry.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -44,26 +40,25 @@ type Cache struct {
 }
 
 type cacheKey struct {
-	root *ir.Program
-	key  string
+	root  *ir.Program
+	class string
 }
 
-// cacheEntry holds a solved component's encoder.
 type cacheEntry struct {
-	enc      *encoder
+	tmpl     *Template
 	lastUsed uint64
 }
 
-// NewCache returns an empty solver cache bounded to DefaultCacheEntries.
+// NewCache returns an empty class memo bounded to DefaultCacheEntries.
 func NewCache() *Cache { return NewCacheLimited(DefaultCacheEntries) }
 
-// NewCacheLimited returns an empty solver cache holding at most maxEntries
-// encoders (LRU eviction). maxEntries <= 0 means unbounded.
+// NewCacheLimited returns an empty class memo holding at most maxEntries
+// templates (LRU eviction). maxEntries <= 0 means unbounded.
 func NewCacheLimited(maxEntries int) *Cache {
 	return &Cache{entries: map[cacheKey]*cacheEntry{}, cap: maxEntries}
 }
 
-// Len reports the number of cached encoders.
+// Len reports the number of memoised classes.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -73,7 +68,8 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Hits reports the number of successful takes over the cache's lifetime.
+// Hits reports the number of classes answered from the memo over its
+// lifetime.
 func (c *Cache) Hits() int64 {
 	if c == nil {
 		return 0
@@ -93,42 +89,30 @@ func (c *Cache) Evictions() int64 {
 	return c.evicted
 }
 
-func (c *Cache) take(root *ir.Program, key string) *encoder {
-	if c == nil {
-		return nil
-	}
+// get returns the memoised template of a class, or nil.
+func (c *Cache) get(root *ir.Program, class string) *Template {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := cacheKey{root, key}
-	e := c.entries[k]
+	e := c.entries[cacheKey{root, class}]
 	if e == nil {
 		return nil
 	}
-	delete(c.entries, k)
 	c.hits++
-	return e.enc
+	c.tick++
+	e.lastUsed = c.tick
+	return e.tmpl
 }
 
-// put inserts an encoder, reporting whether the LRU bound evicted another
-// entry to make room. The encoder's Input is dropped — take's caller installs
-// the current one — so a cached solver does not pin the network (and the
-// scopes' path sets) of the compile that built it; so are the allocator memo
-// and the resource state of its last model, which the next solve rebuilds.
-func (c *Cache) put(root *ir.Program, key string, e *encoder) (evicted bool) {
-	if c == nil || e == nil {
-		return false
-	}
-	e.in = nil
-	e.allocs = nil
-	if t := e.theory; t != nil {
-		t.allocations, t.placedTables, t.shards = nil, nil, nil
-	}
-	k := cacheKey{root, key}
+// put memoises a solved class, reporting whether the LRU bound evicted another
+// entry to make room. Two concurrent solves of one class put equal templates;
+// the later one wins, which changes nothing a reader can observe.
+func (c *Cache) put(root *ir.Program, class string, t *Template) (evicted bool) {
+	k := cacheKey{root, class}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, present := c.entries[k]; !present && c.cap > 0 && len(c.entries) >= c.cap {
 		// Evict the least-recently-used entry. The scan is O(entries), which
-		// the small cap keeps trivial next to a single solver's footprint.
+		// the small cap keeps trivial next to solving a class.
 		var oldest cacheKey
 		var oldestTick uint64
 		first := true
@@ -142,6 +126,6 @@ func (c *Cache) put(root *ir.Program, key string, e *encoder) (evicted bool) {
 		evicted = true
 	}
 	c.tick++
-	c.entries[k] = &cacheEntry{enc: e, lastUsed: c.tick}
+	c.entries[k] = &cacheEntry{tmpl: t, lastUsed: c.tick}
 	return evicted
 }

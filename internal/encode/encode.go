@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -113,21 +115,32 @@ type Options struct {
 	// depends on this value — only wall-clock time does — so any setting
 	// yields an identical Plan.
 	Parallelism int
-	// Cache, when non-nil, retains each successfully solved component's
-	// persistent solver so a later Solve over an unchanged component (same
-	// root IR, same scopes, same chip specs) resumes incrementally — learnt
-	// clauses, activity, and phases intact — instead of re-encoding.
+	// Cache, when non-nil, memoises every solved symmetry class of the root
+	// IR as its Template, so a later Solve meeting the class again — in this
+	// network or a degraded one, under these switch names or others — binds
+	// it without encoding or solving anything.
 	Cache *Cache
+	// Prev, when non-nil, is the plan this solve follows: the same root IR
+	// and scope specification solved on an earlier state of the network. The
+	// components of Prev no switch of which changed since are taken over as
+	// they are — no path walk, no canonical form, no solve — and only the rest
+	// of the network is decomposed again. A Prev that does not fit (another
+	// program, spec or option set, or a network that gained something) is
+	// ignored. The incremental driver sets it; it needs Cache to be set, and
+	// Prev's own network must not have been edited since Prev was solved
+	// (a network derived from it by Clone may be edited freely).
+	Prev *Plan
 	// ReencodeEachAttempt discards the persistent solver between fallback-
 	// ladder attempts, restoring the historical rebuild-per-rung behavior.
 	// It exists as the baseline for benchmarking the incremental path and
-	// disables Cache reuse.
+	// disables Cache and Prev.
 	ReencodeEachAttempt bool
-	// NoSymmetryDedup disables symmetry-aware component deduplication:
-	// every component is solved from scratch even when it is isomorphic
-	// (modulo switch renaming) to an already-solved one. The zero value
-	// keeps dedup on; the flag exists as the measurement baseline and
-	// produces byte-identical plans (see symmetry.go for the argument).
+	// NoSymmetryDedup disables every reuse of a solved class: each component
+	// is solved from scratch even when it is isomorphic (modulo switch
+	// renaming) to one solved in this call, memoised in Cache or carried by
+	// Prev. The zero value keeps reuse on; the flag exists as the measurement
+	// baseline and the independent oracle, and produces byte-identical plans
+	// (see symmetry.go for the argument).
 	NoSymmetryDedup bool
 	// Portfolio, when > 1, races that many solver configurations per
 	// component: the canonical incremental-ladder solver plus seeded VSIDS
@@ -192,6 +205,9 @@ type Plan struct {
 	bound []Binding
 	// hashes memoises Shapes and Fingerprints.
 	hashes switchHashes
+	// shaping renders the options the plan was solved under that shape it; a
+	// later solve carries components over only under the same.
+	shaping string
 
 	// EncodeTime and SolveTime split the wall-clock time Solve spent:
 	// constraint construction versus SMT search. With concurrent component
@@ -204,9 +220,11 @@ type Plan struct {
 	// Instances counts the independent SMT instances solved (the number of
 	// disjoint components the placement problem split into).
 	Instances int
-	// Classes counts the symmetry equivalence classes actually solved;
-	// Replayed counts the components bound to the template of an isomorphic
-	// representative instead of solved (Instances = Classes + Replayed).
+	// Classes counts the symmetry classes solved by this call; Replayed
+	// counts the components bound without being solved — to the template of
+	// a representative solved here, of a class in the memo (Stats.CacheHits
+	// counts those classes), or carried over from the previous plan
+	// (Instances = Classes + Replayed).
 	Classes  int
 	Replayed int
 	// PathsEnumerated totals the flow paths walked by the lazy enumerator
@@ -246,6 +264,11 @@ func (p *Plan) HostsOf(alg string, id int) []string { return p.Placement[alg][id
 // into one component, so a fully coupled program degenerates to the original
 // monolithic solve.
 //
+// Work already done is not done again, at three levels: a component of
+// opts.Prev that the network change left alone is the same Binding; a class
+// in opts.Cache is its memoised Template; only a class seen for the first
+// time is solved.
+//
 // When an attempt fails and opts.Ladder is non-empty, that component walks
 // the fallback ladder: each applicable rung relaxes the configuration and
 // the solve is retried, with every attempt recorded in the plan's
@@ -263,66 +286,95 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	if opts.TimeBudget > 0 {
 		deadline = start.Add(opts.TimeBudget)
 	}
+	shaping := opts.shaping()
+	caching := opts.Cache != nil && !opts.ReencodeEachAttempt && !opts.NoSymmetryDedup
 
-	comps := Partition(in)
-	results := make([]componentResult, len(comps))
-	bound := make([]Binding, len(comps))
+	// The decomposition: the previous plan's untouched components as they
+	// are, and a partition of what is left — of everything, without one.
+	var ca *carried
+	var comps []*Component
+	if caching {
+		ca = carryOver(in, opts.Prev, shaping)
+	}
+	if ca != nil && len(ca.algs) > 0 {
+		var ok bool
+		if comps, ok = partition(in, ca); !ok {
+			ca = nil
+		}
+	}
+	if ca == nil {
+		comps = Partition(in)
+	}
+	open := make([]Binding, len(comps))
 	for i, c := range comps {
-		bound[i].Switches = scopeUnion(c.In)
+		open[i] = Binding{Switches: scopeUnion(c.In), algs: c.Algs, label: c.Label(), at: c.at}
 	}
 
 	// Symmetry classes: components with identical canonical fingerprints
 	// (same algorithms, same index-renamed scope/path shape, same chip
-	// model per index) are isomorphic SMT instances. Only the first member
-	// of each class — the representative — is solved; its solved plan becomes
-	// the class's template, and every member is a binding of that template.
-	// The fingerprint with the concrete switches behind its indices is the
-	// component's exact content, which is what keys the solver cache.
-	dedup := !opts.NoSymmetryDedup && len(comps) > 1
-	caching := opts.Cache != nil && !opts.ReencodeEachAttempt
+	// model per index) solved under the same options are isomorphic SMT
+	// instances with the same answer. A class met before — in a carried
+	// component, in the memo, or earlier in this loop — is bound to the
+	// template it already has; only the first member of a new class, its
+	// representative, is solved.
+	classed := !opts.NoSymmetryDedup && (len(comps) > 1 || caching)
+	known := map[string]*Template{}
+	total := len(comps) // components of the whole decomposition
+	if ca != nil {
+		total += len(ca.kept)
+		for _, b := range ca.kept {
+			if b.Class != "" {
+				known[b.Class] = b.Template
+			}
+		}
+	}
 	repOf := make([]int, len(comps))
-	cacheKeys := make([]string, len(comps)) // "" = not cached
 	classOf := map[string]int{}
 	models := map[*asic.Model][]byte{}
+	var hits, evictions int64
+	var solveIdx []int
 	for i, c := range comps {
 		repOf[i] = i
-		if !dedup && !caching {
+		if classed {
+			if fp, ok := canonicalFingerprint(c, open[i].Switches, models); ok {
+				open[i].Class = fp + shaping + opts.preferIndex(open[i].Switches)
+			}
+		}
+		class := open[i].Class
+		if class == "" {
+			solveIdx = append(solveIdx, i)
 			continue
 		}
-		fp, ok := canonicalFingerprint(c, bound[i].Switches, models)
-		if !ok {
-			continue
-		}
-		if j, dup := classOf[fp]; dup && dedup {
+		if j, dup := classOf[class]; dup {
 			repOf[i] = j
 			continue
 		}
-		classOf[fp] = i
-		if caching {
-			cacheKeys[i] = fp + strings.Join(bound[i].Switches, "\x00")
+		classOf[class] = i
+		if open[i].Template = known[class]; open[i].Template == nil && caching {
+			if open[i].Template = opts.Cache.get(in.IR, class); open[i].Template != nil {
+				hits++
+			}
 		}
-	}
-	var solveIdx []int
-	for i, r := range repOf {
-		if r == i {
+		if open[i].Template == nil {
 			solveIdx = append(solveIdx, i)
 		}
 	}
+	results := make([]componentResult, len(comps))
 	par.For(len(solveIdx), opts.Parallelism, func(k int) {
 		i := solveIdx[k]
 		label := ""
-		if len(comps) > 1 {
-			label = comps[i].Label()
+		if total > 1 {
+			label = open[i].label
 		}
 		r := &results[i]
 		if opts.Portfolio > 1 {
-			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, in.IR, opts, cacheKeys[i], deadline, label)
+			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, opts, deadline, label)
 		} else {
-			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, in.IR, opts, cacheKeys[i], deadline, label)
+			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, opts, deadline, label)
 		}
 		if r.err == nil {
 			tStart := time.Now()
-			bound[i].Template = newTemplate(r.plan, bound[i].Switches)
+			open[i].Template = newTemplate(r.plan, open[i].Switches)
 			r.enc += time.Since(tStart)
 		}
 	})
@@ -330,20 +382,33 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	// wins, regardless of which goroutine finished first.
 	for _, i := range solveIdx {
 		if err := results[i].err; err != nil {
-			if len(comps) > 1 {
-				return nil, fmt.Errorf("component %s: %w", comps[i].Label(), err)
+			if total > 1 {
+				return nil, fmt.Errorf("component %s: %w", open[i].label, err)
 			}
 			return nil, err
 		}
+		if caching && open[i].Class != "" && opts.Cache.put(in.IR, open[i].Class, open[i].Template) {
+			evictions++
+		}
 	}
 	for i, r := range repOf {
-		bound[i].Template = bound[r].Template
+		open[i].Template = open[r].Template
 	}
 
+	bound, keptAt := open, []bool(nil)
+	if ca != nil {
+		bound, keptAt = ca.merge(open)
+	}
 	plan := mergePlans(in, bound, results)
-	plan.Instances = len(comps)
+	plan.shaping = shaping
+	plan.Instances = len(bound)
 	plan.Classes = len(solveIdx)
-	plan.Replayed = len(comps) - len(solveIdx)
+	plan.Replayed = len(bound) - len(solveIdx)
+	plan.Stats.CacheHits += hits
+	plan.Stats.CacheEvictions += evictions
+	if ca != nil {
+		plan.hashes.carry(opts.Prev, keptAt)
+	}
 
 	// Attribute the wall time of this call to encode vs. solve in
 	// proportion to the (possibly overlapping) per-instance durations, so
@@ -361,16 +426,115 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	return plan, nil
 }
 
+// shaping renders the options that decide what a solved class looks like, for
+// the class key: two solves of one canonical component under equal renderings
+// produce the same template. Budgets of wall-clock time are not among them —
+// they decide whether there is a plan, not which.
+func (o *Options) shaping() string {
+	return fmt.Sprintf("\x00obj=%d conflicts=%d replicate=%t ladder=%v portfolio=%d",
+		o.Objective, o.ConflictBudget, o.ForceReplication, o.Ladder, o.Portfolio)
+}
+
+// preferIndex renders, for the class key, where the preferred switch sits in
+// a component's sorted union — the component's twin under another name prefers
+// the same index — or nothing when the objective has no use for it or the
+// switch is elsewhere.
+func (o *Options) preferIndex(union []string) string {
+	if o.Objective != ObjPreferSwitch {
+		return ""
+	}
+	if i := sort.SearchStrings(union, o.PreferSwitch); i < len(union) && union[i] == o.PreferSwitch {
+		return " prefer=" + strconv.Itoa(i)
+	}
+	return ""
+}
+
+// carryOver decides what this solve takes over from the plan it follows. It
+// returns nil — carry nothing, partition everything — unless prev solved the
+// same root program under the same scope specification and plan-shaping
+// options on a network that in's differs from by faults only: switches and
+// links removed, chips changed. Then a component of prev none of whose
+// switches is a different record now has the same scope fragments, the same
+// flow paths (a path never leaves its component, and nothing new can enter
+// one) and the same chips, which is all its template was derived from.
+func carryOver(in *Input, prev *Plan, shaping string) *carried {
+	if prev == nil || prev.Input.IR != in.IR || prev.shaping != shaping {
+		return nil
+	}
+	if len(prev.Input.Scopes) != len(in.Scopes) {
+		return nil
+	}
+	for alg, rs := range in.Scopes {
+		was := prev.Input.Scopes[alg]
+		if was == nil || !reflect.DeepEqual(was.Scope, rs.Scope) || was.MaxPaths != rs.MaxPaths || (was.Paths == nil) != (rs.Paths == nil) {
+			return nil
+		}
+	}
+	delta := in.Net.Since(prev.Input.Net)
+	if delta.Grew {
+		return nil
+	}
+	if len(delta.Touched) == 0 {
+		return &carried{kept: prev.bound}
+	}
+	touched := make(map[string]bool, len(delta.Touched))
+	for _, sw := range delta.Touched {
+		touched[sw] = true
+	}
+	ca := &carried{algs: map[string]bool{}}
+	for _, b := range prev.bound {
+		hit := false
+		for _, sw := range b.Switches {
+			if hit = touched[sw]; hit {
+				break
+			}
+		}
+		if !hit {
+			ca.kept = append(ca.kept, b)
+			continue
+		}
+		for _, alg := range b.algs {
+			ca.algs[alg] = true
+		}
+		for _, sw := range b.Switches {
+			if in.Net.Switch(sw) != nil {
+				ca.within = append(ca.within, sw)
+			}
+		}
+	}
+	if len(ca.kept) == 0 {
+		return nil
+	}
+	sort.Strings(ca.within)
+	return ca
+}
+
+// merge interleaves the carried bindings with the ones made for the open part,
+// each list in component order already, into the component order of the whole
+// decomposition; keptAt marks the carried ones.
+func (ca *carried) merge(open []Binding) (bound []Binding, keptAt []bool) {
+	bound = make([]Binding, 0, len(ca.kept)+len(open))
+	keptAt = make([]bool, 0, cap(bound))
+	kept := ca.kept
+	for len(kept) > 0 || len(open) > 0 {
+		if len(open) == 0 || (len(kept) > 0 && kept[0].at.before(open[0].at)) {
+			bound, keptAt, kept = append(bound, kept[0]), append(keptAt, true), kept[1:]
+		} else {
+			bound, keptAt, open = append(bound, open[0]), append(keptAt, false), open[1:]
+		}
+	}
+	return bound, keptAt
+}
+
 // solveComponent runs the fallback-ladder loop for one component on a single
-// persistent encoder: the component is encoded once (or taken from the
-// solver cache under cacheKey, the component's exact content; "" bypasses the
-// cache), every ladder rung is expressed as a different assumption
-// set on the same solver, and learnt clauses, VSIDS activity, and saved
-// phases carry across attempts. The accumulated durations split constraint
-// construction (enc) from search (slv). With opts.ReencodeEachAttempt the
-// encoder is discarded between attempts, reproducing the historical
-// rebuild-per-rung behavior as a benchmark baseline.
-func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Options, cacheKey string, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
+// persistent encoder: the component is encoded once, every ladder rung is
+// expressed as a different assumption set on the same solver, and learnt
+// clauses, VSIDS activity, and saved phases carry across attempts. The
+// accumulated durations split constraint construction (enc) from search
+// (slv). With opts.ReencodeEachAttempt the encoder is discarded between
+// attempts, reproducing the historical rebuild-per-rung behavior as a
+// benchmark baseline.
+func solveComponent(ctx context.Context, in *Input, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
 		prefer:         opts.PreferSwitch,
@@ -382,16 +546,6 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 	step := "initial"
 
 	var e *encoder
-	cacheHit := false
-	if cacheKey != "" {
-		if e = opts.Cache.take(rootIR, cacheKey); e != nil {
-			// The key guarantees content equality, so only the Input identity
-			// needs refreshing: the cached encoder was built against the
-			// previous compile's (equal) component input.
-			e.in = in
-			cacheHit = true
-		}
-	}
 	for {
 		aStart := time.Now()
 		var encDur time.Duration
@@ -422,15 +576,6 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 		diags.record(label, step, cfg, aerr, aDur, core)
 		if aerr == nil {
 			p.Diagnostics = diags
-			if cacheHit {
-				p.Stats.CacheHits++
-			}
-			if cacheKey != "" {
-				e.solver.Ctx = nil
-				if opts.Cache.put(rootIR, cacheKey, e) {
-					p.Stats.CacheEvictions++
-				}
-			}
 			return p, enc, slv, nil
 		}
 		if opts.ReencodeEachAttempt {
@@ -451,7 +596,8 @@ func solveComponent(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 }
 
 // componentResult carries one representative's solve outcome back from the
-// worker pool, slot-addressed by component index (zero for a twin).
+// worker pool, slot-addressed by component index (zero for a component that
+// was bound, not solved).
 type componentResult struct {
 	plan     *Plan
 	enc, slv time.Duration
@@ -459,8 +605,10 @@ type componentResult struct {
 }
 
 // mergePlans assembles the whole-program plan: every component's binding is
-// written straight into the plan's name-keyed maps (see Plan.bind), and the
-// solver-side accounting of the representatives is summed. Components touch
+// written straight into the plan's name-keyed maps (see Plan.bind), the
+// solver-side accounting of the components solved in this call is summed, and
+// the fallback trail of every template is reported once, under the label of
+// the first component bound to it. Components touch
 // disjoint switch sets, so the switch-keyed maps union without collisions;
 // Shards is keyed by extern name, which two components may share, so its
 // inner per-switch maps union element-wise while shardGroups remembers which
@@ -471,7 +619,11 @@ func mergePlans(in *Input, bound []Binding, results []componentResult) *Plan {
 	// Size everything up front: the plan's maps and host lists are written
 	// once per switch of a datacenter, and growing them doubled the merge.
 	uses := map[*Template]int{}
-	for _, b := range bound {
+	var firsts []int // the first binding of every template, in component order
+	for i, b := range bound {
+		if uses[b.Template] == 0 {
+			firsts = append(firsts, i)
+		}
 		uses[b.Template]++
 	}
 	hosting, exporting, hosts := 0, 0, 0
@@ -545,18 +697,25 @@ func mergePlans(in *Input, bound []Binding, results []componentResult) *Plan {
 		merged.EncodedClauses += p.EncodedClauses
 		merged.PortfolioRacers += p.PortfolioRacers
 		merged.PortfolioAdopted += p.PortfolioAdopted
-		if d := p.Diagnostics; d != nil {
-			merged.Diagnostics.Attempts = append(merged.Diagnostics.Attempts, d.Attempts...)
-			for _, deg := range d.Degraded {
-				label := ""
-				if len(d.Attempts) > 0 {
-					label = d.Attempts[0].Component
-				}
-				if label != "" {
-					deg = "component " + label + ": " + deg
-				}
-				merged.Diagnostics.Degraded = append(merged.Diagnostics.Degraded, deg)
+	}
+	for _, i := range firsts {
+		d := bound[i].Template.trail
+		if d == nil {
+			continue
+		}
+		label := ""
+		if len(bound) > 1 {
+			label = bound[i].label
+		}
+		for _, a := range d.Attempts {
+			a.Component = label
+			merged.Diagnostics.Attempts = append(merged.Diagnostics.Attempts, a)
+		}
+		for _, deg := range d.Degraded {
+			if label != "" {
+				deg = "component " + label + ": " + deg
 			}
+			merged.Diagnostics.Degraded = append(merged.Diagnostics.Degraded, deg)
 		}
 	}
 	return merged

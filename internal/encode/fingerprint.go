@@ -38,10 +38,41 @@ import (
 // of switches exporting a field is not part of any other switch's hash, and
 // imports are rendered explicitly instead of being implied by that number.
 type switchHashes struct {
-	once      sync.Once
-	shapes    map[string]string
-	full      map[string]string
-	exporters map[*ir.Var]exporter
+	once         sync.Once
+	shapes       map[string]string
+	full         map[string]string
+	exporters    map[*ir.Var]exporter
+	bridgeDigest string
+	// from and keptAt, set by a solve that carried components over, name the
+	// hashes of the plan they came from and which bindings those are; they
+	// are dropped once used.
+	from   *switchHashes
+	keptAt []bool
+}
+
+// carry notes that the bindings marked in keptAt are prev's own, so that
+// their switches' hashes can be prev's too where nothing plan-wide they
+// depend on moved.
+func (h *switchHashes) carry(prev *Plan, keptAt []bool) {
+	prev.hashes.once.Do(prev.hashSwitches)
+	h.from, h.keptAt = &prev.hashes, keptAt
+}
+
+// reusable reports whether a switch of a component carried over from the plan
+// h.from belongs to hashes exactly as it did there. Within the component
+// nothing changed; of the rest of the plan its hash sees the bridge layout
+// and, per variable it reads, whether another switch exports it.
+func (h *switchHashes) reusable() bool {
+	if h.from == nil || h.from.bridgeDigest != h.bridgeDigest || len(h.from.exporters) != len(h.exporters) {
+		return false
+	}
+	for v, e := range h.exporters {
+		was, ok := h.from.exporters[v]
+		if !ok || (was.count > 1) != (e.count > 1) || (e.count == 1 && was.only != e.only) {
+			return false
+		}
+	}
+	return true
 }
 
 // exporter records, for one bridged variable, how many switches export it and
@@ -244,6 +275,7 @@ func (p *Plan) hashSwitches() {
 		b = append(b, ',')
 	}
 	bridgeDigest := hexSum(b)
+	p.hashes.bridgeDigest = bridgeDigest
 
 	exporters := map[*ir.Var]exporter{}
 	for sw, bvs := range p.Bridges {
@@ -253,13 +285,27 @@ func (p *Plan) hashSwitches() {
 		}
 	}
 	p.hashes.exporters = exporters
+	from, keptAt := p.hashes.from, p.hashes.keptAt
+	if !p.hashes.reusable() {
+		from = nil
+	}
+	p.hashes.from, p.hashes.keptAt = nil, nil
 
 	p.hashes.shapes = make(map[string]string, len(p.Allocations)) // every hosting switch has one
 	p.hashes.full = make(map[string]string, len(p.Allocations))
 	groupDigests := map[string]string{} // extern -> digest of the current binding's shard group
 	slotShapes := map[*Template][]slotShape{}
 	models := map[*asic.Model]string{}
-	for _, bd := range p.bound {
+	for k, bd := range p.bound {
+		if from != nil && keptAt[k] {
+			// Same component, same surroundings: same hashes, not rehashed.
+			for _, sw := range bd.Switches {
+				if shape, hosts := from.shapes[sw]; hosts {
+					p.hashes.shapes[sw], p.hashes.full[sw] = shape, from.full[sw]
+				}
+			}
+			continue
+		}
 		clear(groupDigests)
 		shapes, ok := slotShapes[bd.Template]
 		if !ok {

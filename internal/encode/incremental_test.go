@@ -2,6 +2,7 @@ package encode
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,10 +121,10 @@ func TestDiagnosticsUnsatCoreSurface(t *testing.T) {
 	}
 }
 
-// TestSolverCacheReusesComponentSolver: two Solves over the same input and
-// cache must encode once; the second call re-solves the cached solver
-// incrementally and reproduces the identical plan.
-func TestSolverCacheReusesComponentSolver(t *testing.T) {
+// TestMemoAnswersKnownClass: two Solves over the same input and memo must
+// encode and solve once; the second call binds the memoised template —
+// nothing built, no solver called — and reproduces the identical plan.
+func TestMemoAnswersKnownClass(t *testing.T) {
 	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
 	opts := DefaultOptions()
 	opts.Cache = NewCache()
@@ -131,34 +132,157 @@ func TestSolverCacheReusesComponentSolver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
+	if p1.Stats.Encodes != 1 || p1.Stats.SolveCalls != 1 || p1.Stats.CacheHits != 0 || p1.Classes != 1 {
+		t.Fatalf("first solve stats = %+v, Classes = %d: want one encode, one solve, no hit", p1.Stats, p1.Classes)
+	}
 	if opts.Cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", opts.Cache.Len())
+		t.Fatalf("memo holds %d entries, want 1", opts.Cache.Len())
 	}
 	p2, err := Solve(in, opts)
 	if err != nil {
 		t.Fatalf("second solve: %v", err)
 	}
-	if p2.Stats.Encodes != 1 {
-		t.Errorf("Encodes = %d after cache hit, want 1 (no re-encode)", p2.Stats.Encodes)
+	if p2.Stats.Encodes != 0 || p2.Stats.SolveCalls != 0 {
+		t.Errorf("Encodes = %d, SolveCalls = %d after a memo hit, want 0 and 0", p2.Stats.Encodes, p2.Stats.SolveCalls)
 	}
-	if p2.Stats.SolveCalls != p1.Stats.SolveCalls+1 {
-		t.Errorf("SolveCalls = %d, want %d: second solve must reuse the same solver",
-			p2.Stats.SolveCalls, p1.Stats.SolveCalls+1)
+	if p2.Stats.CacheHits != 1 || p2.Classes != 0 || p2.Replayed != 1 || p2.Instances != 1 {
+		t.Errorf("CacheHits/Classes/Replayed/Instances = %d/%d/%d/%d, want 1/0/1/1", p2.Stats.CacheHits, p2.Classes, p2.Replayed, p2.Instances)
 	}
-	if p2.Stats.ClausesReused < p1.Stats.ClausesReused {
-		t.Errorf("ClausesReused went backwards: %d -> %d", p1.Stats.ClausesReused, p2.Stats.ClausesReused)
+	if p2.Bindings()[0].Template != p1.Bindings()[0].Template {
+		t.Error("second solve is not bound to the memoised template")
+	}
+	if p2.Bindings()[0].Class == "" || p2.Bindings()[0].Class != p1.Bindings()[0].Class {
+		t.Error("the two solves disagree on the component's class")
 	}
 	f1, f2 := p1.Fingerprints(), p2.Fingerprints()
 	if len(f1) == 0 {
 		t.Fatal("no fingerprints")
 	}
-	for sw, fp := range f1 {
-		if f2[sw] != fp {
-			t.Errorf("incremental re-solve changed the plan on %s", sw)
-		}
+	planEqual(t, "memo hit vs solve", p2, p1)
+	if len(f2) != len(f1) {
+		t.Errorf("%d fingerprints after a memo hit, want %d", len(f2), len(f1))
+	}
+	if !reflect.DeepEqual(p2.Diagnostics, p1.Diagnostics) {
+		t.Errorf("a memo hit reports the trail %+v, the solve reported %+v", p2.Diagnostics, p1.Diagnostics)
 	}
 	if opts.Cache.Len() != 1 {
-		t.Errorf("cache holds %d entries after reuse, want 1", opts.Cache.Len())
+		t.Errorf("memo holds %d entries after reuse, want 1", opts.Cache.Len())
+	}
+
+	// The oracles' switches bypass it: each must really solve.
+	for name, set := range map[string]func(*Options){
+		"NoSymmetryDedup":     func(o *Options) { o.NoSymmetryDedup = true },
+		"ReencodeEachAttempt": func(o *Options) { o.ReencodeEachAttempt = true },
+	} {
+		o := DefaultOptions()
+		o.Cache = opts.Cache
+		set(o)
+		p, err := Solve(in, o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Stats.Encodes != 1 || p.Stats.SolveCalls != 1 || p.Stats.CacheHits != 0 {
+			t.Errorf("%s: stats %+v, want a real solve and no memo hit", name, p.Stats)
+		}
+		planEqual(t, name+" vs memo hit", p, p2)
+	}
+}
+
+// TestMemoKeyedByShapingOptions: a class solved under one objective, preferred
+// switch, conflict budget or ladder must not answer a solve under another —
+// the template would be another — while the same options under other switch
+// names (the preferred switch at the same index of a twin) may.
+func TestMemoKeyedByShapingOptions(t *testing.T) {
+	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
+	cache := NewCache()
+	solve := func(label string, set func(*Options), wantHit bool) *Plan {
+		t.Helper()
+		o := DefaultOptions()
+		o.Cache = cache
+		set(o)
+		p, err := Solve(in, o)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if hit := p.Stats.CacheHits == 1 && p.Stats.Encodes == 0; hit != wantHit {
+			t.Errorf("%s: memo hit = %v (stats %+v), want %v", label, hit, p.Stats, wantHit)
+		}
+		return p
+	}
+	solve("default", func(*Options) {}, false)
+	solve("default again", func(*Options) {}, true)
+	solve("min-placements", func(o *Options) { o.Objective = ObjMinPlacements }, false)
+	solve("min-switches", func(o *Options) { o.Objective = ObjMinSwitches }, false)
+	tor3 := solve("prefer ToR3", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "ToR3" }, false)
+	agg3 := solve("prefer Agg3", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "Agg3" }, false)
+	solve("prefer ToR3 again", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "ToR3" }, true)
+	solve("prefer a switch elsewhere", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "Core1" }, false)
+	solve("a preferred switch without the objective", func(o *Options) { o.PreferSwitch = "ToR3" }, true)
+	solve("other conflict budget", func(o *Options) { o.ConflictBudget = 12345 }, false)
+	solve("no ladder", func(o *Options) { o.Ladder = nil }, false)
+	solve("forced replication", func(o *Options) { o.ForceReplication = true }, false)
+	if tor3.Bindings()[0].Template == agg3.Bindings()[0].Template {
+		t.Error("two preferred switches share one template")
+	}
+
+	// Twins: with the preferred switch in pod 2, pod 2 is a class of its own
+	// and pods 1 and 3 one class, in the solve and in the memo.
+	pods := buildInputOpts(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4), scope.ResolveOpts{LazyPaths: true})
+	o := DefaultOptions()
+	o.Cache = NewCache()
+	o.Objective, o.PreferSwitch = ObjPreferSwitch, "ToR2_1"
+	p, err := Solve(pods, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := p.Bindings()
+	if p.Classes != 2 || bs[0].Template != bs[2].Template || bs[0].Template == bs[1].Template {
+		t.Errorf("Classes = %d; the pod holding the preferred switch must be its own class", p.Classes)
+	}
+	scratch := *o
+	scratch.Cache, scratch.NoSymmetryDedup = nil, true
+	want, err := Solve(pods, &scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planEqual(t, "preferred switch: dedup vs none", p, want)
+}
+
+// TestLadderTrailSurvivesMemoHit: a class that needed a ladder relaxation to
+// be placed says so in every plan bound to it — solved, answered from the
+// memo, or carried over from the previous plan.
+func TestLadderTrailSurvivesMemoHit(t *testing.T) {
+	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
+	opts := DefaultOptions()
+	opts.ConflictBudget = 1
+	opts.Cache = NewCache()
+	first, err := Solve(in, opts)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if len(first.Diagnostics.Attempts) != 2 || !first.Diagnostics.FellBack() {
+		t.Fatalf("trail = %v, want an escalation", first.Diagnostics)
+	}
+	again, err := Solve(in, opts)
+	if err != nil {
+		t.Fatalf("second solve: %v", err)
+	}
+	carriedOpts := *opts
+	carriedOpts.Prev = first
+	carriedPlan, err := Solve(&Input{IR: in.IR, Net: in.Net.Clone(), Scopes: in.Scopes}, &carriedOpts)
+	if err != nil {
+		t.Fatalf("carried solve: %v", err)
+	}
+	for label, p := range map[string]*Plan{"memo hit": again, "carried": carriedPlan} {
+		if p.Stats.Encodes != 0 || p.Stats.SolveCalls != 0 {
+			t.Errorf("%s: stats %+v, want nothing encoded or solved", label, p.Stats)
+		}
+		if !reflect.DeepEqual(p.Diagnostics, first.Diagnostics) {
+			t.Errorf("%s: trail %v, want the solving compile's %v", label, p.Diagnostics, first.Diagnostics)
+		}
+	}
+	if carriedPlan.Stats.CacheHits != 0 || carriedPlan.Bindings()[0].Template != first.Bindings()[0].Template {
+		t.Errorf("an untouched component was looked up (%d hits) instead of carried", carriedPlan.Stats.CacheHits)
 	}
 }
 

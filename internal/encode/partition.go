@@ -25,6 +25,21 @@ type Component struct {
 	// algorithm list and scope map filtered down to the members. The full
 	// network is retained (candidate switches come from the scopes).
 	In *Input
+
+	at position
+}
+
+// position orders components: by their first fragment in (program order,
+// group order), group order being the order of the groups' smallest on-path
+// switches. It is a property of the component's own content, so a component a
+// recompile carries over keeps its place among the ones made anew.
+type position struct {
+	alg  int    // index of the first member algorithm
+	head string // smallest on-path switch of that algorithm's fragment; "" for an unsplit scope
+}
+
+func (a position) before(b position) bool {
+	return a.alg < b.alg || (a.alg == b.alg && a.head < b.head)
 }
 
 // Label names the component for diagnostics: the member algorithms joined
@@ -41,9 +56,9 @@ func (c *Component) Label() string {
 // path-connected switch group of its scope (or the whole scope when the
 // scope does not split).
 type unit struct {
-	algIdx int
-	rs     *scope.Resolved
-	split  bool // rs is a proper fragment of the original scope
+	at    position
+	rs    *scope.Resolved
+	split bool // rs is a proper fragment of the original scope
 }
 
 // Partition splits the input into independent components by union-find over
@@ -67,22 +82,73 @@ type unit struct {
 // downstream — independent of goroutine scheduling and of the configured
 // parallelism.
 func Partition(in *Input) []*Component {
+	comps, _ := partition(in, nil)
+	return comps
+}
+
+// partition is Partition, of the whole input when ca is nil and otherwise of
+// the part of it ca leaves open: the surviving switches of the components a
+// fault touched, beside the components carried over whole. It then reports
+// false when it cannot show that the open part decomposes on its own exactly
+// as it would inside a partition of everything — a switch left on no flow
+// path (which attaches to the first group of the whole scope, possibly a
+// carried one) or an algorithm that lost a group altogether (which may turn a
+// split scope into an unsplit one) — and the caller partitions everything.
+func partition(in *Input, ca *carried) ([]*Component, bool) {
 	algs := in.IR.Algorithms
 	whole := []*Component{wholeComponent(in)}
 	for _, a := range algs {
 		if in.Scopes[a.Name] == nil {
-			return whole
+			return whole, ca == nil
 		}
 	}
 	var units []unit
 	for i, a := range algs {
-		groups := splitScope(in.Net, a, in.Scopes[a.Name])
+		full := in.Scopes[a.Name]
+		rs := full
+		if ca != nil {
+			if rs = ca.narrow(in.Net, full); rs == nil {
+				if ca.algs[a.Name] {
+					return nil, false
+				}
+				continue
+			}
+		}
+		// Part of the scope sits in carried components: it is split there,
+		// whatever the open part looks like.
+		keptElsewhere := rs != full
+		var groups []pathGroup
+		if splittable(a, full) {
+			var offPath []string
+			var ok bool
+			groups, offPath, ok = pathGroups(rs)
+			switch {
+			case ca != nil && (!ok || len(offPath) > 0 || len(groups) == 0):
+				return nil, false
+			case len(groups) > 0:
+				// Switches on no path attach to the first group: they only ever
+				// receive "no flow traverses you" exclusions.
+				groups[0].members = append(groups[0].members, offPath...)
+				sort.Strings(groups[0].members)
+			}
+		}
+		if !keptElsewhere && len(groups) < 2 {
+			units = append(units, unit{at: position{alg: i}, rs: rs})
+			continue
+		}
+		if len(groups) == 0 {
+			return nil, false // an unsplittable scope is carried whole or not at all
+		}
 		for _, g := range groups {
-			units = append(units, unit{algIdx: i, rs: g, split: len(groups) > 1})
+			units = append(units, unit{at: position{i, g.head}, rs: subResolved(in.Net, rs, g.members), split: true})
 		}
 	}
-	if len(units) < 2 {
-		return whole
+	kept := 0
+	if ca != nil {
+		kept = len(ca.kept)
+	}
+	if len(units)+kept < 2 {
+		return whole, ca == nil
 	}
 
 	// Union fragments whose switch sets overlap.
@@ -120,8 +186,8 @@ func Partition(in *Input) []*Component {
 		}
 		groups[r] = append(groups[r], i)
 	}
-	if len(roots) < 2 {
-		return whole
+	if len(roots)+kept < 2 {
+		return whole, ca == nil
 	}
 	// Order components by their earliest member unit (program order, then
 	// group order within a split scope).
@@ -129,7 +195,7 @@ func Partition(in *Input) []*Component {
 
 	comps := make([]*Component, 0, len(roots))
 	for _, r := range roots {
-		c := &Component{}
+		c := &Component{at: units[groups[r][0]].at}
 		sub := *in.IR // shallow copy; only the algorithm list narrows
 		sub.Algorithms = nil
 		scopes := map[string]*scope.Resolved{}
@@ -139,10 +205,10 @@ func Partition(in *Input) []*Component {
 		anySplit := false
 		for _, ui := range groups[r] {
 			u := units[ui]
-			if _, ok := byAlg[u.algIdx]; !ok {
-				algOrder = append(algOrder, u.algIdx)
+			if _, ok := byAlg[u.at.alg]; !ok {
+				algOrder = append(algOrder, u.at.alg)
 			}
-			byAlg[u.algIdx] = append(byAlg[u.algIdx], u.rs)
+			byAlg[u.at.alg] = append(byAlg[u.at.alg], u.rs)
 			anySplit = anySplit || u.split
 		}
 		sort.Ints(algOrder)
@@ -166,26 +232,66 @@ func Partition(in *Input) []*Component {
 		c.In = &Input{IR: &sub, Net: in.Net, Scopes: scopes}
 		comps = append(comps, c)
 	}
-	return comps
+	return comps, true
 }
 
-// splitScope breaks one resolved scope into its path-connected switch
-// groups. It returns the original scope unchanged (a single fragment) for
-// PER-SW deployments, for algorithms reading or writing globals (their
-// co-location constraint spans the whole scope), when enumeration exceeds
-// the path budget, or when everything is connected anyway. Scope switches no
-// flow traverses carry only exclusion constraints, so they attach to the
-// first group. Fragments are ordered by their smallest switch name.
-func splitScope(net *topo.Network, a *ir.Algorithm, rs *scope.Resolved) []*scope.Resolved {
-	one := []*scope.Resolved{rs}
+// carried is what a solve takes over from the plan it follows: the components
+// a fault left alone, and what is open again.
+type carried struct {
+	// kept are the previous plan's bindings none of whose switches the fault
+	// touched, in component order.
+	kept []Binding
+	// within lists, sorted, the surviving switches of the touched components.
+	within []string
+	// algs holds the algorithms the touched components placed.
+	algs map[string]bool
+}
+
+// narrow confines a resolved scope to the open switches: the scope itself
+// when all of it is open, nil when none of it is.
+func (ca *carried) narrow(net *topo.Network, rs *scope.Resolved) *scope.Resolved {
+	var members []string
+	for _, sw := range ca.within {
+		if i := sort.SearchStrings(rs.Switches, sw); i < len(rs.Switches) && rs.Switches[i] == sw {
+			members = append(members, sw)
+		}
+	}
+	switch len(members) {
+	case 0:
+		return nil
+	case len(rs.Switches):
+		return rs
+	}
+	return subResolved(net, rs, members)
+}
+
+// splittable reports whether a scope may split into path-connected groups at
+// all: not a PER-SW deployment, and not an algorithm reading or writing
+// globals (their co-location constraint spans the whole scope).
+func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 	if rs.Deploy != scope.MultiSwitch || len(rs.Switches) < 2 {
-		return one
+		return false
 	}
 	for _, inst := range a.Instrs {
 		if inst.Op == ir.IGlobalRead || inst.Op == ir.IGlobalWrite {
-			return one
+			return false
 		}
 	}
+	return true
+}
+
+// pathGroup is one path-connected switch group of a scope: its members,
+// sorted, and the smallest of them, which orders the groups.
+type pathGroup struct {
+	head    string
+	members []string
+}
+
+// pathGroups walks a scope's flow paths once and returns the groups of
+// switches they connect, ordered by head, and the scope switches no flow
+// traverses. ok is false when enumeration exceeds the path budget; the scope
+// then stays whole.
+func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bool) {
 	idx := make(map[string]int, len(rs.Switches))
 	for i, sw := range rs.Switches {
 		idx[sw] = i
@@ -219,37 +325,23 @@ func splitScope(net *topo.Network, a *ir.Algorithm, rs *scope.Resolved) []*scope
 		return true
 	})
 	if err != nil {
-		return one
+		return nil, nil, false
 	}
-	members := map[int][]string{} // root -> switch names (scope order = sorted)
-	for i, sw := range rs.Switches {
-		if onPath[i] {
-			members[find(i)] = append(members[find(i)], sw)
-		}
-	}
-	if len(members) < 2 {
-		return one
-	}
-	var heads []string
-	byHead := map[string][]string{}
-	for _, ms := range members {
-		heads = append(heads, ms[0])
-		byHead[ms[0]] = ms
-	}
-	sort.Strings(heads)
-	// Switches on no path attach to the first group: they only ever receive
-	// "no flow traverses you" exclusions.
-	for i, sw := range rs.Switches {
+	at := map[int]int{}              // root -> index into groups
+	for i, sw := range rs.Switches { // scope order is sorted: members and heads come out sorted
 		if !onPath[i] {
-			byHead[heads[0]] = append(byHead[heads[0]], sw)
+			offPath = append(offPath, sw)
+			continue
 		}
+		g, seen := at[find(i)]
+		if !seen {
+			g = len(groups)
+			at[find(i)] = g
+			groups = append(groups, pathGroup{head: sw})
+		}
+		groups[g].members = append(groups[g].members, sw)
 	}
-	sort.Strings(byHead[heads[0]])
-	out := make([]*scope.Resolved, 0, len(heads))
-	for _, h := range heads {
-		out = append(out, subResolved(net, rs, byHead[h]))
-	}
-	return out
+	return groups, offPath, true
 }
 
 // subResolved narrows a resolved scope to one switch group. Every flow path
@@ -305,9 +397,7 @@ func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []*scope.Resol
 		for _, p := range parts {
 			paths = append(paths, p.Paths...)
 		}
-		sort.Slice(paths, func(i, j int) bool {
-			return strings.Join(paths[i], ">") < strings.Join(paths[j], ">")
-		})
+		sort.Slice(paths, func(i, j int) bool { return topo.PathLess(paths[i], paths[j]) })
 		merged.Paths = paths
 		return merged
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"lyra/internal/ir"
 	"lyra/internal/smt"
 )
 
@@ -34,7 +33,7 @@ type raceOut struct {
 }
 
 // solvePortfolio wraps solveComponent with opts.Portfolio−1 seeded racers.
-func solvePortfolio(ctx context.Context, in *Input, rootIR *ir.Program, opts *Options, cacheKey string, deadline time.Time, label string) (*Plan, time.Duration, time.Duration, error) {
+func solvePortfolio(ctx context.Context, in *Input, opts *Options, deadline time.Time, label string) (*Plan, time.Duration, time.Duration, error) {
 	nRacers := opts.Portfolio - 1
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -47,7 +46,7 @@ func solvePortfolio(ctx context.Context, in *Input, rootIR *ir.Program, opts *Op
 			outs[i] = runRacer(raceCtx, in, opts, deadline, uint64(i+1))
 		}(i)
 	}
-	plan, enc, slv, err := solveComponent(ctx, in, rootIR, opts, cacheKey, deadline, label)
+	plan, enc, slv, err := solveComponent(ctx, in, opts, deadline, label)
 	cancel()
 	wg.Wait()
 

@@ -7,6 +7,7 @@ import (
 
 	"lyra/internal/asic"
 	"lyra/internal/frontend"
+	"lyra/internal/ir"
 	"lyra/internal/lang/checker"
 	"lyra/internal/lang/parser"
 	"lyra/internal/scope"
@@ -314,43 +315,36 @@ func TestPathMetricsBounded(t *testing.T) {
 	}
 }
 
-// TestCacheLRUBound: the solver cache must hold at most its cap, evict
+// TestCacheLRUBound: the class memo must hold at most its cap, evict
 // least-recently-used, and count hits and evictions.
 func TestCacheLRUBound(t *testing.T) {
 	c := NewCacheLimited(2)
-	root := &struct{}{}
-	_ = root
-	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
-	mkEnc := func() *encoder {
-		e, err := newEncoder(in)
-		if err != nil {
-			t.Fatalf("newEncoder: %v", err)
-		}
-		return e
-	}
-	if ev := c.put(in.IR, "k1", mkEnc()); ev {
+	root := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed()).IR
+	t1, t2, t3 := &Template{}, &Template{}, &Template{}
+	if ev := c.put(root, "k1", t1); ev {
 		t.Error("put k1 evicted from empty cache")
 	}
-	if ev := c.put(in.IR, "k2", mkEnc()); ev {
+	if ev := c.put(root, "k2", t2); ev {
 		t.Error("put k2 evicted below cap")
 	}
-	// Touch k1 so k2 becomes LRU: take transfers ownership, so put it back.
-	e1 := c.take(in.IR, "k1")
-	if e1 == nil {
-		t.Fatal("take k1 missed")
+	// Touch k1 so k2 becomes LRU.
+	if c.get(root, "k1") != t1 {
+		t.Fatal("get k1 missed")
 	}
-	c.put(in.IR, "k1", e1)
-	if ev := c.put(in.IR, "k3", mkEnc()); !ev {
+	if ev := c.put(root, "k3", t3); !ev {
 		t.Error("put k3 at cap did not evict")
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	if c.take(in.IR, "k2") != nil {
+	if c.get(root, "k2") != nil {
 		t.Error("k2 survived eviction; LRU order wrong")
 	}
-	if c.take(in.IR, "k1") == nil {
+	if c.get(root, "k1") != t1 {
 		t.Error("k1 (recently used) was evicted")
+	}
+	if c.get(&ir.Program{}, "k1") != nil {
+		t.Error("another root program hit k1")
 	}
 	if c.Hits() != 2 {
 		t.Errorf("Hits = %d, want 2", c.Hits())
@@ -402,24 +396,56 @@ func TestDedupScalesClasses(t *testing.T) {
 	}
 }
 
-// TestCachedEncoderHoldsNoInput: a cached encoder must not pin the Input —
-// and through it the network and the scopes' path sets — of the compile that
-// built it; take's caller installs the current one.
-func TestCachedEncoderHoldsNoInput(t *testing.T) {
-	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
+// TestMemoHoldsNoInput: a memoised class must not pin the Input — and through
+// it the network and the scopes' path sets — of the compile that solved it. A
+// long churn loop keeps up to the memo's cap of them alive.
+func TestMemoHoldsNoInput(t *testing.T) {
+	in := buildInputOpts(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4), scope.ResolveOpts{LazyPaths: true})
 	opts := DefaultOptions()
 	opts.Cache = NewCache()
-	for round := 0; round < 2; round++ {
-		if _, err := Solve(in, opts); err != nil {
-			t.Fatalf("solve %d: %v", round, err)
-		}
-		if opts.Cache.Len() == 0 {
-			t.Fatal("nothing cached")
-		}
-		for _, e := range opts.Cache.entries {
-			if e.enc != nil && e.enc.in != nil {
-				t.Errorf("round %d: cached encoder still holds its Input", round)
+	if _, err := Solve(in, opts); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if opts.Cache.Len() == 0 {
+		t.Fatal("nothing memoised")
+	}
+	pins := map[reflect.Type]bool{
+		reflect.TypeOf(&Input{}): true, reflect.TypeOf(&topo.Network{}): true, reflect.TypeOf(&topo.Switch{}): true,
+		reflect.TypeOf(&topo.PathSet{}): true, reflect.TypeOf(&scope.Resolved{}): true, reflect.TypeOf(&Plan{}): true,
+	}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			if pins[v.Type()] {
+				t.Errorf("memo entry reaches a %s at %s", v.Type(), path)
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(v.Elem(), path)
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), path+"[]")
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value(), path+"[]")
 			}
 		}
+	}
+	for _, e := range opts.Cache.entries {
+		walk(reflect.ValueOf(e.tmpl), "template")
 	}
 }

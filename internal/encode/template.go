@@ -35,6 +35,11 @@ type Template struct {
 	// The representative's path metrics; a twin's are equal, which is part of
 	// what the class fingerprint proves.
 	pathsEnumerated, peakPathsHeld int64
+	// trail is the fallback-ladder trail of the solve that produced the
+	// template: what the class gave up to be placed, which every plan bound to
+	// it reports, however long ago and under whichever switch names it was
+	// solved.
+	trail *Diagnostics
 }
 
 // slot is what one index of a template hosts; the zero slot hosts nothing.
@@ -51,10 +56,21 @@ type indexShard struct {
 }
 
 // Binding instantiates a template for one component: Switches[i] is the
-// switch index i stands for, the component's sorted scope union.
+// switch index i stands for, the component's sorted scope union. It is also
+// the component as a later solve needs it to carry it over unsolved: its class,
+// its member algorithms and its place in the decomposition.
 type Binding struct {
 	Template *Template
 	Switches []string
+	// Class identifies the component's symmetry class: its name-free canonical
+	// fingerprint plus the options that shape a solved plan. Components of one
+	// root program with equal classes have the same template; "" means the
+	// component has no canonical form and is a class of its own.
+	Class string
+
+	algs  []string
+	label string
+	at    position
 }
 
 // Shard is one switch's share of a split extern.
@@ -63,8 +79,8 @@ type Shard struct {
 	Entries int64
 }
 
-// newTemplate extracts the template of a solved component plan; union is the
-// component's sorted scope union.
+// newTemplate extracts the template of a solved component plan, fallback trail
+// included; union is the component's sorted scope union.
 func newTemplate(p *Plan, union []string) *Template {
 	index := make(map[string]int, len(union))
 	for i, sw := range union {
@@ -76,6 +92,7 @@ func newTemplate(p *Plan, union []string) *Template {
 		shards:          make(map[string][]indexShard, len(p.Shards)),
 		pathsEnumerated: p.PathsEnumerated,
 		peakPathsHeld:   p.PeakPathsHeld,
+		trail:           p.Diagnostics,
 	}
 	// The slots' instruction lists are carved out of one array, each sized by
 	// a counting pass, so a template is a handful of allocations however many

@@ -142,7 +142,7 @@ func TestBindEqualsSolve(t *testing.T) {
 				if !reflect.DeepEqual(b.Switches, scopeUnion(c.In)) {
 					t.Fatalf("%s: bound to %v, scope union is %v", c.Label(), b.Switches, scopeUnion(c.In))
 				}
-				direct, _, _, err := solveComponent(context.Background(), c.In, in.IR, DefaultOptions(), "", time.Time{}, c.Label())
+				direct, _, _, err := solveComponent(context.Background(), c.In, DefaultOptions(), time.Time{}, c.Label())
 				if err != nil {
 					t.Fatalf("%s: direct solve: %v", c.Label(), err)
 				}
@@ -208,11 +208,11 @@ func snapshotTemplate(t *Template) templateSnapshot {
 
 // TestTwinPlansReusedByContent: every member of a class is a binding of one
 // template and takes its per-switch values from it by reference; a second
-// solve on the same cache re-solves the representative on its cached solver
-// and binds the twins again into an identical plan; a fault in one pod puts
-// that pod in a class of its own while the other twins stay bound — not
+// solve on the same memo solves nothing and binds every pod to that template
+// again into an identical plan; a fault in one pod puts that pod in a class
+// of its own, the only one solved, while the other twins stay bound — not
 // re-derived — with unchanged fingerprints, which is what lets a recompile
-// keep their artifacts; the result is the plan a cache-less solve produces;
+// keep their artifacts; the result is the plan a memo-less solve produces;
 // and nothing ever writes into a template, which concurrent compiles share.
 func TestTwinPlansReusedByContent(t *testing.T) {
 	net := podNet(4, 4)
@@ -262,16 +262,21 @@ func TestTwinPlansReusedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second solve: %v", err)
 	}
-	if again.Classes != 1 || again.Replayed != 3 {
-		t.Errorf("second solve Classes/Replayed = %d/%d, want 1/3", again.Classes, again.Replayed)
+	if again.Classes != 0 || again.Replayed != 4 {
+		t.Errorf("second solve Classes/Replayed = %d/%d, want 0/4", again.Classes, again.Replayed)
 	}
-	if again.Stats.CacheHits != 1 {
-		t.Errorf("second solve CacheHits = %d, want 1 (the representative re-solves on its cached solver)", again.Stats.CacheHits)
+	if again.Stats.CacheHits != 1 || again.Stats.Encodes != 0 || again.Stats.SolveCalls != 0 {
+		t.Errorf("second solve stats = %+v, want the one class answered from the memo and nothing solved", again.Stats)
+	}
+	for i, b := range again.Bindings() {
+		if b.Template != tmpl {
+			t.Errorf("second solve: component %d is not bound to the memoised template", i)
+		}
 	}
 	planEqual(t, "second solve vs first", again, first)
-	// Degrade an Agg of the last pod: that pod becomes a class of its own,
-	// the representative re-solves on its cached solver, and the two other
-	// twins are bound to its template as before.
+	// Degrade an Agg of the last pod: that pod becomes a class of its own and
+	// is solved, the intact class comes from the memo, and the three other
+	// pods are bound to its template as before.
 	degraded := net.Clone()
 	if err := degraded.DegradeASIC("Agg4_1", func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.8, 1) }); err != nil {
 		t.Fatal(err)
@@ -288,10 +293,14 @@ func TestTwinPlansReusedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded solve: %v", err)
 	}
-	if inc.Classes != 2 || inc.Replayed != 2 {
-		t.Errorf("degraded solve Classes/Replayed = %d/%d, want 2/2", inc.Classes, inc.Replayed)
+	if inc.Classes != 1 || inc.Replayed != 3 || inc.Stats.CacheHits != 1 || inc.Stats.Encodes != 1 {
+		t.Errorf("degraded solve Classes/Replayed = %d/%d, stats %+v: want 1/3, one memo hit and one encode",
+			inc.Classes, inc.Replayed, inc.Stats)
 	}
 	bs := inc.Bindings()
+	if bs[0].Template != tmpl {
+		t.Errorf("degraded solve: the intact pods are not bound to the memoised template")
+	}
 	if bs[1].Template != bs[0].Template || bs[2].Template != bs[0].Template || bs[3].Template == bs[0].Template {
 		t.Errorf("degraded solve: pods 2 and 3 must be bound to pod 1's template and pod 4 to its own")
 	}

@@ -123,6 +123,9 @@ type ScalePoint struct {
 	// switch-downs. A dead ToR may touch its own pod, not the fabric.
 	Reprogrammed              []int `json:"reprogrammed"`
 	MaxSwitchDownReprogrammed int   `json:"max_switch_down_reprogrammed"`
+	// MaxSwitchDownEncodes is the most components any one switch-down
+	// encoded: the damaged pod's, or none when its class is in the memo.
+	MaxSwitchDownEncodes int64 `json:"max_switch_down_encodes"`
 }
 
 // ScaleRun is one provenance-stamped sweep, appended to the
@@ -249,8 +252,9 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 
 		// Churn loop: each event degrades a fresh clone of the pristine
 		// network and recompiles from the original result, the §6.3
-		// failure-recovery pattern. The solver cache threads through, so
-		// components outside the blast radius re-solve incrementally.
+		// failure-recovery pattern. The previous plan and the class memo
+		// thread through, so components outside the blast radius are taken
+		// over as they are and only a damaged pod of a new shape is solved.
 		rng := rand.New(rand.NewSource(params.Seed + int64(k)))
 		half := k / 2
 		var lat []float64
@@ -272,14 +276,15 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 				return nil, fmt.Errorf("scale k=%d churn %d: %w", k, ev, err)
 			}
 			evStart := time.Now()
-			_, delta, err := core.Recompile(ctx, res, req, degraded)
+			inc, delta, err := core.Recompile(ctx, res, req, degraded)
 			if err != nil {
 				return nil, fmt.Errorf("scale k=%d churn %d (%s): %w", k, ev, event, err)
 			}
 			lat = append(lat, float64(time.Since(evStart).Microseconds())/1000)
 			pt.Reprogrammed = append(pt.Reprogrammed, len(delta.Reprogram))
-			if event.Kind == faults.KindSwitchDown && len(delta.Reprogram) > pt.MaxSwitchDownReprogrammed {
-				pt.MaxSwitchDownReprogrammed = len(delta.Reprogram)
+			if event.Kind == faults.KindSwitchDown {
+				pt.MaxSwitchDownReprogrammed = max(pt.MaxSwitchDownReprogrammed, len(delta.Reprogram))
+				pt.MaxSwitchDownEncodes = max(pt.MaxSwitchDownEncodes, inc.SolverStats.Encodes)
 			}
 		}
 		if len(lat) > 0 {
@@ -287,7 +292,7 @@ func RunScale(params ScaleParams) ([]ScalePoint, error) {
 			pt.RecompileP50 = lat[len(lat)/2]
 			pt.RecompileMax = lat[len(lat)-1]
 		}
-		if c := res.SolverCache; c != nil {
+		if c := res.Cache; c != nil {
 			pt.CacheHits = c.Hits()
 			pt.CacheEvicted = c.Evictions()
 		}
@@ -328,7 +333,8 @@ func sameFingerprints(a, b map[string]string) error {
 // baseline by at least minSpeedup at every k >= 16 (smaller k is too quick
 // for the ratio to be meaningful against timer noise). At k >= 16 a single
 // switch-down must also stay local: it may reprogram at most the k switches
-// of one pod. Returns the violations (empty = contract held).
+// of one pod and encode at most that pod's component. Returns the violations
+// (empty = contract held).
 func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 	var violations []string
 	for _, pt := range points {
@@ -346,6 +352,10 @@ func CheckScale(points []ScalePoint, minSpeedup float64) []string {
 			violations = append(violations,
 				fmt.Sprintf("k=%d: a single switch-down reprogrammed %d switches, more than the %d of one pod",
 					pt.K, pt.MaxSwitchDownReprogrammed, pt.K))
+		}
+		if pt.K >= 16 && pt.MaxSwitchDownEncodes > 1 {
+			violations = append(violations,
+				fmt.Sprintf("k=%d: a single switch-down encoded %d components, more than the one it damaged", pt.K, pt.MaxSwitchDownEncodes))
 		}
 		if pt.K >= 16 && minSpeedup > 0 && pt.Speedup < minSpeedup {
 			violations = append(violations,

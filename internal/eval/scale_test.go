@@ -116,6 +116,14 @@ func TestCheckScaleFlagsRegressions(t *testing.T) {
 	if v := CheckScale(global, 2.0); len(v) != 1 {
 		t.Errorf("fabric-wide reprogramming: got %v, want one violation", v)
 	}
+	// So is one dead ToR that gets a second component encoded.
+	resolved := []ScalePoint{
+		{K: 16, Pods: 16, Components: 16, Replayed: 15, PathsEnumerated: 1024, PeakPathsHeld: 64, Speedup: 3.5,
+			MaxSwitchDownReprogrammed: 15, MaxSwitchDownEncodes: 2},
+	}
+	if v := CheckScale(resolved, 2.0); len(v) != 1 {
+		t.Errorf("two encodes for one switch-down: got %v, want one violation", v)
+	}
 	// Small k is exempt from the speedup floor — single-digit-millisecond
 	// compiles are timer noise — but not from the structural checks.
 	small := []ScalePoint{

@@ -11,6 +11,7 @@ package scope
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -227,9 +228,8 @@ func (s *Spec) Resolve(net *topo.Network) (map[string]*Resolved, error) {
 // fault uses AllowMissing so that a scope naming a dead switch degrades to
 // the surviving members instead of failing outright.
 func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Resolved, error) {
-	out := map[string]*Resolved{}
+	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
-		r := &Resolved{Scope: sc}
 		set := map[string]bool{}
 		for _, pat := range sc.Region {
 			matched := net.Match(pat)
@@ -240,49 +240,177 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 				set[sw.Name] = true
 			}
 		}
-		if len(set) == 0 {
-			return nil, fmt.Errorf("scope %s: region %v matches no surviving switch", sc.Alg, sc.Region)
-		}
-		for name := range set {
-			r.Switches = append(r.Switches, name)
-		}
-		sort.Strings(r.Switches)
-		r.pathCount = -1
-		if sc.Deploy == MultiSwitch {
-			from, err := expand(net, sc.Direct.From, opts)
-			if err != nil {
+		var from, to []string
+		if sc.Deploy == MultiSwitch && len(set) > 0 {
+			var err error
+			if from, err = expand(net, sc.Direct.From, opts); err != nil {
 				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
 			}
-			to, err := expand(net, sc.Direct.To, opts)
-			if err != nil {
+			if to, err = expand(net, sc.Direct.To, opts); err != nil {
 				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
 			}
-			r.PathSet = net.PathSet(from, to, r.Switches)
-			r.MaxPaths = opts.MaxPaths
-			if r.MaxPaths <= 0 {
-				r.MaxPaths = DefaultMaxPaths
-			}
-			if opts.LazyPaths {
-				if !r.PathSet.Any() {
-					return nil, fmt.Errorf("scope %s: no flow path from %v to %v within %v",
-						sc.Alg, sc.Direct.From, sc.Direct.To, r.Switches)
-				}
-			} else {
-				paths, err := r.PathSet.Materialize(r.MaxPaths)
-				if err != nil {
-					return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
-				}
-				r.Paths = paths
-				r.pathCount = int64(len(paths))
-				if len(r.Paths) == 0 {
-					return nil, fmt.Errorf("scope %s: no flow path from %v to %v within %v",
-						sc.Alg, sc.Direct.From, sc.Direct.To, r.Switches)
-				}
-			}
+		}
+		r, err := sc.bind(net, sortedKeys(set), from, to, nil, opts)
+		if err != nil {
+			return nil, err
 		}
 		out[sc.Alg] = r
 	}
 	return out, nil
+}
+
+// ResolveAfter is ResolveWith for a network derived from the one prev was
+// resolved against, delta being net.Since of that network. When the delta is
+// faults only — switches and links removed, chips changed — and prev came
+// from this spec under these options, each scope is its previous resolution
+// minus what left: no pattern is matched and no list sorted again, lists
+// nothing was removed from are shared, and materialized paths are filtered,
+// not re-enumerated. The result, errors included, is what ResolveWith gives
+// with AllowMissing; any other delta is handed to ResolveWith.
+func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta topo.Delta, opts ResolveOpts) (map[string]*Resolved, error) {
+	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev, opts) {
+		return s.ResolveWith(net, opts)
+	}
+	removed := make(map[string]bool, len(delta.Removed))
+	for _, sw := range delta.Removed {
+		removed[sw] = true
+	}
+	without := func(xs []string) []string {
+		hit := false
+		for _, sw := range delta.Removed {
+			if i := sort.SearchStrings(xs, sw); i < len(xs) && xs[i] == sw {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			return xs
+		}
+		out := make([]string, 0, len(xs)-1)
+		for _, x := range xs {
+			if !removed[x] {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	out := make(map[string]*Resolved, len(s.Scopes))
+	for _, sc := range s.Scopes {
+		was := prev[sc.Alg]
+		switches := without(was.Switches)
+		var from, to []string
+		var paths [][]string
+		if sc.Deploy == MultiSwitch && len(switches) > 0 {
+			if from = without(was.PathSet.From); len(from) == 0 {
+				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.From)
+			}
+			if to = without(was.PathSet.To); len(to) == 0 {
+				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.To)
+			}
+			if !opts.LazyPaths {
+				paths = survivingPaths(net, was.Paths, delta.Touched)
+			}
+		}
+		r, err := sc.bind(net, switches, from, to, paths, opts)
+		if err != nil {
+			return nil, err
+		}
+		out[sc.Alg] = r
+	}
+	return out, nil
+}
+
+// resolvedAs reports whether prev is what this spec resolves to under opts
+// on some network: the same scopes, the same path budget and laziness.
+func (s *Spec) resolvedAs(prev map[string]*Resolved, opts ResolveOpts) bool {
+	if len(prev) != len(s.Scopes) {
+		return false
+	}
+	for _, sc := range s.Scopes {
+		was := prev[sc.Alg]
+		if was == nil || !reflect.DeepEqual(was.Scope, sc) {
+			return false
+		}
+		if sc.Deploy == MultiSwitch && (was.PathSet == nil || was.MaxPaths != opts.maxPaths() || (was.Paths == nil) != opts.LazyPaths) {
+			return false
+		}
+	}
+	return true
+}
+
+// survivingPaths filters a sorted path list down to the paths every hop and
+// link of which is still in net; only paths through a touched switch can have
+// lost one. An unchanged list is returned as is.
+func survivingPaths(net *topo.Network, paths [][]string, touched []string) [][]string {
+	if len(touched) == 0 {
+		return paths
+	}
+	hit := make(map[string]bool, len(touched))
+	for _, sw := range touched {
+		hit[sw] = true
+	}
+	intact := func(p []string) bool {
+		through := false
+		for _, sw := range p {
+			through = through || hit[sw]
+		}
+		if !through {
+			return true
+		}
+		for i, sw := range p {
+			if net.Switch(sw) == nil || (i > 0 && !net.HasLink(p[i-1], sw)) {
+				return false
+			}
+		}
+		return true
+	}
+	out := make([][]string, 0, len(paths))
+	for _, p := range paths {
+		if intact(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (o ResolveOpts) maxPaths() int64 {
+	if o.MaxPaths <= 0 {
+		return DefaultMaxPaths
+	}
+	return o.MaxPaths
+}
+
+// bind builds the resolution of one scope from its expanded, sorted switch
+// lists, checking what any resolution must: a non-empty region and, for
+// MULTI-SW, at least one flow path. paths, when non-nil, are the flow paths
+// already known; otherwise an eager resolution enumerates them.
+func (sc Scope) bind(net *topo.Network, switches, from, to []string, paths [][]string, opts ResolveOpts) (*Resolved, error) {
+	if len(switches) == 0 {
+		return nil, fmt.Errorf("scope %s: region %v matches no surviving switch", sc.Alg, sc.Region)
+	}
+	r := &Resolved{Scope: sc, Switches: switches, pathCount: -1}
+	if sc.Deploy != MultiSwitch {
+		return r, nil
+	}
+	r.PathSet = net.PathSet(from, to, switches)
+	r.MaxPaths = opts.maxPaths()
+	var found bool
+	if opts.LazyPaths {
+		found = r.PathSet.Any()
+	} else {
+		if paths == nil {
+			var err error
+			if paths, err = r.PathSet.Materialize(r.MaxPaths); err != nil {
+				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
+			}
+		}
+		r.Paths, r.pathCount, found = paths, int64(len(paths)), len(paths) > 0
+	}
+	if !found {
+		return nil, fmt.Errorf("scope %s: no flow path from %v to %v within %v",
+			sc.Alg, sc.Direct.From, sc.Direct.To, switches)
+	}
+	return r, nil
 }
 
 // EachPath iterates the scope's flow paths in deterministic order: the
@@ -351,10 +479,14 @@ func expand(net *topo.Network, patterns []string, opts ResolveOpts) ([]string, e
 	if len(set) == 0 {
 		return nil, fmt.Errorf("patterns %v match no surviving switch", patterns)
 	}
-	var out []string
+	return sortedKeys(set), nil
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
 	for name := range set {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }

@@ -1,9 +1,12 @@
 package scope
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"lyra/internal/asic"
 	"lyra/internal/topo"
 )
 
@@ -97,5 +100,122 @@ func TestCommentsAndBlanks(t *testing.T) {
 	spec, err := Parse("\n# comment\n\nint_in: [ ToR* | PER-SW | - ]\n")
 	if err != nil || len(spec.Scopes) != 1 {
 		t.Fatalf("spec = %+v err = %v", spec, err)
+	}
+}
+
+// sameResolution compares what two resolutions hold: switches, endpoints,
+// materialized paths, budget, and the lazily enumerated path sequence.
+func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scopes, want %d", label, len(got), len(want))
+	}
+	walk := func(r *Resolved) (seq []string) {
+		r.EachPath(func(p []string) bool {
+			seq = append(seq, strings.Join(p, ">"))
+			return true
+		})
+		return
+	}
+	for alg, w := range want {
+		g := got[alg]
+		if g == nil {
+			t.Fatalf("%s: no resolution for %s", label, alg)
+		}
+		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) ||
+			!reflect.DeepEqual(g.Paths, w.Paths) || g.MaxPaths != w.MaxPaths || (g.PathSet == nil) != (w.PathSet == nil) {
+			t.Errorf("%s: %s resolves to %+v, want %+v", label, alg, g, w)
+			continue
+		}
+		if g.PathSet != nil && (!reflect.DeepEqual(g.PathSet.From, w.PathSet.From) || !reflect.DeepEqual(g.PathSet.To, w.PathSet.To) ||
+			!reflect.DeepEqual(g.PathSet.Within, w.PathSet.Within)) {
+			t.Errorf("%s: %s path set %+v, want %+v", label, alg, g.PathSet, w.PathSet)
+		}
+		if gs, ws := walk(g), walk(w); !reflect.DeepEqual(gs, ws) {
+			t.Errorf("%s: %s walks %v, want %v", label, alg, gs, ws)
+		}
+	}
+}
+
+// TestResolveAfterEqualsResolveWith: re-resolving from a previous resolution
+// and a fault delta gives what resolving the degraded network from nothing
+// gives, lazily and eagerly, the error text included when a region, an
+// endpoint set or every path is gone; deltas it does not cover fall back.
+func TestResolveAfterEqualsResolveWith(t *testing.T) {
+	const text = figure7 + "acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\npin: [ ToR1 | PER-SW | - ]\n"
+	spec, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fault func(*topo.Network) error
+	down := func(sw string) fault { return func(n *topo.Network) error { return n.RemoveSwitch(sw) } }
+	cut := func(a, b string) fault { return func(n *topo.Network) error { return n.RemoveLink(a, b) } }
+	degrade := func(sw string) fault {
+		return func(n *topo.Network) error {
+			return n.DegradeASIC(sw, func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.5, 1) })
+		}
+	}
+	cases := map[string][]fault{
+		"identity":            nil,
+		"tor-down":            {down("ToR3")},
+		"agg-down":            {down("Agg4")},
+		"core-down":           {down("Core1")},
+		"link-down":           {cut("ToR4", "Agg3")},
+		"degrade":             {degrade("Agg3")},
+		"two faults":          {down("ToR2"), cut("ToR3", "Agg4")},
+		"region emptied":      {down("ToR1")},
+		"from-set emptied":    {down("Agg3"), down("Agg4")},
+		"to-set emptied":      {down("ToR3"), down("ToR4")},
+		"every path cut":      {cut("ToR3", "Agg3"), cut("ToR3", "Agg4"), cut("ToR4", "Agg3"), cut("ToR4", "Agg4")},
+		"grew (falls back)":   {func(n *topo.Network) error { _, err := n.AddSwitch("ToR9", "ToR", asic.Tofino32Q); return err }},
+		"linked (falls back)": {func(n *topo.Network) error { return n.AddLink("ToR1", "Agg3") }},
+	}
+	for _, lazy := range []bool{true, false} {
+		opts := ResolveOpts{AllowMissing: true, LazyPaths: lazy, MaxPaths: 500}
+		base := topo.Testbed()
+		prev, err := spec.ResolveWith(base, ResolveOpts{LazyPaths: lazy, MaxPaths: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, faults := range cases {
+			label := fmt.Sprintf("%s lazy=%v", name, lazy)
+			net := base.Clone()
+			for _, f := range faults {
+				if err := f(net); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			want, wantErr := spec.ResolveWith(net, opts)
+			got, gotErr := spec.ResolveAfter(prev, net, net.Since(base), opts)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: error %v, want %v", label, gotErr, wantErr)
+				continue
+			}
+			if strings.Contains(name, "emptied") || strings.Contains(name, "every path") {
+				if wantErr == nil {
+					t.Errorf("%s: expected a resolution error", label)
+				}
+				continue
+			}
+			sameResolution(t, label, got, want)
+			if name == "identity" && &got["acl"].Switches[0] != &prev["acl"].Switches[0] {
+				t.Errorf("%s: an untouched switch list was copied", label)
+			}
+		}
+		// Another spec, or other options, must not be answered from prev.
+		other, _ := Parse(strings.Replace(text, "ToR3,ToR4,Agg3,Agg4", "ToR3,Agg3,Agg4", 1))
+		want, _ := other.ResolveWith(base, opts)
+		got, err := other.ResolveAfter(prev, base, topo.Delta{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResolution(t, "other spec", got, want)
+		flipped := opts
+		flipped.LazyPaths = !lazy
+		want, _ = spec.ResolveWith(base, flipped)
+		if got, err = spec.ResolveAfter(prev, base, topo.Delta{}, flipped); err != nil {
+			t.Fatal(err)
+		}
+		sameResolution(t, "other laziness", got, want)
 	}
 }

@@ -128,7 +128,7 @@ func (c *Cache) Len() int {
 // must already be in canonical (sorted) order; extra distinguishes
 // configuration axes that change the artifact or its guarantees (dialect,
 // skip-verify tier).
-func cacheKey(source, scope string, net *topo.Network, faultSet []string, extra ...string) string {
+func cacheKey(source, scope, netFP string, faultSet []string, extra ...string) string {
 	h := sha256.New()
 	write := func(s string) {
 		fmt.Fprintf(h, "%d:", len(s))
@@ -136,7 +136,7 @@ func cacheKey(source, scope string, net *topo.Network, faultSet []string, extra 
 	}
 	write(source)
 	write(scope)
-	write(networkFingerprint(net))
+	write(netFP)
 	for _, f := range faultSet {
 		write(f)
 	}
@@ -160,14 +160,14 @@ func networkFingerprint(net *topo.Network) string {
 			b = append(b, sw.ASIC.Name...)
 		}
 		b = append(b, ';')
-		for _, nb := range net.Neighbors(name) {
+		net.EachNeighbor(name, func(nb string) {
 			if name < nb {
 				b = append(b, name...)
 				b = append(b, '-')
 				b = append(b, nb...)
 				b = append(b, ',')
 			}
-		}
+		})
 	}
 	return string(b)
 }

@@ -404,14 +404,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		degraded = append(degraded, "skip-verify")
 		s.m.degradedSkip.Add(1)
 	}
-	key := cacheKey(req.Source, req.Scope, net, nil, configKey(req, skipVerify)...)
+	netFP := networkFingerprint(net)
+	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, skipVerify)...)
 
 	// Stale tier: under heavy load, serve whatever completed artifact
 	// already exists for this input — full-service or skip-verify flavor —
 	// before consuming a solve slot.
 	if tier >= tierStale {
 		for _, sv := range []bool{skipVerify, !skipVerify} {
-			if res, ok := s.cache.Lookup(cacheKey(req.Source, req.Scope, net, nil, configKey(req, sv)...)); ok {
+			if res, ok := s.cache.Lookup(cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, sv)...)); ok {
 				s.m.degradedStale.Add(1)
 				s.m.completed.Add(1)
 				resp := compileResponse(res, req.IncludeCode)

@@ -23,11 +23,14 @@ import (
 // failed or in-flight recompile leaves the previous plan live with the
 // Degraded flag raised.
 type Session struct {
-	id   string
-	srv  *Server
-	req  CompileRequest
-	net  *lyra.Network // pristine base topology
-	base *lyra.Result  // compiled on the pristine topology
+	id  string
+	srv *Server
+	req CompileRequest
+	net *lyra.Network // pristine base topology
+	// netFP is net's canonical rendering, the topology part of every cache
+	// key of the session: the base never changes, so it is rendered once.
+	netFP string
+	base  *lyra.Result // compiled on the pristine topology
 
 	events    chan queuedEvent
 	closed    chan struct{}
@@ -171,7 +174,7 @@ func (sess *Session) applyBatch(batch []queuedEvent) {
 	ctx, cancel := context.WithTimeout(context.Background(), srv.cfg.DefaultDeadline)
 	defer cancel()
 
-	key := cacheKey(sess.req.Source, sess.req.Scope, sess.net, faultSet, configKey(sess.req, false)...)
+	key := cacheKey(sess.req.Source, sess.req.Scope, sess.netFP, faultSet, configKey(sess.req, false)...)
 	var delta *lyra.Delta
 	res, outcome, err := srv.cache.Do(ctx, key, func() (*lyra.Result, error) {
 		var out *lyra.Result
@@ -333,7 +336,8 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	// incremental recompile reuses, so it must carry verification reports.
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMs))
 	defer cancel()
-	key := cacheKey(req.Source, req.Scope, net, nil, configKey(req, false)...)
+	netFP := networkFingerprint(net)
+	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, false)...)
 	base, outcome, err := s.cache.Do(ctx, key, func() (*lyra.Result, error) {
 		var out *lyra.Result
 		var cerr error
@@ -372,6 +376,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		srv:       s,
 		req:       req,
 		net:       net,
+		netFP:     netFP,
 		base:      base,
 		events:    make(chan queuedEvent, s.cfg.SessionQueue),
 		closed:    make(chan struct{}),

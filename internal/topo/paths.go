@@ -54,31 +54,22 @@ func (n *Network) PathSet(from, to, within []string) *PathSet {
 // *PathLimitError. The returned count is the number of paths yielded.
 func (ps *PathSet) Each(limit int64, yield func(path []string) bool) (int64, error) {
 	n := ps.net
-	allowed := map[string]bool{}
-	if ps.Within == nil {
-		for name := range n.byName {
-			allowed[name] = true
-		}
-	} else {
-		for _, w := range ps.Within {
-			allowed[w] = true
-		}
-	}
-	targets := map[string]bool{}
-	for _, t := range ps.To {
-		targets[t] = true
-	}
+	// Membership in Within and To is a binary search of the caller's own
+	// slices, which scope resolution hands over sorted; only an unsorted one
+	// costs a copy. Any on a datacenter-wide scope stops at the first path and
+	// must not pay for a set over the whole scope first.
+	within, to := sorted(ps.Within), sorted(ps.To)
+	allowed := func(sw string) bool { return ps.Within == nil || contains(within, sw) }
 	var count int64
 	stop := false
 	overflow := false
-	visited := map[string]bool{}
-	scratch := make([]string, 0, 8)
+	scratch := make([]string, 0, 8) // the path so far, which is also the visited set
 	var dfs func(cur string)
 	dfs = func(cur string) {
 		if stop {
 			return
 		}
-		if targets[cur] {
+		if contains(to, cur) {
 			if limit > 0 && count >= limit {
 				overflow, stop = true, true
 				return
@@ -89,38 +80,54 @@ func (ps *PathSet) Each(limit int64, yield func(path []string) bool) (int64, err
 			}
 			return
 		}
-		for _, nb := range n.sortedNeighbors(cur) {
+	next:
+		for _, nb := range n.neighbors(cur) {
 			if stop {
 				return
 			}
-			if visited[nb] || !allowed[nb] {
+			for _, seen := range scratch {
+				if seen == nb {
+					continue next
+				}
+			}
+			if !allowed(nb) {
 				continue
 			}
-			visited[nb] = true
 			scratch = append(scratch, nb)
 			dfs(nb)
 			scratch = scratch[:len(scratch)-1]
-			visited[nb] = false
 		}
 	}
-	starts := append([]string(nil), ps.From...)
-	sort.Strings(starts)
-	for _, s := range starts {
+	for _, s := range sorted(ps.From) {
 		if stop {
 			break
 		}
-		if !allowed[s] {
+		if !allowed(s) || (ps.Within == nil && n.byName[s] == nil) {
 			continue
 		}
-		visited[s] = true
 		scratch = append(scratch[:0], s)
 		dfs(s)
-		visited[s] = false
 	}
 	if overflow {
 		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
 	}
 	return count, nil
+}
+
+// sorted returns xs if it is sorted already, otherwise a sorted copy.
+func sorted(xs []string) []string {
+	if sort.StringsAreSorted(xs) {
+		return xs
+	}
+	xs = append([]string(nil), xs...)
+	sort.Strings(xs)
+	return xs
+}
+
+// contains reports whether x is in the sorted list.
+func contains(sortedXs []string, x string) bool {
+	i := sort.SearchStrings(sortedXs, x)
+	return i < len(sortedXs) && sortedXs[i] == x
 }
 
 // Count returns the number of paths in the set without materializing any,
@@ -148,14 +155,14 @@ func (ps *PathSet) Materialize(limit int64) ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(paths, func(i, j int) bool { return pathLess(paths[i], paths[j]) })
+	sort.Slice(paths, func(i, j int) bool { return PathLess(paths[i], paths[j]) })
 	return paths, nil
 }
 
-// pathLess orders paths exactly as comparing strings.Join(p, ">") would,
+// PathLess orders paths exactly as comparing strings.Join(p, ">") would,
 // without allocating the joined strings: elements are compared bytewise
 // with a virtual '>' separator between them.
-func pathLess(a, b []string) bool {
+func PathLess(a, b []string) bool {
 	ai, bi := 0, 0 // element index
 	ao, bo := 0, 0 // byte offset within element (-1 = at separator)
 	for {

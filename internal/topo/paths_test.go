@@ -30,14 +30,7 @@ func legacyPaths(n *Network, from, to []string, within []string) [][]string {
 	for _, t := range to {
 		targets[t] = true
 	}
-	neighbors := func(name string) []string {
-		var out []string
-		for nb := range n.adj[name] {
-			out = append(out, nb)
-		}
-		sort.Strings(out)
-		return out
-	}
+	neighbors := n.Neighbors
 	var paths [][]string
 	var dfs func(cur string, visited map[string]bool, path []string)
 	dfs = func(cur string, visited map[string]bool, path []string) {
@@ -156,7 +149,7 @@ func TestPathSetMatchesLegacyDFS(t *testing.T) {
 			if int(cnt) != len(want) || len(iter) != len(want) {
 				t.Fatalf("count mismatch: Each=%d Count=%d want %d", len(iter), cnt, len(want))
 			}
-			sort.Slice(iter, func(i, j int) bool { return pathLess(iter[i], iter[j]) })
+			sort.Slice(iter, func(i, j int) bool { return PathLess(iter[i], iter[j]) })
 			if !reflect.DeepEqual(iter, want) {
 				t.Fatalf("iterated path set differs from legacy")
 			}
@@ -196,12 +189,14 @@ func TestPathLessMatchesJoin(t *testing.T) {
 	paths := [][]string{
 		{"ToR1"}, {"ToR10"}, {"ToR1", "Agg1"}, {"ToR10", "Agg1"},
 		{"A", "B"}, {"AB"}, {"A"}, {"A", "B", "C"}, {"ABC"},
+		// Pod numbers interleave: "Agg10_1" < "Agg1_1" because '0' < '_'.
+		{"Agg1_1", "ToR1_1"}, {"Agg10_1", "ToR10_1"}, {"Agg1_10", "ToR1_1"}, {"Agg2_1", "ToR2_1"},
 	}
 	for _, a := range paths {
 		for _, b := range paths {
 			want := strings.Join(a, ">") < strings.Join(b, ">")
-			if got := pathLess(a, b); got != want {
-				t.Fatalf("pathLess(%v, %v) = %v, want %v", a, b, got, want)
+			if got := PathLess(a, b); got != want {
+				t.Fatalf("PathLess(%v, %v) = %v, want %v", a, b, got, want)
 			}
 		}
 	}
@@ -245,6 +240,140 @@ func BenchmarkClone(b *testing.B) {
 		c := n.Clone()
 		if len(c.Switches) != len(n.Switches) {
 			b.Fatal("bad clone")
+		}
+	}
+}
+
+// mapEach is PathSet.Each as it was when it kept its allowed, target and
+// visited sets in maps built per call; the slice-based Each is pinned to its
+// yield order, count and budget behaviour.
+func mapEach(ps *PathSet, limit int64, yield func(path []string) bool) (int64, error) {
+	n := ps.net
+	allowed := map[string]bool{}
+	if ps.Within == nil {
+		for _, s := range n.Switches {
+			allowed[s.Name] = true
+		}
+	} else {
+		for _, w := range ps.Within {
+			allowed[w] = true
+		}
+	}
+	targets := map[string]bool{}
+	for _, t := range ps.To {
+		targets[t] = true
+	}
+	var count int64
+	stop, overflow := false, false
+	visited := map[string]bool{}
+	scratch := make([]string, 0, 8)
+	var dfs func(cur string)
+	dfs = func(cur string) {
+		if stop {
+			return
+		}
+		if targets[cur] {
+			if limit > 0 && count >= limit {
+				overflow, stop = true, true
+				return
+			}
+			count++
+			if !yield(scratch) {
+				stop = true
+			}
+			return
+		}
+		for _, nb := range n.Neighbors(cur) {
+			if stop {
+				return
+			}
+			if visited[nb] || !allowed[nb] {
+				continue
+			}
+			visited[nb] = true
+			scratch = append(scratch, nb)
+			dfs(nb)
+			scratch = scratch[:len(scratch)-1]
+			visited[nb] = false
+		}
+	}
+	starts := append([]string(nil), ps.From...)
+	sort.Strings(starts)
+	for _, s := range starts {
+		if stop {
+			break
+		}
+		if !allowed[s] {
+			continue
+		}
+		visited[s] = true
+		scratch = append(scratch[:0], s)
+		dfs(s)
+		visited[s] = false
+	}
+	if overflow {
+		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
+	}
+	return count, nil
+}
+
+// TestEachMatchesMapBasedEach drives both enumerators over seeded random
+// graphs with unsorted, duplicated and partly unknown From/To/Within lists,
+// with and without a budget and an early stop, and demands the same yield
+// sequence, count and error.
+func TestEachMatchesMapBasedEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pick := func(names []string, k int) []string {
+		out := make([]string, 0, k+1)
+		for i := 0; i < k; i++ {
+			out = append(out, names[rng.Intn(len(names))])
+		}
+		if rng.Intn(4) == 0 {
+			out = append(out, "Ghost")
+		}
+		return out
+	}
+	for g := 0; g < 200; g++ {
+		n := New()
+		sz := 4 + rng.Intn(9)
+		var names []string
+		for i := 0; i < sz; i++ {
+			name := fmt.Sprintf("S%d_%d", 1+i%11, i/3) // "S10_0" sorts before "S1_0"
+			if _, err := n.AddSwitch(name, "L", asic.Tofino32Q); err == nil {
+				names = append(names, name)
+			}
+		}
+		for i := 0; i < sz*2; i++ {
+			a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+			if a != b && !n.HasLink(a, b) {
+				n.AddLink(a, b)
+			}
+		}
+		var within []string
+		if rng.Intn(3) > 0 {
+			within = pick(names, 2+rng.Intn(len(names)))
+		}
+		ps := n.PathSet(pick(names, 1+rng.Intn(3)), pick(names, 1+rng.Intn(3)), within)
+		total, _ := mapEach(ps, 0, func([]string) bool { return true })
+		for _, limit := range []int64{0, 1, total, total + 1} {
+			for _, stopAt := range []int{-1, 0, 2} {
+				run := func(each func(int64, func([]string) bool) (int64, error)) (seq []string, n int64, err error) {
+					n, err = each(limit, func(p []string) bool {
+						seq = append(seq, strings.Join(p, ">"))
+						return len(seq) != stopAt+1
+					})
+					return
+				}
+				wantSeq, wantN, wantErr := run(func(l int64, y func([]string) bool) (int64, error) { return mapEach(ps, l, y) })
+				gotSeq, gotN, gotErr := run(ps.Each)
+				if !reflect.DeepEqual(gotSeq, wantSeq) || gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("graph %d from=%v to=%v within=%v limit=%d stop=%d:\n got  %v (%d, %v)\n want %v (%d, %v)",
+						g, ps.From, ps.To, ps.Within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
+				}
+				if (gotErr != nil) != errors.Is(gotErr, ErrPathLimit) {
+					t.Fatalf("error %v is not a path-limit error", gotErr)
+				}
+			}
 		}
 	}
 }

@@ -7,31 +7,81 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"lyra/internal/asic"
 )
 
-// Switch is one network device.
+// Switch is one network device together with its links. A record is
+// immutable once a second network can see it: Clone shares records between
+// networks, and a mutator that must change one a clone may see replaces it
+// with an edited copy. A record pointer therefore identifies a switch's whole
+// local state — chip model and neighbour list — and two networks holding the
+// same pointer under a name agree on everything about that switch.
 type Switch struct {
 	Name  string
 	Layer string // "ToR", "Agg", "Core" (free-form)
 	ASIC  *asic.Model
+
+	nbrs []string    // neighbour names, sorted
+	gen  *generation // the edit generation that made this record and may still write it
 }
 
-// Network is the topology plus per-switch configuration.
+// generation marks the records and containers one network made since it was
+// last shared; only those may be written in place. It is compared by address.
+type generation struct{ _ byte }
+
+// Network is the topology plus per-switch configuration. It is a persistent
+// structure: Clone is O(1) and shares everything, the first mutation after a
+// Clone copies the two containers, and every mutation replaces only the
+// records it changes.
 type Network struct {
-	Switches []*Switch
-	adj      map[string]map[string]bool
+	Switches []*Switch // registration order; do not modify
 	byName   map[string]*Switch
-	// sortedAdj caches each switch's sorted neighbor list; path enumeration
-	// hits it once per DFS expansion, so rebuilding (and re-sorting) it per
-	// visit dominated Paths. Any link/switch mutation invalidates the cache.
-	sortedAdj map[string][]string
+	// gen is the current edit generation, nil while the containers are shared
+	// with another network (after Clone or ReplaceWith). Atomic because Clone,
+	// which clears it, is a read as far as callers are concerned and may run
+	// concurrently with other readers and other Clones.
+	gen atomic.Pointer[generation]
 }
 
 // New creates an empty network.
-func New() *Network {
-	return &Network{adj: map[string]map[string]bool{}, byName: map[string]*Switch{}}
+func New() *Network { return &Network{} }
+
+// edit returns the generation under which n may write in place, first taking
+// private copies of the containers if they are shared.
+func (n *Network) edit() *generation {
+	if g := n.gen.Load(); g != nil {
+		return g
+	}
+	n.Switches = append(make([]*Switch, 0, len(n.Switches)+1), n.Switches...)
+	byName := make(map[string]*Switch, len(n.byName)+1)
+	for name, s := range n.byName {
+		byName[name] = s
+	}
+	n.byName = byName
+	g := new(generation)
+	n.gen.Store(g)
+	return g
+}
+
+// editable returns the record of s that n may write under g: s itself when g
+// made it, otherwise a copy (with its own neighbour list) installed in its
+// place.
+func (n *Network) editable(s *Switch, g *generation) *Switch {
+	if s.gen == g {
+		return s
+	}
+	cp := &Switch{Name: s.Name, Layer: s.Layer, ASIC: s.ASIC, gen: g}
+	cp.nbrs = append(make([]string, 0, len(s.nbrs)+1), s.nbrs...)
+	n.byName[s.Name] = cp
+	for i, old := range n.Switches {
+		if old == s {
+			n.Switches[i] = cp
+			break
+		}
+	}
+	return cp
 }
 
 // AddSwitch registers a switch; duplicate names are rejected.
@@ -39,69 +89,85 @@ func (n *Network) AddSwitch(name, layer string, model *asic.Model) (*Switch, err
 	if _, dup := n.byName[name]; dup {
 		return nil, fmt.Errorf("topo: duplicate switch %q", name)
 	}
-	s := &Switch{Name: name, Layer: layer, ASIC: model}
+	s := &Switch{Name: name, Layer: layer, ASIC: model, gen: n.edit()}
 	n.Switches = append(n.Switches, s)
 	n.byName[name] = s
-	n.adj[name] = map[string]bool{}
-	n.sortedAdj = nil
 	return s, nil
 }
 
 // AddLink connects two switches bidirectionally. Self-links and duplicate
 // links are rejected.
 func (n *Network) AddLink(a, b string) error {
-	if _, ok := n.byName[a]; !ok {
+	sa, sb := n.byName[a], n.byName[b]
+	if sa == nil {
 		return fmt.Errorf("topo: unknown switch %q", a)
 	}
-	if _, ok := n.byName[b]; !ok {
+	if sb == nil {
 		return fmt.Errorf("topo: unknown switch %q", b)
 	}
 	if a == b {
 		return fmt.Errorf("topo: self-link on %q", a)
 	}
-	if n.adj[a][b] {
+	if contains(sa.nbrs, b) {
 		return fmt.Errorf("topo: duplicate link %s—%s", a, b)
 	}
-	n.adj[a][b] = true
-	n.adj[b][a] = true
-	n.sortedAdj = nil
+	g := n.edit()
+	n.editable(sa, g).link(b)
+	n.editable(sb, g).link(a)
 	return nil
 }
 
+// link inserts nb into the record's sorted neighbour list, in place: the
+// caller owns the record. Construction is one shift per link, no copy.
+func (s *Switch) link(nb string) {
+	i := sort.SearchStrings(s.nbrs, nb)
+	s.nbrs = append(s.nbrs, "")
+	copy(s.nbrs[i+1:], s.nbrs[i:])
+	s.nbrs[i] = nb
+}
+
+// unlink removes nb from the record's neighbour list, in place.
+func (s *Switch) unlink(nb string) {
+	i := sort.SearchStrings(s.nbrs, nb)
+	s.nbrs = append(s.nbrs[:i], s.nbrs[i+1:]...)
+}
+
 // HasLink reports whether a direct link connects a and b.
-func (n *Network) HasLink(a, b string) bool { return n.adj[a][b] }
+func (n *Network) HasLink(a, b string) bool {
+	s := n.byName[a]
+	return s != nil && contains(s.nbrs, b)
+}
 
 // RemoveSwitch deletes a switch and every link touching it (a switch-down
 // fault). Removing an unknown switch is an error.
 func (n *Network) RemoveSwitch(name string) error {
-	if _, ok := n.byName[name]; !ok {
+	s := n.byName[name]
+	if s == nil {
 		return fmt.Errorf("topo: remove unknown switch %q", name)
 	}
-	delete(n.byName, name)
-	for nb := range n.adj[name] {
-		delete(n.adj[nb], name)
+	g := n.edit()
+	for _, nb := range s.nbrs {
+		n.editable(n.byName[nb], g).unlink(name)
 	}
-	delete(n.adj, name)
-	n.sortedAdj = nil
-	kept := n.Switches[:0]
-	for _, s := range n.Switches {
-		if s.Name != name {
-			kept = append(kept, s)
+	delete(n.byName, name)
+	for i, old := range n.Switches {
+		if old == s {
+			n.Switches = append(n.Switches[:i], n.Switches[i+1:]...)
+			break
 		}
 	}
-	n.Switches = kept
 	return nil
 }
 
 // RemoveLink disconnects two switches (a link-down fault). Removing a link
 // that does not exist is an error.
 func (n *Network) RemoveLink(a, b string) error {
-	if !n.adj[a][b] {
+	if !n.HasLink(a, b) {
 		return fmt.Errorf("topo: remove unknown link %s—%s", a, b)
 	}
-	delete(n.adj[a], b)
-	delete(n.adj[b], a)
-	n.sortedAdj = nil
+	g := n.edit()
+	n.editable(n.byName[a], g).unlink(b)
+	n.editable(n.byName[b], g).unlink(a)
 	return nil
 }
 
@@ -117,48 +183,67 @@ func (n *Network) DegradeASIC(name string, transform func(*asic.Model) *asic.Mod
 	if m == nil {
 		return fmt.Errorf("topo: degrade of %q produced a nil model", name)
 	}
-	s.ASIC = m
+	n.editable(s, n.edit()).ASIC = m
 	return nil
 }
 
-// Clone deep-copies the topology so that fault scenarios can be applied
-// without disturbing the original. Switch structs are copied (so DegradeASIC
-// on the clone leaves the original intact); ASIC models are shared, as they
-// are immutable registry values.
+// Clone returns a network equal to n that shares all of n's storage: fault
+// scenarios are applied to the clone without disturbing the original, and
+// either side's later mutations copy what they change. ASIC models are
+// immutable registry values and always shared.
 func (n *Network) Clone() *Network {
-	c := &Network{
-		Switches: make([]*Switch, 0, len(n.Switches)),
-		adj:      make(map[string]map[string]bool, len(n.adj)),
-		byName:   make(map[string]*Switch, len(n.byName)),
-	}
-	// One backing array for all switch copies keeps the clone to a handful
-	// of allocations; churn scenarios clone per event.
-	backing := make([]Switch, len(n.Switches))
-	for i, s := range n.Switches {
-		backing[i] = *s
-		cp := &backing[i]
-		c.Switches = append(c.Switches, cp)
-		c.byName[cp.Name] = cp
-	}
-	for a, nbs := range n.adj {
-		m := make(map[string]bool, len(nbs))
-		for b := range nbs {
-			m[b] = true
-		}
-		c.adj[a] = m
-	}
-	return c
+	n.gen.Store(nil)
+	return &Network{Switches: n.Switches, byName: n.byName}
 }
 
-// ReplaceWith overwrites n's contents with other's, adopting other's
-// backing storage. It is the commit half of a clone-mutate-swap update:
+// ReplaceWith overwrites n's contents with other's, sharing other's storage
+// as a Clone would. It is the commit half of a clone-mutate-swap update:
 // build the next topology state on a Clone, and swap it in only once every
 // mutation succeeded, so n never exposes a half-applied sequence.
 func (n *Network) ReplaceWith(other *Network) {
-	n.Switches = other.Switches
-	n.adj = other.adj
-	n.byName = other.byName
-	n.sortedAdj = other.sortedAdj
+	other.gen.Store(nil)
+	n.gen.Store(nil)
+	n.Switches, n.byName = other.Switches, other.byName
+}
+
+// Delta is how a network differs from an earlier state of itself (see Since).
+type Delta struct {
+	// Touched names, in the earlier network's registration order, the switches
+	// whose record is not the later network's: removed, or changed in chip
+	// model or links. Every other switch is the same object in both.
+	Touched []string
+	// Removed is the sublist of Touched no longer present.
+	Removed []string
+	// Grew reports that the later network has something the earlier lacked —
+	// a switch, or a link at a touched switch — so it is not the earlier one
+	// minus faults.
+	Grew bool
+}
+
+// Since compares n with prev, an earlier state it was derived from by Clone
+// and mutation. Sharing makes it one pointer comparison per switch.
+func (n *Network) Since(prev *Network) Delta {
+	var d Delta
+	for _, was := range prev.Switches {
+		now := n.byName[was.Name]
+		if now == was {
+			continue
+		}
+		d.Touched = append(d.Touched, was.Name)
+		if now == nil {
+			d.Removed = append(d.Removed, was.Name)
+			continue
+		}
+		for _, nb := range now.nbrs {
+			if !contains(was.nbrs, nb) {
+				d.Grew = true
+			}
+		}
+	}
+	if len(n.Switches) != len(prev.Switches)-len(d.Removed) {
+		d.Grew = true
+	}
+	return d
 }
 
 // Switch returns a switch by name.
@@ -167,25 +252,24 @@ func (n *Network) Switch(name string) *Switch { return n.byName[name] }
 // Neighbors returns the sorted neighbor names of a switch. The returned
 // slice is owned by the caller.
 func (n *Network) Neighbors(name string) []string {
-	return append([]string(nil), n.sortedNeighbors(name)...)
+	return append([]string(nil), n.neighbors(name)...)
 }
 
-// sortedNeighbors returns the cached sorted neighbor list; the slice is
-// shared and must not be mutated. The cache is rebuilt lazily after any
-// topology mutation.
-func (n *Network) sortedNeighbors(name string) []string {
-	if n.sortedAdj == nil {
-		n.sortedAdj = make(map[string][]string, len(n.adj))
-		for sw, nbs := range n.adj {
-			ls := make([]string, 0, len(nbs))
-			for nb := range nbs {
-				ls = append(ls, nb)
-			}
-			sort.Strings(ls)
-			n.sortedAdj[sw] = ls
-		}
+// EachNeighbor calls f with every neighbor of a switch, in sorted order,
+// without copying the list.
+func (n *Network) EachNeighbor(name string, f func(nb string)) {
+	for _, nb := range n.neighbors(name) {
+		f(nb)
 	}
-	return n.sortedAdj[name]
+}
+
+// neighbors returns the switch's own sorted neighbor list, which is shared
+// and must not be modified.
+func (n *Network) neighbors(name string) []string {
+	if s := n.byName[name]; s != nil {
+		return s.nbrs
+	}
+	return nil
 }
 
 // Match returns the switches whose names match a region pattern. Patterns

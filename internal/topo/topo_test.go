@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"lyra/internal/asic"
@@ -283,5 +286,172 @@ func TestMultiPodFatTreeShape(t *testing.T) {
 		if len(p) < 5 {
 			t.Errorf("cross-pod path too short: %v", p)
 		}
+	}
+}
+
+// render spells out everything a network holds, in registration order.
+func render(n *Network) string {
+	var b strings.Builder
+	for _, s := range n.Switches {
+		fmt.Fprintf(&b, "%s/%s/%s stages=%d %v\n", s.Name, s.Layer, s.ASIC.Name, s.ASIC.Stages, n.Neighbors(s.Name))
+		if n.Switch(s.Name) != s {
+			fmt.Fprintf(&b, "  index disagrees on %s\n", s.Name)
+		}
+	}
+	return b.String()
+}
+
+// TestCloneIsolation: networks share storage after Clone and ReplaceWith, so
+// every mutator must copy what it changes. Each mutation below is applied to
+// one side of a sharing pair, in both directions, and the other side must
+// read exactly as before; then clones are mutated concurrently while the base
+// is being read.
+func TestCloneIsolation(t *testing.T) {
+	halve := func(m *asic.Model) *asic.Model { return asic.Scale(m, 0.5, 1, 1) }
+	type mutation struct {
+		name string
+		do   func(*Network) error
+	}
+	// Two sets on different switches, so any pair applies to one network.
+	set := func(agg, tor, other, added string) []mutation {
+		return []mutation{
+			{"RemoveSwitch", func(n *Network) error { return n.RemoveSwitch(agg) }},
+			{"RemoveLink", func(n *Network) error { return n.RemoveLink(tor, other) }},
+			{"DegradeASIC", func(n *Network) error { return n.DegradeASIC(tor, halve) }},
+			{"AddSwitch+AddLink", func(n *Network) error {
+				if _, err := n.AddSwitch(added, "Agg", asic.Trident4); err != nil {
+					return err
+				}
+				return n.AddLink(added, tor)
+			}},
+		}
+	}
+	mutations, others := set("Agg3", "ToR4", "Agg4", "Agg0"), set("Agg1", "ToR2", "Agg2", "Agg9")
+	for _, first := range mutations {
+		for _, second := range others {
+			t.Run(first.name+"/"+second.name, func(t *testing.T) {
+				base := Testbed()
+				pristine := render(base)
+
+				// Mutate the clone; the base must not move.
+				c := base.Clone()
+				if err := first.do(c); err != nil {
+					t.Fatal(err)
+				}
+				if got := render(base); got != pristine {
+					t.Fatalf("mutating a clone changed the base:\n%s", got)
+				}
+				afterFirst := render(c)
+				if afterFirst == pristine {
+					t.Fatal("mutation had no effect")
+				}
+
+				// Mutate the base after the clone was taken; the clone must not move.
+				if err := second.do(base); err != nil {
+					t.Fatal(err)
+				}
+				if got := render(c); got != afterFirst {
+					t.Fatalf("mutating the base changed an earlier clone:\n%s", got)
+				}
+
+				// Commit a clone into a network (what Scenario.Apply does),
+				// then mutate either side.
+				live, work := Testbed(), Testbed().Clone()
+				if err := first.do(work); err != nil {
+					t.Fatal(err)
+				}
+				live.ReplaceWith(work)
+				if render(live) != afterFirst {
+					t.Fatal("ReplaceWith did not adopt the donor's state")
+				}
+				if err := second.do(live); err != nil {
+					t.Fatal(err)
+				}
+				if got := render(work); got != afterFirst {
+					t.Fatalf("mutating a network changed the donor it was replaced with:\n%s", got)
+				}
+				afterBoth := render(live)
+				if err := work.RemoveLink("ToR1", "Agg1"); err != nil {
+					t.Fatal(err)
+				}
+				if render(live) != afterBoth {
+					t.Fatal("mutating the donor changed the network that adopted it")
+				}
+			})
+		}
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		base := MultiPodFatTree(4, 4, func(string, int) *asic.Model { return asic.Tofino32Q })
+		pristine := render(base)
+		within := append(layerNames(base, "ToR"), layerNames(base, "Agg")...)
+		sort.Strings(within)
+		ps := base.PathSet(layerNames(base, "Agg"), layerNames(base, "ToR"), within)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					c := base.Clone()
+					tor := fmt.Sprintf("ToR%d_%d", 1+w, 1+i%2)
+					if err := c.RemoveLink(tor, fmt.Sprintf("Agg%d_1", 1+w)); err != nil {
+						t.Error(err)
+					}
+					if err := c.RemoveSwitch(tor); err != nil {
+						t.Error(err)
+					}
+					if err := c.DegradeASIC("Core1", halve); err != nil {
+						t.Error(err)
+					}
+					if d := c.Since(base); len(d.Removed) != 1 || d.Grew {
+						t.Errorf("delta of a clone after faults = %+v", d)
+					}
+				}
+			}(w)
+		}
+		for i := 0; i < 50; i++ {
+			if n, err := ps.Count(0); err != nil || n != 16 {
+				t.Errorf("base path count = %d, %v while clones mutate", n, err)
+			}
+		}
+		wg.Wait()
+		if render(base) != pristine {
+			t.Error("concurrent clone mutation changed the base")
+		}
+	})
+}
+
+// TestSince: the delta between a network and an earlier state names exactly
+// the switches whose record was replaced, and flags anything gained.
+func TestSince(t *testing.T) {
+	base := Testbed()
+	if d := base.Clone().Since(base); len(d.Touched) != 0 || d.Grew {
+		t.Errorf("untouched clone: %+v", d)
+	}
+	c := base.Clone()
+	c.RemoveSwitch("ToR3")
+	c.DegradeASIC("Core2", func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.5, 1) })
+	d := c.Since(base)
+	if got := strings.Join(d.Touched, ","); got != "ToR3,Agg3,Agg4,Core2" {
+		t.Errorf("Touched = %s", got)
+	}
+	if got := strings.Join(d.Removed, ","); got != "ToR3" || d.Grew {
+		t.Errorf("Removed = %s, Grew = %v", got, d.Grew)
+	}
+	for _, s := range base.Switches {
+		if same := c.Switch(s.Name) == s; same == strings.Contains(",ToR3,Agg3,Agg4,Core2,", ","+s.Name+",") {
+			t.Errorf("%s: record shared = %v", s.Name, same)
+		}
+	}
+	grown := base.Clone()
+	grown.AddSwitch("ToR5", "ToR", asic.Tofino32Q)
+	if d := grown.Since(base); !d.Grew {
+		t.Errorf("added switch: %+v", d)
+	}
+	linked := base.Clone()
+	linked.AddLink("ToR1", "ToR2")
+	if d := linked.Since(base); !d.Grew || len(d.Touched) != 2 {
+		t.Errorf("added link: %+v", d)
 	}
 }

@@ -371,6 +371,13 @@ func WithOptimize(opts OptimizeOptions) Option {
 // returns an error satisfying errors.Is(err, ErrTimeout).
 func (c *Compiler) Compile(ctx context.Context, source, scopeSpec string, net *Network) (res *Result, err error) {
 	defer recoverInternal(&err)
+	if net != nil {
+		// The result keeps its own view of the topology (Clone shares all
+		// storage): a Recompile decides what a fault touched by comparing
+		// against the network the plan was made on, which therefore must not
+		// move when the caller later edits theirs.
+		net = net.Clone()
+	}
 	creq := c.coreRequest(source, scopeSpec, net)
 	cres, err := corePipeline(ctx, creq)
 	res = c.wrapResult(cres, creq, net)
@@ -546,8 +553,9 @@ func (r *Result) RecompileContext(ctx context.Context, sc Scenario) (*Result, *D
 }
 
 // Network returns the topology this result was compiled against (after
-// Recompile, the degraded clone).
-func (r *Result) Network() *Network { return r.net }
+// Recompile, the degraded one). It is the caller's own copy: mutating it
+// disturbs neither this result nor any result recompiled from it.
+func (r *Result) Network() *Network { return r.net.Clone() }
 
 // ArtifactFingerprint content-hashes the complete artifact set — every
 // switch's generated code and control-plane stub, in sorted switch order.
