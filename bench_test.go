@@ -31,7 +31,7 @@ func benchCompileProgram(b *testing.B, name, sw string) {
 	net := Testbed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(Request{Source: src, ScopeSpec: scope, Network: net, SkipVerify: true}); err != nil {
+		if _, err := New(WithSkipVerify()).Compile(context.Background(), src, scope, net); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func benchFig10(b *testing.B, workload, scopeText string, k int, model *ChipMode
 	net := FatTreePod(k, model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(Request{Source: src, ScopeSpec: scopeText, Network: net, SkipVerify: true}); err != nil {
+		if _, err := New(WithSkipVerify()).Compile(context.Background(), src, scopeText, net); err != nil {
 			b.Fatalf("%s k=%d: %v", workload, k, err)
 		}
 	}
@@ -341,7 +341,7 @@ func BenchmarkSolverPigeonhole(b *testing.B) {
 }
 
 func BenchmarkSimulationThroughput(b *testing.B) {
-	res, err := Compile(Request{Source: lbSrc(), ScopeSpec: "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]", Network: Testbed(), SkipVerify: true})
+	res, err := New(WithSkipVerify()).Compile(context.Background(), lbSrc(), "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]", Testbed())
 	if err != nil {
 		b.Fatal(err)
 	}

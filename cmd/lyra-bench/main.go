@@ -7,7 +7,7 @@
 //	lyra-bench -experiment ladder   # incremental fallback ladder vs re-encode baseline
 //	lyra-bench -experiment ext      # §7.2 extensibility case study
 //	lyra-bench -experiment comp     # §7.3 composition case study
-//	lyra-bench -experiment traffic  # packet replay: interpreter vs bytecode engine
+//	lyra-bench -experiment traffic  # packet replay: interpreter vs compiled backend
 //	lyra-bench -experiment stream   # streaming replay: scenario library through OpenStream
 //	lyra-bench -experiment serve    # daemon churn storm (robustness under load)
 //	lyra-bench -experiment optimize # rewrite search: certified program optimization
@@ -66,13 +66,13 @@ func main() {
 		trafficK       = flag.Int("traffic-k", 8, "fat-tree size for the traffic replay")
 		trafficPackets = flag.Int("traffic-packets", 200_000, "packets per traffic measurement")
 		trafficWorkers = flag.Int("traffic-workers", 0, "max replay workers (0 = all CPUs)")
-		trafficSlack   = flag.Float64("traffic-assert-scaling", 0, "fail unless worker scaling is monotone and the compiled tier keeps up with the engine, within this slack factor (0 = no assertion)")
+		trafficSlack   = flag.Float64("traffic-assert-scaling", 0, "fail unless the compiled tier's worker scaling is monotone within this slack factor (0 = no assertion)")
 		dataplaneOut   = flag.String("dataplane-out", "", "merge the traffic/stream results into a JSON artifact (BENCH_dataplane.json)")
 
 		streamK       = flag.Int("stream-k", 8, "fat-tree pod size for the streaming replay")
 		streamPackets = flag.Int("stream-packets", 100_000, "packets per streaming measurement")
 		streamLanes   = flag.Int("stream-lanes", 0, "fan-out lanes for lane-safe scenarios (0 = CPUs, capped at 4)")
-		streamAllocs  = flag.Float64("stream-assert-allocs", -1, "fail if any engine/compiled stream point allocates more than this per packet (negative = no assertion)")
+		streamAllocs  = flag.Float64("stream-assert-allocs", -1, "fail if any compiled-tier stream point allocates more than this per packet (negative = no assertion)")
 
 		serveSeed       = flag.Int64("serve-seed", 1, "churn storm seed")
 		serveEvents     = flag.Int("serve-events", 500, "fault/recovery events in the churn storm")
@@ -254,7 +254,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("== Traffic replay: interpreter vs bytecode engine vs compiled ==")
+		fmt.Println("== Traffic replay: interpreter vs compiled ==")
 		fmt.Print(eval.FormatTraffic(points))
 		fmt.Println()
 		if *trafficSlack > 0 {

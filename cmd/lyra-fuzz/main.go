@@ -15,7 +15,7 @@
 // and shrinking paths can be exercised end to end; see -mutation help for
 // the list. The -stateful flag switches the generator to flow-keyed
 // stateful streaming cases, which additionally replay every case through
-// OpenStream on all three executor tiers (one and three lanes, chunked
+// OpenStream on both executor tiers (one and three lanes, chunked
 // feeds) against a one-shot replay. Exit status is nonzero iff the
 // campaign had unexplained cases.
 package main

@@ -1,6 +1,7 @@
 package lyra_test
 
 import (
+	"context"
 	"fmt"
 
 	"lyra"
@@ -8,9 +9,8 @@ import (
 
 // ExampleCompile compiles a minimal program for one ToR switch and reports
 // what was generated.
-func ExampleCompile() {
-	res, err := lyra.Compile(lyra.Request{
-		Source: `
+func ExampleCompiler_Compile() {
+	res, err := lyra.New().Compile(context.Background(), `
 header_type ipv4_t { bit[8] ttl; bit[32] dst_ip; }
 header ipv4_t ipv4;
 pipeline[R]{router};
@@ -24,10 +24,7 @@ algorithm router {
       forward(routes[ipv4.dst_ip]);
     }
   }
-}`,
-		ScopeSpec: "router: [ ToR1 | PER-SW | - ]",
-		Network:   lyra.Testbed(),
-	})
+}`, "router: [ ToR1 | PER-SW | - ]", lyra.Testbed())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -39,8 +36,7 @@ algorithm router {
 
 // ExampleResult_Simulate deploys a compiled program and pushes one packet.
 func ExampleResult_Simulate() {
-	res, err := lyra.Compile(lyra.Request{
-		Source: `
+	res, err := lyra.New().Compile(context.Background(), `
 header_type h_t { bit[32] key; bit[32] out; }
 header h_t h;
 pipeline[P]{lookup};
@@ -49,10 +45,7 @@ algorithm lookup {
   if (h.key in kv) {
     h.out = kv[h.key];
   }
-}`,
-		ScopeSpec: "lookup: [ ToR1 | PER-SW | - ]",
-		Network:   lyra.Testbed(),
-	})
+}`, "lookup: [ ToR1 | PER-SW | - ]", lyra.Testbed())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

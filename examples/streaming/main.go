@@ -113,9 +113,15 @@ func main() {
 	ctx := &lyra.SimContext{}
 
 	// Reference: sequential one-shot replay of the whole capture.
-	_, refEng := deploy()
+	refDep, refEng := deploy()
+	oneShot, err := refDep.ExecutorFor(dataplane.TierCompiled)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ref := refEng.FlattenTrace(recs, "")
-	refEng.RunBatch(path, ctx, ref, 1)
+	if err := oneShot.RunBatch(path, ctx, ref, 1); err != nil {
+		log.Fatal(err)
+	}
 
 	// Streaming: a fresh deployment, fed continuously in 500-packet
 	// chunks through a 4-lane stream keyed by the connection 5-tuple.
@@ -126,7 +132,7 @@ func main() {
 		log.Fatal(err)
 	}
 	s, err := dep.OpenStream(path, dataplane.StreamOptions{
-		Tier: dataplane.TierEngine, Lanes: 4, BatchSize: 256, FlowKey: key, Ctx: ctx,
+		Tier: dataplane.TierCompiled, Lanes: 4, BatchSize: 256, FlowKey: key, Ctx: ctx,
 	})
 	if err != nil {
 		log.Fatal(err)

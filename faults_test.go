@@ -16,7 +16,7 @@ var scopeRegion = map[string]bool{"ToR3": true, "ToR4": true, "Agg3": true, "Agg
 
 func compileQuickLB(t *testing.T) *Result {
 	t.Helper()
-	res, err := Compile(Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed()})
+	res, err := New().Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -46,11 +46,11 @@ func checkForwarding(t *testing.T, res *Result, label string) {
 		t.Fatalf("%s: no surviving flow paths", label)
 	}
 	for _, path := range paths {
-		// Engine before interpreter: engine inserts are copy-on-write and
-		// lane-local, interpreter inserts land in the shared shard tables.
-		eng, err := sim.RunPathEngine(path, ctx, pkt)
+		// Compiled before interpreter: compiled inserts are copy-on-write
+		// and lane-local, interpreter inserts land in the shared shard tables.
+		eng, err := sim.RunPathCompiled(path, ctx, pkt)
 		if err != nil {
-			t.Fatalf("%s: path %v: engine: %v", label, path, err)
+			t.Fatalf("%s: path %v: compiled: %v", label, path, err)
 		}
 		got, err := sim.RunPath(path, ctx, pkt)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestSingleFailureSweep(t *testing.T) {
 	base := compileQuickLB(t)
 	for _, sc := range SingleSwitchFailures(Testbed()) {
 		failed := sc.Events[0].Switch
-		res, delta, err := base.Recompile(sc)
+		res, delta, err := New().Recompile(context.Background(), base, sc)
 		if err != nil {
 			t.Errorf("%s: recompile failed: %v", sc.Name, err)
 			continue
@@ -113,7 +113,7 @@ func TestSingleFailureSweep(t *testing.T) {
 // Agg3 dies, traffic degrades onto the two Agg4 paths.
 func TestGoldenAggFailure(t *testing.T) {
 	base := compileQuickLB(t)
-	res, delta, err := base.Recompile(Scenario{Name: "agg3-down", Events: []FaultEvent{SwitchDown("Agg3")}})
+	res, delta, err := New().Recompile(context.Background(), base, Scenario{Name: "agg3-down", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
@@ -160,12 +160,12 @@ func TestGoldenAggFailure(t *testing.T) {
 
 func TestRecompileChained(t *testing.T) {
 	base := compileQuickLB(t)
-	res1, _, err := base.Recompile(Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
+	res1, _, err := New().Recompile(context.Background(), base, Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatalf("first recompile: %v", err)
 	}
 	// A second, unrelated failure on the already-degraded network.
-	res2, delta2, err := res1.Recompile(Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
+	res2, delta2, err := New().Recompile(context.Background(), res1, Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
 	if err != nil {
 		t.Fatalf("chained recompile: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestRecompileChained(t *testing.T) {
 
 func TestRecompileLinkDown(t *testing.T) {
 	base := compileQuickLB(t)
-	res, _, err := base.Recompile(Scenario{Name: "cut", Events: []FaultEvent{LinkDown("Agg3", "ToR3")}})
+	res, _, err := New().Recompile(context.Background(), base, Scenario{Name: "cut", Events: []FaultEvent{LinkDown("Agg3", "ToR3")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestRecompileInfeasibleScenario(t *testing.T) {
 	base := compileQuickLB(t)
 	// Killing both Aggs leaves no flow path at all: recompilation must fail
 	// with a diagnosable error, not a bogus plan.
-	_, _, err := base.Recompile(Scenario{Name: "both-aggs", Events: []FaultEvent{
+	_, _, err := New().Recompile(context.Background(), base, Scenario{Name: "both-aggs", Events: []FaultEvent{
 		SwitchDown("Agg3"), SwitchDown("Agg4"),
 	}})
 	if err == nil {
@@ -208,12 +208,12 @@ func TestRecompileInfeasibleScenario(t *testing.T) {
 
 func TestRecompileBadScenario(t *testing.T) {
 	base := compileQuickLB(t)
-	_, _, err := base.Recompile(Scenario{Name: "ghost", Events: []FaultEvent{SwitchDown("ghost")}})
+	_, _, err := New().Recompile(context.Background(), base, Scenario{Name: "ghost", Events: []FaultEvent{SwitchDown("ghost")}})
 	if err == nil {
 		t.Fatal("want error applying a scenario naming an unknown switch")
 	}
 	var r *Result
-	if _, _, err := r.Recompile(Scenario{}); err == nil {
+	if _, _, err := New().Recompile(context.Background(), r, Scenario{}); err == nil {
 		t.Fatal("nil result must refuse to recompile")
 	}
 }
@@ -222,7 +222,7 @@ func TestCompileContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := CompileContext(ctx, Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed()})
+	_, err := New().Compile(ctx, quickLB, quickScope, Testbed())
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -235,10 +235,7 @@ func TestCompileContextCancelled(t *testing.T) {
 }
 
 func TestSolveBudgetExpiredTyped(t *testing.T) {
-	_, err := Compile(Request{
-		Source: quickLB, ScopeSpec: quickScope, Network: Testbed(),
-		SolveBudget: time.Nanosecond,
-	})
+	_, err := New(WithSolveBudget(time.Nanosecond)).Compile(context.Background(), quickLB, quickScope, Testbed())
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -250,7 +247,7 @@ func TestPanicBecomesInternalError(t *testing.T) {
 		panic("synthetic pipeline bug")
 	}
 	defer func() { corePipeline = orig }()
-	_, err := Compile(Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed()})
+	_, err := New().Compile(context.Background(), quickLB, quickScope, Testbed())
 	var ie *InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v (%T), want *InternalError", err, err)
@@ -270,7 +267,7 @@ func TestRecompilePanicRecovered(t *testing.T) {
 		panic("synthetic recompile bug")
 	}
 	defer func() { recompilePipeline = orig }()
-	_, _, err := base.Recompile(Scenario{Name: "x", Events: []FaultEvent{SwitchDown("Core1")}})
+	_, _, err := New().Recompile(context.Background(), base, Scenario{Name: "x", Events: []FaultEvent{SwitchDown("Core1")}})
 	var ie *InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v (%T), want *InternalError", err, err)
@@ -279,7 +276,7 @@ func TestRecompilePanicRecovered(t *testing.T) {
 
 func TestDegradeRecompile(t *testing.T) {
 	base := compileQuickLB(t)
-	res, delta, err := base.Recompile(Scenario{Name: "tor3-degraded", Events: []FaultEvent{
+	res, delta, err := New().Recompile(context.Background(), base, Scenario{Name: "tor3-degraded", Events: []FaultEvent{
 		Degrade("ToR3", 0.5, 0.5, 1),
 	}})
 	if err != nil {
@@ -306,7 +303,7 @@ func TestRecompileDiagnosticsPopulated(t *testing.T) {
 	if base.Diagnostics.FellBack() {
 		t.Errorf("healthy compile should not fall back: %v", base.Diagnostics.Degraded)
 	}
-	res, _, err := base.Recompile(Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
+	res, _, err := New().Recompile(context.Background(), base, Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lyra
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -59,12 +60,7 @@ func TestGoldenScenarioArtifacts(t *testing.T) {
 // -update, rewrites) the named golden artifact.
 func checkGolden(t *testing.T, src, sw string, dialect Dialect, file string) {
 	t.Helper()
-	res, err := Compile(Request{
-		Source:    src,
-		ScopeSpec: perSwitchScope(t, src, sw),
-		Network:   Testbed(),
-		Dialect:   dialect,
-	})
+	res, err := New(WithDialect(dialect)).Compile(context.Background(), src, perSwitchScope(t, src, sw), Testbed())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -89,11 +85,7 @@ func checkGolden(t *testing.T, src, sw string, dialect Dialect, file string) {
 // TestGoldenControlPlane locks the control-plane stub shape.
 func TestGoldenControlPlane(t *testing.T) {
 	src := loadProgram(t, "simple_router")
-	res, err := Compile(Request{
-		Source:    src,
-		ScopeSpec: perSwitchScope(t, src, "ToR1"),
-		Network:   Testbed(),
-	})
+	res, err := New().Compile(context.Background(), src, perSwitchScope(t, src, "ToR1"), Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}

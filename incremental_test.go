@@ -22,7 +22,7 @@ func TestRecompileSolvesOnlyNewClasses(t *testing.T) {
 	bound := func(res *Result) *encode.Template { return res.plan.Bindings()[0].Template }
 
 	// Core1 carries no loadbalancer scope: same class, memo hit.
-	res, delta, err := base.Recompile(Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
+	res, delta, err := New().Recompile(context.Background(), base, Scenario{Name: "core1", Events: []FaultEvent{SwitchDown("Core1")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestRecompileSolvesOnlyNewClasses(t *testing.T) {
 
 	// Agg3 is inside the region: the scope resolution changes, the class is
 	// new, and the component encodes fresh.
-	res2, _, err := base.Recompile(Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
+	res2, _, err := New().Recompile(context.Background(), base, Scenario{Name: "agg3", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestRecompileSolvesOnlyNewClasses(t *testing.T) {
 		t.Error("an in-region fault left the component bound to the base's template")
 	}
 	// The same fault again is a class the memo knows by now.
-	res2b, _, err := base.Recompile(Scenario{Name: "agg3 again", Events: []FaultEvent{SwitchDown("Agg3")}})
+	res2b, _, err := New().Recompile(context.Background(), base, Scenario{Name: "agg3 again", Events: []FaultEvent{SwitchDown("Agg3")}})
 	if err != nil {
 		t.Fatalf("recompile: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestRecompileSolvesOnlyNewClasses(t *testing.T) {
 	}
 
 	// Chained irrelevant faults keep binding the same template.
-	res3, _, err := res.Recompile(Scenario{Name: "core2", Events: []FaultEvent{SwitchDown("Core2")}})
+	res3, _, err := New().Recompile(context.Background(), res, Scenario{Name: "core2", Events: []FaultEvent{SwitchDown("Core2")}})
 	if err != nil {
 		t.Fatalf("chained recompile: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestRecompileCancelledMidSolveIsTyped(t *testing.T) {
 
 	// The previous result must be untouched: same scenario recompiles
 	// cleanly from it and the recompiled network still forwards.
-	res, delta, err := base.Recompile(sc)
+	res, delta, err := New().Recompile(context.Background(), base, sc)
 	if err != nil {
 		t.Fatalf("recompile after cancelled attempt: %v", err)
 	}

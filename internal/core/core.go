@@ -127,13 +127,8 @@ func (d *Delta) String() string {
 	return fmt.Sprintf("reprogram=%v unchanged=%v removed=%v", d.Reprogram, d.Unchanged, d.Removed)
 }
 
-// Compile runs the full pipeline of Figure 3.
-func Compile(req Request) (*Result, error) {
-	return CompileContext(context.Background(), req)
-}
-
-// CompileContext is Compile with cooperative cancellation: ctx aborts the
-// SMT solve at its next poll point with a typed timeout error.
+// CompileContext runs the full pipeline of Figure 3. Cancelling ctx aborts
+// the SMT solve at its next poll point with a typed timeout error.
 func CompileContext(ctx context.Context, req Request) (*Result, error) {
 	start := time.Now()
 	if req.Network == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ algorithm filter {
 `
 
 func TestCompilePipeline(t *testing.T) {
-	res, err := Compile(Request{
+	res, err := CompileContext(context.Background(), Request{
 		Source:    src,
 		ScopeSpec: "filter: [ ToR1,Agg1 | PER-SW | - ]",
 		Network:   topo.Testbed(),
@@ -64,7 +65,7 @@ func TestCompileStageErrors(t *testing.T) {
 			ScopeSpec: "filter: [ ToR2 | PER-SW | - ]", Network: net}, "does not fit"},
 	}
 	for _, c := range cases {
-		_, err := Compile(c.req)
+		_, err := CompileContext(context.Background(), c.req)
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue
@@ -76,7 +77,7 @@ func TestCompileStageErrors(t *testing.T) {
 }
 
 func TestCompileSkipVerify(t *testing.T) {
-	res, err := Compile(Request{
+	res, err := CompileContext(context.Background(), Request{
 		Source:     src,
 		ScopeSpec:  "filter: [ ToR1 | PER-SW | - ]",
 		Network:    topo.Testbed(),

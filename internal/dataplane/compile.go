@@ -1,8 +1,7 @@
 package dataplane
 
-// The compiled execution backend. Where the bytecode engine interprets a
-// flat instruction array through one dispatch switch, the compiled backend
-// lowers each unit ONCE into closure-threaded Go: every instruction becomes
+// The compiled execution backend — the one executor of lowered units. Each
+// unit is lowered ONCE into closure-threaded Go: every instruction becomes
 // a specialized closure with its operands, masks, and slot indices bound as
 // captured constants, and consecutive instructions that run under the same
 // guard conjunction and shard gate are grouped into a basic block whose
@@ -12,12 +11,11 @@ package dataplane
 // and (for the common blocks born from if-conversion) one guard evaluation
 // amortized over the whole block instead of per instruction.
 //
-// The compiled backend shares the Engine's Layout, lowered units, and Lane
-// state, so a lane runs interchangeably under either tier and the
-// per-switch table-generation invalidation applies to both. The bytecode
-// engine and the tree-walking interpreter remain the layered oracles the
-// compiled tier is cross-checked against (difftest runs all three
-// packet-by-packet).
+// The compiled backend is built from the Engine's Layout and lowered units
+// and runs on its Lanes, so the per-switch table-generation invalidation
+// reaches it through them. The tree-walking interpreter, which shares none
+// of this code, is the oracle it is cross-checked against (difftest runs
+// both packet by packet).
 
 import (
 	"math/bits"
@@ -61,7 +59,9 @@ type ccode struct {
 
 // Compiled is the closure-threaded backend of one deployment, built from
 // its engine's lowered (and fused) units. Like the Engine it is immutable
-// code; all mutable state lives in Lanes. Single-caller, like the Engine.
+// code; all mutable state lives in Lanes. A Compiled (and its internal lane
+// pool) is single-caller: one goroutine calls RunBatch/RunPacket at a time,
+// and RunBatch fans work out itself.
 type Compiled struct {
 	eng         *Engine
 	units       []*ccode // indexed by stateIdx; units[0] is ref
@@ -93,11 +93,11 @@ func CompileEngine(e *Engine) *Compiled {
 	return c
 }
 
-// Engine returns the engine whose layout, units, and lanes this backend
-// shares.
+// Engine returns the engine whose layout and units this backend was built
+// from.
 func (c *Compiled) Engine() *Engine { return c.eng }
 
-// NewLane allocates execution state usable by both tiers.
+// NewLane allocates execution state for this backend.
 func (c *Compiled) NewLane() *Lane { return c.eng.NewLane() }
 
 // Flatten converts a map-based packet into a fresh engine packet.
@@ -111,7 +111,7 @@ func (c *Compiled) NewFlatPacket() *FlatPacket { return c.eng.NewFlatPacket() }
 // instruction writes a register its own guard tests: the next instruction
 // then opens a fresh block with the same conjunction, which re-evaluates it
 // against the updated register — exactly the per-instruction re-check the
-// interpreting tiers perform.
+// interpreter performs.
 func compileUnit(u *compiledUnit) *ccode {
 	c := &ccode{u: u}
 	var cur *cblock
@@ -567,7 +567,7 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 // addressing mirror of the entry map: contiguous key/value arrays with
 // linear probing, so the hot member/lookup ops cost a multiply-mix and a
 // probe or two instead of a full Go map access. The mirror is built
-// lazily on first read (engine-only lanes never pay for it) and kept in
+// lazily on first read and kept in
 // sync by tableView.insert; rebinding a unit's views after a control-
 // plane mutation discards it wholesale.
 
@@ -667,9 +667,9 @@ func (tv *tableView) flatHas(k uint64) bool {
 
 // fnvPow[k] is the FNV-1a prime raised to the k-th power (mod 2^64).
 // Mixing a zero byte is h = (h^0)*p = h*p, so a run of k high zero bytes
-// collapses to a single multiply by p^k — bit-identical to the engine's
-// byte-at-a-time loop, at a fraction of the multiplies for the narrow
-// field values that dominate real traffic.
+// collapses to a single multiply by p^k — bit-identical to the
+// interpreter's byte-at-a-time loop (hashOf), at a fraction of the
+// multiplies for the narrow field values that dominate real traffic.
 var fnvPow = func() (t [9]uint64) {
 	t[0] = 1
 	for i := 1; i < 9; i++ {
@@ -737,26 +737,9 @@ func mkHash(args []opRef, crc16 bool) func(regs []uint64, f *FlatPacket) uint64 
 	return fn
 }
 
-// hashArgs is the engine's inline FNV-1a over resolved operands, the
-// reference the specialized mkHash chains are equivalent to.
-func hashArgs(args []opRef, regs []uint64, f *FlatPacket, crc16 bool) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, a := range args {
-		v := opval(a, regs, f)
-		for sh := uint(0); sh < 64; sh += 8 {
-			h ^= (v >> sh) & 0xff
-			h *= 1099511628211
-		}
-	}
-	if crc16 {
-		h = (h >> 16) ^ (h & 0xffff)
-	}
-	return h
-}
-
 // runUnit executes one compiled unit on the lane: bridge imports, gate
 // snapshot, guard-hoisted blocks, bridge exports — the compiled equivalent
-// of Lane.runSwitch.
+// of one RunPath hop.
 func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
 	u := cu.u
 	l.syncTables(u.stateIdx)
@@ -821,7 +804,8 @@ func (c *Compiled) runResolved(l *Lane, units []*ccode, ctx *Context, f *FlatPac
 	}
 }
 
-// RunPacket pushes one packet along a flow path, mutating it in place.
+// RunPacket pushes one packet along a flow path, mutating it in place —
+// the compiled equivalent of Deployment.RunPath minus the input clone.
 func (c *Compiled) RunPacket(l *Lane, path []string, ctx *Context, f *FlatPacket) {
 	if ctx == nil {
 		ctx = &zeroCtx
@@ -844,9 +828,11 @@ func (c *Compiled) RunPacketContexts(l *Lane, path []string, ctxOf func(sw strin
 	}
 }
 
-// RunBatch replays a batch of packets along a path, sharded contiguously
-// across a bounded worker pool with one lane per worker — the compiled
-// counterpart of Engine.RunBatch, with the same determinism contract.
+// RunBatch replays a batch of packets along a path, sharding the batch
+// into contiguous chunks across a bounded worker pool with one lane per
+// worker. Each packet is mutated in place. Lanes persist across calls, so
+// stateful programs see a continuous packet stream per lane; chunking is
+// deterministic for a given worker count.
 func (c *Compiled) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) {
 	n := len(pkts)
 	if n == 0 {

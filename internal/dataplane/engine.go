@@ -1,27 +1,19 @@
 package dataplane
 
-// The bytecode packet-execution engine. An Engine is the lowered, immutable
-// code of one deployment (lower.go); a Lane is the mutable execution state
-// — register file, gate snapshots, per-switch global arrays, and
-// copy-on-write extern table views — that a single goroutine drives packets
-// through. Steady-state execution allocates nothing: operands resolve
-// through dense slices, guards are precompiled index ranges, and hashes are
-// computed inline. RunBatch shards a packet batch into contiguous chunks
-// across a bounded worker pool (internal/par), one lane per worker, so
-// replaying traffic scales with cores while each lane's stateful arrays
-// stay single-owner.
+// The lowered form of one deployment and its packet currency: FlatPacket,
+// Engine (the immutable product of lower.go) and Lane (the mutable state one
+// goroutine drives packets through). Nothing here executes a unit — the
+// closure-compiled backend in compile.go is the one executor of lowered
+// code.
 
 import (
-	"fmt"
-	"runtime"
+	"errors"
 	"sort"
-
-	"lyra/internal/par"
 )
 
-// FlatPacket is the engine's dense packet representation: slot-indexed
-// field, validity, and bridge arrays (layout-assigned) plus the packet
-// disposition flags. The *Set arrays track map-key presence so converting
+// FlatPacket is the dense packet representation of lowered code:
+// slot-indexed field, validity, and bridge arrays (layout-assigned) plus the
+// packet disposition flags. The *Set arrays track map-key presence so converting
 // back to a Packet reproduces the interpreter's maps exactly — a field
 // written to zero is distinguishable from one never written. Keys unknown
 // to the layout (a packet carrying headers the program never declared) are
@@ -198,7 +190,8 @@ type tableView struct {
 
 	// Compiled-tier read index: a lane-local open-addressing mirror of
 	// entries (interleaved key/value pairs), built lazily on the first
-	// flatGet/flatHas so engine-only lanes never pay for it. See compile.go.
+	// flatGet/flatHas so lanes that never read a table never pay for it.
+	// See compile.go.
 	flatKV []uint64
 	nflat  int
 	built  bool
@@ -219,20 +212,20 @@ func (tv *tableView) insert(k, v uint64) {
 	}
 }
 
-// Engine is the lowered bytecode of one deployment: the reference pipeline
-// unit plus one unit per switch with a program, all sharing a Layout.
-// The code is immutable; all mutable execution state lives in Lanes.
-// An Engine (and its internal lane pool) is single-caller: one goroutine
-// calls RunBatch/RunPacket at a time, and RunBatch fans work out itself.
+// Engine is the lowered form of one deployment: the reference pipeline unit
+// plus one unit per switch with a program, all sharing a Layout. It is what
+// the compiled tier is built from and what packets are laid out by — the
+// lowered (and fused) units, the Layout, the per-switch table generations
+// lanes bind their views at, the WireCodec and the flow-key builders — and
+// holds no executor of its own. The code is immutable; all mutable
+// execution state lives in Lanes.
 type Engine struct {
 	dep         *Deployment
 	layout      *Layout
-	ref         *compiledUnit
 	switchUnits map[string]*compiledUnit
 	units       []*compiledUnit // indexed by stateIdx; units[0] is ref
 	maxRegs     int
 	maxGates    int
-	lanes       []*Lane
 
 	// tableGen counts control-plane mutations per unit (indexed by
 	// stateIdx). Deployment.SetSwitchEntry/ClearSwitchTable bump only the
@@ -243,7 +236,7 @@ type Engine struct {
 	codec *WireCodec // lazily built bytes-native parse/serialize programs
 }
 
-// NewEngine lowers a deployment into bytecode (with the superinstruction
+// NewEngine lowers a deployment into flat units (with the superinstruction
 // fusion pass applied). The lowered code is immutable: control-plane
 // mutations through the deployment bump per-switch table generations that
 // lanes pick up lazily, so an engine held directly stays valid across
@@ -253,7 +246,8 @@ func NewEngine(d *Deployment) (*Engine, error) {
 }
 
 // newEngine is NewEngine with the fusion pass optional — the unfused
-// engine is the oracle the fused one is sweep-checked against.
+// lowering, compiled through the same compileUnit, is the reference the
+// fusion pass is sweep-checked against.
 func newEngine(d *Deployment, fuse bool) (*Engine, error) {
 	irp := d.Plan.Input.IR
 	lay := newLayout()
@@ -268,7 +262,6 @@ func newEngine(d *Deployment, fuse bool) (*Engine, error) {
 	e := &Engine{
 		dep:         d,
 		layout:      lay,
-		ref:         ref,
 		switchUnits: map[string]*compiledUnit{},
 		units:       []*compiledUnit{ref},
 	}
@@ -397,305 +390,18 @@ func (l *Lane) syncTables(idx int) {
 	}
 }
 
-// opval resolves one operand. Kept free of receiver state so it inlines
-// into the dispatch loop.
-func opval(r opRef, regs []uint64, f *FlatPacket) uint64 {
-	switch r.kind {
-	case oConst:
-		return r.c
-	case oReg:
-		return regs[r.idx]
-	default:
-		return f.Fields[r.idx]
-	}
-}
-
-func store(in *binstr, regs []uint64, f *FlatPacket, v uint64) {
-	switch in.destKind {
-	case dReg:
-		regs[in.dest] = v & in.destMask
-	case dField:
-		f.Fields[in.dest] = v & in.destMask
-		f.fieldSet[in.dest] = true
-	}
-}
-
-// store2 writes a fused superinstruction's second destination.
-func store2(in *binstr, regs []uint64, f *FlatPacket, v uint64) {
-	switch in.dest2Kind {
-	case dReg:
-		regs[in.dest2] = v & in.dest2Mask
-	case dField:
-		f.Fields[in.dest2] = v & in.dest2Mask
-		f.fieldSet[in.dest2] = true
-	}
-}
-
 var zeroCtx Context
 
-// exec runs one unit's code against the lane's state. Guards and gates are
-// pre-resolved index lookups; nothing in this loop allocates.
-func (l *Lane) exec(u *compiledUnit, ctx *Context, f *FlatPacket) {
-	regs := l.regs
-	tabs := l.tables[u.stateIdx]
-	globs := l.globals[u.stateIdx]
-	code := u.code
-	for i := range code {
-		in := &code[i]
-		if in.g1reg >= 0 {
-			// Inlined single-conjunct guard (the guard→assign fusion).
-			if (regs[in.g1reg] != 0) == in.g1neg {
-				continue
-			}
-		} else if in.guardEnd > in.guardOff {
-			ok := true
-			for _, g := range u.guards[in.guardOff:in.guardEnd] {
-				if (regs[g.reg] != 0) == g.neg {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		if in.gate >= 0 && l.gateVals[in.gate] != 0 {
-			continue
-		}
-		switch in.op {
-		case bAssign:
-			store(in, regs, f, opval(in.a, regs, f))
-		case bBin:
-			store(in, regs, f, evalBin(in.binop, opval(in.a, regs, f), opval(in.b, regs, f)))
-		case bNot:
-			v := uint64(0)
-			if opval(in.a, regs, f) == 0 {
-				v = 1
-			}
-			store(in, regs, f, v)
-		case bSelect:
-			if opval(in.a, regs, f) != 0 {
-				store(in, regs, f, opval(in.b, regs, f))
-			} else {
-				store(in, regs, f, opval(in.c, regs, f))
-			}
-		case bHash:
-			var h uint64 = 14695981039346656037
-			for _, a := range u.args[in.argsOff:in.argsEnd] {
-				v := opval(a, regs, f)
-				for sh := uint(0); sh < 64; sh += 8 {
-					h ^= (v >> sh) & 0xff
-					h *= 1099511628211
-				}
-			}
-			if in.crc16 {
-				h = (h >> 16) ^ (h & 0xffff)
-			}
-			store(in, regs, f, h&in.auxMask)
-		case bLib:
-			var v uint64
-			switch in.table {
-			case libSwitchID:
-				v = ctx.SwitchID
-			case libIngressTS:
-				v = ctx.IngressTS
-			case libEgressTS:
-				v = ctx.EgressTS
-			case libQueueLen:
-				v = ctx.QueueLen
-			case libQueueTime:
-				v = ctx.QueueTime
-			case libIngressPort:
-				v = ctx.IngressPort
-			}
-			store(in, regs, f, v)
-		case bHeaderAdd:
-			f.Valid[in.table] = true
-			f.validSet[in.table] = true
-		case bHeaderRemove:
-			f.Valid[in.table] = false
-			f.validSet[in.table] = true
-		case bDrop:
-			f.Dropped = true
-		case bForward:
-			f.EgressPort = opval(in.a, regs, f)
-		case bMirror:
-			f.Mirrored = true
-		case bToCPU:
-			f.ToCPU = true
-		case bMember:
-			_, hit := tabs[in.table].entries[opval(in.a, regs, f)]
-			v := uint64(0)
-			if hit {
-				v = 1
-			}
-			store(in, regs, f, v)
-		case bLookup:
-			store(in, regs, f, tabs[in.table].entries[opval(in.a, regs, f)])
-		case bGlobalRead:
-			arr := globs[in.table]
-			idx := opval(in.a, regs, f)
-			var v uint64
-			if idx < uint64(len(arr)) {
-				v = arr[idx]
-			}
-			store(in, regs, f, v)
-		case bGlobalWrite:
-			arr := globs[in.table]
-			idx := opval(in.a, regs, f)
-			if idx < uint64(len(arr)) {
-				arr[idx] = opval(in.b, regs, f) & in.auxMask
-			}
-		case bInsert:
-			tabs[in.table].insert(opval(in.a, regs, f), opval(in.b, regs, f))
-		case bHashLookup, bHashMember:
-			var h uint64 = 14695981039346656037
-			for _, a := range u.args[in.argsOff:in.argsEnd] {
-				v := opval(a, regs, f)
-				for sh := uint(0); sh < 64; sh += 8 {
-					h ^= (v >> sh) & 0xff
-					h *= 1099511628211
-				}
-			}
-			if in.crc16 {
-				h = (h >> 16) ^ (h & 0xffff)
-			}
-			store(in, regs, f, h&in.auxMask)
-			// The lookup key is the hash register after its store mask,
-			// exactly what the unfused pair would read back.
-			key := regs[in.dest]
-			if in.op == bHashLookup {
-				store2(in, regs, f, tabs[in.table].entries[key])
-			} else {
-				_, hit := tabs[in.table].entries[key]
-				v := uint64(0)
-				if hit {
-					v = 1
-				}
-				store2(in, regs, f, v)
-			}
-		case bBinSelect:
-			store(in, regs, f, evalBin(in.binop, opval(in.a, regs, f), opval(in.b, regs, f)))
-			var v uint64
-			if regs[in.dest] != 0 {
-				v = opval(u.args[in.argsOff], regs, f)
-			} else {
-				v = opval(u.args[in.argsOff+1], regs, f)
-			}
-			store2(in, regs, f, v)
-		}
-	}
-}
+var errForeignLayout = errors.New("dataplane: FlatPacket belongs to a different engine layout")
 
-// runSwitch executes one switch unit: fresh registers, bridge imports,
-// shard-gate snapshot, code, bridge exports — the compiled equivalent of
-// one RunPath hop.
-func (l *Lane) runSwitch(u *compiledUnit, ctx *Context, f *FlatPacket) {
-	l.syncTables(u.stateIdx)
-	clear(l.regs[:u.numRegs])
-	for _, m := range u.imports {
-		l.regs[m.reg] = f.Bridge[m.slot]
-	}
-	for i, rs := range u.gates {
-		l.gateVals[i] = l.regs[rs]
-	}
-	l.exec(u, ctx, f)
-	for _, m := range u.exports {
-		f.Bridge[m.slot] = l.regs[m.reg]
-		f.bridgeSet[m.slot] = true
-	}
-}
-
-// RunReference executes the one-big-pipeline reference semantics on the
-// lane, equivalent to dataplane.RunReference against the engine's tables.
-func (e *Engine) RunReference(l *Lane, ctx *Context, f *FlatPacket) {
-	if ctx == nil {
-		ctx = &zeroCtx
-	}
-	l.syncTables(0)
-	clear(l.regs[:e.ref.numRegs])
-	l.exec(e.ref, ctx, f)
-}
-
-// RunPacket pushes one packet along a flow path, mutating it in place —
-// the compiled equivalent of Deployment.RunPath minus the input clone.
-func (e *Engine) RunPacket(l *Lane, path []string, ctx *Context, f *FlatPacket) {
-	if ctx == nil {
-		ctx = &zeroCtx
-	}
-	for _, sw := range path {
-		if u := e.switchUnits[sw]; u != nil {
-			l.runSwitch(u, ctx, f)
+// owns checks that every packet was laid out by this engine: a unit's slot
+// indices mean nothing against another deployment's slabs, so a foreign
+// packet must be refused before any packet of the call is run.
+func (e *Engine) owns(pkts ...*FlatPacket) error {
+	for _, f := range pkts {
+		if f.lay != e.layout {
+			return errForeignLayout
 		}
-	}
-}
-
-// RunPacketContexts is RunPacket with a per-switch environment.
-func (e *Engine) RunPacketContexts(l *Lane, path []string, ctxOf func(sw string) *Context, f *FlatPacket) {
-	for _, sw := range path {
-		u := e.switchUnits[sw]
-		if u == nil {
-			continue
-		}
-		ctx := ctxOf(sw)
-		if ctx == nil {
-			ctx = &zeroCtx
-		}
-		l.runSwitch(u, ctx, f)
-	}
-}
-
-// RunBatch replays a batch of packets along a path, sharding the batch
-// into contiguous chunks across a bounded worker pool with one lane per
-// worker. Each packet is mutated in place. Lanes persist across calls, so
-// stateful programs see a continuous packet stream per lane; chunking is
-// deterministic for a given worker count.
-func (e *Engine) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) {
-	n := len(pkts)
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	e.ensureLanes(workers)
-	if workers == 1 {
-		l := e.lanes[0]
-		for _, f := range pkts {
-			e.RunPacket(l, path, ctx, f)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	par.For(workers, workers, func(w int) {
-		lo := w * chunk
-		if lo >= n {
-			return
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		l := e.lanes[w]
-		for _, f := range pkts[lo:hi] {
-			e.RunPacket(l, path, ctx, f)
-		}
-	})
-}
-
-func (e *Engine) ensureLanes(n int) {
-	for len(e.lanes) < n {
-		e.lanes = append(e.lanes, e.NewLane())
-	}
-}
-
-// Layout sanity check for callers mixing engines.
-func (e *Engine) owns(f *FlatPacket) error {
-	if f.lay != e.layout {
-		return fmt.Errorf("dataplane: FlatPacket belongs to a different engine layout")
 	}
 	return nil
 }

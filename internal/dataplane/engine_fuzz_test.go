@@ -12,26 +12,12 @@ import (
 	"lyra/internal/topo"
 )
 
-// runUnfused executes a path on an engine lowered WITHOUT the
-// superinstruction fusion pass — the oracle the fused opcodes are swept
-// against.
-func runUnfused(dep *Deployment, path []string, ctx *Context, in *Packet) (*Packet, error) {
-	eng, err := newEngine(dep, false)
-	if err != nil {
-		return nil, err
-	}
-	l := eng.NewLane()
-	f := eng.Flatten(in)
-	eng.RunPacket(l, path, ctx, f)
-	return f.Packet(), nil
-}
-
 // engineEquivalenceOneProgram compiles one generated program and asserts
-// that for every flow path and packet, every execution tier produces
-// output byte-identical to the tree-walking interpreter — the fused
-// bytecode engine, the engine with fusion disabled, and the compiled
-// backend — comparing both the full field/header maps (via DiffPackets)
-// and the packet-op summary.
+// that for every flow path and packet, the compiled backend produces
+// output byte-identical to the tree-walking interpreter — built from the
+// lowering with fusion disabled and from the fused, production one —
+// comparing both the full field/header maps (via DiffPackets) and the
+// packet-op summary.
 func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.Rand, nPkts int) {
 	t.Helper()
 	prog, err := parser.Parse("fuzz.lyra", []byte(src))
@@ -57,8 +43,11 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 	}
 	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, nil)
 	if err != nil {
-		// A genuinely infeasible placement is not an engine bug.
-		t.Skipf("solve: %v", err)
+		// A genuinely infeasible placement is not an execution bug. Return,
+		// not Skip: a sweep calls this once per program on one t, and a
+		// skip would end the sweep at its first infeasible program.
+		t.Logf("solve: %v", err)
+		return
 	}
 	tables := NewTables()
 	for i := 0; i < 16; i++ {
@@ -79,35 +68,17 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 			if err != nil {
 				t.Fatalf("deployment: %v\n%s", err, src)
 			}
-			depE, err := NewDeployment(plan, tables)
-			if err != nil {
-				t.Fatalf("deployment: %v\n%s", err, src)
-			}
 			want, err := depI.RunPath(path, ctx, pkt)
 			if err != nil {
 				t.Fatalf("interpreter: %v\n%s", err, src)
-			}
-			got, err := depE.RunPathEngine(path, ctx, pkt)
-			if err != nil {
-				t.Fatalf("engine: %v\n%s", err, src)
-			}
-			if got.Summary() != want.Summary() {
-				t.Fatalf("engine diverges on path %v:\n  interp: %s\n  engine: %s\nsource:\n%s",
-					path, want.Summary(), got.Summary(), src)
-			}
-			if diffs := DiffPackets(want, got, nil); len(diffs) > 0 {
-				t.Fatalf("engine field diffs on path %v: %v\nsource:\n%s", path, diffs, src)
 			}
 			depU, err := NewDeployment(plan, tables)
 			if err != nil {
 				t.Fatalf("deployment: %v\n%s", err, src)
 			}
-			unfused, err := runUnfused(depU, path, ctx, pkt)
-			if err != nil {
-				t.Fatalf("unfused engine: %v\n%s", err, src)
-			}
+			unfused := runUnfused(t, depU, path, ctx, pkt)
 			if diffs := DiffPackets(want, unfused, nil); len(diffs) > 0 || unfused.Summary() != want.Summary() {
-				t.Fatalf("unfused engine diverges on path %v: %v\n  interp:  %s\n  unfused: %s\nsource:\n%s",
+				t.Fatalf("unfused lowering diverges on path %v: %v\n  interp:  %s\n  unfused: %s\nsource:\n%s",
 					path, diffs, want.Summary(), unfused.Summary(), src)
 			}
 			depC, err := NewDeployment(plan, tables)
@@ -128,8 +99,8 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 
 // FuzzEngineEquivalence is the native fuzzing harness for the execution
 // tiers: each int64 seed expands into a random program via progGen, which
-// is compiled PER-SW and checked interpreter vs fused engine vs unfused
-// engine vs compiled backend on random packets.
+// is compiled PER-SW and checked interpreter vs compiled backend (unfused
+// and fused lowering) on random packets.
 // Run with:
 //
 //	go test ./internal/dataplane -fuzz FuzzEngineEquivalence
@@ -159,7 +130,7 @@ func TestEngineFuzzSweepPerSwitch(t *testing.T) {
 }
 
 // TestEngineFuzzSweepMultiSwitch repeats the sweep with MULTI-SW placement
-// over the pod, so the engine's import/export bridge moves and per-shard
+// over the pod, so the lowering's import/export bridge moves and per-shard
 // gate logic face the same random programs as the interpreter's.
 func TestEngineFuzzSweepMultiSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))

@@ -1,13 +1,12 @@
 package dataplane
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // lbDeployment compiles the load balancer, populates tables, and builds a
-// deployment, shared across the engine tests.
+// deployment, shared across the lowering and compiled-tier tests.
 func lbDeployment(t testing.TB) (*Deployment, *Tables, [][]string) {
 	t.Helper()
 	plan, _ := compile(t, lbSrc, lbScope)
@@ -26,9 +25,35 @@ func lbDeployment(t testing.TB) (*Deployment, *Tables, [][]string) {
 	return dep, tables, plan.Input.Scopes["loadbalancer"].Paths
 }
 
+// unfusedCompiled lowers a deployment WITHOUT the superinstruction fusion
+// pass and compiles the result through the same compileUnit the production
+// path uses — the reference the fusion pass is checked against. Where this
+// agrees with the interpreter and Deployment.Compiled does not, the bug is
+// in fuseUnit or a superinstruction's closure; where both disagree, it is
+// in lowering or closure compilation proper.
+func unfusedCompiled(t testing.TB, dep *Deployment) *Compiled {
+	t.Helper()
+	eng, err := newEngine(dep, false)
+	if err != nil {
+		t.Fatalf("unfused lowering: %v", err)
+	}
+	return CompileEngine(eng)
+}
+
+// runUnfused executes a path on the unfused lowering: fresh lane, like
+// RunPathCompiled.
+func runUnfused(t testing.TB, dep *Deployment, path []string, ctx *Context, in *Packet) *Packet {
+	t.Helper()
+	c := unfusedCompiled(t, dep)
+	f := c.Flatten(in)
+	c.RunPacket(c.NewLane(), path, ctx, f)
+	return f.Packet()
+}
+
 // TestEngineMatchesInterpreterLB checks byte-identical output (full map
-// reconstruction, not just the summary) between RunPath and RunPathEngine
-// on the LB workload across every flow path.
+// reconstruction, not just the summary) between RunPath and the unfused
+// lowering on the LB workload across every flow path;
+// TestCompiledMatchesInterpreterLB is the same sweep on the fused one.
 func TestEngineMatchesInterpreterLB(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
 	rng := rand.New(rand.NewSource(2))
@@ -40,12 +65,9 @@ func TestEngineMatchesInterpreterLB(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			got, err := dep.RunPathEngine(path, ctx, pkt)
-			if err != nil {
-				t.Fatalf("engine: %v", err)
-			}
+			got := runUnfused(t, dep, path, ctx, pkt)
 			if got.Summary() != want.Summary() {
-				t.Fatalf("packet %d path %v:\n  interp: %s\n  engine: %s",
+				t.Fatalf("packet %d path %v:\n  interp:  %s\n  unfused: %s",
 					i, path, want.Summary(), got.Summary())
 			}
 			if diffs := DiffPackets(want, got, nil); len(diffs) > 0 {
@@ -55,14 +77,11 @@ func TestEngineMatchesInterpreterLB(t *testing.T) {
 	}
 }
 
-// TestEngineReferenceMatchesInterpreter checks the engine's reference unit
-// against RunReference.
+// TestEngineReferenceMatchesInterpreter checks the unfused lowering's
+// reference unit against RunReference.
 func TestEngineReferenceMatchesInterpreter(t *testing.T) {
 	dep, tables, _ := lbDeployment(t)
-	eng, err := dep.Engine()
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
+	comp := unfusedCompiled(t, dep)
 	irp := dep.Plan.Input.IR
 	rng := rand.New(rand.NewSource(3))
 	ctx := &Context{SwitchID: 1}
@@ -72,17 +91,19 @@ func TestEngineReferenceMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		lane := eng.NewLane()
-		f := eng.Flatten(pkt)
-		eng.RunReference(lane, ctx, f)
+		lane := comp.NewLane()
+		f := comp.Flatten(pkt)
+		comp.RunReference(lane, ctx, f)
 		got := f.Packet()
 		if got.Summary() != want.Summary() {
-			t.Fatalf("packet %d:\n  interp: %s\n  engine: %s", i, want.Summary(), got.Summary())
+			t.Fatalf("packet %d:\n  interp:  %s\n  unfused: %s", i, want.Summary(), got.Summary())
 		}
 	}
 }
 
-// TestEngineTracedMatchesInterpreter compares per-hop snapshots.
+// TestEngineTracedMatchesInterpreter compares per-hop snapshots: the
+// compiled tier run one hop at a time on one persistent lane against
+// RunPathTraced, so a divergence is pinned to the switch it first shows at.
 func TestEngineTracedMatchesInterpreter(t *testing.T) {
 	plan, _ := compile(t, lbSrc, lbScope)
 	tables := NewTables()
@@ -106,19 +127,25 @@ func TestEngineTracedMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter traced: %v", err)
 			}
-			got, gotHops, err := depB.RunPathEngineTraced(path, ctx, pkt)
+			comp, err := depB.Compiled()
 			if err != nil {
-				t.Fatalf("engine traced: %v", err)
+				t.Fatalf("compiled: %v", err)
 			}
-			if got.Summary() != want.Summary() {
-				t.Fatalf("final state:\n  interp: %s\n  engine: %s", want.Summary(), got.Summary())
+			lane, f := comp.NewLane(), comp.Flatten(pkt)
+			var gotHops []HopSnapshot
+			for _, sw := range path {
+				comp.RunPacket(lane, []string{sw}, ctx, f)
+				gotHops = append(gotHops, HopSnapshot{Switch: sw, Summary: f.Packet().Summary()})
+			}
+			if got := f.Packet(); got.Summary() != want.Summary() {
+				t.Fatalf("final state:\n  interp:   %s\n  compiled: %s", want.Summary(), got.Summary())
 			}
 			if len(gotHops) != len(wantHops) {
 				t.Fatalf("hop counts differ: %d vs %d", len(wantHops), len(gotHops))
 			}
 			for h := range wantHops {
 				if gotHops[h].Switch != wantHops[h].Switch || gotHops[h].Summary != wantHops[h].Summary {
-					t.Fatalf("hop %d diverges:\n  interp: %s %s\n  engine: %s %s", h,
+					t.Fatalf("hop %d diverges:\n  interp:   %s %s\n  compiled: %s %s", h,
 						wantHops[h].Switch, wantHops[h].Summary, gotHops[h].Switch, gotHops[h].Summary)
 				}
 			}
@@ -127,8 +154,8 @@ func TestEngineTracedMatchesInterpreter(t *testing.T) {
 }
 
 // statefulSrc exercises globals (register arrays), header add/remove,
-// hashing, packet ops, and table inserts — every stateful op the engine
-// lowers.
+// hashing, packet ops, and table inserts — every stateful op the lowering
+// handles.
 const statefulSrc = `
 header_type h_t { bit[32] a; bit[32] b; bit[32] out; }
 header h_t h;
@@ -160,9 +187,10 @@ algorithm statealg {
 
 const statefulScope = `statealg: [ ToR3 | PER-SW | - ]`
 
-// TestEngineStatefulSequence runs a packet sequence through one lane and
-// through the interpreter on a fresh deployment each, asserting identical
-// evolution of register state, inserted entries, and packet outputs.
+// TestEngineStatefulSequence runs a packet sequence through one lane of the
+// unfused lowering and through the interpreter on a fresh deployment each,
+// asserting identical evolution of register state, inserted entries, and
+// packet outputs (TestCompiledStatefulSequence: the fused lowering).
 func TestEngineStatefulSequence(t *testing.T) {
 	plan, _ := compile(t, statefulSrc, statefulScope)
 	tables := NewTables()
@@ -172,15 +200,12 @@ func TestEngineStatefulSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depEngine, err := NewDeployment(plan, tables)
+	depUnfused, err := NewDeployment(plan, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := depEngine.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lane := eng.NewLane()
+	comp := unfusedCompiled(t, depUnfused)
+	lane := comp.NewLane()
 
 	ctx := &Context{SwitchID: 3, QueueLen: 2}
 	rng := rand.New(rand.NewSource(11))
@@ -194,11 +219,11 @@ func TestEngineStatefulSequence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interpreter: %v", err)
 		}
-		f := eng.Flatten(pkt)
-		eng.RunPacket(lane, path, ctx, f)
+		f := comp.Flatten(pkt)
+		comp.RunPacket(lane, path, ctx, f)
 		got := f.Packet()
 		if got.Summary() != want.Summary() {
-			t.Fatalf("packet %d diverges:\n  interp: %s\n  engine: %s", i, want.Summary(), got.Summary())
+			t.Fatalf("packet %d diverges:\n  interp:  %s\n  unfused: %s", i, want.Summary(), got.Summary())
 		}
 	}
 }
@@ -213,31 +238,31 @@ func TestEngineInsertIsLaneLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := dep.Engine()
+	comp, err := dep.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := eng.NewLane()
+	lane := comp.NewLane()
 	ctx := &Context{}
 	for i := 0; i < 4; i++ { // same key four times: crosses the c>2 insert threshold
 		pkt := NewPacket()
 		pkt.Valid["h"] = true
 		pkt.Fields["h.a"] = 5
-		f := eng.Flatten(pkt)
-		eng.RunPacket(lane, []string{"ToR3"}, ctx, f)
+		f := comp.Flatten(pkt)
+		comp.RunPacket(lane, []string{"ToR3"}, ctx, f)
 	}
 	if st := dep.shardTables["ToR3"]; st != nil {
 		if _, hit := st.Lookup("seen_table", 5); hit {
-			t.Fatal("engine insert leaked into the deployment's shard tables")
+			t.Fatal("data-plane insert leaked into the deployment's shard tables")
 		}
 	}
 	// And a second, fresh lane must not see the first lane's inserts.
-	lane2 := eng.NewLane()
+	lane2 := comp.NewLane()
 	pkt := NewPacket()
 	pkt.Valid["h"] = true
 	pkt.Fields["h.a"] = 5
-	f := eng.Flatten(pkt)
-	eng.RunPacket(lane2, []string{"ToR3"}, ctx, f)
+	f := comp.Flatten(pkt)
+	comp.RunPacket(lane2, []string{"ToR3"}, ctx, f)
 	got := f.Packet()
 	if got.Fields["h.out"] != 1 { // fresh counters, no seen_table hit
 		t.Fatalf("fresh lane saw another lane's state: h.out=%d, want 1", got.Fields["h.out"])
@@ -245,33 +270,34 @@ func TestEngineInsertIsLaneLocal(t *testing.T) {
 }
 
 // TestEngineInvalidatedOnTableMutation: SetSwitchEntry must invalidate the
-// mutated switch's lowered table state — without dropping the engine. The
-// lowered code never depends on table contents, so the engine (and any
-// lanes bound to it) survives the mutation; only the affected switch's
+// mutated switch's lowered table state — without dropping the engine or the
+// compiled backend. The lowered code never depends on table contents, so
+// both (and any lanes bound to them) survive the mutation; only the affected switch's
 // table generation bumps, and lanes rebind that switch's views on their
 // next run through it.
 func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	eng, err := dep.Engine()
+	comp, err := dep.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := comp.Engine()
 	if dep.engine == nil || dep.externKeys == nil {
 		t.Fatal("expected caches to be populated")
 	}
 	tor := paths[0][len(paths[0])-1]
 	gen := eng.tableGen[eng.switchUnits[tor].stateIdx]
 	// A lane that has already executed the switch holds stale views.
-	lane := eng.NewLane()
+	lane := comp.NewLane()
 	warm := NewPacket()
 	warm.Valid["ipv4"] = true
 	warm.Valid["tcp"] = true
 	warm.Fields["ipv4.dstAddr"] = 99
 	warm.Fields["ipv4.protocol"] = 6
-	eng.RunPacket(lane, paths[0], &Context{SwitchID: 1}, eng.Flatten(warm))
+	comp.RunPacket(lane, paths[0], &Context{SwitchID: 1}, comp.Flatten(warm))
 
 	dep.SetSwitchEntry(tor, "vip_table", 99, 0xdead)
-	if dep.engine != eng {
+	if dep.engine != eng || dep.compiled != comp {
 		t.Fatal("SetSwitchEntry dropped the cached engine; expected a generation bump instead")
 	}
 	if dep.externKeys == nil {
@@ -291,26 +317,18 @@ func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dep.RunPathEngine(paths[0], ctx, pkt)
+	got, err := dep.RunPathCompiled(paths[0], ctx, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Summary() != want.Summary() {
-		t.Fatalf("post-mutation divergence:\n  interp: %s\n  engine: %s", want.Summary(), got.Summary())
+		t.Fatalf("post-mutation divergence:\n  interp:   %s\n  compiled: %s", want.Summary(), got.Summary())
 	}
 	// The pre-existing lane must also observe the new entry (lazy rebind).
-	f := eng.Flatten(pkt.Clone())
-	eng.RunPacket(lane, paths[0], ctx, f)
+	f := comp.Flatten(pkt.Clone())
+	comp.RunPacket(lane, paths[0], ctx, f)
 	if laneGot := f.Packet(); laneGot.Summary() != want.Summary() {
 		t.Fatalf("stale lane after mutation:\n  interp: %s\n  lane:   %s", want.Summary(), laneGot.Summary())
-	}
-	// The compiled backend shares the engine's generations and must agree.
-	cgot, err := dep.RunPathCompiled(paths[0], ctx, pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cgot.Summary() != want.Summary() {
-		t.Fatalf("post-mutation divergence:\n  interp:   %s\n  compiled: %s", want.Summary(), cgot.Summary())
 	}
 
 	// Mutating one switch must not touch the others' generations.
@@ -335,30 +353,27 @@ func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 	}
 }
 
-// TestEngineRunBatchMatchesSequential: batched, sharded replay must produce
-// the same per-packet outputs as one-at-a-time engine execution for a
-// stateless workload, at every worker count.
+// TestEngineRunBatchMatchesSequential: batched, sharded replay of the
+// unfused lowering must produce the same per-packet outputs as its
+// single-worker run for a stateless workload, at every worker count.
 func TestEngineRunBatchMatchesSequential(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	eng, err := dep.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := unfusedCompiled(t, dep)
 	ctx := &Context{SwitchID: 2}
 	const n = 256
 	mk := func() []*FlatPacket {
 		r := rand.New(rand.NewSource(5))
 		out := make([]*FlatPacket, n)
 		for i := range out {
-			out[i] = eng.Flatten(randomLBPacket(r))
+			out[i] = comp.Flatten(randomLBPacket(r))
 		}
 		return out
 	}
 	base := mk()
-	eng.RunBatch(paths[0], ctx, base, 1)
+	comp.RunBatch(paths[0], ctx, base, 1)
 	for _, workers := range []int{2, 4, 7} {
 		got := mk()
-		eng.RunBatch(paths[0], ctx, got, workers)
+		comp.RunBatch(paths[0], ctx, got, workers)
 		for i := range got {
 			if got[i].Packet().Summary() != base[i].Packet().Summary() {
 				t.Fatalf("workers=%d packet %d diverges from sequential", workers, i)
@@ -367,8 +382,10 @@ func TestEngineRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateZeroAlloc is the acceptance gate: the execute loop
-// must not allocate once lanes and packets exist.
+// TestEngineSteadyStateZeroAlloc is the acceptance gate at the Executor
+// interface, where the per-packet layout-ownership check lives: running a
+// packet or a single-worker batch through ExecutorFor(TierCompiled) must
+// not allocate once lanes and packets exist.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -378,39 +395,45 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := eng.NewLane()
+	x, err := dep.ExecutorFor(TierCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := &Context{SwitchID: 2, IngressTS: 5}
 	rng := rand.New(rand.NewSource(6))
 	tmpl := eng.Flatten(randomLBPacket(rng))
 	f := eng.NewFlatPacket()
 	path := paths[0]
+	run := func() {
+		f.CopyFrom(tmpl)
+		if err := x.RunPacket(path, ctx, f); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Warm up (first runs may grow runtime stacks).
 	for i := 0; i < 10; i++ {
-		f.CopyFrom(tmpl)
-		eng.RunPacket(lane, path, ctx, f)
+		run()
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		f.CopyFrom(tmpl)
-		eng.RunPacket(lane, path, ctx, f)
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("steady-state execute loop allocates %.1f times per packet, want 0", allocs)
 	}
 	// Single-worker batches run inline on lane 0 and stay allocation-free
 	// too.
 	batch := []*FlatPacket{f}
-	eng.RunBatch(path, ctx, batch, 1)
-	allocs = testing.AllocsPerRun(200, func() {
+	runBatch := func() {
 		f.CopyFrom(tmpl)
-		eng.RunBatch(path, ctx, batch, 1)
-	})
-	if allocs != 0 {
+		if err := x.RunBatch(path, ctx, batch, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runBatch()
+	if allocs := testing.AllocsPerRun(200, runBatch); allocs != 0 {
 		t.Fatalf("single-worker RunBatch allocates %.1f times per packet, want 0", allocs)
 	}
 }
 
 // BenchmarkInterpreterPath measures the tree-walking interpreter on the LB
-// flow path — the baseline the engine is judged against.
+// flow path — the baseline BenchmarkCompiledPath is judged against.
 func BenchmarkInterpreterPath(b *testing.B) {
 	dep, _, paths := lbDeployment(b)
 	rng := rand.New(rand.NewSource(8))
@@ -427,67 +450,6 @@ func BenchmarkInterpreterPath(b *testing.B) {
 		}
 	}
 	reportPPS(b)
-}
-
-// BenchmarkEnginePath measures single-packet engine execution.
-func BenchmarkEnginePath(b *testing.B) {
-	dep, _, paths := lbDeployment(b)
-	eng, err := dep.Engine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lane := eng.NewLane()
-	rng := rand.New(rand.NewSource(8))
-	tmpls := make([]*FlatPacket, 1024)
-	for i := range tmpls {
-		tmpls[i] = eng.Flatten(randomLBPacket(rng))
-	}
-	f := eng.NewFlatPacket()
-	ctx := &Context{SwitchID: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.CopyFrom(tmpls[i%len(tmpls)])
-		eng.RunPacket(lane, paths[0], ctx, f)
-	}
-	reportPPS(b)
-}
-
-// BenchmarkEngineBatch measures sharded batch replay at several batch
-// sizes and the machine's parallelism.
-func BenchmarkEngineBatch(b *testing.B) {
-	for _, bench := range []struct {
-		batch   int
-		workers int
-	}{{64, 1}, {1024, 1}, {1024, 0}} {
-		name := fmt.Sprintf("batch=%d/workers=%d", bench.batch, bench.workers)
-		b.Run(name, func(b *testing.B) {
-			dep, _, paths := lbDeployment(b)
-			eng, err := dep.Engine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(8))
-			tmpls := make([]*FlatPacket, bench.batch)
-			work := make([]*FlatPacket, bench.batch)
-			for i := range tmpls {
-				tmpls[i] = eng.Flatten(randomLBPacket(rng))
-				work[i] = eng.NewFlatPacket()
-			}
-			ctx := &Context{SwitchID: 2}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range work {
-					work[j].CopyFrom(tmpls[j])
-				}
-				eng.RunBatch(paths[0], ctx, work, bench.workers)
-			}
-			b.StopTimer()
-			pkts := float64(b.N) * float64(bench.batch)
-			b.ReportMetric(pkts/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
 }
 
 func reportPPS(b *testing.B) {

@@ -221,8 +221,8 @@ type Deployment struct {
 	globals     map[string]globalStore
 	tables      *Tables
 
-	// Derived state cached at construction: the lowered bytecode engine
-	// and compiled backend, the per-tier executors, each extern's sorted
+	// Derived state cached at construction: the lowered engine and the
+	// compiled backend, the per-tier executors, each extern's sorted
 	// entry keys, and each extern's hosting switches in shard-index order.
 	// Control-plane mutations (SetSwitchEntry/ClearSwitchTable) no longer
 	// drop any of this: the lowered/compiled code is content-independent,
@@ -232,8 +232,7 @@ type Deployment struct {
 	// which those calls never touch.
 	engine      *Engine
 	compiled    *Compiled
-	execs       [3]Executor
-	tier        ExecutorTier
+	execs       [2]Executor
 	externKeys  map[string][]uint64
 	externHosts map[string][]string
 }
@@ -307,9 +306,8 @@ func (d *Deployment) hostOrderOf(extern string) []string {
 // NewDeployment builds a deployment from a solved plan, distributing the
 // control-plane entries across extern shards exactly as the generated
 // control-plane interface would (fill shard hosts in shard-index order up
-// to each shard's allotted size). Options select the execution tier
-// (WithExecutor); the default is the bytecode engine.
-func NewDeployment(plan *encode.Plan, tables *Tables, opts ...DeployOption) (*Deployment, error) {
+// to each shard's allotted size).
+func NewDeployment(plan *encode.Plan, tables *Tables) (*Deployment, error) {
 	progs, err := backend.Build(plan)
 	if err != nil {
 		return nil, err
@@ -320,10 +318,6 @@ func NewDeployment(plan *encode.Plan, tables *Tables, opts ...DeployOption) (*De
 		shardTables: map[string]*Tables{},
 		globals:     map[string]globalStore{},
 		tables:      tables,
-		tier:        TierEngine,
-	}
-	for _, opt := range opts {
-		opt(d)
 	}
 	for sw := range progs {
 		d.shardTables[sw] = NewTables()
@@ -350,10 +344,13 @@ func NewDeployment(plan *encode.Plan, tables *Tables, opts ...DeployOption) (*De
 				d.shardTables[h] = NewTables()
 			}
 		}
-		paths := [][]string{}
-		if rs := plan.Input.Scopes[decl.Alg]; rs != nil && len(rs.Paths) > 0 {
-			paths = rs.Paths
-		} else {
+		var paths [][]string
+		if rs := plan.Input.Scopes[decl.Alg]; rs != nil {
+			if paths, err = rs.PathList(); err != nil {
+				return nil, fmt.Errorf("dataplane: flow paths of %s: %w", decl.Alg, err)
+			}
+		}
+		if len(paths) == 0 {
 			// PER-SW or single host: each host is its own "path".
 			for _, h := range d.hostOrderOf(extern) {
 				paths = append(paths, []string{h})
@@ -497,7 +494,7 @@ func (d *Deployment) ClearSwitchTable(sw, extern string) {
 	}
 }
 
-// Engine returns the deployment's bytecode engine, lowering the placed
+// Engine returns the deployment's lowered form, lowering the placed
 // programs on first use. The engine survives control-plane mutations:
 // SetSwitchEntry/ClearSwitchTable bump only the affected switch's table
 // generation.
@@ -526,47 +523,11 @@ func (d *Deployment) Compiled() (*Compiled, error) {
 	return d.compiled, nil
 }
 
-// RunPathEngine is RunPath executed on the compiled bytecode engine: a
-// fresh lane (zeroed per-switch globals, copy-on-write table views bound
-// to the deployment's current shard contents) pushes the packet along the
-// path. Given identical starting state it is byte-identical to RunPath;
-// the reference interpreter remains the oracle it is checked against.
-func (d *Deployment) RunPathEngine(path []string, ctx *Context, in *Packet) (*Packet, error) {
-	return d.RunPathEngineWithContexts(path, func(string) *Context { return ctx }, in)
-}
-
-// RunPathEngineWithContexts is RunPathEngine with a per-switch environment.
-func (d *Deployment) RunPathEngineWithContexts(path []string, ctxOf func(sw string) *Context, in *Packet) (*Packet, error) {
-	e, err := d.Engine()
-	if err != nil {
-		return nil, err
-	}
-	l := e.NewLane()
-	f := e.Flatten(in)
-	e.RunPacketContexts(l, path, ctxOf, f)
-	return f.Packet(), nil
-}
-
-// RunPathEngineTraced is RunPathEngine with a per-hop packet snapshot,
-// mirroring RunPathTraced: one lane persists across the hops so stateful
-// switches behave as in a single path run.
-func (d *Deployment) RunPathEngineTraced(path []string, ctx *Context, in *Packet) (*Packet, []HopSnapshot, error) {
-	e, err := d.Engine()
-	if err != nil {
-		return nil, nil, err
-	}
-	l := e.NewLane()
-	f := e.Flatten(in)
-	trace := make([]HopSnapshot, 0, len(path))
-	for _, sw := range path {
-		e.RunPacket(l, []string{sw}, ctx, f)
-		trace = append(trace, HopSnapshot{Switch: sw, Summary: f.Packet().Summary()})
-	}
-	return f.Packet(), trace, nil
-}
-
 // RunPathCompiled is RunPath executed on the closure-threaded compiled
-// backend: the same semantics as RunPathEngine, one dispatch tier faster.
+// backend: a fresh lane (zeroed per-switch globals, copy-on-write table
+// views bound to the deployment's current shard contents) pushes the packet
+// along the path. Given identical starting state it is byte-identical to
+// RunPath; the interpreter remains the oracle it is checked against.
 func (d *Deployment) RunPathCompiled(path []string, ctx *Context, in *Packet) (*Packet, error) {
 	return d.RunPathCompiledWithContexts(path, func(string) *Context { return ctx }, in)
 }
@@ -582,16 +543,4 @@ func (d *Deployment) RunPathCompiledWithContexts(path []string, ctxOf func(sw st
 	f := c.eng.Flatten(in)
 	c.RunPacketContexts(l, path, ctxOf, f)
 	return f.Packet(), nil
-}
-
-// ReplayTraffic replays a batch of engine packets along a path, sharded
-// across workers. It is a compat shim over the deployment's selected
-// Executor tier (TierEngine by default; see WithExecutor). Packets are
-// mutated in place and must come from this deployment's engine layout.
-func (d *Deployment) ReplayTraffic(path []string, ctx *Context, pkts []*FlatPacket, workers int) error {
-	x, err := d.Executor()
-	if err != nil {
-		return err
-	}
-	return x.RunBatch(path, ctx, pkts, workers)
 }

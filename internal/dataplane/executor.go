@@ -1,30 +1,28 @@
 package dataplane
 
-// The unified Executor API. A deployment can execute packets through three
-// tiers that implement identical semantics over the same placed programs:
+// The unified Executor API. A deployment executes packets through two tiers
+// that implement identical semantics over the same placed programs and
+// share no execution code:
 //
 //	TierInterpreter — the tree-walking interpreter over map-based Packets
-//	                  (exec.go). Slowest; the root oracle.
-//	TierEngine      — the bytecode engine over FlatPackets (engine.go).
-//	                  Fast; cross-checked against the interpreter.
-//	TierCompiled    — the closure-threaded compiled backend (compile.go).
-//	                  Fastest; cross-checked against both.
+//	                  (exec.go). Slow; the reference.
+//	TierCompiled    — the closure-threaded compiled backend over the
+//	                  lowered units (lower.go, compile.go). The production
+//	                  executor; cross-checked against the interpreter.
 //
-// Every tier speaks FlatPacket at the interface (the engine's Layout is the
+// Both tiers speak FlatPacket at the interface (the engine's Layout is the
 // deployment-wide packet currency); the interpreter tier converts at the
-// boundary. Callers pick a tier with WithExecutor at deployment
-// construction, or ask for a specific one with ExecutorFor. The legacy
-// entry points (Deployment.RunPath, RunPathEngine, ReplayTraffic,
-// dataplane.RunReference) remain as compat shims over these tiers.
+// boundary. Callers ask for a tier with ExecutorFor.
 
 import "fmt"
 
-// ExecutorTier names one of the three execution backends.
+// ExecutorTier names one of the two execution backends. The zero value is
+// the interpreter: a caller that names no tier gets the reference
+// semantics, and asks for speed explicitly.
 type ExecutorTier int
 
 const (
 	TierInterpreter ExecutorTier = iota
-	TierEngine
 	TierCompiled
 )
 
@@ -32,8 +30,6 @@ func (t ExecutorTier) String() string {
 	switch t {
 	case TierInterpreter:
 		return "interpreter"
-	case TierEngine:
-		return "engine"
 	case TierCompiled:
 		return "compiled"
 	}
@@ -48,7 +44,7 @@ type ExecutorStats struct {
 }
 
 // Executor runs packets through one execution tier of a deployment. Like
-// the engine it wraps, an Executor is single-caller: one goroutine calls
+// the backend it wraps, an Executor is single-caller: one goroutine calls
 // RunPacket/RunBatch at a time (RunBatch fans out internally).
 type Executor interface {
 	// Tier identifies the backend.
@@ -65,8 +61,8 @@ type Executor interface {
 
 // interpExecutor adapts the tree-walking interpreter to the Executor
 // interface: packets convert to maps at the boundary, and the deployment's
-// persistent per-switch globals carry state across packets (the engine
-// tiers keep that state in lanes instead).
+// persistent per-switch globals carry state across packets (the compiled
+// tier keeps that state in lanes instead).
 type interpExecutor struct {
 	d       *Deployment
 	packets uint64
@@ -102,44 +98,9 @@ func (x *interpExecutor) Stats() ExecutorStats {
 	return ExecutorStats{Tier: TierInterpreter.String(), Packets: x.packets, Batches: x.batches}
 }
 
-// engineExecutor adapts the bytecode engine. Single-packet runs share lane
-// 0 with single-worker batches, so stateful programs see one continuous
-// stream.
-type engineExecutor struct {
-	e       *Engine
-	packets uint64
-	batches uint64
-}
-
-func (x *engineExecutor) Tier() ExecutorTier { return TierEngine }
-
-func (x *engineExecutor) RunPacket(path []string, ctx *Context, f *FlatPacket) error {
-	if err := x.e.owns(f); err != nil {
-		return err
-	}
-	x.packets++
-	x.e.ensureLanes(1)
-	x.e.RunPacket(x.e.lanes[0], path, ctx, f)
-	return nil
-}
-
-func (x *engineExecutor) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) error {
-	if len(pkts) > 0 {
-		if err := x.e.owns(pkts[0]); err != nil {
-			return err
-		}
-	}
-	x.packets += uint64(len(pkts))
-	x.batches++
-	x.e.RunBatch(path, ctx, pkts, workers)
-	return nil
-}
-
-func (x *engineExecutor) Stats() ExecutorStats {
-	return ExecutorStats{Tier: TierEngine.String(), Packets: x.packets, Batches: x.batches}
-}
-
 // compiledExecutor adapts the closure-threaded compiled backend.
+// Single-packet runs share lane 0 with single-worker batches, so stateful
+// programs see one continuous stream.
 type compiledExecutor struct {
 	c       *Compiled
 	packets uint64
@@ -159,10 +120,8 @@ func (x *compiledExecutor) RunPacket(path []string, ctx *Context, f *FlatPacket)
 }
 
 func (x *compiledExecutor) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) error {
-	if len(pkts) > 0 {
-		if err := x.c.eng.owns(pkts[0]); err != nil {
-			return err
-		}
+	if err := x.c.eng.owns(pkts...); err != nil {
+		return err
 	}
 	x.packets += uint64(len(pkts))
 	x.batches++
@@ -174,22 +133,8 @@ func (x *compiledExecutor) Stats() ExecutorStats {
 	return ExecutorStats{Tier: TierCompiled.String(), Packets: x.packets, Batches: x.batches}
 }
 
-// DeployOption configures a Deployment at construction.
-type DeployOption func(*Deployment)
-
-// WithExecutor selects the execution tier Deployment.Executor (and the
-// compat shims routed through it, like ReplayTraffic) will use. The
-// default is TierEngine.
-func WithExecutor(t ExecutorTier) DeployOption {
-	return func(d *Deployment) { d.tier = t }
-}
-
-// Executor returns the deployment's selected execution tier (TierEngine
-// unless WithExecutor chose otherwise), building it on first use.
-func (d *Deployment) Executor() (Executor, error) { return d.ExecutorFor(d.tier) }
-
 // ExecutorFor returns the given tier's executor for this deployment,
-// building and caching it on first use. All tiers share the engine's
+// building and caching it on first use. Both tiers share the engine's
 // Layout, so FlatPackets flow between them freely; stats accumulate per
 // tier for the deployment's lifetime.
 func (d *Deployment) ExecutorFor(t ExecutorTier) (Executor, error) {
@@ -203,12 +148,6 @@ func (d *Deployment) ExecutorFor(t ExecutorTier) (Executor, error) {
 	switch t {
 	case TierInterpreter:
 		x = &interpExecutor{d: d}
-	case TierEngine:
-		e, err := d.Engine()
-		if err != nil {
-			return nil, err
-		}
-		x = &engineExecutor{e: e}
 	case TierCompiled:
 		c, err := d.Compiled()
 		if err != nil {

@@ -1,13 +1,14 @@
 package dataplane
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// TestExecutorTiersAgree runs the same packet stream through all three
-// executor tiers and asserts byte-identical outputs packet by packet.
+// TestExecutorTiersAgree runs the same packet stream through both executor
+// tiers and asserts byte-identical outputs packet by packet.
 func TestExecutorTiersAgree(t *testing.T) {
 	plan, _ := compile(t, lbSrc, lbScope)
 	tables := NewTables()
@@ -22,10 +23,9 @@ func TestExecutorTiersAgree(t *testing.T) {
 		return dep
 	}
 	// One deployment per tier: the interpreter tier mutates shared
-	// per-switch globals while the flat tiers keep state in lanes.
+	// per-switch globals while the compiled tier keeps state in lanes.
 	deps := map[ExecutorTier]*Deployment{
 		TierInterpreter: mkDep(),
-		TierEngine:      mkDep(),
 		TierCompiled:    mkDep(),
 	}
 	execs := map[ExecutorTier]Executor{}
@@ -60,9 +60,9 @@ func TestExecutorTiersAgree(t *testing.T) {
 			}
 			outs[tier] = f.Packet().Summary()
 		}
-		if outs[TierEngine] != outs[TierInterpreter] || outs[TierCompiled] != outs[TierInterpreter] {
-			t.Fatalf("packet %d tier divergence:\n  interp:   %s\n  engine:   %s\n  compiled: %s",
-				i, outs[TierInterpreter], outs[TierEngine], outs[TierCompiled])
+		if outs[TierCompiled] != outs[TierInterpreter] {
+			t.Fatalf("packet %d tier divergence:\n  interp:   %s\n  compiled: %s",
+				i, outs[TierInterpreter], outs[TierCompiled])
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestExecutorBatchAgree(t *testing.T) {
 	ctx := &Context{SwitchID: 2}
 	const n = 64
 	var want []string
-	for _, tier := range []ExecutorTier{TierInterpreter, TierEngine, TierCompiled} {
+	for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 		dep, err := NewDeployment(plan, tables)
 		if err != nil {
 			t.Fatal(err)
@@ -113,48 +113,33 @@ func TestExecutorBatchAgree(t *testing.T) {
 	}
 }
 
-// TestExecutorSelection: WithExecutor picks the tier Deployment.Executor
-// (and the ReplayTraffic shim) routes through; the default is the engine.
+// TestExecutorSelection: ExecutorFor hands out the tier asked for, and each
+// tier's stats count only what ran through it.
 func TestExecutorSelection(t *testing.T) {
 	plan, _ := compile(t, lbSrc, lbScope)
-	tables := NewTables()
-
-	dep, err := NewDeployment(plan, tables)
+	dep, err := NewDeployment(plan, NewTables())
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := dep.Executor()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Tier() != TierEngine {
-		t.Fatalf("default executor tier = %v, want %v", x.Tier(), TierEngine)
-	}
-
-	for _, tier := range []ExecutorTier{TierInterpreter, TierEngine, TierCompiled} {
-		dep, err := NewDeployment(plan, tables, WithExecutor(tier))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := dep.Executor()
+	paths := plan.Input.Scopes["loadbalancer"].Paths
+	for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
+		x, err := dep.ExecutorFor(tier)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if x.Tier() != tier {
-			t.Fatalf("WithExecutor(%v) selected %v", tier, x.Tier())
+			t.Fatalf("ExecutorFor(%v) selected %v", tier, x.Tier())
 		}
-		// ReplayTraffic routes through the selected tier and its stats.
-		eng, err := dep.Engine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths := plan.Input.Scopes["loadbalancer"].Paths
 		rng := rand.New(rand.NewSource(15))
 		pkts := make([]*FlatPacket, 8)
 		for i := range pkts {
 			pkts[i] = eng.Flatten(randomLBPacket(rng))
 		}
-		if err := dep.ReplayTraffic(paths[0], &Context{SwitchID: 1}, pkts, 1); err != nil {
+		if err := x.RunBatch(paths[0], &Context{SwitchID: 1}, pkts, 1); err != nil {
 			t.Fatal(err)
 		}
 		st := x.Stats()
@@ -211,7 +196,7 @@ func TestExecutorForInvalidTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []ExecutorTier{ExecutorTier(-1), ExecutorTier(3), ExecutorTier(42)} {
+	for _, bad := range []ExecutorTier{ExecutorTier(-1), ExecutorTier(2), ExecutorTier(42)} {
 		x, err := dep.ExecutorFor(bad)
 		if err == nil {
 			t.Fatalf("ExecutorFor(%v) succeeded with executor %v", bad, x)
@@ -225,11 +210,11 @@ func TestExecutorForInvalidTier(t *testing.T) {
 		}
 	}
 	// Valid tiers still work on the same deployment afterwards.
-	x, err := dep.Executor()
+	x, err := dep.ExecutorFor(TierCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Tier() != TierEngine {
+	if x.Tier() != TierCompiled {
 		t.Fatalf("deployment damaged by invalid-tier probes: tier = %v", x.Tier())
 	}
 }
@@ -238,23 +223,22 @@ func TestExecutorForInvalidTier(t *testing.T) {
 // through a live executor: entries installed with SetSwitchEntry become
 // visible to the next packet through the same Executor instance (the
 // per-switch generation bump rebinds the lane's table views), and
-// ClearSwitchTable makes them vanish again. Checked on both flat tiers,
-// where lowered table state is cached and invalidation is load-bearing.
+// ClearSwitchTable makes them vanish again. Checked on both tiers: on the
+// compiled one lowered table state is cached and invalidation is
+// load-bearing; the interpreter reads the shard tables directly and says
+// what the mutation means.
 func TestExecutorObservesTableMutationsMidReplay(t *testing.T) {
 	plan, _ := compile(t, lbSrc, lbScope)
-	for _, tier := range []ExecutorTier{TierEngine, TierCompiled} {
+	for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 		// No VIP entries: the packet's dstAddr passes through unchanged
 		// until the mutation installs a mapping.
-		dep, err := NewDeployment(plan, NewTables(), WithExecutor(tier))
+		dep, err := NewDeployment(plan, NewTables())
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := dep.Executor()
+		x, err := dep.ExecutorFor(tier)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if x.Tier() != tier {
-			t.Fatalf("WithExecutor(%v) selected %v", tier, x.Tier())
 		}
 		eng, err := dep.Engine()
 		if err != nil {
@@ -306,12 +290,73 @@ func TestExecutorObservesTableMutationsMidReplay(t *testing.T) {
 func TestExecutorTierString(t *testing.T) {
 	for tier, want := range map[ExecutorTier]string{
 		TierInterpreter:  "interpreter",
-		TierEngine:       "engine",
 		TierCompiled:     "compiled",
 		ExecutorTier(42): "tier(42)",
 	} {
 		if got := tier.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(tier), got, want)
 		}
+	}
+}
+
+// TestBatchRejectsForeignPacketAtAnyIndex: a packet laid out by another
+// deployment is refused wherever it sits in the call, by both batch entry
+// points, before any packet of the call is run or enqueued. The foreign
+// layout here is the smaller one, so trusting index >= 1 would index this
+// layout's slots past that packet's slabs.
+func TestBatchRejectsForeignPacketAtAnyIndex(t *testing.T) {
+	dep, _, paths := lbDeployment(t)
+	eng, err := dep.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherPlan, _ := compile(t, statefulSrc, statefulScope)
+	otherDep, err := NewDeployment(otherPlan, NewTables())
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherEng, err := otherDep.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(otherEng.layout.fieldName) >= len(eng.layout.fieldName) {
+		t.Fatal("test premise: the foreign layout must be the smaller one")
+	}
+	rng := rand.New(rand.NewSource(17))
+	mixed := func() ([]*FlatPacket, string) {
+		own := eng.Flatten(randomLBPacket(rng))
+		return []*FlatPacket{own, otherEng.NewFlatPacket(), eng.NewFlatPacket()}, own.Packet().Summary()
+	}
+
+	x, err := dep.ExecutorFor(TierCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, before := mixed()
+	if err := x.RunBatch(paths[0], &Context{SwitchID: 1}, pkts, 1); !errors.Is(err, errForeignLayout) {
+		t.Fatalf("RunBatch with a foreign packet at index 1: err = %v, want %v", err, errForeignLayout)
+	}
+	if st := x.Stats(); st.Packets != 0 || st.Batches != 0 {
+		t.Fatalf("rejected batch was counted: %+v", st)
+	}
+	if after := pkts[0].Packet().Summary(); after != before {
+		t.Fatalf("rejected batch ran its first packet:\n  before: %s\n  after:  %s", before, after)
+	}
+
+	s, err := dep.OpenStream(paths[0], StreamOptions{Tier: TierCompiled, Lanes: 2, BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pkts, before = mixed()
+	if err := s.Feed(pkts...); !errors.Is(err, errForeignLayout) {
+		t.Fatalf("Feed with a foreign packet at index 1: err = %v, want %v", err, errForeignLayout)
+	}
+	if st := s.Stats(); st.Packets != 0 {
+		t.Fatalf("rejected Feed enqueued %d packets", st.Packets)
+	}
+	s.Flush()
+	if after := pkts[0].Packet().Summary(); after != before {
+		t.Fatalf("rejected Feed ran its first packet:\n  before: %s\n  after:  %s", before, after)
 	}
 }

@@ -1,16 +1,16 @@
 package dataplane
 
-// This file is the compile-to-bytecode lowering pass: it flattens the
-// tree-walking interpreter's inputs — an ir.Program for the reference
-// one-big-pipeline semantics, and each placed backend.SwitchProgram for the
-// distributed execution — into linear instruction arrays over dense integer
-// slots. The hot loop (engine.go) then never touches a map, a string key,
-// or a *ir.Var pointer: SSA variables become register indices (ir.SlotMap),
-// header fields and validity bits become packet-array offsets, extern
-// tables and global register arrays become handle indices, guards become
-// precomputed (register, polarity) ranges, and the shard hit-gating of
-// Algorithm 2 becomes a per-instruction gate index resolved at lowering
-// time instead of a per-packet map build.
+// This file is the lowering pass: it flattens the tree-walking
+// interpreter's inputs — an ir.Program for the reference one-big-pipeline
+// semantics, and each placed backend.SwitchProgram for the distributed
+// execution — into linear instruction arrays over dense integer slots. The
+// closures compile.go builds from them then never touch a map, a string
+// key, or a *ir.Var pointer: SSA variables become register indices
+// (ir.SlotMap), header fields and validity bits become packet-array
+// offsets, extern tables and global register arrays become handle indices,
+// guards become precomputed (register, polarity) ranges, and the shard
+// hit-gating of Algorithm 2 becomes a per-instruction gate index resolved
+// at lowering time instead of a per-packet map build.
 
 import (
 	"fmt"
@@ -21,8 +21,8 @@ import (
 	"lyra/internal/lang/ast"
 )
 
-// Bytecode opcodes. Packet operations are specialized into one opcode each
-// so the hot loop never string-compares the IR's Table field.
+// Lowered opcodes. Packet operations are specialized into one opcode each
+// so no executor string-compares the IR's Table field.
 const (
 	bAssign uint8 = iota
 	bBin
@@ -128,12 +128,6 @@ type binstr struct {
 	guardEnd int32
 	argsOff  int32 // bHash operands in unit.args; fused select operands
 	argsEnd  int32
-
-	// g1reg/g1neg inline the common single-conjunct guard so the hot loop
-	// skips the side-array walk (-1 = no inlined guard; fall back to the
-	// [guardOff,guardEnd) range). Set by fuseUnit.
-	g1reg int32
-	g1neg bool
 
 	// Second destination of a fused superinstruction (the downstream
 	// instruction's store). dNone for plain opcodes.
@@ -306,13 +300,13 @@ func (lo *lowerer) opref(o ir.Operand, slot func(*ir.Var) int32) opRef {
 	}
 }
 
-// lowerInstrs appends the bytecode for one IR instruction stream to u.
+// lowerInstrs appends the lowered form of one IR instruction stream to u.
 // gateOf resolves an instruction ID to its shard-gate index (-1 ungated);
 // nil means no gating (the reference pipeline).
 func (lo *lowerer) lowerInstrs(u *compiledUnit, instrs []*ir.Instr,
 	slot func(*ir.Var) int32, gateOf func(id int) int32) error {
 	for _, in := range instrs {
-		b := binstr{gate: -1, g1reg: -1, guardOff: int32(len(u.guards)), argsOff: int32(len(u.args))}
+		b := binstr{gate: -1, guardOff: int32(len(u.guards)), argsOff: int32(len(u.args))}
 		for _, g := range in.Guard {
 			u.guards = append(u.guards, guardRef{reg: slot(g.Var), neg: g.Neg})
 		}
@@ -551,13 +545,9 @@ func guardReadsReg(u *compiledUnit, in *binstr, reg int32) bool {
 // The fused opcode performs both stores in original order (the intermediate
 // register is still written), so fusion never changes observable state.
 // Fusion requires the pair's shared guard not to test the intermediate
-// register: the unfused loop re-evaluates the second guard after the first
+// register: unfused, the second guard is re-evaluated after the first
 // store, and a guard over the clobbered register could flip between the
 // two evaluations.
-//
-// The pass also inlines single-conjunct guards (by far the common case of
-// if-conversion) into the instruction itself — the guard→assign fusion —
-// so the hot loop tests one register without touching the guard side array.
 func fuseUnit(u *compiledUnit) {
 	fused := u.code[:0:0]
 	for i := 0; i < len(u.code); i++ {
@@ -597,11 +587,4 @@ func fuseUnit(u *compiledUnit) {
 		fused = append(fused, in)
 	}
 	u.code = fused
-	for i := range u.code {
-		in := &u.code[i]
-		if in.guardEnd-in.guardOff == 1 {
-			g := u.guards[in.guardOff]
-			in.g1reg, in.g1neg = g.reg, g.neg
-		}
-	}
 }

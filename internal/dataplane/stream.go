@@ -1,6 +1,6 @@
 package dataplane
 
-// Long-lived streaming replay over the execution tiers. A Stream is a
+// Long-lived streaming replay over the two execution tiers. A Stream is a
 // stateful packet conveyor opened on one flow path: packets are fed
 // continuously, each is pinned to a lane by its flow key, and per-flow
 // register/extern state survives across batch boundaries because a flow's
@@ -28,8 +28,8 @@ package dataplane
 // every pending lane in parallel (one worker per lane) before accepting
 // it. Feed therefore never buffers more than Lanes×BatchSize packets and
 // never returns while the stream is over capacity — the caller's Feed
-// call IS the backpressure. The drain path reuses the engine/compiled
-// zero-allocation execution loops, so the steady state allocates nothing
+// call IS the backpressure. The drain path reuses the compiled tier's
+// zero-allocation execution loop, so the steady state allocates nothing
 // per packet.
 //
 // Like the executors it builds on, a Stream is single-caller: one
@@ -43,10 +43,11 @@ import (
 
 // StreamOptions configures OpenStream.
 type StreamOptions struct {
-	// Tier selects the execution backend (default TierEngine). The
-	// interpreter tier keeps its state in the deployment and is not
-	// thread-safe, so its lanes drain sequentially; it exists so the
-	// oracle can replay the same stream shape on the reference semantics.
+	// Tier selects the execution backend. The zero value is
+	// TierInterpreter, the reference: it keeps its state in the deployment
+	// and is not thread-safe, so its lanes drain sequentially, and it
+	// exists so the oracle can replay the same stream shape on the
+	// reference semantics. Traffic replay asks for TierCompiled.
 	Tier ExecutorTier
 	// Lanes is the number of affinity lanes (and drain workers).
 	// Default 1.
@@ -95,7 +96,7 @@ type Stream struct {
 	batch   int
 	drainFn func(int) // preallocated drain body
 
-	// Persistent lane workers (multi-lane flat tiers only): spawning
+	// Persistent lane workers (multi-lane compiled streams only): spawning
 	// goroutines per drain round would allocate in the steady state, so a
 	// stream keeps one parked worker per lane for its whole life.
 	work   chan int
@@ -143,11 +144,6 @@ func (d *Deployment) OpenStream(path []string, opts StreamOptions) (*Stream, err
 	case TierInterpreter:
 		// State lives in the deployment; lanes are accumulation buffers
 		// only and drain sequentially on the caller's goroutine.
-	case TierEngine:
-		s.lanes = make([]*Lane, opts.Lanes)
-		for i := range s.lanes {
-			s.lanes[i] = eng.NewLane()
-		}
 	case TierCompiled:
 		c, err := d.Compiled()
 		if err != nil {
@@ -229,10 +225,9 @@ func (s *Stream) Feed(pkts ...*FlatPacket) error {
 	if s.closed {
 		return fmt.Errorf("dataplane: Feed on closed stream")
 	}
-	if len(pkts) > 0 {
-		if err := s.eng.owns(pkts[0]); err != nil {
-			return err
-		}
+	// The whole call is validated first: a rejected call enqueues nothing.
+	if err := s.eng.owns(pkts...); err != nil {
+		return err
 	}
 	for _, f := range pkts {
 		lane := 0
@@ -253,24 +248,18 @@ func (s *Stream) Feed(pkts ...*FlatPacket) error {
 
 // drainLane executes one lane's pending packets in FIFO order and resets
 // the buffer. Safe to run concurrently across distinct lanes on the
-// engine/compiled tiers.
+// compiled tier.
 func (s *Stream) drainLane(w int) {
 	pkts := s.pend[w]
 	if len(pkts) == 0 {
 		return
 	}
-	switch s.tier {
-	case TierEngine:
-		l := s.lanes[w]
-		for _, f := range pkts {
-			s.eng.RunPacket(l, s.path, s.ctx, f)
-		}
-	case TierCompiled:
+	if s.tier == TierCompiled {
 		l := s.lanes[w]
 		for _, f := range pkts {
 			s.comp.runResolved(l, s.units, s.ctx, f)
 		}
-	default: // TierInterpreter: deployment state, sequential by contract
+	} else { // TierInterpreter: deployment state, sequential by contract
 		for _, f := range pkts {
 			out, err := s.d.RunPath(s.path, s.ctx, f.Packet())
 			if err == nil {
@@ -281,7 +270,7 @@ func (s *Stream) drainLane(w int) {
 	s.pend[w] = pkts[:0]
 }
 
-// drain runs every pending lane — in parallel on the flat tiers, one
+// drain runs every pending lane — in parallel on the compiled tier, one
 // worker per lane — and counts the round.
 func (s *Stream) drain() {
 	active := 0

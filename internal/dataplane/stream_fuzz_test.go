@@ -10,7 +10,7 @@ import (
 // flush points — and asserts the invariant the whole subsystem rests on:
 // replaying a chunked flow-ordered trace through OpenStream is
 // byte-identical, packet by packet, to a one-shot single-worker RunBatch
-// over the concatenated trace, on both the engine and compiled tiers.
+// over the concatenated trace, on both tiers.
 func FuzzStreamEquivalence(f *testing.F) {
 	plan, _ := compile(f, streamSrc, streamScope)
 	paths := plan.Input.Scopes["track"].Paths
@@ -33,14 +33,14 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refEng, err := refDep.Engine()
+		refComp, err := refDep.Compiled()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refEng.FlattenTrace(recs, "")
-		refEng.RunBatch(path, ctx, ref, 1)
+		ref := refComp.Engine().FlattenTrace(recs, "")
+		refComp.RunBatch(path, ctx, ref, 1)
 
-		for _, tier := range []ExecutorTier{TierEngine, TierCompiled} {
+		for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 			dep, err := NewDeployment(plan, NewTables())
 			if err != nil {
 				t.Fatal(err)

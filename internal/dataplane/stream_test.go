@@ -95,19 +95,19 @@ func TestStreamVsOneShot(t *testing.T) {
 	recs := streamTrace(rng, 12, 300)
 
 	for _, path := range paths {
-		// Reference: one-shot engine batch, one lane, fresh deployment.
+		// Reference: one-shot compiled batch, one lane, fresh deployment.
 		refDep, err := NewDeployment(plan, NewTables())
 		if err != nil {
 			t.Fatal(err)
 		}
-		refEng, err := refDep.Engine()
+		refComp, err := refDep.Compiled()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refEng.FlattenTrace(recs, "")
-		refEng.RunBatch(path, ctx, ref, 1)
+		ref := refComp.Engine().FlattenTrace(recs, "")
+		refComp.RunBatch(path, ctx, ref, 1)
 
-		for _, tier := range []ExecutorTier{TierInterpreter, TierEngine, TierCompiled} {
+		for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 			for _, lanes := range []int{1, 4} {
 				dep, err := NewDeployment(plan, NewTables())
 				if err != nil {
@@ -159,6 +159,10 @@ func TestStreamBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pinned: a stream opened without naming a tier runs the reference.
+	if got := s.Stats().Tier; got != TierInterpreter.String() {
+		t.Fatalf("zero-value StreamOptions.Tier opened a %q stream, want %q", got, TierInterpreter)
+	}
 	rng := rand.New(rand.NewSource(3))
 	pkts := eng.FlattenTrace(streamTrace(rng, 6, 200), "")
 	for _, f := range pkts {
@@ -201,7 +205,7 @@ func TestStreamStateReadout(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := paths[0]
-	s, err := dep.OpenStream(path, StreamOptions{Lanes: 3, BatchSize: 8, FlowKey: key, Tier: TierEngine})
+	s, err := dep.OpenStream(path, StreamOptions{Lanes: 3, BatchSize: 8, FlowKey: key, Tier: TierCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +270,13 @@ func TestStreamStateReadout(t *testing.T) {
 }
 
 // TestStreamZeroAlloc is the streaming acceptance gate: once lanes are
-// warm (all flows learned), Feed through the engine and compiled tiers
-// allocates nothing per packet at Lanes=1, and only the per-drain worker
-// fan-out at Lanes=4.
+// warm (all flows learned), Feed through the compiled tier allocates
+// nothing per packet at Lanes=1 (TestStreamMultiLaneAllocBound: Lanes=4).
 func TestStreamZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	for _, tier := range []ExecutorTier{TierEngine, TierCompiled} {
+	for _, tier := range []ExecutorTier{TierCompiled} {
 		dep, paths := streamDeployment(t)
 		eng, err := dep.Engine()
 		if err != nil {
@@ -336,7 +339,7 @@ func TestStreamMultiLaneAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dep.OpenStream(paths[0], StreamOptions{Tier: TierEngine, Lanes: 4, BatchSize: 64, FlowKey: key})
+	s, err := dep.OpenStream(paths[0], StreamOptions{Tier: TierCompiled, Lanes: 4, BatchSize: 64, FlowKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}

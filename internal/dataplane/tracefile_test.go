@@ -108,12 +108,12 @@ func TestTraceFileReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEng, err := refDep.Engine()
+	refComp, err := refDep.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refEng.FlattenTrace(recs, "")
-	refEng.RunBatch(path, nil, ref, 1)
+	ref := refComp.Engine().FlattenTrace(recs, "")
+	refComp.RunBatch(path, nil, ref, 1)
 
 	dep, err := NewDeployment(plan, NewTables())
 	if err != nil {

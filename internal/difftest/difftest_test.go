@@ -142,12 +142,12 @@ func TestCampaignScaleOracle(t *testing.T) {
 	}
 }
 
-// TestEngineCampaign200 is the bytecode-engine acceptance campaign: 200
-// generated cases executed through the oracle, which now runs every
-// deployed path on the engine and cross-checks the interpreter packet by
-// packet (any engine/interpreter mismatch classifies as Crash, which is
-// never explained). Zero unexplained cases therefore certifies the engine
-// byte-identical to the interpreter across the campaign.
+// TestEngineCampaign200 is the execution-tier acceptance campaign: 200
+// generated cases executed through the oracle, which runs every deployed
+// path on the compiled backend and cross-checks the interpreter packet by
+// packet (any compiled/interpreter mismatch classifies as Crash, which is
+// never explained). Zero unexplained cases therefore certifies the
+// compiled tier byte-identical to the interpreter across the campaign.
 func TestEngineCampaign200(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-case campaign skipped in -short mode")
@@ -160,10 +160,10 @@ func TestEngineCampaign200(t *testing.T) {
 		for _, f := range sum.Failures {
 			t.Errorf("case %d (seed %d): %s", f.Index, f.Seed, f.Outcome)
 		}
-		t.Fatalf("%d unexplained cases in the engine campaign", n)
+		t.Fatalf("%d unexplained cases in the execution campaign", n)
 	}
 	if sum.Counts[Equivalent] == 0 {
-		t.Fatal("campaign produced no equivalent cases — engine coverage is vacuous")
+		t.Fatal("campaign produced no equivalent cases — execution coverage is vacuous")
 	}
 }
 

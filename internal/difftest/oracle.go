@@ -273,13 +273,19 @@ func (o *Oracle) Check(c *Case) Outcome {
 	return o.equivalent(c, compiled[0].res)
 }
 
+// baseCompiler is the configuration Check's first compile — the base of the
+// incremental checks — ran under.
+func (o *Oracle) baseCompiler() *lyra.Compiler {
+	return lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1))
+}
+
 // checkIncremental recompiles base through the identity scenario (no
 // topology change) and demands that the incremental path — every component
 // taken over from the base plan as it is — lands on exactly the one-shot
 // result without building an encoder or calling a solver. A nil return means
 // the check passed.
 func (o *Oracle) checkIncremental(base *lyra.Result) *Outcome {
-	inc, delta, err := base.Recompile(lyra.Scenario{Name: "identity"})
+	inc, delta, err := o.baseCompiler().Recompile(context.Background(), base, lyra.Scenario{Name: "identity"})
 	if err != nil {
 		return &Outcome{Class: SolverDisagreement,
 			Detail: fmt.Sprintf("incremental: identity recompile failed where one-shot compiled: %v", err)}
@@ -360,9 +366,9 @@ func (o *Oracle) checkIncrementalFault(c *Case, base *lyra.Result) *Outcome {
 	if err := sc.Apply(mutated); err != nil {
 		return &Outcome{Class: GeneratorError, Detail: err.Error()}
 	}
-	scratch, serr := lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1)).
-		Compile(context.Background(), c.Source(), scopeText, mutated)
-	inc, _, ierr := base.Recompile(sc)
+	comp := o.baseCompiler()
+	scratch, serr := comp.Compile(context.Background(), c.Source(), scopeText, mutated)
+	inc, _, ierr := comp.Recompile(context.Background(), base, sc)
 	switch {
 	case serr != nil && !errors.Is(serr, lyra.ErrInfeasible):
 		// The strict scope resolution of a fresh compile rejected the
@@ -538,17 +544,12 @@ func (o *Oracle) equivalent(c *Case, res *lyra.Result) Outcome {
 				if err != nil {
 					return Outcome{Class: Crash, Detail: fmt.Sprintf("reference: %v", err)}
 				}
-				// The bytecode engine and the compiled backend execute the
-				// deployed path; the tree-walking interpreter then replays
-				// the same packet as a cross-check of both. The flat tiers
-				// run first: their copy-on-write table views keep
-				// data-plane inserts lane-local, while the interpreter
-				// writes into the shared shard tables.
-				dist, err := sim.RunPathEngine(path, ctx, mkPacket(tp))
-				if err != nil {
-					return Outcome{Class: Crash,
-						Detail: fmt.Sprintf("%s path#%d %v: engine: %v", alg, pi, path, err)}
-				}
+				// The compiled backend executes the deployed path; the
+				// tree-walking interpreter then replays the same packet as
+				// its cross-check. The compiled tier runs first: its
+				// copy-on-write table views keep data-plane inserts
+				// lane-local, while the interpreter writes into the shared
+				// shard tables.
 				comp, err := sim.RunPathCompiled(path, ctx, mkPacket(tp))
 				if err != nil {
 					return Outcome{Class: Crash,
@@ -559,20 +560,15 @@ func (o *Oracle) equivalent(c *Case, res *lyra.Result) Outcome {
 					return Outcome{Class: Crash,
 						Detail: fmt.Sprintf("%s path#%d %v: %v", alg, pi, path, err)}
 				}
-				// All three tiers implement the same semantics over the
-				// same programs; any mismatch is an execution-engine bug,
-				// not a compile divergence.
-				if xd := dataplane.DiffPackets(interp, dist, nil); len(xd) > 0 {
-					return Outcome{Class: Crash, Detail: fmt.Sprintf(
-						"%s path#%d %v packet#%d: engine diverges from interpreter: %s",
-						alg, pi, path, ti, strings.Join(xd, "; "))}
-				}
+				// Both tiers implement the same semantics over the same
+				// programs; a mismatch is an execution bug, not a compile
+				// divergence.
 				if xd := dataplane.DiffPackets(interp, comp, nil); len(xd) > 0 {
 					return Outcome{Class: Crash, Detail: fmt.Sprintf(
 						"%s path#%d %v packet#%d: compiled backend diverges from interpreter: %s",
 						alg, pi, path, ti, strings.Join(xd, "; "))}
 				}
-				got := dist.Clone()
+				got := comp.Clone()
 				if !ownsOps {
 					// Packet-level flags belong to the algorithm that issues
 					// packet operations; on other algorithms' paths they are
@@ -601,7 +597,7 @@ var streamLanes = [...]int{1, 3}
 // whole trace replays through OpenStream on every executor tier at one
 // and three lanes, fed in the case's chunk partition, against a fresh
 // deployment each time — and every configuration must be byte-identical
-// per packet to a sequential one-shot engine replay. Cross-tier and
+// per packet to a sequential one-shot interpreter replay. Cross-tier and
 // streaming-vs-one-shot mismatches are execution-engine bugs, so they
 // classify as Crash. Nil means the check passed.
 func (o *Oracle) checkStream(c *Case, res *lyra.Result, tables *lyra.Tables,
@@ -619,14 +615,21 @@ func (o *Oracle) checkStream(c *Case, res *lyra.Result, tables *lyra.Tables,
 	if err != nil {
 		return fail("deploy reference: %v", err)
 	}
-	refEng, err := refSim.Deployment().Engine()
+	refDep := refSim.Deployment()
+	refEng, err := refDep.Engine()
 	if err != nil {
-		return fail("reference engine: %v", err)
+		return fail("reference lowering: %v", err)
+	}
+	refExec, err := refDep.ExecutorFor(dataplane.TierInterpreter)
+	if err != nil {
+		return fail("reference executor: %v", err)
 	}
 	ref := refEng.FlattenTrace(recs, "")
-	refEng.RunBatch(path, ctx, ref, 1)
+	if err := refExec.RunBatch(path, ctx, ref, 1); err != nil {
+		return fail("reference replay: %v", err)
+	}
 	for _, tier := range []dataplane.ExecutorTier{
-		dataplane.TierInterpreter, dataplane.TierEngine, dataplane.TierCompiled,
+		dataplane.TierInterpreter, dataplane.TierCompiled,
 	} {
 		for _, lanes := range streamLanes {
 			sim, err := res.Simulate(tables)
@@ -636,7 +639,7 @@ func (o *Oracle) checkStream(c *Case, res *lyra.Result, tables *lyra.Tables,
 			dep := sim.Deployment()
 			eng, err := dep.Engine()
 			if err != nil {
-				return fail("engine %v lanes=%d: %v", tier, lanes, err)
+				return fail("lowering %v lanes=%d: %v", tier, lanes, err)
 			}
 			key, err := eng.FlowKeyField(c.FlowField)
 			if err != nil {

@@ -44,27 +44,27 @@ func openScenarioStream(t testing.TB, sc Scenario, path []string, lanes, batch i
 
 // TestScenarioStreamTierEquivalence certifies the acceptance property:
 // for every scenario, streaming replay is byte-identical per packet to
-// one-shot single-worker execution, on the interpreter, engine, and
-// compiled tiers — at one lane always, and at four lanes for the
+// one-shot single-worker execution, on the interpreter and compiled
+// tiers — at one lane always, and at four lanes for the
 // lane-safe workloads (the sketch's cross-flow rows are exempt by
 // contract; TestSketchMergedExport covers its multi-lane story).
 func TestScenarioStreamTierEquivalence(t *testing.T) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			refDep, path, recs := scenarioFixture(t, sc, 500)
-			refEng, err := refDep.Engine()
+			refComp, err := refDep.Compiled()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := refEng.FlattenTrace(recs, sc.TSField)
-			refEng.RunBatch(path, nil, ref, 1)
+			ref := refComp.Engine().FlattenTrace(recs, sc.TSField)
+			refComp.RunBatch(path, nil, ref, 1)
 
 			laneSet := []int{1}
 			if sc.LaneSafe {
 				laneSet = append(laneSet, 4)
 			}
 			for _, tier := range []dataplane.ExecutorTier{
-				dataplane.TierInterpreter, dataplane.TierEngine, dataplane.TierCompiled,
+				dataplane.TierInterpreter, dataplane.TierCompiled,
 			} {
 				for _, lanes := range laneSet {
 					s, eng, _ := openScenarioStream(t, sc, path, lanes, 16, tier)
@@ -121,7 +121,7 @@ func flowStateOf(t *testing.T, sc Scenario, s *dataplane.Stream, path []string, 
 // TestLaneAffinityDeterminism is the workers=1 vs workers=N check for the
 // NAT and flowlet scenarios: identical per-packet outputs AND identical
 // per-flow final state (connection entries, flowlet registers) no matter
-// how many lanes the stream fans across, on both flat tiers. Runs under
+// how many lanes the stream fans across, on the compiled tier. Runs under
 // -race in CI, so the parallel drain path is also exercised for races.
 func TestLaneAffinityDeterminism(t *testing.T) {
 	for _, name := range []string{"nat", "flowlet"} {
@@ -131,7 +131,7 @@ func TestLaneAffinityDeterminism(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			_, path, recs := scenarioFixture(t, sc, 600)
-			for _, tier := range []dataplane.ExecutorTier{dataplane.TierEngine, dataplane.TierCompiled} {
+			for _, tier := range []dataplane.ExecutorTier{dataplane.TierCompiled} {
 				s1, eng1, _ := openScenarioStream(t, sc, path, 1, 16, tier)
 				sN, engN, _ := openScenarioStream(t, sc, path, 4, 16, tier)
 				p1 := eng1.FlattenTrace(recs, sc.TSField)
@@ -192,8 +192,8 @@ func TestSketchMergedExport(t *testing.T) {
 		t.Fatal("sketch scenario missing")
 	}
 	_, path, recs := scenarioFixture(t, sc, 800)
-	s1, eng1, _ := openScenarioStream(t, sc, path, 1, 16, dataplane.TierEngine)
-	sN, engN, _ := openScenarioStream(t, sc, path, 4, 16, dataplane.TierEngine)
+	s1, eng1, _ := openScenarioStream(t, sc, path, 1, 16, dataplane.TierCompiled)
+	sN, engN, _ := openScenarioStream(t, sc, path, 4, 16, dataplane.TierCompiled)
 	p1 := eng1.FlattenTrace(recs, sc.TSField)
 	pN := engN.FlattenTrace(recs, sc.TSField)
 	if err := s1.Feed(p1...); err != nil {

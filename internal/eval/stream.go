@@ -21,7 +21,7 @@ import (
 type StreamPoint struct {
 	Scenario string `json:"scenario"`
 	K        int    `json:"k"`
-	// Engine is the execution tier: "interpreter", "engine", or "compiled".
+	// Engine is the execution tier: "interpreter" or "compiled".
 	Engine    string `json:"engine"`
 	Lanes     int    `json:"lanes"`
 	BatchSize int    `json:"batch_size"`
@@ -31,7 +31,7 @@ type StreamPoint struct {
 	Drains   uint64 `json:"drains"`
 	LaneSafe bool   `json:"lane_safe"`
 	// PktsPerSec is the sustained Feed throughput; AllocsPerPkt the
-	// steady-state heap allocations per packet (0 on the flat tiers by
+	// steady-state heap allocations per packet (0 on the compiled tier by
 	// construction).
 	PktsPerSec   float64 `json:"pkts_per_sec"`
 	NsPerPkt     float64 `json:"ns_per_pkt"`
@@ -82,7 +82,7 @@ func StreamReplay(k, nPackets, maxLanes int) ([]StreamPoint, error) {
 		recs := sc.Trace(tmplSize, 42)
 		base := 0.0
 		for _, tier := range []dataplane.ExecutorTier{
-			dataplane.TierInterpreter, dataplane.TierEngine, dataplane.TierCompiled,
+			dataplane.TierInterpreter, dataplane.TierCompiled,
 		} {
 			laneSet := streamLaneSet(sc, maxLanes)
 			if tier == dataplane.TierInterpreter {
@@ -195,9 +195,9 @@ func StreamReplay(k, nPackets, maxLanes int) ([]StreamPoint, error) {
 }
 
 // CheckStreamAllocs validates the steady-state allocation contract on a
-// stream result: every flat-tier (engine/compiled) point must stay at or
-// below maxAllocs heap allocations per packet. Returns human-readable
-// violations (empty = clean).
+// stream result: every compiled-tier point must stay at or below maxAllocs
+// heap allocations per packet. Returns human-readable violations (empty =
+// clean).
 func CheckStreamAllocs(points []StreamPoint, maxAllocs float64) []string {
 	var violations []string
 	for _, p := range points {

@@ -7,9 +7,9 @@ import (
 
 // TestStreamReplayShape runs the streaming experiment at reduced scale and
 // checks its structural invariants: every scenario gets an interpreter
-// baseline plus engine/compiled rows, lane-safe scenarios also measure a
-// fanned-out point, the sketch never fans out, flat tiers beat the
-// interpreter, and the flat-tier steady state allocates nothing.
+// baseline plus compiled rows, lane-safe scenarios also measure a
+// fanned-out point, the sketch never fans out, the compiled tier beats the
+// interpreter, and its steady state allocates nothing.
 func TestStreamReplayShape(t *testing.T) {
 	points, err := StreamReplay(4, 10_000, 2)
 	if err != nil {
@@ -47,14 +47,12 @@ func TestStreamReplayShape(t *testing.T) {
 		if sc.LaneSafe {
 			want = 2 // one lane plus the fanned-out point
 		}
-		for _, tier := range []string{"engine", "compiled"} {
-			if n := len(got[tier]); n != want {
-				t.Errorf("%s %s: %d lane points %v, want %d", sc.Name, tier, n, got[tier], want)
-			}
+		if n := len(got["compiled"]); n != want {
+			t.Errorf("%s compiled: %d lane points %v, want %d", sc.Name, n, got["compiled"], want)
 		}
 	}
 	out := FormatStream(points)
-	for _, want := range []string{"interpreter", "engine", "compiled", "pkts/s", "allocs/pkt", "lanes"} {
+	for _, want := range []string{"interpreter", "compiled", "pkts/s", "allocs/pkt", "lanes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
@@ -68,7 +66,7 @@ func TestStreamReplayShape(t *testing.T) {
 func TestCheckStreamAllocs(t *testing.T) {
 	pts := []StreamPoint{
 		{Scenario: "nat", Engine: "interpreter", Lanes: 1, AllocsPerPkt: 12},
-		{Scenario: "nat", Engine: "engine", Lanes: 1, AllocsPerPkt: 0},
+		{Scenario: "nat", Engine: "compiled", Lanes: 1, AllocsPerPkt: 0},
 		{Scenario: "nat", Engine: "compiled", Lanes: 2, AllocsPerPkt: 0.5},
 	}
 	v := CheckStreamAllocs(pts, 0.01)

@@ -14,12 +14,12 @@ import (
 
 // TrafficPoint is one traffic-replay throughput measurement: the stateful
 // L4 load balancer deployed on a fat-tree pod, with a synthetic flow
-// replayed along one ToR->Agg->ToR path through one of the three
-// execution tiers (interpreter, bytecode engine, compiled backend).
+// replayed along one ToR->Agg->ToR path through one of the two
+// execution tiers (interpreter, compiled backend).
 type TrafficPoint struct {
 	Workload string `json:"workload"`
 	K        int    `json:"k"`
-	// Engine is the execution tier: "interpreter", "engine", or "compiled".
+	// Engine is the execution tier: "interpreter" or "compiled".
 	Engine string `json:"engine"`
 	// Batch is the packets submitted per replay call (the interpreter has
 	// no batch API; it always runs packet-at-a-time with Batch recorded as
@@ -28,7 +28,7 @@ type TrafficPoint struct {
 	Workers int `json:"workers"`
 	Packets int `json:"packets"`
 	// PktsPerSec is the replay throughput; AllocsPerPkt the steady-state
-	// heap allocations per packet (0 for the engine by construction).
+	// heap allocations per packet (0 for the compiled tier by construction).
 	PktsPerSec   float64 `json:"pkts_per_sec"`
 	AllocsPerPkt float64 `json:"allocs_per_pkt"`
 	NsPerPkt     float64 `json:"ns_per_pkt"`
@@ -114,9 +114,9 @@ func scalingWorkers(max int) []int {
 
 // TrafficReplay measures packet replay throughput across the execution
 // tiers on a fat-tree pod of size k: the interpreter baseline, then the
-// bytecode engine and the compiled backend at batch sizes 1, 64, and
-// 1024. Small batches run at 1 worker and full parallelism; the 1024
-// batch sweeps a power-of-two worker scaling curve up to maxWorkers.
+// compiled backend at batch sizes 1, 64, and 1024. Small batches run at 1
+// worker and full parallelism; the 1024 batch sweeps a power-of-two worker
+// scaling curve up to maxWorkers.
 // nPackets <= 0 defaults to 200k packets per measurement.
 func TrafficReplay(k, nPackets, maxWorkers int) ([]TrafficPoint, error) {
 	if k <= 0 {
@@ -171,27 +171,18 @@ func TrafficReplay(k, nPackets, maxWorkers int) ([]TrafficPoint, error) {
 	}
 	base := points[0].PktsPerSec
 
-	// Flat tiers: replay the same stream at each (tier, batch, workers)
-	// point. Templates are flattened once (both tiers share the
-	// deployment's engine layout); the replay loop refreshes each batch
+	// Compiled tier: replay the same stream at each (batch, workers) point.
+	// Templates are flattened once; the replay loop refreshes each batch
 	// from its template (CopyFrom is allocation-free) so every measurement
-	// processes identical inputs. The engine and compiled measurements for
-	// a point run back to back, each as best-of-three trials, so a slow
-	// drift in machine load lands on both sides of the ratio instead of
-	// one.
+	// processes identical inputs, each as a best-of-five trial.
 	smallSet := []int{1}
 	if maxWorkers > 1 {
 		smallSet = append(smallSet, maxWorkers)
 	}
 	curveSet := scalingWorkers(maxWorkers)
-	tiers := []dataplane.ExecutorTier{dataplane.TierEngine, dataplane.TierCompiled}
-	execs := make([]dataplane.Executor, len(tiers))
-	for i, tier := range tiers {
-		x, err := dep.ExecutorFor(tier)
-		if err != nil {
-			return nil, err
-		}
-		execs[i] = x
+	x, err := dep.ExecutorFor(dataplane.TierCompiled)
+	if err != nil {
+		return nil, err
 	}
 	const trials = 5
 	for _, batch := range []int{1, 64, 1024} {
@@ -210,66 +201,61 @@ func TrafficReplay(k, nPackets, maxWorkers int) ([]TrafficPoint, error) {
 				work[i] = eng.NewFlatPacket()
 			}
 			rounds := (nPackets + batch - 1) / batch
-			for ti, x := range execs {
-				// Only the RunBatch calls are on the clock: the template
-				// refresh between rounds is harness work, not tier
-				// throughput, and timing it would dilute every tier by the
-				// same memcpy cost.
-				var busy time.Duration
-				replay := func(n int, timed bool) error {
-					for r := 0; r < n; r++ {
-						for j := range work {
-							work[j].CopyFrom(tmpl[j])
-						}
-						start := time.Now()
-						err := x.RunBatch(path, ctx, work, workers)
-						if timed {
-							busy += time.Since(start)
-						}
-						if err != nil {
-							return err
-						}
+			// Only the RunBatch calls are on the clock: the template
+			// refresh between rounds is harness work, not tier throughput.
+			var busy time.Duration
+			replay := func(n int, timed bool) error {
+				for r := 0; r < n; r++ {
+					for j := range work {
+						work[j].CopyFrom(tmpl[j])
 					}
-					return nil
-				}
-				if err := replay(2, false); err != nil { // warm lanes and worker pool
-					return nil, err
-				}
-				best := time.Duration(0)
-				var allocs uint64
-				for trial := 0; trial < trials; trial++ {
-					busy = 0
-					var runErr error
-					a := allocsDuring(func() { runErr = replay(rounds, true) })
-					if runErr != nil {
-						return nil, runErr
+					start := time.Now()
+					err := x.RunBatch(path, ctx, work, workers)
+					if timed {
+						busy += time.Since(start)
 					}
-					if trial == 0 || busy < best {
-						best, allocs = busy, a
+					if err != nil {
+						return err
 					}
 				}
-				total := rounds * batch
-				pps := float64(total) / best.Seconds()
-				points = append(points, TrafficPoint{
-					Workload: "lb-multi", K: k, Engine: tiers[ti].String(), Batch: batch, Workers: workers,
-					Packets: total, PktsPerSec: pps,
-					AllocsPerPkt: float64(allocs) / float64(total),
-					NsPerPkt:     float64(best.Nanoseconds()) / float64(total),
-					Speedup:      pps / base,
-				})
+				return nil
 			}
+			if err := replay(2, false); err != nil { // warm lanes and worker pool
+				return nil, err
+			}
+			best := time.Duration(0)
+			var allocs uint64
+			for trial := 0; trial < trials; trial++ {
+				busy = 0
+				var runErr error
+				a := allocsDuring(func() { runErr = replay(rounds, true) })
+				if runErr != nil {
+					return nil, runErr
+				}
+				if trial == 0 || busy < best {
+					best, allocs = busy, a
+				}
+			}
+			total := rounds * batch
+			pps := float64(total) / best.Seconds()
+			points = append(points, TrafficPoint{
+				Workload: "lb-multi", K: k, Engine: x.Tier().String(), Batch: batch, Workers: workers,
+				Packets: total, PktsPerSec: pps,
+				AllocsPerPkt: float64(allocs) / float64(total),
+				NsPerPkt:     float64(best.Nanoseconds()) / float64(total),
+				Speedup:      pps / base,
+			})
 		}
 	}
 	return points, nil
 }
 
-// CheckTrafficScaling validates the scaling expectations on a traffic
-// result, returning human-readable violations (empty = clean). Within
-// each flat tier, adding workers at the largest batch must not regress
-// throughput below slack x the previous point on the curve, and at every
-// measurement point the compiled backend must keep up with the bytecode
-// engine (again within slack). Slack < 1 absorbs scheduler noise on
-// shared CI runners; the headline numbers come from quiet machines.
+// CheckTrafficScaling validates the scaling expectation on a traffic
+// result, returning human-readable violations (empty = clean): on the
+// compiled tier, adding workers at the largest batch must not regress
+// throughput below slack x the previous point on the curve. Slack < 1
+// absorbs scheduler noise on shared CI runners; the headline numbers come
+// from quiet machines.
 func CheckTrafficScaling(points []TrafficPoint, slack float64) []string {
 	var violations []string
 	maxBatch := 0
@@ -278,32 +264,17 @@ func CheckTrafficScaling(points []TrafficPoint, slack float64) []string {
 			maxBatch = p.Batch
 		}
 	}
-	engineAt := map[[2]int]float64{}
-	for _, p := range points {
-		if p.Engine == "engine" {
-			engineAt[[2]int{p.Batch, p.Workers}] = p.PktsPerSec
-		}
-	}
 	prev := map[string]TrafficPoint{}
 	for _, p := range points {
-		if p.Engine == "interpreter" {
+		if p.Engine == "interpreter" || p.Batch != maxBatch {
 			continue
 		}
-		if p.Batch == maxBatch {
-			if q, ok := prev[p.Engine]; ok && p.PktsPerSec < slack*q.PktsPerSec {
-				violations = append(violations, fmt.Sprintf(
-					"%s batch=%d: %d workers ran at %.0f pkts/s, below %.2fx the %.0f pkts/s of %d workers",
-					p.Engine, p.Batch, p.Workers, p.PktsPerSec, slack, q.PktsPerSec, q.Workers))
-			}
-			prev[p.Engine] = p
+		if q, ok := prev[p.Engine]; ok && p.PktsPerSec < slack*q.PktsPerSec {
+			violations = append(violations, fmt.Sprintf(
+				"%s batch=%d: %d workers ran at %.0f pkts/s, below %.2fx the %.0f pkts/s of %d workers",
+				p.Engine, p.Batch, p.Workers, p.PktsPerSec, slack, q.PktsPerSec, q.Workers))
 		}
-		if p.Engine == "compiled" {
-			if eng, ok := engineAt[[2]int{p.Batch, p.Workers}]; ok && p.PktsPerSec < slack*eng {
-				violations = append(violations, fmt.Sprintf(
-					"compiled batch=%d workers=%d ran at %.0f pkts/s, below %.2fx the engine's %.0f pkts/s",
-					p.Batch, p.Workers, p.PktsPerSec, slack, eng))
-			}
-		}
+		prev[p.Engine] = p
 	}
 	return violations
 }

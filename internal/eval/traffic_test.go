@@ -7,26 +7,25 @@ import (
 
 // TestTrafficReplayShape runs the replay comparison at reduced scale and
 // checks the structural invariants the paper table depends on: a single
-// interpreter baseline row, engine and compiled rows at every batch size,
-// a ≥10x flat-tier speedup at batch ≥64, and allocation-free execute
-// loops.
+// interpreter baseline row, compiled rows at every batch size, a ≥10x
+// compiled-tier speedup at batch ≥64, and an allocation-free execute loop.
 func TestTrafficReplayShape(t *testing.T) {
 	points, err := TrafficReplay(4, 20_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) < 7 {
-		t.Fatalf("got %d points, want interpreter baseline + 3 batch sizes x 2 flat tiers", len(points))
+	if len(points) < 4 {
+		t.Fatalf("got %d points, want interpreter baseline + 3 batch sizes on the compiled tier", len(points))
 	}
 	if points[0].Engine != "interpreter" || points[0].Speedup != 1 {
 		t.Fatalf("first point is not the interpreter baseline: %+v", points[0])
 	}
-	batches := map[string]map[int]bool{"engine": {}, "compiled": {}}
+	seen := map[int]bool{}
 	for _, p := range points[1:] {
-		if p.Engine != "engine" && p.Engine != "compiled" {
+		if p.Engine != "compiled" {
 			t.Fatalf("unexpected engine name %q", p.Engine)
 		}
-		batches[p.Engine][p.Batch] = true
+		seen[p.Batch] = true
 		if p.Batch >= 64 {
 			if p.Speedup < 10 {
 				t.Errorf("%s batch=%d workers=%d: speedup %.1fx, want >= 10x", p.Engine, p.Batch, p.Workers, p.Speedup)
@@ -36,15 +35,13 @@ func TestTrafficReplayShape(t *testing.T) {
 			}
 		}
 	}
-	for tier, seen := range batches {
-		for _, b := range []int{1, 64, 1024} {
-			if !seen[b] {
-				t.Errorf("no %s measurement at batch=%d", tier, b)
-			}
+	for _, b := range []int{1, 64, 1024} {
+		if !seen[b] {
+			t.Errorf("no compiled measurement at batch=%d", b)
 		}
 	}
 	out := FormatTraffic(points)
-	for _, want := range []string{"interpreter", "engine", "compiled", "pkts/s", "allocs/pkt"} {
+	for _, want := range []string{"interpreter", "compiled", "pkts/s", "allocs/pkt"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
@@ -54,12 +51,10 @@ func TestTrafficReplayShape(t *testing.T) {
 	}
 }
 
-// TestCheckTrafficScaling exercises the violation paths on synthetic rows.
+// TestCheckTrafficScaling exercises the violation path on synthetic rows.
 func TestCheckTrafficScaling(t *testing.T) {
 	pts := []TrafficPoint{
 		{Engine: "interpreter", Batch: 1, Workers: 1, PktsPerSec: 100},
-		{Engine: "engine", Batch: 1024, Workers: 1, PktsPerSec: 1000},
-		{Engine: "engine", Batch: 1024, Workers: 2, PktsPerSec: 1800},
 		{Engine: "compiled", Batch: 1024, Workers: 1, PktsPerSec: 2000},
 		{Engine: "compiled", Batch: 1024, Workers: 2, PktsPerSec: 3600},
 	}
@@ -71,11 +66,5 @@ func TestCheckTrafficScaling(t *testing.T) {
 	bad[2].PktsPerSec = 500
 	if v := CheckTrafficScaling(bad, 0.9); len(v) != 1 {
 		t.Fatalf("regressing curve: got %d violations (%v), want 1", len(v), v)
-	}
-	// The compiled tier falling behind the engine.
-	slow := append([]TrafficPoint(nil), pts...)
-	slow[3].PktsPerSec = 400
-	if v := CheckTrafficScaling(slow, 0.9); len(v) != 1 {
-		t.Fatalf("slow compiled tier: got %d violations (%v), want 1", len(v), v)
 	}
 }

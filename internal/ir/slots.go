@@ -4,7 +4,7 @@ package ir
 // hold the environment of a straight-line instruction block in a flat
 // []uint64 instead of a map[*Var]uint64. Slots are handed out in first-use
 // order and are stable for a given instruction sequence, which makes
-// lowered programs deterministic. The data-plane bytecode engine is the
+// lowered programs deterministic. The data-plane lowering is the
 // primary consumer; anything that wants a dense numbering of the variables
 // touched by a block (register allocation, liveness bitsets) can reuse it.
 type SlotMap struct {

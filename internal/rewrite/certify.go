@@ -21,9 +21,9 @@ import (
 //     agree on every observable dimension (this is what catches a broken
 //     rewrite rule);
 //  2. cross-tier agreement — the candidate's deployed plan runs each
-//     algorithm's flow paths through the bytecode engine and the compiled
-//     backend, then the tree-walking interpreter replays the same packet;
-//     all three must agree exactly;
+//     algorithm's flow paths through the compiled backend, then the
+//     tree-walking interpreter replays the same packet; the two must agree
+//     exactly;
 //  3. deployment-vs-reference — the deployed execution must match the base
 //     program's reference output on the fields each algorithm owns (other
 //     algorithms' instructions are not fully present along its paths).
@@ -269,13 +269,9 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 				if err != nil {
 					return fmt.Errorf("%s path#%d packet#%d: base reference: %v", a.Name, pi, ti, err)
 				}
-				// Flat tiers first: their copy-on-write table views keep
+				// Compiled tier first: its copy-on-write table views keep
 				// data-plane inserts lane-local, while the interpreter writes
 				// into the shared shard tables.
-				eng, err := dep.RunPathEngine(path, ctx, pkt.Clone())
-				if err != nil {
-					return fmt.Errorf("%s path#%d %v: engine: %v", a.Name, pi, path, err)
-				}
 				comp, err := dep.RunPathCompiled(path, ctx, pkt.Clone())
 				if err != nil {
 					return fmt.Errorf("%s path#%d %v: compiled: %v", a.Name, pi, path, err)
@@ -284,15 +280,11 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 				if err != nil {
 					return fmt.Errorf("%s path#%d %v: interpreter: %v", a.Name, pi, path, err)
 				}
-				if diffs := dataplane.DiffPackets(interp, eng, nil); len(diffs) > 0 {
-					return fmt.Errorf("%s path#%d %v packet#%d: engine diverges from interpreter: %s",
-						a.Name, pi, path, ti, strings.Join(diffs, "; "))
-				}
 				if diffs := dataplane.DiffPackets(interp, comp, nil); len(diffs) > 0 {
 					return fmt.Errorf("%s path#%d %v packet#%d: compiled backend diverges from interpreter: %s",
 						a.Name, pi, path, ti, strings.Join(diffs, "; "))
 				}
-				got := eng.Clone()
+				got := comp.Clone()
 				if !ownsOps {
 					// Packet flags belong to the algorithm issuing packet
 					// operations; on other algorithms' paths they are out of

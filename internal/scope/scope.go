@@ -413,6 +413,15 @@ func (sc Scope) bind(net *topo.Network, switches, from, to []string, paths [][]s
 	return r, nil
 }
 
+// pathLimit is the enumeration budget of a lazy walk: the one resolution
+// set, or the default for a hand-built Resolved.
+func (r *Resolved) pathLimit() int64 {
+	if r.MaxPaths <= 0 {
+		return DefaultMaxPaths
+	}
+	return r.MaxPaths
+}
+
 // EachPath iterates the scope's flow paths in deterministic order: the
 // materialized slice when present (its sorted order), otherwise the lazy
 // PathSet in DFS order under the resolution budget. The yielded slice is
@@ -430,12 +439,21 @@ func (r *Resolved) EachPath(yield func(path []string) bool) error {
 	if r.PathSet == nil {
 		return nil
 	}
-	limit := r.MaxPaths
-	if limit <= 0 {
-		limit = DefaultMaxPaths
-	}
-	_, err := r.PathSet.Each(limit, yield)
+	_, err := r.PathSet.Each(r.pathLimit(), yield)
 	return err
+}
+
+// PathList returns the scope's flow paths as one sorted list, for the
+// consumers that place or replay along every path and so need them all at
+// once (deployment, simulation): the materialized slice when resolution
+// kept one, otherwise materialized from the PathSet under the resolution
+// budget, a *topo.PathLimitError past it. The placement encoder streams
+// with EachPath instead. A scope without flow paths (PER-SW) has none.
+func (r *Resolved) PathList() ([][]string, error) {
+	if r.Paths != nil || r.PathSet == nil {
+		return r.Paths, nil
+	}
+	return r.PathSet.Materialize(r.pathLimit())
 }
 
 // PathCount returns the number of flow paths in the scope (memoized).
@@ -453,11 +471,7 @@ func (r *Resolved) PathCount() (int64, error) {
 		r.pathCount = 0
 		return 0, nil
 	}
-	limit := r.MaxPaths
-	if limit <= 0 {
-		limit = DefaultMaxPaths
-	}
-	n, err := r.PathSet.Count(limit)
+	n, err := r.PathSet.Count(r.pathLimit())
 	if err != nil {
 		return n, err
 	}

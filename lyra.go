@@ -20,9 +20,6 @@
 //	for _, sw := range res.Switches() {
 //	    fmt.Println(res.Artifact(sw).Code)
 //	}
-//
-// The legacy lyra.Compile(lyra.Request{...}) form remains supported as a
-// thin wrapper over a Compiler.
 package lyra
 
 import (
@@ -114,7 +111,7 @@ const (
 	ObjectiveMinPlacements = encode.ObjMinPlacements
 	// ObjectiveMinSwitches minimizes the number of programmed switches.
 	ObjectiveMinSwitches = encode.ObjMinSwitches
-	// ObjectivePreferSwitch maximizes use of Request.PreferSwitch.
+	// ObjectivePreferSwitch maximizes use of the WithPreferSwitch switch.
 	ObjectivePreferSwitch = encode.ObjPreferSwitch
 )
 
@@ -262,19 +259,10 @@ var (
 // GOMAXPROCS. A Compiler is safe for concurrent use: each Compile call
 // carries its own state.
 type Compiler struct {
-	dialect      Dialect
-	objective    Objective
-	preferSwitch string
-	solveBudget  time.Duration
-	parallelism  int
-	observer     Observer
-	skipVerify   bool
-	sourceName   string
-	optimize     *rewrite.Options
-	lazyPaths    bool
-	maxPaths     int64
-	noSymDedup   bool
-	portfolio    int
+	// cfg is the pipeline request every compile starts from: options write
+	// its fields, and a compile copies it and fills in the program, the
+	// scope specification and the network.
+	cfg core.Request
 }
 
 // Option configures a Compiler.
@@ -291,41 +279,41 @@ func New(opts ...Option) *Compiler {
 
 // WithDialect selects the P4 flavor emitted for P4-programmable chips
 // (default P414).
-func WithDialect(d Dialect) Option { return func(c *Compiler) { c.dialect = d } }
+func WithDialect(d Dialect) Option { return func(c *Compiler) { c.cfg.Dialect = d } }
 
 // WithObjective selects the placement optimization objective (default
 // ObjectiveNone: first feasible placement).
-func WithObjective(o Objective) Option { return func(c *Compiler) { c.objective = o } }
+func WithObjective(o Objective) Option { return func(c *Compiler) { c.cfg.Objective = o } }
 
 // WithPreferSwitch sets ObjectivePreferSwitch and names the switch to load
 // up (Appendix C.2).
 func WithPreferSwitch(sw string) Option {
 	return func(c *Compiler) {
-		c.objective = ObjectivePreferSwitch
-		c.preferSwitch = sw
+		c.cfg.Objective = ObjectivePreferSwitch
+		c.cfg.PreferSwitch = sw
 	}
 }
 
 // WithSolveBudget bounds total solver work, fallback attempts included
 // (0 = the 120s default).
-func WithSolveBudget(d time.Duration) Option { return func(c *Compiler) { c.solveBudget = d } }
+func WithSolveBudget(d time.Duration) Option { return func(c *Compiler) { c.cfg.SolveBudget = d } }
 
 // WithParallelism bounds the worker pools used for component solving,
 // per-switch code emission, and verification. n <= 0 selects GOMAXPROCS;
 // n == 1 forces a fully sequential pipeline. The compiled result is
 // byte-identical at every setting — only wall-clock time changes.
-func WithParallelism(n int) Option { return func(c *Compiler) { c.parallelism = n } }
+func WithParallelism(n int) Option { return func(c *Compiler) { c.cfg.Parallelism = n } }
 
 // WithObserver registers a phase observer, called inline as each pipeline
 // phase completes.
-func WithObserver(o Observer) Option { return func(c *Compiler) { c.observer = o } }
+func WithObserver(o Observer) Option { return func(c *Compiler) { c.cfg.Observer = o } }
 
 // WithSkipVerify disables the post-hoc admission verification.
-func WithSkipVerify() Option { return func(c *Compiler) { c.skipVerify = true } }
+func WithSkipVerify() Option { return func(c *Compiler) { c.cfg.SkipVerify = true } }
 
 // WithSourceName sets the file name used in diagnostics (default
 // "input.lyra").
-func WithSourceName(name string) Option { return func(c *Compiler) { c.sourceName = name } }
+func WithSourceName(name string) Option { return func(c *Compiler) { c.cfg.SourceName = name } }
 
 // WithLazyPaths resolves MULTI-SW scopes without materializing their flow
 // paths: the placement encoder streams paths from the lazy enumerator and
@@ -335,8 +323,8 @@ func WithSourceName(name string) Option { return func(c *Compiler) { c.sourceNam
 // cap surfaces a typed diagnostic instead of exhausting the machine.
 func WithLazyPaths(maxPaths int64) Option {
 	return func(c *Compiler) {
-		c.lazyPaths = true
-		c.maxPaths = maxPaths
+		c.cfg.LazyPaths = true
+		c.cfg.MaxPaths = maxPaths
 	}
 }
 
@@ -344,24 +332,24 @@ func WithLazyPaths(maxPaths int64) Option {
 // every placement component is solved even when it is a switch-renaming of
 // an already-solved one. Plans are byte-identical either way; the option
 // exists as the measurement baseline for the dedup speedup.
-func WithoutSymmetryDedup() Option { return func(c *Compiler) { c.noSymDedup = true } }
+func WithoutSymmetryDedup() Option { return func(c *Compiler) { c.cfg.NoSymmetryDedup = true } }
 
 // WithPortfolio races n solver configurations per placement component: the
 // canonical incremental solver plus n−1 deterministically seeded variants.
 // The canonical result always wins when it succeeds (plans stay
 // byte-identical to the sequential path); a seeded variant's plan is adopted,
 // in seed order, only where the canonical attempt failed.
-func WithPortfolio(n int) Option { return func(c *Compiler) { c.portfolio = n } }
+func WithPortfolio(n int) Option { return func(c *Compiler) { c.cfg.Portfolio = n } }
 
 // WithOptimize enables the rewrite search: before placement, the compiler
 // explores semantics-preserving merge/split/reorder/reshape/widen variants
 // of the program, scores them with a two-level cost model (synthesized
 // table totals, then a real bounded solve), certifies the best one
-// equivalent on seeded traces across all execution tiers, and compiles
+// equivalent on seeded traces on both execution tiers, and compiles
 // whichever program won. The zero OptimizeOptions value selects sensible
 // bounded defaults; the search's account is in Result.Optimization.
 func WithOptimize(opts OptimizeOptions) Option {
-	return func(c *Compiler) { o := opts; c.optimize = &o }
+	return func(c *Compiler) { o := opts; c.cfg.Optimize = &o }
 }
 
 // Compile runs the full Lyra pipeline — parse, check, preprocess, analyze,
@@ -380,7 +368,7 @@ func (c *Compiler) Compile(ctx context.Context, source, scopeSpec string, net *N
 	}
 	creq := c.coreRequest(source, scopeSpec, net)
 	cres, err := corePipeline(ctx, creq)
-	res = c.wrapResult(cres, creq, net)
+	res = wrapResult(cres, creq, net)
 	if err != nil {
 		return res, fmt.Errorf("lyra: %w", err)
 	}
@@ -406,60 +394,19 @@ func (c *Compiler) Recompile(ctx context.Context, prev *Result, sc Scenario) (re
 	creq := c.coreRequest(prev.creq.Source, prev.creq.ScopeSpec, degraded)
 	creq.SourceName = prev.creq.SourceName
 	cres, delta, err := recompilePipeline(ctx, prev.cres, creq, degraded)
-	res = c.wrapResult(cres, creq, degraded)
+	res = wrapResult(cres, creq, degraded)
 	if err != nil {
 		return res, delta, fmt.Errorf("lyra: recompile after %s: %w", sc.Name, err)
 	}
 	return res, delta, nil
 }
 
-// coreRequest materializes the compiler's configuration into one pipeline
-// request.
+// coreRequest is the compiler's configuration with the compile's inputs
+// filled in.
 func (c *Compiler) coreRequest(source, scopeSpec string, net *Network) core.Request {
-	return core.Request{
-		Source:          source,
-		SourceName:      c.sourceName,
-		ScopeSpec:       scopeSpec,
-		Network:         net,
-		Dialect:         c.dialect,
-		Objective:       c.objective,
-		PreferSwitch:    c.preferSwitch,
-		SolveBudget:     c.solveBudget,
-		SkipVerify:      c.skipVerify,
-		Parallelism:     c.parallelism,
-		Observer:        c.observer,
-		Optimize:        c.optimize,
-		LazyPaths:       c.lazyPaths,
-		MaxPaths:        c.maxPaths,
-		NoSymmetryDedup: c.noSymDedup,
-		Portfolio:       c.portfolio,
-	}
-}
-
-// Request is one compilation request — the legacy, struct-configured entry
-// point. New code should prefer lyra.New(...).Compile(ctx, ...); each
-// Request field maps onto a Compiler option (see the migration table in
-// README.md).
-type Request struct {
-	// Source is the Lyra program text.
-	Source string
-	// SourceName is used in diagnostics (defaults to "input.lyra").
-	SourceName string
-	// ScopeSpec is the algorithm scope specification (§3.3, Figure 7).
-	ScopeSpec string
-	// Network is the target topology.
-	Network *Network
-	// Dialect selects P4_14 (default) or P4_16 for P4 chips.
-	Dialect Dialect
-	// Objective optionally optimizes the placement.
-	Objective Objective
-	// PreferSwitch names the switch to load up under
-	// ObjectivePreferSwitch (Appendix C.2).
-	PreferSwitch string
-	// SolveBudget bounds solver work (0 = default).
-	SolveBudget time.Duration
-	// SkipVerify disables the post-hoc admission verification.
-	SkipVerify bool
+	req := c.cfg
+	req.Source, req.ScopeSpec, req.Network = source, scopeSpec, net
+	return req
 }
 
 // Result is a successful compilation.
@@ -499,57 +446,6 @@ type Result struct {
 	cres *core.Result
 	creq core.Request
 	net  *Network
-	// compiler is the configuration that produced this result; the legacy
-	// Result.Recompile recompiles under it.
-	compiler *Compiler
-}
-
-// Compile runs the full Lyra pipeline: parse, check, preprocess, analyze,
-// synthesize, encode, solve, translate, and verify. It is a compatibility
-// wrapper over the Compiler API; the pipeline itself lives in
-// internal/core.
-func Compile(req Request) (*Result, error) {
-	return CompileContext(context.Background(), req)
-}
-
-// CompileContext is Compile with cooperative cancellation: cancelling ctx
-// (or hitting its deadline) aborts the SMT solve at its next poll point and
-// returns an error satisfying errors.Is(err, ErrTimeout).
-func CompileContext(ctx context.Context, req Request) (*Result, error) {
-	return compilerFromRequest(req).Compile(ctx, req.Source, req.ScopeSpec, req.Network)
-}
-
-// compilerFromRequest maps legacy Request fields onto the equivalent
-// Compiler options.
-func compilerFromRequest(req Request) *Compiler {
-	return &Compiler{
-		dialect:      req.Dialect,
-		objective:    req.Objective,
-		preferSwitch: req.PreferSwitch,
-		solveBudget:  req.SolveBudget,
-		skipVerify:   req.SkipVerify,
-		sourceName:   req.SourceName,
-	}
-}
-
-// Recompile re-solves a previous compilation after the network suffers the
-// given fault scenario (§6.3's incremental loop). The degraded topology is
-// derived by applying sc to a clone of the previous network; the original
-// Network value is never mutated. Front-end work is reused, placement is
-// re-solved with the graceful-degradation ladder enabled, and switches whose
-// plan slice is unchanged keep their previous artifact byte-for-byte — the
-// returned Delta lists exactly which devices need reprogramming.
-func (r *Result) Recompile(sc Scenario) (*Result, *Delta, error) {
-	return r.RecompileContext(context.Background(), sc)
-}
-
-// RecompileContext is Recompile with cooperative cancellation. It is
-// Compiler.Recompile under the configuration that produced r.
-func (r *Result) RecompileContext(ctx context.Context, sc Scenario) (*Result, *Delta, error) {
-	if r == nil || r.compiler == nil {
-		return nil, nil, fmt.Errorf("lyra: recompile requires a completed compilation")
-	}
-	return r.compiler.Recompile(ctx, r, sc)
 }
 
 // Network returns the topology this result was compiled against (after
@@ -575,12 +471,11 @@ func (r *Result) ArtifactFingerprint() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func (c *Compiler) wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
+func wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
 	if cres == nil {
 		return nil
 	}
 	return &Result{
-		compiler:       c,
 		Artifacts:      cres.Artifacts,
 		Reports:        cres.Reports,
 		Fingerprints:   cres.Fingerprints,
@@ -605,11 +500,7 @@ func (r *Result) Switches() []string {
 	for sw := range r.Artifacts {
 		out = append(out, sw)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 
@@ -649,10 +540,14 @@ func (r *Result) PlacedSwitches(alg string) []string {
 // Shards reports how an extern variable was split: switch -> entries.
 func (r *Result) Shards(extern string) map[string]int64 { return r.plan.Shards[extern] }
 
-// FlowPaths returns the flow paths of a MULTI-SW algorithm's scope.
+// FlowPaths returns the flow paths of a MULTI-SW algorithm's scope, sorted,
+// whether the compile held them or streamed them (WithLazyPaths). The
+// budget that could refuse the list is the one the compile already
+// enumerated the same paths under, so a completed Result has it.
 func (r *Result) FlowPaths(alg string) [][]string {
 	if rs := r.plan.Input.Scopes[alg]; rs != nil {
-		return rs.Paths
+		paths, _ := rs.PathList()
+		return paths
 	}
 	return nil
 }
@@ -719,24 +614,16 @@ func (s *Simulation) RunPathTraced(path []string, ctx *SimContext, pkt *Packet) 
 	return s.dep.RunPathTraced(path, ctx, pkt)
 }
 
-// RunPathEngine is RunPath executed by the compiled bytecode engine
-// instead of the tree-walking interpreter. The two are byte-identical by
-// construction (the difftest oracle cross-checks them); the engine is the
-// fast path for traffic replay.
-func (s *Simulation) RunPathEngine(path []string, ctx *SimContext, pkt *Packet) (*Packet, error) {
-	return s.dep.RunPathEngine(path, ctx, pkt)
-}
-
 // RunPathCompiled is RunPath executed by the closure-threaded compiled
-// backend, the fastest of the three execution tiers. Like the engine it is
-// byte-identical to the interpreter (the difftest oracle cross-checks all
-// three).
+// backend instead of the tree-walking interpreter. The two are
+// byte-identical by construction (the difftest oracle cross-checks them);
+// the compiled backend is the fast path for traffic replay.
 func (s *Simulation) RunPathCompiled(path []string, ctx *SimContext, pkt *Packet) (*Packet, error) {
 	return s.dep.RunPathCompiled(path, ctx, pkt)
 }
 
-// Deployment exposes the underlying deployment for batched traffic replay
-// through the execution tiers (Executor, Engine, ReplayTraffic).
+// Deployment exposes the underlying deployment for batched and streaming
+// traffic replay through the execution tiers (ExecutorFor, OpenStream).
 func (s *Simulation) Deployment() *dataplane.Deployment { return s.dep }
 
 // Serialize packs a packet's valid headers into wire bytes per the

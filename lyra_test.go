@@ -4,8 +4,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lyra/internal/dataplane"
 )
 
 const quickLB = `
@@ -25,11 +28,7 @@ algorithm loadbalancer {
 const quickScope = `loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]`
 
 func TestCompileEndToEnd(t *testing.T) {
-	res, err := Compile(Request{
-		Source:    quickLB,
-		ScopeSpec: quickScope,
-		Network:   Testbed(),
-	})
+	res, err := New().Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -49,18 +48,19 @@ func TestCompileEndToEnd(t *testing.T) {
 func TestCompileErrors(t *testing.T) {
 	net := Testbed()
 	cases := []struct {
-		name string
-		req  Request
-		want string
+		name          string
+		source, scope string
+		net           *Network
+		want          string
 	}{
-		{"no network", Request{Source: quickLB, ScopeSpec: quickScope}, "network is required"},
-		{"syntax", Request{Source: "algorithm {", ScopeSpec: quickScope, Network: net}, "parse"},
-		{"semantic", Request{Source: "algorithm a { ghost(); }", ScopeSpec: "a: [ToR1|PER-SW|-]", Network: net}, "check"},
-		{"scope", Request{Source: quickLB, ScopeSpec: "loadbalancer: [oops", Network: net}, "scope"},
-		{"missing scope", Request{Source: quickLB, ScopeSpec: "", Network: net}, "no scope"},
+		{"no network", quickLB, quickScope, nil, "network is required"},
+		{"syntax", "algorithm {", quickScope, net, "parse"},
+		{"semantic", "algorithm a { ghost(); }", "a: [ToR1|PER-SW|-]", net, "check"},
+		{"scope", quickLB, "loadbalancer: [oops", net, "scope"},
+		{"missing scope", quickLB, "", net, "no scope"},
 	}
 	for _, c := range cases {
-		_, err := Compile(c.req)
+		_, err := New().Compile(context.Background(), c.source, c.scope, c.net)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
@@ -68,7 +68,7 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestWriteTo(t *testing.T) {
-	res, err := Compile(Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed()})
+	res, err := New().Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWriteTo(t *testing.T) {
 }
 
 func TestSimulateRoundTrip(t *testing.T) {
-	res, err := Compile(Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed()})
+	res, err := New().Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,125 @@ func TestSimulateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLazyPathsDeployLikeEager: a result compiled under WithLazyPaths holds
+// no materialised path list, and must still report its flow paths and
+// deploy a table too big for one switch the way the eager compile does —
+// partitioned along each path, within each host's shard allotment — not
+// fall back to treating every host as a path of its own and replicate the
+// table onto all of them.
+func TestLazyPathsDeployLikeEager(t *testing.T) {
+	src := strings.Replace(quickLB, "[1024] conn_table", "[5500000] conn_table", 1)
+	compile := func(opts ...Option) *Result {
+		t.Helper()
+		res, err := New(opts...).Compile(context.Background(), src, quickScope, Testbed())
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return res
+	}
+	eager, lazy := compile(), compile(WithLazyPaths(0))
+	paths := eager.FlowPaths("loadbalancer")
+	if len(paths) != 4 || !reflect.DeepEqual(lazy.FlowPaths("loadbalancer"), paths) {
+		t.Fatalf("FlowPaths: eager %v, lazy %v, want the same 4", paths, lazy.FlowPaths("loadbalancer"))
+	}
+	if len(eager.Shards("conn_table")) < 2 {
+		t.Fatalf("test premise: conn_table must be sharded, got %v", eager.Shards("conn_table"))
+	}
+
+	// 1000 entries, the first 20 keyed by the hash of a packet we replay.
+	probe, err := eager.Simulate(NewTables())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := probe.Deployment().Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := eng.FlowKeyHash("crc32_hash", 32, 0, "ipv4.srcAddr", "ipv4.dstAddr", "ipv4.protocol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := NewTables()
+	var pkts []*Packet
+	for i := uint64(0); i < 1000; i++ {
+		key := i * 2654435761 & 0xffffffff
+		if i < 20 {
+			pkt := NewPacket()
+			pkt.Valid["ipv4"] = true
+			pkt.Fields["ipv4.srcAddr"] = 0x0A000000 + i
+			pkt.Fields["ipv4.dstAddr"] = 0x0B000002
+			pkt.Fields["ipv4.protocol"] = 6
+			pkts = append(pkts, pkt)
+			key = hash(eng.Flatten(pkt))
+		}
+		tables.Set("conn_table", key, 0xC0A80000+i)
+	}
+	keys := make([]uint64, 0, 1000)
+	for k := range tables.Externs["conn_table"].Entries {
+		keys = append(keys, k)
+	}
+
+	// shardOf reads what each host holds, through an interpreter-tier
+	// stream (which reads the deployment's shard tables).
+	shardOf := func(res *Result) (*Simulation, map[string]map[uint64]uint64) {
+		t.Helper()
+		sim, err := res.Simulate(tables)
+		if err != nil {
+			t.Fatalf("simulate: %v", err)
+		}
+		s, err := sim.Deployment().OpenStream(paths[0], dataplane.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		held := map[string]map[uint64]uint64{}
+		for host := range res.Shards("conn_table") {
+			held[host] = map[uint64]uint64{}
+			for _, k := range keys {
+				if v, ok, err := s.TableEntry(0, host, "conn_table", k); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					held[host][k] = v
+				}
+			}
+		}
+		return sim, held
+	}
+	_, want := shardOf(eager)
+	sim, got := shardOf(lazy)
+	if !reflect.DeepEqual(got, want) {
+		for host := range want {
+			t.Errorf("%s holds %d entries under the lazy compile, %d under the eager one", host, len(got[host]), len(want[host]))
+		}
+	}
+	for host, allot := range lazy.Shards("conn_table") {
+		if int64(len(got[host])) > allot {
+			t.Errorf("%s holds %d entries, past its shard allotment of %d", host, len(got[host]), allot)
+		}
+	}
+	ctx := &SimContext{}
+	for i, pkt := range pkts {
+		ref, err := sim.RunReference(ctx, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Fields["ipv4.dstAddr"] != 0xC0A80000+uint64(i) {
+			t.Fatalf("packet %d missed conn_table under the reference semantics: %s", i, ref.Summary())
+		}
+		for _, path := range paths {
+			out, err := sim.RunPath(path, ctx, pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Summary() != ref.Summary() {
+				t.Errorf("packet %d path %v:\n  ref:  %s\n  dist: %s", i, path, ref.Summary(), out.Summary())
+			}
+		}
+	}
+}
+
 func TestDialectOption(t *testing.T) {
-	res, err := Compile(Request{Source: quickLB, ScopeSpec: quickScope, Network: Testbed(), Dialect: P416})
+	res, err := New(WithDialect(P416)).Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +253,7 @@ func TestDialectOption(t *testing.T) {
 }
 
 func TestObjectiveMinSwitches(t *testing.T) {
-	res, err := Compile(Request{
-		Source: quickLB, ScopeSpec: quickScope, Network: Testbed(),
-		Objective: ObjectiveMinSwitches,
-	})
+	res, err := New(WithObjective(ObjectiveMinSwitches)).Compile(context.Background(), quickLB, quickScope, Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +286,7 @@ algorithm marker {
   }
 }
 `
-	res, err := Compile(Request{
-		Source:    src,
-		ScopeSpec: "marker: [ ToR3 | PER-SW | - ]",
-		Network:   Testbed(),
-	})
+	res, err := New().Compile(context.Background(), src, "marker: [ ToR3 | PER-SW | - ]", Testbed())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,12 @@ package lyra
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
+	"lyra/internal/core"
 	"lyra/internal/encode"
 )
 
@@ -145,30 +148,47 @@ func TestObserverSeesPhasesInOrder(t *testing.T) {
 	}
 }
 
-// TestCompilerMatchesRequest pins the compatibility contract: the legacy
-// Request form and the option form configure the identical pipeline.
+// TestCompilerMatchesRequest pins the one configuration: every option
+// arrives in the pipeline request under its own field, a compile adds only
+// the program, the scope specification and the network, and it adds them to
+// a copy — the Compiler another goroutine may be compiling with is not
+// written to.
 func TestCompilerMatchesRequest(t *testing.T) {
-	viaReq, err := Compile(Request{
-		Source: quickLB, ScopeSpec: quickScope, Network: Testbed(),
-		Dialect: P416, Objective: ObjectiveMinSwitches,
-	})
-	if err != nil {
-		t.Fatalf("Compile(Request): %v", err)
+	var got []core.Request
+	orig := corePipeline
+	corePipeline = func(_ context.Context, req core.Request) (*core.Result, error) {
+		got = append(got, req)
+		return nil, errors.New("stop here")
 	}
-	viaOpts, err := New(
-		WithDialect(P416),
-		WithObjective(ObjectiveMinSwitches),
-	).Compile(context.Background(), quickLB, quickScope, Testbed())
-	if err != nil {
-		t.Fatalf("Compiler.Compile: %v", err)
+	defer func() { corePipeline = orig }()
+
+	obs := ObserverFunc(func(PhaseTiming) {})
+	c := New(
+		WithDialect(P416), WithObjective(ObjectiveMinSwitches), WithPreferSwitch("ToR3"),
+		WithSolveBudget(time.Minute), WithParallelism(3), WithObserver(obs), WithSkipVerify(),
+		WithSourceName("lb.lyra"), WithLazyPaths(77), WithoutSymmetryDedup(), WithPortfolio(2),
+		WithOptimize(OptimizeOptions{Seed: 9}),
+	)
+	net := Testbed()
+	c.Compile(context.Background(), "first", "scope one", net)
+	c.Compile(context.Background(), "second", "scope two", net)
+	if len(got) != 2 {
+		t.Fatalf("pipeline saw %d requests, want 2", len(got))
 	}
-	if !reflect.DeepEqual(viaReq.Fingerprints, viaOpts.Fingerprints) {
-		t.Errorf("fingerprints differ between Request and option forms")
-	}
-	for _, sw := range viaReq.Switches() {
-		if viaReq.Artifact(sw).Code != viaOpts.Artifact(sw).Code {
-			t.Errorf("%s: code differs between Request and option forms", sw)
+	for i, want := range [][2]string{{"first", "scope one"}, {"second", "scope two"}} {
+		req := got[i]
+		if req.Source != want[0] || req.ScopeSpec != want[1] || req.Network == nil {
+			t.Errorf("request %d inputs = %q, %q, %v", i, req.Source, req.ScopeSpec, req.Network)
 		}
+		if req.Dialect != P416 || req.Objective != ObjectivePreferSwitch || req.PreferSwitch != "ToR3" ||
+			req.SolveBudget != time.Minute || req.Parallelism != 3 || req.Observer == nil || !req.SkipVerify ||
+			req.SourceName != "lb.lyra" || !req.LazyPaths || req.MaxPaths != 77 || !req.NoSymmetryDedup ||
+			req.Portfolio != 2 || req.Optimize == nil || req.Optimize.Seed != 9 {
+			t.Errorf("request %d does not carry the options: %+v", i, req)
+		}
+	}
+	if c.cfg.Source != "" || c.cfg.ScopeSpec != "" || c.cfg.Network != nil {
+		t.Errorf("a compile wrote its inputs into the shared configuration: %+v", c.cfg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lyra
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,12 +48,7 @@ func TestFigure9ProgramsCompileP4(t *testing.T) {
 	for _, name := range programNames {
 		t.Run(name, func(t *testing.T) {
 			src := loadProgram(t, name)
-			res, err := Compile(Request{
-				Source:     src,
-				SourceName: name + ".lyra",
-				ScopeSpec:  perSwitchScope(t, src, "ToR1"),
-				Network:    Testbed(),
-			})
+			res, err := New(WithSourceName(name+".lyra")).Compile(context.Background(), src, perSwitchScope(t, src, "ToR1"), Testbed())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -77,12 +73,7 @@ func TestFigure9ProgramsCompileNPL(t *testing.T) {
 	for _, name := range programNames {
 		t.Run(name, func(t *testing.T) {
 			src := loadProgram(t, name)
-			res, err := Compile(Request{
-				Source:     src,
-				SourceName: name + ".lyra",
-				ScopeSpec:  perSwitchScope(t, src, "Agg1"),
-				Network:    Testbed(),
-			})
+			res, err := New(WithSourceName(name+".lyra")).Compile(context.Background(), src, perSwitchScope(t, src, "Agg1"), Testbed())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -102,12 +93,7 @@ func TestFigure9ProgramsP416(t *testing.T) {
 	for _, name := range programNames {
 		t.Run(name, func(t *testing.T) {
 			src := loadProgram(t, name)
-			res, err := Compile(Request{
-				Source:    src,
-				ScopeSpec: perSwitchScope(t, src, "ToR1"),
-				Network:   Testbed(),
-				Dialect:   P416,
-			})
+			res, err := New(WithDialect(P416)).Compile(context.Background(), src, perSwitchScope(t, src, "ToR1"), Testbed())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
