@@ -105,3 +105,23 @@ func TestGoldenControlPlane(t *testing.T) {
 		t.Errorf("control plane differs from golden:\n%s", got)
 	}
 }
+
+// TestArtifactFingerprintPinned locks ArtifactFingerprint's digest for one
+// fixed compile — heavy_hitter placed across the ToRs and Aggs of the testbed,
+// P4_14 and NPL code and their stubs — as the fmt-and-copy rendering computed
+// it, and checks that asking again returns the same value.
+func TestArtifactFingerprintPinned(t *testing.T) {
+	const want = "bd1ab2078b3492e181b14191debb54689439cadde4fb2071ed7a2a727ef320aa"
+	src := loadProgram(t, "heavy_hitter")
+	res, err := New(WithParallelism(1)).Compile(context.Background(), src,
+		"heavy_hitter: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n", Testbed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.ArtifactFingerprint(); got != want {
+		t.Errorf("ArtifactFingerprint = %s, pinned %s", got, want)
+	}
+	if got := res.ArtifactFingerprint(); got != want {
+		t.Errorf("second ArtifactFingerprint = %s, pinned %s", got, want)
+	}
+}

@@ -2,7 +2,9 @@ package asic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // TableSpec describes one match-action table to be admitted into a chip
@@ -317,6 +319,42 @@ func topoOrder(tables []TableSpec) ([]int, error) {
 	return out, nil
 }
 
+// maxRanked bounds the field widths whose ranked strategies are kept; a wider
+// field is ranked on every use.
+const maxRanked = 256
+
+// ranked holds rankedStrategies' answer per width up to maxRanked, each made
+// once and shared, read-only, by every admission of every compile.
+var ranked [maxRanked + 1]struct {
+	once sync.Once
+	s    []PHVWords
+}
+
+// rankedStrategies returns the packing strategies of a bits-wide field in the
+// order packPHV tries them: least wasted bits first, then fewest words. The
+// slice is shared: do not modify it.
+func rankedStrategies(bits int) []PHVWords {
+	if bits > maxRanked {
+		return rankStrategies(bits)
+	}
+	r := &ranked[bits]
+	r.once.Do(func() { r.s = rankStrategies(bits) })
+	return r.s
+}
+
+func rankStrategies(bits int) []PHVWords {
+	strategies := PackingStrategies(bits)
+	sort.Slice(strategies, func(i, j int) bool {
+		wi, wj := strategies[i].Bits()-bits, strategies[j].Bits()-bits
+		if wi != wj {
+			return wi < wj
+		}
+		return strategies[i].W8+strategies[i].W16+strategies[i].W32 <
+			strategies[j].W8+strategies[j].W16+strategies[j].W32
+	})
+	return strategies
+}
+
 // packPHV chooses a packing for every field and checks word budgets
 // (Appendix A.3, Eq. 9–10). Fields are packed with a first-fit-decreasing
 // heuristic over the enumerated strategies; the minimal-waste strategy is
@@ -325,25 +363,16 @@ func packPHV(m *Model, fields []int) (PHVWords, error) {
 	if m.PHV8 == 0 && m.PHV16 == 0 && m.PHV32 == 0 {
 		return PHVWords{}, nil
 	}
-	sorted := append([]int(nil), fields...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	sorted := slices.Clone(fields)
+	slices.Sort(sorted)
 	var used PHVWords
-	for _, bits := range sorted {
+	for i := len(sorted) - 1; i >= 0; i-- { // widest first
+		bits := sorted[i]
 		if bits <= 0 {
 			continue
 		}
-		strategies := PackingStrategies(bits)
 		placed := false
-		// Prefer strategies with least wasted bits, then fewest words.
-		sort.Slice(strategies, func(i, j int) bool {
-			wi, wj := strategies[i].Bits()-bits, strategies[j].Bits()-bits
-			if wi != wj {
-				return wi < wj
-			}
-			return strategies[i].W8+strategies[i].W16+strategies[i].W32 <
-				strategies[j].W8+strategies[j].W16+strategies[j].W32
-		})
-		for _, st := range strategies {
+		for _, st := range rankedStrategies(bits) {
 			if used.W8+st.W8 <= m.PHV8 && used.W16+st.W16 <= m.PHV16 && used.W32+st.W32 <= m.PHV32 {
 				used.W8 += st.W8
 				used.W16 += st.W16

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -135,6 +136,9 @@ type emission struct {
 	like Artifact // everything the shape decides: dialect and the Figure 9 metrics
 	body string   // program text after the header line
 	stub stubTemplate
+	// code is the whole text as emitted for switch sw, which is that switch's
+	// Code as it stands.
+	sw, code string
 }
 
 // emit renders a switch program in the chip's language, P4 in the given
@@ -149,7 +153,7 @@ func emit(sp *SwitchProgram, dialect Dialect) *emission {
 	default:
 		code = EmitP414(sp)
 	}
-	e := &emission{body: code[strings.IndexByte(code, '\n')+1:], stub: renderStub(sp)}
+	e := &emission{body: code[strings.IndexByte(code, '\n')+1:], stub: renderStub(sp), sw: sp.Switch, code: code}
 	e.like = Artifact{
 		Dialect: lang, LoC: countLines(code), LogicLoC: logicLines(code),
 		Tables: len(sp.Tables), Registers: len(sp.Registers),
@@ -158,6 +162,42 @@ func emit(sp *SwitchProgram, dialect Dialect) *emission {
 		e.like.Actions += len(t.Actions)
 	}
 	return e
+}
+
+// printBufs recycles the printers' render buffers: a program is rendered into
+// one and copied out once, at its exact length. A buffer is cleared before it
+// goes back, and one that grew past maxPooledBuf is dropped rather than kept.
+var printBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 64 << 10
+
+func printBuf() *bytes.Buffer {
+	b := printBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// printed returns the text rendered into b and gives b back to the pool.
+func printed(b *bytes.Buffer) string {
+	s := b.String()
+	if b.Cap() <= maxPooledBuf {
+		clear(b.Bytes())
+		printBufs.Put(b)
+	}
+	return s
+}
+
+// indent is eight levels of the printers' four-space indentation.
+const indent = "                                "
+
+// writeLine renders one line of program text at the given depth.
+func writeLine(b *bytes.Buffer, depth int, format string, args ...any) {
+	for ; depth > 8; depth -= 8 {
+		b.WriteString(indent)
+	}
+	b.WriteString(indent[:4*depth])
+	fmt.Fprintf(b, format, args...)
+	b.WriteByte('\n')
 }
 
 // codeHeader is the first line of every emitted program, with what follows
@@ -170,7 +210,11 @@ func codeHeader(lang string, sp *SwitchProgram, body string) string {
 func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, docs *shardDocs) *Artifact {
 	art := e.like
 	art.Switch, art.Model, art.Program, art.Alloc = sp.Switch, sp.Model, sp, plan.Allocations[sp.Switch]
-	art.Code = codeHeader(art.Dialect, sp, e.body)
+	if sp.Switch == e.sw {
+		art.Code = e.code
+	} else {
+		art.Code = codeHeader(art.Dialect, sp, e.body)
+	}
 	art.ControlPlane = e.stub.fill(sp.Switch, docs)
 	return &art
 }
@@ -184,10 +228,21 @@ func sortedProgKeys(m map[string]*SwitchProgram) []string {
 	return out
 }
 
+// nextLine splits the first line off text: the lines it yields until text is
+// empty are those of strings.Split(text, "\n"), the empty last one aside.
+func nextLine(text string) (line, rest string) {
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, ""
+}
+
 // countLines counts non-blank lines.
 func countLines(code string) int {
 	n := 0
-	for _, l := range strings.Split(code, "\n") {
+	for code != "" {
+		var l string
+		l, code = nextLine(code)
 		if strings.TrimSpace(l) != "" {
 			n++
 		}
@@ -201,7 +256,9 @@ func logicLines(code string) int {
 	n := 0
 	skipping := false
 	depth := 0
-	for _, l := range strings.Split(code, "\n") {
+	for code != "" {
+		var l string
+		l, code = nextLine(code)
 		t := strings.TrimSpace(l)
 		if t == "" {
 			continue

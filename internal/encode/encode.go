@@ -360,6 +360,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		}
 	}
 	results := make([]componentResult, len(comps))
+	phv := &phvIndex{prog: in.IR}
 	par.For(len(solveIdx), opts.Parallelism, func(k int) {
 		i := solveIdx[k]
 		label := ""
@@ -368,9 +369,9 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		}
 		r := &results[i]
 		if opts.Portfolio > 1 {
-			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, opts, deadline, label)
+			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, phv, opts, deadline, label)
 		} else {
-			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, opts, deadline, label)
+			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, phv, opts, deadline, label)
 		}
 		if r.err == nil {
 			tStart := time.Now()
@@ -534,7 +535,7 @@ func (ca *carried) merge(open []Binding) (bound []Binding, keptAt []bool) {
 // (slv). With opts.ReencodeEachAttempt the encoder is discarded between
 // attempts, reproducing the historical rebuild-per-rung behavior as a
 // benchmark baseline.
-func solveComponent(ctx context.Context, in *Input, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
+func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
 		prefer:         opts.PreferSwitch,
@@ -552,7 +553,7 @@ func solveComponent(ctx context.Context, in *Input, opts *Options, deadline time
 		if e == nil {
 			encStart := time.Now()
 			var berr error
-			e, berr = newEncoder(in)
+			e, berr = newEncoder(in, phv)
 			if berr == nil {
 				berr = e.encode()
 			}
@@ -846,13 +847,19 @@ type encoder struct {
 	solver *smt.Solver
 	theory *resourceTheory
 
-	// vars[alg][instrID][switch] -> literal
-	vars      map[string]map[int]map[string]smt.Lit
-	placeVars []*placeVar
+	// vars holds each algorithm's placement literals.
+	vars      map[string]*algVars
+	placeVars []placeVar
 
-	// synth results per algorithm per language.
+	// synth results per algorithm per language, each made the first time a
+	// switch of that language asks for it.
 	p4  map[string]*synth.Result
 	npl map[string]*synth.Result
+	// phv numbers the program's PHV-resident names; see phvIndex.
+	phv *phvIndex
+	// clause and hop are scratch for the clause being built and the hop
+	// literals it is built from.
+	clause, hop []smt.Lit
 
 	// prep holds the per-algorithm encoding preparation: candidate switches
 	// and the deduplicated candidate-hop sequences of the scope's flow
@@ -875,9 +882,10 @@ type encoder struct {
 	groups     map[string]smt.Lit
 	groupOrder []string
 
-	// allocs memoises chip admission by program content, from the encoder's
-	// first theory check until it is parked in the solver cache; see allocate.
-	allocs map[string]*asic.Allocation
+	// allocs memoises chip admission by program content for the encoder's
+	// lifetime; see allocate. specKey is scratch for its keys.
+	allocs  map[string]*asic.Allocation
+	specKey []byte
 
 	// useLits memoizes the ObjMinSwitches indicator literals: OrEquals
 	// introduces fresh variables, so on a persistent solver they must be
@@ -887,13 +895,14 @@ type encoder struct {
 	useOnce bool
 }
 
-func newEncoder(in *Input) (*encoder, error) {
+func newEncoder(in *Input, phv *phvIndex) (*encoder, error) {
 	e := &encoder{
 		in:          in,
 		solver:      smt.NewSolver(),
-		vars:        map[string]map[int]map[string]smt.Lit{},
+		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
 		p4:          map[string]*synth.Result{},
 		npl:         map[string]*synth.Result{},
+		phv:         phv,
 		sharedInstr: map[string]map[int]bool{},
 		replicable:  replicableAlgs(in),
 		groups:      map[string]smt.Lit{},
@@ -902,11 +911,55 @@ func newEncoder(in *Input) (*encoder, error) {
 		if _, ok := in.Scopes[a.Name]; !ok {
 			return nil, fmt.Errorf("encode: algorithm %q has no scope specification", a.Name)
 		}
-		e.p4[a.Name] = synth.SynthesizeP4(in.IR, a)
-		e.npl[a.Name] = synth.SynthesizeNPL(in.IR, a)
 	}
 	return e, nil
 }
+
+// synthesized returns the algorithm's conditional implementation for a chip
+// language, synthesizing it on first use: a scope of P4 switches never pays
+// for the NPL one, nor the other way round.
+func (e *encoder) synthesized(alg string, lang asic.Lang) *synth.Result {
+	memo, synthesize := e.p4, synth.SynthesizeP4
+	if lang == asic.LangNPL {
+		memo, synthesize = e.npl, synth.SynthesizeNPL
+	}
+	r := memo[alg]
+	if r == nil {
+		r = synthesize(e.in.IR, e.in.IR.Algorithm(alg))
+		memo[alg] = r
+	}
+	return r
+}
+
+// algVars is one algorithm's placement literals, f_s(i) at
+// lits[i*len(cands)+candIdx[s]], and the selectors of its constraint
+// families, each made the first time one of its clauses is added.
+type algVars struct {
+	name    string
+	cands   []string
+	candIdx map[string]int
+	lits    []smt.Lit
+	sels    [numFamilies]smt.Lit
+}
+
+func (v *algVars) lit(instr int, sw string) smt.Lit {
+	return v.lits[instr*len(v.cands)+v.candIdx[sw]]
+}
+
+// family names a constraint family of one algorithm; its selector is labelled
+// familyPrefix[f] + the algorithm name.
+type family int
+
+const (
+	famCoverage family = iota
+	famExactlyOne
+	famOrder
+	famScope
+	famColocate
+	numFamilies
+)
+
+var familyPrefix = [numFamilies]string{"coverage:", "exactly-one:", "order:", "scope:", "colocate:"}
 
 // algPrep is one algorithm's encoding preparation.
 type algPrep struct {
@@ -1032,20 +1085,29 @@ func (e *encoder) sel(family string) smt.Lit {
 	return l
 }
 
+// famSel returns the selector of one of an algorithm's families, resolving
+// its label once: the selector is still made at the family's first clause,
+// so selector creation order does not change.
+func (e *encoder) famSel(v *algVars, f family) smt.Lit {
+	if v.sels[f] == smt.LitUndef {
+		v.sels[f] = e.sel(familyPrefix[f] + v.name)
+	}
+	return v.sels[f]
+}
+
 // guarded adds a clause active only while the family's selector is assumed.
-func (e *encoder) guarded(family string, lits ...smt.Lit) {
-	cl := make([]smt.Lit, 0, len(lits)+1)
-	cl = append(cl, e.sel(family).Not())
-	cl = append(cl, lits...)
-	e.solver.AddClause(cl...)
+func (e *encoder) guarded(v *algVars, f family, lits ...smt.Lit) {
+	e.clause = append(e.clause[:0], e.famSel(v, f).Not())
+	e.clause = append(e.clause, lits...)
+	e.solver.AddClause(e.clause...)
 }
 
 // guardedAtMostOne adds an at-most-one constraint active only while the
 // family's selector is assumed: pairwise for small sets, and as a guarded
 // cardinality constraint above that (the selector joins with weight n−1, so
 // an unassumed selector relaxes the bound to the trivial n).
-func (e *encoder) guardedAtMostOne(family string, lits ...smt.Lit) {
-	g := e.sel(family)
+func (e *encoder) guardedAtMostOne(v *algVars, f family, lits ...smt.Lit) {
+	g := e.famSel(v, f)
 	if len(lits) <= 6 {
 		for i := 0; i < len(lits); i++ {
 			for j := i + 1; j < len(lits); j++ {
@@ -1083,32 +1145,39 @@ func (e *encoder) assumptionsFor(cfg attemptCfg) []smt.Lit {
 	return out
 }
 
-func (e *encoder) lit(alg string, instr int, sw string) (smt.Lit, bool) {
-	if m, ok := e.vars[alg]; ok {
-		if mm, ok := m[instr]; ok {
-			l, ok := mm[sw]
-			return l, ok
-		}
-	}
-	return smt.LitUndef, false
-}
-
 func (e *encoder) encode() error {
 	if err := e.prepare(); err != nil {
 		return err
 	}
+	// Every variable is known up front: one placement literal per instruction
+	// and candidate, and at most one selector per family.
+	nvars, nlits := 0, 0
+	for _, a := range e.in.IR.Algorithms {
+		nvars += len(a.Instrs)*len(e.prep[a.Name].candidates) + int(numFamilies)
+		nlits += len(a.Instrs) * len(e.prep[a.Name].candidates)
+	}
+	e.solver.Reserve(nvars)
+	e.placeVars = make([]placeVar, 0, nlits)
+	lits := make([]smt.Lit, nlits)
 	for _, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
 		p := e.prep[a.Name]
 		candidates := p.candidates
 
-		e.vars[a.Name] = map[int]map[string]smt.Lit{}
+		v := &algVars{name: a.Name, cands: candidates, candIdx: make(map[string]int, len(candidates))}
+		for k, sw := range candidates {
+			v.candIdx[sw] = k
+		}
+		for f := range v.sels {
+			v.sels[f] = smt.LitUndef
+		}
+		v.lits, lits = lits[:len(a.Instrs)*len(candidates)], lits[len(a.Instrs)*len(candidates):]
+		e.vars[a.Name] = v
 		for _, inst := range a.Instrs {
-			e.vars[a.Name][inst.ID] = map[string]smt.Lit{}
-			for _, sw := range candidates {
-				l := e.solver.NewBool(fmt.Sprintf("f[%s,%d,%s]", a.Name, inst.ID, sw))
-				e.vars[a.Name][inst.ID][sw] = l
-				e.placeVars = append(e.placeVars, &placeVar{
+			for k, sw := range candidates {
+				l := e.solver.NewBool("")
+				v.lits[inst.ID*len(candidates)+k] = l
+				e.placeVars = append(e.placeVars, placeVar{
 					alg: a.Name, instr: inst.ID, sw: sw, lit: l, shared: e.sharedInstr[a.Name][inst.ID],
 				})
 			}
@@ -1119,22 +1188,22 @@ func (e *encoder) encode() error {
 			// Every instruction on every candidate switch (copies).
 			for _, inst := range a.Instrs {
 				for _, sw := range candidates {
-					e.guarded("coverage:"+a.Name, e.vars[a.Name][inst.ID][sw])
+					e.guarded(v, famCoverage, v.lit(inst.ID, sw))
 				}
 			}
 		case scope.MultiSwitch:
-			e.encodeMultiSwitch(a, p)
+			e.encodeMultiSwitch(a, p, v)
 		}
 
 		// Global-variable co-location (Appendix B.2): all instructions
 		// touching the same global must share placement.
-		e.encodeGlobalGroups(a, candidates)
+		e.encodeColocated(a, v, ir.IGlobalRead, ir.IGlobalWrite)
 
 		// Extern reader co-placement: the member and lookup operations on
 		// one extern constitute a single match-action table, so every
 		// shard host runs all of them (a hit must apply its value action
 		// on the switch where it matched).
-		e.encodeExternGroups(a, candidates)
+		e.encodeColocated(a, v, ir.IMember, ir.ILookup)
 	}
 	e.theory = &resourceTheory{e: e}
 	e.solver.AddTheory(e.theory)
@@ -1146,24 +1215,32 @@ func (e *encoder) encode() error {
 // per path is clause-for-clause equivalent: two paths with the same
 // candidate hops would emit identical coverage, exactly-one, and ordering
 // constraints.
-func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep) {
+func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep, v *algVars) {
 	// Instructions cannot sit on switches no flow traverses.
 	for _, inst := range a.Instrs {
 		for _, sw := range p.candidates {
 			if !p.onPath[sw] {
-				e.guarded("scope:"+a.Name, e.vars[a.Name][inst.ID][sw].Not())
+				e.guarded(v, famScope, v.lit(inst.ID, sw).Not())
 			}
+		}
+	}
+	// Instructions reading the same extern are copies of one table and repeat
+	// at every shard host, so ordering within the group is exempt.
+	externOf := map[int]string{}
+	for _, inst := range a.Instrs {
+		if inst.Op == ir.IMember || inst.Op == ir.ILookup {
+			externOf[inst.ID] = inst.Table
 		}
 	}
 	for _, hops := range p.hops {
 		for _, inst := range a.Instrs {
-			lits := make([]smt.Lit, 0, len(hops))
+			e.hop = e.hop[:0]
 			for _, sw := range hops {
-				lits = append(lits, e.vars[a.Name][inst.ID][sw])
+				e.hop = append(e.hop, v.lit(inst.ID, sw))
 			}
 			// Coverage (Eq. 16 / §5.5): at least one placement per path,
 			// always required.
-			e.guarded("coverage:"+a.Name, lits...)
+			e.guarded(v, famCoverage, e.hop...)
 			if !e.sharedInstr[a.Name][inst.ID] {
 				// The at-most-one half of the exactly-one flow-path
 				// constraint lives in its own family: the RelaxReplication
@@ -1172,19 +1249,11 @@ func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep) {
 				// hops to regain feasibility — no re-encode needed.
 				// Split-capable instructions (shared extern readers) never
 				// get it: their copies are shards of one table.
-				e.guardedAtMostOne("exactly-one:"+a.Name, lits...)
+				e.guardedAtMostOne(v, famExactlyOne, e.hop...)
 			}
 		}
 		// Instruction dependency ordering (Eq. 3): if i' depends on i, no
-		// copy of i may sit strictly behind any copy of i'. Instructions
-		// reading the same extern are copies of one table and repeat at
-		// every shard host, so ordering within the group is exempt.
-		externOf := map[int]string{}
-		for _, inst := range a.Instrs {
-			if inst.Op == ir.IMember || inst.Op == ir.ILookup {
-				externOf[inst.ID] = inst.Table
-			}
-		}
+		// copy of i may sit strictly behind any copy of i'.
 		for _, inst := range a.Instrs {
 			for _, dep := range inst.Deps {
 				if g, ok := externOf[inst.ID]; ok && externOf[dep] == g {
@@ -1193,9 +1262,9 @@ func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep) {
 				for ai := range hops {
 					for bi := 0; bi < ai; bi++ {
 						// dep at position ai (late), inst at bi (early).
-						e.guarded("order:"+a.Name,
-							e.vars[a.Name][dep][hops[ai]].Not(),
-							e.vars[a.Name][inst.ID][hops[bi]].Not(),
+						e.guarded(v, famOrder,
+							v.lit(dep, hops[ai]).Not(),
+							v.lit(inst.ID, hops[bi]).Not(),
 						)
 					}
 				}
@@ -1204,12 +1273,13 @@ func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep) {
 	}
 }
 
-// encodeGlobalGroups forces all instructions accessing one global variable
-// onto the same switch (the value is switch-local state).
-func (e *encoder) encodeGlobalGroups(a *ir.Algorithm, candidates []string) {
+// encodeColocated forces all instructions of one of the two ops on the same
+// table onto identical switch sets: the accesses of one global variable (the
+// value is switch-local state), or the member/lookup operations on one extern.
+func (e *encoder) encodeColocated(a *ir.Algorithm, v *algVars, op1, op2 ir.Op) {
 	groups := map[string][]int{}
 	for _, inst := range a.Instrs {
-		if inst.Op == ir.IGlobalRead || inst.Op == ir.IGlobalWrite {
+		if inst.Op == op1 || inst.Op == op2 {
 			groups[inst.Table] = append(groups[inst.Table], inst.ID)
 		}
 	}
@@ -1220,41 +1290,10 @@ func (e *encoder) encodeGlobalGroups(a *ir.Algorithm, candidates []string) {
 		}
 		first := ids[0]
 		for _, other := range ids[1:] {
-			for _, sw := range candidates {
-				a1, ok1 := e.lit(a.Name, first, sw)
-				a2, ok2 := e.lit(a.Name, other, sw)
-				if ok1 && ok2 {
-					e.guarded("colocate:"+a.Name, a1.Not(), a2)
-					e.guarded("colocate:"+a.Name, a1, a2.Not())
-				}
-			}
-		}
-	}
-}
-
-// encodeExternGroups forces all member/lookup instructions on one extern
-// onto identical switch sets.
-func (e *encoder) encodeExternGroups(a *ir.Algorithm, candidates []string) {
-	groups := map[string][]int{}
-	for _, inst := range a.Instrs {
-		if inst.Op == ir.IMember || inst.Op == ir.ILookup {
-			groups[inst.Table] = append(groups[inst.Table], inst.ID)
-		}
-	}
-	for _, g := range sortedKeys(groups) {
-		ids := groups[g]
-		if len(ids) < 2 {
-			continue
-		}
-		first := ids[0]
-		for _, other := range ids[1:] {
-			for _, sw := range candidates {
-				a1, ok1 := e.lit(a.Name, first, sw)
-				a2, ok2 := e.lit(a.Name, other, sw)
-				if ok1 && ok2 {
-					e.guarded("colocate:"+a.Name, a1.Not(), a2)
-					e.guarded("colocate:"+a.Name, a1, a2.Not())
-				}
+			for _, sw := range v.cands {
+				a1, a2 := v.lit(first, sw), v.lit(other, sw)
+				e.guarded(v, famColocate, a1.Not(), a2)
+				e.guarded(v, famColocate, a1, a2.Not())
 			}
 		}
 	}
@@ -1305,18 +1344,20 @@ func (e *encoder) extractPlan(m *smt.Model) *Plan {
 		Allocations: e.theory.allocations,
 		Shards:      e.theory.shards,
 	}
-	for alg, instrs := range e.vars {
-		plan.Placement[alg] = map[int][]string{}
-		for id, sws := range instrs {
+	for alg, v := range e.vars {
+		n := len(v.lits) / len(v.cands)
+		placement := make(map[int][]string, n)
+		for id := 0; id < n; id++ {
 			var hosts []string
-			for sw, l := range sws {
-				if m.Value(l) {
+			for k, sw := range v.cands {
+				if m.Value(v.lits[id*len(v.cands)+k]) {
 					hosts = append(hosts, sw)
 				}
 			}
 			sort.Strings(hosts)
-			plan.Placement[alg][id] = hosts
+			placement[id] = hosts
 		}
+		plan.Placement[alg] = placement
 	}
 	plan.Tables = e.theory.placedTables
 	e.computeBridges(plan)

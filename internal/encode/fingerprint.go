@@ -191,7 +191,9 @@ func (bd Binding) slotShapes(net *topo.Network, models map[*asic.Model]string) [
 		if !ok {
 			// %+v covers every capacity fact admission consults, so a
 			// degraded chip that kept its name still changes the hash.
-			m = "model=" + hexSum([]byte(fmt.Sprintf("%+v", *model))) + "\n"
+			h := sha256.New()
+			fmt.Fprintf(h, "%+v", *model)
+			m = "model=" + hex.EncodeToString(h.Sum(nil)) + "\n"
 			models[model] = m
 		}
 		out[i].local = s.appendLocal([]byte(m))

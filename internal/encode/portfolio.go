@@ -33,7 +33,7 @@ type raceOut struct {
 }
 
 // solvePortfolio wraps solveComponent with opts.Portfolio−1 seeded racers.
-func solvePortfolio(ctx context.Context, in *Input, opts *Options, deadline time.Time, label string) (*Plan, time.Duration, time.Duration, error) {
+func solvePortfolio(ctx context.Context, in *Input, phv *phvIndex, opts *Options, deadline time.Time, label string) (*Plan, time.Duration, time.Duration, error) {
 	nRacers := opts.Portfolio - 1
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -43,10 +43,10 @@ func solvePortfolio(ctx context.Context, in *Input, opts *Options, deadline time
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = runRacer(raceCtx, in, opts, deadline, uint64(i+1))
+			outs[i] = runRacer(raceCtx, in, phv, opts, deadline, uint64(i+1))
 		}(i)
 	}
-	plan, enc, slv, err := solveComponent(ctx, in, opts, deadline, label)
+	plan, enc, slv, err := solveComponent(ctx, in, phv, opts, deadline, label)
 	cancel()
 	wg.Wait()
 
@@ -84,8 +84,8 @@ func solvePortfolio(ctx context.Context, in *Input, opts *Options, deadline time
 // walk the fallback ladder — relaxation decisions stay with the canonical
 // solver so a racer can only ever contribute a plan the strictest
 // configuration admits.
-func runRacer(ctx context.Context, in *Input, opts *Options, deadline time.Time, seed uint64) raceOut {
-	e, err := newEncoder(in)
+func runRacer(ctx context.Context, in *Input, phv *phvIndex, opts *Options, deadline time.Time, seed uint64) raceOut {
+	e, err := newEncoder(in, phv)
 	if err != nil {
 		return raceOut{err: err}
 	}

@@ -142,7 +142,7 @@ func TestBindEqualsSolve(t *testing.T) {
 				if !reflect.DeepEqual(b.Switches, scopeUnion(c.In)) {
 					t.Fatalf("%s: bound to %v, scope union is %v", c.Label(), b.Switches, scopeUnion(c.In))
 				}
-				direct, _, _, err := solveComponent(context.Background(), c.In, DefaultOptions(), time.Time{}, c.Label())
+				direct, _, _, err := solveComponent(context.Background(), c.In, &phvIndex{prog: in.IR}, DefaultOptions(), time.Time{}, c.Label())
 				if err != nil {
 					t.Fatalf("%s: direct solve: %v", c.Label(), err)
 				}
@@ -419,7 +419,7 @@ func TestRenderersMatchFmt(t *testing.T) {
 		},
 	} {
 		for _, m := range []*asic.Model{asic.Tofino32Q, asic.Trident4, asic.Scale(asic.Tofino32Q, 0.5, 1, 1)} {
-			if got, want := specKey(m, spec), specKeyFmt(m, spec); got != want {
+			if got, want := string(appendSpecKey(nil, m, spec)), specKeyFmt(m, spec); got != want {
 				t.Errorf("specKey differs from the fmt rendering:\n  got  %q\n  want %q", got, want)
 			}
 		}

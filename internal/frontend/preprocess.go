@@ -20,6 +20,8 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"lyra/internal/ir"
 	"lyra/internal/lang/ast"
@@ -159,6 +161,57 @@ type lowerer struct {
 	declBits  map[string]int // declared widths for locals
 	guard     ir.Guard
 	inlineSeq int
+	// arm, while one arm of an if is lowered, logs the bindings the arm
+	// replaces so that the arm can be rolled back (see ifStmt).
+	arm *armLog
+}
+
+// armLog lists the bindings an if-arm replaced, in the order it replaced
+// them: the name, what it was bound to before, and whether it was bound.
+type armLog []binding
+
+type binding struct {
+	name string
+	op   ir.Operand
+	had  bool
+}
+
+// lookup returns the binding of name in the log, if any.
+func (l armLog) lookup(name string) (ir.Operand, bool) {
+	for _, b := range l {
+		if b.name == name {
+			return b.op, true
+		}
+	}
+	return ir.Operand{}, false
+}
+
+// bind binds name to op, logging the binding it replaces in the open arm.
+func (lw *lowerer) bind(name string, op ir.Operand) {
+	if lw.arm != nil {
+		old, had := lw.env[name]
+		*lw.arm = append(*lw.arm, binding{name, old, had})
+	}
+	lw.env[name] = op
+}
+
+// rollback undoes an arm's bindings, restoring the environment the arm
+// started from, and returns what the arm left bound: every name it bound,
+// once, with its binding at the end of the arm.
+func (lw *lowerer) rollback(log armLog) armLog {
+	var out armLog
+	for i := len(log) - 1; i >= 0; i-- {
+		b := log[i]
+		if _, seen := out.lookup(b.name); !seen {
+			out = append(out, binding{b.name, lw.env[b.name], true})
+		}
+		if b.had {
+			lw.env[b.name] = b.op
+		} else {
+			delete(lw.env, b.name)
+		}
+	}
+	return out
 }
 
 func lowerAlgorithm(src *ast.Program, a *ast.Algorithm, irp *ir.Program) (alg *ir.Algorithm, err error) {
@@ -209,7 +262,7 @@ func (lw *lowerer) emit(in *ir.Instr) *ir.Instr {
 	in.ID = lw.nextID
 	lw.nextID++
 	in.Alg = lw.alg.Name
-	in.Guard = append(ir.Guard(nil), lw.guard...)
+	in.Guard = lw.guard[:len(lw.guard):len(lw.guard)] // never written in place: shared by the arm
 	lw.alg.Instrs = append(lw.alg.Instrs, in)
 	return in
 }
@@ -223,13 +276,13 @@ func (lw *lowerer) newVar(base string, bits int, boolv bool) *ir.Var {
 		decl = true
 	}
 	v := &ir.Var{Name: base, Ver: lw.vers[base], Bits: bits, Bool: boolv, Decl: decl}
-	lw.env[base] = ir.VarOp(v)
+	lw.bind(base, ir.VarOp(v))
 	return v
 }
 
 // temp mints a fresh compiler temporary.
 func (lw *lowerer) temp(bits int, boolv bool) *ir.Var {
-	base := fmt.Sprintf("v%d", lw.nextID)
+	base := "v" + strconv.Itoa(lw.nextID)
 	return lw.newVar(base, bits, boolv)
 }
 
@@ -588,26 +641,35 @@ func (lw *lowerer) ifStmt(st *ast.If, sc *scope) {
 		lw.alg.Preds[pred] = in.ID
 	}
 
-	outerEnv := copyEnv(lw.env)
-	outerGuard := lw.guard
+	// Each arm is lowered on the outer environment and then rolled back, so
+	// both start from it and neither is lowered on a copy.
+	outerGuard, outerArm := lw.guard, lw.arm
+	var log armLog
+	lw.arm = &log
 
 	// Then arm.
 	lw.guard = append(append(ir.Guard(nil), outerGuard...), ir.GuardTerm{Var: pred})
 	lw.block(st.Then, sc)
-	thenEnv := lw.env
+	thenSet := lw.rollback(log)
 
-	// Else arm (from the outer environment).
-	lw.env = copyEnv(outerEnv)
+	// Else arm.
+	log = log[:0]
 	lw.guard = append(append(ir.Guard(nil), outerGuard...), ir.GuardTerm{Var: pred, Neg: true})
 	lw.block(st.Else, sc)
-	elseEnv := lw.env
+	elseSet := lw.rollback(log)
 
-	// Merge divergent assignments (predicated-SSA reconciliation).
-	lw.guard = outerGuard
-	lw.env = copyEnv(outerEnv)
-	for _, name := range divergentNames(outerEnv, thenEnv, elseEnv) {
-		tOp, tok := thenEnv[name]
-		eOp, eok := elseEnv[name]
+	// Merge divergent assignments (predicated-SSA reconciliation): an arm's
+	// binding of a name is what it bound last, or else the outer one.
+	lw.guard, lw.arm = outerGuard, outerArm
+	for _, name := range divergentNames(lw.env, thenSet, elseSet) {
+		tOp, tok := thenSet.lookup(name)
+		if !tok {
+			tOp, tok = lw.env[name]
+		}
+		eOp, eok := elseSet.lookup(name)
+		if !eok {
+			eOp, eok = lw.env[name]
+		}
 		if !tok {
 			tOp = ir.ConstOp(0)
 		}
@@ -615,7 +677,7 @@ func (lw *lowerer) ifStmt(st *ast.If, sc *scope) {
 			eOp = ir.ConstOp(0)
 		}
 		if tok && eok && sameOperand(tOp, eOp) {
-			lw.env[name] = tOp
+			lw.bind(name, tOp)
 			continue
 		}
 		bits := max(operandBits(tOp, 0), operandBits(eOp, 0))
@@ -629,24 +691,22 @@ func (lw *lowerer) ifStmt(st *ast.If, sc *scope) {
 	}
 }
 
-// divergentNames returns names whose binding changed in either arm,
-// deterministically ordered by first appearance in the arms' envs.
-func divergentNames(outer, thenEnv, elseEnv map[string]ir.Operand) []string {
+// divergentNames returns the names an arm bound differently from the outer
+// environment, sorted.
+func divergentNames(outer map[string]ir.Operand, thenSet, elseSet armLog) []string {
 	var out []string
-	seen := map[string]bool{}
-	consider := func(env map[string]ir.Operand) {
-		for name, op := range env {
-			if seen[name] {
+	consider := func(set armLog) {
+		for _, b := range set {
+			if slices.Contains(out, b.name) {
 				continue
 			}
-			if o, ok := outer[name]; !ok || !sameOperand(o, op) {
-				seen[name] = true
-				out = append(out, name)
+			if o, ok := outer[b.name]; !ok || !sameOperand(o, b.op) {
+				out = append(out, b.name)
 			}
 		}
 	}
-	consider(thenEnv)
-	consider(elseEnv)
+	consider(thenSet)
+	consider(elseSet)
 	// Deterministic order: sort by name.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
@@ -669,14 +729,6 @@ func sameOperand(a, b ir.Operand) bool {
 		return a.Hdr == b.Hdr && a.Field == b.Field
 	}
 	return false
-}
-
-func copyEnv(env map[string]ir.Operand) map[string]ir.Operand {
-	out := make(map[string]ir.Operand, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }
 
 func (lw *lowerer) findExtern(name string) *ir.ExternDecl {

@@ -273,7 +273,16 @@ func joinOps(ops []Operand) string {
 // Reads returns the variables read by the instruction, including guard
 // predicates.
 func (in *Instr) Reads() []*Var {
-	var out []*Var
+	n := len(in.Guard)
+	for _, a := range in.Args {
+		if a.Kind == OpdVar {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Var, 0, n)
 	for _, a := range in.Args {
 		if a.Kind == OpdVar {
 			out = append(out, a.Var)

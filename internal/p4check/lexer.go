@@ -40,52 +40,59 @@ func (t tok) String() string {
 	return t.text
 }
 
-// lex tokenizes P4_14 source, skipping comments.
-func lex(src string) ([]tok, error) {
-	// Emitted P4 runs at about one token per four bytes; sizing the slice up
-	// front replaces a dozen doublings per program.
-	out := make([]tok, 0, len(src)/4)
-	line := 1
-	i := 0
-	n := len(src)
-	for i < n {
-		c := src[i]
+// lexer tokenizes P4_14 source one token at a time, skipping comments.
+type lexer struct {
+	src  string
+	i    int
+	line int
+	err  error // the first lexical error; the token stream ends there
+}
+
+// next returns the next token: tEOF at the end of the source and after a
+// lexical error.
+func (lx *lexer) next() tok {
+	src, n := lx.src, len(lx.src)
+	for lx.i < n && lx.err == nil {
+		c := src[lx.i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			lx.line++
+			lx.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
+			lx.i++
+		case c == '/' && lx.i+1 < n && src[lx.i+1] == '/':
+			for lx.i < n && src[lx.i] != '\n' {
+				lx.i++
 			}
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			i += 2
-			for i+1 < n && !(src[i] == '*' && src[i+1] == '/') {
-				if src[i] == '\n' {
-					line++
+		case c == '/' && lx.i+1 < n && src[lx.i+1] == '*':
+			lx.i += 2
+			for lx.i+1 < n && !(src[lx.i] == '*' && src[lx.i+1] == '/') {
+				if src[lx.i] == '\n' {
+					lx.line++
 				}
-				i++
+				lx.i++
 			}
-			if i+1 >= n {
-				return nil, fmt.Errorf("line %d: unterminated comment", line)
+			if lx.i+1 >= n {
+				lx.err = fmt.Errorf("line %d: unterminated comment", lx.line)
+				continue
 			}
-			i += 2
+			lx.i += 2
 		case isIdentStart(c):
-			start := i
-			for i < n && isIdentPart(src[i]) {
-				i++
+			start := lx.i
+			for lx.i < n && isIdentPart(src[lx.i]) {
+				lx.i++
 			}
-			out = append(out, tok{tIdent, src[start:i], line})
+			return tok{tIdent, src[start:lx.i], lx.line}
 		case c >= '0' && c <= '9':
-			start := i
-			for i < n && (isIdentPart(src[i])) { // hex digits, 0x prefix
-				i++
+			start := lx.i
+			for lx.i < n && isIdentPart(src[lx.i]) { // hex digits, 0x prefix
+				lx.i++
 			}
-			out = append(out, tok{tNumber, src[start:i], line})
+			return tok{tNumber, src[start:lx.i], lx.line}
 		default:
-			var k tokKind
+			// Operators inside control if-conditions (==, !=, <, &&) and
+			// action arguments are tokenized as opaque punctuation.
+			k := tIdent
 			switch c {
 			case '{':
 				k = tLBrace
@@ -103,19 +110,12 @@ func lex(src string) ([]tok, error) {
 				k = tComma
 			case '.':
 				k = tDot
-			default:
-				// Operators inside control if-conditions (==, !=, <, &&)
-				// and action arguments are tokenized as opaque punctuation.
-				out = append(out, tok{kind: tIdent, text: string(c), line: line})
-				i++
-				continue
 			}
-			out = append(out, tok{kind: k, text: string(c), line: line})
-			i++
+			lx.i++
+			return tok{kind: k, text: src[lx.i-1 : lx.i], line: lx.line}
 		}
 	}
-	out = append(out, tok{kind: tEOF, line: line})
-	return out, nil
+	return tok{kind: tEOF, line: lx.line}
 }
 
 func isIdentStart(c byte) bool {

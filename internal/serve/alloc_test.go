@@ -1,0 +1,86 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"lyra/internal/lang/parser"
+)
+
+// TestServeCompileAllocBudget keeps what one cache-miss compile costs the
+// daemon and its client proportional to the answer: a few programs of
+// testdata/programs under the three scope shapes of the serve-corpus gate
+// workload (a Tofino ToR, a Trident-4 Agg, MULTI-SW over both layers), code
+// included, each request made a miss by a nonce comment. Both ends run in
+// this process, so the count covers the handler, the compile and the client's
+// decode. The budget is the measurement when it was set plus 10 %, so
+// per-request garbage that creeps back in — in the solver, the emitters, the
+// checkers or on the wire — fails here rather than in the gate benchmark. When
+// the budget was set a request measured 300 KB and 3.57 k mallocs, against
+// 640 KB and 8.2 k before (ISSUE 25, EXPERIMENTS E23).
+func TestServeCompileAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under the race detector")
+	}
+	const bytesPerRequest, mallocsPerRequest = 330_000, 3930
+	shapes := []string{
+		"%s: [ ToR1 | PER-SW | - ]\n",
+		"%s: [ Agg1 | PER-SW | - ]\n",
+		"%s: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n",
+	}
+	var reqs []CompileRequest
+	for _, name := range []string{"heavy_hitter", "netcache", "flowlet_switching"} {
+		src, err := os.ReadFile("../../testdata/programs/" + name + ".lyra")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := parser.Parse(name+".lyra", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range shapes {
+			var scope strings.Builder
+			for _, a := range prog.Algorithms {
+				fmt.Fprintf(&scope, shape, a.Name)
+			}
+			reqs = append(reqs, CompileRequest{Source: string(src), Scope: scope.String(), Topology: "testbed", IncludeCode: true})
+		}
+	}
+	_, c := newTestDaemon(t, Config{})
+	ctx := context.Background()
+	sweep := func(round int) {
+		for _, req := range reqs {
+			req.Source += fmt.Sprintf("\n// nonce %d\n", round)
+			resp, err := c.Compile(ctx, req)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if resp.Cached || resp.Deduped {
+				t.Fatalf("request was not a cache miss: %+v", resp)
+			}
+		}
+	}
+	sweep(0) // warm-up: the toolchain's lazily built tables, the pools, the connection
+	const rounds = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 1; r <= rounds; r++ {
+		sweep(r)
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(rounds * len(reqs))
+	bytes := (after.TotalAlloc - before.TotalAlloc) / n
+	mallocs := (after.Mallocs - before.Mallocs) / n
+	t.Logf("%d requests: %d bytes, %d mallocs per request", n, bytes, mallocs)
+	if bytes > bytesPerRequest {
+		t.Errorf("a serve compile allocates %d bytes per request, budget %d", bytes, bytesPerRequest)
+	}
+	if mallocs > mallocsPerRequest {
+		t.Errorf("a serve compile makes %d mallocs per request, budget %d", mallocs, mallocsPerRequest)
+	}
+}

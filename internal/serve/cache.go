@@ -3,7 +3,8 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
-	"fmt"
+	"encoding/hex"
+	"strconv"
 	"sync"
 
 	"lyra"
@@ -130,9 +131,14 @@ func (c *Cache) Len() int {
 // skip-verify tier).
 func cacheKey(source, scope, netFP string, faultSet []string, extra ...string) string {
 	h := sha256.New()
+	buf := make([]byte, 0, 512) // the texts pass through it, not copied whole
 	write := func(s string) {
-		fmt.Fprintf(h, "%d:", len(s))
-		h.Write([]byte(s))
+		h.Write(append(strconv.AppendInt(buf[:0], int64(len(s)), 10), ':'))
+		for len(s) > 0 {
+			n := copy(buf[:cap(buf)], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
 	}
 	write(source)
 	write(scope)
@@ -143,7 +149,7 @@ func cacheKey(source, scope, netFP string, faultSet []string, extra ...string) s
 	for _, e := range extra {
 		write(e)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // networkFingerprint canonically renders a topology: sorted switches with

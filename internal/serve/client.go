@@ -118,23 +118,28 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // word alone; a longer body is read by growing.
 const maxPresizedBody = 64 << 20
 
-// readBody reads the whole body, into a buffer of the declared size when the
-// server sent one (the daemon always does).
-func readBody(resp *http.Response) ([]byte, error) {
+// readBody reads the whole body into buf, sized up front to the declared
+// length when the server sent one (the daemon always does).
+func readBody(resp *http.Response, buf *bytes.Buffer) ([]byte, error) {
 	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
-		raw := make([]byte, n)
+		buf.Grow(int(n))
+		raw := buf.AvailableBuffer()[:n]
 		_, err := io.ReadFull(resp.Body, raw)
 		return raw, err
 	}
-	return io.ReadAll(resp.Body)
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // decodeResponse reads and closes the body: nil on 2xx (out filled), an
 // *APIError otherwise. A 2xx whose body cannot be read to its end or does not
-// decode is an error of kind "bad-response", never a silently zero out.
+// decode is an error of kind "bad-response", never a silently zero out. The
+// body passes through a pooled buffer; what out keeps of it is copied.
 func decodeResponse(resp *http.Response, out any) *APIError {
 	defer resp.Body.Close()
-	raw, err := readBody(resp)
+	buf := wireBuf()
+	defer releaseWireBuf(buf)
+	raw, err := readBody(resp, buf)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if err == nil && out != nil {
 			err = json.Unmarshal(raw, out)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -245,18 +246,53 @@ func errKind(err error) (kind string, status int) {
 	}
 }
 
-// writeJSON encodes the body compactly into one buffer and sends it with its
-// length, so the client can read it into a buffer of exactly that size.
+// wireBufs recycles the buffers request and response bodies pass through.
+// A buffer is scratch for one body: it is cleared before it goes back, and
+// one that grew past maxPooledBody is dropped rather than kept, so the pool
+// holds no request's content and pins no large request's memory.
+var wireBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+func wireBuf() *bytes.Buffer {
+	b := wireBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func releaseWireBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		all := b.Bytes()
+		clear(all[:cap(all)])
+		wireBufs.Put(b)
+	}
+}
+
+// decodeBody reads a request body whole and decodes it into v.
+func decodeBody(r *http.Request, v any) error {
+	buf := wireBuf()
+	defer releaseWireBuf(buf)
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), v)
+}
+
+// writeJSON encodes the body compactly, newline-terminated, into one buffer
+// and sends it with its length, so the client can read it into a buffer of
+// exactly that size.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	raw, err := json.Marshal(body)
-	if err != nil { // a response value that cannot be marshalled is a bug: 422/"internal", like a panic
-		status, raw = http.StatusUnprocessableEntity, []byte(`{"error":"encoding response","kind":"internal"}`)
+	buf := wireBuf()
+	defer releaseWireBuf(buf)
+	if err := json.NewEncoder(buf).Encode(body); err != nil { // a response value that cannot be marshalled is a bug: 422/"internal", like a panic
+		status = http.StatusUnprocessableEntity
+		buf.Reset()
+		buf.WriteString(`{"error":"encoding response","kind":"internal"}` + "\n")
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)+1))
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	w.Write(raw) // a failed write means the client is gone
-	w.Write([]byte{'\n'})
+	w.Write(buf.Bytes()) // a failed write means the client is gone
 }
 
 // writeError emits the uniform error body; shed/draining responses carry
@@ -369,13 +405,13 @@ func configKey(req CompileRequest, skipVerify bool) []string {
 	if d == "" {
 		d = "p4_14"
 	}
-	return []string{"dialect=" + d, fmt.Sprintf("skipverify=%v", skipVerify)}
+	return []string{"dialect=" + d, "skipverify=" + strconv.FormatBool(skipVerify)}
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -411,8 +447,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// already exists for this input — full-service or skip-verify flavor —
 	// before consuming a solve slot.
 	if tier >= tierStale {
-		for _, sv := range []bool{skipVerify, !skipVerify} {
-			if res, ok := s.cache.Lookup(cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, sv)...)); ok {
+		for _, k := range []string{key, cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, !skipVerify)...)} {
+			if res, ok := s.cache.Lookup(k); ok {
 				s.m.degradedStale.Add(1)
 				s.m.completed.Add(1)
 				resp := compileResponse(res, req.IncludeCode)
@@ -464,10 +500,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 func compileResponse(res *lyra.Result, includeCode bool) CompileResponse {
+	sws := res.Switches()
 	resp := CompileResponse{
 		Fingerprint: res.ArtifactFingerprint(),
 		CompileMs:   float64(res.CompileTime.Microseconds()) / 1e3,
 		SolveMs:     float64(res.SolveTime.Microseconds()) / 1e3,
+		Switches:    make([]ArtifactSummary, 0, len(sws)),
+	}
+	if len(res.Phases) > 0 {
+		resp.Phases = make([]PhaseMs, 0, len(res.Phases))
 	}
 	for _, pt := range res.Phases {
 		resp.Phases = append(resp.Phases, PhaseMs{
@@ -475,7 +516,7 @@ func compileResponse(res *lyra.Result, includeCode bool) CompileResponse {
 			Ms:    float64(pt.Duration.Microseconds()) / 1e3,
 		})
 	}
-	for _, sw := range res.Switches() {
+	for _, sw := range sws {
 		a := res.Artifact(sw)
 		sum := ArtifactSummary{Switch: sw, Dialect: string(a.Dialect), LoC: a.LoC, Tables: a.Tables}
 		if includeCode {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -309,7 +308,7 @@ func (sess *Session) close(ctx context.Context) error {
 func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
 	var req CompileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -451,7 +450,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EventsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -487,7 +486,7 @@ func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EventsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -523,7 +522,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TablesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}

@@ -130,6 +130,9 @@ func (s *Solver) AddAtMost(lits []Lit, weights []int64, bound int64) bool {
 	}
 	con.slack = con.bound
 	s.pbs = append(s.pbs, con)
+	if s.pbOfLit == nil {
+		s.pbOfLit = make([][]pbRef, len(s.watches), cap(s.watches))
+	}
 	for i, l := range con.lits {
 		s.pbOfLit[l] = append(s.pbOfLit[l], pbRef{con, i})
 	}
@@ -189,7 +192,7 @@ func (s *Solver) ExactlyOne(lits ...Lit) bool {
 // Slack was already adjusted when p was enqueued (see Solver.enqueue), so
 // this only detects conflicts and forces literals out.
 func (s *Solver) propagatePBs(p Lit) []Lit {
-	for _, ref := range s.pbOfLit[p] {
+	for _, ref := range s.pbsOf(p) {
 		con := ref.con
 		if con.slack < 0 {
 			return s.pbConflict(con)
@@ -203,10 +206,18 @@ func (s *Solver) propagatePBs(p Lit) []Lit {
 	return nil
 }
 
+// pbsOf returns the PB constraints watching l.
+func (s *Solver) pbsOf(l Lit) []pbRef {
+	if s.pbOfLit == nil {
+		return nil
+	}
+	return s.pbOfLit[l]
+}
+
 // undoPB restores slack for constraints watching a literal being unassigned.
 // Called with the literal exactly as it appears on the trail (the true form).
 func (s *Solver) undoPB(l Lit) {
-	for _, ref := range s.pbOfLit[l] {
+	for _, ref := range s.pbsOf(l) {
 		ref.con.slack += ref.con.weights[ref.idx]
 	}
 }

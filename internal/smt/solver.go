@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -44,7 +45,8 @@ var ErrConflictBudget = fmt.Errorf("%w: conflict budget", ErrBudget)
 // them, in the style of DPLL(T). Check is invoked only on full assignments;
 // if the assignment is theory-inconsistent, Check returns a non-empty
 // conflict clause that is falsified by the current assignment. The solver
-// learns the clause and resumes search.
+// learns the clause and resumes search. The model is the solver's own and is
+// valid only for the duration of the call.
 type Theory interface {
 	Check(m *Model) (conflict []Lit)
 }
@@ -99,8 +101,8 @@ func (s *Stats) Add(o Stats) {
 
 type clause struct {
 	lits    []Lit
-	learnt  bool
 	act     float64
+	learnt  bool
 	deleted bool
 }
 
@@ -114,7 +116,7 @@ type reason struct {
 // Solver is a CDCL SAT solver with pseudo-boolean constraints and theory
 // plugins. The zero value is not usable; call NewSolver.
 type Solver struct {
-	names    []string
+	names    map[Var]string // of the variables given one
 	assigns  []lbool
 	levels   []int32
 	reasons  []reason
@@ -122,12 +124,25 @@ type Solver struct {
 	phase    []bool
 	seen     []bool
 
-	clauses []*clause
-	learnts []*clause
-	watches [][]watch // indexed by Lit
+	nclauses int // problem clauses added
+	learnts  []*clause
+	watches  [][]watch // indexed by Lit
+
+	// Problem clauses and their literals are cut from slabs the solver owns,
+	// so encoding a component costs a handful of allocations instead of
+	// several per clause; learnt clauses stay individually allocated, since
+	// reduceLearnts drops them. Problem clauses are attached in batches (see
+	// attachPending), so each watch list is allocated at its final length.
+	clauseSlab []clause
+	litSlab    []Lit
+	watchSlab  []watch
+	pending    [][]clause // added, not yet attached: runs of clause slabs
+	unattached int        // clauses in pending
+	scratch    []Lit      // AddClause's simplified clause before it is cut
+	snap       Model      // the assignment a theory check is shown
 
 	pbs      []*pbCon
-	pbOfLit  [][]pbRef // pb constraints watching each literal
+	pbOfLit  [][]pbRef // pb constraints watching each literal; nil until the first one
 	theories []Theory
 
 	trail    []Lit
@@ -192,7 +207,7 @@ func NewSolver() *Solver {
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // NumClauses returns the number of problem (non-learnt) clauses added.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nclauses }
 
 // SeedVSIDS installs a deterministic perturbation of the branching
 // heuristic: every variable created afterwards gets a pseudo-random initial
@@ -218,11 +233,30 @@ func (s *Solver) Statistics() Stats { return s.stats }
 // solver. The solver itself never calls it; see Stats.Encodes.
 func (s *Solver) NoteEncode() { s.stats.Encodes++ }
 
+// Reserve grows every per-variable table to hold n more variables without
+// regrowing, for a caller that knows how many NewBool calls are coming.
+func (s *Solver) Reserve(n int) {
+	s.assigns = slices.Grow(s.assigns, n)
+	s.levels = slices.Grow(s.levels, n)
+	s.reasons = slices.Grow(s.reasons, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.phase = slices.Grow(s.phase, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.index = slices.Grow(s.order.index, n)
+}
+
 // NewBool creates a fresh boolean variable and returns its positive literal.
 // The name is retained for diagnostics only and need not be unique.
 func (s *Solver) NewBool(name string) Lit {
 	v := Var(len(s.assigns))
-	s.names = append(s.names, name)
+	if name != "" {
+		if s.names == nil {
+			s.names = map[Var]string{}
+		}
+		s.names[v] = name
+	}
 	s.assigns = append(s.assigns, lUndef)
 	s.levels = append(s.levels, 0)
 	s.reasons = append(s.reasons, reason{})
@@ -237,7 +271,9 @@ func (s *Solver) NewBool(name string) Lit {
 		s.activity[v] = float64(h%1024) * 1e-9
 	}
 	s.watches = append(s.watches, nil, nil)
-	s.pbOfLit = append(s.pbOfLit, nil, nil)
+	if s.pbOfLit != nil {
+		s.pbOfLit = append(s.pbOfLit, nil, nil)
+	}
 	s.order.push(v)
 	return PosLit(v)
 }
@@ -245,11 +281,11 @@ func (s *Solver) NewBool(name string) Lit {
 // Name returns the diagnostic name of the variable underlying l.
 func (s *Solver) Name(l Lit) string {
 	v := l.Var()
-	if int(v) < len(s.names) && s.names[v] != "" {
+	if name, ok := s.names[v]; ok {
 		if l.Neg() {
-			return "~" + s.names[v]
+			return "~" + name
 		}
-		return s.names[v]
+		return name
 	}
 	return l.String()
 }
@@ -269,7 +305,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("smt: AddClause called during search")
 	}
 	// Simplify: drop false/duplicate literals, detect tautology.
-	out := lits[:0:0]
+	out := s.scratch[:0]
+	defer func() { s.scratch = out[:0] }()
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -305,15 +342,97 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = s.propagate() == nil
 		return s.ok
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.newClause(out)
 	return true
 }
 
+// slabLen sizes the next slab of a kind of which have items were handed out
+// so far: as many again, within [least, 4096] and never below need, so a
+// small solver's slabs stay small and a large one's are few.
+func slabLen(have, least, need int) int {
+	return max(need, least, min(have, 4096))
+}
+
+// newClause makes a problem clause holding a copy of lits, cut from the
+// solver's slabs, and queues it for attachPending.
+func (s *Solver) newClause(lits []Lit) {
+	if len(s.clauseSlab) == 0 {
+		s.clauseSlab = make([]clause, slabLen(s.nclauses, 32, 1))
+		s.pending = append(s.pending, s.clauseSlab[:0])
+	}
+	c := &s.clauseSlab[0]
+	s.clauseSlab = s.clauseSlab[1:]
+	run := &s.pending[len(s.pending)-1]
+	*run = (*run)[:len(*run)+1]
+	s.unattached++
+	if cap(s.litSlab)-len(s.litSlab) < len(lits) {
+		s.litSlab = make([]Lit, 0, slabLen(2*s.nclauses, 128, len(lits)))
+	}
+	s.nclauses++
+	n := len(s.litSlab)
+	s.litSlab = append(s.litSlab, lits...)
+	c.lits = s.litSlab[n:len(s.litSlab):len(s.litSlab)]
+}
+
+// watchSlack is the room left in every list attachPending moves: search
+// moves watches between lists, and a list filled to its length would regrow
+// on the first one.
+const watchSlack = 2
+
+// attachPending attaches the clauses added since the last propagation, in the
+// order they were added — the watch lists come out exactly as attaching each
+// clause on its way in would leave them — with every list that grows moved
+// once into a shared array at its new length.
+func (s *Solver) attachPending() {
+	grow := make([]int32, len(s.watches))
+	for _, run := range s.pending {
+		for i := range run {
+			grow[run[i].lits[0].Not()]++
+			grow[run[i].lits[1].Not()]++
+		}
+	}
+	total := 0
+	for l, n := range grow {
+		if ws := s.watches[l]; cap(ws)-len(ws) < int(n) {
+			total += len(ws) + int(n) + watchSlack
+		}
+	}
+	lists := make([]watch, 0, total)
+	for l, n := range grow {
+		if ws := s.watches[l]; cap(ws)-len(ws) < int(n) {
+			at := len(lists)
+			lists = append(lists, ws...)
+			s.watches[l] = lists[at : len(lists) : len(lists)+int(n)+watchSlack]
+			lists = lists[:len(lists)+int(n)+watchSlack]
+		}
+	}
+	for _, run := range s.pending {
+		for i := range run {
+			s.attach(&run[i])
+		}
+	}
+	// The next clause is cut from what is left of the current slab, if
+	// anything: a new run starts there.
+	s.pending = append(s.pending[:0], s.clauseSlab[:0])
+	s.unattached = 0
+}
+
 func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watch{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watch{c, c.lits[0]})
+	s.watch(c.lits[0].Not(), watch{c, c.lits[1]})
+	s.watch(c.lits[1].Not(), watch{c, c.lits[0]})
+}
+
+// watch appends w to l's watch list. A list started during search gets its
+// first two entries from the watch slab.
+func (s *Solver) watch(l Lit, w watch) {
+	ws := s.watches[l]
+	if cap(ws) == 0 {
+		if len(s.watchSlab) < 2 {
+			s.watchSlab = make([]watch, 64)
+		}
+		ws, s.watchSlab = s.watchSlab[:0:2], s.watchSlab[2:]
+	}
+	s.watches[l] = append(ws, w)
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -338,7 +457,7 @@ func (s *Solver) enqueue(l Lit, r reason) bool {
 	s.trail = append(s.trail, l)
 	// Keep PB slacks in sync with the trail so backtracking restores them
 	// symmetrically.
-	for _, ref := range s.pbOfLit[l] {
+	for _, ref := range s.pbsOf(l) {
 		ref.con.slack -= ref.con.weights[ref.idx]
 	}
 	return true
@@ -347,6 +466,9 @@ func (s *Solver) enqueue(l Lit, r reason) bool {
 // propagate performs unit propagation over clauses and PB constraints.
 // It returns a conflicting explanation (all-false clause) or nil.
 func (s *Solver) propagate() []Lit {
+	if s.unattached > 0 {
+		s.attachPending()
+	}
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -388,7 +510,7 @@ func (s *Solver) propagateClauses(p Lit) []Lit {
 		for k := 2; k < len(c.lits); k++ {
 			if s.value(c.lits[k]) != lFalse {
 				c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-				s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watch{c, first})
+				s.watch(c.lits[1].Not(), watch{c, first})
 				found = true
 				break
 			}
@@ -742,7 +864,7 @@ func (s *Solver) search(conflictLimit int64, deadline time.Time, confStart int64
 					s.record(learnt)
 				} else {
 					c := &clause{lits: append([]Lit(nil), conflict...)}
-					s.clauses = append(s.clauses, c)
+					s.nclauses++
 					s.backtrack(lv - 1)
 					s.attach(c)
 				}
@@ -815,7 +937,8 @@ func (s *Solver) theoryCheck() []Lit {
 		return nil
 	}
 	s.stats.TheoryChecks++
-	m := s.snapshotModel()
+	s.snap.vals = append(s.snap.vals[:0], s.assigns...)
+	m := &s.snap
 	for _, t := range s.theories {
 		if conflict := t.Check(m); len(conflict) > 0 {
 			s.stats.TheoryFails++
@@ -831,12 +954,6 @@ func (s *Solver) theoryCheck() []Lit {
 	return nil
 }
 
-func (s *Solver) snapshotModel() *Model {
-	vals := make([]lbool, len(s.assigns))
-	copy(vals, s.assigns)
-	return &Model{vals: vals, names: s.names}
-}
-
 func (s *Solver) captureModel() {
 	s.model = make([]lbool, len(s.assigns))
 	copy(s.model, s.assigns)
@@ -848,13 +965,12 @@ func (s *Solver) Model() *Model {
 	if s.model == nil {
 		return nil
 	}
-	return &Model{vals: s.model, names: s.names}
+	return &Model{vals: s.model}
 }
 
 // Model is an immutable boolean assignment.
 type Model struct {
-	vals  []lbool
-	names []string
+	vals []lbool
 }
 
 // Value reports whether literal l is true in the model. Unassigned variables

@@ -8,6 +8,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,10 +109,18 @@ func verifyOne(sw string, art *backend.Artifact) Report {
 
 // Admit re-runs chip admission for a switch program from scratch.
 func Admit(sp *backend.SwitchProgram) (*asic.Allocation, error) {
-	spec := &asic.ProgramSpec{}
-	index := map[string]int{}
+	nfields := len(sp.Metadata)
+	for _, h := range sp.Headers {
+		nfields += len(h.Fields)
+	}
+	if sp.Bridge != nil {
+		nfields += len(sp.Bridge.Fields)
+	}
+	spec := &asic.ProgramSpec{
+		Tables: make([]asic.TableSpec, 0, len(sp.Tables)),
+		Fields: make([]int, 0, nfields),
+	}
 	for _, pt := range sp.Tables {
-		index[pt.Name] = len(spec.Tables)
 		spec.Tables = append(spec.Tables, asic.TableSpec{
 			Name:       pt.Name,
 			Entries:    pt.Entries,
@@ -123,7 +132,7 @@ func Admit(sp *backend.SwitchProgram) (*asic.Allocation, error) {
 	}
 	for i, pt := range sp.Tables {
 		for _, d := range pt.Deps {
-			if di, ok := index[d.Name]; ok {
+			if di := slices.IndexFunc(spec.Tables, func(ts asic.TableSpec) bool { return ts.Name == d.Name }); di >= 0 {
 				spec.Tables[i].Deps = append(spec.Tables[i].Deps, di)
 			}
 		}

@@ -25,11 +25,14 @@ package lyra
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"lyra/internal/asic"
@@ -446,6 +449,14 @@ type Result struct {
 	cres *core.Result
 	creq core.Request
 	net  *Network
+
+	fp *artifactFingerprint
+}
+
+// artifactFingerprint is a Result's ArtifactFingerprint, computed once.
+type artifactFingerprint struct {
+	once sync.Once
+	hex  string
 }
 
 // Network returns the topology this result was compiled against (after
@@ -458,17 +469,33 @@ func (r *Result) Network() *Network { return r.net.Clone() }
 // Two Results with equal fingerprints are byte-identical deployments; the
 // serve daemon uses this to prove that deduplicated concurrent compiles
 // and cache hits really handed every caller the same artifacts.
+//
+// A Result's artifacts do not change, so the value is computed once. The
+// texts are fed to the hash through one small buffer rather than copied
+// whole.
 func (r *Result) ArtifactFingerprint() string {
-	h := sha256.New()
-	for _, sw := range r.Switches() {
-		a := r.Artifacts[sw]
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", sw, a.Dialect, len(a.Code))
-		h.Write([]byte(a.Code))
-		h.Write([]byte{0})
-		h.Write([]byte(a.ControlPlane))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	r.fp.once.Do(func() {
+		h := sha256.New()
+		buf := make([]byte, 0, 1024)
+		text := func(s string) {
+			for len(s) > 0 {
+				n := copy(buf[:cap(buf)], s)
+				h.Write(buf[:n])
+				s = s[n:]
+			}
+			h.Write([]byte{0})
+		}
+		for _, sw := range r.Switches() {
+			a := r.Artifacts[sw]
+			buf = append(append(append(buf[:0], sw...), 0), a.Dialect...)
+			buf = strconv.AppendInt(append(buf, 0), int64(len(a.Code)), 10)
+			h.Write(append(buf, 0))
+			text(a.Code)
+			text(a.ControlPlane)
+		}
+		r.fp.hex = hex.EncodeToString(h.Sum(buf[:0]))
+	})
+	return r.fp.hex
 }
 
 func wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
@@ -491,6 +518,7 @@ func wrapResult(cres *core.Result, creq core.Request, net *Network) *Result {
 		cres:           cres,
 		creq:           creq,
 		net:            net,
+		fp:             &artifactFingerprint{},
 	}
 }
 
