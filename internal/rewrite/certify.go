@@ -197,14 +197,16 @@ func ownsPacketOps(a *ir.Algorithm) bool {
 }
 
 // pathsFor selects the flow paths certification exercises for one
-// algorithm: the resolved scope paths when present (MULTI-SW deployments),
-// else one single-hop path per switch actually hosting the algorithm.
-// limit > 0 caps the count; limit < 0 means all.
+// algorithm: the scope's flow paths when it has any (MULTI-SW deployments),
+// whether resolution materialized them or left them lazy, else one
+// single-hop path per switch actually hosting the algorithm. limit > 0 caps
+// the count; limit < 0 means all.
 func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 	var paths [][]string
-	if sc := plan.Input.Scopes[alg]; sc != nil && len(sc.Paths) > 0 {
-		paths = sc.Paths
-	} else {
+	if sc := plan.Input.Scopes[alg]; sc != nil {
+		paths, _ = sc.PathList() // within budget: the solve walked them under the same one
+	}
+	if len(paths) == 0 {
 		set := map[string]bool{}
 		for _, sws := range plan.Placement[alg] {
 			for _, sw := range sws {

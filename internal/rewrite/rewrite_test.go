@@ -10,6 +10,7 @@ import (
 
 	"lyra/internal/asic"
 	"lyra/internal/dataplane"
+	"lyra/internal/encode"
 	"lyra/internal/frontend"
 	"lyra/internal/ir"
 	"lyra/internal/lang/checker"
@@ -377,5 +378,35 @@ func TestSearchSkipsUnsolvableBase(t *testing.T) {
 	}
 	if rep.Note == "" {
 		t.Error("report carries no note about the skipped search")
+	}
+}
+
+// TestLazyPathsCertifyLikeEager: a MULTI-SW scope resolved lazily leaves
+// Paths nil, and certification still walks the same flow paths as an eager
+// resolution of it, not one single-switch hop per host.
+func TestLazyPathsCertifyLikeEager(t *testing.T) {
+	base := frontIR(t, nestedIfSrc)
+	net := topo.FatTreePod(4, asic.Tofino32Q)
+	sp, err := scope.Parse("acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	certified := map[bool][][]string{}
+	for _, lazy := range []bool{false, true} {
+		scopes, err := sp.ResolveWith(net, scope.ResolveOpts{LazyPaths: lazy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := encode.Solve(&encode.Input{IR: base, Net: net, Scopes: scopes}, encode.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		certified[lazy] = pathsFor(plan, "acl", 4)
+	}
+	if len(certified[false]) == 0 || len(certified[false][0]) < 2 {
+		t.Fatalf("eager certification paths %v are not flow paths", certified[false])
+	}
+	if !reflect.DeepEqual(certified[true], certified[false]) {
+		t.Errorf("lazy compile certifies over %v, eager over %v", certified[true], certified[false])
 	}
 }
