@@ -132,3 +132,18 @@ func TestRefsIn(t *testing.T) {
 		t.Errorf("refs = %v", refs)
 	}
 }
+
+// TestDuplicateFieldRejected: a struct or the bus declaring a field twice is
+// an error, in the block and in the inline form.
+func TestDuplicateFieldRejected(t *testing.T) {
+	for _, c := range []struct{ old, new, want string }{
+		{"        dst : 32;\n", "        dst : 32;\n        dst : 32;\n", "struct ipv4_t: field dst declared twice"},
+		{"        hit_1 : 1;\n", "        hit_1 : 1;\n        hit_1 : 8;\n", "bus: field hit_1 declared twice"},
+		{"struct ipv4_t {", "struct pair_t {\n    fields { v : 8; v : 8; }\n}\nstruct ipv4_t {", "struct pair_t: field v declared twice"},
+	} {
+		_, err := Parse(strings.Replace(valid, c.old, c.new, 1))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: got %v, want %q", c.want, err, c.want)
+		}
+	}
+}

@@ -195,3 +195,13 @@ func TestControlIfConditionsTolerated(t *testing.T) {
 		t.Fatalf("validate: %v", errs)
 	}
 }
+
+// TestDuplicateFieldRejected: a header type — the emitted metadata header
+// among them — that declares a field twice is an error, even at one width.
+func TestDuplicateFieldRejected(t *testing.T) {
+	src := strings.Replace(valid, "        x : 16;\n", "        x : 16;\n        x : 16;\n", 1)
+	_, err := Parse(src)
+	if err == nil || !strings.Contains(err.Error(), "header type m_t declares field x twice") {
+		t.Fatalf("duplicate field: got %v", err)
+	}
+}

@@ -103,3 +103,59 @@ func TestFigure9ProgramsP416(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiAlgorithmMetadataFieldsUnique: composition's five algorithms on
+// one switch each keep their own temporaries — every algorithm's first one is
+// v1.1 — so the metadata header (P4_14), struct (P4_16) and bus (NPL) declare
+// each field once, and the artifact verifies.
+func TestMultiAlgorithmMetadataFieldsUnique(t *testing.T) {
+	src := loadProgram(t, "composition")
+	for _, c := range []struct {
+		sw, opener string
+		dialect    Dialect
+	}{
+		{"ToR1", "header_type lyra_meta_t {", P414},
+		{"ToR1", "struct metadata_t {", P416},
+		{"Agg1", "bus lyra_bus {", P414},
+	} {
+		res, err := New(WithDialect(c.dialect)).Compile(context.Background(), src, perSwitchScope(t, src, c.sw), Testbed())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.opener, err)
+		}
+		if len(res.Reports) == 0 {
+			t.Fatalf("%s: no verification reports", c.opener)
+		}
+		for _, rep := range res.Reports {
+			if !rep.OK {
+				t.Errorf("%s: verify %s: %v", c.opener, rep.Switch, rep.Problems)
+			}
+		}
+		code := res.Artifact(c.sw).Code
+		at := strings.Index(code, c.opener)
+		if at < 0 {
+			t.Fatalf("%s: no metadata block in\n%s", c.opener, code)
+		}
+		seen := map[string]bool{}
+		for _, l := range strings.Split(code[at+len(c.opener):], "\n") {
+			l = strings.TrimSpace(l)
+			if l == "}" {
+				break
+			}
+			if !strings.HasSuffix(l, ";") {
+				continue
+			}
+			// "name : bits;" in P4_14 and NPL, "bit<bits> name;" in P4_16.
+			name, _, found := strings.Cut(strings.TrimSuffix(l, ";"), " :")
+			if !found {
+				name = name[strings.LastIndexByte(name, ' ')+1:]
+			}
+			if seen[name] {
+				t.Errorf("%s: field %s declared twice", c.opener, name)
+			}
+			seen[name] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("%s: %d metadata fields found", c.opener, len(seen))
+		}
+	}
+}
