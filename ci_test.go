@@ -12,31 +12,42 @@ import (
 	"testing"
 )
 
-// TestCIRunPatternsMatchTests reads .github/workflows/ci.yml and, for every
-// `go test … -run '<pattern>' <packages>` it finds, demands that each
-// |-alternative of the pattern matches at least one Test, Fuzz or Example
-// function in the packages that command names. A test renamed without its
-// CI step is otherwise a step that goes green by running nothing.
+// TestCIRunPatternsMatchTests reads .github/workflows/ci.yml and checks every
+// `go run` and `go test` line in it. Each ./… package argument must name a
+// package directory that exists, so a step left pointing at a deleted
+// command or package fails here rather than in CI. And for every
+// `go test … -run '<pattern>'`, each |-alternative of the pattern must match
+// at least one Test, Fuzz or Example function in the packages that command
+// names: a test renamed without its CI step is otherwise a step that goes
+// green by running nothing.
 func TestCIRunPatternsMatchTests(t *testing.T) {
 	yml, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	runFlag := regexp.MustCompile(`-run[ =]'([^']*)'`)
-	checked := 0
+	checked, pkgs := 0, 0
 	for n, line := range strings.Split(string(yml), "\n") {
-		if !strings.Contains(line, "go test") {
+		if !strings.Contains(line, "go test") && !strings.Contains(line, "go run") {
 			continue
 		}
+		var args []string
+		for _, arg := range strings.Fields(line) {
+			if strings.HasPrefix(arg, "./") {
+				args = append(args, arg)
+				pkgs++
+				if !isPackageDir(arg) {
+					t.Errorf("ci.yml:%d: %s names no package directory", n+1, arg)
+				}
+			}
+		}
 		m := runFlag.FindStringSubmatch(line)
-		if m == nil || m[1] == "^$" { // '^$' runs no test on purpose (benchmarks, fuzzing)
+		if !strings.Contains(line, "go test") || m == nil || m[1] == "^$" { // '^$' runs no test on purpose (benchmarks, fuzzing)
 			continue
 		}
 		var names []string
-		for _, arg := range strings.Fields(line) {
-			if strings.HasPrefix(arg, "./") {
-				names = append(names, testFuncsIn(t, arg)...)
-			}
+		for _, arg := range args {
+			names = append(names, testFuncsIn(t, arg)...)
 		}
 		if len(names) == 0 {
 			t.Errorf("ci.yml:%d: no test functions in the packages of: %s", n+1, strings.TrimSpace(line))
@@ -61,9 +72,30 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("found no -run pattern in ci.yml; the scan is broken")
+	if checked == 0 || pkgs == 0 {
+		t.Fatal("found no -run pattern or package argument in ci.yml; the scan is broken")
 	}
+}
+
+// isPackageDir reports whether a package argument as `go run`/`go test` take
+// it names a directory holding Go files: the directory itself, or with /...
+// the directory or any directory below it.
+func isPackageDir(pkg string) bool {
+	dir, recursive := strings.CutSuffix(pkg, "/...")
+	dir = filepath.FromSlash(dir)
+	found := false
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil || found:
+			return filepath.SkipAll
+		case d.IsDir() && path != dir && !recursive:
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			found = true
+		}
+		return nil
+	})
+	return found
 }
 
 // testFuncsIn lists the Test/Fuzz/Example functions of one package argument

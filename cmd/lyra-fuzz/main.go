@@ -24,12 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"lyra/internal/difftest"
+	"lyra/internal/eval"
 )
 
 func main() {
@@ -43,7 +43,7 @@ func main() {
 		stateful = flag.Bool("stateful", false, "generate flow-keyed stateful streaming cases and run the streaming oracle (stream-vs-one-shot, every tier, chunked lanes)")
 		incr     = flag.Bool("incremental", false, "cross-check each compiling case against an incremental identity recompile (cached solver reuse must reproduce the plan) and against a recompile through one seeded fault (must equal a from-scratch compile of the mutated topology)")
 		optimize = flag.Bool("optimize", false, "cross-check each compiling case against a rewrite-search compile (the optimized deployment must keep the original's reference semantics)")
-		scale    = flag.Bool("scale", false, "cross-check each compiling case against the datacenter-scale modes (no symmetry dedup, 2-way solver portfolio, lazy path enumeration — all must be byte-identical)")
+		scale    = flag.Bool("scale", false, "cross-check each compiling case against the datacenter-scale modes (no symmetry dedup, lazy path enumeration — both must be byte-identical)")
 		quiet    = flag.Bool("q", false, "suppress per-case progress dots")
 	)
 	flag.Parse()
@@ -85,7 +85,9 @@ func main() {
 
 	sum := difftest.Run(*n, *seed, opts, progress)
 
-	sha := gitSHA()
+	// The SHA pins each failure bundle to the compiler revision that
+	// produced it, so a bundle replayed later is matched against its code.
+	sha := eval.GitSHA()
 	for _, f := range sum.Failures {
 		c, out := f.Case, f.Outcome
 		if f.Shrunk != nil {
@@ -124,14 +126,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lyra-fuzz: %d unexplained case(s); bundles under %s\n", u, *outDir)
 		os.Exit(1)
 	}
-}
-
-// gitSHA pins failure bundles to the exact compiler revision, so a bundle
-// replayed later can be matched against the code that produced it.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -25,15 +25,6 @@ type HeaderDef struct {
 	Fields []ast.Field
 }
 
-// Width returns the header width in bits.
-func (h *HeaderDef) Width() int {
-	w := 0
-	for _, f := range h.Fields {
-		w += f.Type.Bits
-	}
-	return w
-}
-
 // MetaVar is one SSA variable materialized as a metadata field.
 type MetaVar struct {
 	Name string // sanitized field name

@@ -62,12 +62,10 @@ type Request struct {
 	// budget). Exceeding it surfaces a typed diagnostic wrapping
 	// topo.ErrPathLimit instead of exhausting memory.
 	MaxPaths int64
-	// NoSymmetryDedup disables symmetry-aware component deduplication (the
-	// measurement baseline; plans are byte-identical either way).
+	// NoSymmetryDedup disables symmetry-aware component deduplication: every
+	// component is solved from scratch. Plans are byte-identical either way;
+	// the differential tests compile with it as the reference.
 	NoSymmetryDedup bool
-	// Portfolio, when > 1, races that many solver configurations per
-	// placement component (see encode.Options.Portfolio).
-	Portfolio int
 }
 
 // Result is a successful compilation, exposing every intermediate product
@@ -259,7 +257,6 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	opts.Ctx = ctx
 	opts.Parallelism = req.Parallelism
 	opts.NoSymmetryDedup = req.NoSymmetryDedup
-	opts.Portfolio = req.Portfolio
 	if req.SolveBudget > 0 {
 		opts.TimeBudget = req.SolveBudget
 	}

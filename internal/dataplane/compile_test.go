@@ -303,3 +303,90 @@ func BenchmarkCompiledBatch(b *testing.B) {
 		})
 	}
 }
+
+// handBuilt compiles one hand-built lowered unit as the reference unit of
+// an engine whose layout holds the packet fields h.x and h.y, the unit's
+// only input and output. It returns a function running one packet with the
+// given h.x on a single shared lane and reporting its h.y. Units lowered
+// from front-end IR, which is SSA and if-converted, do not exercise the two
+// guards tested below, so only a hand-built unit reaches them.
+func handBuilt(t *testing.T, u *compiledUnit) (run func(x uint64) uint64) {
+	t.Helper()
+	lay := newLayout()
+	lay.ensureField("h.x", 8)
+	y := lay.ensureField("h.y", 8)
+	e := &Engine{dep: &Deployment{}, layout: lay, units: []*compiledUnit{u},
+		maxRegs: u.numRegs, tableGen: make([]uint64, 1)}
+	c := CompileEngine(e)
+	lane := c.NewLane()
+	return func(x uint64) uint64 {
+		f := lay.newFlat()
+		f.SetField("h.x", x)
+		c.RunReference(lane, nil, f)
+		return f.Fields[y]
+	}
+}
+
+// unguarded and guardedBy build the hand-built units' instructions: an
+// 8-bit assign from src to a register or to the field slot dest, ungated.
+func unguarded(destKind uint8, dest int32, src opRef) binstr {
+	return binstr{op: bAssign, destKind: destKind, dest: dest, destMask: 0xff, a: src, gate: -1}
+}
+
+func guardedBy(guard int32, destKind uint8, dest int32, src opRef) binstr {
+	in := unguarded(destKind, dest, src)
+	in.guardOff, in.guardEnd = guard, guard+1
+	return in
+}
+
+// TestCompiledClearsStaleRegisters: a register written only under a guard
+// and read unconditionally must read 0 on a packet whose guard is false,
+// not the value an earlier packet left on the lane — clearSet names it for
+// zeroing between packets.
+func TestCompiledClearsStaleRegisters(t *testing.T) {
+	x, y := opRef{kind: oField, idx: 0}, int32(1)
+	u := &compiledUnit{
+		numRegs: 2,
+		guards:  []guardRef{{reg: 1}},
+		code: []binstr{
+			unguarded(dReg, 1, x),                            // r1 = h.x
+			guardedBy(0, dReg, 0, opRef{kind: oConst, c: 7}), // if r1: r0 = 7
+			unguarded(dField, y, opRef{kind: oReg, idx: 0}),  // h.y = r0
+		},
+	}
+	if got := clearSet(u); len(got) != 1 || got[0] != 0 {
+		t.Errorf("clearSet = %v, want [0]: r0 is read where its write may not have run, r1 never is", got)
+	}
+	run := handBuilt(t, u)
+	if got := run(1); got != 7 {
+		t.Fatalf("guard true: h.y = %d, want 7", got)
+	}
+	if got := run(0); got != 0 {
+		t.Fatalf("guard false after a guard-true packet: h.y = %d, want 0 (the previous packet's r0 leaked)", got)
+	}
+}
+
+// TestCompiledBlockEndsWhenGuardClobbered: an instruction that writes the
+// register its block's guard tests closes the block, so the next
+// instruction under the same guard checks it again, as the interpreter
+// does instruction by instruction.
+func TestCompiledBlockEndsWhenGuardClobbered(t *testing.T) {
+	x, y := opRef{kind: oField, idx: 0}, int32(1)
+	u := &compiledUnit{
+		numRegs: 2,
+		guards:  []guardRef{{reg: 1}, {reg: 1}, {reg: 1}},
+		code: []binstr{
+			unguarded(dReg, 1, x),                              // r1 = h.x
+			guardedBy(0, dField, y, opRef{kind: oConst, c: 5}), // if r1: h.y = 5
+			guardedBy(1, dReg, 1, opRef{kind: oConst, c: 0}),   // if r1: r1 = 0
+			guardedBy(2, dField, y, opRef{kind: oConst, c: 9}), // if r1: h.y = 9 (never runs)
+		},
+	}
+	run := handBuilt(t, u)
+	if got := run(1); got != 5 {
+		t.Fatalf("h.y = %d, want 5: the write after the guard was cleared ran under the stale guard", got)
+	}
+	if got := run(0); got != 0 {
+		t.Fatalf("guard false: h.y = %d, want 0", got)
+	}
+}

@@ -102,20 +102,6 @@ func (f *FlatPacket) SetField(name string, v uint64) bool {
 	return false
 }
 
-// SetValid marks a header instance present on the packet.
-func (f *FlatPacket) SetValid(name string) bool {
-	if s, ok := f.lay.validSlot[name]; ok {
-		f.Valid[s] = true
-		f.validSet[s] = true
-		return true
-	}
-	if f.extraValid == nil {
-		f.extraValid = map[string]bool{}
-	}
-	f.extraValid[name] = true
-	return false
-}
-
 // load fills f from a map-based packet.
 func (f *FlatPacket) load(p *Packet) {
 	f.Reset()
@@ -315,9 +301,6 @@ func (e *Engine) Flatten(p *Packet) *FlatPacket {
 	f.load(p)
 	return f
 }
-
-// FlattenInto reuses an existing FlatPacket's storage.
-func (e *Engine) FlattenInto(p *Packet, f *FlatPacket) { f.load(p) }
 
 // NewFlatPacket returns an empty packet sized for this engine.
 func (e *Engine) NewFlatPacket() *FlatPacket { return e.layout.newFlat() }

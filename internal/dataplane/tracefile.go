@@ -139,19 +139,6 @@ func LoadTraceFile(path string) ([]TraceRecord, error) {
 	return recs, nil
 }
 
-// SaveTraceFile writes a .lyt capture to disk.
-func SaveTraceFile(path string, recs []TraceRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // FlattenTrace materializes every record as an engine packet, timestamps
 // applied to tsField when non-empty.
 func (e *Engine) FlattenTrace(recs []TraceRecord, tsField string) []*FlatPacket {

@@ -92,7 +92,7 @@ packet ts=210 valid=flow flow.id=4
 
 // TestTraceFileReplay replays the checked-in sample capture through a
 // stream and cross-checks it against one-shot execution — the end-to-end
-// path the examples and lyra-bench use.
+// stream-replay path examples/streaming takes.
 func TestTraceFileReplay(t *testing.T) {
 	recs, err := LoadTraceFile(filepath.Join("..", "..", "testdata", "traces", "flows_sample.lyt"))
 	if err != nil {

@@ -198,7 +198,10 @@ func (c *WireCodec) extract(f *FlatPacket, r *bitReader, h *wireHeader) error {
 		f.Valid[h.validSlot] = true
 		f.validSet[h.validSlot] = true
 	} else {
-		f.SetValid(h.name)
+		if f.extraValid == nil {
+			f.extraValid = map[string]bool{}
+		}
+		f.extraValid[h.name] = true
 	}
 	return nil
 }

@@ -118,8 +118,8 @@ func TestCampaignOptimizeOracle(t *testing.T) {
 
 // TestCampaignScaleOracle is the datacenter-scale acceptance campaign: 150
 // generated cases, each compiling case additionally recompiled with
-// symmetry dedup disabled, under a 2-way solver portfolio, and with lazy
-// path enumeration. All three modes must land byte-identical to the
+// symmetry dedup disabled and with lazy path enumeration. Both modes must
+// land byte-identical to the
 // default compile — same switch sets, artifacts, and plan fingerprints —
 // so zero unexplained cases certifies the scale machinery plan-neutral
 // across the campaign.

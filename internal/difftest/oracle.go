@@ -8,6 +8,7 @@ import (
 
 	"lyra"
 	"lyra/internal/backend"
+	"lyra/internal/core"
 	"lyra/internal/dataplane"
 )
 
@@ -53,11 +54,10 @@ type Options struct {
 	// divergence here.
 	Optimize bool
 	// Scale adds the datacenter-scale-mode check: every compiling case is
-	// recompiled with symmetry dedup disabled, with a 2-way solver
-	// portfolio, and with lazy path enumeration. All three are pure
-	// performance features — plans and artifacts must stay byte-identical
-	// to the default compile, so any observable difference is a solver
-	// bug, never a tradeoff.
+	// recompiled with symmetry dedup disabled and with lazy path
+	// enumeration. Both are pure performance features — plans and artifacts
+	// must stay byte-identical to the default compile, so any observable
+	// difference is a solver bug, never a tradeoff.
 	Scale bool
 }
 
@@ -398,27 +398,39 @@ func (o *Oracle) checkIncrementalFault(c *Case, base *lyra.Result) *Outcome {
 
 // checkScale recompiles the case through each datacenter-scale compilation
 // mode and demands the result land byte-identical to the default compile:
-// symmetry dedup disabled (the measurement baseline — the default compile
-// already dedups, so this is dedup-vs-no-dedup), a 2-way solver portfolio
-// (the canonical racer must win and keep the plan unchanged), and lazy
-// path enumeration (streamed paths must encode exactly what materialized
-// paths did). A nil return means the check passed.
+// symmetry dedup disabled (the default compile already dedups, so this is
+// dedup-vs-no-dedup) and lazy path enumeration (streamed paths must encode
+// exactly what materialized paths did). Dedup has no public switch, so the
+// no-dedup compile goes through core directly. A nil return means the check
+// passed.
 func (o *Oracle) checkScale(c *Case, base *lyra.Result) *Outcome {
 	net, err := c.Network()
 	if err != nil {
 		return &Outcome{Class: GeneratorError, Detail: err.Error()}
 	}
+	ctx := context.Background()
 	modes := []struct {
-		name string
-		opt  lyra.Option
+		name    string
+		compile func() (*lyra.Result, error)
 	}{
-		{"no-dedup", lyra.WithoutSymmetryDedup()},
-		{"portfolio", lyra.WithPortfolio(2)},
-		{"lazy-paths", lyra.WithLazyPaths(0)},
+		{"no-dedup", func() (*lyra.Result, error) {
+			res, err := core.CompileContext(ctx, core.Request{
+				Source: c.Source(), ScopeSpec: c.ScopeText(), Network: net,
+				Dialect: o.opts.Dialects[0], Parallelism: 1, NoSymmetryDedup: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			// diffResults reads only the artifacts and fingerprints.
+			return &lyra.Result{Artifacts: res.Artifacts, Fingerprints: res.Fingerprints}, nil
+		}},
+		{"lazy-paths", func() (*lyra.Result, error) {
+			return lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1), lyra.WithLazyPaths(0)).
+				Compile(ctx, c.Source(), c.ScopeText(), net)
+		}},
 	}
 	for _, m := range modes {
-		res, err := lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1), m.opt).
-			Compile(context.Background(), c.Source(), c.ScopeText(), net)
+		res, err := m.compile()
 		if err != nil {
 			return &Outcome{Class: SolverDisagreement,
 				Detail: fmt.Sprintf("scale: %s compile failed where default compiled: %v", m.name, err)}

@@ -130,25 +130,13 @@ type Options struct {
 	// Prev's own network must not have been edited since Prev was solved
 	// (a network derived from it by Clone may be edited freely).
 	Prev *Plan
-	// ReencodeEachAttempt discards the persistent solver between fallback-
-	// ladder attempts, restoring the historical rebuild-per-rung behavior.
-	// It exists as the baseline for benchmarking the incremental path and
-	// disables Cache and Prev.
-	ReencodeEachAttempt bool
 	// NoSymmetryDedup disables every reuse of a solved class: each component
 	// is solved from scratch even when it is isomorphic (modulo switch
 	// renaming) to one solved in this call, memoised in Cache or carried by
-	// Prev. The zero value keeps reuse on; the flag exists as the measurement
-	// baseline and the independent oracle, and produces byte-identical plans
-	// (see symmetry.go for the argument).
+	// Prev. The zero value keeps reuse on; the flag exists as the reference
+	// the symmetry tests and difftest compare against, and produces
+	// byte-identical plans (see symmetry.go for the argument).
 	NoSymmetryDedup bool
-	// Portfolio, when > 1, races that many solver configurations per
-	// component: the canonical incremental-ladder solver plus seeded VSIDS
-	// variants on fresh encoders. The canonical result always wins when it
-	// succeeds (keeping plans byte-identical to the sequential path); a
-	// seeded racer's plan is adopted, deterministically by seed order, only
-	// when the canonical attempt fails where a racer succeeded.
-	Portfolio int
 }
 
 // DefaultOptions returns the standard solver configuration.
@@ -237,11 +225,6 @@ type Plan struct {
 	// instances actually solved.
 	EncodedVars    int64
 	EncodedClauses int64
-	// PortfolioRacers counts seeded racers launched; PortfolioAdopted the
-	// components whose plan came from a racer rather than the canonical
-	// solver.
-	PortfolioRacers  int
-	PortfolioAdopted int
 	// Diagnostics is the fallback-ladder trail: one entry per solve
 	// attempt, recording what (if anything) was given up to reach a plan.
 	Diagnostics *Diagnostics
@@ -287,7 +270,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		deadline = start.Add(opts.TimeBudget)
 	}
 	shaping := opts.shaping()
-	caching := opts.Cache != nil && !opts.ReencodeEachAttempt && !opts.NoSymmetryDedup
+	caching := opts.Cache != nil && !opts.NoSymmetryDedup
 
 	// The decomposition: the previous plan's untouched components as they
 	// are, and a partition of what is left — of everything, without one.
@@ -368,11 +351,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 			label = open[i].label
 		}
 		r := &results[i]
-		if opts.Portfolio > 1 {
-			r.plan, r.enc, r.slv, r.err = solvePortfolio(ctx, comps[i].In, phv, opts, deadline, label)
-		} else {
-			r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, phv, opts, deadline, label)
-		}
+		r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, phv, opts, deadline, label)
 		if r.err == nil {
 			tStart := time.Now()
 			open[i].Template = newTemplate(r.plan, open[i].Switches)
@@ -432,8 +411,8 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 // produce the same template. Budgets of wall-clock time are not among them —
 // they decide whether there is a plan, not which.
 func (o *Options) shaping() string {
-	return fmt.Sprintf("\x00obj=%d conflicts=%d replicate=%t ladder=%v portfolio=%d",
-		o.Objective, o.ConflictBudget, o.ForceReplication, o.Ladder, o.Portfolio)
+	return fmt.Sprintf("\x00obj=%d conflicts=%d replicate=%t ladder=%v",
+		o.Objective, o.ConflictBudget, o.ForceReplication, o.Ladder)
 }
 
 // preferIndex renders, for the class key, where the preferred switch sits in
@@ -532,9 +511,7 @@ func (ca *carried) merge(open []Binding) (bound []Binding, keptAt []bool) {
 // expressed as a different assumption set on the same solver, and learnt
 // clauses, VSIDS activity, and saved phases carry across attempts. The
 // accumulated durations split constraint construction (enc) from search
-// (slv). With opts.ReencodeEachAttempt the encoder is discarded between
-// attempts, reproducing the historical rebuild-per-rung behavior as a
-// benchmark baseline.
+// (slv).
 func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
@@ -546,29 +523,23 @@ func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options
 	ladder := append([]Relaxation(nil), opts.Ladder...)
 	step := "initial"
 
-	var e *encoder
-	for {
-		aStart := time.Now()
-		var encDur time.Duration
-		if e == nil {
-			encStart := time.Now()
-			var berr error
-			e, berr = newEncoder(in, phv)
-			if berr == nil {
-				berr = e.encode()
-			}
-			encDur = time.Since(encStart)
-			if berr != nil {
-				enc += encDur
-				diags.record(label, step, cfg, berr, time.Since(aStart), nil)
-				return nil, enc, slv, berr
-			}
-			e.solver.NoteEncode()
-		}
+	start := time.Now()
+	e, err := newEncoder(in, phv)
+	if err == nil {
+		err = e.encode()
+	}
+	enc = time.Since(start)
+	if err != nil {
+		diags.record(label, step, cfg, err, enc, nil)
+		return nil, enc, slv, err
+	}
+	e.solver.NoteEncode()
+	// The first attempt's duration includes the encoding it ran on.
+	for aStart := start; ; aStart = time.Now() {
+		sStart := time.Now()
 		p, aerr := solveAttempt(ctx, e, cfg, deadline)
+		slv += time.Since(sStart)
 		aDur := time.Since(aStart)
-		enc += encDur
-		slv += aDur - encDur
 		var core []string
 		var ie *InfeasibleError
 		if errors.As(aerr, &ie) {
@@ -578,9 +549,6 @@ func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options
 		if aerr == nil {
 			p.Diagnostics = diags
 			return p, enc, slv, nil
-		}
-		if opts.ReencodeEachAttempt {
-			e = nil
 		}
 		rung, rest, ok := nextRung(ladder, cfg, aerr, in)
 		if !ok {
@@ -696,8 +664,6 @@ func mergePlans(in *Input, bound []Binding, results []componentResult) *Plan {
 		merged.Stats.Add(p.Stats)
 		merged.EncodedVars += p.EncodedVars
 		merged.EncodedClauses += p.EncodedClauses
-		merged.PortfolioRacers += p.PortfolioRacers
-		merged.PortfolioAdopted += p.PortfolioAdopted
 	}
 	for _, i := range firsts {
 		d := bound[i].Template.trail

@@ -40,31 +40,6 @@ func TestLadderReusesEncodingAcrossRungs(t *testing.T) {
 	}
 }
 
-// TestReencodeBaselineDiscardsSolverState pins the benchmark baseline: with
-// ReencodeEachAttempt the second rung runs on a fresh solver, so its stats
-// show a single first-call solve with nothing reused.
-func TestReencodeBaselineDiscardsSolverState(t *testing.T) {
-	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
-	opts := DefaultOptions()
-	opts.ConflictBudget = 1
-	opts.ReencodeEachAttempt = true
-	plan, err := Solve(in, opts)
-	if err != nil {
-		t.Fatalf("solve: %v", err)
-	}
-	if len(plan.Diagnostics.Attempts) != 2 {
-		t.Fatalf("attempts = %+v, want 2", plan.Diagnostics.Attempts)
-	}
-	// plan.Stats comes from the solver that produced the plan: a fresh one.
-	if plan.Stats.Encodes != 1 || plan.Stats.SolveCalls != 1 {
-		t.Errorf("Encodes = %d, SolveCalls = %d: baseline should rebuild per attempt",
-			plan.Stats.Encodes, plan.Stats.SolveCalls)
-	}
-	if plan.Stats.ClausesReused != 0 {
-		t.Errorf("ClausesReused = %d on a fresh solver", plan.Stats.ClausesReused)
-	}
-}
-
 // TestInfeasibleNamesUnsatCore: a program that fits nowhere must fail with
 // an *InfeasibleError naming the violated constraint families.
 func TestInfeasibleNamesUnsatCore(t *testing.T) {
@@ -169,23 +144,17 @@ func TestMemoAnswersKnownClass(t *testing.T) {
 		t.Errorf("memo holds %d entries after reuse, want 1", opts.Cache.Len())
 	}
 
-	// The oracles' switches bypass it: each must really solve.
-	for name, set := range map[string]func(*Options){
-		"NoSymmetryDedup":     func(o *Options) { o.NoSymmetryDedup = true },
-		"ReencodeEachAttempt": func(o *Options) { o.ReencodeEachAttempt = true },
-	} {
-		o := DefaultOptions()
-		o.Cache = opts.Cache
-		set(o)
-		p, err := Solve(in, o)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.Stats.Encodes != 1 || p.Stats.SolveCalls != 1 || p.Stats.CacheHits != 0 {
-			t.Errorf("%s: stats %+v, want a real solve and no memo hit", name, p.Stats)
-		}
-		planEqual(t, name+" vs memo hit", p, p2)
+	// The oracle's switch bypasses it: it must really solve.
+	o := DefaultOptions()
+	o.Cache, o.NoSymmetryDedup = opts.Cache, true
+	p, err := Solve(in, o)
+	if err != nil {
+		t.Fatalf("NoSymmetryDedup: %v", err)
 	}
+	if p.Stats.Encodes != 1 || p.Stats.SolveCalls != 1 || p.Stats.CacheHits != 0 {
+		t.Errorf("NoSymmetryDedup: stats %+v, want a real solve and no memo hit", p.Stats)
+	}
+	planEqual(t, "NoSymmetryDedup vs memo hit", p, p2)
 }
 
 // TestMemoKeyedByShapingOptions: a class solved under one objective, preferred

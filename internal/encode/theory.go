@@ -328,10 +328,9 @@ func (t *resourceTheory) buildSpec(sw string, model *asic.Model, tabs []*synth.T
 // parallel generation of identical per-switch code (§7.2 "the compilation
 // time stays the same"). The memo belongs to the encoder, not to one theory
 // check, so across the checks and ladder attempts of a solve only the switches
-// whose implied program changed between models are re-admitted; it is dropped
-// when the solver is parked in the cache (Cache.put), so a parked solver pins
-// no allocation its last plan does not use. Allocations are immutable once
-// made.
+// whose implied program changed between models are re-admitted. It dies with
+// the encoder when the component's solve ends: the class memo keeps the solved
+// Template, never the encoder. Allocations are immutable once made.
 func (e *encoder) allocate(model *asic.Model, spec *asic.ProgramSpec) (*asic.Allocation, error) {
 	e.specKey = appendSpecKey(e.specKey[:0], model, spec)
 	if a, ok := e.allocs[string(e.specKey)]; ok {

@@ -1,13 +1,17 @@
 // Package eval regenerates the paper's evaluation tables and figures
 // (§7.1–§7.3): the Figure 9 per-program comparison against human-written
 // P4_14, the Figure 10 compile-time scalability curves, the §7.2
-// extensibility case study (growing ConnTable), and the §7.3 composition
-// case study (five-algorithm service chain squeezed into fewer switches).
+// extensibility case study (growing ConnTable), the §7.3 composition case
+// study (five-algorithm service chain squeezed into fewer switches), and the
+// synthesis ablations. It also holds the stateful scenario library the
+// streaming tests and the wire-stream benchmark replay. Performance is
+// measured by the benchmark under bench/, not here.
 package eval
 
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -29,6 +33,15 @@ import (
 func ProgramDir() string {
 	_, file, _, _ := runtime.Caller(0)
 	return filepath.Join(filepath.Dir(file), "..", "..", "testdata", "programs")
+}
+
+// GitSHA names the current revision ("unknown" outside a git checkout).
+func GitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // LoadProgram reads a named evaluation program.

@@ -4,8 +4,8 @@ package eval
 // evaluation — stateful firewall/NAT, heavy-hitter count-min sketch, and
 // flowlet load balancing — packaged with their control-plane contents,
 // flow-ordered trace synthesizers, and lane-affinity keys, so the same
-// scenario drives golden tests, tier-equivalence certification, the
-// difftest campaign, and the stream throughput experiment.
+// scenario drives golden tests, tier-equivalence certification and the
+// wire-stream benchmark.
 
 import (
 	"fmt"

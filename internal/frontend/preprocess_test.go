@@ -530,3 +530,33 @@ algorithm a {
 		t.Fatalf("live select was eliminated:\n%s", irp.Dump())
 	}
 }
+
+// TestPreprocessRejectsUncheckedProgram: the checker rejects these programs
+// before lowering ever sees them, but Preprocess is exported and must not
+// trust that. Each one comes back as a positioned error, not a panic.
+func TestPreprocessRejectsUncheckedProgram(t *testing.T) {
+	const head = `
+header_type h_t { bit[8] a; }
+header h_t h;
+pipeline[P]{alg};
+algorithm alg {
+  extern dict<bit[8] k, bit[8] v>[16] tab;
+  bit[8] x;
+`
+	for body, want := range map[string]string{
+		"tab[x] = 1;":      `cannot write extern table "tab"`,
+		"x = h.nope;":      "unknown field h.nope",
+		"x = nofunc(1);":   `"nofunc" cannot be used in an expression`,
+		"x = other[h.a];":  `index into unknown table "other"`,
+		"insert(x, 1, 2);": `insert into unknown extern "x"`,
+	} {
+		prog, err := parser.Parse("test.lyra", []byte(head+"  "+body+"\n}\n"))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", body, err)
+		}
+		_, err = Preprocess(prog)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.HasPrefix(err.Error(), "test.lyra:") {
+			t.Errorf("%s: err = %v, want a positioned %q", body, err, want)
+		}
+	}
+}

@@ -66,9 +66,6 @@ func IfElse(cond Expr, then, els []Stmt) *If { return &If{Cond: cond, Then: then
 // Global declares a global (stateful register) array.
 func Global(t Type, name string) *VarDecl { return &VarDecl{Type: t, Name: name, Global: true} }
 
-// Local declares a typed local variable.
-func Local(t Type, name string) *VarDecl { return &VarDecl{Type: t, Name: name} }
-
 // Dict declares an extern dict<key, value>[size] table.
 func Dict(key, value Field, size int, name string) *ExternDecl {
 	return &ExternDecl{Kind: ExternDict, Keys: []Field{key}, Values: []Field{value}, Size: size, Name: name}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"lyra/internal/dataplane"
 	"lyra/internal/encode"
@@ -304,37 +303,4 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 		}
 	}
 	return nil
-}
-
-// measureReplay replays n seeded packets through the compiled execution
-// tier over the program's first flow path and returns packets/second. The
-// result is wall-clock noise by design — it is recorded in reports, never
-// used for ranking.
-func measureReplay(p *ir.Program, plan *encode.Plan, o Options, n int) float64 {
-	if n <= 0 || len(p.Algorithms) == 0 {
-		return 0
-	}
-	paths := pathsFor(plan, p.Algorithms[0].Name, 1)
-	if len(paths) == 0 {
-		return 0
-	}
-	tables := certTables(p, o.Seed)
-	pkts := certPackets(p, o.Seed, n)
-	dep, err := dataplane.NewDeployment(plan, tables)
-	if err != nil {
-		return 0
-	}
-	ctx := certContext()
-	start := time.Now()
-	ok := 0
-	for _, pkt := range pkts {
-		if _, err := dep.RunPathCompiled(paths[0], ctx, pkt.Clone()); err == nil {
-			ok++
-		}
-	}
-	el := time.Since(start).Seconds()
-	if el <= 0 || ok == 0 {
-		return 0
-	}
-	return float64(ok) / el
 }

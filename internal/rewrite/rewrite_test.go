@@ -344,8 +344,7 @@ func TestBrokenRuleIsRejected(t *testing.T) {
 }
 
 // TestSearchDeterministic: two searches over identical inputs must produce
-// byte-identical winning programs and reports (MeasurePackets=0 keeps the
-// report free of wall-clock noise).
+// byte-identical winning programs and reports.
 func TestSearchDeterministic(t *testing.T) {
 	run := func() (string, *Report) {
 		base, net, scopes := searchFixture(t)

@@ -133,7 +133,6 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 	})
 
 	winner := base
-	winnerPlan := basePlan
 	for _, nd := range evaluated {
 		if !nd.cost.Less(rep.BaseCost) {
 			break // sorted: nothing further beats base either
@@ -151,17 +150,7 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 		rep.BestCost = nd.cost
 		rep.WinnerFingerprint = nd.fp
 		winner = nd.prog
-		winnerPlan = nd.plan
 		break
-	}
-
-	if o.MeasurePackets > 0 {
-		rep.BaseReplayPktsPerSec = measureReplay(base, basePlan, o, o.MeasurePackets)
-		if rep.Improved {
-			rep.WinnerReplayPktsPerSec = measureReplay(winner, winnerPlan, o, o.MeasurePackets)
-		} else {
-			rep.WinnerReplayPktsPerSec = rep.BaseReplayPktsPerSec
-		}
 	}
 	return winner, rep
 }

@@ -118,13 +118,6 @@ func (c *Cache) put(key string, r *lyra.Result) {
 	}
 }
 
-// Len reports the completed-entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // cacheKey canonicalizes one compile input into a content hash. faultSet
 // must already be in canonical (sorted) order; extra distinguishes
 // configuration axes that change the artifact or its guarantees (dialect,

@@ -5,8 +5,7 @@
 // percentiles, shed/degraded counts, dedup observability, recovery time —
 // while asserting the robustness contract: no 5xx, every backpressure
 // response labelled and retry-hinted, a clean drain, and no leaked
-// goroutines. lyra-bench -experiment serve drives it and publishes the
-// scores as BENCH_serve.json.
+// goroutines. TestStormSmoke drives the full-size storm.
 package churn
 
 import (
@@ -31,7 +30,7 @@ import (
 // Config sizes a storm.
 type Config struct {
 	Seed int64
-	// Events is the fault/recovery event budget (the CI storm uses >= 500).
+	// Events is the fault/recovery event budget (TestStormSmoke uses 500).
 	Events int
 	// Clients drive events concurrently; Sessions is the tenant count they
 	// spread across.

@@ -296,6 +296,64 @@ func TestDegradationLadderAndShed(t *testing.T) {
 	cancelSleepers() // release the storm so Drain is fast
 }
 
+// TestMetricsEndpointCounts reads /v1/metrics through Client.Metrics around a
+// cache miss, a cache hit and one shed request, and demands that every
+// counter moved by exactly what those requests did.
+func TestMetricsEndpointCounts(t *testing.T) {
+	srv, c := newTestDaemon(t, Config{MaxInflight: 1, QueueDepth: 1})
+	ctx := context.Background()
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+
+	if _, err := c.Compile(ctx, lbRequest()); err != nil {
+		t.Fatalf("miss: %v", err)
+	}
+	if hit, err := c.Compile(ctx, lbRequest()); err != nil || !hit.Cached {
+		t.Fatalf("hit: cached=%v err=%v", hit.Cached, err)
+	}
+
+	// Admission is filled to capacity by hand (TestDegradationLadderAndShed
+	// gets there with real slow requests), so the next request is shed. It
+	// is posted without the client, whose retries would be shed again.
+	srv.occupancy.Add(2)
+	body := fmt.Sprintf(`{"source": %q, "scope": %q, "topology": "testbed"}`, lbSourceN(1), lbScope)
+	resp, err := c.HTTPClient.Post(c.BaseURL+"/v1/compile", "application/json", strings.NewReader(body))
+	srv.occupancy.Add(-2)
+	if err != nil {
+		t.Fatalf("shed request: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request at capacity answered %d, want 429", resp.StatusCode)
+	}
+
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	for _, d := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"cache_misses", after.CacheMisses - before.CacheMisses, 1},
+		{"cache_hits", after.CacheHits - before.CacheHits, 1},
+		{"shed", after.Shed - before.Shed, 1},
+		{"completed", after.Completed - before.Completed, 2},
+		{"deduped", after.Deduped - before.Deduped, 0},
+		{"degraded", after.DegradedSkipVerify + after.DegradedStale - before.DegradedSkipVerify - before.DegradedStale, 0},
+		// The miss, the hit, the shed request and this second read.
+		{"requests", after.Requests - before.Requests, 4},
+		{"inflight", after.Inflight, 0},
+		{"capacity", after.Capacity, 2},
+	} {
+		if d.got != d.want {
+			t.Errorf("%s moved by %d, want %d (before %+v, after %+v)", d.name, d.got, d.want, before, after)
+		}
+	}
+}
+
 func TestSingleFlightDedup(t *testing.T) {
 	// MaxInflight comfortably above the request count keeps every request in
 	// the full-service tier — one shared cache key, one flight.

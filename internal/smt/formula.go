@@ -48,24 +48,6 @@ func Iff(a, b *Formula) *Formula { return &Formula{op: opIff, subs: []*Formula{a
 // Xor returns a ⊕ b.
 func Xor(a, b *Formula) *Formula { return &Formula{op: opXor, subs: []*Formula{a, b}} }
 
-// OrLits builds a disjunction directly from literals.
-func OrLits(ls ...Lit) *Formula {
-	fs := make([]*Formula, len(ls))
-	for i, l := range ls {
-		fs[i] = Atom(l)
-	}
-	return Or(fs...)
-}
-
-// AndLits builds a conjunction directly from literals.
-func AndLits(ls ...Lit) *Formula {
-	fs := make([]*Formula, len(ls))
-	for i, l := range ls {
-		fs[i] = Atom(l)
-	}
-	return And(fs...)
-}
-
 // Require asserts that f holds, adding Tseitin clauses as needed. Returns
 // false if the formula is unsatisfiable at the top level.
 func (s *Solver) Require(f *Formula) bool {
@@ -74,12 +56,6 @@ func (s *Solver) Require(f *Formula) bool {
 		return false
 	}
 	return s.AddClause(l)
-}
-
-// ReifyFormula returns a literal equivalent to f (introducing auxiliary
-// variables as needed).
-func (s *Solver) ReifyFormula(f *Formula) (Lit, bool) {
-	return s.tseitin(f)
 }
 
 // tseitin returns a literal equisatisfiably equivalent to f.
@@ -187,16 +163,6 @@ func (s *Solver) constLit(val bool) (Lit, bool) {
 		return l, s.AddClause(l)
 	}
 	return l, s.AddClause(l.Not())
-}
-
-// ImplyClause asserts cond → (a ∨ b ∨ ...).
-func (s *Solver) ImplyClause(cond Lit, disj ...Lit) bool {
-	return s.AddClause(append([]Lit{cond.Not()}, disj...)...)
-}
-
-// Equal asserts a ↔ b.
-func (s *Solver) Equal(a, b Lit) bool {
-	return s.AddClause(a.Not(), b) && s.AddClause(a, b.Not())
 }
 
 // OrEquals introduces (or reuses) a literal out with out ↔ (l1 ∨ l2 ∨ ...).

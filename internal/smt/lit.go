@@ -40,14 +40,6 @@ func (l Lit) Neg() bool { return l&1 == 1 }
 // Not returns the complement of l.
 func (l Lit) Not() Lit { return l ^ 1 }
 
-// Sign returns +1 for a positive literal and -1 for a negative one.
-func (l Lit) Sign() int {
-	if l.Neg() {
-		return -1
-	}
-	return 1
-}
-
 func (l Lit) String() string {
 	if l == LitUndef {
 		return "undef"

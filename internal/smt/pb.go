@@ -2,7 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -369,11 +368,4 @@ func (s *Solver) addGuardedAtMost(guard Lit, lits []Lit, weights []int64, bound 
 	gw = append(gw, weights...)
 	gw = append(gw, slackW)
 	s.AddAtMost(gl, gw, bound+slackW)
-}
-
-// sortedCopy returns lits sorted by variable for stable diagnostics.
-func sortedCopy(lits []Lit) []Lit {
-	out := append([]Lit(nil), lits...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -178,11 +178,6 @@ type Solver struct {
 	// nor a conflict-heavy search can overshoot the deadline.
 	lastPollProps int64
 	lastPollConfs int64
-
-	// vsidsSeed, when nonzero, perturbs each new variable's initial phase
-	// and activity deterministically (SeedVSIDS), diversifying the search
-	// trajectory for portfolio racing without any runtime randomness.
-	vsidsSeed uint64
 }
 
 type watch struct {
@@ -208,23 +203,6 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // NumClauses returns the number of problem (non-learnt) clauses added.
 func (s *Solver) NumClauses() int { return s.nclauses }
-
-// SeedVSIDS installs a deterministic perturbation of the branching
-// heuristic: every variable created afterwards gets a pseudo-random initial
-// phase and a tiny activity jitter derived from the seed, so differently
-// seeded solvers explore the search space in different orders while each
-// remains fully deterministic. Call before encoding; a zero seed restores
-// the canonical (unperturbed) initialization.
-func (s *Solver) SeedVSIDS(seed uint64) { s.vsidsSeed = seed }
-
-// mix64 is the splitmix64 finalizer: a cheap, high-quality deterministic
-// hash used to derive per-variable seed bits.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // Stats returns a copy of the accumulated search statistics.
 func (s *Solver) Statistics() Stats { return s.stats }
@@ -263,13 +241,6 @@ func (s *Solver) NewBool(name string) Lit {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	if s.vsidsSeed != 0 {
-		h := mix64(s.vsidsSeed ^ uint64(v))
-		s.phase[v] = h&1 == 1
-		// The jitter only breaks ties among untouched variables; any real
-		// conflict activity (bumped by varInc ≥ 1) dwarfs it immediately.
-		s.activity[v] = float64(h%1024) * 1e-9
-	}
 	s.watches = append(s.watches, nil, nil)
 	if s.pbOfLit != nil {
 		s.pbOfLit = append(s.pbOfLit, nil, nil)

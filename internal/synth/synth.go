@@ -753,14 +753,6 @@ func finishResult(res *Result, a *ir.Algorithm, tables []*Table) {
 	res.LongestPath = best
 }
 
-func guardVars(g ir.Guard) []*ir.Var {
-	var out []*ir.Var
-	for _, t := range g {
-		out = append(out, t.Var)
-	}
-	return out
-}
-
 func unionVars(a, b []*ir.Var) []*ir.Var {
 	seen := map[*ir.Var]bool{}
 	var out []*ir.Var

@@ -83,9 +83,6 @@ var (
 	Tomahawk   = asic.Tomahawk
 )
 
-// NewNetwork returns an empty topology.
-func NewNetwork() *Network { return topo.New() }
-
 // Testbed returns the paper's §7 evaluation network: 4 Tofino ToRs,
 // 4 Trident-4 Aggs, 2 Tofino cores in two pods.
 func Testbed() *Network { return topo.Testbed() }
@@ -330,19 +327,6 @@ func WithLazyPaths(maxPaths int64) Option {
 		c.cfg.MaxPaths = maxPaths
 	}
 }
-
-// WithoutSymmetryDedup disables symmetry-aware component deduplication —
-// every placement component is solved even when it is a switch-renaming of
-// an already-solved one. Plans are byte-identical either way; the option
-// exists as the measurement baseline for the dedup speedup.
-func WithoutSymmetryDedup() Option { return func(c *Compiler) { c.cfg.NoSymmetryDedup = true } }
-
-// WithPortfolio races n solver configurations per placement component: the
-// canonical incremental solver plus n−1 deterministically seeded variants.
-// The canonical result always wins when it succeeds (plans stay
-// byte-identical to the sequential path); a seeded variant's plan is adopted,
-// in seed order, only where the canonical attempt failed.
-func WithPortfolio(n int) Option { return func(c *Compiler) { c.cfg.Portfolio = n } }
 
 // WithOptimize enables the rewrite search: before placement, the compiler
 // explores semantics-preserving merge/split/reorder/reshape/widen variants
@@ -682,19 +666,8 @@ func (s *Simulation) RunPathBytes(path []string, ctx *SimContext, data []byte) (
 	return s.Serialize(out, payload)
 }
 
-// RunPathWithContexts is RunPath with a per-switch environment: each hop
-// sees its own switch id, timestamps, and queue occupancy.
-func (s *Simulation) RunPathWithContexts(path []string, ctxOf func(sw string) *SimContext, pkt *Packet) (*Packet, error) {
-	return s.dep.RunPathWithContexts(path, ctxOf, pkt)
-}
-
 // SetSwitchEntry installs a control-plane entry on one switch only (role
 // assignment for PER-SW tables, e.g. the INT sink filter).
 func (s *Simulation) SetSwitchEntry(sw, extern string, key, value uint64) {
 	s.dep.SetSwitchEntry(sw, extern, key, value)
-}
-
-// ClearSwitchTable removes an extern's entries from one switch.
-func (s *Simulation) ClearSwitchTable(sw, extern string) {
-	s.dep.ClearSwitchTable(sw, extern)
 }

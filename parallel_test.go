@@ -166,7 +166,7 @@ func TestCompilerMatchesRequest(t *testing.T) {
 	c := New(
 		WithDialect(P416), WithObjective(ObjectiveMinSwitches), WithPreferSwitch("ToR3"),
 		WithSolveBudget(time.Minute), WithParallelism(3), WithObserver(obs), WithSkipVerify(),
-		WithSourceName("lb.lyra"), WithLazyPaths(77), WithoutSymmetryDedup(), WithPortfolio(2),
+		WithSourceName("lb.lyra"), WithLazyPaths(77),
 		WithOptimize(OptimizeOptions{Seed: 9}),
 	)
 	net := Testbed()
@@ -182,8 +182,8 @@ func TestCompilerMatchesRequest(t *testing.T) {
 		}
 		if req.Dialect != P416 || req.Objective != ObjectivePreferSwitch || req.PreferSwitch != "ToR3" ||
 			req.SolveBudget != time.Minute || req.Parallelism != 3 || req.Observer == nil || !req.SkipVerify ||
-			req.SourceName != "lb.lyra" || !req.LazyPaths || req.MaxPaths != 77 || !req.NoSymmetryDedup ||
-			req.Portfolio != 2 || req.Optimize == nil || req.Optimize.Seed != 9 {
+			req.SourceName != "lb.lyra" || !req.LazyPaths || req.MaxPaths != 77 ||
+			req.Optimize == nil || req.Optimize.Seed != 9 {
 			t.Errorf("request %d does not carry the options: %+v", i, req)
 		}
 	}

@@ -145,7 +145,8 @@ func TestRecompileEqualsFromScratch(t *testing.T) {
 	}
 }
 
-// TestRecompileLocality: a fault inside one pod must not reprogram another.
+// TestRecompileLocality: a fault inside one pod must not reprogram another,
+// and a switch-down encodes at most the one component it damaged.
 func TestRecompileLocality(t *testing.T) {
 	ctx := context.Background()
 	c := New(WithLazyPaths(0))
@@ -155,9 +156,12 @@ func TestRecompileLocality(t *testing.T) {
 	}
 	for pod := 1; pod <= 4; pod++ {
 		tor := fmt.Sprintf("ToR%d_%d", pod, pod)
-		_, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{SwitchDown(tor)}})
+		inc, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{SwitchDown(tor)}})
 		if err != nil {
 			t.Fatalf("switch-down %s: %v", tor, err)
+		}
+		if n := inc.SolverStats.Encodes; n > 1 {
+			t.Errorf("switch-down %s encoded %d components, more than the one it damaged", tor, n)
 		}
 		if !reflect.DeepEqual(delta.Removed, []string{tor}) {
 			t.Errorf("switch-down %s: Removed = %v", tor, delta.Removed)
