@@ -105,7 +105,7 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 
 // build is Build restricted to the switches in only (nil = all of them).
 //
-// A program is a function of the switch's plan shape (encode.Plan.Shapes):
+// A program is a function of the switch's plan shape (encode.Plan.Shape):
 // chip model, placed instructions, table geometry, exports, imports and the
 // bridge layout are all the shape digests. So one program is built per shape,
 // and every other switch of the shape gets a shallow copy of it that differs
@@ -115,8 +115,11 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 // changing its shape.
 func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
-	shapes := plan.Shapes()
-	out := make(map[string]*SwitchProgram, len(shapes))
+	n := len(only)
+	if only == nil {
+		n = len(plan.Fingerprints())
+	}
+	out := make(map[string]*SwitchProgram, n)
 
 	// Global bridge layout: consistent across the network.
 	bridgeHeader := buildBridgeHeader(plan.BridgeLayout())
@@ -127,7 +130,8 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 			return
 		}
 		model := plan.Input.Net.Switch(sw).ASIC
-		if like := byShape[shapes[sw]]; like != nil && TestMutation == nil {
+		shape := plan.Shape(sw)
+		if like := byShape[shape]; like != nil && TestMutation == nil {
 			sp := *like
 			sp.Switch, sp.Model = sw, model
 			out[sw] = &sp
@@ -146,8 +150,8 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 		for _, in := range instrs {
 			placed[in] = true
 		}
-		sp.Tables = filterPlaced(orderTables(plan.Tables[sw]), placed)
-		sp.Exports = plan.Bridges[sw]
+		sp.Tables = filterPlaced(orderTables(plan.TablesOf(sw)), placed)
+		sp.Exports = plan.BridgesOf(sw)
 		sp.Imports = plan.Imports(sw, instrs)
 		if len(sp.Exports) > 0 || len(sp.Imports) > 0 {
 			sp.Bridge = bridgeHeader
@@ -165,7 +169,7 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 				}
 			}
 		}
-		byShape[shapes[sw]] = sp
+		byShape[shape] = sp
 		applyTestMutation(sw, sp)
 		out[sw] = sp
 	})

@@ -101,22 +101,21 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	return out, nil
 }
 
-// ShapeLeads groups switches by plan shape (encode.Plan.Shapes): lead[i] is
+// ShapeLeads groups switches by plan shape (encode.Plan.Shape): lead[i] is
 // the index of the first of sws with the same shape as sws[i] — i itself for
 // the first of a shape, and for a switch the plan places nothing on.
 // Translation emits, and verification checks, the leads only. Under
 // TestMutation every switch leads itself, because a seeded bug changes a
 // program without changing its shape.
 func ShapeLeads(plan *encode.Plan, sws []string) []int {
-	var shapes map[string]string
-	if TestMutation == nil {
-		shapes = plan.Shapes()
-	}
 	lead := make([]int, len(sws))
 	firstOf := map[string]int{}
 	for i, sw := range sws {
 		lead[i] = i
-		if shape, ok := shapes[sw]; ok {
+		if TestMutation != nil {
+			continue
+		}
+		if shape := plan.Shape(sw); shape != "" {
 			if j, seen := firstOf[shape]; seen {
 				lead[i] = j
 			} else {
@@ -209,7 +208,7 @@ func codeHeader(lang string, sp *SwitchProgram, body string) string {
 // artifact instantiates the emission for one switch of its shape.
 func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, docs *shardDocs) *Artifact {
 	art := e.like
-	art.Switch, art.Model, art.Program, art.Alloc = sp.Switch, sp.Model, sp, plan.Allocations[sp.Switch]
+	art.Switch, art.Model, art.Program, art.Alloc = sp.Switch, sp.Model, sp, plan.AllocationOf(sp.Switch)
 	if sp.Switch == e.sw {
 		art.Code = e.code
 	} else {
@@ -294,7 +293,7 @@ func logicLines(code string) int {
 type shardDocs struct {
 	plan   *encode.Plan
 	mu     sync.Mutex
-	blocks map[*encode.Shard]string // keyed by the group's first element
+	blocks map[[2]string]string // keyed by extern and the group's first switch
 }
 
 // of returns the shard-split comment block for one extern on one switch: the
@@ -305,9 +304,10 @@ func (d *shardDocs) of(extern, sw string) string {
 	if len(group) == 0 {
 		return ""
 	}
+	key := [2]string{extern, group[0].Switch}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	doc, ok := d.blocks[&group[0]]
+	doc, ok := d.blocks[key]
 	if !ok {
 		var b strings.Builder
 		fmt.Fprintf(&b, "# %s is split across %d switches:\n", extern, len(group))
@@ -316,9 +316,9 @@ func (d *shardDocs) of(extern, sw string) string {
 		}
 		doc = b.String()
 		if d.blocks == nil {
-			d.blocks = map[*encode.Shard]string{}
+			d.blocks = map[[2]string]string{}
 		}
-		d.blocks[&group[0]] = doc
+		d.blocks[key] = doc
 	}
 	return doc
 }

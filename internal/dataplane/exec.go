@@ -256,8 +256,8 @@ func (d *Deployment) buildExternMeta() {
 	}
 	byExtern := map[string][]hs{}
 	seen := map[[2]string]bool{}
-	for sw, tabs := range d.Plan.Tables {
-		for _, pt := range tabs {
+	d.Plan.EachHost(func(sw string, _ []*ir.Instr) {
+		for _, pt := range d.Plan.TablesOf(sw) {
 			if pt.Extern == nil {
 				continue
 			}
@@ -268,7 +268,7 @@ func (d *Deployment) buildExternMeta() {
 			seen[key] = true
 			byExtern[pt.Extern.Name] = append(byExtern[pt.Extern.Name], hs{sw, pt.ShardIndex})
 		}
-	}
+	})
 	d.externHosts = map[string][]string{}
 	for name, hosts := range byExtern {
 		sort.Slice(hosts, func(i, j int) bool {
@@ -327,13 +327,9 @@ func NewDeployment(plan *encode.Plan, tables *Tables) (*Deployment, error) {
 	// Distribute entries across shards path by path (Appendix B.1): hosts
 	// along one flow path partition the table; hosts on parallel paths
 	// replicate entries, so every path sees the complete table.
-	for extern, byHost := range plan.Shards {
-		es := tables.Externs[extern]
-		if es == nil {
-			continue
-		}
-		decl := plan.Input.IR.Extern(extern)
-		if decl == nil {
+	for extern, es := range tables.Externs {
+		byHost, decl := plan.ShardsOf(extern), plan.Input.IR.Extern(extern)
+		if len(byHost) == 0 || decl == nil {
 			continue
 		}
 		keys := d.entryKeysOf(extern)

@@ -140,8 +140,8 @@ func TestLBSplitEquivalence(t *testing.T) {
 	big = replaceAll(big, "[64] vip_table", "[1000000] vip_table")
 	plan, irp := compile(t, big, lbScope)
 
-	if len(plan.Shards["conn_table"]) < 2 {
-		t.Fatalf("conn_table not split: %v", plan.Shards["conn_table"])
+	if shards := plan.ShardsOf("conn_table"); len(shards) < 2 {
+		t.Fatalf("conn_table not split: %v", shards)
 	}
 
 	rng := rand.New(rand.NewSource(2))

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -125,8 +126,13 @@ func TestCarryOverEqualsPartition(t *testing.T) {
 				}
 
 				planEqual(t, "following vs from-scratch", got, want)
-				if !reflect.DeepEqual(got.Shapes(), want.Shapes()) {
-					t.Error("shapes differ from a from-scratch solve")
+				// Looked up by name, every switch of the fabric before the fault
+				// — those now in no component too — is what it is from scratch.
+				for _, sw := range base.Names() {
+					if got.Shape(sw) != want.Shape(sw) || !reflect.DeepEqual(got.TablesOf(sw), want.TablesOf(sw)) ||
+						!reflect.DeepEqual(got.AllocationOf(sw), want.AllocationOf(sw)) {
+						t.Errorf("%s: looked up by name, differs from a from-scratch solve", sw)
+					}
 				}
 				gb, wb := got.Bindings(), want.Bindings()
 				if len(gb) != len(wb) {
@@ -204,5 +210,62 @@ func TestCarryOverRefusesAnotherProblem(t *testing.T) {
 	}
 	if got.Stats.Encodes != 1 || got.Bindings()[0].Template == prev.Bindings()[0].Template {
 		t.Errorf("another objective was answered from the first one's work: %+v", got.Stats)
+	}
+}
+
+// TestCarriedIndexChain: each solve of a chain follows the one before it, so
+// its switch index is an overlay on that solve's. Every link must locate every
+// switch as a from-scratch solve does, and the chain must index afresh before
+// it grows past maxIndexDepth.
+func TestCarriedIndexChain(t *testing.T) {
+	src := subst(lbSrc, "4000000", "100000")
+	net := podNet(4, 4)
+	ropts := scope.ResolveOpts{LazyPaths: true, AllowMissing: true}
+	in := buildInputOpts(t, src, podLBScope, net, ropts)
+	spec, err := scope.Parse(podLBScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Cache = NewCache()
+	prev, err := Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flattened, deepest := false, 0
+	for step := 1; step <= 2*maxIndexDepth; step++ {
+		next := net.Clone()
+		sw := fmt.Sprintf("Agg%d_%d", 1+step%4, 1+step%2) // a pod the last step did not touch
+		if err := next.DegradeASIC(sw, func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.95, 1) }); err != nil {
+			t.Fatal(err)
+		}
+		scopes, err := spec.ResolveAfter(prev.Input.Scopes, next, next.Since(net), ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follow := *opts
+		follow.Prev = prev
+		got, err := Solve(&Input{IR: in.IR, Net: next, Scopes: scopes}, &follow)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		fresh, err := spec.ResolveWith(next, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(&Input{IR: in.IR, Net: next, Scopes: fresh}, DefaultOptions())
+		if err != nil {
+			t.Fatalf("step %d: from-scratch solve: %v", step, err)
+		}
+		planEqual(t, fmt.Sprintf("step %d, %s degraded", step, sw), got, want)
+		if got.at.depth > maxIndexDepth {
+			t.Fatalf("step %d: the index chain is %d deep", step, got.at.depth)
+		}
+		flattened, deepest = flattened || got.at.base == nil, max(deepest, got.at.depth)
+		prev, net = got, next
+	}
+	if !flattened || deepest != maxIndexDepth {
+		t.Errorf("%d chained solves: indexed afresh %v, deepest chain %d; want a chain of %d, then afresh",
+			2*maxIndexDepth, flattened, deepest, maxIndexDepth)
 	}
 }

@@ -170,28 +170,18 @@ type BridgeVar struct {
 	Hit bool
 }
 
-// Plan is the solved placement.
+// Plan is the solved placement: one binding of a solved template per placement
+// component. What a switch hosts is its slot of its binding's template, found
+// through the plan's switch index; what an instruction or an extern spans is a
+// walk over the bindings. Nothing else is kept per switch name.
 type Plan struct {
 	Input *Input
-	// Placement maps algorithm -> instruction ID -> hosting switches
-	// (sorted).
-	Placement map[string]map[int][]string
-	// Tables maps switch -> placed tables in dependency order.
-	Tables map[string][]*PlacedTable
-	// Bridges maps switch -> variables it must export downstream.
-	Bridges map[string][]BridgeVar
-	// Allocations maps switch -> the admission result from its chip model.
-	Allocations map[string]*asic.Allocation
-	// Shards maps extern name -> switch -> entries.
-	Shards map[string]map[string]int64
-	// shardGroups maps extern name -> switch -> the shards of the component
-	// that switch's shard belongs to, for externs split across several
-	// switches. See ShardGroup.
-	shardGroups map[string]map[string][]Shard
 	// bound is the plan as it was assembled: one binding per placement
 	// component, in component order. See Bindings.
-	bound []Binding
-	// hashes memoises Shapes and Fingerprints.
+	bound []*Binding
+	// at locates every switch of bound in its binding.
+	at *switchIndex
+	// hashes memoises BridgeLayout, Shape and Fingerprints.
 	hashes switchHashes
 	// shaping renders the options the plan was solved under that shape it; a
 	// later solve carries components over only under the same.
@@ -232,18 +222,16 @@ type Plan struct {
 
 // Bindings returns the plan as bound templates, one per placement component
 // in component order. The slice and everything it points to are shared and
-// read-only.
-func (p *Plan) Bindings() []Binding { return p.bound }
-
-// HostsOf returns the switches hosting an instruction.
-func (p *Plan) HostsOf(alg string, id int) []string { return p.Placement[alg][id] }
+// read-only; a binding a later solve carried over is the same object in both
+// plans.
+func (p *Plan) Bindings() []*Binding { return p.bound }
 
 // Solve encodes and solves the placement problem. The input is first
 // partitioned into independent components (disjoint algorithm scopes on
 // disjoint switch sets); one representative of each symmetry class of
 // components is encoded and solved as its own SMT instance on a bounded
-// worker pool, its solved plan becomes the class's Template, and the plan is
-// every component's binding of its template, merged. Overlapping scopes fuse
+// worker pool, the model it accepts becomes the class's Template, and the plan
+// is every component's binding of its template. Overlapping scopes fuse
 // into one component, so a fully coupled program degenerates to the original
 // monolithic solve.
 //
@@ -350,13 +338,8 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		if total > 1 {
 			label = open[i].label
 		}
-		r := &results[i]
-		r.plan, r.enc, r.slv, r.err = solveComponent(ctx, comps[i].In, phv, opts, deadline, label)
-		if r.err == nil {
-			tStart := time.Now()
-			open[i].Template = newTemplate(r.plan, open[i].Switches)
-			r.enc += time.Since(tStart)
-		}
+		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, opts, deadline, label)
+		open[i].Template = results[i].tmpl
 	})
 	// Deterministic error selection: the lowest-index failing component
 	// wins, regardless of which goroutine finished first.
@@ -373,13 +356,23 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	}
 	for i, r := range repOf {
 		open[i].Template = open[r].Template
+		open[i].layGroups()
 	}
 
-	bound, keptAt := open, []bool(nil)
+	made := make([]*Binding, len(open))
+	for i := range open {
+		made[i] = &open[i]
+	}
+	bound, keptAt := made, []bool(nil)
 	if ca != nil {
-		bound, keptAt = ca.merge(open)
+		bound, keptAt = ca.merge(made)
 	}
 	plan := mergePlans(in, bound, results)
+	if ca != nil {
+		plan.at = ca.index(opts.Prev.at, made, bound)
+	} else {
+		plan.at = newIndex(nil, bound)
+	}
 	plan.shaping = shaping
 	plan.Instances = len(bound)
 	plan.Classes = len(solveIdx)
@@ -473,6 +466,7 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 			ca.kept = append(ca.kept, b)
 			continue
 		}
+		ca.dropped = append(ca.dropped, b)
 		for _, alg := range b.algs {
 			ca.algs[alg] = true
 		}
@@ -492,8 +486,8 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 // merge interleaves the carried bindings with the ones made for the open part,
 // each list in component order already, into the component order of the whole
 // decomposition; keptAt marks the carried ones.
-func (ca *carried) merge(open []Binding) (bound []Binding, keptAt []bool) {
-	bound = make([]Binding, 0, len(ca.kept)+len(open))
+func (ca *carried) merge(open []*Binding) (bound []*Binding, keptAt []bool) {
+	bound = make([]*Binding, 0, len(ca.kept)+len(open))
 	keptAt = make([]bool, 0, cap(bound))
 	kept := ca.kept
 	for len(kept) > 0 || len(open) > 0 {
@@ -510,9 +504,10 @@ func (ca *carried) merge(open []Binding) (bound []Binding, keptAt []bool) {
 // persistent encoder: the component is encoded once, every ladder rung is
 // expressed as a different assumption set on the same solver, and learnt
 // clauses, VSIDS activity, and saved phases carry across attempts. The
-// accumulated durations split constraint construction (enc) from search
-// (slv).
-func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options, deadline time.Time, label string) (plan *Plan, enc, slv time.Duration, err error) {
+// accepted model becomes the component's template straight from the encoder;
+// union is the component's sorted scope union. The accumulated durations split
+// constraint construction and template extraction (enc) from search (slv).
+func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, opts *Options, deadline time.Time, label string) (r componentResult) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
 		prefer:         opts.PreferSwitch,
@@ -528,17 +523,18 @@ func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options
 	if err == nil {
 		err = e.encode()
 	}
-	enc = time.Since(start)
+	r.enc = time.Since(start)
 	if err != nil {
-		diags.record(label, step, cfg, err, enc, nil)
-		return nil, enc, slv, err
+		diags.record(label, step, cfg, err, r.enc, nil)
+		r.err = err
+		return r
 	}
 	e.solver.NoteEncode()
 	// The first attempt's duration includes the encoding it ran on.
 	for aStart := start; ; aStart = time.Now() {
 		sStart := time.Now()
-		p, aerr := solveAttempt(ctx, e, cfg, deadline)
-		slv += time.Since(sStart)
+		m, aerr := solveAttempt(ctx, e, cfg, deadline)
+		r.slv += time.Since(sStart)
 		aDur := time.Since(aStart)
 		var core []string
 		var ie *InfeasibleError
@@ -547,15 +543,21 @@ func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options
 		}
 		diags.record(label, step, cfg, aerr, aDur, core)
 		if aerr == nil {
-			p.Diagnostics = diags
-			return p, enc, slv, nil
+			tStart := time.Now()
+			r.tmpl = e.newTemplate(m, union)
+			r.tmpl.trail = diags
+			r.enc += time.Since(tStart)
+			r.stats = e.solver.Statistics()
+			r.vars, r.clauses = int64(e.solver.NumVars()), int64(e.solver.NumClauses())
+			return r
 		}
 		rung, rest, ok := nextRung(ladder, cfg, aerr, in)
 		if !ok {
+			r.err = aerr
 			if len(diags.Attempts) > 1 {
-				return nil, enc, slv, fmt.Errorf("%w (after %d fallback attempts: %s)", aerr, len(diags.Attempts)-1, diags.Summary())
+				r.err = fmt.Errorf("%w (after %d fallback attempts: %s)", aerr, len(diags.Attempts)-1, diags.Summary())
 			}
-			return nil, enc, slv, aerr
+			return r
 		}
 		ladder = rest
 		step = rung.String()
@@ -566,119 +568,46 @@ func solveComponent(ctx context.Context, in *Input, phv *phvIndex, opts *Options
 
 // componentResult carries one representative's solve outcome back from the
 // worker pool, slot-addressed by component index (zero for a component that
-// was bound, not solved).
+// was bound, not solved): its template, and the solver counters and encoding
+// size behind it.
 type componentResult struct {
-	plan     *Plan
-	enc, slv time.Duration
-	err      error
+	tmpl          *Template
+	stats         smt.Stats
+	vars, clauses int64
+	enc, slv      time.Duration
+	err           error
 }
 
-// mergePlans assembles the whole-program plan: every component's binding is
-// written straight into the plan's name-keyed maps (see Plan.bind), the
+// mergePlans assembles the whole-program plan from its bindings, which are the
+// plan: the path metrics of every template are totalled per binding, the
 // solver-side accounting of the components solved in this call is summed, and
 // the fallback trail of every template is reported once, under the label of
-// the first component bound to it. Components touch
-// disjoint switch sets, so the switch-keyed maps union without collisions;
-// Shards is keyed by extern name, which two components may share, so its
-// inner per-switch maps union element-wise while shardGroups remembers which
-// component each switch's shard came from. After a scope split the same
-// algorithm may appear in several components (one per switch group), so
-// Placement unions its per-instruction host lists as well.
-func mergePlans(in *Input, bound []Binding, results []componentResult) *Plan {
-	// Size everything up front: the plan's maps and host lists are written
-	// once per switch of a datacenter, and growing them doubled the merge.
-	uses := map[*Template]int{}
-	var firsts []int // the first binding of every template, in component order
-	for i, b := range bound {
-		if uses[b.Template] == 0 {
-			firsts = append(firsts, i)
-		}
-		uses[b.Template]++
-	}
-	hosting, exporting, hosts := 0, 0, 0
-	hostsOf := map[*ir.Instr]int{} // instruction -> hosts over all components
-	shardsOf := map[string]int{}   // extern -> shards over all components
-	splitOf := map[string]int{}    // extern -> those in groups of several
-	for t, n := range uses {
-		hosting += n * t.hosting
-		exporting += n * t.exporting
-		for ext, at := range t.shards {
-			shardsOf[ext] += n * len(at)
-			if len(at) > 1 {
-				splitOf[ext] += n * len(at)
-			}
-		}
-		for i := range t.slots {
-			for _, inst := range t.slots[i].instrs {
-				hostsOf[inst] += n
-				hosts += n
-			}
-		}
-	}
-	merged := &Plan{
-		Input:       in,
-		Placement:   make(map[string]map[int][]string, len(in.IR.Algorithms)),
-		Tables:      make(map[string][]*PlacedTable, hosting),
-		Bridges:     make(map[string][]BridgeVar, exporting),
-		Allocations: make(map[string]*asic.Allocation, hosting),
-		Shards:      make(map[string]map[string]int64, len(shardsOf)),
-		shardGroups: make(map[string]map[string][]Shard, len(splitOf)),
-		bound:       bound,
-		Diagnostics: &Diagnostics{},
-	}
-	hostLists := make([]string, hosts) // every host list of the plan, end to end
-	for _, a := range in.IR.Algorithms {
-		m := make(map[int][]string, len(a.Instrs))
-		for _, inst := range a.Instrs {
-			n := hostsOf[inst]
-			m[inst.ID], hostLists = hostLists[:0:n], hostLists[n:]
-			if n == 0 {
-				m[inst.ID] = nil
-			}
-		}
-		merged.Placement[a.Name] = m
-	}
-	for ext, n := range shardsOf {
-		merged.Shards[ext] = make(map[string]int64, n)
-	}
-	for ext, n := range splitOf {
-		merged.shardGroups[ext] = make(map[string][]Shard, n)
-	}
-	for _, b := range bound {
-		merged.bind(b)
-	}
-	// Each component's host list is sorted and the components are disjoint,
-	// but their name ranges interleave ("Agg10_1" < "Agg1_1").
-	for _, m := range merged.Placement {
-		for _, hosts := range m {
-			if !sort.StringsAreSorted(hosts) {
-				sort.Strings(hosts)
-			}
-		}
-	}
+// the first component bound to it.
+func mergePlans(in *Input, bound []*Binding, results []componentResult) *Plan {
+	merged := &Plan{Input: in, bound: bound, Diagnostics: &Diagnostics{}}
 	for _, r := range results {
-		p := r.plan
-		if p == nil {
-			continue
-		}
-		merged.Stats.Add(p.Stats)
-		merged.EncodedVars += p.EncodedVars
-		merged.EncodedClauses += p.EncodedClauses
+		merged.Stats.Add(r.stats)
+		merged.EncodedVars += r.vars
+		merged.EncodedClauses += r.clauses
 	}
-	for _, i := range firsts {
-		d := bound[i].Template.trail
-		if d == nil {
+	seen := map[*Template]bool{}
+	for _, b := range bound {
+		t := b.Template
+		merged.PathsEnumerated += t.pathsEnumerated
+		merged.PeakPathsHeld = max(merged.PeakPathsHeld, t.peakPathsHeld)
+		if seen[t] {
 			continue
 		}
+		seen[t] = true
 		label := ""
 		if len(bound) > 1 {
-			label = bound[i].label
+			label = b.label
 		}
-		for _, a := range d.Attempts {
+		for _, a := range t.trail.Attempts {
 			a.Component = label
 			merged.Diagnostics.Attempts = append(merged.Diagnostics.Attempts, a)
 		}
-		for _, deg := range d.Degraded {
+		for _, deg := range t.trail.Degraded {
 			if label != "" {
 				deg = "component " + label + ": " + deg
 			}
@@ -706,8 +635,9 @@ const coreProbeBudget = 20_000
 // Minimize descent) runs on the live solver, reusing everything learned by
 // earlier attempts. On unsatisfiability the failed-assumption core is
 // minimized and returned inside an *InfeasibleError naming the violated
-// constraint groups.
-func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline time.Time) (*Plan, error) {
+// constraint groups. On success the model is returned with the theory's
+// allocations and shard sizes materialized for it.
+func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline time.Time) (*smt.Model, error) {
 	s := enc.solver
 	s.ConflictBudget = cfg.conflictBudget
 	s.Ctx = ctx
@@ -766,12 +696,7 @@ func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline ti
 	if conflict := enc.theory.Check(model); conflict != nil {
 		return nil, fmt.Errorf("encode: internal error: accepted model rejected by theory")
 	}
-	plan := enc.extractPlan(model)
-	plan.Stats = s.Statistics()
-	plan.PathsEnumerated, plan.PeakPathsHeld = enc.pathMetrics()
-	plan.EncodedVars = int64(s.NumVars())
-	plan.EncodedClauses = int64(s.NumClauses())
-	return plan, nil
+	return model, nil
 }
 
 // unsatCore minimizes and labels the failed-assumption core of the solve
@@ -1297,91 +1222,6 @@ func (e *encoder) lastTheoryHint() string {
 		return " (last resource conflict: " + e.theory.lastReason + ")"
 	}
 	return ""
-}
-
-// extractPlan reads the model into a Plan, using the theory's materialized
-// allocations and shards.
-func (e *encoder) extractPlan(m *smt.Model) *Plan {
-	plan := &Plan{
-		Input:       e.in,
-		Placement:   map[string]map[int][]string{},
-		Tables:      map[string][]*PlacedTable{},
-		Bridges:     map[string][]BridgeVar{},
-		Allocations: e.theory.allocations,
-		Shards:      e.theory.shards,
-	}
-	for alg, v := range e.vars {
-		n := len(v.lits) / len(v.cands)
-		placement := make(map[int][]string, n)
-		for id := 0; id < n; id++ {
-			var hosts []string
-			for k, sw := range v.cands {
-				if m.Value(v.lits[id*len(v.cands)+k]) {
-					hosts = append(hosts, sw)
-				}
-			}
-			sort.Strings(hosts)
-			placement[id] = hosts
-		}
-		plan.Placement[alg] = placement
-	}
-	plan.Tables = e.theory.placedTables
-	e.computeBridges(plan)
-	return plan
-}
-
-// computeBridges implements Algorithm 2: a local variable written on one
-// switch and read on a (different, downstream) switch becomes an extensible
-// resource carried in the packet header. Table hit signals of split externs
-// are bridged as well.
-func (e *encoder) computeBridges(plan *Plan) {
-	for _, a := range e.in.IR.Algorithms {
-		writer := map[*ir.Var]int{}
-		readers := map[*ir.Var][]int{}
-		for _, inst := range a.Instrs {
-			if v := inst.WritesVar(); v != nil {
-				writer[v] = inst.ID
-			}
-			for _, v := range inst.Reads() {
-				readers[v] = append(readers[v], inst.ID)
-			}
-		}
-		shared := e.sharedInstr[a.Name]
-		for v, wID := range writer {
-			rIDs := readers[v]
-			if len(rIDs) == 0 {
-				continue
-			}
-			wHosts := plan.HostsOf(a.Name, wID)
-			exported := map[string]bool{}
-			for _, r := range rIDs {
-				for _, rh := range plan.HostsOf(a.Name, r) {
-					for _, wh := range wHosts {
-						if wh != rh && !exported[wh] {
-							// Written on wh, read elsewhere: bridge from wh.
-							exported[wh] = true
-						}
-					}
-				}
-			}
-			for wh := range exported {
-				plan.Bridges[wh] = append(plan.Bridges[wh], BridgeVar{
-					Alg: a.Name, Var: v, Bits: maxBits(v.Bits),
-					Hit: shared[wID],
-				})
-			}
-		}
-		// Deterministic order.
-		for sw := range plan.Bridges {
-			bs := plan.Bridges[sw]
-			sort.Slice(bs, func(i, j int) bool {
-				if bs[i].Alg != bs[j].Alg {
-					return bs[i].Alg < bs[j].Alg
-				}
-				return bs[i].Var.String() < bs[j].Var.String()
-			})
-		}
-	}
 }
 
 func maxBits(b int) int {

@@ -148,11 +148,11 @@ func TestSolveLBSmall(t *testing.T) {
 		}
 	}
 	// Allocations exist for every hosting switch.
-	for sw, tabs := range plan.Tables {
-		if len(tabs) > 0 && plan.Allocations[sw] == nil {
+	plan.EachHost(func(sw string, _ []*ir.Instr) {
+		if len(plan.TablesOf(sw)) > 0 && plan.AllocationOf(sw) == nil {
 			t.Errorf("no allocation for %s", sw)
 		}
-	}
+	})
 }
 
 func TestSolvePerSwitchINT(t *testing.T) {
@@ -180,9 +180,10 @@ algorithm int_in {
 		}
 	}
 	// Each ToR gets a full-size copy of the extern.
+	shards := plan.ShardsOf("watch")
 	for _, sw := range []string{"ToR1", "ToR2", "ToR3", "ToR4"} {
-		if plan.Shards["watch"][sw] != 1024 {
-			t.Errorf("%s shard = %d, want full copy", sw, plan.Shards["watch"][sw])
+		if shards[sw] != 1024 {
+			t.Errorf("%s shard = %d, want full copy", sw, shards[sw])
 		}
 	}
 }
@@ -195,7 +196,7 @@ func TestSolveConnTableSplit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
-	shards := plan.Shards["conn_table"]
+	shards := plan.ShardsOf("conn_table")
 	if len(shards) < 2 {
 		t.Fatalf("conn_table not split: %v", shards)
 	}
@@ -236,11 +237,7 @@ func TestSolveMinSwitchesObjective(t *testing.T) {
 		t.Fatalf("solve: %v", err)
 	}
 	used := map[string]bool{}
-	for _, hosts := range plan.Placement["loadbalancer"] {
-		for _, h := range hosts {
-			used[h] = true
-		}
-	}
+	plan.EachHost(func(sw string, _ []*ir.Instr) { used[sw] = true })
 	// A small LB fits on the two ToRs (every path ends in a ToR), so an
 	// optimal plan uses at most 2 switches.
 	if len(used) > 2 {
@@ -276,7 +273,7 @@ func TestBridgesComputed(t *testing.T) {
 						continue
 					}
 					found := false
-					for _, b := range plan.Bridges[wh] {
+					for _, b := range plan.BridgesOf(wh) {
 						if b.Var == v {
 							found = true
 						}
@@ -302,8 +299,8 @@ func TestSolvePreferSwitchObjective(t *testing.T) {
 	// Everything that CAN sit on ToR4 should: the paths ending at ToR3
 	// still need their own copies, but no Agg placements should remain.
 	onToR4, elsewhere := 0, 0
-	for _, hosts := range plan.Placement["loadbalancer"] {
-		for _, h := range hosts {
+	for _, inst := range in.IR.Algorithm("loadbalancer").Instrs {
+		for _, h := range plan.HostsOf("loadbalancer", inst.ID) {
 			if h == "ToR4" {
 				onToR4++
 			} else if h == "Agg3" || h == "Agg4" {
@@ -342,7 +339,7 @@ algorithm big {
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
-	shards := plan.Shards["big_table"]
+	shards := plan.ShardsOf("big_table")
 	var total int64
 	for _, n := range shards {
 		total += n
@@ -353,7 +350,7 @@ algorithm big {
 	// The 64Q's shard (if any) must itself be admissible: its allocation
 	// exists in the plan.
 	for sw := range shards {
-		if plan.Allocations[sw] == nil {
+		if plan.AllocationOf(sw) == nil {
 			t.Errorf("no allocation recorded for %s", sw)
 		}
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // switchHashes is the memoised pair of per-switch content hashes of a plan,
-// computed together in one O(plan) pass on first use.
+// with the plan-wide bridge facts they are computed from, all made together on
+// first use.
 //
 // The shape hash is name-free: chip model, placed instruction IDs per
 // algorithm, table geometry (entries and shard index/count), bridge exports
@@ -25,6 +26,13 @@ import (
 // the first comment line of Code. Two switches of one plan with equal shapes
 // therefore get the same program text and the same verification verdict,
 // which is what lets translation and verification run once per shape.
+//
+// A shape is a function of the switch's template slot within one plan: the
+// slot decides everything local, the class fingerprint proves every binding of
+// the template has the same chip model at the slot, and whether a read is an
+// import depends on the switch only when a single switch exports the variable
+// — whose template is then bound once, so its slots have one switch each. So
+// shapes are kept per template slot, and Shape looks a switch's slot up.
 //
 // The full fingerprint adds what the control-plane stub lists on top of the
 // shape: for every split extern on the switch, the hosts and entry counts of
@@ -39,10 +47,11 @@ import (
 // imports are rendered explicitly instead of being implied by that number.
 type switchHashes struct {
 	once         sync.Once
-	shapes       map[string]string
-	full         map[string]string
-	exporters    map[*ir.Var]exporter
+	layout       []BridgeVar
 	bridgeDigest string
+	exporters    map[*ir.Var]exporter
+	shapes       map[*Template][]string // per slot; "" for a slot hosting nothing
+	full         map[string]string
 	// from and keptAt, set by a solve that carried components over, name the
 	// hashes of the plan they came from and which bindings those are; they
 	// are dropped once used.
@@ -58,10 +67,11 @@ func (h *switchHashes) carry(prev *Plan, keptAt []bool) {
 	h.from, h.keptAt = &prev.hashes, keptAt
 }
 
-// reusable reports whether a switch of a component carried over from the plan
-// h.from belongs to hashes exactly as it did there. Within the component
-// nothing changed; of the rest of the plan its hash sees the bridge layout
-// and, per variable it reads, whether another switch exports it.
+// reusable reports whether the hashes of a template or of a binding carried
+// over from the plan h.from belongs to are exactly what they were there.
+// Within the component nothing changed; of the rest of the plan its hash sees
+// the bridge layout and, per variable it reads, whether another switch exports
+// it.
 func (h *switchHashes) reusable() bool {
 	if h.from == nil || h.from.bridgeDigest != h.bridgeDigest || len(h.from.exporters) != len(h.exporters) {
 		return false
@@ -108,11 +118,14 @@ func (p *Plan) Imports(sw string, instrs []*ir.Instr) []BridgeVar {
 	return out
 }
 
-// Shapes returns the name-free shape hash of every switch hosting anything
-// in the plan. The map is memoised on the plan and shared: do not modify it.
-func (p *Plan) Shapes() map[string]string {
+// Shape returns the name-free shape hash of a switch, "" when the plan places
+// nothing on it.
+func (p *Plan) Shape(sw string) string {
 	p.hashes.once.Do(p.hashSwitches)
-	return p.hashes.shapes
+	if r := p.at.lookup(sw); r.b != nil {
+		return p.hashes.shapes[r.b.Template][r.i]
+	}
+	return ""
 }
 
 // Fingerprints returns the full fingerprint of every switch hosting anything
@@ -128,30 +141,52 @@ func (p *Plan) Fingerprints() map[string]string {
 // BridgeLayout returns the network-wide lyra_bridge field list: every
 // exported variable once, in first-export order over the sorted exporting
 // switches. backend.Build lays the header out from this list and the switch
-// hashes digest it, so the two cannot disagree about what the layout is.
+// hashes digest it, so the two cannot disagree about what the layout is. The
+// list is memoised on the plan and shared: do not modify it.
 func (p *Plan) BridgeLayout() []BridgeVar {
+	p.hashes.once.Do(p.hashSwitches)
+	return p.hashes.layout
+}
+
+// bridgeFacts derives, from the bindings, the bridge layout — a variable's
+// first export is its least (switch, position) pair — and every bridged
+// variable's exporters.
+func (p *Plan) bridgeFacts() ([]BridgeVar, map[*ir.Var]exporter) {
 	type field struct {
 		alg, name string
 		ver       int
 	}
-	seen := map[field]bool{}
-	var layout []BridgeVar
-	for _, sw := range sortedKeys(p.Bridges) {
-		for _, bv := range p.Bridges[sw] {
-			if f := (field{bv.Alg, bv.Var.Name, bv.Var.Ver}); !seen[f] {
-				seen[f] = true
-				layout = append(layout, bv)
+	type first struct {
+		bv  BridgeVar
+		sw  string
+		pos int
+	}
+	firsts := map[field]first{}
+	exporters := map[*ir.Var]exporter{}
+	for _, bd := range p.bound {
+		for i, sw := range bd.Switches {
+			for pos, bv := range bd.Template.slots[i].bridges {
+				exporters[bv.Var] = exporter{bv, exporters[bv.Var].count + 1, sw}
+				f := field{bv.Alg, bv.Var.Name, bv.Var.Ver}
+				if was, seen := firsts[f]; !seen || sw < was.sw || (sw == was.sw && pos < was.pos) {
+					firsts[f] = first{bv, sw, pos}
+				}
 			}
 		}
 	}
-	return layout
+	order := make([]first, 0, len(firsts))
+	for _, f := range firsts {
+		order = append(order, f)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return order[i].sw < order[j].sw || (order[i].sw == order[j].sw && order[i].pos < order[j].pos)
+	})
+	layout := make([]BridgeVar, len(order))
+	for i, f := range order {
+		layout[i] = f.bv
+	}
+	return layout, exporters
 }
-
-// ShardGroup returns the shards of the placement component hosting sw's shard
-// of a split extern, sorted by switch: exactly the ShardCount switches the
-// extern's table on sw is split across. Every member of a group gets the same
-// slice, which is shared: do not modify it.
-func (p *Plan) ShardGroup(extern, sw string) []Shard { return p.shardGroups[extern][sw] }
 
 func hexSum(b []byte) string {
 	sum := sha256.Sum256(b)
@@ -160,54 +195,66 @@ func hexSum(b []byte) string {
 	return string(text[:])
 }
 
-// slotShape is the part of a switch's hash input that its template slot
-// determines, whichever switch is bound to it: the name-free local input
-// (chip model, placed instruction IDs, table geometry, exports; nil for a slot
-// hosting nothing) and the variables the placed instructions read, sorted by
-// rendered name — a switch imports those some other switch exports.
-type slotShape struct {
-	local []byte
-	reads []readVar
-}
-
-type readVar struct {
-	v    *ir.Var
-	name string // "alg.var"
-}
-
-// slotShapes renders every slot of the template as bound by bd — any binding
-// of the template gives the same bytes, since the class fingerprint proves the
-// chip model behind every index renders equally. models memoises the model
-// rendering across templates.
-func (bd Binding) slotShapes(net *topo.Network, models map[*asic.Model]string) []slotShape {
-	out := make([]slotShape, len(bd.Template.slots))
+// shapes renders the shape hash of every slot of the template as bound by bd,
+// "" for a slot hosting nothing; any binding of the template in the plan gives
+// the same hashes (see switchHashes). models memoises the model rendering
+// across templates, and b is the reused render buffer.
+func (bd *Binding) shapes(net *topo.Network, h *switchHashes, models map[*asic.Model]string, b *[]byte) []string {
+	type readVar struct {
+		v    *ir.Var
+		name string // "alg.var"
+	}
+	out := make([]string, len(bd.Template.slots))
+	var reads []readVar
+	seen := map[*ir.Var]bool{}
 	for i := range bd.Template.slots {
 		s := &bd.Template.slots[i]
 		if len(s.instrs) == 0 {
 			continue
 		}
-		model := net.Switch(bd.Switches[i]).ASIC
+		sw := bd.Switches[i]
+		model := net.Switch(sw).ASIC
 		m, ok := models[model]
 		if !ok {
 			// %+v covers every capacity fact admission consults, so a
 			// degraded chip that kept its name still changes the hash.
-			h := sha256.New()
-			fmt.Fprintf(h, "%+v", *model)
-			m = "model=" + hex.EncodeToString(h.Sum(nil)) + "\n"
+			sum := sha256.New()
+			fmt.Fprintf(sum, "%+v", *model)
+			m = "model=" + hex.EncodeToString(sum.Sum(nil)) + "\n"
 			models[model] = m
 		}
-		out[i].local = s.appendLocal([]byte(m))
-		seen := map[*ir.Var]bool{}
+		*b = s.appendLocal(append((*b)[:0], m...))
+		// The variables the placed instructions read, by rendered name: the
+		// switch imports those some other switch exports.
+		reads = reads[:0]
+		clear(seen)
 		for _, in := range s.instrs {
 			for _, v := range in.Reads() {
 				if !seen[v] {
 					seen[v] = true
-					out[i].reads = append(out[i].reads, readVar{v, in.Alg + "." + v.String()})
+					reads = append(reads, readVar{v, in.Alg + "." + v.String()})
 				}
 			}
 		}
-		reads := out[i].reads
 		sort.Slice(reads, func(a, b int) bool { return reads[a].name < reads[b].name })
+		imports, last := false, ""
+		for _, r := range reads {
+			if h.exporters[r.v].importedBy(sw) && r.name != last {
+				*b = append(*b, "import="...)
+				*b = append(*b, r.name...)
+				*b = append(*b, '\n')
+				imports, last = true, r.name
+			}
+		}
+		// A switch that imports or exports anything declares and parses the
+		// whole lyra_bridge header; the others are not invalidated by layout
+		// changes.
+		if len(s.bridges) > 0 || imports {
+			*b = append(*b, "bridge="...)
+			*b = append(*b, h.bridgeDigest...)
+			*b = append(*b, '\n')
+		}
+		out[i] = hexSum(*b)
 	}
 	return out
 }
@@ -263,87 +310,68 @@ func appendBridgeVar(b []byte, bv BridgeVar) []byte {
 	return b
 }
 
-// hashSwitches fills p.hashes, one binding at a time. What a switch hosts is
-// its template slot, so the name-free local part of the hash input is rendered
-// once per template and copied per switch; what depends on the rest of the
-// plan is added per switch: the imports (see Imports), the network-wide bridge
-// layout digest, and one digest per shard group. The rendering is hand-rolled
-// appends into one reused buffer, not fmt: it runs once per programmed switch
-// per compile.
+// hashSwitches fills p.hashes: the bridge layout and exporters (bridgeFacts),
+// the shapes once per template (or as the plan it follows had them), and the
+// full fingerprints one binding at a time — a
+// carried binding's as the plan it follows had them, where nothing plan-wide
+// they depend on moved; the others' from their slots' shapes plus one digest
+// per shard group. The rendering is hand-rolled appends into one reused
+// buffer, not fmt.
 func (p *Plan) hashSwitches() {
+	h := &p.hashes
+	h.layout, h.exporters = p.bridgeFacts()
 	var b []byte
-	for _, bv := range p.BridgeLayout() {
+	for _, bv := range h.layout {
 		b = appendBridgeVar(b, bv)
 		b = append(b, ',')
 	}
-	bridgeDigest := hexSum(b)
-	p.hashes.bridgeDigest = bridgeDigest
-
-	exporters := map[*ir.Var]exporter{}
-	for sw, bvs := range p.Bridges {
-		for _, bv := range bvs {
-			e := exporters[bv.Var]
-			exporters[bv.Var] = exporter{bv, e.count + 1, sw}
-		}
-	}
-	p.hashes.exporters = exporters
-	from, keptAt := p.hashes.from, p.hashes.keptAt
-	if !p.hashes.reusable() {
+	h.bridgeDigest = hexSum(b)
+	from, keptAt := h.from, h.keptAt
+	if !h.reusable() {
 		from = nil
 	}
-	p.hashes.from, p.hashes.keptAt = nil, nil
+	h.from, h.keptAt = nil, nil
 
-	p.hashes.shapes = make(map[string]string, len(p.Allocations)) // every hosting switch has one
-	p.hashes.full = make(map[string]string, len(p.Allocations))
-	groupDigests := map[string]string{} // extern -> digest of the current binding's shard group
-	slotShapes := map[*Template][]slotShape{}
+	h.shapes = map[*Template][]string{}
 	models := map[*asic.Model]string{}
+	hosting := 0
+	for _, bd := range p.bound {
+		t := bd.Template
+		if h.shapes[t] == nil && from != nil {
+			h.shapes[t] = from.shapes[t]
+		}
+		if h.shapes[t] == nil {
+			h.shapes[t] = bd.shapes(p.Input.Net, h, models, &b)
+		}
+		for i := range t.slots {
+			if len(t.slots[i].instrs) > 0 {
+				hosting++
+			}
+		}
+	}
+	h.full = make(map[string]string, hosting)
+	groupDigests := map[string]string{} // extern -> digest of the current binding's shard group
 	for k, bd := range p.bound {
 		if from != nil && keptAt[k] {
 			// Same component, same surroundings: same hashes, not rehashed.
 			for _, sw := range bd.Switches {
-				if shape, hosts := from.shapes[sw]; hosts {
-					p.hashes.shapes[sw], p.hashes.full[sw] = shape, from.full[sw]
+				if full, hosts := from.full[sw]; hosts {
+					h.full[sw] = full
 				}
 			}
 			continue
 		}
 		clear(groupDigests)
-		shapes, ok := slotShapes[bd.Template]
-		if !ok {
-			shapes = bd.slotShapes(p.Input.Net, models)
-			slotShapes[bd.Template] = shapes
-		}
+		shapes := h.shapes[bd.Template]
 		for i, sw := range bd.Switches {
-			s := &bd.Template.slots[i]
-			if shapes[i].local == nil {
+			shape := shapes[i]
+			if shape == "" {
 				continue
 			}
-			b = append(b[:0], shapes[i].local...)
-			imports, last := false, ""
-			for _, r := range shapes[i].reads {
-				if exporters[r.v].importedBy(sw) && r.name != last {
-					b = append(b, "import="...)
-					b = append(b, r.name...)
-					b = append(b, '\n')
-					imports, last = true, r.name
-				}
-			}
-			// A switch that imports or exports anything declares and parses the
-			// whole lyra_bridge header; the others are not invalidated by layout
-			// changes.
-			if len(s.bridges) > 0 || imports {
-				b = append(b, "bridge="...)
-				b = append(b, bridgeDigest...)
-				b = append(b, '\n')
-			}
-			shape := hexSum(b)
-			p.hashes.shapes[sw] = shape
-
 			// The full fingerprint: the shape plus the shard groups the
 			// control-plane stub lists.
 			b = append(b[:0], shape...)
-			for _, pt := range s.tables {
+			for _, pt := range bd.Template.slots[i].tables {
 				if pt.Kind != synth.MatchExtern || pt.ShardCount <= 1 {
 					continue
 				}
@@ -359,9 +387,9 @@ func (p *Plan) hashSwitches() {
 				b = append(b, d...)
 			}
 			if len(b) > len(shape) {
-				p.hashes.full[sw] = hexSum(b)
+				h.full[sw] = hexSum(b)
 			} else {
-				p.hashes.full[sw] = shape
+				h.full[sw] = shape
 			}
 		}
 	}
@@ -369,7 +397,7 @@ func (p *Plan) hashSwitches() {
 
 // digestShardGroup hashes the hosts and entries of the binding's shard group
 // of one extern, in switch order.
-func (bd Binding) digestShardGroup(extern string) string {
+func (bd *Binding) digestShardGroup(extern string) string {
 	var b []byte
 	for _, s := range bd.Template.shards[extern] {
 		b = append(b, bd.Switches[s.index]...)

@@ -142,7 +142,8 @@ func TestReplicationSolveStillCoversPaths(t *testing.T) {
 	}
 	rs := in.Scopes["marker"]
 	for _, path := range rs.Paths {
-		for id, hosts := range plan.Placement["marker"] {
+		for _, inst := range in.IR.Algorithm("marker").Instrs {
+			id, hosts := inst.ID, plan.HostsOf("marker", inst.ID)
 			covered := false
 			for _, h := range hosts {
 				for _, sw := range path {

@@ -13,8 +13,8 @@ import (
 // algorithm scope groups whose switch sets are disjoint from every other
 // component's. Because chip admission is per-switch and flow paths are
 // confined to a scope's switches, a component can be encoded and solved as
-// its own SMT instance with no loss of precision; the per-component plans
-// merge into exactly the plan a monolithic solve would admit.
+// its own SMT instance with no loss of precision; the components' bindings
+// together are exactly the plan a monolithic solve would admit.
 type Component struct {
 	// Algs lists the member algorithms in program declaration order.
 	Algs []string
@@ -239,8 +239,8 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 // a fault left alone, and what is open again.
 type carried struct {
 	// kept are the previous plan's bindings none of whose switches the fault
-	// touched, in component order.
-	kept []Binding
+	// touched, in component order, and dropped are the others.
+	kept, dropped []*Binding
 	// within lists, sorted, the surviving switches of the touched components.
 	within []string
 	// algs holds the algorithms the touched components placed.

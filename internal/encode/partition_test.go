@@ -2,6 +2,7 @@ package encode
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,15 +97,15 @@ func TestSolveDisjointComponents(t *testing.T) {
 		t.Errorf("aggregated TheoryChecks = %d, want >= 2", plan.Stats.TheoryChecks)
 	}
 	for _, alg := range []string{"lb_a", "lb_b"} {
-		if plan.Placement[alg] == nil {
+		if plan.HostsOf(alg, 0) == nil {
 			t.Errorf("merged plan missing placement for %s", alg)
 		}
 	}
 	for _, sw := range []string{"ToR1", "ToR2"} {
-		if plan.Allocations[sw] == nil {
+		if plan.AllocationOf(sw) == nil {
 			t.Errorf("merged plan missing allocation for %s", sw)
 		}
-		if len(plan.Tables[sw]) == 0 {
+		if len(plan.TablesOf(sw)) == 0 {
 			t.Errorf("merged plan has no tables on %s", sw)
 		}
 	}
@@ -153,12 +154,7 @@ func TestSolveParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Solve(reference): %v", err)
 		}
-		if !reflect.DeepEqual(plan.Placement, refPlan.Placement) {
-			t.Errorf("parallelism=%d changed Placement:\n got %v\nwant %v", workers, plan.Placement, refPlan.Placement)
-		}
-		if !reflect.DeepEqual(plan.Shards, refPlan.Shards) {
-			t.Errorf("parallelism=%d changed Shards", workers)
-		}
+		planEqual(t, fmt.Sprintf("parallelism=%d", workers), plan, refPlan)
 	}
 }
 
@@ -263,29 +259,13 @@ func TestMergePlansDeterministic(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		plan := solve()
-		if !reflect.DeepEqual(plan.Placement, ref.Placement) {
-			t.Fatalf("trial %d: Placement differs:\n got %v\nwant %v", trial, plan.Placement, ref.Placement)
-		}
-		if !reflect.DeepEqual(plan.Shards, ref.Shards) {
-			t.Fatalf("trial %d: Shards differ", trial)
-		}
+		planEqual(t, fmt.Sprintf("trial %d", trial), plan, ref)
 		var comps []string
 		for _, a := range plan.Diagnostics.Attempts {
 			comps = append(comps, a.Component)
 		}
 		if !reflect.DeepEqual(comps, refComps) {
 			t.Fatalf("trial %d: attempt order %v, want %v", trial, comps, refComps)
-		}
-		for sw, ts := range ref.Tables {
-			got := plan.Tables[sw]
-			if len(got) != len(ts) {
-				t.Fatalf("trial %d: %s has %d tables, want %d", trial, sw, len(got), len(ts))
-			}
-			for i := range ts {
-				if got[i].Name != ts[i].Name {
-					t.Fatalf("trial %d: %s table %d = %s, want %s", trial, sw, i, got[i].Name, ts[i].Name)
-				}
-			}
 		}
 	}
 }

@@ -51,29 +51,86 @@ func podNet(pods, k int) *topo.Network {
 
 const podLBScope = `loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`
 
-// planEqual asserts two plans generate byte-identical artifacts: identical
-// per-switch fingerprints (which cover placement, tables, shard geometry,
-// bridges, and chip model — everything codegen consumes).
+// sliceView is what a plan says about some of its switches: the hosts among
+// them of every instruction, each one's tables, bridge exports and chip
+// allocation, and every extern's shards on them. A nil switch list stands for
+// every switch of the plan, and adds what only the whole plan decides: shape
+// hashes, shard groups, fingerprints and the bridge layout.
+func sliceView(p *Plan, switches []string) map[string]any {
+	in := map[string]bool{}
+	for _, sw := range switches {
+		in[sw] = true
+	}
+	keep := func(sw string) bool { return switches == nil || in[sw] }
+	hosts := map[string][]string{}
+	shards := map[string]map[string]int64{}
+	tables, bridges, allocs := map[string][]*PlacedTable{}, map[string][]BridgeVar{}, map[string]*asic.Allocation{}
+	shapes, groups := map[string]string{}, map[string][]Shard{}
+	for _, a := range p.Input.IR.Algorithms {
+		for _, inst := range a.Instrs {
+			var on []string
+			for _, sw := range p.HostsOf(a.Name, inst.ID) {
+				if keep(sw) {
+					on = append(on, sw)
+				}
+			}
+			hosts[fmt.Sprintf("%s/%d", a.Name, inst.ID)] = on
+		}
+	}
+	p.EachHost(func(sw string, _ []*ir.Instr) {
+		if !keep(sw) {
+			return
+		}
+		tables[sw], bridges[sw], allocs[sw] = p.TablesOf(sw), p.BridgesOf(sw), p.AllocationOf(sw)
+		shapes[sw] = p.Shape(sw)
+		for _, a := range p.Input.IR.Algorithms {
+			for _, e := range a.Externs {
+				if g := p.ShardGroup(e.Name, sw); g != nil {
+					groups[e.Name+"@"+sw] = g
+				}
+			}
+		}
+	})
+	for _, a := range p.Input.IR.Algorithms {
+		for _, e := range a.Externs {
+			for sw, n := range p.ShardsOf(e.Name) {
+				if keep(sw) {
+					if shards[e.Name] == nil {
+						shards[e.Name] = map[string]int64{}
+					}
+					shards[e.Name][sw] = n
+				}
+			}
+		}
+	}
+	v := map[string]any{"hosts": hosts, "tables": tables, "bridges": bridges, "allocations": allocs, "shards": shards}
+	if switches == nil {
+		v["shapes"], v["shard groups"], v["fingerprints"], v["bridge layout"] = shapes, groups, p.Fingerprints(), p.BridgeLayout()
+	}
+	return v
+}
+
+// planEqual asserts two plans say the same about every switch, instruction
+// and extern — per-switch fingerprints (which cover placement, tables, shard
+// geometry, bridges, and chip model: everything codegen consumes) included.
 func planEqual(t *testing.T, ctx string, a, b *Plan) {
 	t.Helper()
 	fa, fb := a.Fingerprints(), b.Fingerprints()
-	if !reflect.DeepEqual(fa, fb) {
-		for sw, f := range fa {
-			if fb[sw] != f {
-				t.Errorf("%s: switch %s fingerprint differs:\n  a=%s\n  b=%s", ctx, sw, f, fb[sw])
-			}
-		}
-		for sw := range fb {
-			if _, ok := fa[sw]; !ok {
-				t.Errorf("%s: switch %s only in second plan", ctx, sw)
-			}
+	for sw, f := range fa {
+		if fb[sw] != f {
+			t.Errorf("%s: switch %s fingerprint differs:\n  a=%s\n  b=%s", ctx, sw, f, fb[sw])
 		}
 	}
-	if !reflect.DeepEqual(a.Placement, b.Placement) {
-		t.Errorf("%s: placements differ", ctx)
+	for sw := range fb {
+		if _, ok := fa[sw]; !ok {
+			t.Errorf("%s: switch %s only in second plan", ctx, sw)
+		}
 	}
-	if !reflect.DeepEqual(a.Shards, b.Shards) {
-		t.Errorf("%s: shards differ", ctx)
+	va, vb := sliceView(a, nil), sliceView(b, nil)
+	for k := range va {
+		if !reflect.DeepEqual(va[k], vb[k]) {
+			t.Errorf("%s: %s differ:\n  a=%v\n  b=%v", ctx, k, va[k], vb[k])
+		}
 	}
 }
 

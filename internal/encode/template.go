@@ -1,19 +1,21 @@
 package encode
 
 import (
+	"slices"
 	"sort"
 
 	"lyra/internal/asic"
 	"lyra/internal/ir"
+	"lyra/internal/smt"
 )
 
 // Template is the solved form of a symmetry class with every switch name
 // replaced by its index into the component's sorted scope union: per index,
 // the instructions placed there (which is the placement), the placed tables,
 // the bridge exports and the chip allocation; per extern, the shard sizes; and
-// the path metrics of the solve. It is extracted once from the
-// representative's solved plan and never written afterwards; a component of
-// the class is a Binding of it, and instantiating one is pure substitution —
+// the path metrics of the solve. It is extracted once, from the model the
+// representative's encoder accepted, and never written afterwards; a component
+// of the class is a Binding of it, and instantiating one is pure substitution —
 // no encoder, no path walk, no table synthesis, no resource theory.
 // Everything a slot points to (instruction, table and bridge lists,
 // allocations) is shared by reference with every plan the template is bound
@@ -27,9 +29,6 @@ import (
 // i-th of the other), so every name-sorted list stays sorted under it.
 type Template struct {
 	slots []slot
-	// hosting and exporting count the slots with anything placed and with
-	// bridge exports; the merge sizes the plan's maps by them.
-	hosting, exporting int
 	// shards maps extern name -> entries per hosting index, ascending.
 	shards map[string][]indexShard
 	// The representative's path metrics; a twin's are equal, which is part of
@@ -68,9 +67,12 @@ type Binding struct {
 	// component has no canonical form and is a class of its own.
 	Class string
 
-	algs  []string
-	label string
-	at    position
+	// groups holds, per extern the template splits across several switches,
+	// the shard group under this binding's switch names; see ShardGroup.
+	groups map[string][]Shard
+	algs   []string
+	label  string
+	at     position
 }
 
 // Shard is one switch's share of a split extern.
@@ -79,69 +81,201 @@ type Shard struct {
 	Entries int64
 }
 
-// newTemplate extracts the template of a solved component plan, fallback trail
-// included; union is the component's sorted scope union.
-func newTemplate(p *Plan, union []string) *Template {
-	index := make(map[string]int, len(union))
-	for i, sw := range union {
-		index[sw] = i
-	}
-	t := &Template{
-		slots:           make([]slot, len(union)),
-		exporting:       len(p.Bridges),
-		shards:          make(map[string][]indexShard, len(p.Shards)),
-		pathsEnumerated: p.PathsEnumerated,
-		peakPathsHeld:   p.PeakPathsHeld,
-		trail:           p.Diagnostics,
-	}
-	// The slots' instruction lists are carved out of one array, each sized by
-	// a counting pass, so a template is a handful of allocations however many
-	// switches it spans.
-	hosted := make([]int, len(union))
-	total := 0
-	for _, m := range p.Placement {
-		for _, hosts := range m {
-			for _, h := range hosts {
-				hosted[index[h]]++
-				total++
+// newTemplate extracts the template of a solved component from the model the
+// encoder accepted and the allocations and shard sizes its theory
+// materialized for it; union is the component's sorted scope union.
+func (e *encoder) newTemplate(m *smt.Model, union []string) *Template {
+	index := func(sw string) int { i, _ := slices.BinarySearch(union, sw); return i }
+	t := &Template{slots: make([]slot, len(union)), shards: make(map[string][]indexShard, len(e.theory.shards))}
+	t.pathsEnumerated, t.peakPathsHeld = e.pathMetrics()
+
+	for _, a := range e.in.IR.Algorithms {
+		v := e.vars[a.Name]
+		for _, in := range a.Instrs { // program order
+			for k, sw := range v.cands {
+				if m.Value(v.lits[in.ID*len(v.cands)+k]) {
+					s := &t.slots[index(sw)]
+					s.instrs = append(s.instrs, in)
+				}
 			}
 		}
 	}
-	all := make([]*ir.Instr, total)
-	for i, n := range hosted {
-		if n > 0 {
-			t.hosting++
-			t.slots[i].instrs, all = all[:0:n], all[n:]
-		}
+	for sw, ts := range e.theory.placedTables {
+		t.slots[index(sw)].tables = ts
 	}
-	for _, a := range p.Input.IR.Algorithms {
-		placed := p.Placement[a.Name]
-		for _, in := range a.Instrs {
-			for _, h := range placed[in.ID] {
-				s := &t.slots[index[h]]
-				s.instrs = append(s.instrs, in)
-			}
-		}
+	for sw, al := range e.theory.allocations {
+		t.slots[index(sw)].alloc = al
 	}
-	for sw, ts := range p.Tables {
-		t.slots[index[sw]].tables = ts
-	}
-	for sw, bs := range p.Bridges {
-		t.slots[index[sw]].bridges = bs
-	}
-	for sw, al := range p.Allocations {
-		t.slots[index[sw]].alloc = al
-	}
-	for ext, bySwitch := range p.Shards {
+	for ext, bySwitch := range e.theory.shards {
 		at := make([]indexShard, 0, len(bySwitch))
 		for sw, n := range bySwitch {
-			at = append(at, indexShard{index[sw], n})
+			at = append(at, indexShard{index(sw), n})
 		}
 		sort.Slice(at, func(i, j int) bool { return at[i].index < at[j].index })
 		t.shards[ext] = at
 	}
+	e.bridge(t)
 	return t
 }
+
+// layGroups spells out, for a binding just made, the shard groups of the
+// externs its template splits: once per binding, which a later plan carrying
+// the binding over shares.
+func (b *Binding) layGroups() {
+	for ext, at := range b.Template.shards {
+		if len(at) < 2 {
+			continue
+		}
+		if b.groups == nil {
+			b.groups = map[string][]Shard{}
+		}
+		group := make([]Shard, len(at))
+		for k, s := range at {
+			group[k] = Shard{b.Switches[s.index], s.entries}
+		}
+		b.groups[ext] = group
+	}
+}
+
+// bridge implements Algorithm 2 on a template being extracted: a local
+// variable written on one slot and read on a different (downstream) one
+// becomes an extensible resource carried in the packet header, exported by
+// every slot writing it. Table hit signals of split externs are bridged as
+// well.
+func (e *encoder) bridge(t *Template) {
+	on := map[*ir.Instr][]int{} // instruction -> the slots hosting it
+	for i, s := range t.slots {
+		for _, in := range s.instrs {
+			on[in] = append(on[in], i)
+		}
+	}
+	for _, a := range e.in.IR.Algorithms {
+		writer := map[*ir.Var]*ir.Instr{}
+		readers := map[*ir.Var][]*ir.Instr{}
+		for _, inst := range a.Instrs {
+			if v := inst.WritesVar(); v != nil {
+				writer[v] = inst
+			}
+			for _, v := range inst.Reads() {
+				readers[v] = append(readers[v], inst)
+			}
+		}
+		shared := e.sharedInstr[a.Name]
+		for v, w := range writer {
+			exported := map[int]bool{}
+			for _, r := range readers[v] {
+				for _, rh := range on[r] {
+					for _, wh := range on[w] {
+						if wh != rh { // written on wh, read elsewhere: bridge from wh
+							exported[wh] = true
+						}
+					}
+				}
+			}
+			for wh := range exported {
+				t.slots[wh].bridges = append(t.slots[wh].bridges, BridgeVar{
+					Alg: a.Name, Var: v, Bits: maxBits(v.Bits),
+					Hit: shared[w.ID],
+				})
+			}
+		}
+	}
+	for i := range t.slots {
+		bs := t.slots[i].bridges
+		sort.Slice(bs, func(i, j int) bool {
+			if bs[i].Alg != bs[j].Alg {
+				return bs[i].Alg < bs[j].Alg
+			}
+			return bs[i].Var.String() < bs[j].Var.String()
+		})
+	}
+}
+
+// switchIndex locates the switches of a plan's bindings: own maps a switch to
+// its slot (the zero slotRef: to no binding), and base locates the switches
+// own does not name. A plan that carried bindings over from the plan it
+// follows owns only the switches of the bindings it made and dropped, over
+// that plan's index, so an event indexes what it replaced, not the fabric; a
+// chain of recompiles indexes afresh once it is maxIndexDepth plans deep.
+type switchIndex struct {
+	own   map[string]slotRef
+	base  *switchIndex
+	depth int // levels below this one
+}
+
+const maxIndexDepth = 8
+
+type slotRef struct {
+	b *Binding
+	i int
+}
+
+func newIndex(base *switchIndex, bound []*Binding) *switchIndex {
+	n := 0
+	for _, b := range bound {
+		n += len(b.Switches)
+	}
+	x := &switchIndex{own: make(map[string]slotRef, n), base: base}
+	if base != nil {
+		x.depth = base.depth + 1
+	}
+	for _, b := range bound {
+		for i, sw := range b.Switches {
+			x.own[sw] = slotRef{b, i}
+		}
+	}
+	return x
+}
+
+func (x *switchIndex) lookup(sw string) slotRef {
+	for ; x != nil; x = x.base {
+		if r, ok := x.own[sw]; ok {
+			return r
+		}
+	}
+	return slotRef{}
+}
+
+// index returns the switch index of bound, which ca.merge made of the carried
+// bindings and made: prev's, overlaid with the dropped bindings' switches as
+// in no binding unless made holds them.
+func (ca *carried) index(prev *switchIndex, made, bound []*Binding) *switchIndex {
+	switch {
+	case len(ca.dropped) == 0 && len(made) == 0:
+		return prev
+	case prev.depth >= maxIndexDepth:
+		return newIndex(nil, bound)
+	}
+	x := newIndex(prev, slices.Concat(ca.dropped, made))
+	for _, b := range ca.dropped {
+		for _, sw := range b.Switches {
+			if x.own[sw].b == b {
+				x.own[sw] = slotRef{}
+			}
+		}
+	}
+	return x
+}
+
+// slotOf returns the slot a switch is bound to, or the empty one.
+func (p *Plan) slotOf(sw string) slot {
+	if r := p.at.lookup(sw); r.b != nil {
+		return r.b.Template.slots[r.i]
+	}
+	return slot{}
+}
+
+// TablesOf returns the tables placed on a switch, in dependency order. The
+// slice is the template's own: do not modify it.
+func (p *Plan) TablesOf(sw string) []*PlacedTable { return p.slotOf(sw).tables }
+
+// BridgesOf returns the variables a switch exports downstream. The slice is
+// the template's own: do not modify it.
+func (p *Plan) BridgesOf(sw string) []BridgeVar { return p.slotOf(sw).bridges }
+
+// AllocationOf returns the admission result of a switch's chip model for what
+// the switch hosts, or nil when it hosts nothing.
+func (p *Plan) AllocationOf(sw string) *asic.Allocation { return p.slotOf(sw).alloc }
 
 // EachHost calls f for every switch the plan places anything on, with the
 // instructions placed there in program order. The slice is the template's own,
@@ -156,47 +290,41 @@ func (p *Plan) EachHost(f func(sw string, instrs []*ir.Instr)) {
 	}
 }
 
-// bind writes the binding's share of a plan into the plan's name-keyed maps,
-// which mergePlans made and sized. Per-switch values are the template's own,
-// adopted by reference; only the keys and the host and shard lists, which
-// spell switch names, are made here.
-func (p *Plan) bind(b Binding) {
-	t := b.Template
-	for i, sw := range b.Switches {
-		s := &t.slots[i]
-		var alg string
-		var hosts map[int][]string
-		for _, in := range s.instrs { // ascending index is ascending name: host lists stay sorted
-			if in.Alg != alg {
-				alg, hosts = in.Alg, p.Placement[in.Alg]
-			}
-			hosts[in.ID] = append(hosts[in.ID], sw)
+// HostsOf returns the switches hosting an instruction, sorted, in a slice of
+// the caller's (nil when the instruction is placed nowhere).
+func (p *Plan) HostsOf(alg string, id int) []string {
+	var hosts []string
+	p.EachHost(func(sw string, instrs []*ir.Instr) {
+		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg && in.ID == id }) {
+			hosts = append(hosts, sw)
 		}
-		if len(s.tables) > 0 {
-			p.Tables[sw] = s.tables
-		}
-		if len(s.bridges) > 0 {
-			p.Bridges[sw] = s.bridges
-		}
-		if s.alloc != nil {
-			p.Allocations[sw] = s.alloc
+	})
+	sort.Strings(hosts) // the components' name ranges interleave ("Agg10_1" < "Agg1_1")
+	return hosts
+}
+
+// ShardsOf reports how an extern was split, switch -> entries, in a map of the
+// caller's (empty when the extern is placed nowhere).
+func (p *Plan) ShardsOf(extern string) map[string]int64 {
+	out := map[string]int64{}
+	for _, b := range p.bound {
+		for _, s := range b.Template.shards[extern] {
+			out[b.Switches[s.index]] = s.entries
 		}
 	}
-	for ext, at := range t.shards {
-		bySwitch := p.Shards[ext]
-		group := make([]Shard, len(at))
-		for k, s := range at {
-			group[k] = Shard{b.Switches[s.index], s.entries}
-			bySwitch[group[k].Switch] = s.entries
-		}
-		if len(group) > 1 {
-			for _, s := range group {
-				p.shardGroups[ext][s.Switch] = group
-			}
+	return out
+}
+
+// ShardGroup returns the shards of the placement component hosting sw's shard
+// of a split extern, sorted by switch: exactly the ShardCount switches the
+// extern's table on sw is split across. It returns nil when sw holds no shard
+// of the extern or its component does not split it. Every member of a group
+// gets the same slice, the binding's own: do not modify it.
+func (p *Plan) ShardGroup(extern, sw string) []Shard {
+	if r := p.at.lookup(sw); r.b != nil {
+		if group := r.b.groups[extern]; slices.ContainsFunc(group, func(s Shard) bool { return s.Switch == sw }) {
+			return group
 		}
 	}
-	p.PathsEnumerated += t.pathsEnumerated
-	if t.peakPathsHeld > p.PeakPathsHeld {
-		p.PeakPathsHeld = t.peakPathsHeld
-	}
+	return nil
 }

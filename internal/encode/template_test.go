@@ -47,56 +47,6 @@ algorithm int_in {
 }
 `
 
-// sliceOf narrows a whole-program plan to the switches of one component, in
-// the form solveComponent returns that component's plan.
-func sliceOf(p *Plan, switches []string) *Plan {
-	in := map[string]bool{}
-	for _, sw := range switches {
-		in[sw] = true
-	}
-	out := &Plan{
-		Placement:   map[string]map[int][]string{},
-		Tables:      map[string][]*PlacedTable{},
-		Bridges:     map[string][]BridgeVar{},
-		Allocations: map[string]*asic.Allocation{},
-		Shards:      map[string]map[string]int64{},
-	}
-	for alg, m := range p.Placement {
-		out.Placement[alg] = map[int][]string{}
-		for id, hosts := range m {
-			var mine []string
-			for _, h := range hosts {
-				if in[h] {
-					mine = append(mine, h)
-				}
-			}
-			out.Placement[alg][id] = mine
-		}
-	}
-	for _, sw := range switches {
-		if v, ok := p.Tables[sw]; ok {
-			out.Tables[sw] = v
-		}
-		if v, ok := p.Bridges[sw]; ok {
-			out.Bridges[sw] = v
-		}
-		if v, ok := p.Allocations[sw]; ok {
-			out.Allocations[sw] = v
-		}
-	}
-	for ext, bySwitch := range p.Shards {
-		for sw, n := range bySwitch {
-			if in[sw] {
-				if out.Shards[ext] == nil {
-					out.Shards[ext] = map[string]int64{}
-				}
-				out.Shards[ext][sw] = n
-			}
-		}
-	}
-	return out
-}
-
 // TestBindEqualsSolve: binding a class's template to a component must give,
 // field by field, the plan a direct solve of that component gives — placement,
 // table lists (deeply: synthesis is per solve, so the direct solve's tables
@@ -139,31 +89,37 @@ func TestBindEqualsSolve(t *testing.T) {
 			var enumerated int64
 			for i, c := range comps {
 				b := plan.Bindings()[i]
-				if !reflect.DeepEqual(b.Switches, scopeUnion(c.In)) {
-					t.Fatalf("%s: bound to %v, scope union is %v", c.Label(), b.Switches, scopeUnion(c.In))
+				union := scopeUnion(c.In)
+				if !reflect.DeepEqual(b.Switches, union) {
+					t.Fatalf("%s: bound to %v, scope union is %v", c.Label(), b.Switches, union)
 				}
-				direct, _, _, err := solveComponent(context.Background(), c.In, &phvIndex{prog: in.IR}, DefaultOptions(), time.Time{}, c.Label())
-				if err != nil {
-					t.Fatalf("%s: direct solve: %v", c.Label(), err)
+				r := solveComponent(context.Background(), c.In, union, &phvIndex{prog: in.IR}, DefaultOptions(), time.Time{}, c.Label())
+				if r.err != nil {
+					t.Fatalf("%s: direct solve: %v", c.Label(), r.err)
 				}
-				bound := sliceOf(plan, b.Switches)
+				// The direct solve as a plan of its own, under the component's
+				// switch names.
+				direct := &Plan{Input: c.In, bound: []*Binding{{Template: r.tmpl, Switches: union, algs: c.Algs}}}
+				direct.bound[0].layGroups()
+				direct.at = newIndex(nil, direct.bound)
+				bound, want := sliceView(plan, b.Switches), sliceView(direct, union)
+				for f := range want {
+					if !reflect.DeepEqual(bound[f], want[f]) {
+						t.Errorf("%s: %s differ between binding and direct solve:\n  bound  %v\n  direct %v", c.Label(), f, bound[f], want[f])
+					}
+				}
 				for _, f := range []struct {
 					field     string
 					got, want any
 				}{
-					{"Placement", bound.Placement, direct.Placement},
-					{"Tables", bound.Tables, direct.Tables},
-					{"Bridges", bound.Bridges, direct.Bridges},
-					{"Allocations", bound.Allocations, direct.Allocations},
-					{"Shards", bound.Shards, direct.Shards},
-					{"PathsEnumerated", b.Template.pathsEnumerated, direct.PathsEnumerated},
-					{"PeakPathsHeld", b.Template.peakPathsHeld, direct.PeakPathsHeld},
+					{"PathsEnumerated", b.Template.pathsEnumerated, r.tmpl.pathsEnumerated},
+					{"PeakPathsHeld", b.Template.peakPathsHeld, r.tmpl.peakPathsHeld},
 				} {
 					if !reflect.DeepEqual(f.got, f.want) {
 						t.Errorf("%s: %s differs between binding and direct solve:\n  bound  %v\n  direct %v", c.Label(), f.field, f.got, f.want)
 					}
 				}
-				enumerated += direct.PathsEnumerated
+				enumerated += r.tmpl.pathsEnumerated
 			}
 			if plan.PathsEnumerated != enumerated {
 				t.Errorf("PathsEnumerated = %d, direct solves walked %d", plan.PathsEnumerated, enumerated)
@@ -229,13 +185,13 @@ func TestTwinPlansReusedByContent(t *testing.T) {
 		for _, b := range p.Bindings() {
 			for i, sw := range b.Switches {
 				s := &b.Template.slots[i]
-				if len(s.tables) > 0 && &p.Tables[sw][0] != &s.tables[0] {
+				if len(s.tables) > 0 && &p.TablesOf(sw)[0] != &s.tables[0] {
 					t.Errorf("%s: %s: table list is not the template's", label, sw)
 				}
-				if len(s.bridges) > 0 && &p.Bridges[sw][0] != &s.bridges[0] {
+				if len(s.bridges) > 0 && &p.BridgesOf(sw)[0] != &s.bridges[0] {
 					t.Errorf("%s: %s: bridge list is not the template's", label, sw)
 				}
-				if p.Allocations[sw] != s.alloc {
+				if p.AllocationOf(sw) != s.alloc {
 					t.Errorf("%s: %s: allocation is not the template's", label, sw)
 				}
 			}

@@ -384,8 +384,8 @@ func Extensibility() ([]ExtensibilityStep, error) {
 		out = append(out, ExtensibilityStep{
 			ConnEntries: conn,
 			Time:        dt,
-			Shards:      plan.Shards["conn_table"],
-			VIPShards:   plan.Shards["vip_table"],
+			Shards:      plan.ShardsOf("conn_table"),
+			VIPShards:   plan.ShardsOf("vip_table"),
 		})
 	}
 	return out, nil
@@ -435,7 +435,7 @@ func Composition() ([]CompositionStep, error) {
 		if err != nil {
 			return nil, fmt.Errorf("composition n=%d: %w", n, err)
 		}
-		out = append(out, CompositionStep{Switches: n, Time: dt, Placed: len(plan.Tables)})
+		out = append(out, CompositionStep{Switches: n, Time: dt, Placed: len(plan.Fingerprints())})
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -206,18 +207,14 @@ func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 		paths, _ = sc.PathList() // within budget: the solve walked them under the same one
 	}
 	if len(paths) == 0 {
-		set := map[string]bool{}
-		for _, sws := range plan.Placement[alg] {
-			for _, sw := range sws {
-				set[sw] = true
+		var hosts []string
+		plan.EachHost(func(sw string, instrs []*ir.Instr) {
+			if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg }) {
+				hosts = append(hosts, sw)
 			}
-		}
-		sorted := make([]string, 0, len(set))
-		for sw := range set {
-			sorted = append(sorted, sw)
-		}
-		sort.Strings(sorted)
-		for _, sw := range sorted {
+		})
+		sort.Strings(hosts)
+		for _, sw := range hosts {
 			paths = append(paths, []string{sw})
 		}
 	}

@@ -77,16 +77,14 @@ func (c staticCost) less(o staticCost) bool {
 // solvedCost extracts the second-tier cost vector from a feasible plan.
 func solvedCost(plan *encode.Plan, s synth.Summary) Cost {
 	c := Cost{StaticTables: s.Tables, LongestPath: s.LongestPath}
-	for _, pts := range plan.Tables {
-		if len(pts) > 0 {
+	plan.EachHost(func(sw string, _ []*ir.Instr) {
+		if pts := plan.TablesOf(sw); len(pts) > 0 {
 			c.Switches++
 			c.PlacedTables += len(pts)
 		}
-	}
-	for _, alloc := range plan.Allocations {
-		if alloc != nil {
+		if alloc := plan.AllocationOf(sw); alloc != nil {
 			c.Stages += alloc.StagesUsed
 		}
-	}
+	})
 	return c
 }

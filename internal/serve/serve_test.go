@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -533,6 +534,100 @@ func TestDrainCleanNoLeak(t *testing.T) {
 		t.Fatalf("health after drain: %+v, %v", h, err)
 	}
 
+	ts.Close()
+	leak.Check(t, baseline)
+}
+
+// TestDrainWhileRequestsInFlight drains a daemon while requests of all five
+// kinds that join its in-flight set — compile, new session, events,
+// recompile, tables — are arriving and running. Each must complete or be
+// refused with a labelled 429 "draining"; the two slow compiles admitted
+// before Drain began must complete, Drain must return cleanly once they are
+// answered, and a wave sent while it waits must be refused whole. Run under
+// -race, this is the check that Drain never waits on a group a request it let
+// in is still about to join.
+func TestDrainWhileRequestsInFlight(t *testing.T) {
+	baseline := leak.Snapshot()
+	srv := NewServer(Config{MaxInflight: 2, QueueDepth: 64, EnableTestFaults: true})
+	ts := httptest.NewServer(srv.Handler())
+	c := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), MaxRetries: 1}
+	slow := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), MaxRetries: 1,
+		Header: http.Header{"X-Lyra-Test-Sleep": []string{"300"}}}
+	ctx := context.Background()
+	sess, err := c.NewSession(ctx, lbRequest())
+	if err != nil {
+		t.Fatalf("new session: %v", err)
+	}
+	kinds := []func(i int) error{
+		func(i int) error {
+			_, err := c.Compile(ctx, CompileRequest{Source: lbSourceN(i), Scope: lbScope, Topology: "testbed"})
+			return err
+		},
+		func(i int) error {
+			_, err := c.NewSession(ctx, CompileRequest{Source: lbSourceN(i), Scope: lbScope, Topology: "testbed"})
+			return err
+		},
+		func(int) error {
+			_, err := c.Events(ctx, sess.ID, []WireEvent{{Kind: "switch-down", Switch: "Agg1"}})
+			return err
+		},
+		func(int) error {
+			_, err := c.Recompile(ctx, sess.ID, nil)
+			return err
+		},
+		func(i int) error {
+			_, err := c.Tables(ctx, sess.ID, []TableEntry{{Extern: "vip_table", Key: uint64(i), Value: 1}})
+			return err
+		},
+	}
+	// answered sorts an outcome: completed (true), refused as draining (false),
+	// or a broken contract.
+	answered := func(label string, err error) bool {
+		var apiErr *APIError
+		if err != nil && (!errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests || apiErr.Kind != "draining") {
+			t.Errorf("%s: %v, want success or 429 draining", label, err)
+		}
+		return err == nil
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ { // admitted before Drain: must complete
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := slow.Compile(ctx, CompileRequest{Source: lbSourceN(1000 + i), Scope: lbScope, Topology: "testbed"})
+			if !answered(fmt.Sprintf("slow compile %d", i), err) {
+				t.Errorf("slow compile %d, admitted before Drain, was refused", i)
+			}
+		}(i)
+	}
+	waitInflight(t, srv, 2)
+	for i := 0; i < 20; i++ { // racing Drain: either outcome
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i%5) * time.Millisecond)
+			answered(fmt.Sprintf("racing request %d", i), kinds[i%len(kinds)](i))
+		}(i)
+	}
+	drained := make(chan error, 1)
+	go func() {
+		dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		drained <- srv.Drain(dctx)
+	}()
+	for !srv.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	for i, kind := range kinds { // sent while Drain waits: all refused
+		if answered(fmt.Sprintf("request %d during the drain", i), kind(2000+i)) {
+			t.Errorf("request %d during the drain was served", i)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("drain not clean: %v", err)
+	}
+	wg.Wait()
 	ts.Close()
 	leak.Check(t, baseline)
 }

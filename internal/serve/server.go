@@ -96,8 +96,11 @@ type Server struct {
 	m     metrics
 
 	occupancy atomic.Int64 // admitted-but-unfinished units of work
-	draining  atomic.Bool
-	inflight  sync.WaitGroup
+	// gate orders joining inflight against Drain: draining is set, and a
+	// request joins inflight, only under it (see enter).
+	gate     sync.Mutex
+	draining atomic.Bool
+	inflight sync.WaitGroup
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -137,7 +140,9 @@ func (s *Server) Handler() http.Handler { return s.recoverer(s.mux) }
 // pool stops. It returns nil on a clean drain and ctx.Err() if the context
 // expired first (a non-clean drain: work was still running).
 func (s *Server) Drain(ctx context.Context) error {
+	s.gate.Lock()
 	s.draining.Store(true)
+	s.gate.Unlock()
 
 	done := make(chan struct{})
 	go func() {
@@ -180,17 +185,34 @@ const (
 var errShed = errors.New("serve: admission queue full")
 var errDraining = errors.New("serve: draining")
 
-// admit reserves one unit of admission capacity and picks the degradation
-// tier from the post-admission occupancy. The returned release must be
-// called exactly once. On failure (shed/draining) release is nil.
-func (s *Server) admit() (release func(), tier admissionTier, err error) {
+// enter joins a request to the in-flight work Drain waits for, or refuses it
+// with errDraining once Drain has begun. The check and the join are one step
+// under the lock Drain begins under, so Drain never waits on a group a request
+// it did not refuse has yet to join. On success the caller must call
+// s.inflight.Done once the request is answered.
+func (s *Server) enter() error {
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if s.draining.Load() {
-		return nil, 0, errDraining
+		return errDraining
+	}
+	s.inflight.Add(1)
+	return nil
+}
+
+// admit enters the request (see enter), reserves one unit of admission
+// capacity and picks the degradation tier from the post-admission occupancy.
+// The returned release, which gives both back, must be called exactly once.
+// On failure (shed/draining) release is nil.
+func (s *Server) admit() (release func(), tier admissionTier, err error) {
+	if err := s.enter(); err != nil {
+		return nil, 0, err
 	}
 	n := s.occupancy.Add(1)
 	capacity := int64(s.cfg.MaxInflight + s.cfg.QueueDepth)
 	if n > capacity {
 		s.occupancy.Add(-1)
+		s.inflight.Done()
 		s.m.shed.Add(1)
 		return nil, 0, errShed
 	}
@@ -202,7 +224,10 @@ func (s *Server) admit() (release func(), tier admissionTier, err error) {
 	default:
 		tier = tierStale
 	}
-	return func() { s.occupancy.Add(-1) }, tier, nil
+	return func() {
+		s.occupancy.Add(-1)
+		s.inflight.Done()
+	}, tier, nil
 }
 
 // ---- request plumbing ----
@@ -430,8 +455,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	defer release()
 
 	skipVerify := req.SkipVerify || tier >= tierSkipVerify

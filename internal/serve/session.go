@@ -327,8 +327,6 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	defer release()
 
 	// The base compile is always full service: it is the anchor every
@@ -445,10 +443,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if s.draining.Load() {
-		s.writeError(w, errDraining)
+	if err := s.enter(); err != nil {
+		s.writeError(w, err)
 		return
 	}
+	defer s.inflight.Done()
 	var req EventsRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
@@ -458,8 +457,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeInvalid(w, "no events")
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	gen, err := s.enqueueEvents(sess, req.Events)
 	if err != nil {
 		if errors.Is(err, errShed) {
@@ -481,17 +478,16 @@ func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if s.draining.Load() {
-		s.writeError(w, errDraining)
+	if err := s.enter(); err != nil {
+		s.writeError(w, err)
 		return
 	}
+	defer s.inflight.Done()
 	var req EventsRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	gen, err := s.enqueueEvents(sess, req.Events)
 	if err != nil {
 		if errors.Is(err, errShed) {
@@ -521,13 +517,16 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
+	if err := s.enter(); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	defer s.inflight.Done()
 	var req TablesRequest
 	if err := decodeBody(r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	sess.mu.Lock()
 	applied := 0
 	for _, e := range req.Entries {

@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -535,22 +536,19 @@ func (r *Result) PhaseDuration(p Phase) time.Duration {
 // PER-SW deployments yield one entry per copy; MULTI-SW deployments yield
 // the hosts the solver chose.
 func (r *Result) PlacedSwitches(alg string) []string {
-	hosts := map[string]bool{}
-	for _, sws := range r.plan.Placement[alg] {
-		for _, sw := range sws {
-			hosts[sw] = true
+	out := []string{}
+	r.plan.EachHost(func(sw string, instrs []*ir.Instr) {
+		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg }) {
+			out = append(out, sw)
 		}
-	}
-	out := make([]string, 0, len(hosts))
-	for sw := range hosts {
-		out = append(out, sw)
-	}
+	})
 	sort.Strings(out)
 	return out
 }
 
-// Shards reports how an extern variable was split: switch -> entries.
-func (r *Result) Shards(extern string) map[string]int64 { return r.plan.Shards[extern] }
+// Shards reports how an extern variable was split: switch -> entries, in a
+// map of the caller's (empty when the extern is placed nowhere).
+func (r *Result) Shards(extern string) map[string]int64 { return r.plan.ShardsOf(extern) }
 
 // FlowPaths returns the flow paths of a MULTI-SW algorithm's scope, sorted,
 // whether the compile held them or streamed them (WithLazyPaths). The

@@ -2,6 +2,7 @@ package lyra
 
 import (
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -180,34 +181,8 @@ func TestLazyPathsDeployLikeEager(t *testing.T) {
 		keys = append(keys, k)
 	}
 
-	// shardOf reads what each host holds, through an interpreter-tier
-	// stream (which reads the deployment's shard tables).
-	shardOf := func(res *Result) (*Simulation, map[string]map[uint64]uint64) {
-		t.Helper()
-		sim, err := res.Simulate(tables)
-		if err != nil {
-			t.Fatalf("simulate: %v", err)
-		}
-		s, err := sim.Deployment().OpenStream(paths[0], dataplane.StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		held := map[string]map[uint64]uint64{}
-		for host := range res.Shards("conn_table") {
-			held[host] = map[uint64]uint64{}
-			for _, k := range keys {
-				if v, ok, err := s.TableEntry(0, host, "conn_table", k); err != nil {
-					t.Fatal(err)
-				} else if ok {
-					held[host][k] = v
-				}
-			}
-		}
-		return sim, held
-	}
-	_, want := shardOf(eager)
-	sim, got := shardOf(lazy)
+	_, want := heldShards(t, eager, tables, paths[0], keys)
+	sim, got := heldShards(t, lazy, tables, paths[0], keys)
 	if !reflect.DeepEqual(got, want) {
 		for host := range want {
 			t.Errorf("%s holds %d entries under the lazy compile, %d under the eager one", host, len(got[host]), len(want[host]))
@@ -237,6 +212,88 @@ func TestLazyPathsDeployLikeEager(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heldShards simulates res with tables and reads what each conn_table host
+// holds of keys, through an interpreter-tier stream on path (which reads the
+// deployment's shard tables).
+func heldShards(t *testing.T, res *Result, tables *Tables, path []string, keys []uint64) (*Simulation, map[string]map[uint64]uint64) {
+	t.Helper()
+	sim, err := res.Simulate(tables)
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	s, err := sim.Deployment().OpenStream(path, dataplane.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	held := map[string]map[uint64]uint64{}
+	for host := range res.Shards("conn_table") {
+		held[host] = map[uint64]uint64{}
+		for _, k := range keys {
+			if v, ok, err := s.TableEntry(0, host, "conn_table", k); err != nil {
+				t.Fatal(err)
+			} else if ok {
+				held[host][k] = v
+			}
+		}
+	}
+	return sim, held
+}
+
+// TestResultValuesAreCallersOwn: the shard map and the host list a Result
+// hands out are the caller's. Emptying every allotment of the one and
+// overwriting the other changes neither what a later Simulate distributes
+// where, nor what a Recompile of the same result produces, nor what the next
+// call returns.
+func TestResultValuesAreCallersOwn(t *testing.T) {
+	ctx := context.Background()
+	c := New()
+	src := strings.Replace(quickLB, "[1024] conn_table", "[5500000] conn_table", 1)
+	res, err := c.Compile(ctx, src, quickScope, Testbed())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	shards, placed := res.Shards("conn_table"), res.PlacedSwitches("loadbalancer")
+	if len(shards) < 2 || len(placed) == 0 {
+		t.Fatalf("test premise: conn_table must be sharded, got %v on %v", shards, placed)
+	}
+	tables := NewTables()
+	var keys []uint64
+	for i := uint64(0); i < 1000; i++ {
+		keys = append(keys, i*2654435761&0xffffffff)
+		tables.Set("conn_table", keys[i], i)
+	}
+	path := res.FlowPaths("loadbalancer")[0]
+	down := Scenario{Events: []FaultEvent{SwitchDown("ToR4")}}
+	_, wantHeld := heldShards(t, res, tables, path, keys)
+	wantInc, _, err := c.Recompile(ctx, res, down)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+
+	wantShards := maps.Clone(shards)
+	for host := range shards {
+		shards[host] = 0
+	}
+	placed[0] = "nowhere"
+	if got := res.Shards("conn_table"); !reflect.DeepEqual(got, wantShards) {
+		t.Errorf("Shards after the caller edited the last map it returned: %v, want %v", got, wantShards)
+	}
+	if got := res.PlacedSwitches("loadbalancer"); got[0] == "nowhere" {
+		t.Errorf("PlacedSwitches after the caller edited the last list it returned: %v", got)
+	}
+	if _, got := heldShards(t, res, tables, path, keys); !reflect.DeepEqual(got, wantHeld) {
+		for host := range wantHeld {
+			t.Errorf("%s holds %d entries after the caller edited the shard map, %d before", host, len(got[host]), len(wantHeld[host]))
+		}
+	}
+	inc, _, err := c.Recompile(ctx, res, down)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	sameAsCompile(t, "recompile after the caller edited the shard map", inc, wantInc)
 }
 
 func TestDialectOption(t *testing.T) {

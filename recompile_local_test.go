@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -45,23 +46,19 @@ func trail(d *Diagnostics) Diagnostics {
 }
 
 // sameAsCompile is sameAsScratch plus everything underneath the artifacts:
-// the plan's maps, the decomposition binding by binding and in order (same
-// switches, same class, and the same grouping of components into templates),
-// both switch hashes, the reports and the solver's trail.
+// the whole plan slice, the decomposition binding by binding and in order
+// (same switches, same class, and the same grouping of components into
+// templates), both switch hashes, the reports and the solver's trail.
 func sameAsCompile(t *testing.T, label string, inc, scratch *Result) {
 	t.Helper()
 	sameAsScratch(t, label, inc, scratch)
+	sameSlice(t, label, sliceOf(inc, everySwitch, sameName), sliceOf(scratch, everySwitch, sameName))
 	a, b := inc.plan, scratch.plan
 	for _, f := range []struct {
 		name      string
 		got, want any
 	}{
-		{"Placement", a.Placement, b.Placement},
-		{"Tables", a.Tables, b.Tables},
-		{"Bridges", a.Bridges, b.Bridges},
-		{"Allocations", a.Allocations, b.Allocations},
-		{"Shards", a.Shards, b.Shards},
-		{"Shapes", a.Shapes(), b.Shapes()},
+		{"BridgeLayout", a.BridgeLayout(), b.BridgeLayout()},
 		{"Fingerprints", inc.Fingerprints, scratch.Fingerprints},
 		{"Reports", inc.Reports, scratch.Reports},
 		{"Diagnostics", trail(inc.Diagnostics), trail(scratch.Diagnostics)},
@@ -416,15 +413,16 @@ func TestResultNetworkIsCallersOwn(t *testing.T) {
 // switches, 7 of 8 components carried over): a ToR down, whose damaged pod is
 // a class the memo knows after the first one, and a link down, which is a new
 // class nearly every time and is encoded and solved. Together they measured
-// 290 KB and 3.1 k mallocs per event when the budget was first set, and 176 KB
-// and 1.7 k once encoding stopped allocating per clause and per variable; the
-// budget is ~1.3x that, so work that creeps back from per fault to per fabric
-// fails here rather than in the gate benchmark.
+// 290 KB and 3.1 k mallocs per event when the budget was first set, 176 KB
+// and 1.7 k once encoding stopped allocating per clause and per variable, and
+// 123 KB and 1.65 k once the plan stopped keeping name-keyed maps of the whole
+// fabric; the budget is ~1.3x that, so work that creeps back from per fault to
+// per fabric fails here rather than in the gate benchmark.
 func TestRecompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	const bytesPerEvent, mallocsPerEvent = 229_000, 2260
+	const bytesPerEvent, mallocsPerEvent = 161_000, 2150
 	ctx := context.Background()
 	c := New(WithLazyPaths(0), WithParallelism(1))
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(8, 8))
@@ -464,5 +462,54 @@ func TestRecompileAllocBudget(t *testing.T) {
 	}
 	if mallocs > mallocsPerEvent {
 		t.Errorf("a recompile makes %d mallocs per event, budget %d", mallocs, mallocsPerEvent)
+	}
+}
+
+// TestRecompileEventScaling logs what one recompile event allocates as the
+// fabric grows: a ToR down and a link down of that ToR, each recompiled from
+// the pristine base of a k-pod, k-port fat tree, at k = 16, 32 and 64. It is
+// a measurement, not a contract — it asserts nothing about the numbers, and
+// the short test run skips it (the k=64 base compile alone is seconds).
+func TestRecompileEventScaling(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a measurement: run without -short and without -race")
+	}
+	ctx := context.Background()
+	const events = 8
+	t.Log("event        k   switches   MB/event   mallocs/event")
+	for _, k := range []int{16, 32, 64} {
+		c := New(WithLazyPaths(0), WithParallelism(1))
+		base, err := c.Compile(ctx, podLB, podScope, uniformPods(k, k))
+		if err != nil {
+			t.Fatalf("k=%d: compile: %v", k, err)
+		}
+		rng := rand.New(rand.NewSource(int64(k)))
+		pairs := make([][2]string, events+1) // the first is the warm-up
+		for i := range pairs {
+			pod := 1 + rng.Intn(k)
+			pairs[i] = [2]string{fmt.Sprintf("ToR%d_%d", pod, 1+rng.Intn(k/2)), fmt.Sprintf("Agg%d_%d", pod, 1+rng.Intn(k/2))}
+		}
+		for _, kind := range []string{"switch-down", "link-down"} {
+			event := func(p [2]string) Scenario {
+				if kind == "switch-down" {
+					return Scenario{Events: []FaultEvent{SwitchDown(p[0])}}
+				}
+				return Scenario{Events: []FaultEvent{LinkDown(p[0], p[1])}}
+			}
+			if _, _, err := c.Recompile(ctx, base, event(pairs[0])); err != nil {
+				t.Fatalf("k=%d %s: %v", k, kind, err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, p := range pairs[1:] {
+				if _, _, err := c.Recompile(ctx, base, event(p)); err != nil {
+					t.Fatalf("k=%d %s: %v", k, kind, err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			t.Logf("%-11s %3d %10d %10.3f %15d", kind, k, len(base.Artifacts),
+				float64(after.TotalAlloc-before.TotalAlloc)/events/1e6, (after.Mallocs-before.Mallocs)/events)
+		}
 	}
 }

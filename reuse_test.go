@@ -292,8 +292,8 @@ func TestShapeMemoMatchesPerSwitch(t *testing.T) {
 			backend.TestMutation = nil
 
 			shapes := map[string]bool{}
-			for _, s := range res.plan.Shapes() {
-				shapes[s] = true
+			for _, sw := range res.Switches() {
+				shapes[res.plan.Shape(sw)] = true
 			}
 			shared += len(arts) - len(shapes)
 			if len(arts) != len(plainArts) {
@@ -342,14 +342,13 @@ func TestShapeMemoBypassedUnderMutation(t *testing.T) {
 	}
 	// The last switch exporting a bridge variable that has a twin earlier in
 	// the order: with the memo on it would be instantiated, not emitted.
-	shapes := res.plan.Shapes()
 	seen := map[string]bool{}
 	target := ""
 	for _, sw := range res.Switches() {
-		if seen[shapes[sw]] && len(res.plan.Bridges[sw]) > 0 {
+		if seen[res.plan.Shape(sw)] && len(res.plan.BridgesOf(sw)) > 0 {
 			target = sw
 		}
-		seen[shapes[sw]] = true
+		seen[res.plan.Shape(sw)] = true
 	}
 	if target == "" {
 		t.Fatal("no exporting switch with a same-shape twin before it")
@@ -589,14 +588,16 @@ func TestDeclarationOrderMetamorphic(t *testing.T) {
 // mallocs per switch when the budget was set — against 29 KB and 430 before
 // twins were bound to templates — most of it the one solved class amortised
 // over few switches (at k=32: 11.2 KB and 73). Solver slabs, one PHV pass per
-// switch and pooled render buffers took it to 9.7 KB and 84. The budget is
-// ~1.3x the measurement, so work that creeps back from per class or per shape
-// to per pod or per switch fails here rather than in the gate benchmark.
+// switch and pooled render buffers took it to 9.7 KB and 84, and a plan kept
+// as its bindings, with no name-keyed maps beside them, to 9.0 KB and 82. The
+// budget is ~1.3x the measurement, so work that creeps back from per class or
+// per shape to per pod or per switch fails here rather than in the gate
+// benchmark.
 func TestCompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	const bytesPerSwitch, mallocsPerSwitch = 12600, 110
+	const bytesPerSwitch, mallocsPerSwitch = 11700, 107
 	ctx := context.Background()
 	c := New(WithLazyPaths(0), WithParallelism(1))
 	net := uniformPods(8, 8)
