@@ -33,7 +33,7 @@ func TestCompilePipeline(t *testing.T) {
 	if res.IR == nil || res.IR.Algorithm("filter") == nil {
 		t.Error("IR missing")
 	}
-	if res.Plan == nil || len(res.Plan.HostsOf("filter", 0)) == 0 {
+	if res.Plan == nil || len(res.Plan.Hosts("filter")) == 0 {
 		t.Error("plan missing")
 	}
 	if len(res.Artifacts) != 2 {

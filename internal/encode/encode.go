@@ -371,7 +371,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	if ca != nil {
 		plan.at = ca.index(opts.Prev.at, made, bound)
 	} else {
-		plan.at = newIndex(nil, bound)
+		plan.at = newIndex(bound)
 	}
 	plan.shaping = shaping
 	plan.Instances = len(bound)

@@ -95,7 +95,7 @@ func TestSolveLBSmall(t *testing.T) {
 	// Every instruction is placed somewhere.
 	alg := in.IR.Algorithm("loadbalancer")
 	for _, inst := range alg.Instrs {
-		hosts := plan.HostsOf("loadbalancer", inst.ID)
+		hosts := hostsOf(plan, "loadbalancer", inst.ID)
 		if len(hosts) == 0 {
 			t.Errorf("instr %d unplaced", inst.ID)
 		}
@@ -106,7 +106,7 @@ func TestSolveLBSmall(t *testing.T) {
 		for _, inst := range alg.Instrs {
 			count := 0
 			for _, sw := range p {
-				for _, h := range plan.HostsOf("loadbalancer", inst.ID) {
+				for _, h := range hostsOf(plan, "loadbalancer", inst.ID) {
 					if h == sw {
 						count++
 					}
@@ -130,12 +130,12 @@ func TestSolveLBSmall(t *testing.T) {
 		for _, inst := range alg.Instrs {
 			for _, dep := range inst.Deps {
 				maxDep, minInst := -1, 1<<30
-				for _, h := range plan.HostsOf("loadbalancer", dep) {
+				for _, h := range hostsOf(plan, "loadbalancer", dep) {
 					if pp, ok := pos[h]; ok && pp > maxDep {
 						maxDep = pp
 					}
 				}
-				for _, h := range plan.HostsOf("loadbalancer", inst.ID) {
+				for _, h := range hostsOf(plan, "loadbalancer", inst.ID) {
 					if pp, ok := pos[h]; ok && pp < minInst {
 						minInst = pp
 					}
@@ -174,7 +174,7 @@ algorithm int_in {
 	}
 	alg := in.IR.Algorithm("int_in")
 	for _, inst := range alg.Instrs {
-		hosts := plan.HostsOf("int_in", inst.ID)
+		hosts := hostsOf(plan, "int_in", inst.ID)
 		if len(hosts) != 4 {
 			t.Errorf("PER-SW instr %d on %v, want all 4 ToRs", inst.ID, hosts)
 		}
@@ -267,8 +267,8 @@ func TestBridgesComputed(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, rh := range plan.HostsOf("loadbalancer", inst.ID) {
-				for _, wh := range plan.HostsOf("loadbalancer", wID) {
+			for _, rh := range hostsOf(plan, "loadbalancer", inst.ID) {
+				for _, wh := range hostsOf(plan, "loadbalancer", wID) {
 					if rh == wh {
 						continue
 					}
@@ -300,7 +300,7 @@ func TestSolvePreferSwitchObjective(t *testing.T) {
 	// still need their own copies, but no Agg placements should remain.
 	onToR4, elsewhere := 0, 0
 	for _, inst := range in.IR.Algorithm("loadbalancer").Instrs {
-		for _, h := range plan.HostsOf("loadbalancer", inst.ID) {
+		for _, h := range hostsOf(plan, "loadbalancer", inst.ID) {
 			if h == "ToR4" {
 				onToR4++
 			} else if h == "Agg3" || h == "Agg4" {

@@ -143,7 +143,7 @@ func TestReplicationSolveStillCoversPaths(t *testing.T) {
 	rs := in.Scopes["marker"]
 	for _, path := range rs.Paths {
 		for _, inst := range in.IR.Algorithm("marker").Instrs {
-			id, hosts := inst.ID, plan.HostsOf("marker", inst.ID)
+			id, hosts := inst.ID, hostsOf(plan, "marker", inst.ID)
 			covered := false
 			for _, h := range hosts {
 				for _, sw := range path {

@@ -97,7 +97,7 @@ func TestSolveDisjointComponents(t *testing.T) {
 		t.Errorf("aggregated TheoryChecks = %d, want >= 2", plan.Stats.TheoryChecks)
 	}
 	for _, alg := range []string{"lb_a", "lb_b"} {
-		if plan.HostsOf(alg, 0) == nil {
+		if hostsOf(plan, alg, 0) == nil {
 			t.Errorf("merged plan missing placement for %s", alg)
 		}
 	}

@@ -3,6 +3,8 @@ package encode
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"lyra/internal/asic"
@@ -51,6 +53,19 @@ func podNet(pods, k int) *topo.Network {
 
 const podLBScope = `loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`
 
+// hostsOf returns the switches hosting one instruction, sorted (nil when it is
+// placed nowhere). It walks the whole plan per call.
+func hostsOf(p *Plan, alg string, id int) []string {
+	var hosts []string
+	p.EachHost(func(sw string, instrs []*ir.Instr) {
+		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg && in.ID == id }) {
+			hosts = append(hosts, sw)
+		}
+	})
+	sort.Strings(hosts)
+	return hosts
+}
+
 // sliceView is what a plan says about some of its switches: the hosts among
 // them of every instruction, each one's tables, bridge exports and chip
 // allocation, and every extern's shards on them. A nil switch list stands for
@@ -69,7 +84,7 @@ func sliceView(p *Plan, switches []string) map[string]any {
 	for _, a := range p.Input.IR.Algorithms {
 		for _, inst := range a.Instrs {
 			var on []string
-			for _, sw := range p.HostsOf(a.Name, inst.ID) {
+			for _, sw := range hostsOf(p, a.Name, inst.ID) {
 				if keep(sw) {
 					on = append(on, sw)
 				}

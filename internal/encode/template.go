@@ -192,69 +192,65 @@ func (e *encoder) bridge(t *Template) {
 }
 
 // switchIndex locates the switches of a plan's bindings: own maps a switch to
-// its slot (the zero slotRef: to no binding), and base locates the switches
-// own does not name. A plan that carried bindings over from the plan it
-// follows owns only the switches of the bindings it made and dropped, over
-// that plan's index, so an event indexes what it replaced, not the fabric; a
-// chain of recompiles indexes afresh once it is maxIndexDepth plans deep.
+// its slot (the zero slotRef: to no binding), and base, when not nil, locates
+// the switches own does not name. A plan that carried bindings over from a
+// plan indexed whole — a recompile from a compile, as every recompile of a
+// serve session is — owns only the switches of the bindings it made and
+// dropped, over that plan's index, so an event indexes what it replaced, not
+// the fabric. A recompile of a recompile is indexed whole, so a lookup is at
+// most two probes.
 type switchIndex struct {
-	own   map[string]slotRef
-	base  *switchIndex
-	depth int // levels below this one
+	own, base map[string]slotRef
 }
-
-const maxIndexDepth = 8
 
 type slotRef struct {
 	b *Binding
 	i int
 }
 
-func newIndex(base *switchIndex, bound []*Binding) *switchIndex {
+func newIndex(bound []*Binding) *switchIndex { return &switchIndex{own: slotsOf(bound)} }
+
+func slotsOf(bound []*Binding) map[string]slotRef {
 	n := 0
 	for _, b := range bound {
 		n += len(b.Switches)
 	}
-	x := &switchIndex{own: make(map[string]slotRef, n), base: base}
-	if base != nil {
-		x.depth = base.depth + 1
-	}
+	own := make(map[string]slotRef, n)
 	for _, b := range bound {
 		for i, sw := range b.Switches {
-			x.own[sw] = slotRef{b, i}
+			own[sw] = slotRef{b, i}
 		}
 	}
-	return x
+	return own
 }
 
 func (x *switchIndex) lookup(sw string) slotRef {
-	for ; x != nil; x = x.base {
-		if r, ok := x.own[sw]; ok {
-			return r
-		}
+	if r, ok := x.own[sw]; ok {
+		return r
 	}
-	return slotRef{}
+	return x.base[sw]
 }
 
 // index returns the switch index of bound, which ca.merge made of the carried
 // bindings and made: prev's, overlaid with the dropped bindings' switches as
-// in no binding unless made holds them.
+// in no binding unless made holds them, or a whole one when prev is itself an
+// overlay.
 func (ca *carried) index(prev *switchIndex, made, bound []*Binding) *switchIndex {
 	switch {
 	case len(ca.dropped) == 0 && len(made) == 0:
 		return prev
-	case prev.depth >= maxIndexDepth:
-		return newIndex(nil, bound)
+	case prev.base != nil:
+		return newIndex(bound)
 	}
-	x := newIndex(prev, slices.Concat(ca.dropped, made))
+	own := slotsOf(slices.Concat(ca.dropped, made))
 	for _, b := range ca.dropped {
 		for _, sw := range b.Switches {
-			if x.own[sw].b == b {
-				x.own[sw] = slotRef{}
+			if own[sw].b == b {
+				own[sw] = slotRef{}
 			}
 		}
 	}
-	return x
+	return &switchIndex{own: own, base: prev.own}
 }
 
 // slotOf returns the slot a switch is bound to, or the empty one.
@@ -290,12 +286,13 @@ func (p *Plan) EachHost(f func(sw string, instrs []*ir.Instr)) {
 	}
 }
 
-// HostsOf returns the switches hosting an instruction, sorted, in a slice of
-// the caller's (nil when the instruction is placed nowhere).
-func (p *Plan) HostsOf(alg string, id int) []string {
+// Hosts returns the switches hosting any instruction of an algorithm, sorted,
+// in a slice of the caller's (nil when the algorithm places nothing). It walks
+// every binding of the plan.
+func (p *Plan) Hosts(alg string) []string {
 	var hosts []string
 	p.EachHost(func(sw string, instrs []*ir.Instr) {
-		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg && in.ID == id }) {
+		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg }) {
 			hosts = append(hosts, sw)
 		}
 	})

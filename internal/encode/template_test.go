@@ -101,7 +101,7 @@ func TestBindEqualsSolve(t *testing.T) {
 				// switch names.
 				direct := &Plan{Input: c.In, bound: []*Binding{{Template: r.tmpl, Switches: union, algs: c.Algs}}}
 				direct.bound[0].layGroups()
-				direct.at = newIndex(nil, direct.bound)
+				direct.at = newIndex(direct.bound)
 				bound, want := sliceView(plan, b.Switches), sliceView(direct, union)
 				for f := range want {
 					if !reflect.DeepEqual(bound[f], want[f]) {

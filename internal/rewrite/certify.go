@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -207,14 +206,7 @@ func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 		paths, _ = sc.PathList() // within budget: the solve walked them under the same one
 	}
 	if len(paths) == 0 {
-		var hosts []string
-		plan.EachHost(func(sw string, instrs []*ir.Instr) {
-			if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg }) {
-				hosts = append(hosts, sw)
-			}
-		})
-		sort.Strings(hosts)
-		for _, sw := range hosts {
+		for _, sw := range plan.Hosts(alg) {
 			paths = append(paths, []string{sw})
 		}
 	}

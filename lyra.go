@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -536,14 +535,10 @@ func (r *Result) PhaseDuration(p Phase) time.Duration {
 // PER-SW deployments yield one entry per copy; MULTI-SW deployments yield
 // the hosts the solver chose.
 func (r *Result) PlacedSwitches(alg string) []string {
-	out := []string{}
-	r.plan.EachHost(func(sw string, instrs []*ir.Instr) {
-		if slices.ContainsFunc(instrs, func(in *ir.Instr) bool { return in.Alg == alg }) {
-			out = append(out, sw)
-		}
-	})
-	sort.Strings(out)
-	return out
+	if hosts := r.plan.Hosts(alg); hosts != nil {
+		return hosts
+	}
+	return []string{}
 }
 
 // Shards reports how an extern variable was split: switch -> entries, in a

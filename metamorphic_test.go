@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"lyra/internal/asic"
 	"lyra/internal/encode"
+	"lyra/internal/ir"
 	"lyra/internal/topo"
 )
 
@@ -35,16 +37,18 @@ func sliceOf(res *Result, keep func(string) bool, name func(string) string) plan
 		Allocs: map[string]*asic.Allocation{}, Shapes: map[string]string{},
 		Shards: map[string]map[string]int64{}, Groups: map[string]map[string][]encode.Shard{},
 	}
-	for _, a := range p.Input.IR.Algorithms {
-		for _, in := range a.Instrs {
-			var hosts []string
-			for _, sw := range p.HostsOf(a.Name, in.ID) {
-				if keep(sw) {
-					hosts = append(hosts, name(sw))
-				}
+	p.EachHost(func(sw string, instrs []*ir.Instr) {
+		if keep(sw) {
+			for _, in := range instrs {
+				id := fmt.Sprintf("%s/%d", in.Alg, in.ID)
+				s.Hosts[id] = append(s.Hosts[id], name(sw))
 			}
-			s.Hosts[fmt.Sprintf("%s/%d", a.Name, in.ID)] = hosts
 		}
+	})
+	for _, hosts := range s.Hosts {
+		sort.Strings(hosts)
+	}
+	for _, a := range p.Input.IR.Algorithms {
 		for _, e := range a.Externs {
 			for sw, n := range p.ShardsOf(e.Name) {
 				if keep(sw) {
