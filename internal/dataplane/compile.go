@@ -47,14 +47,22 @@ type cstep struct {
 }
 
 // ccode is one compiled unit: the blocks plus the lowered unit it came
-// from (register count, bridge moves, gate slots). steps mirrors blocks in
-// compact form; clearRegs lists the registers that must be zeroed between
+// from, with its bridge moves resolved against the slab. steps mirrors blocks
+// in compact form; clearRegs lists the registers that must be zeroed between
 // packets (the rest are provably written before any read).
 type ccode struct {
-	u         *compiledUnit
-	blocks    []cblock
-	steps     []cstep
-	clearRegs []int32
+	u                *compiledUnit
+	blocks           []cblock
+	steps            []cstep
+	clearRegs        []int32
+	imports, exports []slabMove
+}
+
+// slabMove is a bridge move resolved against the slab: the register, the
+// bridge word, and the word and mask of its present bit.
+type slabMove struct {
+	reg, word, pw int32
+	pm            uint64
 }
 
 // Compiled is the closure-threaded backend of one deployment, built from
@@ -84,7 +92,7 @@ type Compiled struct {
 func CompileEngine(e *Engine) *Compiled {
 	c := &Compiled{eng: e, switchUnits: map[string]*ccode{}}
 	for _, u := range e.units {
-		cu := compileUnit(u)
+		cu := compileUnit(u, e.layout)
 		c.units = append(c.units, cu)
 		if u.name != "" {
 			c.switchUnits[u.name] = cu
@@ -112,7 +120,7 @@ func (c *Compiled) NewFlatPacket() *FlatPacket { return c.eng.NewFlatPacket() }
 // then opens a fresh block with the same conjunction, which re-evaluates it
 // against the updated register — exactly the per-instruction re-check the
 // interpreter performs.
-func compileUnit(u *compiledUnit) *ccode {
+func compileUnit(u *compiledUnit, lay *Layout) *ccode {
 	c := &ccode{u: u}
 	var cur *cblock
 	var curRep *binstr // representative instruction of the open block
@@ -126,7 +134,7 @@ func compileUnit(u *compiledUnit) *ccode {
 			cur = &c.blocks[len(c.blocks)-1]
 			curRep = in
 		}
-		cur.ops = append(cur.ops, compileOp(in, u))
+		cur.ops = append(cur.ops, compileOp(in, u, lay))
 		if blockGuardClobbered(cur, in) {
 			cur = nil
 		}
@@ -136,6 +144,14 @@ func compileUnit(u *compiledUnit) *ccode {
 		c.steps = append(c.steps, cstep{run: c.blocks[i].run, gate: c.blocks[i].gate})
 	}
 	c.clearRegs = clearSet(u)
+	resolve := func(ms []bridgeMove) (out []slabMove) {
+		for _, m := range ms {
+			pw, pm := lay.bit(bridgePresent, int(m.slot))
+			out = append(out, slabMove{reg: m.reg, word: int32(lay.bridgeWord(int(m.slot))), pw: int32(pw), pm: pm})
+		}
+		return out
+	}
+	c.imports, c.exports = resolve(u.imports), resolve(u.exports)
 	return c
 }
 
@@ -281,20 +297,21 @@ func mkLoad(r opRef) func(regs []uint64, f *FlatPacket) uint64 {
 		return func(regs []uint64, _ *FlatPacket) uint64 { return regs[i] }
 	default:
 		i := r.idx
-		return func(_ []uint64, f *FlatPacket) uint64 { return f.Fields[i] }
+		return func(_ []uint64, f *FlatPacket) uint64 { return f.w[i] }
 	}
 }
 
-// mkStore specializes one destination store (destination kind and width
-// mask bound at compile time).
-func mkStore(kind uint8, dest int32, m uint64) func(regs []uint64, f *FlatPacket, v uint64) {
+// mkStore specializes one destination store (destination kind, width mask
+// and, for a field, its present bit bound at compile time).
+func mkStore(lay *Layout, kind uint8, dest int32, m uint64) func(regs []uint64, f *FlatPacket, v uint64) {
 	switch kind {
 	case dReg:
 		return func(regs []uint64, _ *FlatPacket, v uint64) { regs[dest] = v & m }
 	case dField:
+		pw, pm := lay.bit(fieldPresent, int(dest))
 		return func(_ []uint64, f *FlatPacket, v uint64) {
-			f.Fields[dest] = v & m
-			f.fieldSet[dest] = true
+			f.w[dest] = v & m
+			f.w[pw] |= pm
 		}
 	default:
 		return func([]uint64, *FlatPacket, uint64) {}
@@ -305,7 +322,7 @@ func mkStore(kind uint8, dest int32, m uint64) func(regs []uint64, f *FlatPacket
 // shapes (register/constant/field assigns, reg⊗reg and reg⊗const binary
 // ops into a register) get fully inlined bodies; everything else composes
 // the mkLoad/mkStore specializations.
-func compileOp(in *binstr, u *compiledUnit) cop {
+func compileOp(in *binstr, u *compiledUnit, lay *Layout) cop {
 	switch in.op {
 	case bAssign:
 		if in.destKind == dReg {
@@ -324,35 +341,36 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 			default:
 				s := in.a.idx
 				return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-					regs[d] = f.Fields[s] & m
+					regs[d] = f.w[s] & m
 				}
 			}
 		}
 		if in.destKind == dField {
 			d, m := in.dest, in.destMask
+			pw, pm := lay.bit(fieldPresent, int(d))
 			switch in.a.kind {
 			case oConst:
 				v := in.a.c & m
 				return func(_ []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-					f.Fields[d] = v
-					f.fieldSet[d] = true
+					f.w[d] = v
+					f.w[pw] |= pm
 				}
 			case oReg:
 				s := in.a.idx
 				return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-					f.Fields[d] = regs[s] & m
-					f.fieldSet[d] = true
+					f.w[d] = regs[s] & m
+					f.w[pw] |= pm
 				}
 			default:
 				s := in.a.idx
 				return func(_ []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-					f.Fields[d] = f.Fields[s] & m
-					f.fieldSet[d] = true
+					f.w[d] = f.w[s] & m
+					f.w[pw] |= pm
 				}
 			}
 		}
 		ld := mkLoad(in.a)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			st(regs, f, ld(regs, f))
 		}
@@ -374,18 +392,18 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 			default:
 				fi := in.b.idx
 				return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-					regs[d] = evalBin(op, regs[ai], f.Fields[fi]) & m
+					regs[d] = evalBin(op, regs[ai], f.w[fi]) & m
 				}
 			}
 		}
 		la, lb := mkLoad(in.a), mkLoad(in.b)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			st(regs, f, evalBin(op, la(regs, f), lb(regs, f)))
 		}
 	case bNot:
 		ld := mkLoad(in.a)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			v := uint64(0)
 			if ld(regs, f) == 0 {
@@ -395,7 +413,7 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 		}
 	case bSelect:
 		lc, lt, lf := mkLoad(in.a), mkLoad(in.b), mkLoad(in.c)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			if lc(regs, f) != 0 {
 				st(regs, f, lt(regs, f))
@@ -406,12 +424,12 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 	case bHash:
 		hash := mkHash(u.args[in.argsOff:in.argsEnd], in.crc16)
 		am := in.auxMask
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			st(regs, f, hash(regs, f)&am)
 		}
 	case bLib:
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		switch in.table {
 		case libSwitchID:
 			return func(regs []uint64, f *FlatPacket, ctx *Context, _ []tableView, _ [][]uint64) {
@@ -442,17 +460,16 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 				st(regs, f, 0)
 			}
 		}
-	case bHeaderAdd:
-		s := in.table
-		return func(_ []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-			f.Valid[s] = true
-			f.validSet[s] = true
+	case bHeaderAdd, bHeaderRemove:
+		vw, vm := lay.bit(headerValid, int(in.table))
+		sw, sm := lay.bit(headerValidSet, int(in.table))
+		on := vm // the valid bit's new value, in place
+		if in.op == bHeaderRemove {
+			on = 0
 		}
-	case bHeaderRemove:
-		s := in.table
 		return func(_ []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-			f.Valid[s] = false
-			f.validSet[s] = true
+			f.w[vw] = f.w[vw]&^vm | on
+			f.w[sw] |= sm
 		}
 	case bDrop:
 		return func(_ []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
@@ -474,7 +491,7 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 	case bMember:
 		t := in.table
 		ld := mkLoad(in.a)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
 			v := uint64(0)
 			if tabs[t].flatHas(ld(regs, f)) {
@@ -491,14 +508,14 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 			}
 		}
 		ld := mkLoad(in.a)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
 			st(regs, f, tabs[t].flatGet(ld(regs, f)))
 		}
 	case bGlobalRead:
 		t := in.table
 		ld := mkLoad(in.a)
-		st := mkStore(in.destKind, in.dest, in.destMask)
+		st := mkStore(lay, in.destKind, in.dest, in.destMask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, globs [][]uint64) {
 			arr := globs[t]
 			idx := ld(regs, f)
@@ -528,7 +545,7 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 		hash := mkHash(u.args[in.argsOff:in.argsEnd], in.crc16)
 		am, t := in.auxMask, in.table
 		hd, hm := in.dest, in.destMask // fused hash dest is always a register
-		st2 := mkStore(in.dest2Kind, in.dest2, in.dest2Mask)
+		st2 := mkStore(lay, in.dest2Kind, in.dest2, in.dest2Mask)
 		if in.op == bHashMember {
 			return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
 				regs[hd] = (hash(regs, f) & am) & hm
@@ -548,7 +565,7 @@ func compileOp(in *binstr, u *compiledUnit) cop {
 		la, lb := mkLoad(in.a), mkLoad(in.b)
 		lt, lf := mkLoad(u.args[in.argsOff]), mkLoad(u.args[in.argsOff+1])
 		cd, cm := in.dest, in.destMask // fused compare dest is always a register
-		st2 := mkStore(in.dest2Kind, in.dest2, in.dest2Mask)
+		st2 := mkStore(lay, in.dest2Kind, in.dest2, in.dest2Mask)
 		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
 			regs[cd] = evalBin(op, la(regs, f), lb(regs, f)) & cm
 			if regs[cd] != 0 {
@@ -713,7 +730,7 @@ func mkHash(args []opRef, crc16 bool) func(regs []uint64, f *FlatPacket) uint64 
 		fn = func(_ []uint64, f *FlatPacket) uint64 {
 			h := uint64(14695981039346656037)
 			for _, i := range idxs {
-				h = mixFNV(h, f.Fields[i])
+				h = mixFNV(h, f.w[i])
 			}
 			return h
 		}
@@ -747,8 +764,8 @@ func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
 	for _, r := range cu.clearRegs {
 		regs[r] = 0
 	}
-	for _, m := range u.imports {
-		regs[m.reg] = f.Bridge[m.slot]
+	for _, m := range cu.imports {
+		regs[m.reg] = f.w[m.word]
 	}
 	for i, rs := range u.gates {
 		l.gateVals[i] = regs[rs]
@@ -761,9 +778,9 @@ func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
 		}
 		s.run(regs, f, ctx, tabs, globs)
 	}
-	for _, m := range u.exports {
-		f.Bridge[m.slot] = regs[m.reg]
-		f.bridgeSet[m.slot] = true
+	for _, m := range cu.exports {
+		f.w[m.word] = regs[m.reg]
+		f.w[m.pw] |= m.pm
 	}
 }
 

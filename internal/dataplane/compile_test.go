@@ -323,7 +323,7 @@ func handBuilt(t *testing.T, u *compiledUnit) (run func(x uint64) uint64) {
 		f := lay.newFlat()
 		f.SetField("h.x", x)
 		c.RunReference(lane, nil, f)
-		return f.Fields[y]
+		return f.w[y]
 	}
 }
 

@@ -8,126 +8,116 @@ package dataplane
 
 import (
 	"errors"
+	"maps"
 	"sort"
 )
 
-// FlatPacket is the dense packet representation of lowered code:
-// slot-indexed field, validity, and bridge arrays (layout-assigned) plus the
-// packet disposition flags. The *Set arrays track map-key presence so converting
-// back to a Packet reproduces the interpreter's maps exactly — a field
-// written to zero is distinguishable from one never written. Keys unknown
-// to the layout (a packet carrying headers the program never declared) are
-// parked in overflow maps that execution never touches.
+// FlatPacket is the dense packet of lowered code, laid out like the PHV it
+// stands for: one word slab holding the field words, the bridge words and
+// the packed presence and validity bits (Layout.bit), plus the disposition.
+// Presence bits make Packet reproduce the interpreter's maps exactly — a
+// field written to zero is distinguishable from one never written. Keys
+// unknown to the layout (a packet carrying headers the program never
+// declared) go to an overflow that execution never touches.
 type FlatPacket struct {
-	lay       *Layout
-	Fields    []uint64
-	fieldSet  []bool
-	Valid     []bool
-	validSet  []bool
-	Bridge    []uint64
-	bridgeSet []bool
+	lay *Layout
+	ov  *overflow // nil unless a key fell outside the layout
+	w   []uint64
 
-	Dropped    bool
 	EgressPort uint64
+	Dropped    bool
 	Mirrored   bool
 	ToCPU      bool
-
-	extraFields map[string]uint64
-	extraValid  map[string]bool
-	extraBridge map[string]uint64
 }
 
-// newFlat makes an empty packet in three allocations: the struct, one slab
-// of words and one of flags. Each slice is carved with its capacity capped,
-// so an append reallocates instead of running into its neighbour.
+// overflow holds the keys of one packet that its layout has no slot for.
+type overflow struct {
+	fields map[string]uint64
+	valid  map[string]bool
+	bridge map[string]uint64
+}
+
+// newFlat makes an empty packet in two allocations: the struct and its slab.
 func (l *Layout) newFlat() *FlatPacket {
 	nf, nv, nb := len(l.fieldName), len(l.validName), len(l.bridgeName)
-	words := make([]uint64, nf+nb)
-	flags := make([]bool, 2*nf+2*nv+nb)
-	carve := func(n int) []bool {
-		s := flags[:n:n]
-		flags = flags[n:]
-		return s
+	return &FlatPacket{lay: l, w: make([]uint64, nf+nb+(nf+2*nv+nb+63)/64)}
+}
+
+// over returns the packet's overflow, making it on first use.
+func (f *FlatPacket) over() *overflow {
+	if f.ov == nil {
+		f.ov = &overflow{fields: map[string]uint64{}, valid: map[string]bool{}, bridge: map[string]uint64{}}
 	}
-	return &FlatPacket{
-		lay:       l,
-		Fields:    words[:nf:nf],
-		fieldSet:  carve(nf),
-		Valid:     carve(nv),
-		validSet:  carve(nv),
-		Bridge:    words[nf:],
-		bridgeSet: carve(nb),
-	}
+	return f.ov
+}
+
+// has reports one packed bit of a slot; mark sets it.
+func (f *FlatPacket) has(kind, slot int) bool {
+	w, m := f.lay.bit(kind, slot)
+	return f.w[w]&m != 0
+}
+
+func (f *FlatPacket) mark(kind, slot int) {
+	w, m := f.lay.bit(kind, slot)
+	f.w[w] |= m
 }
 
 // Reset clears the packet to the empty state without releasing storage.
 func (f *FlatPacket) Reset() {
-	clear(f.Fields)
-	clear(f.fieldSet)
-	clear(f.Valid)
-	clear(f.validSet)
-	clear(f.Bridge)
-	clear(f.bridgeSet)
+	clear(f.w)
 	f.Dropped, f.Mirrored, f.ToCPU = false, false, false
 	f.EgressPort = 0
-	f.extraFields, f.extraValid, f.extraBridge = nil, nil, nil
+	f.ov = nil
 }
 
 // CopyFrom overwrites f with o's contents. Both must come from the same
-// layout. The copy is allocation-free; overflow maps (never mutated by
-// execution) are shared, not cloned.
+// layout. The copy is allocation-free unless o has an overflow, which f
+// gets a copy of: a later SetField on f must not write into o.
 func (f *FlatPacket) CopyFrom(o *FlatPacket) {
-	copy(f.Fields, o.Fields)
-	copy(f.fieldSet, o.fieldSet)
-	copy(f.Valid, o.Valid)
-	copy(f.validSet, o.validSet)
-	copy(f.Bridge, o.Bridge)
-	copy(f.bridgeSet, o.bridgeSet)
+	copy(f.w, o.w)
 	f.Dropped, f.EgressPort, f.Mirrored, f.ToCPU = o.Dropped, o.EgressPort, o.Mirrored, o.ToCPU
-	f.extraFields, f.extraValid, f.extraBridge = o.extraFields, o.extraValid, o.extraBridge
+	f.ov = nil
+	if o.ov != nil {
+		f.ov = &overflow{maps.Clone(o.ov.fields), maps.Clone(o.ov.valid), maps.Clone(o.ov.bridge)}
+	}
 }
 
 // SetField writes a "hdr.field" value, reporting whether the layout knows
-// the field (unknown fields go to the overflow map, like Packet.Fields).
+// the field (unknown fields go to the overflow, like Packet.Fields).
 func (f *FlatPacket) SetField(name string, v uint64) bool {
 	if s, ok := f.lay.fieldSlot[name]; ok {
-		f.Fields[s] = v
-		f.fieldSet[s] = true
+		f.w[s] = v
+		f.mark(fieldPresent, s)
 		return true
 	}
-	if f.extraFields == nil {
-		f.extraFields = map[string]uint64{}
-	}
-	f.extraFields[name] = v
+	f.over().fields[name] = v
 	return false
 }
 
-// load fills f from a map-based packet.
+// load fills f from a map-based packet, from Reset: the interpreter tier loads
+// a run's output over the packet it ran, and load only ever sets bits.
 func (f *FlatPacket) load(p *Packet) {
 	f.Reset()
 	for k, v := range p.Fields {
 		f.SetField(k, v)
 	}
 	for k, v := range p.Valid {
-		if s, ok := f.lay.validSlot[k]; ok {
-			f.Valid[s] = v
-			f.validSet[s] = true
-		} else {
-			if f.extraValid == nil {
-				f.extraValid = map[string]bool{}
-			}
-			f.extraValid[k] = v
+		s, ok := f.lay.validSlot[k]
+		if !ok {
+			f.over().valid[k] = v
+			continue
 		}
+		if v {
+			f.mark(headerValid, s)
+		}
+		f.mark(headerValidSet, s)
 	}
 	for k, v := range p.Bridge {
 		if s, ok := f.lay.bridgeSlot[k]; ok {
-			f.Bridge[s] = v
-			f.bridgeSet[s] = true
+			f.w[f.lay.bridgeWord(s)] = v
+			f.mark(bridgePresent, s)
 		} else {
-			if f.extraBridge == nil {
-				f.extraBridge = map[string]uint64{}
-			}
-			f.extraBridge[k] = v
+			f.over().bridge[k] = v
 		}
 	}
 	f.Dropped, f.EgressPort, f.Mirrored, f.ToCPU = p.Dropped, p.EgressPort, p.Mirrored, p.ToCPU
@@ -137,30 +127,26 @@ func (f *FlatPacket) load(p *Packet) {
 // reconstructing exactly the map contents RunReference/RunPath would have
 // produced (presence included).
 func (f *FlatPacket) Packet() *Packet {
-	p := NewPacket()
-	for s, set := range f.fieldSet {
-		if set {
-			p.Fields[f.lay.fieldName[s]] = f.Fields[s]
+	p, l := NewPacket(), f.lay
+	for s, name := range l.fieldName {
+		if f.has(fieldPresent, s) {
+			p.Fields[name] = f.w[s]
 		}
 	}
-	for s, set := range f.validSet {
-		if set {
-			p.Valid[f.lay.validName[s]] = f.Valid[s]
+	for s, name := range l.validName {
+		if f.has(headerValidSet, s) {
+			p.Valid[name] = f.has(headerValid, s)
 		}
 	}
-	for s, set := range f.bridgeSet {
-		if set {
-			p.Bridge[f.lay.bridgeName[s]] = f.Bridge[s]
+	for s, name := range l.bridgeName {
+		if f.has(bridgePresent, s) {
+			p.Bridge[name] = f.w[l.bridgeWord(s)]
 		}
 	}
-	for k, v := range f.extraFields {
-		p.Fields[k] = v
-	}
-	for k, v := range f.extraValid {
-		p.Valid[k] = v
-	}
-	for k, v := range f.extraBridge {
-		p.Bridge[k] = v
+	if f.ov != nil {
+		maps.Copy(p.Fields, f.ov.fields)
+		maps.Copy(p.Valid, f.ov.valid)
+		maps.Copy(p.Bridge, f.ov.bridge)
 	}
 	p.Dropped, p.EgressPort, p.Mirrored, p.ToCPU = f.Dropped, f.EgressPort, f.Mirrored, f.ToCPU
 	return p

@@ -113,6 +113,97 @@ func TestExecutorBatchAgree(t *testing.T) {
 	}
 }
 
+// TestTiersAgreeOnHeaderRemoval: a run that removes a header the packet
+// arrived with must clear its valid bit in every tier and entry point. The
+// interpreter tier loads its output over the packet it ran, so a stale bit
+// there would keep the stripped INT probe valid (and serialized).
+func TestTiersAgreeOnHeaderRemoval(t *testing.T) {
+	plan, _ := compile(t, testProgram(t, "egress_int"), "int_out: [ ToR3 | PER-SW | - ]")
+	tables := NewTables()
+	tables.Set("int_sink_filter", 5, 1)
+	path := []string{"ToR3"}
+	ctx := &Context{SwitchID: 3, IngressTS: 10, EgressTS: 25}
+	rng := rand.New(rand.NewSource(18))
+	in := make([]*Packet, 32)
+	for i := range in {
+		p := NewPacket()
+		p.Valid["ethernet"], p.Valid["int_probe_hdr"] = true, true
+		p.Fields["ethernet.ether_type"] = 0x0800
+		p.Fields["int_probe_hdr.msg_type"] = uint64(5 + rng.Intn(2)) // 5 is a sink
+		p.Fields["int_probe_hdr.hop_count"] = uint64(rng.Intn(8))
+		in[i] = p
+	}
+	newDep := func() *Deployment {
+		dep, err := NewDeployment(plan, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	ref, stripped := newDep(), 0
+	want := make([]*Packet, len(in))
+	for i, p := range in {
+		out, err := ref.RunPath(path, ctx, p.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := out.Valid["int_probe_hdr"]; ok && !v {
+			stripped++
+		}
+		want[i] = out
+	}
+	if stripped == 0 || stripped == len(in) {
+		t.Fatalf("%d of %d packets stripped the probe: the test is vacuous", stripped, len(in))
+	}
+	run := map[string]func(dep *Deployment, tier ExecutorTier, pkts []*FlatPacket) error{
+		"RunPacket": func(dep *Deployment, tier ExecutorTier, pkts []*FlatPacket) error {
+			x, err := dep.ExecutorFor(tier)
+			for _, f := range pkts {
+				if err == nil {
+					err = x.RunPacket(path, ctx, f)
+				}
+			}
+			return err
+		},
+		"RunBatch": func(dep *Deployment, tier ExecutorTier, pkts []*FlatPacket) error {
+			x, err := dep.ExecutorFor(tier)
+			if err == nil {
+				err = x.RunBatch(path, ctx, pkts, 2)
+			}
+			return err
+		},
+		"Stream": func(dep *Deployment, tier ExecutorTier, pkts []*FlatPacket) error {
+			s, err := dep.OpenStream(path, StreamOptions{Tier: tier, Lanes: 1, BatchSize: 8, Ctx: ctx})
+			if err == nil {
+				err = s.Feed(pkts...)
+				s.Close()
+			}
+			return err
+		},
+	}
+	for mode, fn := range run {
+		for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
+			dep := newDep()
+			eng, err := dep.Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts := make([]*FlatPacket, len(in))
+			for i, p := range in {
+				pkts[i] = eng.Flatten(p)
+			}
+			if err := fn(dep, tier, pkts); err != nil {
+				t.Fatalf("%s %v: %v", mode, tier, err)
+			}
+			for i, f := range pkts {
+				if diff := DiffPackets(want[i], f.Packet(), nil); len(diff) > 0 {
+					t.Fatalf("%s %v packet %d diverges from RunPath: %v", mode, tier, i, diff)
+				}
+			}
+		}
+	}
+}
+
 // TestExecutorSelection: ExecutorFor hands out the tier asked for, and each
 // tier's stats count only what ran through it.
 func TestExecutorSelection(t *testing.T) {

@@ -180,6 +180,27 @@ func maskBits(bits int) uint64 {
 	return 1<<uint(bits) - 1
 }
 
+// A FlatPacket's slab is the layout's field words, then its bridge words,
+// then packed bits, slot by slot: field-present, header-valid,
+// header-valid-set and bridge-present. The layout is complete once the
+// engine is lowered, so every position is fixed before any packet exists.
+const (
+	fieldPresent = iota
+	headerValid
+	headerValidSet
+	bridgePresent
+)
+
+// bit returns the slab word and mask of one packed bit of a slot.
+func (l *Layout) bit(kind, slot int) (int, uint64) {
+	nf, nv := len(l.fieldName), len(l.validName)
+	i := 64*(nf+len(l.bridgeName)) + slot + [...]int{0, nf, nf + nv, nf + 2*nv}[kind]
+	return i >> 6, 1 << (i & 63)
+}
+
+// bridgeWord returns the slab word of a bridge slot.
+func (l *Layout) bridgeWord(slot int) int { return len(l.fieldName) + slot }
+
 func (l *Layout) ensureField(name string, bits int) int {
 	if s, ok := l.fieldSlot[name]; ok {
 		return s

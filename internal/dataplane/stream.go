@@ -437,7 +437,7 @@ func (e *Engine) FlowKeyField(name string) (func(*FlatPacket) uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("dataplane: unknown field %q", name)
 	}
-	return func(f *FlatPacket) uint64 { return f.Fields[slot] }, nil
+	return func(f *FlatPacket) uint64 { return f.w[slot] }, nil
 }
 
 // FlowKeyHash builds a FlowKey computing the same hash the data plane's
@@ -463,7 +463,7 @@ func (e *Engine) FlowKeyHash(kind string, bits int, andMask uint64, fields ...st
 	return func(f *FlatPacket) uint64 {
 		var h uint64 = 14695981039346656037
 		for _, s := range slots {
-			v := f.Fields[s]
+			v := f.w[s]
 			for sh := uint(0); sh < 64; sh += 8 {
 				h ^= (v >> sh) & 0xff
 				h *= 1099511628211

@@ -17,17 +17,21 @@ import (
 
 // wireField is one header field resolved against the layout: its slot (or
 // -1 for fields the layout never saw, which overflow-map like the
-// interpreter), its full "hdr.field" key, and its wire width.
+// interpreter), its full "hdr.field" key, its wire width, and the slab
+// word and mask of its present bit.
 type wireField struct {
 	slot int
 	name string
 	bits int
+	pw   int
+	pm   uint64
 }
 
 // wireHeader is one header instance's precompiled wire image.
 type wireHeader struct {
 	name       string
-	validSlot  int // -1 when the layout has no validity slot for it
+	vw, sw     int    // slab words of its valid and valid-set bits
+	vm, sm     uint64 // and their masks; vm is 0 when the layout has no validity slot for it
 	fields     []wireField
 	totalBits  int
 	haveLayout bool // headerLayout resolved; false reproduces wire.go's error lazily
@@ -61,7 +65,7 @@ type wireState struct {
 
 // WireCodec is the precompiled bytes<->FlatPacket translator for one
 // engine layout. It is immutable after construction and safe to share
-// across lanes; ParseBytesFlat allocates only the returned packet.
+// across lanes; ParseBytesFlat allocates only the packet's struct and slab.
 type WireCodec struct {
 	lay       *Layout
 	headers   []wireHeader
@@ -142,14 +146,16 @@ func (c *WireCodec) ensureHeader(irp *ir.Program, name string) int {
 	if hi, ok := c.headerIdx[name]; ok {
 		return hi
 	}
-	wh := wireHeader{name: name, validSlot: -1}
+	wh := wireHeader{name: name}
 	if s, ok := c.lay.validSlot[name]; ok {
-		wh.validSlot = s
+		wh.vw, wh.vm = c.lay.bit(headerValid, s)
+		wh.sw, wh.sm = c.lay.bit(headerValidSet, s)
 	}
 	wh.fields, wh.totalBits, wh.haveLayout = headerLayout(irp, name)
 	for i := range wh.fields {
 		if s, ok := c.lay.fieldSlot[wh.fields[i].name]; ok {
 			wh.fields[i].slot = s
+			wh.fields[i].pw, wh.fields[i].pm = c.lay.bit(fieldPresent, s)
 		}
 	}
 	hi := len(c.headers)
@@ -162,17 +168,20 @@ func (c *WireCodec) ensureHeader(irp *ir.Program, name string) int {
 // matching the map semantics (absent => 0).
 func (c *WireCodec) fieldVal(f *FlatPacket, slot int, name string) uint64 {
 	if slot >= 0 {
-		return f.Fields[slot]
+		return f.w[slot]
 	}
-	return f.extraFields[name]
+	if f.ov == nil {
+		return 0
+	}
+	return f.ov.fields[name]
 }
 
 // headerValid reports whether a header is present on the packet.
 func (c *WireCodec) headerValid(f *FlatPacket, h *wireHeader) bool {
-	if h.validSlot >= 0 {
-		return f.Valid[h.validSlot]
+	if h.vm != 0 {
+		return f.w[h.vw]&h.vm != 0
 	}
-	return f.extraValid[h.name]
+	return f.ov != nil && f.ov.valid[h.name]
 }
 
 // extract reads one header's fields off the bit stream into the packet's
@@ -188,20 +197,17 @@ func (c *WireCodec) extract(f *FlatPacket, r *bitReader, h *wireHeader) error {
 			return err
 		}
 		if fl.slot >= 0 {
-			f.Fields[fl.slot] = v
-			f.fieldSet[fl.slot] = true
+			f.w[fl.slot] = v
+			f.w[fl.pw] |= fl.pm
 		} else {
 			f.SetField(fl.name, v)
 		}
 	}
-	if h.validSlot >= 0 {
-		f.Valid[h.validSlot] = true
-		f.validSet[h.validSlot] = true
+	if h.vm != 0 {
+		f.w[h.vw] |= h.vm
+		f.w[h.sw] |= h.sm
 	} else {
-		if f.extraValid == nil {
-			f.extraValid = map[string]bool{}
-		}
-		f.extraValid[h.name] = true
+		f.over().valid[h.name] = true
 	}
 	return nil
 }

@@ -3,7 +3,11 @@ package lyra
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -226,6 +230,100 @@ func TestPodPermutationMetamorphic(t *testing.T) {
 			q := perm[p-1] + 1 // the pod of the original fabric with p's mix
 			toQ := strings.NewReplacer(fmt.Sprintf("ToR%d_", p), fmt.Sprintf("ToR%d_", q), fmt.Sprintf("Agg%d_", p), fmt.Sprintf("Agg%d_", q))
 			sameSlice(t, fmt.Sprintf("perm %v, pod %d", perm, p), sliceOf(got, inPod(p), toQ.Replace), sliceOf(want, inPod(q), sameName))
+		}
+	}
+}
+
+// exampleConst reads a raw-string constant, such as the Lyra `program` or
+// its `scopeSpec`, out of an example's main.go.
+func exampleConst(t *testing.T, example, name string) string {
+	t.Helper()
+	path := filepath.Join("examples", example, "main.go")
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(text), "const "+name+" = `")
+	src, _, closed := strings.Cut(rest, "`")
+	if !ok || !closed {
+		t.Fatalf("%s has no %s constant", path, name)
+	}
+	return src
+}
+
+// scopeLines returns the algorithm lines of a scope specification, without
+// blank and comment lines.
+func scopeLines(spec string) []string {
+	var lines []string
+	for _, l := range strings.Split(spec, "\n") {
+		if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "#") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// lineOrders returns six seeded orders of n lines, none of them the given
+// order; every case of the test below has more than three lines.
+func lineOrders(n int) [][]int {
+	rng := rand.New(rand.NewSource(int64(n)))
+	var orders [][]int
+	for len(orders) < 6 {
+		if o := rng.Perm(n); !slices.IsSorted(o) {
+			orders = append(orders, o)
+		}
+	}
+	return orders
+}
+
+// TestScopeLineOrderMetamorphic: the order of a scope specification's lines
+// is not part of its meaning. Multi-algorithm programs compiled with their
+// scope lines in six other seeded orders must give byte-identical
+// artifacts, fingerprints and reports: the composition service chain one
+// switch per algorithm, and Figure 7 — examples/intlb's program and scope,
+// three INT lines plus the load balancer over pod 2 — on the testbed.
+func TestScopeLineOrderMetamorphic(t *testing.T) {
+	ctx := context.Background()
+	c := New()
+	for _, tc := range []struct {
+		name, src string
+		lines     []string
+	}{
+		{"composition", loadProgram(t, "composition"), scopeLines(compositionScopes)},
+		{"intlb", exampleConst(t, "intlb", "program"), scopeLines(exampleConst(t, "intlb", "scopeSpec"))},
+	} {
+		want, err := c.Compile(ctx, tc.src, strings.Join(tc.lines, "\n"), Testbed())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		if len(tc.lines) < 4 || len(want.Artifacts) == 0 {
+			t.Fatalf("%s: %d scope lines, %d switches programmed: the test is vacuous", tc.name, len(tc.lines), len(want.Artifacts))
+		}
+		for _, order := range lineOrders(len(tc.lines)) {
+			lines := make([]string, len(order))
+			for i, j := range order {
+				lines[i] = tc.lines[j]
+			}
+			got, err := c.Compile(ctx, tc.src, strings.Join(lines, "\n"), Testbed())
+			if err != nil {
+				t.Fatalf("%s %v: compile: %v", tc.name, order, err)
+			}
+			if !reflect.DeepEqual(got.Switches(), want.Switches()) {
+				t.Fatalf("%s %v: programmed switches %v, want %v", tc.name, order, got.Switches(), want.Switches())
+			}
+			for _, sw := range want.Switches() {
+				a, b := got.Artifact(sw), want.Artifact(sw)
+				if a.Code != b.Code || a.ControlPlane != b.ControlPlane || a.Dialect != b.Dialect ||
+					[5]int{a.Tables, a.Actions, a.Registers, a.LoC, a.LogicLoC} != [5]int{b.Tables, b.Actions, b.Registers, b.LoC, b.LogicLoC} {
+					t.Errorf("%s %v: %s: artifact depends on the scope lines' order", tc.name, order, sw)
+				}
+			}
+			if !reflect.DeepEqual(got.Fingerprints, want.Fingerprints) || got.ArtifactFingerprint() != want.ArtifactFingerprint() {
+				t.Errorf("%s %v: fingerprints depend on the scope lines' order", tc.name, order)
+			}
+			if !reflect.DeepEqual(got.Reports, want.Reports) {
+				t.Errorf("%s %v: reports depend on the scope lines' order", tc.name, order)
+			}
 		}
 	}
 }
