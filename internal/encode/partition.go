@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,7 +108,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		full := in.Scopes[a.Name]
 		rs := full
 		if ca != nil {
-			if rs = ca.narrow(in.Net, full); rs == nil {
+			if rs = ca.narrow(full); rs == nil {
 				if ca.algs[a.Name] {
 					return nil, false
 				}
@@ -140,7 +141,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 			return nil, false // an unsplittable scope is carried whole or not at all
 		}
 		for _, g := range groups {
-			units = append(units, unit{at: position{i, g.head}, rs: subResolved(in.Net, rs, g.members), split: true})
+			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true})
 		}
 	}
 	kept := 0
@@ -216,7 +217,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 			a := algs[ai]
 			c.Algs = append(c.Algs, a.Name)
 			sub.Algorithms = append(sub.Algorithms, a)
-			scopes[a.Name] = mergeResolved(in.Net, in.Scopes[a.Name], byAlg[ai])
+			scopes[a.Name] = mergeResolved(in.Scopes[a.Name], byAlg[ai])
 		}
 		if anySplit {
 			tag := ""
@@ -249,20 +250,18 @@ type carried struct {
 
 // narrow confines a resolved scope to the open switches: the scope itself
 // when all of it is open, nil when none of it is.
-func (ca *carried) narrow(net *topo.Network, rs *scope.Resolved) *scope.Resolved {
-	var members []string
-	for _, sw := range ca.within {
-		if i := sort.SearchStrings(rs.Switches, sw); i < len(rs.Switches) && rs.Switches[i] == sw {
-			members = append(members, sw)
-		}
-	}
-	switch len(members) {
+func (ca *carried) narrow(rs *scope.Resolved) *scope.Resolved {
+	g := pathGroup{members: intersect(ca.within, rs.Switches)}
+	switch len(g.members) {
 	case 0:
 		return nil
 	case len(rs.Switches):
 		return rs
 	}
-	return subResolved(net, rs, members)
+	if rs.Paths == nil && rs.PathSet != nil {
+		g.ends = [2][]string{intersect(rs.PathSet.From, g.members), intersect(rs.PathSet.To, g.members)}
+	}
+	return subResolved(rs, g)
 }
 
 // splittable reports whether a scope may split into path-connected groups at
@@ -285,11 +284,14 @@ func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 type pathGroup struct {
 	head    string
 	members []string
+	ends    [2][]string // the parts of the scope's PathSet.From and To among the members
 }
 
 // pathGroups walks a scope's flow paths once and returns the groups of
 // switches they connect, ordered by head, and the scope switches no flow
-// traverses. ok is false when enumeration exceeds the path budget; the scope
+// traverses. The endpoints of a lazy scope are split over the groups in one
+// pass, those on no path going to the first group, where the switches on no
+// path go. ok is false when enumeration exceeds the path budget; the scope
 // then stays whole.
 func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bool) {
 	idx := make(map[string]int, len(rs.Switches))
@@ -341,23 +343,30 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bo
 		}
 		groups[g].members = append(groups[g].members, sw)
 	}
+	if rs.Paths == nil && rs.PathSet != nil && len(groups) > 0 {
+		// A switch on no path is its own root and not in at: group 0.
+		for e, ends := range [2][]string{rs.PathSet.From, rs.PathSet.To} {
+			for _, sw := range ends {
+				if j, ok := idx[sw]; ok {
+					g := &groups[at[find(j)]]
+					g.ends[e] = append(g.ends[e], sw)
+				}
+			}
+		}
+	}
 	return groups, offPath, true
 }
 
 // subResolved narrows a resolved scope to one switch group. Every flow path
 // lies entirely inside one group (that is what defines the groups), so the
-// materialized path list filters by first hop; a lazy scope gets a restricted
-// PathSet over the group's switches and endpoint intersections.
-func subResolved(net *topo.Network, rs *scope.Resolved, members []string) *scope.Resolved {
-	set := make(map[string]bool, len(members))
-	for _, sw := range members {
-		set[sw] = true
-	}
-	sub := &scope.Resolved{Scope: rs.Scope, Switches: members, MaxPaths: rs.MaxPaths}
+// materialized path list filters by first hop; a lazy scope gets its PathSet
+// narrowed to the group's switches and endpoints.
+func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
+	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members, MaxPaths: rs.MaxPaths}
 	if rs.Paths != nil {
 		var paths [][]string
 		for _, p := range rs.Paths {
-			if len(p) > 0 && set[p[0]] {
+			if len(p) > 0 && has(g.members, p[0]) {
 				paths = append(paths, p)
 			}
 		}
@@ -365,7 +374,7 @@ func subResolved(net *topo.Network, rs *scope.Resolved, members []string) *scope
 		return sub
 	}
 	if rs.PathSet != nil {
-		sub.PathSet = net.PathSet(intersect(rs.PathSet.From, set), intersect(rs.PathSet.To, set), members)
+		sub.PathSet = rs.PathSet.Narrow(g.ends[0], g.ends[1], g.members)
 	}
 	return sub
 }
@@ -373,7 +382,7 @@ func subResolved(net *topo.Network, rs *scope.Resolved, members []string) *scope
 // mergeResolved reassembles scope fragments that landed in one component.
 // All fragments derive from the same original scope; when every fragment of
 // the scope is present the original is returned verbatim.
-func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []*scope.Resolved) *scope.Resolved {
+func mergeResolved(orig *scope.Resolved, parts []*scope.Resolved) *scope.Resolved {
 	if len(parts) == 1 {
 		return parts[0]
 	}
@@ -387,10 +396,6 @@ func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []*scope.Resol
 		return orig
 	}
 	sort.Strings(switches)
-	set := make(map[string]bool, len(switches))
-	for _, sw := range switches {
-		set[sw] = true
-	}
 	merged := &scope.Resolved{Scope: orig.Scope, Switches: switches, MaxPaths: orig.MaxPaths}
 	if orig.Paths != nil {
 		var paths [][]string
@@ -402,19 +407,26 @@ func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []*scope.Resol
 		return merged
 	}
 	if orig.PathSet != nil {
-		merged.PathSet = net.PathSet(intersect(orig.PathSet.From, set), intersect(orig.PathSet.To, set), switches)
+		merged.PathSet = orig.PathSet.Narrow(intersect(orig.PathSet.From, switches), intersect(orig.PathSet.To, switches), switches)
 	}
 	return merged
 }
 
-func intersect(xs []string, set map[string]bool) []string {
+// intersect returns, in order, the elements of xs in the sorted list set.
+func intersect(xs, set []string) []string {
 	var out []string
 	for _, x := range xs {
-		if set[x] {
+		if has(set, x) {
 			out = append(out, x)
 		}
 	}
 	return out
+}
+
+// has reports whether x is in the sorted list set.
+func has(set []string, x string) bool {
+	_, ok := slices.BinarySearch(set, x)
+	return ok
 }
 
 func wholeComponent(in *Input) *Component {

@@ -240,17 +240,20 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 				set[sw.Name] = true
 			}
 		}
-		var from, to []string
+		switches := sortedKeys(set)
+		var ps *topo.PathSet
 		if sc.Deploy == MultiSwitch && len(set) > 0 {
-			var err error
-			if from, err = expand(net, sc.Direct.From, opts); err != nil {
+			from, err := expand(net, sc.Direct.From, opts)
+			if err != nil {
 				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
 			}
-			if to, err = expand(net, sc.Direct.To, opts); err != nil {
+			to, err := expand(net, sc.Direct.To, opts)
+			if err != nil {
 				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
 			}
+			ps = net.PathSet(from, to, switches)
 		}
-		r, err := sc.bind(net, sortedKeys(set), from, to, nil, opts)
+		r, err := sc.bind(switches, ps, nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -298,20 +301,22 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 	for _, sc := range s.Scopes {
 		was := prev[sc.Alg]
 		switches := without(was.Switches)
-		var from, to []string
+		var ps *topo.PathSet
 		var paths [][]string
 		if sc.Deploy == MultiSwitch && len(switches) > 0 {
-			if from = without(was.PathSet.From); len(from) == 0 {
+			from, to := without(was.PathSet.From), without(was.PathSet.To)
+			if len(from) == 0 {
 				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.From)
 			}
-			if to = without(was.PathSet.To); len(to) == 0 {
+			if len(to) == 0 {
 				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.To)
 			}
+			ps = net.PathSet(from, to, switches)
 			if !opts.LazyPaths {
 				paths = survivingPaths(net, was.Paths, delta.Touched)
 			}
 		}
-		r, err := sc.bind(net, switches, from, to, paths, opts)
+		r, err := sc.bind(switches, ps, paths, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -380,11 +385,11 @@ func (o ResolveOpts) maxPaths() int64 {
 	return o.MaxPaths
 }
 
-// bind builds the resolution of one scope from its expanded, sorted switch
-// lists, checking what any resolution must: a non-empty region and, for
-// MULTI-SW, at least one flow path. paths, when non-nil, are the flow paths
-// already known; otherwise an eager resolution enumerates them.
-func (sc Scope) bind(net *topo.Network, switches, from, to []string, paths [][]string, opts ResolveOpts) (*Resolved, error) {
+// bind builds the resolution of one scope from its sorted switch list and,
+// for MULTI-SW, its path set, checking what any resolution must: a non-empty
+// region and, for MULTI-SW, at least one flow path. paths, when non-nil, are
+// the flow paths already known; otherwise an eager resolution enumerates them.
+func (sc Scope) bind(switches []string, ps *topo.PathSet, paths [][]string, opts ResolveOpts) (*Resolved, error) {
 	if len(switches) == 0 {
 		return nil, fmt.Errorf("scope %s: region %v matches no surviving switch", sc.Alg, sc.Region)
 	}
@@ -392,7 +397,7 @@ func (sc Scope) bind(net *topo.Network, switches, from, to []string, paths [][]s
 	if sc.Deploy != MultiSwitch {
 		return r, nil
 	}
-	r.PathSet = net.PathSet(from, to, switches)
+	r.PathSet = ps
 	r.MaxPaths = opts.maxPaths()
 	var found bool
 	if opts.LazyPaths {

@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -32,17 +33,46 @@ func (e *PathLimitError) Unwrap() error { return ErrPathLimit }
 // consumers iterate with Each, count with Count, or materialize a bounded
 // slice with Materialize. The set is a view over the network: it reflects
 // the adjacency at iteration time, so it must not outlive topology
-// mutations it is expected to be consistent with.
+// mutations it is expected to be consistent with. Membership of To and
+// Within is fixed when the set is made: it is marked by switch id then.
 type PathSet struct {
 	net    *Network
 	From   []string
 	To     []string
 	Within []string // nil = all switches
+
+	to, in bitset // To and Within by switch id (in is unused while Within is nil)
+}
+
+// bitset is a set of switch ids.
+type bitset []uint64
+
+func (b bitset) has(id int32) bool { return int(id>>6) < len(b) && b[id>>6]&(1<<(id&63)) != 0 }
+func (b bitset) set(id int32)      { b[id>>6] |= 1 << (id & 63) }
+func (b bitset) unset(id int32)    { b[id>>6] &^= 1 << (id & 63) }
+
+// bits marks the named switches n has an id for.
+func (n *Network) bits(names []string) bitset {
+	b := make(bitset, (len(n.recs)+63)/64)
+	for _, name := range names {
+		if id, ok := n.ids[name]; ok {
+			b.set(id)
+		}
+	}
+	return b
 }
 
 // PathSet builds the lazy path view for a scope.
 func (n *Network) PathSet(from, to, within []string) *PathSet {
-	return &PathSet{net: n, From: from, To: to, Within: within}
+	return &PathSet{net: n, From: from, To: to, Within: within, to: n.bits(to), in: n.bits(within)}
+}
+
+// Narrow returns the paths of the set that stay inside within, a part of its
+// Within, from and to being the parts of its From and To in there. Only
+// within is looked up: the target marks are the set's, as a walk reads one
+// only where it stands, which is inside within.
+func (ps *PathSet) Narrow(from, to, within []string) *PathSet {
+	return &PathSet{net: ps.net, From: from, To: to, Within: within, to: ps.to, in: ps.net.bits(within)}
 }
 
 // Each enumerates paths in deterministic DFS order (sorted start switches,
@@ -54,59 +84,50 @@ func (n *Network) PathSet(from, to, within []string) *PathSet {
 // *PathLimitError. The returned count is the number of paths yielded.
 func (ps *PathSet) Each(limit int64, yield func(path []string) bool) (int64, error) {
 	n := ps.net
-	// Membership in Within and To is a binary search of the caller's own
-	// slices, which scope resolution hands over sorted; only an unsorted one
-	// costs a copy. Any on a datacenter-wide scope stops at the first path and
-	// must not pay for a set over the whole scope first.
-	within, to := sorted(ps.Within), sorted(ps.To)
-	allowed := func(sw string) bool { return ps.Within == nil || contains(within, sw) }
 	var count int64
-	stop := false
-	overflow := false
-	scratch := make([]string, 0, 8) // the path so far, which is also the visited set
-	var dfs func(cur string)
-	dfs = func(cur string) {
-		if stop {
+	stop, overflow := false, false
+	path := make([]string, 0, 8)
+	onPath := make(bitset, len(n.recs)/64+1) // the switches path holds
+	emit := func() {
+		if limit > 0 && count >= limit {
+			overflow, stop = true, true
 			return
 		}
-		if contains(to, cur) {
-			if limit > 0 && count >= limit {
-				overflow, stop = true, true
-				return
-			}
-			count++
-			if !yield(scratch) {
-				stop = true
-			}
+		count++
+		stop = !yield(path)
+	}
+	var dfs func(id int32)
+	dfs = func(id int32) {
+		if ps.to.has(id) {
+			emit()
 			return
 		}
-	next:
-		for _, nb := range n.neighbors(cur) {
+		onPath.set(id)
+		for _, nb := range n.recs[id].nbrs {
 			if stop {
-				return
+				break
 			}
-			for _, seen := range scratch {
-				if seen == nb {
-					continue next
-				}
-			}
-			if !allowed(nb) {
+			if onPath.has(nb) || (ps.Within != nil && !ps.in.has(nb)) {
 				continue
 			}
-			scratch = append(scratch, nb)
+			path = append(path, n.recs[nb].Name)
 			dfs(nb)
-			scratch = scratch[:len(scratch)-1]
+			path = path[:len(path)-1]
 		}
+		onPath.unset(id)
 	}
 	for _, s := range sorted(ps.From) {
 		if stop {
 			break
 		}
-		if !allowed(s) || (ps.Within == nil && n.byName[s] == nil) {
-			continue
+		path = append(path[:0], s)
+		id, known := n.ids[s]
+		switch live := known && n.recs[id] != nil; {
+		case live && (ps.Within == nil || ps.in.has(id)):
+			dfs(id)
+		case !live && ps.Within != nil && slices.Contains(ps.Within, s) && slices.Contains(ps.To, s):
+			emit() // a switch the network lacks has no links: a path by itself, when it is a target
 		}
-		scratch = append(scratch[:0], s)
-		dfs(s)
 	}
 	if overflow {
 		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
@@ -124,12 +145,6 @@ func sorted(xs []string) []string {
 	return xs
 }
 
-// contains reports whether x is in the sorted list.
-func contains(sortedXs []string, x string) bool {
-	i := sort.SearchStrings(sortedXs, x)
-	return i < len(sortedXs) && sortedXs[i] == x
-}
-
 // Count returns the number of paths in the set without materializing any,
 // subject to the same budget semantics as Each.
 func (ps *PathSet) Count(limit int64) (int64, error) {
@@ -142,10 +157,9 @@ func (ps *PathSet) Any() bool {
 	return n > 0
 }
 
-// Materialize collects every path into a sorted slice (the legacy
-// Network.Paths order: lexicographic on the ">"-joined rendering). A
-// limit > 0 bounds the number of paths; exceeding it returns a
-// *PathLimitError and no slice.
+// Materialize collects every path into a sorted slice (lexicographic on the
+// ">"-joined rendering). A limit > 0 bounds the number of paths; exceeding it
+// returns a *PathLimitError and no slice.
 func (ps *PathSet) Materialize(limit int64) ([][]string, error) {
 	var paths [][]string
 	_, err := ps.Each(limit, func(p []string) bool {

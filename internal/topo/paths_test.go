@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,7 +13,15 @@ import (
 	"lyra/internal/asic"
 )
 
-// legacyPaths is the pre-PathSet implementation of Network.Paths, kept as
+// allPaths enumerates all simple paths from any switch in from to any switch
+// in to, restricted to the switches in within (nil allows all), in the
+// sorted order of Materialize.
+func allPaths(n *Network, from, to, within []string) [][]string {
+	paths, _ := n.PathSet(from, to, within).Materialize(0)
+	return paths
+}
+
+// legacyPaths is the pre-PathSet implementation of allPaths, kept as
 // the reference for cross-checking the lazy iterator: fresh neighbor sort
 // per visit, per-level append copies, strings.Join sort comparator.
 func legacyPaths(n *Network, from, to []string, within []string) [][]string {
@@ -129,7 +138,7 @@ func TestPathSetMatchesLegacyDFS(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want := legacyPaths(c.net, c.from, c.to, c.within)
-			got := c.net.Paths(c.from, c.to, c.within)
+			got := allPaths(c.net, c.from, c.to, c.within)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Paths mismatch: got %d paths, want %d\ngot:  %v\nwant: %v", len(got), len(want), got, want)
 			}
@@ -213,7 +222,7 @@ func BenchmarkPaths(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := n.Paths(from, to, within); len(got) != 16*8*8 {
+		if got := allPaths(n, from, to, within); len(got) != 16*8*8 {
 			b.Fatalf("got %d paths", len(got))
 		}
 	}
@@ -232,15 +241,19 @@ func BenchmarkPathsIterate(b *testing.B) {
 	}
 }
 
+// BenchmarkClone is a recompile's topology step: a Clone and the first edit
+// on it, which copies what the edit may not share.
 func BenchmarkClone(b *testing.B) {
 	n, _, _, _ := scaleFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := n.Clone()
-		if len(c.Switches) != len(n.Switches) {
-			b.Fatal("bad clone")
-		}
+	for _, e := range cloneEdits {
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := e.do(n.Clone()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -317,12 +330,10 @@ func mapEach(ps *PathSet, limit int64, yield func(path []string) bool) (int64, e
 	return count, nil
 }
 
-// TestEachMatchesMapBasedEach drives both enumerators over seeded random
-// graphs with unsorted, duplicated and partly unknown From/To/Within lists,
-// with and without a budget and an early stop, and demands the same yield
-// sequence, count and error.
-func TestEachMatchesMapBasedEach(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// eachCase draws one random graph from rng and a from/to/within triple over
+// its names: unsorted, with repeats, and now and then naming a switch the
+// graph lacks ("Ghost"); within is nil a third of the time.
+func eachCase(rng *rand.Rand) (n *Network, names, from, to, within []string) {
 	pick := func(names []string, k int) []string {
 		out := make([]string, 0, k+1)
 		for i := 0; i < k; i++ {
@@ -333,47 +344,154 @@ func TestEachMatchesMapBasedEach(t *testing.T) {
 		}
 		return out
 	}
-	for g := 0; g < 200; g++ {
-		n := New()
-		sz := 4 + rng.Intn(9)
-		var names []string
-		for i := 0; i < sz; i++ {
-			name := fmt.Sprintf("S%d_%d", 1+i%11, i/3) // "S10_0" sorts before "S1_0"
-			if _, err := n.AddSwitch(name, "L", asic.Tofino32Q); err == nil {
-				names = append(names, name)
+	n = New()
+	sz := 4 + rng.Intn(9)
+	for i := 0; i < sz; i++ {
+		name := fmt.Sprintf("S%d_%d", 1+i%11, i/3) // "S10_0" sorts before "S1_0"
+		if _, err := n.AddSwitch(name, "L", asic.Tofino32Q); err == nil {
+			names = append(names, name)
+		}
+	}
+	for i := 0; i < sz*2; i++ {
+		a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+		if a != b && !n.HasLink(a, b) {
+			n.AddLink(a, b)
+		}
+	}
+	if rng.Intn(3) > 0 {
+		within = pick(names, 2+rng.Intn(len(names)))
+	}
+	from, to = pick(names, 1+rng.Intn(3)), pick(names, 1+rng.Intn(3))
+	return n, names, from, to, within
+}
+
+// matchMapEach walks ps with Each and with mapEach, with and without a budget
+// and an early stop, and reports the first difference in yield sequence,
+// count or error.
+func matchMapEach(ps *PathSet) error {
+	total, _ := mapEach(ps, 0, func([]string) bool { return true })
+	for _, limit := range []int64{0, 1, total, total + 1} {
+		for _, stopAt := range []int{-1, 0, 2} {
+			run := func(each func(int64, func([]string) bool) (int64, error)) (seq []string, n int64, err error) {
+				n, err = each(limit, func(p []string) bool {
+					seq = append(seq, strings.Join(p, ">"))
+					return len(seq) != stopAt+1
+				})
+				return
 			}
-		}
-		for i := 0; i < sz*2; i++ {
-			a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
-			if a != b && !n.HasLink(a, b) {
-				n.AddLink(a, b)
+			wantSeq, wantN, wantErr := run(func(l int64, y func([]string) bool) (int64, error) { return mapEach(ps, l, y) })
+			gotSeq, gotN, gotErr := run(ps.Each)
+			if !reflect.DeepEqual(gotSeq, wantSeq) || gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				return fmt.Errorf("from=%v to=%v within=%v limit=%d stop=%d:\n got  %v (%d, %v)\n want %v (%d, %v)",
+					ps.From, ps.To, ps.Within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
 			}
-		}
-		var within []string
-		if rng.Intn(3) > 0 {
-			within = pick(names, 2+rng.Intn(len(names)))
-		}
-		ps := n.PathSet(pick(names, 1+rng.Intn(3)), pick(names, 1+rng.Intn(3)), within)
-		total, _ := mapEach(ps, 0, func([]string) bool { return true })
-		for _, limit := range []int64{0, 1, total, total + 1} {
-			for _, stopAt := range []int{-1, 0, 2} {
-				run := func(each func(int64, func([]string) bool) (int64, error)) (seq []string, n int64, err error) {
-					n, err = each(limit, func(p []string) bool {
-						seq = append(seq, strings.Join(p, ">"))
-						return len(seq) != stopAt+1
-					})
-					return
-				}
-				wantSeq, wantN, wantErr := run(func(l int64, y func([]string) bool) (int64, error) { return mapEach(ps, l, y) })
-				gotSeq, gotN, gotErr := run(ps.Each)
-				if !reflect.DeepEqual(gotSeq, wantSeq) || gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("graph %d from=%v to=%v within=%v limit=%d stop=%d:\n got  %v (%d, %v)\n want %v (%d, %v)",
-						g, ps.From, ps.To, ps.Within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
-				}
-				if (gotErr != nil) != errors.Is(gotErr, ErrPathLimit) {
-					t.Fatalf("error %v is not a path-limit error", gotErr)
-				}
+			if (gotErr != nil) != errors.Is(gotErr, ErrPathLimit) {
+				return fmt.Errorf("error %v is not a path-limit error", gotErr)
 			}
 		}
 	}
+	return nil
+}
+
+// TestEachMatchesMapBasedEach drives both enumerators over seeded random
+// graphs with unsorted, duplicated and partly unknown From/To/Within lists,
+// with and without a budget and an early stop, and demands the same yield
+// sequence, count and error.
+func TestEachMatchesMapBasedEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for g := 0; g < 200; g++ {
+		n, _, from, to, within := eachCase(rng)
+		if err := matchMapEach(n.PathSet(from, to, within)); err != nil {
+			t.Fatalf("graph %d %v", g, err)
+		}
+	}
+}
+
+// FuzzPathSetEach holds the id walk to mapEach, the name walk, on networks
+// edited after a Clone, where a stale id, a shared name index or a reused name
+// would show. The input picks one of TestEachMatchesMapBasedEach's graphs and
+// plays a script on a clone of it: switch and link removals, chip swaps,
+// re-additions of removed names, links, and a switch under a name the graph
+// never had ("Ghost", which the lists may name). After a marker the rest of
+// the script edits the original instead. Each network, in the order the input
+// gives, is then walked through a set made on it and a set narrowed from that
+// one; every walk must yield what mapEach yields on the same lists.
+func FuzzPathSetEach(f *testing.F) {
+	scripts := [][]byte{
+		nil,
+		{0, 0, 0},
+		{0, 0, 0, 3, 0, 1},
+		{1, 0, 1, 2, 1, 0, 1, 2, 3},
+		{4, 2, 0, 6, 0, 3},
+		{0, 1, 0, 5, 0, 0, 0, 2, 0, 3, 2, 1},
+		{0, 0, 0, 0, 1, 0, 3, 1, 0, 3, 0, 2, 6, 0, 1},
+	}
+	for g := 0; g < 200; g += 13 {
+		f.Add(uint8(g), g%2 == 0, scripts[g%len(scripts)])
+	}
+	// A switch-down on the clone of a graph whose set has no Within: the
+	// original's walk reads the record table, mapEach its switch list.
+	f.Add(uint8(127), false, []byte("110"))
+	halve := func(m *asic.Model) *asic.Model { return asic.Scale(m, 0.5, 1, 1) }
+	f.Fuzz(func(t *testing.T, graph uint8, cloneFirst bool, script []byte) {
+		rng := rand.New(rand.NewSource(11))
+		var base *Network
+		var names, from, to, within []string
+		for i := 0; i <= int(graph)%200; i++ {
+			base, names, from, to, within = eachCase(rng)
+		}
+		clone := base.Clone()
+		target := clone
+		for i := 0; i+2 < len(script) && i < 60; i += 3 {
+			x, y := names[int(script[i+1])%len(names)], names[int(script[i+2])%len(names)]
+			switch script[i] % 7 {
+			case 0:
+				target.RemoveSwitch(x)
+			case 1:
+				target.RemoveLink(x, y)
+			case 2:
+				target.DegradeASIC(x, halve)
+			case 3:
+				if _, err := target.AddSwitch(x, "L", asic.Tofino64Q); err == nil {
+					target.AddLink(x, y)
+				}
+			case 4:
+				if _, err := target.AddSwitch("Ghost", "L", asic.Tofino32Q); err == nil {
+					target.AddLink("Ghost", x)
+				}
+			case 5:
+				target = base
+			case 6:
+				target.AddLink(x, y)
+			}
+		}
+		nets := []*Network{base, clone}
+		if cloneFirst {
+			nets[0], nets[1] = clone, base
+		}
+		for _, n := range nets {
+			ps := n.PathSet(from, to, within)
+			if err := matchMapEach(ps); err != nil {
+				t.Fatalf("made on the %s: %v", label(n, base), err)
+			}
+			part := within
+			if part == nil {
+				part = append(n.Names(), "Ghost")
+			}
+			part = slices.Clone(part)[:(len(part)+1)/2]
+			in := func(xs []string) []string {
+				return slices.DeleteFunc(slices.Clone(xs), func(x string) bool { return !slices.Contains(part, x) })
+			}
+			if err := matchMapEach(ps.Narrow(in(from), in(to), part)); err != nil {
+				t.Fatalf("narrowed on the %s to %v: %v", label(n, base), part, err)
+			}
+		}
+	})
+}
+
+func label(n, base *Network) string {
+	if n == base {
+		return "original"
+	}
+	return "clone"
 }

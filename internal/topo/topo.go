@@ -5,6 +5,8 @@ package topo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -23,7 +25,8 @@ type Switch struct {
 	Layer string // "ToR", "Agg", "Core" (free-form)
 	ASIC  *asic.Model
 
-	nbrs []string    // neighbour names, sorted
+	id   int32       // the switch's index in the record table, the same for its name in every clone
+	nbrs []int32     // neighbour ids, sorted by neighbour name
 	gen  *generation // the edit generation that made this record and may still write it
 }
 
@@ -33,11 +36,17 @@ type generation struct{ _ byte }
 
 // Network is the topology plus per-switch configuration. It is a persistent
 // structure: Clone is O(1) and shares everything, the first mutation after a
-// Clone copies the two containers, and every mutation replaces only the
-// records it changes.
+// Clone copies the switch list and the record table, and every mutation
+// replaces only the records it changes.
 type Network struct {
 	Switches []*Switch // registration order; do not modify
-	byName   map[string]*Switch
+	recs     []*Switch // by switch id; nil for a removed switch
+	// ids maps every name the network has had to its switch id: a removed
+	// switch keeps its entry and a re-added name its id, so clones share the
+	// map until one adds a new name. idsGen, the generation that may write it,
+	// tells whether two networks share it.
+	ids    map[string]int32
+	idsGen *generation
 	// gen is the current edit generation, nil while the containers are shared
 	// with another network (after Clone or ReplaceWith). Atomic because Clone,
 	// which clears it, is a read as far as callers are concerned and may run
@@ -49,17 +58,13 @@ type Network struct {
 func New() *Network { return &Network{} }
 
 // edit returns the generation under which n may write in place, first taking
-// private copies of the containers if they are shared.
+// private copies of the switch list and record table if they are shared.
 func (n *Network) edit() *generation {
 	if g := n.gen.Load(); g != nil {
 		return g
 	}
 	n.Switches = append(make([]*Switch, 0, len(n.Switches)+1), n.Switches...)
-	byName := make(map[string]*Switch, len(n.byName)+1)
-	for name, s := range n.byName {
-		byName[name] = s
-	}
-	n.byName = byName
+	n.recs = append(make([]*Switch, 0, len(n.recs)+1), n.recs...)
 	g := new(generation)
 	n.gen.Store(g)
 	return g
@@ -72,9 +77,9 @@ func (n *Network) editable(s *Switch, g *generation) *Switch {
 	if s.gen == g {
 		return s
 	}
-	cp := &Switch{Name: s.Name, Layer: s.Layer, ASIC: s.ASIC, gen: g}
-	cp.nbrs = append(make([]string, 0, len(s.nbrs)+1), s.nbrs...)
-	n.byName[s.Name] = cp
+	cp := &Switch{Name: s.Name, Layer: s.Layer, ASIC: s.ASIC, id: s.id, gen: g}
+	cp.nbrs = append(make([]int32, 0, len(s.nbrs)+1), s.nbrs...)
+	n.recs[s.id] = cp
 	for i, old := range n.Switches {
 		if old == s {
 			n.Switches[i] = cp
@@ -84,21 +89,34 @@ func (n *Network) editable(s *Switch, g *generation) *Switch {
 	return cp
 }
 
-// AddSwitch registers a switch; duplicate names are rejected.
+// AddSwitch registers a switch; duplicate names are rejected. A name the
+// network had before gets its old id back.
 func (n *Network) AddSwitch(name, layer string, model *asic.Model) (*Switch, error) {
-	if _, dup := n.byName[name]; dup {
+	id, known := n.ids[name]
+	if known && n.recs[id] != nil {
 		return nil, fmt.Errorf("topo: duplicate switch %q", name)
 	}
-	s := &Switch{Name: name, Layer: layer, ASIC: model, gen: n.edit()}
+	g := n.edit()
+	if !known {
+		if n.idsGen != g {
+			ids := make(map[string]int32, len(n.ids)+1)
+			maps.Copy(ids, n.ids)
+			n.ids, n.idsGen = ids, g
+		}
+		id = int32(len(n.recs))
+		n.ids[name] = id
+		n.recs = append(n.recs, nil)
+	}
+	s := &Switch{Name: name, Layer: layer, ASIC: model, id: id, gen: g}
+	n.recs[id] = s
 	n.Switches = append(n.Switches, s)
-	n.byName[name] = s
 	return s, nil
 }
 
 // AddLink connects two switches bidirectionally. Self-links and duplicate
 // links are rejected.
 func (n *Network) AddLink(a, b string) error {
-	sa, sb := n.byName[a], n.byName[b]
+	sa, sb := n.Switch(a), n.Switch(b)
 	if sa == nil {
 		return fmt.Errorf("topo: unknown switch %q", a)
 	}
@@ -108,48 +126,47 @@ func (n *Network) AddLink(a, b string) error {
 	if a == b {
 		return fmt.Errorf("topo: self-link on %q", a)
 	}
-	if contains(sa.nbrs, b) {
+	if n.HasLink(a, b) {
 		return fmt.Errorf("topo: duplicate link %s—%s", a, b)
 	}
 	g := n.edit()
-	n.editable(sa, g).link(b)
-	n.editable(sb, g).link(a)
+	n.link(n.editable(sa, g), sb)
+	n.link(n.editable(sb, g), sa)
 	return nil
 }
 
-// link inserts nb into the record's sorted neighbour list, in place: the
-// caller owns the record. Construction is one shift per link, no copy.
-func (s *Switch) link(nb string) {
-	i := sort.SearchStrings(s.nbrs, nb)
-	s.nbrs = append(s.nbrs, "")
-	copy(s.nbrs[i+1:], s.nbrs[i:])
-	s.nbrs[i] = nb
+// link inserts nb into the record's neighbour list at its name's place, in
+// place: the caller owns the record. Construction is one shift per link, no
+// copy.
+func (n *Network) link(s, nb *Switch) {
+	i := sort.Search(len(s.nbrs), func(i int) bool { return n.recs[s.nbrs[i]].Name >= nb.Name })
+	s.nbrs = slices.Insert(s.nbrs, i, nb.id)
 }
 
-// unlink removes nb from the record's neighbour list, in place.
-func (s *Switch) unlink(nb string) {
-	i := sort.SearchStrings(s.nbrs, nb)
-	s.nbrs = append(s.nbrs[:i], s.nbrs[i+1:]...)
+// unlink removes a neighbour from the record's list, in place.
+func (s *Switch) unlink(id int32) {
+	i := slices.Index(s.nbrs, id)
+	s.nbrs = slices.Delete(s.nbrs, i, i+1)
 }
 
 // HasLink reports whether a direct link connects a and b.
 func (n *Network) HasLink(a, b string) bool {
-	s := n.byName[a]
-	return s != nil && contains(s.nbrs, b)
+	sa, sb := n.Switch(a), n.Switch(b)
+	return sa != nil && sb != nil && slices.Contains(sa.nbrs, sb.id)
 }
 
 // RemoveSwitch deletes a switch and every link touching it (a switch-down
 // fault). Removing an unknown switch is an error.
 func (n *Network) RemoveSwitch(name string) error {
-	s := n.byName[name]
+	s := n.Switch(name)
 	if s == nil {
 		return fmt.Errorf("topo: remove unknown switch %q", name)
 	}
 	g := n.edit()
 	for _, nb := range s.nbrs {
-		n.editable(n.byName[nb], g).unlink(name)
+		n.editable(n.recs[nb], g).unlink(s.id)
 	}
-	delete(n.byName, name)
+	n.recs[s.id] = nil
 	for i, old := range n.Switches {
 		if old == s {
 			n.Switches = append(n.Switches[:i], n.Switches[i+1:]...)
@@ -165,9 +182,10 @@ func (n *Network) RemoveLink(a, b string) error {
 	if !n.HasLink(a, b) {
 		return fmt.Errorf("topo: remove unknown link %s—%s", a, b)
 	}
+	sa, sb := n.Switch(a), n.Switch(b)
 	g := n.edit()
-	n.editable(n.byName[a], g).unlink(b)
-	n.editable(n.byName[b], g).unlink(a)
+	n.editable(sa, g).unlink(sb.id)
+	n.editable(sb, g).unlink(sa.id)
 	return nil
 }
 
@@ -175,7 +193,7 @@ func (n *Network) RemoveLink(a, b string) error {
 // replacement — a partial-failure or chip-swap event. The transform
 // receives the current model and returns the new one.
 func (n *Network) DegradeASIC(name string, transform func(*asic.Model) *asic.Model) error {
-	s := n.byName[name]
+	s := n.Switch(name)
 	if s == nil {
 		return fmt.Errorf("topo: degrade unknown switch %q", name)
 	}
@@ -193,7 +211,7 @@ func (n *Network) DegradeASIC(name string, transform func(*asic.Model) *asic.Mod
 // immutable registry values and always shared.
 func (n *Network) Clone() *Network {
 	n.gen.Store(nil)
-	return &Network{Switches: n.Switches, byName: n.byName}
+	return &Network{Switches: n.Switches, recs: n.recs, ids: n.ids, idsGen: n.idsGen}
 }
 
 // ReplaceWith overwrites n's contents with other's, sharing other's storage
@@ -203,7 +221,7 @@ func (n *Network) Clone() *Network {
 func (n *Network) ReplaceWith(other *Network) {
 	other.gen.Store(nil)
 	n.gen.Store(nil)
-	n.Switches, n.byName = other.Switches, other.byName
+	n.Switches, n.recs, n.ids, n.idsGen = other.Switches, other.recs, other.ids, other.idsGen
 }
 
 // Delta is how a network differs from an earlier state of itself (see Since).
@@ -225,7 +243,7 @@ type Delta struct {
 func (n *Network) Since(prev *Network) Delta {
 	var d Delta
 	for _, was := range prev.Switches {
-		now := n.byName[was.Name]
+		now := n.Switch(was.Name)
 		if now == was {
 			continue
 		}
@@ -235,7 +253,7 @@ func (n *Network) Since(prev *Network) Delta {
 			continue
 		}
 		for _, nb := range now.nbrs {
-			if !contains(was.nbrs, nb) {
+			if !prev.HasLink(was.Name, n.recs[nb].Name) {
 				d.Grew = true
 			}
 		}
@@ -247,29 +265,29 @@ func (n *Network) Since(prev *Network) Delta {
 }
 
 // Switch returns a switch by name.
-func (n *Network) Switch(name string) *Switch { return n.byName[name] }
+func (n *Network) Switch(name string) *Switch {
+	if id, ok := n.ids[name]; ok {
+		return n.recs[id]
+	}
+	return nil
+}
 
 // Neighbors returns the sorted neighbor names of a switch. The returned
 // slice is owned by the caller.
 func (n *Network) Neighbors(name string) []string {
-	return append([]string(nil), n.neighbors(name)...)
+	var out []string
+	n.EachNeighbor(name, func(nb string) { out = append(out, nb) })
+	return out
 }
 
 // EachNeighbor calls f with every neighbor of a switch, in sorted order,
 // without copying the list.
 func (n *Network) EachNeighbor(name string, f func(nb string)) {
-	for _, nb := range n.neighbors(name) {
-		f(nb)
+	if s := n.Switch(name); s != nil {
+		for _, id := range s.nbrs {
+			f(n.recs[id].Name)
+		}
 	}
-}
-
-// neighbors returns the switch's own sorted neighbor list, which is shared
-// and must not be modified.
-func (n *Network) neighbors(name string) []string {
-	if s := n.byName[name]; s != nil {
-		return s.nbrs
-	}
-	return nil
 }
 
 // Match returns the switches whose names match a region pattern. Patterns
@@ -285,18 +303,10 @@ func (n *Network) Match(pattern string) []*Switch {
 		}
 		return out
 	}
-	if s := n.byName[pattern]; s != nil {
+	if s := n.Switch(pattern); s != nil {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Paths enumerates all simple paths from any switch in from to any switch
-// in to, restricted to the switches in within (the algorithm scope). Paths
-// are returned in deterministic order. A nil within allows all switches.
-func (n *Network) Paths(from, to []string, within []string) [][]string {
-	paths, _ := n.PathSet(from, to, within).Materialize(0)
-	return paths
 }
 
 // Testbed builds the paper's evaluation network (§7): a fat-tree testbed

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -40,6 +41,10 @@ func TestDuplicateSwitch(t *testing.T) {
 	if _, err := n.AddSwitch("s1", "ToR", asic.RMT); err == nil {
 		t.Fatal("duplicate must fail")
 	}
+	var zero Network // ready to use, like New()
+	if _, err := zero.AddSwitch("s1", "ToR", asic.RMT); err != nil || zero.Switch("s1") == nil {
+		t.Fatalf("AddSwitch on a zero Network: %v", err)
+	}
 }
 
 func TestLinkUnknown(t *testing.T) {
@@ -65,7 +70,7 @@ func TestMatchPatterns(t *testing.T) {
 
 func TestPathsPod2(t *testing.T) {
 	n := Testbed()
-	paths := n.Paths(
+	paths := allPaths(n,
 		[]string{"Agg3", "Agg4"},
 		[]string{"ToR3", "ToR4"},
 		[]string{"Agg3", "Agg4", "ToR3", "ToR4"})
@@ -82,12 +87,12 @@ func TestPathsPod2(t *testing.T) {
 
 func TestPathsRespectScope(t *testing.T) {
 	n := Testbed()
-	paths := n.Paths([]string{"Agg3"}, []string{"ToR3"}, []string{"Agg3", "ToR3"})
+	paths := allPaths(n, []string{"Agg3"}, []string{"ToR3"}, []string{"Agg3", "ToR3"})
 	if len(paths) != 1 || len(paths[0]) != 2 {
 		t.Fatalf("paths = %v", paths)
 	}
 	// Without ToR3 in scope there is no path.
-	paths = n.Paths([]string{"Agg3"}, []string{"ToR3"}, []string{"Agg3"})
+	paths = allPaths(n, []string{"Agg3"}, []string{"ToR3"}, []string{"Agg3"})
 	if len(paths) != 0 {
 		t.Fatalf("paths = %v", paths)
 	}
@@ -101,7 +106,7 @@ func TestFatTreePod(t *testing.T) {
 	if len(n.Neighbors("Agg1")) != 4 {
 		t.Errorf("Agg1 neighbors = %v", n.Neighbors("Agg1"))
 	}
-	paths := n.Paths([]string{"Agg1"}, []string{"ToR1", "ToR2", "ToR3", "ToR4"}, nil)
+	paths := allPaths(n, []string{"Agg1"}, []string{"ToR1", "ToR2", "ToR3", "ToR4"}, nil)
 	if len(paths) < 4 {
 		t.Errorf("paths = %d", len(paths))
 	}
@@ -110,7 +115,7 @@ func TestFatTreePod(t *testing.T) {
 func TestSameSwitchPath(t *testing.T) {
 	n := Testbed()
 	// from == to: the path is the single switch.
-	paths := n.Paths([]string{"ToR3"}, []string{"ToR3"}, []string{"ToR3"})
+	paths := allPaths(n, []string{"ToR3"}, []string{"ToR3"}, []string{"ToR3"})
 	if len(paths) != 1 || len(paths[0]) != 1 {
 		t.Fatalf("paths = %v", paths)
 	}
@@ -179,7 +184,7 @@ func TestRemoveLink(t *testing.T) {
 		t.Error("removing a missing link must fail")
 	}
 	// Paths through the dead link disappear; the Agg4 path survives.
-	paths := n.Paths([]string{"Agg3", "Agg4"}, []string{"ToR3"}, []string{"Agg3", "Agg4", "ToR3"})
+	paths := allPaths(n, []string{"Agg3", "Agg4"}, []string{"ToR3"}, []string{"Agg3", "Agg4", "ToR3"})
 	for _, p := range paths {
 		for i := 0; i+1 < len(p); i++ {
 			if p[i] == "Agg3" && p[i+1] == "ToR3" {
@@ -278,7 +283,7 @@ func TestMultiPodFatTreeShape(t *testing.T) {
 		}
 	}
 	// Paths from a pod-1 ToR to a pod-2 ToR cross an Agg, a core, an Agg.
-	paths := n.Paths([]string{"ToR1_1"}, []string{"ToR2_1"}, nil)
+	paths := allPaths(n, []string{"ToR1_1"}, []string{"ToR2_1"}, nil)
 	if len(paths) == 0 {
 		t.Fatal("no cross-pod paths")
 	}
@@ -316,6 +321,16 @@ func TestCloneIsolation(t *testing.T) {
 	set := func(agg, tor, other, added string) []mutation {
 		return []mutation{
 			{"RemoveSwitch", func(n *Network) error { return n.RemoveSwitch(agg) }},
+			{"RemoveSwitch+AddSwitch", func(n *Network) error {
+				// The name comes back on a new record with its old id.
+				if err := n.RemoveSwitch(agg); err != nil {
+					return err
+				}
+				if _, err := n.AddSwitch(agg, "Core", asic.Tofino32Q); err != nil {
+					return err
+				}
+				return n.AddLink(agg, tor)
+			}},
 			{"RemoveLink", func(n *Network) error { return n.RemoveLink(tor, other) }},
 			{"DegradeASIC", func(n *Network) error { return n.DegradeASIC(tor, halve) }},
 			{"AddSwitch+AddLink", func(n *Network) error {
@@ -453,5 +468,68 @@ func TestSince(t *testing.T) {
 	linked.AddLink("ToR1", "ToR2")
 	if d := linked.Since(base); !d.Grew || len(d.Touched) != 2 {
 		t.Errorf("added link: %+v", d)
+	}
+	// A removed name added back, with one of the links it had, is a changed
+	// switch under its old id, not a removed or a new one, and the name index
+	// stays shared; with a link it never had, the network grew.
+	back := base.Clone()
+	back.RemoveSwitch("Agg3")
+	back.AddSwitch("Agg3", "Agg", asic.Tofino32Q)
+	back.AddLink("Agg3", "ToR3")
+	d = back.Since(base)
+	if got := strings.Join(d.Touched, ","); got != "ToR3,ToR4,Agg3,Core1,Core2" || len(d.Removed) != 0 || d.Grew {
+		t.Errorf("re-added switch: %+v", d)
+	}
+	if now, was := back.Switch("Agg3"), base.Switch("Agg3"); now == was || now.id != was.id || back.idsGen != base.idsGen {
+		t.Error("re-adding a name did not reuse its id in the shared index")
+	}
+	if base.Switch("Agg3").ASIC != asic.Trident4 || !base.HasLink("Agg3", "Core1") {
+		t.Error("re-adding a name on a clone changed the original")
+	}
+	back.AddLink("Agg3", "ToR1")
+	if d := back.Since(base); !d.Grew {
+		t.Errorf("re-added switch with a new link: %+v", d)
+	}
+}
+
+// cloneEdits are the first edits a recompile makes on a clone of a k ≥ 16
+// multi-pod fat tree: a ToR down, a ToR–Agg link down and a chip swap.
+var cloneEdits = []struct {
+	name string
+	do   func(*Network) error
+}{
+	{"RemoveSwitch", func(c *Network) error { return c.RemoveSwitch("ToR7_3") }},
+	{"RemoveLink", func(c *Network) error { return c.RemoveLink("ToR7_3", "Agg7_5") }},
+	{"DegradeASIC", func(c *Network) error {
+		return c.DegradeASIC("Agg7_5", func(m *asic.Model) *asic.Model { return asic.Scale(m, 0.5, 1, 1) })
+	}},
+}
+
+// TestCloneEditAllocBudget: a Clone followed by one edit copies the switch
+// list, the record table and the records it changes, not the name index. At
+// k=32 (1,040 switches) each of a ToR down, a ToR–Agg link down and a chip
+// swap must stay within 24 KB; copying the name index cost 64–73 KB.
+func TestCloneEditAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under the race detector")
+	}
+	const budget = 24 << 10
+	n := MultiPodFatTree(32, 32, func(string, int) *asic.Model { return asic.Tofino32Q })
+	for _, e := range cloneEdits {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := e.do(n.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("Clone + %s: %d bytes, %d mallocs", e.name, bytes, (after.Mallocs-before.Mallocs)/runs)
+		if bytes > budget {
+			t.Errorf("Clone + %s allocates %d bytes, budget %d", e.name, bytes, budget)
+		}
 	}
 }

@@ -414,15 +414,16 @@ func TestResultNetworkIsCallersOwn(t *testing.T) {
 // a class the memo knows after the first one, and a link down, which is a new
 // class nearly every time and is encoded and solved. Together they measured
 // 290 KB and 3.1 k mallocs per event when the budget was first set, 176 KB
-// and 1.7 k once encoding stopped allocating per clause and per variable, and
-// 123 KB and 1.65 k once the plan stopped keeping name-keyed maps of the whole
-// fabric; the budget is ~1.3x that, so work that creeps back from per fault to
+// and 1.7 k once encoding stopped allocating per clause and per variable, 123
+// KB and 1.65 k once the plan stopped keeping name-keyed maps of the whole
+// fabric, and 121 KB and 1.66 k once a topology edit stopped copying the name
+// index; the budget is ~1.3x that, so work that creeps back from per fault to
 // per fabric fails here rather than in the gate benchmark.
 func TestRecompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	const bytesPerEvent, mallocsPerEvent = 161_000, 2150
+	const bytesPerEvent, mallocsPerEvent = 157_000, 2150
 	ctx := context.Background()
 	c := New(WithLazyPaths(0), WithParallelism(1))
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(8, 8))
