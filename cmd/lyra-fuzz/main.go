@@ -43,7 +43,7 @@ func main() {
 		stateful = flag.Bool("stateful", false, "generate flow-keyed stateful streaming cases and run the streaming oracle (stream-vs-one-shot, every tier, chunked lanes)")
 		incr     = flag.Bool("incremental", false, "cross-check each compiling case against an incremental identity recompile (cached solver reuse must reproduce the plan) and against a recompile through one seeded fault (must equal a from-scratch compile of the mutated topology)")
 		optimize = flag.Bool("optimize", false, "cross-check each compiling case against a rewrite-search compile (the optimized deployment must keep the original's reference semantics)")
-		scale    = flag.Bool("scale", false, "cross-check each compiling case against the datacenter-scale modes (no symmetry dedup, lazy path enumeration — both must be byte-identical)")
+		scale    = flag.Bool("scale", false, "cross-check each compiling case against a compile with symmetry dedup disabled (must be byte-identical)")
 		quiet    = flag.Bool("q", false, "suppress per-case progress dots")
 	)
 	flag.Parse()

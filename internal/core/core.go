@@ -54,14 +54,6 @@ type Request struct {
 	// Result.Optimization.
 	Optimize *rewrite.Options
 
-	// LazyPaths resolves MULTI-SW scopes without materializing their flow
-	// paths: the encoder streams paths from the lazy enumerator instead.
-	// Required for datacenter-scale scopes whose path count dwarfs memory.
-	LazyPaths bool
-	// MaxPaths caps flow-path enumeration per scope (0 = the default
-	// budget). Exceeding it surfaces a typed diagnostic wrapping
-	// topo.ErrPathLimit instead of exhausting memory.
-	MaxPaths int64
 	// NoSymmetryDedup disables symmetry-aware component deduplication: every
 	// component is solved from scratch. Plans are byte-identical either way;
 	// the differential tests compile with it as the reference.
@@ -164,9 +156,7 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("scope: %w", err)
 		}
-		if scopes, err = spec.ResolveWith(req.Network, scope.ResolveOpts{
-			LazyPaths: req.LazyPaths, MaxPaths: req.MaxPaths,
-		}); err != nil {
+		if scopes, err = spec.Resolve(req.Network); err != nil {
 			return fmt.Errorf("scope: %w", err)
 		}
 		return nil
@@ -221,7 +211,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 		if err != nil {
 			return fmt.Errorf("scope: %w", err)
 		}
-		opts := scope.ResolveOpts{AllowMissing: true, LazyPaths: req.LazyPaths, MaxPaths: req.MaxPaths}
+		opts := scope.ResolveOpts{AllowMissing: true}
 		if prev.Plan != nil {
 			scopes, err = spec.ResolveAfter(prev.Plan.Input.Scopes, net, net.Since(prev.Plan.Input.Net), opts)
 		} else {

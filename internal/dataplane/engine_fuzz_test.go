@@ -54,7 +54,7 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 		tables.Set("fuzz_table", uint64(rng.Intn(64)), uint64(rng.Uint32()))
 	}
 	ctx := &Context{SwitchID: 5, IngressTS: 100, EgressTS: 200, QueueLen: 4}
-	paths := plan.Input.Scopes["fuzzalg"].Paths
+	paths := flowPaths(t, plan, "fuzzalg")
 	for i := 0; i < nPkts; i++ {
 		pkt := NewPacket()
 		pkt.Valid["h"] = true

@@ -22,7 +22,7 @@ func lbDeployment(t testing.TB) (*Deployment, *Tables, [][]string) {
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
-	return dep, tables, plan.Input.Scopes["loadbalancer"].Paths
+	return dep, tables, flowPaths(t, plan, "loadbalancer")
 }
 
 // unfusedCompiled lowers a deployment WITHOUT the superinstruction fusion
@@ -114,7 +114,7 @@ func TestEngineTracedMatchesInterpreter(t *testing.T) {
 	ctx := &Context{SwitchID: 9}
 	for i := 0; i < 10; i++ {
 		pkt := randomLBPacket(rng)
-		for _, path := range plan.Input.Scopes["loadbalancer"].Paths {
+		for _, path := range flowPaths(t, plan, "loadbalancer") {
 			depA, err := NewDeployment(plan, tables)
 			if err != nil {
 				t.Fatal(err)

@@ -47,7 +47,7 @@ func TestExecutorTiersAgree(t *testing.T) {
 		}
 		engines[tier] = eng
 	}
-	paths := plan.Input.Scopes["loadbalancer"].Paths
+	paths := flowPaths(t, plan, "loadbalancer")
 	ctx := &Context{SwitchID: 3, IngressTS: 50}
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 30; i++ {
@@ -74,7 +74,7 @@ func TestExecutorBatchAgree(t *testing.T) {
 	for vip := uint64(0); vip < 16; vip++ {
 		tables.Set("vip_table", vip, 0xC0A80000+vip)
 	}
-	paths := plan.Input.Scopes["loadbalancer"].Paths
+	paths := flowPaths(t, plan, "loadbalancer")
 	ctx := &Context{SwitchID: 2}
 	const n = 64
 	var want []string
@@ -216,7 +216,7 @@ func TestExecutorSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := plan.Input.Scopes["loadbalancer"].Paths
+	paths := flowPaths(t, plan, "loadbalancer")
 	for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 		x, err := dep.ExecutorFor(tier)
 		if err != nil {
@@ -335,7 +335,7 @@ func TestExecutorObservesTableMutationsMidReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := plan.Input.Scopes["loadbalancer"].Paths[0]
+		path := flowPaths(t, plan, "loadbalancer")[0]
 		ctx := &Context{SwitchID: 1}
 		mkPkt := func() *FlatPacket {
 			p := NewPacket()

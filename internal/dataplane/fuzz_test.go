@@ -225,7 +225,7 @@ func fuzzEquivalence(t *testing.T, scopeText string, fixedPaths [][]string, nPro
 		}
 		paths := fixedPaths
 		if paths == nil {
-			paths = plan.Input.Scopes["fuzzalg"].Paths
+			paths = flowPaths(t, plan, "fuzzalg")
 		}
 		ctx := &Context{SwitchID: 5, IngressTS: 100, EgressTS: 200, QueueLen: 4}
 		for i := 0; i < 20; i++ {

@@ -13,6 +13,16 @@ import (
 	"lyra/internal/topo"
 )
 
+// flowPaths lists the flow paths of an algorithm's scope, sorted.
+func flowPaths(t testing.TB, plan *encode.Plan, alg string) [][]string {
+	t.Helper()
+	paths, err := plan.Input.Scopes[alg].PathList()
+	if err != nil {
+		t.Fatalf("paths of %s: %v", alg, err)
+	}
+	return paths
+}
+
 func compile(t testing.TB, src, scopeText string) (*encode.Plan, *ir.Program) {
 	t.Helper()
 	prog, err := parser.Parse("test.lyra", []byte(src))
@@ -107,7 +117,7 @@ func TestLBEquivalence(t *testing.T) {
 		t.Fatalf("deployment: %v", err)
 	}
 	ctx := &Context{SwitchID: 7, IngressTS: 1000, EgressTS: 1500, QueueLen: 3}
-	paths := plan.Input.Scopes["loadbalancer"].Paths
+	paths := flowPaths(t, plan, "loadbalancer")
 
 	check := func(p *Packet, label string) {
 		ref, err := RunReference(irp, tables, ctx, p)
@@ -164,7 +174,7 @@ func TestLBSplitEquivalence(t *testing.T) {
 		t.Fatalf("deployment: %v", err)
 	}
 	ctx := &Context{}
-	paths := plan.Input.Scopes["loadbalancer"].Paths
+	paths := flowPaths(t, plan, "loadbalancer")
 	for _, p := range append(knownPkts, manyRandom(rng, 100)...) {
 		ref, err := RunReference(irp, tables, ctx, p)
 		if err != nil {

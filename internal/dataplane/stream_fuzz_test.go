@@ -13,7 +13,7 @@ import (
 // over the concatenated trace, on both tiers.
 func FuzzStreamEquivalence(f *testing.F) {
 	plan, _ := compile(f, streamSrc, streamScope)
-	paths := plan.Input.Scopes["track"].Paths
+	paths := flowPaths(f, plan, "track")
 
 	f.Add(int64(1), uint8(1), uint8(1), uint16(24))
 	f.Add(int64(7), uint8(3), uint8(4), uint16(120))

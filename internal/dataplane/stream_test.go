@@ -40,7 +40,7 @@ func streamDeployment(t testing.TB) (*Deployment, [][]string) {
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
-	return dep, plan.Input.Scopes["track"].Paths
+	return dep, flowPaths(t, plan, "track")
 }
 
 // streamTrace builds a flow-ordered trace: nFlows interleaved flows with
@@ -89,7 +89,7 @@ func feedChunked(t *testing.T, s *Stream, pkts []*FlatPacket, rng *rand.Rand) {
 // concatenated trace.
 func TestStreamVsOneShot(t *testing.T) {
 	plan, _ := compile(t, streamSrc, streamScope)
-	paths := plan.Input.Scopes["track"].Paths
+	paths := flowPaths(t, plan, "track")
 	ctx := &Context{SwitchID: 3, IngressTS: 50}
 	rng := rand.New(rand.NewSource(11))
 	recs := streamTrace(rng, 12, 300)

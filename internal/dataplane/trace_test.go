@@ -68,7 +68,7 @@ algorithm alg {
 		return dep
 	}
 	ctx := &Context{SwitchID: 1}
-	path := plan.Input.Scopes["alg"].Paths[0]
+	path := flowPaths(t, plan, "alg")[0]
 	pkt := NewPacket()
 	pkt.Valid["h"] = true
 	pkt.Fields["h.a"] = 7

@@ -102,7 +102,7 @@ func TestTraceFileReplay(t *testing.T) {
 		t.Fatalf("sample trace has %d records, want >= 16", len(recs))
 	}
 	plan, _ := compile(t, streamSrc, streamScope)
-	path := plan.Input.Scopes["track"].Paths[0]
+	path := flowPaths(t, plan, "track")[0]
 
 	refDep, err := NewDeployment(plan, NewTables())
 	if err != nil {

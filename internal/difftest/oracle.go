@@ -54,10 +54,10 @@ type Options struct {
 	// divergence here.
 	Optimize bool
 	// Scale adds the datacenter-scale-mode check: every compiling case is
-	// recompiled with symmetry dedup disabled and with lazy path
-	// enumeration. Both are pure performance features — plans and artifacts
-	// must stay byte-identical to the default compile, so any observable
-	// difference is a solver bug, never a tradeoff.
+	// recompiled with symmetry dedup disabled. Dedup is a pure performance
+	// feature — plans and artifacts must stay byte-identical to the default
+	// compile, so any observable difference is a solver bug, never a
+	// tradeoff.
 	Scale bool
 }
 
@@ -396,49 +396,27 @@ func (o *Oracle) checkIncrementalFault(c *Case, base *lyra.Result) *Outcome {
 	return nil
 }
 
-// checkScale recompiles the case through each datacenter-scale compilation
-// mode and demands the result land byte-identical to the default compile:
-// symmetry dedup disabled (the default compile already dedups, so this is
-// dedup-vs-no-dedup) and lazy path enumeration (streamed paths must encode
-// exactly what materialized paths did). Dedup has no public switch, so the
-// no-dedup compile goes through core directly. A nil return means the check
-// passed.
+// checkScale recompiles the case with symmetry dedup disabled and demands the
+// result land byte-identical to the default compile, which dedups. Dedup has
+// no public switch, so the no-dedup compile goes through core directly. A nil
+// return means the check passed.
 func (o *Oracle) checkScale(c *Case, base *lyra.Result) *Outcome {
 	net, err := c.Network()
 	if err != nil {
 		return &Outcome{Class: GeneratorError, Detail: err.Error()}
 	}
-	ctx := context.Background()
-	modes := []struct {
-		name    string
-		compile func() (*lyra.Result, error)
-	}{
-		{"no-dedup", func() (*lyra.Result, error) {
-			res, err := core.CompileContext(ctx, core.Request{
-				Source: c.Source(), ScopeSpec: c.ScopeText(), Network: net,
-				Dialect: o.opts.Dialects[0], Parallelism: 1, NoSymmetryDedup: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// diffResults reads only the artifacts and fingerprints.
-			return &lyra.Result{Artifacts: res.Artifacts, Fingerprints: res.Fingerprints}, nil
-		}},
-		{"lazy-paths", func() (*lyra.Result, error) {
-			return lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1), lyra.WithLazyPaths(0)).
-				Compile(ctx, c.Source(), c.ScopeText(), net)
-		}},
+	res, err := core.CompileContext(context.Background(), core.Request{
+		Source: c.Source(), ScopeSpec: c.ScopeText(), Network: net,
+		Dialect: o.opts.Dialects[0], Parallelism: 1, NoSymmetryDedup: true,
+	})
+	if err != nil {
+		return &Outcome{Class: SolverDisagreement,
+			Detail: fmt.Sprintf("scale: no-dedup compile failed where default compiled: %v", err)}
 	}
-	for _, m := range modes {
-		res, err := m.compile()
-		if err != nil {
-			return &Outcome{Class: SolverDisagreement,
-				Detail: fmt.Sprintf("scale: %s compile failed where default compiled: %v", m.name, err)}
-		}
-		if d := diffResults(base, res); d != "" {
-			return &Outcome{Class: SolverDisagreement,
-				Detail: fmt.Sprintf("scale: %s compile diverges from default: %s", m.name, d)}
-		}
+	// diffResults reads only the artifacts and fingerprints.
+	if d := diffResults(base, &lyra.Result{Artifacts: res.Artifacts, Fingerprints: res.Fingerprints}); d != "" {
+		return &Outcome{Class: SolverDisagreement,
+			Detail: fmt.Sprintf("scale: no-dedup compile diverges from default: %s", d)}
 	}
 	return nil
 }

@@ -43,6 +43,8 @@ algorithm int_in {
 // and the plan that a solve of the degraded network from nothing arrives at,
 // whether it carried components over or had to hand the whole network back
 // to Partition, and must carry over exactly the components no fault touched.
+// Each case runs twice: with the degraded network's scopes resolved from the
+// previous resolution (ResolveAfter, as a recompile does) and from nothing.
 func TestCarryOverEqualsPartition(t *testing.T) {
 	type fault func(*topo.Network) error
 	down := func(sw string) fault { return func(n *topo.Network) error { return n.RemoveSwitch(sw) } }
@@ -78,14 +80,14 @@ func TestCarryOverEqualsPartition(t *testing.T) {
 		{"per-switch scope beside pods, touched", intSrc, podPair + "int_in: [ Core* | PER-SW | - ]\n", 3, 4, []fault{down("Core2")}, -1},
 		{"per-switch scope over the pods", intSrc, podPair + "int_in: [ ToR* | PER-SW | - ]\n", 3, 4, []fault{down("ToR2_2")}, -1},
 	} {
-		for _, lazy := range []bool{true, false} {
+		for _, after := range []bool{true, false} {
 			t.Run(tc.name, func(t *testing.T) {
 				src := tc.src
 				if src == lbSrc {
 					src = subst(lbSrc, "4000000", "100000")
 				}
 				base := podNet(tc.pods, tc.k)
-				in := buildInputOpts(t, src, tc.scope, base, scope.ResolveOpts{LazyPaths: lazy})
+				in := buildInput(t, src, tc.scope, base)
 				opts := DefaultOptions()
 				opts.Cache = NewCache()
 				prev, err := Solve(in, opts)
@@ -103,8 +105,11 @@ func TestCarryOverEqualsPartition(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ropts := scope.ResolveOpts{AllowMissing: true, LazyPaths: lazy}
-				scopes, err := spec.ResolveAfter(in.Scopes, net, net.Since(base), ropts)
+				ropts := scope.ResolveOpts{AllowMissing: true}
+				scopes, err := spec.ResolveWith(net, ropts)
+				if after {
+					scopes, err = spec.ResolveAfter(in.Scopes, net, net.Since(base), ropts)
+				}
 				if err != nil {
 					t.Fatalf("resolve: %v", err)
 				}
@@ -173,7 +178,7 @@ func TestCarryOverEqualsPartition(t *testing.T) {
 func TestCarryOverRefusesAnotherProblem(t *testing.T) {
 	src := subst(lbSrc, "4000000", "100000")
 	net := podNet(3, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true}
+	ropts := scope.ResolveOpts{}
 	in := buildInputOpts(t, src, podLBScope, net, ropts)
 	opts := DefaultOptions()
 	opts.Cache = NewCache()
@@ -193,11 +198,6 @@ func TestCarryOverRefusesAnotherProblem(t *testing.T) {
 	narrow.IR = in.IR
 	if carryOver(narrow, prev, shaping) != nil {
 		t.Error("a plan of another scope specification was followed")
-	}
-	eager := buildInputOpts(t, src, podLBScope, net, scope.ResolveOpts{})
-	eager.IR = in.IR
-	if carryOver(eager, prev, shaping) != nil {
-		t.Error("a lazily resolved plan was followed by an eagerly resolved solve")
 	}
 	minimise := *opts
 	minimise.Objective = ObjMinPlacements
@@ -220,7 +220,7 @@ func TestCarryOverRefusesAnotherProblem(t *testing.T) {
 func TestCarriedIndexChain(t *testing.T) {
 	src := subst(lbSrc, "4000000", "100000")
 	net := podNet(4, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true, AllowMissing: true}
+	ropts := scope.ResolveOpts{AllowMissing: true}
 	in := buildInputOpts(t, src, podLBScope, net, ropts)
 	spec, err := scope.Parse(podLBScope)
 	if err != nil {

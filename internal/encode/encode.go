@@ -269,12 +269,18 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	}
 	if ca != nil && len(ca.algs) > 0 {
 		var ok bool
-		if comps, ok = partition(in, ca); !ok {
+		var err error
+		if comps, ok, err = partition(in, ca); err != nil {
+			return nil, err
+		} else if !ok {
 			ca = nil
 		}
 	}
 	if ca == nil {
-		comps = Partition(in)
+		var err error
+		if comps, err = Partition(in); err != nil {
+			return nil, err
+		}
 	}
 	open := make([]Binding, len(comps))
 	for i, c := range comps {
@@ -307,7 +313,11 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	for i, c := range comps {
 		repOf[i] = i
 		if classed {
-			if fp, ok := canonicalFingerprint(c, open[i].Switches, models); ok {
+			fp, err := canonicalFingerprint(c, open[i].Switches, models)
+			if err != nil {
+				return nil, err
+			}
+			if fp != "" {
 				open[i].Class = fp + shaping + opts.preferIndex(open[i].Switches)
 			}
 		}
@@ -439,7 +449,7 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 	}
 	for alg, rs := range in.Scopes {
 		was := prev.Input.Scopes[alg]
-		if was == nil || !reflect.DeepEqual(was.Scope, rs.Scope) || was.MaxPaths != rs.MaxPaths || (was.Paths == nil) != (rs.Paths == nil) {
+		if was == nil || !reflect.DeepEqual(was.Scope, rs.Scope) {
 			return nil
 		}
 	}
@@ -521,7 +531,7 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 	start := time.Now()
 	e, err := newEncoder(in, phv)
 	if err == nil {
-		err = e.encode()
+		err = e.encode(ctx)
 	}
 	r.enc = time.Since(start)
 	if err != nil {
@@ -874,8 +884,7 @@ type algPrep struct {
 
 // prepare computes every algorithm's prep: shared-instruction marking,
 // candidate switches, and the deduplicated candidate-hop sequences streamed
-// from the scope's (possibly lazy) path set. It never materializes the full
-// path list.
+// from the scope's path set. It never materializes the full path list.
 func (e *encoder) prepare() error {
 	prep := map[string]*algPrep{}
 	for _, a := range e.in.IR.Algorithms {
@@ -1036,7 +1045,7 @@ func (e *encoder) assumptionsFor(cfg attemptCfg) []smt.Lit {
 	return out
 }
 
-func (e *encoder) encode() error {
+func (e *encoder) encode(ctx context.Context) error {
 	if err := e.prepare(); err != nil {
 		return err
 	}
@@ -1083,7 +1092,9 @@ func (e *encoder) encode() error {
 				}
 			}
 		case scope.MultiSwitch:
-			e.encodeMultiSwitch(a, p, v)
+			if err := e.encodeMultiSwitch(ctx, a, p, v); err != nil {
+				return err
+			}
 		}
 
 		// Global-variable co-location (Appendix B.2): all instructions
@@ -1105,8 +1116,10 @@ func (e *encoder) encode() error {
 // the prepared unique hop sequences. Emitting per hop sequence rather than
 // per path is clause-for-clause equivalent: two paths with the same
 // candidate hops would emit identical coverage, exactly-one, and ordering
-// constraints.
-func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep, v *algVars) {
+// constraints. A scope of long paths has many hop sequences, each costing the
+// solver an at-most-one constraint per instruction, so the caller's deadline is
+// checked between sequences.
+func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *algPrep, v *algVars) error {
 	// Instructions cannot sit on switches no flow traverses.
 	for _, inst := range a.Instrs {
 		for _, sw := range p.candidates {
@@ -1124,6 +1137,9 @@ func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep, v *algVars) {
 		}
 	}
 	for _, hops := range p.hops {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("encode: %w (%v)", smt.ErrTimeout, err)
+		}
 		for _, inst := range a.Instrs {
 			e.hop = e.hop[:0]
 			for _, sw := range hops {
@@ -1162,6 +1178,7 @@ func (e *encoder) encodeMultiSwitch(a *ir.Algorithm, p *algPrep, v *algVars) {
 			}
 		}
 	}
+	return nil
 }
 
 // encodeColocated forces all instructions of one of the two ops on the same

@@ -3,10 +3,7 @@ package encode
 import (
 	"testing"
 
-	"lyra/internal/frontend"
 	"lyra/internal/ir"
-	"lyra/internal/lang/checker"
-	"lyra/internal/lang/parser"
 	"lyra/internal/scope"
 	"lyra/internal/topo"
 )
@@ -34,27 +31,28 @@ algorithm loadbalancer {
 
 func buildInput(t *testing.T, src, scopeText string, net *topo.Network) *Input {
 	t.Helper()
-	prog, err := parser.Parse("test.lyra", []byte(src))
+	return buildInputOpts(t, src, scopeText, net, scope.ResolveOpts{})
+}
+
+// pathsOf lists a scope's flow paths, sorted.
+func pathsOf(t *testing.T, rs *scope.Resolved) [][]string {
+	t.Helper()
+	paths, err := rs.PathList()
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("paths: %v", err)
 	}
-	if err := checker.Check(prog); err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	irp, err := frontend.Preprocess(prog)
+	return paths
+}
+
+// mustPartition is Partition of an input whose scopes are within the path
+// budget.
+func mustPartition(t *testing.T, in *Input) []*Component {
+	t.Helper()
+	comps, err := Partition(in)
 	if err != nil {
-		t.Fatalf("preprocess: %v", err)
+		t.Fatalf("partition: %v", err)
 	}
-	frontend.Analyze(irp)
-	spec, err := scope.Parse(scopeText)
-	if err != nil {
-		t.Fatalf("scope: %v", err)
-	}
-	scopes, err := spec.Resolve(net)
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	return &Input{IR: irp, Net: net, Scopes: scopes}
+	return comps
 }
 
 func subst(src, conn, vip string) string {
@@ -102,7 +100,7 @@ func TestSolveLBSmall(t *testing.T) {
 	}
 	// Paths covered: each non-shared instruction appears exactly once per
 	// path; shared (lookup/member) at least once.
-	for _, p := range in.Scopes["loadbalancer"].Paths {
+	for _, p := range pathsOf(t, in.Scopes["loadbalancer"]) {
 		for _, inst := range alg.Instrs {
 			count := 0
 			for _, sw := range p {
@@ -122,7 +120,7 @@ func TestSolveLBSmall(t *testing.T) {
 		}
 	}
 	// Dependency ordering along each path.
-	for _, p := range in.Scopes["loadbalancer"].Paths {
+	for _, p := range pathsOf(t, in.Scopes["loadbalancer"]) {
 		pos := map[string]int{}
 		for i, sw := range p {
 			pos[sw] = i
@@ -201,7 +199,7 @@ func TestSolveConnTableSplit(t *testing.T) {
 		t.Fatalf("conn_table not split: %v", shards)
 	}
 	// Each flow path must see the full 4M entries.
-	for _, p := range in.Scopes["loadbalancer"].Paths {
+	for _, p := range pathsOf(t, in.Scopes["loadbalancer"]) {
 		var total int64
 		for _, sw := range p {
 			total += shards[sw]

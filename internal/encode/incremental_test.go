@@ -196,7 +196,7 @@ func TestMemoKeyedByShapingOptions(t *testing.T) {
 
 	// Twins: with the preferred switch in pod 2, pod 2 is a class of its own
 	// and pods 1 and 3 one class, in the solve and in the memo.
-	pods := buildInputOpts(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4), scope.ResolveOpts{LazyPaths: true})
+	pods := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4))
 	o := DefaultOptions()
 	o.Cache = NewCache()
 	o.Objective, o.PreferSwitch = ObjPreferSwitch, "ToR2_1"

@@ -141,7 +141,7 @@ func TestReplicationSolveStillCoversPaths(t *testing.T) {
 		t.Fatalf("solve: %v", err)
 	}
 	rs := in.Scopes["marker"]
-	for _, path := range rs.Paths {
+	for _, path := range pathsOf(t, rs) {
 		for _, inst := range in.IR.Algorithm("marker").Instrs {
 			id, hosts := inst.ID, hostsOf(plan, "marker", inst.ID)
 			covered := false

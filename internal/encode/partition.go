@@ -1,13 +1,13 @@
 package encode
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
 	"lyra/internal/ir"
 	"lyra/internal/scope"
-	"lyra/internal/topo"
 )
 
 // Component is one independent slice of the placement problem: a set of
@@ -81,10 +81,11 @@ type unit struct {
 // The result is ordered by each component's first fragment in (program
 // order, group order), which makes the decomposition — and everything
 // downstream — independent of goroutine scheduling and of the configured
-// parallelism.
-func Partition(in *Input) []*Component {
-	comps, _ := partition(in, nil)
-	return comps
+// parallelism. A scope whose flow paths exceed the path budget fails it with
+// the *topo.PathLimitError.
+func Partition(in *Input) ([]*Component, error) {
+	comps, _, err := partition(in, nil)
+	return comps, err
 }
 
 // partition is Partition, of the whole input when ca is nil and otherwise of
@@ -95,12 +96,12 @@ func Partition(in *Input) []*Component {
 // path (which attaches to the first group of the whole scope, possibly a
 // carried one) or an algorithm that lost a group altogether (which may turn a
 // split scope into an unsplit one) — and the caller partitions everything.
-func partition(in *Input, ca *carried) ([]*Component, bool) {
+func partition(in *Input, ca *carried) ([]*Component, bool, error) {
 	algs := in.IR.Algorithms
 	whole := []*Component{wholeComponent(in)}
 	for _, a := range algs {
 		if in.Scopes[a.Name] == nil {
-			return whole, ca == nil
+			return whole, ca == nil, nil
 		}
 	}
 	var units []unit
@@ -110,7 +111,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		if ca != nil {
 			if rs = ca.narrow(full); rs == nil {
 				if ca.algs[a.Name] {
-					return nil, false
+					return nil, false, nil
 				}
 				continue
 			}
@@ -121,11 +122,13 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		var groups []pathGroup
 		if splittable(a, full) {
 			var offPath []string
-			var ok bool
-			groups, offPath, ok = pathGroups(rs)
+			var err error
+			if groups, offPath, err = pathGroups(rs); err != nil {
+				return nil, false, fmt.Errorf("encode: scope of %q: %w", a.Name, err)
+			}
 			switch {
-			case ca != nil && (!ok || len(offPath) > 0 || len(groups) == 0):
-				return nil, false
+			case ca != nil && (len(offPath) > 0 || len(groups) == 0):
+				return nil, false, nil
 			case len(groups) > 0:
 				// Switches on no path attach to the first group: they only ever
 				// receive "no flow traverses you" exclusions.
@@ -138,7 +141,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 			continue
 		}
 		if len(groups) == 0 {
-			return nil, false // an unsplittable scope is carried whole or not at all
+			return nil, false, nil // an unsplittable scope is carried whole or not at all
 		}
 		for _, g := range groups {
 			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true})
@@ -149,7 +152,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		kept = len(ca.kept)
 	}
 	if len(units)+kept < 2 {
-		return whole, ca == nil
+		return whole, ca == nil, nil
 	}
 
 	// Union fragments whose switch sets overlap.
@@ -188,7 +191,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		groups[r] = append(groups[r], i)
 	}
 	if len(roots)+kept < 2 {
-		return whole, ca == nil
+		return whole, ca == nil, nil
 	}
 	// Order components by their earliest member unit (program order, then
 	// group order within a split scope).
@@ -233,7 +236,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool) {
 		c.In = &Input{IR: &sub, Net: in.Net, Scopes: scopes}
 		comps = append(comps, c)
 	}
-	return comps, true
+	return comps, true, nil
 }
 
 // carried is what a solve takes over from the plan it follows: the components
@@ -258,7 +261,7 @@ func (ca *carried) narrow(rs *scope.Resolved) *scope.Resolved {
 	case len(rs.Switches):
 		return rs
 	}
-	if rs.Paths == nil && rs.PathSet != nil {
+	if rs.PathSet != nil {
 		g.ends = [2][]string{intersect(rs.PathSet.From, g.members), intersect(rs.PathSet.To, g.members)}
 	}
 	return subResolved(rs, g)
@@ -289,11 +292,10 @@ type pathGroup struct {
 
 // pathGroups walks a scope's flow paths once and returns the groups of
 // switches they connect, ordered by head, and the scope switches no flow
-// traverses. The endpoints of a lazy scope are split over the groups in one
-// pass, those on no path going to the first group, where the switches on no
-// path go. ok is false when enumeration exceeds the path budget; the scope
-// then stays whole.
-func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bool) {
+// traverses. The scope's endpoints are split over the groups in one pass,
+// those on no path going to the first group, where the switches on no path
+// go. A walk past the path budget fails with the *topo.PathLimitError.
+func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, err error) {
 	idx := make(map[string]int, len(rs.Switches))
 	for i, sw := range rs.Switches {
 		idx[sw] = i
@@ -310,7 +312,7 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bo
 		return parent[i]
 	}
 	onPath := make([]bool, len(rs.Switches))
-	err := rs.EachPath(func(p []string) bool {
+	err = rs.EachPath(func(p []string) bool {
 		first := -1
 		for _, sw := range p {
 			j, ok := idx[sw]
@@ -327,7 +329,7 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bo
 		return true
 	})
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, err
 	}
 	at := map[int]int{}              // root -> index into groups
 	for i, sw := range rs.Switches { // scope order is sorted: members and heads come out sorted
@@ -343,7 +345,7 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bo
 		}
 		groups[g].members = append(groups[g].members, sw)
 	}
-	if rs.Paths == nil && rs.PathSet != nil && len(groups) > 0 {
+	if len(groups) > 0 {
 		// A switch on no path is its own root and not in at: group 0.
 		for e, ends := range [2][]string{rs.PathSet.From, rs.PathSet.To} {
 			for _, sw := range ends {
@@ -354,25 +356,14 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, ok bo
 			}
 		}
 	}
-	return groups, offPath, true
+	return groups, offPath, nil
 }
 
 // subResolved narrows a resolved scope to one switch group. Every flow path
 // lies entirely inside one group (that is what defines the groups), so the
-// materialized path list filters by first hop; a lazy scope gets its PathSet
-// narrowed to the group's switches and endpoints.
+// PathSet narrows to the group's switches and endpoints.
 func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
-	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members, MaxPaths: rs.MaxPaths}
-	if rs.Paths != nil {
-		var paths [][]string
-		for _, p := range rs.Paths {
-			if len(p) > 0 && has(g.members, p[0]) {
-				paths = append(paths, p)
-			}
-		}
-		sub.Paths = paths
-		return sub
-	}
+	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members}
 	if rs.PathSet != nil {
 		sub.PathSet = rs.PathSet.Narrow(g.ends[0], g.ends[1], g.members)
 	}
@@ -396,16 +387,7 @@ func mergeResolved(orig *scope.Resolved, parts []*scope.Resolved) *scope.Resolve
 		return orig
 	}
 	sort.Strings(switches)
-	merged := &scope.Resolved{Scope: orig.Scope, Switches: switches, MaxPaths: orig.MaxPaths}
-	if orig.Paths != nil {
-		var paths [][]string
-		for _, p := range parts {
-			paths = append(paths, p.Paths...)
-		}
-		sort.Slice(paths, func(i, j int) bool { return topo.PathLess(paths[i], paths[j]) })
-		merged.Paths = paths
-		return merged
-	}
+	merged := &scope.Resolved{Scope: orig.Scope, Switches: switches}
 	if orig.PathSet != nil {
 		merged.PathSet = orig.PathSet.Narrow(intersect(orig.PathSet.From, switches), intersect(orig.PathSet.To, switches), switches)
 	}

@@ -43,7 +43,7 @@ lb_b: [ ToR2 | PER-SW | - ]
 
 func TestPartitionDisjointScopes(t *testing.T) {
 	in := buildInput(t, twoAlgSrc, disjointScopes, topo.Testbed())
-	comps := Partition(in)
+	comps := mustPartition(t, in)
 	if len(comps) != 2 {
 		t.Fatalf("Partition returned %d components, want 2", len(comps))
 	}
@@ -62,7 +62,7 @@ func TestPartitionDisjointScopes(t *testing.T) {
 
 func TestPartitionOverlappingScopes(t *testing.T) {
 	in := buildInput(t, twoAlgSrc, overlappingScopes, topo.Testbed())
-	comps := Partition(in)
+	comps := mustPartition(t, in)
 	if len(comps) != 1 {
 		t.Fatalf("Partition returned %d components, want 1 (monolithic fallback)", len(comps))
 	}
@@ -75,7 +75,7 @@ func TestPartitionSingleAlgorithm(t *testing.T) {
 	net := topo.Testbed()
 	in := buildInput(t, subst(lbSrc, "1024", "1024"),
 		"loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]", net)
-	if comps := Partition(in); len(comps) != 1 {
+	if comps := mustPartition(t, in); len(comps) != 1 {
 		t.Fatalf("Partition returned %d components, want 1", len(comps))
 	}
 }

@@ -25,11 +25,12 @@ import (
 // scope-split twins — may share a class. The rendering is hand-rolled appends
 // into one reused buffer (it runs once per hop of every flow path of every
 // compile and recompile); models carries each chip model's rendering from one
-// component to the next.
-func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][]byte) (string, bool) {
+// component to the next. A component it cannot render stays unclassed (""); a
+// walk past the path budget fails with the *topo.PathLimitError.
+func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][]byte) (string, error) {
 	in := c.In
 	if len(union) == 0 {
-		return "", false
+		return "", nil
 	}
 	set := make(map[string]int, len(union))
 	for i, sw := range union {
@@ -41,7 +42,7 @@ func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][
 	for _, a := range in.IR.Algorithms {
 		rs := in.Scopes[a.Name]
 		if rs == nil {
-			return "", false
+			return "", nil
 		}
 		buf = append(buf[:0], "alg "...)
 		buf = append(buf, a.Name...)
@@ -71,7 +72,7 @@ func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][
 				return true
 			})
 			if err != nil || !ok {
-				return "", false
+				return "", err
 			}
 		}
 		h.Write([]byte{'\n'})
@@ -79,7 +80,7 @@ func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][
 	for _, sw := range union {
 		s := in.Net.Switch(sw)
 		if s == nil || s.ASIC == nil {
-			return "", false
+			return "", nil
 		}
 		line, ok := models[s.ASIC]
 		if !ok {
@@ -92,7 +93,7 @@ func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][
 		}
 		h.Write(line)
 	}
-	return string(h.Sum(nil)), true
+	return string(h.Sum(nil)), nil
 }
 
 // scopeUnion returns the sorted union of an input's scope switches.

@@ -17,7 +17,7 @@ import (
 )
 
 // buildInputOpts is buildInput with explicit scope-resolution options, so
-// tests can exercise the lazy path-enumeration mode end to end.
+// tests can resolve leniently, as a recompile does.
 func buildInputOpts(t *testing.T, src, scopeText string, net *topo.Network, ropts scope.ResolveOpts) *Input {
 	t.Helper()
 	prog, err := parser.Parse("test.lyra", []byte(src))
@@ -156,16 +156,15 @@ func planEqual(t *testing.T, ctx string, a, b *Plan) {
 // parallel).
 func TestSymmetryDedupByteIdenticalMultiSW(t *testing.T) {
 	net := podNet(4, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true}
 	src := subst(lbSrc, "4096", "1024")
 
-	inDedup := buildInputOpts(t, src, podLBScope, net, ropts)
+	inDedup := buildInput(t, src, podLBScope, net)
 	dedup, err := Solve(inDedup, DefaultOptions())
 	if err != nil {
 		t.Fatalf("dedup solve: %v", err)
 	}
 
-	inBase := buildInputOpts(t, src, podLBScope, net, ropts)
+	inBase := buildInput(t, src, podLBScope, net)
 	baseOpts := DefaultOptions()
 	baseOpts.NoSymmetryDedup = true
 	base, err := Solve(inBase, baseOpts)
@@ -202,15 +201,14 @@ algorithm int_in {
 }
 `
 	net := podNet(2, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true}
 	scopeText := "int_in: [ ToR* | PER-SW | - ]"
 
-	inDedup := buildInputOpts(t, src, scopeText, net, ropts)
+	inDedup := buildInput(t, src, scopeText, net)
 	dedup, err := Solve(inDedup, DefaultOptions())
 	if err != nil {
 		t.Fatalf("dedup solve: %v", err)
 	}
-	inBase := buildInputOpts(t, src, scopeText, net, ropts)
+	inBase := buildInput(t, src, scopeText, net)
 	baseOpts := DefaultOptions()
 	baseOpts.NoSymmetryDedup = true
 	base, err := Solve(inBase, baseOpts)
@@ -238,7 +236,7 @@ func TestSymmetryDedupHeterogeneousChipsNoFalseSharing(t *testing.T) {
 		return asic.Trident4
 	})
 	src := subst(lbSrc, "4096", "1024")
-	in := buildInputOpts(t, src, podLBScope, net, scope.ResolveOpts{LazyPaths: true})
+	in := buildInput(t, src, podLBScope, net)
 	plan, err := Solve(in, DefaultOptions())
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -257,8 +255,8 @@ func TestSymmetryDedupHeterogeneousChipsNoFalseSharing(t *testing.T) {
 func TestScopeSplitPodComponents(t *testing.T) {
 	net := podNet(3, 4)
 	src := subst(lbSrc, "4096", "1024")
-	in := buildInputOpts(t, src, podLBScope, net, scope.ResolveOpts{LazyPaths: true})
-	comps := Partition(in)
+	in := buildInput(t, src, podLBScope, net)
+	comps := mustPartition(t, in)
 	if len(comps) != 3 {
 		for _, c := range comps {
 			t.Logf("component %s: %v", c.Label(), scopeUnion(c.In))
@@ -287,9 +285,9 @@ algorithm counter_alg {
 }
 `
 	net := podNet(3, 4)
-	in := buildInputOpts(t, src, `counter_alg: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`,
-		net, scope.ResolveOpts{LazyPaths: true})
-	comps := Partition(in)
+	in := buildInput(t, src, `counter_alg: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`,
+		net)
+	comps := mustPartition(t, in)
 	if len(comps) != 1 {
 		t.Fatalf("global-state algorithm split into %d components, want 1", len(comps))
 	}
@@ -305,7 +303,7 @@ algorithm counter_alg {
 func TestPathMetricsBounded(t *testing.T) {
 	net := podNet(4, 4)
 	src := subst(lbSrc, "4096", "1024")
-	in := buildInputOpts(t, src, podLBScope, net, scope.ResolveOpts{LazyPaths: true})
+	in := buildInput(t, src, podLBScope, net)
 	plan, err := Solve(in, DefaultOptions())
 	if err != nil {
 		t.Fatalf("solve: %v", err)
@@ -396,7 +394,7 @@ func TestDedupScalesClasses(t *testing.T) {
 		t.Run(fmt.Sprintf("pods=%d", pods), func(t *testing.T) {
 			net := podNet(pods, 4)
 			src := subst(lbSrc, "4096", "1024")
-			in := buildInputOpts(t, src, podLBScope, net, scope.ResolveOpts{LazyPaths: true})
+			in := buildInput(t, src, podLBScope, net)
 			plan, err := Solve(in, DefaultOptions())
 			if err != nil {
 				t.Fatalf("solve: %v", err)
@@ -413,7 +411,7 @@ func TestDedupScalesClasses(t *testing.T) {
 // it the network and the scopes' path sets — of the compile that solved it. A
 // long churn loop keeps up to the memo's cap of them alive.
 func TestMemoHoldsNoInput(t *testing.T) {
-	in := buildInputOpts(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4), scope.ResolveOpts{LazyPaths: true})
+	in := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, podNet(3, 4))
 	opts := DefaultOptions()
 	opts.Cache = NewCache()
 	if _, err := Solve(in, opts); err != nil {

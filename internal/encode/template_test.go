@@ -74,7 +74,7 @@ func TestBindEqualsSolve(t *testing.T) {
 		{"heterogeneous-chips", lb, podLBScope, topo.MultiPodFatTree(3, 4, hetero), 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := buildInputOpts(t, tc.src, tc.scope, tc.net, scope.ResolveOpts{LazyPaths: true})
+			in := buildInput(t, tc.src, tc.scope, tc.net)
 			plan, err := Solve(in, DefaultOptions())
 			if err != nil {
 				t.Fatalf("solve: %v", err)
@@ -82,7 +82,7 @@ func TestBindEqualsSolve(t *testing.T) {
 			if plan.Classes != tc.classes || plan.Replayed != tc.twins {
 				t.Fatalf("Classes/Replayed = %d/%d, want %d/%d", plan.Classes, plan.Replayed, tc.classes, tc.twins)
 			}
-			comps := Partition(in)
+			comps := mustPartition(t, in)
 			if len(comps) != len(plan.Bindings()) {
 				t.Fatalf("%d bindings for %d components", len(plan.Bindings()), len(comps))
 			}
@@ -172,7 +172,7 @@ func snapshotTemplate(t *Template) templateSnapshot {
 // and nothing ever writes into a template, which concurrent compiles share.
 func TestTwinPlansReusedByContent(t *testing.T) {
 	net := podNet(4, 4)
-	ropts := scope.ResolveOpts{LazyPaths: true, AllowMissing: true}
+	ropts := scope.ResolveOpts{AllowMissing: true}
 	src := subst(lbSrc, "4000000", "100000")
 	in := buildInputOpts(t, src, podLBScope, net, ropts)
 	opts := DefaultOptions()
@@ -347,12 +347,12 @@ func TestRenderersMatchFmt(t *testing.T) {
 				return asic.Tofino32Q
 			})},
 	} {
-		in := buildInputOpts(t, tc.src, tc.scope, tc.net, scope.ResolveOpts{LazyPaths: true})
+		in := buildInput(t, tc.src, tc.scope, tc.net)
 		models := map[*asic.Model][]byte{}
-		for _, c := range Partition(in) {
-			got, ok := canonicalFingerprint(c, scopeUnion(c.In), models)
-			if !ok {
-				t.Fatalf("%s: %s: no canonical form", tc.name, c.Label())
+		for _, c := range mustPartition(t, in) {
+			got, err := canonicalFingerprint(c, scopeUnion(c.In), models)
+			if err != nil || got == "" {
+				t.Fatalf("%s: %s: no canonical form (%v)", tc.name, c.Label(), err)
 			}
 			if want := canonicalFingerprintFmt(c); got != want {
 				t.Errorf("%s: %s: canonical fingerprint differs from the fmt rendering", tc.name, c.Label())

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"testing"
 
 	"lyra/internal/smt"
@@ -17,7 +18,7 @@ func TestFinalCheckDoesNotRederive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.encode(); err != nil {
+	if err := e.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assume := e.assumptionsFor(attemptCfg{})

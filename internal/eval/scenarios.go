@@ -70,7 +70,10 @@ func (sc Scenario) Deploy(net *topo.Network) (*dataplane.Deployment, []string, e
 	if err != nil {
 		return nil, nil, err
 	}
-	paths := plan.Input.Scopes[sc.Algorithm].Paths
+	paths, err := plan.Input.Scopes[sc.Algorithm].PathList()
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("no flow paths for %s", sc.Algorithm)
 	}

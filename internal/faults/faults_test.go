@@ -121,7 +121,7 @@ func TestScopePathsRecomputedAfterApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(before["loadbalancer"].Paths); got != 4 {
+	if got, err := before["loadbalancer"].PathCount(); got != 4 || err != nil {
 		t.Fatalf("paths before failure = %d, want 4", got)
 	}
 
@@ -136,7 +136,10 @@ func TestScopePathsRecomputedAfterApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := after["loadbalancer"].Paths
+	paths, err := after["loadbalancer"].PathList()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(paths) != 2 {
 		t.Fatalf("paths after failure = %v, want the 2 Agg4 paths", paths)
 	}

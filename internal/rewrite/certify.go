@@ -197,9 +197,8 @@ func ownsPacketOps(a *ir.Algorithm) bool {
 
 // pathsFor selects the flow paths certification exercises for one
 // algorithm: the scope's flow paths when it has any (MULTI-SW deployments),
-// whether resolution materialized them or left them lazy, else one
-// single-hop path per switch actually hosting the algorithm. limit > 0 caps
-// the count; limit < 0 means all.
+// else one single-hop path per switch actually hosting the algorithm.
+// limit > 0 caps the count; limit < 0 means all.
 func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 	var paths [][]string
 	if sc := plan.Input.Scopes[alg]; sc != nil {
@@ -219,17 +218,20 @@ func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 // certify proves cand equivalent to base, or explains why not. plan is
 // cand's feasible placement. A non-nil error rejects the candidate.
 func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
-	tables := certTables(base, o.Seed)
 	pkts := certPackets(base, o.Seed, o.TracePackets)
 	ctx := certContext()
 
-	// Check 1: one-big-pipeline reference equivalence, all fields.
+	// Check 1: one-big-pipeline reference equivalence, all fields. A run's
+	// data-plane inserts land in the table state it is given, so each side
+	// keeps its own across the trace: what the base inserted, the candidate
+	// must insert itself to see.
+	baseTables, candTables := certTables(base, o.Seed), certTables(base, o.Seed)
 	for ti, pkt := range pkts {
-		rb, err := dataplane.RunReference(base, tables, ctx, pkt)
+		rb, err := dataplane.RunReference(base, baseTables, ctx, pkt)
 		if err != nil {
 			return fmt.Errorf("packet#%d: base reference: %v", ti, err)
 		}
-		rc, err := dataplane.RunReference(cand, tables, ctx, pkt)
+		rc, err := dataplane.RunReference(cand, candTables, ctx, pkt)
 		if err != nil {
 			return fmt.Errorf("packet#%d: candidate reference: %v", ti, err)
 		}
@@ -240,8 +242,9 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 	}
 
 	// Checks 2+3: deployed execution, per algorithm, per flow path. A fresh
-	// deployment per comparison isolates register state — deployed globals
-	// persist across runs while the reference starts clean.
+	// deployment and fresh tables per comparison isolate register and table
+	// state — deployed globals persist across runs while the reference
+	// starts clean.
 	for _, a := range cand.Algorithms {
 		paths := pathsFor(plan, a.Name, o.CertifyPaths)
 		if len(paths) == 0 {
@@ -251,11 +254,11 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 		ownsOps := ownsPacketOps(a)
 		for pi, path := range paths {
 			for ti, pkt := range pkts {
-				dep, err := dataplane.NewDeployment(plan, tables)
+				dep, err := dataplane.NewDeployment(plan, certTables(base, o.Seed))
 				if err != nil {
 					return fmt.Errorf("%s path#%d: deploy: %v", a.Name, pi, err)
 				}
-				ref, err := dataplane.RunReference(base, tables, ctx, pkt)
+				ref, err := dataplane.RunReference(base, certTables(base, o.Seed), ctx, pkt)
 				if err != nil {
 					return fmt.Errorf("%s path#%d packet#%d: base reference: %v", a.Name, pi, ti, err)
 				}

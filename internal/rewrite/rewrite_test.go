@@ -102,14 +102,14 @@ func mustScopes(t *testing.T, spec string, net *topo.Network) map[string]*scope.
 // traces and returns the first divergence ("" when equivalent).
 func refDiff(t *testing.T, base, cand *ir.Program, seed int64) string {
 	t.Helper()
-	tables := certTables(base, seed)
+	baseTables, candTables := certTables(base, seed), certTables(base, seed)
 	ctx := certContext()
 	for ti, pkt := range certPackets(base, seed, 32) {
-		rb, err := dataplane.RunReference(base, tables, ctx, pkt)
+		rb, err := dataplane.RunReference(base, baseTables, ctx, pkt)
 		if err != nil {
 			t.Fatalf("base reference: %v", err)
 		}
-		rc, err := dataplane.RunReference(cand, tables, ctx, pkt)
+		rc, err := dataplane.RunReference(cand, candTables, ctx, pkt)
 		if err != nil {
 			return "candidate reference error: " + err.Error()
 		}
@@ -370,7 +370,6 @@ func TestSearchSkipsUnsolvableBase(t *testing.T) {
 	// Point the algorithm at a switch that does not exist in the scope map's
 	// paths by emptying the resolution — the solve must fail cleanly.
 	scopes["acl"].Switches = nil
-	scopes["acl"].Paths = nil
 	winner, rep := Search(context.Background(), base, net, scopes, searchOpts())
 	if winner != base {
 		t.Error("unsolvable base was not passed through")
@@ -380,32 +379,52 @@ func TestSearchSkipsUnsolvableBase(t *testing.T) {
 	}
 }
 
-// TestLazyPathsCertifyLikeEager: a MULTI-SW scope resolved lazily leaves
-// Paths nil, and certification still walks the same flow paths as an eager
-// resolution of it, not one single-switch hop per host.
-func TestLazyPathsCertifyLikeEager(t *testing.T) {
+// TestCertifyWalksFlowPaths: certification of a MULTI-SW scope walks its flow
+// paths, the first ones of the sorted list, not one single-switch hop per
+// host.
+func TestCertifyWalksFlowPaths(t *testing.T) {
 	base := frontIR(t, nestedIfSrc)
 	net := topo.FatTreePod(4, asic.Tofino32Q)
-	sp, err := scope.Parse("acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]")
+	scopes := mustScopes(t, "acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]", net)
+	plan, err := encode.Solve(&encode.Input{IR: base, Net: net, Scopes: scopes}, encode.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	certified := map[bool][][]string{}
-	for _, lazy := range []bool{false, true} {
-		scopes, err := sp.ResolveWith(net, scope.ResolveOpts{LazyPaths: lazy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := encode.Solve(&encode.Input{IR: base, Net: net, Scopes: scopes}, encode.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		certified[lazy] = pathsFor(plan, "acl", 4)
+	all, err := scopes["acl"].PathList()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(certified[false]) == 0 || len(certified[false][0]) < 2 {
-		t.Fatalf("eager certification paths %v are not flow paths", certified[false])
+	certified := pathsFor(plan, "acl", 4)
+	if len(all) < 4 || len(certified[0]) < 2 {
+		t.Fatalf("certification paths %v are not flow paths", certified)
 	}
-	if !reflect.DeepEqual(certified[true], certified[false]) {
-		t.Errorf("lazy compile certifies over %v, eager over %v", certified[true], certified[false])
+	if !reflect.DeepEqual(certified, all[:4]) {
+		t.Errorf("certification walks %v, want the first four flow paths %v", certified, all[:4])
+	}
+}
+
+// TestCertifyKeepsTableStatePerSide: the base program's data-plane inserts
+// must not be seen by the candidate's run. The stateful NAT inserts into its
+// connection table on a miss; a reordering that keeps every dependence moves
+// that insert, and with one table state shared by both runs the candidate hit
+// the entry the base had just inserted, so certification rejected a correct
+// rewrite.
+func TestCertifyKeepsTableStatePerSide(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/programs/stateful_nat.lyra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := frontIR(t, string(src))
+	net := topo.Testbed()
+	scopes := mustScopes(t, "stateful_nat: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]", net)
+	_, rep := Search(context.Background(), base, net, scopes, Options{})
+	if rep.Note != "" {
+		t.Fatalf("search note: %s", rep.Note)
+	}
+	if rep.CertifyAttempts == 0 {
+		t.Fatal("no candidate reached certification: the test is vacuous")
+	}
+	if rep.Rejected != 0 {
+		t.Errorf("rejected=%d: %s", rep.Rejected, rep.RejectionDetail)
 	}
 }

@@ -175,31 +175,22 @@ func splitTop(s string, sep byte) []string {
 }
 
 // Resolved is a scope bound to a concrete network: the candidate switch
-// set and, for MULTI-SW, the flow paths (§4.3). Paths are backed by a lazy
-// topo.PathSet; by default they are also materialized into Paths (bounded
-// by the path budget), but LazyPaths resolution leaves Paths nil and
-// consumers iterate with EachPath instead — datacenter-scale scopes never
-// hold every simple path in memory at once.
+// set and, for MULTI-SW, the flow paths (§4.3) as a lazy topo.PathSet.
+// Paths are never held by a resolution: consumers walk them with EachPath
+// under the path budget, so a datacenter-scale scope never keeps every
+// simple path in memory at once.
 type Resolved struct {
 	Scope
-	Switches []string   // concrete switch names, sorted
-	Paths    [][]string // materialized flow paths (MULTI-SW only; nil when lazy)
+	Switches []string // concrete switch names, sorted
 	// PathSet is the lazy path view (MULTI-SW only). It reflects the
 	// network the scope was resolved against.
 	PathSet *topo.PathSet
-	// MaxPaths is the enumeration budget inherited from resolution;
-	// EachPath surfaces a *topo.PathLimitError past it. 0 means the
-	// default budget.
-	MaxPaths int64
-
-	pathCount int64 // memoized EachPath count (-1 = unknown)
 }
 
-// DefaultMaxPaths bounds path enumeration when the caller does not choose a
-// budget: large enough for every realistic scope, small enough that an
-// exponentially wandering scope surfaces a typed diagnostic instead of
-// consuming the machine.
-const DefaultMaxPaths = 1 << 20
+// MaxPaths bounds path enumeration per scope: large enough for every
+// realistic scope, small enough that an exponentially wandering scope
+// surfaces a *topo.PathLimitError instead of consuming the machine.
+const MaxPaths = 1 << 20
 
 // ResolveOpts tunes scope resolution.
 type ResolveOpts struct {
@@ -208,14 +199,9 @@ type ResolveOpts struct {
 	// spec names explicitly. Resolution still fails if an entire region or
 	// direction endpoint set becomes empty, or no flow path survives.
 	AllowMissing bool
-	// LazyPaths skips materializing MULTI-SW flow paths: Resolved.Paths
-	// stays nil and consumers must iterate Resolved.EachPath. Required for
-	// datacenter-scale scopes whose path sets dwarf memory.
+	// LazyPaths does nothing: every resolution streams its paths. It stays
+	// because bench/ sets it; ROADMAP item 1 deletes it.
 	LazyPaths bool
-	// MaxPaths caps path enumeration per scope (0 = DefaultMaxPaths).
-	// Exceeding the cap fails resolution (eager) or the first EachPath
-	// (lazy) with an error wrapping topo.ErrPathLimit.
-	MaxPaths int64
 }
 
 // Resolve binds every scope to the network, expanding region patterns and
@@ -253,7 +239,7 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 			}
 			ps = net.PathSet(from, to, switches)
 		}
-		r, err := sc.bind(switches, ps, nil, opts)
+		r, err := sc.bind(switches, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -265,13 +251,12 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 // ResolveAfter is ResolveWith for a network derived from the one prev was
 // resolved against, delta being net.Since of that network. When the delta is
 // faults only — switches and links removed, chips changed — and prev came
-// from this spec under these options, each scope is its previous resolution
-// minus what left: no pattern is matched and no list sorted again, lists
-// nothing was removed from are shared, and materialized paths are filtered,
-// not re-enumerated. The result, errors included, is what ResolveWith gives
+// from this spec, each scope is its previous resolution minus what left: no
+// pattern is matched and no list sorted again, and lists nothing was removed
+// from are shared. The result, errors included, is what ResolveWith gives
 // with AllowMissing; any other delta is handed to ResolveWith.
 func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta topo.Delta, opts ResolveOpts) (map[string]*Resolved, error) {
-	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev, opts) {
+	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev) {
 		return s.ResolveWith(net, opts)
 	}
 	removed := make(map[string]bool, len(delta.Removed))
@@ -302,7 +287,6 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 		was := prev[sc.Alg]
 		switches := without(was.Switches)
 		var ps *topo.PathSet
-		var paths [][]string
 		if sc.Deploy == MultiSwitch && len(switches) > 0 {
 			from, to := without(was.PathSet.From), without(was.PathSet.To)
 			if len(from) == 0 {
@@ -312,11 +296,8 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.To)
 			}
 			ps = net.PathSet(from, to, switches)
-			if !opts.LazyPaths {
-				paths = survivingPaths(net, was.Paths, delta.Touched)
-			}
 		}
-		r, err := sc.bind(switches, ps, paths, opts)
+		r, err := sc.bind(switches, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -325,9 +306,9 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 	return out, nil
 }
 
-// resolvedAs reports whether prev is what this spec resolves to under opts
-// on some network: the same scopes, the same path budget and laziness.
-func (s *Spec) resolvedAs(prev map[string]*Resolved, opts ResolveOpts) bool {
+// resolvedAs reports whether prev is what this spec resolves to on some
+// network: the same scopes, each MULTI-SW one with its path set.
+func (s *Spec) resolvedAs(prev map[string]*Resolved) bool {
 	if len(prev) != len(s.Scopes) {
 		return false
 	}
@@ -336,152 +317,63 @@ func (s *Spec) resolvedAs(prev map[string]*Resolved, opts ResolveOpts) bool {
 		if was == nil || !reflect.DeepEqual(was.Scope, sc) {
 			return false
 		}
-		if sc.Deploy == MultiSwitch && (was.PathSet == nil || was.MaxPaths != opts.maxPaths() || (was.Paths == nil) != opts.LazyPaths) {
+		if sc.Deploy == MultiSwitch && was.PathSet == nil {
 			return false
 		}
 	}
 	return true
 }
 
-// survivingPaths filters a sorted path list down to the paths every hop and
-// link of which is still in net; only paths through a touched switch can have
-// lost one. An unchanged list is returned as is.
-func survivingPaths(net *topo.Network, paths [][]string, touched []string) [][]string {
-	if len(touched) == 0 {
-		return paths
-	}
-	hit := make(map[string]bool, len(touched))
-	for _, sw := range touched {
-		hit[sw] = true
-	}
-	intact := func(p []string) bool {
-		through := false
-		for _, sw := range p {
-			through = through || hit[sw]
-		}
-		if !through {
-			return true
-		}
-		for i, sw := range p {
-			if net.Switch(sw) == nil || (i > 0 && !net.HasLink(p[i-1], sw)) {
-				return false
-			}
-		}
-		return true
-	}
-	out := make([][]string, 0, len(paths))
-	for _, p := range paths {
-		if intact(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func (o ResolveOpts) maxPaths() int64 {
-	if o.MaxPaths <= 0 {
-		return DefaultMaxPaths
-	}
-	return o.MaxPaths
-}
-
 // bind builds the resolution of one scope from its sorted switch list and,
 // for MULTI-SW, its path set, checking what any resolution must: a non-empty
-// region and, for MULTI-SW, at least one flow path. paths, when non-nil, are
-// the flow paths already known; otherwise an eager resolution enumerates them.
-func (sc Scope) bind(switches []string, ps *topo.PathSet, paths [][]string, opts ResolveOpts) (*Resolved, error) {
+// region and, for MULTI-SW, at least one flow path.
+func (sc Scope) bind(switches []string, ps *topo.PathSet) (*Resolved, error) {
 	if len(switches) == 0 {
 		return nil, fmt.Errorf("scope %s: region %v matches no surviving switch", sc.Alg, sc.Region)
 	}
-	r := &Resolved{Scope: sc, Switches: switches, pathCount: -1}
+	r := &Resolved{Scope: sc, Switches: switches}
 	if sc.Deploy != MultiSwitch {
 		return r, nil
 	}
 	r.PathSet = ps
-	r.MaxPaths = opts.maxPaths()
-	var found bool
-	if opts.LazyPaths {
-		found = r.PathSet.Any()
-	} else {
-		if paths == nil {
-			var err error
-			if paths, err = r.PathSet.Materialize(r.MaxPaths); err != nil {
-				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
-			}
-		}
-		r.Paths, r.pathCount, found = paths, int64(len(paths)), len(paths) > 0
-	}
-	if !found {
+	if !ps.Any() {
 		return nil, fmt.Errorf("scope %s: no flow path from %v to %v within %v",
 			sc.Alg, sc.Direct.From, sc.Direct.To, switches)
 	}
 	return r, nil
 }
 
-// pathLimit is the enumeration budget of a lazy walk: the one resolution
-// set, or the default for a hand-built Resolved.
-func (r *Resolved) pathLimit() int64 {
-	if r.MaxPaths <= 0 {
-		return DefaultMaxPaths
-	}
-	return r.MaxPaths
-}
-
-// EachPath iterates the scope's flow paths in deterministic order: the
-// materialized slice when present (its sorted order), otherwise the lazy
-// PathSet in DFS order under the resolution budget. The yielded slice is
-// only valid during the callback — copy to retain. Returning false stops
-// the iteration early.
+// EachPath iterates the scope's flow paths in the PathSet's deterministic
+// DFS order under the path budget: past MaxPaths it stops with a
+// *topo.PathLimitError. The yielded slice is only valid during the callback
+// — copy to retain. Returning false stops the iteration early.
 func (r *Resolved) EachPath(yield func(path []string) bool) error {
-	if r.Paths != nil {
-		for _, p := range r.Paths {
-			if !yield(p) {
-				return nil
-			}
-		}
-		return nil
-	}
 	if r.PathSet == nil {
 		return nil
 	}
-	_, err := r.PathSet.Each(r.pathLimit(), yield)
+	_, err := r.PathSet.Each(MaxPaths, yield)
 	return err
 }
 
 // PathList returns the scope's flow paths as one sorted list, for the
 // consumers that place or replay along every path and so need them all at
-// once (deployment, simulation): the materialized slice when resolution
-// kept one, otherwise materialized from the PathSet under the resolution
-// budget, a *topo.PathLimitError past it. The placement encoder streams
-// with EachPath instead. A scope without flow paths (PER-SW) has none.
+// once (deployment, simulation); past the budget it returns a
+// *topo.PathLimitError. The placement encoder streams with EachPath
+// instead. A scope without flow paths (PER-SW) has none.
 func (r *Resolved) PathList() ([][]string, error) {
-	if r.Paths != nil || r.PathSet == nil {
-		return r.Paths, nil
+	if r.PathSet == nil {
+		return nil, nil
 	}
-	return r.PathSet.Materialize(r.pathLimit())
+	return r.PathSet.Materialize(MaxPaths)
 }
 
-// PathCount returns the number of flow paths in the scope (memoized).
-// Hand-built Resolved values (zero pathCount) are handled by preferring the
-// materialized slice and treating 0 as "unknown" for the lazy case.
+// PathCount returns the number of flow paths in the scope, walking them
+// under the path budget.
 func (r *Resolved) PathCount() (int64, error) {
-	if r.Paths != nil {
-		r.pathCount = int64(len(r.Paths))
-		return r.pathCount, nil
-	}
-	if r.pathCount > 0 {
-		return r.pathCount, nil
-	}
 	if r.PathSet == nil {
-		r.pathCount = 0
 		return 0, nil
 	}
-	n, err := r.PathSet.Count(r.pathLimit())
-	if err != nil {
-		return n, err
-	}
-	r.pathCount = n
-	return n, nil
+	return r.PathSet.Count(MaxPaths)
 }
 
 func expand(net *topo.Network, patterns []string, opts ResolveOpts) ([]string, error) {

@@ -69,11 +69,14 @@ func TestResolveFigure7(t *testing.T) {
 	if strings.Join(in.Switches, ",") != "ToR1,ToR2,ToR3,ToR4" {
 		t.Errorf("int_in switches = %v", in.Switches)
 	}
-	lb := res["loadbalancer"]
-	if len(lb.Paths) != 4 {
-		t.Errorf("lb paths = %v", lb.Paths)
+	paths, err := res["loadbalancer"].PathList()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range lb.Paths {
+	if len(paths) != 4 {
+		t.Errorf("lb paths = %v", paths)
+	}
+	for _, p := range paths {
 		if !strings.HasPrefix(p[0], "Agg") || !strings.HasPrefix(p[len(p)-1], "ToR") {
 			t.Errorf("path direction wrong: %v", p)
 		}
@@ -103,8 +106,8 @@ func TestCommentsAndBlanks(t *testing.T) {
 	}
 }
 
-// sameResolution compares what two resolutions hold: switches, endpoints,
-// materialized paths, budget, and the lazily enumerated path sequence.
+// sameResolution compares what two resolutions hold: switches, endpoints and
+// the enumerated path sequence.
 func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -122,8 +125,7 @@ func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) 
 		if g == nil {
 			t.Fatalf("%s: no resolution for %s", label, alg)
 		}
-		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) ||
-			!reflect.DeepEqual(g.Paths, w.Paths) || g.MaxPaths != w.MaxPaths || (g.PathSet == nil) != (w.PathSet == nil) {
+		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) || (g.PathSet == nil) != (w.PathSet == nil) {
 			t.Errorf("%s: %s resolves to %+v, want %+v", label, alg, g, w)
 			continue
 		}
@@ -139,8 +141,8 @@ func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) 
 
 // TestResolveAfterEqualsResolveWith: re-resolving from a previous resolution
 // and a fault delta gives what resolving the degraded network from nothing
-// gives, lazily and eagerly, the error text included when a region, an
-// endpoint set or every path is gone; deltas it does not cover fall back.
+// gives, the error text included when a region, an endpoint set or every path
+// is gone; deltas it does not cover fall back.
 func TestResolveAfterEqualsResolveWith(t *testing.T) {
 	const text = figure7 + "acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\npin: [ ToR1 | PER-SW | - ]\n"
 	spec, err := Parse(text)
@@ -170,52 +172,42 @@ func TestResolveAfterEqualsResolveWith(t *testing.T) {
 		"grew (falls back)":   {func(n *topo.Network) error { _, err := n.AddSwitch("ToR9", "ToR", asic.Tofino32Q); return err }},
 		"linked (falls back)": {func(n *topo.Network) error { return n.AddLink("ToR1", "Agg3") }},
 	}
-	for _, lazy := range []bool{true, false} {
-		opts := ResolveOpts{AllowMissing: true, LazyPaths: lazy, MaxPaths: 500}
-		base := topo.Testbed()
-		prev, err := spec.ResolveWith(base, ResolveOpts{LazyPaths: lazy, MaxPaths: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, faults := range cases {
-			label := fmt.Sprintf("%s lazy=%v", name, lazy)
-			net := base.Clone()
-			for _, f := range faults {
-				if err := f(net); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-			}
-			want, wantErr := spec.ResolveWith(net, opts)
-			got, gotErr := spec.ResolveAfter(prev, net, net.Since(base), opts)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Errorf("%s: error %v, want %v", label, gotErr, wantErr)
-				continue
-			}
-			if strings.Contains(name, "emptied") || strings.Contains(name, "every path") {
-				if wantErr == nil {
-					t.Errorf("%s: expected a resolution error", label)
-				}
-				continue
-			}
-			sameResolution(t, label, got, want)
-			if name == "identity" && &got["acl"].Switches[0] != &prev["acl"].Switches[0] {
-				t.Errorf("%s: an untouched switch list was copied", label)
-			}
-		}
-		// Another spec, or other options, must not be answered from prev.
-		other, _ := Parse(strings.Replace(text, "ToR3,ToR4,Agg3,Agg4", "ToR3,Agg3,Agg4", 1))
-		want, _ := other.ResolveWith(base, opts)
-		got, err := other.ResolveAfter(prev, base, topo.Delta{}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResolution(t, "other spec", got, want)
-		flipped := opts
-		flipped.LazyPaths = !lazy
-		want, _ = spec.ResolveWith(base, flipped)
-		if got, err = spec.ResolveAfter(prev, base, topo.Delta{}, flipped); err != nil {
-			t.Fatal(err)
-		}
-		sameResolution(t, "other laziness", got, want)
+	opts := ResolveOpts{AllowMissing: true}
+	base := topo.Testbed()
+	prev, err := spec.Resolve(base)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for name, faults := range cases {
+		net := base.Clone()
+		for _, f := range faults {
+			if err := f(net); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		want, wantErr := spec.ResolveWith(net, opts)
+		got, gotErr := spec.ResolveAfter(prev, net, net.Since(base), opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, want %v", name, gotErr, wantErr)
+			continue
+		}
+		if strings.Contains(name, "emptied") || strings.Contains(name, "every path") {
+			if wantErr == nil {
+				t.Errorf("%s: expected a resolution error", name)
+			}
+			continue
+		}
+		sameResolution(t, name, got, want)
+		if name == "identity" && &got["acl"].Switches[0] != &prev["acl"].Switches[0] {
+			t.Errorf("%s: an untouched switch list was copied", name)
+		}
+	}
+	// Another spec must not be answered from prev.
+	other, _ := Parse(strings.Replace(text, "ToR3,ToR4,Agg3,Agg4", "ToR3,Agg3,Agg4", 1))
+	want, _ := other.ResolveWith(base, opts)
+	got, err := other.ResolveAfter(prev, base, topo.Delta{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResolution(t, "other spec", got, want)
 }

@@ -22,7 +22,7 @@ type PathLimitError struct {
 }
 
 func (e *PathLimitError) Error() string {
-	return fmt.Sprintf("topo: more than %d simple paths from %v to %v; narrow the scope or raise the path budget", e.Limit, e.From, e.To)
+	return fmt.Sprintf("topo: more than %d simple paths from %v to %v; narrow the scope", e.Limit, e.From, e.To)
 }
 
 func (e *PathLimitError) Unwrap() error { return ErrPathLimit }

@@ -315,18 +315,10 @@ func WithSkipVerify() Option { return func(c *Compiler) { c.cfg.SkipVerify = tru
 // "input.lyra").
 func WithSourceName(name string) Option { return func(c *Compiler) { c.cfg.SourceName = name } }
 
-// WithLazyPaths resolves MULTI-SW scopes without materializing their flow
-// paths: the placement encoder streams paths from the lazy enumerator and
-// only unique candidate-hop shapes are ever held in memory. Required for
-// datacenter-scale topologies whose simple-path count dwarfs memory; maxPaths
-// caps enumeration per scope (0 keeps the default budget), and exceeding the
-// cap surfaces a typed diagnostic instead of exhausting the machine.
-func WithLazyPaths(maxPaths int64) Option {
-	return func(c *Compiler) {
-		c.cfg.LazyPaths = true
-		c.cfg.MaxPaths = maxPaths
-	}
-}
+// WithLazyPaths does nothing: every compile streams its flow paths under one
+// fixed budget, past which it fails with topo.ErrPathLimit. It stays because
+// bench/ calls it; ROADMAP item 1 deletes it.
+func WithLazyPaths(maxPaths int64) Option { return func(*Compiler) {} }
 
 // WithOptimize enables the rewrite search: before placement, the compiler
 // explores semantics-preserving merge/split/reorder/reshape/widen variants
@@ -545,9 +537,8 @@ func (r *Result) PlacedSwitches(alg string) []string {
 // map of the caller's (empty when the extern is placed nowhere).
 func (r *Result) Shards(extern string) map[string]int64 { return r.plan.ShardsOf(extern) }
 
-// FlowPaths returns the flow paths of a MULTI-SW algorithm's scope, sorted,
-// whether the compile held them or streamed them (WithLazyPaths). The
-// budget that could refuse the list is the one the compile already
+// FlowPaths returns the flow paths of a MULTI-SW algorithm's scope, sorted.
+// The budget that could refuse the list is the one the compile already
 // enumerated the same paths under, so a completed Result has it.
 func (r *Result) FlowPaths(alg string) [][]string {
 	if rs := r.plan.Input.Scopes[alg]; rs != nil {

@@ -123,33 +123,26 @@ func TestSimulateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLazyPathsDeployLikeEager: a result compiled under WithLazyPaths holds
-// no materialised path list, and must still report its flow paths and
-// deploy a table too big for one switch the way the eager compile does —
-// partitioned along each path, within each host's shard allotment — not
-// fall back to treating every host as a path of its own and replicate the
-// table onto all of them.
-func TestLazyPathsDeployLikeEager(t *testing.T) {
+// TestShardedTableDeploysAlongPaths: a result lists its flow paths and
+// deploys a table too big for one switch partitioned along each path, within
+// each host's shard allotment — not as if every host were a path of its own,
+// with the table replicated onto all of them.
+func TestShardedTableDeploysAlongPaths(t *testing.T) {
 	src := strings.Replace(quickLB, "[1024] conn_table", "[5500000] conn_table", 1)
-	compile := func(opts ...Option) *Result {
-		t.Helper()
-		res, err := New(opts...).Compile(context.Background(), src, quickScope, Testbed())
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		return res
+	res, err := New().Compile(context.Background(), src, quickScope, Testbed())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
-	eager, lazy := compile(), compile(WithLazyPaths(0))
-	paths := eager.FlowPaths("loadbalancer")
-	if len(paths) != 4 || !reflect.DeepEqual(lazy.FlowPaths("loadbalancer"), paths) {
-		t.Fatalf("FlowPaths: eager %v, lazy %v, want the same 4", paths, lazy.FlowPaths("loadbalancer"))
+	paths := res.FlowPaths("loadbalancer")
+	if len(paths) != 4 {
+		t.Fatalf("FlowPaths = %v, want 4", paths)
 	}
-	if len(eager.Shards("conn_table")) < 2 {
-		t.Fatalf("test premise: conn_table must be sharded, got %v", eager.Shards("conn_table"))
+	if len(res.Shards("conn_table")) < 2 {
+		t.Fatalf("test premise: conn_table must be sharded, got %v", res.Shards("conn_table"))
 	}
 
 	// 1000 entries, the first 20 keyed by the hash of a packet we replay.
-	probe, err := eager.Simulate(NewTables())
+	probe, err := res.Simulate(NewTables())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +174,21 @@ func TestLazyPathsDeployLikeEager(t *testing.T) {
 		keys = append(keys, k)
 	}
 
-	_, want := heldShards(t, eager, tables, paths[0], keys)
-	sim, got := heldShards(t, lazy, tables, paths[0], keys)
-	if !reflect.DeepEqual(got, want) {
-		for host := range want {
-			t.Errorf("%s holds %d entries under the lazy compile, %d under the eager one", host, len(got[host]), len(want[host]))
-		}
-	}
-	for host, allot := range lazy.Shards("conn_table") {
+	sim, got := heldShards(t, res, tables, paths[0], keys)
+	for host, allot := range res.Shards("conn_table") {
 		if int64(len(got[host])) > allot {
 			t.Errorf("%s holds %d entries, past its shard allotment of %d", host, len(got[host]), allot)
+		}
+	}
+	// Partitioned: the hosts on a path hold each entry once between them (a
+	// replicated table would hold it on every host).
+	for _, path := range paths {
+		held := 0
+		for _, sw := range path {
+			held += len(got[sw])
+		}
+		if held != len(keys) {
+			t.Errorf("the hosts on %v hold %d entries between them, want each of the %d once", path, held, len(keys))
 		}
 	}
 	ctx := &SimContext{}

@@ -139,13 +139,11 @@ func TestSwitchRenamingMetamorphic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		net  *Network
-		opts []Option
 	}{
-		{"mixed chips lazy", mixedPods(), []Option{WithLazyPaths(0)}},
-		{"mixed chips eager", mixedPods(), nil},
-		{"k=8 lazy", uniformPods(4, 8), []Option{WithLazyPaths(0)}},
+		{"mixed chips", mixedPods()},
+		{"k=8", uniformPods(4, 8)},
 	} {
-		c := New(tc.opts...)
+		c := New()
 		want, err := c.Compile(ctx, podLB, podScope, tc.net)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tc.name, err)
@@ -212,7 +210,7 @@ func TestPodPermutationMetamorphic(t *testing.T) {
 		})
 	}
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	want, err := c.Compile(ctx, podLB, podScope, fabric([pods]int{0, 1, 2, 3}))
 	if err != nil {
 		t.Fatalf("compile: %v", err)

@@ -89,7 +89,12 @@ func sameAsCompile(t *testing.T, label string, inc, scratch *Result) {
 	}
 	for alg, rs := range scratch.plan.Input.Scopes {
 		got := inc.plan.Input.Scopes[alg]
-		if got == nil || !reflect.DeepEqual(got.Switches, rs.Switches) || !reflect.DeepEqual(got.Paths, rs.Paths) {
+		var paths [][]string
+		if got != nil {
+			paths, _ = got.PathList()
+		}
+		want, _ := rs.PathList()
+		if got == nil || !reflect.DeepEqual(got.Switches, rs.Switches) || !reflect.DeepEqual(paths, want) {
 			t.Errorf("%s: scope of %s resolves differently from a from-scratch compile", label, alg)
 		}
 	}
@@ -125,9 +130,11 @@ func faultsOf(net *Network) []Scenario {
 }
 
 // TestRecompileEqualsCompile is the contract of the local recompile (i): for
-// every fault of a k=8 fabric and of a mixed-chip one, lazily and eagerly
-// resolved, Recompile(base, sc) is Compile(sc.Applied(net)) — or fails the
-// same way — and components the fault did not touch are the base's own.
+// every fault of a k=8 fabric and of a mixed-chip one, Recompile(base, sc) is
+// Compile(sc.Applied(net)) — or fails the same way — and components the fault
+// did not touch are the base's own. The mixed-chip fabric runs once with
+// WithLazyPaths, which bench/ still passes, and once without: the option must
+// change nothing.
 func TestRecompileEqualsCompile(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -135,7 +142,7 @@ func TestRecompileEqualsCompile(t *testing.T) {
 		net  func() *Network
 		opts []Option
 	}{
-		{"k=8 lazy", func() *Network { return uniformPods(4, 8) }, []Option{WithLazyPaths(0)}},
+		{"k=8", func() *Network { return uniformPods(4, 8) }, nil},
 		{"mixed chips lazy", mixedPods, []Option{WithLazyPaths(0)}},
 		{"mixed chips eager", mixedPods, nil},
 	} {
@@ -229,44 +236,43 @@ func TestRecompileEqualsCompile(t *testing.T) {
 // the base's own bindings, scopes lists, artifacts and reports.
 func TestIdentityRecompileSolvesNothing(t *testing.T) {
 	ctx := context.Background()
-	for name, c := range map[string]*Compiler{"lazy": New(WithLazyPaths(0)), "eager": New()} {
-		base, err := c.Compile(ctx, podLB, podScope, mixedPods())
-		if err != nil {
-			t.Fatalf("%s: base compile: %v", name, err)
-		}
-		if base.SolverStats.Encodes != 2 || base.SolverStats.SolveCalls != 2 {
-			t.Fatalf("%s: base stats %+v, want the two classes encoded and solved once each", name, base.SolverStats)
-		}
-		inc, delta, err := c.Recompile(ctx, base, Scenario{Name: "identity"})
-		if err != nil {
-			t.Fatalf("%s: identity recompile: %v", name, err)
-		}
-		st := inc.SolverStats
-		if st.Encodes != 0 || st.SolveCalls != 0 || st.CacheHits != 0 {
-			t.Errorf("%s: identity recompile stats %+v, want nothing encoded, solved or looked up", name, st)
-		}
-		if inc.plan.Classes != 0 || inc.plan.Replayed != 3 || inc.SolveInstances != 3 {
-			t.Errorf("%s: Classes/Replayed/Instances = %d/%d/%d, want 0/3/3", name, inc.plan.Classes, inc.plan.Replayed, inc.SolveInstances)
-		}
-		bb, ib := base.plan.Bindings(), inc.plan.Bindings()
-		if len(ib) != len(bb) {
-			t.Fatalf("%s: %d bindings, base has %d", name, len(ib), len(bb))
-		}
-		for i := range bb {
-			if ib[i].Template != bb[i].Template || &ib[i].Switches[0] != &bb[i].Switches[0] || ib[i].Class != bb[i].Class {
-				t.Errorf("%s: binding %d is not the base's own", name, i)
-			}
-		}
-		if len(delta.Reprogram)+len(delta.Removed) != 0 || len(delta.Unchanged) != len(base.Artifacts) {
-			t.Errorf("%s: identity recompile produced a device delta: %v", name, delta)
-		}
-		for sw, art := range base.Artifacts {
-			if inc.Artifacts[sw] != art {
-				t.Errorf("%s: %s: artifact re-emitted", name, sw)
-			}
-		}
-		sameAsCompile(t, name+" identity", inc, base)
+	c, name := New(), "mixed chips"
+	base, err := c.Compile(ctx, podLB, podScope, mixedPods())
+	if err != nil {
+		t.Fatalf("%s: base compile: %v", name, err)
 	}
+	if base.SolverStats.Encodes != 2 || base.SolverStats.SolveCalls != 2 {
+		t.Fatalf("%s: base stats %+v, want the two classes encoded and solved once each", name, base.SolverStats)
+	}
+	inc, delta, err := c.Recompile(ctx, base, Scenario{Name: "identity"})
+	if err != nil {
+		t.Fatalf("%s: identity recompile: %v", name, err)
+	}
+	st := inc.SolverStats
+	if st.Encodes != 0 || st.SolveCalls != 0 || st.CacheHits != 0 {
+		t.Errorf("%s: identity recompile stats %+v, want nothing encoded, solved or looked up", name, st)
+	}
+	if inc.plan.Classes != 0 || inc.plan.Replayed != 3 || inc.SolveInstances != 3 {
+		t.Errorf("%s: Classes/Replayed/Instances = %d/%d/%d, want 0/3/3", name, inc.plan.Classes, inc.plan.Replayed, inc.SolveInstances)
+	}
+	bb, ib := base.plan.Bindings(), inc.plan.Bindings()
+	if len(ib) != len(bb) {
+		t.Fatalf("%s: %d bindings, base has %d", name, len(ib), len(bb))
+	}
+	for i := range bb {
+		if ib[i].Template != bb[i].Template || &ib[i].Switches[0] != &bb[i].Switches[0] || ib[i].Class != bb[i].Class {
+			t.Errorf("%s: binding %d is not the base's own", name, i)
+		}
+	}
+	if len(delta.Reprogram)+len(delta.Removed) != 0 || len(delta.Unchanged) != len(base.Artifacts) {
+		t.Errorf("%s: identity recompile produced a device delta: %v", name, delta)
+	}
+	for sw, art := range base.Artifacts {
+		if inc.Artifacts[sw] != art {
+			t.Errorf("%s: %s: artifact re-emitted", name, sw)
+		}
+	}
+	sameAsCompile(t, name+" identity", inc, base)
 }
 
 // uncarried is base as a result that has nothing to carry over: no plan to
@@ -287,36 +293,35 @@ func TestRecompileErrorsUnchanged(t *testing.T) {
 	ctx := context.Background()
 	const pinned = "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]\npin: [ ToR1 | PER-SW | - ]\n"
 	const src = podLB + "pipeline[P]{pin};\nalgorithm pin {\n  if (ipv4.protocol == 6) {\n    ipv4.protocol = 17;\n  }\n}\n"
-	for name, c := range map[string]*Compiler{"lazy": New(WithLazyPaths(0)), "eager": New()} {
-		base, err := c.Compile(ctx, src, pinned, Testbed())
-		if err != nil {
-			t.Fatalf("%s: base compile: %v", name, err)
+	c, name := New(), "testbed"
+	base, err := c.Compile(ctx, src, pinned, Testbed())
+	if err != nil {
+		t.Fatalf("%s: base compile: %v", name, err)
+	}
+	for _, tc := range []struct {
+		want string
+		evs  []FaultEvent
+	}{
+		{"region [ToR1] matches no surviving switch", []FaultEvent{SwitchDown("ToR1")}},
+		{"patterns [Agg3 Agg4] match no surviving switch", []FaultEvent{SwitchDown("Agg3"), SwitchDown("Agg4")}},
+		{"patterns [ToR3 ToR4] match no surviving switch", []FaultEvent{SwitchDown("ToR3"), SwitchDown("ToR4")}},
+		{"no flow path from [Agg3 Agg4] to [ToR3 ToR4] within [Agg3 Agg4 ToR3 ToR4]", []FaultEvent{
+			LinkDown("ToR3", "Agg3"), LinkDown("ToR3", "Agg4"), LinkDown("ToR4", "Agg3"), LinkDown("ToR4", "Agg4")}},
+		{"no feasible placement", []FaultEvent{Degrade("ToR3", 1, 0.01, 1), Degrade("ToR4", 1, 0.01, 1),
+			Degrade("Agg3", 1, 0.01, 1), Degrade("Agg4", 1, 0.01, 1)}},
+	} {
+		sc := Scenario{Name: tc.want, Events: tc.evs}
+		_, _, got := c.Recompile(ctx, base, sc)
+		_, _, want := c.Recompile(ctx, uncarried(base), sc)
+		if got == nil || want == nil {
+			t.Errorf("%s: %s: recompile error %v, carrying nothing over %v: want both to fail", name, tc.want, got, want)
+			continue
 		}
-		for _, tc := range []struct {
-			want string
-			evs  []FaultEvent
-		}{
-			{"region [ToR1] matches no surviving switch", []FaultEvent{SwitchDown("ToR1")}},
-			{"patterns [Agg3 Agg4] match no surviving switch", []FaultEvent{SwitchDown("Agg3"), SwitchDown("Agg4")}},
-			{"patterns [ToR3 ToR4] match no surviving switch", []FaultEvent{SwitchDown("ToR3"), SwitchDown("ToR4")}},
-			{"no flow path from [Agg3 Agg4] to [ToR3 ToR4] within [Agg3 Agg4 ToR3 ToR4]", []FaultEvent{
-				LinkDown("ToR3", "Agg3"), LinkDown("ToR3", "Agg4"), LinkDown("ToR4", "Agg3"), LinkDown("ToR4", "Agg4")}},
-			{"no feasible placement", []FaultEvent{Degrade("ToR3", 1, 0.01, 1), Degrade("ToR4", 1, 0.01, 1),
-				Degrade("Agg3", 1, 0.01, 1), Degrade("Agg4", 1, 0.01, 1)}},
-		} {
-			sc := Scenario{Name: tc.want, Events: tc.evs}
-			_, _, got := c.Recompile(ctx, base, sc)
-			_, _, want := c.Recompile(ctx, uncarried(base), sc)
-			if got == nil || want == nil {
-				t.Errorf("%s: %s: recompile error %v, carrying nothing over %v: want both to fail", name, tc.want, got, want)
-				continue
-			}
-			if got.Error() != want.Error() || !strings.Contains(got.Error(), tc.want) {
-				t.Errorf("%s: recompile fails with\n  %v\ncarrying nothing over with\n  %v\nwant both to say %q", name, got, want, tc.want)
-			}
-			if errors.Is(got, ErrInfeasible) != errors.Is(want, ErrInfeasible) {
-				t.Errorf("%s: %s: only one of the two errors is ErrInfeasible: %v vs %v", name, tc.want, got, want)
-			}
+		if got.Error() != want.Error() || !strings.Contains(got.Error(), tc.want) {
+			t.Errorf("%s: recompile fails with\n  %v\ncarrying nothing over with\n  %v\nwant both to say %q", name, got, want, tc.want)
+		}
+		if errors.Is(got, ErrInfeasible) != errors.Is(want, ErrInfeasible) {
+			t.Errorf("%s: %s: only one of the two errors is ErrInfeasible: %v vs %v", name, tc.want, got, want)
 		}
 	}
 }
@@ -327,7 +332,7 @@ func TestRecompileErrorsUnchanged(t *testing.T) {
 // base must be able to run while the base's flow paths are being walked.
 func TestResultNetworkIsCallersOwn(t *testing.T) {
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	mine := uniformPods(4, 4)
 	base, err := c.Compile(ctx, podLB, podScope, mine)
 	if err != nil {
@@ -425,7 +430,7 @@ func TestRecompileAllocBudget(t *testing.T) {
 	}
 	const bytesPerEvent, mallocsPerEvent = 157_000, 2150
 	ctx := context.Background()
-	c := New(WithLazyPaths(0), WithParallelism(1))
+	c := New(WithParallelism(1))
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(8, 8))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -479,7 +484,7 @@ func TestRecompileEventScaling(t *testing.T) {
 	const events = 8
 	t.Log("event        k   switches   MB/event   mallocs/event")
 	for _, k := range []int{16, 32, 64} {
-		c := New(WithLazyPaths(0), WithParallelism(1))
+		c := New(WithParallelism(1))
 		base, err := c.Compile(ctx, podLB, podScope, uniformPods(k, k))
 		if err != nil {
 			t.Fatalf("k=%d: compile: %v", k, err)

@@ -106,7 +106,7 @@ func sameAsScratch(t *testing.T, label string, inc, scratch *Result) {
 // shards went stale behind an unchanged fingerprint.
 func TestRecompileEqualsFromScratch(t *testing.T) {
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	for _, dim := range [][2]int{{2, 4}, {4, 8}} {
 		pods, k := dim[0], dim[1]
 		base, err := c.Compile(ctx, podLB, podScope, uniformPods(pods, k))
@@ -149,7 +149,7 @@ func TestRecompileEqualsFromScratch(t *testing.T) {
 // and a switch-down encodes at most the one component it damaged.
 func TestRecompileLocality(t *testing.T) {
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
 	if err != nil {
 		t.Fatalf("base compile: %v", err)
@@ -196,7 +196,7 @@ func TestRecompileLocality(t *testing.T) {
 // in the switch's own placement component (here: its pod), with the entries
 // the plan gave them.
 func TestShardStubListsOwnComponent(t *testing.T) {
-	res, err := New(WithLazyPaths(0)).Compile(context.Background(), podLB, podScope, uniformPods(4, 8))
+	res, err := New().Compile(context.Background(), podLB, podScope, uniformPods(4, 8))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestShapeMemoMatchesPerSwitch(t *testing.T) {
 	for _, in := range inputs {
 		for _, d := range []Dialect{P414, P416} {
 			label := fmt.Sprintf("%s/%s", in.name, d)
-			res, err := New(WithDialect(d), WithLazyPaths(0)).Compile(context.Background(), in.src, in.scope, in.net)
+			res, err := New(WithDialect(d)).Compile(context.Background(), in.src, in.scope, in.net)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", label, err)
 			}
@@ -336,7 +336,7 @@ func TestShapeMemoMatchesPerSwitch(t *testing.T) {
 // text from a same-shape twin the bug would vanish from the artifact, so
 // translation must emit every switch on its own while a mutation is set.
 func TestShapeMemoBypassedUnderMutation(t *testing.T) {
-	res, err := New(WithLazyPaths(0)).Compile(context.Background(), podLB, podScope, uniformPods(2, 4))
+	res, err := New().Compile(context.Background(), podLB, podScope, uniformPods(2, 4))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -444,7 +444,7 @@ func deepDigest(v any) string {
 // must still equal from-scratch compiles.
 func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
 	if err != nil {
 		t.Fatalf("base compile: %v", err)
@@ -527,7 +527,7 @@ func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 // and fingerprint for every switch name.
 func TestDeclarationOrderMetamorphic(t *testing.T) {
 	ctx := context.Background()
-	c := New(WithLazyPaths(0))
+	c := New()
 	ref := uniformPods(8, 8)
 	want, err := c.Compile(ctx, podLB, podScope, ref)
 	if err != nil {
@@ -600,7 +600,7 @@ func TestCompileAllocBudget(t *testing.T) {
 	}
 	const bytesPerSwitch, mallocsPerSwitch = 11700, 107
 	ctx := context.Background()
-	c := New(WithLazyPaths(0), WithParallelism(1))
+	c := New(WithParallelism(1))
 	net := uniformPods(8, 8)
 	res, err := c.Compile(ctx, podLB, podScope, net) // warm-up: lazily built tables of the toolchain
 	if err != nil {
