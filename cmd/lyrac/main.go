@@ -80,7 +80,7 @@ func main() {
 		fatal(fmt.Errorf("unknown objective %q", *objective))
 	}
 	if *optimize {
-		opts = append(opts, lyra.WithOptimize(lyra.OptimizeOptions{Seed: *optimizeSeed}))
+		opts = append(opts, lyra.WithOptimize(*optimizeSeed))
 	}
 	res, err := lyra.New(opts...).Compile(context.Background(), string(src), string(scopeText), net)
 	if err != nil {

@@ -51,7 +51,7 @@ type Request struct {
 	// and placement: semantics-preserving program variants are explored,
 	// costed, and certified, and the winner (possibly the original program)
 	// proceeds through the normal pipeline. The search's account lands in
-	// Result.Optimization.
+	// Result.Optimization. Its one setting is the certification trace seed.
 	Optimize *rewrite.Options
 
 	// NoSymmetryDedup disables symmetry-aware component deduplication: every
@@ -167,17 +167,11 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 	// Optional rewrite search (between front-end and placement): explore
 	// semantics-preserving variants and carry the certified winner — or the
 	// unchanged program — into the normal back half. The search runs outside
-	// the phase set; its own solves are bounded by Optimize.SolveBudget.
+	// the phase set, under the compile's objective and worker bound; its own
+	// solves have their own fixed budget.
 	var optRep *rewrite.Report
 	if req.Optimize != nil {
-		opt := *req.Optimize
-		if opt.Objective == encode.ObjNone {
-			opt.Objective = req.Objective
-		}
-		if opt.Parallelism == 0 {
-			opt.Parallelism = req.Parallelism
-		}
-		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, opt)
+		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, *req.Optimize, req.Objective, req.Parallelism)
 	}
 
 	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil, nil)

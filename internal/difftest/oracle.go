@@ -432,7 +432,7 @@ func (o *Oracle) checkOptimize(c *Case, base *lyra.Result) *Outcome {
 		return &Outcome{Class: GeneratorError, Detail: err.Error()}
 	}
 	opt, err := lyra.New(lyra.WithDialect(o.opts.Dialects[0]), lyra.WithParallelism(1),
-		lyra.WithOptimize(lyra.OptimizeOptions{Seed: 7})).
+		lyra.WithOptimize(7)).
 		Compile(context.Background(), c.Source(), c.ScopeText(), net)
 	if err != nil {
 		// The search falls back to the base program, which compiled, so any

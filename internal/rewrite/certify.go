@@ -27,7 +27,7 @@ import (
 //     program's reference output on the fields each algorithm owns (other
 //     algorithms' instructions are not fully present along its paths).
 //
-// Everything is derived deterministically from Options.Seed, so a
+// Everything is derived deterministically from the search's seed, so a
 // certification failure replays exactly.
 
 // splitmix is the deterministic trace RNG (splitmix64): tiny, seedable, and
@@ -197,9 +197,9 @@ func ownsPacketOps(a *ir.Algorithm) bool {
 
 // pathsFor selects the flow paths certification exercises for one
 // algorithm: the scope's flow paths when it has any (MULTI-SW deployments),
-// else one single-hop path per switch actually hosting the algorithm.
-// limit > 0 caps the count; limit < 0 means all.
-func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
+// else one single-hop path per switch actually hosting the algorithm; at
+// most certifyPaths of them.
+func pathsFor(plan *encode.Plan, alg string) [][]string {
 	var paths [][]string
 	if sc := plan.Input.Scopes[alg]; sc != nil {
 		paths, _ = sc.PathList() // within budget: the solve walked them under the same one
@@ -209,23 +209,23 @@ func pathsFor(plan *encode.Plan, alg string, limit int) [][]string {
 			paths = append(paths, []string{sw})
 		}
 	}
-	if limit > 0 && len(paths) > limit {
-		paths = paths[:limit]
+	if len(paths) > certifyPaths {
+		paths = paths[:certifyPaths]
 	}
 	return paths
 }
 
 // certify proves cand equivalent to base, or explains why not. plan is
 // cand's feasible placement. A non-nil error rejects the candidate.
-func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
-	pkts := certPackets(base, o.Seed, o.TracePackets)
+func certify(base, cand *ir.Program, plan *encode.Plan, seed int64) error {
+	pkts := certPackets(base, seed, tracePackets)
 	ctx := certContext()
 
 	// Check 1: one-big-pipeline reference equivalence, all fields. A run's
 	// data-plane inserts land in the table state it is given, so each side
 	// keeps its own across the trace: what the base inserted, the candidate
 	// must insert itself to see.
-	baseTables, candTables := certTables(base, o.Seed), certTables(base, o.Seed)
+	baseTables, candTables := certTables(base, seed), certTables(base, seed)
 	for ti, pkt := range pkts {
 		rb, err := dataplane.RunReference(base, baseTables, ctx, pkt)
 		if err != nil {
@@ -244,9 +244,17 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 	// Checks 2+3: deployed execution, per algorithm, per flow path. A fresh
 	// deployment and fresh tables per comparison isolate register and table
 	// state — deployed globals persist across runs while the reference
-	// starts clean.
+	// starts clean. The base reference a deployed run is compared with
+	// depends only on the packet (RunReference clones it, and its tables are
+	// fresh), so it runs once per packet; an error is reported where the
+	// comparison would have needed the output.
+	refs := make([]*dataplane.Packet, len(pkts))
+	refErrs := make([]error, len(pkts))
+	for ti, pkt := range pkts {
+		refs[ti], refErrs[ti] = dataplane.RunReference(base, certTables(base, seed), ctx, pkt)
+	}
 	for _, a := range cand.Algorithms {
-		paths := pathsFor(plan, a.Name, o.CertifyPaths)
+		paths := pathsFor(plan, a.Name)
 		if len(paths) == 0 {
 			return fmt.Errorf("%s: plan places the algorithm on no switch", a.Name)
 		}
@@ -254,12 +262,12 @@ func certify(base, cand *ir.Program, plan *encode.Plan, o Options) error {
 		ownsOps := ownsPacketOps(a)
 		for pi, path := range paths {
 			for ti, pkt := range pkts {
-				dep, err := dataplane.NewDeployment(plan, certTables(base, o.Seed))
+				dep, err := dataplane.NewDeployment(plan, certTables(base, seed))
 				if err != nil {
 					return fmt.Errorf("%s path#%d: deploy: %v", a.Name, pi, err)
 				}
-				ref, err := dataplane.RunReference(base, certTables(base, o.Seed), ctx, pkt)
-				if err != nil {
+				ref := refs[ti]
+				if err := refErrs[ti]; err != nil {
 					return fmt.Errorf("%s path#%d packet#%d: base reference: %v", a.Name, pi, ti, err)
 				}
 				// Compiled tier first: its copy-on-write table views keep

@@ -2,11 +2,12 @@ package rewrite
 
 import (
 	"context"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"lyra/internal/asic"
 	"lyra/internal/dataplane"
@@ -36,8 +37,8 @@ algorithm acl {
 }
 `
 
-// ifElseSrc exercises the select merge/split pair: complementary guarded
-// writes to the same field.
+// ifElseSrc has complementary guarded writes to the same field and an
+// unguarded write after them, for the reorder rules.
 const ifElseSrc = `
 header_type h_t { bit[8] a; bit[8] b; bit[16] c; }
 header h_t h;
@@ -52,8 +53,7 @@ algorithm m {
 }
 `
 
-// lbSrc exercises extern tables, hashing, and key widening (the 20-bit key
-// is not byte-aligned).
+// lbSrc exercises extern tables and hashing.
 const lbSrc = `
 header_type ipv4_t { bit[32] srcAddr; bit[32] dstAddr; bit[8] protocol; }
 header ipv4_t ipv4;
@@ -138,15 +138,15 @@ func TestDefaultRulesPreserveReferenceSemantics(t *testing.T) {
 	for name, src := range sources {
 		base := frontIR(t, src)
 		baseFP := Fingerprint(base)
-		for _, r := range DefaultRules() {
-			for i, cand := range r.Apply(base) {
+		for _, r := range library {
+			for i, cand := range r.apply(base) {
 				total++
 				Normalize(cand)
 				if d := refDiff(t, base, cand, 7); d != "" {
-					t.Errorf("%s: rule %s candidate %d diverges: %s", name, r.Name(), i, d)
+					t.Errorf("%s: rule %s candidate %d diverges: %s", name, r.name(), i, d)
 				}
 				if Fingerprint(base) != baseFP {
-					t.Fatalf("%s: rule %s mutated its input program", name, r.Name())
+					t.Fatalf("%s: rule %s mutated its input program", name, r.name())
 				}
 			}
 		}
@@ -160,14 +160,14 @@ func TestDefaultRulesPreserveReferenceSemantics(t *testing.T) {
 // depth-2 chain of rule applications must still be equivalent.
 func TestRuleChainsPreserveReferenceSemantics(t *testing.T) {
 	base := frontIR(t, nestedIfSrc)
-	for _, r1 := range DefaultRules() {
-		for _, mid := range r1.Apply(base) {
+	for _, r1 := range library {
+		for _, mid := range r1.apply(base) {
 			Normalize(mid)
-			for _, r2 := range DefaultRules() {
-				for i, cand := range r2.Apply(mid) {
+			for _, r2 := range library {
+				for i, cand := range r2.apply(mid) {
 					Normalize(cand)
 					if d := refDiff(t, base, cand, 11); d != "" {
-						t.Errorf("chain %s,%s candidate %d diverges: %s", r1.Name(), r2.Name(), i, d)
+						t.Errorf("chain %s,%s candidate %d diverges: %s", r1.name(), r2.name(), i, d)
 					}
 				}
 			}
@@ -177,62 +177,13 @@ func TestRuleChainsPreserveReferenceSemantics(t *testing.T) {
 
 func TestMergeGatewayHoistsNestedComparison(t *testing.T) {
 	base := frontIR(t, nestedIfSrc)
-	cands := mergeGatewayRule{}.Apply(base)
+	cands := mergeGatewayRule{}.apply(base)
 	if len(cands) != 1 {
 		t.Fatalf("merge-gateway candidates = %d, want 1", len(cands))
 	}
 	Normalize(cands[0])
 	if got, want := staticCostOf(cands[0]).tables, staticCostOf(base).tables; got >= want {
 		t.Errorf("hoisted variant has %d synthesized tables, base %d: no reduction", got, want)
-	}
-}
-
-func TestWidenKeyRoundsToByteBoundary(t *testing.T) {
-	base := frontIR(t, lbSrc)
-	cands := widenKeyRule{}.Apply(base)
-	if len(cands) != 1 {
-		t.Fatalf("widen-key candidates = %d, want 1", len(cands))
-	}
-	var widened *ir.ExternDecl
-	for _, a := range cands[0].Algorithms {
-		for _, e := range a.Externs {
-			if e.Name == "conn_table" {
-				widened = e
-			}
-		}
-	}
-	if widened == nil {
-		t.Fatal("clone lost the extern declaration")
-	}
-	if got := widened.Keys[0].Type.Bits; got != 24 {
-		t.Errorf("widened key bits = %d, want 24", got)
-	}
-	// The original must be untouched.
-	for _, a := range base.Algorithms {
-		for _, e := range a.Externs {
-			if e.Name == "conn_table" && e.Keys[0].Type.Bits != 20 {
-				t.Errorf("base key bits mutated to %d", e.Keys[0].Type.Bits)
-			}
-		}
-	}
-}
-
-func TestMergeSelectFusesComplementaryWrites(t *testing.T) {
-	base := frontIR(t, ifElseSrc)
-	cands := mergeSelectRule{}.Apply(base)
-	if len(cands) == 0 {
-		t.Fatal("merge-select produced no candidate on an if/else write pair")
-	}
-	found := false
-	for _, a := range cands[0].Algorithms {
-		for _, in := range a.Instrs {
-			if in.Op == ir.ISelect {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("merged candidate contains no select instruction")
 	}
 }
 
@@ -245,23 +196,12 @@ func searchFixture(t *testing.T) (*ir.Program, *topo.Network, map[string]*scope.
 	return base, net, scopes
 }
 
-func searchOpts() Options {
-	return Options{
-		MaxCandidates: 8,
-		BeamWidth:     4,
-		MaxDepth:      2,
-		Seed:          1,
-		TracePackets:  16,
-		SolveBudget:   30 * time.Second,
-	}
-}
-
 // TestSearchFindsCertifiedImprovement is the headline acceptance check: on
 // the nested-if scenario the search must find a certified variant with
 // strictly lower cost (fewer placed tables) than the unrewritten program.
 func TestSearchFindsCertifiedImprovement(t *testing.T) {
 	base, net, scopes := searchFixture(t)
-	winner, rep := Search(context.Background(), base, net, scopes, searchOpts())
+	winner, rep := Search(context.Background(), base, net, scopes, Options{Seed: 1}, encode.ObjNone, 0)
 	if rep.Note != "" {
 		t.Fatalf("search note: %s", rep.Note)
 	}
@@ -294,10 +234,10 @@ func TestSearchFindsCertifiedImprovement(t *testing.T) {
 // Certification must catch and reject every candidate it emits.
 type brokenHoist struct{}
 
-func (brokenHoist) Name() string { return "broken-hoist" }
+func (brokenHoist) name() string { return "broken-hoist" }
 
-func (brokenHoist) Apply(p *ir.Program) []*ir.Program {
-	out := mergeGatewayRule{}.Apply(p)
+func (brokenHoist) apply(p *ir.Program) []*ir.Program {
+	out := mergeGatewayRule{}.apply(p)
 	for _, q := range out {
 		corruptFirstComparison(q)
 	}
@@ -323,9 +263,7 @@ func corruptFirstComparison(q *ir.Program) {
 // produces cheaper but behaviorally different programs must never win.
 func TestBrokenRuleIsRejected(t *testing.T) {
 	base, net, scopes := searchFixture(t)
-	opts := searchOpts()
-	opts.Rules = []Rule{brokenHoist{}}
-	winner, rep := Search(context.Background(), base, net, scopes, opts)
+	winner, rep := search(context.Background(), base, net, scopes, 1, encode.ObjNone, 0, []rule{brokenHoist{}})
 	if rep.CertifyAttempts == 0 {
 		t.Fatalf("broken candidate never reached certification; report:\n%s", rep)
 	}
@@ -348,7 +286,7 @@ func TestBrokenRuleIsRejected(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	run := func() (string, *Report) {
 		base, net, scopes := searchFixture(t)
-		winner, rep := Search(context.Background(), base, net, scopes, searchOpts())
+		winner, rep := Search(context.Background(), base, net, scopes, Options{Seed: 1}, encode.ObjNone, 0)
 		return winner.Dump(), rep
 	}
 	d1, r1 := run()
@@ -370,7 +308,7 @@ func TestSearchSkipsUnsolvableBase(t *testing.T) {
 	// Point the algorithm at a switch that does not exist in the scope map's
 	// paths by emptying the resolution — the solve must fail cleanly.
 	scopes["acl"].Switches = nil
-	winner, rep := Search(context.Background(), base, net, scopes, searchOpts())
+	winner, rep := Search(context.Background(), base, net, scopes, Options{Seed: 1}, encode.ObjNone, 0)
 	if winner != base {
 		t.Error("unsolvable base was not passed through")
 	}
@@ -394,7 +332,7 @@ func TestCertifyWalksFlowPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certified := pathsFor(plan, "acl", 4)
+	certified := pathsFor(plan, "acl")
 	if len(all) < 4 || len(certified[0]) < 2 {
 		t.Fatalf("certification paths %v are not flow paths", certified)
 	}
@@ -417,7 +355,7 @@ func TestCertifyKeepsTableStatePerSide(t *testing.T) {
 	base := frontIR(t, string(src))
 	net := topo.Testbed()
 	scopes := mustScopes(t, "stateful_nat: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]", net)
-	_, rep := Search(context.Background(), base, net, scopes, Options{})
+	_, rep := Search(context.Background(), base, net, scopes, Options{}, encode.ObjNone, 0)
 	if rep.Note != "" {
 		t.Fatalf("search note: %s", rep.Note)
 	}
@@ -426,5 +364,64 @@ func TestCertifyKeepsTableStatePerSide(t *testing.T) {
 	}
 	if rep.Rejected != 0 {
 		t.Errorf("rejected=%d: %s", rep.Rejected, rep.RejectionDetail)
+	}
+}
+
+// TestSearchCorpusWins pins the search's verdict on the program corpus: the
+// 14 testdata programs, each compiled on the testbed for the three scope
+// shapes of the serve corpus (a Tofino ToR, a Trident-4 Agg, MULTI-SW over
+// both layers). Exactly four compiles improve, each by reshape-asap alone,
+// and no candidate is rejected (EXPERIMENTS E28, E29).
+func TestSearchCorpusWins(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/programs/*.lyra")
+	if err != nil || len(files) != 14 {
+		t.Fatalf("corpus: %d programs (%v), want 14", len(files), err)
+	}
+	shapes := []string{
+		"%s: [ ToR1 | PER-SW | - ]\n",
+		"%s: [ Agg1 | PER-SW | - ]\n",
+		"%s: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n",
+	}
+	shapeNames := []string{"ToR1", "Agg1", "MULTI-SW"}
+	// Cost fields in order: placed tables, stages, switches, synthesized
+	// tables, longest dependency path.
+	type costs struct{ base, best Cost }
+	wins := map[string]costs{
+		"ingress_int ToR1":      {Cost{5, 4, 1, 5, 9}, Cost{4, 3, 1, 4, 9}},
+		"ingress_int Agg1":      {Cost{3, 0, 1, 5, 9}, Cost{3, 0, 1, 4, 9}},
+		"ingress_int MULTI-SW":  {Cost{18, 8, 6, 5, 9}, Cost{16, 6, 6, 4, 9}},
+		"stateful_nat MULTI-SW": {Cost{36, 24, 8, 7, 7}, Cost{24, 8, 8, 7, 7}},
+	}
+	net := topo.Testbed()
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := frontIR(t, string(src))
+		for si, shape := range shapes {
+			var spec strings.Builder
+			for _, a := range base.Algorithms {
+				fmt.Fprintf(&spec, shape, a.Name)
+			}
+			name := strings.TrimSuffix(filepath.Base(f), ".lyra") + " " + shapeNames[si]
+			_, rep := Search(context.Background(), base, net, mustScopes(t, spec.String(), net), Options{Seed: 1}, encode.ObjNone, 0)
+			if rep.Note != "" || rep.Rejected != 0 {
+				t.Errorf("%s: note %q, rejected %d %s", name, rep.Note, rep.Rejected, rep.RejectionDetail)
+			}
+			want, ok := wins[name]
+			if !ok {
+				if rep.Improved {
+					t.Errorf("%s: improved by %v (%s -> %s), want no improvement", name, rep.Applied, rep.BaseCost, rep.BestCost)
+				}
+				continue
+			}
+			if !rep.Improved || !reflect.DeepEqual(rep.Applied, []string{"reshape-asap"}) {
+				t.Errorf("%s: improved=%v by %v, want [reshape-asap]", name, rep.Improved, rep.Applied)
+			}
+			if rep.BaseCost != want.base || rep.BestCost != want.best {
+				t.Errorf("%s: cost %s -> %s, want %s -> %s", name, rep.BaseCost, rep.BestCost, want.base, want.best)
+			}
+		}
 	}
 }

@@ -4,9 +4,22 @@ import (
 	"lyra/internal/ir"
 )
 
-// The rule library. Every rule returns fresh clones; the equivalence
-// argument for each is stated on the rule. All rules iterate algorithms and
-// instructions in program order, so candidate order is deterministic.
+// rule is one local rewrite. apply returns zero or more rewritten deep clones
+// of p (the input is never mutated); the search normalizes and fingerprints
+// every candidate. Rules must be deterministic: the same input program yields
+// the same candidates in the same order.
+type rule interface {
+	name() string
+	apply(p *ir.Program) []*ir.Program
+}
+
+// library is the rule library in application order: the three rules that
+// win a search (EXPERIMENTS E28, E29). None is the inverse of another, so no
+// chain undoes its own step. Every rule returns fresh clones; the
+// equivalence argument for each is stated on the rule. All rules iterate
+// algorithms and instructions in program order, so candidate order is
+// deterministic.
+var library = []rule{mergeGatewayRule{}, reorderGuardRule{}, reshapeASAPRule{}}
 
 // guardHasPrefix reports whether g starts with the terms of prefix.
 func guardHasPrefix(g, prefix ir.Guard) bool {
@@ -37,12 +50,11 @@ func comparisonShape(in *ir.Instr) *ir.Var {
 	return v
 }
 
-// readersRespectPrefix verifies the hoistability condition shared by the
-// gateway rules: v is never read as a data operand, and every guard that
+// readersRespectPrefix verifies merge-gateway's hoistability condition: v is never read as a data operand, and every guard that
 // tests v carries prefix as its leading terms with v appearing only after
 // them. Under these conditions v's value is observable only when prefix
-// holds, so computing it unconditionally (or exactly under prefix) cannot
-// change any observable behavior.
+// holds, so computing it unconditionally cannot change any observable
+// behavior.
 func readersRespectPrefix(a *ir.Algorithm, v *ir.Var, prefix ir.Guard) bool {
 	used := false
 	for _, j := range a.Instrs {
@@ -77,9 +89,9 @@ func readersRespectPrefix(a *ir.Algorithm, v *ir.Var, prefix ir.Guard) bool {
 // (failed) prefix, so no reading instruction executes.
 type mergeGatewayRule struct{}
 
-func (mergeGatewayRule) Name() string { return "merge-gateway" }
+func (mergeGatewayRule) name() string { return "merge-gateway" }
 
-func (mergeGatewayRule) Apply(p *ir.Program) []*ir.Program {
+func (mergeGatewayRule) apply(p *ir.Program) []*ir.Program {
 	var out []*ir.Program
 	for ai, a := range p.Algorithms {
 		for ii, in := range a.Instrs {
@@ -101,217 +113,6 @@ func (mergeGatewayRule) Apply(p *ir.Program) []*ir.Program {
 	return out
 }
 
-// splitGatewayRule (table split): the inverse of mergeGatewayRule. An
-// unconditional field-vs-constant comparison whose result is only tested
-// inside guards sharing a common non-empty prefix is re-guarded with that
-// prefix, splitting a merged multi-field gateway back into compute +
-// gateway tables. Same equivalence argument, run in reverse; the prefix
-// variables must all be defined before the comparison so re-guarding adds
-// only backward dependency edges.
-type splitGatewayRule struct{}
-
-func (splitGatewayRule) Name() string { return "split-gateway" }
-
-func (splitGatewayRule) Apply(p *ir.Program) []*ir.Program {
-	var out []*ir.Program
-	for ai, a := range p.Algorithms {
-		defIdx := map[*ir.Var]int{}
-		for i, in := range a.Instrs {
-			if v := in.WritesVar(); v != nil {
-				defIdx[v] = i
-			}
-		}
-		for ii, in := range a.Instrs {
-			if len(in.Guard) != 0 {
-				continue
-			}
-			v := comparisonShape(in)
-			if v == nil {
-				continue
-			}
-			prefix := commonReaderPrefix(a, v)
-			if len(prefix) == 0 {
-				continue
-			}
-			ok := true
-			for _, t := range prefix {
-				d, defined := defIdx[t.Var]
-				if !defined || d >= ii {
-					ok = false
-					break
-				}
-			}
-			if !ok || !readersRespectPrefix(a, v, prefix) {
-				continue
-			}
-			q := p.Clone()
-			qi := q.Algorithms[ai].Instrs[ii]
-			g := make(ir.Guard, len(prefix))
-			for gi, t := range prefix {
-				// Remap prefix terms into the clone's variable identity.
-				var qv *ir.Var
-				for _, cand := range q.Algorithms[ai].Instrs {
-					if w := cand.WritesVar(); w != nil && w.Name == t.Var.Name && w.Ver == t.Var.Ver {
-						qv = w
-						break
-					}
-				}
-				if qv == nil {
-					ok = false
-					break
-				}
-				g[gi] = ir.GuardTerm{Var: qv, Neg: t.Neg}
-			}
-			if !ok {
-				continue
-			}
-			qi.Guard = g
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// commonReaderPrefix computes the longest common guard prefix, up to v's
-// first occurrence, across every guard that tests v. Returns nil when v is
-// read as a data operand or never tested.
-func commonReaderPrefix(a *ir.Algorithm, v *ir.Var) ir.Guard {
-	var prefix ir.Guard
-	first := true
-	for _, j := range a.Instrs {
-		for _, arg := range j.Args {
-			if arg.Kind == ir.OpdVar && arg.Var == v {
-				return nil
-			}
-		}
-		for k, t := range j.Guard {
-			if t.Var != v {
-				continue
-			}
-			cur := j.Guard[:k]
-			if first {
-				prefix = append(ir.Guard(nil), cur...)
-				first = false
-				continue
-			}
-			n := len(prefix)
-			if len(cur) < n {
-				n = len(cur)
-			}
-			m := 0
-			for m < n && prefix[m].Var == cur[m].Var && prefix[m].Neg == cur[m].Neg {
-				m++
-			}
-			prefix = prefix[:m]
-		}
-	}
-	return prefix
-}
-
-// mergeSelectRule (table merge): two adjacent assignments to the same
-// header field under complementary innermost guard terms fuse into one
-// select instruction under the shared guard prefix.
-//
-// Equivalence, case by case on the shared prefix G and predicate p: under
-// G∧p the original writes the then-value and the select picks the same
-// operand; under G∧¬p symmetrically; under ¬G neither form writes.
-// Adjacency guarantees no instruction observes the field between the two
-// writes, and operand evaluation is side-effect free, so evaluating the
-// untaken arm's operand is unobservable.
-type mergeSelectRule struct{}
-
-func (mergeSelectRule) Name() string { return "merge-select" }
-
-func (mergeSelectRule) Apply(p *ir.Program) []*ir.Program {
-	var out []*ir.Program
-	for ai, a := range p.Algorithms {
-		for ii := 0; ii+1 < len(a.Instrs); ii++ {
-			x, y := a.Instrs[ii], a.Instrs[ii+1]
-			if x.Op != ir.IAssign || y.Op != ir.IAssign {
-				continue
-			}
-			if x.Dest.Kind != ir.DestField || y.Dest.Kind != ir.DestField {
-				continue
-			}
-			if x.Dest.Hdr != y.Dest.Hdr || x.Dest.Field != y.Dest.Field {
-				continue
-			}
-			n := len(x.Guard)
-			if n == 0 || len(y.Guard) != n {
-				continue
-			}
-			if !guardHasPrefix(y.Guard, x.Guard[:n-1]) {
-				continue
-			}
-			tx, ty := x.Guard[n-1], y.Guard[n-1]
-			if tx.Var != ty.Var || tx.Neg == ty.Neg {
-				continue
-			}
-			q := p.Clone()
-			qa := q.Algorithms[ai]
-			qx, qy := qa.Instrs[ii], qa.Instrs[ii+1]
-			pv := qx.Guard[n-1].Var
-			pos, neg := qx.Args[0], qy.Args[0]
-			if qx.Guard[n-1].Neg {
-				pos, neg = qy.Args[0], qx.Args[0]
-			}
-			merged := &ir.Instr{
-				Op:    ir.ISelect,
-				Alg:   qx.Alg,
-				Dest:  qx.Dest,
-				Args:  []ir.Operand{ir.VarOp(pv), pos, neg},
-				Guard: append(ir.Guard(nil), qx.Guard[:n-1]...),
-				Pos:   qx.Pos,
-			}
-			qa.Instrs = append(qa.Instrs[:ii], append([]*ir.Instr{merged}, qa.Instrs[ii+2:]...)...)
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// splitSelectRule (table split): the inverse of mergeSelectRule. A select
-// into a header field whose condition is a boolean SSA variable splits into
-// two complementary guarded assignments. The guards are mutually exclusive,
-// so the two writes can never both execute; the same case analysis applies
-// in reverse.
-type splitSelectRule struct{}
-
-func (splitSelectRule) Name() string { return "split-select" }
-
-func (splitSelectRule) Apply(p *ir.Program) []*ir.Program {
-	var out []*ir.Program
-	for ai, a := range p.Algorithms {
-		for ii, in := range a.Instrs {
-			if in.Op != ir.ISelect || in.Dest.Kind != ir.DestField {
-				continue
-			}
-			if in.Args[0].Kind != ir.OpdVar || in.Args[0].Var == nil || !in.Args[0].Var.Bool {
-				continue
-			}
-			q := p.Clone()
-			qa := q.Algorithms[ai]
-			qi := qa.Instrs[ii]
-			pv := qi.Args[0].Var
-			pos := &ir.Instr{
-				Op: ir.IAssign, Alg: qi.Alg, Dest: qi.Dest,
-				Args:  []ir.Operand{qi.Args[1]},
-				Guard: append(append(ir.Guard(nil), qi.Guard...), ir.GuardTerm{Var: pv}),
-				Pos:   qi.Pos,
-			}
-			neg := &ir.Instr{
-				Op: ir.IAssign, Alg: qi.Alg, Dest: qi.Dest,
-				Args:  []ir.Operand{qi.Args[2]},
-				Guard: append(append(ir.Guard(nil), qi.Guard...), ir.GuardTerm{Var: pv, Neg: true}),
-				Pos:   qi.Pos,
-			}
-			qa.Instrs = append(qa.Instrs[:ii], append([]*ir.Instr{pos, neg}, qa.Instrs[ii+1:]...)...)
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // reorderGuardRule (predicate-block reorder): re-sorts each algorithm's
 // instructions into a dependency-respecting order that keeps same-guard
 // instructions adjacent, so synthesis groups them into fewer predicate
@@ -324,9 +125,9 @@ func (splitSelectRule) Apply(p *ir.Program) []*ir.Program {
 // dependency graph therefore executes identically on every packet.
 type reorderGuardRule struct{}
 
-func (reorderGuardRule) Name() string { return "reorder-guard" }
+func (reorderGuardRule) name() string { return "reorder-guard" }
 
-func (reorderGuardRule) Apply(p *ir.Program) []*ir.Program {
+func (reorderGuardRule) apply(p *ir.Program) []*ir.Program {
 	perm, changed := groupedTopoOrder(p)
 	if !changed {
 		return nil
@@ -400,9 +201,9 @@ func groupedTopoOrder(p *ir.Program) ([][]int, bool) {
 // reorderGuardRule.
 type reshapeASAPRule struct{}
 
-func (reshapeASAPRule) Name() string { return "reshape-asap" }
+func (reshapeASAPRule) name() string { return "reshape-asap" }
 
-func (reshapeASAPRule) Apply(p *ir.Program) []*ir.Program {
+func (reshapeASAPRule) apply(p *ir.Program) []*ir.Program {
 	perms := make([][]int, len(p.Algorithms))
 	changed := false
 	for ai, a := range p.Algorithms {
@@ -458,41 +259,4 @@ func permute(p *ir.Program, perms [][]int) *ir.Program {
 		a.Instrs = instrs
 	}
 	return q
-}
-
-// widenKeyRule (extern key-widening): rounds an extern table's key-field
-// widths up to byte boundaries. Execution semantics are untouched —
-// simulated lookups match on raw key values, and declared widths feed only
-// resource accounting (match bits) and emitted code — so the variant is
-// equivalent by construction while presenting the placement solver a
-// byte-aligned match layout (what hand-written P4 usually declares).
-type widenKeyRule struct{}
-
-func (widenKeyRule) Name() string { return "widen-key" }
-
-func (widenKeyRule) Apply(p *ir.Program) []*ir.Program {
-	var out []*ir.Program
-	for ai, a := range p.Algorithms {
-		for ei, e := range a.Externs {
-			ragged := false
-			for _, k := range e.Keys {
-				if k.Type.Bits%8 != 0 {
-					ragged = true
-					break
-				}
-			}
-			if !ragged {
-				continue
-			}
-			q := p.Clone()
-			qe := q.Algorithms[ai].Externs[ei]
-			for ki := range qe.Keys {
-				if r := qe.Keys[ki].Type.Bits % 8; r != 0 {
-					qe.Keys[ki].Type.Bits += 8 - r
-				}
-			}
-			out = append(out, q)
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"lyra/internal/encode"
 	"lyra/internal/ir"
@@ -27,18 +28,26 @@ type node struct {
 // best certified variant (or base itself) plus a full report. The returned
 // program is base exactly when no candidate both beat the base cost and
 // passed certification; the caller then proceeds with its normal pipeline
-// on whichever program comes back.
+// on whichever program comes back. Every solve, the base program's
+// included, runs under the enclosing compile's objective and worker bound.
 //
-// The walk is deterministic for fixed Options: rules apply in library
-// order over the frontier in insertion order, candidates dedupe by
-// canonical fingerprint, the beam ranks by (static cost, fingerprint), and
-// solved survivors rank by (solved cost, fingerprint). Measured replay
-// rates are recorded but never ranked on.
+// The walk is deterministic for a fixed seed: rules apply in library order
+// over the frontier in insertion order, candidates dedupe by canonical
+// fingerprint, the beam ranks by (static cost, fingerprint), and solved
+// survivors rank by (solved cost, fingerprint).
 //
 // Search never fails the compile: on an unsolvable base or a cancelled
 // context it returns base with the condition in Report.Note.
-func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, o Options) (*ir.Program, *Report) {
-	o = o.withDefaults()
+func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, o Options, obj encode.Objective, parallelism int) (*ir.Program, *Report) {
+	seed := o.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return search(ctx, base, net, scopes, seed, obj, parallelism, library)
+}
+
+// search is Search over the given rule list; tests pass broken rules here.
+func search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, seed int64, obj encode.Objective, parallelism int, rules []rule) (*ir.Program, *Report) {
 	rep := &Report{BaseFingerprint: Fingerprint(base)}
 	rep.WinnerFingerprint = rep.BaseFingerprint
 	if ctx == nil {
@@ -47,10 +56,10 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 
 	solve := func(p *ir.Program) (*encode.Plan, error) {
 		opts := encode.DefaultOptions()
-		opts.Objective = o.Objective
-		opts.TimeBudget = o.SolveBudget
+		opts.Objective = obj
+		opts.TimeBudget = solveBudget
 		opts.Ctx = ctx
-		opts.Parallelism = o.Parallelism
+		opts.Parallelism = parallelism
 		return encode.Solve(&encode.Input{IR: p, Net: net, Scopes: scopes}, opts)
 	}
 
@@ -66,15 +75,15 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 	frontier := []*node{{prog: base, fp: rep.BaseFingerprint, stat: staticCostOf(base)}}
 	var evaluated []*node
 
-	for depth := 1; depth <= o.MaxDepth && len(frontier) > 0; depth++ {
+	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
 		if ctx.Err() != nil {
 			rep.Note = "search cancelled: " + ctx.Err().Error()
 			break
 		}
 		var gen []*node
 		for _, nd := range frontier {
-			for _, r := range o.Rules {
-				for _, q := range r.Apply(nd.prog) {
+			for _, r := range rules {
+				for _, q := range r.apply(nd.prog) {
 					rep.Explored++
 					Normalize(q)
 					fp := Fingerprint(q)
@@ -83,7 +92,7 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 						continue
 					}
 					seen[fp] = true
-					chain := append(append([]string(nil), nd.rules...), r.Name())
+					chain := append(append([]string(nil), nd.rules...), r.name())
 					gen = append(gen, &node{prog: q, fp: fp, stat: staticCostOf(q), rules: chain})
 				}
 			}
@@ -94,12 +103,12 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 			}
 			return gen[i].fp < gen[j].fp
 		})
-		if len(gen) > o.BeamWidth {
-			rep.Pruned += len(gen) - o.BeamWidth
-			gen = gen[:o.BeamWidth]
+		if len(gen) > beamWidth {
+			rep.Pruned += len(gen) - beamWidth
+			gen = gen[:beamWidth]
 		}
 		for _, nd := range gen {
-			if rep.Solved >= o.MaxCandidates {
+			if rep.Solved >= maxCandidates {
 				rep.Pruned++
 				continue
 			}
@@ -120,7 +129,7 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 		// a variant that cannot place on its own may rewrite further into
 		// one that can.
 		frontier = gen
-		if rep.Solved >= o.MaxCandidates {
+		if rep.Solved >= maxCandidates {
 			break
 		}
 	}
@@ -138,10 +147,10 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 			break // sorted: nothing further beats base either
 		}
 		rep.CertifyAttempts++
-		if err := certify(base, nd.prog, nd.plan, o); err != nil {
+		if err := certify(base, nd.prog, nd.plan, seed); err != nil {
 			rep.Rejected++
 			if rep.RejectionDetail == "" {
-				rep.RejectionDetail = fmt.Sprintf("rule chain [%s]: %v", joinRules(nd.rules), err)
+				rep.RejectionDetail = fmt.Sprintf("rule chain [%s]: %v", strings.Join(nd.rules, " "), err)
 			}
 			continue
 		}
@@ -153,15 +162,4 @@ func Search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 		break
 	}
 	return winner, rep
-}
-
-func joinRules(rules []string) string {
-	out := ""
-	for i, r := range rules {
-		if i > 0 {
-			out += " "
-		}
-		out += r
-	}
-	return out
 }

@@ -189,20 +189,10 @@ const (
 // Phases lists every pipeline phase in execution order.
 func Phases() []Phase { return core.Phases() }
 
-// Rewrite-search surface (re-exported from internal/rewrite): WithOptimize
-// runs a bounded, certified search over semantics-preserving program
-// variants before placement; the account lands in Result.Optimization.
-type (
-	// OptimizeOptions bounds and seeds one rewrite search.
-	OptimizeOptions = rewrite.Options
-	// Optimization is the rewrite-search report: rules applied, candidates
-	// explored/deduped/pruned/solved, certification outcomes, cost deltas.
-	Optimization = rewrite.Report
-	// RewriteRule is one local rewrite; OptimizeOptions.Rules overrides the
-	// built-in library (tests inject deliberately broken rules to prove
-	// certification rejects them).
-	RewriteRule = rewrite.Rule
-)
+// Optimization is the rewrite-search report of a WithOptimize compile: rules
+// applied, candidates explored/deduped/pruned/solved, certification outcomes,
+// cost deltas.
+type Optimization = rewrite.Report
 
 // Fault-event constructors.
 var (
@@ -321,14 +311,17 @@ func WithSourceName(name string) Option { return func(c *Compiler) { c.cfg.Sourc
 func WithLazyPaths(maxPaths int64) Option { return func(*Compiler) {} }
 
 // WithOptimize enables the rewrite search: before placement, the compiler
-// explores semantics-preserving merge/split/reorder/reshape/widen variants
-// of the program, scores them with a two-level cost model (synthesized
-// table totals, then a real bounded solve), certifies the best one
-// equivalent on seeded traces on both execution tiers, and compiles
-// whichever program won. The zero OptimizeOptions value selects sensible
-// bounded defaults; the search's account is in Result.Optimization.
-func WithOptimize(opts OptimizeOptions) Option {
-	return func(c *Compiler) { o := opts; c.cfg.Optimize = &o }
+// explores semantics-preserving variants of the program (a guarded
+// comparison hoisted so its table merges into a gateway, predicate blocks
+// regrouped, instructions reshaped by dependency depth), scores them with a
+// two-level cost model (synthesized table totals, then a real solve under
+// the compile's objective), certifies the best one equivalent to the
+// original on seeded traces through the reference and both execution tiers,
+// and compiles whichever program won. seed drives the certification traces
+// (0 selects 1); the search's bounds are fixed. Its account is in
+// Result.Optimization.
+func WithOptimize(seed int64) Option {
+	return func(c *Compiler) { c.cfg.Optimize = &rewrite.Options{Seed: seed} }
 }
 
 // Compile runs the full Lyra pipeline — parse, check, preprocess, analyze,

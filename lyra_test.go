@@ -406,7 +406,7 @@ algorithm acl {
 		t.Fatal("plain compile carries an optimization report")
 	}
 
-	res, err := New(WithOptimize(OptimizeOptions{Seed: 1})).Compile(ctx, src, scopeSpec, Testbed())
+	res, err := New(WithOptimize(1)).Compile(ctx, src, scopeSpec, Testbed())
 	if err != nil {
 		t.Fatalf("optimized compile: %v", err)
 	}

@@ -167,7 +167,7 @@ func TestCompilerMatchesRequest(t *testing.T) {
 		WithDialect(P416), WithObjective(ObjectiveMinSwitches), WithPreferSwitch("ToR3"),
 		WithSolveBudget(time.Minute), WithParallelism(3), WithObserver(obs), WithSkipVerify(),
 		WithSourceName("lb.lyra"),
-		WithOptimize(OptimizeOptions{Seed: 9}),
+		WithOptimize(9),
 	)
 	net := Testbed()
 	c.Compile(context.Background(), "first", "scope one", net)
