@@ -15,7 +15,6 @@ type TableSpec struct {
 	MatchBits  int
 	ActionBits int // action-parameter data carried per entry
 	Actions    int
-	UseTCAM    bool
 	Stateful   bool  // needs an atom (global variable access, Appendix A.5)
 	Deps       []int // indices into the table slice; must be in earlier stages
 }

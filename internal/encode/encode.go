@@ -16,9 +16,11 @@ package encode
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +51,7 @@ type InfeasibleError struct {
 	// (typically resource-capacity facts learned from the chip models), in
 	// which case Hint carries the last theory conflict.
 	Groups []string
-	// Hint is the last resource-theory conflict reason, when any.
+	// Hint is the last resource-theory conflict of the failing solve, if any.
 	Hint string
 }
 
@@ -529,7 +531,7 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 	step := "initial"
 
 	start := time.Now()
-	e, err := newEncoder(in, phv)
+	e, err := newEncoder(in, union, phv)
 	if err == nil {
 		err = e.encode(ctx)
 	}
@@ -554,7 +556,7 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 		diags.record(label, step, cfg, aerr, aDur, core)
 		if aerr == nil {
 			tStart := time.Now()
-			r.tmpl = e.newTemplate(m, union)
+			r.tmpl = e.newTemplate(m)
 			r.tmpl.trail = diags
 			r.enc += time.Since(tStart)
 			r.stats = e.solver.Statistics()
@@ -669,7 +671,7 @@ func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline ti
 		var w []int64
 		for _, pv := range enc.placeVars {
 			lits = append(lits, pv.lit)
-			if cfg.objective == ObjPreferSwitch && pv.sw == cfg.prefer {
+			if cfg.objective == ObjPreferSwitch && enc.switches[pv.sw] == cfg.prefer {
 				w = append(w, 0) // free on the preferred switch
 			} else {
 				w = append(w, 1)
@@ -698,7 +700,10 @@ func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline ti
 		if serr != nil {
 			return nil, fmt.Errorf("encode: solver gave up: %w", serr)
 		}
-		return nil, &InfeasibleError{Groups: enc.unsatCore(deadline), Hint: enc.lastTheoryHint()}
+		// The hint is the failed solve's own last conflict: read it before the
+		// core minimization's probes run theory checks of their own.
+		hint := enc.lastTheoryHint()
+		return nil, &InfeasibleError{Groups: enc.unsatCore(deadline), Hint: hint}
 	}
 	model := s.Model()
 	// Re-run the theory on the final model to materialize allocations and
@@ -734,13 +739,13 @@ func (e *encoder) unsatCore(deadline time.Time) []string {
 	return s.CoreNames(core)
 }
 
-// placeVar identifies one f_s(i) literal.
+// placeVar identifies one f_s(i) literal: instruction instr of algorithm alg
+// on switch sw, as indices into the encoder's algs, the algorithm's
+// instructions and the encoder's switches.
 type placeVar struct {
-	alg    string
-	instr  int
-	sw     string
-	lit    smt.Lit
-	shared bool // instruction may be multi-placed (extern reader)
+	lit            smt.Lit
+	alg, sw, instr int32
+	shared         bool // instruction may be multi-placed (extern reader)
 }
 
 type encoder struct {
@@ -748,14 +753,19 @@ type encoder struct {
 	solver *smt.Solver
 	theory *resourceTheory
 
+	// switches is the component's sorted scope union, and a switch is its
+	// index into it; models holds each candidate switch's chip, looked up once.
+	switches []string
+	models   []*asic.Model
+	// algs are the component's algorithms in name order, and an algorithm is
+	// its index into it; externs are their externs in name order, likewise.
+	algs    []*algPrep
+	externs []*ir.ExternDecl
+
 	// vars holds each algorithm's placement literals.
 	vars      map[string]*algVars
 	placeVars []placeVar
 
-	// synth results per algorithm per language, each made the first time a
-	// switch of that language asks for it.
-	p4  map[string]*synth.Result
-	npl map[string]*synth.Result
 	// phv numbers the program's PHV-resident names; see phvIndex.
 	phv *phvIndex
 	// clause and hop are scratch for the clause being built and the hop
@@ -796,13 +806,13 @@ type encoder struct {
 	useOnce bool
 }
 
-func newEncoder(in *Input, phv *phvIndex) (*encoder, error) {
+// newEncoder makes the encoder of a component; union is its sorted scope union.
+func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
 	e := &encoder{
 		in:          in,
 		solver:      smt.NewSolver(),
+		switches:    union,
 		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
-		p4:          map[string]*synth.Result{},
-		npl:         map[string]*synth.Result{},
 		phv:         phv,
 		sharedInstr: map[string]map[int]bool{},
 		replicable:  replicableAlgs(in),
@@ -816,35 +826,32 @@ func newEncoder(in *Input, phv *phvIndex) (*encoder, error) {
 	return e, nil
 }
 
-// synthesized returns the algorithm's conditional implementation for a chip
+// synthesized returns an algorithm's conditional implementation for a chip
 // language, synthesizing it on first use: a scope of P4 switches never pays
 // for the NPL one, nor the other way round.
-func (e *encoder) synthesized(alg string, lang asic.Lang) *synth.Result {
-	memo, synthesize := e.p4, synth.SynthesizeP4
+func (e *encoder) synthesized(p *algPrep, lang asic.Lang) *synth.Result {
+	l, synthesize := 0, synth.SynthesizeP4
 	if lang == asic.LangNPL {
-		memo, synthesize = e.npl, synth.SynthesizeNPL
+		l, synthesize = 1, synth.SynthesizeNPL
 	}
-	r := memo[alg]
-	if r == nil {
-		r = synthesize(e.in.IR, e.in.IR.Algorithm(alg))
-		memo[alg] = r
+	if p.synth[l] == nil {
+		p.synth[l] = synthesize(e.in.IR, p.alg)
 	}
-	return r
+	return p.synth[l]
 }
 
 // algVars is one algorithm's placement literals, f_s(i) at
-// lits[i*len(cands)+candIdx[s]], and the selectors of its constraint
-// families, each made the first time one of its clauses is added.
+// lits[i*len(cands)+k] for s its k-th candidate, and the selectors of its
+// constraint families, each made the first time one of its clauses is added.
 type algVars struct {
-	name    string
-	cands   []string
-	candIdx map[string]int
-	lits    []smt.Lit
-	sels    [numFamilies]smt.Lit
+	name  string
+	cands []int32
+	lits  []smt.Lit
+	sels  [numFamilies]smt.Lit
 }
 
-func (v *algVars) lit(instr int, sw string) smt.Lit {
-	return v.lits[instr*len(v.cands)+v.candIdx[sw]]
+func (v *algVars) lit(instr, k int) smt.Lit {
+	return v.lits[instr*len(v.cands)+k]
 }
 
 // family names a constraint family of one algorithm; its selector is labelled
@@ -864,22 +871,29 @@ var familyPrefix = [numFamilies]string{"coverage:", "exactly-one:", "order:", "s
 
 // algPrep is one algorithm's encoding preparation.
 type algPrep struct {
-	// candidates are the programmable switches of the scope, in scope
-	// (sorted) order; isCand indexes them.
-	candidates []string
-	isCand     map[string]bool
-	// onPath marks candidates traversed by at least one flow path.
-	onPath map[string]bool
+	alg *ir.Algorithm
+	// index is the algorithm's index into the encoder's algs.
+	index int32
+	// cands are the programmable switches of the scope, in scope (sorted)
+	// order, as switch indices; candAt maps a candidate's name to its
+	// position in cands.
+	cands  []int32
+	candAt map[string]int32
+	// onPath marks, by position, candidates traversed by at least one flow
+	// path.
+	onPath []bool
 	// hops are the unique programmable-hop sequences of the scope's flow
-	// paths, in first-encounter enumeration order. Distinct paths routing
-	// through the same candidates in the same order collapse to one entry:
-	// they emit identical constraint sets, and in the shard-credit loop the
-	// duplicate is a no-op (its demand is already covered). This is what
-	// bounds memory under lazy enumeration — a k-pod fat tree walks every
-	// ECMP path but holds only the distinct hop shapes.
-	hops [][]string
+	// paths, as positions in cands, in first-encounter enumeration order.
+	// Distinct paths routing through the same candidates in the same order
+	// collapse to one entry: they emit identical constraint sets, and in the
+	// shard-credit loop the duplicate is a no-op (its demand is already
+	// covered). This is what bounds memory under lazy enumeration — a k-pod
+	// fat tree walks every ECMP path but holds only the distinct hop shapes.
+	hops [][]int32
 	// enumerated counts the flow paths walked (before dedup).
 	enumerated int64
+	// synth holds the algorithm's P4 and NPL implementations; see synthesized.
+	synth [2]*synth.Result
 }
 
 // prepare computes every algorithm's prep: shared-instruction marking,
@@ -887,6 +901,7 @@ type algPrep struct {
 // from the scope's path set. It never materializes the full path list.
 func (e *encoder) prepare() error {
 	prep := map[string]*algPrep{}
+	e.models = make([]*asic.Model, len(e.switches))
 	for _, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
 		// Mark extern-reading instructions as shareable: in MULTI-SW mode
@@ -903,50 +918,48 @@ func (e *encoder) prepare() error {
 		e.sharedInstr[a.Name] = shared
 
 		// Candidate switches: programmable members of the region.
-		p := &algPrep{isCand: map[string]bool{}, onPath: map[string]bool{}}
+		p := &algPrep{alg: a, candAt: map[string]int32{}}
 		for _, sw := range rs.Switches {
 			s := e.in.Net.Switch(sw)
 			if s == nil {
 				return fmt.Errorf("encode: scope of %q references unknown switch %q", a.Name, sw)
 			}
 			if s.ASIC.Programmable {
-				p.candidates = append(p.candidates, sw)
-				p.isCand[sw] = true
+				i, _ := slices.BinarySearch(e.switches, sw)
+				e.models[i] = s.ASIC
+				p.candAt[sw] = int32(len(p.cands))
+				p.cands = append(p.cands, int32(i))
 			}
 		}
-		if len(p.candidates) == 0 {
+		if len(p.cands) == 0 {
 			return fmt.Errorf("encode: scope of %q has no programmable switch", a.Name)
 		}
+		p.onPath = make([]bool, len(p.cands))
 
 		if rs.Deploy == scope.MultiSwitch {
 			seen := map[string]bool{}
-			var key strings.Builder
+			var hop []int32
+			var key []byte
 			var badPath []string
 			err := rs.EachPath(func(path []string) bool {
 				p.enumerated++
-				key.Reset()
-				n := 0
+				hop, key = hop[:0], key[:0]
 				for _, sw := range path {
-					if p.isCand[sw] {
-						n++
-						key.WriteString(sw)
-						key.WriteByte(0)
+					if k, ok := p.candAt[sw]; ok {
+						hop = append(hop, k)
+						key = binary.LittleEndian.AppendUint32(key, uint32(k))
 					}
 				}
-				if n == 0 {
+				if len(hop) == 0 {
 					badPath = append([]string(nil), path...)
 					return false
 				}
-				if k := key.String(); !seen[k] {
-					seen[k] = true
-					hop := make([]string, 0, n)
-					for _, sw := range path {
-						if p.isCand[sw] {
-							hop = append(hop, sw)
-							p.onPath[sw] = true
-						}
+				if !seen[string(key)] {
+					seen[string(key)] = true
+					for _, k := range hop {
+						p.onPath[k] = true
 					}
-					p.hops = append(p.hops, hop)
+					p.hops = append(p.hops, slices.Clone(hop))
 				}
 				return true
 			})
@@ -958,8 +971,15 @@ func (e *encoder) prepare() error {
 			}
 		}
 		prep[a.Name] = p
+		e.algs = append(e.algs, p)
 	}
 	e.prep = prep
+	slices.SortFunc(e.algs, func(a, b *algPrep) int { return strings.Compare(a.alg.Name, b.alg.Name) })
+	for i, p := range e.algs {
+		p.index = int32(i)
+		e.externs = append(e.externs, p.alg.Externs...)
+	}
+	slices.SortStableFunc(e.externs, func(a, b *ir.ExternDecl) int { return strings.Compare(a.Name, b.Name) })
 	return nil
 }
 
@@ -1053,8 +1073,8 @@ func (e *encoder) encode(ctx context.Context) error {
 	// and candidate, and at most one selector per family.
 	nvars, nlits := 0, 0
 	for _, a := range e.in.IR.Algorithms {
-		nvars += len(a.Instrs)*len(e.prep[a.Name].candidates) + int(numFamilies)
-		nlits += len(a.Instrs) * len(e.prep[a.Name].candidates)
+		nvars += len(a.Instrs)*len(e.prep[a.Name].cands) + int(numFamilies)
+		nlits += len(a.Instrs) * len(e.prep[a.Name].cands)
 	}
 	e.solver.Reserve(nvars)
 	e.placeVars = make([]placeVar, 0, nlits)
@@ -1062,12 +1082,9 @@ func (e *encoder) encode(ctx context.Context) error {
 	for _, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
 		p := e.prep[a.Name]
-		candidates := p.candidates
+		candidates := p.cands
 
-		v := &algVars{name: a.Name, cands: candidates, candIdx: make(map[string]int, len(candidates))}
-		for k, sw := range candidates {
-			v.candIdx[sw] = k
-		}
+		v := &algVars{name: a.Name, cands: candidates}
 		for f := range v.sels {
 			v.sels[f] = smt.LitUndef
 		}
@@ -1078,7 +1095,7 @@ func (e *encoder) encode(ctx context.Context) error {
 				l := e.solver.NewBool("")
 				v.lits[inst.ID*len(candidates)+k] = l
 				e.placeVars = append(e.placeVars, placeVar{
-					alg: a.Name, instr: inst.ID, sw: sw, lit: l, shared: e.sharedInstr[a.Name][inst.ID],
+					lit: l, alg: p.index, sw: sw, instr: int32(inst.ID), shared: e.sharedInstr[a.Name][inst.ID],
 				})
 			}
 		}
@@ -1087,8 +1104,8 @@ func (e *encoder) encode(ctx context.Context) error {
 		case scope.PerSwitch:
 			// Every instruction on every candidate switch (copies).
 			for _, inst := range a.Instrs {
-				for _, sw := range candidates {
-					e.guarded(v, famCoverage, v.lit(inst.ID, sw))
+				for k := range candidates {
+					e.guarded(v, famCoverage, v.lit(inst.ID, k))
 				}
 			}
 		case scope.MultiSwitch:
@@ -1107,7 +1124,7 @@ func (e *encoder) encode(ctx context.Context) error {
 		// on the switch where it matched).
 		e.encodeColocated(a, v, ir.IMember, ir.ILookup)
 	}
-	e.theory = &resourceTheory{e: e}
+	e.theory = newTheory(e)
 	e.solver.AddTheory(e.theory)
 	return nil
 }
@@ -1122,9 +1139,9 @@ func (e *encoder) encode(ctx context.Context) error {
 func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *algPrep, v *algVars) error {
 	// Instructions cannot sit on switches no flow traverses.
 	for _, inst := range a.Instrs {
-		for _, sw := range p.candidates {
-			if !p.onPath[sw] {
-				e.guarded(v, famScope, v.lit(inst.ID, sw).Not())
+		for k, on := range p.onPath {
+			if !on {
+				e.guarded(v, famScope, v.lit(inst.ID, k).Not())
 			}
 		}
 	}
@@ -1142,8 +1159,8 @@ func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *alg
 		}
 		for _, inst := range a.Instrs {
 			e.hop = e.hop[:0]
-			for _, sw := range hops {
-				e.hop = append(e.hop, v.lit(inst.ID, sw))
+			for _, k := range hops {
+				e.hop = append(e.hop, v.lit(inst.ID, int(k)))
 			}
 			// Coverage (Eq. 16 / §5.5): at least one placement per path,
 			// always required.
@@ -1170,8 +1187,8 @@ func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *alg
 					for bi := 0; bi < ai; bi++ {
 						// dep at position ai (late), inst at bi (early).
 						e.guarded(v, famOrder,
-							v.lit(dep, hops[ai]).Not(),
-							v.lit(inst.ID, hops[bi]).Not(),
+							v.lit(dep, int(hops[ai])).Not(),
+							v.lit(inst.ID, int(hops[bi])).Not(),
 						)
 					}
 				}
@@ -1198,8 +1215,8 @@ func (e *encoder) encodeColocated(a *ir.Algorithm, v *algVars, op1, op2 ir.Op) {
 		}
 		first := ids[0]
 		for _, other := range ids[1:] {
-			for _, sw := range v.cands {
-				a1, a2 := v.lit(first, sw), v.lit(other, sw)
+			for k := range v.cands {
+				a1, a2 := v.lit(first, k), v.lit(other, k)
 				e.guarded(v, famColocate, a1.Not(), a2)
 				e.guarded(v, famColocate, a1, a2.Not())
 			}
@@ -1217,17 +1234,15 @@ func (e *encoder) switchUseLits() ([]smt.Lit, []int64) {
 		return e.useLits, e.useW
 	}
 	e.useOnce = true
-	bySwitch := map[string][]smt.Lit{}
+	bySwitch := make([][]smt.Lit, len(e.switches))
 	for _, pv := range e.placeVars {
 		bySwitch[pv.sw] = append(bySwitch[pv.sw], pv.lit)
 	}
-	var names []string
-	for sw := range bySwitch {
-		names = append(names, sw)
-	}
-	sort.Strings(names)
-	for _, sw := range names {
-		used, _ := e.solver.OrEquals(bySwitch[sw], "used["+sw+"]")
+	for sw, lits := range bySwitch {
+		if len(lits) == 0 {
+			continue
+		}
+		used, _ := e.solver.OrEquals(lits, "used["+e.switches[sw]+"]")
 		e.useLits = append(e.useLits, used)
 		e.useW = append(e.useW, 1)
 	}
@@ -1235,8 +1250,8 @@ func (e *encoder) switchUseLits() ([]smt.Lit, []int64) {
 }
 
 func (e *encoder) lastTheoryHint() string {
-	if e.theory != nil && e.theory.lastReason != "" {
-		return " (last resource conflict: " + e.theory.lastReason + ")"
+	if r := e.theory.reason(); r != "" {
+		return " (last resource conflict: " + r + ")"
 	}
 	return ""
 }

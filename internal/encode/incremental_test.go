@@ -1,12 +1,14 @@
 package encode
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"lyra/internal/scope"
+	"lyra/internal/smt"
 	"lyra/internal/topo"
 )
 
@@ -286,5 +288,46 @@ func TestSolverCacheMissesOnChangedScope(t *testing.T) {
 	}
 	if cache.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2 distinct components", cache.Len())
+	}
+}
+
+// TestInfeasibleHintIsTheFailingSolves: the hint of an infeasible answer is the
+// last resource conflict of the solve that failed, not of a probe the unsat
+// core minimization ran after it. The same encoding solved alone, with no core
+// minimized, names the conflict the answer must carry — on the ToR1/Agg1 scope
+// the conn_table a Trident-4 cannot hold, where a probe ends on a Tofino's
+// stage overflow; on the whole testbed the entries left over along Agg1->ToR1,
+// where a probe ends on another count.
+func TestInfeasibleHintIsTheFailingSolves(t *testing.T) {
+	src := subst(lbSrc, "50000000", "1000000")
+	for _, tc := range []struct{ scope, want string }{
+		{`loadbalancer: [ ToR1,Agg1 | MULTI-SW | (Agg1->ToR1) ]`, "Trident-4: memory pool overflow: need 50000001 words, have 3000000"},
+		{`loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`, "extern conn_table: 47000001 entries do not fit along path [Agg1 ToR1]"},
+	} {
+		in := buildInput(t, src, tc.scope, topo.Testbed())
+		e, err := newEncoder(in, scopeUnion(in), &phvIndex{prog: in.IR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.encode(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := e.solver.Solve(e.assumptionsFor(attemptCfg{})...); err != nil || st != smt.StatusUnsat {
+			t.Fatalf("%s: solve: %v %v, want unsat", tc.scope, st, err)
+		}
+		failing := e.lastTheoryHint()
+		if !strings.Contains(failing, tc.want) {
+			t.Fatalf("%s: the failing solve's last conflict is %q, want it to name %q", tc.scope, failing, tc.want)
+		}
+		opts := DefaultOptions()
+		opts.Ladder = nil
+		_, err = Solve(in, opts)
+		var ie *InfeasibleError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: err = %v, want *InfeasibleError", tc.scope, err)
+		}
+		if ie.Hint != failing {
+			t.Errorf("%s: hint %q, want the failing solve's %q", tc.scope, ie.Hint, failing)
+		}
 	}
 }

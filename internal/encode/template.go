@@ -82,37 +82,30 @@ type Shard struct {
 }
 
 // newTemplate extracts the template of a solved component from the model the
-// encoder accepted and the allocations and shard sizes its theory
-// materialized for it; union is the component's sorted scope union.
-func (e *encoder) newTemplate(m *smt.Model, union []string) *Template {
-	index := func(sw string) int { i, _ := slices.BinarySearch(union, sw); return i }
-	t := &Template{slots: make([]slot, len(union)), shards: make(map[string][]indexShard, len(e.theory.shards))}
+// encoder accepted and the tables, allocations and shard sizes its theory
+// wrote for it, all by switch index, which is the template's index.
+func (e *encoder) newTemplate(m *smt.Model) *Template {
+	t := &Template{slots: make([]slot, len(e.switches)), shards: make(map[string][]indexShard, len(e.theory.ext))}
 	t.pathsEnumerated, t.peakPathsHeld = e.pathMetrics()
 
 	for _, a := range e.in.IR.Algorithms {
 		v := e.vars[a.Name]
 		for _, in := range a.Instrs { // program order
 			for k, sw := range v.cands {
-				if m.Value(v.lits[in.ID*len(v.cands)+k]) {
-					s := &t.slots[index(sw)]
+				if m.Value(v.lit(in.ID, k)) {
+					s := &t.slots[sw]
 					s.instrs = append(s.instrs, in)
 				}
 			}
 		}
 	}
-	for sw, ts := range e.theory.placedTables {
-		t.slots[index(sw)].tables = ts
+	for i, s := range e.theory.sws {
+		t.slots[i].tables, t.slots[i].alloc = s.tables, s.alloc
 	}
-	for sw, al := range e.theory.allocations {
-		t.slots[index(sw)].alloc = al
-	}
-	for ext, bySwitch := range e.theory.shards {
-		at := make([]indexShard, 0, len(bySwitch))
-		for sw, n := range bySwitch {
-			at = append(at, indexShard{index(sw), n})
+	for _, u := range e.theory.ext {
+		if u.shards != nil {
+			t.shards[u.decl.Name] = u.shards
 		}
-		sort.Slice(at, func(i, j int) bool { return at[i].index < at[j].index })
-		t.shards[ext] = at
 	}
 	e.bridge(t)
 	return t

@@ -20,30 +20,91 @@ import (
 // chip allocator. Infeasibility becomes a conflict clause over the true
 // placement literals involved (see package comment for the soundness
 // discussion).
+//
+// It works on the encoder's dense indices — a switch is its index into the
+// component's sorted scope union, an algorithm or an extern its index in name
+// order — so visiting indices in ascending order visits names in sorted order.
+// A check fills scratch sized once per encoder and builds no map; what it
+// hands on is written only when it accepts, and why it rejected is kept as
+// data until a diagnostic asks.
 type resourceTheory struct {
 	e *encoder
-
-	// Materialized on the last successful Check.
-	allocations  map[string]*asic.Allocation
-	placedTables map[string][]*PlacedTable
-	shards       map[string]map[string]int64
-	lastReason   string
+	// sws and ext hold, per switch and per extern index, the scratch of a
+	// derive and the output of the last accepted one.
+	sws []switchUse
+	ext []externUse
+	// conflict is what the last rejected derive ran into; see reason.
+	conflict deriveConflict
 
 	// accepted is the placement the last successful derive saw, as indices
 	// into placeVars: a Check of the same placement — the final model's, after
 	// a solve — accepts it again without re-deriving, since derive is
 	// deterministic in the placement and its results are still the ones
-	// materialized above. current is the placement being checked.
+	// written above. current is the placement being checked.
 	accepted, current []int32
 	hasAccepted       bool
 	// derives counts derive runs.
 	derives int
+
+	// Scratch of derive: the instruction IDs placed on switch sw by algorithm
+	// a at ids[sw*len(algs)+a], ascending; the switches hosting anything,
+	// ascending; and the one admission spec every Allocate call is handed
+	// (Allocate keeps nothing of it), with its tables and their dependencies.
+	ids      [][]int
+	hosting  []int32
+	spec     asic.ProgramSpec
+	included []*synth.Table
+	deps     []int
+	// parser is the parser TCAM demand, the same on every switch.
+	parser int
 
 	// Scratch of phvFields: mark[n] == stamp when name n is touched by the
 	// switch in hand, and width[n] is the width it was last touched with.
 	mark  []uint32
 	width []int32
 	stamp uint32
+}
+
+// switchUse is one switch to a derive: its valid tables, PHV demand, leftover
+// blocks and final admission, and whether it is on the path conflictForPath
+// explains; and the tables and allocation of the last accepted derive (nil
+// where it hosts nothing).
+type switchUse struct {
+	valid    []*synth.Table
+	fields   []int
+	left     int64
+	admitted *asic.Allocation
+	onPath   bool
+	tables   []*PlacedTable
+	alloc    *asic.Allocation
+}
+
+// externUse is one extern to a derive: the switches hosting a table of it,
+// ascending, with a mark and a shard size per switch index, and whether its
+// entries are split along flow paths; and its shards in the last accepted
+// derive, by ascending switch index (nil where it is placed nowhere). decl,
+// prep (its algorithm's) and multi (that algorithm is MULTI-SW) are fixed.
+type externUse struct {
+	decl   *ir.ExternDecl
+	prep   *algPrep
+	multi  bool
+	hosts  []int32
+	host   []bool
+	shard  []int64
+	split  bool
+	shards []indexShard
+}
+
+func newTheory(e *encoder) *resourceTheory {
+	n := len(e.switches)
+	t := &resourceTheory{e: e, sws: make([]switchUse, n), ext: make([]externUse, len(e.externs)),
+		ids: make([][]int, n*len(e.algs)), parser: parserDemand(e.in.IR)}
+	for x, decl := range e.externs {
+		p := e.prep[decl.Alg]
+		multi := p != nil && e.in.Scopes[decl.Alg].Deploy == scope.MultiSwitch
+		t.ext[x] = externUse{decl: decl, prep: p, multi: multi, host: make([]bool, n), shard: make([]int64, n)}
+	}
+	return t
 }
 
 // Check implements smt.Theory.
@@ -58,70 +119,98 @@ func (t *resourceTheory) Check(m *smt.Model) []smt.Lit {
 	if t.hasAccepted && slices.Equal(t.current, t.accepted) {
 		return nil
 	}
-	placed := map[string]map[string][]int{} // switch -> alg -> instr IDs, ascending
-	for _, i := range t.current {
-		pv := &t.e.placeVars[i]
-		if placed[pv.sw] == nil {
-			placed[pv.sw] = map[string][]int{}
-		}
-		placed[pv.sw][pv.alg] = append(placed[pv.sw][pv.alg], pv.instr)
-	}
-	conflict := t.derive(placed)
-	if conflict == nil {
+	if t.derive() {
 		t.accepted, t.hasAccepted = append(t.accepted[:0], t.current...), true
 		return nil
 	}
-	t.lastReason = conflict.reason
-	if conflict.path != nil {
-		return t.conflictForPath(m, conflict.alg, conflict.path, conflict.extern)
+	if t.conflict.hop != nil {
+		return t.conflictForPath(m)
 	}
-	return t.conflictForSwitch(m, conflict.sw)
+	return t.conflictForSwitch(t.conflict.sw)
 }
 
-// deriveConflict names the infeasibility derive hit: either a switch whose
-// admission failed (sw) or an extern whose entries do not fit along one flow
-// path (alg/path/extern).
+// deriveConflict is the infeasibility a derive hit: either switch sw's
+// admission failed with err, or need entries of extern ext do not fit along
+// hop, one of the candidate-hop sequences of the extern's algorithm.
 type deriveConflict struct {
-	reason string
-	sw     string
-	alg    string
-	path   []string
-	extern string
+	err  error
+	sw   int32
+	ext  int32
+	need int64
+	hop  []int32
 }
 
-// derive runs the model-free half of the theory check: from the placement
-// map (switch -> alg -> instruction IDs) it determines valid tables, splits
-// externs into shards along the flow paths, and admits every switch through
-// its chip allocator, materializing the result on the theory when everything
-// fits. It is deterministic in its input alone, which is what makes a solved
-// component a template for its whole symmetry class (see Template).
-func (t *resourceTheory) derive(placed map[string]map[string][]int) *deriveConflict {
+// reason renders the last rejected derive's conflict ("" before any).
+func (t *resourceTheory) reason() string {
+	c := &t.conflict
+	if c.hop == nil {
+		if c.err == nil {
+			return ""
+		}
+		return c.err.Error()
+	}
+	u := &t.ext[c.ext]
+	path := make([]string, len(c.hop))
+	for i, k := range c.hop {
+		path[i] = t.e.switches[u.prep.cands[k]]
+	}
+	return fmt.Sprintf("extern %s: %d entries do not fit along path %v", u.decl.Name, c.need, path)
+}
+
+// use returns the derive scratch of the extern a table matches.
+func (t *resourceTheory) use(decl *ir.ExternDecl) *externUse {
+	return &t.ext[slices.Index(t.e.externs, decl)]
+}
+
+// derive runs the model-free half of the theory check on the placement in
+// t.current: it determines valid tables, splits externs into shards along the
+// flow paths, and admits every switch through its chip allocator, writing the
+// result on the theory when everything fits and the conflict when not. It is
+// deterministic in its input alone, which is what makes a solved component a
+// template for its whole symmetry class (see Template).
+func (t *resourceTheory) derive() bool {
 	t.derives++
 	e := t.e
-	switches := sortedKeys(placed)
+	na := len(e.algs)
+	for i := range t.ids {
+		t.ids[i] = t.ids[i][:0]
+	}
+	t.hosting = t.hosting[:0]
+	for _, i := range t.current {
+		pv := &e.placeVars[i]
+		at := int(pv.sw)*na + int(pv.alg)
+		t.ids[at] = append(t.ids[at], int(pv.instr))
+		t.hosting = append(t.hosting, pv.sw)
+	}
+	slices.Sort(t.hosting)
+	t.hosting = slices.Compact(t.hosting)
 
 	// 2. Determine per-switch valid tables, extern hosting sets and PHV
 	// demand.
-	valid := map[string][]*synth.Table{} // switch -> tables
-	externHosts := map[string][]string{} // extern name -> hosting switches
-	externDecl := map[string]*ir.ExternDecl{}
-	fields := make([][]int, len(switches))
-	for i, sw := range switches {
-		model := e.in.Net.Switch(sw).ASIC
-		algs := sortedKeys(placed[sw])
-		fields[i] = t.phvFields(algs, placed[sw])
-		for _, alg := range algs {
-			ids := placed[sw][alg]
-			for _, tab := range e.synthesized(alg, model.Lang).Tables {
+	for x := range t.ext {
+		u := &t.ext[x]
+		for _, h := range u.hosts {
+			u.host[h], u.shard[h] = false, 0
+		}
+		u.hosts = u.hosts[:0]
+	}
+	for _, sw := range t.hosting {
+		s, lang := &t.sws[sw], e.models[sw].Lang
+		s.fields, s.valid = t.phvFields(sw, s.fields[:0]), s.valid[:0]
+		for a, p := range e.algs {
+			ids := t.ids[int(sw)*na+a]
+			if len(ids) == 0 {
+				continue
+			}
+			for _, tab := range e.synthesized(p, lang).Tables {
 				if !hostsAny(tab, ids) {
 					continue // table not valid on this switch (Eq. 4)
 				}
-				valid[sw] = append(valid[sw], tab)
+				s.valid = append(s.valid, tab)
 				if tab.Kind == synth.MatchExtern {
-					name := tab.Extern.Name
-					externDecl[name] = tab.Extern
-					if !containsStr(externHosts[name], sw) {
-						externHosts[name] = append(externHosts[name], sw)
+					if u := t.use(tab.Extern); !u.host[sw] {
+						u.host[sw] = true
+						u.hosts = append(u.hosts, sw)
 					}
 				}
 			}
@@ -129,157 +218,141 @@ func (t *resourceTheory) derive(placed map[string]map[string][]int) *deriveConfl
 	}
 
 	// 3. Resolve extern shard sizes.
-	shards := map[string]map[string]int64{} // extern -> switch -> entries
-	splittable := map[string]bool{}
-	for _, name := range sortedKeys(externHosts) {
-		decl := externDecl[name]
-		hosts := externHosts[name]
-		sort.Strings(hosts)
-		algScope := e.in.Scopes[decl.Alg]
-		shards[name] = map[string]int64{}
-		if algScope.Deploy == scope.PerSwitch || len(hosts) == 1 {
-			for _, h := range hosts {
-				shards[name][h] = int64(decl.Size)
+	for x := range t.ext {
+		u := &t.ext[x]
+		if u.split = u.multi && len(u.hosts) > 1; !u.split {
+			for _, h := range u.hosts {
+				u.shard[h] = int64(u.decl.Size)
 			}
-			continue
 		}
-		splittable[name] = true
 	}
 
 	// 4. First-pass admission with fixed tables only; compute leftover
 	// capacity per switch for shard resolution.
-	leftoverBlocks := map[string]int64{}
-	for i, sw := range switches {
-		model := e.in.Net.Switch(sw).ASIC
-		spec := t.buildSpec(sw, model, valid[sw], shards, splittable, fields[i], placed[sw])
-		alloc, err := e.allocate(model, spec)
+	for _, sw := range t.hosting {
+		model := e.models[sw]
+		alloc, err := e.allocate(model, t.buildSpec(sw, model, false))
 		if err != nil {
-			return &deriveConflict{reason: err.Error(), sw: sw}
+			t.conflict = deriveConflict{err: err, sw: sw}
+			return false
 		}
 		total := int64(model.Stages) * int64(model.SRAMBlocks)
 		if model.Stages == 0 {
 			total = model.TotalEntryCapacity
 		}
-		leftoverBlocks[sw] = total - alloc.BlocksUsed
+		t.sws[sw].left = total - alloc.BlocksUsed
 	}
 
 	// 5. Assign shards greedily per flow path (upstream first), bounded by
 	// leftover capacity.
-	for _, name := range sortedKeys(externHosts) {
-		if !splittable[name] {
+	for x := range t.ext {
+		u := &t.ext[x]
+		if !u.split {
 			continue
 		}
-		decl := externDecl[name]
-		hosts := externHosts[name]
-		rowBits := decl.KeyBits() + decl.ValueBits()
-		capOf := func(sw string) int64 {
-			model := e.in.Net.Switch(sw).ASIC
-			if model.Stages == 0 {
-				w := int64(model.SRAMBlockWidth)
-				if w == 0 {
-					w = 80
-				}
-				rows := (int64(rowBits) + w - 1) / w
-				if rows == 0 {
-					rows = 1
-				}
-				return leftoverBlocks[sw] / rows
-			}
-			return asic.EntriesInBlocks(model, leftoverBlocks[sw], rowBits)
-		}
+		rowBits := u.decl.KeyBits() + u.decl.ValueBits()
 		// Iterate the unique candidate-hop sequences instead of raw paths:
 		// hosts are always candidates, so crediting and assignment see the
 		// same switches, and a duplicate hop sequence would be a no-op (its
 		// demand is already credited).
-		for _, p := range e.prep[decl.Alg].hops {
-			var need int64 = int64(decl.Size)
+		for _, hop := range u.prep.hops {
+			need := int64(u.decl.Size)
 			// Credit shards already assigned on this path.
-			for _, sw := range p {
-				need -= shards[name][sw]
+			for _, k := range hop {
+				need -= u.shard[u.prep.cands[k]]
 			}
-			for _, sw := range p {
+			for _, k := range hop {
 				if need <= 0 {
 					break
 				}
-				if !containsStr(hosts, sw) {
+				sw := u.prep.cands[k]
+				if !u.host[sw] {
 					continue
 				}
-				avail := capOf(sw)
+				model, left := e.models[sw], &t.sws[sw].left
+				var avail int64
+				if model.Stages == 0 {
+					avail = *left / poolRows(model, rowBits)
+				} else {
+					avail = asic.EntriesInBlocks(model, *left, rowBits)
+				}
 				if avail <= 0 {
 					continue
 				}
-				take := need
-				if take > avail {
-					take = avail
-				}
-				shards[name][sw] += take
-				model := e.in.Net.Switch(sw).ASIC
+				take := min(need, avail)
+				u.shard[sw] += take
 				if model.Stages == 0 {
-					w := int64(model.SRAMBlockWidth)
-					if w == 0 {
-						w = 80
-					}
-					rows := (int64(rowBits) + w - 1) / w
-					if rows == 0 {
-						rows = 1
-					}
-					leftoverBlocks[sw] -= take * rows
+					*left -= take * poolRows(model, rowBits)
 				} else {
-					leftoverBlocks[sw] -= model.MemoryBlocksFor(take, rowBits)
+					*left -= model.MemoryBlocksFor(take, rowBits)
 				}
 				need -= take
 			}
 			if need > 0 {
-				return &deriveConflict{
-					reason: fmt.Sprintf("extern %s: %d entries do not fit along path %v", name, need, p),
-					alg:    decl.Alg, path: p, extern: name,
-				}
+				t.conflict = deriveConflict{ext: int32(x), need: need, hop: hop}
+				return false
 			}
 		}
 		// Hosts that received no shard still run the lookup against an
 		// empty shard; give them a minimal shard of 1 so the generated
 		// table exists.
-		for _, h := range hosts {
-			if shards[name][h] == 0 {
-				shards[name][h] = 1
+		for _, h := range u.hosts {
+			if u.shard[h] == 0 {
+				u.shard[h] = 1
 			}
 		}
 	}
 
 	// 6. Final admission per switch with concrete shard sizes.
-	allocations := map[string]*asic.Allocation{}
-	placedTables := map[string][]*PlacedTable{}
-	for i, sw := range switches {
-		model := e.in.Net.Switch(sw).ASIC
-		spec := t.buildSpec(sw, model, valid[sw], shards, nil, fields[i], placed[sw])
-		alloc, err := e.allocate(model, spec)
+	for _, sw := range t.hosting {
+		model := e.models[sw]
+		alloc, err := e.allocate(model, t.buildSpec(sw, model, true))
 		if err != nil {
-			return &deriveConflict{reason: err.Error(), sw: sw}
+			t.conflict = deriveConflict{err: err, sw: sw}
+			return false
 		}
-		allocations[sw] = alloc
-		for _, tab := range valid[sw] {
-			entries := tab.Entries()
-			idx, count := 0, 1
+		t.sws[sw].admitted = alloc
+	}
+	t.accept()
+	return true
+}
+
+// accept writes the output of the derive that just fitted over the last
+// accepted one. Table and shard lists are new each time: a template keeps
+// them.
+func (t *resourceTheory) accept() {
+	for i := range t.sws {
+		t.sws[i].tables, t.sws[i].alloc = nil, nil
+	}
+	for _, sw := range t.hosting {
+		s := &t.sws[sw]
+		s.alloc = s.admitted
+		for _, tab := range s.valid {
+			pt := &PlacedTable{Table: tab, Entries: tab.Entries(), ShardCount: 1}
 			if tab.Kind == synth.MatchExtern {
-				name := tab.Extern.Name
-				entries = shards[name][sw]
-				hosts := externHosts[name]
-				sort.Strings(hosts)
-				count = len(hosts)
-				for i, h := range hosts {
-					if h == sw {
-						idx = i
-					}
-				}
+				u := t.use(tab.Extern)
+				pt.Entries, pt.ShardIndex, pt.ShardCount = u.shard[sw], slices.Index(u.hosts, sw), len(u.hosts)
 			}
-			placedTables[sw] = append(placedTables[sw], &PlacedTable{
-				Table: tab, Entries: entries,
-				ShardIndex: idx, ShardCount: count,
-			})
+			s.tables = append(s.tables, pt)
 		}
 	}
-	t.allocations, t.placedTables, t.shards = allocations, placedTables, shards
-	return nil
+	for x := range t.ext {
+		u := &t.ext[x]
+		u.shards = nil
+		for _, h := range u.hosts {
+			u.shards = append(u.shards, indexShard{int(h), u.shard[h]})
+		}
+	}
+}
+
+// poolRows is how many pool words one entry of rowBits takes on a pool-model
+// chip.
+func poolRows(model *asic.Model, rowBits int) int64 {
+	w := int64(model.SRAMBlockWidth)
+	if w == 0 {
+		w = 80
+	}
+	return max((int64(rowBits)+w-1)/w, 1)
 }
 
 // hostsAny reports whether the switch hosting instructions ids (ascending)
@@ -304,22 +377,58 @@ func hostsAny(tab *synth.Table, ids []int) bool {
 	return false
 }
 
-// buildSpec creates an admission spec. Pass 1 excludes the splittable externs
-// (their shards are sized afterwards against leftover capacity); the final
-// pass passes none and admits every table at its concrete shard size.
-func (t *resourceTheory) buildSpec(sw string, model *asic.Model, tabs []*synth.Table, shards map[string]map[string]int64, splittable map[string]bool, fields []int, placedAlgs map[string][]int) *asic.ProgramSpec {
-	return t.spec(model, tabs, func(tb *synth.Table) (int64, bool) {
+// buildSpec fills the theory's admission spec for a switch of the given chip
+// from its valid tables, PHV demand and placed algorithms. The first pass
+// (final false) leaves out the externs split along flow paths — their shards
+// are sized afterwards against leftover capacity — and the final pass admits
+// every table at its concrete shard size.
+func (t *resourceTheory) buildSpec(sw int32, model *asic.Model, final bool) *asic.ProgramSpec {
+	spec := &t.spec
+	spec.Tables, t.included, t.deps = spec.Tables[:0], t.included[:0], t.deps[:0]
+	for _, tb := range t.sws[sw].valid {
+		entries := tb.Entries()
 		if tb.Kind == synth.MatchExtern {
-			name := tb.Extern.Name
-			if splittable[name] {
-				return 0, false // sized in pass 2
+			u := t.use(tb.Extern)
+			if u.split && !final {
+				continue // sized in pass 2
 			}
-			if sh := shards[name][sw]; sh > 0 {
-				return sh, true
+			if sh := u.shard[sw]; sh > 0 {
+				entries = sh
 			}
 		}
-		return tb.Entries(), true
-	}, fields, placedAlgs)
+		t.included = append(t.included, tb)
+		spec.Tables = append(spec.Tables, asic.TableSpec{
+			Name:       tb.Name,
+			Entries:    entries,
+			MatchBits:  tb.MatchBits(),
+			ActionBits: tb.ActionBits(),
+			Actions:    len(tb.Actions),
+			Stateful:   tb.Stateful,
+		})
+	}
+	for i, tb := range t.included {
+		start := len(t.deps)
+		for _, d := range tb.Deps {
+			if di := slices.Index(t.included, d); di >= 0 {
+				t.deps = append(t.deps, di)
+			}
+		}
+		if len(t.deps) > start {
+			spec.Tables[i].Deps = t.deps[start:len(t.deps):len(t.deps)]
+		}
+	}
+	spec.Fields = t.sws[sw].fields
+	spec.ParserEntries = t.parser
+	// The longest dependency chain among the placed algorithms (a property of
+	// the algorithm, whichever language it was synthesized for).
+	spec.CodePathLen = 0
+	na := len(t.e.algs)
+	for a, p := range t.e.algs {
+		if len(t.ids[int(sw)*na+a]) > 0 {
+			spec.CodePathLen = max(spec.CodePathLen, t.e.synthesized(p, model.Lang).LongestPath)
+		}
+	}
+	return spec
 }
 
 // allocate admits a program through the chip allocator, once per distinct
@@ -380,46 +489,6 @@ func appendInts(b []byte, xs []int) []byte {
 		b = strconv.AppendInt(b, int64(x), 10)
 	}
 	return append(b, ']')
-}
-
-// spec assembles an asic.ProgramSpec from the valid tables on a switch of the
-// given chip, whose PHV demand is fields.
-func (t *resourceTheory) spec(model *asic.Model, tabs []*synth.Table, entriesOf func(*synth.Table) (int64, bool), fields []int, placedAlgs map[string][]int) *asic.ProgramSpec {
-	spec := &asic.ProgramSpec{Tables: make([]asic.TableSpec, 0, len(tabs))}
-	included := make([]*synth.Table, 0, len(tabs))
-	ndeps := 0
-	for _, tb := range tabs {
-		e, ok := entriesOf(tb)
-		if !ok {
-			continue
-		}
-		included = append(included, tb)
-		ndeps += len(tb.Deps)
-		spec.Tables = append(spec.Tables, asic.TableSpec{
-			Name:       tb.Name,
-			Entries:    e,
-			MatchBits:  tb.MatchBits(),
-			ActionBits: tb.ActionBits(),
-			Actions:    len(tb.Actions),
-			Stateful:   tb.Stateful,
-		})
-	}
-	deps := make([]int, 0, ndeps)
-	for i, tb := range included {
-		start := len(deps)
-		for _, d := range tb.Deps {
-			if di := slices.Index(included, d); di >= 0 {
-				deps = append(deps, di)
-			}
-		}
-		if len(deps) > start {
-			spec.Tables[i].Deps = deps[start:len(deps):len(deps)]
-		}
-	}
-	spec.Fields = fields
-	spec.ParserEntries = t.parserDemand()
-	spec.CodePathLen = t.codePath(model.Lang, placedAlgs)
-	return spec
 }
 
 // phvIndex numbers the PHV-resident names of a program — header fields
@@ -518,19 +587,24 @@ func (x *phvIndex) build() {
 }
 
 // phvFields estimates PHV demand: the widths, in name order, of the header
-// fields and variables referenced by the instructions placed on the switch
-// (placedAlgs, whose keys are algs). A name touched twice keeps the width it
-// was touched with last.
-func (t *resourceTheory) phvFields(algs []string, placedAlgs map[string][]int) []int {
+// fields and variables referenced by the instructions placed on switch sw,
+// appended to out. A name touched twice keeps the width it was touched with
+// last.
+func (t *resourceTheory) phvFields(sw int32, out []int) []int {
 	x := t.e.phv
 	t.stamp++
 	n := 0
-	for _, alg := range algs {
-		touch := x.touches(t.e.in.IR.Algorithm(alg))
+	na := len(t.e.algs)
+	for a, p := range t.e.algs {
+		ids := t.ids[int(sw)*na+a]
+		if len(ids) == 0 {
+			continue
+		}
+		touch := x.touches(p.alg)
 		if len(t.mark) < x.names {
 			t.mark, t.width = make([]uint32, x.names), make([]int32, x.names)
 		}
-		for _, id := range placedAlgs[alg] {
+		for _, id := range ids {
 			for _, tc := range touch[id] {
 				if t.mark[tc.name] != t.stamp {
 					t.mark[tc.name] = t.stamp
@@ -541,9 +615,8 @@ func (t *resourceTheory) phvFields(algs []string, placedAlgs map[string][]int) [
 		}
 	}
 	if n == 0 {
-		return nil
+		return out
 	}
-	out := make([]int, 0, n)
 	for name, m := range t.mark {
 		if m == t.stamp {
 			out = append(out, int(t.width[name]))
@@ -554,27 +627,15 @@ func (t *resourceTheory) phvFields(algs []string, placedAlgs map[string][]int) [
 
 // parserDemand estimates parser TCAM entries from the program's parse graph
 // (one entry per select case plus one per node).
-func (t *resourceTheory) parserDemand() int {
+func parserDemand(prog *ir.Program) int {
 	n := 0
-	for _, pn := range t.e.in.IR.Source.Parsers {
+	for _, pn := range prog.Source.Parsers {
 		n++
 		if pn.Select != nil {
 			n += len(pn.Select.Cases)
 		}
 	}
 	return n
-}
-
-// codePath returns the longest dependency chain among placed algorithms (a
-// property of the algorithm, whichever language it was synthesized for).
-func (t *resourceTheory) codePath(lang asic.Lang, placedAlgs map[string][]int) int {
-	best := 0
-	for alg := range placedAlgs {
-		if r := t.e.synthesized(alg, lang); r.LongestPath > best {
-			best = r.LongestPath
-		}
-	}
-	return best
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -586,21 +647,12 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-func containsStr(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // conflictForSwitch returns a clause forbidding the exact placement set on
 // one switch.
-func (t *resourceTheory) conflictForSwitch(m *smt.Model, sw string) []smt.Lit {
+func (t *resourceTheory) conflictForSwitch(sw int32) []smt.Lit {
 	var out []smt.Lit
-	for _, pv := range t.e.placeVars {
-		if pv.sw == sw && m.Value(pv.lit) {
+	for _, i := range t.current {
+		if pv := &t.e.placeVars[i]; pv.sw == sw {
 			out = append(out, pv.lit.Not())
 		}
 	}
@@ -614,30 +666,28 @@ func (t *resourceTheory) conflictForSwitch(m *smt.Model, sw string) []smt.Lit {
 // literals). Both polarities are falsified by the current assignment, so
 // the clause is a valid lemma, and it keeps the "add another shard host"
 // repair reachable.
-func (t *resourceTheory) conflictForPath(m *smt.Model, alg string, path []string, extern string) []smt.Lit {
-	onPath := map[string]bool{}
-	for _, sw := range path {
-		onPath[sw] = true
-	}
-	readers := map[int]bool{}
-	if a := t.e.in.IR.Algorithm(alg); a != nil {
-		for _, in := range a.Instrs {
-			if (in.Op == ir.IMember || in.Op == ir.ILookup) && in.Table == extern {
-				readers[in.ID] = true
-			}
-		}
+func (t *resourceTheory) conflictForPath(m *smt.Model) []smt.Lit {
+	u := &t.ext[t.conflict.ext]
+	p := u.prep
+	for _, k := range t.conflict.hop {
+		t.sws[p.cands[k]].onPath = true
 	}
 	var out []smt.Lit
 	for _, pv := range t.e.placeVars {
-		if !onPath[pv.sw] {
+		if !t.sws[pv.sw].onPath {
 			continue
 		}
 		switch {
 		case m.Value(pv.lit):
 			out = append(out, pv.lit.Not())
-		case pv.alg == alg && readers[pv.instr]:
-			out = append(out, pv.lit)
+		case pv.alg == p.index:
+			if in := p.alg.Instrs[pv.instr]; (in.Op == ir.IMember || in.Op == ir.ILookup) && in.Table == u.decl.Name {
+				out = append(out, pv.lit)
+			}
 		}
+	}
+	for _, k := range t.conflict.hop {
+		t.sws[p.cands[k]].onPath = false
 	}
 	return out
 }

@@ -421,14 +421,16 @@ func TestResultNetworkIsCallersOwn(t *testing.T) {
 // 290 KB and 3.1 k mallocs per event when the budget was first set, 176 KB
 // and 1.7 k once encoding stopped allocating per clause and per variable, 123
 // KB and 1.65 k once the plan stopped keeping name-keyed maps of the whole
-// fabric, and 121 KB and 1.66 k once a topology edit stopped copying the name
-// index; the budget is ~1.3x that, so work that creeps back from per fault to
-// per fabric fails here rather than in the gate benchmark.
+// fabric, 121 KB and 1.66 k once a topology edit stopped copying the name
+// index, and 111 KB and 1.54 k once a resource-theory check stopped building
+// name-keyed maps of the damaged pod; the budget is ~1.3x that, so work that
+// creeps back from per fault to per fabric fails here rather than in the gate
+// benchmark.
 func TestRecompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	const bytesPerEvent, mallocsPerEvent = 157_000, 2150
+	const bytesPerEvent, mallocsPerEvent = 145_000, 2000
 	ctx := context.Background()
 	c := New(WithParallelism(1))
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(8, 8))
