@@ -100,7 +100,7 @@ func (sp *SwitchProgram) MetaField(v *ir.Var) string {
 
 // Build normalizes a plan into per-switch programs.
 func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
-	return build(plan, nil)
+	return build(plan, nil, nil, 0)
 }
 
 // build is Build restricted to the switches in only (nil = all of them).
@@ -110,10 +110,11 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 // bridge layout are all the shape digests. So one program is built per shape,
 // and every other switch of the shape gets a shallow copy of it that differs
 // only in which switch it names — the headers, tables, instructions and maps
-// behind the copies are shared and read-only. Under TestMutation every switch
-// is built on its own, because a seeded bug changes a program without
+// behind the copies are shared and read-only. A shape the family memo holds is
+// not built: its switches copy the memo's program. Under TestMutation every
+// switch is built on its own, because a seeded bug changes a program without
 // changing its shape.
-func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, error) {
+func build(plan *encode.Plan, only map[string]bool, memo *Shapes, dialect Dialect) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
 	n := len(only)
 	if only == nil {
@@ -131,6 +132,11 @@ func build(plan *encode.Plan, only map[string]bool) (map[string]*SwitchProgram, 
 		}
 		model := plan.Input.Net.Switch(sw).ASIC
 		shape := plan.Shape(sw)
+		if byShape[shape] == nil {
+			if e := memo.get(shape, dialect.Lang(model)); e != nil {
+				byShape[shape] = e.prog
+			}
+		}
 		if like := byShape[shape]; like != nil && TestMutation == nil {
 			sp := *like
 			sp.Switch, sp.Model = sw, model

@@ -31,6 +31,14 @@ func (d Dialect) String() string {
 	return "P4_14"
 }
 
+// Lang is the Artifact.Dialect of a switch with chip m under d.
+func (d Dialect) Lang(m *asic.Model) string {
+	if m.Lang == asic.LangNPL {
+		return "NPL"
+	}
+	return d.String()
+}
+
 // Options configures translation.
 type Options struct {
 	P4Dialect Dialect
@@ -42,6 +50,8 @@ type Options struct {
 	// selects GOMAXPROCS. Emission is per-switch pure, so any setting
 	// yields byte-identical artifacts.
 	Parallelism int
+	// Shapes, when non-nil, is the family's shape memo to draw on and fill.
+	Shapes *Shapes
 }
 
 // Artifact is the generated output for one switch.
@@ -72,12 +82,12 @@ type Artifact struct {
 // Program text and the control-plane stub are rendered once per plan shape
 // (see ShapeLeads): the first switch of each shape runs the printers, and the
 // others take its text with their own name in it. A symmetric fabric has a
-// handful of shapes for thousands of switches.
+// handful of shapes for thousands of switches; opts.Shapes may hold them all.
 func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	programs, err := build(plan, opts.Only)
+	programs, err := build(plan, opts.Only, opts.Shapes, opts.P4Dialect)
 	if err != nil {
 		return nil, err
 	}
@@ -85,8 +95,13 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	lead := ShapeLeads(plan, targets)
 	emitted := make([]*emission, len(targets)) // leads only
 	par.For(len(targets), opts.Parallelism, func(i int) {
-		if lead[i] == i {
-			emitted[i] = emit(programs[targets[i]], opts.P4Dialect)
+		if lead[i] != i {
+			return
+		}
+		sp, shape := programs[targets[i]], plan.Shape(targets[i])
+		if emitted[i] = opts.Shapes.get(shape, opts.P4Dialect.Lang(sp.Model)); emitted[i] == nil {
+			emitted[i] = emit(sp, opts.P4Dialect)
+			opts.Shapes.put(shape, emitted[i])
 		}
 	})
 	arts := make([]*Artifact, len(targets))
@@ -132,8 +147,9 @@ func ShapeLeads(plan *encode.Plan, sws []string) []int {
 // between holes. Every switch of the shape instantiates it with one
 // exact-sized allocation per text.
 type emission struct {
-	like Artifact // everything the shape decides: dialect and the Figure 9 metrics
-	body string   // program text after the header line
+	like Artifact       // everything the shape decides: dialect and the Figure 9 metrics
+	prog *SwitchProgram // the program printed, which every switch of the shape copies
+	body string         // program text after the header line
 	stub stubTemplate
 	// code is the whole text as emitted for switch sw, which is that switch's
 	// Code as it stands.
@@ -143,16 +159,16 @@ type emission struct {
 // emit renders a switch program in the chip's language, P4 in the given
 // dialect, and its control-plane stub.
 func emit(sp *SwitchProgram, dialect Dialect) *emission {
-	lang, code := "P4_14", ""
-	switch {
-	case sp.Model.Lang == asic.LangNPL:
-		lang, code = "NPL", EmitNPL(sp)
-	case dialect == DialectP416:
-		lang, code = "P4_16", EmitP416(sp)
+	lang, code := dialect.Lang(sp.Model), ""
+	switch lang {
+	case "NPL":
+		code = EmitNPL(sp)
+	case "P4_16":
+		code = EmitP416(sp)
 	default:
 		code = EmitP414(sp)
 	}
-	e := &emission{body: code[strings.IndexByte(code, '\n')+1:], stub: renderStub(sp), sw: sp.Switch, code: code}
+	e := &emission{prog: sp, body: code[strings.IndexByte(code, '\n')+1:], stub: renderStub(sp), sw: sp.Switch, code: code}
 	e.like = Artifact{
 		Dialect: lang, LoC: countLines(code), LogicLoC: logicLines(code),
 		Tables: len(sp.Tables), Registers: len(sp.Registers),

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -78,6 +79,9 @@ type Result struct {
 	// known — every intact pod, and a damaged one whose shape was seen
 	// before — is bound without encoding or solving anything.
 	Cache *encode.Cache
+	// Shapes is the family's shape memo, threaded forward like Cache; a
+	// compile makes it empty and only recompiles fill it.
+	Shapes *backend.Shapes
 
 	// Phases is the per-phase timing breakdown, in pipeline order. The
 	// legacy CompileTime/SolveTime pair is derived from the same clock:
@@ -228,9 +232,10 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 
 // solveAndTranslate is the shared back half of the pipeline: encode +
 // solve, translate and verify. With a previous result, every switch whose
-// plan fingerprint is unchanged keeps that result's artifact and its
-// verification report — same content, same object — only the rest are
-// built, emitted and verified, and delta is filled in with which is which.
+// plan fingerprint is unchanged, and whose artifact is in the language this
+// compile emits, keeps that result's artifact and its verification report —
+// same content, same object — only the rest are translated and verified
+// (through the family's shape memo), and delta is filled in with which is which.
 // Every stage is timed into tr; CompileTime is stamped last so it spans the
 // whole pipeline, verification included.
 func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result, delta *Delta) (*Result, error) {
@@ -261,40 +266,47 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	tr.done(PhaseSolve, plan.SolveTime)
 
 	// Translation to chip-specific code (§5.7–§5.8), for the switches whose
-	// fingerprint the previous result does not already answer. One pass over
-	// the fingerprints decides, per switch, between the previous artifact and
-	// a new one, and is the delta.
+	// fingerprint the previous result does not already answer in this
+	// compile's language. A walk over the previous result's switches, in
+	// order when its reports give it, decides which keep their artifact and
+	// which left; the switches left over are translated. That is the delta.
 	cgStart := time.Now()
 	fps := plan.Fingerprints()
-	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism}
+	var memo *backend.Shapes // a compile fills nothing
+	if prev != nil {
+		memo = cmp.Or(prev.Shapes, new(backend.Shapes))
+	}
+	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism, Shapes: memo}
 	arts := make(map[string]*backend.Artifact, len(fps))
 	if prev != nil {
 		topts.Only = map[string]bool{}
 		delta.Unchanged = make([]string, 0, len(fps))
-		survived := 0 // switches programmed before and now
-		for sw, fp := range fps {
-			was, programmed := prev.Fingerprints[sw]
-			if programmed {
-				survived++
-			}
-			if art := prev.Artifacts[sw]; art != nil && programmed && was == fp {
+		keep := func(sw string) {
+			if fp, hosts := fps[sw]; !hosts {
+				delta.Removed = append(delta.Removed, sw)
+			} else if art := prev.Artifacts[sw]; art != nil && prev.Fingerprints[sw] == fp && art.Dialect == req.Dialect.Lang(art.Model) {
 				arts[sw] = art
 				delta.Unchanged = append(delta.Unchanged, sw)
-			} else {
+			}
+		}
+		if len(prev.Reports) == len(prev.Artifacts) { // one per switch, in order
+			for i := range prev.Reports {
+				keep(prev.Reports[i].Switch)
+			}
+		} else {
+			for sw := range prev.Fingerprints {
+				keep(sw)
+			}
+			sort.Strings(delta.Unchanged)
+			sort.Strings(delta.Removed)
+		}
+		for sw := range fps {
+			if arts[sw] == nil {
 				topts.Only[sw] = true
 				delta.Reprogram = append(delta.Reprogram, sw)
 			}
 		}
-		if survived != len(prev.Fingerprints) {
-			for sw := range prev.Fingerprints {
-				if _, ok := fps[sw]; !ok {
-					delta.Removed = append(delta.Removed, sw)
-				}
-			}
-		}
 		sort.Strings(delta.Reprogram)
-		sort.Strings(delta.Unchanged)
-		sort.Strings(delta.Removed)
 	}
 	kept := len(arts)
 	fresh, err := backend.Translate(plan, topts)
@@ -317,6 +329,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		Fingerprints:   fps,
 		Diagnostics:    plan.Diagnostics,
 		Cache:          opts.Cache,
+		Shapes:         cmp.Or(memo, new(backend.Shapes)),
 		SolverStats:    plan.Stats,
 		SolveInstances: plan.Instances,
 		SolveTime:      plan.SolveTime,
@@ -329,9 +342,9 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 		if kept == 0 || len(prev.Reports) != len(prev.Artifacts) {
 			// Nothing to carry, or a previous result that was not itself
 			// fully verified and so carries nothing forward.
-			res.Reports = verify.PlanParallel(plan, arts, req.Parallelism)
+			res.Reports = verify.PlanShared(plan, arts, req.Parallelism, memo)
 		} else {
-			res.Reports = mergeReports(prev.Reports, delta.Unchanged, verify.PlanParallel(plan, fresh, req.Parallelism))
+			res.Reports = mergeReports(prev.Reports, delta.Unchanged, verify.PlanShared(plan, fresh, req.Parallelism, memo))
 		}
 		tr.done(PhaseVerify, time.Since(vStart))
 		for _, r := range res.Reports {

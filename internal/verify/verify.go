@@ -53,6 +53,12 @@ func Plan(plan *encode.Plan, arts map[string]*backend.Artifact) []Report {
 // their program text past the header line is byte-for-byte the checked one,
 // which is compared here rather than taken on the shape's word.
 func PlanParallel(plan *encode.Plan, arts map[string]*backend.Artifact, workers int) []Report {
+	return PlanShared(plan, arts, workers, nil)
+}
+
+// PlanShared is PlanParallel drawing on, and adding to, a family's shape memo:
+// a memoised report is taken only for the very text it was checked on.
+func PlanShared(plan *encode.Plan, arts map[string]*backend.Artifact, workers int, memo *backend.Shapes) []Report {
 	keys := sortedKeys(arts)
 	if len(keys) == 0 {
 		return nil
@@ -70,7 +76,13 @@ func PlanParallel(plan *encode.Plan, arts map[string]*backend.Artifact, workers 
 	out := make([]Report, len(keys))
 	par.For(len(own), workers, func(k int) {
 		i := own[k]
-		out[i] = verifyOne(keys[i], arts[keys[i]])
+		art, shape := arts[keys[i]], plan.Shape(keys[i])
+		if checked, r := memo.Verdict(shape, art.Dialect); checked != nil && sameProgram(checked, art) {
+			out[i] = r.(Report)
+			out[i].Switch = keys[i]
+		} else if out[i] = verifyOne(keys[i], art); memo != nil { // a Report in an any is a copy
+			memo.SetVerdict(shape, art, out[i])
+		}
 	})
 	for i, sw := range keys {
 		if lead[i] != i {

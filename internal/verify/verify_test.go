@@ -154,3 +154,24 @@ func TestCapacityFlagOnAllocError(t *testing.T) {
 		t.Fatalf("lint problem must clear Capacity, got %+v", r)
 	}
 }
+
+// TestSharedReportNeedsTheCheckedText: a report in a family's shape memo is
+// taken only for the very text it was checked on. The same text takes it (the
+// allocation admission made is the memoised one); an artifact of the same
+// shape whose text differs past the header line is checked on its own.
+func TestSharedReportNeedsTheCheckedText(t *testing.T) {
+	plan, arts := compile(t, src, "filter: [ ToR1 | PER-SW | - ]")
+	memo := new(backend.Shapes)
+	first := PlanShared(plan, arts, 1, memo)
+	if len(first) != 1 || !first[0].OK {
+		t.Fatalf("clean artifact: %+v", first)
+	}
+	if r := PlanShared(plan, arts, 1, memo); !r[0].OK || r[0].Alloc != first[0].Alloc {
+		t.Error("the checked artifact was not answered from the memo")
+	}
+	bad := *arts["ToR1"]
+	bad.Code = strings.Replace(bad.Code, "control ingress", "control something_else", 1)
+	if r := PlanShared(plan, map[string]*backend.Artifact{"ToR1": &bad}, 1, memo); r[0].OK {
+		t.Error("a corrupted artifact took the memoised report of its shape")
+	}
+}

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -276,11 +279,11 @@ func TestIdentityRecompileSolvesNothing(t *testing.T) {
 }
 
 // uncarried is base as a result that has nothing to carry over: no plan to
-// follow and no memo, so a recompile from it resolves, partitions and solves
+// follow and no memos, so a recompile from it resolves, partitions and solves
 // the degraded network whole.
 func uncarried(base *Result) *Result {
 	cres := *base.cres
-	cres.Plan, cres.Cache = nil, nil
+	cres.Plan, cres.Cache, cres.Shapes = nil, nil, nil
 	ref := *base
 	ref.cres = &cres
 	return &ref
@@ -422,15 +425,17 @@ func TestResultNetworkIsCallersOwn(t *testing.T) {
 // and 1.7 k once encoding stopped allocating per clause and per variable, 123
 // KB and 1.65 k once the plan stopped keeping name-keyed maps of the whole
 // fabric, 121 KB and 1.66 k once a topology edit stopped copying the name
-// index, and 111 KB and 1.54 k once a resource-theory check stopped building
-// name-keyed maps of the damaged pod; the budget is ~1.3x that, so work that
-// creeps back from per fault to per fabric fails here rather than in the gate
-// benchmark.
+// index, 111 KB and 1.54 k once a resource-theory check stopped building
+// name-keyed maps of the damaged pod, and 63 KB and 507 once a recompile
+// family built, printed and verified each shape once (every ToR down after the
+// first instantiates its damaged pod from the family's shape memo); the budget
+// is ~1.3x that, so work that creeps back from per fault to per fabric fails
+// here rather than in the gate benchmark.
 func TestRecompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is meaningless under the race detector")
 	}
-	const bytesPerEvent, mallocsPerEvent = 145_000, 2000
+	const bytesPerEvent, mallocsPerEvent = 82_000, 660
 	ctx := context.Background()
 	c := New(WithParallelism(1))
 	base, err := c.Compile(ctx, podLB, podScope, uniformPods(8, 8))
@@ -470,6 +475,111 @@ func TestRecompileAllocBudget(t *testing.T) {
 	}
 	if mallocs > mallocsPerEvent {
 		t.Errorf("a recompile makes %d mallocs per event, budget %d", mallocs, mallocsPerEvent)
+	}
+}
+
+// TestRecompileUnderAnotherDialect: a Recompile runs under its own Compiler's
+// configuration, so one under another P4 dialect keeps none of the previous
+// P4 artifacts — their fingerprints do not cover the dialect — and is the
+// compile of the degraded network under that dialect. NPL artifacts are the
+// same in either dialect and are kept. A P4_14 sibling recompiled first fills
+// the family's shape memo with the damaged pod's P4_14 shapes, which the
+// P4_16 recompile must not take.
+func TestRecompileUnderAnotherDialect(t *testing.T) {
+	ctx := context.Background()
+	lbScale, err := os.ReadFile(filepath.Join("testdata", "scale", "lb_scale.lyra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Events: []FaultEvent{SwitchDown("ToR3_2")}}
+	for _, tc := range []struct {
+		name, src string
+		net       func() *Network
+		npl       int // NPL artifacts kept
+	}{
+		{"k=8", string(lbScale), func() *Network { return uniformPods(8, 8) }, 0},
+		{"mixed chips", podLB, mixedPods, 2},
+	} {
+		base, err := New().Compile(ctx, tc.src, podScope, tc.net())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		if _, _, err := New().Recompile(ctx, base, Scenario{Events: []FaultEvent{SwitchDown("ToR1_1")}}); err != nil {
+			t.Fatalf("%s: P4_14 sibling: %v", tc.name, err)
+		}
+		c := New(WithDialect(P416))
+		inc, delta, err := c.Recompile(ctx, base, sc)
+		if err != nil {
+			t.Fatalf("%s: recompile: %v", tc.name, err)
+		}
+		mutated, err := sc.Applied(tc.net())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := c.Compile(ctx, tc.src, podScope, mutated)
+		if err != nil {
+			t.Fatalf("%s: P4_16 compile: %v", tc.name, err)
+		}
+		sameAsCompile(t, tc.name, inc, scratch)
+		for _, sw := range delta.Unchanged {
+			if a := inc.Artifact(sw); a.Dialect != "NPL" || a != base.Artifact(sw) {
+				t.Errorf("%s: %s: kept a %s artifact under P4_16", tc.name, sw, a.Dialect)
+			}
+		}
+		if len(delta.Unchanged) != tc.npl {
+			t.Errorf("%s: %d artifacts kept, want the %d NPL ones", tc.name, len(delta.Unchanged), tc.npl)
+		}
+	}
+}
+
+// TestDeltaListsSortedDisjointComplete: for every fault of the k=8 fabric, a
+// Delta's lists are sorted, Reprogram and Unchanged split the switches the
+// recompile programs between them, Unchanged ones keep the base's artifact,
+// and Removed is what the base programmed and the recompile does not. The
+// base compiled with SkipVerify has no reports to walk its switches by.
+func TestDeltaListsSortedDisjointComplete(t *testing.T) {
+	ctx := context.Background()
+	recompiled := 0
+	for _, c := range []*Compiler{New(), New(WithSkipVerify())} {
+		base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		for _, sc := range faultsOf(uniformPods(4, 8)) {
+			inc, delta, err := c.Recompile(ctx, base, sc)
+			if err != nil {
+				continue
+			}
+			recompiled++
+			label := fmt.Sprintf("%s (%d reports in the base)", sc.Name, len(base.Reports))
+			for _, l := range [][]string{delta.Reprogram, delta.Unchanged, delta.Removed} {
+				if !sort.StringsAreSorted(l) {
+					t.Errorf("%s: %v is not sorted", label, l)
+				}
+			}
+			hosts := append(append([]string{}, delta.Reprogram...), delta.Unchanged...)
+			sort.Strings(hosts)
+			if !reflect.DeepEqual(hosts, inc.Switches()) {
+				t.Errorf("%s: reprogram %v and unchanged %v are not the recompile's switches %v", label, delta.Reprogram, delta.Unchanged, inc.Switches())
+			}
+			for _, sw := range delta.Unchanged {
+				if inc.Artifact(sw) != base.Artifact(sw) {
+					t.Errorf("%s: %s is unchanged but not the base's artifact", label, sw)
+				}
+			}
+			var removed []string
+			for _, sw := range base.Switches() {
+				if inc.Artifact(sw) == nil {
+					removed = append(removed, sw)
+				}
+			}
+			if !reflect.DeepEqual(removed, delta.Removed) {
+				t.Errorf("%s: removed %v, want %v", label, delta.Removed, removed)
+			}
+		}
+	}
+	if recompiled < 2*len(faultsOf(uniformPods(4, 8)))-4 {
+		t.Fatalf("only %d recompiles succeeded", recompiled)
 	}
 }
 

@@ -334,7 +334,9 @@ func TestShapeMemoMatchesPerSwitch(t *testing.T) {
 // TestShapeMemoBypassedUnderMutation: a seeded backend bug changes one
 // switch's program without changing its plan shape. If that switch took its
 // text from a same-shape twin the bug would vanish from the artifact, so
-// translation must emit every switch on its own while a mutation is set.
+// translation must emit every switch on its own while a mutation is set —
+// also in a sibling recompile whose shapes the family memo already holds,
+// which must not keep anything of the mutated compile either.
 func TestShapeMemoBypassedUnderMutation(t *testing.T) {
 	res, err := New().Compile(context.Background(), podLB, podScope, uniformPods(2, 4))
 	if err != nil {
@@ -369,6 +371,59 @@ func TestShapeMemoBypassedUnderMutation(t *testing.T) {
 	for sw, a := range arts {
 		if sw != target && a.Code != res.Artifact(sw).Code {
 			t.Errorf("%s: code changed although only %s was mutated", sw, target)
+		}
+	}
+
+	backend.TestMutation = nil
+	ctx, c := context.Background(), New()
+	base, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	first, _, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{SwitchDown("ToR1_1")}})
+	if err != nil {
+		t.Fatalf("first sibling: %v", err)
+	}
+	sibling := Scenario{Events: []FaultEvent{SwitchDown("ToR2_1")}}
+	clean, delta, err := c.Recompile(ctx, base, sibling)
+	if err != nil {
+		t.Fatalf("second sibling: %v", err)
+	}
+	memoised := map[string]bool{}
+	for _, sw := range first.Switches() {
+		if podOf(sw) == 1 {
+			memoised[first.plan.Shape(sw)] = true
+		}
+	}
+	target = ""
+	for _, sw := range delta.Reprogram {
+		if memoised[clean.plan.Shape(sw)] && len(clean.plan.BridgesOf(sw)) > 0 {
+			target = sw
+		}
+	}
+	if target == "" {
+		t.Fatal("no exporting switch of the second sibling has a shape the first memoised")
+	}
+	backend.TestMutation = func(sw string, sp *backend.SwitchProgram) {
+		if sw == target {
+			backend.MutationDropExports(sw, sp)
+		}
+	}
+	bugged, _, err := c.Recompile(ctx, base, sibling)
+	backend.TestMutation = nil
+	if err != nil {
+		t.Fatalf("mutated sibling: %v", err)
+	}
+	if bugged.Artifact(target).Code == clean.Artifact(target).Code {
+		t.Errorf("%s: the seeded bug is invisible in a sibling recompile — it was instantiated from the family memo", target)
+	}
+	again, _, err := c.Recompile(ctx, base, sibling)
+	if err != nil {
+		t.Fatalf("sibling after the mutation: %v", err)
+	}
+	for _, sw := range clean.Switches() {
+		if again.Artifact(sw).Code != clean.Artifact(sw).Code {
+			t.Errorf("%s: the mutated recompile left its code in the family memo", sw)
 		}
 	}
 }
@@ -439,9 +494,12 @@ func deepDigest(v any) string {
 // and across recompiles through the solver cache's synthesised tables and
 // memoised allocations — so it must never be written. The base compile's
 // templates are digested, deeply, before and after translating, verifying and
-// simulating the plan and two recompiles from that base running at once; under
-// -race any write to shared state is a reported race as well. Both recompiles
-// must still equal from-scratch compiles.
+// simulating the plan and recompiles from that base running at once; under
+// -race any write to shared state is a reported race as well. Every recompile
+// must still equal a from-scratch compile. Four of them are switch-downs of
+// different pods, which damage their pods alike and so fill the family's one
+// shape memo together; each must also equal the same recompile made alone
+// from a base of its own.
 func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 	ctx := context.Background()
 	c := New()
@@ -486,15 +544,18 @@ func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 	scs := []Scenario{
 		{Name: "a", Events: []FaultEvent{SwitchDown("ToR2_1")}},
 		{Name: "b", Events: []FaultEvent{SwitchDown("ToR3_4")}},
+		{Name: "c", Events: []FaultEvent{SwitchDown("ToR1_2")}},
+		{Name: "d", Events: []FaultEvent{SwitchDown("ToR4_3")}},
 	}
 	incs := make([]*Result, len(scs))
+	deltas := make([]*Delta, len(scs))
 	errs := make([]error, len(scs))
 	var wg sync.WaitGroup
 	for i := range scs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			incs[i], _, errs[i] = c.Recompile(ctx, base, scs[i])
+			incs[i], deltas[i], errs[i] = c.Recompile(ctx, base, scs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -517,6 +578,18 @@ func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 			t.Fatalf("%s: from-scratch compile: %v", sc.Name, err)
 		}
 		sameAsScratch(t, sc.Name, incs[i], scratch)
+		alone, err := c.Compile(ctx, podLB, podScope, uniformPods(4, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, delta, err := c.Recompile(ctx, alone, sc)
+		if err != nil {
+			t.Fatalf("%s: serial recompile: %v", sc.Name, err)
+		}
+		sameAsScratch(t, sc.Name+" serial", incs[i], serial)
+		if !reflect.DeepEqual(deltas[i], delta) || !reflect.DeepEqual(incs[i].Reports, serial.Reports) {
+			t.Errorf("%s: delta or reports differ from the same recompile made alone:\n  %v\n  %v", sc.Name, deltas[i], delta)
+		}
 	}
 }
 
