@@ -234,10 +234,14 @@ func TestCompileContextCancelled(t *testing.T) {
 	}
 }
 
+// TestSolveBudgetExpiredTyped compiles under a context whose deadline has
+// already passed: the context is the solve's one time limit.
 func TestSolveBudgetExpiredTyped(t *testing.T) {
-	_, err := New(WithSolveBudget(time.Nanosecond)).Compile(context.Background(), quickLB, quickScope, Testbed())
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := New().Compile(ctx, quickLB, quickScope, Testbed())
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want typed ErrTimeout under ErrBudget", err)
 	}
 }
 

@@ -38,7 +38,6 @@ type Request struct {
 	Dialect      backend.Dialect
 	Objective    encode.Objective
 	PreferSwitch string
-	SolveBudget  time.Duration
 	SkipVerify   bool
 	// Parallelism bounds the worker pools used for component solving,
 	// per-switch translation, and verification. <= 0 selects GOMAXPROCS;
@@ -246,9 +245,6 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	opts.Ctx = ctx
 	opts.Parallelism = req.Parallelism
 	opts.NoSymmetryDedup = req.NoSymmetryDedup
-	if req.SolveBudget > 0 {
-		opts.TimeBudget = req.SolveBudget
-	}
 	// Solved classes and the decomposition persist across recompiles:
 	// Recompile reuses the previous Result's IR verbatim, so whatever the
 	// topology delta left alone is not solved, or even looked at, again.

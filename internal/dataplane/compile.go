@@ -20,6 +20,7 @@ package dataplane
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"lyra/internal/par"
 )
@@ -76,14 +77,13 @@ type Compiled struct {
 	switchUnits map[string]*ccode
 	lanes       []*Lane
 
-	// One-entry resolved-path cache: a path slice is mapped to the units
-	// actually placed on it once, so the steady state pays no per-packet
-	// (or even per-hop) string-map lookups. Keyed by the slice's backing
-	// array, which callers reuse across packets. Mutated only from the
+	// One-entry resolved-path cache: a path is mapped to the units actually
+	// placed on it once, so the steady state pays no per-hop string-map
+	// lookups. Keyed by a copy of the path's switch names, so a caller may
+	// rewrite its slice in place between packets. Mutated only from the
 	// single-caller API surface (RunBatch resolves before its workers
 	// fan out, so workers never touch it).
-	pathKey   *string
-	pathLen   int
+	pathKey   []string
 	pathUnits []*ccode
 }
 
@@ -794,14 +794,14 @@ func (c *Compiled) RunReference(l *Lane, ctx *Context, f *FlatPacket) {
 }
 
 // resolveUnits maps a flow path to the compiled units actually placed on
-// it. The result is cached keyed on the path's backing array: callers
-// replay many packets down the same path slice, and on a cache hit the
-// per-hop switch-name lookups disappear entirely.
+// it. The result is cached keyed on the path's switch names: callers replay
+// many packets down the same path, and on a cache hit the per-hop
+// switch-name lookups disappear entirely.
 func (c *Compiled) resolveUnits(path []string) []*ccode {
 	if len(path) == 0 {
 		return nil
 	}
-	if &path[0] == c.pathKey && len(path) == c.pathLen {
+	if slices.Equal(path, c.pathKey) {
 		return c.pathUnits
 	}
 	units := make([]*ccode, 0, len(path))
@@ -810,7 +810,7 @@ func (c *Compiled) resolveUnits(path []string) []*ccode {
 			units = append(units, cu)
 		}
 	}
-	c.pathKey, c.pathLen, c.pathUnits = &path[0], len(path), units
+	c.pathKey, c.pathUnits = slices.Clone(path), units
 	return units
 }
 
@@ -828,21 +828,6 @@ func (c *Compiled) RunPacket(l *Lane, path []string, ctx *Context, f *FlatPacket
 		ctx = &zeroCtx
 	}
 	c.runResolved(l, c.resolveUnits(path), ctx, f)
-}
-
-// RunPacketContexts is RunPacket with a per-switch environment.
-func (c *Compiled) RunPacketContexts(l *Lane, path []string, ctxOf func(sw string) *Context, f *FlatPacket) {
-	for _, sw := range path {
-		cu := c.switchUnits[sw]
-		if cu == nil {
-			continue
-		}
-		ctx := ctxOf(sw)
-		if ctx == nil {
-			ctx = &zeroCtx
-		}
-		c.runUnit(l, cu, ctx, f)
-	}
 }
 
 // RunBatch replays a batch of packets along a path, sharding the batch

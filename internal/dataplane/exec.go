@@ -525,18 +525,11 @@ func (d *Deployment) Compiled() (*Compiled, error) {
 // along the path. Given identical starting state it is byte-identical to
 // RunPath; the interpreter remains the oracle it is checked against.
 func (d *Deployment) RunPathCompiled(path []string, ctx *Context, in *Packet) (*Packet, error) {
-	return d.RunPathCompiledWithContexts(path, func(string) *Context { return ctx }, in)
-}
-
-// RunPathCompiledWithContexts is RunPathCompiled with a per-switch
-// environment.
-func (d *Deployment) RunPathCompiledWithContexts(path []string, ctxOf func(sw string) *Context, in *Packet) (*Packet, error) {
 	c, err := d.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	l := c.eng.NewLane()
 	f := c.eng.Flatten(in)
-	c.RunPacketContexts(l, path, ctxOf, f)
+	c.RunPacket(c.eng.NewLane(), path, ctx, f)
 	return f.Packet(), nil
 }

@@ -451,3 +451,60 @@ func TestBatchRejectsForeignPacketAtAnyIndex(t *testing.T) {
 		t.Fatalf("rejected Feed ran its first packet:\n  before: %s\n  after:  %s", before, after)
 	}
 }
+
+// TestExecutorReusedPathSlice: a caller that rewrites its path slice in
+// place between packets gets the switches the slice names now, not the ones
+// it named when the compiled tier first resolved it. Only ToR3's shard
+// holds the entry, so the two paths differ; both tiers must match RunPath.
+func TestExecutorReusedPathSlice(t *testing.T) {
+	plan, _ := compile(t, lbSrc, lbScope)
+	dep, err := NewDeployment(plan, NewTables())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.SetSwitchEntry("ToR3", "vip_table", 5, 0xDEAD)
+	x, err := dep.ExecutorFor(TierCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dep.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewPacket()
+	in.Valid["ipv4"] = true
+	in.Valid["tcp"] = true
+	in.Fields["ipv4.srcAddr"] = 0x0A000001
+	in.Fields["ipv4.dstAddr"] = 5
+	in.Fields["ipv4.protocol"] = 6
+	in.Fields["tcp.srcPort"] = 1234
+	in.Fields["tcp.dstPort"] = 80
+	buf := []string{"Agg4", "ToR4"}
+	var seen []uint64
+	for _, tor := range []string{"ToR4", "ToR3", "ToR4"} {
+		buf[1] = tor
+		want, err := dep.RunPath(buf, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := eng.Flatten(in)
+		if err := x.RunPacket(buf, nil, f); err != nil {
+			t.Fatal(err)
+		}
+		pkts := []*FlatPacket{eng.Flatten(in)}
+		if err := x.RunBatch(buf, nil, pkts, 1); err != nil {
+			t.Fatal(err)
+		}
+		w := want.Fields["ipv4.dstAddr"]
+		if got := f.Packet().Fields["ipv4.dstAddr"]; got != w {
+			t.Errorf("RunPacket on %v: dstAddr = %#x, RunPath says %#x", buf, got, w)
+		}
+		if got := pkts[0].Packet().Fields["ipv4.dstAddr"]; got != w {
+			t.Errorf("RunBatch on %v: dstAddr = %#x, RunPath says %#x", buf, got, w)
+		}
+		seen = append(seen, w)
+	}
+	if seen[0] == seen[1] {
+		t.Fatalf("ToR3's entry does not change the result (%#x): the test cannot tell the paths apart", seen[0])
+	}
+}

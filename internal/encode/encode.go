@@ -97,10 +97,9 @@ type Options struct {
 	// PreferSwitch names the switch to load up under ObjPreferSwitch.
 	PreferSwitch   string
 	ConflictBudget int64
-	// TimeBudget bounds the whole solve, fallback attempts included.
-	TimeBudget time.Duration
-	// Ctx, when non-nil, cancels the solve cooperatively; its deadline
-	// tightens TimeBudget.
+	// Ctx, when non-nil, cancels the solve cooperatively, fallback attempts
+	// included. Its deadline is the solve's, and a solve ends within 120 s
+	// of its start whatever the deadline.
 	Ctx context.Context
 	// Ladder is the fallback sequence tried, in order, when an attempt
 	// fails (the Parasol-style budget-escalation/relaxation ladder). Each
@@ -141,11 +140,14 @@ type Options struct {
 	NoSymmetryDedup bool
 }
 
+// maxSolveTime caps a solve whose context has no earlier deadline, so a
+// compile under context.Background still ends.
+const maxSolveTime = 120 * time.Second
+
 // DefaultOptions returns the standard solver configuration.
 func DefaultOptions() *Options {
 	return &Options{
 		ConflictBudget: 2_000_000,
-		TimeBudget:     120 * time.Second,
 		Ladder:         DefaultLadder(),
 	}
 }
@@ -255,10 +257,8 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var deadline time.Time
-	if opts.TimeBudget > 0 {
-		deadline = start.Add(opts.TimeBudget)
-	}
+	ctx, cancel := context.WithDeadline(ctx, start.Add(maxSolveTime))
+	defer cancel()
 	shaping := opts.shaping()
 	caching := opts.Cache != nil && !opts.NoSymmetryDedup
 
@@ -350,7 +350,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		if total > 1 {
 			label = open[i].label
 		}
-		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, opts, deadline, label)
+		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, opts, label)
 		open[i].Template = results[i].tmpl
 	})
 	// Deterministic error selection: the lowest-index failing component
@@ -519,7 +519,7 @@ func (ca *carried) merge(open []*Binding) (bound []*Binding, keptAt []bool) {
 // accepted model becomes the component's template straight from the encoder;
 // union is the component's sorted scope union. The accumulated durations split
 // constraint construction and template extraction (enc) from search (slv).
-func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, opts *Options, deadline time.Time, label string) (r componentResult) {
+func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, opts *Options, label string) (r componentResult) {
 	cfg := attemptCfg{
 		objective:      opts.Objective,
 		prefer:         opts.PreferSwitch,
@@ -545,7 +545,7 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 	// The first attempt's duration includes the encoding it ran on.
 	for aStart := start; ; aStart = time.Now() {
 		sStart := time.Now()
-		m, aerr := solveAttempt(ctx, e, cfg, deadline)
+		m, aerr := solveAttempt(ctx, e, cfg)
 		r.slv += time.Since(sStart)
 		aDur := time.Since(aStart)
 		var core []string
@@ -644,23 +644,15 @@ const coreProbeBudget = 20_000
 // solveAttempt runs one fallback-ladder attempt on the persistent encoder:
 // the rung's configuration is translated into an assumption set over the
 // named constraint-family selectors, and the solve (or the incremental
-// Minimize descent) runs on the live solver, reusing everything learned by
+// MinimizeWith descent) runs on the live solver, reusing everything learned by
 // earlier attempts. On unsatisfiability the failed-assumption core is
 // minimized and returned inside an *InfeasibleError naming the violated
 // constraint groups. On success the model is returned with the theory's
 // allocations and shard sizes materialized for it.
-func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline time.Time) (*smt.Model, error) {
+func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg) (*smt.Model, error) {
 	s := enc.solver
 	s.ConflictBudget = cfg.conflictBudget
 	s.Ctx = ctx
-	s.TimeBudget = 0
-	if !deadline.IsZero() {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("encode: solver gave up: %w", smt.ErrTimeout)
-		}
-		s.TimeBudget = remaining
-	}
 	assumps := enc.assumptionsFor(cfg)
 
 	var st smt.Status
@@ -703,7 +695,7 @@ func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline ti
 		// The hint is the failed solve's own last conflict: read it before the
 		// core minimization's probes run theory checks of their own.
 		hint := enc.lastTheoryHint()
-		return nil, &InfeasibleError{Groups: enc.unsatCore(deadline), Hint: hint}
+		return nil, &InfeasibleError{Groups: enc.unsatCore(ctx), Hint: hint}
 	}
 	model := s.Model()
 	// Re-run the theory on the final model to materialize allocations and
@@ -716,25 +708,20 @@ func solveAttempt(ctx context.Context, enc *encoder, cfg attemptCfg, deadline ti
 
 // unsatCore minimizes and labels the failed-assumption core of the solve
 // that just returned UNSAT. Minimization probes re-solve on the live solver
-// under a small conflict budget (and whatever wall clock remains), so a
-// pathological probe cannot blow the compile's time budget; a nil result
-// means the contradiction is rooted in permanent clauses.
-func (e *encoder) unsatCore(deadline time.Time) []string {
+// under a small conflict budget and the solve's deadline, so a pathological
+// probe cannot blow the compile's time budget; a nil result means the
+// contradiction is rooted in permanent clauses.
+func (e *encoder) unsatCore(ctx context.Context) []string {
 	s := e.solver
 	core := s.Core()
 	if len(core) == 0 {
 		return nil
 	}
-	remaining := time.Duration(0)
-	if !deadline.IsZero() {
-		remaining = time.Until(deadline)
-	}
-	if deadline.IsZero() || remaining > 0 {
-		savedConf, savedTime := s.ConflictBudget, s.TimeBudget
+	if ctx.Err() == nil {
+		saved := s.ConflictBudget
 		s.ConflictBudget = coreProbeBudget
-		s.TimeBudget = remaining
 		core = s.MinimizeCore(core)
-		s.ConflictBudget, s.TimeBudget = savedConf, savedTime
+		s.ConflictBudget = saved
 	}
 	return s.CoreNames(core)
 }

@@ -55,10 +55,11 @@ func search(ctx context.Context, base *ir.Program, net *topo.Network, scopes map
 	}
 
 	solve := func(p *ir.Program) (*encode.Plan, error) {
+		sctx, cancel := context.WithTimeout(ctx, solveBudget)
+		defer cancel()
 		opts := encode.DefaultOptions()
 		opts.Objective = obj
-		opts.TimeBudget = solveBudget
-		opts.Ctx = ctx
+		opts.Ctx = sctx
 		opts.Parallelism = parallelism
 		return encode.Solve(&encode.Input{IR: p, Net: net, Scopes: scopes}, opts)
 	}

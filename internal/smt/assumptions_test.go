@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -65,8 +66,8 @@ func randomProblem(rng *rand.Rand, n int) (build func(*Solver) []Lit, eval func(
 		for i := range lits {
 			lits[i] = s.NewBool("")
 		}
-		f, e := randomFormula(rand.New(rand.NewSource(formulaSeed)), lits, 3)
-		s.Require(f)
+		f, e := randomFormula(rand.New(rand.NewSource(formulaSeed)), s, lits, 3)
+		s.AddClause(f)
 		evalFormula = e
 		pbs = pbs[:0]
 		for _, sh := range pbShapes {
@@ -512,12 +513,21 @@ func TestIncrementalStateCarriesOver(t *testing.T) {
 	}
 }
 
+// deadlineTheory accepts every assignment, but its first check waits until
+// ctx is done: the solve that reaches it still returns sat, with the deadline
+// already past.
+type deadlineTheory struct{ ctx context.Context }
+
+func (d deadlineTheory) Check(*Model) []Lit {
+	<-d.ctx.Done()
+	return nil
+}
+
 // TestMinimizeDeadlineBetweenBounds is the regression test for the budget
-// overshoot: a descent step started just before the deadline must not run on
-// a fresh full TimeBudget. With a ~zero budget the first satisfying
-// assignment is found (tiny problem, no poll fires), and the inter-bound
-// check must then surface ErrTimeout with the incumbent rather than
-// completing the full descent.
+// overshoot: a descent step must not start once the deadline has passed. The
+// first satisfying assignment is found as the deadline expires (tiny problem,
+// no poll fires after the theory check), and the next descent step must then
+// surface ErrTimeout with the incumbent rather than completing the descent.
 func TestMinimizeDeadlineBetweenBounds(t *testing.T) {
 	s := NewSolver()
 	n := 8
@@ -529,20 +539,20 @@ func TestMinimizeDeadlineBetweenBounds(t *testing.T) {
 	}
 	// At least three must hold, so the descent has real work to do and the
 	// incumbent cost is positive.
-	s.AddAtLeast(lits, weights, 3)
-	s.TimeBudget = time.Nanosecond
-	best, ok, err := s.Minimize(lits, weights)
+	addAtLeast(s, lits, weights, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	s.Ctx = ctx
+	s.AddTheory(deadlineTheory{ctx})
+	best, ok, err := s.MinimizeWith(nil, lits, weights)
 	if !ok {
-		t.Fatal("Minimize found no incumbent")
+		t.Fatal("MinimizeWith found no incumbent")
 	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout: the deadline must be honored between candidate bounds", err)
 	}
 	if best < 3 {
 		t.Fatalf("best = %d, want >= 3", best)
-	}
-	if s.TimeBudget != time.Nanosecond {
-		t.Fatalf("TimeBudget clobbered: %v", s.TimeBudget)
 	}
 }
 
@@ -558,9 +568,11 @@ func TestMinimizeCompletesWithinGenerousBudget(t *testing.T) {
 		lits[i] = s.NewBool("")
 		weights[i] = 1
 	}
-	s.AddAtLeast(lits, weights, 2)
-	s.TimeBudget = 30 * time.Second
-	best, ok, err := s.Minimize(lits, weights)
+	addAtLeast(s, lits, weights, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s.Ctx = ctx
+	best, ok, err := s.MinimizeWith(nil, lits, weights)
 	if err != nil || !ok || best != 2 {
 		t.Fatalf("Minimize = %d, %v, %v; want 2, true, nil", best, ok, err)
 	}

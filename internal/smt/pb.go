@@ -1,9 +1,6 @@
 package smt
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // pbCon is a weighted at-most-k constraint: sum of weights of true literals
 // must not exceed bound. Weights are strictly positive.
@@ -139,54 +136,6 @@ func (s *Solver) AddAtMost(lits []Lit, weights []int64, bound int64) bool {
 	return s.ok
 }
 
-// AddAtLeast adds Σ weights[i]·lits[i] ≥ bound by negating literals:
-// Σ w·l ≥ b  ⇔  Σ w·(¬l) ≤ Σw − b.
-func (s *Solver) AddAtLeast(lits []Lit, weights []int64, bound int64) bool {
-	neg := make([]Lit, len(lits))
-	var total int64
-	for i, l := range lits {
-		neg[i] = l.Not()
-		total += weights[i]
-	}
-	return s.AddAtMost(neg, weights, total-bound)
-}
-
-// AddExactly adds Σ weights[i]·lits[i] = bound.
-func (s *Solver) AddExactly(lits []Lit, weights []int64, bound int64) bool {
-	if !s.AddAtMost(lits, weights, bound) {
-		return false
-	}
-	return s.AddAtLeast(lits, weights, bound)
-}
-
-// AtMostOne adds a cardinality constraint over unit weights. Small sets use
-// the pairwise encoding, which propagates without PB machinery.
-func (s *Solver) AtMostOne(lits ...Lit) bool {
-	if len(lits) <= 6 {
-		for i := 0; i < len(lits); i++ {
-			for j := i + 1; j < len(lits); j++ {
-				if !s.AddClause(lits[i].Not(), lits[j].Not()) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	w := make([]int64, len(lits))
-	for i := range w {
-		w[i] = 1
-	}
-	return s.AddAtMost(lits, w, 1)
-}
-
-// ExactlyOne adds an exactly-one cardinality constraint.
-func (s *Solver) ExactlyOne(lits ...Lit) bool {
-	if !s.AtMostOne(lits...) {
-		return false
-	}
-	return s.AddClause(lits...)
-}
-
 // propagatePBs handles the PB constraints watching the newly-true literal p.
 // Slack was already adjusted when p was enqueued (see Solver.enqueue), so
 // this only detects conflicts and forces literals out.
@@ -262,35 +211,20 @@ func (s *Solver) pbPropagate(con *pbCon) []Lit {
 	return nil
 }
 
-// Minimize searches for an assignment minimizing Σ weights[i]·lits[i] by
-// iterative strengthening: after each satisfying assignment, a tighter
-// at-most bound is asserted and the search resumes. It returns the best
-// objective value found. If no assignment exists it returns ok=false. When
-// the budget runs out, the best incumbent (if any) is returned along with
-// ErrBudget.
-func (s *Solver) Minimize(lits []Lit, weights []int64) (best int64, ok bool, err error) {
-	return s.MinimizeWith(nil, lits, weights)
-}
-
-// MinimizeWith is Minimize under assumptions. The descent runs on the live
-// solver: each tightened bound is guarded by a fresh selector literal that
-// is assumed during this call and permanently retired afterwards, so the
-// bounds evaporate on return and the solver stays reusable for later,
-// differently-constrained incremental solves.
+// MinimizeWith searches, under assumptions, for an assignment minimizing
+// Σ weights[i]·lits[i] by iterative strengthening: after each satisfying
+// assignment, a tighter at-most bound is asserted and the search resumes. It
+// returns the best objective value found, or ok=false if no assignment
+// exists. When the budget runs out, the best incumbent (if any) is returned
+// along with ErrBudget.
 //
-// TimeBudget is one wall-clock allowance for the whole descent: the
-// deadline is fixed on entry, re-checked between candidate bounds, and each
-// re-solve receives only the remaining allowance, so a descent step started
-// near the deadline cannot overshoot the caller's budget. When the deadline
-// expires between bounds, the incumbent is returned with ErrTimeout.
+// The descent runs on the live solver: each tightened bound is guarded by a
+// fresh selector literal that is assumed during this call and permanently
+// retired afterwards, so the bounds evaporate on return and the solver stays
+// reusable for later, differently-constrained incremental solves. Every
+// re-solve checks Ctx before it searches, so once Ctx is done the incumbent
+// is returned with ErrTimeout instead of another descent step.
 func (s *Solver) MinimizeWith(assumptions []Lit, lits []Lit, weights []int64) (best int64, ok bool, err error) {
-	budget := s.TimeBudget
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
-	defer func() { s.TimeBudget = budget }()
-
 	st, serr := s.Solve(assumptions...)
 	if st == StatusUnsat {
 		return 0, false, nil
@@ -313,16 +247,6 @@ func (s *Solver) MinimizeWith(assumptions []Lit, lits []Lit, weights []int64) (b
 		}
 		if best == 0 {
 			return 0, true, nil
-		}
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				// Deadline expired between candidate bounds: report the
-				// incumbent instead of starting a descent step that would
-				// overshoot the caller's TimeBudget.
-				return best, true, ErrTimeout
-			}
-			s.TimeBudget = remaining
 		}
 		s.addGuardedAtMost(guard, lits, weights, best-1)
 		if !s.ok {

@@ -5,10 +5,24 @@ import (
 	"testing"
 )
 
+// addAtLeast adds Σ weights[i]·lits[i] ≥ bound as AddAtMost over the negated
+// literals: Σ w·l ≥ b ⇔ Σ w·(¬l) ≤ Σw − b.
+func addAtLeast(s *Solver, lits []Lit, weights []int64, bound int64) bool {
+	neg := make([]Lit, len(lits))
+	var total int64
+	for i, l := range lits {
+		neg[i] = l.Not()
+		total += weights[i]
+	}
+	return s.AddAtMost(neg, weights, total-bound)
+}
+
 func TestAtMostOnePairwise(t *testing.T) {
 	s := NewSolver()
 	a, b, c := s.NewBool("a"), s.NewBool("b"), s.NewBool("c")
-	s.AtMostOne(a, b, c)
+	s.AddClause(a.Not(), b.Not())
+	s.AddClause(a.Not(), c.Not())
+	s.AddClause(b.Not(), c.Not())
 	s.AddClause(a)
 	st, _ := s.Solve()
 	if st != StatusSat {
@@ -23,10 +37,13 @@ func TestAtMostOnePairwise(t *testing.T) {
 func TestExactlyOne(t *testing.T) {
 	s := NewSolver()
 	lits := make([]Lit, 10)
+	ones := make([]int64, len(lits))
 	for i := range lits {
 		lits[i] = s.NewBool("")
+		ones[i] = 1
 	}
-	s.ExactlyOne(lits...)
+	s.AddAtMost(lits, ones, 1)
+	s.AddClause(lits...)
 	st, _ := s.Solve()
 	if st != StatusSat {
 		t.Fatal("want sat")
@@ -77,7 +94,7 @@ func TestAtLeast(t *testing.T) {
 	s := NewSolver()
 	a, b, c := s.NewBool("a"), s.NewBool("b"), s.NewBool("c")
 	// a + b + c >= 2
-	s.AddAtLeast([]Lit{a, b, c}, []int64{1, 1, 1}, 2)
+	addAtLeast(s, []Lit{a, b, c}, []int64{1, 1, 1}, 2)
 	s.AddClause(a.Not())
 	st, _ := s.Solve()
 	if st != StatusSat {
@@ -93,8 +110,9 @@ func TestAddExactlyWeighted(t *testing.T) {
 	s := NewSolver()
 	lits := []Lit{s.NewBool("a"), s.NewBool("b"), s.NewBool("c"), s.NewBool("d")}
 	w := []int64{1, 2, 4, 8}
-	// Unique solution for sum == 6: b and c.
-	s.AddExactly(lits, w, 6)
+	// Unique solution for sum == 6 (at most 6 and at least 6): b and c.
+	s.AddAtMost(lits, w, 6)
+	addAtLeast(s, lits, w, 6)
 	st, _ := s.Solve()
 	if st != StatusSat {
 		t.Fatal("want sat")
@@ -151,7 +169,7 @@ func TestRandomPBAgainstBruteForce(t *testing.T) {
 			if p.atMost {
 				okTop = s.AddAtMost(cl, p.w, p.bound) && okTop
 			} else {
-				okTop = s.AddAtLeast(cl, p.w, p.bound) && okTop
+				okTop = addAtLeast(s, cl, p.w, p.bound) && okTop
 			}
 		}
 		// Some random clauses for spice.
@@ -245,7 +263,7 @@ func TestMinimize(t *testing.T) {
 	// Must pick at least one of each pair; costs differ.
 	s.AddClause(a, b)
 	s.AddClause(b, c)
-	best, ok, err := s.Minimize([]Lit{a, b, c}, []int64{5, 3, 4})
+	best, ok, err := s.MinimizeWith(nil, []Lit{a, b, c}, []int64{5, 3, 4})
 	if err != nil || !ok {
 		t.Fatalf("minimize: ok=%v err=%v", ok, err)
 	}
@@ -263,7 +281,7 @@ func TestMinimizeUnsat(t *testing.T) {
 	a := s.NewBool("a")
 	s.AddClause(a)
 	s.AddClause(a.Not())
-	_, ok, err := s.Minimize([]Lit{a}, []int64{1})
+	_, ok, err := s.MinimizeWith(nil, []Lit{a}, []int64{1})
 	if err != nil || ok {
 		t.Fatalf("want not-ok, got ok=%v err=%v", ok, err)
 	}
@@ -330,7 +348,7 @@ func TestRandomMinimizeAgainstBruteForce(t *testing.T) {
 				wantBest = cost
 			}
 		}
-		best, ok, err := s.Minimize(lits, w)
+		best, ok, err := s.MinimizeWith(nil, lits, w)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}

@@ -30,12 +30,12 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// ErrBudget is returned by Solve when the conflict or time budget runs out
-// before a verdict is reached. The concrete cause is one of the typed
+// ErrBudget is returned by Solve when the conflict budget or the deadline
+// runs out before a verdict is reached. The concrete cause is one of the typed
 // errors below; all of them satisfy errors.Is(err, ErrBudget).
 var ErrBudget = errors.New("smt: solve budget exhausted")
 
-// ErrTimeout means the time budget or the caller's context expired.
+// ErrTimeout means the caller's context expired or was cancelled.
 var ErrTimeout = fmt.Errorf("%w: time budget", ErrBudget)
 
 // ErrConflictBudget means the conflict budget ran out first.
@@ -165,12 +165,11 @@ type Solver struct {
 	core        []Lit
 	assumeNames map[Var]string
 
-	// Budget limits, applied per Solve call.
+	// ConflictBudget bounds the conflicts of each Solve call.
 	ConflictBudget int64
-	TimeBudget     time.Duration
-	// Ctx, when non-nil, cancels the search cooperatively: its deadline
-	// tightens the TimeBudget deadline and its cancellation aborts the
-	// solve with ErrTimeout at the next poll point.
+	// Ctx, when non-nil, is the solve's one wall-clock limit: its deadline
+	// or its cancellation aborts the search with ErrTimeout at the next poll
+	// point.
 	Ctx context.Context
 
 	// pollStride counts propagations between abort polls; the poll runs on
@@ -315,6 +314,27 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.newClause(out)
 	return true
+}
+
+// OrEquals introduces (or reuses) a literal out with out ↔ (l1 ∨ l2 ∨ ...).
+func (s *Solver) OrEquals(lits []Lit, name string) (Lit, bool) {
+	switch len(lits) {
+	case 0:
+		out := s.NewBool("")
+		return out, s.AddClause(out.Not())
+	case 1:
+		return lits[0], true
+	}
+	out := s.NewBool(name)
+	big := make([]Lit, 0, len(lits)+1)
+	for _, l := range lits {
+		if !s.AddClause(out, l.Not()) {
+			return LitUndef, false
+		}
+		big = append(big, l)
+	}
+	big = append(big, out.Not())
+	return out, s.AddClause(big...)
 }
 
 // slabLen sizes the next slab of a kind of which have items were handed out
@@ -728,17 +748,12 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 	s.stats.Assumptions += int64(len(assumptions))
 	s.assumptions = assumptions
 	defer func() { s.assumptions = nil }()
-	deadline := time.Time{}
-	if s.TimeBudget > 0 {
-		deadline = time.Now().Add(s.TimeBudget)
-	}
+	var deadline time.Time
 	if s.Ctx != nil {
-		if d, ok := s.Ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-			deadline = d
-		}
-		if err := s.Ctx.Err(); err != nil {
-			return StatusUnknown, fmt.Errorf("%w (%v)", ErrTimeout, err)
-		}
+		deadline, _ = s.Ctx.Deadline()
+	}
+	if err := s.ctxErr(); err != nil {
+		return StatusUnknown, err
 	}
 	conflictsAtStart := s.stats.Conflicts
 	restartNum := int64(0)
@@ -875,13 +890,22 @@ func (s *Solver) pollAbort(deadline time.Time) error {
 	}
 	s.lastPollProps = s.stats.Propagations
 	s.lastPollConfs = s.stats.Conflicts
-	if s.Ctx != nil {
-		if err := s.Ctx.Err(); err != nil {
-			return fmt.Errorf("%w (%v)", ErrTimeout, err)
-		}
+	if err := s.ctxErr(); err != nil {
+		return err
 	}
 	if !deadline.IsZero() && time.Now().After(deadline) {
 		return ErrTimeout
+	}
+	return nil
+}
+
+// ctxErr reports a done Ctx as ErrTimeout.
+func (s *Solver) ctxErr() error {
+	if s.Ctx == nil {
+		return nil
+	}
+	if err := s.Ctx.Err(); err != nil {
+		return fmt.Errorf("%w (%v)", ErrTimeout, err)
 	}
 	return nil
 }

@@ -89,7 +89,12 @@ func TestGraphColoringSat(t *testing.T) {
 		for c := 0; c < C; c++ {
 			x[v][c] = s.NewBool("")
 		}
-		s.ExactlyOne(x[v][0], x[v][1], x[v][2])
+		for c1 := 0; c1 < C; c1++ {
+			for c2 := c1 + 1; c2 < C; c2++ {
+				s.AddClause(x[v][c1].Not(), x[v][c2].Not())
+			}
+		}
+		s.AddClause(x[v][0], x[v][1], x[v][2])
 	}
 	for v := 0; v < N; v++ {
 		u := (v + 1) % N
@@ -378,7 +383,7 @@ func TestPBWithTheory(t *testing.T) {
 		lits[i] = s.NewBool("")
 	}
 	s.AddAtMost(lits, []int64{1, 1, 1, 1}, 2)
-	s.AddAtLeast(lits, []int64{1, 1, 1, 1}, 2)
+	addAtLeast(s, lits, []int64{1, 1, 1, 1}, 2)
 	s.AddTheory(conflictTheory{lits[0], lits[1]})
 	st, err := s.Solve()
 	if err != nil || st != StatusSat {
@@ -442,8 +447,10 @@ func TestTypedConflictBudgetError(t *testing.T) {
 
 func TestTypedTimeBudgetError(t *testing.T) {
 	s := NewSolver()
-	s.TimeBudget = time.Millisecond
 	hardUnsat(s)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	s.Ctx = ctx
 	st, err := s.Solve()
 	if st != StatusUnknown {
 		t.Fatalf("status = %v, want unknown", st)
@@ -485,5 +492,135 @@ func TestContextPreCancelled(t *testing.T) {
 	st, err := s.Solve()
 	if st != StatusUnknown || !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, %v; want unknown + ErrTimeout", st, err)
+	}
+}
+
+func TestOrEquals(t *testing.T) {
+	s := NewSolver()
+	a, b := s.NewBool("a"), s.NewBool("b")
+	out, ok := s.OrEquals([]Lit{a, b}, "valid")
+	if !ok {
+		t.Fatal("OrEquals failed")
+	}
+	none, ok := s.OrEquals(nil, "none")
+	if !ok {
+		t.Fatal("empty OrEquals failed")
+	}
+	s.AddClause(a.Not())
+	s.AddClause(b.Not())
+	st, _ := s.Solve()
+	if st != StatusSat {
+		t.Fatal("want sat")
+	}
+	if s.Model().Value(out) {
+		t.Error("out must be false when both inputs are false")
+	}
+	if s.Model().Value(none) {
+		t.Error("the empty disjunction must be false")
+	}
+}
+
+// randomFormula draws a random formula tree over the given literals, builds
+// it in s from OrEquals gates (a conjunction is the negated disjunction of
+// negations, xor a disjunction of two conjunctions, iff a negated xor), and
+// returns the literal equivalent to it plus an evaluator mirroring its
+// semantics.
+func randomFormula(rng *rand.Rand, s *Solver, lits []Lit, depth int) (Lit, func(mask int) bool) {
+	or := func(ls ...Lit) Lit {
+		out, _ := s.OrEquals(ls, "")
+		return out
+	}
+	and := func(ls ...Lit) Lit {
+		neg := make([]Lit, len(ls))
+		for i, l := range ls {
+			neg[i] = l.Not()
+		}
+		return or(neg...).Not()
+	}
+	xor := func(a, b Lit) Lit { return or(and(a, b.Not()), and(a.Not(), b)) }
+	if depth == 0 || rng.Intn(3) == 0 {
+		l := lits[rng.Intn(len(lits))]
+		if rng.Intn(2) == 0 {
+			l = l.Not()
+		}
+		return l, func(mask int) bool { return litHolds(l, mask) }
+	}
+	switch op := rng.Intn(5); op {
+	case 0, 1: // and, or
+		n := 2 + rng.Intn(2)
+		subs := make([]Lit, n)
+		evals := make([]func(int) bool, n)
+		for i := 0; i < n; i++ {
+			subs[i], evals[i] = randomFormula(rng, s, lits, depth-1)
+		}
+		if op == 0 {
+			return and(subs...), func(mask int) bool {
+				for _, e := range evals {
+					if !e(mask) {
+						return false
+					}
+				}
+				return true
+			}
+		}
+		return or(subs...), func(mask int) bool {
+			for _, e := range evals {
+				if e(mask) {
+					return true
+				}
+			}
+			return false
+		}
+	case 2: // not
+		sub, e := randomFormula(rng, s, lits, depth-1)
+		return sub.Not(), func(mask int) bool { return !e(mask) }
+	case 3: // xor
+		a, ea := randomFormula(rng, s, lits, depth-1)
+		b, eb := randomFormula(rng, s, lits, depth-1)
+		return xor(a, b), func(mask int) bool { return ea(mask) != eb(mask) }
+	default: // iff
+		a, ea := randomFormula(rng, s, lits, depth-1)
+		b, eb := randomFormula(rng, s, lits, depth-1)
+		return xor(a, b).Not(), func(mask int) bool { return ea(mask) == eb(mask) }
+	}
+}
+
+func TestRandomFormulasAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	for iter := 0; iter < 200; iter++ {
+		n := 3 + rng.Intn(5)
+		s := NewSolver()
+		lits := make([]Lit, n)
+		for i := range lits {
+			lits[i] = s.NewBool("")
+		}
+		f, eval := randomFormula(rng, s, lits, 3)
+		s.AddClause(f)
+		wantSat := false
+		for mask := 0; mask < 1<<n; mask++ {
+			if eval(mask) {
+				wantSat = true
+				break
+			}
+		}
+		st, err := s.Solve()
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if wantSat != (st == StatusSat) {
+			t.Fatalf("iter %d: brute=%v solver=%v", iter, wantSat, st)
+		}
+		if st == StatusSat {
+			m := s.Model()
+			mask := 0
+			for i, l := range lits {
+				if m.Value(l) {
+					mask |= 1 << i
+				}
+			}
+			if !eval(mask) {
+				t.Fatalf("iter %d: model does not satisfy formula", iter)
+			}
+		}
 	}
 }

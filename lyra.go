@@ -120,8 +120,8 @@ const (
 var (
 	// ErrBudget is the umbrella: the solver ran out of some budget.
 	ErrBudget = smt.ErrBudget
-	// ErrTimeout means the wall-clock deadline (SolveBudget or a context
-	// deadline/cancellation) expired.
+	// ErrTimeout means the compile's context expired or was cancelled, or a
+	// solve hit its 120 s cap, before the solver reached a verdict.
 	ErrTimeout = smt.ErrTimeout
 	// ErrConflictBudget means the conflict budget was exhausted.
 	ErrConflictBudget = smt.ErrConflictBudget
@@ -284,10 +284,6 @@ func WithPreferSwitch(sw string) Option {
 	}
 }
 
-// WithSolveBudget bounds total solver work, fallback attempts included
-// (0 = the 120s default).
-func WithSolveBudget(d time.Duration) Option { return func(c *Compiler) { c.cfg.SolveBudget = d } }
-
 // WithParallelism bounds the worker pools used for component solving,
 // per-switch code emission, and verification. n <= 0 selects GOMAXPROCS;
 // n == 1 forces a fully sequential pipeline. The compiled result is
@@ -326,9 +322,11 @@ func WithOptimize(seed int64) Option {
 
 // Compile runs the full Lyra pipeline — parse, check, preprocess, analyze,
 // synthesize, encode, solve, translate, verify — on the given program text,
-// scope specification (§3.3, Figure 7), and target topology. Cancelling ctx
-// (or hitting its deadline) aborts the SMT solve at its next poll point and
-// returns an error satisfying errors.Is(err, ErrTimeout).
+// scope specification (§3.3, Figure 7), and target topology. ctx is the
+// compile's one time limit: cancelling it (or hitting its deadline) aborts
+// the SMT solve at its next poll point and returns an error satisfying
+// errors.Is(err, ErrTimeout). Without a deadline, each solve is capped at
+// 120 s.
 func (c *Compiler) Compile(ctx context.Context, source, scopeSpec string, net *Network) (res *Result, err error) {
 	defer recoverInternal(&err)
 	if net != nil {

@@ -152,12 +152,16 @@ func TestObserverSeesPhasesInOrder(t *testing.T) {
 // arrives in the pipeline request under its own field, a compile adds only
 // the program, the scope specification and the network, and it adds them to
 // a copy — the Compiler another goroutine may be compiling with is not
-// written to.
+// written to. The time limit is not an option: the compile's context, with
+// its deadline, reaches the pipeline.
 func TestCompilerMatchesRequest(t *testing.T) {
 	var got []core.Request
+	var deadlines []time.Time
 	orig := corePipeline
-	corePipeline = func(_ context.Context, req core.Request) (*core.Result, error) {
+	corePipeline = func(ctx context.Context, req core.Request) (*core.Result, error) {
 		got = append(got, req)
+		d, _ := ctx.Deadline()
+		deadlines = append(deadlines, d)
 		return nil, errors.New("stop here")
 	}
 	defer func() { corePipeline = orig }()
@@ -165,13 +169,16 @@ func TestCompilerMatchesRequest(t *testing.T) {
 	obs := ObserverFunc(func(PhaseTiming) {})
 	c := New(
 		WithDialect(P416), WithObjective(ObjectiveMinSwitches), WithPreferSwitch("ToR3"),
-		WithSolveBudget(time.Minute), WithParallelism(3), WithObserver(obs), WithSkipVerify(),
+		WithParallelism(3), WithObserver(obs), WithSkipVerify(),
 		WithSourceName("lb.lyra"),
 		WithOptimize(9),
 	)
 	net := Testbed()
-	c.Compile(context.Background(), "first", "scope one", net)
-	c.Compile(context.Background(), "second", "scope two", net)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
+	c.Compile(ctx, "first", "scope one", net)
+	c.Compile(ctx, "second", "scope two", net)
 	if len(got) != 2 {
 		t.Fatalf("pipeline saw %d requests, want 2", len(got))
 	}
@@ -181,10 +188,13 @@ func TestCompilerMatchesRequest(t *testing.T) {
 			t.Errorf("request %d inputs = %q, %q, %v", i, req.Source, req.ScopeSpec, req.Network)
 		}
 		if req.Dialect != P416 || req.Objective != ObjectivePreferSwitch || req.PreferSwitch != "ToR3" ||
-			req.SolveBudget != time.Minute || req.Parallelism != 3 || req.Observer == nil || !req.SkipVerify ||
+			req.Parallelism != 3 || req.Observer == nil || !req.SkipVerify ||
 			req.SourceName != "lb.lyra" ||
 			req.Optimize == nil || req.Optimize.Seed != 9 {
 			t.Errorf("request %d does not carry the options: %+v", i, req)
+		}
+		if !deadlines[i].Equal(deadline) {
+			t.Errorf("request %d ran under deadline %v, want the compile context's %v", i, deadlines[i], deadline)
 		}
 	}
 	if c.cfg.Source != "" || c.cfg.ScopeSpec != "" || c.cfg.Network != nil {
