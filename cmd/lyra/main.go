@@ -1,113 +1,104 @@
-// Command lyra is the umbrella CLI for operating the compiler as a
-// service. Its one subcommand today:
-//
-//	lyra serve -addr :8080          # run the control-plane daemon
-//
-// The daemon exposes the HTTP+JSON API in internal/serve (compile,
-// sessions, fault events, table updates, health, metrics) and drains
-// cleanly on SIGINT/SIGTERM: new work is refused with 429/"draining",
-// in-flight work finishes, then the process exits. See DESIGN.md
-// "The serve daemon" and the README quick-start.
+// Command lyra is the Lyra compiler as one tool, with the commands build,
+// fuzz, paper and serve that usageText lists. build and serve name their
+// target through topo.ParseTarget.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
-
-	"lyra/internal/serve"
 )
 
+const usageText = `usage: lyra <command> [flags], one of:
+
+  lyra build -program lb.lyra -scope lb.scope [-topology testbed|fattree:<k>] [-out dir]
+        compile a program and its scopes onto a target network, one chip program per switch
+  lyra fuzz -n 500 -seed 1
+        run a differential-testing campaign against the reference interpreter
+  lyra paper -experiment fig9,ablation
+        print the paper's evaluation tables (§7)
+  lyra serve -addr 127.0.0.1:8080
+        run the control-plane compile daemon
+
+Run "lyra <command> -h" for a command's flags.
+`
+
+// commands maps each command to its setup, which declares the command's
+// flags on fs and returns the function that runs it once fs has parsed the
+// command line.
+var commands = map[string]func(fs *flag.FlagSet) func() error{
+	"build": buildCmd,
+	"fuzz":  fuzzCmd,
+	"paper": paperCmd,
+	"serve": serveCmd,
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "serve":
-		if err := runServe(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "lyra serve: %v\n", err)
-			os.Exit(1)
+	fs, run, err := parse(os.Args[1:])
+	switch {
+	case fs == nil: // no command, an unknown one, or "help"
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lyra: %v\n\n", err)
 		}
-	case "-h", "-help", "--help", "help":
-		usage()
+		fmt.Fprint(os.Stderr, usageText)
+		if err != nil {
+			os.Exit(2)
+		}
+	case errors.Is(err, flag.ErrHelp):
+		usage(fs)
+	case err != nil:
+		fatal(fs, usageError{err})
 	default:
-		fmt.Fprintf(os.Stderr, "lyra: unknown command %q\n\n", os.Args[1])
-		usage()
+		if err := run(); err != nil {
+			fatal(fs, err)
+		}
+	}
+}
+
+// parse resolves a command line, "<command> [flags]", to the command's
+// parsed flags and the function that runs it. It runs and prints nothing.
+func parse(args []string) (*flag.FlagSet, func() error, error) {
+	if len(args) == 0 {
+		return nil, nil, errors.New("no command given")
+	}
+	setup, ok := commands[args[0]]
+	switch {
+	case args[0] == "help" || args[0] == "-h" || args[0] == "-help" || args[0] == "--help":
+		return nil, nil, nil
+	case !ok:
+		return nil, nil, fmt.Errorf("unknown command %q", args[0])
+	}
+	fs := flag.NewFlagSet("lyra "+args[0], flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	run := setup(fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		return fs, nil, err
+	}
+	if fs.NArg() > 0 {
+		return fs, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return fs, run, nil
+}
+
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(os.Stderr, "usage: %s [flags]\n\nflags:\n", fs.Name())
+	fs.SetOutput(os.Stderr)
+	fs.PrintDefaults()
+}
+
+// usageError is a command line that asks for nothing runnable: a bad flag,
+// or a flag value that is missing or out of range.
+type usageError struct{ error }
+
+// fatal reports a command's error and exits: with the command's usage and
+// status 2 for a usageError, with status 1 otherwise.
+func fatal(fs *flag.FlagSet, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+	if errors.As(err, new(usageError)) {
+		usage(fs)
 		os.Exit(2)
 	}
-}
-
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: lyra <command> [flags]
-
-commands:
-  serve    run the control-plane compile daemon
-
-Run "lyra serve -h" for the daemon's flags.
-`)
-}
-
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", "127.0.0.1:8080", "listen address")
-		inflight   = fs.Int("inflight", 0, "max concurrently executing compiles (0 = all CPUs)")
-		queue      = fs.Int("queue", 0, "admitted-but-waiting work beyond -inflight (0 = 4x inflight)")
-		deadline   = fs.Duration("deadline", 15*time.Second, "default per-request deadline")
-		maxDl      = fs.Duration("max-deadline", 60*time.Second, "cap on client-requested deadlines")
-		parallel   = fs.Int("parallel", 1, "per-compile worker fan-out")
-		cacheN     = fs.Int("cache", 256, "artifact cache entries")
-		drainWait  = fs.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
-		testFaults = fs.Bool("test-faults", false, "honor X-Lyra-Test-* fault-injection headers (testing only)")
-	)
-	fs.Parse(args)
-
-	srv := serve.NewServer(serve.Config{
-		MaxInflight:      *inflight,
-		QueueDepth:       *queue,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDl,
-		Parallelism:      *parallel,
-		CacheEntries:     *cacheN,
-		EnableTestFaults: *testFaults,
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("lyra serve: listening on %s\n", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err // listener failed before any signal
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("lyra serve: draining")
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	drainErr := srv.Drain(drainCtx)
-	if err := httpSrv.Shutdown(drainCtx); err != nil && drainErr == nil {
-		drainErr = err
-	}
-	if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && drainErr == nil {
-		drainErr = serveErr
-	}
-	if drainErr == nil {
-		fmt.Println("lyra serve: drained cleanly")
-	}
-	return drainErr
+	os.Exit(1)
 }

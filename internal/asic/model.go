@@ -28,6 +28,30 @@ func (l Lang) String() string {
 	return "none"
 }
 
+// Dialect selects the P4 flavor for P4-programmable chips.
+type Dialect int
+
+// P4 dialects.
+const (
+	DialectP414 Dialect = iota
+	DialectP416
+)
+
+func (d Dialect) String() string {
+	if d == DialectP416 {
+		return "P4_16"
+	}
+	return "P4_14"
+}
+
+// Lang is the artifact dialect of a switch with chip m under d.
+func (d Dialect) Lang(m *Model) string {
+	if m.Lang == LangNPL {
+		return "NPL"
+	}
+	return d.String()
+}
+
 // Model describes one ASIC's architecture and resources.
 type Model struct {
 	Name string

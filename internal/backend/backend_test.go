@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lyra/internal/asic"
 	"lyra/internal/encode"
 	"lyra/internal/frontend"
 	"lyra/internal/lang/checker"
@@ -138,7 +139,7 @@ func TestNPLShape(t *testing.T) {
 
 func TestP416Dialect(t *testing.T) {
 	plan := solveLB(t, lbSrc)
-	arts, err := Translate(plan, &Options{P4Dialect: DialectP416})
+	arts, err := Translate(plan, &Options{P4Dialect: asic.DialectP416})
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -354,7 +355,7 @@ algorithm cmp {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arts, err := Translate(plan, &Options{P4Dialect: DialectP416})
+	arts, err := Translate(plan, &Options{P4Dialect: asic.DialectP416})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func Build(plan *encode.Plan) (map[string]*SwitchProgram, error) {
 // not built: its switches copy the memo's program. Under TestMutation every
 // switch is built on its own, because a seeded bug changes a program without
 // changing its shape.
-func build(plan *encode.Plan, only map[string]bool, memo *Shapes, dialect Dialect) (map[string]*SwitchProgram, error) {
+func build(plan *encode.Plan, only map[string]bool, memo *Shapes, dialect asic.Dialect) (map[string]*SwitchProgram, error) {
 	irp := plan.Input.IR
 	n := len(only)
 	if only == nil {

@@ -15,33 +15,9 @@ import (
 	"lyra/internal/synth"
 )
 
-// Dialect selects the P4 flavor for P4-programmable chips.
-type Dialect int
-
-// P4 dialects.
-const (
-	DialectP414 Dialect = iota
-	DialectP416
-)
-
-func (d Dialect) String() string {
-	if d == DialectP416 {
-		return "P4_16"
-	}
-	return "P4_14"
-}
-
-// Lang is the Artifact.Dialect of a switch with chip m under d.
-func (d Dialect) Lang(m *asic.Model) string {
-	if m.Lang == asic.LangNPL {
-		return "NPL"
-	}
-	return d.String()
-}
-
 // Options configures translation.
 type Options struct {
-	P4Dialect Dialect
+	P4Dialect asic.Dialect
 	// Only, when non-nil, restricts translation to the named switches.
 	// Incremental recompilation uses it to re-emit code solely for the
 	// switches whose plan slice actually changed.
@@ -158,7 +134,7 @@ type emission struct {
 
 // emit renders a switch program in the chip's language, P4 in the given
 // dialect, and its control-plane stub.
-func emit(sp *SwitchProgram, dialect Dialect) *emission {
+func emit(sp *SwitchProgram, dialect asic.Dialect) *emission {
 	lang, code := dialect.Lang(sp.Model), ""
 	switch lang {
 	case "NPL":

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"lyra/internal/asic"
 	"lyra/internal/backend"
 	"lyra/internal/encode"
 	"lyra/internal/frontend"
@@ -35,7 +36,7 @@ type Request struct {
 	ScopeSpec  string
 	Network    *topo.Network
 
-	Dialect      backend.Dialect
+	Dialect      asic.Dialect
 	Objective    encode.Objective
 	PreferSwitch string
 	SkipVerify   bool

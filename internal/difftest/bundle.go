@@ -17,7 +17,7 @@ type BundleMeta struct {
 	// Seed is the per-case seed; CaseIndex its position in the campaign.
 	Seed      int64 `json:"seed"`
 	CaseIndex int   `json:"case_index"`
-	// CampaignSeed and GitSHA pin the exact campaign: rerunning lyra-fuzz
+	// CampaignSeed and GitSHA pin the exact campaign: rerunning `lyra fuzz`
 	// at that commit with -seed CampaignSeed regenerates the case.
 	CampaignSeed int64  `json:"campaign_seed"`
 	GitSHA       string `json:"git_sha"`
@@ -26,7 +26,7 @@ type BundleMeta struct {
 	Detail string `json:"detail,omitempty"`
 	// Mutation names the seeded backend bug active during capture, if any.
 	Mutation string `json:"mutation,omitempty"`
-	// CreatedBy identifies the writer ("lyra-fuzz", a test, ...).
+	// CreatedBy identifies the writer ("lyra fuzz", a test, ...).
 	CreatedBy string `json:"created_by,omitempty"`
 }
 

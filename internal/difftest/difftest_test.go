@@ -62,7 +62,7 @@ func TestClassNamesRoundTrip(t *testing.T) {
 // TestCampaignAllExplained is the subsystem's core claim on itself: every
 // generated case either compiles to an equivalent deployment across
 // dialects and parallelism levels, or is consistently infeasible. The CI
-// smoke job and `lyra-fuzz -n 500 -seed 1` run the same check at larger n.
+// smoke job and `lyra fuzz -n 500 -seed 1` run the same check at larger n.
 func TestCampaignAllExplained(t *testing.T) {
 	sum := Run(40, 1, Options{SkipShrink: true}, nil)
 	if sum.Cases != 40 {

@@ -99,18 +99,11 @@ type Oracle struct {
 }
 
 // NewOracle builds an oracle; an unknown opts.Mutation name is ignored
-// (lyra-fuzz validates the flag before constructing one).
+// (lyra fuzz validates the flag before constructing one).
 func NewOracle(opts Options) *Oracle {
 	o := &Oracle{opts: opts.withDefaults()}
 	o.mut, _ = MutationByName(opts.Mutation)
 	return o
-}
-
-func dialectName(d lyra.Dialect) string {
-	if d == lyra.P416 {
-		return "p4_16"
-	}
-	return "p4_14"
 }
 
 // compile runs one (dialect, parallelism) compile of the case. It returns
@@ -125,19 +118,17 @@ func (o *Oracle) compile(c *Case, d lyra.Dialect, par int) (*lyra.Result, *Outco
 	res, err := lyra.New(lyra.WithDialect(d), lyra.WithParallelism(par)).
 		Compile(context.Background(), c.Source(), c.ScopeText(), net)
 	if err != nil {
+		where := fmt.Sprintf("%s parallelism=%d", strings.ToLower(d.String()), par)
 		var ie *lyra.InternalError
 		switch {
 		case errors.As(err, &ie):
-			return nil, &Outcome{Class: Crash,
-				Detail: fmt.Sprintf("%s parallelism=%d: %v", dialectName(d), par, err)}, false
+			return nil, &Outcome{Class: Crash, Detail: fmt.Sprintf("%s: %v", where, err)}, false
 		case errors.Is(err, lyra.ErrInfeasible):
 			return nil, nil, true
 		case errors.Is(err, lyra.ErrBudget):
-			return nil, &Outcome{Class: Crash,
-				Detail: fmt.Sprintf("%s parallelism=%d: solver budget: %v", dialectName(d), par, err)}, false
+			return nil, &Outcome{Class: Crash, Detail: fmt.Sprintf("%s: solver budget: %v", where, err)}, false
 		default:
-			return nil, &Outcome{Class: GeneratorError,
-				Detail: fmt.Sprintf("%s parallelism=%d: %v", dialectName(d), par, err)}, false
+			return nil, &Outcome{Class: GeneratorError, Detail: fmt.Sprintf("%s: %v", where, err)}, false
 		}
 	}
 	return res, nil, false
@@ -203,7 +194,7 @@ func (o *Oracle) Check(c *Case) Outcome {
 	var compiled []keyed
 	firstInfeasible := -1 // index into o.opts.Dialects, -1 = none seen
 	for di, d := range o.opts.Dialects {
-		name := dialectName(d)
+		name := strings.ToLower(d.String())
 		r1, bad, inf1 := o.compile(c, d, 1)
 		if bad != nil {
 			return *bad
@@ -227,7 +218,7 @@ func (o *Oracle) Check(c *Case) Outcome {
 		}
 		if firstInfeasible >= 0 {
 			return Outcome{Class: SolverDisagreement, Detail: fmt.Sprintf(
-				"%s compiled but %s infeasible", name, dialectName(o.opts.Dialects[firstInfeasible]))}
+				"%s compiled but %s infeasible", name, strings.ToLower(o.opts.Dialects[firstInfeasible].String()))}
 		}
 		if d := diffResults(r1, rN); d != "" {
 			return Outcome{Class: SolverDisagreement,

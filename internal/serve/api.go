@@ -25,8 +25,8 @@ package serve
 // for "the daemon itself is broken" — every request-scoped failure,
 // including a recovered panic, is a 4xx with its kind labelled.
 
-// CompileRequest asks for one compilation. Topology is "testbed" or
-// "fattree:<k>" (Chip selects the ASIC model for fat trees).
+// CompileRequest asks for one compilation. Topology, Chip and Dialect name
+// its target as topo.ParseTarget reads them ("testbed" or "fattree:<k>").
 type CompileRequest struct {
 	Source   string `json:"source"`
 	Scope    string `json:"scope"`

@@ -91,11 +91,20 @@ func TestCompileEndpointAndCache(t *testing.T) {
 		t.Fatalf("fingerprint changed across cache hit: %s vs %s", again.Fingerprint, resp.Fingerprint)
 	}
 
-	// Invalid input is a labelled 400, not a retry loop.
-	_, err = c.Compile(ctx, CompileRequest{Source: lbSource, Scope: lbScope, Topology: "moebius"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Kind != "invalid" {
-		t.Fatalf("bad topology: got %v", err)
+	// Invalid input is a labelled 400, not a retry loop: an unknown topology,
+	// a fat tree past the bound (refused before anything is built), an odd
+	// one, and a body past the size cap.
+	for _, req := range []CompileRequest{
+		{Source: lbSource, Scope: lbScope, Topology: "moebius"},
+		{Source: lbSource, Scope: lbScope, Topology: "fattree:4096"},
+		{Source: lbSource, Scope: lbScope, Topology: "fattree:5"},
+		{Source: lbSource + strings.Repeat(" ", maxRequestBody), Scope: lbScope, Topology: "testbed"},
+	} {
+		_, err = c.Compile(ctx, req)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Kind != "invalid" {
+			t.Fatalf("bad request (topology %q, %d-byte source): got %v", req.Topology, len(req.Source), err)
+		}
 	}
 }
 

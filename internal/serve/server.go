@@ -9,13 +9,13 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lyra"
 	"lyra/internal/par"
+	"lyra/internal/topo"
 )
 
 // Config sizes the daemon.
@@ -293,11 +293,18 @@ func releaseWireBuf(b *bytes.Buffer) {
 	}
 }
 
-// decodeBody reads a request body whole and decodes it into v.
-func decodeBody(r *http.Request, v any) error {
+// maxRequestBody caps a request body at 1 MiB, about 200 times the largest
+// body the tests, the churn storm and the serve-corpus benchmark send (5,192
+// bytes: the largest corpus program with its scope). A longer body is refused
+// as invalid once the cap is read, not buffered whole.
+const maxRequestBody = 1 << 20
+
+// decodeBody reads a request body whole, up to maxRequestBody, and decodes
+// it into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	buf := wireBuf()
 	defer releaseWireBuf(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
 		return err
 	}
 	return json.Unmarshal(buf.Bytes(), v)
@@ -404,49 +411,47 @@ func (s *Server) testSleep(ctx context.Context, r *http.Request) {
 
 // ---- compile endpoint ----
 
-// compilerFor materializes a wire request into a library compiler.
-func compilerFor(req CompileRequest, skipVerify bool, parallelism int) (*lyra.Compiler, error) {
+// compilerFor materializes a request's parsed configuration into a library
+// compiler.
+func compilerFor(d lyra.Dialect, skipVerify bool, parallelism int) *lyra.Compiler {
 	opts := []lyra.Option{
 		lyra.WithSourceName("serve.lyra"),
 		lyra.WithParallelism(parallelism),
-	}
-	switch strings.ToLower(req.Dialect) {
-	case "", "p4_14", "p414":
-	case "p4_16", "p416":
-		opts = append(opts, lyra.WithDialect(lyra.P416))
-	default:
-		return nil, fmt.Errorf("unknown dialect %q", req.Dialect)
+		lyra.WithDialect(d),
 	}
 	if skipVerify {
 		opts = append(opts, lyra.WithSkipVerify())
 	}
-	return lyra.New(opts...), nil
+	return lyra.New(opts...)
 }
 
 // configKey renders the config axes that change artifacts or guarantees
 // into cache-key components.
-func configKey(req CompileRequest, skipVerify bool) []string {
-	d := strings.ToLower(req.Dialect)
-	if d == "" {
-		d = "p4_14"
+func configKey(d lyra.Dialect, skipVerify bool) []string {
+	return []string{"dialect=" + d.String(), "skipverify=" + strconv.FormatBool(skipVerify)}
+}
+
+// compileInput decodes a compile or session-creation request and parses its
+// target, answering 400 "invalid" itself when either fails.
+func (s *Server) compileInput(w http.ResponseWriter, r *http.Request) (req CompileRequest, net *lyra.Network, d lyra.Dialect, ok bool) {
+	err := decodeBody(w, r, &req)
+	switch {
+	case err != nil:
+		s.writeInvalid(w, "bad request body: "+err.Error())
+	case req.Source == "" || req.Scope == "":
+		s.writeInvalid(w, "source and scope are required")
+	default:
+		if net, d, err = topo.ParseTarget(req.Topology, req.Chip, req.Dialect); err != nil {
+			s.writeInvalid(w, err.Error())
+		}
 	}
-	return []string{"dialect=" + d, "skipverify=" + strconv.FormatBool(skipVerify)}
+	return req, net, d, net != nil
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
-	var req CompileRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeInvalid(w, "bad request body: "+err.Error())
-		return
-	}
-	if req.Source == "" || req.Scope == "" {
-		s.writeInvalid(w, "source and scope are required")
-		return
-	}
-	net, err := buildNetwork(req.Topology, req.Chip)
-	if err != nil {
-		s.writeInvalid(w, err.Error())
+	req, net, dialect, ok := s.compileInput(w, r)
+	if !ok {
 		return
 	}
 
@@ -464,13 +469,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.m.degradedSkip.Add(1)
 	}
 	netFP := networkFingerprint(net)
-	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, skipVerify)...)
+	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, skipVerify)...)
 
 	// Stale tier: under heavy load, serve whatever completed artifact
 	// already exists for this input — full-service or skip-verify flavor —
 	// before consuming a solve slot.
 	if tier >= tierStale {
-		for _, k := range []string{key, cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, !skipVerify)...)} {
+		for _, k := range []string{key, cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, !skipVerify)...)} {
 			if res, ok := s.cache.Lookup(k); ok {
 				s.m.degradedStale.Add(1)
 				s.m.completed.Add(1)
@@ -490,12 +495,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		var cerr error
 		perr := s.pool.Do(ctx, func() {
 			s.testSleep(ctx, r)
-			c, e := compilerFor(req, skipVerify, s.cfg.Parallelism)
-			if e != nil {
-				cerr = e
-				return
-			}
-			out, cerr = c.Compile(ctx, req.Source, req.Scope, net)
+			out, cerr = compilerFor(dialect, skipVerify, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
 		})
 		if perr != nil {
 			return nil, perr
@@ -588,33 +588,4 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// buildNetwork materializes a topology spec ("testbed" | "fattree:<k>").
-func buildNetwork(spec, chip string) (*lyra.Network, error) {
-	if spec == "" || spec == "testbed" {
-		return lyra.Testbed(), nil
-	}
-	if k, ok := strings.CutPrefix(spec, "fattree:"); ok {
-		n, err := strconv.Atoi(k)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad fattree size %q", k)
-		}
-		model := lyra.Tofino32Q
-		switch chip {
-		case "", "Tofino-32Q":
-		case "RMT":
-			model = lyra.RMT
-		case "Tofino-64Q":
-			model = lyra.Tofino64Q
-		case "SiliconOne":
-			model = lyra.SiliconOne
-		case "Trident-4":
-			model = lyra.Trident4
-		default:
-			return nil, fmt.Errorf("unknown chip %q", chip)
-		}
-		return lyra.FatTreePod(n, model), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", spec)
 }

@@ -22,10 +22,11 @@ import (
 // failed or in-flight recompile leaves the previous plan live with the
 // Degraded flag raised.
 type Session struct {
-	id  string
-	srv *Server
-	req CompileRequest
-	net *lyra.Network // pristine base topology
+	id      string
+	srv     *Server
+	req     CompileRequest
+	dialect lyra.Dialect  // req.Dialect parsed
+	net     *lyra.Network // pristine base topology
 	// netFP is net's canonical rendering, the topology part of every cache
 	// key of the session: the base never changes, so it is rendered once.
 	netFP string
@@ -173,18 +174,13 @@ func (sess *Session) applyBatch(batch []queuedEvent) {
 	ctx, cancel := context.WithTimeout(context.Background(), srv.cfg.DefaultDeadline)
 	defer cancel()
 
-	key := cacheKey(sess.req.Source, sess.req.Scope, sess.netFP, faultSet, configKey(sess.req, false)...)
+	key := cacheKey(sess.req.Source, sess.req.Scope, sess.netFP, faultSet, configKey(sess.dialect, false)...)
 	var delta *lyra.Delta
 	res, outcome, err := srv.cache.Do(ctx, key, func() (*lyra.Result, error) {
 		var out *lyra.Result
 		var cerr error
 		perr := srv.pool.Do(ctx, func() {
-			c, e := compilerFor(sess.req, false, srv.cfg.Parallelism)
-			if e != nil {
-				cerr = e
-				return
-			}
-			out, delta, cerr = c.Recompile(ctx, sess.base, sc)
+			out, delta, cerr = compilerFor(sess.dialect, false, srv.cfg.Parallelism).Recompile(ctx, sess.base, sc)
 		})
 		if perr != nil {
 			return nil, perr
@@ -307,18 +303,8 @@ func (sess *Session) close(ctx context.Context) error {
 
 func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
-	var req CompileRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeInvalid(w, "bad request body: "+err.Error())
-		return
-	}
-	if req.Source == "" || req.Scope == "" {
-		s.writeInvalid(w, "source and scope are required")
-		return
-	}
-	net, err := buildNetwork(req.Topology, req.Chip)
-	if err != nil {
-		s.writeInvalid(w, err.Error())
+	req, net, dialect, ok := s.compileInput(w, r)
+	if !ok {
 		return
 	}
 
@@ -334,18 +320,13 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMs))
 	defer cancel()
 	netFP := networkFingerprint(net)
-	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(req, false)...)
+	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, false)...)
 	base, outcome, err := s.cache.Do(ctx, key, func() (*lyra.Result, error) {
 		var out *lyra.Result
 		var cerr error
 		perr := s.pool.Do(ctx, func() {
 			s.testSleep(ctx, r)
-			c, e := compilerFor(req, false, s.cfg.Parallelism)
-			if e != nil {
-				cerr = e
-				return
-			}
-			out, cerr = c.Compile(ctx, req.Source, req.Scope, net)
+			out, cerr = compilerFor(dialect, false, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
 		})
 		if perr != nil {
 			return nil, perr
@@ -372,6 +353,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		id:        id,
 		srv:       s,
 		req:       req,
+		dialect:   dialect,
 		net:       net,
 		netFP:     netFP,
 		base:      base,
@@ -449,7 +431,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 	var req EventsRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -484,7 +466,7 @@ func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 	var req EventsRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}
@@ -523,7 +505,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 	var req TablesRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
 		return
 	}

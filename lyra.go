@@ -92,12 +92,12 @@ func Testbed() *Network { return topo.Testbed() }
 func FatTreePod(k int, model *ChipModel) *Network { return topo.FatTreePod(k, model) }
 
 // Dialect selects the P4 flavor emitted for P4-programmable chips.
-type Dialect = backend.Dialect
+type Dialect = asic.Dialect
 
 // P4 dialects.
 const (
-	P414 = backend.DialectP414
-	P416 = backend.DialectP416
+	P414 = asic.DialectP414
+	P416 = asic.DialectP416
 )
 
 // Objective selects the optimization metric (Appendix C.2).
