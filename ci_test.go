@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,14 +19,21 @@ import (
 // command or package fails here rather than in CI. And for every
 // `go test … -run '<pattern>'`, each |-alternative of the pattern must match
 // at least one Test, Fuzz or Example function in the packages that command
-// names: a test renamed without its CI step is otherwise a step that goes
+// names, and for every `-bench` pattern at least one Benchmark function: a
+// test renamed or deleted without its CI step is otherwise a step that goes
 // green by running nothing.
 func TestCIRunPatternsMatchTests(t *testing.T) {
 	yml, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFlag := regexp.MustCompile(`-run[ =]'([^']*)'`)
+	patterns := []struct {
+		flag     *regexp.Regexp
+		prefixes []string
+	}{
+		{regexp.MustCompile(`-run[ =]'([^']*)'`), []string{"Test", "Fuzz", "Example"}},
+		{regexp.MustCompile(`-bench[ =]'?([^' ]+)'?`), []string{"Benchmark"}},
+	}
 	checked, pkgs := 0, 0
 	for n, line := range strings.Split(string(yml), "\n") {
 		if !strings.Contains(line, "go test") && !strings.Contains(line, "go run") {
@@ -41,34 +49,32 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 				}
 			}
 		}
-		m := runFlag.FindStringSubmatch(line)
-		if !strings.Contains(line, "go test") || m == nil || m[1] == "^$" { // '^$' runs no test on purpose (benchmarks, fuzzing)
+		if !strings.Contains(line, "go test") {
 			continue
 		}
-		var names []string
-		for _, arg := range args {
-			names = append(names, testFuncsIn(t, arg)...)
-		}
-		if len(names) == 0 {
-			t.Errorf("ci.yml:%d: no test functions in the packages of: %s", n+1, strings.TrimSpace(line))
-			continue
-		}
-		for _, alt := range strings.Split(m[1], "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("ci.yml:%d: -run alternative %q: %v", n+1, alt, err)
+		for _, p := range patterns {
+			m := p.flag.FindStringSubmatch(line)
+			if m == nil || m[1] == "^$" { // '^$' runs no test on purpose (benchmarks, fuzzing)
 				continue
 			}
-			checked++
-			matched := false
-			for _, name := range names {
-				if re.MatchString(name) {
-					matched = true
-					break
-				}
+			var names []string
+			for _, arg := range args {
+				names = append(names, testFuncsIn(t, arg, p.prefixes)...)
 			}
-			if !matched {
-				t.Errorf("ci.yml:%d: -run alternative %q matches no test in the packages that step names", n+1, alt)
+			if len(names) == 0 {
+				t.Errorf("ci.yml:%d: no %v functions in the packages of: %s", n+1, p.prefixes, strings.TrimSpace(line))
+				continue
+			}
+			for _, alt := range strings.Split(m[1], "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml:%d: pattern alternative %q: %v", n+1, alt, err)
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("ci.yml:%d: pattern alternative %q matches no %v function in the packages that step names", n+1, alt, p.prefixes)
+				}
 			}
 		}
 	}
@@ -98,10 +104,10 @@ func isPackageDir(pkg string) bool {
 	return found
 }
 
-// testFuncsIn lists the Test/Fuzz/Example functions of one package argument
-// as `go test` takes it: a directory, or a directory followed by /... for
-// everything below it.
-func testFuncsIn(t *testing.T, pkg string) []string {
+// testFuncsIn lists the functions of one package argument, as `go test` takes
+// it, whose names start with one of prefixes: a directory, or a directory
+// followed by /... for everything below it.
+func testFuncsIn(t *testing.T, pkg string, prefixes []string) []string {
 	t.Helper()
 	dir, recursive := strings.CutSuffix(pkg, "/...")
 	var names []string
@@ -127,7 +133,7 @@ func testFuncsIn(t *testing.T, pkg string) []string {
 			if !ok || fn.Recv != nil {
 				continue
 			}
-			for _, prefix := range []string{"Test", "Fuzz", "Example"} {
+			for _, prefix := range prefixes {
 				if strings.HasPrefix(fn.Name.Name, prefix) {
 					names = append(names, fn.Name.Name)
 				}

@@ -23,9 +23,9 @@ const DefaultCacheEntries = 96
 // the previous Result's IR verbatim, so pointer equality is exact, and no
 // other compile can ever hit it) plus the class key: the component's
 // name-free canonical fingerprint — its algorithms, their index-renamed scopes
-// and flow paths, the ASIC specification behind every index — and the options
-// that shape the solved plan (see Options.shapeKey). The value is immutable
-// and carries its own fallback-ladder trail, so what a class gave up to be
+// and flow paths, the ASIC specification behind every index — and the
+// objective that shapes the solved plan (see Options.shaping). The value is
+// immutable and carries its own fallback trail, so what a class gave up to be
 // placed is reported by every plan bound to it.
 //
 // The memo is bounded: once the entry cap is reached, inserting a new key

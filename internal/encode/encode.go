@@ -95,22 +95,11 @@ const (
 type Options struct {
 	Objective Objective
 	// PreferSwitch names the switch to load up under ObjPreferSwitch.
-	PreferSwitch   string
-	ConflictBudget int64
+	PreferSwitch string
 	// Ctx, when non-nil, cancels the solve cooperatively, fallback attempts
 	// included. Its deadline is the solve's, and a solve ends within 120 s
 	// of its start whatever the deadline.
 	Ctx context.Context
-	// Ladder is the fallback sequence tried, in order, when an attempt
-	// fails (the Parasol-style budget-escalation/relaxation ladder). Each
-	// rung gives up something — the optimization objective, solver budget
-	// frugality, or an optional placement constraint — and every step is
-	// recorded in the returned Plan's Diagnostics. nil disables fallback;
-	// DefaultOptions installs DefaultLadder.
-	Ladder []Relaxation
-	// ForceReplication applies RelaxReplication from the first attempt
-	// (experimentation hook; normally the ladder reaches it on demand).
-	ForceReplication bool
 	// Parallelism bounds the worker pool solving independent components
 	// concurrently. <= 0 selects GOMAXPROCS. The decomposition itself never
 	// depends on this value — only wall-clock time does — so any setting
@@ -144,12 +133,9 @@ type Options struct {
 // compile under context.Background still ends.
 const maxSolveTime = 120 * time.Second
 
-// DefaultOptions returns the standard solver configuration.
+// DefaultOptions returns the standard solver configuration: the zero Options.
 func DefaultOptions() *Options {
-	return &Options{
-		ConflictBudget: 2_000_000,
-		Ladder:         DefaultLadder(),
-	}
+	return &Options{}
 }
 
 // PlacedTable is a synthesized table as one switch hosts it, with its concrete
@@ -219,7 +205,7 @@ type Plan struct {
 	// instances actually solved.
 	EncodedVars    int64
 	EncodedClauses int64
-	// Diagnostics is the fallback-ladder trail: one entry per solve
+	// Diagnostics is the fallback trail: one entry per solve
 	// attempt, recording what (if anything) was given up to reach a plan.
 	Diagnostics *Diagnostics
 }
@@ -244,14 +230,20 @@ func (p *Plan) Bindings() []*Binding { return p.bound }
 // in opts.Cache is its memoised Template; only a class seen for the first
 // time is solved.
 //
-// When an attempt fails and opts.Ladder is non-empty, that component walks
-// the fallback ladder: each applicable rung relaxes the configuration and
-// the solve is retried, with every attempt recorded in the plan's
-// Diagnostics so the caller knows exactly what was given up.
+// A component whose attempt fails is retried under the one fallback policy
+// (see fallback), with every attempt recorded in the plan's Diagnostics so the
+// caller knows exactly what was given up.
 func Solve(in *Input, opts *Options) (*Plan, error) {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
+	return solve(in, opts, attemptCfg{conflictBudget: conflictBudget})
+}
+
+// solve is Solve with the configuration every component's first attempt starts
+// from; the objective and preferred switch are opts'.
+func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
+	first.objective, first.prefer = opts.Objective, opts.PreferSwitch
 	start := time.Now()
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -350,7 +342,7 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 		if total > 1 {
 			label = open[i].label
 		}
-		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, opts, label)
+		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, first, label)
 		open[i].Template = results[i].tmpl
 	})
 	// Deterministic error selection: the lowest-index failing component
@@ -411,13 +403,12 @@ func Solve(in *Input, opts *Options) (*Plan, error) {
 	return plan, nil
 }
 
-// shaping renders the options that decide what a solved class looks like, for
-// the class key: two solves of one canonical component under equal renderings
-// produce the same template. Budgets of wall-clock time are not among them —
-// they decide whether there is a plan, not which.
+// shaping renders the option that decides what a solved class looks like, for
+// the class key: two solves of one canonical component under one objective
+// produce the same template. The wall-clock budget is not part of it — it
+// decides whether there is a plan, not which.
 func (o *Options) shaping() string {
-	return fmt.Sprintf("\x00obj=%d conflicts=%d replicate=%t ladder=%v",
-		o.Objective, o.ConflictBudget, o.ForceReplication, o.Ladder)
+	return fmt.Sprintf("\x00obj=%d", o.Objective)
 }
 
 // preferIndex renders, for the class key, where the preferred switch sits in
@@ -512,22 +503,16 @@ func (ca *carried) merge(open []*Binding) (bound []*Binding, keptAt []bool) {
 	return bound, keptAt
 }
 
-// solveComponent runs the fallback-ladder loop for one component on a single
-// persistent encoder: the component is encoded once, every ladder rung is
-// expressed as a different assumption set on the same solver, and learnt
-// clauses, VSIDS activity, and saved phases carry across attempts. The
-// accepted model becomes the component's template straight from the encoder;
-// union is the component's sorted scope union. The accumulated durations split
-// constraint construction and template extraction (enc) from search (slv).
-func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, opts *Options, label string) (r componentResult) {
-	cfg := attemptCfg{
-		objective:      opts.Objective,
-		prefer:         opts.PreferSwitch,
-		conflictBudget: opts.ConflictBudget,
-		replicate:      opts.ForceReplication,
-	}
-	diags := &Diagnostics{}
-	ladder := append([]Relaxation(nil), opts.Ladder...)
+// solveComponent solves one component from the first configuration on a
+// single persistent encoder: the component is encoded once, every retry the
+// fallback policy grants is a different assumption set or budget on the same
+// solver, and learnt clauses, VSIDS activity, and saved phases carry across
+// attempts. The accepted model becomes the component's template straight from
+// the encoder; union is the component's sorted scope union. The accumulated
+// durations split constraint construction and template extraction (enc) from
+// search (slv).
+func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, cfg attemptCfg, label string) (r componentResult) {
+	r.trail = &Diagnostics{}
 	step := "initial"
 
 	start := time.Now()
@@ -537,7 +522,6 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 	}
 	r.enc = time.Since(start)
 	if err != nil {
-		diags.record(label, step, cfg, err, r.enc, nil)
 		r.err = err
 		return r
 	}
@@ -553,37 +537,35 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 		if errors.As(aerr, &ie) {
 			core = ie.Groups
 		}
-		diags.record(label, step, cfg, aerr, aDur, core)
+		r.trail.record(label, step, cfg, aerr, aDur, core)
 		if aerr == nil {
 			tStart := time.Now()
 			r.tmpl = e.newTemplate(m)
-			r.tmpl.trail = diags
+			r.tmpl.trail = r.trail
 			r.enc += time.Since(tStart)
 			r.stats = e.solver.Statistics()
 			r.vars, r.clauses = int64(e.solver.NumVars()), int64(e.solver.NumClauses())
 			return r
 		}
-		rung, rest, ok := nextRung(ladder, cfg, aerr, in)
-		if !ok {
+		var concession string
+		if step, concession = fallback(&cfg, aerr, e.replicable); step == "" {
 			r.err = aerr
-			if len(diags.Attempts) > 1 {
-				r.err = fmt.Errorf("%w (after %d fallback attempts: %s)", aerr, len(diags.Attempts)-1, diags.Summary())
+			if n := len(r.trail.Attempts); n > 1 {
+				r.err = fmt.Errorf("%w (after %d fallback attempts: %s)", aerr, n-1, r.trail.Summary())
 			}
 			return r
 		}
-		ladder = rest
-		step = rung.String()
-		diags.Degraded = append(diags.Degraded, rung.describe(cfg, in))
-		rung.apply(&cfg, in)
+		r.trail.Degraded = append(r.trail.Degraded, concession)
 	}
 }
 
 // componentResult carries one representative's solve outcome back from the
 // worker pool, slot-addressed by component index (zero for a component that
-// was bound, not solved): its template, and the solver counters and encoding
-// size behind it.
+// was bound, not solved): its template, the trail of attempts that produced
+// it (or failed to), and the solver counters and encoding size behind it.
 type componentResult struct {
 	tmpl          *Template
+	trail         *Diagnostics
 	stats         smt.Stats
 	vars, clauses int64
 	enc, slv      time.Duration
@@ -629,21 +611,24 @@ func mergePlans(in *Input, bound []*Binding, results []componentResult) *Plan {
 	return merged
 }
 
-// attemptCfg is the mutable configuration one ladder rung can relax.
+// attemptCfg is the configuration of one solve attempt, which the fallback
+// policy relaxes between attempts. A conflictBudget of 0 is unbudgeted.
 type attemptCfg struct {
 	objective      Objective
 	prefer         string
 	conflictBudget int64
 	replicate      bool
+	// escalated records that the budget was escalated already.
+	escalated bool
 }
 
 // coreProbeBudget bounds each deletion probe of the unsat-core minimization:
 // diagnostics should never cost a meaningful fraction of the solve itself.
 const coreProbeBudget = 20_000
 
-// solveAttempt runs one fallback-ladder attempt on the persistent encoder:
-// the rung's configuration is translated into an assumption set over the
-// named constraint-family selectors, and the solve (or the incremental
+// solveAttempt runs one attempt on the persistent encoder: the attempt's
+// configuration is translated into an assumption set over the named
+// constraint-family selectors, and the solve (or the incremental
 // MinimizeWith descent) runs on the live solver, reusing everything learned by
 // earlier attempts. On unsatisfiability the failed-assumption core is
 // minimized and returned inside an *InfeasibleError naming the violated
@@ -767,14 +752,14 @@ type encoder struct {
 
 	// sharedExternInstrs marks instructions reading split-capable externs.
 	sharedInstr map[string]map[int]bool
-	// replicable marks the algorithms eligible for the RelaxReplication
-	// rung; their exactly-one family is simply not assumed when the rung is
-	// active — the encoding itself never changes.
+	// replicable marks the algorithms eligible for the relax-replication
+	// retry; their exactly-one family is simply not assumed when it is
+	// granted — the encoding itself never changes.
 	replicable map[string]bool
 
 	// Named constraint families: every structural constraint is guarded by a
-	// selector literal (smt.NewAssumption) so ladder rungs toggle families by
-	// assumption instead of re-encoding, and unsat cores name what was
+	// selector literal (smt.NewAssumption) so fallback retries toggle families
+	// by assumption instead of re-encoding, and unsat cores name what was
 	// violated. groupOrder preserves creation order for deterministic
 	// assumption vectors.
 	groups     map[string]smt.Lit
@@ -1035,10 +1020,9 @@ func (e *encoder) guardedAtMostOne(v *algVars, f family, lits ...smt.Lit) {
 	e.solver.AddAtMost(gl, w, n)
 }
 
-// assumptionsFor renders a ladder configuration as the assumption vector
+// assumptionsFor renders an attempt's configuration as the assumption vector
 // activating its constraint families: all of them, minus the exactly-one
-// families of replication-safe algorithms when the RelaxReplication rung is
-// active.
+// families of replication-safe algorithms when replication is relaxed.
 func (e *encoder) assumptionsFor(cfg attemptCfg) []smt.Lit {
 	out := make([]smt.Lit, 0, len(e.groupOrder))
 	for _, fam := range e.groupOrder {
@@ -1154,8 +1138,8 @@ func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *alg
 			e.guarded(v, famCoverage, e.hop...)
 			if !e.sharedInstr[a.Name][inst.ID] {
 				// The at-most-one half of the exactly-one flow-path
-				// constraint lives in its own family: the RelaxReplication
-				// rung drops this assumption for replication-safe
+				// constraint lives in its own family: the relax-replication
+				// retry drops this assumption for replication-safe
 				// algorithms, accepting idempotent re-execution at extra
 				// hops to regain feasibility — no re-encode needed.
 				// Split-capable instructions (shared extern readers) never

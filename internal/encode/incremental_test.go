@@ -13,14 +13,12 @@ import (
 )
 
 // TestLadderReusesEncodingAcrossRungs is the incremental-solving regression
-// test: when the ladder escalates, rung 2 must re-solve the SAME persistent
-// solver — one encoding build, learnt clauses carried over, and exactly one
-// Solve call per recorded attempt.
+// test: when the budget is escalated, the retry must re-solve the SAME
+// persistent solver — one encoding build, learnt clauses carried over, and
+// exactly one Solve call per recorded attempt.
 func TestLadderReusesEncodingAcrossRungs(t *testing.T) {
 	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
-	opts := DefaultOptions()
-	opts.ConflictBudget = 1
-	plan, err := Solve(in, opts)
+	plan, err := solve(in, DefaultOptions(), attemptCfg{conflictBudget: 1})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -29,16 +27,16 @@ func TestLadderReusesEncodingAcrossRungs(t *testing.T) {
 		t.Fatalf("attempts = %+v, want 2", d.Attempts)
 	}
 	if plan.Stats.Encodes != 1 {
-		t.Errorf("Encodes = %d, want 1: rung 2 must not rebuild the encoding", plan.Stats.Encodes)
+		t.Errorf("Encodes = %d, want 1: the retry must not rebuild the encoding", plan.Stats.Encodes)
 	}
 	if got, want := plan.Stats.SolveCalls, int64(len(d.Attempts)); got != want {
 		t.Errorf("SolveCalls = %d, want %d (one per recorded attempt)", got, want)
 	}
 	if plan.Stats.ClausesReused == 0 {
-		t.Error("ClausesReused = 0: clauses learnt by the failed attempt were not carried to rung 2")
+		t.Error("ClausesReused = 0: clauses learnt by the failed attempt were not carried to the retry")
 	}
 	if plan.Stats.Assumptions == 0 {
-		t.Error("Assumptions = 0: ladder rungs should be expressed as assumption sets")
+		t.Error("Assumptions = 0: attempts should be expressed as assumption sets")
 	}
 }
 
@@ -159,8 +157,8 @@ func TestMemoAnswersKnownClass(t *testing.T) {
 	planEqual(t, "NoSymmetryDedup vs memo hit", p, p2)
 }
 
-// TestMemoKeyedByShapingOptions: a class solved under one objective, preferred
-// switch, conflict budget or ladder must not answer a solve under another —
+// TestMemoKeyedByShapingOptions: a class solved under one objective or
+// preferred switch must not answer a solve under another —
 // the template would be another — while the same options under other switch
 // names (the preferred switch at the same index of a twin) may.
 func TestMemoKeyedByShapingOptions(t *testing.T) {
@@ -189,9 +187,6 @@ func TestMemoKeyedByShapingOptions(t *testing.T) {
 	solve("prefer ToR3 again", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "ToR3" }, true)
 	solve("prefer a switch elsewhere", func(o *Options) { o.Objective, o.PreferSwitch = ObjPreferSwitch, "Core1" }, false)
 	solve("a preferred switch without the objective", func(o *Options) { o.PreferSwitch = "ToR3" }, true)
-	solve("other conflict budget", func(o *Options) { o.ConflictBudget = 12345 }, false)
-	solve("no ladder", func(o *Options) { o.Ladder = nil }, false)
-	solve("forced replication", func(o *Options) { o.ForceReplication = true }, false)
 	if tor3.Bindings()[0].Template == agg3.Bindings()[0].Template {
 		t.Error("two preferred switches share one template")
 	}
@@ -219,28 +214,28 @@ func TestMemoKeyedByShapingOptions(t *testing.T) {
 	planEqual(t, "preferred switch: dedup vs none", p, want)
 }
 
-// TestLadderTrailSurvivesMemoHit: a class that needed a ladder relaxation to
+// TestLadderTrailSurvivesMemoHit: a class that needed a fallback concession to
 // be placed says so in every plan bound to it — solved, answered from the
 // memo, or carried over from the previous plan.
 func TestLadderTrailSurvivesMemoHit(t *testing.T) {
 	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
+	tiny := attemptCfg{conflictBudget: 1}
 	opts := DefaultOptions()
-	opts.ConflictBudget = 1
 	opts.Cache = NewCache()
-	first, err := Solve(in, opts)
+	first, err := solve(in, opts, tiny)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
 	if len(first.Diagnostics.Attempts) != 2 || !first.Diagnostics.FellBack() {
 		t.Fatalf("trail = %v, want an escalation", first.Diagnostics)
 	}
-	again, err := Solve(in, opts)
+	again, err := solve(in, opts, tiny)
 	if err != nil {
 		t.Fatalf("second solve: %v", err)
 	}
 	carriedOpts := *opts
 	carriedOpts.Prev = first
-	carriedPlan, err := Solve(&Input{IR: in.IR, Net: in.Net.Clone(), Scopes: in.Scopes}, &carriedOpts)
+	carriedPlan, err := solve(&Input{IR: in.IR, Net: in.Net.Clone(), Scopes: in.Scopes}, &carriedOpts, tiny)
 	if err != nil {
 		t.Fatalf("carried solve: %v", err)
 	}
@@ -319,12 +314,10 @@ func TestInfeasibleHintIsTheFailingSolves(t *testing.T) {
 		if !strings.Contains(failing, tc.want) {
 			t.Fatalf("%s: the failing solve's last conflict is %q, want it to name %q", tc.scope, failing, tc.want)
 		}
-		opts := DefaultOptions()
-		opts.Ladder = nil
-		_, err = Solve(in, opts)
+		r := solveComponent(context.Background(), in, scopeUnion(in), &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, "")
 		var ie *InfeasibleError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%s: err = %v, want *InfeasibleError", tc.scope, err)
+		if !errors.As(r.err, &ie) || len(r.trail.Attempts) != 1 {
+			t.Fatalf("%s: err = %v after %s, want one attempt's *InfeasibleError", tc.scope, r.err, r.trail.Summary())
 		}
 		if ie.Hint != failing {
 			t.Errorf("%s: hint %q, want the failing solve's %q", tc.scope, ie.Hint, failing)

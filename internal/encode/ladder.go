@@ -11,104 +11,33 @@ import (
 	"lyra/internal/smt"
 )
 
-// Relaxation is one rung of the fallback ladder: a concession the solver
-// makes when the previous attempt failed, in declared priority order.
-type Relaxation int
+// conflictBudget bounds the conflicts of a component's first solve attempt.
+const conflictBudget = 2_000_000
 
-// Ladder rungs.
-const (
-	// RelaxObjective drops the optimization objective to first-feasible
-	// (ObjNone). Applicable when an optimizing solve ran out of budget:
-	// feasibility is much cheaper than optimality.
-	RelaxObjective Relaxation = iota
-	// EscalateBudget multiplies the conflict budget by 8 and retries.
-	// Applicable when the conflict budget (not the clock) ran out.
-	EscalateBudget
-	// RelaxReplication turns the exactly-one-placement-per-path constraint
-	// into at-least-one for algorithms proven safe to re-execute (no
-	// stateful, environment-reading, or self-overwriting instructions).
-	// Replicating work at extra hops wastes resources but can recover
-	// feasibility on a degraded network.
-	RelaxReplication
-)
-
-func (r Relaxation) String() string {
-	switch r {
-	case RelaxObjective:
-		return "relax-objective"
-	case EscalateBudget:
-		return "escalate-budget"
-	case RelaxReplication:
-		return "relax-replication"
-	}
-	return fmt.Sprintf("relaxation(%d)", int(r))
-}
-
-// DefaultLadder returns the standard fallback priority order.
-func DefaultLadder() []Relaxation {
-	return []Relaxation{RelaxObjective, EscalateBudget, RelaxReplication}
-}
-
-// applicable reports whether the rung can help after the given failure.
-func (r Relaxation) applicable(cfg attemptCfg, err error, in *Input) bool {
-	switch r {
-	case RelaxObjective:
-		// Dropping the objective only helps if one was set, and only for
-		// budget exhaustion (an infeasible core stays infeasible).
-		return cfg.objective != ObjNone && errors.Is(err, smt.ErrBudget)
-	case EscalateBudget:
-		// More conflicts only help when conflicts were the limit.
-		return errors.Is(err, smt.ErrConflictBudget)
-	case RelaxReplication:
-		if cfg.replicate {
-			return false
-		}
-		if !errors.Is(err, ErrInfeasible) && !errors.Is(err, smt.ErrBudget) {
-			return false
-		}
-		return len(replicableAlgs(in)) > 0
-	}
-	return false
-}
-
-// apply mutates the attempt configuration.
-func (r Relaxation) apply(cfg *attemptCfg, in *Input) {
-	switch r {
-	case RelaxObjective:
-		cfg.objective = ObjNone
-	case EscalateBudget:
-		if cfg.conflictBudget > 0 {
-			cfg.conflictBudget *= 8
-		}
-	case RelaxReplication:
+// fallback is the one policy a failed attempt meets. A component that ran out
+// of conflicts is retried once with eight times the budget, objective kept;
+// one that is infeasible, or out of conflicts again, is retried once with
+// exactly-one placement relaxed to coverage for its replicable algorithms
+// (replicableAlgs), if it has any. Escalation comes only before replication. A
+// timeout or any other error ends the solve: every attempt shares the
+// compile's context, so no retry under it can finish. fallback applies the
+// concession to cfg and returns the trail step naming it and what it gives
+// up, or "" when nothing follows.
+func fallback(cfg *attemptCfg, err error, replicable map[string]bool) (step, concession string) {
+	budget := errors.Is(err, smt.ErrConflictBudget)
+	switch {
+	case cfg.replicate: // nothing is left to give up
+	case budget && !cfg.escalated:
+		concession = fmt.Sprintf("conflict budget escalated %d -> %d", cfg.conflictBudget, cfg.conflictBudget*8)
+		cfg.conflictBudget *= 8
+		cfg.escalated = true
+		return "escalate-budget", concession
+	case (budget || errors.Is(err, ErrInfeasible)) && len(replicable) > 0:
 		cfg.replicate = true
+		return "relax-replication", fmt.Sprintf("exactly-one placement relaxed to coverage for %s: instructions may execute at multiple hops",
+			strings.Join(sortedKeys(replicable), ","))
 	}
-}
-
-// describe renders what the rung gives up, for the Diagnostics trail.
-func (r Relaxation) describe(cfg attemptCfg, in *Input) string {
-	switch r {
-	case RelaxObjective:
-		return fmt.Sprintf("optimization objective %v dropped: accepting first feasible placement", cfg.objective)
-	case EscalateBudget:
-		return fmt.Sprintf("conflict budget escalated %d -> %d", cfg.conflictBudget, cfg.conflictBudget*8)
-	case RelaxReplication:
-		algs := sortedKeys(replicableAlgs(in))
-		return fmt.Sprintf("exactly-one placement relaxed to coverage for %s: instructions may execute at multiple hops", strings.Join(algs, ","))
-	}
-	return r.String()
-}
-
-// nextRung finds the first applicable rung on the remaining ladder. It
-// returns the rung, the ladder with everything up to and including the
-// rung consumed, and whether one was found.
-func nextRung(ladder []Relaxation, cfg attemptCfg, err error, in *Input) (Relaxation, []Relaxation, bool) {
-	for i, r := range ladder {
-		if r.applicable(cfg, err, in) {
-			return r, ladder[i+1:], true
-		}
-	}
-	return 0, nil, false
+	return "", ""
 }
 
 // replicableAlgs returns the MULTI-SW algorithms whose instructions are
@@ -152,12 +81,13 @@ func replicable(a *ir.Algorithm) bool {
 	return true
 }
 
-// Attempt records one solve attempt of the fallback ladder.
+// Attempt records one solve attempt of a component.
 type Attempt struct {
 	// Component names the partition component this attempt solved ("" when
 	// the problem was not split).
 	Component string
-	// Step is "initial" or the relaxation that preceded this attempt.
+	// Step is "initial" or the concession that preceded this attempt
+	// ("escalate-budget" or "relax-replication").
 	Step           string
 	Objective      Objective
 	ConflictBudget int64
@@ -177,8 +107,8 @@ type Attempt struct {
 // operator reading logs) knows exactly what a returned plan gave up.
 type Diagnostics struct {
 	Attempts []Attempt
-	// Degraded lists, in ladder order, human-readable descriptions of each
-	// concession that was applied.
+	// Degraded lists, in the order they were granted, human-readable
+	// descriptions of each concession that was applied.
 	Degraded []string
 }
 
@@ -218,7 +148,7 @@ func (d *Diagnostics) UnsatCore() []string {
 	return nil
 }
 
-// Summary renders the trail compactly: "initial:timeout -> relax-objective:sat".
+// Summary renders the trail compactly: "initial:conflict-budget -> escalate-budget:sat".
 // Attempts from a split solve are prefixed with their component label.
 func (d *Diagnostics) Summary() string {
 	if d == nil || len(d.Attempts) == 0 {

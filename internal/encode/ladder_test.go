@@ -1,7 +1,9 @@
 package encode
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,11 +14,9 @@ import (
 func TestLadderEscalatesConflictBudget(t *testing.T) {
 	// The 4M-entry conn_table forces table splitting; the solver needs a
 	// handful of theory conflicts to find a feasible shard layout, so a
-	// budget of 1 fails. The ladder must escalate (x8) and succeed.
+	// budget of 1 fails. The policy must escalate (x8) and succeed.
 	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
-	opts := DefaultOptions()
-	opts.ConflictBudget = 1
-	plan, err := Solve(in, opts)
+	plan, err := solve(in, DefaultOptions(), attemptCfg{conflictBudget: 1})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -41,8 +41,63 @@ func TestLadderEscalatesConflictBudget(t *testing.T) {
 	}
 }
 
+// TestEscalationKeepsObjective: an optimizing solve that runs out of conflicts
+// is escalated with its objective, not first retried without it — dropping
+// the objective repeats the failed search, since a minimization's first step
+// is the plain solve under the same budget.
+func TestEscalationKeepsObjective(t *testing.T) {
+	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
+	opts := DefaultOptions()
+	opts.Objective = ObjMinPlacements
+	plan, err := solve(in, opts, attemptCfg{conflictBudget: 1})
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	d := plan.Diagnostics
+	if got := d.Summary(); got != "initial:conflict-budget -> escalate-budget:sat" {
+		t.Fatalf("summary = %q", got)
+	}
+	if d.Attempts[1].Objective != ObjMinPlacements {
+		t.Errorf("escalated attempt solved under %v, want min-placements", d.Attempts[1].Objective)
+	}
+	for _, deg := range d.Degraded {
+		if strings.Contains(deg, "objective") {
+			t.Errorf("concession %q gives up the objective", deg)
+		}
+	}
+}
+
+// TestTimeoutEndsTheSolve: every attempt shares the compile's context, so
+// after a timeout nothing is retried and nothing is conceded.
+func TestTimeoutEndsTheSolve(t *testing.T) {
+	timeout := fmt.Errorf("encode: solver gave up: %w", smt.ErrTimeout)
+	replicable := map[string]bool{"marker": true}
+	for _, cfg := range []attemptCfg{
+		{objective: ObjMinPlacements, conflictBudget: 10},
+		{objective: ObjMinPlacements, conflictBudget: 80, escalated: true},
+	} {
+		if step, _ := fallback(&cfg, timeout, replicable); step != "" {
+			t.Errorf("%+v: a timeout is followed by %s", cfg, step)
+		}
+	}
+
+	// A PER-SW scope encodes without polling the context, so the one attempt
+	// meets the cancelled context in the solver.
+	in := buildInput(t, subst(lbSrc, "1024", "1024"), "loadbalancer: [ ToR3,ToR4 | PER-SW | - ]", topo.Testbed())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := solveComponent(ctx, in, scopeUnion(in), &phvIndex{prog: in.IR},
+		attemptCfg{objective: ObjMinPlacements, conflictBudget: conflictBudget}, "")
+	if !errors.Is(r.err, smt.ErrTimeout) {
+		t.Fatalf("err = %v, want a timeout", r.err)
+	}
+	if got := r.trail.Summary(); got != "initial:timeout" || len(r.trail.Degraded) != 0 {
+		t.Errorf("trail = %q with concessions %q, want one timed-out attempt and none", got, r.trail.Degraded)
+	}
+}
+
 func TestLadderExhaustionReportsTrail(t *testing.T) {
-	// 40M entries fit nowhere: every rung that applies still fails, and the
+	// 40M entries fit nowhere: every retry that applies still fails, and the
 	// final error must carry the attempt trail.
 	in := buildInput(t, subst(lbSrc, "40000000", "1000000"), lbScope, topo.Testbed())
 	opts := DefaultOptions()
@@ -55,45 +110,33 @@ func TestLadderExhaustionReportsTrail(t *testing.T) {
 	}
 }
 
-func TestLadderDisabled(t *testing.T) {
-	in := buildInput(t, subst(lbSrc, "4000000", "1000000"), lbScope, topo.Testbed())
-	opts := DefaultOptions()
-	opts.ConflictBudget = 1
-	opts.Ladder = nil
-	_, err := Solve(in, opts)
-	if !errors.Is(err, smt.ErrConflictBudget) {
-		t.Fatalf("err = %v, want raw conflict-budget failure with no ladder", err)
-	}
-}
-
+// TestRelaxationApplicability walks the policy for a program with nothing to
+// replicate: conflict exhaustion escalates once, and nothing follows a second
+// exhaustion, a timeout or an infeasible verdict.
 func TestRelaxationApplicability(t *testing.T) {
-	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
-	timeout := smt.ErrTimeout
-	conflict := smt.ErrConflictBudget
-
-	cfg := attemptCfg{objective: ObjMinSwitches, conflictBudget: 100}
-	if !RelaxObjective.applicable(cfg, timeout, in) {
-		t.Error("relax-objective should apply to a timed-out optimizing solve")
-	}
-	if RelaxObjective.applicable(cfg, ErrInfeasible, in) {
-		t.Error("relax-objective cannot fix infeasibility")
-	}
-	cfgNone := attemptCfg{objective: ObjNone}
-	if RelaxObjective.applicable(cfgNone, timeout, in) {
-		t.Error("relax-objective needs an objective to drop")
-	}
-
-	if !EscalateBudget.applicable(cfg, conflict, in) {
-		t.Error("escalate-budget should apply to conflict exhaustion")
-	}
-	if EscalateBudget.applicable(cfg, timeout, in) {
-		t.Error("escalate-budget cannot fix a wall-clock timeout")
-	}
-
 	// loadbalancer reads ipv4.dstAddr and writes it: re-execution at a
 	// second hop would hash the rewritten address, so it is NOT replicable.
-	if RelaxReplication.applicable(cfg, ErrInfeasible, in) {
-		t.Error("loadbalancer must not be classified replicable")
+	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
+	replicable := replicableAlgs(in)
+	if len(replicable) != 0 {
+		t.Fatalf("loadbalancer must not be classified replicable, got %v", replicable)
+	}
+	cfg := attemptCfg{objective: ObjMinSwitches, conflictBudget: 10}
+	if step, _ := fallback(&cfg, smt.ErrTimeout, replicable); step != "" {
+		t.Errorf("a timeout is followed by %s", step)
+	}
+	if step, _ := fallback(&cfg, ErrInfeasible, replicable); step != "" {
+		t.Errorf("infeasibility with nothing replicable is followed by %s", step)
+	}
+	step, concession := fallback(&cfg, smt.ErrConflictBudget, replicable)
+	if step != "escalate-budget" || concession != "conflict budget escalated 10 -> 80" {
+		t.Fatalf("conflict exhaustion is followed by %q (%q), want escalate-budget", step, concession)
+	}
+	if cfg.conflictBudget != 80 || cfg.objective != ObjMinSwitches {
+		t.Errorf("escalated cfg = %+v, want budget 80 and the objective kept", cfg)
+	}
+	if step, _ := fallback(&cfg, smt.ErrConflictBudget, replicable); step != "" {
+		t.Errorf("a second exhaustion is followed by %s", step)
 	}
 }
 
@@ -116,27 +159,34 @@ func TestReplicableClassification(t *testing.T) {
 	if !algs["marker"] {
 		t.Fatalf("marker should be replicable, got %v", algs)
 	}
-	cfg := attemptCfg{objective: ObjNone}
-	if !RelaxReplication.applicable(cfg, ErrInfeasible, in) {
-		t.Error("relax-replication should apply")
+	cfg := attemptCfg{conflictBudget: 10}
+	step, concession := fallback(&cfg, ErrInfeasible, algs)
+	if step != "relax-replication" || !cfg.replicate {
+		t.Fatalf("infeasibility is followed by %q, want relax-replication", step)
 	}
-	if RelaxReplication.applicable(attemptCfg{replicate: true}, ErrInfeasible, in) {
-		t.Error("relax-replication must not apply twice")
+	if !strings.Contains(concession, "marker") {
+		t.Errorf("concession = %q should name the algorithm", concession)
 	}
-	if !strings.Contains(RelaxReplication.describe(cfg, in), "marker") {
-		t.Errorf("describe = %q should name the algorithm", RelaxReplication.describe(cfg, in))
+	if step, _ := fallback(&cfg, ErrInfeasible, algs); step != "" {
+		t.Errorf("relax-replication is followed by %s", step)
+	}
+	if step, _ := fallback(&cfg, smt.ErrConflictBudget, algs); step != "" {
+		t.Errorf("escalation came after replication: %s", step)
+	}
+	// Out of conflicts again after the escalation, replication follows.
+	cfg = attemptCfg{conflictBudget: 80, escalated: true}
+	if step, _ := fallback(&cfg, smt.ErrConflictBudget, algs); step != "relax-replication" {
+		t.Errorf("a second exhaustion is followed by %q, want relax-replication", step)
 	}
 }
 
 func TestReplicationSolveStillCoversPaths(t *testing.T) {
-	// ForceReplication relaxes exactly-one to at-least-one; every flow path
-	// must still execute every instruction at least once.
+	// Relaxed replication turns exactly-one into at-least-one; every flow
+	// path must still execute every instruction at least once.
 	in := buildInput(t, statelessSrc,
 		"marker: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]",
 		topo.Testbed())
-	opts := DefaultOptions()
-	opts.ForceReplication = true
-	plan, err := Solve(in, opts)
+	plan, err := solve(in, DefaultOptions(), attemptCfg{conflictBudget: conflictBudget, replicate: true})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -156,29 +206,6 @@ func TestReplicationSolveStillCoversPaths(t *testing.T) {
 				t.Errorf("instr %d not covered on path %v (hosts %v)", id, path, hosts)
 			}
 		}
-	}
-}
-
-func TestNextRungConsumesLadder(t *testing.T) {
-	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
-	cfg := attemptCfg{objective: ObjMinSwitches, conflictBudget: 10}
-	rung, rest, ok := nextRung(DefaultLadder(), cfg, smt.ErrConflictBudget, in)
-	if !ok || rung != RelaxObjective {
-		t.Fatalf("rung = %v ok=%v, want relax-objective", rung, ok)
-	}
-	rung.apply(&cfg, in)
-	// Same failure again: relax-objective is consumed, escalation is next.
-	rung, rest, ok = nextRung(rest, cfg, smt.ErrConflictBudget, in)
-	if !ok || rung != EscalateBudget {
-		t.Fatalf("rung = %v ok=%v, want escalate-budget", rung, ok)
-	}
-	rung.apply(&cfg, in)
-	if cfg.conflictBudget != 80 {
-		t.Errorf("budget = %d, want 80", cfg.conflictBudget)
-	}
-	// Nothing applicable remains for this (non-replicable) program.
-	if _, _, ok = nextRung(rest, cfg, smt.ErrConflictBudget, in); ok {
-		t.Error("ladder should be exhausted")
 	}
 }
 

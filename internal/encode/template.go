@@ -34,7 +34,7 @@ type Template struct {
 	// The representative's path metrics; a twin's are equal, which is part of
 	// what the class fingerprint proves.
 	pathsEnumerated, peakPathsHeld int64
-	// trail is the fallback-ladder trail of the solve that produced the
+	// trail is the fallback trail of the solve that produced the
 	// template: what the class gave up to be placed, which every plan bound to
 	// it reports, however long ago and under whichever switch names it was
 	// solved.

@@ -92,7 +92,7 @@ func TestBindEqualsSolve(t *testing.T) {
 				if !reflect.DeepEqual(b.Switches, union) {
 					t.Fatalf("%s: bound to %v, scope union is %v", c.Label(), b.Switches, union)
 				}
-				r := solveComponent(context.Background(), c.In, union, &phvIndex{prog: in.IR}, DefaultOptions(), c.Label())
+				r := solveComponent(context.Background(), c.In, union, &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, c.Label())
 				if r.err != nil {
 					t.Fatalf("%s: direct solve: %v", c.Label(), r.err)
 				}

@@ -436,7 +436,7 @@ func (t *resourceTheory) buildSpec(sw int32, model *asic.Model, final bool) *asi
 // replicas, the ToRs of a pod) share one allocator run, mirroring the paper's
 // parallel generation of identical per-switch code (§7.2 "the compilation
 // time stays the same"). The memo belongs to the encoder, not to one theory
-// check, so across the checks and ladder attempts of a solve only the switches
+// check, so across the checks and attempts of a solve only the switches
 // whose implied program changed between models are re-admitted. It dies with
 // the encoder when the component's solve ends: the class memo keeps the solved
 // Template, never the encoder. Allocations are immutable once made.

@@ -9,6 +9,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -20,11 +21,10 @@ import (
 	"lyra/internal/asic"
 	"lyra/internal/backend"
 	"lyra/internal/baseline"
-	"lyra/internal/encode"
+	"lyra/internal/core"
 	"lyra/internal/frontend"
 	"lyra/internal/lang/checker"
 	"lyra/internal/lang/parser"
-	"lyra/internal/scope"
 	"lyra/internal/synth"
 	"lyra/internal/topo"
 )
@@ -53,43 +53,30 @@ func LoadProgram(name string) (string, error) {
 	return string(b), nil
 }
 
-// compileOne runs the full pipeline for one program with a generated
-// PER-SW single-switch scope, returning the artifact for that switch.
+// compile runs the pipeline of Figure 3, verification aside, for a program
+// and scope specification on a network.
+func compile(src, scopeText string, net *topo.Network) (*core.Result, error) {
+	return core.CompileContext(context.Background(), core.Request{
+		Source: src, SourceName: "prog.lyra", ScopeSpec: scopeText, Network: net, SkipVerify: true,
+	})
+}
+
+// compileOne compiles a program with a generated PER-SW single-switch scope,
+// returning the artifact for that switch.
 func compileOne(src, sw string, net *topo.Network) (*backend.Artifact, time.Duration, error) {
-	start := time.Now()
 	prog, err := parser.Parse("prog.lyra", []byte(src))
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := checker.Check(prog); err != nil {
 		return nil, 0, err
 	}
 	var sb strings.Builder
 	for _, a := range prog.Algorithms {
 		fmt.Fprintf(&sb, "%s: [ %s | PER-SW | - ]\n", a.Name, sw)
 	}
-	irp, err := frontend.Preprocess(prog)
+	res, err := compile(src, sb.String(), net)
 	if err != nil {
 		return nil, 0, err
 	}
-	frontend.Analyze(irp)
-	spec, err := scope.Parse(sb.String())
-	if err != nil {
-		return nil, 0, err
-	}
-	scopes, err := spec.Resolve(net)
-	if err != nil {
-		return nil, 0, err
-	}
-	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	arts, err := backend.Translate(plan, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return arts[sw], time.Since(start), nil
+	return res.Artifacts[sw], res.CompileTime, nil
 }
 
 // LyraLoC counts the non-blank, non-comment lines of a Lyra source and the
@@ -266,40 +253,6 @@ algorithm loadbalancer {
 `, connSize, vipSize)
 }
 
-// compileScoped compiles a program against an explicit scope on a network,
-// returning the wall-clock compile time.
-func compileScoped(src, scopeText string, net *topo.Network) (time.Duration, *encode.Plan, error) {
-	start := time.Now()
-	prog, err := parser.Parse("prog.lyra", []byte(src))
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := checker.Check(prog); err != nil {
-		return 0, nil, err
-	}
-	irp, err := frontend.Preprocess(prog)
-	if err != nil {
-		return 0, nil, err
-	}
-	frontend.Analyze(irp)
-	spec, err := scope.Parse(scopeText)
-	if err != nil {
-		return 0, nil, err
-	}
-	scopes, err := spec.Resolve(net)
-	if err != nil {
-		return 0, nil, err
-	}
-	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, err := backend.Translate(plan, nil); err != nil {
-		return 0, nil, err
-	}
-	return time.Since(start), plan, nil
-}
-
 // Figure10 runs the scalability sweep: LB (MULTI-SW) and NetCache (PER-SW
 // and MULTI-SW) on fat-tree pods of k = 4..32 switches, on Tofino/P4 and
 // Trident-4/NPL.
@@ -324,25 +277,23 @@ func Figure10(ks []int) ([]Fig10Point, error) {
 			net := topo.FatTreePod(k, chip.model)
 
 			lbScope := "loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]"
-			dt, _, err := compileScoped(lbSource(100_000, 10_000), lbScope, net)
+			res, err := compile(lbSource(100_000, 10_000), lbScope, net)
 			if err != nil {
 				return nil, fmt.Errorf("figure10 lb k=%d %s: %w", k, chip.name, err)
 			}
-			out = append(out, Fig10Point{"lb-multi", chip.name, k, dt})
+			out = append(out, Fig10Point{"lb-multi", chip.name, k, res.CompileTime})
 
 			perScope := "netcache: [ ToR*,Agg* | PER-SW | - ]"
-			dt, _, err = compileScoped(ncSrc, perScope, net)
-			if err != nil {
+			if res, err = compile(ncSrc, perScope, net); err != nil {
 				return nil, fmt.Errorf("figure10 netcache-per k=%d %s: %w", k, chip.name, err)
 			}
-			out = append(out, Fig10Point{"netcache-per", chip.name, k, dt})
+			out = append(out, Fig10Point{"netcache-per", chip.name, k, res.CompileTime})
 
 			multiScope := "netcache: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]"
-			dt, _, err = compileScoped(ncSrc, multiScope, net)
-			if err != nil {
+			if res, err = compile(ncSrc, multiScope, net); err != nil {
 				return nil, fmt.Errorf("figure10 netcache-multi k=%d %s: %w", k, chip.name, err)
 			}
-			out = append(out, Fig10Point{"netcache-multi", chip.name, k, dt})
+			out = append(out, Fig10Point{"netcache-multi", chip.name, k, res.CompileTime})
 		}
 	}
 	return out, nil
@@ -377,15 +328,15 @@ func Extensibility() ([]ExtensibilityStep, error) {
 	scopeText := "loadbalancer: [ ToR3,ToR4,Agg3,Agg4 | MULTI-SW | (Agg3,Agg4->ToR3,ToR4) ]"
 	var out []ExtensibilityStep
 	for _, conn := range []int{1_000_000, 2_500_000, 4_000_000} {
-		dt, plan, err := compileScoped(lbSource(conn, 1_000_000), scopeText, net)
+		res, err := compile(lbSource(conn, 1_000_000), scopeText, net)
 		if err != nil {
 			return nil, fmt.Errorf("extensibility conn=%d: %w", conn, err)
 		}
 		out = append(out, ExtensibilityStep{
 			ConnEntries: conn,
-			Time:        dt,
-			Shards:      plan.ShardsOf("conn_table"),
-			VIPShards:   plan.ShardsOf("vip_table"),
+			Time:        res.CompileTime,
+			Shards:      res.Plan.ShardsOf("conn_table"),
+			VIPShards:   res.Plan.ShardsOf("vip_table"),
 		})
 	}
 	return out, nil
@@ -431,11 +382,11 @@ func Composition() ([]CompositionStep, error) {
 		for _, a := range algs {
 			fmt.Fprintf(&sb, "%s: [ %s | PER-SW | - ]\n", a, region)
 		}
-		dt, plan, err := compileScoped(src, sb.String(), net)
+		res, err := compile(src, sb.String(), net)
 		if err != nil {
 			return nil, fmt.Errorf("composition n=%d: %w", n, err)
 		}
-		out = append(out, CompositionStep{Switches: n, Time: dt, Placed: len(plan.Fingerprints())})
+		out = append(out, CompositionStep{Switches: n, Time: res.CompileTime, Placed: len(res.Fingerprints)})
 	}
 	return out, nil
 }

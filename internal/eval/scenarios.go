@@ -58,10 +58,11 @@ func (sc Scenario) Deploy(net *topo.Network) (*dataplane.Deployment, []string, e
 	if err != nil {
 		return nil, nil, err
 	}
-	_, plan, err := compileScoped(src, sc.ScopeText(), net)
+	res, err := compile(src, sc.ScopeText(), net)
 	if err != nil {
 		return nil, nil, err
 	}
+	plan := res.Plan
 	tables := dataplane.NewTables()
 	if sc.Populate != nil {
 		sc.Populate(tables)

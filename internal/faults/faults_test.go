@@ -121,8 +121,8 @@ func TestScopePathsRecomputedAfterApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := before["loadbalancer"].PathCount(); got != 4 || err != nil {
-		t.Fatalf("paths before failure = %d, want 4", got)
+	if paths, err := before["loadbalancer"].PathList(); len(paths) != 4 || err != nil {
+		t.Fatalf("paths before failure = %d (%v), want 4", len(paths), err)
 	}
 
 	if err := (Scenario{Name: "agg3", Events: []Event{SwitchDown("Agg3")}}).Apply(net); err != nil {

@@ -165,7 +165,8 @@ type Solver struct {
 	core        []Lit
 	assumeNames map[Var]string
 
-	// ConflictBudget bounds the conflicts of each Solve call.
+	// ConflictBudget bounds the conflicts of each Solve call; 0, as
+	// NewSolver leaves it, is unbudgeted.
 	ConflictBudget int64
 	// Ctx, when non-nil, is the solve's one wall-clock limit: its deadline
 	// or its cancellation aborts the search with ErrTimeout at the next poll
@@ -187,11 +188,10 @@ type watch struct {
 // NewSolver returns an empty solver.
 func NewSolver() *Solver {
 	s := &Solver{
-		varInc:         1,
-		claInc:         1,
-		ok:             true,
-		maxLearn:       4000,
-		ConflictBudget: 5_000_000,
+		varInc:   1,
+		claInc:   1,
+		ok:       true,
+		maxLearn: 4000,
 	}
 	s.order.s = s
 	return s
