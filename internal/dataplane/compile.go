@@ -11,11 +11,11 @@ package dataplane
 // and (for the common blocks born from if-conversion) one guard evaluation
 // amortized over the whole block instead of per instruction.
 //
-// The compiled backend is built from the Engine's Layout and lowered units
-// and runs on its Lanes, so the per-switch table-generation invalidation
-// reaches it through them. The tree-walking interpreter, which shares none
-// of this code, is the oracle it is cross-checked against (difftest runs
-// both packet by packet).
+// The closures are built against the Engine's Layout and run on its lanes,
+// so the per-switch table-generation invalidation reaches them through
+// those. The tree-walking interpreter, which shares none of this code, is
+// the oracle it is cross-checked against (difftest runs both packet by
+// packet).
 
 import (
 	"math/bits"
@@ -50,9 +50,11 @@ type cstep struct {
 // ccode is one compiled unit: the blocks plus the lowered unit it came
 // from, with its bridge moves resolved against the slab. steps mirrors blocks
 // in compact form; clearRegs lists the registers that must be zeroed between
-// packets (the rest are provably written before any read).
+// packets (the rest are provably written before any read). stateIdx picks
+// the lane state (globals and table views) the unit runs on.
 type ccode struct {
 	u                *compiledUnit
+	stateIdx         int
 	blocks           []cblock
 	steps            []cstep
 	clearRegs        []int32
@@ -66,54 +68,6 @@ type slabMove struct {
 	pm            uint64
 }
 
-// Compiled is the closure-threaded backend of one deployment, built from
-// its engine's lowered (and fused) units. Like the Engine it is immutable
-// code; all mutable state lives in Lanes. A Compiled (and its internal lane
-// pool) is single-caller: one goroutine calls RunBatch/RunPacket at a time,
-// and RunBatch fans work out itself.
-type Compiled struct {
-	eng         *Engine
-	units       []*ccode // indexed by stateIdx; units[0] is ref
-	switchUnits map[string]*ccode
-	lanes       []*Lane
-
-	// One-entry resolved-path cache: a path is mapped to the units actually
-	// placed on it once, so the steady state pays no per-hop string-map
-	// lookups. Keyed by a copy of the path's switch names, so a caller may
-	// rewrite its slice in place between packets. Mutated only from the
-	// single-caller API surface (RunBatch resolves before its workers
-	// fan out, so workers never touch it).
-	pathKey   []string
-	pathUnits []*ccode
-}
-
-// CompileEngine translates an engine's lowered units into the
-// closure-threaded compiled backend.
-func CompileEngine(e *Engine) *Compiled {
-	c := &Compiled{eng: e, switchUnits: map[string]*ccode{}}
-	for _, u := range e.units {
-		cu := compileUnit(u, e.layout)
-		c.units = append(c.units, cu)
-		if u.name != "" {
-			c.switchUnits[u.name] = cu
-		}
-	}
-	return c
-}
-
-// Engine returns the engine whose layout and units this backend was built
-// from.
-func (c *Compiled) Engine() *Engine { return c.eng }
-
-// NewLane allocates execution state for this backend.
-func (c *Compiled) NewLane() *Lane { return c.eng.NewLane() }
-
-// Flatten converts a map-based packet into a fresh engine packet.
-func (c *Compiled) Flatten(p *Packet) *FlatPacket { return c.eng.Flatten(p) }
-
-// NewFlatPacket returns an empty packet sized for this backend's layout.
-func (c *Compiled) NewFlatPacket() *FlatPacket { return c.eng.NewFlatPacket() }
-
 // compileUnit groups a unit's instructions into guard-hoisted blocks and
 // specializes each instruction into a closure. A block closes early when an
 // instruction writes a register its own guard tests: the next instruction
@@ -126,7 +80,8 @@ func compileUnit(u *compiledUnit, lay *Layout) *ccode {
 	var curRep *binstr // representative instruction of the open block
 	for i := range u.code {
 		in := &u.code[i]
-		if cur == nil || !sameGuardsAndGate(u, curRep, in) {
+		if cur == nil || curRep.gate != in.gate ||
+			!slices.Equal(u.guards[curRep.guardOff:curRep.guardEnd], u.guards[in.guardOff:in.guardEnd]) {
 			c.blocks = append(c.blocks, cblock{
 				guards: u.guards[in.guardOff:in.guardEnd],
 				gate:   in.gate,
@@ -191,13 +146,8 @@ func clearSet(u *compiledUnit) []int32 {
 		for _, a := range u.args[in.argsOff:in.argsEnd] {
 			read(a)
 		}
-		if in.guardOff == in.guardEnd && in.gate < 0 {
-			if in.destKind == dReg {
-				written[in.dest] = true
-			}
-			if in.dest2Kind == dReg {
-				written[in.dest2] = true
-			}
+		if in.guardOff == in.guardEnd && in.gate < 0 && in.destKind == dReg {
+			written[in.dest] = true
 		}
 	}
 	for _, m := range u.exports {
@@ -277,9 +227,6 @@ func fuseBlock(b *cblock) cop {
 func blockGuardClobbered(b *cblock, in *binstr) bool {
 	for _, g := range b.guards {
 		if in.destKind == dReg && in.dest == g.reg {
-			return true
-		}
-		if in.dest2Kind == dReg && in.dest2 == g.reg {
 			return true
 		}
 	}
@@ -541,39 +488,6 @@ func compileOp(in *binstr, u *compiledUnit, lay *Layout) cop {
 		return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
 			tabs[t].insert(lk(regs, f), lv(regs, f))
 		}
-	case bHashLookup, bHashMember:
-		hash := mkHash(u.args[in.argsOff:in.argsEnd], in.crc16)
-		am, t := in.auxMask, in.table
-		hd, hm := in.dest, in.destMask // fused hash dest is always a register
-		st2 := mkStore(lay, in.dest2Kind, in.dest2, in.dest2Mask)
-		if in.op == bHashMember {
-			return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
-				regs[hd] = (hash(regs, f) & am) & hm
-				v := uint64(0)
-				if tabs[t].flatHas(regs[hd]) {
-					v = 1
-				}
-				st2(regs, f, v)
-			}
-		}
-		return func(regs []uint64, f *FlatPacket, _ *Context, tabs []tableView, _ [][]uint64) {
-			regs[hd] = (hash(regs, f) & am) & hm
-			st2(regs, f, tabs[t].flatGet(regs[hd]))
-		}
-	case bBinSelect:
-		op := in.binop
-		la, lb := mkLoad(in.a), mkLoad(in.b)
-		lt, lf := mkLoad(u.args[in.argsOff]), mkLoad(u.args[in.argsOff+1])
-		cd, cm := in.dest, in.destMask // fused compare dest is always a register
-		st2 := mkStore(lay, in.dest2Kind, in.dest2, in.dest2Mask)
-		return func(regs []uint64, f *FlatPacket, _ *Context, _ []tableView, _ [][]uint64) {
-			regs[cd] = evalBin(op, la(regs, f), lb(regs, f)) & cm
-			if regs[cd] != 0 {
-				st2(regs, f, lt(regs, f))
-			} else {
-				st2(regs, f, lf(regs, f))
-			}
-		}
 	}
 	// Unreachable for well-formed lowered code; a no-op keeps the backend
 	// total.
@@ -757,9 +671,9 @@ func mkHash(args []opRef, crc16 bool) func(regs []uint64, f *FlatPacket) uint64 
 // runUnit executes one compiled unit on the lane: bridge imports, gate
 // snapshot, guard-hoisted blocks, bridge exports — the compiled equivalent
 // of one RunPath hop.
-func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
+func runUnit(l *lane, cu *ccode, ctx *Context, f *FlatPacket) {
 	u := cu.u
-	l.syncTables(u.stateIdx)
+	l.syncTables(cu.stateIdx)
 	regs := l.regs
 	for _, r := range cu.clearRegs {
 		regs[r] = 0
@@ -770,8 +684,8 @@ func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
 	for i, rs := range u.gates {
 		l.gateVals[i] = regs[rs]
 	}
-	tabs := l.tables[u.stateIdx]
-	globs := l.globals[u.stateIdx]
+	tabs := l.tables[cu.stateIdx]
+	globs := l.globals[cu.stateIdx]
 	for _, s := range cu.steps {
 		if s.gate >= 0 && l.gateVals[s.gate] != 0 {
 			continue
@@ -784,58 +698,49 @@ func (c *Compiled) runUnit(l *Lane, cu *ccode, ctx *Context, f *FlatPacket) {
 	}
 }
 
-// RunReference executes the one-big-pipeline reference semantics through
-// the compiled tier.
-func (c *Compiled) RunReference(l *Lane, ctx *Context, f *FlatPacket) {
-	if ctx == nil {
-		ctx = &zeroCtx
-	}
-	c.runUnit(l, c.units[0], ctx, f)
-}
-
 // resolveUnits maps a flow path to the compiled units actually placed on
 // it. The result is cached keyed on the path's switch names: callers replay
 // many packets down the same path, and on a cache hit the per-hop
 // switch-name lookups disappear entirely.
-func (c *Compiled) resolveUnits(path []string) []*ccode {
+func (e *Engine) resolveUnits(path []string) []*ccode {
 	if len(path) == 0 {
 		return nil
 	}
-	if slices.Equal(path, c.pathKey) {
-		return c.pathUnits
+	if slices.Equal(path, e.pathKey) {
+		return e.pathUnits
 	}
 	units := make([]*ccode, 0, len(path))
 	for _, sw := range path {
-		if cu := c.switchUnits[sw]; cu != nil {
+		if cu := e.bySwitch[sw]; cu != nil {
 			units = append(units, cu)
 		}
 	}
-	c.pathKey, c.pathUnits = slices.Clone(path), units
+	e.pathKey, e.pathUnits = slices.Clone(path), units
 	return units
 }
 
 // runResolved pushes one packet through an already-resolved unit list.
-func (c *Compiled) runResolved(l *Lane, units []*ccode, ctx *Context, f *FlatPacket) {
+func runResolved(l *lane, units []*ccode, ctx *Context, f *FlatPacket) {
 	for _, cu := range units {
-		c.runUnit(l, cu, ctx, f)
+		runUnit(l, cu, ctx, f)
 	}
 }
 
-// RunPacket pushes one packet along a flow path, mutating it in place —
+// runPacket pushes one packet along a flow path, mutating it in place —
 // the compiled equivalent of Deployment.RunPath minus the input clone.
-func (c *Compiled) RunPacket(l *Lane, path []string, ctx *Context, f *FlatPacket) {
+func (e *Engine) runPacket(l *lane, path []string, ctx *Context, f *FlatPacket) {
 	if ctx == nil {
 		ctx = &zeroCtx
 	}
-	c.runResolved(l, c.resolveUnits(path), ctx, f)
+	runResolved(l, e.resolveUnits(path), ctx, f)
 }
 
-// RunBatch replays a batch of packets along a path, sharding the batch
-// into contiguous chunks across a bounded worker pool with one lane per
-// worker. Each packet is mutated in place. Lanes persist across calls, so
-// stateful programs see a continuous packet stream per lane; chunking is
+// runBatch replays a batch of packets along a path, sharding the batch
+// into contiguous chunks across a bounded worker pool with one pooled lane
+// per worker. Each packet is mutated in place. Lanes persist across calls,
+// so stateful programs see a continuous packet stream per lane; chunking is
 // deterministic for a given worker count.
-func (c *Compiled) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) {
+func (e *Engine) runBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) {
 	n := len(pkts)
 	if n == 0 {
 		return
@@ -846,17 +751,17 @@ func (c *Compiled) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, wor
 	if workers > n {
 		workers = n
 	}
-	c.ensureLanes(workers)
+	e.ensureLanes(workers)
 	if ctx == nil {
 		ctx = &zeroCtx
 	}
 	// Resolve the path once before fanning out: workers share the unit
 	// list read-only and never touch the cache.
-	units := c.resolveUnits(path)
+	units := e.resolveUnits(path)
 	if workers == 1 {
-		l := c.lanes[0]
+		l := e.lanes[0]
 		for _, f := range pkts {
-			c.runResolved(l, units, ctx, f)
+			runResolved(l, units, ctx, f)
 		}
 		return
 	}
@@ -870,15 +775,16 @@ func (c *Compiled) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, wor
 		if hi > n {
 			hi = n
 		}
-		l := c.lanes[w]
+		l := e.lanes[w]
 		for _, f := range pkts[lo:hi] {
-			c.runResolved(l, units, ctx, f)
+			runResolved(l, units, ctx, f)
 		}
 	})
 }
 
-func (c *Compiled) ensureLanes(n int) {
-	for len(c.lanes) < n {
-		c.lanes = append(c.lanes, c.eng.NewLane())
+// ensureLanes grows the engine's lane pool to at least n lanes.
+func (e *Engine) ensureLanes(n int) {
+	for len(e.lanes) < n {
+		e.lanes = append(e.lanes, e.newLane())
 	}
 }

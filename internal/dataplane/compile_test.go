@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"lyra/internal/backend"
 )
 
 // TestCompiledMatchesInterpreterLB checks byte-identical output between
@@ -35,33 +37,6 @@ func TestCompiledMatchesInterpreterLB(t *testing.T) {
 	}
 }
 
-// TestCompiledReferenceMatchesInterpreter checks the compiled reference
-// unit against RunReference.
-func TestCompiledReferenceMatchesInterpreter(t *testing.T) {
-	dep, tables, _ := lbDeployment(t)
-	comp, err := dep.Compiled()
-	if err != nil {
-		t.Fatalf("compiled: %v", err)
-	}
-	irp := dep.Plan.Input.IR
-	rng := rand.New(rand.NewSource(3))
-	ctx := &Context{SwitchID: 1}
-	for i := 0; i < 50; i++ {
-		pkt := randomLBPacket(rng)
-		want, err := RunReference(irp, tables, ctx, pkt)
-		if err != nil {
-			t.Fatalf("reference: %v", err)
-		}
-		lane := comp.NewLane()
-		f := comp.Flatten(pkt)
-		comp.RunReference(lane, ctx, f)
-		got := f.Packet()
-		if got.Summary() != want.Summary() {
-			t.Fatalf("packet %d:\n  interp:   %s\n  compiled: %s", i, want.Summary(), got.Summary())
-		}
-	}
-}
-
 // TestCompiledStatefulSequence runs a packet sequence through one compiled
 // lane and through the interpreter on a fresh deployment each, asserting
 // identical evolution of register state, inserts, and packet outputs.
@@ -78,11 +53,11 @@ func TestCompiledStatefulSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := depComp.Compiled()
+	eng, err := depComp.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := comp.NewLane()
+	lane := eng.newLane()
 
 	ctx := &Context{SwitchID: 3, QueueLen: 2}
 	rng := rand.New(rand.NewSource(11))
@@ -96,8 +71,8 @@ func TestCompiledStatefulSequence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interpreter: %v", err)
 		}
-		f := comp.Flatten(pkt)
-		comp.RunPacket(lane, path, ctx, f)
+		f := eng.Flatten(pkt)
+		eng.runPacket(lane, path, ctx, f)
 		got := f.Packet()
 		if got.Summary() != want.Summary() {
 			t.Fatalf("packet %d diverges:\n  interp:   %s\n  compiled: %s", i, want.Summary(), got.Summary())
@@ -109,7 +84,7 @@ func TestCompiledStatefulSequence(t *testing.T) {
 // match one-at-a-time execution at every worker count.
 func TestCompiledRunBatchMatchesSequential(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +94,82 @@ func TestCompiledRunBatchMatchesSequential(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		out := make([]*FlatPacket, n)
 		for i := range out {
-			out[i] = comp.Flatten(randomLBPacket(r))
+			out[i] = eng.Flatten(randomLBPacket(r))
 		}
 		return out
 	}
 	base := mk()
-	comp.RunBatch(paths[0], ctx, base, 1)
+	eng.runBatch(paths[0], ctx, base, 1)
 	for _, workers := range []int{2, 4, 7} {
 		got := mk()
-		comp.RunBatch(paths[0], ctx, got, workers)
+		eng.runBatch(paths[0], ctx, got, workers)
 		for i := range got {
 			if got[i].Packet().Summary() != base[i].Packet().Summary() {
 				t.Fatalf("workers=%d packet %d diverges from sequential", workers, i)
 			}
+		}
+	}
+}
+
+// TestCompiledHonoursShardGates: a key an upstream shard of a split table
+// resolves must skip the downstream shards of that table (Algorithm 2).
+// The LB places conn_table and vip_table as two shards, on ToR3 and then
+// ToR4, which no scoped flow path crosses together, so the path here is
+// the pod's ToR3 → Agg3 → ToR4. ToR4 looks its keys up again on the packet
+// ToR3 rewrote, so it is given an entry for each rewritten key, and a
+// ToR4 table that runs ungated rewrites the packet a second time. One
+// packet hits conn_table upstream, the other misses it and hits vip_table,
+// so both of ToR4's gates are exercised. The interpreter with ToR4's hit
+// guards dropped shows the entries make each gate observable; the compiled
+// tier must agree with the interpreter that keeps them.
+func TestCompiledHonoursShardGates(t *testing.T) {
+	plan, _ := compile(t, lbSrc, lbScope)
+	path := []string{"ToR3", "Agg3", "ToR4"}
+	mkPkt := func(srcPort uint64) *Packet {
+		p := NewPacket()
+		p.Valid["ipv4"], p.Valid["tcp"] = true, true
+		p.Fields["ipv4.srcAddr"] = 0x0A000001
+		p.Fields["ipv4.dstAddr"] = 5
+		p.Fields["ipv4.protocol"] = 6
+		p.Fields["tcp.srcPort"] = srcPort
+		p.Fields["tcp.dstPort"] = 80
+		return p
+	}
+	connKey := func(dst uint64) uint64 {
+		return hashOf("crc32_hash", []uint64{0x0A000001, dst, 6, 1234, 80}, 32)
+	}
+	deploy := func(dropGuards bool) *Deployment {
+		dep, err := NewDeployment(plan, NewTables())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep.SetSwitchEntry("ToR3", "conn_table", connKey(5), 0x0A0000A0)
+		dep.SetSwitchEntry("ToR3", "vip_table", 5, 7)
+		dep.SetSwitchEntry("ToR4", "conn_table", connKey(0x0A0000A0), 0x0A0000B0)
+		dep.SetSwitchEntry("ToR4", "vip_table", 7, 9)
+		if dropGuards {
+			backend.MutationDropHitGuards("ToR4", dep.Programs["ToR4"])
+		}
+		return dep
+	}
+	for _, in := range []*Packet{mkPkt(1234), mkPkt(4321)} {
+		want, err := deploy(false).RunPath(path, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ungated, err := deploy(true).RunPath(path, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ungated.Summary() == want.Summary() {
+			t.Fatalf("dropping ToR4's hit guards changes nothing for %s: the test is vacuous", in.Summary())
+		}
+		got, err := deploy(false).RunPathCompiled(path, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs := DiffPackets(want, got, nil); len(diffs) > 0 {
+			t.Fatalf("%s diverges: %v\n  interp:   %s\n  compiled: %s", in.Summary(), diffs, want.Summary(), got.Summary())
 		}
 	}
 }
@@ -146,12 +184,12 @@ func TestCompiledGuardHoisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hoisted := false
-	for _, cu := range comp.units {
+	for _, cu := range eng.units {
 		ops, guarded := 0, 0
 		for _, b := range cu.blocks {
 			ops += len(b.ops)
@@ -168,41 +206,6 @@ func TestCompiledGuardHoisting(t *testing.T) {
 	}
 }
 
-// TestFusionProducesSuperinstructions: the LB program's hash-then-member
-// pair must actually fuse, and only in the fused lowering.
-func TestFusionProducesSuperinstructions(t *testing.T) {
-	dep, _, _ := lbDeployment(t)
-	eng, err := dep.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedHash := false
-	for _, u := range eng.units {
-		for i := range u.code {
-			switch u.code[i].op {
-			case bHashMember, bHashLookup, bBinSelect:
-				fusedHash = true
-			}
-		}
-	}
-	if !fusedHash {
-		t.Fatal("crc32_hash -> conn_table membership did not fuse into a superinstruction")
-	}
-	// And the unfused lowering must keep the plain opcodes.
-	unfused, err := newEngine(dep, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range unfused.units {
-		for i := range u.code {
-			switch u.code[i].op {
-			case bHashMember, bHashLookup, bBinSelect:
-				t.Fatal("fusion pass ran on the unfused reference lowering")
-			}
-		}
-	}
-}
-
 // TestCompiledSteadyStateZeroAlloc is the acceptance gate for the compiled
 // tier: the compiled execute loop must not allocate once lanes and packets
 // exist.
@@ -211,32 +214,32 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	dep, _, paths := lbDeployment(t)
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := comp.NewLane()
+	lane := eng.newLane()
 	ctx := &Context{SwitchID: 2, IngressTS: 5}
 	rng := rand.New(rand.NewSource(6))
-	tmpl := comp.Flatten(randomLBPacket(rng))
-	f := comp.NewFlatPacket()
+	tmpl := eng.Flatten(randomLBPacket(rng))
+	f := eng.NewFlatPacket()
 	path := paths[0]
 	for i := 0; i < 10; i++ { // warm up: first runs may grow runtime stacks
 		f.CopyFrom(tmpl)
-		comp.RunPacket(lane, path, ctx, f)
+		eng.runPacket(lane, path, ctx, f)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		f.CopyFrom(tmpl)
-		comp.RunPacket(lane, path, ctx, f)
+		eng.runPacket(lane, path, ctx, f)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state compiled loop allocates %.1f times per packet, want 0", allocs)
 	}
 	batch := []*FlatPacket{f}
-	comp.RunBatch(path, ctx, batch, 1)
+	eng.runBatch(path, ctx, batch, 1)
 	allocs = testing.AllocsPerRun(200, func() {
 		f.CopyFrom(tmpl)
-		comp.RunBatch(path, ctx, batch, 1)
+		eng.runBatch(path, ctx, batch, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("single-worker compiled RunBatch allocates %.1f times per packet, want 0", allocs)
@@ -247,23 +250,23 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 // number to hold against BenchmarkInterpreterPath.
 func BenchmarkCompiledPath(b *testing.B) {
 	dep, _, paths := lbDeployment(b)
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		b.Fatal(err)
 	}
-	lane := comp.NewLane()
+	lane := eng.newLane()
 	rng := rand.New(rand.NewSource(8))
 	tmpls := make([]*FlatPacket, 1024)
 	for i := range tmpls {
-		tmpls[i] = comp.Flatten(randomLBPacket(rng))
+		tmpls[i] = eng.Flatten(randomLBPacket(rng))
 	}
-	f := comp.NewFlatPacket()
+	f := eng.NewFlatPacket()
 	ctx := &Context{SwitchID: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.CopyFrom(tmpls[i%len(tmpls)])
-		comp.RunPacket(lane, paths[0], ctx, f)
+		eng.runPacket(lane, paths[0], ctx, f)
 	}
 	reportPPS(b)
 }
@@ -277,7 +280,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 		name := fmt.Sprintf("batch=%d/workers=%d", bench.batch, bench.workers)
 		b.Run(name, func(b *testing.B) {
 			dep, _, paths := lbDeployment(b)
-			comp, err := dep.Compiled()
+			eng, err := dep.Engine()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -285,8 +288,8 @@ func BenchmarkCompiledBatch(b *testing.B) {
 			tmpls := make([]*FlatPacket, bench.batch)
 			work := make([]*FlatPacket, bench.batch)
 			for i := range tmpls {
-				tmpls[i] = comp.Flatten(randomLBPacket(rng))
-				work[i] = comp.NewFlatPacket()
+				tmpls[i] = eng.Flatten(randomLBPacket(rng))
+				work[i] = eng.NewFlatPacket()
 			}
 			ctx := &Context{SwitchID: 2}
 			b.ReportAllocs()
@@ -295,7 +298,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 				for j := range work {
 					work[j].CopyFrom(tmpls[j])
 				}
-				comp.RunBatch(paths[0], ctx, work, bench.workers)
+				eng.runBatch(paths[0], ctx, work, bench.workers)
 			}
 			b.StopTimer()
 			pkts := float64(b.N) * float64(bench.batch)
@@ -304,7 +307,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 	}
 }
 
-// handBuilt compiles one hand-built lowered unit as the reference unit of
+// handBuilt compiles one hand-built lowered unit as the one switch unit of
 // an engine whose layout holds the packet fields h.x and h.y, the unit's
 // only input and output. It returns a function running one packet with the
 // given h.x on a single shared lane and reporting its h.y. Units lowered
@@ -315,14 +318,12 @@ func handBuilt(t *testing.T, u *compiledUnit) (run func(x uint64) uint64) {
 	lay := newLayout()
 	lay.ensureField("h.x", 8)
 	y := lay.ensureField("h.y", 8)
-	e := &Engine{dep: &Deployment{}, layout: lay, units: []*compiledUnit{u},
-		maxRegs: u.numRegs, tableGen: make([]uint64, 1)}
-	c := CompileEngine(e)
-	lane := c.NewLane()
+	e := engineOn(lay, u)
+	lane := e.newLane()
 	return func(x uint64) uint64 {
 		f := lay.newFlat()
 		f.SetField("h.x", x)
-		c.RunReference(lane, nil, f)
+		runUnit(lane, e.units[0], &zeroCtx, f)
 		return f.w[y]
 	}
 }

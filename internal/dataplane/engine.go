@@ -1,10 +1,9 @@
 package dataplane
 
-// The lowered form of one deployment and its packet currency: FlatPacket,
-// Engine (the immutable product of lower.go) and Lane (the mutable state one
-// goroutine drives packets through). Nothing here executes a unit — the
-// closure-compiled backend in compile.go is the one executor of lowered
-// code.
+// The compiled tier of one deployment and its packet currency: FlatPacket,
+// Engine (the per-switch programs lowered by lower.go and compiled into
+// closures by compile.go) and lane (the mutable state one goroutine drives
+// packets through).
 
 import (
 	"errors"
@@ -184,100 +183,90 @@ func (tv *tableView) insert(k, v uint64) {
 	}
 }
 
-// Engine is the lowered form of one deployment: the reference pipeline unit
-// plus one unit per switch with a program, all sharing a Layout. It is what
-// the compiled tier is built from and what packets are laid out by — the
-// lowered (and fused) units, the Layout, the per-switch table generations
-// lanes bind their views at, the WireCodec and the flow-key builders — and
-// holds no executor of its own. The code is immutable; all mutable
-// execution state lives in Lanes.
+// Engine is the compiled tier of one deployment: one unit per switch with
+// a program, lowered and compiled into closures, all sharing a Layout. It is
+// also what packets are laid out by — the Layout, the WireCodec and the
+// flow-key builders. The code is immutable; all mutable execution state
+// lives in lanes. The engine's own lane pool and path cache make it
+// single-caller: one goroutine runs packets through it at a time, and
+// runBatch fans work out itself.
 type Engine struct {
-	dep         *Deployment
-	layout      *Layout
-	switchUnits map[string]*compiledUnit
-	units       []*compiledUnit // indexed by stateIdx; units[0] is ref
-	maxRegs     int
-	maxGates    int
+	dep      *Deployment
+	layout   *Layout
+	units    []*ccode // indexed by stateIdx
+	bySwitch map[string]*ccode
+	maxRegs  int
+	maxGates int
 
 	// tableGen counts control-plane mutations per unit (indexed by
 	// stateIdx). Deployment.SetSwitchEntry/ClearSwitchTable bump only the
 	// affected switch's counter; lanes lazily rebind that unit's table
-	// views on the next run instead of the whole engine being re-lowered.
+	// views on the next run instead of the whole engine being rebuilt.
 	tableGen []uint64
 
 	codec *WireCodec // lazily built bytes-native parse/serialize programs
+
+	lanes []*lane // the executor's lane pool, grown on demand
+
+	// One-entry resolved-path cache: a path is mapped to the units actually
+	// placed on it once, so the steady state pays no per-hop string-map
+	// lookups. Keyed by a copy of the path's switch names, so a caller may
+	// rewrite its slice in place between packets. Mutated only from the
+	// single-caller surface (runBatch resolves before its workers fan out,
+	// so workers never touch it).
+	pathKey   []string
+	pathUnits []*ccode
 }
 
-// NewEngine lowers a deployment into flat units (with the superinstruction
-// fusion pass applied). The lowered code is immutable: control-plane
-// mutations through the deployment bump per-switch table generations that
-// lanes pick up lazily, so an engine held directly stays valid across
-// SetSwitchEntry/ClearSwitchTable.
-func NewEngine(d *Deployment) (*Engine, error) {
-	return newEngine(d, true)
-}
-
-// newEngine is NewEngine with the fusion pass optional — the unfused
-// lowering, compiled through the same compileUnit, is the reference the
-// fusion pass is sweep-checked against.
-func newEngine(d *Deployment, fuse bool) (*Engine, error) {
+// newEngine lowers and compiles a deployment's placed programs. The code
+// is immutable: control-plane mutations through the deployment bump
+// per-switch table generations that lanes pick up lazily, so an engine
+// stays valid across SetSwitchEntry/ClearSwitchTable.
+func newEngine(d *Deployment) (*Engine, error) {
 	irp := d.Plan.Input.IR
-	lay := newLayout()
-	lay.seed(irp)
-	lo := &lowerer{irp: irp, lay: lay}
-
-	ref, err := lo.lowerReference()
-	if err != nil {
-		return nil, err
-	}
-	ref.stateIdx = 0
-	e := &Engine{
-		dep:         d,
-		layout:      lay,
-		switchUnits: map[string]*compiledUnit{},
-		units:       []*compiledUnit{ref},
-	}
+	e := &Engine{dep: d, layout: newLayout(), bySwitch: map[string]*ccode{}}
+	e.layout.seed(irp)
+	lo := &lowerer{irp: irp, lay: e.layout}
 	names := make([]string, 0, len(d.Programs))
 	for sw := range d.Programs {
 		names = append(names, sw)
 	}
 	sort.Strings(names)
-	for _, sw := range names {
+	lowered := make([]*compiledUnit, len(names))
+	for i, sw := range names {
 		u, err := lo.lowerSwitch(d.Programs[sw])
 		if err != nil {
 			return nil, err
 		}
-		u.stateIdx = len(e.units)
-		e.units = append(e.units, u)
-		e.switchUnits[sw] = u
+		lowered[i] = u
 	}
-	if fuse {
-		for _, u := range e.units {
-			fuseUnit(u)
-		}
+	// A closure binds its packed bits' slab positions, which move while
+	// any unit can still intern a slot, so every unit is lowered before
+	// the first one compiles.
+	for _, u := range lowered {
+		e.addUnit(u)
 	}
-	for _, u := range e.units {
-		if u.numRegs > e.maxRegs {
-			e.maxRegs = u.numRegs
-		}
-		if len(u.gates) > e.maxGates {
-			e.maxGates = len(u.gates)
-		}
-	}
-	e.tableGen = make([]uint64, len(e.units))
 	return e, nil
 }
 
-// invalidateTables marks one switch's control-plane contents changed (the
-// empty name marks the reference unit's tables). Existing lanes rebind
-// that unit's table views on their next run; the lowered code is untouched.
+// addUnit compiles one lowered unit into the engine, giving it the next
+// lane-state index.
+func (e *Engine) addUnit(u *compiledUnit) {
+	cu := compileUnit(u, e.layout)
+	cu.stateIdx = len(e.units)
+	e.units = append(e.units, cu)
+	e.bySwitch[u.name] = cu
+	e.tableGen = append(e.tableGen, 0)
+	e.maxRegs = max(e.maxRegs, u.numRegs)
+	e.maxGates = max(e.maxGates, len(u.gates))
+}
+
+// invalidateTables marks one switch's control-plane contents changed.
+// Existing lanes rebind that unit's table views on their next run; the
+// compiled code is untouched.
 func (e *Engine) invalidateTables(sw string) {
-	if sw == "" {
-		e.tableGen[0]++
-		return
-	}
-	if u := e.switchUnits[sw]; u != nil {
-		e.tableGen[u.stateIdx]++
+	if cu := e.bySwitch[sw]; cu != nil {
+		e.tableGen[cu.stateIdx]++
 	}
 }
 
@@ -291,11 +280,11 @@ func (e *Engine) Flatten(p *Packet) *FlatPacket {
 // NewFlatPacket returns an empty packet sized for this engine.
 func (e *Engine) NewFlatPacket() *FlatPacket { return e.layout.newFlat() }
 
-// Lane is one worker's execution state: a register arena sized for the
+// lane is one worker's execution state: a register arena sized for the
 // largest unit, shard-gate snapshots, and per-unit global arrays and table
 // views. Stateful programs evolve a lane's globals across packets exactly
 // like a deployment's globals evolve across RunPath calls.
-type Lane struct {
+type lane struct {
 	eng      *Engine
 	regs     []uint64
 	gateVals []uint64
@@ -304,11 +293,11 @@ type Lane struct {
 	tgen     []uint64 // table generation each unit's views were bound at
 }
 
-// NewLane allocates execution state bound to the deployment's current
+// newLane allocates execution state bound to the deployment's current
 // control-plane tables. Per-switch globals start zeroed, matching a fresh
 // deployment.
-func (e *Engine) NewLane() *Lane {
-	l := &Lane{
+func (e *Engine) newLane() *lane {
+	l := &lane{
 		eng:      e,
 		regs:     make([]uint64, e.maxRegs),
 		gateVals: make([]uint64, e.maxGates),
@@ -327,17 +316,12 @@ func (e *Engine) NewLane() *Lane {
 	return l
 }
 
-// bindTables (re)binds one unit's table views to the deployment's current
+// bindTables (re)binds one unit's table views to its switch's current
 // control-plane contents, discarding any copy-on-write clones. Called at
 // lane creation and lazily when the unit's table generation moves.
-func (l *Lane) bindTables(idx int) {
+func (l *lane) bindTables(idx int) {
 	e := l.eng
-	var src *Tables
-	if idx == 0 {
-		src = e.dep.tables
-	} else {
-		src = e.dep.shardTables[e.units[idx].name]
-	}
+	src := e.dep.shardTables[e.units[idx].u.name]
 	views := l.tables[idx]
 	for ei, name := range e.layout.externName {
 		views[ei] = tableView{}
@@ -353,7 +337,7 @@ func (l *Lane) bindTables(idx int) {
 // syncTables rebinds a unit's views if the deployment mutated that
 // switch's tables since the lane last ran it. One integer compare on the
 // hot path; the rebind itself happens only after a control-plane change.
-func (l *Lane) syncTables(idx int) {
+func (l *lane) syncTables(idx int) {
 	if l.tgen[idx] != l.eng.tableGen[idx] {
 		l.bindTables(idx)
 	}

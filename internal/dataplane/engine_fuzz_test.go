@@ -13,11 +13,9 @@ import (
 )
 
 // engineEquivalenceOneProgram compiles one generated program and asserts
-// that for every flow path and packet, the compiled backend produces
-// output byte-identical to the tree-walking interpreter — built from the
-// lowering with fusion disabled and from the fused, production one —
-// comparing both the full field/header maps (via DiffPackets) and the
-// packet-op summary.
+// that for every flow path and packet, the compiled tier produces output
+// byte-identical to the tree-walking interpreter, comparing both the full
+// field/header maps (via DiffPackets) and the packet-op summary.
 func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.Rand, nPkts int) {
 	t.Helper()
 	prog, err := parser.Parse("fuzz.lyra", []byte(src))
@@ -72,15 +70,6 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 			if err != nil {
 				t.Fatalf("interpreter: %v\n%s", err, src)
 			}
-			depU, err := NewDeployment(plan, tables)
-			if err != nil {
-				t.Fatalf("deployment: %v\n%s", err, src)
-			}
-			unfused := runUnfused(t, depU, path, ctx, pkt)
-			if diffs := DiffPackets(want, unfused, nil); len(diffs) > 0 || unfused.Summary() != want.Summary() {
-				t.Fatalf("unfused lowering diverges on path %v: %v\n  interp:  %s\n  unfused: %s\nsource:\n%s",
-					path, diffs, want.Summary(), unfused.Summary(), src)
-			}
 			depC, err := NewDeployment(plan, tables)
 			if err != nil {
 				t.Fatalf("deployment: %v\n%s", err, src)
@@ -99,8 +88,8 @@ func engineEquivalenceOneProgram(t *testing.T, src, scopeText string, rng *rand.
 
 // FuzzEngineEquivalence is the native fuzzing harness for the execution
 // tiers: each int64 seed expands into a random program via progGen, which
-// is compiled PER-SW and checked interpreter vs compiled backend (unfused
-// and fused lowering) on random packets.
+// is compiled PER-SW and checked interpreter vs compiled tier on random
+// packets.
 // Run with:
 //
 //	go test ./internal/dataplane -fuzz FuzzEngineEquivalence

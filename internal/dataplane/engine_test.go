@@ -25,78 +25,40 @@ func lbDeployment(t testing.TB) (*Deployment, *Tables, [][]string) {
 	return dep, tables, flowPaths(t, plan, "loadbalancer")
 }
 
-// unfusedCompiled lowers a deployment WITHOUT the superinstruction fusion
-// pass and compiles the result through the same compileUnit the production
-// path uses — the reference the fusion pass is checked against. Where this
-// agrees with the interpreter and Deployment.Compiled does not, the bug is
-// in fuseUnit or a superinstruction's closure; where both disagree, it is
-// in lowering or closure compilation proper.
-func unfusedCompiled(t testing.TB, dep *Deployment) *Compiled {
-	t.Helper()
-	eng, err := newEngine(dep, false)
-	if err != nil {
-		t.Fatalf("unfused lowering: %v", err)
-	}
-	return CompileEngine(eng)
-}
-
-// runUnfused executes a path on the unfused lowering: fresh lane, like
-// RunPathCompiled.
-func runUnfused(t testing.TB, dep *Deployment, path []string, ctx *Context, in *Packet) *Packet {
-	t.Helper()
-	c := unfusedCompiled(t, dep)
-	f := c.Flatten(in)
-	c.RunPacket(c.NewLane(), path, ctx, f)
-	return f.Packet()
-}
-
 // TestEngineMatchesInterpreterLB checks byte-identical output (full map
-// reconstruction, not just the summary) between RunPath and the unfused
-// lowering on the LB workload across every flow path;
-// TestCompiledMatchesInterpreterLB is the same sweep on the fused one.
+// reconstruction, not just the summary) between RunPath and the engine on
+// the LB workload across every flow path. Unlike
+// TestCompiledMatchesInterpreterLB, which takes a fresh lane per packet,
+// one lane and one reused FlatPacket serve the whole sweep, and the paths
+// alternate packet by packet, so a stale register, a stale table view or a
+// stale resolved-path cache entry carried from one run into the next shows.
 func TestEngineMatchesInterpreterLB(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
+	eng, err := dep.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane, f := eng.newLane(), eng.NewFlatPacket()
 	rng := rand.New(rand.NewSource(2))
 	ctx := &Context{SwitchID: 7, IngressTS: 1000, EgressTS: 1500, QueueLen: 3}
 	for i := 0; i < 50; i++ {
 		pkt := randomLBPacket(rng)
+		tmpl := eng.Flatten(pkt)
 		for _, path := range paths {
 			want, err := dep.RunPath(path, ctx, pkt)
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			got := runUnfused(t, dep, path, ctx, pkt)
+			f.CopyFrom(tmpl)
+			eng.runPacket(lane, path, ctx, f)
+			got := f.Packet()
 			if got.Summary() != want.Summary() {
-				t.Fatalf("packet %d path %v:\n  interp:  %s\n  unfused: %s",
+				t.Fatalf("packet %d path %v:\n  interp: %s\n  engine: %s",
 					i, path, want.Summary(), got.Summary())
 			}
 			if diffs := DiffPackets(want, got, nil); len(diffs) > 0 {
 				t.Fatalf("packet %d path %v diffs: %v", i, path, diffs)
 			}
-		}
-	}
-}
-
-// TestEngineReferenceMatchesInterpreter checks the unfused lowering's
-// reference unit against RunReference.
-func TestEngineReferenceMatchesInterpreter(t *testing.T) {
-	dep, tables, _ := lbDeployment(t)
-	comp := unfusedCompiled(t, dep)
-	irp := dep.Plan.Input.IR
-	rng := rand.New(rand.NewSource(3))
-	ctx := &Context{SwitchID: 1}
-	for i := 0; i < 50; i++ {
-		pkt := randomLBPacket(rng)
-		want, err := RunReference(irp, tables, ctx, pkt)
-		if err != nil {
-			t.Fatalf("reference: %v", err)
-		}
-		lane := comp.NewLane()
-		f := comp.Flatten(pkt)
-		comp.RunReference(lane, ctx, f)
-		got := f.Packet()
-		if got.Summary() != want.Summary() {
-			t.Fatalf("packet %d:\n  interp:  %s\n  unfused: %s", i, want.Summary(), got.Summary())
 		}
 	}
 }
@@ -127,14 +89,14 @@ func TestEngineTracedMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter traced: %v", err)
 			}
-			comp, err := depB.Compiled()
+			eng, err := depB.Engine()
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}
-			lane, f := comp.NewLane(), comp.Flatten(pkt)
+			lane, f := eng.newLane(), eng.Flatten(pkt)
 			var gotHops []HopSnapshot
 			for _, sw := range path {
-				comp.RunPacket(lane, []string{sw}, ctx, f)
+				eng.runPacket(lane, []string{sw}, ctx, f)
 				gotHops = append(gotHops, HopSnapshot{Switch: sw, Summary: f.Packet().Summary()})
 			}
 			if got := f.Packet(); got.Summary() != want.Summary() {
@@ -187,10 +149,12 @@ algorithm statealg {
 
 const statefulScope = `statealg: [ ToR3 | PER-SW | - ]`
 
-// TestEngineStatefulSequence runs a packet sequence through one lane of the
-// unfused lowering and through the interpreter on a fresh deployment each,
-// asserting identical evolution of register state, inserted entries, and
-// packet outputs (TestCompiledStatefulSequence: the fused lowering).
+// TestEngineStatefulSequence runs a packet sequence through the engine's
+// single-worker batches and through the interpreter on a fresh deployment
+// each, asserting identical evolution of register state, inserted entries,
+// and packet outputs. TestCompiledStatefulSequence feeds one lane packet by
+// packet; here the sequence is cut into batches of uneven size, so the
+// state must carry across runBatch calls on the engine's pooled lane.
 func TestEngineStatefulSequence(t *testing.T) {
 	plan, _ := compile(t, statefulSrc, statefulScope)
 	tables := NewTables()
@@ -200,30 +164,41 @@ func TestEngineStatefulSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depUnfused, err := NewDeployment(plan, tables)
+	depEng, err := NewDeployment(plan, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := unfusedCompiled(t, depUnfused)
-	lane := comp.NewLane()
+	eng, err := depEng.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := &Context{SwitchID: 3, QueueLen: 2}
 	rng := rand.New(rand.NewSource(11))
 	path := []string{"ToR3"}
-	for i := 0; i < 64; i++ {
-		pkt := NewPacket()
-		pkt.Valid["h"] = true
-		pkt.Fields["h.a"] = uint64(rng.Intn(8)) // collide often: counters advance
-		pkt.Fields["h.b"] = uint64(rng.Intn(4))
-		want, err := depInterp.RunPath(path, ctx, pkt)
-		if err != nil {
-			t.Fatalf("interpreter: %v", err)
+	i := 0
+	for _, size := range []int{1, 5, 2, 13, 3, 8, 32} { // 64 packets in all
+		var want []*Packet
+		batch := make([]*FlatPacket, size)
+		for j := range batch {
+			pkt := NewPacket()
+			pkt.Valid["h"] = true
+			pkt.Fields["h.a"] = uint64(rng.Intn(8)) // collide often: counters advance
+			pkt.Fields["h.b"] = uint64(rng.Intn(4))
+			w, err := depInterp.RunPath(path, ctx, pkt)
+			if err != nil {
+				t.Fatalf("interpreter: %v", err)
+			}
+			want = append(want, w)
+			batch[j] = eng.Flatten(pkt)
 		}
-		f := comp.Flatten(pkt)
-		comp.RunPacket(lane, path, ctx, f)
-		got := f.Packet()
-		if got.Summary() != want.Summary() {
-			t.Fatalf("packet %d diverges:\n  interp:  %s\n  unfused: %s", i, want.Summary(), got.Summary())
+		eng.runBatch(path, ctx, batch, 1)
+		for j, f := range batch {
+			if got := f.Packet(); got.Summary() != want[j].Summary() {
+				t.Fatalf("packet %d (batch of %d) diverges:\n  interp: %s\n  engine: %s",
+					i, size, want[j].Summary(), got.Summary())
+			}
+			i++
 		}
 	}
 }
@@ -238,18 +213,18 @@ func TestEngineInsertIsLaneLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := comp.NewLane()
+	lane := eng.newLane()
 	ctx := &Context{}
 	for i := 0; i < 4; i++ { // same key four times: crosses the c>2 insert threshold
 		pkt := NewPacket()
 		pkt.Valid["h"] = true
 		pkt.Fields["h.a"] = 5
-		f := comp.Flatten(pkt)
-		comp.RunPacket(lane, []string{"ToR3"}, ctx, f)
+		f := eng.Flatten(pkt)
+		eng.runPacket(lane, []string{"ToR3"}, ctx, f)
 	}
 	if st := dep.shardTables["ToR3"]; st != nil {
 		if _, hit := st.Lookup("seen_table", 5); hit {
@@ -257,12 +232,12 @@ func TestEngineInsertIsLaneLocal(t *testing.T) {
 		}
 	}
 	// And a second, fresh lane must not see the first lane's inserts.
-	lane2 := comp.NewLane()
+	lane2 := eng.newLane()
 	pkt := NewPacket()
 	pkt.Valid["h"] = true
 	pkt.Fields["h.a"] = 5
-	f := comp.Flatten(pkt)
-	comp.RunPacket(lane2, []string{"ToR3"}, ctx, f)
+	f := eng.Flatten(pkt)
+	eng.runPacket(lane2, []string{"ToR3"}, ctx, f)
 	got := f.Packet()
 	if got.Fields["h.out"] != 1 { // fresh counters, no seen_table hit
 		t.Fatalf("fresh lane saw another lane's state: h.out=%d, want 1", got.Fields["h.out"])
@@ -270,40 +245,38 @@ func TestEngineInsertIsLaneLocal(t *testing.T) {
 }
 
 // TestEngineInvalidatedOnTableMutation: SetSwitchEntry must invalidate the
-// mutated switch's lowered table state — without dropping the engine or the
-// compiled backend. The lowered code never depends on table contents, so
-// both (and any lanes bound to them) survive the mutation; only the affected switch's
-// table generation bumps, and lanes rebind that switch's views on their
-// next run through it.
+// mutated switch's table state without dropping the engine. The compiled
+// code never depends on table contents, so it (and any lanes bound to it)
+// survives the mutation; only the affected switch's table generation
+// bumps, and lanes rebind that switch's views on their next run through it.
 func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	comp, err := dep.Compiled()
+	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := comp.Engine()
 	if dep.engine == nil || dep.externKeys == nil {
 		t.Fatal("expected caches to be populated")
 	}
 	tor := paths[0][len(paths[0])-1]
-	gen := eng.tableGen[eng.switchUnits[tor].stateIdx]
+	gen := eng.tableGen[eng.bySwitch[tor].stateIdx]
 	// A lane that has already executed the switch holds stale views.
-	lane := comp.NewLane()
+	lane := eng.newLane()
 	warm := NewPacket()
 	warm.Valid["ipv4"] = true
 	warm.Valid["tcp"] = true
 	warm.Fields["ipv4.dstAddr"] = 99
 	warm.Fields["ipv4.protocol"] = 6
-	comp.RunPacket(lane, paths[0], &Context{SwitchID: 1}, comp.Flatten(warm))
+	eng.runPacket(lane, paths[0], &Context{SwitchID: 1}, eng.Flatten(warm))
 
 	dep.SetSwitchEntry(tor, "vip_table", 99, 0xdead)
-	if dep.engine != eng || dep.compiled != comp {
+	if dep.engine != eng {
 		t.Fatal("SetSwitchEntry dropped the cached engine; expected a generation bump instead")
 	}
 	if dep.externKeys == nil {
 		t.Fatal("SetSwitchEntry dropped extern metadata; it does not depend on table contents")
 	}
-	if got := eng.tableGen[eng.switchUnits[tor].stateIdx]; got != gen+1 {
+	if got := eng.tableGen[eng.bySwitch[tor].stateIdx]; got != gen+1 {
 		t.Fatalf("mutated switch generation = %d, want %d", got, gen+1)
 	}
 
@@ -325,24 +298,24 @@ func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 		t.Fatalf("post-mutation divergence:\n  interp:   %s\n  compiled: %s", want.Summary(), got.Summary())
 	}
 	// The pre-existing lane must also observe the new entry (lazy rebind).
-	f := comp.Flatten(pkt.Clone())
-	comp.RunPacket(lane, paths[0], ctx, f)
+	f := eng.Flatten(pkt.Clone())
+	eng.runPacket(lane, paths[0], ctx, f)
 	if laneGot := f.Packet(); laneGot.Summary() != want.Summary() {
 		t.Fatalf("stale lane after mutation:\n  interp: %s\n  lane:   %s", want.Summary(), laneGot.Summary())
 	}
 
 	// Mutating one switch must not touch the others' generations.
 	other := ""
-	for sw, u := range eng.switchUnits {
-		if sw != tor && u != nil {
+	for sw := range eng.bySwitch {
+		if sw != tor {
 			other = sw
 			break
 		}
 	}
 	if other != "" {
-		before := eng.tableGen[eng.switchUnits[other].stateIdx]
+		before := eng.tableGen[eng.bySwitch[other].stateIdx]
 		dep.SetSwitchEntry(tor, "vip_table", 100, 0xbeef)
-		if after := eng.tableGen[eng.switchUnits[other].stateIdx]; after != before {
+		if after := eng.tableGen[eng.bySwitch[other].stateIdx]; after != before {
 			t.Fatalf("unrelated switch generation moved: %d -> %d", before, after)
 		}
 	}
@@ -353,30 +326,44 @@ func TestEngineInvalidatedOnTableMutation(t *testing.T) {
 	}
 }
 
-// TestEngineRunBatchMatchesSequential: batched, sharded replay of the
-// unfused lowering must produce the same per-packet outputs as its
-// single-worker run for a stateless workload, at every worker count.
+// TestEngineRunBatchMatchesSequential: batched, sharded replay must
+// produce, on every flow path and at every worker count, the same
+// per-packet outputs as running each packet alone on a fresh lane.
+// TestCompiledRunBatchMatchesSequential compares worker counts on one path
+// with each other; this pins every batch to the one-packet runs.
 func TestEngineRunBatchMatchesSequential(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	comp := unfusedCompiled(t, dep)
-	ctx := &Context{SwitchID: 2}
-	const n = 256
-	mk := func() []*FlatPacket {
-		r := rand.New(rand.NewSource(5))
-		out := make([]*FlatPacket, n)
-		for i := range out {
-			out[i] = comp.Flatten(randomLBPacket(r))
-		}
-		return out
+	eng, err := dep.Engine()
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := mk()
-	comp.RunBatch(paths[0], ctx, base, 1)
-	for _, workers := range []int{2, 4, 7} {
-		got := mk()
-		comp.RunBatch(paths[0], ctx, got, workers)
-		for i := range got {
-			if got[i].Packet().Summary() != base[i].Packet().Summary() {
-				t.Fatalf("workers=%d packet %d diverges from sequential", workers, i)
+	ctx := &Context{SwitchID: 2}
+	const n = 96
+	r := rand.New(rand.NewSource(5))
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = randomLBPacket(r)
+	}
+	for _, path := range paths {
+		want := make([]string, n)
+		for i, pkt := range pkts {
+			got, err := dep.RunPathCompiled(path, ctx, pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = got.Summary()
+		}
+		for _, workers := range []int{1, 3, 8} {
+			batch := make([]*FlatPacket, n)
+			for i, pkt := range pkts {
+				batch[i] = eng.Flatten(pkt)
+			}
+			eng.runBatch(path, ctx, batch, workers)
+			for i, f := range batch {
+				if got := f.Packet().Summary(); got != want[i] {
+					t.Fatalf("path %v workers=%d packet %d:\n  alone: %s\n  batch: %s",
+						path, workers, i, want[i], got)
+				}
 			}
 		}
 	}

@@ -221,17 +221,15 @@ type Deployment struct {
 	globals     map[string]globalStore
 	tables      *Tables
 
-	// Derived state cached at construction: the lowered engine and the
-	// compiled backend, the per-tier executors, each extern's sorted
-	// entry keys, and each extern's hosting switches in shard-index order.
-	// Control-plane mutations (SetSwitchEntry/ClearSwitchTable) no longer
-	// drop any of this: the lowered/compiled code is content-independent,
-	// so mutations only bump the affected switch's table generation on the
-	// engine and lanes rebind that one switch's views lazily. The extern
-	// metadata derives from the construction-time tables and the plan,
-	// which those calls never touch.
+	// Derived state cached at construction: the compiled engine, the
+	// per-tier executors, each extern's sorted entry keys, and each
+	// extern's hosting switches in shard-index order. Control-plane
+	// mutations (SetSwitchEntry/ClearSwitchTable) drop none of this: the
+	// compiled code is content-independent, so mutations only bump the
+	// affected switch's table generation on the engine and lanes rebind
+	// that one switch's views lazily. The extern metadata derives from the
+	// construction-time tables and the plan, which those calls never touch.
 	engine      *Engine
-	compiled    *Compiled
 	execs       [2]Executor
 	externKeys  map[string][]uint64
 	externHosts map[string][]string
@@ -396,22 +394,15 @@ func NewDeployment(plan *encode.Plan, tables *Tables) (*Deployment, error) {
 // RunPath pushes a packet along a flow path through the deployed network,
 // executing each switch's placed program and carrying bridge variables
 // between hops. The ctx applies identically at every hop so results are
-// comparable with RunReference.
+// comparable with RunReference; a caller wanting per-device metadata runs
+// the path one hop at a time.
 func (d *Deployment) RunPath(path []string, ctx *Context, in *Packet) (*Packet, error) {
-	return d.RunPathWithContexts(path, func(string) *Context { return ctx }, in)
-}
-
-// RunPathWithContexts is RunPath with a per-switch environment: each hop
-// sees its own switch id, timestamps, and queue state, the way real INT
-// metadata differs per device.
-func (d *Deployment) RunPathWithContexts(path []string, ctxOf func(sw string) *Context, in *Packet) (*Packet, error) {
 	pkt := in.Clone()
 	irp := d.Plan.Input.IR
+	if ctx == nil {
+		ctx = &Context{}
+	}
 	for _, sw := range path {
-		ctx := ctxOf(sw)
-		if ctx == nil {
-			ctx = &Context{}
-		}
 		sp := d.Programs[sw]
 		if sp == nil {
 			continue // transit switch with nothing deployed
@@ -467,8 +458,8 @@ func (d *Deployment) RunPathWithContexts(path []string, ctxOf func(sw string) *C
 // tables differently per switch (e.g. the INT sink filter is populated
 // only on egress ToRs, Figure 1). Only the affected switch's lowered
 // table state is invalidated (a per-switch generation bump; lanes rebind
-// that switch's views lazily) — the engine and compiled backend are never
-// re-lowered for a table mutation.
+// that switch's views lazily) — the engine is never rebuilt for a table
+// mutation.
 func (d *Deployment) SetSwitchEntry(sw, extern string, key, value uint64) {
 	if d.shardTables[sw] == nil {
 		d.shardTables[sw] = NewTables()
@@ -490,13 +481,13 @@ func (d *Deployment) ClearSwitchTable(sw, extern string) {
 	}
 }
 
-// Engine returns the deployment's lowered form, lowering the placed
-// programs on first use. The engine survives control-plane mutations:
-// SetSwitchEntry/ClearSwitchTable bump only the affected switch's table
-// generation.
+// Engine returns the deployment's compiled tier, lowering and compiling
+// the placed programs on first use. The engine survives control-plane
+// mutations: SetSwitchEntry/ClearSwitchTable bump only the affected
+// switch's table generation.
 func (d *Deployment) Engine() (*Engine, error) {
 	if d.engine == nil {
-		e, err := NewEngine(d)
+		e, err := newEngine(d)
 		if err != nil {
 			return nil, err
 		}
@@ -505,31 +496,17 @@ func (d *Deployment) Engine() (*Engine, error) {
 	return d.engine, nil
 }
 
-// Compiled returns the deployment's closure-threaded compiled backend,
-// translating the engine's lowered units on first use. Like the engine it
-// survives control-plane mutations.
-func (d *Deployment) Compiled() (*Compiled, error) {
-	if d.compiled == nil {
-		e, err := d.Engine()
-		if err != nil {
-			return nil, err
-		}
-		d.compiled = CompileEngine(e)
-	}
-	return d.compiled, nil
-}
-
 // RunPathCompiled is RunPath executed on the closure-threaded compiled
-// backend: a fresh lane (zeroed per-switch globals, copy-on-write table
-// views bound to the deployment's current shard contents) pushes the packet
-// along the path. Given identical starting state it is byte-identical to
-// RunPath; the interpreter remains the oracle it is checked against.
+// tier: a fresh lane (zeroed per-switch globals, copy-on-write table views
+// bound to the deployment's current shard contents) pushes the packet along
+// the path. Given identical starting state it is byte-identical to RunPath;
+// the interpreter remains the oracle it is checked against.
 func (d *Deployment) RunPathCompiled(path []string, ctx *Context, in *Packet) (*Packet, error) {
-	c, err := d.Compiled()
+	e, err := d.Engine()
 	if err != nil {
 		return nil, err
 	}
-	f := c.eng.Flatten(in)
-	c.RunPacket(c.eng.NewLane(), path, ctx, f)
+	f := e.Flatten(in)
+	e.runPacket(e.newLane(), path, ctx, f)
 	return f.Packet(), nil
 }

@@ -36,43 +36,25 @@ func (t ExecutorTier) String() string {
 	return fmt.Sprintf("tier(%d)", int(t))
 }
 
-// ExecutorStats counts work done through one executor since construction.
-type ExecutorStats struct {
-	Tier    string `json:"tier"`
-	Packets uint64 `json:"packets"`
-	Batches uint64 `json:"batches"`
-}
-
 // Executor runs packets through one execution tier of a deployment. Like
-// the backend it wraps, an Executor is single-caller: one goroutine calls
+// the engine it wraps, an Executor is single-caller: one goroutine calls
 // RunPacket/RunBatch at a time (RunBatch fans out internally).
 type Executor interface {
-	// Tier identifies the backend.
-	Tier() ExecutorTier
 	// RunPacket pushes one packet along a flow path, mutating it in place.
 	RunPacket(path []string, ctx *Context, f *FlatPacket) error
 	// RunBatch replays a batch along a path across up to workers lanes
 	// (workers <= 0 means all CPUs; the interpreter tier runs sequentially
 	// regardless). Packets are mutated in place.
 	RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) error
-	// Stats reports packets and batches executed through this executor.
-	Stats() ExecutorStats
 }
 
 // interpExecutor adapts the tree-walking interpreter to the Executor
 // interface: packets convert to maps at the boundary, and the deployment's
 // persistent per-switch globals carry state across packets (the compiled
 // tier keeps that state in lanes instead).
-type interpExecutor struct {
-	d       *Deployment
-	packets uint64
-	batches uint64
-}
-
-func (x *interpExecutor) Tier() ExecutorTier { return TierInterpreter }
+type interpExecutor struct{ d *Deployment }
 
 func (x *interpExecutor) RunPacket(path []string, ctx *Context, f *FlatPacket) error {
-	x.packets++
 	out, err := x.d.RunPath(path, ctx, f.Packet())
 	if err != nil {
 		return err
@@ -82,61 +64,39 @@ func (x *interpExecutor) RunPacket(path []string, ctx *Context, f *FlatPacket) e
 }
 
 func (x *interpExecutor) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) error {
-	x.batches++
 	for _, f := range pkts {
-		x.packets++
-		out, err := x.d.RunPath(path, ctx, f.Packet())
-		if err != nil {
+		if err := x.RunPacket(path, ctx, f); err != nil {
 			return err
 		}
-		f.load(out)
 	}
 	return nil
 }
 
-func (x *interpExecutor) Stats() ExecutorStats {
-	return ExecutorStats{Tier: TierInterpreter.String(), Packets: x.packets, Batches: x.batches}
-}
-
-// compiledExecutor adapts the closure-threaded compiled backend.
-// Single-packet runs share lane 0 with single-worker batches, so stateful
-// programs see one continuous stream.
-type compiledExecutor struct {
-	c       *Compiled
-	packets uint64
-	batches uint64
-}
-
-func (x *compiledExecutor) Tier() ExecutorTier { return TierCompiled }
+// compiledExecutor adapts the closure-threaded compiled tier. Single-packet
+// runs share lane 0 with single-worker batches, so stateful programs see
+// one continuous stream.
+type compiledExecutor struct{ e *Engine }
 
 func (x *compiledExecutor) RunPacket(path []string, ctx *Context, f *FlatPacket) error {
-	if err := x.c.eng.owns(f); err != nil {
+	if err := x.e.owns(f); err != nil {
 		return err
 	}
-	x.packets++
-	x.c.ensureLanes(1)
-	x.c.RunPacket(x.c.lanes[0], path, ctx, f)
+	x.e.ensureLanes(1)
+	x.e.runPacket(x.e.lanes[0], path, ctx, f)
 	return nil
 }
 
 func (x *compiledExecutor) RunBatch(path []string, ctx *Context, pkts []*FlatPacket, workers int) error {
-	if err := x.c.eng.owns(pkts...); err != nil {
+	if err := x.e.owns(pkts...); err != nil {
 		return err
 	}
-	x.packets += uint64(len(pkts))
-	x.batches++
-	x.c.RunBatch(path, ctx, pkts, workers)
+	x.e.runBatch(path, ctx, pkts, workers)
 	return nil
-}
-
-func (x *compiledExecutor) Stats() ExecutorStats {
-	return ExecutorStats{Tier: TierCompiled.String(), Packets: x.packets, Batches: x.batches}
 }
 
 // ExecutorFor returns the given tier's executor for this deployment,
 // building and caching it on first use. Both tiers share the engine's
-// Layout, so FlatPackets flow between them freely; stats accumulate per
-// tier for the deployment's lifetime.
+// Layout, so FlatPackets flow between them freely.
 func (d *Deployment) ExecutorFor(t ExecutorTier) (Executor, error) {
 	if int(t) < 0 || int(t) >= len(d.execs) {
 		return nil, fmt.Errorf("dataplane: unknown executor tier %v", t)
@@ -149,11 +109,11 @@ func (d *Deployment) ExecutorFor(t ExecutorTier) (Executor, error) {
 	case TierInterpreter:
 		x = &interpExecutor{d: d}
 	case TierCompiled:
-		c, err := d.Compiled()
+		e, err := d.Engine()
 		if err != nil {
 			return nil, err
 		}
-		x = &compiledExecutor{c: c}
+		x = &compiledExecutor{e: e}
 	}
 	d.execs[t] = x
 	return x, nil

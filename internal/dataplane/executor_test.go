@@ -35,9 +35,6 @@ func TestExecutorTiersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tier, err)
 		}
-		if x.Tier() != tier {
-			t.Fatalf("ExecutorFor(%v) reports tier %v", tier, x.Tier())
-		}
 		execs[tier] = x
 		// Each deployment's engine flattens its own packets (executors
 		// reject packets from a foreign layout).
@@ -204,8 +201,16 @@ func TestTiersAgreeOnHeaderRemoval(t *testing.T) {
 	}
 }
 
-// TestExecutorSelection: ExecutorFor hands out the tier asked for, and each
-// tier's stats count only what ran through it.
+// tierOf names the tier an executor runs on.
+func tierOf(x Executor) ExecutorTier {
+	if _, ok := x.(*compiledExecutor); ok {
+		return TierCompiled
+	}
+	return TierInterpreter
+}
+
+// TestExecutorSelection: ExecutorFor hands out the tier asked for, and
+// each tier's executor runs a batch.
 func TestExecutorSelection(t *testing.T) {
 	plan, _ := compile(t, lbSrc, lbScope)
 	dep, err := NewDeployment(plan, NewTables())
@@ -222,8 +227,8 @@ func TestExecutorSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x.Tier() != tier {
-			t.Fatalf("ExecutorFor(%v) selected %v", tier, x.Tier())
+		if got := tierOf(x); got != tier {
+			t.Fatalf("ExecutorFor(%v) selected %v", tier, got)
 		}
 		rng := rand.New(rand.NewSource(15))
 		pkts := make([]*FlatPacket, 8)
@@ -233,13 +238,6 @@ func TestExecutorSelection(t *testing.T) {
 		if err := x.RunBatch(paths[0], &Context{SwitchID: 1}, pkts, 1); err != nil {
 			t.Fatal(err)
 		}
-		st := x.Stats()
-		if st.Tier != tier.String() {
-			t.Fatalf("stats tier = %q, want %q", st.Tier, tier.String())
-		}
-		if st.Packets != 8 || st.Batches != 1 {
-			t.Fatalf("%v stats = %+v, want 8 packets / 1 batch", tier, st)
-		}
 	}
 
 	if _, err := dep.ExecutorFor(ExecutorTier(42)); err == nil {
@@ -247,34 +245,30 @@ func TestExecutorSelection(t *testing.T) {
 	}
 }
 
-// TestExecutorCachedPerTier: repeated Executor calls return the same
-// instance, so stats accumulate across calls.
+// TestExecutorCachedPerTier: repeated ExecutorFor calls return the same
+// instance per tier.
 func TestExecutorCachedPerTier(t *testing.T) {
 	dep, _, paths := lbDeployment(t)
-	x1, err := dep.ExecutorFor(TierCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := dep.ExecutorFor(TierCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x1 != x2 {
-		t.Fatal("ExecutorFor rebuilt an executor instead of returning the cache")
-	}
 	eng, err := dep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(16))
-	f := eng.Flatten(randomLBPacket(rng))
-	for i := 0; i < 3; i++ {
+	for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
+		x1, err := dep.ExecutorFor(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := eng.Flatten(randomLBPacket(rand.New(rand.NewSource(16))))
 		if err := x1.RunPacket(paths[0], &Context{}, f); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := x2.Stats(); st.Packets != 3 {
-		t.Fatalf("stats did not accumulate across the cached instance: %+v", st)
+		x2, err := dep.ExecutorFor(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x1 != x2 {
+			t.Fatalf("ExecutorFor(%v) rebuilt an executor instead of returning the cache", tier)
+		}
 	}
 }
 
@@ -305,8 +299,8 @@ func TestExecutorForInvalidTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Tier() != TierCompiled {
-		t.Fatalf("deployment damaged by invalid-tier probes: tier = %v", x.Tier())
+	if got := tierOf(x); got != TierCompiled {
+		t.Fatalf("deployment damaged by invalid-tier probes: tier = %v", got)
 	}
 }
 
@@ -371,9 +365,6 @@ func TestExecutorObservesTableMutationsMidReplay(t *testing.T) {
 		if got := runDst(); got != 5 {
 			t.Fatalf("%v: mid-replay ClearSwitchTable not observed: dstAddr = %#x, want 5", tier, got)
 		}
-		if st := x.Stats(); st.Packets != 3 {
-			t.Fatalf("%v: stats = %+v, want 3 packets", tier, st)
-		}
 	}
 }
 
@@ -426,9 +417,6 @@ func TestBatchRejectsForeignPacketAtAnyIndex(t *testing.T) {
 	pkts, before := mixed()
 	if err := x.RunBatch(paths[0], &Context{SwitchID: 1}, pkts, 1); !errors.Is(err, errForeignLayout) {
 		t.Fatalf("RunBatch with a foreign packet at index 1: err = %v, want %v", err, errForeignLayout)
-	}
-	if st := x.Stats(); st.Packets != 0 || st.Batches != 0 {
-		t.Fatalf("rejected batch was counted: %+v", st)
 	}
 	if after := pkts[0].Packet().Summary(); after != before {
 		t.Fatalf("rejected batch ran its first packet:\n  before: %s\n  after:  %s", before, after)

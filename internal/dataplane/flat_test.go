@@ -24,10 +24,12 @@ func bitLayout(nf, nv, nb int) *Layout {
 	return lay
 }
 
-// engineOn is an engine over lay whose reference unit is u.
+// engineOn is an engine over lay whose one switch unit is u, compiled
+// against lay as it stands.
 func engineOn(lay *Layout, u *compiledUnit) *Engine {
-	return &Engine{dep: &Deployment{}, layout: lay, units: []*compiledUnit{u},
-		maxRegs: u.numRegs, tableGen: make([]uint64, 1)}
+	e := &Engine{dep: &Deployment{}, layout: lay, bySwitch: map[string]*ccode{}}
+	e.addUnit(u)
+	return e
 }
 
 // onesIn counts the bits set anywhere in a packet's slab.
@@ -88,8 +90,8 @@ func TestFlatPacketBitsAtWordBoundaries(t *testing.T) {
 			// Each compiled write runs alone on an empty packet; what it
 			// leaves must be its own key and nothing else.
 			run := func(u *compiledUnit, f *FlatPacket) *Packet {
-				c := CompileEngine(engineOn(lay, u))
-				c.RunReference(c.NewLane(), nil, f)
+				e := engineOn(lay, u)
+				runUnit(e.newLane(), e.units[0], &zeroCtx, f)
 				return f.Packet()
 			}
 			zero := opRef{kind: oConst}

@@ -131,12 +131,12 @@ algorithm stamp {
 		t.Fatal(err)
 	}
 	ids := map[string]uint64{"ToR3": 33, "Agg3": 77, "ToR4": 44}
-	pkt := NewPacket()
-	pkt.Valid["h"] = true
-	out, err := dep.RunPathWithContexts([]string{"ToR3", "Agg3", "ToR4"},
-		func(sw string) *Context { return &Context{SwitchID: ids[sw]} }, pkt)
-	if err != nil {
-		t.Fatal(err)
+	out := NewPacket()
+	out.Valid["h"] = true
+	for _, sw := range []string{"ToR3", "Agg3", "ToR4"} {
+		if out, err = dep.RunPath([]string{sw}, &Context{SwitchID: ids[sw]}, out); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if out.Fields["md.switch_id"] != 44 {
 		t.Errorf("switch_id = %d, want the egress ToR4's 44", out.Fields["md.switch_id"])

@@ -1,12 +1,11 @@
 package dataplane
 
-// This file is the lowering pass: it flattens the tree-walking
-// interpreter's inputs — an ir.Program for the reference one-big-pipeline
-// semantics, and each placed backend.SwitchProgram for the distributed
-// execution — into linear instruction arrays over dense integer slots. The
+// This file is the lowering pass: it flattens each placed
+// backend.SwitchProgram — the inputs the tree-walking interpreter runs hop
+// by hop — into a linear instruction array over dense integer slots. The
 // closures compile.go builds from them then never touch a map, a string
-// key, or a *ir.Var pointer: SSA variables become register indices
-// (ir.SlotMap), header fields and validity bits become packet-array
+// key, or a *ir.Var pointer: SSA variables become register indices in
+// first-use order, header fields and validity bits become packet-array
 // offsets, extern tables and global register arrays become handle indices,
 // guards become precomputed (register, polarity) ranges, and the shard
 // hit-gating of Algorithm 2 becomes a per-instruction gate index resolved
@@ -41,14 +40,6 @@ const (
 	bGlobalRead
 	bGlobalWrite
 	bInsert
-
-	// Superinstructions (peephole-fused hot pairs, see fuseUnit). Each
-	// performs both component stores in original order, so fusion is
-	// semantics-preserving even when later code reads the intermediate
-	// register.
-	bHashLookup // bHash feeding a bLookup keyed on the hash result
-	bHashMember // bHash feeding a bMember keyed on the hash result
-	bBinSelect  // bBin feeding a bSelect conditioned on the bin result
 )
 
 // Destination kinds.
@@ -126,14 +117,8 @@ type binstr struct {
 	gate     int32  // shard-gate index, -1 when ungated
 	guardOff int32
 	guardEnd int32
-	argsOff  int32 // bHash operands in unit.args; fused select operands
+	argsOff  int32 // bHash operands in unit.args
 	argsEnd  int32
-
-	// Second destination of a fused superinstruction (the downstream
-	// instruction's store). dNone for plain opcodes.
-	dest2     int32
-	dest2Kind uint8
-	dest2Mask uint64
 }
 
 // globalSpec is a lowered global register array: its declared length and
@@ -282,18 +267,16 @@ func (l *Layout) seed(irp *ir.Program) {
 	}
 }
 
-// compiledUnit is one lowered instruction stream: the whole-program
-// reference pipeline, or one switch's placed program.
+// compiledUnit is one switch's placed program, lowered.
 type compiledUnit struct {
-	name     string // "" for the reference unit, else the switch
-	stateIdx int    // lane state (globals + table views) this unit runs on
-	numRegs  int
-	code     []binstr
-	guards   []guardRef
-	args     []opRef
-	imports  []bridgeMove
-	exports  []bridgeMove
-	gates    []int32 // gate index -> register slot of the bridged hit var
+	name    string // the switch
+	numRegs int
+	code    []binstr
+	guards  []guardRef
+	args    []opRef
+	imports []bridgeMove
+	exports []bridgeMove
+	gates   []int32 // gate index -> register slot of the bridged hit var
 }
 
 // bridgeMove copies one variable between the bridge header and a register.
@@ -322,10 +305,10 @@ func (lo *lowerer) opref(o ir.Operand, slot func(*ir.Var) int32) opRef {
 }
 
 // lowerInstrs appends the lowered form of one IR instruction stream to u.
-// gateOf resolves an instruction ID to its shard-gate index (-1 ungated);
-// nil means no gating (the reference pipeline).
+// gateOf maps an instruction ID to its shard-gate index; instructions it
+// does not name run ungated.
 func (lo *lowerer) lowerInstrs(u *compiledUnit, instrs []*ir.Instr,
-	slot func(*ir.Var) int32, gateOf func(id int) int32) error {
+	slot func(*ir.Var) int32, gateOf map[int]int32) error {
 	for _, in := range instrs {
 		b := binstr{gate: -1, guardOff: int32(len(u.guards)), argsOff: int32(len(u.args))}
 		for _, g := range in.Guard {
@@ -333,8 +316,8 @@ func (lo *lowerer) lowerInstrs(u *compiledUnit, instrs []*ir.Instr,
 		}
 		b.guardEnd = int32(len(u.guards))
 		b.argsEnd = b.argsOff
-		if gateOf != nil {
-			b.gate = gateOf(in.ID)
+		if gi, ok := gateOf[in.ID]; ok {
+			b.gate = gi
 		}
 		// Destination (IHash computes its own width below; the store mask
 		// is independent of it, mirroring execEnv.store).
@@ -445,39 +428,20 @@ func (lo *lowerer) lowerInstrs(u *compiledUnit, instrs []*ir.Instr,
 	return nil
 }
 
-// lowerReference flattens the whole program's one-big-pipeline semantics
-// into a single unit. Each (pipeline, algorithm) occurrence gets its own
-// register segment, mirroring the fresh environment RunReference gives
-// every algorithm run; the segments share one register file that is zeroed
-// once per packet.
-func (lo *lowerer) lowerReference() (*compiledUnit, error) {
-	u := &compiledUnit{}
-	base := 0
-	for _, pl := range lo.irp.Pipelines {
-		for _, algName := range pl.Algorithms {
-			a := lo.irp.Algorithm(algName)
-			if a == nil {
-				return nil, fmt.Errorf("dataplane: pipeline references unknown algorithm %q", algName)
-			}
-			m := ir.NewSlotMap()
-			slot := func(v *ir.Var) int32 { return int32(base + m.Add(v)) }
-			if err := lo.lowerInstrs(u, a.Instrs, slot, nil); err != nil {
-				return nil, err
-			}
-			base += m.Len()
-		}
-	}
-	u.numRegs = base
-	return u, nil
-}
-
 // lowerSwitch flattens one switch's placed program: imports load bridge
 // slots into registers, shard hit-gates are snapshotted from the imported
 // registers, and exports copy registers back into the bridge.
 func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error) {
 	u := &compiledUnit{name: sp.Switch}
-	m := ir.NewSlotMap()
-	slot := func(v *ir.Var) int32 { return int32(m.Add(v)) }
+	regs := map[*ir.Var]int32{}
+	slot := func(v *ir.Var) int32 {
+		r, ok := regs[v]
+		if !ok {
+			r = int32(len(regs))
+			regs[v] = r
+		}
+		return r
+	}
 
 	for _, bv := range sp.Imports {
 		u.imports = append(u.imports, bridgeMove{
@@ -508,14 +472,8 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 			instrGate[ti.ID] = gi
 		}
 	}
-	gateOf := func(id int) int32 {
-		if gi, ok := instrGate[id]; ok {
-			return gi
-		}
-		return -1
-	}
 
-	if err := lo.lowerInstrs(u, sp.Instrs, slot, gateOf); err != nil {
+	if err := lo.lowerInstrs(u, sp.Instrs, slot, instrGate); err != nil {
 		return nil, err
 	}
 
@@ -525,87 +483,6 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 			slot: int32(lo.lay.ensureBridge(backend.BridgeFieldName(bv.Alg, bv.Var))),
 		})
 	}
-	u.numRegs = m.Len()
+	u.numRegs = len(regs)
 	return u, nil
-}
-
-// sameGuardsAndGate reports whether two instructions run under identical
-// conditions: the same shard gate and the same guard conjunct list.
-func sameGuardsAndGate(u *compiledUnit, a, b *binstr) bool {
-	if a.gate != b.gate || a.guardEnd-a.guardOff != b.guardEnd-b.guardOff {
-		return false
-	}
-	ga := u.guards[a.guardOff:a.guardEnd]
-	gb := u.guards[b.guardOff:b.guardEnd]
-	for i := range ga {
-		if ga[i] != gb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// guardReadsReg reports whether an instruction's guard tests the register.
-func guardReadsReg(u *compiledUnit, in *binstr, reg int32) bool {
-	for _, g := range u.guards[in.guardOff:in.guardEnd] {
-		if g.reg == reg {
-			return true
-		}
-	}
-	return false
-}
-
-// fuseUnit is the peephole superinstruction pass. It fuses adjacent pairs
-// that run under identical guards and gates where the second instruction is
-// keyed on the first's register result:
-//
-//	hash → lookup  becomes bHashLookup
-//	hash → member  becomes bHashMember
-//	bin  → select  becomes bBinSelect (compare→branch in this guard-based IR)
-//
-// The fused opcode performs both stores in original order (the intermediate
-// register is still written), so fusion never changes observable state.
-// Fusion requires the pair's shared guard not to test the intermediate
-// register: unfused, the second guard is re-evaluated after the first
-// store, and a guard over the clobbered register could flip between the
-// two evaluations.
-func fuseUnit(u *compiledUnit) {
-	fused := u.code[:0:0]
-	for i := 0; i < len(u.code); i++ {
-		in := u.code[i]
-		if i+1 < len(u.code) && in.destKind == dReg {
-			nx := &u.code[i+1]
-			if sameGuardsAndGate(u, &in, nx) && !guardReadsReg(u, nx, in.dest) {
-				switch {
-				case in.op == bHash && (nx.op == bLookup || nx.op == bMember) &&
-					nx.a.kind == oReg && nx.a.idx == in.dest:
-					if nx.op == bLookup {
-						in.op = bHashLookup
-					} else {
-						in.op = bHashMember
-					}
-					in.table = nx.table
-					in.dest2, in.dest2Kind, in.dest2Mask = nx.dest, nx.destKind, nx.destMask
-					fused = append(fused, in)
-					i++
-					continue
-				case in.op == bBin && nx.op == bSelect &&
-					nx.a.kind == oReg && nx.a.idx == in.dest:
-					// The select's true/false operands ride in the unit's
-					// flat args array (the bBin slot pair a/b stays the
-					// comparison's operands).
-					in.op = bBinSelect
-					in.argsOff = int32(len(u.args))
-					u.args = append(u.args, nx.b, nx.c)
-					in.argsEnd = int32(len(u.args))
-					in.dest2, in.dest2Kind, in.dest2Mask = nx.dest, nx.destKind, nx.destMask
-					fused = append(fused, in)
-					i++
-					continue
-				}
-			}
-		}
-		fused = append(fused, in)
-	}
-	u.code = fused
 }

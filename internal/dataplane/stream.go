@@ -85,12 +85,11 @@ type Stream struct {
 	d     *Deployment
 	tier  ExecutorTier
 	eng   *Engine
-	comp  *Compiled
 	units []*ccode // compiled tier: path units resolved once at open
 	path  []string
 	ctx   *Context
 
-	lanes   []*Lane
+	lanes   []*lane
 	pend    [][]*FlatPacket
 	flowKey func(*FlatPacket) uint64
 	batch   int
@@ -145,15 +144,10 @@ func (d *Deployment) OpenStream(path []string, opts StreamOptions) (*Stream, err
 		// State lives in the deployment; lanes are accumulation buffers
 		// only and drain sequentially on the caller's goroutine.
 	case TierCompiled:
-		c, err := d.Compiled()
-		if err != nil {
-			return nil, err
-		}
-		s.comp = c
-		s.units = c.resolveUnits(path)
-		s.lanes = make([]*Lane, opts.Lanes)
+		s.units = eng.resolveUnits(path)
+		s.lanes = make([]*lane, opts.Lanes)
 		for i := range s.lanes {
-			s.lanes[i] = eng.NewLane()
+			s.lanes[i] = eng.newLane()
 		}
 	default:
 		return nil, fmt.Errorf("dataplane: unknown executor tier %v", opts.Tier)
@@ -257,7 +251,7 @@ func (s *Stream) drainLane(w int) {
 	if s.tier == TierCompiled {
 		l := s.lanes[w]
 		for _, f := range pkts {
-			s.comp.runResolved(l, s.units, s.ctx, f)
+			runResolved(l, s.units, s.ctx, f)
 		}
 	} else { // TierInterpreter: deployment state, sequential by contract
 		for _, f := range pkts {
@@ -352,8 +346,8 @@ func (s *Stream) TableEntry(lane int, sw, extern string, key uint64) (uint64, bo
 		v, ok := es.Entries[key]
 		return v, ok, nil
 	}
-	u := s.eng.switchUnits[sw]
-	if u == nil {
+	cu := s.eng.bySwitch[sw]
+	if cu == nil {
 		return 0, false, fmt.Errorf("dataplane: switch %q has no program", sw)
 	}
 	ei, ok := s.eng.layout.externSlot[extern]
@@ -363,7 +357,7 @@ func (s *Stream) TableEntry(lane int, sw, extern string, key uint64) (uint64, bo
 	if lane < 0 || lane >= len(s.lanes) {
 		return 0, false, fmt.Errorf("dataplane: lane %d out of range [0,%d)", lane, len(s.lanes))
 	}
-	v, ok := s.lanes[lane].tables[u.stateIdx][ei].entries[key]
+	v, ok := s.lanes[lane].tables[cu.stateIdx][ei].entries[key]
 	return v, ok, nil
 }
 
@@ -383,14 +377,14 @@ func (s *Stream) GlobalAt(lane int, sw, global string, idx uint64) (uint64, erro
 		}
 		return gs.read(global, spec.length, idx), nil
 	}
-	u := s.eng.switchUnits[sw]
-	if u == nil {
+	cu := s.eng.bySwitch[sw]
+	if cu == nil {
 		return 0, fmt.Errorf("dataplane: switch %q has no program", sw)
 	}
 	if lane < 0 || lane >= len(s.lanes) {
 		return 0, fmt.Errorf("dataplane: lane %d out of range [0,%d)", lane, len(s.lanes))
 	}
-	arr := s.lanes[lane].globals[u.stateIdx][gi]
+	arr := s.lanes[lane].globals[cu.stateIdx][gi]
 	if idx >= uint64(len(arr)) {
 		return 0, nil
 	}
@@ -418,12 +412,12 @@ func (s *Stream) MergedGlobal(sw, global string) ([]uint64, error) {
 		}
 		return out, nil
 	}
-	u := s.eng.switchUnits[sw]
-	if u == nil {
+	cu := s.eng.bySwitch[sw]
+	if cu == nil {
 		return nil, fmt.Errorf("dataplane: switch %q has no program", sw)
 	}
 	for _, l := range s.lanes {
-		for i, v := range l.globals[u.stateIdx][gi] {
+		for i, v := range l.globals[cu.stateIdx][gi] {
 			out[i] = (out[i] + v) & spec.mask
 		}
 	}

@@ -33,12 +33,12 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refComp, err := refDep.Compiled()
+		refEng, err := refDep.Engine()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refComp.Engine().FlattenTrace(recs, "")
-		refComp.RunBatch(path, ctx, ref, 1)
+		ref := refEng.FlattenTrace(recs, "")
+		refEng.runBatch(path, ctx, ref, 1)
 
 		for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 			dep, err := NewDeployment(plan, NewTables())

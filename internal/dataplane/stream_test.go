@@ -100,12 +100,12 @@ func TestStreamVsOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refComp, err := refDep.Compiled()
+		refEng, err := refDep.Engine()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refComp.Engine().FlattenTrace(recs, "")
-		refComp.RunBatch(path, ctx, ref, 1)
+		ref := refEng.FlattenTrace(recs, "")
+		refEng.runBatch(path, ctx, ref, 1)
 
 		for _, tier := range []ExecutorTier{TierInterpreter, TierCompiled} {
 			for _, lanes := range []int{1, 4} {

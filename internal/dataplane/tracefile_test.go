@@ -108,12 +108,12 @@ func TestTraceFileReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refComp, err := refDep.Compiled()
+	refEng, err := refDep.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refComp.Engine().FlattenTrace(recs, "")
-	refComp.RunBatch(path, nil, ref, 1)
+	ref := refEng.FlattenTrace(recs, "")
+	refEng.runBatch(path, nil, ref, 1)
 
 	dep, err := NewDeployment(plan, NewTables())
 	if err != nil {

@@ -52,12 +52,18 @@ func TestScenarioStreamTierEquivalence(t *testing.T) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			refDep, path, recs := scenarioFixture(t, sc, 500)
-			refComp, err := refDep.Compiled()
+			refEng, err := refDep.Engine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := refComp.Engine().FlattenTrace(recs, sc.TSField)
-			refComp.RunBatch(path, nil, ref, 1)
+			refExec, err := refDep.ExecutorFor(dataplane.TierCompiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := refEng.FlattenTrace(recs, sc.TSField)
+			if err := refExec.RunBatch(path, nil, ref, 1); err != nil {
+				t.Fatal(err)
+			}
 
 			laneSet := []int{1}
 			if sc.LaneSafe {
