@@ -2,10 +2,17 @@ package lyra
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+
+	"lyra/internal/lang/parser"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -123,5 +130,59 @@ func TestArtifactFingerprintPinned(t *testing.T) {
 	}
 	if got := res.ArtifactFingerprint(); got != want {
 		t.Errorf("second ArtifactFingerprint = %s, pinned %s", got, want)
+	}
+}
+
+// TestServeCorpusPinned locks every artifact of the serve-corpus matrix — the
+// programs of testdata/programs, each compiled PER-SW on ToR1, PER-SW on Agg1
+// and MULTI-SW over the ToRs and Aggs of the testbed, in P4_14 and in P4_16 —
+// as the fmt-based printers rendered it: one SHA-256 over every compile's
+// ArtifactFingerprint and each artifact's LoC, LogicLoC, Tables, Actions and
+// Registers.
+func TestServeCorpusPinned(t *testing.T) {
+	const want = "3deea7dd3db6e7d33c98135a6a3ce46933637970757a5c0d6e895d2b5488ae8d"
+	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.lyra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	shapes := []string{
+		"%s: [ ToR1 | PER-SW | - ]\n",
+		"%s: [ Agg1 | PER-SW | - ]\n",
+		"%s: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n",
+	}
+	h := sha256.New()
+	compiles := 0
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".lyra")
+		src := loadProgram(t, name)
+		prog, err := parser.Parse(name+".lyra", []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range shapes {
+			var scope strings.Builder
+			for _, a := range prog.Algorithms {
+				fmt.Fprintf(&scope, shape, a.Name)
+			}
+			for _, d := range []Dialect{P414, P416} {
+				res, err := New(WithParallelism(1), WithDialect(d)).Compile(context.Background(), src, scope.String(), Testbed())
+				if err != nil {
+					t.Fatalf("%s (%v, %q): %v", name, d, scope.String(), err)
+				}
+				fmt.Fprintf(h, "%s %v %s\n", name, d, res.ArtifactFingerprint())
+				for _, sw := range res.Switches() {
+					a := res.Artifacts[sw]
+					fmt.Fprintf(h, "%s %d %d %d %d %d\n", sw, a.LoC, a.LogicLoC, a.Tables, a.Actions, a.Registers)
+				}
+				compiles++
+			}
+		}
+	}
+	if compiles != len(files)*len(shapes)*2 {
+		t.Fatalf("compiled %d of the matrix's %d", compiles, len(files)*len(shapes)*2)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("serve-corpus digest over %d compiles = %s, pinned %s", compiles, got, want)
 	}
 }
