@@ -251,8 +251,7 @@ action a1() {
 control ingress {
     apply(t);
 }`
-	all := countLines(code)
-	logic := logicLines(code)
+	all, logic := lineCounts(code)
 	if logic >= all {
 		t.Errorf("logic %d should be < total %d", logic, all)
 	}

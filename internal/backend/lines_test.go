@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// splitCountLines and splitLogicLines are countLines and logicLines as they
-// were written over strings.Split: the references the line walk must match.
+// splitCountLines and splitLogicLines are the two line counts as they were
+// written over strings.Split, one pass each: the references lineCounts must
+// match.
 func splitCountLines(code string) int {
 	n := 0
 	for _, l := range strings.Split(code, "\n") {
@@ -54,7 +55,7 @@ func splitLogicLines(code string) int {
 	return n
 }
 
-// TestLineCountsMatchSplit: both line counts agree with their strings.Split
+// TestLineCountsMatchSplit: lineCounts's two counts agree with their strings.Split
 // references on every golden artifact — as written, with CRLF line ends, and
 // without its final newline — and on random text built from the tokens the
 // counts look at, empty input and lone line ends included.
@@ -83,11 +84,12 @@ func TestLineCountsMatchSplit(t *testing.T) {
 		texts = append(texts, b.String())
 	}
 	for _, text := range texts {
-		if got, want := countLines(text), splitCountLines(text); got != want {
-			t.Errorf("countLines(%q) = %d, strings.Split reference %d", text, got, want)
+		loc, logic := lineCounts(text)
+		if want := splitCountLines(text); loc != want {
+			t.Errorf("lineCounts(%q) LoC = %d, strings.Split reference %d", text, loc, want)
 		}
-		if got, want := logicLines(text), splitLogicLines(text); got != want {
-			t.Errorf("logicLines(%q) = %d, strings.Split reference %d", text, got, want)
+		if want := splitLogicLines(text); logic != want {
+			t.Errorf("lineCounts(%q) LogicLoC = %d, strings.Split reference %d", text, logic, want)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
-
+	"lyra/internal/encode"
 	"lyra/internal/ir"
 	"lyra/internal/lang/ast"
 	"lyra/internal/synth"
@@ -15,36 +12,13 @@ import (
 // variables, logical registers, logical tables with key_construct /
 // fields_assign bodies (supporting multiple lookups per table, Figure 2),
 // and a program body of C-like function statements.
-type nplPrinter struct {
-	sp  *SwitchProgram
-	b   *bytes.Buffer
-	ind int
-
-	imports map[*ir.Var]string
-}
+type nplPrinter struct{ text }
 
 // EmitNPL renders the switch program as NPL.
 func EmitNPL(sp *SwitchProgram) string {
-	p := &nplPrinter{sp: sp, b: printBuf(), imports: map[*ir.Var]string{}}
-	for _, bv := range sp.Imports {
-		p.imports[bv.Var] = "lyra_bridge." + BridgeFieldName(bv.Alg, bv.Var)
-	}
+	p := &nplPrinter{newText(sp, "lyra_bus.", "", "lyra_bridge.")}
 	p.program()
 	return printed(p.b)
-}
-
-func (p *nplPrinter) line(format string, args ...any) {
-	writeLine(p.b, p.ind, format, args...)
-}
-
-func (p *nplPrinter) open(format string, args ...any) {
-	p.line(format, args...)
-	p.ind++
-}
-
-func (p *nplPrinter) close() {
-	p.ind--
-	p.line("}")
 }
 
 func (p *nplPrinter) program() {
@@ -59,14 +33,14 @@ func (p *nplPrinter) program() {
 
 func (p *nplPrinter) structs() {
 	emit := func(h *HeaderDef) {
-		p.open("struct %s {", h.Type)
+		p.open("struct ", h.Type, " {")
 		p.open("fields {")
 		for _, f := range h.Fields {
-			p.line("%s : %d;", f.Name, f.Type.Bits)
+			p.in().s(f.Name).s(" : ").d(f.Type.Bits).s(";").nl()
 		}
 		p.close()
 		p.close()
-		p.line("%s %s;", h.Type, h.Name)
+		p.line(h.Type, " ", h.Name, ";")
 		p.line("")
 	}
 	for _, h := range p.sp.Headers {
@@ -88,7 +62,7 @@ func (p *nplPrinter) bus() {
 	p.open("bus lyra_bus {")
 	p.open("fields {")
 	for _, mv := range p.sp.Metadata {
-		p.line("%s : %d;", mv.Name, mv.Bits)
+		p.in().s(mv.Name).s(" : ").d(mv.Bits).s(";").nl()
 	}
 	p.close()
 	p.close()
@@ -97,37 +71,12 @@ func (p *nplPrinter) bus() {
 
 func (p *nplPrinter) registers() {
 	for _, r := range p.sp.Registers {
-		p.open("logical_register %s {", r.Name)
-		p.line("fields { value : %d; }", r.Bits)
-		p.line("size : %d;", r.Len)
+		p.open("logical_register ", r.Name, " {")
+		p.in().s("fields { value : ").d(r.Bits).s("; }").nl()
+		p.in().s("size : ").d(r.Len).s(";").nl()
 		p.close()
 		p.line("")
 	}
-}
-
-func (p *nplPrinter) operand(o ir.Operand) string {
-	switch o.Kind {
-	case ir.OpdConst:
-		return fmt.Sprintf("%d", o.Const)
-	case ir.OpdVar:
-		if ref, ok := p.imports[o.Var]; ok {
-			return ref
-		}
-		return "lyra_bus." + p.sp.MetaField(o.Var)
-	case ir.OpdField:
-		return o.Hdr + "." + o.Field
-	}
-	return "0"
-}
-
-func (p *nplPrinter) dest(d ir.Dest) string {
-	switch d.Kind {
-	case ir.DestVar:
-		return "lyra_bus." + p.sp.MetaField(d.Var)
-	case ir.DestField:
-		return d.Hdr + "." + d.Field
-	}
-	return "_"
 }
 
 // logicalTables emits one logical_table per extern-backed table, with one
@@ -137,16 +86,16 @@ func (p *nplPrinter) logicalTables() {
 		if pt.Kind != synth.MatchExtern {
 			continue
 		}
-		p.open("logical_table %s {", pt.Name)
+		p.open("logical_table ", pt.Name, " {")
 		p.line("table_type : hash;")
-		p.line("min_size : %d;", pt.Entries)
-		p.line("max_size : %d;", pt.Entries)
+		p.in().s("min_size : ").d64(pt.Entries).s(";").nl()
+		p.in().s("max_size : ").d64(pt.Entries).s(";").nl()
 		if pt.ShardCount > 1 {
-			p.line("/* shard %d of %d of extern %s */", pt.ShardIndex+1, pt.ShardCount, pt.Extern.Name)
+			p.shardNote(pt)
 		}
 		p.open("keys {")
 		for _, k := range pt.Extern.Keys {
-			p.line("bit[%d] %s;", k.Type.Bits, k.Name)
+			p.in().s("bit[").d(k.Type.Bits).s("] ").s(k.Name).s(";").nl()
 		}
 		p.close()
 		p.open("key_construct() {")
@@ -155,10 +104,11 @@ func (p *nplPrinter) logicalTables() {
 			if in.Op != ir.IMember && in.Op != ir.ILookup {
 				continue
 			}
-			p.open("if (_LOOKUP%d) {", li)
+			p.in().s("if (_LOOKUP").d(li).s(") {").nl()
+			p.ind++
 			for ki, k := range pt.Extern.Keys {
 				if ki < len(in.Args) {
-					p.line("%s = %s;", k.Name, p.operand(in.Args[ki]))
+					p.in().s(k.Name).s(" = ").op(in.Args[ki]).s(";").nl()
 				}
 			}
 			p.close()
@@ -177,87 +127,88 @@ func (p *nplPrinter) logicalTables() {
 	}
 }
 
-// stmt renders one IR instruction as an NPL function statement.
+// stmt renders one IR instruction as an NPL function statement, under an
+// if on its guard when it has one.
 func (p *nplPrinter) stmt(in *ir.Instr) {
-	guard := ""
+	mark := p.b.Len()
+	p.in()
 	if len(in.Guard) > 0 {
-		var terms []string
-		for _, g := range in.Guard {
-			ref := p.guardRef(g.Var)
-			if g.Neg {
-				terms = append(terms, "!"+ref)
-			} else {
-				terms = append(terms, ref)
+		p.s("if (")
+		for i, g := range in.Guard {
+			if i > 0 {
+				p.s(" && ")
 			}
+			if g.Neg {
+				p.s("!")
+			}
+			p.ref(g.Var)
 		}
-		guard = strings.Join(terms, " && ")
+		p.s(") { ")
 	}
-	body := p.stmtBody(in)
-	if body == "" {
+	if !p.stmtBody(in) {
+		p.b.Truncate(mark)
 		return
 	}
-	if guard != "" {
-		p.line("if (%s) { %s }", guard, body)
-		return
+	if len(in.Guard) > 0 {
+		p.s(" }")
 	}
-	p.line("%s", body)
+	p.nl()
 }
 
-func (p *nplPrinter) guardRef(v *ir.Var) string {
-	if ref, ok := p.imports[v]; ok {
-		return ref
-	}
-	return "lyra_bus." + p.sp.MetaField(v)
-}
-
-func (p *nplPrinter) stmtBody(in *ir.Instr) string {
+// stmtBody writes the statement itself, and reports whether the instruction
+// has one.
+func (p *nplPrinter) stmtBody(in *ir.Instr) bool {
 	switch in.Op {
 	case ir.IAssign:
-		return fmt.Sprintf("%s = %s;", p.dest(in.Dest), p.operand(in.Args[0]))
+		p.dst(in.Dest).s(" = ").op(in.Args[0]).s(";")
 	case ir.IBin:
-		op := nplOp(in.BinOp)
-		return fmt.Sprintf("%s = %s %s %s;", p.dest(in.Dest), p.operand(in.Args[0]), op, p.operand(in.Args[1]))
+		p.dst(in.Dest).s(" = ").op(in.Args[0]).s(" ").s(nplOp(in.BinOp)).s(" ").op(in.Args[1]).s(";")
 	case ir.INot:
-		return fmt.Sprintf("%s = !%s;", p.dest(in.Dest), p.operand(in.Args[0]))
+		p.dst(in.Dest).s(" = !").op(in.Args[0]).s(";")
 	case ir.ISelect:
-		return fmt.Sprintf("%s = %s ? %s : %s;", p.dest(in.Dest),
-			p.operand(in.Args[0]), p.operand(in.Args[1]), p.operand(in.Args[2]))
+		p.dst(in.Dest).s(" = ").op(in.Args[0]).s(" ? ").op(in.Args[1]).s(" : ").op(in.Args[2]).s(";")
 	case ir.IHash:
-		var args []string
-		for _, a := range in.Args {
-			args = append(args, p.operand(a))
+		p.dst(in.Dest).s(" = ").s(in.Table).s("(")
+		for i, a := range in.Args {
+			if i > 0 {
+				p.s(", ")
+			}
+			p.op(a)
 		}
-		return fmt.Sprintf("%s = %s(%s);", p.dest(in.Dest), in.Table, strings.Join(args, ", "))
+		p.s(");")
 	case ir.ILib:
-		return fmt.Sprintf("%s = %s();", p.dest(in.Dest), in.Table)
+		p.dst(in.Dest).s(" = ").s(in.Table).s("();")
 	case ir.IHeaderAdd:
-		return fmt.Sprintf("%s.valid = 1;", in.Table)
+		p.s(in.Table).s(".valid = 1;")
 	case ir.IHeaderRemove:
-		return fmt.Sprintf("%s.valid = 0;", in.Table)
+		p.s(in.Table).s(".valid = 0;")
 	case ir.IPacketOp:
 		switch in.Table {
 		case "drop":
-			return "drop();"
+			p.s("drop();")
 		case "forward":
-			return fmt.Sprintf("set_egress_port(%s);", p.operand(in.Args[0]))
+			p.s("set_egress_port(").op(in.Args[0]).s(");")
 		case "mirror":
-			return "mirror(LYRA_MIRROR_SESSION);"
+			p.s("mirror(LYRA_MIRROR_SESSION);")
 		case "copy_to_cpu":
-			return "copy_to_cpu();"
+			p.s("copy_to_cpu();")
+		default:
+			p.s(in.Table).s("();")
 		}
-		return fmt.Sprintf("%s();", in.Table)
 	case ir.IMember:
-		return fmt.Sprintf("%s = _LOOKUP_HIT;", p.dest(in.Dest))
+		p.dst(in.Dest).s(" = _LOOKUP_HIT;")
 	case ir.ILookup:
-		return fmt.Sprintf("%s = _LOOKUP_VALUE;", p.dest(in.Dest))
+		p.dst(in.Dest).s(" = _LOOKUP_VALUE;")
 	case ir.IGlobalRead:
-		return fmt.Sprintf("%s = %s[%s].value;", p.dest(in.Dest), in.Table, p.operand(in.Args[0]))
+		p.dst(in.Dest).s(" = ").s(in.Table).s("[").op(in.Args[0]).s("].value;")
 	case ir.IGlobalWrite:
-		return fmt.Sprintf("%s[%s].value = %s;", in.Table, p.operand(in.Args[0]), p.operand(in.Args[1]))
+		p.s(in.Table).s("[").op(in.Args[0]).s("].value = ").op(in.Args[1]).s(";")
 	case ir.IExternInsert:
-		return fmt.Sprintf("learn(%s);", in.Table)
+		p.s("learn(").s(in.Table).s(");")
+	default:
+		return false
 	}
-	return ""
+	return true
 }
 
 func nplOp(op ast.Op) string {
@@ -278,15 +229,12 @@ func (p *nplPrinter) programBody() {
 		switch pt.Kind {
 		case synth.MatchExtern:
 			if hit, ok := p.sp.HitGuards[pt.Name]; ok {
-				p.open("if (%s == 0) {", p.guardRef(hit))
-				for i := 0; i < pt.Lookups; i++ {
-					p.line("%s.lookup(%d);", pt.Name, i)
-				}
+				p.in().s("if (").ref(hit).s(" == 0) {").nl()
+				p.ind++
+				p.lookups(pt)
 				p.close()
 			} else {
-				for i := 0; i < pt.Lookups; i++ {
-					p.line("%s.lookup(%d);", pt.Name, i)
-				}
+				p.lookups(pt)
 			}
 		default:
 			for _, fp := range pt.FieldPreds {
@@ -304,8 +252,15 @@ func (p *nplPrinter) programBody() {
 	if len(p.sp.Exports) > 0 {
 		p.line("lyra_bridge.valid = 1;")
 		for _, bv := range p.sp.Exports {
-			p.line("lyra_bridge.%s = lyra_bus.%s;", BridgeFieldName(bv.Alg, bv.Var), p.sp.MetaField(bv.Var))
+			p.in().s("lyra_bridge.").s(bv.Field).s(" = lyra_bus.").field(bv.Var).s(";").nl()
 		}
 	}
 	p.close()
+}
+
+// lookups invokes each of a logical table's lookups.
+func (p *nplPrinter) lookups(pt *encode.PlacedTable) {
+	for i := 0; i < pt.Lookups; i++ {
+		p.in().s(pt.Name).s(".lookup(").d(i).s(");").nl()
+	}
 }

@@ -1,8 +1,6 @@
 package backend
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -13,36 +11,13 @@ import (
 )
 
 // p414Printer renders a SwitchProgram as P4_14 source.
-type p414Printer struct {
-	sp  *SwitchProgram
-	b   *bytes.Buffer
-	ind int
-
-	imports map[*ir.Var]string // var -> bridge field reference
-}
+type p414Printer struct{ text }
 
 // EmitP414 renders the switch program as P4_14.
 func EmitP414(sp *SwitchProgram) string {
-	p := &p414Printer{sp: sp, b: printBuf(), imports: map[*ir.Var]string{}}
-	for _, bv := range sp.Imports {
-		p.imports[bv.Var] = "lyra_bridge." + BridgeFieldName(bv.Alg, bv.Var)
-	}
+	p := &p414Printer{newText(sp, "meta.", "", "lyra_bridge.")}
 	p.program()
 	return printed(p.b)
-}
-
-func (p *p414Printer) line(format string, args ...any) {
-	writeLine(p.b, p.ind, format, args...)
-}
-
-func (p *p414Printer) open(format string, args ...any) {
-	p.line(format, args...)
-	p.ind++
-}
-
-func (p *p414Printer) close(suffix string) {
-	p.ind--
-	p.line("}%s", suffix)
 }
 
 func (p *p414Printer) program() {
@@ -58,14 +33,14 @@ func (p *p414Printer) program() {
 
 func (p *p414Printer) headers() {
 	emit := func(h *HeaderDef) {
-		p.open("header_type %s {", h.Type)
+		p.open("header_type ", h.Type, " {")
 		p.open("fields {")
 		for _, f := range h.Fields {
-			p.line("%s : %d;", f.Name, f.Type.Bits)
+			p.in().s(f.Name).s(" : ").d(f.Type.Bits).s(";").nl()
 		}
-		p.close("")
-		p.close("")
-		p.line("header %s %s;", h.Type, h.Name)
+		p.close()
+		p.close()
+		p.line("header ", h.Type, " ", h.Name, ";")
 		p.line("")
 	}
 	for _, h := range p.sp.Headers {
@@ -86,10 +61,10 @@ func (p *p414Printer) metadata() {
 	p.open("header_type lyra_meta_t {")
 	p.open("fields {")
 	for _, mv := range p.sp.Metadata {
-		p.line("%s : %d;", mv.Name, mv.Bits)
+		p.in().s(mv.Name).s(" : ").d(mv.Bits).s(";").nl()
 	}
-	p.close("")
-	p.close("")
+	p.close()
+	p.close()
 	p.line("metadata lyra_meta_t meta;")
 	p.line("")
 }
@@ -106,137 +81,117 @@ func (p *p414Printer) parser() {
 		names = append(names, p.sp.Bridge.Name)
 	}
 	for _, n := range names {
-		p.line("extract(%s);", n)
+		p.line("extract(", n, ");")
 	}
 	p.line("return ingress;")
-	p.close("")
+	p.close()
 	p.line("")
 }
 
 func (p *p414Printer) registers() {
 	for _, r := range p.sp.Registers {
-		p.open("register %s {", r.Name)
-		p.line("width : %d;", r.Bits)
-		p.line("instance_count : %d;", r.Len)
-		p.close("")
+		p.open("register ", r.Name, " {")
+		p.in().s("width : ").d(r.Bits).s(";").nl()
+		p.in().s("instance_count : ").d(r.Len).s(";").nl()
+		p.close()
 		p.line("")
 	}
-}
-
-// operand renders an IR operand as a P4_14 field reference or literal.
-func (p *p414Printer) operand(o ir.Operand) string {
-	switch o.Kind {
-	case ir.OpdConst:
-		return fmt.Sprintf("%d", o.Const)
-	case ir.OpdVar:
-		if ref, ok := p.imports[o.Var]; ok {
-			return ref
-		}
-		return "meta." + p.sp.MetaField(o.Var)
-	case ir.OpdField:
-		return o.Hdr + "." + o.Field
-	}
-	return "0"
-}
-
-func (p *p414Printer) dest(d ir.Dest) string {
-	switch d.Kind {
-	case ir.DestVar:
-		return "meta." + p.sp.MetaField(d.Var)
-	case ir.DestField:
-		return d.Hdr + "." + d.Field
-	}
-	return "_"
 }
 
 // primitive renders one IR instruction as P4_14 action primitives.
 func (p *p414Printer) primitive(in *ir.Instr) {
 	switch in.Op {
 	case ir.IAssign:
-		p.line("modify_field(%s, %s);", p.dest(in.Dest), p.operand(in.Args[0]))
+		p.in().s("modify_field(").dst(in.Dest).s(", ").op(in.Args[0]).s(");").nl()
 	case ir.IBin:
 		p.binPrimitive(in)
 	case ir.INot:
 		// Logical not of a 1-bit value: x ^ 1.
-		p.line("bit_xor(%s, %s, 1);", p.dest(in.Dest), p.operand(in.Args[0]))
+		p.in().s("bit_xor(").dst(in.Dest).s(", ").op(in.Args[0]).s(", 1);").nl()
 	case ir.ISelect:
-		p.line("modify_field(%s, %s);", p.dest(in.Dest), p.operand(in.Args[2]))
-		p.line("modify_field_conditionally(%s, %s, %s);",
-			p.dest(in.Dest), p.operand(in.Args[0]), p.operand(in.Args[1]))
+		p.in().s("modify_field(").dst(in.Dest).s(", ").op(in.Args[2]).s(");").nl()
+		p.in().s("modify_field_conditionally(").dst(in.Dest).s(", ").op(in.Args[0]).s(", ").op(in.Args[1]).s(");").nl()
 	case ir.IHash:
-		p.line("modify_field_with_hash_based_offset(%s, 0, %s_fl_calc, %d);",
-			p.dest(in.Dest), p.hashName(in), uint64(1)<<uint(destBits(in)))
+		p.in().s("modify_field_with_hash_based_offset(").dst(in.Dest).s(", 0, hash_").d(in.ID).
+			s("_fl_calc, ").u(uint64(1) << uint(destBits(in))).s(");").nl()
 	case ir.ILib:
 		p.libPrimitive(in)
 	case ir.IHeaderAdd:
-		p.line("add_header(%s);", in.Table)
+		p.line("add_header(", in.Table, ");")
 	case ir.IHeaderRemove:
-		p.line("remove_header(%s);", in.Table)
+		p.line("remove_header(", in.Table, ");")
 	case ir.IPacketOp:
 		p.packetOp(in)
 	case ir.ILookup:
 		// The value arrives as an action parameter installed by the
 		// control plane; the surrounding action declares it.
-		p.line("modify_field(%s, value);", p.dest(in.Dest))
+		p.in().s("modify_field(").dst(in.Dest).s(", value);").nl()
 	case ir.IMember:
-		p.line("modify_field(%s, 1);", p.dest(in.Dest))
+		p.in().s("modify_field(").dst(in.Dest).s(", 1);").nl()
 	case ir.IGlobalRead:
-		p.line("register_read(%s, %s, %s);", p.dest(in.Dest), in.Table, p.operand(in.Args[0]))
+		p.in().s("register_read(").dst(in.Dest).s(", ").s(in.Table).s(", ").op(in.Args[0]).s(");").nl()
 	case ir.IGlobalWrite:
-		p.line("register_write(%s, %s, %s);", in.Table, p.operand(in.Args[0]), p.operand(in.Args[1]))
+		p.in().s("register_write(").s(in.Table).s(", ").op(in.Args[0]).s(", ").op(in.Args[1]).s(");").nl()
 	case ir.IExternInsert:
-		p.line("generate_digest(LEARN_RECEIVER, %s_learn);", in.Table)
+		p.line("generate_digest(LEARN_RECEIVER, ", in.Table, "_learn);")
 	}
 }
 
 func (p *p414Printer) binPrimitive(in *ir.Instr) {
-	d := p.dest(in.Dest)
-	a, b := p.operand(in.Args[0]), p.operand(in.Args[1])
+	prim, predicate := "", false
 	switch in.BinOp {
 	case ast.OpAdd:
-		p.line("add(%s, %s, %s);", d, a, b)
+		prim = "add"
 	case ast.OpSub:
-		p.line("subtract(%s, %s, %s);", d, a, b)
+		prim = "subtract"
 	case ast.OpAnd, ast.OpLAnd:
-		p.line("bit_and(%s, %s, %s);", d, a, b)
+		prim = "bit_and"
 	case ast.OpOr, ast.OpLOr:
-		p.line("bit_or(%s, %s, %s);", d, a, b)
+		prim = "bit_or"
 	case ast.OpXor:
-		p.line("bit_xor(%s, %s, %s);", d, a, b)
+		prim = "bit_xor"
 	case ast.OpShl:
-		p.line("shift_left(%s, %s, %s);", d, a, b)
+		prim = "shift_left"
 	case ast.OpShr:
-		p.line("shift_right(%s, %s, %s);", d, a, b)
+		prim = "shift_right"
 	case ast.OpMul:
-		p.line("multiply(%s, %s, %s);", d, a, b)
+		prim = "multiply"
 	case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
 		// P4_14 actions cannot compare (Figure 5a): compute the difference
 		// here; the gateway table matching the predicate interprets it
 		// (zero => equal, MSB => less-than).
-		p.line("subtract(%s, %s, %s); /* predicate %s */", d, a, b, in.BinOp)
+		prim, predicate = "subtract", true
 	default:
-		p.line("/* unsupported operator %s */", in.BinOp)
+		p.line("/* unsupported operator ", in.BinOp.String(), " */")
+		return
 	}
+	p.in().s(prim).s("(").dst(in.Dest).s(", ").op(in.Args[0]).s(", ").op(in.Args[1]).s(");")
+	if predicate {
+		p.s(" /* predicate ").s(in.BinOp.String()).s(" */")
+	}
+	p.nl()
 }
 
 func (p *p414Printer) libPrimitive(in *ir.Instr) {
-	d := p.dest(in.Dest)
+	src := ""
 	switch in.Table {
 	case "get_queue_len":
-		p.line("modify_field(%s, intrinsic_metadata.deq_qdepth);", d)
+		src = "intrinsic_metadata.deq_qdepth"
 	case "get_queue_time":
-		p.line("modify_field(%s, intrinsic_metadata.deq_timedelta);", d)
+		src = "intrinsic_metadata.deq_timedelta"
 	case "get_ingress_timestamp":
-		p.line("modify_field(%s, intrinsic_metadata.ingress_global_tstamp);", d)
+		src = "intrinsic_metadata.ingress_global_tstamp"
 	case "get_egress_timestamp":
-		p.line("modify_field(%s, intrinsic_metadata.egress_global_tstamp);", d)
+		src = "intrinsic_metadata.egress_global_tstamp"
 	case "get_switch_id":
-		p.line("modify_field(%s, intrinsic_metadata.switch_id);", d)
+		src = "intrinsic_metadata.switch_id"
 	case "get_ingress_port":
-		p.line("modify_field(%s, standard_metadata.ingress_port);", d)
+		src = "standard_metadata.ingress_port"
 	default:
-		p.line("/* library call %s */", in.Table)
+		p.line("/* library call ", in.Table, " */")
+		return
 	}
+	p.in().s("modify_field(").dst(in.Dest).s(", ").s(src).s(");").nl()
 }
 
 func (p *p414Printer) packetOp(in *ir.Instr) {
@@ -244,7 +199,7 @@ func (p *p414Printer) packetOp(in *ir.Instr) {
 	case "drop":
 		p.line("drop();")
 	case "forward":
-		p.line("modify_field(standard_metadata.egress_spec, %s);", p.operand(in.Args[0]))
+		p.in().s("modify_field(standard_metadata.egress_spec, ").op(in.Args[0]).s(");").nl()
 	case "mirror":
 		p.line("clone_ingress_pkt_to_egress(LYRA_MIRROR_SESSION);")
 	case "copy_to_cpu":
@@ -254,10 +209,6 @@ func (p *p414Printer) packetOp(in *ir.Instr) {
 	}
 }
 
-func (p *p414Printer) hashName(in *ir.Instr) string {
-	return fmt.Sprintf("hash_%d", in.ID)
-}
-
 // hashDecls emits field_list/field_list_calculation pairs for hash
 // instructions.
 func (p *p414Printer) hashDecls() {
@@ -265,23 +216,24 @@ func (p *p414Printer) hashDecls() {
 		if in.Op != ir.IHash {
 			continue
 		}
-		name := p.hashName(in)
-		p.open("field_list %s_fl {", name)
+		p.in().s("field_list hash_").d(in.ID).s("_fl {").nl()
+		p.ind++
 		for _, a := range in.Args {
-			p.line("%s;", p.operand(a))
+			p.in().op(a).s(";").nl()
 		}
-		p.close("")
-		p.open("field_list_calculation %s_fl_calc {", name)
-		p.line("input { %s_fl; }", name)
+		p.close()
+		p.in().s("field_list_calculation hash_").d(in.ID).s("_fl_calc {").nl()
+		p.ind++
+		p.in().s("input { hash_").d(in.ID).s("_fl; }").nl()
 		algo := "crc32"
 		if in.Table == "crc16_hash" {
 			algo = "crc16"
 		} else if in.Table == "identity_hash" {
 			algo = "identity"
 		}
-		p.line("algorithm : %s;", algo)
-		p.line("output_width : %d;", destBits(in))
-		p.close("")
+		p.line("algorithm : ", algo, ";")
+		p.in().s("output_width : ").d(destBits(in)).s(";").nl()
+		p.close()
 		p.line("")
 	}
 }
@@ -302,11 +254,11 @@ func (p *p414Printer) learnDecls() {
 			continue
 		}
 		seen[in.Table] = true
-		p.open("field_list %s_learn {", in.Table)
+		p.open("field_list ", in.Table, "_learn {")
 		for _, a := range in.Args {
-			p.line("%s;", p.operand(a))
+			p.in().op(a).s(";").nl()
 		}
-		p.close("")
+		p.close()
 		p.line("")
 	}
 }
@@ -327,7 +279,7 @@ func (p *p414Printer) table(pt *encode.PlacedTable) {
 		if pt.Kind == synth.MatchExtern && actionReadsValue(a) {
 			param = "value"
 		}
-		p.open("action %s(%s) {", a.Name, param)
+		p.open("action ", a.Name, "(", param, ") {")
 		emitted := 0
 		for _, in := range a.Instrs {
 			p.primitive(in)
@@ -336,18 +288,18 @@ func (p *p414Printer) table(pt *encode.PlacedTable) {
 		if emitted == 0 {
 			p.line("no_op();")
 		}
-		p.close("")
+		p.close()
 	}
 	// Table.
-	p.open("table %s {", pt.Name)
+	p.open("table ", pt.Name, " {")
 	switch pt.Kind {
 	case synth.MatchExtern:
 		if keys := p.keyFields(pt); len(keys) > 0 {
 			p.open("reads {")
 			for _, k := range keys {
-				p.line("%s : exact;", k)
+				p.line(k, " : exact;")
 			}
-			p.close("")
+			p.close()
 		}
 	case synth.MatchPredicate:
 		var reads []string
@@ -362,10 +314,9 @@ func (p *p414Printer) table(pt *encode.PlacedTable) {
 			}
 		}
 		for _, v := range pt.Preds {
-			ref := "meta." + p.sp.MetaField(v)
-			if imp, ok := p.imports[v]; ok {
-				ref = imp
-			}
+			mark := p.b.Len()
+			p.ref(v)
+			ref := p.cut(mark)
 			if !seen[ref] {
 				seen[ref] = true
 				reads = append(reads, ref)
@@ -374,23 +325,23 @@ func (p *p414Printer) table(pt *encode.PlacedTable) {
 		if len(reads) > 0 {
 			p.open("reads {")
 			for _, r := range reads {
-				p.line("%s : exact;", r)
+				p.line(r, " : exact;")
 			}
-			p.close("")
+			p.close()
 		}
 	}
 	p.open("actions {")
 	for _, a := range pt.Actions {
-		p.line("%s;", a.Name)
+		p.line(a.Name, ";")
 	}
-	p.close("")
+	p.close()
 	if pt.Entries > 0 {
-		p.line("size : %d;", pt.Entries)
+		p.in().s("size : ").d64(pt.Entries).s(";").nl()
 	}
 	if pt.ShardCount > 1 {
-		p.line("/* shard %d of %d of extern %s */", pt.ShardIndex+1, pt.ShardCount, pt.Extern.Name)
+		p.shardNote(pt)
 	}
-	p.close("")
+	p.close()
 	p.line("")
 }
 
@@ -404,7 +355,9 @@ func (p *p414Printer) keyFields(pt *encode.PlacedTable) []string {
 			continue
 		}
 		for _, a := range in.Args {
-			ref := p.operand(a)
+			mark := p.b.Len()
+			p.op(a)
+			ref := p.cut(mark)
 			if !seen[ref] {
 				seen[ref] = true
 				out = append(out, ref)
@@ -435,29 +388,25 @@ func (p *p414Printer) bridgeExport() {
 	p.open("action a_lyra_bridge_export() {")
 	p.line("add_header(lyra_bridge);")
 	for _, bv := range p.sp.Exports {
-		p.line("modify_field(lyra_bridge.%s, meta.%s);",
-			BridgeFieldName(bv.Alg, bv.Var), p.sp.MetaField(bv.Var))
+		p.in().s("modify_field(lyra_bridge.").s(bv.Field).s(", meta.").field(bv.Var).s(");").nl()
 	}
-	p.close("")
+	p.close()
 	p.open("table t_lyra_bridge_export {")
 	p.line("actions { a_lyra_bridge_export; }")
-	p.close("")
+	p.close()
 	p.line("")
 }
 
 func (p *p414Printer) control() {
 	apply := func(pt *encode.PlacedTable) {
 		if hit, ok := p.sp.HitGuards[pt.Name]; ok {
-			ref := "meta." + p.sp.MetaField(hit)
-			if imp, isImp := p.imports[hit]; isImp {
-				ref = imp
-			}
-			p.open("if (%s == 0) {", ref)
-			p.line("apply(%s);", pt.Name)
-			p.close("")
+			p.in().s("if (").ref(hit).s(" == 0) {").nl()
+			p.ind++
+			p.line("apply(", pt.Name, ");")
+			p.close()
 			return
 		}
-		p.line("apply(%s);", pt.Name)
+		p.line("apply(", pt.Name, ");")
 	}
 	p.open("control ingress {")
 	for _, pt := range p.sp.Tables {
@@ -468,7 +417,7 @@ func (p *p414Printer) control() {
 	if len(p.sp.Exports) > 0 && !p.exportsInEgress() {
 		p.line("apply(t_lyra_bridge_export);")
 	}
-	p.close("")
+	p.close()
 	p.line("")
 	// Tables reading egress-only state (queue depth, egress timestamp)
 	// run in the egress pipeline (§8).
@@ -481,7 +430,7 @@ func (p *p414Printer) control() {
 	if len(p.sp.Exports) > 0 && p.exportsInEgress() {
 		p.line("apply(t_lyra_bridge_export);")
 	}
-	p.close("")
+	p.close()
 }
 
 // exportsInEgress reports whether the bridge export must wait for egress

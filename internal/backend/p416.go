@@ -1,10 +1,6 @@
 package backend
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
-
 	"lyra/internal/encode"
 	"lyra/internal/ir"
 	"lyra/internal/lang/ast"
@@ -15,36 +11,13 @@ import (
 // architecture. P4_16 expresses predicates as control-block if statements
 // (Figure 5), so gateway tables become conditions and only extern-backed
 // tables remain match-action tables.
-type p416Printer struct {
-	sp  *SwitchProgram
-	b   *bytes.Buffer
-	ind int
-
-	imports map[*ir.Var]string
-}
+type p416Printer struct{ text }
 
 // EmitP416 renders the switch program as P4_16.
 func EmitP416(sp *SwitchProgram) string {
-	p := &p416Printer{sp: sp, b: printBuf(), imports: map[*ir.Var]string{}}
-	for _, bv := range sp.Imports {
-		p.imports[bv.Var] = "hdr.lyra_bridge." + BridgeFieldName(bv.Alg, bv.Var)
-	}
+	p := &p416Printer{newText(sp, "meta.", "hdr.", "hdr.lyra_bridge.")}
 	p.program()
 	return printed(p.b)
-}
-
-func (p *p416Printer) line(format string, args ...any) {
-	writeLine(p.b, p.ind, format, args...)
-}
-
-func (p *p416Printer) open(format string, args ...any) {
-	p.line(format, args...)
-	p.ind++
-}
-
-func (p *p416Printer) close(suffix string) {
-	p.ind--
-	p.line("}%s", suffix)
 }
 
 func (p *p416Printer) program() {
@@ -60,11 +33,11 @@ func (p *p416Printer) program() {
 
 func (p *p416Printer) headers() {
 	emit := func(h *HeaderDef) {
-		p.open("header %s {", h.Type)
+		p.open("header ", h.Type, " {")
 		for _, f := range h.Fields {
-			p.line("bit<%d> %s;", f.Type.Bits, f.Name)
+			p.in().s("bit<").d(f.Type.Bits).s("> ").s(f.Name).s(";").nl()
 		}
-		p.close("")
+		p.close()
 		p.line("")
 	}
 	for _, h := range p.sp.Headers {
@@ -78,19 +51,19 @@ func (p *p416Printer) headers() {
 	p.open("struct headers_t {")
 	for _, h := range p.sp.Headers {
 		if len(h.Fields) > 0 {
-			p.line("%s %s;", h.Type, h.Name)
+			p.line(h.Type, " ", h.Name, ";")
 		}
 	}
 	if p.sp.Bridge != nil {
-		p.line("%s %s;", p.sp.Bridge.Type, p.sp.Bridge.Name)
+		p.line(p.sp.Bridge.Type, " ", p.sp.Bridge.Name, ";")
 	}
-	p.close("")
+	p.close()
 	p.line("")
 	p.open("struct metadata_t {")
 	for _, mv := range p.sp.Metadata {
-		p.line("bit<%d> %s;", mv.Bits, mv.Name)
+		p.in().s("bit<").d(mv.Bits).s("> ").s(mv.Name).s(";").nl()
 	}
-	p.close("")
+	p.close()
 	p.line("")
 }
 
@@ -99,41 +72,16 @@ func (p *p416Printer) parser() {
 	p.open("state start {")
 	for _, h := range p.sp.Headers {
 		if len(h.Fields) > 0 {
-			p.line("pkt.extract(hdr.%s);", h.Name)
+			p.line("pkt.extract(hdr.", h.Name, ");")
 		}
 	}
 	if p.sp.Bridge != nil && len(p.sp.Imports) > 0 {
-		p.line("pkt.extract(hdr.%s);", p.sp.Bridge.Name)
+		p.line("pkt.extract(hdr.", p.sp.Bridge.Name, ");")
 	}
 	p.line("transition accept;")
-	p.close("")
-	p.close("")
+	p.close()
+	p.close()
 	p.line("")
-}
-
-func (p *p416Printer) operand(o ir.Operand) string {
-	switch o.Kind {
-	case ir.OpdConst:
-		return fmt.Sprintf("%d", o.Const)
-	case ir.OpdVar:
-		if ref, ok := p.imports[o.Var]; ok {
-			return ref
-		}
-		return "meta." + p.sp.MetaField(o.Var)
-	case ir.OpdField:
-		return "hdr." + o.Hdr + "." + o.Field
-	}
-	return "0"
-}
-
-func (p *p416Printer) dest(d ir.Dest) string {
-	switch d.Kind {
-	case ir.DestVar:
-		return "meta." + p.sp.MetaField(d.Var)
-	case ir.DestField:
-		return "hdr." + d.Hdr + "." + d.Field
-	}
-	return "_"
 }
 
 // width returns the bit width of a destination for cast insertion.
@@ -152,7 +100,7 @@ func (p *p416Printer) width(d ir.Dest) int {
 func (p *p416Printer) stmt(in *ir.Instr) {
 	switch in.Op {
 	case ir.IAssign:
-		p.line("%s = (bit<%d>)%s;", p.dest(in.Dest), p.width(in.Dest), p.operand(in.Args[0]))
+		p.in().dst(in.Dest).s(" = (bit<").d(p.width(in.Dest)).s(">)").op(in.Args[0]).s(";").nl()
 	case ir.IBin:
 		if in.BinOp.IsComparison() || in.BinOp.IsLogical() {
 			// Figure 5(a): chips bound the width of a single comparison
@@ -161,44 +109,44 @@ func (p *p416Printer) stmt(in *ir.Instr) {
 			if w := operandWidth(in.Args[0]); p.sp.Model.MaxCompareBits > 0 &&
 				w > p.sp.Model.MaxCompareBits && in.BinOp == ast.OpEq {
 				half := w / 2
-				a, b := p.operand(in.Args[0]), p.operand(in.Args[1])
-				p.line("%s = (%s[%d:0] == %s[%d:0] && %s[%d:%d] == %s[%d:%d]) ? (bit<1>)1 : 0;",
-					p.dest(in.Dest), a, half-1, b, half-1, a, w-1, half, b, w-1, half)
+				a, b := in.Args[0], in.Args[1]
+				p.in().dst(in.Dest).s(" = (").op(a).s("[").d(half - 1).s(":0] == ").op(b).s("[").d(half - 1).s(":0] && ").
+					op(a).s("[").d(w - 1).s(":").d(half).s("] == ").op(b).s("[").d(w - 1).s(":").d(half).s("]) ? (bit<1>)1 : 0;").nl()
 				return
 			}
-			p.line("%s = (%s %s %s) ? (bit<1>)1 : 0;", p.dest(in.Dest),
-				p.operand(in.Args[0]), p416Op(in.BinOp), p.operand(in.Args[1]))
+			p.in().dst(in.Dest).s(" = (").op(in.Args[0]).s(" ").s(p416Op(in.BinOp)).s(" ").op(in.Args[1]).s(") ? (bit<1>)1 : 0;").nl()
 			return
 		}
-		p.line("%s = %s %s %s;", p.dest(in.Dest), p.operand(in.Args[0]), p416Op(in.BinOp), p.operand(in.Args[1]))
+		p.in().dst(in.Dest).s(" = ").op(in.Args[0]).s(" ").s(p416Op(in.BinOp)).s(" ").op(in.Args[1]).s(";").nl()
 	case ir.INot:
-		p.line("%s = %s ^ 1;", p.dest(in.Dest), p.operand(in.Args[0]))
+		p.in().dst(in.Dest).s(" = ").op(in.Args[0]).s(" ^ 1;").nl()
 	case ir.ISelect:
-		p.line("%s = (%s == 1) ? %s : %s;", p.dest(in.Dest),
-			p.operand(in.Args[0]), p.operand(in.Args[1]), p.operand(in.Args[2]))
+		p.in().dst(in.Dest).s(" = (").op(in.Args[0]).s(" == 1) ? ").op(in.Args[1]).s(" : ").op(in.Args[2]).s(";").nl()
 	case ir.IHash:
-		var args []string
-		for _, a := range in.Args {
-			args = append(args, p.operand(a))
-		}
 		algo := "HashAlgorithm.crc32"
 		if in.Table == "crc16_hash" {
 			algo = "HashAlgorithm.crc16"
 		}
-		p.line("hash(%s, %s, (bit<32>)0, {%s}, (bit<64>)%d);",
-			p.dest(in.Dest), algo, strings.Join(args, ", "), uint64(1)<<uint(destBits(in)))
+		p.in().s("hash(").dst(in.Dest).s(", ").s(algo).s(", (bit<32>)0, {")
+		for i, a := range in.Args {
+			if i > 0 {
+				p.s(", ")
+			}
+			p.op(a)
+		}
+		p.s("}, (bit<64>)").u(uint64(1) << uint(destBits(in))).s(");").nl()
 	case ir.ILib:
 		p.libStmt(in)
 	case ir.IHeaderAdd:
-		p.line("hdr.%s.setValid();", in.Table)
+		p.line("hdr.", in.Table, ".setValid();")
 	case ir.IHeaderRemove:
-		p.line("hdr.%s.setInvalid();", in.Table)
+		p.line("hdr.", in.Table, ".setInvalid();")
 	case ir.IPacketOp:
 		switch in.Table {
 		case "drop":
 			p.line("mark_to_drop(smeta);")
 		case "forward":
-			p.line("smeta.egress_spec = (bit<9>)%s;", p.operand(in.Args[0]))
+			p.in().s("smeta.egress_spec = (bit<9>)").op(in.Args[0]).s(";").nl()
 		case "mirror":
 			p.line("clone(CloneType.I2E, LYRA_MIRROR_SESSION);")
 		case "copy_to_cpu":
@@ -207,30 +155,33 @@ func (p *p416Printer) stmt(in *ir.Instr) {
 			p.line("recirculate_preserving_field_list(0);")
 		}
 	case ir.IGlobalRead:
-		p.line("%s.read(%s, (bit<32>)%s);", in.Table, p.dest(in.Dest), p.operand(in.Args[0]))
+		p.in().s(in.Table).s(".read(").dst(in.Dest).s(", (bit<32>)").op(in.Args[0]).s(");").nl()
 	case ir.IGlobalWrite:
-		p.line("%s.write((bit<32>)%s, %s);", in.Table, p.operand(in.Args[0]), p.operand(in.Args[1]))
+		p.in().s(in.Table).s(".write((bit<32>)").op(in.Args[0]).s(", ").op(in.Args[1]).s(");").nl()
 	case ir.IExternInsert:
-		p.line("digest(LEARN_RECEIVER, { /* %s key/value */ });", in.Table)
+		p.line("digest(LEARN_RECEIVER, { /* ", in.Table, " key/value */ });")
 	}
 }
 
 func (p *p416Printer) libStmt(in *ir.Instr) {
-	d := p.dest(in.Dest)
+	src := ""
 	switch in.Table {
 	case "get_queue_len":
-		p.line("%s = (bit<32>)smeta.deq_qdepth;", d)
+		src = "(bit<32>)smeta.deq_qdepth"
 	case "get_queue_time":
-		p.line("%s = (bit<32>)smeta.deq_timedelta;", d)
+		src = "(bit<32>)smeta.deq_timedelta"
 	case "get_ingress_timestamp":
-		p.line("%s = (bit<48>)smeta.ingress_global_timestamp;", d)
+		src = "(bit<48>)smeta.ingress_global_timestamp"
 	case "get_egress_timestamp":
-		p.line("%s = (bit<48>)smeta.egress_global_timestamp;", d)
+		src = "(bit<48>)smeta.egress_global_timestamp"
 	case "get_switch_id":
-		p.line("%s = LYRA_SWITCH_ID;", d)
+		src = "LYRA_SWITCH_ID"
 	case "get_ingress_port":
-		p.line("%s = (bit<9>)smeta.ingress_port;", d)
+		src = "(bit<9>)smeta.ingress_port"
+	default:
+		return
 	}
+	p.in().dst(in.Dest).s(" = ").s(src).s(";").nl()
 }
 
 func p416Op(op ast.Op) string {
@@ -247,7 +198,7 @@ func (p *p416Printer) ingress() {
 	p.open("control LyraIngress(inout headers_t hdr, inout metadata_t meta, inout standard_metadata_t smeta) {")
 	// Registers.
 	for _, r := range p.sp.Registers {
-		p.line("register<bit<%d>>(%d) %s;", r.Bits, r.Len, r.Name)
+		p.in().s("register<bit<").d(r.Bits).s(">>(").d(r.Len).s(") ").s(r.Name).s(";").nl()
 	}
 	// Extern tables with their actions.
 	for _, pt := range p.sp.Tables {
@@ -255,48 +206,50 @@ func (p *p416Printer) ingress() {
 			continue
 		}
 		for _, a := range pt.Actions {
-			param := ""
+			p.in().s("action ").s(a.Name).s("(")
 			if actionReadsValue(a) {
-				param = fmt.Sprintf("bit<%d> value", valueBits(pt))
+				p.s("bit<").d(valueBits(pt)).s("> value")
 			}
-			p.open("action %s(%s) {", a.Name, param)
+			p.s(") {").nl()
+			p.ind++
 			for _, in := range a.Instrs {
 				if in.Op == ir.ILookup {
-					p.line("%s = value;", p.dest(in.Dest))
+					p.in().dst(in.Dest).s(" = value;").nl()
 					continue
 				}
 				if in.Op == ir.IMember {
-					p.line("%s = 1;", p.dest(in.Dest))
+					p.in().dst(in.Dest).s(" = 1;").nl()
 					continue
 				}
 				p.stmt(in)
 			}
-			p.close("")
+			p.close()
 		}
-		p.open("table %s {", pt.Name)
+		p.open("table ", pt.Name, " {")
 		p.open("key = {")
 		for _, k := range p.keyRefs(pt) {
-			p.line("%s : exact;", k)
+			p.line(k, " : exact;")
 		}
-		p.close("")
+		p.close()
 		p.open("actions = {")
 		for _, a := range pt.Actions {
-			p.line("%s;", a.Name)
+			p.line(a.Name, ";")
 		}
 		p.line("NoAction;")
-		p.close("")
-		p.line("size = %d;", pt.Entries)
+		p.close()
+		p.in().s("size = ").d64(pt.Entries).s(";").nl()
 		p.line("default_action = NoAction();")
-		p.close("")
+		p.close()
 	}
 	// Apply block: non-extern work inline with if conditions; extern
 	// tables applied in order.
 	p.open("apply {")
 	for _, pt := range p.sp.Tables {
 		if hit, ok := p.sp.HitGuards[pt.Name]; ok {
-			p.open("if (%s == 0) {", p.guardRef(hit))
+			p.in().s("if (").ref(hit).s(" == 0) {").nl()
+			p.ind++
 			p.applyTable(pt)
-			p.close("")
+			p.close()
 			continue
 		}
 		p.applyTable(pt)
@@ -304,24 +257,17 @@ func (p *p416Printer) ingress() {
 	if len(p.sp.Exports) > 0 {
 		p.line("hdr.lyra_bridge.setValid();")
 		for _, bv := range p.sp.Exports {
-			p.line("hdr.lyra_bridge.%s = meta.%s;", BridgeFieldName(bv.Alg, bv.Var), p.sp.MetaField(bv.Var))
+			p.in().s("hdr.lyra_bridge.").s(bv.Field).s(" = meta.").field(bv.Var).s(";").nl()
 		}
 	}
-	p.close("")
-	p.close("")
+	p.close()
+	p.close()
 	p.line("")
-}
-
-func (p *p416Printer) guardRef(v *ir.Var) string {
-	if ref, ok := p.imports[v]; ok {
-		return ref
-	}
-	return "meta." + p.sp.MetaField(v)
 }
 
 func (p *p416Printer) applyTable(pt *encode.PlacedTable) {
 	if pt.Kind == synth.MatchExtern {
-		p.line("%s.apply();", pt.Name)
+		p.line(pt.Name, ".apply();")
 		return
 	}
 	// Absorbed comparisons were lifted out of action bodies; compute them
@@ -338,18 +284,22 @@ func (p *p416Printer) applyTable(pt *encode.PlacedTable) {
 				p.stmt(in)
 				continue
 			}
-			var conds []string
-			for _, g := range in.Guard {
-				ref := p.guardRef(g.Var)
+			p.in().s("if (")
+			for i, g := range in.Guard {
+				if i > 0 {
+					p.s(" && ")
+				}
+				p.ref(g.Var)
 				if g.Neg {
-					conds = append(conds, fmt.Sprintf("%s == 0", ref))
+					p.s(" == 0")
 				} else {
-					conds = append(conds, fmt.Sprintf("%s == 1", ref))
+					p.s(" == 1")
 				}
 			}
-			p.open("if (%s) {", strings.Join(conds, " && "))
+			p.s(") {").nl()
+			p.ind++
 			p.stmt(in)
-			p.close("")
+			p.close()
 		}
 	}
 }
@@ -362,7 +312,9 @@ func (p *p416Printer) keyRefs(pt *encode.PlacedTable) []string {
 			continue
 		}
 		for _, a := range in.Args {
-			ref := p.operand(a)
+			mark := p.b.Len()
+			p.op(a)
+			ref := p.cut(mark)
 			if !seen[ref] {
 				seen[ref] = true
 				out = append(out, ref)
@@ -398,14 +350,14 @@ func (p *p416Printer) footer() {
 	p.open("apply {")
 	for _, h := range p.sp.Headers {
 		if len(h.Fields) > 0 {
-			p.line("pkt.emit(hdr.%s);", h.Name)
+			p.line("pkt.emit(hdr.", h.Name, ");")
 		}
 	}
 	if p.sp.Bridge != nil {
-		p.line("pkt.emit(hdr.%s);", p.sp.Bridge.Name)
+		p.line("pkt.emit(hdr.", p.sp.Bridge.Name, ");")
 	}
-	p.close("")
-	p.close("")
+	p.close()
+	p.close()
 	p.line("")
 	p.line("V1Switch(LyraParser(), LyraVerifyChecksum(), LyraIngress(), LyraEgress(), LyraComputeChecksum(), LyraDeparser()) main;")
 }

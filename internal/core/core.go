@@ -178,7 +178,7 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 		irp, optRep = rewrite.Search(ctx, irp, req.Network, scopes, *req.Optimize, req.Objective, req.Parallelism)
 	}
 
-	res, err := solveAndTranslate(ctx, req, irp, req.Network, scopes, start, tr, nil, nil)
+	res, err := solveAndTranslate(ctx, req, &encode.Input{IR: irp, Net: req.Network, Scopes: scopes}, start, tr, nil, nil)
 	if res != nil {
 		res.Optimization = optRep
 	}
@@ -203,7 +203,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 		return nil, nil, fmt.Errorf("core: recompile requires a network")
 	}
 	tr := &phaseTracker{obs: req.Observer}
-	var scopes map[string]*scope.Resolved
+	in := &encode.Input{IR: prev.IR, Net: net}
 	if err := tr.run(PhaseScope, func() error {
 		spec, err := scope.Parse(req.ScopeSpec)
 		if err != nil {
@@ -211,9 +211,11 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 		}
 		opts := scope.ResolveOpts{AllowMissing: true}
 		if prev.Plan != nil {
-			scopes, err = spec.ResolveAfter(prev.Plan.Input.Scopes, net, net.Since(prev.Plan.Input.Net), opts)
+			since := net.Since(prev.Plan.Input.Net)
+			in.Since = &since
+			in.Scopes, err = spec.ResolveAfter(prev.Plan.Input.Scopes, net, since, opts)
 		} else {
-			scopes, err = spec.ResolveWith(net, opts)
+			in.Scopes, err = spec.ResolveWith(net, opts)
 		}
 		if err != nil {
 			return fmt.Errorf("scope: %w", err)
@@ -223,7 +225,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 		return nil, nil, err
 	}
 	delta := &Delta{}
-	res, err := solveAndTranslate(ctx, req, prev.IR, net, scopes, start, tr, prev, delta)
+	res, err := solveAndTranslate(ctx, req, in, start, tr, prev, delta)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,7 +240,7 @@ func Recompile(ctx context.Context, prev *Result, req Request, net *topo.Network
 // (through the family's shape memo), and delta is filled in with which is which.
 // Every stage is timed into tr; CompileTime is stamped last so it spans the
 // whole pipeline, verification included.
-func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *topo.Network, scopes map[string]*scope.Resolved, start time.Time, tr *phaseTracker, prev *Result, delta *Delta) (*Result, error) {
+func solveAndTranslate(ctx context.Context, req Request, in *encode.Input, start time.Time, tr *phaseTracker, prev *Result, delta *Delta) (*Result, error) {
 	// Back-end: synthesis + constraint encoding + SMT solve (§5).
 	opts := encode.DefaultOptions()
 	opts.Objective = req.Objective
@@ -255,7 +257,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	if opts.Cache == nil {
 		opts.Cache = encode.NewCache()
 	}
-	plan, err := encode.Solve(&encode.Input{IR: irp, Net: net, Scopes: scopes}, opts)
+	plan, err := encode.Solve(in, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +322,7 @@ func solveAndTranslate(ctx context.Context, req Request, irp *ir.Program, net *t
 	tr.done(PhaseCodegen, time.Since(cgStart))
 
 	res := &Result{
-		IR:             irp,
+		IR:             in.IR,
 		Plan:           plan,
 		Artifacts:      arts,
 		Fingerprints:   fps,

@@ -233,6 +233,9 @@ type Deployment struct {
 	execs       [2]Executor
 	externKeys  map[string][]uint64
 	externHosts map[string][]string
+	// gates maps each switch's instructions that belong to a hit-guarded
+	// shard table to that table, for the interpreter's shard gating.
+	gates map[string]map[int]string
 }
 
 // buildExternMeta computes the per-extern caches in one pass: sorted entry
@@ -317,9 +320,11 @@ func NewDeployment(plan *encode.Plan, tables *Tables) (*Deployment, error) {
 		globals:     map[string]globalStore{},
 		tables:      tables,
 	}
-	for sw := range progs {
+	d.gates = make(map[string]map[int]string, len(progs))
+	for sw, sp := range progs {
 		d.shardTables[sw] = NewTables()
 		d.globals[sw] = globalStore{}
+		d.gates[sw] = gatesOf(sp)
 	}
 	d.buildExternMeta()
 	// Distribute entries across shards path by path (Appendix B.1): hosts
@@ -410,19 +415,14 @@ func (d *Deployment) RunPath(path []string, ctx *Context, in *Packet) (*Packet, 
 		env := map[*ir.Var]uint64{}
 		// Import bridged variables.
 		for _, bv := range sp.Imports {
-			env[bv.Var] = pkt.Bridge[backend.BridgeFieldName(bv.Alg, bv.Var)]
+			env[bv.Var] = pkt.Bridge[bv.Field]
 		}
 		// Shard gating (Algorithm 2): every instruction belonging to a
 		// downstream shard table is skipped when the bridged hit signal
 		// says an upstream shard already resolved the lookup. The gate is
 		// snapshotted at switch entry so a local hit does not suppress the
 		// rest of its own table.
-		tableOf := map[int]string{}
-		for _, pt := range sp.Tables {
-			for _, ti := range pt.Table.Instrs() {
-				tableOf[ti.ID] = pt.Name
-			}
-		}
+		gateOf := d.gates[sw]
 		gateAtEntry := map[string]uint64{}
 		for name, hitVar := range sp.HitGuards {
 			gateAtEntry[name] = env[hitVar]
@@ -436,10 +436,8 @@ func (d *Deployment) RunPath(path []string, ctx *Context, in *Packet) (*Packet, 
 			if !guardHolds(instr.Guard, env) {
 				continue
 			}
-			if tn, ok := tableOf[instr.ID]; ok {
-				if _, gated := sp.HitGuards[tn]; gated && gateAtEntry[tn] != 0 {
-					continue
-				}
+			if tn, gated := gateOf[instr.ID]; gated && gateAtEntry[tn] != 0 {
+				continue
 			}
 			if err := x.step(instr); err != nil {
 				return nil, err
@@ -447,10 +445,31 @@ func (d *Deployment) RunPath(path []string, ctx *Context, in *Packet) (*Packet, 
 		}
 		// Export bridge variables for downstream hops.
 		for _, bv := range sp.Exports {
-			pkt.Bridge[backend.BridgeFieldName(bv.Alg, bv.Var)] = env[bv.Var]
+			pkt.Bridge[bv.Field] = env[bv.Var]
 		}
 	}
 	return pkt, nil
+}
+
+// gatesOf maps each instruction of a switch program to the table it belongs
+// to — the last of the program's tables to hold it — when that table is
+// gated by a hit guard; nil when the program gates nothing.
+func gatesOf(sp *backend.SwitchProgram) map[int]string {
+	if len(sp.HitGuards) == 0 {
+		return nil
+	}
+	tableOf := map[int]string{}
+	for _, pt := range sp.Tables {
+		for _, ti := range pt.Table.Instrs() {
+			tableOf[ti.ID] = pt.Name
+		}
+	}
+	for id, tn := range tableOf {
+		if _, gated := sp.HitGuards[tn]; !gated {
+			delete(tableOf, id)
+		}
+	}
+	return tableOf
 }
 
 // SetSwitchEntry installs a control-plane entry into one switch's local

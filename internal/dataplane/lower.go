@@ -446,7 +446,7 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 	for _, bv := range sp.Imports {
 		u.imports = append(u.imports, bridgeMove{
 			reg:  slot(bv.Var),
-			slot: int32(lo.lay.ensureBridge(backend.BridgeFieldName(bv.Alg, bv.Var))),
+			slot: int32(lo.lay.ensureBridge(bv.Field)),
 		})
 	}
 
@@ -480,7 +480,7 @@ func (lo *lowerer) lowerSwitch(sp *backend.SwitchProgram) (*compiledUnit, error)
 	for _, bv := range sp.Exports {
 		u.exports = append(u.exports, bridgeMove{
 			reg:  slot(bv.Var),
-			slot: int32(lo.lay.ensureBridge(backend.BridgeFieldName(bv.Alg, bv.Var))),
+			slot: int32(lo.lay.ensureBridge(bv.Field)),
 		})
 	}
 	u.numRegs = len(regs)

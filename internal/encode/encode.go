@@ -70,6 +70,10 @@ type Input struct {
 	IR     *ir.Program
 	Net    *topo.Network
 	Scopes map[string]*scope.Resolved
+	// Since, when not nil, is Net.Since(the network of Options.Prev's
+	// input), which a recompile has already computed to re-resolve its
+	// scopes; the solve computes it itself otherwise.
+	Since *topo.Delta
 }
 
 // Objective selects the optimization metric (Appendix C.2).
@@ -446,7 +450,11 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 			return nil
 		}
 	}
-	delta := in.Net.Since(prev.Input.Net)
+	delta := in.Since
+	if delta == nil {
+		d := in.Net.Since(prev.Input.Net)
+		delta = &d
+	}
 	if delta.Grew {
 		return nil
 	}

@@ -107,14 +107,14 @@ func (p *Plan) Imports(sw string, instrs []*ir.Instr) []BridgeVar {
 	seen := map[*ir.Var]bool{}
 	var out []BridgeVar
 	for _, in := range instrs {
-		for _, v := range in.Reads() {
+		in.EachRead(func(v *ir.Var) {
 			if e := p.hashes.exporters[v]; !seen[v] && e.importedBy(sw) {
 				seen[v] = true
 				out = append(out, e.bv)
 			}
-		}
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Var.String() < out[j].Var.String() })
+	ir.SortByVar(out, func(bv BridgeVar) (string, *ir.Var) { return "", bv.Var })
 	return out
 }
 

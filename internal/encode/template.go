@@ -174,13 +174,7 @@ func (e *encoder) bridge(t *Template) {
 		}
 	}
 	for i := range t.slots {
-		bs := t.slots[i].bridges
-		sort.Slice(bs, func(i, j int) bool {
-			if bs[i].Alg != bs[j].Alg {
-				return bs[i].Alg < bs[j].Alg
-			}
-			return bs[i].Var.String() < bs[j].Var.String()
-		})
+		ir.SortByVar(t.slots[i].bridges, func(bv BridgeVar) (string, *ir.Var) { return bv.Alg, bv.Var })
 	}
 }
 

@@ -5,7 +5,9 @@
 package ir
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,6 +33,52 @@ func (v *Var) String() string {
 	// Not fmt: this is the sort key and map key of per-switch loops in
 	// placement replay, program building and fingerprinting.
 	return v.Name + "." + strconv.Itoa(v.Ver)
+}
+
+// appendKey appends v.String() to b.
+func (v *Var) appendKey(b []byte) []byte {
+	if v == nil {
+		return append(b, "<nil>"...)
+	}
+	return strconv.AppendInt(append(append(b, v.Name...), '.'), int64(v.Ver), 10)
+}
+
+// SortByVar sorts s by a group string and then by a variable's String(),
+// rendering each variable's key once rather than twice per comparison. It
+// orders ties as sort.Slice does under that comparison: slices.SortFunc and
+// sort.Slice are generated from one pattern-defeating quicksort. String()
+// order is not (Name, Ver) order: x.10 sorts before x.2.
+func SortByVar[T any](s []T, key func(T) (group string, v *Var)) {
+	if len(s) < 2 {
+		return
+	}
+	type keyed struct {
+		group    string
+		from, to int // the variable's key in buf
+		x        T
+	}
+	// A short list, the usual case, is sorted without touching the heap.
+	var ksmall [16]keyed
+	var bsmall [512]byte
+	ks, buf := ksmall[:0], bsmall[:0]
+	if len(s) > len(ksmall) {
+		ks = make([]keyed, 0, len(s))
+	}
+	for _, x := range s {
+		g, v := key(x)
+		from := len(buf)
+		buf = v.appendKey(buf)
+		ks = append(ks, keyed{g, from, len(buf), x})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := strings.Compare(a.group, b.group); c != 0 {
+			return c
+		}
+		return bytes.Compare(buf[a.from:a.to], buf[b.from:b.to])
+	})
+	for i := range ks {
+		s[i] = ks[i].x
+	}
 }
 
 // OperandKind discriminates Operand.
@@ -292,6 +340,19 @@ func (in *Instr) Reads() []*Var {
 		out = append(out, g.Var)
 	}
 	return out
+}
+
+// EachRead calls f on each variable Reads returns, in the same order,
+// without building the list.
+func (in *Instr) EachRead(f func(*Var)) {
+	for _, a := range in.Args {
+		if a.Kind == OpdVar {
+			f(a.Var)
+		}
+	}
+	for _, g := range in.Guard {
+		f(g.Var)
+	}
 }
 
 // ReadsFields returns header fields read by the instruction.

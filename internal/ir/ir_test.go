@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -158,5 +161,52 @@ func TestOperandString(t *testing.T) {
 	}
 	if VarOp(v("a", 2, 8)).String() != "a.2" {
 		t.Error("var")
+	}
+}
+
+// TestSortByVarMatchesSortSlice: SortByVar puts any list — ties between
+// distinct variables of one name and version included — in the order
+// sort.Slice gives it under the group-then-String() comparison, which puts
+// x.10 before x.2.
+func TestSortByVarMatchesSortSlice(t *testing.T) {
+	type owned struct {
+		alg string
+		v   *Var
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 300; n++ {
+		var a []owned
+		for i := rng.Intn(40); i >= 0; i-- {
+			a = append(a, owned{[]string{"a", "b", "ab"}[rng.Intn(3)], &Var{Name: []string{"x", "x_", "y"}[rng.Intn(3)], Ver: rng.Intn(12)}})
+		}
+		b := append([]owned(nil), a...)
+		SortByVar(a, func(o owned) (string, *Var) { return o.alg, o.v })
+		sort.Slice(b, func(i, j int) bool {
+			if b[i].alg != b[j].alg {
+				return b[i].alg < b[j].alg
+			}
+			return b[i].v.String() < b[j].v.String()
+		})
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("list %d: position %d holds %s %s, sort.Slice %s %s", n, i, a[i].alg, a[i].v, b[i].alg, b[i].v)
+			}
+		}
+	}
+	vs := []*Var{{Name: "x", Ver: 2}, {Name: "x", Ver: 10}}
+	SortByVar(vs, func(v *Var) (string, *Var) { return "", v })
+	if vs[0].Ver != 10 {
+		t.Errorf("x.2 sorted before x.10")
+	}
+}
+
+// TestEachReadMatchesReads: EachRead visits what Reads lists, in order.
+func TestEachReadMatchesReads(t *testing.T) {
+	a, b, g := &Var{Name: "a", Ver: 1}, &Var{Name: "b", Ver: 1}, &Var{Name: "g", Ver: 1}
+	in := &Instr{Args: []Operand{VarOp(a), ConstOp(3), FieldOp("h", "f", 8), VarOp(b)}, Guard: Guard{{Var: g}}}
+	var got []*Var
+	in.EachRead(func(v *Var) { got = append(got, v) })
+	if want := in.Reads(); !slices.Equal(got, want) {
+		t.Errorf("EachRead visited %v, Reads lists %v", got, want)
 	}
 }

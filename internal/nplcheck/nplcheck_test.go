@@ -1,6 +1,7 @@
 package nplcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -124,12 +125,35 @@ func TestUnusedTableCaught(t *testing.T) {
 }
 
 func TestRefsIn(t *testing.T) {
-	refs := refsIn("lyra_bus.a = (ipv4.src & 0xff) + cnt[0].value;")
-	want := map[string]bool{"lyra_bus.a": true, "ipv4.src": true, "cnt[0].value": false}
-	_ = want
-	joined := strings.Join(refs, ",")
-	if !strings.Contains(joined, "lyra_bus.a") || !strings.Contains(joined, "ipv4.src") {
-		t.Errorf("refs = %v", refs)
+	var refs []string
+	eachRef("lyra_bus.a = (ipv4.src & 0xff) + cnt[0].value;", func(r string) { refs = append(refs, r) })
+	if got := strings.Join(refs, ","); got != "lyra_bus.a,ipv4.src" {
+		t.Errorf("refs = %v, want [lyra_bus.a ipv4.src]", refs)
+	}
+}
+
+// TestLeadingIntMatchesSscanf: a lookup index reads as fmt.Sscanf's %d
+// reads it, on well-formed and malformed texts alike.
+func TestLeadingIntMatchesSscanf(t *testing.T) {
+	for _, s := range []string{"0", "1", "12", " 3", "\t4", "+5", "-6", "7x", "8 9", "", " ", "x", "+", "-",
+		"0x10", "1_000", "99999999999999999999", "-99999999999999999999", "9223372036854775807"} {
+		var want int
+		fmt.Sscanf(s, "%d", &want)
+		if got := leadingInt(s); got != want {
+			t.Errorf("leadingInt(%q) = %d, fmt.Sscanf %d", s, got, want)
+		}
+	}
+}
+
+// TestTwoFieldsMatchesFields: an instance declaration splits as
+// strings.Fields splits it.
+func TestTwoFieldsMatchesFields(t *testing.T) {
+	for _, s := range []string{"a b", "a  b", " a b ", "a\tb", "a b c", "a", "", " ", "a\u00a0b", "a\u2003b c", "\u00a0a b\u00a0"} {
+		f := strings.Fields(s)
+		a, b, ok := twoFields(s)
+		if ok != (len(f) == 2) || ok && (a != f[0] || b != f[1]) {
+			t.Errorf("twoFields(%q) = %q, %q, %v; strings.Fields %q", s, a, b, ok, f)
+		}
 	}
 }
 

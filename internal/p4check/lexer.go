@@ -28,6 +28,7 @@ type tok struct {
 	kind tokKind
 	text string
 	line int
+	pos  int // offset of text in the source
 }
 
 func (t tok) String() string {
@@ -82,13 +83,13 @@ func (lx *lexer) next() tok {
 			for lx.i < n && isIdentPart(src[lx.i]) {
 				lx.i++
 			}
-			return tok{tIdent, src[start:lx.i], lx.line}
+			return tok{tIdent, src[start:lx.i], lx.line, start}
 		case c >= '0' && c <= '9':
 			start := lx.i
 			for lx.i < n && isIdentPart(src[lx.i]) { // hex digits, 0x prefix
 				lx.i++
 			}
-			return tok{tNumber, src[start:lx.i], lx.line}
+			return tok{tNumber, src[start:lx.i], lx.line, start}
 		default:
 			// Operators inside control if-conditions (==, !=, <, &&) and
 			// action arguments are tokenized as opaque punctuation.
@@ -112,10 +113,10 @@ func (lx *lexer) next() tok {
 				k = tDot
 			}
 			lx.i++
-			return tok{kind: k, text: src[lx.i-1 : lx.i], line: lx.line}
+			return tok{k, src[lx.i-1 : lx.i], lx.line, lx.i - 1}
 		}
 	}
-	return tok{kind: tEOF, line: lx.line}
+	return tok{kind: tEOF, line: lx.line, pos: lx.i}
 }
 
 func isIdentStart(c byte) bool {

@@ -205,3 +205,36 @@ func TestDuplicateFieldRejected(t *testing.T) {
 		t.Fatalf("duplicate field: got %v", err)
 	}
 }
+
+// TestArgumentSpelling: a primitive argument and a field reference read the
+// same however the source spaces them — tokens joined by single spaces, none
+// around dots or after an opening parenthesis — whether the parse can take
+// them straight from the source or must put them together.
+func TestArgumentSpelling(t *testing.T) {
+	src := `header_type h_t { fields { a : 8; } }
+header h_t h;
+action a1(value) {
+    modify_field(h.a, value);
+    modify_field(h . a, f( value , 1 ));
+    modify_field_with_hash_based_offset(h.a, 0, c, 65536);
+    add(h.a,  h.a,1);
+}
+table t { reads { h . a : exact; h.a : exact; } actions { a1; } }
+control ingress { apply(t); }
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range prog.Actions["a1"].Primitives {
+		got = append(got, strings.Join(p.Args, "|"))
+	}
+	want := []string{"h.a|value", "h.a|f(value, 1)", "h.a|0|c|65536", "h.a|h.a|1"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("arguments\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if reads := strings.Join(prog.Tables["t"].Reads, "|"); reads != "h.a|h.a" {
+		t.Errorf("reads = %s, want h.a|h.a", reads)
+	}
+}

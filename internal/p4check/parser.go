@@ -1,9 +1,9 @@
 package p4check
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Program is a parsed P4_14 compilation unit (the emitted subset).
@@ -53,7 +53,8 @@ type ControlStep struct {
 // the lexer.
 type parser struct {
 	lx  lexer
-	tok tok // the current token
+	tok tok    // the current token
+	arg []byte // a primitive argument being put together
 }
 
 func (p *parser) cur() tok  { return p.tok }
@@ -397,6 +398,9 @@ func (p *parser) fieldRef() (string, error) {
 		if err != nil {
 			return "", err
 		}
+		if end := b.pos + len(b.text); end-a.pos == len(a.text)+1+len(b.text) {
+			return p.lx.src[a.pos:end], nil // written without spaces: the text itself
+		}
 		return a.text + "." + b.text, nil
 	}
 	return a.text, nil
@@ -446,41 +450,55 @@ func (p *parser) primitive() (Primitive, error) {
 	if _, err := p.expect(tLParen, "("); err != nil {
 		return prim, err
 	}
+	// An argument is its tokens joined by single spaces, none around dots or
+	// after an opening parenthesis. Where the source spells it exactly so,
+	// the argument is that stretch of the source rather than a copy.
 	depth := 1
-	var arg strings.Builder
+	from, to := 0, 0 // the source the argument's tokens span
 	flush := func() {
-		s := strings.TrimSpace(arg.String())
-		if s != "" {
-			prim.Args = append(prim.Args, s)
+		a := bytes.TrimSpace(p.arg)
+		if len(a) > 0 {
+			if src := p.lx.src[from:to]; string(a) == src {
+				prim.Args = append(prim.Args, src)
+			} else {
+				prim.Args = append(prim.Args, string(a))
+			}
 		}
-		arg.Reset()
+		p.arg = p.arg[:0]
+	}
+	write := func(t tok, s string) {
+		if len(p.arg) == 0 {
+			from = t.pos
+		}
+		p.arg = append(p.arg, s...)
+		to = t.pos + len(t.text)
 	}
 	for depth > 0 {
 		t := p.next()
 		switch t.kind {
 		case tLParen:
 			depth++
-			arg.WriteString("(")
+			write(t, "(")
 		case tRParen:
 			depth--
 			if depth > 0 {
-				arg.WriteString(")")
+				write(t, ")")
 			}
 		case tComma:
 			if depth == 1 {
 				flush()
 			} else {
-				arg.WriteString(",")
+				write(t, ",")
 			}
 		case tDot:
-			arg.WriteString(".")
+			write(t, ".")
 		case tEOF:
 			return prim, fmt.Errorf("line %d: unexpected EOF in primitive", t.line)
 		default:
-			if arg.Len() > 0 && !strings.HasSuffix(arg.String(), ".") && !strings.HasSuffix(arg.String(), "(") {
-				arg.WriteString(" ")
+			if n := len(p.arg); n > 0 && p.arg[n-1] != '.' && p.arg[n-1] != '(' {
+				p.arg = append(p.arg, ' ')
 			}
-			arg.WriteString(t.text)
+			write(t, t.text)
 		}
 	}
 	flush()
