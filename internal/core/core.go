@@ -266,9 +266,8 @@ func solveAndTranslate(ctx context.Context, req Request, in *encode.Input, start
 
 	// Translation to chip-specific code (§5.7–§5.8), for the switches whose
 	// fingerprint the previous result does not already answer in this
-	// compile's language. A walk over the previous result's switches, in
-	// order when its reports give it, decides which keep their artifact and
-	// which left; the switches left over are translated. That is the delta.
+	// compile's language: one ordered walk (keepFrom) decides which keep their
+	// artifact and which left, and the rest are translated. That is the delta.
 	cgStart := time.Now()
 	fps := plan.Fingerprints()
 	var memo *backend.Shapes // a compile fills nothing
@@ -276,45 +275,18 @@ func solveAndTranslate(ctx context.Context, req Request, in *encode.Input, start
 		memo = cmp.Or(prev.Shapes, new(backend.Shapes))
 	}
 	topts := &backend.Options{P4Dialect: req.Dialect, Parallelism: req.Parallelism, Shapes: memo}
-	arts := make(map[string]*backend.Artifact, len(fps))
+	var k *keeping
 	if prev != nil {
-		topts.Only = map[string]bool{}
-		delta.Unchanged = make([]string, 0, len(fps))
-		keep := func(sw string) {
-			if fp, hosts := fps[sw]; !hosts {
-				delta.Removed = append(delta.Removed, sw)
-			} else if art := prev.Artifacts[sw]; art != nil && prev.Fingerprints[sw] == fp && art.Dialect == req.Dialect.Lang(art.Model) {
-				arts[sw] = art
-				delta.Unchanged = append(delta.Unchanged, sw)
-			}
-		}
-		if len(prev.Reports) == len(prev.Artifacts) { // one per switch, in order
-			for i := range prev.Reports {
-				keep(prev.Reports[i].Switch)
-			}
-		} else {
-			for sw := range prev.Fingerprints {
-				keep(sw)
-			}
-			sort.Strings(delta.Unchanged)
-			sort.Strings(delta.Removed)
-		}
-		for sw := range fps {
-			if arts[sw] == nil {
-				topts.Only[sw] = true
-				delta.Reprogram = append(delta.Reprogram, sw)
-			}
-		}
-		sort.Strings(delta.Reprogram)
+		k = keepFrom(prev, plan, req, delta)
+		topts.Only = k.only
 	}
-	kept := len(arts)
 	fresh, err := backend.Translate(plan, topts)
 	if err != nil {
 		return nil, fmt.Errorf("translate: %w", err)
 	}
-	if kept == 0 {
-		arts = fresh
-	} else {
+	arts := fresh
+	if k != nil && len(delta.Unchanged) > 0 {
+		arts = k.arts
 		for sw, art := range fresh {
 			arts[sw] = art
 		}
@@ -338,12 +310,15 @@ func solveAndTranslate(ctx context.Context, req Request, in *encode.Input, start
 	var verifyErr error
 	if !req.SkipVerify {
 		vStart := time.Now()
-		if kept == 0 || len(prev.Reports) != len(prev.Artifacts) {
+		if k == nil || k.reports == nil || len(delta.Unchanged) == 0 {
 			// Nothing to carry, or a previous result that was not itself
 			// fully verified and so carries nothing forward.
 			res.Reports = verify.PlanShared(plan, arts, req.Parallelism, memo)
 		} else {
-			res.Reports = mergeReports(prev.Reports, delta.Unchanged, verify.PlanShared(plan, fresh, req.Parallelism, memo))
+			for n, r := range verify.PlanShared(plan, fresh, req.Parallelism, memo) {
+				k.reports[k.fresh[n]] = r
+			}
+			res.Reports = k.reports
 		}
 		tr.done(PhaseVerify, time.Since(vStart))
 		for _, r := range res.Reports {
@@ -370,25 +345,103 @@ func solveAndTranslate(ctx context.Context, req Request, in *encode.Input, start
 	return res, nil
 }
 
-// mergeReports returns one report per artifact in sorted switch order: the
-// previous result's report for every kept artifact (the very object that
-// report was made from) merged with the fresh checks of the others. All three
-// inputs are sorted by switch.
-func mergeReports(prev []verify.Report, kept []string, checked []verify.Report) []verify.Report {
-	out := make([]verify.Report, 0, len(kept)+len(checked))
-	for _, r := range prev {
-		if len(kept) == 0 {
-			break
-		}
-		if r.Switch != kept[0] {
-			continue
-		}
-		kept = kept[1:]
-		for len(checked) > 0 && checked[0].Switch < r.Switch {
-			out = append(out, checked[0])
-			checked = checked[1:]
-		}
-		out = append(out, r)
+// keeping is what a recompile takes over from the result it follows: a copy
+// of its artifacts without those of the switches that are translated anew or
+// left, and the switches to translate. With one report per previous artifact,
+// reports holds, in switch order, the previous report of every switch that
+// keeps its artifact and an empty one, at the indices in fresh, for every
+// switch to check anew.
+type keeping struct {
+	arts    map[string]*backend.Artifact
+	only    map[string]bool
+	reports []verify.Report
+	fresh   []int
+}
+
+// keepFrom decides, in one walk in switch order over the previous result's
+// switches and those the plan rehashed (Plan.Rehashed), which switch keeps its
+// artifact and report, which is translated anew and which left, and fills
+// delta's lists in that order. A switch the plan did not rehash has its
+// previous fingerprint, so it keeps its artifact when that is in the language
+// this compile emits for its chip (fingerprints do not cover the dialect);
+// the rehashed ones have their fingerprints compared. When the plan cannot
+// tell — it followed no plan, or a plan-wide fact moved — every switch is
+// compared.
+func keepFrom(prev *Result, plan *encode.Plan, req Request, delta *Delta) *keeping {
+	fps := plan.Fingerprints()
+	changed, carried := plan.Rehashed()
+	if !carried {
+		changed = sortedKeys(fps)
 	}
-	return append(out, checked...)
+	// The previous switches in order, with their artifacts' languages: its
+	// reports when they are one per artifact, else its artifacts sorted.
+	olds := prev.Reports
+	k := &keeping{arts: make(map[string]*backend.Artifact, len(prev.Artifacts)), only: map[string]bool{}}
+	if len(prev.Reports) != len(prev.Artifacts) {
+		olds = make([]verify.Report, 0, len(prev.Artifacts))
+		for _, sw := range sortedKeys(prev.Artifacts) {
+			olds = append(olds, verify.Report{Switch: sw, Dialect: prev.Artifacts[sw].Dialect})
+		}
+	} else if !req.SkipVerify {
+		k.reports = make([]verify.Report, 0, len(fps))
+	}
+	for sw, art := range prev.Artifacts { // not maps.Clone, which takes twice as long (go1.24)
+		k.arts[sw] = art
+	}
+	// An artifact is in this compile's language if it is NPL, which every
+	// dialect emits alike, or P4 in this compile's dialect.
+	sameLang := func(lang string) bool { return lang == asic.LangNPL.String() || lang == req.Dialect.String() }
+	delta.Unchanged = make([]string, 0, len(fps))
+	for i, j := 0, 0; i < len(olds) || j < len(changed); {
+		sw, was, rehashed := "", -1, false // was: the switch's index in olds
+		switch {
+		case j == len(changed) || i < len(olds) && olds[i].Switch < changed[j]:
+			sw, was = olds[i].Switch, i
+			i++
+		case i == len(olds) || changed[j] < olds[i].Switch:
+			sw, rehashed = changed[j], true
+			j++
+		default:
+			sw, was, rehashed = changed[j], i, true
+			i, j = i+1, j+1
+		}
+		hosts, keep := true, false
+		if carried && !rehashed {
+			keep = sameLang(olds[was].Dialect)
+		} else {
+			var fp string
+			fp, hosts = fps[sw]
+			keep = hosts && was >= 0 && prev.Fingerprints[sw] == fp && sameLang(olds[was].Dialect)
+		}
+		switch {
+		case keep:
+			delta.Unchanged = append(delta.Unchanged, sw)
+			if k.reports != nil {
+				k.reports = append(k.reports, olds[was])
+			}
+		case !hosts:
+			if was >= 0 {
+				delta.Removed = append(delta.Removed, sw)
+				delete(k.arts, sw)
+			}
+		default:
+			delta.Reprogram = append(delta.Reprogram, sw)
+			k.only[sw] = true
+			delete(k.arts, sw)
+			if k.reports != nil {
+				k.fresh = append(k.fresh, len(k.reports))
+				k.reports = append(k.reports, verify.Report{})
+			}
+		}
+	}
+	return k
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

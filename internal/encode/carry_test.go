@@ -2,10 +2,13 @@ package encode
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"lyra/internal/asic"
+	"lyra/internal/ir"
 	"lyra/internal/scope"
 	"lyra/internal/topo"
 )
@@ -261,5 +264,305 @@ func TestCarriedIndexChain(t *testing.T) {
 			t.Errorf("step %d: indexed as an overlay %v, following an overlay %v", step, overlay, prev.at.base != nil)
 		}
 		prev, net = got, next
+	}
+}
+
+// TestCarriedHashesEqualFresh: a plan whose solve carried bindings over moves
+// the bridge facts of the plan it follows by the bindings that changed, takes
+// that plan's hashes of every other switch where no plan-wide fact a hash
+// reads moved, and has the other templates' shapes from their memo. Its
+// Fingerprints, BridgeLayout, Shape and Imports must be what hashing the same
+// bindings from nothing gives, after every single switch-down, link-down and
+// chip degrade of the carry-test fabrics and after a second fault chained onto
+// each: one down of the switch holding each bridge field's first export, which
+// can move the field's place in the layout (some case must). Every switch
+// Rehashed leaves out must hash as it did in the plan followed. And a
+// template bound in two plans whose exporters differ gets the shapes of each
+// (shapeMemoKeysImports).
+func TestCarriedHashesEqualFresh(t *testing.T) {
+	t.Run("faults", carriedHashesAfterFaults)
+	t.Run("one template in two plans", shapeMemoKeysImports)
+}
+
+func carriedHashesAfterFaults(t *testing.T) {
+	const podPair = "acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\nnat: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n"
+	type fault struct {
+		name string
+		do   func(*topo.Network) error
+	}
+	down := func(sw string) fault {
+		return fault{"down " + sw, func(n *topo.Network) error { return n.RemoveSwitch(sw) }}
+	}
+	ropts := scope.ResolveOpts{AllowMissing: true}
+	cases, carried, reordered := 0, 0, 0
+	for _, fab := range []struct {
+		name, src, scope string
+		net              *topo.Network
+	}{
+		{"one algorithm", subst(lbSrc, "4000000", "100000"), podLBScope, podNet(4, 4)},
+		{"one aggregation switch per pod", subst(lbSrc, "4000000", "100000"), podLBScope, oneAggPods(3)},
+		{"two algorithms per pod", podTwoAlgSrc, podPair, podNet(3, 4)},
+		{"per-switch scope beside pods", intSrc, podPair + "int_in: [ Core* | PER-SW | - ]\n", podNet(3, 4)},
+	} {
+		base := fab.net
+		in := buildInputOpts(t, fab.src, fab.scope, base, ropts)
+		spec, err := scope.Parse(fab.scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Cache = NewCache() // one family: its templates, and their memos, are shared by every case
+		root, err := Solve(in, opts)
+		if err != nil {
+			t.Fatalf("%s: base solve: %v", fab.name, err)
+		}
+		follow := func(prev *Plan, f fault) *Plan {
+			net := prev.Input.Net.Clone()
+			if err := f.do(net); err != nil {
+				t.Fatal(err)
+			}
+			scopes, err := spec.ResolveAfter(prev.Input.Scopes, net, net.Since(prev.Input.Net), ropts)
+			if err != nil {
+				t.Fatalf("%s: %s: resolve: %v", fab.name, f.name, err)
+			}
+			o := *opts
+			o.Prev = prev
+			got, err := Solve(&Input{IR: in.IR, Net: net, Scopes: scopes}, &o)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", fab.name, f.name, err)
+			}
+			return got
+		}
+		check := func(label string, got, prev *Plan) {
+			t.Helper()
+			cases++
+			fresh := &Plan{Input: got.Input, bound: got.bound, at: got.at}
+			if !reflect.DeepEqual(got.Fingerprints(), fresh.Fingerprints()) {
+				t.Errorf("%s: fingerprints differ from a fresh hash", label)
+			}
+			if !reflect.DeepEqual(got.BridgeLayout(), fresh.BridgeLayout()) {
+				t.Errorf("%s: bridge layout %s, fresh %s", label, layoutOf(got), layoutOf(fresh))
+			}
+			for _, sw := range prev.Input.Net.Names() {
+				if got.Shape(sw) != fresh.Shape(sw) {
+					t.Errorf("%s: %s: shape differs from a fresh hash", label, sw)
+				}
+			}
+			got.EachHost(func(sw string, instrs []*ir.Instr) {
+				if !reflect.DeepEqual(got.Imports(sw, instrs), fresh.Imports(sw, instrs)) {
+					t.Errorf("%s: %s: imports differ from a fresh hash", label, sw)
+				}
+			})
+			rehashed, ok := got.Rehashed()
+			if !ok {
+				return
+			}
+			carried++
+			for _, sw := range prev.Input.Net.Names() {
+				if has(rehashed, sw) {
+					continue
+				}
+				if got.Fingerprints()[sw] != prev.Fingerprints()[sw] || got.Shape(sw) != prev.Shape(sw) {
+					t.Errorf("%s: %s is not rehashed but hashes otherwise than in the plan followed", label, sw)
+				}
+			}
+		}
+
+		var faults []fault
+		for _, sw := range base.Names() {
+			faults = append(faults, down(sw), fault{"degrade " + sw, func(n *topo.Network) error {
+				return n.DegradeASIC(sw, func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.8, 1) })
+			}})
+			for _, nb := range base.Neighbors(sw) {
+				if sw < nb {
+					faults = append(faults, fault{"cut " + sw + "–" + nb, func(n *topo.Network) error { return n.RemoveLink(sw, nb) }})
+				}
+			}
+		}
+		for _, f := range faults {
+			got := follow(root, f)
+			check(fab.name+": "+f.name, got, root)
+			for _, fi := range firstsBySwitch(got) {
+				if got.Input.Net.Switch(fi.sw) == nil {
+					continue
+				}
+				next := follow(got, down(fi.sw))
+				check(fab.name+": "+f.name+", then down "+fi.sw, next, got)
+				if layoutOf(next) != layoutOf(got) && len(next.BridgeLayout()) == len(got.BridgeLayout()) {
+					reordered++
+				}
+			}
+		}
+	}
+	// The cases must reach both the carried hashes and a layout whose order
+	// moved when a first export went.
+	t.Logf("%d cases: %d took the carried hashes, %d reordered the layout", cases, carried, reordered)
+	if carried == 0 || reordered == 0 {
+		t.Errorf("%d cases took the carried hashes, %d reordered the layout; want both", carried, reordered)
+	}
+}
+
+// oneAggPods builds pods of one Agg linked to two ToRs each: the Agg is its
+// pod's only exporter of what it bridges.
+func oneAggPods(pods int) *topo.Network {
+	net := topo.New()
+	for p := 1; p <= pods; p++ {
+		agg := fmt.Sprintf("Agg%d", p)
+		net.AddSwitch(agg, "Agg", asic.Tofino32Q)
+		for i := 1; i <= 2; i++ {
+			tor := fmt.Sprintf("ToR%d_%d", p, i)
+			net.AddSwitch(tor, "ToR", asic.Tofino32Q)
+			net.AddLink(agg, tor)
+		}
+	}
+	return net
+}
+
+// firstsBySwitch lists a plan's bridge fields' first exports, by switch.
+func firstsBySwitch(p *Plan) []first {
+	var out []first
+	for _, f := range p.firstExports() {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[j].after(out[i].sw, out[i].pos) })
+	return out
+}
+
+// layoutOf renders a plan's bridge layout's fields in order.
+func layoutOf(p *Plan) string {
+	var b []byte
+	for _, bv := range p.BridgeLayout() {
+		b = appendBridgeVar(b, bv)
+		b = append(b, ',')
+	}
+	return string(b)
+}
+
+// shapeMemoKeysImports: a template the class memo hands to two plans, in one
+// of which another pod exports what a slot reads and in the other nothing else
+// does, gets from its shape memo the shapes a fresh hash of each plan gives —
+// which differ at that slot — and not the other plan's.
+func shapeMemoKeysImports(t *testing.T) {
+	// One Agg per pod: it is its pod's only exporter of the hash it reads.
+	net := oneAggPods(2)
+	in := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net)
+	opts := DefaultOptions()
+	opts.Cache = NewCache()
+	base, err := Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := base.Bindings()
+	if len(b) != 2 || b[0].Template != b[1].Template {
+		t.Fatalf("%d bindings; want the two pods bound to one template", len(b))
+	}
+	// Each plan follows one that binds nothing, so it hashes through the memo.
+	empty := &Plan{Input: in, at: newIndex(nil)}
+	planOf := func(bound []*Binding) (memo, fresh *Plan) {
+		memo = &Plan{Input: in, bound: bound, at: newIndex(bound)}
+		memo.hashes.carry(empty, make([]bool, len(bound)), nil)
+		return memo, &Plan{Input: in, bound: bound, at: newIndex(bound)}
+	}
+	// The memo keeps shapes from the template's third plan on: alternate
+	// three times, so each key is met, kept and hit.
+	var both, one *Plan
+	for round := 1; round <= 3; round++ {
+		var bothFresh, oneFresh *Plan
+		both, bothFresh = planOf(b)
+		one, oneFresh = planOf(b[:1])
+		for _, c := range []struct {
+			name        string
+			plan, fresh *Plan
+		}{{"both pods", both, bothFresh}, {"pod 1 alone", one, oneFresh}} {
+			for _, sw := range net.Names() {
+				if c.plan.Shape(sw) != c.fresh.Shape(sw) {
+					t.Errorf("round %d, %s: %s: shape from the memo differs from a fresh hash", round, c.name, sw)
+				}
+			}
+		}
+	}
+	if both.Shape("Agg1") == one.Shape("Agg1") {
+		t.Error("Agg1 imports its hash in one plan and not in the other, yet has one shape")
+	}
+	if n := len(b[0].Template.shapeMemo().by); n != 2 {
+		t.Errorf("the memo keeps the shapes of %d keys, want one per plan-wide reading", n)
+	}
+}
+
+// TestCarryBridgeFactsEqualScan: bridge facts moved by the dropped and made
+// bindings' export sums (carryBridgeFacts, whenever it does not decline) are
+// what a scan of every export of the bindings gives (bridgeFacts) — layout,
+// digest, first exports and, per variable, the exporter count and the
+// exporter when it is the only one. Random exports on
+// random survivors of random dropped bindings move first exports forward and
+// back and leave variables with one exporter, known or not.
+func TestCarryBridgeFactsEqualScan(t *testing.T) {
+	vars := []*ir.Var{{Name: "a", Ver: 1}, {Name: "b", Ver: 1}, {Name: "b", Ver: 2}}
+	groups := [][]string{{"A1", "A2"}, {"B1", "B2", "B3"}, {"C1"}, {"D1", "D2"}}
+	rng := rand.New(rand.NewSource(1))
+	bind := func(switches []string) *Binding {
+		tmpl := &Template{slots: make([]slot, len(switches))}
+		for i := range switches {
+			for _, v := range vars {
+				if rng.Intn(3) == 0 {
+					tmpl.slots[i].bridges = append(tmpl.slots[i].bridges, BridgeVar{Alg: "x", Var: v, Bits: 8 * v.Ver})
+				}
+			}
+		}
+		tmpl.exports = sumExports(tmpl.slots)
+		return &Binding{Template: tmpl, Switches: switches}
+	}
+	same := func(round int, got *switchHashes, bound []*Binding) {
+		var want switchHashes
+		want.bridgeFacts(bound)
+		if !reflect.DeepEqual(got.layout, want.layout) || got.bridgeDigest != want.bridgeDigest || !reflect.DeepEqual(got.firsts, want.firsts) {
+			t.Fatalf("round %d: layout %v firsts %v, a scan gives %v %v", round, got.layout, got.firsts, want.layout, want.firsts)
+		}
+		if len(got.exporters) != len(want.exporters) {
+			t.Fatalf("round %d: %d exported variables, a scan finds %d", round, len(got.exporters), len(want.exporters))
+		}
+		for v, w := range want.exporters {
+			if g := got.exporters[v]; g.count != w.count || g.bv != w.bv || (w.count == 1 && g.only != w.only) {
+				t.Fatalf("round %d: %s exported %+v, a scan finds %+v", round, v, g, w)
+			}
+		}
+	}
+	carried, declined := 0, 0
+	for round := 0; round < 3000; round++ {
+		var prevBound []*Binding
+		for _, g := range groups {
+			prevBound = append(prevBound, bind(g))
+		}
+		var prev switchHashes
+		prev.bridgeFacts(prevBound)
+		var bound, dropped []*Binding
+		var keptAt []bool
+		for _, bd := range prevBound {
+			if rng.Intn(2) == 0 {
+				bound, keptAt = append(bound, bd), append(keptAt, true)
+				continue
+			}
+			dropped = append(dropped, bd)
+			var survivors []string
+			for _, sw := range bd.Switches {
+				if rng.Intn(3) > 0 {
+					survivors = append(survivors, sw)
+				}
+			}
+			if len(survivors) > 0 {
+				bound, keptAt = append(bound, bind(survivors)), append(keptAt, false)
+			}
+		}
+		var got switchHashes
+		if !got.carryBridgeFacts(&prev, bound, keptAt, dropped) {
+			declined++
+			continue
+		}
+		carried++
+		same(round, &got, bound)
+	}
+	t.Logf("%d rounds carried the facts, %d declined", carried, declined)
+	if carried < 1000 || declined == 0 {
+		t.Errorf("%d rounds carried the facts and %d declined; want most carried and some declined", carried, declined)
 	}
 }

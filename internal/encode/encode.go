@@ -388,7 +388,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	plan.Stats.CacheHits += hits
 	plan.Stats.CacheEvictions += evictions
 	if ca != nil {
-		plan.hashes.carry(opts.Prev, keptAt)
+		plan.hashes.carry(opts.Prev, keptAt, ca.dropped)
 	}
 
 	// Attribute the wall time of this call to encode vs. solve in
@@ -461,19 +461,17 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 	if len(delta.Touched) == 0 {
 		return &carried{kept: prev.bound}
 	}
-	touched := make(map[string]bool, len(delta.Touched))
+	// The touched components, found through prev's switch index: a walk of
+	// the fault, not of the fabric.
+	hit := map[*Binding]bool{}
 	for _, sw := range delta.Touched {
-		touched[sw] = true
+		if r := prev.at.lookup(sw); r.b != nil {
+			hit[r.b] = true
+		}
 	}
 	ca := &carried{algs: map[string]bool{}}
 	for _, b := range prev.bound {
-		hit := false
-		for _, sw := range b.Switches {
-			if hit = touched[sw]; hit {
-				break
-			}
-		}
-		if !hit {
+		if !hit[b] {
 			ca.kept = append(ca.kept, b)
 			continue
 		}

@@ -2,8 +2,11 @@ package encode
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,34 +53,63 @@ type switchHashes struct {
 	layout       []BridgeVar
 	bridgeDigest string
 	exporters    map[*ir.Var]exporter
-	shapes       map[*Template][]string // per slot; "" for a slot hosting nothing
-	full         map[string]string
-	// from and keptAt, set by a solve that carried components over, name the
-	// hashes of the plan they came from and which bindings those are; they
-	// are dropped once used.
-	from   *switchHashes
-	keptAt []bool
+	// firsts holds every bridge field's first export and its number of
+	// exports: what the layout is ordered by, kept so that a plan following
+	// this one can move it by the bindings that changed (see firstExports).
+	firsts     map[field]first
+	firstsOnce sync.Once
+	shapes     map[*Template][]string // per slot; "" for a slot hosting nothing
+	full       map[string]string
+	// rehashed lists, sorted, the switches whose hashes were not taken over
+	// from the plan followed, when carried says the others' were.
+	rehashed []string
+	carried  bool
+	// from, keptAt and dropped, set by a solve that carried components over,
+	// name the hashes of the plan they came from, which bindings those are,
+	// and the bindings of that plan not taken over; they are dropped once
+	// used.
+	from    *switchHashes
+	keptAt  []bool
+	dropped []*Binding
 }
 
-// carry notes that the bindings marked in keptAt are prev's own, so that
-// their switches' hashes can be prev's too where nothing plan-wide they
-// depend on moved.
-func (h *switchHashes) carry(prev *Plan, keptAt []bool) {
-	prev.hashes.once.Do(prev.hashSwitches)
-	h.from, h.keptAt = &prev.hashes, keptAt
+// field is a lyra_bridge field: the layout holds every exported variable once.
+type field struct {
+	alg, name string
+	ver       int
+}
+
+// first is a bridge field's least export, by (switch, position in the slot's
+// exports), and the number of exports of the field.
+type first struct {
+	bv  BridgeVar
+	sw  string
+	pos int
+	n   int
+}
+
+func (f first) after(sw string, pos int) bool { return f.sw > sw || (f.sw == sw && f.pos > pos) }
+
+// carry notes that the bindings marked in keptAt are prev's own and that
+// dropped are the bindings of prev not taken over, so that this plan's bridge
+// facts can be prev's moved by what changed, and its switches' hashes prev's
+// where nothing plan-wide they depend on moved.
+func (h *switchHashes) carry(prev *Plan, keptAt []bool, dropped []*Binding) {
+	prev.firstExports()
+	h.from, h.keptAt, h.dropped = &prev.hashes, keptAt, dropped
 }
 
 // reusable reports whether the hashes of a template or of a binding carried
-// over from the plan h.from belongs to are exactly what they were there.
+// over from the plan from belongs to are exactly what they were there.
 // Within the component nothing changed; of the rest of the plan its hash sees
 // the bridge layout and, per variable it reads, whether another switch exports
 // it.
-func (h *switchHashes) reusable() bool {
-	if h.from == nil || h.from.bridgeDigest != h.bridgeDigest || len(h.from.exporters) != len(h.exporters) {
+func (h *switchHashes) reusable(from *switchHashes) bool {
+	if from.bridgeDigest != h.bridgeDigest || len(from.exporters) != len(h.exporters) {
 		return false
 	}
 	for v, e := range h.exporters {
-		was, ok := h.from.exporters[v]
+		was, ok := from.exporters[v]
 		if !ok || (was.count > 1) != (e.count > 1) || (e.count == 1 && was.only != e.only) {
 			return false
 		}
@@ -138,6 +170,17 @@ func (p *Plan) Fingerprints() map[string]string {
 	return p.hashes.full
 }
 
+// Rehashed reports which switches may hash differently here than in the plan
+// this one's solve followed (Options.Prev): sorted, the switches of the
+// bindings the solve dropped from that plan or made anew. Every other switch
+// has the shape and full fingerprint it had there. When carried is false —
+// the solve followed no plan, or a plan-wide fact a hash reads moved — any
+// switch may differ and the list is nil. The list is shared: do not modify it.
+func (p *Plan) Rehashed() (switches []string, carried bool) {
+	p.hashes.once.Do(p.hashSwitches)
+	return p.hashes.rehashed, p.hashes.carried
+}
+
 // BridgeLayout returns the network-wide lyra_bridge field list: every
 // exported variable once, in first-export order over the sorted exporting
 // switches. backend.Build lays the header out from this list and the switch
@@ -148,44 +191,204 @@ func (p *Plan) BridgeLayout() []BridgeVar {
 	return p.hashes.layout
 }
 
-// bridgeFacts derives, from the bindings, the bridge layout — a variable's
-// first export is its least (switch, position) pair — and every bridged
-// variable's exporters.
-func (p *Plan) bridgeFacts() ([]BridgeVar, map[*ir.Var]exporter) {
-	type field struct {
-		alg, name string
-		ver       int
-	}
-	type first struct {
-		bv  BridgeVar
-		sw  string
-		pos int
-	}
-	firsts := map[field]first{}
-	exporters := map[*ir.Var]exporter{}
-	for _, bd := range p.bound {
-		for i, sw := range bd.Switches {
-			for pos, bv := range bd.Template.slots[i].bridges {
-				exporters[bv.Var] = exporter{bv, exporters[bv.Var].count + 1, sw}
-				f := field{bv.Alg, bv.Var.Name, bv.Var.Ver}
-				if was, seen := firsts[f]; !seen || sw < was.sw || (sw == was.sw && pos < was.pos) {
-					firsts[f] = first{bv, sw, pos}
-				}
+// exportSums is a template's share of the bridge facts, made with it: per
+// bridged variable the slots exporting it, and per bridge field its least
+// export by (slot, position in the slot's exports) and its number of exports.
+// A binding's switches are sorted, so in a binding the least (slot, position)
+// is the least (switch, position).
+type exportSums struct {
+	// vars[k].n counts the slots exporting a variable, and slot, pos is the
+	// last export of it: the one, when n is 1. fields[k].n counts a field's
+	// exports, and slot, pos is the least.
+	vars, fields []exportSum
+}
+
+type exportSum struct{ slot, pos, n int32 }
+
+// sumExports sums the exports of a template's slots. A template bridges a
+// handful of variables, so each is found by a scan of those seen.
+func sumExports(slots []slot) exportSums {
+	var varBuf, fieldBuf [16]exportSum
+	vars, fields := varBuf[:0], fieldBuf[:0]
+	export := func(e exportSum) BridgeVar { return slots[e.slot].bridges[e.pos] }
+	for i, s := range slots {
+		for pos, bv := range s.bridges {
+			at := exportSum{int32(i), int32(pos), 1}
+			if k := slices.IndexFunc(vars, func(e exportSum) bool { return export(e).Var == bv.Var }); k < 0 {
+				vars = append(vars, at)
+			} else {
+				vars[k] = exportSum{at.slot, at.pos, vars[k].n + 1}
+			}
+			if k := slices.IndexFunc(fields, func(e exportSum) bool { return export(e).field() == bv.field() }); k < 0 {
+				fields = append(fields, at)
+			} else {
+				fields[k].n++
 			}
 		}
 	}
-	order := make([]first, 0, len(firsts))
-	for _, f := range firsts {
+	return exportSums{slices.Clone(vars), slices.Clone(fields)}
+}
+
+func (bv BridgeVar) field() field { return field{bv.Alg, bv.Var.Name, bv.Var.Ver} }
+
+// export returns the bridge variable a sum's export carries.
+func (t *Template) export(e exportSum) BridgeVar { return t.slots[e.slot].bridges[e.pos] }
+
+// factMove is bridge facts being moved binding by binding: the exporters and
+// first exports, the fields whose first export was taken out, the variables
+// whose one remaining exporter is not known, and whether the layout changes.
+type factMove struct {
+	exporters map[*ir.Var]exporter
+	firsts    map[field]first
+	lost      map[field]bool
+	unsure    map[*ir.Var]bool
+	moved     bool
+}
+
+// take takes a binding's exports out.
+func (m *factMove) take(bd *Binding) {
+	t := bd.Template
+	for _, ve := range t.exports.vars {
+		v := t.export(ve).Var
+		e := m.exporters[v]
+		if e.count -= int(ve.n); e.count == 0 {
+			delete(m.exporters, v)
+		} else {
+			m.exporters[v] = e
+		}
+		if e.count == 1 {
+			m.unsure[v] = true
+		} else {
+			delete(m.unsure, v)
+		}
+	}
+	for _, fe := range t.exports.fields {
+		f := t.export(fe).field()
+		was := m.firsts[f]
+		if was.n -= int(fe.n); was.n == 0 {
+			delete(m.firsts, f)
+			delete(m.lost, f)
+			m.moved = true
+			continue
+		}
+		if was.sw == bd.Switches[fe.slot] && was.pos == int(fe.pos) {
+			m.lost[f] = true
+		}
+		m.firsts[f] = was
+	}
+}
+
+// put puts a binding's exports in. A field whose first export was taken out
+// gets the binding's least export as its first when it is at or before that
+// one: it is then the least of all, as every other export was after it.
+func (m *factMove) put(bd *Binding) {
+	t := bd.Template
+	for _, ve := range t.exports.vars {
+		bv := t.export(ve)
+		m.exporters[bv.Var] = exporter{bv, m.exporters[bv.Var].count + int(ve.n), bd.Switches[ve.slot]}
+		delete(m.unsure, bv.Var)
+	}
+	for _, fe := range t.exports.fields {
+		bv, sw, pos := t.export(fe), bd.Switches[fe.slot], int(fe.pos)
+		f := bv.field()
+		was, seen := m.firsts[f]
+		if !seen || was.after(sw, pos) || m.lost[f] && was.sw == sw && was.pos == pos {
+			was.bv, was.sw, was.pos = bv, sw, pos
+			delete(m.lost, f)
+			m.moved = true
+		}
+		was.n += int(fe.n)
+		m.firsts[f] = was
+	}
+}
+
+// bridgeFacts derives, from the bindings export by export, every bridged
+// variable's exporters and every bridge field's first export — its least
+// (switch, position) pair — and lays the fields out.
+func (h *switchHashes) bridgeFacts(bound []*Binding) {
+	h.exporters, h.firsts = map[*ir.Var]exporter{}, map[field]first{}
+	for _, bd := range bound {
+		for i, sw := range bd.Switches {
+			for pos, bv := range bd.Template.slots[i].bridges {
+				h.exporters[bv.Var] = exporter{bv, h.exporters[bv.Var].count + 1, sw}
+				f := bv.field()
+				was, seen := h.firsts[f]
+				if !seen || was.after(sw, pos) {
+					was.bv, was.sw, was.pos = bv, sw, pos
+				}
+				was.n++
+				h.firsts[f] = was
+			}
+		}
+	}
+	h.layFields()
+}
+
+// firstExports returns the plan's first exports, for a plan following it. A
+// plan that followed none keeps none, so that a compile retains nothing it
+// does not use; the first plan to follow it derives them again, once.
+func (p *Plan) firstExports() map[field]first {
+	h := &p.hashes
+	h.once.Do(p.hashSwitches)
+	h.firstsOnce.Do(func() {
+		if h.firsts == nil {
+			var again switchHashes
+			again.bridgeFacts(p.bound)
+			h.firsts = again.firsts
+		}
+	})
+	return h.firsts
+}
+
+// carryBridgeFacts derives the bridge facts from those of the plan followed:
+// its exporters and first exports with the dropped bindings' exports taken out
+// and the made bindings' put in. It reports false, having set nothing, where
+// the change alone does not tell the facts: a field whose first export was
+// taken out and no made export precedes, or a variable left with a single
+// exporter that was not made anew.
+func (h *switchHashes) carryBridgeFacts(from *switchHashes, bound []*Binding, keptAt []bool, dropped []*Binding) bool {
+	m := factMove{exporters: maps.Clone(from.exporters), firsts: maps.Clone(from.firsts), lost: map[field]bool{}, unsure: map[*ir.Var]bool{}}
+	for _, bd := range dropped {
+		m.take(bd)
+	}
+	for k, bd := range bound {
+		if !keptAt[k] {
+			m.put(bd)
+		}
+	}
+	if len(m.lost) > 0 {
+		return false
+	}
+	for v := range m.unsure {
+		if m.exporters[v].count == 1 {
+			return false
+		}
+	}
+	h.exporters, h.firsts = m.exporters, m.firsts
+	if m.moved {
+		h.layFields()
+	} else {
+		h.layout, h.bridgeDigest = from.layout, from.bridgeDigest
+	}
+	return true
+}
+
+// layFields orders the bridge fields by their first exports into the layout
+// and digests it.
+func (h *switchHashes) layFields() {
+	order := make([]first, 0, len(h.firsts))
+	for _, f := range h.firsts {
 		order = append(order, f)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return order[i].sw < order[j].sw || (order[i].sw == order[j].sw && order[i].pos < order[j].pos)
-	})
-	layout := make([]BridgeVar, len(order))
+	sort.Slice(order, func(i, j int) bool { return order[j].after(order[i].sw, order[i].pos) })
+	h.layout = make([]BridgeVar, len(order))
+	var b []byte
 	for i, f := range order {
-		layout[i] = f.bv
+		h.layout[i] = f.bv
+		b = appendBridgeVar(b, f.bv)
+		b = append(b, ',')
 	}
-	return layout, exporters
+	h.bridgeDigest = hexSum(b)
 }
 
 func hexSum(b []byte) string {
@@ -259,6 +462,96 @@ func (bd *Binding) shapes(net *topo.Network, h *switchHashes, models map[*asic.M
 	return out
 }
 
+// shapeMemo holds a template's slot shapes as plans of its recompile family
+// hashed them, by what of a plan they read (shapeKey). The template is shared
+// through encode.Cache, so every plan it is bound into shares the memo,
+// concurrent sibling recompiles included. The first plan that hashes the
+// template through the memo makes it; a compile never does, and neither does
+// a recompile for a template the plan it follows hashed alike.
+//
+// Shapes are kept from the third plan that hashes the template through the
+// memo on: the template of a class met once or twice, as most link-downs'
+// damaged pods are, keeps nothing but that count, while one met on every
+// event, as a switch-down's is, is hashed three times in all.
+type shapeMemo struct {
+	readsOnce sync.Once
+	reads     []*ir.Var // every variable a slot reads, once each
+
+	mu  sync.Mutex
+	met int // plans that hashed the template through the memo
+	by  map[string][]string
+}
+
+func (t *Template) shapeMemo() *shapeMemo {
+	if m := t.memo.Load(); m != nil {
+		return m
+	}
+	t.memo.CompareAndSwap(nil, new(shapeMemo))
+	return t.memo.Load()
+}
+
+// shapeKey renders everything of the plan the slot shapes of a binding read:
+// the bridge layout digest and, per variable a slot reads, which slots import
+// it — none (nobody exports it), all, or all but the slot whose switch is its
+// single exporter. The rest of a shape is the template's own.
+func (bd *Binding) shapeKey(h *switchHashes, b []byte) []byte {
+	m := bd.Template.shapeMemo()
+	m.readsOnce.Do(func() {
+		seen := map[*ir.Var]bool{}
+		for _, s := range bd.Template.slots {
+			for _, in := range s.instrs {
+				in.EachRead(func(v *ir.Var) {
+					if !seen[v] {
+						seen[v] = true
+						m.reads = append(m.reads, v)
+					}
+				})
+			}
+		}
+	})
+	b = append(b, h.bridgeDigest...)
+	for _, v := range m.reads {
+		var by uint64 // 0: no slot, 1: every slot, 2+i: every slot but i
+		if e := h.exporters[v]; e.count > 0 {
+			by = 1
+			if e.count == 1 {
+				if i, ok := slices.BinarySearch(bd.Switches, e.only); ok {
+					by = 2 + uint64(i)
+				}
+			}
+		}
+		b = binary.AppendUvarint(b, by)
+	}
+	return b
+}
+
+// memoShapes is shapes through the template's memo, keyed by shapeKey, which
+// starts over past eight keys: a churn loop meets one bridge layout per
+// template.
+func (bd *Binding) memoShapes(net *topo.Network, h *switchHashes, models map[*asic.Model]string, b *[]byte) []string {
+	m := bd.Template.shapeMemo()
+	*b = bd.shapeKey(h, (*b)[:0])
+	m.mu.Lock()
+	shapes, keep := m.by[string(*b)], m.met >= 2
+	m.met++
+	m.mu.Unlock()
+	if shapes != nil {
+		return shapes
+	}
+	key := string(*b)
+	shapes = bd.shapes(net, h, models, b)
+	m.mu.Lock()
+	switch {
+	case !keep:
+	case m.by == nil || len(m.by) >= 8:
+		m.by = map[string][]string{key: shapes}
+	default:
+		m.by[key] = shapes
+	}
+	m.mu.Unlock()
+	return shapes
+}
+
 // appendLocal renders the slot's own, name-free share of the shape hash
 // input: the placed instruction IDs per algorithm in name order, the table
 // geometry and the exports.
@@ -310,56 +603,75 @@ func appendBridgeVar(b []byte, bv BridgeVar) []byte {
 	return b
 }
 
-// hashSwitches fills p.hashes: the bridge layout and exporters (bridgeFacts),
-// the shapes once per template (or as the plan it follows had them), and the
-// full fingerprints one binding at a time — a
-// carried binding's as the plan it follows had them, where nothing plan-wide
-// they depend on moved; the others' from their slots' shapes plus one digest
-// per shard group. The rendering is hand-rolled appends into one reused
-// buffer, not fmt.
+// hashSwitches fills p.hashes. A plan whose solve carried bindings over
+// moves the bridge facts of the plan it follows by the bindings that changed
+// (carryBridgeFacts). Where the plan-wide facts a hash reads are then as they
+// were there (reusable), it takes that plan's shapes of every template that
+// plan bound and that plan's full fingerprints of every switch but those of
+// the dropped and the made bindings; the other templates' shapes come from
+// their memo. A plan that follows none derives everything from its bindings.
+// A full fingerprint is its slot's shape plus one digest per shard group. The
+// rendering is hand-rolled appends into one reused buffer, not fmt.
 func (p *Plan) hashSwitches() {
 	h := &p.hashes
-	h.layout, h.exporters = p.bridgeFacts()
-	var b []byte
-	for _, bv := range h.layout {
-		b = appendBridgeVar(b, bv)
-		b = append(b, ',')
+	from, keptAt, dropped := h.from, h.keptAt, h.dropped
+	h.from, h.keptAt, h.dropped = nil, nil, nil
+	if from == nil || !h.carryBridgeFacts(from, p.bound, keptAt, dropped) {
+		h.bridgeFacts(p.bound)
 	}
-	h.bridgeDigest = hexSum(b)
-	from, keptAt := h.from, h.keptAt
-	if !h.reusable() {
-		from = nil
+	if from == nil {
+		h.firsts = nil // see firstExports
 	}
-	h.from, h.keptAt = nil, nil
+	h.carried = from != nil && h.reusable(from)
 
 	h.shapes = map[*Template][]string{}
 	models := map[*asic.Model]string{}
+	var b []byte
 	hosting := 0
 	for _, bd := range p.bound {
 		t := bd.Template
-		if h.shapes[t] == nil && from != nil {
+		switch {
+		case h.shapes[t] != nil:
+		case h.carried && from.shapes[t] != nil:
 			h.shapes[t] = from.shapes[t]
-		}
-		if h.shapes[t] == nil {
+		case from != nil:
+			h.shapes[t] = bd.memoShapes(p.Input.Net, h, models, &b)
+		default:
 			h.shapes[t] = bd.shapes(p.Input.Net, h, models, &b)
 		}
-		for i := range t.slots {
-			if len(t.slots[i].instrs) > 0 {
-				hosting++
+		if !h.carried {
+			for i := range t.slots {
+				if len(t.slots[i].instrs) > 0 {
+					hosting++
+				}
 			}
 		}
 	}
-	h.full = make(map[string]string, hosting)
+	if h.carried {
+		h.full = make(map[string]string, len(from.full))
+		for sw, fp := range from.full { // not maps.Clone, which takes twice as long (go1.24)
+			h.full[sw] = fp
+		}
+		for _, bd := range dropped {
+			h.rehashed = append(h.rehashed, bd.Switches...)
+			for _, sw := range bd.Switches {
+				delete(h.full, sw)
+			}
+		}
+		for k, bd := range p.bound {
+			if !keptAt[k] {
+				h.rehashed = append(h.rehashed, bd.Switches...)
+			}
+		}
+		slices.Sort(h.rehashed)
+		h.rehashed = slices.Compact(h.rehashed)
+	} else {
+		h.full = make(map[string]string, hosting)
+	}
 	groupDigests := map[string]string{} // extern -> digest of the current binding's shard group
 	for k, bd := range p.bound {
-		if from != nil && keptAt[k] {
-			// Same component, same surroundings: same hashes, not rehashed.
-			for _, sw := range bd.Switches {
-				if full, hosts := from.full[sw]; hosts {
-					h.full[sw] = full
-				}
-			}
-			continue
+		if h.carried && keptAt[k] {
+			continue // same component, same surroundings: same hashes
 		}
 		clear(groupDigests)
 		shapes := h.shapes[bd.Template]

@@ -394,8 +394,13 @@ func mergeResolved(orig *scope.Resolved, parts []*scope.Resolved) *scope.Resolve
 	return merged
 }
 
-// intersect returns, in order, the elements of xs in the sorted list set.
+// intersect returns, sorted, the elements two sorted lists share. It looks
+// the shorter list's elements up in the longer, so narrowing a fabric-wide
+// list to a pod costs the pod.
 func intersect(xs, set []string) []string {
+	if len(xs) > len(set) {
+		xs, set = set, xs
+	}
 	var out []string
 	for _, x := range xs {
 		if has(set, x) {

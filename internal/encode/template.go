@@ -3,6 +3,7 @@ package encode
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"lyra/internal/asic"
 	"lyra/internal/ir"
@@ -39,6 +40,11 @@ type Template struct {
 	// it reports, however long ago and under whichever switch names it was
 	// solved.
 	trail *Diagnostics
+	// exports is the template's share of the bridge facts, summed with it.
+	exports exportSums
+	// memo holds the slot shapes of the template as recompiles of its family
+	// hashed them; see shapeMemo.
+	memo atomic.Pointer[shapeMemo]
 }
 
 // slot is what one index of a template hosts; the zero slot hosts nothing.
@@ -108,6 +114,7 @@ func (e *encoder) newTemplate(m *smt.Model) *Template {
 		}
 	}
 	e.bridge(t)
+	t.exports = sumExports(t.slots)
 	return t
 }
 

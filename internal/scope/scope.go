@@ -259,28 +259,26 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev) {
 		return s.ResolveWith(net, opts)
 	}
-	removed := make(map[string]bool, len(delta.Removed))
-	for _, sw := range delta.Removed {
-		removed[sw] = true
-	}
+	// without returns a sorted list less the removed switches: the list
+	// itself when it has none of them, else its runs between them copied.
+	var cut []int
 	without := func(xs []string) []string {
-		hit := false
+		cut = cut[:0]
 		for _, sw := range delta.Removed {
 			if i := sort.SearchStrings(xs, sw); i < len(xs) && xs[i] == sw {
-				hit = true
-				break
+				cut = append(cut, i)
 			}
 		}
-		if !hit {
+		if len(cut) == 0 {
 			return xs
 		}
-		out := make([]string, 0, len(xs)-1)
-		for _, x := range xs {
-			if !removed[x] {
-				out = append(out, x)
-			}
+		sort.Ints(cut)
+		out := make([]string, 0, len(xs)-len(cut))
+		from := 0
+		for _, i := range cut {
+			out, from = append(out, xs[from:i]...), i+1
 		}
-		return out
+		return append(out, xs[from:]...)
 	}
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
@@ -295,7 +293,7 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 			if len(to) == 0 {
 				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.To)
 			}
-			ps = net.PathSet(from, to, switches)
+			ps = was.PathSet.After(net, from, to, switches)
 		}
 		r, err := sc.bind(switches, ps)
 		if err != nil {

@@ -202,6 +202,31 @@ func TestResolveAfterEqualsResolveWith(t *testing.T) {
 			t.Errorf("%s: an untouched switch list was copied", name)
 		}
 	}
+	// A network built apart — registered in the opposite order, so no name
+	// has its id in base — shares no name index with base: the path sets
+	// mark their switches anew.
+	apart := topo.New()
+	for i := len(base.Switches) - 1; i >= 0; i-- {
+		s := base.Switches[i]
+		apart.AddSwitch(s.Name, s.Layer, s.ASIC)
+	}
+	for _, s := range base.Switches {
+		for _, nb := range base.Neighbors(s.Name) {
+			if s.Name < nb {
+				apart.AddLink(s.Name, nb)
+			}
+		}
+	}
+	apart.RemoveSwitch("ToR3")
+	wantApart, err := spec.ResolveWith(apart, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotApart, err := spec.ResolveAfter(prev, apart, apart.Since(base), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResolution(t, "built apart", gotApart, wantApart)
 	// Another spec must not be answered from prev.
 	other, _ := Parse(strings.Replace(text, "ToR3,ToR4,Agg3,Agg4", "ToR3,Agg3,Agg4", 1))
 	want, _ := other.ResolveWith(base, opts)

@@ -67,6 +67,19 @@ func (n *Network) PathSet(from, to, within []string) *PathSet {
 	return &PathSet{net: n, From: from, To: to, Within: within, to: n.bits(to), in: n.bits(within)}
 }
 
+// After returns the path set of n, a state of the set's network that lost
+// switches or links since, between from and to within within: the set's
+// lists less the switches n lacks. While the two networks share their name
+// index the set's marks serve n as they are — a mark on a switch n lacks is
+// never read, as no walk reaches a switch that has no links — and otherwise
+// they are made anew.
+func (ps *PathSet) After(n *Network, from, to, within []string) *PathSet {
+	if n.idsGen != ps.net.idsGen || (within == nil) != (ps.Within == nil) {
+		return n.PathSet(from, to, within)
+	}
+	return &PathSet{net: n, From: from, To: to, Within: within, to: ps.to, in: ps.in}
+}
+
 // Narrow returns the paths of the set that stay inside within, a part of its
 // Within, from and to being the parts of its From and To in there. Only
 // within is looked up: the target marks are the set's, as a walk reads one

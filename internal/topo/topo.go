@@ -239,17 +239,30 @@ type Delta struct {
 }
 
 // Since compares n with prev, an earlier state it was derived from by Clone
-// and mutation. Sharing makes it one pointer comparison per switch.
+// and mutation. Sharing makes it one pointer comparison per switch: while the
+// two share their name index, a name has one id in both, so n's record of a
+// switch is found by prev's id and a touched switch's links by comparing
+// neighbour ids; otherwise both are looked up by name.
 func (n *Network) Since(prev *Network) Delta {
 	var d Delta
+	shared := n.idsGen == prev.idsGen
 	for _, was := range prev.Switches {
-		now := n.Switch(was.Name)
+		var now *Switch
+		if shared {
+			now = n.recs[was.id]
+		} else {
+			now = n.Switch(was.Name)
+		}
 		if now == was {
 			continue
 		}
 		d.Touched = append(d.Touched, was.Name)
 		if now == nil {
 			d.Removed = append(d.Removed, was.Name)
+			continue
+		}
+		if shared {
+			d.Grew = d.Grew || !within(now.nbrs, was.nbrs)
 			continue
 		}
 		for _, nb := range now.nbrs {
@@ -262,6 +275,22 @@ func (n *Network) Since(prev *Network) Delta {
 		d.Grew = true
 	}
 	return d
+}
+
+// within reports whether every id of sub is in set, two neighbour lists of
+// one name index, so both in neighbour-name order.
+func within(sub, set []int32) bool {
+	j := 0
+	for _, id := range sub {
+		for j < len(set) && set[j] != id {
+			j++
+		}
+		if j == len(set) {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Switch returns a switch by name.

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -490,6 +491,67 @@ func TestSince(t *testing.T) {
 	if d := back.Since(base); !d.Grew {
 		t.Errorf("re-added switch with a new link: %+v", d)
 	}
+	// Networks built apart share no name index and are compared by name: an
+	// unrelated network built under the same names — every record another,
+	// registered in the opposite order so no name has its id in base — gets
+	// the delta of a walk that looks every switch up by name, in either
+	// direction, as does every pair above, which share their index.
+	other := New()
+	for i := len(base.Switches) - 1; i >= 0; i-- {
+		s := base.Switches[i]
+		other.AddSwitch(s.Name, s.Layer, s.ASIC)
+	}
+	for _, s := range base.Switches {
+		for _, nb := range base.Neighbors(s.Name) {
+			if s.Name < nb {
+				other.AddLink(s.Name, nb)
+			}
+		}
+	}
+	other.RemoveSwitch("ToR3")
+	other.DegradeASIC("Core2", func(m *asic.Model) *asic.Model { return asic.Scale(m, 1, 0.5, 1) })
+	if other.idsGen == base.idsGen {
+		t.Fatal("two networks built apart share a name index")
+	}
+	for _, tc := range []struct {
+		name      string
+		now, prev *Network
+	}{
+		{"unrelated", other, base}, {"unrelated, reversed", base, other}, {"unrelated, untouched", Testbed(), base},
+		{"clone", c, base}, {"grown", grown, base}, {"linked", linked, base}, {"re-added", back, base},
+	} {
+		if got, want := tc.now.Since(tc.prev), sinceByName(tc.now, tc.prev); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Since = %+v, by name %+v", tc.name, got, want)
+		}
+	}
+	if d := Testbed().Since(base); len(d.Touched) != len(base.Switches) || d.Grew {
+		t.Errorf("an unrelated equal network: %+v, want every switch touched and nothing grown", d)
+	}
+}
+
+// sinceByName is Since with every switch of prev looked up in n by name.
+func sinceByName(n, prev *Network) Delta {
+	var d Delta
+	for _, was := range prev.Switches {
+		now := n.Switch(was.Name)
+		if now == was {
+			continue
+		}
+		d.Touched = append(d.Touched, was.Name)
+		if now == nil {
+			d.Removed = append(d.Removed, was.Name)
+			continue
+		}
+		for _, nb := range now.nbrs {
+			if !prev.HasLink(was.Name, n.recs[nb].Name) {
+				d.Grew = true
+			}
+		}
+	}
+	if len(n.Switches) != len(prev.Switches)-len(d.Removed) {
+		d.Grew = true
+	}
+	return d
 }
 
 // cloneEdits are the first edits a recompile makes on a clone of a k ≥ 16
