@@ -116,9 +116,10 @@ func TestGoldenControlPlane(t *testing.T) {
 // TestArtifactFingerprintPinned locks ArtifactFingerprint's digest for one
 // fixed compile — heavy_hitter placed across the ToRs and Aggs of the testbed,
 // P4_14 and NPL code and their stubs — as the fmt-and-copy rendering computed
-// it, and checks that asking again returns the same value.
+// it, with the bridge header's fields in (algorithm, variable) order, and
+// checks that asking again returns the same value.
 func TestArtifactFingerprintPinned(t *testing.T) {
-	const want = "bd1ab2078b3492e181b14191debb54689439cadde4fb2071ed7a2a727ef320aa"
+	const want = "522798de5be401773300b705192af95c3cb7282c14c2fef5c7b25be83bfcd257"
 	src := loadProgram(t, "heavy_hitter")
 	res, err := New(WithParallelism(1)).Compile(context.Background(), src,
 		"heavy_hitter: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\n", Testbed())
@@ -136,11 +137,12 @@ func TestArtifactFingerprintPinned(t *testing.T) {
 // TestServeCorpusPinned locks every artifact of the serve-corpus matrix — the
 // programs of testdata/programs, each compiled PER-SW on ToR1, PER-SW on Agg1
 // and MULTI-SW over the ToRs and Aggs of the testbed, in P4_14 and in P4_16 —
-// as the fmt-based printers rendered it: one SHA-256 over every compile's
+// as the fmt-based printers rendered it, with the bridge header's fields in
+// (algorithm, variable) order: one SHA-256 over every compile's
 // ArtifactFingerprint and each artifact's LoC, LogicLoC, Tables, Actions and
 // Registers.
 func TestServeCorpusPinned(t *testing.T) {
-	const want = "3deea7dd3db6e7d33c98135a6a3ce46933637970757a5c0d6e895d2b5488ae8d"
+	const want = "5414473bfa7015b63f2385242fd9e08d2181f4d7988979b631b76583e049cfe3"
 	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.lyra"))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -274,10 +275,11 @@ func TestCarriedIndexChain(t *testing.T) {
 // Fingerprints, BridgeLayout, Shape and Imports must be what hashing the same
 // bindings from nothing gives, after every single switch-down, link-down and
 // chip degrade of the carry-test fabrics and after a second fault chained onto
-// each: one down of the switch holding each bridge field's first export, which
-// can move the field's place in the layout (some case must). Every switch
-// Rehashed leaves out must hash as it did in the plan followed. And a
-// template bound in two plans whose exporters differ gets the shapes of each
+// each: one down of each exporter of each bridged variable, which can take a
+// variable's last exporter and so a field out of the layout (some case must).
+// The layout may move only with the set of its fields. Every switch Rehashed
+// leaves out must hash as it did in the plan followed. And a template bound in
+// two plans whose exporters differ gets the shapes of each
 // (shapeMemoKeysImports).
 func TestCarriedHashesEqualFresh(t *testing.T) {
 	t.Run("faults", carriedHashesAfterFaults)
@@ -294,7 +296,7 @@ func carriedHashesAfterFaults(t *testing.T) {
 		return fault{"down " + sw, func(n *topo.Network) error { return n.RemoveSwitch(sw) }}
 	}
 	ropts := scope.ResolveOpts{AllowMissing: true}
-	cases, carried, reordered := 0, 0, 0
+	cases, carried, setMoved := 0, 0, 0
 	for _, fab := range []struct {
 		name, src, scope string
 		net              *topo.Network
@@ -343,6 +345,17 @@ func carriedHashesAfterFaults(t *testing.T) {
 			if !reflect.DeepEqual(got.BridgeLayout(), fresh.BridgeLayout()) {
 				t.Errorf("%s: bridge layout %s, fresh %s", label, layoutOf(got), layoutOf(fresh))
 			}
+			fields := fieldsOf(got)
+			if slices.Equal(fields, fieldsOf(prev)) {
+				if layoutOf(got) != layoutOf(prev) {
+					t.Errorf("%s: the bridge layout moved from %s to %s with its fields", label, layoutOf(prev), layoutOf(got))
+				}
+			} else {
+				setMoved++
+			}
+			if len(slices.Compact(fields)) != len(fields) {
+				t.Errorf("%s: the bridge layout %s holds a field twice", label, layoutOf(got))
+			}
 			for _, sw := range prev.Input.Net.Names() {
 				if got.Shape(sw) != fresh.Shape(sw) {
 					t.Errorf("%s: %s: shape differs from a fresh hash", label, sw)
@@ -382,23 +395,16 @@ func carriedHashesAfterFaults(t *testing.T) {
 		for _, f := range faults {
 			got := follow(root, f)
 			check(fab.name+": "+f.name, got, root)
-			for _, fi := range firstsBySwitch(got) {
-				if got.Input.Net.Switch(fi.sw) == nil {
-					continue
-				}
-				next := follow(got, down(fi.sw))
-				check(fab.name+": "+f.name+", then down "+fi.sw, next, got)
-				if layoutOf(next) != layoutOf(got) && len(next.BridgeLayout()) == len(got.BridgeLayout()) {
-					reordered++
-				}
+			for _, sw := range exportersOf(got) {
+				check(fab.name+": "+f.name+", then down "+sw, follow(got, down(sw)), got)
 			}
 		}
 	}
-	// The cases must reach both the carried hashes and a layout whose order
-	// moved when a first export went.
-	t.Logf("%d cases: %d took the carried hashes, %d reordered the layout", cases, carried, reordered)
-	if carried == 0 || reordered == 0 {
-		t.Errorf("%d cases took the carried hashes, %d reordered the layout; want both", carried, reordered)
+	// The cases must reach both the carried hashes and a layout whose fields
+	// moved.
+	t.Logf("%d cases: %d took the carried hashes, %d moved the layout's fields", cases, carried, setMoved)
+	if carried == 0 || setMoved == 0 {
+		t.Errorf("%d cases took the carried hashes, %d moved the layout's fields; want both", carried, setMoved)
 	}
 }
 
@@ -418,13 +424,25 @@ func oneAggPods(pods int) *topo.Network {
 	return net
 }
 
-// firstsBySwitch lists a plan's bridge fields' first exports, by switch.
-func firstsBySwitch(p *Plan) []first {
-	var out []first
-	for _, f := range p.firstExports() {
-		out = append(out, f)
+// exportersOf lists the switches exporting anything in a plan, sorted.
+func exportersOf(p *Plan) []string {
+	var out []string
+	p.EachHost(func(sw string, _ []*ir.Instr) {
+		if len(p.BridgesOf(sw)) > 0 {
+			out = append(out, sw)
+		}
+	})
+	sort.Strings(out)
+	return out
+}
+
+// fieldsOf renders a plan's bridge layout's fields, sorted.
+func fieldsOf(p *Plan) []string {
+	var out []string
+	for _, bv := range p.BridgeLayout() {
+		out = append(out, string(appendBridgeVar(nil, bv)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[j].after(out[i].sw, out[i].pos) })
+	sort.Strings(out)
 	return out
 }
 
@@ -492,10 +510,10 @@ func shapeMemoKeysImports(t *testing.T) {
 // TestCarryBridgeFactsEqualScan: bridge facts moved by the dropped and made
 // bindings' export sums (carryBridgeFacts, whenever it does not decline) are
 // what a scan of every export of the bindings gives (bridgeFacts) — layout,
-// digest, first exports and, per variable, the exporter count and the
-// exporter when it is the only one. Random exports on
-// random survivors of random dropped bindings move first exports forward and
-// back and leave variables with one exporter, known or not.
+// digest and, per variable, the exporter count and the exporter when it is
+// the only one. Random exports on random survivors of random dropped bindings
+// take variables out of the layout and put them back, and leave variables
+// with one exporter, known or not.
 func TestCarryBridgeFactsEqualScan(t *testing.T) {
 	vars := []*ir.Var{{Name: "a", Ver: 1}, {Name: "b", Ver: 1}, {Name: "b", Ver: 2}}
 	groups := [][]string{{"A1", "A2"}, {"B1", "B2", "B3"}, {"C1"}, {"D1", "D2"}}
@@ -515,8 +533,8 @@ func TestCarryBridgeFactsEqualScan(t *testing.T) {
 	same := func(round int, got *switchHashes, bound []*Binding) {
 		var want switchHashes
 		want.bridgeFacts(bound)
-		if !reflect.DeepEqual(got.layout, want.layout) || got.bridgeDigest != want.bridgeDigest || !reflect.DeepEqual(got.firsts, want.firsts) {
-			t.Fatalf("round %d: layout %v firsts %v, a scan gives %v %v", round, got.layout, got.firsts, want.layout, want.firsts)
+		if !reflect.DeepEqual(got.layout, want.layout) || got.bridgeDigest != want.bridgeDigest {
+			t.Fatalf("round %d: layout %v, a scan gives %v", round, got.layout, want.layout)
 		}
 		if len(got.exporters) != len(want.exporters) {
 			t.Fatalf("round %d: %d exported variables, a scan finds %d", round, len(got.exporters), len(want.exporters))

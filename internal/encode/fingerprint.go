@@ -45,21 +45,17 @@ import (
 // artifact, and its verification report, without touching the device.
 //
 // Both hash only what the switch itself executes or documents. In particular
-// the bridge layout is hashed as the de-duplicated field list, so the number
-// of switches exporting a field is not part of any other switch's hash, and
-// imports are rendered explicitly instead of being implied by that number.
+// the bridge layout is a function of the set of exported variables alone, so
+// neither the number of switches exporting a variable nor their names is part
+// of any other switch's hash, and imports are rendered explicitly instead of
+// being implied by that number.
 type switchHashes struct {
 	once         sync.Once
 	layout       []BridgeVar
 	bridgeDigest string
 	exporters    map[*ir.Var]exporter
-	// firsts holds every bridge field's first export and its number of
-	// exports: what the layout is ordered by, kept so that a plan following
-	// this one can move it by the bindings that changed (see firstExports).
-	firsts     map[field]first
-	firstsOnce sync.Once
-	shapes     map[*Template][]string // per slot; "" for a slot hosting nothing
-	full       map[string]string
+	shapes       map[*Template][]string // per slot; "" for a slot hosting nothing
+	full         map[string]string
 	// rehashed lists, sorted, the switches whose hashes were not taken over
 	// from the plan followed, when carried says the others' were.
 	rehashed []string
@@ -73,29 +69,12 @@ type switchHashes struct {
 	dropped []*Binding
 }
 
-// field is a lyra_bridge field: the layout holds every exported variable once.
-type field struct {
-	alg, name string
-	ver       int
-}
-
-// first is a bridge field's least export, by (switch, position in the slot's
-// exports), and the number of exports of the field.
-type first struct {
-	bv  BridgeVar
-	sw  string
-	pos int
-	n   int
-}
-
-func (f first) after(sw string, pos int) bool { return f.sw > sw || (f.sw == sw && f.pos > pos) }
-
 // carry notes that the bindings marked in keptAt are prev's own and that
 // dropped are the bindings of prev not taken over, so that this plan's bridge
 // facts can be prev's moved by what changed, and its switches' hashes prev's
 // where nothing plan-wide they depend on moved.
 func (h *switchHashes) carry(prev *Plan, keptAt []bool, dropped []*Binding) {
-	prev.firstExports()
+	prev.hashes.once.Do(prev.hashSwitches)
 	h.from, h.keptAt, h.dropped = &prev.hashes, keptAt, dropped
 }
 
@@ -121,6 +100,8 @@ func (h *switchHashes) reusable(from *switchHashes) bool {
 // (when unique) which one, so "some other switch exports v" — the rule a
 // switch imports by — resolves in O(1) per read. Every exporter of a variable
 // carries the same BridgeVar: it is a function of the variable and its writer.
+// A variable is one lyra_bridge field: an algorithm's lowering mints one Var
+// per (name, version), and a slot exports each variable it writes once.
 type exporter struct {
 	bv    BridgeVar
 	count int
@@ -182,65 +163,49 @@ func (p *Plan) Rehashed() (switches []string, carried bool) {
 }
 
 // BridgeLayout returns the network-wide lyra_bridge field list: every
-// exported variable once, in first-export order over the sorted exporting
-// switches. backend.Build lays the header out from this list and the switch
-// hashes digest it, so the two cannot disagree about what the layout is. The
-// list is memoised on the plan and shared: do not modify it.
+// exported variable once, ordered by algorithm and then by variable, as a
+// slot's exports are (bridgeOrder). The list is a function of the set of
+// exported variables, so neither a fault that leaves that set alone nor a
+// renaming of switches moves it. backend.Build lays the header out from this
+// list and the switch hashes digest it, so the two cannot disagree about what
+// the layout is. The list is memoised on the plan and shared: do not modify
+// it.
 func (p *Plan) BridgeLayout() []BridgeVar {
 	p.hashes.once.Do(p.hashSwitches)
 	return p.hashes.layout
 }
 
-// exportSums is a template's share of the bridge facts, made with it: per
-// bridged variable the slots exporting it, and per bridge field its least
-// export by (slot, position in the slot's exports) and its number of exports.
-// A binding's switches are sorted, so in a binding the least (slot, position)
-// is the least (switch, position).
-type exportSums struct {
-	// vars[k].n counts the slots exporting a variable, and slot, pos is the
-	// last export of it: the one, when n is 1. fields[k].n counts a field's
-	// exports, and slot, pos is the least.
-	vars, fields []exportSum
-}
-
+// exportSum is a template's share of one bridged variable's facts, summed when
+// the template is extracted: n counts the slots exporting the variable, and
+// slot, pos is the last export of it — the one, when n is 1.
 type exportSum struct{ slot, pos, n int32 }
 
 // sumExports sums the exports of a template's slots. A template bridges a
 // handful of variables, so each is found by a scan of those seen.
-func sumExports(slots []slot) exportSums {
-	var varBuf, fieldBuf [16]exportSum
-	vars, fields := varBuf[:0], fieldBuf[:0]
-	export := func(e exportSum) BridgeVar { return slots[e.slot].bridges[e.pos] }
+func sumExports(slots []slot) []exportSum {
+	var buf [16]exportSum
+	sums := buf[:0]
 	for i, s := range slots {
 		for pos, bv := range s.bridges {
 			at := exportSum{int32(i), int32(pos), 1}
-			if k := slices.IndexFunc(vars, func(e exportSum) bool { return export(e).Var == bv.Var }); k < 0 {
-				vars = append(vars, at)
+			if k := slices.IndexFunc(sums, func(e exportSum) bool { return slots[e.slot].bridges[e.pos].Var == bv.Var }); k < 0 {
+				sums = append(sums, at)
 			} else {
-				vars[k] = exportSum{at.slot, at.pos, vars[k].n + 1}
-			}
-			if k := slices.IndexFunc(fields, func(e exportSum) bool { return export(e).field() == bv.field() }); k < 0 {
-				fields = append(fields, at)
-			} else {
-				fields[k].n++
+				sums[k] = exportSum{at.slot, at.pos, sums[k].n + 1}
 			}
 		}
 	}
-	return exportSums{slices.Clone(vars), slices.Clone(fields)}
+	return slices.Clone(sums)
 }
-
-func (bv BridgeVar) field() field { return field{bv.Alg, bv.Var.Name, bv.Var.Ver} }
 
 // export returns the bridge variable a sum's export carries.
 func (t *Template) export(e exportSum) BridgeVar { return t.slots[e.slot].bridges[e.pos] }
 
-// factMove is bridge facts being moved binding by binding: the exporters and
-// first exports, the fields whose first export was taken out, the variables
-// whose one remaining exporter is not known, and whether the layout changes.
+// factMove is bridge facts being moved binding by binding: the exporters, the
+// variables whose one remaining exporter is not known, and whether a variable
+// gained its first exporter or lost its last one, which moves the layout.
 type factMove struct {
 	exporters map[*ir.Var]exporter
-	firsts    map[field]first
-	lost      map[field]bool
 	unsure    map[*ir.Var]bool
 	moved     bool
 }
@@ -248,11 +213,12 @@ type factMove struct {
 // take takes a binding's exports out.
 func (m *factMove) take(bd *Binding) {
 	t := bd.Template
-	for _, ve := range t.exports.vars {
+	for _, ve := range t.exports {
 		v := t.export(ve).Var
 		e := m.exporters[v]
 		if e.count -= int(ve.n); e.count == 0 {
 			delete(m.exporters, v)
+			m.moved = true
 		} else {
 			m.exporters[v] = e
 		}
@@ -262,92 +228,41 @@ func (m *factMove) take(bd *Binding) {
 			delete(m.unsure, v)
 		}
 	}
-	for _, fe := range t.exports.fields {
-		f := t.export(fe).field()
-		was := m.firsts[f]
-		if was.n -= int(fe.n); was.n == 0 {
-			delete(m.firsts, f)
-			delete(m.lost, f)
-			m.moved = true
-			continue
-		}
-		if was.sw == bd.Switches[fe.slot] && was.pos == int(fe.pos) {
-			m.lost[f] = true
-		}
-		m.firsts[f] = was
-	}
 }
 
-// put puts a binding's exports in. A field whose first export was taken out
-// gets the binding's least export as its first when it is at or before that
-// one: it is then the least of all, as every other export was after it.
+// put puts a binding's exports in.
 func (m *factMove) put(bd *Binding) {
 	t := bd.Template
-	for _, ve := range t.exports.vars {
+	for _, ve := range t.exports {
 		bv := t.export(ve)
-		m.exporters[bv.Var] = exporter{bv, m.exporters[bv.Var].count + int(ve.n), bd.Switches[ve.slot]}
+		e, seen := m.exporters[bv.Var]
+		m.exporters[bv.Var] = exporter{bv, e.count + int(ve.n), bd.Switches[ve.slot]}
+		m.moved = m.moved || !seen
 		delete(m.unsure, bv.Var)
-	}
-	for _, fe := range t.exports.fields {
-		bv, sw, pos := t.export(fe), bd.Switches[fe.slot], int(fe.pos)
-		f := bv.field()
-		was, seen := m.firsts[f]
-		if !seen || was.after(sw, pos) || m.lost[f] && was.sw == sw && was.pos == pos {
-			was.bv, was.sw, was.pos = bv, sw, pos
-			delete(m.lost, f)
-			m.moved = true
-		}
-		was.n += int(fe.n)
-		m.firsts[f] = was
 	}
 }
 
-// bridgeFacts derives, from the bindings export by export, every bridged
-// variable's exporters and every bridge field's first export — its least
-// (switch, position) pair — and lays the fields out.
+// bridgeFacts derives every bridged variable's exporters from the bindings,
+// export by export, and lays the fields out.
 func (h *switchHashes) bridgeFacts(bound []*Binding) {
-	h.exporters, h.firsts = map[*ir.Var]exporter{}, map[field]first{}
+	h.exporters = map[*ir.Var]exporter{}
 	for _, bd := range bound {
 		for i, sw := range bd.Switches {
-			for pos, bv := range bd.Template.slots[i].bridges {
+			for _, bv := range bd.Template.slots[i].bridges {
 				h.exporters[bv.Var] = exporter{bv, h.exporters[bv.Var].count + 1, sw}
-				f := bv.field()
-				was, seen := h.firsts[f]
-				if !seen || was.after(sw, pos) {
-					was.bv, was.sw, was.pos = bv, sw, pos
-				}
-				was.n++
-				h.firsts[f] = was
 			}
 		}
 	}
 	h.layFields()
 }
 
-// firstExports returns the plan's first exports, for a plan following it. A
-// plan that followed none keeps none, so that a compile retains nothing it
-// does not use; the first plan to follow it derives them again, once.
-func (p *Plan) firstExports() map[field]first {
-	h := &p.hashes
-	h.once.Do(p.hashSwitches)
-	h.firstsOnce.Do(func() {
-		if h.firsts == nil {
-			var again switchHashes
-			again.bridgeFacts(p.bound)
-			h.firsts = again.firsts
-		}
-	})
-	return h.firsts
-}
-
 // carryBridgeFacts derives the bridge facts from those of the plan followed:
-// its exporters and first exports with the dropped bindings' exports taken out
-// and the made bindings' put in. It reports false, having set nothing, where
-// the change alone does not tell the facts: a field whose first export was
-// taken out and no made export precedes, or a variable left with a single
-// exporter that was not made anew.
+// its exporters with the dropped bindings' exports taken out and the made
+// bindings' put in. It reports false, having set nothing, where the change
+// alone does not tell the facts: a variable left with a single exporter that
+// was not made anew.
 func (h *switchHashes) carryBridgeFacts(from *switchHashes, bound []*Binding, keptAt []bool, dropped []*Binding) bool {
-	m := factMove{exporters: maps.Clone(from.exporters), firsts: maps.Clone(from.firsts), lost: map[field]bool{}, unsure: map[*ir.Var]bool{}}
+	m := factMove{exporters: maps.Clone(from.exporters), unsure: map[*ir.Var]bool{}}
 	for _, bd := range dropped {
 		m.take(bd)
 	}
@@ -356,15 +271,12 @@ func (h *switchHashes) carryBridgeFacts(from *switchHashes, bound []*Binding, ke
 			m.put(bd)
 		}
 	}
-	if len(m.lost) > 0 {
-		return false
-	}
 	for v := range m.unsure {
 		if m.exporters[v].count == 1 {
 			return false
 		}
 	}
-	h.exporters, h.firsts = m.exporters, m.firsts
+	h.exporters = m.exporters
 	if m.moved {
 		h.layFields()
 	} else {
@@ -373,19 +285,17 @@ func (h *switchHashes) carryBridgeFacts(from *switchHashes, bound []*Binding, ke
 	return true
 }
 
-// layFields orders the bridge fields by their first exports into the layout
-// and digests it.
+// layFields lays every exported variable out once, in bridgeOrder, and
+// digests the layout.
 func (h *switchHashes) layFields() {
-	order := make([]first, 0, len(h.firsts))
-	for _, f := range h.firsts {
-		order = append(order, f)
+	h.layout = make([]BridgeVar, 0, len(h.exporters))
+	for _, e := range h.exporters {
+		h.layout = append(h.layout, e.bv)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[j].after(order[i].sw, order[i].pos) })
-	h.layout = make([]BridgeVar, len(order))
+	ir.SortByVar(h.layout, bridgeOrder)
 	var b []byte
-	for i, f := range order {
-		h.layout[i] = f.bv
-		b = appendBridgeVar(b, f.bv)
+	for _, bv := range h.layout {
+		b = appendBridgeVar(b, bv)
 		b = append(b, ',')
 	}
 	h.bridgeDigest = hexSum(b)
@@ -618,9 +528,6 @@ func (p *Plan) hashSwitches() {
 	h.from, h.keptAt, h.dropped = nil, nil, nil
 	if from == nil || !h.carryBridgeFacts(from, p.bound, keptAt, dropped) {
 		h.bridgeFacts(p.bound)
-	}
-	if from == nil {
-		h.firsts = nil // see firstExports
 	}
 	h.carried = from != nil && h.reusable(from)
 

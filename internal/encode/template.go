@@ -41,7 +41,7 @@ type Template struct {
 	// solved.
 	trail *Diagnostics
 	// exports is the template's share of the bridge facts, summed with it.
-	exports exportSums
+	exports []exportSum
 	// memo holds the slot shapes of the template as recompiles of its family
 	// hashed them; see shapeMemo.
 	memo atomic.Pointer[shapeMemo]
@@ -181,9 +181,13 @@ func (e *encoder) bridge(t *Template) {
 		}
 	}
 	for i := range t.slots {
-		ir.SortByVar(t.slots[i].bridges, func(bv BridgeVar) (string, *ir.Var) { return bv.Alg, bv.Var })
+		ir.SortByVar(t.slots[i].bridges, bridgeOrder)
 	}
 }
+
+// bridgeOrder is the order of a slot's exports and of the bridge layout: by
+// algorithm, then by variable.
+func bridgeOrder(bv BridgeVar) (string, *ir.Var) { return bv.Alg, bv.Var }
 
 // switchIndex locates the switches of a plan's bindings: own maps a switch to
 // its slot (the zero slotRef: to no binding), and base, when not nil, locates

@@ -132,7 +132,9 @@ func renamedNet(t *testing.T, net *Network, name func(string) string) *Network {
 // specification — keeps the names' order, and must give the plan the original
 // names give, renamed: hosts per instruction, per-switch tables, allocations,
 // bridges and shape hashes, shard entries and shard groups, and program text
-// and control-plane stubs that differ in the names alone.
+// and control-plane stubs that differ in the names alone. A renaming that
+// changes the names' order must leave the bridge layout as it was; only the
+// layout is compared there, as shard indices still follow the names.
 func TestSwitchRenamingMetamorphic(t *testing.T) {
 	const prefix = "site_"
 	ctx := context.Background()
@@ -169,6 +171,28 @@ func TestSwitchRenamingMetamorphic(t *testing.T) {
 				t.Errorf("%s: %s: text differs in more than the switch names", tc.name, sw)
 			}
 		}
+	}
+
+	// The cores, which export int_in's fields, renamed to sort before the
+	// pods, which export acl's and nat's.
+	c := New()
+	net := uniformPods(3, 4)
+	want, err := c.Compile(ctx, threeAlgs, threeAlgScope, net)
+	if err != nil {
+		t.Fatalf("three algorithms: compile: %v", err)
+	}
+	coresFirst := func(sw string) string {
+		if podOf(sw) == 0 {
+			return "A_" + sw
+		}
+		return sw
+	}
+	got, err := c.Compile(ctx, threeAlgs, strings.Replace(threeAlgScope, "Core*", "A_Core*", 1), renamedNet(t, net, coresFirst))
+	if err != nil {
+		t.Fatalf("three algorithms: compile of the renamed fabric: %v", err)
+	}
+	if g, w := layoutFields(got), layoutFields(want); !reflect.DeepEqual(g, w) || len(w) < 3 {
+		t.Errorf("three algorithms: the cores renamed first lay the bridge out as %v, the original names as %v; want one layout of three fields or more", g, w)
 	}
 }
 

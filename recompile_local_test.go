@@ -235,6 +235,65 @@ func TestRecompileEqualsCompile(t *testing.T) {
 	}
 }
 
+// oneAggPods builds pods of one Agg linked to two ToRs each: the Agg is its
+// pod's only exporter of the hash it bridges to the ToRs.
+func oneAggPods(pods int) *Network {
+	net := topo.New()
+	for p := 1; p <= pods; p++ {
+		agg := fmt.Sprintf("Agg%d", p)
+		net.AddSwitch(agg, "Agg", asic.Tofino32Q)
+		for i := 1; i <= 2; i++ {
+			tor := fmt.Sprintf("ToR%d_%d", p, i)
+			net.AddSwitch(tor, "ToR", asic.Tofino32Q)
+			net.AddLink(agg, tor)
+		}
+	}
+	return net
+}
+
+// TestRecompileMovesImportRule: a fault can change what a switch it did not
+// touch imports. With two one-Agg pods, each Agg exports the hash and, as
+// another switch exports it too, imports it; a ToR down in pod 2 leaves Agg1
+// the hash's only exporter, which imports it no more. The recompile carries
+// pod 1's component over, and must still be what a compile gives, Agg1's new
+// hashes and code included.
+func TestRecompileMovesImportRule(t *testing.T) {
+	ctx := context.Background()
+	c := New()
+	base, err := c.Compile(ctx, podLB, podScope, oneAggPods(2))
+	if err != nil {
+		t.Fatalf("base compile: %v", err)
+	}
+	sc := Scenario{Name: "ToR2_1 down", Events: []FaultEvent{SwitchDown("ToR2_1")}}
+	mutated, err := sc.Applied(oneAggPods(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := c.Compile(ctx, podLB, podScope, mutated)
+	if err != nil {
+		t.Fatalf("compile of the degraded fabric: %v", err)
+	}
+	inc, _, err := c.Recompile(ctx, base, sc)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	sameAsCompile(t, sc.Name, inc, scratch)
+	if inc.Fingerprints["Agg1"] == base.Fingerprints["Agg1"] {
+		t.Error("Agg1 hashes as it did before the fault: the fault moved no import rule, and the test is vacuous")
+	}
+	carried := false
+	for _, b := range base.plan.Bindings() {
+		for _, nb := range inc.plan.Bindings() {
+			if &nb.Switches[0] == &b.Switches[0] && nb.Template == b.Template && b.Switches[0] == "Agg1" {
+				carried = true
+			}
+		}
+	}
+	if !carried {
+		t.Error("pod 1's component was not carried over: the test is vacuous")
+	}
+}
+
 // TestIdentityRecompileSolvesNothing (iii): recompiling through no change at
 // all builds no encoder, calls no solver, looks no class up, and hands back
 // the base's own bindings, scopes lists, artifacts and reports.

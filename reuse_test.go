@@ -48,6 +48,40 @@ algorithm loadbalancer {
 
 const podScope = `loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`
 
+// threeAlgs runs acl and nat MULTI-SW over the pods, each splitting its
+// extern along the pod's Agg->ToR paths, and int_in PER-SW on the cores: three
+// algorithms bridge fields, exported by switches of every layer.
+const threeAlgs = `
+header_type ipv4_t { bit[32] srcAddr; bit[32] dstAddr; bit[8] protocol; }
+header ipv4_t ipv4;
+pipeline[A]{acl};
+pipeline[N]{nat};
+pipeline[INT]{int_in};
+algorithm acl {
+  extern list<bit[32] ip>[200000] deny;
+  if (ipv4.srcAddr in deny) {
+    ipv4.protocol = 0;
+  }
+}
+algorithm nat {
+  extern dict<bit[32] vip, bit[32] dip>[300000] vips;
+  if (ipv4.dstAddr in vips) {
+    ipv4.dstAddr = vips[ipv4.dstAddr];
+  }
+}
+algorithm int_in {
+  extern list<bit[32] ip>[1024] watch;
+  if (ipv4.srcAddr in watch) {
+    ipv4.protocol = 1;
+  }
+}
+`
+
+const threeAlgScope = `acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]
+nat: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]
+int_in: [ Core* | PER-SW | - ]
+`
+
 func uniformPods(pods, k int) *Network {
 	return topo.MultiPodFatTree(pods, k, func(string, int) *asic.Model { return asic.Tofino32Q })
 }
@@ -189,6 +223,38 @@ func TestRecompileLocality(t *testing.T) {
 			}
 		}
 	}
+
+	// Three algorithms bridge fields, exported in every layer. A link-down
+	// in pod 1 leaves every bridged variable exported, so the bridge header
+	// keeps its layout and only pod 1 is reprogrammed.
+	base, err = c.Compile(ctx, threeAlgs, threeAlgScope, uniformPods(3, 4))
+	if err != nil {
+		t.Fatalf("three algorithms: base compile: %v", err)
+	}
+	inc, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{LinkDown("ToR1_1", "Agg1_1")}})
+	if err != nil {
+		t.Fatalf("three algorithms: link-down ToR1_1-Agg1_1: %v", err)
+	}
+	if got, want := layoutFields(inc), layoutFields(base); !reflect.DeepEqual(got, want) || len(want) < 3 {
+		t.Errorf("three algorithms: link-down ToR1_1-Agg1_1 laid the bridge out as %v, the base as %v; want one layout of three fields or more", got, want)
+	}
+	if len(delta.Reprogram) == 0 {
+		t.Error("three algorithms: link-down ToR1_1-Agg1_1 reprogrammed nothing")
+	}
+	for _, sw := range delta.Reprogram {
+		if podOf(sw) != 1 {
+			t.Errorf("three algorithms: link-down ToR1_1-Agg1_1 reprogrammed %s, a switch outside pod 1", sw)
+		}
+	}
+}
+
+// layoutFields renders a result's lyra_bridge fields in header order.
+func layoutFields(res *Result) []string {
+	var out []string
+	for _, bv := range res.plan.BridgeLayout() {
+		out = append(out, fmt.Sprintf("%s.%s bits=%d hit=%v", bv.Alg, bv.Var, bv.Bits, bv.Hit))
+	}
+	return out
 }
 
 // TestShardStubListsOwnComponent: the shard list of a control-plane stub
