@@ -7,10 +7,13 @@ import (
 )
 
 // DefaultCacheEntries bounds the class memo when the caller does not pick a
-// size: generous enough to hold every symmetry class a long churn loop meets
-// on a large fabric (one per damaged-pod shape), small enough that many
-// distinct topology states cannot grow the resident set without bound. An
-// entry is a Template — kilobytes, however many pods are bound to it.
+// size. A churn loop of single faults from one base meets one class per
+// damaged-pod shape, whatever the fabric's size: every single ToR-down and
+// link-down of a pod makes three (the intact pod, a pod less a ToR, a pod less
+// a link; TestChurnFitsTheMemo), so the bound leaves room for multi-fault
+// shapes and degraded chips, and is small enough that many distinct topology
+// states cannot grow the resident set without bound. An entry is a Template —
+// kilobytes, however many pods are bound to it.
 const DefaultCacheEntries = 96
 
 // Cache is a bounded memo from symmetry class to solved Template. A component

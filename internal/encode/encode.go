@@ -280,19 +280,15 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 			return nil, err
 		}
 	}
-	open := make([]Binding, len(comps))
-	for i, c := range comps {
-		open[i] = Binding{Switches: scopeUnion(c.In), algs: c.Algs, label: c.Label(), at: c.at}
-	}
-
-	// Symmetry classes: components with identical canonical fingerprints
-	// (same algorithms, same index-renamed scope/path shape, same chip
-	// model per index) solved under the same options are isomorphic SMT
-	// instances with the same answer. A class met before — in a carried
-	// component, in the memo, or earlier in this loop — is bound to the
-	// template it already has; only the first member of a new class, its
-	// representative, is solved.
+	// Symmetry classes: every component is numbered (symmetry.go), and
+	// components with identical canonical fingerprints (same algorithms, same
+	// index-renamed scope/path shape, same chip model per index) solved under
+	// the same options are isomorphic SMT instances with the same answer. A
+	// class met before — in a carried component, in the memo, or earlier in
+	// this loop — is bound to the template it already has; only the first
+	// member of a new class, its representative, is solved.
 	classed := !opts.NoSymmetryDedup && (len(comps) > 1 || caching)
+	open := make([]Binding, len(comps))
 	known := map[string]*Template{}
 	total := len(comps) // components of the whole decomposition
 	if ca != nil {
@@ -305,19 +301,19 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	}
 	repOf := make([]int, len(comps))
 	classOf := map[string]int{}
-	models := map[*asic.Model][]byte{}
+	nb := getNumbering()
+	defer putNumbering(nb)
 	var hits, evictions int64
 	var solveIdx []int
 	for i, c := range comps {
 		repOf[i] = i
-		if classed {
-			fp, err := canonicalFingerprint(c, open[i].Switches, models)
-			if err != nil {
-				return nil, err
-			}
-			if fp != "" {
-				open[i].Class = fp + shaping + opts.preferIndex(open[i].Switches)
-			}
+		union, fp, err := nb.number(c, classed)
+		if err != nil {
+			return nil, err
+		}
+		open[i] = Binding{Switches: union, algs: c.Algs, label: c.Label(), at: c.at}
+		if fp != "" {
+			open[i].Class = fp + shaping + opts.preferIndex(union)
 		}
 		class := open[i].Class
 		if class == "" {
@@ -416,14 +412,14 @@ func (o *Options) shaping() string {
 }
 
 // preferIndex renders, for the class key, where the preferred switch sits in
-// a component's sorted union — the component's twin under another name prefers
+// a component's numbering — the component's twin under another name prefers
 // the same index — or nothing when the objective has no use for it or the
 // switch is elsewhere.
 func (o *Options) preferIndex(union []string) string {
 	if o.Objective != ObjPreferSwitch {
 		return ""
 	}
-	if i := sort.SearchStrings(union, o.PreferSwitch); i < len(union) && union[i] == o.PreferSwitch {
+	if i := slices.Index(union, o.PreferSwitch); i >= 0 {
 		return " prefer=" + strconv.Itoa(i)
 	}
 	return ""
@@ -514,7 +510,7 @@ func (ca *carried) merge(open []*Binding) (bound []*Binding, keptAt []bool) {
 // fallback policy grants is a different assumption set or budget on the same
 // solver, and learnt clauses, VSIDS activity, and saved phases carry across
 // attempts. The accepted model becomes the component's template straight from
-// the encoder; union is the component's sorted scope union. The accumulated
+// the encoder; union is the component's numbering. The accumulated
 // durations split constraint construction and template extraction (enc) from
 // search (slv).
 func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, cfg attemptCfg, label string) (r componentResult) {
@@ -731,9 +727,11 @@ type encoder struct {
 	solver *smt.Solver
 	theory *resourceTheory
 
-	// switches is the component's sorted scope union, and a switch is its
-	// index into it; models holds each candidate switch's chip, looked up once.
+	// switches is the component's numbering (symmetry.go), and a switch is
+	// its index into it, which at maps its name to; models holds each
+	// candidate switch's chip, looked up once.
 	switches []string
+	at       map[string]int32
 	models   []*asic.Model
 	// algs are the component's algorithms in name order, and an algorithm is
 	// its index into it; externs are their externs in name order, likewise.
@@ -784,17 +782,21 @@ type encoder struct {
 	useOnce bool
 }
 
-// newEncoder makes the encoder of a component; union is its sorted scope union.
+// newEncoder makes the encoder of a component; union is its numbering.
 func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
 	e := &encoder{
 		in:          in,
 		solver:      smt.NewSolver(),
 		switches:    union,
+		at:          make(map[string]int32, len(union)),
 		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
 		phv:         phv,
 		sharedInstr: map[string]map[int]bool{},
 		replicable:  replicableAlgs(in),
 		groups:      map[string]smt.Lit{},
+	}
+	for i, sw := range union {
+		e.at[sw] = int32(i)
 	}
 	for _, a := range in.IR.Algorithms {
 		if _, ok := in.Scopes[a.Name]; !ok {
@@ -852,21 +854,21 @@ type algPrep struct {
 	alg *ir.Algorithm
 	// index is the algorithm's index into the encoder's algs.
 	index int32
-	// cands are the programmable switches of the scope, in scope (sorted)
-	// order, as switch indices; candAt maps a candidate's name to its
-	// position in cands.
+	// cands are the programmable switches of the scope as switch indices,
+	// ascending; candAt maps a candidate's name to its position in cands.
 	cands  []int32
 	candAt map[string]int32
 	// onPath marks, by position, candidates traversed by at least one flow
 	// path.
 	onPath []bool
 	// hops are the unique programmable-hop sequences of the scope's flow
-	// paths, as positions in cands, in first-encounter enumeration order.
-	// Distinct paths routing through the same candidates in the same order
-	// collapse to one entry: they emit identical constraint sets, and in the
-	// shard-credit loop the duplicate is a no-op (its demand is already
-	// covered). This is what bounds memory under lazy enumeration — a k-pod
-	// fat tree walks every ECMP path but holds only the distinct hop shapes.
+	// paths, as positions in cands, sorted: the enumeration walks names, and
+	// the encoding must depend on indices alone. Distinct paths routing
+	// through the same candidates in the same order collapse to one entry:
+	// they emit identical constraint sets, and in the shard-credit loop the
+	// duplicate is a no-op (its demand is already covered). This is what
+	// bounds memory under lazy enumeration — a k-pod fat tree walks every ECMP
+	// path but holds only the distinct hop shapes.
 	hops [][]int32
 	// enumerated counts the flow paths walked (before dedup).
 	enumerated int64
@@ -903,14 +905,17 @@ func (e *encoder) prepare() error {
 				return fmt.Errorf("encode: scope of %q references unknown switch %q", a.Name, sw)
 			}
 			if s.ASIC.Programmable {
-				i, _ := slices.BinarySearch(e.switches, sw)
+				i := e.at[sw]
 				e.models[i] = s.ASIC
-				p.candAt[sw] = int32(len(p.cands))
-				p.cands = append(p.cands, int32(i))
+				p.cands = append(p.cands, i)
 			}
 		}
 		if len(p.cands) == 0 {
 			return fmt.Errorf("encode: scope of %q has no programmable switch", a.Name)
+		}
+		slices.Sort(p.cands)
+		for k, i := range p.cands {
+			p.candAt[e.switches[i]] = int32(k)
 		}
 		p.onPath = make([]bool, len(p.cands))
 
@@ -947,6 +952,7 @@ func (e *encoder) prepare() error {
 			if err != nil {
 				return fmt.Errorf("encode: scope of %q: %w", a.Name, err)
 			}
+			slices.SortFunc(p.hops, slices.Compare)
 		}
 		prep[a.Name] = p
 		e.algs = append(e.algs, p)

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"sort"
 	"testing"
 
 	"lyra/internal/ir"
@@ -373,4 +374,25 @@ algorithm big {
 	if err == nil {
 		t.Fatal("oversized PER-SW table must be infeasible")
 	}
+}
+
+// scopeUnion returns the sorted union of an input's scope switches: the
+// numbering of a component that colour refinement does not split.
+func scopeUnion(in *Input) []string {
+	seen := map[string]bool{}
+	var union []string
+	for _, a := range in.IR.Algorithms {
+		rs := in.Scopes[a.Name]
+		if rs == nil {
+			continue
+		}
+		for _, sw := range rs.Switches {
+			if !seen[sw] {
+				seen[sw] = true
+				union = append(union, sw)
+			}
+		}
+	}
+	sort.Strings(union)
+	return union
 }

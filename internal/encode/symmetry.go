@@ -1,10 +1,15 @@
 package encode
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"lyra/internal/asic"
 	"lyra/internal/scope"
@@ -18,100 +23,370 @@ import (
 // isomorphic components is solved once, its solved form is kept name-free
 // (Template), and every member is a binding of it.
 //
-// canonicalFingerprint renders a component with its switches replaced by
-// indices into its sorted switch union, so two isomorphic components hash
-// identically. Algorithm and extern names stay literal: the resource theory
-// orders shard assignment by extern name, so only same-named algorithms —
-// scope-split twins — may share a class. The rendering is hand-rolled appends
-// into one reused buffer (it runs once per hop of every flow path of every
-// compile and recompile); models carries each chip model's rendering from one
-// component to the next. A component it cannot render stays unclassed (""); a
-// walk past the path budget fails with the *topo.PathLimitError.
-func canonicalFingerprint(c *Component, union []string, models map[*asic.Model][]byte) (string, error) {
-	in := c.In
-	if len(union) == 0 {
-		return "", nil
-	}
-	set := make(map[string]int, len(union))
-	for i, sw := range union {
-		set[sw] = i
-	}
+// A component is numbered before it is solved or classed: its switches get
+// indices 0..n-1, and a switch is its index to the encoder, the theory, the
+// template and the binding alike. The numbering is colour refinement
+// (1-dimensional Weisfeiler–Leman) over the component's flow-path graph. A
+// switch starts from the colour of its chip model and, per algorithm, its
+// scope membership, the deploy mode and its role on the flow paths (first,
+// last or inner hop); a round recolours every switch by its own colour and the
+// multiset of the colours of its path neighbours, upstream and downstream
+// apart, until a round splits no class. When no round splits a starting
+// class — every intact pod, every component of a compile on a symmetric
+// fabric — the numbering is the name order. Otherwise the starting classes
+// are ordered by their least name, the classes refinement split off inside
+// one by their colour, and names order only the switches of one final class.
+// Colours are computed from colours alone, never from names, so isomorphic
+// components get the same colours, and a pod with its (ToR_i, Agg_j) link cut
+// is numbered alike for every (i, j): the cut ToR and the cut Agg are classes
+// of their own, in the same place. (Ordering the split-off classes by least
+// name instead would tell "cut index 1" from "cut index 2".)
+//
+// The class key renders the component under its numbering: per algorithm its
+// scope switches and its flow paths as index lists, sorted, then the chip
+// model of every index. It describes the whole component, so two components
+// with equal renders are isomorphic under the index bijection, whatever
+// numbering produced it; the numbering decides only how often isomorphic
+// components render alike. Algorithm and extern names stay literal: the
+// resource theory orders shard assignment by extern name, so only same-named
+// algorithms — scope-split twins — may share a class. A component whose paths
+// leave its switches or whose chip is unknown is numbered in name order and
+// stays unclassed (""); a walk past the path budget fails with the
+// *topo.PathLimitError.
+//
+// The rendering is hand-rolled appends into reused buffers (it runs once per
+// hop of every flow path of every compile and recompile), and a numbering
+// keeps every buffer across components and, through a pool, across solves.
+type numbering struct {
+	// models carries each chip model's rendering and colour from one component
+	// to the next.
+	models map[*asic.Model]chip
+	// The component in hand, its switches by rank in name order: at ranks a
+	// name, chips holds each rank's chip, and the flow paths are hops[ends[p-1]:
+	// ends[p]], those of the algorithm at index a being paths algEnd[a-1] to
+	// algEnd[a]-1.
+	at     map[string]int32
+	chips  []chip
+	hops   []int32
+	ends   []int32
+	algEnd []int32
+	// Refinement scratch: an algorithm's membership and path-role bits by
+	// rank, the starting and current colours, the next round's, sorted copies
+	// for counting classes, and the least rank of each starting colour.
+	role, start, col, next, sorted []uint64
+	first                          map[uint64]int32
+	// A split component's numbering: the rank at every index, and the index
+	// of every rank.
+	rank, index []int32
+	// Render scratch: an algorithm's scope switches, its path order, and the
+	// line being hashed.
+	sw    []int32
+	paths []int32
+	buf   []byte
+}
 
-	h := sha256.New()
-	buf := make([]byte, 0, 256)
+// chip is a chip model as the class key renders it, and its starting colour.
+type chip struct {
+	line   []byte
+	colour uint64
+}
+
+// numberings keeps numbering scratch from one solve to the next: a served
+// compile solves a few small components, and would otherwise pay for every
+// buffer anew.
+var numberings = sync.Pool{New: func() any {
+	return &numbering{models: map[*asic.Model]chip{}, at: map[string]int32{}, first: map[uint64]int32{}}
+}}
+
+// getNumbering returns numbering scratch for one solve; putNumbering hands it
+// back, keeping no chip model of the solve alive.
+func getNumbering() *numbering { return numberings.Get().(*numbering) }
+
+func putNumbering(nb *numbering) {
+	clear(nb.models)
+	numberings.Put(nb)
+}
+
+// number returns a component's switches in index order and, when classed, its
+// class key (fingerprint part; "" when it has no canonical form). The key is
+// hashed as the paths are walked, under name order; a component refinement
+// splits is hashed again under its numbering.
+func (nb *numbering) number(c *Component, classed bool) (union []string, fp string, err error) {
+	in := c.In
+	clear(nb.at)
 	for _, a := range in.IR.Algorithms {
-		rs := in.Scopes[a.Name]
-		if rs == nil {
-			return "", nil
-		}
-		buf = append(buf[:0], "alg "...)
-		buf = append(buf, a.Name...)
-		buf = append(buf, " deploy="...)
-		buf = strconv.AppendInt(buf, int64(rs.Deploy), 10)
-		buf = append(buf, " sw="...)
-		for _, sw := range rs.Switches {
-			buf = strconv.AppendInt(buf, int64(set[sw]), 10)
-			buf = append(buf, ',')
-		}
-		h.Write(buf)
-		if rs.Deploy == scope.MultiSwitch {
-			ok := true
-			err := rs.EachPath(func(p []string) bool {
-				buf = buf[:0]
-				for _, sw := range p {
-					j, known := set[sw]
-					if !known {
-						ok = false
-						return false
-					}
-					buf = strconv.AppendInt(buf, int64(j), 10)
-					buf = append(buf, '.')
+		if rs := in.Scopes[a.Name]; rs != nil {
+			for _, sw := range rs.Switches {
+				if _, seen := nb.at[sw]; !seen {
+					nb.at[sw] = 0
+					union = append(union, sw)
 				}
-				buf = append(buf, ';')
-				h.Write(buf)
-				return true
-			})
-			if err != nil || !ok {
-				return "", err
 			}
 		}
-		h.Write([]byte{'\n'})
 	}
-	for _, sw := range union {
+	n := len(union)
+	if n == 0 {
+		return union, "", nil
+	}
+	sort.Strings(union)
+	for i, sw := range union {
+		nb.at[sw] = int32(i)
+	}
+	nb.chips, nb.start = nb.chips[:0], resize(nb.start, n)
+	for i, sw := range union {
 		s := in.Net.Switch(sw)
 		if s == nil || s.ASIC == nil {
-			return "", nil
+			return union, "", nil
 		}
-		line, ok := models[s.ASIC]
+		ch, ok := nb.models[s.ASIC]
 		if !ok {
 			// %+v covers every capacity fact the theory consults; equal renders
 			// imply equal admission behavior. (The ExtraCheck hook renders as a
 			// function address: registry models share pointers, so equal chips
 			// compare equal, and a custom hook conservatively blocks dedup.)
-			line = []byte(fmt.Sprintf("asic %+v\n", *s.ASIC))
-			models[s.ASIC] = line
+			ch.line = []byte(fmt.Sprintf("asic %+v\n", *s.ASIC))
+			h := fnv.New64a()
+			h.Write(ch.line)
+			ch.colour = h.Sum64()
+			nb.models[s.ASIC] = ch
 		}
-		h.Write(line)
+		nb.chips = append(nb.chips, ch)
+		nb.start[i] = ch.colour
 	}
-	return string(h.Sum(nil)), nil
-}
 
-// scopeUnion returns the sorted union of an input's scope switches.
-func scopeUnion(in *Input) []string {
-	seen := map[string]bool{}
-	var union []string
-	for _, a := range in.IR.Algorithms {
-		rs := in.Scopes[a.Name]
+	// The flow paths, and every switch's membership and path role.
+	var h hash.Hash
+	if classed {
+		h = sha256.New()
+	}
+	nb.hops, nb.ends, nb.algEnd = nb.hops[:0], nb.ends[:0], nb.algEnd[:0]
+	nb.role = resize(nb.role, n)
+	role := nb.role
+	for a, alg := range in.IR.Algorithms {
+		rs := in.Scopes[alg.Name]
 		if rs == nil {
-			continue
+			return union, "", nil
 		}
+		clear(role)
+		nb.sw = nb.sw[:0]
 		for _, sw := range rs.Switches {
-			if !seen[sw] {
-				seen[sw] = true
-				union = append(union, sw)
+			role[nb.at[sw]] = 1
+			nb.sw = append(nb.sw, nb.at[sw])
+		}
+		nb.head(h, alg.Name, rs.Deploy)
+		if rs.Deploy == scope.MultiSwitch {
+			ok := true
+			err := rs.EachPath(func(p []string) bool {
+				for _, sw := range p {
+					j, known := nb.at[sw]
+					if !known {
+						ok = false
+						return false
+					}
+					nb.hops = append(nb.hops, j)
+				}
+				from := len(nb.hops) - len(p)
+				for k := from + 1; k < len(nb.hops)-1; k++ {
+					role[nb.hops[k]] |= 8
+				}
+				role[nb.hops[from]] |= 2
+				role[nb.hops[len(nb.hops)-1]] |= 4
+				nb.ends = append(nb.ends, int32(len(nb.hops)))
+				nb.writePath(h, nb.hops[from:])
+				return true
+			})
+			if err != nil {
+				return nil, "", err
+			}
+			if !ok {
+				return union, "", nil
+			}
+		}
+		if h != nil {
+			h.Write([]byte{'\n'})
+		}
+		nb.algEnd = append(nb.algEnd, int32(len(nb.ends)))
+		for i, r := range role {
+			if r != 0 {
+				nb.start[i] = mix(nb.start[i] + (uint64(a)<<16 | uint64(rs.Deploy)<<8 | r))
 			}
 		}
 	}
-	sort.Strings(union)
-	return union
+	if !nb.refine() {
+		if h == nil {
+			return union, "", nil
+		}
+		for _, ch := range nb.chips {
+			h.Write(ch.line)
+		}
+		return union, string(h.Sum(nil)), nil
+	}
+	nb.canonicalOrder()
+	named := union
+	union = make([]string, n)
+	for k, r := range nb.rank {
+		union[k] = named[r]
+		nb.index[r] = int32(k)
+	}
+	for j, r := range nb.hops {
+		nb.hops[j] = nb.index[r]
+	}
+	if !classed {
+		return union, "", nil
+	}
+	return union, nb.render(c), nil
+}
+
+// refine runs colour refinement from the starting colours to a stable
+// colouring in col, and reports whether it split any starting class. A
+// component no round splits costs one round.
+func (nb *numbering) refine() (split bool) {
+	n := len(nb.start)
+	nb.col = append(nb.col[:0], nb.start...)
+	nb.next = resize(nb.next, n)
+	classes := nb.classes(nb.col)
+	initial := classes
+	for {
+		for i, c := range nb.col {
+			nb.next[i] = mix(c)
+		}
+		p := int32(0)
+		for a, end := range nb.algEnd {
+			dir := uint64(a+1) * 0x9e3779b97f4a7c15
+			for ; p < end; p++ {
+				path := nb.path(p)
+				for k := 1; k < len(path); k++ {
+					u, v := path[k-1], path[k]
+					nb.next[u] += mix(nb.col[v] + dir)
+					nb.next[v] += mix(nb.col[u] - dir)
+				}
+			}
+		}
+		now := nb.classes(nb.next)
+		if now == classes {
+			return classes != initial
+		}
+		nb.col, nb.next = nb.next, nb.col
+		classes = now
+		if classes == n {
+			return true
+		}
+	}
+}
+
+// classes counts the distinct colours of cs.
+func (nb *numbering) classes(cs []uint64) int {
+	nb.sorted = append(nb.sorted[:0], cs...)
+	slices.Sort(nb.sorted)
+	return len(slices.Compact(nb.sorted))
+}
+
+// canonicalOrder lays the ranks of a split component out in index order, in
+// rank: by the least name of their starting class, then by their stable
+// colour, then by name.
+func (nb *numbering) canonicalOrder() {
+	n := len(nb.start)
+	nb.rank, nb.index = resize(nb.rank, n), resize(nb.index, n)
+	clear(nb.first)
+	for i, c := range nb.start {
+		nb.rank[i] = int32(i)
+		if _, ok := nb.first[c]; !ok {
+			nb.first[c] = int32(i)
+		}
+	}
+	slices.SortFunc(nb.rank, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(nb.first[nb.start[x]], nb.first[nb.start[y]]), cmp.Compare(nb.col[x], nb.col[y]), cmp.Compare(x, y))
+	})
+}
+
+// head writes the line that opens an algorithm's part of the class key, with
+// its scope switches, nb.sw, as indices in ascending order. A nil h hashes
+// nothing.
+func (nb *numbering) head(h hash.Hash, alg string, deploy scope.Deploy) {
+	if h == nil {
+		return
+	}
+	buf := append(nb.buf[:0], "alg "...)
+	buf = append(buf, alg...)
+	buf = append(buf, " deploy="...)
+	buf = strconv.AppendInt(buf, int64(deploy), 10)
+	buf = append(buf, " sw="...)
+	for _, i := range nb.sw {
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, ',')
+	}
+	h.Write(buf)
+	nb.buf = buf
+}
+
+// writePath writes one flow path, as indices, into the class key.
+func (nb *numbering) writePath(h hash.Hash, path []int32) {
+	if h == nil {
+		return
+	}
+	buf := nb.buf[:0]
+	for _, i := range path {
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, '.')
+	}
+	buf = append(buf, ';')
+	h.Write(buf)
+	nb.buf = buf
+}
+
+// render hashes a split component under its numbering: per algorithm its
+// scope switches and its flow paths sorted in index order, then each index's
+// chip.
+func (nb *numbering) render(c *Component) string {
+	h := sha256.New()
+	p := int32(0)
+	for a, alg := range c.In.IR.Algorithms {
+		rs := c.In.Scopes[alg.Name]
+		nb.sw = nb.sw[:0]
+		for _, sw := range rs.Switches {
+			nb.sw = append(nb.sw, nb.index[nb.at[sw]])
+		}
+		slices.Sort(nb.sw)
+		nb.head(h, alg.Name, rs.Deploy)
+		nb.paths = nb.paths[:0]
+		for ; p < nb.algEnd[a]; p++ {
+			nb.paths = append(nb.paths, p)
+		}
+		slices.SortFunc(nb.paths, func(x, y int32) int { return slices.Compare(nb.path(x), nb.path(y)) })
+		for _, q := range nb.paths {
+			nb.writePath(h, nb.path(q))
+		}
+		h.Write([]byte{'\n'})
+	}
+	for _, r := range nb.rank {
+		h.Write(nb.chips[r].line)
+	}
+	return string(h.Sum(nil))
+}
+
+// path returns flow path p as indices.
+func (nb *numbering) path(p int32) []int32 {
+	from := int32(0)
+	if p > 0 {
+		from = nb.ends[p-1]
+	}
+	return nb.hops[from:nb.ends[p]]
+}
+
+// mix is the splitmix64 finaliser: colours combine through it, so a sum of
+// mixed neighbour colours is a multiset hash.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// resize returns s with length n, reallocated only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

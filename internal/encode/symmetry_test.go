@@ -13,6 +13,7 @@ import (
 	"lyra/internal/lang/checker"
 	"lyra/internal/lang/parser"
 	"lyra/internal/scope"
+	"lyra/internal/smt"
 	"lyra/internal/topo"
 )
 
@@ -183,6 +184,172 @@ func TestSymmetryDedupByteIdenticalMultiSW(t *testing.T) {
 	if base.Replayed != 0 || base.Classes != 4 {
 		t.Errorf("baseline Classes/Replayed = %d/%d, want 4/0", base.Classes, base.Replayed)
 	}
+
+	// Every single link-down of one k=8 pod, with a table split along the
+	// paths: after the first, the damaged pod is bound from the memo under
+	// other names each time, and must equal a direct solve of every component.
+	// The direct solves must all make one search: the encoding of a damaged
+	// pod reads its numbering, not its names.
+	net8 := podNet(2, 8)
+	in8 := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net8)
+	opts := DefaultOptions()
+	opts.Cache = NewCache()
+	var search smt.Stats
+	for i := 1; i <= 4; i++ {
+		for j := 1; j <= 4; j++ {
+			tor, agg := fmt.Sprintf("ToR1_%d", i), fmt.Sprintf("Agg1_%d", j)
+			cut := resolvedOn(t, in8, podLBScope, cutLink(t, net8, tor, agg))
+			dedup, err := Solve(cut, opts)
+			if err != nil {
+				t.Fatalf("%s—%s: dedup solve: %v", tor, agg, err)
+			}
+			direct, err := Solve(cut, &Options{NoSymmetryDedup: true})
+			if err != nil {
+				t.Fatalf("%s—%s: baseline solve: %v", tor, agg, err)
+			}
+			planEqual(t, tor+"—"+agg+": memo vs no-dedup", dedup, direct)
+			if len(dedup.ShardsOf("conn_table")) < 2 {
+				t.Fatalf("%s—%s: conn_table is not split — the shard checks are vacuous", tor, agg)
+			}
+			if i+j == 2 {
+				search = direct.Stats
+				continue
+			}
+			if dedup.Classes != 0 {
+				t.Errorf("%s—%s: %d classes solved, want the damaged pod from the memo", tor, agg, dedup.Classes)
+			}
+			if direct.Stats != search {
+				t.Errorf("%s—%s: the direct solves searched %+v, those of ToR1_1—Agg1_1 %+v", tor, agg, direct.Stats, search)
+			}
+		}
+	}
+}
+
+// cutLink returns a clone of net without the link between a and b.
+func cutLink(t *testing.T, net *topo.Network, a, b string) *topo.Network {
+	t.Helper()
+	cut := net.Clone()
+	if err := cut.RemoveLink(a, b); err != nil {
+		t.Fatal(err)
+	}
+	return cut
+}
+
+// resolvedOn is in's program with the scope specification resolved on net, so
+// solves of both share one root IR, as a recompile's do.
+func resolvedOn(t *testing.T, in *Input, scopeText string, net *topo.Network) *Input {
+	t.Helper()
+	spec, err := scope.Parse(scopeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes, err := spec.Resolve(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Input{IR: in.IR, Net: net, Scopes: scopes}
+}
+
+// renamedNet is net with every switch renamed by name.
+func renamedNet(t *testing.T, net *topo.Network, name func(string) string) *topo.Network {
+	t.Helper()
+	out := topo.New()
+	for _, s := range net.Switches {
+		if _, err := out.AddSwitch(name(s.Name), s.Layer, s.ASIC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range net.Names() {
+		for _, b := range net.Neighbors(a) {
+			if a < b {
+				if err := out.AddLink(name(a), name(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestLinkDownsOneClass: a k=16 pod with one (ToR, Agg) link cut is the same
+// graph for each of its 64 links, up to renaming, so every single link-down
+// must land in one class, with the cut ToR and Agg at the same indices
+// whatever their names.
+func TestLinkDownsOneClass(t *testing.T) {
+	const half = 8
+	net := podNet(1, 2*half)
+	in := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net)
+	classes := map[string][]string{}
+	var at [2]int
+	for i := 1; i <= half; i++ {
+		for j := 1; j <= half; j++ {
+			tor, agg := fmt.Sprintf("ToR1_%d", i), fmt.Sprintf("Agg1_%d", j)
+			comps := mustPartition(t, resolvedOn(t, in, podLBScope, cutLink(t, net, tor, agg)))
+			if len(comps) != 1 {
+				t.Fatalf("%s—%s: %d components, want the one pod", tor, agg, len(comps))
+			}
+			union, class, err := getNumbering().number(comps[0], true)
+			if err != nil || class == "" {
+				t.Fatalf("%s—%s: no canonical form (%v)", tor, agg, err)
+			}
+			classes[class] = append(classes[class], tor+"—"+agg)
+			cutAt := [2]int{slices.Index(union, tor), slices.Index(union, agg)}
+			if i == 1 && j == 1 {
+				at = cutAt
+			} else if cutAt != at {
+				t.Errorf("%s—%s: the cut switches are numbered %v, %v for ToR1_1—Agg1_1", tor, agg, cutAt, at)
+			}
+		}
+	}
+	if len(classes) != 1 {
+		for _, links := range classes {
+			t.Logf("class of %d link-downs, first %s", len(links), links[0])
+		}
+		t.Errorf("%d single link-downs of one pod fall into %d classes, want 1", half*half, len(classes))
+	}
+}
+
+// TestRenamedDamagedPodKeepsClass: a renaming that swaps a k=8 fabric's two
+// pods and permutes their ToR and Agg indices — the cut link with them — keeps
+// every class: a solve of the renamed fabric finds both pods in the memo, and
+// binds them to the plan a direct solve gives.
+func TestRenamedDamagedPodKeepsClass(t *testing.T) {
+	net := cutLink(t, podNet(2, 8), "ToR1_1", "Agg1_2")
+	in := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net)
+	opts := DefaultOptions()
+	opts.Cache = NewCache()
+	first, err := Solve(in, opts)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if first.Classes != 2 {
+		t.Fatalf("Classes = %d, want 2: the damaged pod and the intact one", first.Classes)
+	}
+	perm := map[string][4]int{"ToR": {3, 1, 4, 2}, "Agg": {2, 4, 1, 3}}
+	renamed := renamedNet(t, net, func(sw string) string {
+		var layer string
+		var pod, i int
+		if _, err := fmt.Sscanf(sw, "%3s%d_%d", &layer, &pod, &i); err != nil {
+			return sw // a core
+		}
+		return fmt.Sprintf("%s%d_%d", layer, 3-pod, perm[layer][i-1])
+	})
+	if !renamed.HasLink("ToR2_4", "Agg2_1") || renamed.HasLink("ToR2_3", "Agg2_4") {
+		t.Fatal("the renaming does not move the cut to ToR2_3—Agg2_4")
+	}
+	in2 := resolvedOn(t, in, podLBScope, renamed)
+	again, err := Solve(in2, opts)
+	if err != nil {
+		t.Fatalf("solve of the renamed fabric: %v", err)
+	}
+	if again.Classes != 0 || again.Stats.CacheHits != 2 {
+		t.Errorf("renamed fabric: Classes = %d, CacheHits = %d, want 0 and 2", again.Classes, again.Stats.CacheHits)
+	}
+	direct, err := Solve(in2, &Options{NoSymmetryDedup: true})
+	if err != nil {
+		t.Fatalf("baseline solve: %v", err)
+	}
+	planEqual(t, "renamed fabric: memo vs no-dedup", again, direct)
 }
 
 // TestSymmetryDedupByteIdenticalPerSW: PER-SW deployment over identical

@@ -21,9 +21,10 @@ import (
 // placement literals involved (see package comment for the soundness
 // discussion).
 //
-// It works on the encoder's dense indices — a switch is its index into the
-// component's sorted scope union, an algorithm or an extern its index in name
-// order — so visiting indices in ascending order visits names in sorted order.
+// It works on the encoder's dense indices — a switch is its index in the
+// component's numbering, an algorithm or an extern its index in name order —
+// and visits them in ascending order, so what it decides depends on indices,
+// never on switch names.
 // A check fills scratch sized once per encoder and builds no map; what it
 // hands on is written only when it accepts, and why it rejected is kept as
 // data until a diagnostic asks.

@@ -46,7 +46,7 @@ func TestSolverTrajectory(t *testing.T) {
 		want [6]int64
 	}{
 		{SwitchDown("ToR3_2"), [6]int64{393, 1072, 30, 17, 18, 17}},
-		{LinkDown("ToR3_2", "Agg3_5"), [6]int64{391, 1144, 28, 17, 18, 17}},
+		{LinkDown("ToR3_2", "Agg3_5"), [6]int64{405, 1234, 28, 17, 18, 17}},
 	} {
 		res, _, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{tc.ev}})
 		if err != nil {
