@@ -225,25 +225,33 @@ func TestRecompileLocality(t *testing.T) {
 	}
 
 	// Three algorithms bridge fields, exported in every layer. A link-down
-	// in pod 1 leaves every bridged variable exported, so the bridge header
-	// keeps its layout and only pod 1 is reprogrammed.
+	// or a ToR-down in pod 1 leaves every bridged variable exported, so the
+	// bridge header keeps its layout and only pod 1 is reprogrammed. (The
+	// link-down's damaged pod is placed as the intact pod is, and reprograms
+	// nothing; the ToR-down reprograms the pod's other ToR.)
 	base, err = c.Compile(ctx, threeAlgs, threeAlgScope, uniformPods(3, 4))
 	if err != nil {
 		t.Fatalf("three algorithms: base compile: %v", err)
 	}
-	inc, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{LinkDown("ToR1_1", "Agg1_1")}})
-	if err != nil {
-		t.Fatalf("three algorithms: link-down ToR1_1-Agg1_1: %v", err)
-	}
-	if got, want := layoutFields(inc), layoutFields(base); !reflect.DeepEqual(got, want) || len(want) < 3 {
-		t.Errorf("three algorithms: link-down ToR1_1-Agg1_1 laid the bridge out as %v, the base as %v; want one layout of three fields or more", got, want)
-	}
-	if len(delta.Reprogram) == 0 {
-		t.Error("three algorithms: link-down ToR1_1-Agg1_1 reprogrammed nothing")
-	}
-	for _, sw := range delta.Reprogram {
-		if podOf(sw) != 1 {
-			t.Errorf("three algorithms: link-down ToR1_1-Agg1_1 reprogrammed %s, a switch outside pod 1", sw)
+	for _, tc := range []struct {
+		ev         FaultEvent
+		reprograms bool
+	}{{LinkDown("ToR1_1", "Agg1_1"), false}, {SwitchDown("ToR1_1"), true}} {
+		ev := tc.ev
+		inc, delta, err := c.Recompile(ctx, base, Scenario{Events: []FaultEvent{ev}})
+		if err != nil {
+			t.Fatalf("three algorithms: %s: %v", ev, err)
+		}
+		if got, want := layoutFields(inc), layoutFields(base); !reflect.DeepEqual(got, want) || len(want) < 3 {
+			t.Errorf("three algorithms: %s laid the bridge out as %v, the base as %v; want one layout of three fields or more", ev, got, want)
+		}
+		if tc.reprograms && len(delta.Reprogram) == 0 {
+			t.Errorf("three algorithms: %s reprogrammed nothing", ev)
+		}
+		for _, sw := range delta.Reprogram {
+			if podOf(sw) != 1 {
+				t.Errorf("three algorithms: %s reprogrammed %s, a switch outside pod 1", ev, sw)
+			}
 		}
 	}
 }
