@@ -58,7 +58,7 @@ type StreamOptions struct {
 	// FlowKey extracts the flow key a packet's shared state is keyed by.
 	// Packets whose state interactions are not confined to equal keys
 	// violate the lane-affinity contract above. Default: all packets map
-	// to key 0 (single-flow semantics).
+	// to key 0 (single-flow semantics). A one-lane stream never calls it.
 	FlowKey func(*FlatPacket) uint64
 	// Ctx is the switch environment for every hop (nil = zero context).
 	// Traces that need per-packet time carry it in a packet field, like
@@ -227,8 +227,6 @@ func (s *Stream) Feed(pkts ...*FlatPacket) error {
 		lane := 0
 		if s.flowKey != nil && len(s.pend) > 1 {
 			lane = s.LaneOf(s.flowKey(f))
-		} else if s.flowKey != nil {
-			_ = s.flowKey(f) // keep key cost visible at Lanes=1 too
 		}
 		if len(s.pend[lane]) == s.batch {
 			s.drain()

@@ -519,9 +519,14 @@ func solveComponent(ctx context.Context, in *Input, union []string, phv *phvInde
 
 	start := time.Now()
 	e, err := newEncoder(in, union, phv)
-	if err == nil {
-		err = e.encode(ctx)
+	if err != nil {
+		r.err = err
+		return r
 	}
+	// Nothing returned reads the solver: the template is built, and the
+	// counters copied, before it goes back to the pool.
+	defer e.solver.Release()
+	err = e.encode(ctx)
 	r.enc = time.Since(start)
 	if err != nil {
 		r.err = err
@@ -784,6 +789,11 @@ type encoder struct {
 
 // newEncoder makes the encoder of a component; union is its numbering.
 func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
+	for _, a := range in.IR.Algorithms {
+		if _, ok := in.Scopes[a.Name]; !ok {
+			return nil, fmt.Errorf("encode: algorithm %q has no scope specification", a.Name)
+		}
+	}
 	e := &encoder{
 		in:          in,
 		solver:      smt.NewSolver(),
@@ -797,11 +807,6 @@ func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
 	}
 	for i, sw := range union {
 		e.at[sw] = int32(i)
-	}
-	for _, a := range in.IR.Algorithms {
-		if _, ok := in.Scopes[a.Name]; !ok {
-			return nil, fmt.Errorf("encode: algorithm %q has no scope specification", a.Name)
-		}
 	}
 	return e, nil
 }

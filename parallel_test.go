@@ -3,7 +3,9 @@ package lyra
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,6 +72,59 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if seq.SolverStats != parl.SolverStats {
 		t.Errorf("solver stats differ: %+v vs %+v", seq.SolverStats, parl.SolverStats)
+	}
+}
+
+// TestConcurrentCompilesSharePooledSolvers: the solver's memory is pooled
+// across solves, so concurrent compiles, and the parallel components inside
+// each (the composition chain's five solve on four workers), take and
+// release solvers from one pool. Every compile must still equal its
+// sequential reference byte for byte, search counters included; CI runs it
+// under -race, where a solver used after its release is a reported race.
+func TestConcurrentCompilesSharePooledSolvers(t *testing.T) {
+	cases := []struct{ src, scope string }{
+		{loadProgram(t, "composition"), compositionScopes},
+		{quickLB, quickScope},
+		{loadProgram(t, "netcache"), perSwitchScope(t, loadProgram(t, "netcache"), "Agg1")},
+	}
+	compile := func(i, workers int) (*Result, error) {
+		return New(WithParallelism(workers)).Compile(context.Background(), cases[i].src, cases[i].scope, Testbed())
+	}
+	refs := make([]*Result, len(cases))
+	for i := range cases {
+		res, err := compile(i, 1)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		refs[i] = res
+	}
+	const goroutines, rounds = 4, 5
+	errs := make(chan error, goroutines*rounds*len(cases))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range cases {
+					i := (g + k) % len(cases)
+					res, err := compile(i, 4)
+					switch {
+					case err != nil:
+						errs <- fmt.Errorf("case %d: %w", i, err)
+					case res.ArtifactFingerprint() != refs[i].ArtifactFingerprint():
+						errs <- fmt.Errorf("case %d: fingerprint %s, sequential %s", i, res.ArtifactFingerprint(), refs[i].ArtifactFingerprint())
+					case res.SolverStats != refs[i].SolverStats:
+						errs <- fmt.Errorf("case %d: solver stats %+v, sequential %+v", i, res.SolverStats, refs[i].SolverStats)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

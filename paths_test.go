@@ -80,13 +80,16 @@ func TestPathBudgetFailsTheCompile(t *testing.T) {
 	}
 }
 
-// TestEncodeHonoursDeadline: a scope of long flow paths (a 9-switch full
-// mesh, 13,700 paths from S00 to S01) takes the encoder most of a minute; a
-// compile under a 2 s deadline must give up at it with ErrTimeout, not after
-// encoding everything.
+// TestEncodeHonoursDeadline: a scope of long flow paths (a 10-switch full
+// mesh, 109,601 paths from S00 to S01) takes the encoder about 2.7 s on a
+// 2-vCPU host; a compile under a 1 s deadline must give up at it with
+// ErrTimeout, not after encoding everything. (The 9-switch mesh this test
+// used took most of a minute while the solver re-laid its watch lists on
+// every constraint; it now compiles in 0.3 s, inside any deadline the test
+// could set.)
 func TestEncodeHonoursDeadline(t *testing.T) {
-	net := fullMesh(t, 9)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	net := fullMesh(t, 10)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	start := time.Now()
 	_, err := New().Compile(ctx, meshACL, meshScope, net)
@@ -94,7 +97,7 @@ func TestEncodeHonoursDeadline(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrTimeout)", err)
 	}
-	if elapsed > 3*time.Second {
-		t.Errorf("the compile returned %v after it started, past its 2 s deadline by more than a second", elapsed)
+	if elapsed > 2*time.Second {
+		t.Errorf("the compile returned %v after it started, past its 1 s deadline by more than a second", elapsed)
 	}
 }
