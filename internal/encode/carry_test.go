@@ -268,22 +268,21 @@ func TestCarriedIndexChain(t *testing.T) {
 	}
 }
 
-// TestCarriedHashesEqualFresh: a plan whose solve carried bindings over moves
-// the bridge facts of the plan it follows by the bindings that changed, takes
-// that plan's hashes of every other switch where no plan-wide fact a hash
-// reads moved, and has the other templates' shapes from their memo. Its
-// Fingerprints, BridgeLayout, Shape and Imports must be what hashing the same
-// bindings from nothing gives, after every single switch-down, link-down and
-// chip degrade of the carry-test fabrics and after a second fault chained onto
-// each: one down of each exporter of each bridged variable, which can take a
-// variable's last exporter and so a field out of the layout (some case must).
-// The layout may move only with the set of its fields. Every switch Rehashed
-// leaves out must hash as it did in the plan followed. And a template bound in
-// two plans whose exporters differ gets the shapes of each
-// (shapeMemoKeysImports).
+// TestCarriedHashesEqualFresh: a plan whose solve carried bindings over takes
+// the hashes of the plan it follows for every other switch where no plan-wide
+// fact a hash reads moved, and hashes the rest from its templates' slot texts.
+// Its Fingerprints, BridgeLayout, Shape and Imports must be what hashing the
+// same bindings from nothing gives, after every single switch-down, link-down
+// and chip degrade of the carry-test fabrics and after a second fault chained
+// onto each: one down of each exporter of each bridged variable, which can
+// take a variable's last exporter and so a field out of the layout (some case
+// must). The layout may move only with the set of its fields. Every switch
+// Rehashed leaves out must hash as it did in the plan followed. And a template
+// bound in two plans whose exporters differ gets the shapes of each, whether
+// its plan follows another or none (oneTemplateTwoPlans).
 func TestCarriedHashesEqualFresh(t *testing.T) {
 	t.Run("faults", carriedHashesAfterFaults)
-	t.Run("one template in two plans", shapeMemoKeysImports)
+	t.Run("one template in two plans", oneTemplateTwoPlans)
 }
 
 func carriedHashesAfterFaults(t *testing.T) {
@@ -313,7 +312,7 @@ func carriedHashesAfterFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
-		opts.Cache = NewCache() // one family: its templates, and their memos, are shared by every case
+		opts.Cache = NewCache() // one family: its templates are shared by every case
 		root, err := Solve(in, opts)
 		if err != nil {
 			t.Fatalf("%s: base solve: %v", fab.name, err)
@@ -456,11 +455,12 @@ func layoutOf(p *Plan) string {
 	return string(b)
 }
 
-// shapeMemoKeysImports: a template the class memo hands to two plans, in one
-// of which another pod exports what a slot reads and in the other nothing else
-// does, gets from its shape memo the shapes a fresh hash of each plan gives —
-// which differ at that slot — and not the other plan's.
-func shapeMemoKeysImports(t *testing.T) {
+// oneTemplateTwoPlans: a template the class memo hands to two plans, in one of
+// which another pod exports what a slot reads and in the other nothing else
+// does, gets the shapes a fresh hash of each plan gives — which differ at that
+// slot — and not the other plan's, whether its plan follows none, follows one
+// that binds nothing, or follows the base plan, which binds both pods.
+func oneTemplateTwoPlans(t *testing.T) {
 	// One Agg per pod: it is its pod's only exporter of the hash it reads.
 	net := oneAggPods(2)
 	in := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net)
@@ -474,53 +474,71 @@ func shapeMemoKeysImports(t *testing.T) {
 	if len(b) != 2 || b[0].Template != b[1].Template {
 		t.Fatalf("%d bindings; want the two pods bound to one template", len(b))
 	}
-	// Each plan follows one that binds nothing, so it hashes through the memo.
 	empty := &Plan{Input: in, at: newIndex(nil)}
-	planOf := func(bound []*Binding) (memo, fresh *Plan) {
-		memo = &Plan{Input: in, bound: bound, at: newIndex(bound)}
-		memo.hashes.carry(empty, make([]bool, len(bound)), nil)
-		return memo, &Plan{Input: in, bound: bound, at: newIndex(bound)}
+	plans := map[string]func(bound []*Binding) *Plan{
+		"follows none": func(bound []*Binding) *Plan {
+			return &Plan{Input: in, bound: bound, at: newIndex(bound)}
+		},
+		"follows a plan binding nothing": func(bound []*Binding) *Plan {
+			p := &Plan{Input: in, bound: bound, at: newIndex(bound)}
+			p.hashes.carry(empty, make([]bool, len(bound)), nil)
+			return p
+		},
+		"follows the base": func(bound []*Binding) *Plan {
+			p := &Plan{Input: in, bound: bound, at: newIndex(bound)}
+			p.hashes.carry(base, []bool{true, true}[:len(bound)], b[len(bound):])
+			return p
+		},
 	}
-	// The memo keeps shapes from the template's third plan on: alternate
-	// three times, so each key is met, kept and hit.
-	var both, one *Plan
-	for round := 1; round <= 3; round++ {
-		var bothFresh, oneFresh *Plan
-		both, bothFresh = planOf(b)
-		one, oneFresh = planOf(b[:1])
+	alone := plans["follows none"]
+	both, one := alone(b), alone(b[:1])
+	if both.Shape("Agg1") == one.Shape("Agg1") {
+		t.Error("Agg1 imports its hash in one plan and not in the other, yet has one shape")
+	}
+	for name, planOf := range plans {
 		for _, c := range []struct {
 			name        string
 			plan, fresh *Plan
-		}{{"both pods", both, bothFresh}, {"pod 1 alone", one, oneFresh}} {
+		}{{"both pods", planOf(b), both}, {"pod 1 alone", planOf(b[:1]), one}} {
 			for _, sw := range net.Names() {
 				if c.plan.Shape(sw) != c.fresh.Shape(sw) {
-					t.Errorf("round %d, %s: %s: shape from the memo differs from a fresh hash", round, c.name, sw)
+					t.Errorf("%s, %s: %s: shape differs from the plan that follows none", name, c.name, sw)
 				}
 			}
 		}
 	}
-	if both.Shape("Agg1") == one.Shape("Agg1") {
-		t.Error("Agg1 imports its hash in one plan and not in the other, yet has one shape")
-	}
-	if n := len(b[0].Template.shapeMemo().by); n != 2 {
-		t.Errorf("the memo keeps the shapes of %d keys, want one per plan-wide reading", n)
-	}
 }
 
-// TestCarryBridgeFactsEqualScan: bridge facts moved by the dropped and made
-// bindings' export sums (carryBridgeFacts, whenever it does not decline) are
-// what a scan of every export of the bindings gives (bridgeFacts) — layout,
-// digest and, per variable, the exporter count and the exporter when it is
-// the only one. Random exports on random survivors of random dropped bindings
-// take variables out of the layout and put them back, and leave variables
-// with one exporter, known or not.
-func TestCarryBridgeFactsEqualScan(t *testing.T) {
+// scanBridgeFacts is the bridge facts as a scan of every export of the
+// bindings, slot by slot, finds them: per variable, the exporter count and the
+// last exporter, which is the only one when the count is 1.
+func scanBridgeFacts(bound []*Binding) map[*ir.Var]exporter {
+	exporters := map[*ir.Var]exporter{}
+	for _, bd := range bound {
+		for i, sw := range bd.Switches {
+			for _, bv := range bd.Template.slots[i].bridges {
+				exporters[bv.Var] = exporter{bv, exporters[bv.Var].count + 1, sw}
+			}
+		}
+	}
+	return exporters
+}
+
+// TestBridgeFactsEqualScan: the bridge facts bridgeFacts derives from the
+// templates' export sums are what a scan of every export of the bindings
+// gives — per variable, the exporter count and the exporter when it is the
+// only one — and the layout and its digest are those of the scanned
+// variables. Random templates of random sizes export a few variables from
+// random slots, so one template often exports a variable from several slots,
+// and a variable's one exporter often sits past a template's first slot.
+func TestBridgeFactsEqualScan(t *testing.T) {
 	vars := []*ir.Var{{Name: "a", Ver: 1}, {Name: "b", Ver: 1}, {Name: "b", Ver: 2}}
-	groups := [][]string{{"A1", "A2"}, {"B1", "B2", "B3"}, {"C1"}, {"D1", "D2"}}
 	rng := rand.New(rand.NewSource(1))
-	bind := func(switches []string) *Binding {
-		tmpl := &Template{slots: make([]slot, len(switches))}
+	bind := func(n int) *Binding {
+		tmpl := &Template{slots: make([]slot, n)}
+		switches := make([]string, n)
 		for i := range switches {
+			switches[i] = fmt.Sprintf("S%d", rng.Intn(1000))
 			for _, v := range vars {
 				if rng.Intn(3) == 0 {
 					tmpl.slots[i].bridges = append(tmpl.slots[i].bridges, BridgeVar{Alg: "x", Var: v, Bits: 8 * v.Ver})
@@ -530,57 +548,73 @@ func TestCarryBridgeFactsEqualScan(t *testing.T) {
 		tmpl.exports = sumExports(tmpl.slots)
 		return &Binding{Template: tmpl, Switches: switches}
 	}
-	same := func(round int, got *switchHashes, bound []*Binding) {
-		var want switchHashes
-		want.bridgeFacts(bound)
-		if !reflect.DeepEqual(got.layout, want.layout) || got.bridgeDigest != want.bridgeDigest {
-			t.Fatalf("round %d: layout %v, a scan gives %v", round, got.layout, want.layout)
-		}
-		if len(got.exporters) != len(want.exporters) {
-			t.Fatalf("round %d: %d exported variables, a scan finds %d", round, len(got.exporters), len(want.exporters))
-		}
-		for v, w := range want.exporters {
-			if g := got.exporters[v]; g.count != w.count || g.bv != w.bv || (w.count == 1 && g.only != w.only) {
-				t.Fatalf("round %d: %s exported %+v, a scan finds %+v", round, v, g, w)
-			}
-		}
-	}
-	carried, declined := 0, 0
+	several, onlyPastFirst := 0, 0
 	for round := 0; round < 3000; round++ {
-		var prevBound []*Binding
-		for _, g := range groups {
-			prevBound = append(prevBound, bind(g))
+		var bound []*Binding
+		for range 1 + rng.Intn(4) {
+			bound = append(bound, bind(1+rng.Intn(4)))
 		}
-		var prev switchHashes
-		prev.bridgeFacts(prevBound)
-		var bound, dropped []*Binding
-		var keptAt []bool
-		for _, bd := range prevBound {
-			if rng.Intn(2) == 0 {
-				bound, keptAt = append(bound, bd), append(keptAt, true)
-				continue
-			}
-			dropped = append(dropped, bd)
-			var survivors []string
-			for _, sw := range bd.Switches {
-				if rng.Intn(3) > 0 {
-					survivors = append(survivors, sw)
+		for _, bd := range bound {
+			for _, e := range bd.Template.exports {
+				if e.n > 1 {
+					several++
 				}
-			}
-			if len(survivors) > 0 {
-				bound, keptAt = append(bound, bind(survivors)), append(keptAt, false)
 			}
 		}
 		var got switchHashes
-		if !got.carryBridgeFacts(&prev, bound, keptAt, dropped) {
-			declined++
-			continue
+		got.bridgeFacts(bound)
+		want := scanBridgeFacts(bound)
+		if len(got.exporters) != len(want) {
+			t.Fatalf("round %d: %d exported variables, a scan finds %d", round, len(got.exporters), len(want))
 		}
-		carried++
-		same(round, &got, bound)
+		var layout []BridgeVar
+		for v, w := range want {
+			if g := got.exporters[v]; g.count != w.count || g.bv != w.bv || (w.count == 1 && g.only != w.only) {
+				t.Fatalf("round %d: %s exported %+v, a scan finds %+v", round, v, g, w)
+			}
+			if w.count == 1 && !slices.ContainsFunc(bound, func(bd *Binding) bool { return bd.Switches[0] == w.only }) {
+				onlyPastFirst++
+			}
+			layout = append(layout, w.bv)
+		}
+		ir.SortByVar(layout, bridgeOrder)
+		if !slices.Equal(got.layout, layout) {
+			t.Fatalf("round %d: layout %v, a scan gives %v", round, got.layout, layout)
+		}
+		var b []byte
+		for _, bv := range layout {
+			b = append(appendBridgeVar(b, bv), ',')
+		}
+		if got.bridgeDigest != hexSum(b) {
+			t.Fatalf("round %d: the layout digest is not the scanned layout's", round)
+		}
 	}
-	t.Logf("%d rounds carried the facts, %d declined", carried, declined)
-	if carried < 1000 || declined == 0 {
-		t.Errorf("%d rounds carried the facts and %d declined; want most carried and some declined", carried, declined)
+	t.Logf("%d template sums of several slots, %d single exporters past a first slot", several, onlyPastFirst)
+	if several < 500 || onlyPastFirst < 500 {
+		t.Errorf("%d template sums of several slots and %d single exporters past a first slot; want 500 of each", several, onlyPastFirst)
+	}
+}
+
+// TestShapeTellsWhichReadsImport: the shape of a slot reading two variables
+// names which of them the switch imports, not only how many, so each subset
+// some other switch exports gives the slot a shape of its own.
+func TestShapeTellsWhichReadsImport(t *testing.T) {
+	a, b := &ir.Var{Name: "a", Ver: 1}, &ir.Var{Name: "b", Ver: 1}
+	reads := &ir.Instr{Alg: "x", ID: 1, Args: []ir.Operand{ir.VarOp(a), ir.VarOp(b)}}
+	tmpl := &Template{slots: []slot{{instrs: []*ir.Instr{reads}}}}
+	bd := &Binding{Template: tmpl, Switches: []string{"S1"}}
+	seen := map[string][]*ir.Var{}
+	for _, exported := range [][]*ir.Var{nil, {a}, {b}, {a, b}} {
+		h := &switchHashes{exporters: map[*ir.Var]exporter{}}
+		for _, v := range exported {
+			h.exporters[v] = exporter{BridgeVar{Alg: "x", Var: v, Bits: 8}, 1, "S2"}
+		}
+		var buf []byte
+		var scratch []*ir.Var
+		shape := bd.shapes(nil, h, &buf, &scratch)[0]
+		if other, dup := seen[shape]; dup {
+			t.Errorf("S1 importing %v has the shape of S1 importing %v", exported, other)
+		}
+		seen[shape] = exported
 	}
 }

@@ -268,7 +268,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	if ca != nil && len(ca.algs) > 0 {
 		var ok bool
 		var err error
-		if comps, ok, err = partition(in, ca); err != nil {
+		if comps, ok, err = partition(ctx, in, ca); err != nil {
 			return nil, err
 		} else if !ok {
 			ca = nil
@@ -276,7 +276,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	}
 	if ca == nil {
 		var err error
-		if comps, err = Partition(in); err != nil {
+		if comps, _, err = partition(ctx, in, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -307,7 +307,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	var solveIdx []int
 	for i, c := range comps {
 		repOf[i] = i
-		union, fp, err := nb.number(c, classed)
+		union, fp, err := nb.number(ctx, c, classed)
 		if err != nil {
 			return nil, err
 		}
@@ -775,9 +775,10 @@ type encoder struct {
 	groupOrder []string
 
 	// allocs memoises chip admission by program content for the encoder's
-	// lifetime; see allocate. specKey is scratch for its keys.
+	// lifetime; see allocate. scratch is the buffer its keys are rendered in,
+	// and newTemplate's slot texts.
 	allocs  map[string]*asic.Allocation
-	specKey []byte
+	scratch []byte
 
 	// useLits memoizes the ObjMinSwitches indicator literals: OrEquals
 	// introduces fresh variables, so on a persistent solver they must be
@@ -881,10 +882,33 @@ type algPrep struct {
 	synth [2]*synth.Result
 }
 
+// pollEvery is how many flow paths a full walk of a scope's paths visits
+// between two looks at the solve's deadline: the walks that run before the
+// first clause (partition, number, prepare) take seconds on a scope of a
+// million paths.
+const pollEvery = 4096
+
+// polled wraps the visitor of a full path walk so that the walk stops once
+// ctx is done; the caller then returns timeout(ctx).
+func polled(ctx context.Context, visit func([]string) bool) func([]string) bool {
+	n := 0
+	return func(p []string) bool {
+		if n++; n%pollEvery == 0 && ctx.Err() != nil {
+			return false
+		}
+		return visit(p)
+	}
+}
+
+// timeout is the error of a solve whose context is done.
+func timeout(ctx context.Context) error {
+	return fmt.Errorf("encode: %w (%v)", smt.ErrTimeout, ctx.Err())
+}
+
 // prepare computes every algorithm's prep: shared-instruction marking,
 // candidate switches, and the deduplicated candidate-hop sequences streamed
 // from the scope's path set. It never materializes the full path list.
-func (e *encoder) prepare() error {
+func (e *encoder) prepare(ctx context.Context) error {
 	prep := map[string]*algPrep{}
 	e.models = make([]*asic.Model, len(e.switches))
 	for _, a := range e.in.IR.Algorithms {
@@ -929,7 +953,7 @@ func (e *encoder) prepare() error {
 			var hop []int32
 			var key []byte
 			var badPath []string
-			err := rs.EachPath(func(path []string) bool {
+			err := rs.EachPath(polled(ctx, func(path []string) bool {
 				p.enumerated++
 				hop, key = hop[:0], key[:0]
 				for _, sw := range path {
@@ -950,7 +974,10 @@ func (e *encoder) prepare() error {
 					p.hops = append(p.hops, slices.Clone(hop))
 				}
 				return true
-			})
+			}))
+			if ctx.Err() != nil {
+				return timeout(ctx)
+			}
 			if badPath != nil {
 				return fmt.Errorf("encode: path %v of %q has no programmable hop", badPath, a.Name)
 			}
@@ -1054,7 +1081,7 @@ func (e *encoder) assumptionsFor(cfg attemptCfg) []smt.Lit {
 }
 
 func (e *encoder) encode(ctx context.Context) error {
-	if err := e.prepare(); err != nil {
+	if err := e.prepare(ctx); err != nil {
 		return err
 	}
 	// Every variable is known up front: one placement literal per instruction
@@ -1142,8 +1169,8 @@ func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *alg
 		}
 	}
 	for _, hops := range p.hops {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("encode: %w (%v)", smt.ErrTimeout, err)
+		if ctx.Err() != nil {
+			return timeout(ctx)
 		}
 		for _, inst := range a.Instrs {
 			e.hop = e.hop[:0]

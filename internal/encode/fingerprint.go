@@ -2,12 +2,9 @@ package encode
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -35,9 +32,11 @@ import (
 // the template has the same chip model at the slot, and whether a read is an
 // import depends on the switch only when a single switch exports the variable
 // — whose template is then bound once, so its slots have one switch each. So
-// shapes are kept per template slot, and Shape looks a switch's slot up. The
-// exception is a binding that ranks its shards apart from its template
-// (Binding.tables): its shapes are its own.
+// the part of a shape no plan can change is rendered once per slot, when the
+// template is extracted (slot.text), shapes are kept per template slot, and
+// Shape looks a switch's slot up. The exception is a binding that ranks its
+// shards apart from its template (Binding.tables): its shapes are its own,
+// and the slots it ranks apart render their text from its own tables.
 //
 // The full fingerprint adds what the control-plane stub lists on top of the
 // shape: for every split extern on the switch, the hosts and entry counts of
@@ -72,9 +71,8 @@ type switchHashes struct {
 }
 
 // carry notes that the bindings marked in keptAt are prev's own and that
-// dropped are the bindings of prev not taken over, so that this plan's bridge
-// facts can be prev's moved by what changed, and its switches' hashes prev's
-// where nothing plan-wide they depend on moved.
+// dropped are the bindings of prev not taken over, so that this plan's
+// switches' hashes can be prev's where nothing plan-wide they depend on moved.
 func (h *switchHashes) carry(prev *Plan, keptAt []bool, dropped []*Binding) {
 	prev.hashes.once.Do(prev.hashSwitches)
 	h.from, h.keptAt, h.dropped = &prev.hashes, keptAt, dropped
@@ -203,88 +201,18 @@ func sumExports(slots []slot) []exportSum {
 // export returns the bridge variable a sum's export carries.
 func (t *Template) export(e exportSum) BridgeVar { return t.slots[e.slot].bridges[e.pos] }
 
-// factMove is bridge facts being moved binding by binding: the exporters, the
-// variables whose one remaining exporter is not known, and whether a variable
-// gained its first exporter or lost its last one, which moves the layout.
-type factMove struct {
-	exporters map[*ir.Var]exporter
-	unsure    map[*ir.Var]bool
-	moved     bool
-}
-
-// take takes a binding's exports out.
-func (m *factMove) take(bd *Binding) {
-	t := bd.Template
-	for _, ve := range t.exports {
-		v := t.export(ve).Var
-		e := m.exporters[v]
-		if e.count -= int(ve.n); e.count == 0 {
-			delete(m.exporters, v)
-			m.moved = true
-		} else {
-			m.exporters[v] = e
-		}
-		if e.count == 1 {
-			m.unsure[v] = true
-		} else {
-			delete(m.unsure, v)
-		}
-	}
-}
-
-// put puts a binding's exports in.
-func (m *factMove) put(bd *Binding) {
-	t := bd.Template
-	for _, ve := range t.exports {
-		bv := t.export(ve)
-		e, seen := m.exporters[bv.Var]
-		m.exporters[bv.Var] = exporter{bv, e.count + int(ve.n), bd.Switches[ve.slot]}
-		m.moved = m.moved || !seen
-		delete(m.unsure, bv.Var)
-	}
-}
-
-// bridgeFacts derives every bridged variable's exporters from the bindings,
-// export by export, and lays the fields out.
+// bridgeFacts derives every bridged variable's exporters from the bindings'
+// export sums, in O(bindings × bridged variables), and lays the fields out.
 func (h *switchHashes) bridgeFacts(bound []*Binding) {
 	h.exporters = map[*ir.Var]exporter{}
 	for _, bd := range bound {
-		for i, sw := range bd.Switches {
-			for _, bv := range bd.Template.slots[i].bridges {
-				h.exporters[bv.Var] = exporter{bv, h.exporters[bv.Var].count + 1, sw}
-			}
+		t := bd.Template
+		for _, ve := range t.exports {
+			bv := t.export(ve)
+			h.exporters[bv.Var] = exporter{bv, h.exporters[bv.Var].count + int(ve.n), bd.Switches[ve.slot]}
 		}
 	}
 	h.layFields()
-}
-
-// carryBridgeFacts derives the bridge facts from those of the plan followed:
-// its exporters with the dropped bindings' exports taken out and the made
-// bindings' put in. It reports false, having set nothing, where the change
-// alone does not tell the facts: a variable left with a single exporter that
-// was not made anew.
-func (h *switchHashes) carryBridgeFacts(from *switchHashes, bound []*Binding, keptAt []bool, dropped []*Binding) bool {
-	m := factMove{exporters: maps.Clone(from.exporters), unsure: map[*ir.Var]bool{}}
-	for _, bd := range dropped {
-		m.take(bd)
-	}
-	for k, bd := range bound {
-		if !keptAt[k] {
-			m.put(bd)
-		}
-	}
-	for v := range m.unsure {
-		if m.exporters[v].count == 1 {
-			return false
-		}
-	}
-	h.exporters = m.exporters
-	if m.moved {
-		h.layFields()
-	} else {
-		h.layout, h.bridgeDigest = from.layout, from.bridgeDigest
-	}
-	return true
 }
 
 // layFields lays every exported variable out once, in bridgeOrder, and
@@ -325,55 +253,43 @@ func (bd *Binding) shapeSource() shapeSource {
 	return shapeSource{t: bd.Template}
 }
 
-// shapes renders the shape hash of every slot of the template as bound by bd,
-// "" for a slot hosting nothing; any binding of the same shapeSource in the
-// plan gives the same hashes (see switchHashes). models memoises the model
-// rendering across templates, and b is the reused render buffer.
-func (bd *Binding) shapes(net *topo.Network, h *switchHashes, models map[*asic.Model]string, b *[]byte) []string {
-	type readVar struct {
-		v    *ir.Var
-		name string // "alg.var"
-	}
+// shapes hashes the shape of every slot of the template as bound by bd, ""
+// for a slot hosting nothing: the slot's text, the reads the switch imports
+// and, for a switch that imports or exports anything, the bridge layout
+// digest. A read is named by its place among the variables the slot's
+// instructions read, each once, in the order first read, which the text
+// fixes. Any binding of the same shapeSource in the plan gives the same
+// hashes (see switchHashes). b and reads are reused scratch.
+func (bd *Binding) shapes(net *topo.Network, h *switchHashes, b *[]byte, reads *[]*ir.Var) []string {
 	out := make([]string, len(bd.Template.slots))
-	var reads []readVar
-	seen := map[*ir.Var]bool{}
 	for i := range bd.Template.slots {
-		s := bd.slot(i)
+		s := &bd.Template.slots[i]
 		if len(s.instrs) == 0 {
 			continue
 		}
 		sw := bd.Switches[i]
-		model := net.Switch(sw).ASIC
-		m, ok := models[model]
-		if !ok {
-			// %+v covers every capacity fact admission consults, so a
-			// degraded chip that kept its name still changes the hash.
-			sum := sha256.New()
-			fmt.Fprintf(sum, "%+v", *model)
-			m = "model=" + hex.EncodeToString(sum.Sum(nil)) + "\n"
-			models[model] = m
+		text := s.text
+		if bd.tables != nil && bd.tables[i] != nil {
+			own := bd.slot(i)
+			*b = own.appendText((*b)[:0], net.Switch(sw).ASIC)
+			text = sha256.Sum256(*b)
 		}
-		*b = s.appendLocal(append((*b)[:0], m...))
-		// The variables the placed instructions read, by rendered name: the
-		// switch imports those some other switch exports.
-		reads = reads[:0]
-		clear(seen)
+		*b = append((*b)[:0], text[:]...)
+		*reads = (*reads)[:0]
 		for _, in := range s.instrs {
-			for _, v := range in.Reads() {
-				if !seen[v] {
-					seen[v] = true
-					reads = append(reads, readVar{v, in.Alg + "." + v.String()})
+			in.EachRead(func(v *ir.Var) {
+				if !slices.Contains(*reads, v) {
+					*reads = append(*reads, v)
 				}
-			}
+			})
 		}
-		sort.Slice(reads, func(a, b int) bool { return reads[a].name < reads[b].name })
-		imports, last := false, ""
-		for _, r := range reads {
-			if h.exporters[r.v].importedBy(sw) && r.name != last {
+		imports := false
+		for k, v := range *reads {
+			if h.exporters[v].importedBy(sw) {
 				*b = append(*b, "import="...)
-				*b = append(*b, r.name...)
+				*b = strconv.AppendInt(*b, int64(k), 10)
 				*b = append(*b, '\n')
-				imports, last = true, r.name
+				imports = true
 			}
 		}
 		// A switch that imports or exports anything declares and parses the
@@ -389,115 +305,24 @@ func (bd *Binding) shapes(net *topo.Network, h *switchHashes, models map[*asic.M
 	return out
 }
 
-// shapeMemo holds a template's slot shapes as plans of its recompile family
-// hashed them, by what of a plan they read (shapeKey). The template is shared
-// through encode.Cache, so every plan it is bound into shares the memo,
-// concurrent sibling recompiles included. The first plan that hashes the
-// template through the memo makes it; a compile never does, and neither does
-// a recompile for a template the plan it follows hashed alike.
-//
-// Shapes are kept from the third plan that hashes the template through the
-// memo on: the template of a class met once or twice, as most link-downs'
-// damaged pods are, keeps nothing but that count, while one met on every
-// event, as a switch-down's is, is hashed three times in all.
-type shapeMemo struct {
-	readsOnce sync.Once
-	reads     []*ir.Var // every variable a slot reads, once each
-
-	mu  sync.Mutex
-	met int // plans that hashed the template through the memo
-	by  map[string][]string
-}
-
-func (t *Template) shapeMemo() *shapeMemo {
-	if m := t.memo.Load(); m != nil {
-		return m
-	}
-	t.memo.CompareAndSwap(nil, new(shapeMemo))
-	return t.memo.Load()
-}
-
-// shapeKey renders everything of the plan the slot shapes of a binding read:
-// the bridge layout digest and, per variable a slot reads, which slots import
-// it — none (nobody exports it), all, or all but the slot whose switch is its
-// single exporter. The rest of a shape is the template's own.
-func (bd *Binding) shapeKey(h *switchHashes, b []byte) []byte {
-	m := bd.Template.shapeMemo()
-	m.readsOnce.Do(func() {
-		seen := map[*ir.Var]bool{}
-		for _, s := range bd.Template.slots {
-			for _, in := range s.instrs {
-				in.EachRead(func(v *ir.Var) {
-					if !seen[v] {
-						seen[v] = true
-						m.reads = append(m.reads, v)
-					}
-				})
-			}
+// appendText renders a slot's name-free share of the shape hash input, the
+// part no plan can change: its chip model, the placed instruction IDs per
+// algorithm in program order, the table geometry and the exports.
+func (s *slot) appendText(b []byte, model *asic.Model) []byte {
+	// %+v covers every capacity fact admission consults, so a degraded chip
+	// that kept its name still changes the hash.
+	b = fmt.Appendf(b, "model=%+v\n", model)
+	for k, in := range s.instrs {
+		if k == 0 || in.Alg != s.instrs[k-1].Alg {
+			b = append(b, "alg="...)
+			b = append(b, in.Alg...)
+			b = append(b, " ids="...)
 		}
-	})
-	b = append(b, h.bridgeDigest...)
-	for _, v := range m.reads {
-		var by uint64 // 0: no slot, 1: every slot, 2+i: every slot but i
-		if e := h.exporters[v]; e.count > 0 {
-			by = 1
-			if e.count == 1 {
-				if i := slices.Index(bd.Switches, e.only); i >= 0 {
-					by = 2 + uint64(i)
-				}
-			}
+		b = strconv.AppendInt(b, int64(in.ID), 10)
+		b = append(b, ',')
+		if k == len(s.instrs)-1 || in.Alg != s.instrs[k+1].Alg {
+			b = append(b, '\n')
 		}
-		b = binary.AppendUvarint(b, by)
-	}
-	return b
-}
-
-// memoShapes is shapes through the template's memo, keyed by shapeKey, which
-// starts over past eight keys: a churn loop meets one bridge layout per
-// template.
-func (bd *Binding) memoShapes(net *topo.Network, h *switchHashes, models map[*asic.Model]string, b *[]byte) []string {
-	m := bd.Template.shapeMemo()
-	*b = bd.shapeKey(h, (*b)[:0])
-	m.mu.Lock()
-	shapes, keep := m.by[string(*b)], m.met >= 2
-	m.met++
-	m.mu.Unlock()
-	if shapes != nil {
-		return shapes
-	}
-	key := string(*b)
-	shapes = bd.shapes(net, h, models, b)
-	m.mu.Lock()
-	switch {
-	case !keep:
-	case m.by == nil || len(m.by) >= 8:
-		m.by = map[string][]string{key: shapes}
-	default:
-		m.by[key] = shapes
-	}
-	m.mu.Unlock()
-	return shapes
-}
-
-// appendLocal renders the slot's own, name-free share of the shape hash
-// input: the placed instruction IDs per algorithm in name order, the table
-// geometry and the exports.
-func (s *slot) appendLocal(b []byte) []byte {
-	byAlg := map[string][]int{}
-	for _, in := range s.instrs {
-		byAlg[in.Alg] = append(byAlg[in.Alg], in.ID)
-	}
-	for _, alg := range sortedKeys(byAlg) {
-		ids := byAlg[alg]
-		sort.Ints(ids)
-		b = append(b, "alg="...)
-		b = append(b, alg...)
-		b = append(b, " ids="...)
-		for _, id := range ids {
-			b = strconv.AppendInt(b, int64(id), 10)
-			b = append(b, ',')
-		}
-		b = append(b, '\n')
 	}
 	for _, pt := range s.tables {
 		b = append(b, "table="...)
@@ -530,27 +355,24 @@ func appendBridgeVar(b []byte, bv BridgeVar) []byte {
 	return b
 }
 
-// hashSwitches fills p.hashes. A plan whose solve carried bindings over
-// moves the bridge facts of the plan it follows by the bindings that changed
-// (carryBridgeFacts). Where the plan-wide facts a hash reads are then as they
-// were there (reusable), it takes that plan's shapes of every template that
-// plan bound and that plan's full fingerprints of every switch but those of
-// the dropped and the made bindings; the other templates' shapes come from
-// their memo. A plan that follows none derives everything from its bindings.
-// A full fingerprint is its slot's shape plus one digest per shard group. The
-// rendering is hand-rolled appends into one reused buffer, not fmt.
+// hashSwitches fills p.hashes. The bridge facts come from the bindings'
+// export sums. A plan whose solve carried bindings over, where the plan-wide
+// facts a hash reads are as they were in the plan it follows (reusable), takes
+// that plan's shapes of every template that plan bound and that plan's full
+// fingerprints of every switch but those of the dropped and the made bindings.
+// Every other shape is hashed from its slot's text. A full fingerprint is its
+// slot's shape plus one digest per shard group. The rendering is hand-rolled
+// appends into one reused buffer.
 func (p *Plan) hashSwitches() {
 	h := &p.hashes
 	from, keptAt, dropped := h.from, h.keptAt, h.dropped
 	h.from, h.keptAt, h.dropped = nil, nil, nil
-	if from == nil || !h.carryBridgeFacts(from, p.bound, keptAt, dropped) {
-		h.bridgeFacts(p.bound)
-	}
+	h.bridgeFacts(p.bound)
 	h.carried = from != nil && h.reusable(from)
 
 	h.shapes = map[shapeSource][]string{}
-	models := map[*asic.Model]string{}
 	var b []byte
+	var reads []*ir.Var
 	hosting := 0
 	for _, bd := range p.bound {
 		t, src := bd.Template, bd.shapeSource()
@@ -558,10 +380,8 @@ func (p *Plan) hashSwitches() {
 		case h.shapes[src] != nil:
 		case h.carried && from.shapes[src] != nil:
 			h.shapes[src] = from.shapes[src]
-		case from != nil && src.bd == nil: // the memo is keyed by template
-			h.shapes[src] = bd.memoShapes(p.Input.Net, h, models, &b)
 		default:
-			h.shapes[src] = bd.shapes(p.Input.Net, h, models, &b)
+			h.shapes[src] = bd.shapes(p.Input.Net, h, &b, &reads)
 		}
 		if !h.carried {
 			for i := range t.slots {

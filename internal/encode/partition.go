@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -84,7 +85,7 @@ type unit struct {
 // parallelism. A scope whose flow paths exceed the path budget fails it with
 // the *topo.PathLimitError.
 func Partition(in *Input) ([]*Component, error) {
-	comps, _, err := partition(in, nil)
+	comps, _, err := partition(context.Background(), in, nil)
 	return comps, err
 }
 
@@ -96,7 +97,8 @@ func Partition(in *Input) ([]*Component, error) {
 // path (which attaches to the first group of the whole scope, possibly a
 // carried one) or an algorithm that lost a group altogether (which may turn a
 // split scope into an unsplit one) — and the caller partitions everything.
-func partition(in *Input, ca *carried) ([]*Component, bool, error) {
+// Its path walks stop once ctx is done.
+func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool, error) {
 	algs := in.IR.Algorithms
 	whole := []*Component{wholeComponent(in)}
 	for _, a := range algs {
@@ -123,7 +125,7 @@ func partition(in *Input, ca *carried) ([]*Component, bool, error) {
 		if splittable(a, full) {
 			var offPath []string
 			var err error
-			if groups, offPath, err = pathGroups(rs); err != nil {
+			if groups, offPath, err = pathGroups(ctx, rs); err != nil {
 				return nil, false, fmt.Errorf("encode: scope of %q: %w", a.Name, err)
 			}
 			switch {
@@ -295,7 +297,7 @@ type pathGroup struct {
 // traverses. The scope's endpoints are split over the groups in one pass,
 // those on no path going to the first group, where the switches on no path
 // go. A walk past the path budget fails with the *topo.PathLimitError.
-func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, err error) {
+func pathGroups(ctx context.Context, rs *scope.Resolved) (groups []pathGroup, offPath []string, err error) {
 	idx := make(map[string]int, len(rs.Switches))
 	for i, sw := range rs.Switches {
 		idx[sw] = i
@@ -312,7 +314,7 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, err e
 		return parent[i]
 	}
 	onPath := make([]bool, len(rs.Switches))
-	err = rs.EachPath(func(p []string) bool {
+	err = rs.EachPath(polled(ctx, func(p []string) bool {
 		first := -1
 		for _, sw := range p {
 			j, ok := idx[sw]
@@ -327,7 +329,10 @@ func pathGroups(rs *scope.Resolved) (groups []pathGroup, offPath []string, err e
 			}
 		}
 		return true
-	})
+	}))
+	if ctx.Err() != nil {
+		return nil, nil, timeout(ctx)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

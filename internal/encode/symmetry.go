@@ -2,6 +2,7 @@ package encode
 
 import (
 	"cmp"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -110,8 +111,8 @@ func putNumbering(nb *numbering) {
 // number returns a component's switches in index order and, when classed, its
 // class key (fingerprint part; "" when it has no canonical form). The key is
 // hashed as the paths are walked, under name order; a component refinement
-// splits is hashed again under its numbering.
-func (nb *numbering) number(c *Component, classed bool) (union []string, fp string, err error) {
+// splits is hashed again under its numbering. The walk stops once ctx is done.
+func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (union []string, fp string, err error) {
 	in := c.In
 	clear(nb.at)
 	for _, a := range in.IR.Algorithms {
@@ -176,7 +177,7 @@ func (nb *numbering) number(c *Component, classed bool) (union []string, fp stri
 		nb.head(h, alg.Name, rs.Deploy)
 		if rs.Deploy == scope.MultiSwitch {
 			ok := true
-			err := rs.EachPath(func(p []string) bool {
+			err := rs.EachPath(polled(ctx, func(p []string) bool {
 				for _, sw := range p {
 					j, known := nb.at[sw]
 					if !known {
@@ -194,7 +195,10 @@ func (nb *numbering) number(c *Component, classed bool) (union []string, fp stri
 				nb.ends = append(nb.ends, int32(len(nb.hops)))
 				nb.writePath(h, nb.hops[from:])
 				return true
-			})
+			}))
+			if ctx.Err() != nil {
+				return nil, "", timeout(ctx)
+			}
 			if err != nil {
 				return nil, "", err
 			}

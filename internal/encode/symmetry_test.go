@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -288,7 +289,7 @@ func TestLinkDownsOneClass(t *testing.T) {
 			if len(comps) != 1 {
 				t.Fatalf("%s—%s: %d components, want the one pod", tor, agg, len(comps))
 			}
-			union, class, err := getNumbering().number(comps[0], true)
+			union, class, err := getNumbering().number(context.Background(), comps[0], true)
 			if err != nil || class == "" {
 				t.Fatalf("%s—%s: no canonical form (%v)", tor, agg, err)
 			}

@@ -1,10 +1,10 @@
 package encode
 
 import (
+	"crypto/sha256"
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"lyra/internal/asic"
 	"lyra/internal/ir"
@@ -47,9 +47,6 @@ type Template struct {
 	trail *Diagnostics
 	// exports is the template's share of the bridge facts, summed with it.
 	exports []exportSum
-	// memo holds the slot shapes of the template as recompiles of its family
-	// hashed them; see shapeMemo.
-	memo atomic.Pointer[shapeMemo]
 }
 
 // slot is what one index of a template hosts; the zero slot hosts nothing.
@@ -58,6 +55,10 @@ type slot struct {
 	tables  []*PlacedTable
 	bridges []BridgeVar
 	alloc   *asic.Allocation
+	// text digests the slot's share of its shape hash input that no plan can
+	// change (appendText); a plan's shape of the slot adds which of its reads
+	// the switch imports (Binding.shapes).
+	text [sha256.Size]byte
 }
 
 type indexShard struct {
@@ -123,6 +124,12 @@ func (e *encoder) newTemplate(m *smt.Model) *Template {
 	}
 	e.bridge(t)
 	t.exports = sumExports(t.slots)
+	for i := range t.slots {
+		if s := &t.slots[i]; len(s.instrs) > 0 {
+			e.scratch = s.appendText(e.scratch[:0], e.models[i])
+			s.text = sha256.Sum256(e.scratch)
+		}
+	}
 	return t
 }
 

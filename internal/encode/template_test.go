@@ -89,7 +89,7 @@ func TestBindEqualsSolve(t *testing.T) {
 			var enumerated int64
 			for i, c := range comps {
 				b := plan.Bindings()[i]
-				union, _, err := getNumbering().number(c, false)
+				union, _, err := getNumbering().number(context.Background(), c, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -412,7 +412,7 @@ func TestRenderersMatchFmt(t *testing.T) {
 		in := buildInput(t, tc.src, tc.scope, net)
 		nb := getNumbering()
 		for _, c := range mustPartition(t, in) {
-			union, got, err := nb.number(c, true)
+			union, got, err := nb.number(context.Background(), c, true)
 			if err != nil || got == "" {
 				t.Fatalf("%s: %s: no canonical form (%v)", tc.name, c.Label(), err)
 			}

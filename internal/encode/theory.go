@@ -442,8 +442,8 @@ func (t *resourceTheory) buildSpec(sw int32, model *asic.Model, final bool) *asi
 // the encoder when the component's solve ends: the class memo keeps the solved
 // Template, never the encoder. Allocations are immutable once made.
 func (e *encoder) allocate(model *asic.Model, spec *asic.ProgramSpec) (*asic.Allocation, error) {
-	e.specKey = appendSpecKey(e.specKey[:0], model, spec)
-	if a, ok := e.allocs[string(e.specKey)]; ok {
+	e.scratch = appendSpecKey(e.scratch[:0], model, spec)
+	if a, ok := e.allocs[string(e.scratch)]; ok {
 		return a, nil
 	}
 	a, err := asic.Allocate(model, spec)
@@ -451,7 +451,7 @@ func (e *encoder) allocate(model *asic.Model, spec *asic.ProgramSpec) (*asic.All
 		if e.allocs == nil {
 			e.allocs = map[string]*asic.Allocation{}
 		}
-		e.allocs[string(e.specKey)] = a
+		e.allocs[string(e.scratch)] = a
 	}
 	return a, err
 }

@@ -101,3 +101,25 @@ func TestEncodeHonoursDeadline(t *testing.T) {
 		t.Errorf("the compile returned %v after it started, past its 1 s deadline by more than a second", elapsed)
 	}
 }
+
+// TestPathWalksHonourDeadline: an 11-switch full mesh has 986,410 flow paths
+// from S00 to S01, inside the path budget, and walking them all takes the
+// partition, the numbering and the encoder's preparation seconds before the
+// first clause. A compile under a 200 ms deadline must return ErrTimeout
+// within a second of it: every full walk of the paths polls the deadline as
+// it goes.
+func TestPathWalksHonourDeadline(t *testing.T) {
+	net := fullMesh(t, 11)
+	const deadline = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := New().Compile(ctx, meshACL, meshScope, net)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want errors.Is(err, ErrTimeout)", err)
+	}
+	if elapsed > deadline+time.Second {
+		t.Errorf("the compile returned %v after it started, past its %v deadline by more than a second", elapsed, deadline)
+	}
+}

@@ -563,17 +563,57 @@ func deepDigest(v any) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// digestBlind lists the types reachable from t whose values deepDigest sees
+// only as nil or not: channels and unsafe pointers, atomic ones included, and
+// functions held by a type of pkg (a chip model's admission hook is the chip
+// registry's, not the template's).
+func digestBlind(t reflect.Type, pkg string) []string {
+	type at struct {
+		t   reflect.Type
+		own bool
+	}
+	seen := map[at]bool{}
+	var walk func(t reflect.Type, own bool) []string
+	walk = func(t reflect.Type, own bool) []string {
+		if seen[at{t, own}] {
+			return nil
+		}
+		seen[at{t, own}] = true
+		switch t.Kind() {
+		case reflect.Chan, reflect.UnsafePointer:
+			return []string{t.String()}
+		case reflect.Func:
+			if own {
+				return []string{t.String()}
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			return walk(t.Elem(), own)
+		case reflect.Map:
+			return append(walk(t.Key(), own), walk(t.Elem(), own)...)
+		case reflect.Struct:
+			var out []string
+			for i := range t.NumField() {
+				out = append(out, walk(t.Field(i).Type, t.PkgPath() == pkg)...)
+			}
+			return out
+		}
+		return nil
+	}
+	return walk(t, false)
+}
+
 // TestConcurrentRecompilesShareTwinPlans: a template is shared by reference —
 // by every pod bound to it, by the programs built from it, by the simulator,
 // and across recompiles through the solver cache's synthesised tables and
 // memoised allocations — so it must never be written. The base compile's
 // templates are digested, deeply, before and after translating, verifying and
 // simulating the plan and recompiles from that base running at once; under
-// -race any write to shared state is a reported race as well. Every recompile
-// must still equal a from-scratch compile. Four of them are switch-downs of
-// different pods, which damage their pods alike and so fill the family's one
-// shape memo together; each must also equal the same recompile made alone
-// from a base of its own.
+// -race any write to shared state is a reported race as well. The digest must
+// see every field of a template by content, its slots' texts included. Every
+// recompile must still equal a from-scratch compile. Four of them are
+// switch-downs of different pods, which damage their pods alike and so are
+// bound to one template of the damaged pod's class, solved once; each must
+// also equal the same recompile made alone from a base of its own.
 func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 	ctx := context.Background()
 	c := New()
@@ -604,6 +644,29 @@ func TestConcurrentRecompilesShareTwinPlans(t *testing.T) {
 	probe.next.m["a"][0] = 2
 	if deepDigest(probe) == clean {
 		t.Fatal("deepDigest does not see a write into a nested slice")
+	}
+	// Nor may a template hold what the digest sees only as nil or not, and a
+	// write into a slot's text, which no plan reads but through its hash, must
+	// change the digest too.
+	tmpl := reflect.TypeOf(bindings[0].Template)
+	if blind := digestBlind(tmpl, tmpl.Elem().PkgPath()); len(blind) > 0 {
+		t.Fatalf("deepDigest cannot see into the %v a template reaches", blind)
+	}
+	flipText := func() {
+		slots := reflect.ValueOf(bindings[0].Template).Elem().FieldByName("slots")
+		for i := range slots.Len() {
+			if text := slots.Index(i).FieldByName("text"); !text.IsZero() {
+				*(*byte)(unsafe.Pointer(text.Index(0).UnsafeAddr())) ^= 1
+				return
+			}
+		}
+		t.Fatal("no slot of the template has a text")
+	}
+	flipText()
+	written := digest()
+	flipText()
+	if written == before || digest() != before {
+		t.Fatal("deepDigest does not see a write into a slot's text")
 	}
 
 	translateAndVerify(t, base, P414)
