@@ -16,7 +16,6 @@ package encode
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -260,23 +259,32 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 
 	// The decomposition: the previous plan's untouched components as they
 	// are, and a partition of what is left — of everything, without one.
+	// The flow paths the partition walks are kept in st until every
+	// component is numbered.
 	var ca *carried
 	var comps []*Component
+	st := getPathStore()
+	defer func() {
+		if st != nil {
+			putPathStore(st)
+		}
+	}()
 	if caching {
 		ca = carryOver(in, opts.Prev, shaping)
 	}
 	if ca != nil && len(ca.algs) > 0 {
 		var ok bool
 		var err error
-		if comps, ok, err = partition(ctx, in, ca); err != nil {
+		if comps, ok, err = partition(ctx, in, ca, st); err != nil {
 			return nil, err
 		} else if !ok {
 			ca = nil
+			st.reset()
 		}
 	}
 	if ca == nil {
 		var err error
-		if comps, _, err = partition(ctx, in, nil); err != nil {
+		if comps, _, err = partition(ctx, in, nil, st); err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +294,8 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	// the same options are isomorphic SMT instances with the same answer. A
 	// class met before — in a carried component, in the memo, or earlier in
 	// this loop — is bound to the template it already has; only the first
-	// member of a new class, its representative, is solved.
+	// member of a new class, its representative, is solved, on the paths its
+	// numbering laid out by index.
 	classed := !opts.NoSymmetryDedup && (len(comps) > 1 || caching)
 	open := make([]Binding, len(comps))
 	known := map[string]*Template{}
@@ -300,6 +309,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 		}
 	}
 	repOf := make([]int, len(comps))
+	lists := make([]*hopLists, len(comps))
 	classOf := map[string]int{}
 	nb := getNumbering()
 	defer putNumbering(nb)
@@ -318,6 +328,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 		class := open[i].Class
 		if class == "" {
 			solveIdx = append(solveIdx, i)
+			lists[i] = nb.hopLists.clone()
 			continue
 		}
 		if j, dup := classOf[class]; dup {
@@ -332,8 +343,11 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 		}
 		if open[i].Template == nil {
 			solveIdx = append(solveIdx, i)
+			lists[i] = nb.hopLists.clone()
 		}
 	}
+	putPathStore(st)
+	st = nil
 	results := make([]componentResult, len(comps))
 	phv := &phvIndex{prog: in.IR}
 	par.For(len(solveIdx), opts.Parallelism, func(k int) {
@@ -342,7 +356,7 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 		if total > 1 {
 			label = open[i].label
 		}
-		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, phv, first, label)
+		results[i] = solveComponent(ctx, comps[i].In, open[i].Switches, lists[i], phv, first, label)
 		open[i].Template = results[i].tmpl
 	})
 	// Deterministic error selection: the lowest-index failing component
@@ -510,15 +524,16 @@ func (ca *carried) merge(open []*Binding) (bound []*Binding, keptAt []bool) {
 // fallback policy grants is a different assumption set or budget on the same
 // solver, and learnt clauses, VSIDS activity, and saved phases carry across
 // attempts. The accepted model becomes the component's template straight from
-// the encoder; union is the component's numbering. The accumulated
+// the encoder; union is the component's numbering and paths its flow paths
+// by index (numbering.number leaves both). The accumulated
 // durations split constraint construction and template extraction (enc) from
 // search (slv).
-func solveComponent(ctx context.Context, in *Input, union []string, phv *phvIndex, cfg attemptCfg, label string) (r componentResult) {
+func solveComponent(ctx context.Context, in *Input, union []string, paths *hopLists, phv *phvIndex, cfg attemptCfg, label string) (r componentResult) {
 	r.trail = &Diagnostics{}
 	step := "initial"
 
 	start := time.Now()
-	e, err := newEncoder(in, union, phv)
+	e, err := newEncoder(in, union, paths, phv)
 	if err != nil {
 		r.err = err
 		return r
@@ -738,6 +753,9 @@ type encoder struct {
 	switches []string
 	at       map[string]int32
 	models   []*asic.Model
+	// paths are the component's flow paths by index, as its numbering laid
+	// them out.
+	paths *hopLists
 	// algs are the component's algorithms in name order, and an algorithm is
 	// its index into it; externs are their externs in name order, likewise.
 	algs    []*algPrep
@@ -788,8 +806,9 @@ type encoder struct {
 	useOnce bool
 }
 
-// newEncoder makes the encoder of a component; union is its numbering.
-func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
+// newEncoder makes the encoder of a component; union is its numbering and
+// paths its flow paths by index.
+func newEncoder(in *Input, union []string, paths *hopLists, phv *phvIndex) (*encoder, error) {
 	for _, a := range in.IR.Algorithms {
 		if _, ok := in.Scopes[a.Name]; !ok {
 			return nil, fmt.Errorf("encode: algorithm %q has no scope specification", a.Name)
@@ -799,6 +818,7 @@ func newEncoder(in *Input, union []string, phv *phvIndex) (*encoder, error) {
 		in:          in,
 		solver:      smt.NewSolver(),
 		switches:    union,
+		paths:       paths,
 		at:          make(map[string]int32, len(union)),
 		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
 		phv:         phv,
@@ -861,20 +881,17 @@ type algPrep struct {
 	// index is the algorithm's index into the encoder's algs.
 	index int32
 	// cands are the programmable switches of the scope as switch indices,
-	// ascending; candAt maps a candidate's name to its position in cands.
-	cands  []int32
-	candAt map[string]int32
+	// ascending.
+	cands []int32
 	// onPath marks, by position, candidates traversed by at least one flow
 	// path.
 	onPath []bool
 	// hops are the unique programmable-hop sequences of the scope's flow
-	// paths, as positions in cands, sorted: the enumeration walks names, and
-	// the encoding must depend on indices alone. Distinct paths routing
-	// through the same candidates in the same order collapse to one entry:
-	// they emit identical constraint sets, and in the shard-credit loop the
-	// duplicate is a no-op (its demand is already covered). This is what
-	// bounds memory under lazy enumeration — a k-pod fat tree walks every ECMP
-	// path but holds only the distinct hop shapes.
+	// paths, as positions in cands, sorted: the encoding depends on indices
+	// alone. Distinct paths routing through the same candidates in the same
+	// order collapse to one entry: they emit identical constraint sets, and in
+	// the shard-credit loop the duplicate is a no-op (its demand is already
+	// covered).
 	hops [][]int32
 	// enumerated counts the flow paths walked (before dedup).
 	enumerated int64
@@ -882,17 +899,17 @@ type algPrep struct {
 	synth [2]*synth.Result
 }
 
-// pollEvery is how many flow paths a full walk of a scope's paths visits
-// between two looks at the solve's deadline: the walks that run before the
-// first clause (partition, number, prepare) take seconds on a scope of a
-// million paths.
+// pollEvery is how many flow paths a full walk of a scope's paths, or a
+// pass over the paths a walk kept, visits between two looks at the solve's
+// deadline: the passes that run before the first clause (partition, number,
+// prepare) take seconds on a scope of a million paths.
 const pollEvery = 4096
 
 // polled wraps the visitor of a full path walk so that the walk stops once
 // ctx is done; the caller then returns timeout(ctx).
-func polled(ctx context.Context, visit func([]string) bool) func([]string) bool {
+func polled(ctx context.Context, visit func([]int32) bool) func([]int32) bool {
 	n := 0
-	return func(p []string) bool {
+	return func(p []int32) bool {
 		if n++; n%pollEvery == 0 && ctx.Err() != nil {
 			return false
 		}
@@ -906,12 +923,17 @@ func timeout(ctx context.Context) error {
 }
 
 // prepare computes every algorithm's prep: shared-instruction marking,
-// candidate switches, and the deduplicated candidate-hop sequences streamed
-// from the scope's path set. It never materializes the full path list.
+// candidate switches, and the deduplicated candidate-hop sequences of the
+// scope's flow paths, read off the paths by index its numbering laid out
+// (e.paths) and deduplicated by sorting.
 func (e *encoder) prepare(ctx context.Context) error {
 	prep := map[string]*algPrep{}
 	e.models = make([]*asic.Model, len(e.switches))
-	for _, a := range e.in.IR.Algorithms {
+	// candOf holds 1 + a switch index's position among the candidates of the
+	// algorithm in hand, 0 for none.
+	candOf := make([]int32, len(e.switches))
+	var from int32 // the algorithm's first path
+	for ai, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
 		// Mark extern-reading instructions as shareable: in MULTI-SW mode
 		// their backing table may be split across switches, so copies of
@@ -927,7 +949,7 @@ func (e *encoder) prepare(ctx context.Context) error {
 		e.sharedInstr[a.Name] = shared
 
 		// Candidate switches: programmable members of the region.
-		p := &algPrep{alg: a, candAt: map[string]int32{}}
+		p := &algPrep{alg: a}
 		for _, sw := range rs.Switches {
 			s := e.in.Net.Switch(sw)
 			if s == nil {
@@ -943,49 +965,19 @@ func (e *encoder) prepare(ctx context.Context) error {
 			return fmt.Errorf("encode: scope of %q has no programmable switch", a.Name)
 		}
 		slices.Sort(p.cands)
+		clear(candOf)
 		for k, i := range p.cands {
-			p.candAt[e.switches[i]] = int32(k)
+			candOf[i] = int32(k + 1)
 		}
 		p.onPath = make([]bool, len(p.cands))
 
+		to := e.paths.algEnd[ai]
 		if rs.Deploy == scope.MultiSwitch {
-			seen := map[string]bool{}
-			var hop []int32
-			var key []byte
-			var badPath []string
-			err := rs.EachPath(polled(ctx, func(path []string) bool {
-				p.enumerated++
-				hop, key = hop[:0], key[:0]
-				for _, sw := range path {
-					if k, ok := p.candAt[sw]; ok {
-						hop = append(hop, k)
-						key = binary.LittleEndian.AppendUint32(key, uint32(k))
-					}
-				}
-				if len(hop) == 0 {
-					badPath = append([]string(nil), path...)
-					return false
-				}
-				if !seen[string(key)] {
-					seen[string(key)] = true
-					for _, k := range hop {
-						p.onPath[k] = true
-					}
-					p.hops = append(p.hops, slices.Clone(hop))
-				}
-				return true
-			}))
-			if ctx.Err() != nil {
-				return timeout(ctx)
+			if err := p.dedupHops(ctx, e, candOf, from, to); err != nil {
+				return err
 			}
-			if badPath != nil {
-				return fmt.Errorf("encode: path %v of %q has no programmable hop", badPath, a.Name)
-			}
-			if err != nil {
-				return fmt.Errorf("encode: scope of %q: %w", a.Name, err)
-			}
-			slices.SortFunc(p.hops, slices.Compare)
 		}
+		from = to
 		prep[a.Name] = p
 		e.algs = append(e.algs, p)
 	}
@@ -996,6 +988,72 @@ func (e *encoder) prepare(ctx context.Context) error {
 		e.externs = append(e.externs, p.alg.Externs...)
 	}
 	slices.SortStableFunc(e.externs, func(a, b *ir.ExternDecl) int { return strings.Compare(a.Name, b.Name) })
+	return nil
+}
+
+// dedupHops sets p.hops to the distinct candidate-hop sequences of the
+// encoder's paths from to to-1, sorted, and marks the candidates on them.
+// candOf maps a switch index to 1 + its candidate position, 0 for none.
+func (p *algPrep) dedupHops(ctx context.Context, e *encoder, candOf []int32, from, to int32) error {
+	// Every path's candidate hops, back to back in flat, path q's ending at
+	// end[q-from].
+	if to == from {
+		return nil
+	}
+	lo := int32(0)
+	if from > 0 {
+		lo = e.paths.ends[from-1]
+	}
+	flat := make([]int32, 0, e.paths.ends[to-1]-lo)
+	end := make([]int32, 0, to-from)
+	for q := from; q < to; q++ {
+		if (q-from+1)%pollEvery == 0 && ctx.Err() != nil {
+			return timeout(ctx)
+		}
+		n := len(flat)
+		for _, i := range e.paths.path(q) {
+			if i >= 0 && candOf[i] > 0 {
+				flat = append(flat, candOf[i]-1)
+			}
+		}
+		if len(flat) == n {
+			var names []string
+			for _, i := range e.paths.path(q) {
+				if i >= 0 {
+					names = append(names, e.switches[i])
+				}
+			}
+			return fmt.Errorf("encode: path %v of %q has no programmable hop", names, p.alg.Name)
+		}
+		end = append(end, int32(len(flat)))
+	}
+	p.enumerated = int64(to - from)
+	hop := func(q int32) []int32 {
+		start := int32(0)
+		if q > 0 {
+			start = end[q-1]
+		}
+		return flat[start:end[q]]
+	}
+	order := make([]int32, len(end))
+	for q := range order {
+		order[q] = int32(q)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(hop(x), hop(y)) })
+	order = slices.CompactFunc(order, func(x, y int32) bool { return slices.Equal(hop(x), hop(y)) })
+	n := 0
+	for _, q := range order {
+		n += len(hop(q))
+	}
+	held := make([]int32, 0, n)
+	p.hops = make([][]int32, len(order))
+	for j, q := range order {
+		held = append(held, hop(q)...)
+		p.hops[j] = held[len(held)-len(hop(q)) : len(held) : len(held)]
+		for _, k := range hop(q) {
+			p.onPath[k] = true
+		}
+	}
 	return nil
 }
 

@@ -396,3 +396,36 @@ func scopeUnion(in *Input) []string {
 	sort.Strings(union)
 	return union
 }
+
+// nameWalk is the reference for the flow paths a component's numbering lays
+// out by index: each algorithm's paths listed by name (PathList), each hop its
+// place in union, -1 off it.
+func nameWalk(t testing.TB, in *Input, union []string) *hopLists {
+	t.Helper()
+	at := map[string]int32{}
+	for i, sw := range union {
+		at[sw] = int32(i)
+	}
+	l := &hopLists{}
+	for _, a := range in.IR.Algorithms {
+		rs := in.Scopes[a.Name]
+		if rs != nil && rs.Deploy == scope.MultiSwitch {
+			paths, err := rs.PathList()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				for _, sw := range p {
+					i, ok := at[sw]
+					if !ok {
+						i = -1
+					}
+					l.hops = append(l.hops, i)
+				}
+				l.ends = append(l.ends, int32(len(l.hops)))
+			}
+		}
+		l.algEnd = append(l.algEnd, int32(len(l.ends)))
+	}
+	return l
+}

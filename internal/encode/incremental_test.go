@@ -300,7 +300,7 @@ func TestInfeasibleHintIsTheFailingSolves(t *testing.T) {
 		{`loadbalancer: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]`, "extern conn_table: 47000001 entries do not fit along path [Agg1 ToR1]"},
 	} {
 		in := buildInput(t, src, tc.scope, topo.Testbed())
-		e, err := newEncoder(in, scopeUnion(in), &phvIndex{prog: in.IR})
+		e, err := newEncoder(in, scopeUnion(in), nameWalk(t, in, scopeUnion(in)), &phvIndex{prog: in.IR})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestInfeasibleHintIsTheFailingSolves(t *testing.T) {
 		if !strings.Contains(failing, tc.want) {
 			t.Fatalf("%s: the failing solve's last conflict is %q, want it to name %q", tc.scope, failing, tc.want)
 		}
-		r := solveComponent(context.Background(), in, scopeUnion(in), &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, "")
+		r := solveComponent(context.Background(), in, scopeUnion(in), nameWalk(t, in, scopeUnion(in)), &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, "")
 		var ie *InfeasibleError
 		if !errors.As(r.err, &ie) || len(r.trail.Attempts) != 1 {
 			t.Fatalf("%s: err = %v after %s, want one attempt's *InfeasibleError", tc.scope, r.err, r.trail.Summary())

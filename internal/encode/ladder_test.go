@@ -86,7 +86,7 @@ func TestTimeoutEndsTheSolve(t *testing.T) {
 	in := buildInput(t, subst(lbSrc, "1024", "1024"), "loadbalancer: [ ToR3,ToR4 | PER-SW | - ]", topo.Testbed())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := solveComponent(ctx, in, scopeUnion(in), &phvIndex{prog: in.IR},
+	r := solveComponent(ctx, in, scopeUnion(in), nameWalk(t, in, scopeUnion(in)), &phvIndex{prog: in.IR},
 		attemptCfg{objective: ObjMinPlacements, conflictBudget: conflictBudget}, "")
 	if !errors.Is(r.err, smt.ErrTimeout) {
 		t.Fatalf("err = %v, want a timeout", r.err)

@@ -29,6 +29,10 @@ type Component struct {
 	In *Input
 
 	at position
+	// walked holds, by position in In.IR.Algorithms, the flow paths the
+	// partition walked for each member scope; a scope it did not walk (an
+	// unsplittable one) has none, and the numbering walks it.
+	walked []walked
 }
 
 // position orders components: by their first fragment in (program order,
@@ -60,7 +64,8 @@ func (c *Component) Label() string {
 type unit struct {
 	at    position
 	rs    *scope.Resolved
-	split bool // rs is a proper fragment of the original scope
+	split bool   // rs is a proper fragment of the original scope
+	paths walked // rs's flow paths, when the partition walked them
 }
 
 // Partition splits the input into independent components by union-find over
@@ -85,7 +90,7 @@ type unit struct {
 // parallelism. A scope whose flow paths exceed the path budget fails it with
 // the *topo.PathLimitError.
 func Partition(in *Input) ([]*Component, error) {
-	comps, _, err := partition(context.Background(), in, nil)
+	comps, _, err := partition(context.Background(), in, nil, new(pathStore))
 	return comps, err
 }
 
@@ -97,8 +102,9 @@ func Partition(in *Input) ([]*Component, error) {
 // path (which attaches to the first group of the whole scope, possibly a
 // carried one) or an algorithm that lost a group altogether (which may turn a
 // split scope into an unsplit one) — and the caller partitions everything.
-// Its path walks stop once ctx is done.
-func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool, error) {
+// Its path walks stop once ctx is done, and it keeps the paths they yield in
+// st, where the components' walked views point.
+func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*Component, bool, error) {
 	algs := in.IR.Algorithms
 	whole := []*Component{wholeComponent(in)}
 	for _, a := range algs {
@@ -125,7 +131,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 		if splittable(a, full) {
 			var offPath []string
 			var err error
-			if groups, offPath, err = pathGroups(ctx, rs); err != nil {
+			if groups, offPath, err = pathGroups(ctx, rs, st); err != nil {
 				return nil, false, fmt.Errorf("encode: scope of %q: %w", a.Name, err)
 			}
 			switch {
@@ -139,14 +145,18 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 			}
 		}
 		if !keptElsewhere && len(groups) < 2 {
-			units = append(units, unit{at: position{alg: i}, rs: rs})
+			u := unit{at: position{alg: i}, rs: rs}
+			if len(groups) == 1 {
+				u.paths = groups[0].paths
+			}
+			units = append(units, u)
 			continue
 		}
 		if len(groups) == 0 {
 			return nil, false, nil // an unsplittable scope is carried whole or not at all
 		}
 		for _, g := range groups {
-			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true})
+			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true, paths: g.paths})
 		}
 	}
 	kept := 0
@@ -154,6 +164,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 		kept = len(ca.kept)
 	}
 	if len(units)+kept < 2 {
+		whole[0].walked = wholeWalk(len(algs), units)
 		return whole, ca == nil, nil
 	}
 
@@ -169,7 +180,11 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 		}
 		return parent[i]
 	}
-	owner := map[string]int{} // switch -> first unit index seen
+	n := 0
+	for _, u := range units {
+		n += len(u.rs.Switches)
+	}
+	owner := make(map[string]int, n) // switch -> first unit index seen
 	for i, u := range units {
 		for _, sw := range u.rs.Switches {
 			if j, ok := owner[sw]; ok {
@@ -193,6 +208,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 		groups[r] = append(groups[r], i)
 	}
 	if len(roots)+kept < 2 {
+		whole[0].walked = wholeWalk(len(algs), units)
 		return whole, ca == nil, nil
 	}
 	// Order components by their earliest member unit (program order, then
@@ -206,7 +222,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 		sub.Algorithms = nil
 		scopes := map[string]*scope.Resolved{}
 		// Collect member fragments per algorithm, preserving program order.
-		byAlg := map[int][]*scope.Resolved{}
+		byAlg := map[int][]unit{}
 		var algOrder []int
 		anySplit := false
 		for _, ui := range groups[r] {
@@ -214,7 +230,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 			if _, ok := byAlg[u.at.alg]; !ok {
 				algOrder = append(algOrder, u.at.alg)
 			}
-			byAlg[u.at.alg] = append(byAlg[u.at.alg], u.rs)
+			byAlg[u.at.alg] = append(byAlg[u.at.alg], u)
 			anySplit = anySplit || u.split
 		}
 		sort.Ints(algOrder)
@@ -223,6 +239,7 @@ func partition(ctx context.Context, in *Input, ca *carried) ([]*Component, bool,
 			c.Algs = append(c.Algs, a.Name)
 			sub.Algorithms = append(sub.Algorithms, a)
 			scopes[a.Name] = mergeResolved(in.Scopes[a.Name], byAlg[ai])
+			c.walked = append(c.walked, merge(byAlg[ai]))
 		}
 		if anySplit {
 			tag := ""
@@ -290,43 +307,72 @@ type pathGroup struct {
 	head    string
 	members []string
 	ends    [2][]string // the parts of the scope's PathSet.From and To among the members
+	paths   walked      // the flow paths inside the group, in walk order
 }
 
+// keepHops bounds the hops a walk keeps (1 Mi hops, 4 MiB): the components of
+// a scope with more walk it again, and a scope that fails the path budget
+// holds no memory in proportion to it. The 1,040-switch fat tree's scope has
+// 16 Ki hops; an 11-switch full mesh's 9.4 Mi.
+const keepHops = 1 << 20
+
 // pathGroups walks a scope's flow paths once and returns the groups of
-// switches they connect, ordered by head, and the scope switches no flow
-// traverses. The scope's endpoints are split over the groups in one pass,
-// those on no path going to the first group, where the switches on no path
-// go. A walk past the path budget fails with the *topo.PathLimitError.
-func pathGroups(ctx context.Context, rs *scope.Resolved) (groups []pathGroup, offPath []string, err error) {
-	idx := make(map[string]int, len(rs.Switches))
+// switches they connect, ordered by head, each with its share of the paths,
+// and the scope switches no flow traverses. The union-find runs over the
+// scope's places, found through a table by switch id, and the paths are kept
+// in st. The scope's endpoints are split over the groups in one pass, those on
+// no path going to the first group, where the switches on no path go. A group
+// has no share when some path leaves the scope's switches, since its own path
+// set would not yield that path, or when the paths exceed keepHops. A walk
+// past the path budget fails with the *topo.PathLimitError.
+func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups []pathGroup, offPath []string, err error) {
+	ps := rs.PathSet
+	if ps == nil {
+		return nil, rs.Switches, nil
+	}
+	n := len(rs.Switches)
+	// place holds 1 + a switch's place in the scope by switch id, 0 off it.
+	place := zeroed(&st.place, ps.Span())
 	for i, sw := range rs.Switches {
-		idx[sw] = i
-	}
-	parent := make([]int, len(rs.Switches))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		if parent[i] != i {
-			parent[i] = find(parent[i])
+		if id, ok := ps.ID(sw); ok {
+			place[id] = int32(i + 1)
 		}
-		return parent[i]
 	}
-	onPath := make([]bool, len(rs.Switches))
-	err = rs.EachPath(polled(ctx, func(p []string) bool {
-		first := -1
-		for _, sw := range p {
-			j, ok := idx[sw]
-			if !ok {
+	parent := resize(st.parent, n)
+	st.parent = parent
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	onPath := zeroed(&st.onPath, n)
+	b := st.buf()
+	leaves, kept := false, true
+	err = rs.EachPath(polled(ctx, func(p []int32) bool {
+		first := int32(-1)
+		for _, id := range p {
+			j := place[id] - 1
+			if j < 0 {
+				leaves = true
 				continue
 			}
-			onPath[j] = true
+			onPath[j] = 1
 			if first < 0 {
 				first = j
 			} else if ri, rj := find(first), find(j); ri != rj {
 				parent[ri] = rj
 			}
+		}
+		if kept && len(b.hops)+len(p) > keepHops {
+			kept, b.hops, b.ends = false, nil, nil
+		}
+		if kept {
+			b.add(p)
 		}
 		return true
 	}))
@@ -336,30 +382,37 @@ func pathGroups(ctx context.Context, rs *scope.Resolved) (groups []pathGroup, of
 	if err != nil {
 		return nil, nil, err
 	}
-	at := map[int]int{}              // root -> index into groups
+	at := resize(st.at, n) // root -> index into groups, -1 for none
+	st.at = at
+	for i := range at {
+		at[i] = -1
+	}
 	for i, sw := range rs.Switches { // scope order is sorted: members and heads come out sorted
-		if !onPath[i] {
+		if onPath[i] == 0 {
 			offPath = append(offPath, sw)
 			continue
 		}
-		g, seen := at[find(i)]
-		if !seen {
-			g = len(groups)
-			at[find(i)] = g
+		r := find(int32(i))
+		if at[r] < 0 {
+			at[r] = int32(len(groups))
 			groups = append(groups, pathGroup{head: sw})
 		}
-		groups[g].members = append(groups[g].members, sw)
+		groups[at[r]].members = append(groups[at[r]].members, sw)
 	}
-	if len(groups) > 0 {
-		// A switch on no path is its own root and not in at: group 0.
-		for e, ends := range [2][]string{rs.PathSet.From, rs.PathSet.To} {
-			for _, sw := range ends {
-				if j, ok := idx[sw]; ok {
-					g := &groups[at[find(j)]]
-					g.ends[e] = append(g.ends[e], sw)
-				}
+	if len(groups) == 0 {
+		return groups, offPath, nil
+	}
+	// A switch on no path is its own root and has no group: group 0.
+	for e, ends := range [2][]string{ps.From, ps.To} {
+		for _, sw := range ends {
+			if id, ok := ps.ID(sw); ok && place[id] > 0 {
+				g := &groups[max(at[find(place[id]-1)], 0)]
+				g.ends[e] = append(g.ends[e], sw)
 			}
 		}
+	}
+	if kept && !leaves {
+		split(b, ps, groups, func(id int32) int32 { return at[find(place[id]-1)] })
 	}
 	return groups, offPath, nil
 }
@@ -378,15 +431,15 @@ func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
 // mergeResolved reassembles scope fragments that landed in one component.
 // All fragments derive from the same original scope; when every fragment of
 // the scope is present the original is returned verbatim.
-func mergeResolved(orig *scope.Resolved, parts []*scope.Resolved) *scope.Resolved {
+func mergeResolved(orig *scope.Resolved, parts []unit) *scope.Resolved {
 	if len(parts) == 1 {
-		return parts[0]
+		return parts[0].rs
 	}
 	var switches []string
 	total := 0
 	for _, p := range parts {
-		switches = append(switches, p.Switches...)
-		total += len(p.Switches)
+		switches = append(switches, p.rs.Switches...)
+		total += len(p.rs.Switches)
 	}
 	if total == len(orig.Switches) {
 		return orig

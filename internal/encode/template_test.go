@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -89,14 +90,15 @@ func TestBindEqualsSolve(t *testing.T) {
 			var enumerated int64
 			for i, c := range comps {
 				b := plan.Bindings()[i]
-				union, _, err := getNumbering().number(context.Background(), c, false)
+				nb := getNumbering()
+				union, _, err := nb.number(context.Background(), c, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(b.Switches, union) {
 					t.Fatalf("%s: bound to %v, numbered %v", c.Label(), b.Switches, union)
 				}
-				r := solveComponent(context.Background(), c.In, union, &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, c.Label())
+				r := solveComponent(context.Background(), c.In, union, nb.hopLists.clone(), &phvIndex{prog: in.IR}, attemptCfg{conflictBudget: conflictBudget}, c.Label())
 				if r.err != nil {
 					t.Fatalf("%s: direct solve: %v", c.Label(), r.err)
 				}
@@ -304,9 +306,9 @@ func canonicalFingerprintFmt(c *Component) string {
 			fmt.Fprintf(h, "%d,", set[sw])
 		}
 		if rs.Deploy == scope.MultiSwitch {
-			rs.EachPath(func(p []string) bool {
-				for _, sw := range p {
-					fmt.Fprintf(h, "%d.", set[sw])
+			rs.EachPath(func(p []int32) bool {
+				for _, id := range p {
+					fmt.Fprintf(h, "%d.", set[rs.PathSet.Name(id)])
 				}
 				h.Write([]byte{';'})
 				return true
@@ -314,10 +316,31 @@ func canonicalFingerprintFmt(c *Component) string {
 		}
 		h.Write([]byte{'\n'})
 	}
-	for _, sw := range union {
-		fmt.Fprintf(h, "asic %+v\n", *in.Net.Switch(sw).ASIC)
-	}
+	chipsFmt(h, in, union)
 	return string(h.Sum(nil))
+}
+
+// chipsFmt writes the chips of a component numbered union as fmt renders
+// them: each distinct model once, in order of first appearance by index, then
+// the ordinal of each index's model.
+func chipsFmt(h io.Writer, in *Input, union []string) {
+	var lines []string
+	var ords []int
+	for _, sw := range union {
+		line := fmt.Sprintf("asic %+v\n", *in.Net.Switch(sw).ASIC)
+		i := slices.Index(lines, line)
+		if i < 0 {
+			i, lines = len(lines), append(lines, line)
+		}
+		ords = append(ords, i)
+	}
+	fmt.Fprintf(h, "models=%d\n", len(lines))
+	for _, line := range lines {
+		io.WriteString(h, line)
+	}
+	for _, i := range ords {
+		fmt.Fprintf(h, "%d,", i)
+	}
 }
 
 // classKeyFmt is the class key of a component numbered union, as fmt renders
@@ -344,10 +367,10 @@ func classKeyFmt(c *Component, union []string) string {
 		}
 		var paths [][]int
 		if rs.Deploy == scope.MultiSwitch {
-			rs.EachPath(func(p []string) bool {
+			rs.EachPath(func(p []int32) bool {
 				var path []int
-				for _, sw := range p {
-					path = append(path, at[sw])
+				for _, id := range p {
+					path = append(path, at[rs.PathSet.Name(id)])
 				}
 				paths = append(paths, path)
 				return true
@@ -362,9 +385,7 @@ func classKeyFmt(c *Component, union []string) string {
 		}
 		h.Write([]byte{'\n'})
 	}
-	for _, sw := range union {
-		fmt.Fprintf(h, "asic %+v\n", *in.Net.Switch(sw).ASIC)
-	}
+	chipsFmt(h, in, union)
 	return string(h.Sum(nil))
 }
 

@@ -16,7 +16,7 @@ import (
 // of a different placement derives.
 func TestFinalCheckDoesNotRederive(t *testing.T) {
 	in := buildInput(t, subst(lbSrc, "1024", "1024"), lbScope, topo.Testbed())
-	e, err := newEncoder(in, scopeUnion(in), &phvIndex{prog: in.IR})
+	e, err := newEncoder(in, scopeUnion(in), nameWalk(t, in, scopeUnion(in)), &phvIndex{prog: in.IR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRejectedCheckAllocatesItsLemma(t *testing.T) {
 	}
 	encoded := func(conn string, k int) *encoder {
 		in := buildInput(t, subst(lbSrc, conn, "1000000"), podLBScope, podNet(1, k))
-		e, err := newEncoder(in, scopeUnion(in), &phvIndex{prog: in.IR})
+		e, err := newEncoder(in, scopeUnion(in), nameWalk(t, in, scopeUnion(in)), &phvIndex{prog: in.IR})
 		if err != nil {
 			t.Fatal(err)
 		}

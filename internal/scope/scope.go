@@ -55,6 +55,27 @@ type Spec struct {
 	Scopes []Scope
 }
 
+// Error is a scope specification that does not parse or does not resolve on
+// a network: a parse error names its 1-based Line, a resolution error the
+// algorithm (Alg) whose scope failed.
+type Error struct {
+	Line int
+	Alg  string
+	Msg  string
+}
+
+func (e *Error) Error() string {
+	if e.Line > 0 {
+		return fmt.Sprintf("scope line %d: %s", e.Line, e.Msg)
+	}
+	return fmt.Sprintf("scope %s: %s", e.Alg, e.Msg)
+}
+
+// resolveErr is the *Error of a scope that does not resolve.
+func resolveErr(alg, format string, args ...any) error {
+	return &Error{Alg: alg, Msg: fmt.Sprintf(format, args...)}
+}
+
 // Get returns the scope for an algorithm.
 func (s *Spec) Get(alg string) (Scope, bool) {
 	for _, sc := range s.Scopes {
@@ -66,7 +87,7 @@ func (s *Spec) Get(alg string) (Scope, bool) {
 }
 
 // Parse reads a Figure-7-style scope specification. Blank lines and lines
-// starting with '#' are ignored.
+// starting with '#' are ignored. A line that does not parse is an *Error.
 func Parse(text string) (*Spec, error) {
 	spec := &Spec{}
 	seen := map[string]bool{}
@@ -77,10 +98,10 @@ func Parse(text string) (*Spec, error) {
 		}
 		sc, err := parseLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("scope line %d: %w", lineNo+1, err)
+			return nil, &Error{Line: lineNo + 1, Msg: err.Error()}
 		}
 		if seen[sc.Alg] {
-			return nil, fmt.Errorf("scope line %d: duplicate algorithm %q", lineNo+1, sc.Alg)
+			return nil, &Error{Line: lineNo + 1, Msg: fmt.Sprintf("duplicate algorithm %q", sc.Alg)}
 		}
 		seen[sc.Alg] = true
 		spec.Scopes = append(spec.Scopes, sc)
@@ -212,7 +233,8 @@ func (s *Spec) Resolve(net *topo.Network) (map[string]*Resolved, error) {
 
 // ResolveWith is Resolve with explicit options; recompilation after a
 // fault uses AllowMissing so that a scope naming a dead switch degrades to
-// the surviving members instead of failing outright.
+// the surviving members instead of failing outright. A scope that does not
+// resolve is an *Error.
 func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Resolved, error) {
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
@@ -220,7 +242,7 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 		for _, pat := range sc.Region {
 			matched := net.Match(pat)
 			if len(matched) == 0 && !opts.AllowMissing {
-				return nil, fmt.Errorf("scope %s: region pattern %q matches no switch", sc.Alg, pat)
+				return nil, resolveErr(sc.Alg, "region pattern %q matches no switch", pat)
 			}
 			for _, sw := range matched {
 				set[sw.Name] = true
@@ -231,11 +253,11 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 		if sc.Deploy == MultiSwitch && len(set) > 0 {
 			from, err := expand(net, sc.Direct.From, opts)
 			if err != nil {
-				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
+				return nil, resolveErr(sc.Alg, "%v", err)
 			}
 			to, err := expand(net, sc.Direct.To, opts)
 			if err != nil {
-				return nil, fmt.Errorf("scope %s: %w", sc.Alg, err)
+				return nil, resolveErr(sc.Alg, "%v", err)
 			}
 			ps = net.PathSet(from, to, switches)
 		}
@@ -288,10 +310,10 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 		if sc.Deploy == MultiSwitch && len(switches) > 0 {
 			from, to := without(was.PathSet.From), without(was.PathSet.To)
 			if len(from) == 0 {
-				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.From)
+				return nil, resolveErr(sc.Alg, "patterns %v match no surviving switch", sc.Direct.From)
 			}
 			if len(to) == 0 {
-				return nil, fmt.Errorf("scope %s: patterns %v match no surviving switch", sc.Alg, sc.Direct.To)
+				return nil, resolveErr(sc.Alg, "patterns %v match no surviving switch", sc.Direct.To)
 			}
 			ps = was.PathSet.After(net, from, to, switches)
 		}
@@ -327,7 +349,7 @@ func (s *Spec) resolvedAs(prev map[string]*Resolved) bool {
 // region and, for MULTI-SW, at least one flow path.
 func (sc Scope) bind(switches []string, ps *topo.PathSet) (*Resolved, error) {
 	if len(switches) == 0 {
-		return nil, fmt.Errorf("scope %s: region %v matches no surviving switch", sc.Alg, sc.Region)
+		return nil, resolveErr(sc.Alg, "region %v matches no surviving switch", sc.Region)
 	}
 	r := &Resolved{Scope: sc, Switches: switches}
 	if sc.Deploy != MultiSwitch {
@@ -335,17 +357,17 @@ func (sc Scope) bind(switches []string, ps *topo.PathSet) (*Resolved, error) {
 	}
 	r.PathSet = ps
 	if !ps.Any() {
-		return nil, fmt.Errorf("scope %s: no flow path from %v to %v within %v",
-			sc.Alg, sc.Direct.From, sc.Direct.To, switches)
+		return nil, resolveErr(sc.Alg, "no flow path from %v to %v within %v", sc.Direct.From, sc.Direct.To, switches)
 	}
 	return r, nil
 }
 
 // EachPath iterates the scope's flow paths in the PathSet's deterministic
 // DFS order under the path budget: past MaxPaths it stops with a
-// *topo.PathLimitError. The yielded slice is only valid during the callback
-// — copy to retain. Returning false stops the iteration early.
-func (r *Resolved) EachPath(yield func(path []string) bool) error {
+// *topo.PathLimitError. A path is its hops' switch ids, which the PathSet's
+// Name renders. The yielded slice is only valid during the callback — copy
+// to retain. Returning false stops the iteration early.
+func (r *Resolved) EachPath(yield func(path []int32) bool) error {
 	if r.PathSet == nil {
 		return nil
 	}

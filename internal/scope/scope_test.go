@@ -114,8 +114,12 @@ func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) 
 		t.Fatalf("%s: %d scopes, want %d", label, len(got), len(want))
 	}
 	walk := func(r *Resolved) (seq []string) {
-		r.EachPath(func(p []string) bool {
-			seq = append(seq, strings.Join(p, ">"))
+		r.EachPath(func(p []int32) bool {
+			names := make([]string, len(p))
+			for i, id := range p {
+				names[i] = r.PathSet.Name(id)
+			}
+			seq = append(seq, strings.Join(names, ">"))
 			return true
 		})
 		return

@@ -90,16 +90,18 @@ func (ps *PathSet) Narrow(from, to, within []string) *PathSet {
 
 // Each enumerates paths in deterministic DFS order (sorted start switches,
 // sorted neighbor expansion; enumeration stops at the first target hit, as
-// flows terminate there). The yield callback receives a shared scratch
-// slice valid only for the duration of the call — copy it to retain it.
-// Yielding false stops the enumeration early without error. A limit > 0
-// bounds the number of paths enumerated; exceeding it returns a
-// *PathLimitError. The returned count is the number of paths yielded.
-func (ps *PathSet) Each(limit int64, yield func(path []string) bool) (int64, error) {
+// flows terminate there), each as the switch ids of its hops: Name renders an
+// id, ID finds a name's, and every id is below Span. The yield callback
+// receives a shared scratch slice valid only for the duration of the call —
+// copy it to retain it. Yielding false stops the enumeration early without
+// error. A limit > 0 bounds the number of paths enumerated; exceeding it
+// returns a *PathLimitError. The returned count is the number of paths
+// yielded.
+func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, error) {
 	n := ps.net
 	var count int64
 	stop, overflow := false, false
-	path := make([]string, 0, 8)
+	path := make([]int32, 0, 8)
 	onPath := make(bitset, len(n.recs)/64+1) // the switches path holds
 	emit := func() {
 		if limit > 0 && count >= limit {
@@ -123,29 +125,65 @@ func (ps *PathSet) Each(limit int64, yield func(path []string) bool) (int64, err
 			if onPath.has(nb) || (ps.Within != nil && !ps.in.has(nb)) {
 				continue
 			}
-			path = append(path, n.recs[nb].Name)
+			path = append(path, nb)
 			dfs(nb)
 			path = path[:len(path)-1]
 		}
 		onPath.unset(id)
 	}
-	for _, s := range sorted(ps.From) {
+	starts := sorted(ps.From)
+	for _, s := range starts {
 		if stop {
 			break
 		}
-		path = append(path[:0], s)
 		id, known := n.ids[s]
 		switch live := known && n.recs[id] != nil; {
 		case live && (ps.Within == nil || ps.in.has(id)):
+			path = append(path[:0], id)
 			dfs(id)
 		case !live && ps.Within != nil && slices.Contains(ps.Within, s) && slices.Contains(ps.To, s):
-			emit() // a switch the network lacks has no links: a path by itself, when it is a target
+			// A switch the network lacks has no links: a path by itself, when
+			// it is a target. Its id is past the network's.
+			path = append(path[:0], ps.ghost(starts, s))
+			emit()
 		}
 	}
 	if overflow {
 		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
 	}
 	return count, nil
+}
+
+// Span bounds the ids Each yields: the network's switch ids, then one for
+// each start the network has no switch for.
+func (ps *PathSet) Span() int { return len(ps.net.recs) + len(ps.From) }
+
+// ghost is the id of a start the network has no switch for: past the
+// network's ids, at the start's first place in the sorted From list.
+func (ps *PathSet) ghost(starts []string, s string) int32 {
+	return int32(len(ps.net.recs) + sort.SearchStrings(starts, s))
+}
+
+// Name renders a switch id Each yields.
+func (ps *PathSet) Name(id int32) string {
+	if recs := ps.net.recs; int(id) < len(recs) && recs[id] != nil {
+		return recs[id].Name
+	}
+	return sorted(ps.From)[int(id)-len(ps.net.recs)]
+}
+
+// ID returns the id Each yields for a switch name, and false for a name no
+// path of the set can hold: one the network lacks that is not a start.
+func (ps *PathSet) ID(name string) (int32, bool) {
+	n := ps.net
+	if id, ok := n.ids[name]; ok && n.recs[id] != nil {
+		return id, true
+	}
+	starts := sorted(ps.From)
+	if i := sort.SearchStrings(starts, name); i < len(starts) && starts[i] == name {
+		return int32(len(n.recs) + i), true
+	}
+	return 0, false
 }
 
 // sorted returns xs if it is sorted already, otherwise a sorted copy.
@@ -161,12 +199,12 @@ func sorted(xs []string) []string {
 // Count returns the number of paths in the set without materializing any,
 // subject to the same budget semantics as Each.
 func (ps *PathSet) Count(limit int64) (int64, error) {
-	return ps.Each(limit, func([]string) bool { return true })
+	return ps.Each(limit, func([]int32) bool { return true })
 }
 
 // Any reports whether the set contains at least one path.
 func (ps *PathSet) Any() bool {
-	n, _ := ps.Each(0, func([]string) bool { return false })
+	n, _ := ps.Each(0, func([]int32) bool { return false })
 	return n > 0
 }
 
@@ -175,8 +213,12 @@ func (ps *PathSet) Any() bool {
 // returns a *PathLimitError and no slice.
 func (ps *PathSet) Materialize(limit int64) ([][]string, error) {
 	var paths [][]string
-	_, err := ps.Each(limit, func(p []string) bool {
-		paths = append(paths, append([]string(nil), p...))
+	_, err := ps.Each(limit, func(p []int32) bool {
+		names := make([]string, len(p))
+		for i, id := range p {
+			names[i] = ps.Name(id)
+		}
+		paths = append(paths, names)
 		return true
 	})
 	if err != nil {

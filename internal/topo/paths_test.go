@@ -145,8 +145,8 @@ func TestPathSetMatchesLegacyDFS(t *testing.T) {
 			// The iterator yields the same multiset, and Count agrees.
 			ps := c.net.PathSet(c.from, c.to, c.within)
 			var iter [][]string
-			if _, err := ps.Each(0, func(p []string) bool {
-				iter = append(iter, append([]string(nil), p...))
+			if _, err := ps.Each(0, func(p []int32) bool {
+				iter = append(iter, names(ps, p))
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -365,6 +365,34 @@ func eachCase(rng *rand.Rand) (n *Network, names, from, to, within []string) {
 	return n, names, from, to, within
 }
 
+// names renders a path Each yields.
+func names(ps *PathSet, p []int32) []string {
+	out := make([]string, len(p))
+	for i, id := range p {
+		out[i] = ps.Name(id)
+	}
+	return out
+}
+
+// nameEach is Each with every yielded path rendered by name, after checking
+// that each id is below the set's Span and is what ID gives for its name.
+func nameEach(ps *PathSet, limit int64, yield func([]string) bool) (int64, error) {
+	var bad error
+	n, err := ps.Each(limit, func(p []int32) bool {
+		for _, id := range p {
+			if got, ok := ps.ID(ps.Name(id)); int(id) >= ps.Span() || !ok || got != id {
+				bad = fmt.Errorf("id %d (%s) of %v: span %d, ID gives %d, %v", id, ps.Name(id), names(ps, p), ps.Span(), got, ok)
+				return false
+			}
+		}
+		return yield(names(ps, p))
+	})
+	if bad != nil {
+		return n, bad
+	}
+	return n, err
+}
+
 // matchMapEach walks ps with Each and with mapEach, with and without a budget
 // and an early stop, and reports the first difference in yield sequence,
 // count or error.
@@ -380,7 +408,7 @@ func matchMapEach(ps *PathSet) error {
 				return
 			}
 			wantSeq, wantN, wantErr := run(func(l int64, y func([]string) bool) (int64, error) { return mapEach(ps, l, y) })
-			gotSeq, gotN, gotErr := run(ps.Each)
+			gotSeq, gotN, gotErr := run(func(l int64, y func([]string) bool) (int64, error) { return nameEach(ps, l, y) })
 			if !reflect.DeepEqual(gotSeq, wantSeq) || gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				return fmt.Errorf("from=%v to=%v within=%v limit=%d stop=%d:\n got  %v (%d, %v)\n want %v (%d, %v)",
 					ps.From, ps.To, ps.Within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
