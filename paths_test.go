@@ -69,9 +69,9 @@ func TestPathBudgetFailsTheCompile(t *testing.T) {
 		return // the detector slows the walk and inflates nothing we measure here
 	}
 	// Materialising every path within the budget, as resolution once did,
-	// allocated 298 MB and took 0.61 s; the walk allocates next to nothing and
-	// takes under half that. Time is held to twice the old figure, so a loaded
-	// host does not fail it.
+	// allocated 298 MB and took 0.61 s; the walk keeps at most 2^20 hops of
+	// the paths (about 12 MB allocated) and takes under half that. Time is
+	// held to twice the old figure, so a loaded host does not fail it.
 	if mb > 298 {
 		t.Errorf("the failing compile allocated %.1f MB, more than materialising every path did (298 MB)", mb)
 	}
