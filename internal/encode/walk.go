@@ -2,8 +2,8 @@ package encode
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
-	"sync"
 
 	"lyra/internal/topo"
 )
@@ -67,8 +67,8 @@ func (b *pathBuf) path(p int32) []int32 {
 	return b.hops[from:b.ends[p]]
 }
 
-// add appends a path, doubling a full buffer: a buffer the pool dropped
-// grows back in a few allocations of at most twice what the walk needs.
+// add appends a path, doubling a full buffer: a new buffer grows in a few
+// allocations of at most twice what the walk needs.
 func (b *pathBuf) add(p []int32) {
 	if len(b.hops)+len(p) > cap(b.hops) {
 		b.hops = slices.Grow(b.hops, len(b.hops)+len(p))
@@ -80,13 +80,31 @@ func (b *pathBuf) add(p []int32) {
 	b.ends = append(b.ends, int32(len(b.hops)))
 }
 
-var pathStores = sync.Pool{New: func() any { return new(pathStore) }}
+// pathStores keeps path stores from one solve to the next, at most one per
+// processor, in a free list a garbage collection does not empty as it does a
+// sync.Pool. A store comes back without its buffers of more than storedHops
+// hops (64 Ki, 256 KiB; the 1,040-switch fat tree's scope has 16 Ki), so a
+// mesh compile leaves no walk's worth of memory behind.
+var pathStores = make(chan *pathStore, runtime.GOMAXPROCS(0))
 
-func getPathStore() *pathStore { return pathStores.Get().(*pathStore) }
+const storedHops = 1 << 16
+
+func getPathStore() *pathStore {
+	select {
+	case st := <-pathStores:
+		return st
+	default:
+		return new(pathStore)
+	}
+}
 
 func putPathStore(st *pathStore) {
 	st.reset()
-	pathStores.Put(st)
+	st.bufs = slices.DeleteFunc(st.bufs, func(b *pathBuf) bool { return cap(b.hops) > storedHops || cap(b.ends) > storedHops })
+	select {
+	case pathStores <- st:
+	default:
+	}
 }
 
 // buf hands out an empty buffer.
