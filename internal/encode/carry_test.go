@@ -371,7 +371,7 @@ func carriedHashesAfterFaults(t *testing.T) {
 			}
 			carried++
 			for _, sw := range prev.Input.Net.Names() {
-				if has(rehashed, sw) {
+				if slices.Contains(rehashed, sw) {
 					continue
 				}
 				if got.Fingerprints()[sw] != prev.Fingerprints()[sw] || got.Shape(sw) != prev.Shape(sw) {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -479,7 +478,7 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 			hit[r.b] = true
 		}
 	}
-	ca := &carried{algs: map[string]bool{}}
+	ca := &carried{algs: map[string]bool{}, within: in.Net.NewSet()}
 	for _, b := range prev.bound {
 		if !hit[b] {
 			ca.kept = append(ca.kept, b)
@@ -490,15 +489,14 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 			ca.algs[alg] = true
 		}
 		for _, sw := range b.Switches {
-			if in.Net.Switch(sw) != nil {
-				ca.within = append(ca.within, sw)
+			if s := in.Net.Switch(sw); s != nil {
+				ca.within.Add(s.ID())
 			}
 		}
 	}
 	if len(ca.kept) == 0 {
 		return nil
 	}
-	sort.Strings(ca.within)
 	return ca
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"lyra/internal/ir"
 	"lyra/internal/scope"
+	"lyra/internal/topo"
 )
 
 // Component is one independent slice of the placement problem: a set of
@@ -134,14 +135,8 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 			if groups, offPath, err = pathGroups(ctx, rs, st); err != nil {
 				return nil, false, fmt.Errorf("encode: scope of %q: %w", a.Name, err)
 			}
-			switch {
-			case ca != nil && (len(offPath) > 0 || len(groups) == 0):
+			if ca != nil && (len(offPath) > 0 || len(groups) == 0) {
 				return nil, false, nil
-			case len(groups) > 0:
-				// Switches on no path attach to the first group: they only ever
-				// receive "no flow traverses you" exclusions.
-				groups[0].members = append(groups[0].members, offPath...)
-				sort.Strings(groups[0].members)
 			}
 		}
 		if !keptElsewhere && len(groups) < 2 {
@@ -180,20 +175,20 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		}
 		return parent[i]
 	}
-	n := 0
+	span := int32(0)
 	for _, u := range units {
-		n += len(u.rs.Switches)
+		span = max(span, slices.Max(u.rs.IDs)+1)
 	}
-	owner := make(map[string]int, n) // switch -> first unit index seen
+	owner := make([]int, span) // switch id -> 1 + the first unit index seen
 	for i, u := range units {
-		for _, sw := range u.rs.Switches {
-			if j, ok := owner[sw]; ok {
+		for _, id := range u.rs.IDs {
+			if j := owner[id] - 1; j >= 0 {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[ri] = rj
 				}
 			} else {
-				owner[sw] = i
+				owner[id] = i + 1
 			}
 		}
 	}
@@ -238,19 +233,15 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 			a := algs[ai]
 			c.Algs = append(c.Algs, a.Name)
 			sub.Algorithms = append(sub.Algorithms, a)
-			scopes[a.Name] = mergeResolved(in.Scopes[a.Name], byAlg[ai])
+			scopes[a.Name] = mergeResolved(in.Net, in.Scopes[a.Name], byAlg[ai])
 			c.walked = append(c.walked, merge(byAlg[ai]))
 		}
 		if anySplit {
-			tag := ""
 			for _, rs := range scopes {
-				for _, sw := range rs.Switches {
-					if tag == "" || sw < tag {
-						tag = sw
-					}
+				if c.Tag == "" || rs.Switches[0] < c.Tag {
+					c.Tag = rs.Switches[0]
 				}
 			}
-			c.Tag = tag
 		}
 		c.In = &Input{IR: &sub, Net: in.Net, Scopes: scopes}
 		comps = append(comps, c)
@@ -264,8 +255,8 @@ type carried struct {
 	// kept are the previous plan's bindings none of whose switches the fault
 	// touched, in component order, and dropped are the others.
 	kept, dropped []*Binding
-	// within lists, sorted, the surviving switches of the touched components.
-	within []string
+	// within marks, by id, the surviving switches of the touched components.
+	within topo.Set
 	// algs holds the algorithms the touched components placed.
 	algs map[string]bool
 }
@@ -273,17 +264,14 @@ type carried struct {
 // narrow confines a resolved scope to the open switches: the scope itself
 // when all of it is open, nil when none of it is.
 func (ca *carried) narrow(rs *scope.Resolved) *scope.Resolved {
-	g := pathGroup{members: intersect(ca.within, rs.Switches)}
-	switch len(g.members) {
+	switch g := pick(rs, ca.within.Has); len(g.ids) {
 	case 0:
 		return nil
-	case len(rs.Switches):
+	case len(rs.IDs):
 		return rs
+	default:
+		return subResolved(rs, g)
 	}
-	if rs.PathSet != nil {
-		g.ends = [2][]string{intersect(rs.PathSet.From, g.members), intersect(rs.PathSet.To, g.members)}
-	}
-	return subResolved(rs, g)
 }
 
 // splittable reports whether a scope may split into path-connected groups at
@@ -301,13 +289,14 @@ func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 	return true
 }
 
-// pathGroup is one path-connected switch group of a scope: its members,
-// sorted, and the smallest of them, which orders the groups.
+// pathGroup is one path-connected switch group of a scope: its members in
+// name order, by name and by id, and the smallest of them, which orders the
+// groups.
 type pathGroup struct {
 	head    string
 	members []string
-	ends    [2][]string // the parts of the scope's PathSet.From and To among the members
-	paths   walked      // the flow paths inside the group, in walk order
+	ids     []int32
+	paths   walked // the flow paths inside the group, in walk order
 }
 
 // keepHops bounds the hops a walk keeps (1 Mi hops, 4 MiB): the components of
@@ -320,8 +309,8 @@ const keepHops = 1 << 20
 // switches they connect, ordered by head, each with its share of the paths,
 // and the scope switches no flow traverses. The union-find runs over the
 // scope's places, found through a table by switch id, and the paths are kept
-// in st. The scope's endpoints are split over the groups in one pass, those on
-// no path going to the first group, where the switches on no path go. A group
+// in st. The scope's switches are split over the groups in one pass, those on
+// no path going to the first group. A group
 // has no share when some path leaves the scope's switches, since its own path
 // set would not yield that path, or when the paths exceed keepHops. A walk
 // past the path budget fails with the *topo.PathLimitError.
@@ -330,13 +319,11 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 	if ps == nil {
 		return nil, rs.Switches, nil
 	}
-	n := len(rs.Switches)
+	n := len(rs.IDs)
 	// place holds 1 + a switch's place in the scope by switch id, 0 off it.
 	place := zeroed(&st.place, ps.Span())
-	for i, sw := range rs.Switches {
-		if id, ok := ps.ID(sw); ok {
-			place[id] = int32(i + 1)
-		}
+	for i, id := range rs.IDs {
+		place[id] = int32(i + 1)
 	}
 	parent := resize(st.parent, n)
 	st.parent = parent
@@ -387,29 +374,22 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 	for i := range at {
 		at[i] = -1
 	}
-	for i, sw := range rs.Switches { // scope order is sorted: members and heads come out sorted
+	for i, sw := range rs.Switches { // scope order is sorted: heads come out sorted
 		if onPath[i] == 0 {
 			offPath = append(offPath, sw)
-			continue
-		}
-		r := find(int32(i))
-		if at[r] < 0 {
+		} else if r := find(int32(i)); at[r] < 0 {
 			at[r] = int32(len(groups))
 			groups = append(groups, pathGroup{head: sw})
 		}
-		groups[at[r]].members = append(groups[at[r]].members, sw)
 	}
 	if len(groups) == 0 {
 		return groups, offPath, nil
 	}
-	// A switch on no path is its own root and has no group: group 0.
-	for e, ends := range [2][]string{ps.From, ps.To} {
-		for _, sw := range ends {
-			if id, ok := ps.ID(sw); ok && place[id] > 0 {
-				g := &groups[max(at[find(place[id]-1)], 0)]
-				g.ends[e] = append(g.ends[e], sw)
-			}
-		}
+	// A switch on no path is its own root and has no group: it attaches to
+	// group 0, where it only ever receives "no flow traverses you" exclusions.
+	for i, id := range rs.IDs {
+		g := &groups[max(at[find(int32(i))], 0)]
+		g.members, g.ids = append(g.members, rs.Switches[i]), append(g.ids, id)
 	}
 	if kept && !leaves {
 		split(b, ps, groups, func(id int32) int32 { return at[find(place[id]-1)] })
@@ -421,9 +401,9 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 // lies entirely inside one group (that is what defines the groups), so the
 // PathSet narrows to the group's switches and endpoints.
 func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
-	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members}
+	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members, IDs: g.ids}
 	if rs.PathSet != nil {
-		sub.PathSet = rs.PathSet.Narrow(g.ends[0], g.ends[1], g.members)
+		sub.PathSet = rs.PathSet.Narrow(g.ids, g.members)
 	}
 	return sub
 }
@@ -431,47 +411,31 @@ func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
 // mergeResolved reassembles scope fragments that landed in one component.
 // All fragments derive from the same original scope; when every fragment of
 // the scope is present the original is returned verbatim.
-func mergeResolved(orig *scope.Resolved, parts []unit) *scope.Resolved {
+func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []unit) *scope.Resolved {
 	if len(parts) == 1 {
 		return parts[0].rs
 	}
-	var switches []string
-	total := 0
+	set, total := net.NewSet(), 0
 	for _, p := range parts {
-		switches = append(switches, p.rs.Switches...)
-		total += len(p.rs.Switches)
+		for _, id := range p.rs.IDs {
+			set.Add(id)
+		}
+		total += len(p.rs.IDs)
 	}
-	if total == len(orig.Switches) {
+	if total == len(orig.IDs) {
 		return orig
 	}
-	sort.Strings(switches)
-	merged := &scope.Resolved{Scope: orig.Scope, Switches: switches}
-	if orig.PathSet != nil {
-		merged.PathSet = orig.PathSet.Narrow(intersect(orig.PathSet.From, switches), intersect(orig.PathSet.To, switches), switches)
-	}
-	return merged
+	return subResolved(orig, pick(orig, set.Has))
 }
 
-// intersect returns, sorted, the elements two sorted lists share. It looks
-// the shorter list's elements up in the longer, so narrowing a fabric-wide
-// list to a pod costs the pod.
-func intersect(xs, set []string) []string {
-	if len(xs) > len(set) {
-		xs, set = set, xs
-	}
-	var out []string
-	for _, x := range xs {
-		if has(set, x) {
-			out = append(out, x)
+// pick returns the group of the switches of rs that keep holds, in name order.
+func pick(rs *scope.Resolved, keep func(id int32) bool) (g pathGroup) {
+	for i, id := range rs.IDs {
+		if keep(id) {
+			g.members, g.ids = append(g.members, rs.Switches[i]), append(g.ids, id)
 		}
 	}
-	return out
-}
-
-// has reports whether x is in the sorted list set.
-func has(set []string, x string) bool {
-	_, ok := slices.BinarySearch(set, x)
-	return ok
+	return g
 }
 
 func wholeComponent(in *Input) *Component {

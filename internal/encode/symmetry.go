@@ -69,11 +69,11 @@ type numbering struct {
 	models map[*asic.Model]chip
 	// The component in hand, its switches by rank in name order: chips holds
 	// each rank's chip and the paths are by rank, then, once numbered, by
-	// index. rankOf holds 1 + a switch's rank by the id of the path set in
-	// hand, 0 off the component, and ids the ids it is set at.
+	// index. rankOf holds 1 + a switch's rank by switch id, 0 off the
+	// component.
 	chips []chip
 	hopLists
-	rankOf, ids []int32
+	rankOf []int32
 	// Refinement scratch: an algorithm's membership and path-role bits by
 	// rank, the starting and current colours, the next round's, sorted copies
 	// for counting classes, and the least rank of each starting colour.
@@ -138,23 +138,26 @@ func putNumbering(nb *numbering) {
 // again under its numbering. A walk of the paths stops once ctx is done.
 func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (union []string, fp string, err error) {
 	in := c.In
-	for _, a := range in.IR.Algorithms {
-		if rs := in.Scopes[a.Name]; rs != nil {
-			union = append(union, rs.Switches...)
-		}
-	}
-	slices.Sort(union)
-	union = slices.Compact(union)
+	union, ids := switchesOf(in)
 	n := len(union)
 	if n == 0 {
 		return union, "", nil
 	}
+	nb.rankOf = resize(nb.rankOf, in.Net.Span())
+	for r, id := range ids {
+		nb.rankOf[id] = int32(r + 1)
+	}
+	defer func() {
+		for _, id := range ids {
+			nb.rankOf[id] = 0
+		}
+	}()
 	// A component with a switch of no known chip, or a path off its
 	// switches, has no canonical form; its paths are still laid out.
 	canon := true
 	nb.chips, nb.start = nb.chips[:0], resize(nb.start, n)
-	for i, sw := range union {
-		s := in.Net.Switch(sw)
+	for i, id := range ids {
+		s := in.Net.At(id)
 		if s == nil || s.ASIC == nil {
 			canon = false
 			nb.chips = append(nb.chips, chip{})
@@ -192,10 +195,10 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 		}
 		clear(role)
 		nb.sw = nb.sw[:0]
-		for _, sw := range rs.Switches {
-			r, _ := slices.BinarySearch(union, sw)
+		for _, id := range rs.IDs {
+			r := nb.rankOf[id] - 1
 			role[r] = 1
-			nb.sw = append(nb.sw, int32(r))
+			nb.sw = append(nb.sw, r)
 		}
 		nb.head(h, alg.Name, rs.Deploy)
 		if rs.Deploy == scope.MultiSwitch {
@@ -203,7 +206,7 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 			if a < len(c.walked) {
 				w = c.walked[a]
 			}
-			on, err := nb.readPaths(ctx, rs, w, union, h)
+			on, err := nb.readPaths(ctx, rs, w, h)
 			if err != nil {
 				return nil, "", err
 			}
@@ -240,15 +243,35 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 	if !classed {
 		return union, "", nil
 	}
-	return union, nb.render(c, named), nil
+	return union, nb.render(c), nil
+}
+
+// switchesOf returns the switches of a component's scopes in name order, by
+// name and by id: those of its one scope, or their union.
+func switchesOf(in *Input) ([]string, []int32) {
+	set, n := in.Net.NewSet(), 0
+	var one *scope.Resolved
+	for _, a := range in.IR.Algorithms {
+		if rs := in.Scopes[a.Name]; rs != nil {
+			for _, id := range rs.IDs {
+				set.Add(id)
+			}
+			one, n = rs, n+1
+		}
+	}
+	if n == 1 {
+		return one.Switches, one.IDs
+	}
+	ids, names := in.Net.Sorted(set)
+	return names, ids
 }
 
 // readPaths appends a MULTI-SW scope's flow paths to the component's by rank,
 // marking each switch's path role in nb.role and writing each path into h: the
 // paths w holds when the partition walked the scope, and otherwise a walk of
 // its path set, polled against ctx. It reports whether every hop is one of
-// union, the component's switches in name order.
-func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked, union []string, h hash.Hash) (on bool, err error) {
+// the component's switches, ranked in nb.rankOf.
+func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked, h hash.Hash) (on bool, err error) {
 	set := w.set
 	if set == nil {
 		set = rs.PathSet
@@ -256,14 +279,7 @@ func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked
 	if set == nil {
 		return true, nil
 	}
-	rankOf := resize(nb.rankOf, set.Span())
-	nb.rankOf, nb.ids = rankOf, nb.ids[:0]
-	for r, sw := range union {
-		if id, ok := set.ID(sw); ok {
-			rankOf[id] = int32(r + 1)
-			nb.ids = append(nb.ids, id)
-		}
-	}
+	rankOf := nb.rankOf
 	on = true
 	role := nb.role
 	add := func(p []int32) bool {
@@ -289,9 +305,6 @@ func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked
 		w.each(polled(ctx, add))
 	} else {
 		err = rs.EachPath(polled(ctx, add))
-	}
-	for _, id := range nb.ids {
-		rankOf[id] = 0
 	}
 	if ctx.Err() != nil {
 		return false, timeout(ctx)
@@ -422,16 +435,14 @@ func (nb *numbering) end(h hash.Hash) {
 
 // render hashes a split component under its numbering: per algorithm its
 // scope switches and its flow paths sorted in index order, then its chips.
-// named is the component's switches in name order.
-func (nb *numbering) render(c *Component, named []string) string {
+func (nb *numbering) render(c *Component) string {
 	h := sha256.New()
 	p := int32(0)
 	for a, alg := range c.In.IR.Algorithms {
 		rs := c.In.Scopes[alg.Name]
 		nb.sw = nb.sw[:0]
-		for _, sw := range rs.Switches {
-			r, _ := slices.BinarySearch(named, sw)
-			nb.sw = append(nb.sw, nb.index[r])
+		for _, id := range rs.IDs {
+			nb.sw = append(nb.sw, nb.index[nb.rankOf[id]-1])
 		}
 		slices.Sort(nb.sw)
 		nb.head(h, alg.Name, rs.Deploy)

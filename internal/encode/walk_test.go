@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"lyra/internal/asic"
@@ -151,7 +152,8 @@ type refGroup struct {
 }
 
 // nameGroups is pathGroups by name: the paths listed by name, union-find over
-// a name map. leaves reports a path through a switch off the scope.
+// a name map, the switches on no path in the first group. leaves reports a
+// path through a switch off the scope.
 func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []string, leaves bool) {
 	t.Helper()
 	paths, err := rs.PathList()
@@ -204,6 +206,9 @@ func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []
 	if len(groups) == 0 {
 		return groups, offPath, leaves
 	}
+	// Switches on no path attach to the first group.
+	groups[0].members = append(groups[0].members, offPath...)
+	sort.Strings(groups[0].members)
 	for e, ends := range [2][]string{rs.PathSet.From, rs.PathSet.To} {
 		for _, sw := range ends {
 			if in[sw] {
@@ -235,8 +240,10 @@ func sameGroups(t *testing.T, label string, rs *scope.Resolved) (shares int) {
 	}
 	for i, g := range got {
 		w := want[i]
-		if g.head != w.head || !slices.Equal(g.members, w.members) || !reflect.DeepEqual(g.ends, w.ends) {
-			t.Fatalf("%s: group %d is %s %v ends %v; the name walk's is %s %v ends %v", label, i, g.head, g.members, g.ends, w.head, w.members, w.ends)
+		frag := subResolved(rs, g).PathSet
+		ends := [2][]string{frag.From, frag.To}
+		if g.head != w.head || !slices.Equal(g.members, w.members) || !reflect.DeepEqual(ends, w.ends) {
+			t.Fatalf("%s: group %d is %s %v ends %v; the name walk's is %s %v ends %v", label, i, g.head, g.members, ends, w.head, w.members, w.ends)
 		}
 		if leaves {
 			if g.paths.set != nil {

@@ -16,8 +16,9 @@ import (
 // ResolveWith, with and without AllowMissing, on the testbed and on a k=4 fat
 // tree. Every input must give an *Error or a resolution of every algorithm
 // whose switches are sorted and are switches of the network, as are a MULTI-SW
-// scope's flow endpoints; no input may panic, and each must be done within
-// two seconds.
+// scope's flow endpoints; the error or resolution must be the name resolver's
+// (nameResolve); no input may panic, and each must be done within two
+// seconds.
 func FuzzScopeSpec(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/scopes/*.scope")
 	for _, name := range files {
@@ -73,6 +74,9 @@ func FuzzScopeSpec(f *testing.F) {
 			return
 		}
 		for _, net := range nets {
+			if err := matchesNameResolve(spec, net, ResolveOpts{AllowMissing: allowMissing}); err != nil {
+				t.Fatalf("the name resolver disagrees: %v", err)
+			}
 			res, err := spec.ResolveWith(net, ResolveOpts{AllowMissing: allowMissing})
 			if err != nil {
 				if !errors.As(err, &se) {

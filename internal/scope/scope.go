@@ -12,7 +12,7 @@ package scope
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"lyra/internal/topo"
@@ -203,9 +203,12 @@ func splitTop(s string, sep byte) []string {
 type Resolved struct {
 	Scope
 	Switches []string // concrete switch names, sorted
+	IDs      []int32  // the switches' ids in the network, in the order of Switches
 	// PathSet is the lazy path view (MULTI-SW only). It reflects the
-	// network the scope was resolved against.
+	// network the scope was resolved against and marks its switches by id.
 	PathSet *topo.PathSet
+
+	net *topo.Network
 }
 
 // MaxPaths bounds path enumeration per scope: large enough for every
@@ -221,7 +224,7 @@ type ResolveOpts struct {
 	// direction endpoint set becomes empty, or no flow path survives.
 	AllowMissing bool
 	// LazyPaths does nothing: every resolution streams its paths. It stays
-	// because bench/ sets it; ROADMAP item 1 deletes it.
+	// because bench/ sets it; ROADMAP item 2b deletes it.
 	LazyPaths bool
 }
 
@@ -234,35 +237,27 @@ func (s *Spec) Resolve(net *topo.Network) (map[string]*Resolved, error) {
 // ResolveWith is Resolve with explicit options; recompilation after a
 // fault uses AllowMissing so that a scope naming a dead switch degrades to
 // the surviving members instead of failing outright. A scope that does not
-// resolve is an *Error.
+// resolve is an *Error. Patterns are matched into sets of switch ids, which
+// the network's name order renders.
 func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Resolved, error) {
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
-		set := map[string]bool{}
-		for _, pat := range sc.Region {
-			matched := net.Match(pat)
-			if len(matched) == 0 && !opts.AllowMissing {
-				return nil, resolveErr(sc.Alg, "region pattern %q matches no switch", pat)
-			}
-			for _, sw := range matched {
-				set[sw.Name] = true
-			}
+		region := net.NewSet()
+		if i := net.Match(region, sc.Region); i >= 0 && !opts.AllowMissing {
+			return nil, resolveErr(sc.Alg, "region pattern %q matches no switch", sc.Region[i])
 		}
-		switches := sortedKeys(set)
-		var ps *topo.PathSet
-		if sc.Deploy == MultiSwitch && len(set) > 0 {
-			from, err := expand(net, sc.Direct.From, opts)
-			if err != nil {
-				return nil, resolveErr(sc.Alg, "%v", err)
+		r := &Resolved{Scope: sc, net: net}
+		r.IDs, r.Switches = net.Sorted(region)
+		if sc.Deploy == MultiSwitch && len(r.IDs) > 0 {
+			ends := [2]topo.Set{net.NewSet(), net.NewSet()}
+			for e, patterns := range [2][]string{sc.Direct.From, sc.Direct.To} {
+				if i := net.Match(ends[e], patterns); i >= 0 && !opts.AllowMissing {
+					return nil, resolveErr(sc.Alg, "pattern %q matches no switch", patterns[i])
+				}
 			}
-			to, err := expand(net, sc.Direct.To, opts)
-			if err != nil {
-				return nil, resolveErr(sc.Alg, "%v", err)
-			}
-			ps = net.PathSet(from, to, switches)
+			r.PathSet = net.Paths(ends[0], ends[1], region, r.Switches)
 		}
-		r, err := sc.bind(switches, ps)
-		if err != nil {
+		if err := r.check(); err != nil {
 			return nil, err
 		}
 		out[sc.Alg] = r
@@ -272,53 +267,32 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 
 // ResolveAfter is ResolveWith for a network derived from the one prev was
 // resolved against, delta being net.Since of that network. When the delta is
-// faults only — switches and links removed, chips changed — and prev came
-// from this spec, each scope is its previous resolution minus what left: no
-// pattern is matched and no list sorted again, and lists nothing was removed
-// from are shared. The result, errors included, is what ResolveWith gives
-// with AllowMissing; any other delta is handed to ResolveWith.
+// faults only — switches and links removed, chips changed — the two networks
+// share their name index and prev came from this spec, each scope is its
+// previous resolution less the switches net lacks: no pattern is matched
+// again, the removed ids are cleared from the sets, and lists and sets that
+// lose nothing are shared. The result, errors included, is what ResolveWith
+// gives with AllowMissing; any other delta is handed to ResolveWith.
 func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta topo.Delta, opts ResolveOpts) (map[string]*Resolved, error) {
-	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev) {
+	if !opts.AllowMissing || delta.Grew || !s.resolvedAs(prev, net) {
 		return s.ResolveWith(net, opts)
-	}
-	// without returns a sorted list less the removed switches: the list
-	// itself when it has none of them, else its runs between them copied.
-	var cut []int
-	without := func(xs []string) []string {
-		cut = cut[:0]
-		for _, sw := range delta.Removed {
-			if i := sort.SearchStrings(xs, sw); i < len(xs) && xs[i] == sw {
-				cut = append(cut, i)
-			}
-		}
-		if len(cut) == 0 {
-			return xs
-		}
-		sort.Ints(cut)
-		out := make([]string, 0, len(xs)-len(cut))
-		from := 0
-		for _, i := range cut {
-			out, from = append(out, xs[from:i]...), i+1
-		}
-		return append(out, xs[from:]...)
 	}
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
 		was := prev[sc.Alg]
-		switches := without(was.Switches)
-		var ps *topo.PathSet
-		if sc.Deploy == MultiSwitch && len(switches) > 0 {
-			from, to := without(was.PathSet.From), without(was.PathSet.To)
-			if len(from) == 0 {
-				return nil, resolveErr(sc.Alg, "patterns %v match no surviving switch", sc.Direct.From)
+		r := &Resolved{Scope: sc, IDs: was.IDs, Switches: was.Switches, net: net}
+		if slices.ContainsFunc(was.IDs, func(id int32) bool { return net.At(id) == nil }) {
+			r.IDs, r.Switches = nil, nil
+			for i, id := range was.IDs {
+				if net.At(id) != nil {
+					r.IDs, r.Switches = append(r.IDs, id), append(r.Switches, was.Switches[i])
+				}
 			}
-			if len(to) == 0 {
-				return nil, resolveErr(sc.Alg, "patterns %v match no surviving switch", sc.Direct.To)
-			}
-			ps = was.PathSet.After(net, from, to, switches)
 		}
-		r, err := sc.bind(switches, ps)
-		if err != nil {
+		if sc.Deploy == MultiSwitch && len(r.IDs) > 0 {
+			r.PathSet = was.PathSet.After(net, r.Switches)
+		}
+		if err := r.check(); err != nil {
 			return nil, err
 		}
 		out[sc.Alg] = r
@@ -326,15 +300,16 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 	return out, nil
 }
 
-// resolvedAs reports whether prev is what this spec resolves to on some
-// network: the same scopes, each MULTI-SW one with its path set.
-func (s *Spec) resolvedAs(prev map[string]*Resolved) bool {
+// resolvedAs reports whether prev is what this spec resolves to on a network
+// whose name index net shares: the same scopes, each MULTI-SW one with its
+// path set.
+func (s *Spec) resolvedAs(prev map[string]*Resolved, net *topo.Network) bool {
 	if len(prev) != len(s.Scopes) {
 		return false
 	}
 	for _, sc := range s.Scopes {
 		was := prev[sc.Alg]
-		if was == nil || !reflect.DeepEqual(was.Scope, sc) {
+		if was == nil || was.net == nil || !net.SharesIndex(was.net) || !reflect.DeepEqual(was.Scope, sc) {
 			return false
 		}
 		if sc.Deploy == MultiSwitch && was.PathSet == nil {
@@ -344,22 +319,22 @@ func (s *Spec) resolvedAs(prev map[string]*Resolved) bool {
 	return true
 }
 
-// bind builds the resolution of one scope from its sorted switch list and,
-// for MULTI-SW, its path set, checking what any resolution must: a non-empty
-// region and, for MULTI-SW, at least one flow path.
-func (sc Scope) bind(switches []string, ps *topo.PathSet) (*Resolved, error) {
-	if len(switches) == 0 {
-		return nil, resolveErr(sc.Alg, "region %v matches no surviving switch", sc.Region)
+// check checks what any resolution must have: a non-empty region and, for
+// MULTI-SW, flow endpoints at both ends and at least one flow path.
+func (r *Resolved) check() error {
+	switch {
+	case len(r.Switches) == 0:
+		return resolveErr(r.Alg, "region %v matches no surviving switch", r.Region)
+	case r.Deploy != MultiSwitch:
+		return nil
+	case len(r.PathSet.From) == 0:
+		return resolveErr(r.Alg, "patterns %v match no surviving switch", r.Direct.From)
+	case len(r.PathSet.To) == 0:
+		return resolveErr(r.Alg, "patterns %v match no surviving switch", r.Direct.To)
+	case !r.PathSet.Any():
+		return resolveErr(r.Alg, "no flow path from %v to %v within %v", r.Direct.From, r.Direct.To, r.Switches)
 	}
-	r := &Resolved{Scope: sc, Switches: switches}
-	if sc.Deploy != MultiSwitch {
-		return r, nil
-	}
-	r.PathSet = ps
-	if !ps.Any() {
-		return nil, resolveErr(sc.Alg, "no flow path from %v to %v within %v", sc.Direct.From, sc.Direct.To, switches)
-	}
-	return r, nil
+	return nil
 }
 
 // EachPath iterates the scope's flow paths in the PathSet's deterministic
@@ -394,30 +369,4 @@ func (r *Resolved) PathCount() (int64, error) {
 		return 0, nil
 	}
 	return r.PathSet.Count(MaxPaths)
-}
-
-func expand(net *topo.Network, patterns []string, opts ResolveOpts) ([]string, error) {
-	set := map[string]bool{}
-	for _, p := range patterns {
-		ms := net.Match(p)
-		if len(ms) == 0 && !opts.AllowMissing {
-			return nil, fmt.Errorf("pattern %q matches no switch", p)
-		}
-		for _, m := range ms {
-			set[m.Name] = true
-		}
-	}
-	if len(set) == 0 {
-		return nil, fmt.Errorf("patterns %v match no surviving switch", patterns)
-	}
-	return sortedKeys(set), nil
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

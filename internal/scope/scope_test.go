@@ -106,36 +106,32 @@ func TestCommentsAndBlanks(t *testing.T) {
 	}
 }
 
-// sameResolution compares what two resolutions hold: switches, endpoints and
-// the enumerated path sequence.
+// sameResolution compares what two resolutions hold: switches, their ids,
+// endpoints, the endpoint marks by id and the enumerated path sequence.
 func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d scopes, want %d", label, len(got), len(want))
-	}
-	walk := func(r *Resolved) (seq []string) {
-		r.EachPath(func(p []int32) bool {
-			names := make([]string, len(p))
-			for i, id := range p {
-				names[i] = r.PathSet.Name(id)
-			}
-			seq = append(seq, strings.Join(names, ">"))
-			return true
-		})
-		return
 	}
 	for alg, w := range want {
 		g := got[alg]
 		if g == nil {
 			t.Fatalf("%s: no resolution for %s", label, alg)
 		}
-		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) || (g.PathSet == nil) != (w.PathSet == nil) {
+		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) || !reflect.DeepEqual(g.IDs, w.IDs) ||
+			(g.PathSet == nil) != (w.PathSet == nil) {
 			t.Errorf("%s: %s resolves to %+v, want %+v", label, alg, g, w)
 			continue
 		}
 		if g.PathSet != nil && (!reflect.DeepEqual(g.PathSet.From, w.PathSet.From) || !reflect.DeepEqual(g.PathSet.To, w.PathSet.To) ||
 			!reflect.DeepEqual(g.PathSet.Within, w.PathSet.Within)) {
 			t.Errorf("%s: %s path set %+v, want %+v", label, alg, g.PathSet, w.PathSet)
+		}
+		for id := int32(0); g.PathSet != nil && int(id) < g.PathSet.Span(); id++ {
+			gf, gt := g.PathSet.Ends(id)
+			if wf, wt := w.PathSet.Ends(id); gf != wf || gt != wt {
+				t.Errorf("%s: %s marks switch %d as an end (%v, %v), want (%v, %v)", label, alg, id, gf, gt, wf, wt)
+			}
 		}
 		if gs, ws := walk(g), walk(w); !reflect.DeepEqual(gs, ws) {
 			t.Errorf("%s: %s walks %v, want %v", label, alg, gs, ws)

@@ -3,7 +3,6 @@ package topo
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -33,76 +32,82 @@ func (e *PathLimitError) Unwrap() error { return ErrPathLimit }
 // consumers iterate with Each, count with Count, or materialize a bounded
 // slice with Materialize. The set is a view over the network: it reflects
 // the adjacency at iteration time, so it must not outlive topology
-// mutations it is expected to be consistent with. Membership of To and
-// Within is fixed when the set is made: it is marked by switch id then.
+// mutations it is expected to be consistent with. Its switches are sets of
+// switch ids, fixed when the set is made; From, To and Within render them in
+// name order.
 type PathSet struct {
 	net    *Network
 	From   []string
 	To     []string
 	Within []string // nil = all switches
 
-	to, in bitset // To and Within by switch id (in is unused while Within is nil)
+	starts       []int32 // the ids of From, in its order
+	from, to, in Set     // From, To and Within by switch id (in is nil while Within is)
 }
 
-// bitset is a set of switch ids.
-type bitset []uint64
+// Paths builds the lazy path view of the flow paths from the switches of from
+// to those of to, within those of within, whose names the caller has from
+// Sorted.
+func (n *Network) Paths(from, to, within Set, names []string) *PathSet {
+	ps := &PathSet{net: n, Within: names, from: from, to: to, in: within}
+	ps.starts, ps.From = n.Sorted(from)
+	_, ps.To = n.Sorted(to)
+	return ps
+}
 
-func (b bitset) has(id int32) bool { return int(id>>6) < len(b) && b[id>>6]&(1<<(id&63)) != 0 }
-func (b bitset) set(id int32)      { b[id>>6] |= 1 << (id & 63) }
-func (b bitset) unset(id int32)    { b[id>>6] &^= 1 << (id & 63) }
+// After returns the set on n, a state of the set's network that shares its
+// name index (SharesIndex) and lost switches or links since: the set less the
+// switches n lacks, names being its Within switches n has. A set or list that
+// loses none of them is shared.
+func (ps *PathSet) After(n *Network, names []string) *PathSet {
+	out := *ps
+	out.net, out.Within = n, names
+	var cut bool
+	if out.from, cut = n.live(ps.from); cut {
+		out.starts, out.From = n.Sorted(out.from)
+	}
+	if out.to, cut = n.live(ps.to); cut {
+		_, out.To = n.Sorted(out.to)
+	}
+	out.in, _ = n.live(ps.in)
+	return &out
+}
 
-// bits marks the named switches n has an id for.
-func (n *Network) bits(names []string) bitset {
-	b := make(bitset, (len(n.recs)+63)/64)
-	for _, name := range names {
-		if id, ok := n.ids[name]; ok {
-			b.set(id)
+// Narrow returns the paths of the set that stay inside some of its Within
+// switches, given in name order by id and by name: its starts and targets
+// among them. The marks are the set's, as a walk reads one only where it
+// stands, which is inside within.
+func (ps *PathSet) Narrow(within []int32, names []string) *PathSet {
+	out := &PathSet{net: ps.net, Within: names, from: ps.from, to: ps.to, in: ps.net.NewSet()}
+	for i, id := range within {
+		out.in.Add(id)
+		if ps.from.Has(id) {
+			out.starts, out.From = append(out.starts, id), append(out.From, names[i])
+		}
+		if ps.to.Has(id) {
+			out.To = append(out.To, names[i])
 		}
 	}
-	return b
+	return out
 }
 
-// PathSet builds the lazy path view for a scope.
-func (n *Network) PathSet(from, to, within []string) *PathSet {
-	return &PathSet{net: n, From: from, To: to, Within: within, to: n.bits(to), in: n.bits(within)}
-}
-
-// After returns the path set of n, a state of the set's network that lost
-// switches or links since, between from and to within within: the set's
-// lists less the switches n lacks. While the two networks share their name
-// index the set's marks serve n as they are — a mark on a switch n lacks is
-// never read, as no walk reaches a switch that has no links — and otherwise
-// they are made anew.
-func (ps *PathSet) After(n *Network, from, to, within []string) *PathSet {
-	if n.idsGen != ps.net.idsGen || (within == nil) != (ps.Within == nil) {
-		return n.PathSet(from, to, within)
-	}
-	return &PathSet{net: n, From: from, To: to, Within: within, to: ps.to, in: ps.in}
-}
-
-// Narrow returns the paths of the set that stay inside within, a part of its
-// Within, from and to being the parts of its From and To in there. Only
-// within is looked up: the target marks are the set's, as a walk reads one
-// only where it stands, which is inside within.
-func (ps *PathSet) Narrow(from, to, within []string) *PathSet {
-	return &PathSet{net: ps.net, From: from, To: to, Within: within, to: ps.to, in: ps.net.bits(within)}
-}
+// Ends reports whether a switch is in From and whether it is in To.
+func (ps *PathSet) Ends(id int32) (from, to bool) { return ps.from.Has(id), ps.to.Has(id) }
 
 // Each enumerates paths in deterministic DFS order (sorted start switches,
 // sorted neighbor expansion; enumeration stops at the first target hit, as
 // flows terminate there), each as the switch ids of its hops: Name renders an
-// id, ID finds a name's, and every id is below Span. The yield callback
-// receives a shared scratch slice valid only for the duration of the call —
-// copy it to retain it. Yielding false stops the enumeration early without
-// error. A limit > 0 bounds the number of paths enumerated; exceeding it
-// returns a *PathLimitError. The returned count is the number of paths
-// yielded.
+// id, and every id is below Span. The yield callback receives a shared
+// scratch slice valid only for the duration of the call — copy it to retain
+// it. Yielding false stops the enumeration early without error. A limit > 0
+// bounds the number of paths enumerated; exceeding it returns a
+// *PathLimitError. The returned count is the number of paths yielded.
 func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, error) {
 	n := ps.net
 	var count int64
 	stop, overflow := false, false
 	path := make([]int32, 0, 8)
-	onPath := make(bitset, len(n.recs)/64+1) // the switches path holds
+	onPath := make(Set, len(n.recs)/64+1) // the switches path holds
 	emit := func() {
 		if limit > 0 && count >= limit {
 			overflow, stop = true, true
@@ -113,39 +118,33 @@ func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, erro
 	}
 	var dfs func(id int32)
 	dfs = func(id int32) {
-		if ps.to.has(id) {
+		if ps.to.Has(id) {
 			emit()
 			return
 		}
-		onPath.set(id)
+		onPath.Add(id)
 		for _, nb := range n.recs[id].nbrs {
 			if stop {
 				break
 			}
-			if onPath.has(nb) || (ps.Within != nil && !ps.in.has(nb)) {
+			if onPath.Has(nb) || (ps.in != nil && !ps.in.Has(nb)) {
 				continue
 			}
 			path = append(path, nb)
 			dfs(nb)
 			path = path[:len(path)-1]
 		}
-		onPath.unset(id)
+		onPath[id>>6] &^= 1 << (id & 63)
 	}
-	starts := sorted(ps.From)
-	for _, s := range starts {
+	for _, id := range ps.starts {
 		if stop {
 			break
 		}
-		id, known := n.ids[s]
-		switch live := known && n.recs[id] != nil; {
-		case live && (ps.Within == nil || ps.in.has(id)):
-			path = append(path[:0], id)
+		path = append(path[:0], id)
+		if int(id) >= len(n.recs) {
+			emit() // a start the network has no switch for: a path by itself
+		} else if n.recs[id] != nil && (ps.in == nil || ps.in.Has(id)) {
 			dfs(id)
-		case !live && ps.Within != nil && slices.Contains(ps.Within, s) && slices.Contains(ps.To, s):
-			// A switch the network lacks has no links: a path by itself, when
-			// it is a target. Its id is past the network's.
-			path = append(path[:0], ps.ghost(starts, s))
-			emit()
 		}
 	}
 	if overflow {
@@ -156,13 +155,7 @@ func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, erro
 
 // Span bounds the ids Each yields: the network's switch ids, then one for
 // each start the network has no switch for.
-func (ps *PathSet) Span() int { return len(ps.net.recs) + len(ps.From) }
-
-// ghost is the id of a start the network has no switch for: past the
-// network's ids, at the start's first place in the sorted From list.
-func (ps *PathSet) ghost(starts []string, s string) int32 {
-	return int32(len(ps.net.recs) + sort.SearchStrings(starts, s))
-}
+func (ps *PathSet) Span() int { return ps.net.Span() + len(ps.From) }
 
 // Name renders a switch id Each yields.
 func (ps *PathSet) Name(id int32) string {
@@ -170,20 +163,6 @@ func (ps *PathSet) Name(id int32) string {
 		return recs[id].Name
 	}
 	return sorted(ps.From)[int(id)-len(ps.net.recs)]
-}
-
-// ID returns the id Each yields for a switch name, and false for a name no
-// path of the set can hold: one the network lacks that is not a start.
-func (ps *PathSet) ID(name string) (int32, bool) {
-	n := ps.net
-	if id, ok := n.ids[name]; ok && n.recs[id] != nil {
-		return id, true
-	}
-	starts := sorted(ps.From)
-	if i := sort.SearchStrings(starts, name); i < len(starts) && starts[i] == name {
-		return int32(len(n.recs) + i), true
-	}
-	return 0, false
 }
 
 // sorted returns xs if it is sorted already, otherwise a sorted copy.

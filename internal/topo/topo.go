@@ -43,9 +43,11 @@ type Network struct {
 	recs     []*Switch // by switch id; nil for a removed switch
 	// ids maps every name the network has had to its switch id: a removed
 	// switch keeps its entry and a re-added name its id, so clones share the
-	// map until one adds a new name. idsGen, the generation that may write it,
-	// tells whether two networks share it.
+	// map until one adds a new name. order lists the same ids in name (byte)
+	// order and is shared and copied with the map. idsGen, the generation that
+	// may write both, tells whether two networks share them.
 	ids    map[string]int32
+	order  []int32
 	idsGen *generation
 	// gen is the current edit generation, nil while the containers are shared
 	// with another network (after Clone or ReplaceWith). Atomic because Clone,
@@ -101,16 +103,30 @@ func (n *Network) AddSwitch(name, layer string, model *asic.Model) (*Switch, err
 		if n.idsGen != g {
 			ids := make(map[string]int32, len(n.ids)+1)
 			maps.Copy(ids, n.ids)
-			n.ids, n.idsGen = ids, g
+			n.ids, n.order, n.idsGen = ids, slices.Clip(n.order), g
 		}
 		id = int32(len(n.recs))
-		n.ids[name] = id
+		at := sort.Search(len(n.order), func(i int) bool { return n.nameOf(n.order[i]) >= name })
+		n.ids[name], n.order = id, slices.Insert(n.order, at, id)
 		n.recs = append(n.recs, nil)
 	}
 	s := &Switch{Name: name, Layer: layer, ASIC: model, id: id, gen: g}
 	n.recs[id] = s
 	n.Switches = append(n.Switches, s)
 	return s, nil
+}
+
+// nameOf returns the name of a switch id, also of a removed switch.
+func (n *Network) nameOf(id int32) string {
+	if s := n.recs[id]; s != nil {
+		return s.Name
+	}
+	for name, i := range n.ids {
+		if i == id {
+			return name
+		}
+	}
+	return ""
 }
 
 // AddLink connects two switches bidirectionally. Self-links and duplicate
@@ -211,7 +227,7 @@ func (n *Network) DegradeASIC(name string, transform func(*asic.Model) *asic.Mod
 // immutable registry values and always shared.
 func (n *Network) Clone() *Network {
 	n.gen.Store(nil)
-	return &Network{Switches: n.Switches, recs: n.recs, ids: n.ids, idsGen: n.idsGen}
+	return &Network{Switches: n.Switches, recs: n.recs, ids: n.ids, order: n.order, idsGen: n.idsGen}
 }
 
 // ReplaceWith overwrites n's contents with other's, sharing other's storage
@@ -221,8 +237,13 @@ func (n *Network) Clone() *Network {
 func (n *Network) ReplaceWith(other *Network) {
 	other.gen.Store(nil)
 	n.gen.Store(nil)
-	n.Switches, n.recs, n.ids, n.idsGen = other.Switches, other.recs, other.ids, other.idsGen
+	n.Switches, n.recs, n.ids, n.order, n.idsGen = other.Switches, other.recs, other.ids, other.order, other.idsGen
 }
+
+// SharesIndex reports whether n and m give every name the same switch id, as
+// networks do that one derived from the other by Clone and edits adding no
+// new name.
+func (n *Network) SharesIndex(m *Network) bool { return n.idsGen == m.idsGen }
 
 // Delta is how a network differs from an earlier state of itself (see Since).
 type Delta struct {
@@ -319,24 +340,70 @@ func (n *Network) EachNeighbor(name string, f func(nb string)) {
 	}
 }
 
-// Match returns the switches whose names match a region pattern. Patterns
-// are either exact names ("Agg3") or a prefix wildcard ("ToR*", §3.3).
-func (n *Network) Match(pattern string) []*Switch {
-	var out []*Switch
-	if strings.HasSuffix(pattern, "*") {
-		prefix := strings.TrimSuffix(pattern, "*")
-		for _, s := range n.Switches {
-			if strings.HasPrefix(s.Name, prefix) || s.Layer == prefix {
-				out = append(out, s)
+// Set is a set of switch ids of one name index (see SharesIndex), made by
+// NewSet.
+type Set []uint64
+
+// NewSet returns an empty set for n's switch ids.
+func (n *Network) NewSet() Set { return make(Set, (len(n.recs)+63)/64) }
+
+// Has reports whether id is in the set.
+func (s Set) Has(id int32) bool { return int(id>>6) < len(s) && s[id>>6]&(1<<(id&63)) != 0 }
+
+// Add puts id in the set.
+func (s Set) Add(id int32) { s[id>>6] |= 1 << (id & 63) }
+
+// live returns s less the switches n lacks, and whether it had any: s itself
+// when it had none.
+func (n *Network) live(s Set) (Set, bool) {
+	out, cut := s, false
+	for id, rec := range n.recs {
+		if rec == nil && s.Has(int32(id)) {
+			if !cut {
+				out, cut = slices.Clone(s), true
+			}
+			out[id>>6] &^= 1 << (id & 63)
+		}
+	}
+	return out, cut
+}
+
+// Match marks in set the switches that region patterns match — exact names,
+// or prefix wildcards ("ToR*", §3.3) that also match a layer name — in one
+// pass over the switches, and returns the index of the first pattern that
+// matches none, or -1.
+func (n *Network) Match(set Set, patterns []string) (missing int) {
+	hit := make([]bool, len(patterns))
+	for _, s := range n.recs {
+		for i, p := range patterns {
+			if prefix, wild := strings.CutSuffix(p, "*"); s != nil && (p == s.Name || wild && (strings.HasPrefix(s.Name, prefix) || s.Layer == prefix)) {
+				set.Add(s.id)
+				hit[i] = true
 			}
 		}
-		return out
 	}
-	if s := n.Switch(pattern); s != nil {
-		out = append(out, s)
-	}
-	return out
+	return slices.Index(hit, false)
 }
+
+// Sorted returns the switches of a set that n has, in name order: their ids
+// and their names.
+func (n *Network) Sorted(set Set) (ids []int32, names []string) {
+	for _, id := range n.order {
+		if s := n.recs[id]; s != nil && set.Has(id) {
+			ids, names = append(ids, id), append(names, s.Name)
+		}
+	}
+	return ids, names
+}
+
+// Span bounds the network's switch ids.
+func (n *Network) Span() int { return len(n.recs) }
+
+// At returns the switch with an id, nil for a removed one.
+func (n *Network) At(id int32) *Switch { return n.recs[id] }
+
+// ID returns the switch's id, which names it in a Set and a path.
+func (s *Switch) ID() int32 { return s.id }
 
 // Testbed builds the paper's evaluation network (§7): a fat-tree testbed
 // with four ToR switches (Tofino), four Agg switches (Trident-4), and two
@@ -439,9 +506,10 @@ func MultiPodFatTree(pods, k int, modelAt func(layer string, idx int) *asic.Mode
 // Names returns all switch names, sorted.
 func (n *Network) Names() []string {
 	out := make([]string, 0, len(n.Switches))
-	for _, s := range n.Switches {
-		out = append(out, s.Name)
+	for _, id := range n.order {
+		if s := n.recs[id]; s != nil {
+			out = append(out, s.Name)
+		}
 	}
-	sort.Strings(out)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,13 +59,19 @@ func TestLinkUnknown(t *testing.T) {
 
 func TestMatchPatterns(t *testing.T) {
 	n := Testbed()
-	if got := len(n.Match("ToR*")); got != 4 {
+	match := func(pattern string) []string {
+		set := n.NewSet()
+		n.Match(set, []string{pattern})
+		_, names := n.Sorted(set)
+		return names
+	}
+	if got := len(match("ToR*")); got != 4 {
 		t.Errorf("ToR* matched %d", got)
 	}
-	if got := len(n.Match("Agg3")); got != 1 {
+	if got := len(match("Agg3")); got != 1 {
 		t.Errorf("Agg3 matched %d", got)
 	}
-	if got := len(n.Match("ghost")); got != 0 {
+	if got := len(match("ghost")); got != 0 {
 		t.Errorf("ghost matched %d", got)
 	}
 }
@@ -434,6 +441,60 @@ func TestCloneIsolation(t *testing.T) {
 		wg.Wait()
 		if render(base) != pristine {
 			t.Error("concurrent clone mutation changed the base")
+		}
+	})
+
+	// A clone that adds a name gets a name order of its own: resolving a
+	// region and walking its paths on the clone sees the new switch in its
+	// place, and the same on the base, concurrently, does not.
+	t.Run("name order", func(t *testing.T) {
+		base := MultiPodFatTree(4, 4, func(string, int) *asic.Model { return asic.Tofino32Q })
+		resolve := func(n *Network) ([]string, int64) {
+			region, from, to := n.NewSet(), n.NewSet(), n.NewSet()
+			n.Match(region, []string{"Agg*", "ToR*"})
+			n.Match(from, []string{"Agg*"})
+			n.Match(to, []string{"ToR*"})
+			_, names := n.Sorted(region)
+			count, err := n.Paths(from, to, region, names).Count(0)
+			if err != nil {
+				t.Error(err)
+			}
+			return names, count
+		}
+		names, count := resolve(base)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					c := base.Clone()
+					added := fmt.Sprintf("Agg0_%d", w)
+					if _, err := c.AddSwitch(added, "Agg", asic.Tofino32Q); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := c.AddLink(added, "ToR1_1"); err != nil {
+						t.Error(err)
+					}
+					got, n := resolve(c)
+					if want := append([]string{added}, names...); !slices.Equal(got, want) || n != count+1 {
+						t.Errorf("the clone resolves to %v with %d paths, want %v with %d", got, n, want, count+1)
+					}
+					if got, n := resolve(base); !slices.Equal(got, names) || n != count {
+						t.Errorf("the base resolves to %v with %d paths after a clone added a name, want %v with %d", got, n, names, count)
+					}
+				}
+			}(w)
+		}
+		for i := 0; i < 20; i++ {
+			if got, n := resolve(base); !slices.Equal(got, names) || n != count {
+				t.Errorf("the base resolves to %v with %d paths while clones add names, want %v with %d", got, n, names, count)
+			}
+		}
+		wg.Wait()
+		if !slices.IsSorted(names) || len(names) != 16 {
+			t.Errorf("the base's region is %v", names)
 		}
 	})
 }
