@@ -81,10 +81,21 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 			opts.Shapes.put(shape, emitted[i])
 		}
 	})
+	// Every shard group's block is rendered once, before the fan-out reads
+	// them: the same text in the stub of every member.
+	groups := make([]map[string][]encode.Shard, len(targets))
+	docs := shardDocs{}
+	for i, sw := range targets {
+		groups[i] = plan.ShardGroups(sw)
+		for extern, group := range groups[i] {
+			if _, ok := docs[&group[0]]; !ok {
+				docs[&group[0]] = shardDoc(extern, group)
+			}
+		}
+	}
 	arts := make([]*Artifact, len(targets))
-	docs := &shardDocs{plan: plan}
 	par.For(len(targets), opts.Parallelism, func(i int) {
-		arts[i] = emitted[lead[i]].artifact(plan, programs[targets[i]], docs)
+		arts[i] = emitted[lead[i]].artifact(plan, programs[targets[i]], groups[i], docs)
 	})
 	out := make(map[string]*Artifact, len(targets))
 	for i, sw := range targets {
@@ -311,7 +322,8 @@ func codeHeader(lang string, sp *SwitchProgram, body string) string {
 }
 
 // artifact instantiates the emission for one switch of its shape.
-func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, docs *shardDocs) *Artifact {
+// groups are the shard groups of the switch's component, by extern.
+func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, groups map[string][]encode.Shard, docs shardDocs) *Artifact {
 	art := e.like
 	art.Switch, art.Model, art.Program, art.Alloc = sp.Switch, sp.Model, sp, plan.AllocationOf(sp.Switch)
 	if sp.Switch == e.sw {
@@ -319,7 +331,7 @@ func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, docs *shardDoc
 	} else {
 		art.Code = codeHeader(art.Dialect, sp, e.body)
 	}
-	art.ControlPlane = e.stub.fill(sp.Switch, docs)
+	art.ControlPlane = e.stub.fill(sp.Switch, groups, docs)
 	return &art
 }
 
@@ -380,35 +392,18 @@ func lineCounts(code string) (loc, logic int) {
 	return loc, logic
 }
 
-// shardDocs renders the shard-documentation blocks of one Translate call. A
-// block lists the switches of one shard group — the same text in the stub of
-// every member — so each is rendered once, by the first member to ask.
-type shardDocs struct {
-	plan   *encode.Plan
-	mu     sync.Mutex
-	blocks map[[2]string]string // keyed by extern and the group's first switch
-}
+// shardDocs holds the shard-documentation blocks of one Translate call, each
+// keyed by the first shard of its group (encode.Plan.ShardGroups). A block
+// lists the hosts of one shard group, which are exactly the ShardCount
+// switches the header line of a member's split table counts.
+type shardDocs map[*encode.Shard]string
 
-// of returns the shard-split comment block for one extern on one switch: the
-// hosts of the switch's own shard group, which is exactly the ShardCount
-// switches the header line counts.
-func (d *shardDocs) of(extern, sw string) string {
-	group := d.plan.ShardGroup(extern, sw)
+// of returns the block of a shard group, "" for none.
+func (d shardDocs) of(group []encode.Shard) string {
 	if len(group) == 0 {
 		return ""
 	}
-	key := [2]string{extern, group[0].Switch}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	doc, ok := d.blocks[key]
-	if !ok {
-		doc = shardDoc(extern, group)
-		if d.blocks == nil {
-			d.blocks = map[[2]string]string{}
-		}
-		d.blocks[key] = doc
-	}
-	return doc
+	return d[&group[0]]
 }
 
 // shardDoc renders the block listing one shard group: a header line, then
@@ -436,15 +431,16 @@ type stubTemplate struct {
 	holes []string
 }
 
-// fill instantiates the stub for one switch in one exact-sized allocation.
-func (t *stubTemplate) fill(sw string, docs *shardDocs) string {
+// fill instantiates the stub for one switch in one exact-sized allocation, an
+// extern's hole taking the block of its group among groups.
+func (t *stubTemplate) fill(sw string, groups map[string][]encode.Shard, docs shardDocs) string {
 	var few [8]string // a stub with at most this many holes fills off the stack
 	vals := few[:0]
 	n := len(t.text[len(t.holes)])
 	for i, extern := range t.holes {
 		v := sw
 		if extern != "" {
-			v = docs.of(extern, sw)
+			v = docs.of(groups[extern])
 		}
 		vals = append(vals, v)
 		n += len(t.text[i]) + len(v)

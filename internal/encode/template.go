@@ -378,6 +378,17 @@ func (p *Plan) ShardsOf(extern string) map[string]int64 {
 	return out
 }
 
+// ShardGroups returns, by extern, the shard groups of the placement component
+// sw is placed in: for each split extern the group ShardGroup gives its hosts.
+// Every switch of the component gets the same map, the binding's own: do not
+// modify it.
+func (p *Plan) ShardGroups(sw string) map[string][]Shard {
+	if r := p.at.lookup(sw); r.b != nil {
+		return r.b.groups
+	}
+	return nil
+}
+
 // ShardGroup returns the shards of the placement component hosting sw's shard
 // of a split extern, sorted by switch, which is shard order
 // (PlacedTable.ShardIndex): exactly the ShardCount switches the
@@ -385,10 +396,8 @@ func (p *Plan) ShardsOf(extern string) map[string]int64 {
 // of the extern or its component does not split it. Every member of a group
 // gets the same slice, the binding's own: do not modify it.
 func (p *Plan) ShardGroup(extern, sw string) []Shard {
-	if r := p.at.lookup(sw); r.b != nil {
-		if group := r.b.groups[extern]; slices.ContainsFunc(group, func(s Shard) bool { return s.Switch == sw }) {
-			return group
-		}
+	if group := p.ShardGroups(sw)[extern]; slices.ContainsFunc(group, func(s Shard) bool { return s.Switch == sw }) {
+		return group
 	}
 	return nil
 }
