@@ -3,7 +3,6 @@ package encode
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -175,11 +174,7 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		}
 		return parent[i]
 	}
-	span := int32(0)
-	for _, u := range units {
-		span = max(span, slices.Max(u.rs.IDs)+1)
-	}
-	owner := make([]int, span) // switch id -> 1 + the first unit index seen
+	owner := make([]int, in.Net.Span()) // switch id -> 1 + the first unit index seen
 	for i, u := range units {
 		for _, id := range u.rs.IDs {
 			if j := owner[id] - 1; j >= 0 {

@@ -143,15 +143,10 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 	if n == 0 {
 		return union, "", nil
 	}
-	nb.rankOf = resize(nb.rankOf, in.Net.Span())
+	rankOf := zeroed(&nb.rankOf, in.Net.Span())
 	for r, id := range ids {
-		nb.rankOf[id] = int32(r + 1)
+		rankOf[id] = int32(r + 1)
 	}
-	defer func() {
-		for _, id := range ids {
-			nb.rankOf[id] = 0
-		}
-	}()
 	// A component with a switch of no known chip, or a path off its
 	// switches, has no canonical form; its paths are still laid out.
 	canon := true
@@ -196,7 +191,7 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 		clear(role)
 		nb.sw = nb.sw[:0]
 		for _, id := range rs.IDs {
-			r := nb.rankOf[id] - 1
+			r := rankOf[id] - 1
 			role[r] = 1
 			nb.sw = append(nb.sw, r)
 		}
@@ -272,16 +267,11 @@ func switchesOf(in *Input) ([]string, []int32) {
 // its path set, polled against ctx. It reports whether every hop is one of
 // the component's switches, ranked in nb.rankOf.
 func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked, h hash.Hash) (on bool, err error) {
-	set := w.set
-	if set == nil {
-		set = rs.PathSet
-	}
-	if set == nil {
+	if w.set == nil && rs.PathSet == nil {
 		return true, nil
 	}
-	rankOf := nb.rankOf
 	on = true
-	role := nb.role
+	role, rankOf := nb.role, nb.rankOf
 	add := func(p []int32) bool {
 		from := len(nb.hops)
 		for _, id := range p {

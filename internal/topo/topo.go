@@ -6,6 +6,7 @@ package topo
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -340,8 +341,7 @@ func (n *Network) EachNeighbor(name string, f func(nb string)) {
 	}
 }
 
-// Set is a set of switch ids of one name index (see SharesIndex), made by
-// NewSet.
+// Set is a set of switch ids of one name index (see SharesIndex).
 type Set []uint64
 
 // NewSet returns an empty set for n's switch ids.
@@ -374,9 +374,18 @@ func (n *Network) live(s Set) (Set, bool) {
 // matches none, or -1.
 func (n *Network) Match(set Set, patterns []string) (missing int) {
 	hit := make([]bool, len(patterns))
+	var wild []int
+	for i, p := range patterns {
+		if strings.HasSuffix(p, "*") {
+			wild = append(wild, i)
+		} else if s := n.Switch(p); s != nil {
+			set.Add(s.id)
+			hit[i] = true
+		}
+	}
 	for _, s := range n.recs {
-		for i, p := range patterns {
-			if prefix, wild := strings.CutSuffix(p, "*"); s != nil && (p == s.Name || wild && (strings.HasPrefix(s.Name, prefix) || s.Layer == prefix)) {
+		for _, i := range wild {
+			if prefix := patterns[i][:len(patterns[i])-1]; s != nil && (s.Layer == prefix || strings.HasPrefix(s.Name, prefix)) {
 				set.Add(s.id)
 				hit[i] = true
 			}
@@ -388,8 +397,13 @@ func (n *Network) Match(set Set, patterns []string) (missing int) {
 // Sorted returns the switches of a set that n has, in name order: their ids
 // and their names.
 func (n *Network) Sorted(set Set) (ids []int32, names []string) {
+	size := 0
+	for _, w := range set {
+		size += bits.OnesCount64(w)
+	}
+	ids, names = make([]int32, 0, size), make([]string, 0, size)
 	for _, id := range n.order {
-		if s := n.recs[id]; s != nil && set.Has(id) {
+		if s := n.recs[id]; set.Has(id) && s != nil {
 			ids, names = append(ids, id), append(names, s.Name)
 		}
 	}
