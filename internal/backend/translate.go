@@ -81,14 +81,19 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 			opts.Shapes.put(shape, emitted[i])
 		}
 	})
-	// Every shard group's block is rendered once, before the fan-out reads
-	// them: the same text in the stub of every member.
+	// The block of every shard group a stub names is rendered once, before
+	// the fan-out reads them: the same text in the stub of every member.
 	groups := make([]map[string][]encode.Shard, len(targets))
 	docs := shardDocs{}
 	for i, sw := range targets {
-		groups[i] = plan.ShardGroups(sw)
-		for extern, group := range groups[i] {
-			if _, ok := docs[&group[0]]; !ok {
+		for _, extern := range emitted[lead[i]].stub.holes {
+			if extern == "" {
+				continue
+			}
+			if groups[i] == nil {
+				groups[i] = plan.ShardGroups(sw)
+			}
+			if group := groups[i][extern]; len(group) > 0 && docs[&group[0]] == "" {
 				docs[&group[0]] = shardDoc(extern, group)
 			}
 		}

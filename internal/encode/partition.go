@@ -174,16 +174,16 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		}
 		return parent[i]
 	}
-	owner := make([]int, in.Net.Span()) // switch id -> 1 + the first unit index seen
+	owner := zeroed(&st.owner, in.Net.Span()) // switch id -> 1 + the first unit index seen
 	for i, u := range units {
 		for _, id := range u.rs.IDs {
-			if j := owner[id] - 1; j >= 0 {
+			if j := int(owner[id]) - 1; j >= 0 {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[ri] = rj
 				}
 			} else {
-				owner[id] = i + 1
+				owner[id] = int32(i + 1)
 			}
 		}
 	}

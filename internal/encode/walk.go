@@ -47,8 +47,9 @@ type pathStore struct {
 	bufs []*pathBuf
 	used int // bufs[:used] are handed out
 	// pathGroups' scratch: scope places by switch id, the union-find, each
-	// root's group, and which places are on a path.
-	place, parent, at, onPath []int32
+	// root's group, and which places are on a path; and the partition's first
+	// unit on each switch id.
+	place, parent, at, onPath, owner []int32
 }
 
 // pathBuf is one walk's paths: path p is hops[ends[p-1]:ends[p]], ends[-1]

@@ -282,7 +282,7 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 		was := prev[sc.Alg]
 		r := &Resolved{Scope: sc, IDs: was.IDs, Switches: was.Switches, net: net}
 		if slices.ContainsFunc(was.IDs, func(id int32) bool { return net.At(id) == nil }) {
-			r.IDs, r.Switches = nil, nil
+			r.IDs, r.Switches = make([]int32, 0, len(was.IDs)), make([]string, 0, len(was.IDs))
 			for i, id := range was.IDs {
 				if net.At(id) != nil {
 					r.IDs, r.Switches = append(r.IDs, id), append(r.Switches, was.Switches[i])
