@@ -285,8 +285,8 @@ func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 }
 
 // pathGroup is one path-connected switch group of a scope: its members in
-// name order, by name and by id, and the smallest of them, which orders the
-// groups.
+// name order, by name and by id, and the smallest of them on a flow path,
+// which orders the groups.
 type pathGroup struct {
 	head    string
 	members []string
@@ -302,13 +302,12 @@ const keepHops = 1 << 20
 
 // pathGroups walks a scope's flow paths once and returns the groups of
 // switches they connect, ordered by head, each with its share of the paths,
-// and the scope switches no flow traverses. The union-find runs over the
-// scope's places, found through a table by switch id, and the paths are kept
-// in st. The scope's switches are split over the groups in one pass, those on
-// no path going to the first group. A group
-// has no share when some path leaves the scope's switches, since its own path
-// set would not yield that path, or when the paths exceed keepHops. A walk
-// past the path budget fails with the *topo.PathLimitError.
+// and the scope switches no flow traverses, which the first group holds too.
+// The union-find runs over the scope's places, found through a table by
+// switch id, and the paths are kept in st. A group has no share when some
+// path leaves the scope's switches, since its own path set would not yield
+// that path, or when the paths exceed keepHops. A walk past the path budget
+// fails with the *topo.PathLimitError.
 func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups []pathGroup, offPath []string, err error) {
 	ps := rs.PathSet
 	if ps == nil {

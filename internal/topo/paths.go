@@ -75,8 +75,8 @@ func (ps *PathSet) After(n *Network, names []string) *PathSet {
 
 // Narrow returns the paths of the set that stay inside some of its Within
 // switches, given in name order by id and by name: its starts and targets
-// among them. The marks are the set's, as a walk reads one only where it
-// stands, which is inside within.
+// among them. The endpoint marks are the set's, as a walk reads one only
+// where it stands, which is inside within.
 func (ps *PathSet) Narrow(within []int32, names []string) *PathSet {
 	out := &PathSet{net: ps.net, Within: names, from: ps.from, to: ps.to, in: ps.net.NewSet()}
 	for i, id := range within {

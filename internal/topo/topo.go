@@ -369,9 +369,9 @@ func (n *Network) live(s Set) (Set, bool) {
 }
 
 // Match marks in set the switches that region patterns match — exact names,
-// or prefix wildcards ("ToR*", §3.3) that also match a layer name — in one
-// pass over the switches, and returns the index of the first pattern that
-// matches none, or -1.
+// found through the name index, or prefix wildcards ("ToR*", §3.3) that also
+// match a layer name, all matched in one pass over the switches — and returns
+// the index of the first pattern that matches none, or -1.
 func (n *Network) Match(set Set, patterns []string) (missing int) {
 	hit := make([]bool, len(patterns))
 	var wild []int
