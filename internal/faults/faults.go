@@ -59,10 +59,16 @@ func (e Event) String() string {
 	case KindLinkDown:
 		return fmt.Sprintf("link-down(%s—%s)", e.A, e.B)
 	case KindDegrade:
-		return fmt.Sprintf("degrade(%s,stages=%.2f,mem=%.2f,phv=%.2f)",
-			e.Switch, orOne(e.StageFactor), orOne(e.MemoryFactor), orOne(e.PHVFactor))
+		stage, memory, phv := e.Factors()
+		return fmt.Sprintf("degrade(%s,stages=%.2f,mem=%.2f,phv=%.2f)", e.Switch, stage, memory, phv)
 	}
 	return "unknown-event"
+}
+
+// Factors returns a degrade's stage, memory and PHV factors as they are
+// applied: a factor outside (0, 1] is 1.
+func (e Event) Factors() (stage, memory, phv float64) {
+	return orOne(e.StageFactor), orOne(e.MemoryFactor), orOne(e.PHVFactor)
 }
 
 func orOne(f float64) float64 {
@@ -117,8 +123,9 @@ func (s Scenario) Applied(net *topo.Network) (*topo.Network, error) {
 		case KindLinkDown:
 			err = work.RemoveLink(e.A, e.B)
 		case KindDegrade:
+			stage, memory, phv := e.Factors()
 			err = work.DegradeASIC(e.Switch, func(m *asic.Model) *asic.Model {
-				return asic.Scale(m, orOne(e.StageFactor), orOne(e.MemoryFactor), orOne(e.PHVFactor))
+				return asic.Scale(m, stage, memory, phv)
 			})
 		default:
 			err = fmt.Errorf("faults: unknown event kind %d", e.Kind)

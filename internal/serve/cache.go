@@ -40,6 +40,9 @@ type Cache struct {
 	inflight map[string]*flight
 }
 
+// errJoinedPanic is what the waiters joined to a compile that panicked get.
+var errJoinedPanic = &lyra.InternalError{Value: "the compile this request joined panicked"}
+
 type flight struct {
 	done chan struct{}
 	res  *lyra.Result
@@ -63,7 +66,9 @@ func NewCache(max int) *Cache {
 // compile, or runs compile itself and stores a successful result. Errors
 // are returned to every joined waiter but never cached — the next request
 // retries fresh. A waiter whose ctx expires while joined gives up with
-// ctx.Err() (the underlying compile keeps running for the others).
+// ctx.Err() (the underlying compile keeps running for the others). A compile
+// that panics ends its flight too: the panic goes on up the caller's stack,
+// and the joined waiters get an *lyra.InternalError.
 func (c *Cache) Do(ctx context.Context, key string, compile func() (*lyra.Result, error)) (*lyra.Result, Outcome, error) {
 	c.mu.Lock()
 	if r, ok := c.entries[key]; ok {
@@ -79,19 +84,19 @@ func (c *Cache) Do(ctx context.Context, key string, compile func() (*lyra.Result
 			return nil, OutcomeDedup, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errJoinedPanic}
 	c.inflight[key] = f
 	c.mu.Unlock()
-
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if f.err == nil && f.res != nil {
+			c.put(key, f.res)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 	f.res, f.err = compile()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil && f.res != nil {
-		c.put(key, f.res)
-	}
-	c.mu.Unlock()
-	close(f.done)
 	return f.res, OutcomeMiss, f.err
 }
 

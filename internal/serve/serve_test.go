@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"lyra"
 	"lyra/internal/leak"
 )
 
@@ -692,5 +694,130 @@ func TestClientRejectsBadResponseBody(t *testing.T) {
 	}
 	if strings.Count(string(raw), "\n") != 1 || !strings.HasSuffix(string(raw), "\n") {
 		t.Errorf("response is not one compact line: %q", raw)
+	}
+}
+
+// TestQueuedCompileTimesOutAtDeadline fills the only compile slot with a
+// stalled compile and sends another: waiting for the slot, it must give up at
+// its own deadline with a typed timeout, not wait out the stall.
+func TestQueuedCompileTimesOutAtDeadline(t *testing.T) {
+	srv, c := newTestDaemon(t, Config{MaxInflight: 1, QueueDepth: 4, EnableTestFaults: true})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		sc := &Client{BaseURL: c.BaseURL, HTTPClient: c.HTTPClient, MaxRetries: 1,
+			Header: http.Header{"X-Lyra-Test-Sleep": []string{"10000"}}}
+		sc.Compile(ctx, CompileRequest{Source: lbSourceN(1), Scope: lbScope, Topology: "testbed"})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(srv.slots) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled compile never took the slot")
+		}
+	}
+
+	c.MaxRetries = 1
+	req := CompileRequest{Source: lbSourceN(2), Scope: lbScope, Topology: "testbed", DeadlineMs: 100}
+	start := time.Now()
+	_, err := c.Compile(context.Background(), req)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Kind != "timeout" || apiErr.Status != http.StatusRequestTimeout {
+		t.Fatalf("compile queued for a slot past its deadline: got %v, want 408/timeout", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("queued compile answered after %v: it waited for the slot, not its deadline", waited)
+	}
+	cancel()
+	<-stalled
+}
+
+// TestCompileSlotsCapConcurrency runs more compiles than there are slots and
+// counts how many execute at once: never more than MaxInflight, and every
+// one of them runs.
+func TestCompileSlotsCapConcurrency(t *testing.T) {
+	const slots, n = 2, 12
+	srv := NewServer(Config{MaxInflight: slots})
+	var running, peak, ran atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := srv.compile(context.Background(), fmt.Sprint("key-", i), func() (*lyra.Result, error) {
+				now := running.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				time.Sleep(5 * time.Millisecond)
+				running.Add(-1)
+				ran.Add(1)
+				return nil, errors.New("no artifact")
+			})
+			if err == nil {
+				t.Error("the compile's own error was lost")
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != n || peak.Load() > slots {
+		t.Fatalf("%d of %d compiles ran, at most %d at once; want all of them, at most %d", ran.Load(), n, peak.Load(), slots)
+	}
+	if m := srv.Metrics(); m.CacheMisses != n {
+		t.Fatalf("cache_misses = %d, want %d", m.CacheMisses, n)
+	}
+}
+
+// TestPanicInSlotFreesIt panics inside the only compile slot: the request is
+// answered 422 "internal" through the recoverer, the slot is free again, and
+// the panicked key's flight has ended, so the next compile of it runs.
+func TestPanicInSlotFreesIt(t *testing.T) {
+	srv, c := newTestDaemon(t, Config{MaxInflight: 1})
+	h := srv.recoverer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.compile(r.Context(), "key", func() (*lyra.Result, error) { panic("boom") })
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compile", nil))
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), `"kind":"internal"`) {
+		t.Fatalf("panic in a slot answered %d %s, want 422 internal", rec.Code, rec.Body)
+	}
+	if len(srv.slots) != 0 {
+		t.Fatalf("%d slots still held after the panic", len(srv.slots))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ran := false
+	if _, _, err := srv.compile(ctx, "key", func() (*lyra.Result, error) { ran = true; return nil, errors.New("no artifact") }); !ran {
+		t.Fatalf("a compile of the panicked key did not run: %v", err)
+	}
+	if _, err := c.Compile(context.Background(), lbRequest()); err != nil {
+		t.Fatalf("compile after the panic: %v", err)
+	}
+}
+
+// TestDegradeFactorsInCacheKey degrades one switch in two sessions of the
+// same program, mildly in the first and past what the chip can hold in the
+// second: the second must fail infeasible, as it does on a daemon that never
+// saw the first, not be handed the first session's artifacts.
+func TestDegradeFactorsInCacheKey(t *testing.T) {
+	_, c := newTestDaemon(t, Config{MaxInflight: 2})
+	ctx := context.Background()
+	mild := WireEvent{Kind: "degrade", Switch: "ToR3", MemoryFactor: 0.9}
+	severe := WireEvent{Kind: "degrade", Switch: "ToR3", StageFactor: 0.0001, MemoryFactor: 0.0001, PHVFactor: 0.0001}
+
+	a, err := c.NewSession(ctx, lbRequest())
+	if err != nil {
+		t.Fatalf("session a: %v", err)
+	}
+	if _, err := c.Recompile(ctx, a.ID, []WireEvent{mild}); err != nil {
+		t.Fatalf("mild degrade: %v", err)
+	}
+	b, err := c.NewSession(ctx, lbRequest())
+	if err != nil {
+		t.Fatalf("session b: %v", err)
+	}
+	st, err := c.Recompile(ctx, b.ID, []WireEvent{severe})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Kind != "infeasible" {
+		t.Fatalf("severe degrade after a mild one: got %+v, %v; want 422 infeasible", st, err)
 	}
 }

@@ -14,14 +14,13 @@ import (
 	"time"
 
 	"lyra"
-	"lyra/internal/par"
 	"lyra/internal/topo"
 )
 
 // Config sizes the daemon.
 type Config struct {
-	// MaxInflight bounds concurrently *executing* compiles (the worker
-	// pool size). <= 0 selects GOMAXPROCS.
+	// MaxInflight bounds concurrently *executing* compiles (the number of
+	// compile slots). <= 0 selects GOMAXPROCS.
 	MaxInflight int
 	// QueueDepth bounds additional admitted-but-waiting work beyond
 	// MaxInflight; past MaxInflight+QueueDepth requests are shed with 429.
@@ -90,7 +89,9 @@ type metrics struct {
 type Server struct {
 	cfg   Config
 	start time.Time
-	pool  *par.Pool
+	// slots holds one token per compile executing, on the goroutine of the
+	// request that asked for it: at most MaxInflight at once.
+	slots chan struct{}
 	cache *Cache
 	mux   *http.ServeMux
 	m     metrics
@@ -107,14 +108,14 @@ type Server struct {
 	nextID   int64
 }
 
-// NewServer builds a daemon with the given configuration and starts its
-// worker pool. The caller owns the HTTP listener; Drain stops everything.
+// NewServer builds a daemon with the given configuration. The caller owns the
+// HTTP listener; Drain stops everything.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
-		pool:     par.NewPool(cfg.MaxInflight),
+		slots:    make(chan struct{}, cfg.MaxInflight),
 		cache:    NewCache(cfg.CacheEntries),
 		sessions: map[string]*Session{},
 	}
@@ -122,9 +123,9 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleNewSession)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/recompile", s.handleRecompile)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/tables", s.handleTables)
+	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.inSession(s.handleEvents))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/recompile", s.inSession(s.handleRecompile))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/tables", s.inSession(s.handleTables))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDeleteSession)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -136,9 +137,9 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.recoverer(s.mux) }
 
 // Drain performs a graceful shutdown: new work is refused with
-// 429/"draining", in-flight requests and session pumps finish, the worker
-// pool stops. It returns nil on a clean drain and ctx.Err() if the context
-// expired first (a non-clean drain: work was still running).
+// 429/"draining", and in-flight requests and session pumps finish. It
+// returns nil on a clean drain and ctx.Err() if the context expired first (a
+// non-clean drain: work was still running).
 func (s *Server) Drain(ctx context.Context) error {
 	s.gate.Lock()
 	s.draining.Store(true)
@@ -167,7 +168,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			return err
 		}
 	}
-	s.pool.Close()
 	return nil
 }
 
@@ -262,7 +262,7 @@ func errKind(err error) (kind string, status int) {
 		return "infeasible", http.StatusUnprocessableEntity
 	case errors.As(err, &internal):
 		return "internal", http.StatusUnprocessableEntity
-	case errors.Is(err, par.ErrPoolClosed), errors.Is(err, errDraining):
+	case errors.Is(err, errDraining):
 		return "draining", http.StatusTooManyRequests
 	case errors.Is(err, errShed):
 		return "shed", http.StatusTooManyRequests
@@ -385,10 +385,10 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 	})
 }
 
-// testHooks applies the harness fault-injection headers (only when
-// EnableTestFaults): X-Lyra-Test-Panic panics inside the request,
-// X-Lyra-Test-Sleep: <ms> stalls the pooled compile slot, simulating a
-// long solve (context-aware).
+// testPanic and testSleep apply the harness fault-injection headers (only
+// when EnableTestFaults): X-Lyra-Test-Panic panics inside the request,
+// X-Lyra-Test-Sleep: <ms> stalls the compile while it holds its slot,
+// simulating a long solve (context-aware).
 func (s *Server) testPanic(r *http.Request) {
 	if s.cfg.EnableTestFaults && r.Header.Get("X-Lyra-Test-Panic") != "" {
 		panic("injected test panic")
@@ -429,6 +429,32 @@ func compilerFor(d lyra.Dialect, skipVerify bool, parallelism int) *lyra.Compile
 // into cache-key components.
 func configKey(d lyra.Dialect, skipVerify bool) []string {
 	return []string{"dialect=" + d.String(), "skipverify=" + strconv.FormatBool(skipVerify)}
+}
+
+// compile returns the artifact for key: a completed cache entry, the result
+// of an identical compile in flight, or what fn returns. fn runs on the
+// calling goroutine once it holds one of the MaxInflight compile slots; a
+// caller still waiting for a slot when ctx expires gives up with ctx.Err(),
+// and fn never runs. The outcome is counted.
+func (s *Server) compile(ctx context.Context, key string, fn func() (*lyra.Result, error)) (*lyra.Result, Outcome, error) {
+	res, outcome, err := s.cache.Do(ctx, key, func() (*lyra.Result, error) {
+		select {
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.slots }()
+		return fn()
+	})
+	switch outcome {
+	case OutcomeHit:
+		s.m.cacheHits.Add(1)
+	case OutcomeDedup:
+		s.m.deduped.Add(1)
+	case OutcomeMiss:
+		s.m.cacheMisses.Add(1)
+	}
+	return res, outcome, err
 }
 
 // compileInput decodes a compile or session-creation request and parses its
@@ -490,26 +516,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMs))
 	defer cancel()
-	res, outcome, err := s.cache.Do(ctx, key, func() (*lyra.Result, error) {
-		var out *lyra.Result
-		var cerr error
-		perr := s.pool.Do(ctx, func() {
-			s.testSleep(ctx, r)
-			out, cerr = compilerFor(dialect, skipVerify, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return out, cerr
+	res, outcome, err := s.compile(ctx, key, func() (*lyra.Result, error) {
+		s.testSleep(ctx, r)
+		return compilerFor(dialect, skipVerify, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
 	})
-	switch outcome {
-	case OutcomeHit:
-		s.m.cacheHits.Add(1)
-	case OutcomeDedup:
-		s.m.deduped.Add(1)
-	case OutcomeMiss:
-		s.m.cacheMisses.Add(1)
-	}
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -103,7 +102,9 @@ func toFault(ev WireEvent) faults.Event {
 }
 
 // scenario snapshots the active fault set as a deterministic Scenario plus
-// its canonical key list (for the artifact cache). Caller holds sess.mu.
+// its canonical key list (for the artifact cache). A degrade's key carries
+// the factors it applies, so two degrades of one switch share a cache entry
+// only when they apply the same. Caller holds sess.mu.
 func (sess *Session) scenarioLocked(gen int64) (faults.Scenario, []string) {
 	keys := make([]string, 0, len(sess.active))
 	for k := range sess.active {
@@ -111,8 +112,16 @@ func (sess *Session) scenarioLocked(gen int64) (faults.Scenario, []string) {
 	}
 	sort.Strings(keys)
 	sc := faults.Scenario{Name: fmt.Sprintf("session-%s-gen%d", sess.id, gen)}
-	for _, k := range keys {
-		sc.Events = append(sc.Events, sess.active[k])
+	for i, k := range keys {
+		ev := sess.active[k]
+		sc.Events = append(sc.Events, ev)
+		if ev.Kind == faults.KindDegrade { // exactly: Event.String's %.2f merges 0.001 and 0.0001
+			stage, memory, phv := ev.Factors()
+			for _, f := range [...]float64{stage, memory, phv} {
+				k += "/" + strconv.FormatFloat(f, 'g', -1, 64)
+			}
+			keys[i] = k
+		}
 	}
 	return sc, keys
 }
@@ -176,25 +185,10 @@ func (sess *Session) applyBatch(batch []queuedEvent) {
 
 	key := cacheKey(sess.req.Source, sess.req.Scope, sess.netFP, faultSet, configKey(sess.dialect, false)...)
 	var delta *lyra.Delta
-	res, outcome, err := srv.cache.Do(ctx, key, func() (*lyra.Result, error) {
-		var out *lyra.Result
-		var cerr error
-		perr := srv.pool.Do(ctx, func() {
-			out, delta, cerr = compilerFor(sess.dialect, false, srv.cfg.Parallelism).Recompile(ctx, sess.base, sc)
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return out, cerr
+	res, _, err := srv.compile(ctx, key, func() (out *lyra.Result, err error) {
+		out, delta, err = compilerFor(sess.dialect, false, srv.cfg.Parallelism).Recompile(ctx, sess.base, sc)
+		return out, err
 	})
-	switch outcome {
-	case OutcomeHit:
-		srv.m.cacheHits.Add(1)
-	case OutcomeDedup:
-		srv.m.deduped.Add(1)
-	case OutcomeMiss:
-		srv.m.cacheMisses.Add(1)
-	}
 	srv.m.recompiles.Add(1)
 
 	sess.mu.Lock()
@@ -206,11 +200,7 @@ func (sess *Session) applyBatch(batch []queuedEvent) {
 		sess.lastErr = nil
 		sess.degraded = false
 		sess.cur = res
-		if delta != nil {
-			sess.delta = delta
-		} else {
-			sess.delta = nil // cache hit: artifacts unchanged relative to key
-		}
+		sess.delta = delta // nil on a cache hit: artifacts unchanged relative to key
 		sess.rebuildSimLocked()
 	}
 	if covered > sess.applied {
@@ -321,26 +311,10 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	netFP := networkFingerprint(net)
 	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, false)...)
-	base, outcome, err := s.cache.Do(ctx, key, func() (*lyra.Result, error) {
-		var out *lyra.Result
-		var cerr error
-		perr := s.pool.Do(ctx, func() {
-			s.testSleep(ctx, r)
-			out, cerr = compilerFor(dialect, false, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return out, cerr
+	base, outcome, err := s.compile(ctx, key, func() (*lyra.Result, error) {
+		s.testSleep(ctx, r)
+		return compilerFor(dialect, false, s.cfg.Parallelism).Compile(ctx, req.Source, req.Scope, net)
 	})
-	switch outcome {
-	case OutcomeHit:
-		s.m.cacheHits.Add(1)
-	case OutcomeDedup:
-		s.m.deduped.Add(1)
-	case OutcomeMiss:
-		s.m.cacheMisses.Add(1)
-	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -396,87 +370,80 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// enqueueEvents validates and enqueues events, returning the generation
-// covering them. A full queue sheds with errShed.
-func (s *Server) enqueueEvents(sess *Session, events []WireEvent) (int64, error) {
-	for _, ev := range events {
-		if _, err := faultKey(ev); err != nil {
-			return 0, fmt.Errorf("invalid event: %w", err)
+// inSession adapts a handler of a request to one session: an unknown session
+// is answered 404 and any session 429 once Drain has begun; otherwise h runs
+// as part of the in-flight work Drain waits for.
+func (s *Server) inSession(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.testPanic(r)
+		sess := s.session(w, r)
+		if sess == nil {
+			return
 		}
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	for i, ev := range events {
-		select {
-		case sess.events <- queuedEvent{ev: ev, gen: sess.gen + 1}:
-			sess.gen++
-		default:
-			s.m.shed.Add(1)
-			return 0, fmt.Errorf("session event queue full after %d of %d events: %w",
-				i, len(events), errShed)
+		if err := s.enter(); err != nil {
+			s.writeError(w, err)
+			return
 		}
+		defer s.inflight.Done()
+		h(w, r, sess)
 	}
-	return sess.gen, nil
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.testPanic(r)
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	if err := s.enter(); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.inflight.Done()
+// enqueueEvents decodes a request's events, validates them and enqueues them
+// on the session, returning the generation covering them. It answers the
+// request itself when that fails: 400 for a bad body or event, or for no
+// events unless allowNone, and 429 "shed" for a full queue.
+func (s *Server) enqueueEvents(w http.ResponseWriter, r *http.Request, sess *Session, allowNone bool) (gen int64, ok bool) {
 	var req EventsRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
-		return
+		return 0, false
 	}
-	if len(req.Events) == 0 {
+	if len(req.Events) == 0 && !allowNone {
 		s.writeInvalid(w, "no events")
-		return
+		return 0, false
 	}
-	gen, err := s.enqueueEvents(sess, req.Events)
-	if err != nil {
-		if errors.Is(err, errShed) {
-			s.writeError(w, err)
-		} else {
-			s.writeInvalid(w, err.Error())
+	for _, ev := range req.Events {
+		if _, err := faultKey(ev); err != nil {
+			s.writeInvalid(w, "invalid event: "+err.Error())
+			return 0, false
 		}
-		return
 	}
-	writeJSON(w, http.StatusAccepted, EventsResponse{Generation: gen})
+	sess.mu.Lock()
+	queued := 0
+queue:
+	for _, ev := range req.Events {
+		select {
+		case sess.events <- queuedEvent{ev: ev, gen: sess.gen + 1}:
+			sess.gen++
+			queued++
+		default:
+			break queue
+		}
+	}
+	gen = sess.gen
+	sess.mu.Unlock()
+	if queued < len(req.Events) {
+		s.m.shed.Add(1)
+		s.writeError(w, fmt.Errorf("session event queue full after %d of %d events: %w",
+			queued, len(req.Events), errShed))
+		return 0, false
+	}
+	return gen, true
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Session) {
+	if gen, ok := s.enqueueEvents(w, r, sess, false); ok {
+		writeJSON(w, http.StatusAccepted, EventsResponse{Generation: gen})
+	}
 }
 
 // handleRecompile is the synchronous flavor of handleEvents: enqueue the
 // events (none is allowed — "wait for convergence"), then block until the
 // covering generation is applied and report the outcome, typed.
-func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request) {
-	s.testPanic(r)
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	if err := s.enter(); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.inflight.Done()
-	var req EventsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeInvalid(w, "bad request body: "+err.Error())
-		return
-	}
-	gen, err := s.enqueueEvents(sess, req.Events)
-	if err != nil {
-		if errors.Is(err, errShed) {
-			s.writeError(w, err)
-		} else {
-			s.writeInvalid(w, err.Error())
-		}
+func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request, sess *Session) {
+	gen, ok := s.enqueueEvents(w, r, sess, true)
+	if !ok {
 		return
 	}
 	if gen == 0 { // no events ever enqueued: already converged on base
@@ -493,17 +460,7 @@ func (s *Server) handleRecompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.status())
 }
 
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	s.testPanic(r)
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	if err := s.enter(); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.inflight.Done()
+func (s *Server) handleTables(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req TablesRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeInvalid(w, "bad request body: "+err.Error())
