@@ -60,7 +60,8 @@ func TestEmitAllocBudget(t *testing.T) {
 	}
 	tor, agg := progs["ToR1"], progs["Agg1"]
 	if tor == nil || agg == nil || len(tor.Imports)+len(tor.Exports) == 0 {
-		t.Fatalf("heavy_hitter placed nothing bridged on ToR1 and Agg1: %v", sortedProgKeys(progs))
+		placed, _ := topo.InOrder(net, progs)
+		t.Fatalf("heavy_hitter placed nothing bridged on ToR1 and Agg1: %v", placed)
 	}
 	for _, c := range []struct {
 		name   string

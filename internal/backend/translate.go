@@ -2,7 +2,6 @@ package backend
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"lyra/internal/lang/ast"
 	"lyra/internal/par"
 	"lyra/internal/synth"
+	"lyra/internal/topo"
 )
 
 // Options configures translation.
@@ -68,7 +68,10 @@ func Translate(plan *encode.Plan, opts *Options) (map[string]*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets := sortedProgKeys(programs)
+	targets, err := topo.InOrder(plan.Input.Net, programs)
+	if err != nil {
+		return nil, err
+	}
 	lead := ShapeLeads(plan, targets)
 	emitted := make([]*emission, len(targets)) // leads only
 	par.For(len(targets), opts.Parallelism, func(i int) {
@@ -338,15 +341,6 @@ func (e *emission) artifact(plan *encode.Plan, sp *SwitchProgram, groups map[str
 	}
 	art.ControlPlane = e.stub.fill(sp.Switch, groups, docs)
 	return &art
-}
-
-func sortedProgKeys(m map[string]*SwitchProgram) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // nextLine splits the first line off text: the lines it yields until text is

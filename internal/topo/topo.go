@@ -410,6 +410,38 @@ func (n *Network) Sorted(set Set) (ids []int32, names []string) {
 	return ids, names
 }
 
+// InOrder returns the keys of m, switches of n, in n's name order. A key that
+// is not a switch of n is an error, which names the least such key.
+func InOrder[V any](n *Network, m map[string]V) ([]string, error) {
+	out := make([]string, 0, len(m))
+	if 4*len(m) >= len(n.order) { // most of n: walk its order, looking each switch up in m
+		for _, id := range n.order {
+			if s := n.recs[id]; s != nil {
+				if _, ok := m[s.Name]; ok {
+					out = append(out, s.Name)
+				}
+			}
+		}
+	} else { // a few: sort them, looking each up in n
+		for name := range m {
+			if n.Switch(name) != nil {
+				out = append(out, name)
+			}
+		}
+		slices.Sort(out)
+	}
+	if len(out) == len(m) {
+		return out, nil
+	}
+	unknown, missing := "", false
+	for name := range m {
+		if n.Switch(name) == nil && (!missing || name < unknown) {
+			unknown, missing = name, true
+		}
+	}
+	return nil, fmt.Errorf("topo: %q is not a switch of the network", unknown)
+}
+
 // Span bounds the network's switch ids.
 func (n *Network) Span() int { return len(n.recs) }
 

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -653,6 +654,36 @@ func TestCloneEditAllocBudget(t *testing.T) {
 		t.Logf("Clone + %s: %d bytes, %d mallocs", e.name, bytes, (after.Mallocs-before.Mallocs)/runs)
 		if bytes > budget {
 			t.Errorf("Clone + %s allocates %d bytes, budget %d", e.name, bytes, budget)
+		}
+	}
+}
+
+// TestInOrder checks both ways InOrder finds a map's switches — a lookup per
+// switch for most of the network, a lookup per key for a few — against a
+// sort of the keys, and that a key naming no switch, also a removed one, is
+// an error naming the least such key.
+func TestInOrder(t *testing.T) {
+	net := MultiPodFatTree(4, 8, func(string, int) *asic.Model { return asic.Tofino32Q })
+	if err := net.RemoveSwitch("Agg2_1"); err != nil {
+		t.Fatal(err)
+	}
+	names := net.Names()
+	for _, size := range []int{0, 1, 3, len(names) / 4, len(names) - 1, len(names)} {
+		m := map[string]bool{}
+		for _, i := range rand.New(rand.NewSource(int64(size))).Perm(len(names))[:size] {
+			m[names[i]] = true
+		}
+		want := make([]string, 0, len(m))
+		for name := range m {
+			want = append(want, name)
+		}
+		sort.Strings(want)
+		if got, err := InOrder(net, m); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%d keys: InOrder = %v, %v; want %v", size, got, err, want)
+		}
+		m["Agg2_1"], m["Zzz"] = true, true
+		if _, err := InOrder(net, m); err == nil || !strings.Contains(err.Error(), `"Agg2_1"`) {
+			t.Fatalf("%d keys and two that are not switches: err = %v, want one naming Agg2_1", size, err)
 		}
 	}
 }

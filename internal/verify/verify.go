@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"lyra/internal/asic"
@@ -19,6 +18,7 @@ import (
 	"lyra/internal/p4check"
 	"lyra/internal/par"
 	"lyra/internal/synth"
+	"lyra/internal/topo"
 )
 
 // Report is the admission result for one switch.
@@ -59,7 +59,10 @@ func PlanParallel(plan *encode.Plan, arts map[string]*backend.Artifact, workers 
 // PlanShared is PlanParallel drawing on, and adding to, a family's shape memo:
 // a memoised report is taken only for the very text it was checked on.
 func PlanShared(plan *encode.Plan, arts map[string]*backend.Artifact, workers int, memo *backend.Shapes) []Report {
-	keys := sortedKeys(arts)
+	keys, err := topo.InOrder(plan.Input.Net, arts)
+	if err != nil { // an artifact of a switch the plan's network lacks
+		return []Report{{Problems: []string{err.Error()}}}
+	}
 	if len(keys) == 0 {
 		return nil
 	}
@@ -264,13 +267,4 @@ func lintP416(art *backend.Artifact) []string {
 		}
 	}
 	return problems
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
