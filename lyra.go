@@ -303,7 +303,7 @@ func WithSourceName(name string) Option { return func(c *Compiler) { c.cfg.Sourc
 
 // WithLazyPaths does nothing: every compile streams its flow paths under one
 // fixed budget, past which it fails with topo.ErrPathLimit. It stays because
-// bench/ calls it; ROADMAP item 1 deletes it.
+// bench/ calls it; ROADMAP item 2b deletes it.
 func WithLazyPaths(maxPaths int64) Option { return func(*Compiler) {} }
 
 // WithOptimize enables the rewrite search: before placement, the compiler
