@@ -50,7 +50,8 @@ func (r *TraceRecord) Packet(tsField string) *Packet {
 	return p
 }
 
-// ParseTrace reads a .lyt capture.
+// ParseTrace reads a .lyt capture. Every error names the line it is on, a
+// line over 1 MiB included.
 func ParseTrace(r io.Reader) ([]TraceRecord, error) {
 	var recs []TraceRecord
 	sc := bufio.NewScanner(r)
@@ -97,7 +98,7 @@ func ParseTrace(r io.Reader) ([]TraceRecord, error) {
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace line %d: %w", lineNo+1, err)
 	}
 	return recs, nil
 }

@@ -1,9 +1,14 @@
 package dataplane
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -141,4 +146,64 @@ func TestTraceFileReplay(t *testing.T) {
 			t.Fatalf("packet %d diverges: %v", i, diff)
 		}
 	}
+}
+
+// longLineTrace is a trace whose second line holds a value of 2 MiB, past the
+// reader's 1 MiB line limit.
+func longLineTrace() string {
+	return "packet ts=1 flow.id=1\npacket ts=2 flow.a=" + strings.Repeat("7", 2<<20) + "\n"
+}
+
+// TestTraceLongLineNamesItsLine: a record over the line limit fails with the
+// number of its line, as every other trace error does.
+func TestTraceLongLineNamesItsLine(t *testing.T) {
+	_, err := ParseTrace(strings.NewReader(longLineTrace()))
+	if err == nil || !strings.HasPrefix(err.Error(), "trace line 2: ") || !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("over-long record: %v, want a trace line 2 error wrapping bufio.ErrTooLong", err)
+	}
+}
+
+// traceErr is the shape of every ParseTrace error: it names its line.
+var traceErr = regexp.MustCompile(`^trace line [1-9][0-9]*: `)
+
+// FuzzParseTrace feeds arbitrary text to the .lyt reader. No input may panic,
+// every error must name a line, and every accepted trace must parse back to
+// the same records after WriteTrace.
+func FuzzParseTrace(f *testing.F) {
+	sample, err := os.ReadFile(filepath.Join("..", "..", "testdata", "traces", "flows_sample.lyt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(sample))
+	f.Add(longLineTrace())
+	for _, s := range []string{
+		"# lyra trace v1\npacket ts=0x64 valid=flow,tcp flow.id=3 flow.a=0b101\n\npacket ts=1_000\r\n",
+		"packet valid=a,,b valid= ts=1 ts=2 x.y=1 x.y=2\n",
+		"pkt ts=1\n",
+		"packet notafield=1\n",
+		"packet flow.id\n",
+		"packet ts=18446744073709551616\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			if !traceErr.MatchString(err.Error()) {
+				t.Fatalf("error %q names no line", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseTrace(&buf)
+		if err != nil {
+			t.Fatalf("the written trace does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("written and parsed back as %+v, want %+v", again, recs)
+		}
+	})
 }

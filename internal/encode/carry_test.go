@@ -218,9 +218,9 @@ func TestCarryOverRefusesAnotherProblem(t *testing.T) {
 }
 
 // TestCarriedIndexChain: each solve of a chain follows the one before it, so
-// its switch index is an overlay on that solve's when that one is indexed
-// whole, and whole when it is an overlay itself. Every link must locate every
-// switch as a from-scratch solve does.
+// its switch index is a copy of that solve's with the switches of what the
+// fault replaced rewritten. Every link must locate every switch as a
+// from-scratch solve does.
 func TestCarriedIndexChain(t *testing.T) {
 	src := subst(lbSrc, "4000000", "100000")
 	net := podNet(4, 4)
@@ -261,10 +261,64 @@ func TestCarriedIndexChain(t *testing.T) {
 			t.Fatalf("step %d: from-scratch solve: %v", step, err)
 		}
 		planEqual(t, fmt.Sprintf("step %d, %s degraded", step, sw), got, want)
-		if overlay := got.at.base != nil; overlay != (prev.at.base == nil) {
-			t.Errorf("step %d: indexed as an overlay %v, following an overlay %v", step, overlay, prev.at.base != nil)
-		}
 		prev, net = got, next
+	}
+}
+
+// TestCarryOverRefusesANetworkBuiltApart: a plan's switch index is by switch
+// id, and an id names one switch only among networks that share a name index.
+// A plan on the same switches registered in the opposite order, which gives
+// every name another id, is not carried, not even by an input that claims no
+// switch changed: the solve equals one that follows no plan, and Rehashed
+// reports that nothing was carried.
+func TestCarryOverRefusesANetworkBuiltApart(t *testing.T) {
+	net := podNet(4, 4)
+	first := buildInput(t, subst(lbSrc, "4000000", "100000"), podLBScope, net)
+	opts := DefaultOptions()
+	opts.Cache = NewCache()
+	prev, err := Solve(first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apart := topo.New()
+	for i := len(net.Switches) - 1; i >= 0; i-- {
+		s := net.Switches[i]
+		apart.AddSwitch(s.Name, s.Layer, s.ASIC)
+	}
+	for _, s := range net.Switches {
+		for _, nb := range net.Neighbors(s.Name) {
+			if s.Name < nb {
+				apart.AddLink(s.Name, nb)
+			}
+		}
+	}
+	if apart.Switch("Agg1_1").ID() == net.Switch("Agg1_1").ID() {
+		t.Fatal("the network built apart gives Agg1_1 its id in the first")
+	}
+	spec, err := scope.Parse(podLBScope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes, err := spec.Resolve(apart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Solve(&Input{IR: first.IR, Net: apart, Scopes: scopes}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, since := range []*topo.Delta{nil, {}} {
+		follow := *opts
+		follow.Prev = prev
+		got, err := Solve(&Input{IR: first.IR, Net: apart, Scopes: scopes, Since: since}, &follow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("delta %+v", since)
+		planEqual(t, label, got, want)
+		if _, carried := got.Rehashed(); carried {
+			t.Errorf("%s: the solve carried hashes over from a plan on a network built apart", label)
+		}
 	}
 }
 
@@ -474,18 +528,18 @@ func oneTemplateTwoPlans(t *testing.T) {
 	if len(b) != 2 || b[0].Template != b[1].Template {
 		t.Fatalf("%d bindings; want the two pods bound to one template", len(b))
 	}
-	empty := &Plan{Input: in, at: newIndex(nil)}
+	empty := &Plan{Input: in, at: newIndex(net, nil)}
 	plans := map[string]func(bound []*Binding) *Plan{
 		"follows none": func(bound []*Binding) *Plan {
-			return &Plan{Input: in, bound: bound, at: newIndex(bound)}
+			return &Plan{Input: in, bound: bound, at: newIndex(net, bound)}
 		},
 		"follows a plan binding nothing": func(bound []*Binding) *Plan {
-			p := &Plan{Input: in, bound: bound, at: newIndex(bound)}
+			p := &Plan{Input: in, bound: bound, at: newIndex(net, bound)}
 			p.hashes.carry(empty, make([]bool, len(bound)), nil)
 			return p
 		},
 		"follows the base": func(bound []*Binding) *Plan {
-			p := &Plan{Input: in, bound: bound, at: newIndex(bound)}
+			p := &Plan{Input: in, bound: bound, at: newIndex(net, bound)}
 			p.hashes.carry(base, []bool{true, true}[:len(bound)], b[len(bound):])
 			return p
 		},

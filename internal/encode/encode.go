@@ -171,8 +171,8 @@ type Plan struct {
 	// bound is the plan as it was assembled: one binding per placement
 	// component, in component order. See Bindings.
 	bound []*Binding
-	// at locates every switch of bound in its binding.
-	at *switchIndex
+	// at locates every switch of bound in its binding, by switch id.
+	at switchIndex
 	// hashes memoises BridgeLayout, Shape and Fingerprints.
 	hashes switchHashes
 	// shaping renders the options the plan was solved under that shape it; a
@@ -386,9 +386,9 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	}
 	plan := mergePlans(in, bound, results)
 	if ca != nil {
-		plan.at = ca.index(opts.Prev.at, made, bound)
+		plan.at = opts.Prev.at.after(in.Net, ca.dropped, made)
 	} else {
-		plan.at = newIndex(bound)
+		plan.at = newIndex(in.Net, bound)
 	}
 	plan.shaping = shaping
 	plan.Instances = len(bound)
@@ -442,12 +442,14 @@ func (o *Options) preferIndex(union []string) string {
 // returns nil — carry nothing, partition everything — unless prev solved the
 // same root program under the same scope specification and plan-shaping
 // options on a network that in's differs from by faults only: switches and
-// links removed, chips changed. Then a component of prev none of whose
-// switches is a different record now has the same scope fragments, the same
-// flow paths (a path never leaves its component, and nothing new can enter
-// one) and the same chips, which is all its template was derived from.
+// links removed, chips changed, the two sharing their name index
+// (topo.Network.SharesIndex), since prev's switch index is by switch id. Then
+// a component of prev none of whose switches is a different record now has
+// the same scope fragments, the same flow paths (a path never leaves its
+// component, and nothing new can enter one) and the same chips, which is all
+// its template was derived from.
 func carryOver(in *Input, prev *Plan, shaping string) *carried {
-	if prev == nil || prev.Input.IR != in.IR || prev.shaping != shaping {
+	if prev == nil || prev.Input.IR != in.IR || prev.shaping != shaping || !in.Net.SharesIndex(prev.Input.Net) {
 		return nil
 	}
 	if len(prev.Input.Scopes) != len(in.Scopes) {
@@ -474,7 +476,7 @@ func carryOver(in *Input, prev *Plan, shaping string) *carried {
 	// the fault, not of the fabric.
 	hit := map[*Binding]bool{}
 	for _, sw := range delta.Touched {
-		if r := prev.at.lookup(sw); r.b != nil {
+		if r := prev.locate(sw); r.b != nil {
 			hit[r.b] = true
 		}
 	}
@@ -948,13 +950,13 @@ func (e *encoder) prepare(ctx context.Context) error {
 
 		// Candidate switches: programmable members of the region.
 		p := &algPrep{alg: a}
-		for _, sw := range rs.Switches {
-			s := e.in.Net.Switch(sw)
+		for _, id := range rs.IDs {
+			s := e.in.Net.At(id)
 			if s == nil {
-				return fmt.Errorf("encode: scope of %q references unknown switch %q", a.Name, sw)
+				return fmt.Errorf("encode: scope of %q references unknown switch %q", a.Name, e.in.Net.NamesOf([]int32{id})[0])
 			}
 			if s.ASIC.Programmable {
-				i := e.at[sw]
+				i := e.at[s.Name]
 				e.models[i] = s.ASIC
 				p.cands = append(p.cands, i)
 			}

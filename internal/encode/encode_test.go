@@ -386,7 +386,7 @@ func scopeUnion(in *Input) []string {
 		if rs == nil {
 			continue
 		}
-		for _, sw := range rs.Switches {
+		for _, sw := range in.Net.NamesOf(rs.IDs) {
 			if !seen[sw] {
 				seen[sw] = true
 				union = append(union, sw)

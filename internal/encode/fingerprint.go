@@ -135,7 +135,7 @@ func (p *Plan) Imports(sw string, instrs []*ir.Instr) []BridgeVar {
 // nothing on it.
 func (p *Plan) Shape(sw string) string {
 	p.hashes.once.Do(p.hashSwitches)
-	if r := p.at.lookup(sw); r.b != nil {
+	if r := p.locate(sw); r.b != nil {
 		return p.hashes.shapes[r.b.shapeSource()][r.i]
 	}
 	return ""

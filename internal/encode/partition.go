@@ -129,12 +129,12 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		keptElsewhere := rs != full
 		var groups []pathGroup
 		if splittable(a, full) {
-			var offPath []string
+			var offPath bool
 			var err error
-			if groups, offPath, err = pathGroups(ctx, rs, st); err != nil {
+			if groups, offPath, err = pathGroups(ctx, in.Net, rs, st); err != nil {
 				return nil, false, fmt.Errorf("encode: scope of %q: %w", a.Name, err)
 			}
-			if ca != nil && (len(offPath) > 0 || len(groups) == 0) {
+			if ca != nil && (offPath || len(groups) == 0) {
 				return nil, false, nil
 			}
 		}
@@ -233,8 +233,8 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		}
 		if anySplit {
 			for _, rs := range scopes {
-				if c.Tag == "" || rs.Switches[0] < c.Tag {
-					c.Tag = rs.Switches[0]
+				if first := in.Net.At(rs.IDs[0]).Name; c.Tag == "" || first < c.Tag {
+					c.Tag = first
 				}
 			}
 		}
@@ -273,7 +273,7 @@ func (ca *carried) narrow(rs *scope.Resolved) *scope.Resolved {
 // all: not a PER-SW deployment, and not an algorithm reading or writing
 // globals (their co-location constraint spans the whole scope).
 func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
-	if rs.Deploy != scope.MultiSwitch || len(rs.Switches) < 2 {
+	if rs.Deploy != scope.MultiSwitch || len(rs.IDs) < 2 {
 		return false
 	}
 	for _, inst := range a.Instrs {
@@ -284,14 +284,13 @@ func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 	return true
 }
 
-// pathGroup is one path-connected switch group of a scope: its members in
-// name order, by name and by id, and the smallest of them on a flow path,
-// which orders the groups.
+// pathGroup is one path-connected switch group of a scope: its members' ids
+// in name order, and the name of the smallest of them on a flow path, which
+// orders the groups.
 type pathGroup struct {
-	head    string
-	members []string
-	ids     []int32
-	paths   walked // the flow paths inside the group, in walk order
+	head  string
+	ids   []int32
+	paths walked // the flow paths inside the group, in walk order
 }
 
 // keepHops bounds the hops a walk keeps (1 Mi hops, 4 MiB): the components of
@@ -300,22 +299,21 @@ type pathGroup struct {
 // 16 Ki hops; an 11-switch full mesh's 9.4 Mi.
 const keepHops = 1 << 20
 
-// pathGroups walks a scope's flow paths once and returns the groups of
+// pathGroups walks a scope's flow paths on net once and returns the groups of
 // switches they connect, ordered by head, each with its share of the paths,
-// and the scope switches no flow traverses, which the first group holds too.
-// The union-find runs over the scope's places, found through a table by
-// switch id, and the paths are kept in st. A group has no share when some
-// path leaves the scope's switches, since its own path set would not yield
-// that path, or when the paths exceed keepHops. A walk past the path budget
-// fails with the *topo.PathLimitError.
-func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups []pathGroup, offPath []string, err error) {
-	ps := rs.PathSet
-	if ps == nil {
-		return nil, rs.Switches, nil
+// and whether some scope switch is on no flow path, which the first group
+// holds then. The union-find runs over the scope's places, found through a
+// table by switch id, and the paths are kept in st. A group has no share
+// when some path leaves the scope's switches, since its own path set would
+// not yield that path, or when the paths exceed keepHops. A walk past the
+// path budget fails with the *topo.PathLimitError.
+func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *pathStore) (groups []pathGroup, offPath bool, err error) {
+	if rs.PathSet == nil {
+		return nil, true, nil
 	}
 	n := len(rs.IDs)
 	// place holds 1 + a switch's place in the scope by switch id, 0 off it.
-	place := zeroed(&st.place, ps.Span())
+	place := zeroed(&st.place, net.Span())
 	for i, id := range rs.IDs {
 		place[id] = int32(i + 1)
 	}
@@ -358,22 +356,22 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 		return true
 	}))
 	if ctx.Err() != nil {
-		return nil, nil, timeout(ctx)
+		return nil, false, timeout(ctx)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
 	at := resize(st.at, n) // root -> index into groups, -1 for none
 	st.at = at
 	for i := range at {
 		at[i] = -1
 	}
-	for i, sw := range rs.Switches { // scope order is sorted: heads come out sorted
+	for i, id := range rs.IDs { // scope order is name order: heads come out sorted
 		if onPath[i] == 0 {
-			offPath = append(offPath, sw)
+			offPath = true
 		} else if r := find(int32(i)); at[r] < 0 {
 			at[r] = int32(len(groups))
-			groups = append(groups, pathGroup{head: sw})
+			groups = append(groups, pathGroup{head: net.At(id).Name})
 		}
 	}
 	if len(groups) == 0 {
@@ -383,10 +381,10 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 	// group 0, where it only ever receives "no flow traverses you" exclusions.
 	for i, id := range rs.IDs {
 		g := &groups[max(at[find(int32(i))], 0)]
-		g.members, g.ids = append(g.members, rs.Switches[i]), append(g.ids, id)
+		g.ids = append(g.ids, id)
 	}
 	if kept && !leaves {
-		split(b, ps, groups, func(id int32) int32 { return at[find(place[id]-1)] })
+		split(b, groups, func(id int32) int32 { return at[find(place[id]-1)] })
 	}
 	return groups, offPath, nil
 }
@@ -395,9 +393,9 @@ func pathGroups(ctx context.Context, rs *scope.Resolved, st *pathStore) (groups 
 // lies entirely inside one group (that is what defines the groups), so the
 // PathSet narrows to the group's switches and endpoints.
 func subResolved(rs *scope.Resolved, g pathGroup) *scope.Resolved {
-	sub := &scope.Resolved{Scope: rs.Scope, Switches: g.members, IDs: g.ids}
+	sub := &scope.Resolved{Scope: rs.Scope, IDs: g.ids}
 	if rs.PathSet != nil {
-		sub.PathSet = rs.PathSet.Narrow(g.ids, g.members)
+		sub.PathSet = rs.PathSet.Narrow(g.ids)
 	}
 	return sub
 }
@@ -424,9 +422,9 @@ func mergeResolved(net *topo.Network, orig *scope.Resolved, parts []unit) *scope
 
 // pick returns the group of the switches of rs that keep holds, in name order.
 func pick(rs *scope.Resolved, keep func(id int32) bool) (g pathGroup) {
-	for i, id := range rs.IDs {
+	for _, id := range rs.IDs {
 		if keep(id) {
-			g.members, g.ids = append(g.members, rs.Switches[i]), append(g.ids, id)
+			g.ids = append(g.ids, id)
 		}
 	}
 	return g

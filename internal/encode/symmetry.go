@@ -245,20 +245,19 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 // name and by id: those of its one scope, or their union.
 func switchesOf(in *Input) ([]string, []int32) {
 	set, n := in.Net.NewSet(), 0
-	var one *scope.Resolved
+	var ids []int32
 	for _, a := range in.IR.Algorithms {
 		if rs := in.Scopes[a.Name]; rs != nil {
 			for _, id := range rs.IDs {
 				set.Add(id)
 			}
-			one, n = rs, n+1
+			ids, n = rs.IDs, n+1
 		}
 	}
-	if n == 1 {
-		return one.Switches, one.IDs
+	if n > 1 {
+		ids = in.Net.Sorted(set)
 	}
-	ids, names := in.Net.Sorted(set)
-	return names, ids
+	return in.Net.NamesOf(ids), ids
 }
 
 // readPaths appends a MULTI-SW scope's flow paths to the component's by rank,
@@ -267,7 +266,7 @@ func switchesOf(in *Input) ([]string, []int32) {
 // its path set, polled against ctx. It reports whether every hop is one of
 // the component's switches, ranked in nb.rankOf.
 func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked, h hash.Hash) (on bool, err error) {
-	if w.set == nil && rs.PathSet == nil {
+	if w.walk == nil && rs.PathSet == nil {
 		return true, nil
 	}
 	on = true
@@ -291,7 +290,7 @@ func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked
 		nb.writePath(h, nb.hops[from:])
 		return true
 	}
-	if w.set != nil {
+	if w.walk != nil {
 		w.each(polled(ctx, add))
 	} else {
 		err = rs.EachPath(polled(ctx, add))

@@ -10,6 +10,7 @@ import (
 	"lyra/internal/ir"
 	"lyra/internal/smt"
 	"lyra/internal/synth"
+	"lyra/internal/topo"
 )
 
 // Template is the solved form of a symmetry class with every switch name
@@ -243,71 +244,63 @@ func (e *encoder) bridge(t *Template) {
 // algorithm, then by variable.
 func bridgeOrder(bv BridgeVar) (string, *ir.Var) { return bv.Alg, bv.Var }
 
-// switchIndex locates the switches of a plan's bindings: own maps a switch to
-// its slot (the zero slotRef: to no binding), and base, when not nil, locates
-// the switches own does not name. A plan that carried bindings over from a
-// plan indexed whole — a recompile from a compile, as every recompile of a
-// serve session is — owns only the switches of the bindings it made and
-// dropped, over that plan's index, so an event indexes what it replaced, not
-// the fabric. A recompile of a recompile is indexed whole, so a lookup is at
-// most two probes.
-type switchIndex struct {
-	own, base map[string]slotRef
-}
+// switchIndex locates the switches of a plan's bindings by switch id: the
+// zero slotRef for a switch in no binding. A compile fills it; a recompile
+// copies the index of the plan it follows, whose network shares its name
+// index, and rewrites the switches of the bindings it dropped and made, so an
+// event indexes what it replaced, not the fabric.
+type switchIndex []slotRef
 
 type slotRef struct {
 	b *Binding
 	i int
 }
 
-func newIndex(bound []*Binding) *switchIndex { return &switchIndex{own: slotsOf(bound)} }
+// newIndex returns the switch index of bound, bindings on net.
+func newIndex(net *topo.Network, bound []*Binding) switchIndex {
+	x := make(switchIndex, net.Span())
+	x.bind(net, bound)
+	return x
+}
 
-func slotsOf(bound []*Binding) map[string]slotRef {
-	n := 0
-	for _, b := range bound {
-		n += len(b.Switches)
-	}
-	own := make(map[string]slotRef, n)
+// bind enters the switches of bindings on net.
+func (x switchIndex) bind(net *topo.Network, bound []*Binding) {
 	for _, b := range bound {
 		for i, sw := range b.Switches {
-			own[sw] = slotRef{b, i}
+			x[net.Switch(sw).ID()] = slotRef{b, i}
 		}
 	}
-	return own
 }
 
-func (x *switchIndex) lookup(sw string) slotRef {
-	if r, ok := x.own[sw]; ok {
-		return r
+// after returns the switch index of a plan on net that follows the plan x
+// indexes, dropping bindings of it and making others: x less the dropped
+// bindings' switches, with the made ones'. It is x itself when nothing was
+// dropped or made.
+func (x switchIndex) after(net *topo.Network, dropped, made []*Binding) switchIndex {
+	if len(dropped) == 0 && len(made) == 0 {
+		return x
 	}
-	return x.base[sw]
-}
-
-// index returns the switch index of bound, which ca.merge made of the carried
-// bindings and made: prev's, overlaid with the dropped bindings' switches as
-// in no binding unless made holds them, or a whole one when prev is itself an
-// overlay.
-func (ca *carried) index(prev *switchIndex, made, bound []*Binding) *switchIndex {
-	switch {
-	case len(ca.dropped) == 0 && len(made) == 0:
-		return prev
-	case prev.base != nil:
-		return newIndex(bound)
-	}
-	own := slotsOf(slices.Concat(ca.dropped, made))
-	for _, b := range ca.dropped {
-		for _, sw := range b.Switches {
-			if own[sw].b == b {
-				own[sw] = slotRef{}
-			}
+	out := make(switchIndex, net.Span())
+	for id, r := range x {
+		if !slices.Contains(dropped, r.b) {
+			out[id] = r
 		}
 	}
-	return &switchIndex{own: own, base: prev.own}
+	out.bind(net, made)
+	return out
+}
+
+// locate returns where a switch is bound: the zero slotRef for none.
+func (p *Plan) locate(sw string) slotRef {
+	if s := p.Input.Net.Switch(sw); s != nil && int(s.ID()) < len(p.at) {
+		return p.at[s.ID()]
+	}
+	return slotRef{}
 }
 
 // slotOf returns the slot a switch is bound to, or the empty one.
 func (p *Plan) slotOf(sw string) slot {
-	if r := p.at.lookup(sw); r.b != nil {
+	if r := p.locate(sw); r.b != nil {
 		return r.b.slot(r.i)
 	}
 	return slot{}
@@ -383,7 +376,7 @@ func (p *Plan) ShardsOf(extern string) map[string]int64 {
 // Every switch of the component gets the same map, the binding's own: do not
 // modify it.
 func (p *Plan) ShardGroups(sw string) map[string][]Shard {
-	if r := p.at.lookup(sw); r.b != nil {
+	if r := p.locate(sw); r.b != nil {
 		return r.b.groups
 	}
 	return nil

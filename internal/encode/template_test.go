@@ -106,7 +106,7 @@ func TestBindEqualsSolve(t *testing.T) {
 				// switch names.
 				direct := &Plan{Input: c.In, bound: []*Binding{{Template: r.tmpl, Switches: union, algs: c.Algs}}}
 				direct.bound[0].layGroups()
-				direct.at = newIndex(direct.bound)
+				direct.at = newIndex(c.In.Net, direct.bound)
 				bound, want := sliceView(plan, b.Switches), sliceView(direct, union)
 				for f := range want {
 					if !reflect.DeepEqual(bound[f], want[f]) {
@@ -302,13 +302,13 @@ func canonicalFingerprintFmt(c *Component) string {
 	for _, a := range in.IR.Algorithms {
 		rs := in.Scopes[a.Name]
 		fmt.Fprintf(h, "alg %s deploy=%d sw=", a.Name, rs.Deploy)
-		for _, sw := range rs.Switches {
+		for _, sw := range in.Net.NamesOf(rs.IDs) {
 			fmt.Fprintf(h, "%d,", set[sw])
 		}
 		if rs.Deploy == scope.MultiSwitch {
 			rs.EachPath(func(p []int32) bool {
 				for _, id := range p {
-					fmt.Fprintf(h, "%d.", set[rs.PathSet.Name(id)])
+					fmt.Fprintf(h, "%d.", set[in.Net.At(id).Name])
 				}
 				h.Write([]byte{';'})
 				return true
@@ -357,7 +357,7 @@ func classKeyFmt(c *Component, union []string) string {
 	for _, a := range in.IR.Algorithms {
 		rs := in.Scopes[a.Name]
 		var sws []int
-		for _, sw := range rs.Switches {
+		for _, sw := range in.Net.NamesOf(rs.IDs) {
 			sws = append(sws, at[sw])
 		}
 		slices.Sort(sws)
@@ -370,7 +370,7 @@ func classKeyFmt(c *Component, union []string) string {
 			rs.EachPath(func(p []int32) bool {
 				var path []int
 				for _, id := range p {
-					path = append(path, at[rs.PathSet.Name(id)])
+					path = append(path, at[in.Net.At(id).Name])
 				}
 				paths = append(paths, path)
 				return true

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-
-	"lyra/internal/topo"
 )
 
 // A MULTI-SW scope's flow paths are walked once per solve, as switch ids:
@@ -16,11 +14,9 @@ import (
 // the encoder's prepare reads.
 
 // walked is a scope's flow paths as one walk of a path set yielded them, by
-// that set's switch ids (set.ID finds a name's): the paths of w.runs, each a
-// range of the walk's paths, in walk order. A scope with no walk kept has no
-// set.
+// switch id: the paths of w.runs, each a range of the walk's paths, in walk
+// order. A scope with no walk kept has none.
 type walked struct {
-	set  *topo.PathSet
 	walk *pathBuf
 	runs []run
 }
@@ -125,7 +121,7 @@ func (st *pathStore) reset() { st.used = 0 }
 // split hands each group its share of a walk, group(id) being the group of
 // the switch a path starts from. A walk takes its start switches in turn and
 // a start's paths are all in its group, so a share is a list of runs of paths.
-func split(b *pathBuf, set *topo.PathSet, groups []pathGroup, group func(id int32) int32) {
+func split(b *pathBuf, groups []pathGroup, group func(id int32) int32) {
 	start, g := int32(-1), int32(0)
 	for p := int32(0); int(p) < len(b.ends); p++ {
 		if s := b.path(p)[0]; s != start {
@@ -143,7 +139,7 @@ func split(b *pathBuf, set *topo.PathSet, groups []pathGroup, group func(id int3
 		for hi < len(b.runs) && b.runs[hi].group == b.runs[lo].group {
 			hi++
 		}
-		groups[b.runs[lo].group].paths = walked{set: set, walk: b, runs: b.runs[lo:hi:hi]}
+		groups[b.runs[lo].group].paths = walked{walk: b, runs: b.runs[lo:hi:hi]}
 		lo = hi
 	}
 }
@@ -157,13 +153,13 @@ func merge(parts []unit) walked {
 	}
 	var runs []run
 	for _, u := range parts {
-		if u.paths.set == nil {
+		if u.paths.walk == nil {
 			return walked{}
 		}
 		runs = append(runs, u.paths.runs...)
 	}
 	slices.SortFunc(runs, func(x, y run) int { return cmp.Compare(x.lo, y.lo) })
-	return walked{set: parts[0].paths.set, walk: parts[0].paths.walk, runs: runs}
+	return walked{walk: parts[0].paths.walk, runs: runs}
 }
 
 // wholeWalk returns, by algorithm, the paths of a partition that keeps the

@@ -80,7 +80,7 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 		for _, a := range in.IR.Algorithms {
 			rs := in.Scopes[a.Name]
 			if splittable(a, rs) {
-				checked.shares += sameGroups(t, label+" "+a.Name, rs)
+				checked.shares += sameGroups(t, label+" "+a.Name, net, rs)
 				checked.groups++
 			}
 		}
@@ -125,7 +125,7 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 		}
 		for _, a := range in2.IR.Algorithms {
 			if rs := ca.narrow(in2.Scopes[a.Name]); rs != nil && splittable(a, in2.Scopes[a.Name]) {
-				sameGroups(t, label+" carried "+a.Name, rs)
+				sameGroups(t, label+" carried "+a.Name, after, rs)
 			}
 		}
 		comps, ok, err := partition(context.Background(), in2, ca, new(pathStore))
@@ -147,21 +147,21 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 type refGroup struct {
 	head    string
 	members []string
-	ends    [2][]string
 	paths   [][]string // sorted by topo.PathLess
 }
 
 // nameGroups is pathGroups by name: the paths listed by name, union-find over
 // a name map, the switches on no path in the first group. leaves reports a
 // path through a switch off the scope.
-func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []string, leaves bool) {
+func nameGroups(t *testing.T, net *topo.Network, rs *scope.Resolved) (groups []refGroup, offPath []string, leaves bool) {
 	t.Helper()
 	paths, err := rs.PathList()
 	if err != nil {
 		t.Fatal(err)
 	}
+	switches := net.NamesOf(rs.IDs)
 	in := map[string]bool{}
-	for _, sw := range rs.Switches {
+	for _, sw := range switches {
 		in[sw] = true
 	}
 	parent := map[string]string{}
@@ -190,7 +190,7 @@ func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []
 		}
 	}
 	at := map[string]int{}
-	for _, sw := range rs.Switches {
+	for _, sw := range switches {
 		if !onPath[sw] {
 			offPath = append(offPath, sw)
 			continue
@@ -209,14 +209,6 @@ func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []
 	// Switches on no path attach to the first group.
 	groups[0].members = append(groups[0].members, offPath...)
 	sort.Strings(groups[0].members)
-	for e, ends := range [2][]string{rs.PathSet.From, rs.PathSet.To} {
-		for _, sw := range ends {
-			if in[sw] {
-				g := &groups[at[find(sw)]] // a switch on no path: group 0
-				g.ends[e] = append(g.ends[e], sw)
-			}
-		}
-	}
 	for i, p := range paths {
 		if first[i] != "" {
 			g := &groups[at[find(first[i])]]
@@ -226,48 +218,54 @@ func nameGroups(t *testing.T, rs *scope.Resolved) (groups []refGroup, offPath []
 	return groups, offPath, leaves
 }
 
-// sameGroups checks pathGroups against nameGroups on one scope and reports
-// how many groups had a share of the paths to compare.
-func sameGroups(t *testing.T, label string, rs *scope.Resolved) (shares int) {
+// sameGroups checks pathGroups against nameGroups on one scope on net and
+// reports how many groups had a share of the paths to compare. Where no path
+// leaves the scope, a group's share and the walk of its fragment's own path
+// set must both be the name walk's paths of the group.
+func sameGroups(t *testing.T, label string, net *topo.Network, rs *scope.Resolved) (shares int) {
 	t.Helper()
-	got, gotOff, err := pathGroups(context.Background(), rs, new(pathStore))
+	got, gotOff, err := pathGroups(context.Background(), net, rs, new(pathStore))
 	if err != nil {
 		t.Fatalf("%s: pathGroups: %v", label, err)
 	}
-	want, wantOff, leaves := nameGroups(t, rs)
-	if !slices.Equal(gotOff, wantOff) || len(got) != len(want) {
+	want, wantOff, leaves := nameGroups(t, net, rs)
+	if gotOff != (len(wantOff) > 0) || len(got) != len(want) {
 		t.Fatalf("%s: %d groups, off path %v; the name walk finds %d, off path %v", label, len(got), gotOff, len(want), wantOff)
 	}
-	for i, g := range got {
-		w := want[i]
-		frag := subResolved(rs, g).PathSet
-		ends := [2][]string{frag.From, frag.To}
-		if g.head != w.head || !slices.Equal(g.members, w.members) || !reflect.DeepEqual(ends, w.ends) {
-			t.Fatalf("%s: group %d is %s %v ends %v; the name walk's is %s %v ends %v", label, i, g.head, g.members, ends, w.head, w.members, w.ends)
-		}
-		if leaves {
-			if g.paths.set != nil {
-				t.Fatalf("%s: group %d has a share of paths that leave the scope", label, i)
-			}
-			continue
-		}
-		var paths [][]string
-		g.paths.each(func(p []int32) bool {
-			var names []string
-			for _, id := range p {
-				names = append(names, g.paths.set.Name(id))
-			}
-			paths = append(paths, names)
-			return true
-		})
+	sorted := func(paths [][]string) [][]string {
 		slices.SortFunc(paths, func(a, b []string) int {
 			if topo.PathLess(a, b) {
 				return -1
 			}
 			return 1
 		})
-		if !reflect.DeepEqual(paths, w.paths) {
-			t.Fatalf("%s: group %s holds paths %v; the name walk's are %v", label, g.head, paths, w.paths)
+		return paths
+	}
+	for i, g := range got {
+		w := want[i]
+		if members := net.NamesOf(g.ids); g.head != w.head || !slices.Equal(members, w.members) {
+			t.Fatalf("%s: group %d is %s %v; the name walk's is %s %v", label, i, g.head, members, w.head, w.members)
+		}
+		if leaves {
+			if g.paths.walk != nil {
+				t.Fatalf("%s: group %d has a share of paths that leave the scope", label, i)
+			}
+			continue
+		}
+		var share [][]string
+		g.paths.each(func(p []int32) bool {
+			share = append(share, net.NamesOf(p))
+			return true
+		})
+		if share = sorted(share); !reflect.DeepEqual(share, w.paths) {
+			t.Fatalf("%s: group %s holds paths %v; the name walk's are %v", label, g.head, share, w.paths)
+		}
+		frag, err := subResolved(rs, g).PathList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(frag, w.paths) {
+			t.Fatalf("%s: the fragment of group %s walks %v; the name walk's paths are %v", label, g.head, frag, w.paths)
 		}
 		shares++
 	}
@@ -304,7 +302,7 @@ func nameNumber(t *testing.T, c *Component) (union []string, paths *hopLists, ca
 	for a, alg := range in.IR.Algorithms {
 		rs := in.Scopes[alg.Name]
 		role := make([]uint64, n)
-		for _, sw := range rs.Switches {
+		for _, sw := range in.Net.NamesOf(rs.IDs) {
 			role[at[sw]] = 1
 		}
 		for p := from; p < paths.algEnd[a]; p++ {

@@ -307,7 +307,7 @@ func TestSearchSkipsUnsolvableBase(t *testing.T) {
 	scopes := mustScopes(t, "acl: [ ToR1 | PER-SW | - ]", net)
 	// Point the algorithm at a switch that does not exist in the scope map's
 	// paths by emptying the resolution — the solve must fail cleanly.
-	scopes["acl"].Switches = nil
+	scopes["acl"].IDs = nil
 	winner, rep := Search(context.Background(), base, net, scopes, Options{Seed: 1}, encode.ObjNone, 0)
 	if winner != base {
 		t.Error("unsolvable base was not passed through")

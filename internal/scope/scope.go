@@ -202,8 +202,7 @@ func splitTop(s string, sep byte) []string {
 // simple path in memory at once.
 type Resolved struct {
 	Scope
-	Switches []string // concrete switch names, sorted
-	IDs      []int32  // the switches' ids in the network, in the order of Switches
+	IDs []int32 // the candidate switches' ids in the network, in name order
 	// PathSet is the lazy path view (MULTI-SW only). It reflects the
 	// network the scope was resolved against and marks its switches by id.
 	PathSet *topo.PathSet
@@ -238,7 +237,7 @@ func (s *Spec) Resolve(net *topo.Network) (map[string]*Resolved, error) {
 // fault uses AllowMissing so that a scope naming a dead switch degrades to
 // the surviving members instead of failing outright. A scope that does not
 // resolve is an *Error. Patterns are matched into sets of switch ids, which
-// the network's name order renders.
+// the network's name order lists.
 func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Resolved, error) {
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
@@ -247,7 +246,7 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 			return nil, resolveErr(sc.Alg, "region pattern %q matches no switch", sc.Region[i])
 		}
 		r := &Resolved{Scope: sc, net: net}
-		r.IDs, r.Switches = net.Sorted(region)
+		r.IDs = net.Sorted(region)
 		if sc.Deploy == MultiSwitch && len(r.IDs) > 0 {
 			ends := [2]topo.Set{net.NewSet(), net.NewSet()}
 			for e, patterns := range [2][]string{sc.Direct.From, sc.Direct.To} {
@@ -255,7 +254,7 @@ func (s *Spec) ResolveWith(net *topo.Network, opts ResolveOpts) (map[string]*Res
 					return nil, resolveErr(sc.Alg, "pattern %q matches no switch", patterns[i])
 				}
 			}
-			r.PathSet = net.Paths(ends[0], ends[1], region, r.Switches)
+			r.PathSet = net.Paths(ends[0], ends[1], region)
 		}
 		if err := r.check(); err != nil {
 			return nil, err
@@ -280,17 +279,13 @@ func (s *Spec) ResolveAfter(prev map[string]*Resolved, net *topo.Network, delta 
 	out := make(map[string]*Resolved, len(s.Scopes))
 	for _, sc := range s.Scopes {
 		was := prev[sc.Alg]
-		r := &Resolved{Scope: sc, IDs: was.IDs, Switches: was.Switches, net: net}
-		if slices.ContainsFunc(was.IDs, func(id int32) bool { return net.At(id) == nil }) {
-			r.IDs, r.Switches = make([]int32, 0, len(was.IDs)), make([]string, 0, len(was.IDs))
-			for i, id := range was.IDs {
-				if net.At(id) != nil {
-					r.IDs, r.Switches = append(r.IDs, id), append(r.Switches, was.Switches[i])
-				}
-			}
+		r := &Resolved{Scope: sc, IDs: was.IDs, net: net}
+		gone := func(id int32) bool { return net.At(id) == nil }
+		if slices.ContainsFunc(was.IDs, gone) {
+			r.IDs = slices.DeleteFunc(slices.Clone(was.IDs), gone)
 		}
 		if sc.Deploy == MultiSwitch && len(r.IDs) > 0 {
-			r.PathSet = was.PathSet.After(net, r.Switches)
+			r.PathSet = was.PathSet.After(net)
 		}
 		if err := r.check(); err != nil {
 			return nil, err
@@ -322,25 +317,27 @@ func (s *Spec) resolvedAs(prev map[string]*Resolved, net *topo.Network) bool {
 // check checks what any resolution must have: a non-empty region and, for
 // MULTI-SW, flow endpoints at both ends and at least one flow path.
 func (r *Resolved) check() error {
-	switch {
-	case len(r.Switches) == 0:
+	if len(r.IDs) == 0 {
 		return resolveErr(r.Alg, "region %v matches no surviving switch", r.Region)
-	case r.Deploy != MultiSwitch:
+	}
+	if r.Deploy != MultiSwitch {
 		return nil
-	case len(r.PathSet.From) == 0:
+	}
+	switch from, to := r.PathSet.HasEnds(); {
+	case !from:
 		return resolveErr(r.Alg, "patterns %v match no surviving switch", r.Direct.From)
-	case len(r.PathSet.To) == 0:
+	case !to:
 		return resolveErr(r.Alg, "patterns %v match no surviving switch", r.Direct.To)
 	case !r.PathSet.Any():
-		return resolveErr(r.Alg, "no flow path from %v to %v within %v", r.Direct.From, r.Direct.To, r.Switches)
+		return resolveErr(r.Alg, "no flow path from %v to %v within %v", r.Direct.From, r.Direct.To, r.net.NamesOf(r.IDs))
 	}
 	return nil
 }
 
 // EachPath iterates the scope's flow paths in the PathSet's deterministic
 // DFS order under the path budget: past MaxPaths it stops with a
-// *topo.PathLimitError. A path is its hops' switch ids, which the PathSet's
-// Name renders. The yielded slice is only valid during the callback — copy
+// *topo.PathLimitError. A path is its hops' switch ids, which the network's
+// NamesOf renders. The yielded slice is only valid during the callback — copy
 // to retain. Returning false stops the iteration early.
 func (r *Resolved) EachPath(yield func(path []int32) bool) error {
 	if r.PathSet == nil {

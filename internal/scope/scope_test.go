@@ -66,8 +66,8 @@ func TestResolveFigure7(t *testing.T) {
 		t.Fatalf("resolve: %v", err)
 	}
 	in := res["int_in"]
-	if strings.Join(in.Switches, ",") != "ToR1,ToR2,ToR3,ToR4" {
-		t.Errorf("int_in switches = %v", in.Switches)
+	if got := strings.Join(in.net.NamesOf(in.IDs), ","); got != "ToR1,ToR2,ToR3,ToR4" {
+		t.Errorf("int_in switches = %v", got)
 	}
 	paths, err := res["loadbalancer"].PathList()
 	if err != nil {
@@ -106,8 +106,9 @@ func TestCommentsAndBlanks(t *testing.T) {
 	}
 }
 
-// sameResolution compares what two resolutions hold: switches, their ids,
-// endpoints, the endpoint marks by id and the enumerated path sequence.
+// sameResolution compares what two resolutions hold: their switches by name
+// and by id, whether they have flow endpoints, and the enumerated path
+// sequence.
 func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -118,19 +119,15 @@ func sameResolution(t *testing.T, label string, got, want map[string]*Resolved) 
 		if g == nil {
 			t.Fatalf("%s: no resolution for %s", label, alg)
 		}
-		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.Switches, w.Switches) || !reflect.DeepEqual(g.IDs, w.IDs) ||
+		if !reflect.DeepEqual(g.Scope, w.Scope) || !reflect.DeepEqual(g.net.NamesOf(g.IDs), w.net.NamesOf(w.IDs)) || !reflect.DeepEqual(g.IDs, w.IDs) ||
 			(g.PathSet == nil) != (w.PathSet == nil) {
 			t.Errorf("%s: %s resolves to %+v, want %+v", label, alg, g, w)
 			continue
 		}
-		if g.PathSet != nil && (!reflect.DeepEqual(g.PathSet.From, w.PathSet.From) || !reflect.DeepEqual(g.PathSet.To, w.PathSet.To) ||
-			!reflect.DeepEqual(g.PathSet.Within, w.PathSet.Within)) {
-			t.Errorf("%s: %s path set %+v, want %+v", label, alg, g.PathSet, w.PathSet)
-		}
-		for id := int32(0); g.PathSet != nil && int(id) < g.PathSet.Span(); id++ {
-			gf, gt := g.PathSet.Ends(id)
-			if wf, wt := w.PathSet.Ends(id); gf != wf || gt != wt {
-				t.Errorf("%s: %s marks switch %d as an end (%v, %v), want (%v, %v)", label, alg, id, gf, gt, wf, wt)
+		if g.PathSet != nil {
+			gf, gt := g.PathSet.HasEnds()
+			if wf, wt := w.PathSet.HasEnds(); gf != wf || gt != wt {
+				t.Errorf("%s: %s has ends (%v, %v), want (%v, %v)", label, alg, gf, gt, wf, wt)
 			}
 		}
 		if gs, ws := walk(g), walk(w); !reflect.DeepEqual(gs, ws) {
@@ -198,7 +195,7 @@ func TestResolveAfterEqualsResolveWith(t *testing.T) {
 			continue
 		}
 		sameResolution(t, name, got, want)
-		if name == "identity" && &got["acl"].Switches[0] != &prev["acl"].Switches[0] {
+		if name == "identity" && &got["acl"].IDs[0] != &prev["acl"].IDs[0] {
 			t.Errorf("%s: an untouched switch list was copied", name)
 		}
 	}

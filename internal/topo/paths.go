@@ -12,8 +12,9 @@ import (
 var ErrPathLimit = errors.New("topo: path enumeration exceeded budget")
 
 // PathLimitError reports that enumerating the simple paths of a scope blew
-// past the configured cap. Seen is the number of paths produced before the
-// enumeration was cut off (== Limit).
+// past the configured cap, Limit, which is also the number of paths produced
+// before the enumeration was cut off. From and To name the set's starts and
+// targets in name order.
 type PathLimitError struct {
 	Limit int64
 	From  []string
@@ -26,100 +27,85 @@ func (e *PathLimitError) Error() string {
 
 func (e *PathLimitError) Unwrap() error { return ErrPathLimit }
 
-// PathSet is a lazy representation of the simple flow paths from any switch
-// in From to any switch in To, restricted to the switches in Within (nil
-// allows all). Paths are never materialized by constructing a PathSet;
+// PathSet is a lazy representation of the simple flow paths from any of its
+// start switches to any of its targets, restricted to the switches it is
+// within (nil allows all). Its switches are sets of switch ids, fixed when the
+// set is made. Paths are never materialized by constructing a PathSet;
 // consumers iterate with Each, count with Count, or materialize a bounded
 // slice with Materialize. The set is a view over the network: it reflects
 // the adjacency at iteration time, so it must not outlive topology
-// mutations it is expected to be consistent with. Its switches are sets of
-// switch ids, fixed when the set is made; From, To and Within render them in
-// name order.
+// mutations it is expected to be consistent with.
 type PathSet struct {
-	net    *Network
-	From   []string
-	To     []string
-	Within []string // nil = all switches
-
-	starts       []int32 // the ids of From, in its order
-	from, to, in Set     // From, To and Within by switch id (in is nil while Within is)
+	net          *Network
+	starts       []int32 // the start switches, in name order
+	from, to, in Set     // starts, targets and the switches within (in is nil for all)
 }
 
 // Paths builds the lazy path view of the flow paths from the switches of from
-// to those of to, within those of within, whose names the caller has from
-// Sorted.
-func (n *Network) Paths(from, to, within Set, names []string) *PathSet {
-	ps := &PathSet{net: n, Within: names, from: from, to: to, in: within}
-	ps.starts, ps.From = n.Sorted(from)
-	_, ps.To = n.Sorted(to)
-	return ps
+// to those of to, within those of within (nil for all).
+func (n *Network) Paths(from, to, within Set) *PathSet {
+	return &PathSet{net: n, starts: n.Sorted(from), from: from, to: to, in: within}
 }
 
 // After returns the set on n, a state of the set's network that shares its
 // name index (SharesIndex) and lost switches or links since: the set less the
-// switches n lacks, names being its Within switches n has. A set or list that
-// loses none of them is shared.
-func (ps *PathSet) After(n *Network, names []string) *PathSet {
+// switches n lacks. A set that loses none of them is shared.
+func (ps *PathSet) After(n *Network) *PathSet {
 	out := *ps
-	out.net, out.Within = n, names
+	out.net = n
 	var cut bool
 	if out.from, cut = n.live(ps.from); cut {
-		out.starts, out.From = n.Sorted(out.from)
+		out.starts = n.Sorted(out.from)
 	}
-	if out.to, cut = n.live(ps.to); cut {
-		_, out.To = n.Sorted(out.to)
-	}
+	out.to, _ = n.live(ps.to)
 	out.in, _ = n.live(ps.in)
 	return &out
 }
 
-// Narrow returns the paths of the set that stay inside some of its Within
-// switches, given in name order by id and by name: its starts and targets
-// among them. The endpoint marks are the set's, as a walk reads one only
-// where it stands, which is inside within.
-func (ps *PathSet) Narrow(within []int32, names []string) *PathSet {
-	out := &PathSet{net: ps.net, Within: names, from: ps.from, to: ps.to, in: ps.net.NewSet()}
-	for i, id := range within {
+// Narrow returns the paths of the set that stay inside some of its switches,
+// given by id in name order, with its starts and targets among them.
+func (ps *PathSet) Narrow(within []int32) *PathSet {
+	n := ps.net
+	out := &PathSet{net: n, from: n.NewSet(), to: n.NewSet(), in: n.NewSet()}
+	for _, id := range within {
 		out.in.Add(id)
 		if ps.from.Has(id) {
-			out.starts, out.From = append(out.starts, id), append(out.From, names[i])
+			out.starts = append(out.starts, id)
+			out.from.Add(id)
 		}
 		if ps.to.Has(id) {
-			out.To = append(out.To, names[i])
+			out.to.Add(id)
 		}
 	}
 	return out
 }
 
-// Ends reports whether a switch is in From and whether it is in To.
-func (ps *PathSet) Ends(id int32) (from, to bool) { return ps.from.Has(id), ps.to.Has(id) }
+// HasEnds reports whether the set has a start and whether it has a target.
+func (ps *PathSet) HasEnds() (from, to bool) { return len(ps.starts) > 0, !ps.to.empty() }
 
 // Each enumerates paths in deterministic DFS order (sorted start switches,
 // sorted neighbor expansion; enumeration stops at the first target hit, as
-// flows terminate there), each as the switch ids of its hops: Name renders an
-// id, and every id is below Span. The yield callback receives a shared
-// scratch slice valid only for the duration of the call — copy it to retain
-// it. Yielding false stops the enumeration early without error. A limit > 0
-// bounds the number of paths enumerated; exceeding it returns a
-// *PathLimitError. The returned count is the number of paths yielded.
+// flows terminate there), each as the switch ids of its hops. The yield
+// callback receives a shared scratch slice valid only for the duration of the
+// call — copy it to retain it. Yielding false stops the enumeration early
+// without error. A limit > 0 bounds the number of paths enumerated; exceeding
+// it returns a *PathLimitError. The returned count is the number of paths
+// yielded.
 func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, error) {
 	n := ps.net
 	var count int64
 	stop, overflow := false, false
 	path := make([]int32, 0, 8)
 	onPath := make(Set, len(n.recs)/64+1) // the switches path holds
-	emit := func() {
-		if limit > 0 && count >= limit {
-			overflow, stop = true, true
-			return
-		}
-		count++
-		stop = !yield(path)
-	}
 	var dfs func(id int32)
 	dfs = func(id int32) {
 		if ps.to.Has(id) {
-			emit()
+			if limit > 0 && count >= limit {
+				overflow, stop = true, true
+				return
+			}
+			count++
+			stop = !yield(path)
 			return
 		}
 		onPath.Add(id)
@@ -140,39 +126,15 @@ func (ps *PathSet) Each(limit int64, yield func(path []int32) bool) (int64, erro
 		if stop {
 			break
 		}
-		path = append(path[:0], id)
-		if int(id) >= len(n.recs) {
-			emit() // a start the network has no switch for: a path by itself
-		} else if n.recs[id] != nil && (ps.in == nil || ps.in.Has(id)) {
+		if n.recs[id] != nil && (ps.in == nil || ps.in.Has(id)) {
+			path = append(path[:0], id)
 			dfs(id)
 		}
 	}
 	if overflow {
-		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
+		return count, &PathLimitError{Limit: limit, From: n.NamesOf(ps.starts), To: n.NamesOf(n.Sorted(ps.to))}
 	}
 	return count, nil
-}
-
-// Span bounds the ids Each yields: the network's switch ids, then one for
-// each start the network has no switch for.
-func (ps *PathSet) Span() int { return ps.net.Span() + len(ps.From) }
-
-// Name renders a switch id Each yields.
-func (ps *PathSet) Name(id int32) string {
-	if recs := ps.net.recs; int(id) < len(recs) && recs[id] != nil {
-		return recs[id].Name
-	}
-	return sorted(ps.From)[int(id)-len(ps.net.recs)]
-}
-
-// sorted returns xs if it is sorted already, otherwise a sorted copy.
-func sorted(xs []string) []string {
-	if sort.StringsAreSorted(xs) {
-		return xs
-	}
-	xs = append([]string(nil), xs...)
-	sort.Strings(xs)
-	return xs
 }
 
 // Count returns the number of paths in the set without materializing any,
@@ -193,11 +155,7 @@ func (ps *PathSet) Any() bool {
 func (ps *PathSet) Materialize(limit int64) ([][]string, error) {
 	var paths [][]string
 	_, err := ps.Each(limit, func(p []int32) bool {
-		names := make([]string, len(p))
-		for i, id := range p {
-			names[i] = ps.Name(id)
-		}
-		paths = append(paths, names)
+		paths = append(paths, ps.net.NamesOf(p))
 		return true
 	})
 	if err != nil {

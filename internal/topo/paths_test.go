@@ -14,65 +14,25 @@ import (
 )
 
 // PathSet is the path view over name lists, as the tests write them:
-// unsorted, with repeats, and naming switches the network lacks. A start the
-// network has no switch for is a path by itself when Within and To name it;
-// its id is past the network's, at the start's first place in the sorted
-// From list.
+// unsorted, with repeats, and naming switches the network lacks, which it
+// leaves out.
 func (n *Network) PathSet(from, to, within []string) *PathSet {
-	ps := &PathSet{net: n, From: from, To: to, Within: within, from: n.marks(from), to: n.marks(to)}
+	var in Set
 	if within != nil {
-		ps.in = n.marks(within)
+		in = n.marks(within)
 	}
-	starts := sorted(from)
-	for _, s := range starts {
-		if sw := n.Switch(s); sw != nil {
-			ps.starts = append(ps.starts, sw.id)
-		} else if within != nil && slices.Contains(within, s) && slices.Contains(to, s) {
-			ps.starts = append(ps.starts, int32(len(n.recs)+sort.SearchStrings(starts, s)))
-		}
-	}
-	return ps
+	return n.Paths(n.marks(from), n.marks(to), in)
 }
 
-// marks is the set of the named switches n has an id for.
+// marks is the set of the named switches n has.
 func (n *Network) marks(names []string) Set {
 	s := n.NewSet()
 	for _, name := range names {
-		if id, ok := n.ids[name]; ok {
-			s.Add(id)
+		if sw := n.Switch(name); sw != nil {
+			s.Add(sw.id)
 		}
 	}
 	return s
-}
-
-// narrowed is Narrow over name lists: the paths of ps that stay inside
-// within, a part of its Within, from and to being the parts of its From and
-// To in there. The lists, and the starts they give, are the caller's.
-func narrowed(ps *PathSet, from, to, within []string) *PathSet {
-	var ids []int32
-	var known []string
-	for _, name := range within {
-		if id, ok := ps.net.ids[name]; ok {
-			ids, known = append(ids, id), append(known, name)
-		}
-	}
-	out := ps.Narrow(ids, known)
-	out.From, out.To, out.Within, out.starts = from, to, within, ps.net.PathSet(from, to, within).starts
-	return out
-}
-
-// ID returns the id Each yields for a switch name, and false for a name no
-// path of the set can hold: one the network lacks that is not a start.
-func (ps *PathSet) ID(name string) (int32, bool) {
-	n := ps.net
-	if id, ok := n.ids[name]; ok && n.recs[id] != nil {
-		return id, true
-	}
-	starts := sorted(ps.From)
-	if i := sort.SearchStrings(starts, name); i < len(starts) && starts[i] == name {
-		return int32(len(n.recs) + i), true
-	}
-	return 0, false
 }
 
 // allPaths enumerates all simple paths from any switch in from to any switch
@@ -208,7 +168,7 @@ func TestPathSetMatchesLegacyDFS(t *testing.T) {
 			ps := c.net.PathSet(c.from, c.to, c.within)
 			var iter [][]string
 			if _, err := ps.Each(0, func(p []int32) bool {
-				iter = append(iter, names(ps, p))
+				iter = append(iter, c.net.NamesOf(p))
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -319,23 +279,27 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
+// lists are the name lists a path set was made from (see PathSet).
+type lists struct{ from, to, within []string }
+
 // mapEach is PathSet.Each as it was when it kept its allowed, target and
-// visited sets in maps built per call; the slice-based Each is pinned to its
-// yield order, count and budget behaviour.
-func mapEach(ps *PathSet, limit int64, yield func(path []string) bool) (int64, error) {
-	n := ps.net
+// visited sets in maps built per call, walking the paths of the lists on n;
+// the slice-based Each is pinned to its yield order, count and budget
+// behaviour. Its starts are those a path set can have: the switches of from
+// that n has.
+func mapEach(n *Network, l lists, limit int64, yield func(path []string) bool) (int64, error) {
 	allowed := map[string]bool{}
-	if ps.Within == nil {
+	if l.within == nil {
 		for _, s := range n.Switches {
 			allowed[s.Name] = true
 		}
 	} else {
-		for _, w := range ps.Within {
+		for _, w := range l.within {
 			allowed[w] = true
 		}
 	}
 	targets := map[string]bool{}
-	for _, t := range ps.To {
+	for _, t := range l.to {
 		targets[t] = true
 	}
 	var count int64
@@ -372,8 +336,7 @@ func mapEach(ps *PathSet, limit int64, yield func(path []string) bool) (int64, e
 			visited[nb] = false
 		}
 	}
-	starts := append([]string(nil), ps.From...)
-	sort.Strings(starts)
+	starts := known(n, l.from)
 	for _, s := range starts {
 		if stop {
 			break
@@ -387,9 +350,16 @@ func mapEach(ps *PathSet, limit int64, yield func(path []string) bool) (int64, e
 		visited[s] = false
 	}
 	if overflow {
-		return count, &PathLimitError{Limit: limit, From: ps.From, To: ps.To}
+		return count, &PathLimitError{Limit: limit, From: starts, To: known(n, l.to)}
 	}
 	return count, nil
+}
+
+// known returns the switches of names that n has, sorted, each once.
+func known(n *Network, names []string) []string {
+	out := slices.DeleteFunc(slices.Clone(names), func(name string) bool { return n.Switch(name) == nil })
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // eachCase draws one random graph from rng and a from/to/within triple over
@@ -427,27 +397,18 @@ func eachCase(rng *rand.Rand) (n *Network, names, from, to, within []string) {
 	return n, names, from, to, within
 }
 
-// names renders a path Each yields.
-func names(ps *PathSet, p []int32) []string {
-	out := make([]string, len(p))
-	for i, id := range p {
-		out[i] = ps.Name(id)
-	}
-	return out
-}
-
 // nameEach is Each with every yielded path rendered by name, after checking
-// that each id is below the set's Span and is what ID gives for its name.
+// that each id is a switch of the set's network.
 func nameEach(ps *PathSet, limit int64, yield func([]string) bool) (int64, error) {
 	var bad error
 	n, err := ps.Each(limit, func(p []int32) bool {
 		for _, id := range p {
-			if got, ok := ps.ID(ps.Name(id)); int(id) >= ps.Span() || !ok || got != id {
-				bad = fmt.Errorf("id %d (%s) of %v: span %d, ID gives %d, %v", id, ps.Name(id), names(ps, p), ps.Span(), got, ok)
+			if int(id) >= ps.net.Span() || ps.net.At(id) == nil {
+				bad = fmt.Errorf("id %d of %v is no switch of the network", id, p)
 				return false
 			}
 		}
-		return yield(names(ps, p))
+		return yield(ps.net.NamesOf(p))
 	})
 	if bad != nil {
 		return n, bad
@@ -455,11 +416,12 @@ func nameEach(ps *PathSet, limit int64, yield func([]string) bool) (int64, error
 	return n, err
 }
 
-// matchMapEach walks ps with Each and with mapEach, with and without a budget
-// and an early stop, and reports the first difference in yield sequence,
-// count or error.
-func matchMapEach(ps *PathSet) error {
-	total, _ := mapEach(ps, 0, func([]string) bool { return true })
+// matchMapEach walks ps, made from l, with Each and with mapEach, with and
+// without a budget and an early stop, and reports the first difference in
+// yield sequence, count or error.
+func matchMapEach(ps *PathSet, l lists) error {
+	n := ps.net
+	total, _ := mapEach(n, l, 0, func([]string) bool { return true })
 	for _, limit := range []int64{0, 1, total, total + 1} {
 		for _, stopAt := range []int{-1, 0, 2} {
 			run := func(each func(int64, func([]string) bool) (int64, error)) (seq []string, n int64, err error) {
@@ -469,11 +431,11 @@ func matchMapEach(ps *PathSet) error {
 				})
 				return
 			}
-			wantSeq, wantN, wantErr := run(func(l int64, y func([]string) bool) (int64, error) { return mapEach(ps, l, y) })
-			gotSeq, gotN, gotErr := run(func(l int64, y func([]string) bool) (int64, error) { return nameEach(ps, l, y) })
+			wantSeq, wantN, wantErr := run(func(lim int64, y func([]string) bool) (int64, error) { return mapEach(n, l, lim, y) })
+			gotSeq, gotN, gotErr := run(func(lim int64, y func([]string) bool) (int64, error) { return nameEach(ps, lim, y) })
 			if !reflect.DeepEqual(gotSeq, wantSeq) || gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				return fmt.Errorf("from=%v to=%v within=%v limit=%d stop=%d:\n got  %v (%d, %v)\n want %v (%d, %v)",
-					ps.From, ps.To, ps.Within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
+					l.from, l.to, l.within, limit, stopAt, gotSeq, gotN, gotErr, wantSeq, wantN, wantErr)
 			}
 			if (gotErr != nil) != errors.Is(gotErr, ErrPathLimit) {
 				return fmt.Errorf("error %v is not a path-limit error", gotErr)
@@ -491,7 +453,7 @@ func TestEachMatchesMapBasedEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for g := 0; g < 200; g++ {
 		n, _, from, to, within := eachCase(rng)
-		if err := matchMapEach(n.PathSet(from, to, within)); err != nil {
+		if err := matchMapEach(n.PathSet(from, to, within), lists{from, to, within}); err != nil {
 			t.Fatalf("graph %d %v", g, err)
 		}
 	}
@@ -561,7 +523,7 @@ func FuzzPathSetEach(f *testing.F) {
 		}
 		for _, n := range nets {
 			ps := n.PathSet(from, to, within)
-			if err := matchMapEach(ps); err != nil {
+			if err := matchMapEach(ps, lists{from, to, within}); err != nil {
 				t.Fatalf("made on the %s: %v", label(n, base), err)
 			}
 			part := within
@@ -572,7 +534,8 @@ func FuzzPathSetEach(f *testing.F) {
 			in := func(xs []string) []string {
 				return slices.DeleteFunc(slices.Clone(xs), func(x string) bool { return !slices.Contains(part, x) })
 			}
-			if err := matchMapEach(narrowed(ps, in(from), in(to), part)); err != nil {
+			narrowed := ps.Narrow(n.Sorted(n.marks(part)))
+			if err := matchMapEach(narrowed, lists{in(from), in(to), part}); err != nil {
 				t.Fatalf("narrowed on the %s to %v: %v", label(n, base), part, err)
 			}
 		}

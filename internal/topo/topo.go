@@ -353,6 +353,9 @@ func (s Set) Has(id int32) bool { return int(id>>6) < len(s) && s[id>>6]&(1<<(id
 // Add puts id in the set.
 func (s Set) Add(id int32) { s[id>>6] |= 1 << (id & 63) }
 
+// empty reports whether the set holds no id.
+func (s Set) empty() bool { return !slices.ContainsFunc(s, func(w uint64) bool { return w != 0 }) }
+
 // live returns s less the switches n lacks, and whether it had any: s itself
 // when it had none.
 func (n *Network) live(s Set) (Set, bool) {
@@ -394,20 +397,29 @@ func (n *Network) Match(set Set, patterns []string) (missing int) {
 	return slices.Index(hit, false)
 }
 
-// Sorted returns the switches of a set that n has, in name order: their ids
-// and their names.
-func (n *Network) Sorted(set Set) (ids []int32, names []string) {
+// Sorted returns the ids of the switches of a set that n has, in name order.
+func (n *Network) Sorted(set Set) []int32 {
 	size := 0
 	for _, w := range set {
 		size += bits.OnesCount64(w)
 	}
-	ids, names = make([]int32, 0, size), make([]string, 0, size)
+	ids := make([]int32, 0, size)
 	for _, id := range n.order {
-		if s := n.recs[id]; set.Has(id) && s != nil {
-			ids, names = append(ids, id), append(names, s.Name)
+		if set.Has(id) && n.recs[id] != nil {
+			ids = append(ids, id)
 		}
 	}
-	return ids, names
+	return ids
+}
+
+// NamesOf renders switch ids as the switches' names, in a slice of the
+// caller's.
+func (n *Network) NamesOf(ids []int32) []string {
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = n.nameOf(id)
+	}
+	return names
 }
 
 // InOrder returns the keys of m, switches of n, in n's name order. A key that

@@ -63,8 +63,7 @@ func TestMatchPatterns(t *testing.T) {
 	match := func(pattern string) []string {
 		set := n.NewSet()
 		n.Match(set, []string{pattern})
-		_, names := n.Sorted(set)
-		return names
+		return n.NamesOf(n.Sorted(set))
 	}
 	if got := len(match("ToR*")); got != 4 {
 		t.Errorf("ToR* matched %d", got)
@@ -455,8 +454,8 @@ func TestCloneIsolation(t *testing.T) {
 			n.Match(region, []string{"Agg*", "ToR*"})
 			n.Match(from, []string{"Agg*"})
 			n.Match(to, []string{"ToR*"})
-			_, names := n.Sorted(region)
-			count, err := n.Paths(from, to, region, names).Count(0)
+			names := n.NamesOf(n.Sorted(region))
+			count, err := n.Paths(from, to, region).Count(0)
 			if err != nil {
 				t.Error(err)
 			}

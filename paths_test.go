@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +51,8 @@ algorithm acl {
 // TestPathBudgetFailsTheCompile: a scope with more flow paths than the path
 // budget (a 12-switch full mesh has about 10^7 from one switch to another)
 // fails the compile with topo.ErrPathLimit after one walk to the budget — no
-// cheaper than that, and not after walking it again for each consumer.
+// cheaper than that, and not after walking it again for each consumer. The
+// error names the scope's flow endpoints, rendered from their switch ids.
 func TestPathBudgetFailsTheCompile(t *testing.T) {
 	net := fullMesh(t, 12)
 	var before, after runtime.MemStats
@@ -62,6 +64,9 @@ func TestPathBudgetFailsTheCompile(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, topo.ErrPathLimit) {
 		t.Fatalf("err = %v, want errors.Is(err, topo.ErrPathLimit)", err)
+	}
+	if !strings.Contains(err.Error(), "from [S00] to [S01]") {
+		t.Errorf("err = %v, want it to name the flow from [S00] to [S01]", err)
 	}
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	t.Logf("failed after %v, %.1f MB allocated: %v", elapsed, mb, err)

@@ -99,7 +99,7 @@ func sameAsCompile(t *testing.T, label string, inc, scratch *Result) {
 			paths, _ = got.PathList()
 		}
 		want, _ := rs.PathList()
-		if got == nil || !reflect.DeepEqual(got.Switches, rs.Switches) || !reflect.DeepEqual(paths, want) {
+		if got == nil || !reflect.DeepEqual(inc.plan.Input.Net.NamesOf(got.IDs), scratch.plan.Input.Net.NamesOf(rs.IDs)) || !reflect.DeepEqual(paths, want) {
 			t.Errorf("%s: scope of %s resolves differently from a from-scratch compile", label, alg)
 		}
 	}
