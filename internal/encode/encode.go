@@ -258,32 +258,25 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 
 	// The decomposition: the previous plan's untouched components as they
 	// are, and a partition of what is left — of everything, without one.
-	// The flow paths the partition walks are kept in st until every
-	// component is numbered.
 	var ca *carried
 	var comps []*Component
-	st := getPathStore()
-	defer func() {
-		if st != nil {
-			putPathStore(st)
-		}
-	}()
+	nb := getNumbering()
+	defer putNumbering(nb)
 	if caching {
 		ca = carryOver(in, opts.Prev, shaping)
 	}
 	if ca != nil && len(ca.algs) > 0 {
 		var ok bool
 		var err error
-		if comps, ok, err = partition(ctx, in, ca, st); err != nil {
+		if comps, ok, err = partition(ctx, in, ca, &nb.groupScratch); err != nil {
 			return nil, err
 		} else if !ok {
 			ca = nil
-			st.reset()
 		}
 	}
 	if ca == nil {
 		var err error
-		if comps, _, err = partition(ctx, in, nil, st); err != nil {
+		if comps, _, err = partition(ctx, in, nil, &nb.groupScratch); err != nil {
 			return nil, err
 		}
 	}
@@ -310,8 +303,6 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 	repOf := make([]int, len(comps))
 	lists := make([]*hopLists, len(comps))
 	classOf := map[string]int{}
-	nb := getNumbering()
-	defer putNumbering(nb)
 	var hits, evictions int64
 	var solveIdx []int
 	for i, c := range comps {
@@ -345,8 +336,6 @@ func solve(in *Input, opts *Options, first attemptCfg) (*Plan, error) {
 			lists[i] = nb.hopLists.clone()
 		}
 	}
-	putPathStore(st)
-	st = nil
 	results := make([]componentResult, len(comps))
 	phv := &phvIndex{prog: in.IR}
 	par.For(len(solveIdx), opts.Parallelism, func(k int) {
@@ -748,13 +737,12 @@ type encoder struct {
 	theory *resourceTheory
 
 	// switches is the component's numbering (symmetry.go), and a switch is
-	// its index into it, which at maps its name to; models holds each
-	// candidate switch's chip, looked up once.
+	// its index into it; models holds each candidate switch's chip, looked up
+	// once.
 	switches []string
-	at       map[string]int32
 	models   []*asic.Model
-	// paths are the component's flow paths by index, as its numbering laid
-	// them out.
+	// paths are the component's flow paths and switch ids by index, as its
+	// numbering laid them out.
 	paths *hopLists
 	// algs are the component's algorithms in name order, and an algorithm is
 	// its index into it; externs are their externs in name order, likewise.
@@ -819,15 +807,11 @@ func newEncoder(in *Input, union []string, paths *hopLists, phv *phvIndex) (*enc
 		solver:      smt.NewSolver(),
 		switches:    union,
 		paths:       paths,
-		at:          make(map[string]int32, len(union)),
 		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
 		phv:         phv,
 		sharedInstr: map[string]map[int]bool{},
 		replicable:  replicableAlgs(in),
 		groups:      map[string]smt.Lit{},
-	}
-	for i, sw := range union {
-		e.at[sw] = int32(i)
 	}
 	return e, nil
 }
@@ -899,10 +883,10 @@ type algPrep struct {
 	synth [2]*synth.Result
 }
 
-// pollEvery is how many flow paths a full walk of a scope's paths, or a
-// pass over the paths a walk kept, visits between two looks at the solve's
-// deadline: the passes that run before the first clause (partition, number,
-// prepare) take seconds on a scope of a million paths.
+// pollEvery is how many flow paths a full walk of a scope's paths, or a pass
+// over the paths a numbering laid out, visits between two looks at the
+// solve's deadline: the passes that run before the first clause (partition,
+// number, prepare) take seconds on a scope of a million paths.
 const pollEvery = 4096
 
 // polled wraps the visitor of a full path walk so that the walk stops once
@@ -929,6 +913,11 @@ func timeout(ctx context.Context) error {
 func (e *encoder) prepare(ctx context.Context) error {
 	prep := map[string]*algPrep{}
 	e.models = make([]*asic.Model, len(e.switches))
+	// index holds a switch's index by switch id.
+	index := make([]int32, e.in.Net.Span())
+	for i, id := range e.paths.ids {
+		index[id] = int32(i)
+	}
 	// candOf holds 1 + a switch index's position among the candidates of the
 	// algorithm in hand, 0 for none.
 	candOf := make([]int32, len(e.switches))
@@ -956,7 +945,7 @@ func (e *encoder) prepare(ctx context.Context) error {
 				return fmt.Errorf("encode: scope of %q references unknown switch %q", a.Name, e.in.Net.NamesOf([]int32{id})[0])
 			}
 			if s.ASIC.Programmable {
-				i := e.at[s.Name]
+				i := index[id]
 				e.models[i] = s.ASIC
 				p.cands = append(p.cands, i)
 			}

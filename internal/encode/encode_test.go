@@ -399,7 +399,7 @@ func scopeUnion(in *Input) []string {
 
 // nameWalk is the reference for the flow paths a component's numbering lays
 // out by index: each algorithm's paths listed by name (PathList), each hop its
-// place in union, -1 off it.
+// place in union, -1 off it, and the ids of union's switches.
 func nameWalk(t testing.TB, in *Input, union []string) *hopLists {
 	t.Helper()
 	at := map[string]int32{}
@@ -407,6 +407,9 @@ func nameWalk(t testing.TB, in *Input, union []string) *hopLists {
 		at[sw] = int32(i)
 	}
 	l := &hopLists{}
+	for _, sw := range union {
+		l.ids = append(l.ids, in.Net.Switch(sw).ID())
+	}
 	for _, a := range in.IR.Algorithms {
 		rs := in.Scopes[a.Name]
 		if rs != nil && rs.Deploy == scope.MultiSwitch {

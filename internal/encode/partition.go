@@ -29,10 +29,6 @@ type Component struct {
 	In *Input
 
 	at position
-	// walked holds, by position in In.IR.Algorithms, the flow paths the
-	// partition walked for each member scope; a scope it did not walk (an
-	// unsplittable one) has none, and the numbering walks it.
-	walked []walked
 }
 
 // position orders components: by their first fragment in (program order,
@@ -64,8 +60,7 @@ func (c *Component) Label() string {
 type unit struct {
 	at    position
 	rs    *scope.Resolved
-	split bool   // rs is a proper fragment of the original scope
-	paths walked // rs's flow paths, when the partition walked them
+	split bool // rs is a proper fragment of the original scope
 }
 
 // Partition splits the input into independent components by union-find over
@@ -90,7 +85,7 @@ type unit struct {
 // parallelism. A scope whose flow paths exceed the path budget fails it with
 // the *topo.PathLimitError.
 func Partition(in *Input) ([]*Component, error) {
-	comps, _, err := partition(context.Background(), in, nil, new(pathStore))
+	comps, _, err := partition(context.Background(), in, nil, new(groupScratch))
 	return comps, err
 }
 
@@ -102,9 +97,8 @@ func Partition(in *Input) ([]*Component, error) {
 // path (which attaches to the first group of the whole scope, possibly a
 // carried one) or an algorithm that lost a group altogether (which may turn a
 // split scope into an unsplit one) — and the caller partitions everything.
-// Its path walks stop once ctx is done, and it keeps the paths they yield in
-// st, where the components' walked views point.
-func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*Component, bool, error) {
+// Its path walks stop once ctx is done; st is their scratch.
+func partition(ctx context.Context, in *Input, ca *carried, st *groupScratch) ([]*Component, bool, error) {
 	algs := in.IR.Algorithms
 	whole := []*Component{wholeComponent(in)}
 	for _, a := range algs {
@@ -139,18 +133,14 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 			}
 		}
 		if !keptElsewhere && len(groups) < 2 {
-			u := unit{at: position{alg: i}, rs: rs}
-			if len(groups) == 1 {
-				u.paths = groups[0].paths
-			}
-			units = append(units, u)
+			units = append(units, unit{at: position{alg: i}, rs: rs})
 			continue
 		}
 		if len(groups) == 0 {
 			return nil, false, nil // an unsplittable scope is carried whole or not at all
 		}
 		for _, g := range groups {
-			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true, paths: g.paths})
+			units = append(units, unit{at: position{i, g.head}, rs: subResolved(rs, g), split: true})
 		}
 	}
 	kept := 0
@@ -158,7 +148,6 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		kept = len(ca.kept)
 	}
 	if len(units)+kept < 2 {
-		whole[0].walked = wholeWalk(len(algs), units)
 		return whole, ca == nil, nil
 	}
 
@@ -198,7 +187,6 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 		groups[r] = append(groups[r], i)
 	}
 	if len(roots)+kept < 2 {
-		whole[0].walked = wholeWalk(len(algs), units)
 		return whole, ca == nil, nil
 	}
 	// Order components by their earliest member unit (program order, then
@@ -229,7 +217,6 @@ func partition(ctx context.Context, in *Input, ca *carried, st *pathStore) ([]*C
 			c.Algs = append(c.Algs, a.Name)
 			sub.Algorithms = append(sub.Algorithms, a)
 			scopes[a.Name] = mergeResolved(in.Net, in.Scopes[a.Name], byAlg[ai])
-			c.walked = append(c.walked, merge(byAlg[ai]))
 		}
 		if anySplit {
 			for _, rs := range scopes {
@@ -288,26 +275,16 @@ func splittable(a *ir.Algorithm, rs *scope.Resolved) bool {
 // in name order, and the name of the smallest of them on a flow path, which
 // orders the groups.
 type pathGroup struct {
-	head  string
-	ids   []int32
-	paths walked // the flow paths inside the group, in walk order
+	head string
+	ids  []int32
 }
 
-// keepHops bounds the hops a walk keeps (1 Mi hops, 4 MiB): the components of
-// a scope with more walk it again, and a scope that fails the path budget
-// holds no memory in proportion to it. The 1,040-switch fat tree's scope has
-// 16 Ki hops; an 11-switch full mesh's 9.4 Mi.
-const keepHops = 1 << 20
-
 // pathGroups walks a scope's flow paths on net once and returns the groups of
-// switches they connect, ordered by head, each with its share of the paths,
-// and whether some scope switch is on no flow path, which the first group
-// holds then. The union-find runs over the scope's places, found through a
-// table by switch id, and the paths are kept in st. A group has no share
-// when some path leaves the scope's switches, since its own path set would
-// not yield that path, or when the paths exceed keepHops. A walk past the
-// path budget fails with the *topo.PathLimitError.
-func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *pathStore) (groups []pathGroup, offPath bool, err error) {
+// switches they connect, ordered by head, and whether some scope switch is on
+// no flow path, which the first group holds then. The union-find runs over
+// the scope's places, found through a table by switch id in st; no path is
+// kept. A walk past the path budget fails with the *topo.PathLimitError.
+func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *groupScratch) (groups []pathGroup, offPath bool, err error) {
 	if rs.PathSet == nil {
 		return nil, true, nil
 	}
@@ -330,14 +307,11 @@ func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *
 		return i
 	}
 	onPath := zeroed(&st.onPath, n)
-	b := st.buf()
-	leaves, kept := false, true
 	err = rs.EachPath(polled(ctx, func(p []int32) bool {
 		first := int32(-1)
 		for _, id := range p {
 			j := place[id] - 1
 			if j < 0 {
-				leaves = true
 				continue
 			}
 			onPath[j] = 1
@@ -346,12 +320,6 @@ func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *
 			} else if ri, rj := find(first), find(j); ri != rj {
 				parent[ri] = rj
 			}
-		}
-		if kept && len(b.hops)+len(p) > keepHops {
-			kept, b.hops, b.ends = false, nil, nil
-		}
-		if kept {
-			b.add(p)
 		}
 		return true
 	}))
@@ -382,9 +350,6 @@ func pathGroups(ctx context.Context, net *topo.Network, rs *scope.Resolved, st *
 	for i, id := range rs.IDs {
 		g := &groups[max(at[find(int32(i))], 0)]
 		g.ids = append(g.ids, id)
-	}
-	if kept && !leaves {
-		split(b, groups, func(id int32) int32 { return at[find(place[id]-1)] })
 	}
 	return groups, offPath, nil
 }

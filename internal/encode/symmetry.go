@@ -56,13 +56,14 @@ import (
 // stays unclassed (""); a walk past the path budget fails with the
 // *topo.PathLimitError.
 //
-// The numbering reads the flow paths the partition walked (walk.go) and walks
-// only a scope the partition did not, ranking each hop's switch id through a
-// table by id. It leaves the component's paths laid out by index (hopLists),
-// which the encoder's prepare reads. The rendering is hand-rolled appends
-// into reused buffers (it runs once per hop of every flow path of every
-// compile and recompile), and a numbering keeps every buffer across
-// components and, through a pool, across solves.
+// The numbering is the one pass that lays a component's flow paths out
+// (walk.go): it walks each MULTI-SW scope's path set, ranking each hop's
+// switch id through a table by id, and leaves the paths by index (hopLists),
+// with the component's switch ids in index order, for the encoder's prepare.
+// The rendering is hand-rolled appends into reused buffers (it runs once per
+// hop of every flow path of every compile and recompile), and a numbering
+// keeps every buffer, the partition's scratch among them, across components
+// and, through a pool, across solves.
 type numbering struct {
 	// models carries each chip model's rendering and colour from one component
 	// to the next.
@@ -88,12 +89,14 @@ type numbering struct {
 	paths    []int32
 	buf      []byte
 	distinct []chip
+	groupScratch
 }
 
 // hopLists is a component's flow paths by index: path p is
 // hops[ends[p-1]:ends[p]], those of the algorithm at index a being paths
 // algEnd[a-1] to algEnd[a]-1, and a hop off the component's switches is -1.
-type hopLists struct{ hops, ends, algEnd []int32 }
+// ids holds the component's switch ids in index order.
+type hopLists struct{ hops, ends, algEnd, ids []int32 }
 
 // path returns flow path p.
 func (l *hopLists) path(p int32) []int32 {
@@ -106,7 +109,7 @@ func (l *hopLists) path(p int32) []int32 {
 
 // clone returns a copy of l that owns its memory.
 func (l *hopLists) clone() *hopLists {
-	return &hopLists{hops: slices.Clone(l.hops), ends: slices.Clone(l.ends), algEnd: slices.Clone(l.algEnd)}
+	return &hopLists{hops: slices.Clone(l.hops), ends: slices.Clone(l.ends), algEnd: slices.Clone(l.algEnd), ids: slices.Clone(l.ids)}
 }
 
 // chip is a chip model as the class key renders it, and its starting colour.
@@ -133,12 +136,14 @@ func putNumbering(nb *numbering) {
 
 // number returns a component's switches in index order and, when classed, its
 // class key (fingerprint part; "" when it has no canonical form), and leaves
-// the component's paths by index in nb.hopLists. The key is hashed as the
-// paths are read, under name order; a component refinement splits is hashed
-// again under its numbering. A walk of the paths stops once ctx is done.
+// the component's paths and switch ids by index in nb.hopLists. The key is
+// hashed as the paths are read, under name order; a component refinement
+// splits is hashed again under its numbering. A walk of the paths stops once
+// ctx is done.
 func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (union []string, fp string, err error) {
 	in := c.In
 	union, ids := switchesOf(in)
+	nb.ids = append(nb.ids[:0], ids...)
 	n := len(union)
 	if n == 0 {
 		return union, "", nil
@@ -197,11 +202,7 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 		}
 		nb.head(h, alg.Name, rs.Deploy)
 		if rs.Deploy == scope.MultiSwitch {
-			var w walked
-			if a < len(c.walked) {
-				w = c.walked[a]
-			}
-			on, err := nb.readPaths(ctx, rs, w, h)
+			on, err := nb.readPaths(ctx, rs, h)
 			if err != nil {
 				return nil, "", err
 			}
@@ -230,6 +231,7 @@ func (nb *numbering) number(ctx context.Context, c *Component, classed bool) (un
 	union = make([]string, n)
 	for k, r := range nb.rank {
 		union[k] = named[r]
+		nb.ids[k] = ids[r]
 		nb.index[r] = int32(k)
 	}
 	for j, r := range nb.hops {
@@ -261,12 +263,11 @@ func switchesOf(in *Input) ([]string, []int32) {
 }
 
 // readPaths appends a MULTI-SW scope's flow paths to the component's by rank,
-// marking each switch's path role in nb.role and writing each path into h: the
-// paths w holds when the partition walked the scope, and otherwise a walk of
-// its path set, polled against ctx. It reports whether every hop is one of
-// the component's switches, ranked in nb.rankOf.
-func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked, h hash.Hash) (on bool, err error) {
-	if w.walk == nil && rs.PathSet == nil {
+// marking each switch's path role in nb.role and writing each path into h, as
+// a walk of its path set, polled against ctx, yields them. It reports whether
+// every hop is one of the component's switches, ranked in nb.rankOf.
+func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, h hash.Hash) (on bool, err error) {
+	if rs.PathSet == nil {
 		return true, nil
 	}
 	on = true
@@ -290,11 +291,7 @@ func (nb *numbering) readPaths(ctx context.Context, rs *scope.Resolved, w walked
 		nb.writePath(h, nb.hops[from:])
 		return true
 	}
-	if w.walk != nil {
-		w.each(polled(ctx, add))
-	} else {
-		err = rs.EachPath(polled(ctx, add))
-	}
+	err = rs.EachPath(polled(ctx, add))
 	if ctx.Err() != nil {
 		return false, timeout(ctx)
 	}

@@ -35,16 +35,17 @@ algorithm counter_alg {
 }
 `
 
-// TestOneWalkEqualsNameWalk holds the one walk of a scope's flow paths on
-// switch ids — partition's groups and their shares of the paths, the
-// numbering that reads them, and prepare's hop lists read off the numbering —
-// to a walk by name kept here as the reference: the paths listed by name
-// (PathList), grouped through name maps, numbered by the same colour
-// refinement from starting colours computed by name, and laid out through a
-// name-to-index map. It runs over random multi-pod fabrics with link cuts, a
-// switch down, mixed chips (a non-programmable one among them), programs with
-// one, two and a global-touching algorithm (unsplittable, fusing the pods it
-// overlaps), and over the partition of a recompile that carries a plan.
+// TestOneWalkEqualsNameWalk holds the walks of a scope's flow paths on switch
+// ids — partition's groups, the walk of each fragment's own path set, the
+// numbering that lays a component's paths out, and prepare's hop lists read
+// off the numbering — to a walk by name kept here as the reference: the paths
+// listed by name (PathList), grouped through name maps, numbered by the same
+// colour refinement from starting colours computed by name, and laid out
+// through a name-to-index map. It runs over random multi-pod fabrics with
+// link cuts, a switch down, mixed chips (a non-programmable one among them),
+// programs with one, two and a global-touching algorithm (unsplittable,
+// fusing the pods it overlaps), and over the partition of a recompile that
+// carries a plan.
 func TestOneWalkEqualsNameWalk(t *testing.T) {
 	chips := []*asic.Model{asic.Tofino32Q, asic.Tofino32Q, asic.Tofino32Q, asic.Tofino64Q, asic.Trident4, asic.Tomahawk}
 	programs := []struct{ src, scope string }{
@@ -54,7 +55,7 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 		{globalPairSrc, "acl: [ ToR*,Agg* | MULTI-SW | (Agg*->ToR*) ]\ncounter_alg: [ ToR1_*,ToR2_*,Agg1_*,Agg2_* | MULTI-SW | (Agg1_*,Agg2_*->ToR1_*,ToR2_*) ]"},
 	}
 	rng := rand.New(rand.NewSource(45))
-	var checked struct{ groups, shares, comps, split, classes, prepared, carried int }
+	var checked struct{ groups, walks, comps, split, classes, prepared, carried int }
 	for round := 0; round < 48; round++ {
 		pods, k := 2+rng.Intn(4), 4+2*rng.Intn(2)
 		mixed := rng.Intn(2) == 0
@@ -80,11 +81,11 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 		for _, a := range in.IR.Algorithms {
 			rs := in.Scopes[a.Name]
 			if splittable(a, rs) {
-				checked.shares += sameGroups(t, label+" "+a.Name, net, rs)
+				checked.walks += sameGroups(t, label+" "+a.Name, net, rs)
 				checked.groups++
 			}
 		}
-		comps, _, err := partition(context.Background(), in, nil, new(pathStore))
+		comps, _, err := partition(context.Background(), in, nil, new(groupScratch))
 		if err != nil {
 			t.Fatalf("%s: partition: %v", label, err)
 		}
@@ -128,7 +129,7 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 				sameGroups(t, label+" carried "+a.Name, after, rs)
 			}
 		}
-		comps, ok, err := partition(context.Background(), in2, ca, new(pathStore))
+		comps, ok, err := partition(context.Background(), in2, ca, new(groupScratch))
 		if err != nil {
 			t.Fatalf("%s: carried partition: %v", label, err)
 		}
@@ -138,7 +139,7 @@ func TestOneWalkEqualsNameWalk(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", checked)
-	if checked.shares == 0 || checked.split == 0 || checked.classes == 0 || checked.prepared == 0 || checked.carried == 0 {
+	if checked.walks == 0 || checked.split == 0 || checked.classes == 0 || checked.prepared == 0 || checked.carried == 0 {
 		t.Errorf("a case the test is for never came up: %+v", checked)
 	}
 }
@@ -219,12 +220,12 @@ func nameGroups(t *testing.T, net *topo.Network, rs *scope.Resolved) (groups []r
 }
 
 // sameGroups checks pathGroups against nameGroups on one scope on net and
-// reports how many groups had a share of the paths to compare. Where no path
-// leaves the scope, a group's share and the walk of its fragment's own path
-// set must both be the name walk's paths of the group.
-func sameGroups(t *testing.T, label string, net *topo.Network, rs *scope.Resolved) (shares int) {
+// reports how many fragment walks it compared. Where no path leaves the
+// scope, the walk of a group's fragment's own path set must be the name
+// walk's paths of the group.
+func sameGroups(t *testing.T, label string, net *topo.Network, rs *scope.Resolved) (walks int) {
 	t.Helper()
-	got, gotOff, err := pathGroups(context.Background(), net, rs, new(pathStore))
+	got, gotOff, err := pathGroups(context.Background(), net, rs, new(groupScratch))
 	if err != nil {
 		t.Fatalf("%s: pathGroups: %v", label, err)
 	}
@@ -232,33 +233,13 @@ func sameGroups(t *testing.T, label string, net *topo.Network, rs *scope.Resolve
 	if gotOff != (len(wantOff) > 0) || len(got) != len(want) {
 		t.Fatalf("%s: %d groups, off path %v; the name walk finds %d, off path %v", label, len(got), gotOff, len(want), wantOff)
 	}
-	sorted := func(paths [][]string) [][]string {
-		slices.SortFunc(paths, func(a, b []string) int {
-			if topo.PathLess(a, b) {
-				return -1
-			}
-			return 1
-		})
-		return paths
-	}
 	for i, g := range got {
 		w := want[i]
 		if members := net.NamesOf(g.ids); g.head != w.head || !slices.Equal(members, w.members) {
 			t.Fatalf("%s: group %d is %s %v; the name walk's is %s %v", label, i, g.head, members, w.head, w.members)
 		}
 		if leaves {
-			if g.paths.walk != nil {
-				t.Fatalf("%s: group %d has a share of paths that leave the scope", label, i)
-			}
 			continue
-		}
-		var share [][]string
-		g.paths.each(func(p []int32) bool {
-			share = append(share, net.NamesOf(p))
-			return true
-		})
-		if share = sorted(share); !reflect.DeepEqual(share, w.paths) {
-			t.Fatalf("%s: group %s holds paths %v; the name walk's are %v", label, g.head, share, w.paths)
 		}
 		frag, err := subResolved(rs, g).PathList()
 		if err != nil {
@@ -267,9 +248,9 @@ func sameGroups(t *testing.T, label string, net *topo.Network, rs *scope.Resolve
 		if !reflect.DeepEqual(frag, w.paths) {
 			t.Fatalf("%s: the fragment of group %s walks %v; the name walk's paths are %v", label, g.head, frag, w.paths)
 		}
-		shares++
+		walks++
 	}
-	return shares
+	return walks
 }
 
 // nameNumber numbers a component from a walk by name: starting colours from

@@ -74,11 +74,12 @@ func TestPathBudgetFailsTheCompile(t *testing.T) {
 		return // the detector slows the walk and inflates nothing we measure here
 	}
 	// Materialising every path within the budget, as resolution once did,
-	// allocated 298 MB and took 0.61 s; the walk keeps at most 2^20 hops of
-	// the paths (about 12 MB allocated) and takes under half that. Time is
-	// held to twice the old figure, so a loaded host does not fail it.
-	if mb > 298 {
-		t.Errorf("the failing compile allocated %.1f MB, more than materialising every path did (298 MB)", mb)
+	// allocated 298 MB and took 0.61 s, and keeping the walk's first 2^20
+	// hops 12 MB. The walk now holds no path (0.0 MB allocated) and takes
+	// under half the old time. Time is held to twice the old figure, so a
+	// loaded host does not fail it.
+	if mb > 2 {
+		t.Errorf("the failing compile allocated %.1f MB; a walk that holds no path allocates next to nothing (bound 2 MB)", mb)
 	}
 	if elapsed > 1220*time.Millisecond {
 		t.Errorf("the failing compile took %v, more than twice what materialising every path did (0.61 s)", elapsed)
