@@ -26,7 +26,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the printers' golden file
 // predicate table, an extern table with a lookup, and an egress table.
 func handBuilt() *SwitchProgram {
 	alg := "hb"
-	v := func(name string, bits int) *ir.Var { return &ir.Var{Name: name, Ver: 1, Bits: bits} }
+	vars := int32(0)
+	v := func(name string, bits int) *ir.Var {
+		vars++
+		return &ir.Var{Name: name, Ver: 1, Bits: bits, ID: vars - 1}
+	}
 	a, b, c, p, q, wide := v("a", 16), v("b", 16), v("c", 16), v("p", 1), v("q", 1), v("w", 64)
 	field := func(f string, bits int) ir.Operand { return ir.FieldOp("h", f, bits) }
 	id := 0

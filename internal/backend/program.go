@@ -165,11 +165,11 @@ func build(plan *encode.Plan, only map[string]bool, memo *Shapes, dialect asic.D
 		sp.Headers = headersUsed(irp, instrs)
 		sp.Metadata, sp.metaNames = metadataVars(instrs)
 		sp.Registers = registersUsed(irp, instrs)
-		placed := make(map[*ir.Instr]bool, len(instrs))
+		var placed ir.IDSet
 		for _, in := range instrs {
-			placed[in] = true
+			placed.Add(in.Alg, in.ID)
 		}
-		sp.Tables = filterPlaced(orderTables(plan.TablesOf(sw)), placed)
+		sp.Tables = filterPlaced(orderTables(plan.TablesOf(sw)), &placed)
 		sp.Exports = bridged(plan.BridgesOf(sw), bridgeFields)
 		sp.Imports = bridged(plan.Imports(sw, instrs), bridgeFields)
 		if len(sp.Exports) > 0 || len(sp.Imports) > 0 {
@@ -285,14 +285,13 @@ func metadataVars(instrs []*ir.Instr) ([]*MetaVar, map[*ir.Var]string) {
 		alg string
 		v   *ir.Var
 	}
-	seen := make(map[*ir.Var]bool, len(instrs))
+	var seen ir.IDSet
 	vars := make([]owned, 0, len(instrs))
 	several := false
 	for _, in := range instrs {
 		several = several || in.Alg != instrs[0].Alg
 		add := func(v *ir.Var) {
-			if v != nil && !seen[v] {
-				seen[v] = true
+			if v != nil && seen.Add(in.Alg, int(v.ID)) {
 				vars = append(vars, owned{in.Alg, v})
 			}
 		}
@@ -348,49 +347,79 @@ func registersUsed(irp *ir.Program, instrs []*ir.Instr) []*RegisterDef {
 // contents, so without filtering a switch's code would show statements —
 // and reference metadata — belonging to another hop, while the simulator
 // executes only sp.Instrs. The shared synth.Table values are never
-// mutated: each placed table gets shallow copies with filtered slices.
-func filterPlaced(tables []*encode.PlacedTable, placed map[*ir.Instr]bool) []*encode.PlacedTable {
-	out := make([]*encode.PlacedTable, 0, len(tables))
-	for _, pt := range tables {
-		st := *pt.Table
-		st.FieldPreds = nil
-		for _, fp := range pt.Table.FieldPreds {
-			if fp.Instr == nil || placed[fp.Instr] {
-				if st.FieldPreds == nil {
-					st.FieldPreds = make([]synth.FieldPred, 0, len(pt.Table.FieldPreds))
-				}
-				st.FieldPreds = append(st.FieldPreds, fp)
-			}
+// mutated: a table with an instruction placed elsewhere gets shallow copies
+// with filtered slices, and one placed whole here, as every table of a
+// PER-SW switch is, is kept as it is, and so is the list when every table is.
+func filterPlaced(tables []*encode.PlacedTable, placed *ir.IDSet) []*encode.PlacedTable {
+	var out []*encode.PlacedTable // nil while every table is kept as it is
+	for i, pt := range tables {
+		npt := narrow(pt, placed)
+		if npt != pt && out == nil {
+			out = append(make([]*encode.PlacedTable, 0, len(tables)), tables[:i]...)
 		}
-		st.Actions = nil
-		if len(pt.Table.Actions) > 0 {
-			st.Actions = make([]*synth.Action, 0, len(pt.Table.Actions))
+		if out != nil {
+			out = append(out, npt)
 		}
-		lookups := 0
-		for _, a := range pt.Table.Actions {
-			na := *a
-			na.Instrs = nil
-			for _, in := range a.Instrs {
-				if placed[in] {
-					if na.Instrs == nil {
-						na.Instrs = make([]*ir.Instr, 0, len(a.Instrs))
-					}
-					na.Instrs = append(na.Instrs, in)
-					if in.Op == ir.IMember || in.Op == ir.ILookup {
-						lookups++
-					}
-				}
-			}
-			st.Actions = append(st.Actions, &na)
-		}
-		npt := *pt
-		npt.Table = &st
-		if lookups > 0 && npt.Lookups > lookups {
-			npt.Lookups = lookups
-		}
-		out = append(out, &npt)
+	}
+	if out == nil {
+		return tables
 	}
 	return out
+}
+
+// narrow returns pt narrowed to the placed instructions: pt itself when it
+// loses none.
+func narrow(pt *encode.PlacedTable, placed *ir.IDSet) *encode.PlacedTable {
+	has := func(in *ir.Instr) bool { return placed.Has(in.Alg, in.ID) }
+	whole, lookups := true, 0
+	for _, fp := range pt.Table.FieldPreds {
+		whole = whole && (fp.Instr == nil || has(fp.Instr))
+	}
+	for _, a := range pt.Table.Actions {
+		for _, in := range a.Instrs {
+			if !has(in) {
+				whole = false
+			} else if in.Op == ir.IMember || in.Op == ir.ILookup {
+				lookups++
+			}
+		}
+	}
+	if whole && (lookups == 0 || pt.Lookups <= lookups) {
+		return pt
+	}
+	st := *pt.Table
+	st.FieldPreds = nil
+	for _, fp := range pt.Table.FieldPreds {
+		if fp.Instr == nil || has(fp.Instr) {
+			if st.FieldPreds == nil {
+				st.FieldPreds = make([]synth.FieldPred, 0, len(pt.Table.FieldPreds))
+			}
+			st.FieldPreds = append(st.FieldPreds, fp)
+		}
+	}
+	st.Actions = nil
+	if len(pt.Table.Actions) > 0 {
+		st.Actions = make([]*synth.Action, 0, len(pt.Table.Actions))
+	}
+	for _, a := range pt.Table.Actions {
+		na := *a
+		na.Instrs = nil
+		for _, in := range a.Instrs {
+			if has(in) {
+				if na.Instrs == nil {
+					na.Instrs = make([]*ir.Instr, 0, len(a.Instrs))
+				}
+				na.Instrs = append(na.Instrs, in)
+			}
+		}
+		st.Actions = append(st.Actions, &na)
+	}
+	npt := *pt
+	npt.Table = &st
+	if lookups > 0 && npt.Lookups > lookups {
+		npt.Lookups = lookups
+	}
+	return &npt
 }
 
 // orderTables sorts placed tables so dependencies come first, preserving

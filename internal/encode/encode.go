@@ -765,8 +765,6 @@ type encoder struct {
 	// iterate instead of materialized path slices.
 	prep map[string]*algPrep
 
-	// sharedExternInstrs marks instructions reading split-capable externs.
-	sharedInstr map[string]map[int]bool
 	// replicable marks the algorithms eligible for the relax-replication
 	// retry; their exactly-one family is simply not assumed when it is
 	// granted — the encoding itself never changes.
@@ -803,15 +801,14 @@ func newEncoder(in *Input, union []string, paths *hopLists, phv *phvIndex) (*enc
 		}
 	}
 	e := &encoder{
-		in:          in,
-		solver:      smt.NewSolver(),
-		switches:    union,
-		paths:       paths,
-		vars:        make(map[string]*algVars, len(in.IR.Algorithms)),
-		phv:         phv,
-		sharedInstr: map[string]map[int]bool{},
-		replicable:  replicableAlgs(in),
-		groups:      map[string]smt.Lit{},
+		in:         in,
+		solver:     smt.NewSolver(),
+		switches:   union,
+		paths:      paths,
+		vars:       make(map[string]*algVars, len(in.IR.Algorithms)),
+		phv:        phv,
+		replicable: replicableAlgs(in),
+		groups:     map[string]smt.Lit{},
 	}
 	return e, nil
 }
@@ -924,19 +921,6 @@ func (e *encoder) prepare(ctx context.Context) error {
 	var from int32 // the algorithm's first path
 	for ai, a := range e.in.IR.Algorithms {
 		rs := e.in.Scopes[a.Name]
-		// Mark extern-reading instructions as shareable: in MULTI-SW mode
-		// their backing table may be split across switches, so copies of
-		// the lookup exist on every shard host (§5.6).
-		shared := map[int]bool{}
-		if rs.Deploy == scope.MultiSwitch {
-			for _, inst := range a.Instrs {
-				if inst.Op == ir.IMember || inst.Op == ir.ILookup {
-					shared[inst.ID] = true
-				}
-			}
-		}
-		e.sharedInstr[a.Name] = shared
-
 		// Candidate switches: programmable members of the region.
 		p := &algPrep{alg: a}
 		for _, id := range rs.IDs {
@@ -1153,11 +1137,12 @@ func (e *encoder) encode(ctx context.Context) error {
 		v.lits, lits = lits[:len(a.Instrs)*len(candidates)], lits[len(a.Instrs)*len(candidates):]
 		e.vars[a.Name] = v
 		for _, inst := range a.Instrs {
+			shared := e.shared(a, inst)
 			for k, sw := range candidates {
 				l := e.solver.NewBool("")
 				v.lits[inst.ID*len(candidates)+k] = l
 				e.placeVars = append(e.placeVars, placeVar{
-					lit: l, alg: p.index, sw: sw, instr: int32(inst.ID), shared: e.sharedInstr[a.Name][inst.ID],
+					lit: l, alg: p.index, sw: sw, instr: int32(inst.ID), shared: shared,
 				})
 			}
 		}
@@ -1227,7 +1212,7 @@ func (e *encoder) encodeMultiSwitch(ctx context.Context, a *ir.Algorithm, p *alg
 			// Coverage (Eq. 16 / §5.5): at least one placement per path,
 			// always required.
 			e.guarded(v, famCoverage, e.hop...)
-			if !e.sharedInstr[a.Name][inst.ID] {
+			if !e.shared(a, inst) {
 				// The at-most-one half of the exactly-one flow-path
 				// constraint lives in its own family: the relax-replication
 				// retry drops this assumption for replication-safe
@@ -1316,6 +1301,13 @@ func (e *encoder) lastTheoryHint() string {
 		return " (last resource conflict: " + r + ")"
 	}
 	return ""
+}
+
+// shared reports whether an instruction of a reads a split-capable extern:
+// in MULTI-SW mode its backing table may be split across switches, so copies
+// of the lookup exist on every shard host (§5.6).
+func (e *encoder) shared(a *ir.Algorithm, in *ir.Instr) bool {
+	return (in.Op == ir.IMember || in.Op == ir.ILookup) && e.in.Scopes[a.Name].Deploy == scope.MultiSwitch
 }
 
 func maxBits(b int) int {

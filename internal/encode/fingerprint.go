@@ -117,12 +117,11 @@ func (e exporter) importedBy(sw string) bool { return e.count > 1 || (e.count ==
 // copy overwrites them only when it actually executes).
 func (p *Plan) Imports(sw string, instrs []*ir.Instr) []BridgeVar {
 	p.hashes.once.Do(p.hashSwitches)
-	seen := map[*ir.Var]bool{}
+	var seen ir.IDSet
 	var out []BridgeVar
 	for _, in := range instrs {
 		in.EachRead(func(v *ir.Var) {
-			if e := p.hashes.exporters[v]; !seen[v] && e.importedBy(sw) {
-				seen[v] = true
+			if e := p.hashes.exporters[v]; e.importedBy(sw) && seen.Add(in.Alg, int(v.ID)) {
 				out = append(out, e.bv)
 			}
 		})

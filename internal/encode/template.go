@@ -2,6 +2,7 @@ package encode
 
 import (
 	"crypto/sha256"
+	mathbits "math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -197,47 +198,93 @@ func (b *Binding) rankShard(i int, ext string, rank int) {
 // becomes an extensible resource carried in the packet header, exported by
 // every slot writing it. Table hit signals of split externs are bridged as
 // well.
+//
+// It works per algorithm on bitsets: per instruction, the hosts placing it
+// (the slots hosting anything, numbered); per host, the variables it
+// exports, by variable ID; and the writer of each variable.
 func (e *encoder) bridge(t *Template) {
-	on := map[*ir.Instr][]int{} // instruction -> the slots hosting it
-	for i, s := range t.slots {
-		for _, in := range s.instrs {
-			on[in] = append(on[in], i)
+	var hosts []int // host -> slot
+	for i := range t.slots {
+		if len(t.slots[i].instrs) > 0 {
+			hosts = append(hosts, i)
 		}
 	}
+	hw := (len(hosts) + 63) / 64 // words of an instruction's host set
+	var on, exp []uint64
+	var writer []int32
 	for _, a := range e.in.IR.Algorithms {
-		writer := map[*ir.Var]*ir.Instr{}
-		readers := map[*ir.Var][]*ir.Instr{}
-		for _, inst := range a.Instrs {
-			if v := inst.WritesVar(); v != nil {
-				writer[v] = inst
-			}
-			for _, v := range inst.Reads() {
-				readers[v] = append(readers[v], inst)
-			}
-		}
-		shared := e.sharedInstr[a.Name]
-		for v, w := range writer {
-			exported := map[int]bool{}
-			for _, r := range readers[v] {
-				for _, rh := range on[r] {
-					for _, wh := range on[w] {
-						if wh != rh { // written on wh, read elsewhere: bridge from wh
-							exported[wh] = true
-						}
-					}
+		vw := (len(a.Vars) + 63) / 64 // words of a host's export set
+		on, exp = clearWords(on, len(a.Instrs)*hw), clearWords(exp, len(hosts)*vw)
+		for h, sl := range hosts {
+			for _, in := range t.slots[sl].instrs {
+				if in.ID < len(a.Instrs) && a.Instrs[in.ID] == in {
+					on[in.ID*hw+h/64] |= 1 << (h % 64)
 				}
 			}
-			for wh := range exported {
-				t.slots[wh].bridges = append(t.slots[wh].bridges, BridgeVar{
-					Alg: a.Name, Var: v, Bits: maxBits(v.Bits),
-					Hit: shared[w.ID],
-				})
+		}
+		writer = slices.Grow(writer[:0], len(a.Vars))[:len(a.Vars)]
+		for i := range writer {
+			writer[i] = -1
+		}
+		for _, in := range a.Instrs {
+			if v := in.WritesVar(); v != nil {
+				writer[v.ID] = int32(in.ID)
+			}
+		}
+		for _, r := range a.Instrs {
+			read := on[r.ID*hw : (r.ID+1)*hw]
+			readers := ones(read)
+			if readers == 0 {
+				continue
+			}
+			r.EachRead(func(v *ir.Var) {
+				w := writer[v.ID]
+				if w < 0 {
+					return
+				}
+				// Written on wh, read elsewhere: bridge from wh. Read on two
+				// hosts or more, that is on one other than wh, whatever wh is.
+				for k, bits := range on[int(w)*hw : (int(w)+1)*hw] {
+					if readers == 1 {
+						bits &^= read[k]
+					}
+					for ; bits != 0; bits &= bits - 1 {
+						h := k*64 + mathbits.TrailingZeros64(bits)
+						exp[h*vw+int(v.ID)/64] |= 1 << (v.ID % 64)
+					}
+				}
+			})
+		}
+		for h, sl := range hosts {
+			for k, bits := range exp[h*vw : (h+1)*vw] {
+				for ; bits != 0; bits &= bits - 1 {
+					v := a.Vars[k*64+mathbits.TrailingZeros64(bits)]
+					t.slots[sl].bridges = append(t.slots[sl].bridges, BridgeVar{
+						Alg: a.Name, Var: v, Bits: maxBits(v.Bits), Hit: e.shared(a, a.Instrs[writer[v.ID]]),
+					})
+				}
 			}
 		}
 	}
 	for i := range t.slots {
 		ir.SortByVar(t.slots[i].bridges, bridgeOrder)
 	}
+}
+
+// clearWords returns s with length n, zeroed.
+func clearWords(s []uint64, n int) []uint64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// ones counts the bits of set.
+func ones(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += mathbits.OnesCount64(w)
+	}
+	return n
 }
 
 // bridgeOrder is the order of a slot's exports and of the bridge layout: by

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -502,7 +503,7 @@ type phvIndex struct {
 	prog  *ir.Program
 	once  sync.Once
 	names int
-	touch map[*ir.Algorithm][][]phvTouch // indexed by instruction ID
+	touch [][][]phvTouch // by algorithm index in prog, then instruction ID
 }
 
 type phvTouch struct{ name, bits int32 }
@@ -510,80 +511,111 @@ type phvTouch struct{ name, bits int32 }
 // touches returns, per instruction ID of a, the names it touches.
 func (x *phvIndex) touches(a *ir.Algorithm) [][]phvTouch {
 	x.once.Do(x.build)
-	return x.touch[a]
+	for i, pa := range x.prog.Algorithms {
+		if pa == a {
+			return x.touch[i]
+		}
+	}
+	return nil
 }
 
+// build records every touch by the toucher's program id — a field's, or an
+// algorithm's base plus a variable's — renders each name touched once, sorts
+// the names once, and renumbers the touches by rank.
 func (x *phvIndex) build() {
-	type touch struct {
-		name string
-		bits int
-	}
+	prog := x.prog
+	base := make([]int32, len(prog.Algorithms)+1) // program id of each algorithm's variable 0
+	base[0] = int32(len(prog.Fields))
 	n := 0
-	for _, a := range x.prog.Algorithms {
+	for i, a := range prog.Algorithms {
+		base[i+1] = base[i] + int32(len(a.Vars))
 		for _, in := range a.Instrs {
 			n += len(in.Args) + 2 + len(in.Guard)
 		}
 	}
-	all := make([]touch, 0, n)
-	ids := map[string]int32{}
-	varNames := map[*ir.Var]string{}
-	var alg string // the algorithm whose instructions are being indexed
-	add := func(name string, bits int) {
-		all = append(all, touch{name, bits})
-		ids[name] = 0
+	all := make([]phvTouch, 0, n)
+	ends := make([]int, 0, n/2) // where each instruction's touches end, program order
+	// rank holds, by program id, -1 for an untouched name; after the sort,
+	// the name's rank.
+	rank := make([]int32, base[len(prog.Algorithms)])
+	for i := range rank {
+		rank[i] = -1
 	}
-	addVar := func(v *ir.Var, bits int) {
-		name, ok := varNames[v]
-		if !ok {
-			name = "$" + alg + "." + v.String()
-			varNames[v] = name
-		}
-		add(name, bits)
+	add := func(id int32, bits int) {
+		all = append(all, phvTouch{id, int32(bits)})
+		rank[id] = 0
 	}
-	type span struct{ start, end int }
-	spans := make(map[*ir.Algorithm][]span, len(x.prog.Algorithms))
-	for _, a := range x.prog.Algorithms {
-		alg = a.Name
-		sp := make([]span, len(a.Instrs))
+	for i, a := range prog.Algorithms {
+		vars := base[i]
 		for _, in := range a.Instrs {
-			start := len(all)
 			for _, arg := range in.Args {
 				switch arg.Kind {
 				case ir.OpdField:
-					add(arg.Hdr+"."+arg.Field, arg.Bits)
+					add(arg.FieldID, arg.Bits)
 				case ir.OpdVar:
-					addVar(arg.Var, maxBits(arg.Var.Bits))
+					add(vars+arg.Var.ID, maxBits(arg.Var.Bits))
 				}
 			}
 			if in.Dest.Kind == ir.DestField {
-				f := in.Dest.Hdr + "." + in.Dest.Field
-				add(f, x.prog.FieldBits[f])
+				add(in.Dest.FieldID, prog.Fields[in.Dest.FieldID].Bits)
 			}
 			if v := in.WritesVar(); v != nil {
-				addVar(v, maxBits(v.Bits))
+				add(vars+v.ID, maxBits(v.Bits))
 			}
 			for _, g := range in.Guard {
-				addVar(g.Var, 1)
+				add(vars+g.Var.ID, 1)
 			}
-			sp[in.ID] = span{start, len(all)}
+			ends = append(ends, len(all))
 		}
-		spans[a] = sp
 	}
-	for i, name := range sortedKeys(ids) {
-		ids[name] = int32(i)
+
+	// Render each name touched once, into one buffer.
+	type named struct {
+		id       int32
+		from, to int32 // the name in buf
 	}
-	touches := make([]phvTouch, len(all))
-	for i, tc := range all {
-		touches[i] = phvTouch{ids[tc.name], int32(tc.bits)}
-	}
-	x.names = len(ids)
-	x.touch = make(map[*ir.Algorithm][][]phvTouch, len(spans))
-	for a, sp := range spans {
-		per := make([][]phvTouch, len(sp))
-		for id, s := range sp {
-			per[id] = touches[s.start:s.end:s.end]
+	var names []named
+	var buf []byte
+	for id := range rank[:base[0]] {
+		if rank[id] == 0 {
+			from, f := len(buf), &prog.Fields[id]
+			buf = append(append(append(buf, f.Hdr...), '.'), f.Name...)
+			names = append(names, named{int32(id), int32(from), int32(len(buf))})
 		}
-		x.touch[a] = per
+	}
+	for i, a := range prog.Algorithms {
+		for id, v := range a.Vars {
+			if rank[base[i]+int32(id)] == 0 {
+				from := len(buf)
+				buf = strconv.AppendInt(append(append(append(append(append(buf, '$'), a.Name...), '.'), v.Name...), '.'), int64(v.Ver), 10)
+				names = append(names, named{base[i] + int32(id), int32(from), int32(len(buf))})
+			}
+		}
+	}
+	slices.SortFunc(names, func(a, b named) int { return bytes.Compare(buf[a.from:a.to], buf[b.from:b.to]) })
+	r := int32(-1)
+	for k, nm := range names {
+		if k == 0 || !bytes.Equal(buf[nm.from:nm.to], buf[names[k-1].from:names[k-1].to]) {
+			r++
+		}
+		rank[nm.id] = r
+	}
+	for i := range all {
+		all[i].name = rank[all[i].name]
+	}
+	x.names = int(r + 1)
+
+	x.touch = make([][][]phvTouch, len(prog.Algorithms))
+	start, k := 0, 0
+	for i, a := range prog.Algorithms {
+		per := make([][]phvTouch, len(a.Instrs))
+		for id := range per {
+			end := ends[k]
+			per[id] = all[start:end:end]
+			start = end
+			k++
+		}
+		x.touch[i] = per
 	}
 }
 

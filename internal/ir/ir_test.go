@@ -87,9 +87,6 @@ func TestInstrStringAndAccessors(t *testing.T) {
 	if f.WritesField() != "ipv4.ttl" {
 		t.Errorf("WritesField = %q", f.WritesField())
 	}
-	if got := f.ReadsFields(); len(got) != 1 || got[0] != "ipv4.ttl" {
-		t.Errorf("ReadsFields = %v", got)
-	}
 }
 
 func TestExternDeclWidths(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"lyra"
+	"lyra/internal/asic"
 	"lyra/internal/topo"
 )
 
@@ -148,6 +149,63 @@ func cacheKey(source, scope, netFP string, faultSet []string, extra ...string) s
 		write(e)
 	}
 	return hex.EncodeToString(h.Sum(buf[:0]))
+}
+
+// targetMemo keeps the networks of the targets requests name, each with its
+// fingerprint, so a request names a network rather than builds one. Nothing
+// edits a parsed network — cached Results already share theirs across
+// tenants, and a session faults clones of its base — so every request aimed
+// at one target shares one network. It holds the maxTargets most recently
+// used: a fat tree may have k up to topo.MaxFatTreeK.
+type targetMemo struct {
+	mu   sync.Mutex
+	nets []parsedNet // least recently used first
+}
+
+const maxTargets = 4
+
+type parsedNet struct {
+	k    int
+	chip *asic.Model
+	net  *lyra.Network
+	fp   string // networkFingerprint(net)
+}
+
+// get returns the network of target t and its fingerprint, building both on
+// first use.
+func (m *targetMemo) get(t topo.Target) (*lyra.Network, string) {
+	m.mu.Lock()
+	p, ok := m.find(t)
+	m.mu.Unlock()
+	if ok {
+		return p.net, p.fp
+	}
+	// Built outside the lock: two first requests for one target may both
+	// build it, and the first one kept is the one both use.
+	net := t.Network()
+	built := parsedNet{t.K, t.Chip, net, networkFingerprint(net)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.find(t); ok {
+		return p.net, p.fp
+	}
+	if len(m.nets) == maxTargets {
+		m.nets = append(m.nets[:0], m.nets[1:]...)
+	}
+	m.nets = append(m.nets, built)
+	return built.net, built.fp
+}
+
+// find returns the entry of t, moving it to the most recently used end. The
+// caller holds m.mu.
+func (m *targetMemo) find(t topo.Target) (parsedNet, bool) {
+	for i, p := range m.nets {
+		if p.k == t.K && p.chip == t.Chip {
+			m.nets = append(append(m.nets[:i], m.nets[i+1:]...), p)
+			return p, true
+		}
+	}
+	return parsedNet{}, false
 }
 
 // networkFingerprint canonically renders a topology: sorted switches with

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"lyra"
+	"lyra/internal/asic"
 	"lyra/internal/leak"
+	"lyra/internal/topo"
 )
 
 const lbSource = `
@@ -819,5 +821,59 @@ func TestDegradeFactorsInCacheKey(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Kind != "infeasible" {
 		t.Fatalf("severe degrade after a mild one: got %+v, %v; want 422 infeasible", st, err)
+	}
+}
+
+// TestTargetsShareOneNetwork: requests aimed at one target — named two ways
+// and compiled at once — resolve to one network, which a session's faults
+// never reach; and the memo of parsed targets stays bounded.
+func TestTargetsShareOneNetwork(t *testing.T) {
+	s, c := newTestDaemon(t, Config{MaxInflight: 2})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, topology := range []string{"testbed", ""} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := lbRequest()
+			req.Source, req.Topology = lbSourceN(i), topology
+			_, errs[i] = c.Compile(ctx, req)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+	}
+	if n := len(s.targets.nets); n != 1 {
+		t.Fatalf("two requests for the testbed parsed %d networks, want 1", n)
+	}
+	net, fp := s.targets.get(topo.Target{})
+	if fp != networkFingerprint(net) {
+		t.Fatal("the memo's fingerprint is not its network's")
+	}
+
+	sess, err := c.NewSession(ctx, lbRequest())
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	var victim string
+	for _, sw := range sess.Compile.Switches {
+		victim = sw.Switch
+	}
+	if _, err := c.Recompile(ctx, sess.ID, []WireEvent{{Kind: "switch-down", Switch: victim}}); err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if again, _ := s.targets.get(topo.Target{}); again != net || networkFingerprint(net) != fp || net.Switch(victim) == nil {
+		t.Fatalf("downing %s in a session reached the shared testbed", victim)
+	}
+
+	for k := 2; k <= 2*(maxTargets+2); k += 2 {
+		s.targets.get(topo.Target{K: k, Chip: asic.Tofino32Q})
+	}
+	if n := len(s.targets.nets); n != maxTargets {
+		t.Fatalf("the memo holds %d networks, bound %d", n, maxTargets)
 	}
 }

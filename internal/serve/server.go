@@ -93,8 +93,10 @@ type Server struct {
 	// request that asked for it: at most MaxInflight at once.
 	slots chan struct{}
 	cache *Cache
-	mux   *http.ServeMux
-	m     metrics
+	// targets holds the networks requests are aimed at, shared by them all.
+	targets targetMemo
+	mux     *http.ServeMux
+	m       metrics
 
 	occupancy atomic.Int64 // admitted-but-unfinished units of work
 	// gate orders joining inflight against Drain: draining is set, and a
@@ -457,9 +459,17 @@ func (s *Server) compile(ctx context.Context, key string, fn func() (*lyra.Resul
 	return res, outcome, err
 }
 
-// compileInput decodes a compile or session-creation request and parses its
+// target is a request's parsed target: its network, shared with every request
+// aimed at it (do not modify it), the network's fingerprint, and the dialect.
+type target struct {
+	net     *lyra.Network
+	netFP   string
+	dialect lyra.Dialect
+}
+
+// compileInput decodes a compile or session-creation request and resolves its
 // target, answering 400 "invalid" itself when either fails.
-func (s *Server) compileInput(w http.ResponseWriter, r *http.Request) (req CompileRequest, net *lyra.Network, d lyra.Dialect, ok bool) {
+func (s *Server) compileInput(w http.ResponseWriter, r *http.Request) (req CompileRequest, tg target, ok bool) {
 	err := decodeBody(w, r, &req)
 	switch {
 	case err != nil:
@@ -467,19 +477,24 @@ func (s *Server) compileInput(w http.ResponseWriter, r *http.Request) (req Compi
 	case req.Source == "" || req.Scope == "":
 		s.writeInvalid(w, "source and scope are required")
 	default:
-		if net, d, err = topo.ParseTarget(req.Topology, req.Chip, req.Dialect); err != nil {
+		t, err := topo.ResolveTarget(req.Topology, req.Chip, req.Dialect)
+		if err != nil {
 			s.writeInvalid(w, err.Error())
+			break
 		}
+		tg.net, tg.netFP = s.targets.get(t)
+		tg.dialect = t.Dialect
 	}
-	return req, net, d, net != nil
+	return req, tg, tg.net != nil
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
-	req, net, dialect, ok := s.compileInput(w, r)
+	req, tg, ok := s.compileInput(w, r)
 	if !ok {
 		return
 	}
+	net, netFP, dialect := tg.net, tg.netFP, tg.dialect
 
 	release, tier, err := s.admit()
 	if err != nil {
@@ -494,7 +509,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		degraded = append(degraded, "skip-verify")
 		s.m.degradedSkip.Add(1)
 	}
-	netFP := networkFingerprint(net)
 	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, skipVerify)...)
 
 	// Stale tier: under heavy load, serve whatever completed artifact

@@ -293,10 +293,11 @@ func (sess *Session) close(ctx context.Context) error {
 
 func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	s.testPanic(r)
-	req, net, dialect, ok := s.compileInput(w, r)
+	req, tg, ok := s.compileInput(w, r)
 	if !ok {
 		return
 	}
+	net, netFP, dialect := tg.net, tg.netFP, tg.dialect
 
 	release, _, err := s.admit()
 	if err != nil {
@@ -309,7 +310,6 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	// incremental recompile reuses, so it must carry verification reports.
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMs))
 	defer cancel()
-	netFP := networkFingerprint(net)
 	key := cacheKey(req.Source, req.Scope, netFP, nil, configKey(dialect, false)...)
 	base, outcome, err := s.compile(ctx, key, func() (*lyra.Result, error) {
 		s.testSleep(ctx, r)

@@ -25,34 +25,61 @@ func (e *TargetError) Error() string { return fmt.Sprintf("topo: %s %q: %s", e.W
 // optional). Empty names select the testbed, Tofino-32Q and P4_14. Every name
 // is checked before anything is built.
 func ParseTarget(spec, chip, dialect string) (*Network, asic.Dialect, error) {
-	d := asic.DialectP414
+	t, err := ResolveTarget(spec, chip, dialect)
+	if err != nil {
+		return nil, t.Dialect, err
+	}
+	return t.Network(), t.Dialect, nil
+}
+
+// Target is a checked target, as ResolveTarget normalises it: names that
+// select one network and dialect give one Target.
+type Target struct {
+	K       int         // the fat tree's k, 0 for the testbed
+	Chip    *asic.Model // the fat tree's chip model, nil for the testbed
+	Dialect asic.Dialect
+}
+
+// ResolveTarget checks and normalises the names ParseTarget takes, building
+// nothing. On an error, the Target holds the dialect if it was checked.
+func ResolveTarget(spec, chip, dialect string) (Target, error) {
+	t := Target{Dialect: asic.DialectP414}
 	switch strings.ToLower(dialect) {
 	case "", "p4_14", "p414":
 	case "p4_16", "p416":
-		d = asic.DialectP416
+		t.Dialect = asic.DialectP416
 	default:
-		return nil, d, &TargetError{"dialect", dialect, `want "p4_14" or "p4_16"`}
+		return t, &TargetError{"dialect", dialect, `want "p4_14" or "p4_16"`}
 	}
 	if spec == "" || spec == "testbed" {
-		return Testbed(), d, nil
+		return t, nil
 	}
 	arg, ok := strings.CutPrefix(spec, "fattree:")
 	if !ok {
-		return nil, d, &TargetError{"topology", spec, `want "testbed" or "fattree:<k>"`}
+		return t, &TargetError{"topology", spec, `want "testbed" or "fattree:<k>"`}
 	}
 	k, err := strconv.Atoi(arg)
 	if err != nil || k < 2 || k > MaxFatTreeK || k%2 != 0 {
-		return nil, d, &TargetError{"topology", spec, fmt.Sprintf("k must be even, from 2 to %d", MaxFatTreeK)}
+		return t, &TargetError{"topology", spec, fmt.Sprintf("k must be even, from 2 to %d", MaxFatTreeK)}
 	}
 	if chip == "" {
 		chip = asic.Tofino32Q.Name
 	}
 	switch m, ok := asic.ByName(chip); {
 	case !ok:
-		return nil, d, &TargetError{"chip", chip, "no such chip model"}
+		return t, &TargetError{"chip", chip, "no such chip model"}
 	case m.Lang == asic.LangNone:
-		return nil, d, &TargetError{"chip", chip, "fixed-function; nothing can be placed on it"}
+		return t, &TargetError{"chip", chip, "fixed-function; nothing can be placed on it"}
 	default:
-		return FatTreePod(k, m), d, nil
+		t.K, t.Chip = k, m
+		return t, nil
 	}
+}
+
+// Network builds the target's network, a new one on every call.
+func (t Target) Network() *Network {
+	if t.K == 0 {
+		return Testbed()
+	}
+	return FatTreePod(t.K, t.Chip)
 }
