@@ -32,8 +32,7 @@ func (x *execEnv) store(d ir.Dest, v uint64) {
 	case ir.DestVar:
 		x.env[d.Var] = mask(v, d.Var.Bits)
 	case ir.DestField:
-		key := d.Hdr + "." + d.Field
-		x.pkt.Fields[key] = mask(v, x.irp.FieldBits[key])
+		x.pkt.Fields[d.Hdr+"."+d.Field] = mask(v, x.irp.Fields[d.FieldID].Bits)
 	}
 }
 

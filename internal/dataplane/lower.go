@@ -241,15 +241,10 @@ func (l *Layout) ensureGlobal(g *ir.GlobalDecl) int {
 // sorted order so slot numbering is deterministic regardless of lowering
 // order.
 func (l *Layout) seed(irp *ir.Program) {
-	names := make([]string, 0, len(irp.FieldBits))
-	for f := range irp.FieldBits {
-		names = append(names, f)
+	for _, f := range irp.SortedFields() {
+		l.ensureField(f.Hdr+"."+f.Name, f.Bits)
 	}
-	sort.Strings(names)
-	for _, f := range names {
-		l.ensureField(f, irp.FieldBits[f])
-	}
-	names = names[:0]
+	names := make([]string, 0, len(irp.HeaderBits))
 	for h := range irp.HeaderBits {
 		names = append(names, h)
 	}
@@ -299,8 +294,7 @@ func (lo *lowerer) opref(o ir.Operand, slot func(*ir.Var) int32) opRef {
 	case ir.OpdVar:
 		return opRef{kind: oReg, idx: slot(o.Var)}
 	default:
-		key := o.Hdr + "." + o.Field
-		return opRef{kind: oField, idx: int32(lo.lay.ensureField(key, lo.irp.FieldBits[key]))}
+		return opRef{kind: oField, idx: int32(lo.lay.ensureField(o.Hdr+"."+o.Field, lo.irp.Fields[o.FieldID].Bits))}
 	}
 }
 
@@ -327,8 +321,7 @@ func (lo *lowerer) lowerInstrs(u *compiledUnit, instrs []*ir.Instr,
 			b.dest = slot(in.Dest.Var)
 			b.destMask = maskBits(in.Dest.Var.Bits)
 		case ir.DestField:
-			key := in.Dest.Hdr + "." + in.Dest.Field
-			s := lo.lay.ensureField(key, lo.irp.FieldBits[key])
+			s := lo.lay.ensureField(in.Dest.Hdr+"."+in.Dest.Field, lo.irp.Fields[in.Dest.FieldID].Bits)
 			b.destKind = dField
 			b.dest = int32(s)
 			b.destMask = lo.lay.fieldMask[s]

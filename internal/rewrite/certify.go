@@ -94,11 +94,7 @@ func fieldConsts(p *ir.Program) map[string][]uint64 {
 // small integers and full-width randoms.
 func certPackets(p *ir.Program, seed int64, n int) []*dataplane.Packet {
 	r := &splitmix{s: uint64(seed)}
-	fields := make([]string, 0, len(p.FieldBits))
-	for f := range p.FieldBits {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
+	fields := p.SortedFields()
 	headers := make([]string, 0, len(p.HeaderBits))
 	for h := range p.HeaderBits {
 		headers = append(headers, h)
@@ -113,9 +109,9 @@ func certPackets(p *ir.Program, seed int64, n int) []*dataplane.Packet {
 			pkt.Valid[h] = true
 		}
 		for _, f := range fields {
-			bits := p.FieldBits[f]
+			key, bits := f.Hdr+"."+f.Name, f.Bits
 			v := r.next()
-			cands := consts[f]
+			cands := consts[key]
 			switch {
 			case len(cands) > 0 && i%3 != 2:
 				// Two thirds of the trace walks the program's own
@@ -128,7 +124,7 @@ func certPackets(p *ir.Program, seed int64, n int) []*dataplane.Packet {
 					v &= 1<<uint(bits) - 1
 				}
 			}
-			pkt.Fields[f] = v
+			pkt.Fields[key] = v
 		}
 		pkts = append(pkts, pkt)
 	}
