@@ -137,7 +137,7 @@ func CompileContext(ctx context.Context, req Request) (*Result, error) {
 	// Front-end: checker (§4.1), preprocessor (§4.2), code analyzer (§4.3).
 	var irp *ir.Program
 	if err := tr.run(PhaseParse, func() error {
-		prog, err := parser.Parse(name, []byte(req.Source))
+		prog, err := parser.ParseString(name, req.Source)
 		if err != nil {
 			return fmt.Errorf("parse: %w", err)
 		}

@@ -564,9 +564,8 @@ algorithm alg {
 // TestLocalsNamedLikeTheLoweringsOwn: locals named like the lowering's
 // temporaries (v<N>) and inlined parameters (<param>__i<N>) are variables of
 // their own: the temporary and the parameter get neither their binding nor
-// their declared width, and every variable emitted — a function local
-// declared again over its parameter's name included — keeps a name and
-// version of its own. Analyze numbers the variables densely, in the order
+// their declared width, and every variable emitted keeps a name and version
+// of its own (a local may not redeclare a parameter: the checker refuses it). Analyze numbers the variables densely, in the order
 // they are first touched. And a function's local is not captured by a local
 // of another function inlined before it under the same name.
 func TestLocalsNamedLikeTheLoweringsOwn(t *testing.T) {
@@ -586,7 +585,6 @@ algorithm m {
   h.a = v2 + p__i1;
 }
 func f(bit[32] p) {
-  bit[32] p;
   p = 5;
   h.b = p;
 }

@@ -7,6 +7,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lyra/internal/lang/ast"
@@ -43,14 +44,16 @@ func Check(prog *ast.Program) error {
 	c.checkPipelines()
 	c.checkParsers()
 	for _, a := range prog.Algorithms {
-		c.checkBlock(a.Body, map[string]bool{})
+		c.checkBlock(a.Body, map[string]bool{}, nil, 0)
 	}
 	for _, f := range prog.Funcs {
 		scope := map[string]bool{}
+		decls := make([]string, 0, len(f.Params))
 		for _, p := range f.Params {
 			scope[p.Name] = true
+			decls = append(decls, p.Name)
 		}
-		c.checkBlock(f.Body, scope)
+		c.checkBlock(f.Body, scope, decls, len(f.Params))
 	}
 	c.checkCallGraphAcyclic()
 	if len(c.errs) == 0 {
@@ -292,12 +295,25 @@ func (c *checker) checkParserProgress() {
 	}
 }
 
-func (c *checker) checkBlock(body []ast.Stmt, scope map[string]bool) {
+// checkBlock checks one block of an algorithm or function body. decls names
+// what is declared where the block sits: the function's params parameters
+// first, then the locals of this block and the blocks enclosing it, in order.
+// A local may not take a name from decls; a sibling branch's locals are not in
+// it.
+func (c *checker) checkBlock(body []ast.Stmt, scope map[string]bool, decls []string, params int) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ast.VarDecl:
 			if st.Type.Bits <= 0 {
 				c.errorf(st.Pos(), "variable %q has non-positive width", st.Name)
+			}
+			if !st.Global {
+				if i := slices.Index(decls, st.Name); i >= 0 && i < params {
+					c.errorf(st.Pos(), "local %q redeclares a parameter", st.Name)
+				} else if i >= 0 {
+					c.errorf(st.Pos(), "duplicate local %q", st.Name)
+				}
+				decls = append(decls, st.Name)
 			}
 			scope[st.Name] = true
 			if st.Init != nil {
@@ -315,8 +331,8 @@ func (c *checker) checkBlock(body []ast.Stmt, scope map[string]bool) {
 			}
 		case *ast.If:
 			c.checkExpr(st.Cond, scope)
-			c.checkBlock(st.Then, scope)
-			c.checkBlock(st.Else, scope)
+			c.checkBlock(st.Then, scope, decls, params)
+			c.checkBlock(st.Else, scope, decls, params)
 		case *ast.ExprStmt:
 			c.checkExpr(st.X, scope)
 		}

@@ -221,3 +221,57 @@ algorithm a {
   if (x in route) { y = 1; }
 }`, "tuple key")
 }
+
+// TestRedeclaredLocalRefused: a local may not take the name of a parameter or
+// of an earlier local of its block or an enclosing one, whichever way the
+// function is called (a value and a variable used to give the local two
+// different meanings). Sibling branches and separate bodies may reuse a name.
+func TestRedeclaredLocalRefused(t *testing.T) {
+	const head = `
+header_type h_t { bit[32] a; bit[32] b; }
+header h_t h;
+pipeline[P]{m};
+`
+	for _, tc := range []struct{ name, src, want string }{
+		{"value argument", head + `algorithm m { f(h.a + 1); }
+func f(bit[32] p) {
+  bit[32] p;
+  h.b = p;
+}`, `test.lyra:7:3: local "p" redeclares a parameter`},
+		{"variable argument", head + `algorithm m { bit[32] x; x = h.a; f(x); }
+func f(bit[32] p) {
+  bit[32] p;
+  h.b = p;
+}`, `test.lyra:7:3: local "p" redeclares a parameter`},
+		{"enclosing local", head + `algorithm m {
+  bit[32] t;
+  if (h.a == 1) {
+    bit[32] t;
+    h.b = t;
+  }
+}`, `test.lyra:8:5: duplicate local "t"`},
+		{"same block", head + `algorithm m {
+  bit[32] t;
+  bit[8] t;
+}`, `test.lyra:7:3: duplicate local "t"`},
+	} {
+		err := check(t, tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.want)
+		}
+	}
+	if err := check(t, head+`algorithm m {
+  if (h.a == 1) {
+    bit[32] t;
+    h.b = t;
+  } else {
+    bit[32] t;
+    h.b = t + 1;
+  }
+  g(h.a);
+}
+func g(bit[32] t) { bit[32] u; u = t; h.b = u; }
+func k(bit[32] u) { h.b = u; }`); err != nil {
+		t.Errorf("names reused across sibling branches and bodies: %v", err)
+	}
+}

@@ -15,7 +15,7 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte("bit[32] /* comment */ name // line\n"))
 	f.Add([]byte("\"unterminated"))
 	f.Fuzz(func(t *testing.T, src []byte) {
-		toks, _ := ScanAll("fuzz", src)
+		toks, _ := ScanAll("fuzz", string(src))
 		if len(toks) > len(src)+1 {
 			t.Fatalf("%d tokens from %d bytes", len(toks), len(src))
 		}

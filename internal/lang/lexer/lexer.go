@@ -7,9 +7,10 @@ import (
 	"lyra/internal/lang/token"
 )
 
-// Lexer scans Lyra source text into tokens.
+// Lexer scans Lyra source text into tokens. It reads the source as a string,
+// so every literal it returns is a substring of it, not a copy.
 type Lexer struct {
-	src       []byte
+	src       string
 	file      string
 	pos       int // current byte offset
 	line      int
@@ -19,7 +20,7 @@ type Lexer struct {
 }
 
 // New returns a lexer over src. The file name is used in positions.
-func New(file string, src []byte) *Lexer {
+func New(file string, src string) *Lexer {
 	return &Lexer{src: src, file: file, line: 1, col: 1, lineStart: true}
 }
 
@@ -119,12 +120,12 @@ func (lx *Lexer) Next() token.Token {
 			}
 			if lx.peek() == ':' {
 				lx.advance()
-				return token.Token{Kind: token.SectionMarker, Lit: string(lx.src[start:lx.pos]), Pos: pos}
+				return token.Token{Kind: token.SectionMarker, Lit: lx.src[start:lx.pos], Pos: pos}
 			}
 			// Not a marker after all: rewind is impossible, but '>' followed
 			// by a word without ':' is not valid Lyra anyway.
-			lx.errorf(pos, "malformed section marker %q", string(lx.src[start:lx.pos]))
-			return token.Token{Kind: token.ILLEGAL, Lit: string(lx.src[start:lx.pos]), Pos: pos}
+			lx.errorf(pos, "malformed section marker %q", lx.src[start:lx.pos])
+			return token.Token{Kind: token.ILLEGAL, Lit: lx.src[start:lx.pos], Pos: pos}
 		}
 
 		// Identifiers and keywords.
@@ -133,7 +134,7 @@ func (lx *Lexer) Next() token.Token {
 			for lx.pos < len(lx.src) && (isLetter(lx.peek()) || isDigit(lx.peek())) {
 				lx.advance()
 			}
-			lit := string(lx.src[start:lx.pos])
+			lit := lx.src[start:lx.pos]
 			if k, ok := token.Keywords[lit]; ok {
 				return token.Token{Kind: k, Lit: lit, Pos: pos}
 			}
@@ -157,7 +158,7 @@ func (lx *Lexer) Next() token.Token {
 					lx.advance()
 				}
 			}
-			return token.Token{Kind: token.INT, Lit: string(lx.src[start:lx.pos]), Pos: pos}
+			return token.Token{Kind: token.INT, Lit: lx.src[start:lx.pos], Pos: pos}
 		}
 
 		lx.advance()
@@ -230,7 +231,7 @@ func (lx *Lexer) Next() token.Token {
 }
 
 // ScanAll tokenizes the whole input (excluding EOF).
-func ScanAll(file string, src []byte) ([]token.Token, []error) {
+func ScanAll(file string, src string) ([]token.Token, []error) {
 	lx := New(file, src)
 	// Lyra source runs at four to five and a half bytes per token; sized for
 	// the dense end, the slice does not regrow on ordinary programs.

@@ -8,7 +8,7 @@ import (
 
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := ScanAll("test.lyra", []byte(src))
+	toks, errs := ScanAll("test.lyra", src)
 	if len(errs) > 0 {
 		t.Fatalf("scan errors: %v", errs)
 	}
@@ -65,7 +65,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestUnterminatedBlockComment(t *testing.T) {
-	_, errs := ScanAll("t", []byte("a /* never closed"))
+	_, errs := ScanAll("t", "a /* never closed")
 	if len(errs) == 0 {
 		t.Fatal("want error for unterminated comment")
 	}
@@ -73,7 +73,7 @@ func TestUnterminatedBlockComment(t *testing.T) {
 
 func TestSectionMarkers(t *testing.T) {
 	src := ">HEADER:\nheader_type h { bit[8] f; }\n>PIPELINES:\npipeline[P]{a};"
-	toks, errs := ScanAll("t", []byte(src))
+	toks, errs := ScanAll("t", src)
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -111,7 +111,7 @@ func TestKeywords(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := ScanAll("f.lyra", []byte("a\n  b"))
+	toks, _ := ScanAll("f.lyra", "a\n  b")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -121,7 +121,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestHexAndDecimal(t *testing.T) {
-	toks, errs := ScanAll("t", []byte("0x0800 1024 0"))
+	toks, errs := ScanAll("t", "0x0800 1024 0")
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -131,7 +131,7 @@ func TestHexAndDecimal(t *testing.T) {
 }
 
 func TestIllegalChar(t *testing.T) {
-	toks, errs := ScanAll("t", []byte("a @ b"))
+	toks, errs := ScanAll("t", "a @ b")
 	if len(errs) == 0 {
 		t.Fatal("want error")
 	}

@@ -11,7 +11,7 @@ import (
 // errors) without panicking or looping.
 func TestLexerNeverPanics(t *testing.T) {
 	f := func(src []byte) bool {
-		toks, _ := ScanAll("fuzz", src)
+		toks, _ := ScanAll("fuzz", string(src))
 		// EOF is excluded; token count is bounded by input length + 1.
 		return len(toks) <= len(src)+1
 	}
@@ -23,7 +23,7 @@ func TestLexerNeverPanics(t *testing.T) {
 // TestLexerPositionsMonotone: token positions never go backwards.
 func TestLexerPositionsMonotone(t *testing.T) {
 	f := func(src []byte) bool {
-		toks, _ := ScanAll("fuzz", src)
+		toks, _ := ScanAll("fuzz", string(src))
 		prevLine, prevCol := 1, 0
 		for _, tk := range toks {
 			if tk.Pos.Line < prevLine {
@@ -48,7 +48,7 @@ func TestIdentRoundTrip(t *testing.T) {
 		for i := 0; i < int(n%20); i++ {
 			name += string(rune('a' + i%26))
 		}
-		toks, errs := ScanAll("t", []byte(name))
+		toks, errs := ScanAll("t", name)
 		if len(errs) != 0 || len(toks) != 1 {
 			return false
 		}

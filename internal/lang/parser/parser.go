@@ -11,9 +11,13 @@ import (
 	"lyra/internal/lang/token"
 )
 
-// Parse parses a complete Lyra source file. A scan error anywhere in the
-// source is reported in preference to a parse error.
-func Parse(file string, src []byte) (*ast.Program, error) {
+// Parse parses a complete Lyra source file held in bytes; see ParseString.
+func Parse(file string, src []byte) (*ast.Program, error) { return ParseString(file, string(src)) }
+
+// ParseString parses a complete Lyra source file. A scan error anywhere in
+// the source is reported in preference to a parse error. The names and
+// literals of the program it returns are substrings of src.
+func ParseString(file string, src string) (*ast.Program, error) {
 	p := &parser{lx: lexer.New(file, src), lastPos: token.Position{File: file, Line: 1, Col: 1}}
 	prog, err := p.parseProgram()
 	for err != nil && !p.at(token.EOF) {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,18 +74,22 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	var body []byte
+	var body *requestBody
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if body, err = encodeRequest(in); err != nil {
 			return err
 		}
+		defer body.release()
 	}
 	delay := c.backoff()
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
 		if err != nil {
 			return err
+		}
+		if body != nil {
+			req.Body, req.GetBody, req.ContentLength = body.reader(), body.getBody, int64(body.buf.Len())
 		}
 		req.Header.Set("Content-Type", "application/json")
 		for k, vs := range c.Header {
@@ -114,6 +121,90 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
+// requestBody is a request encoded once into a pooled buffer and read by
+// each attempt through a reader of its own. The transport may read and close
+// a request's body after Do has returned, so the buffer goes back to the pool
+// only when do and every reader given out are done with it.
+type requestBody struct {
+	buf     bytes.Buffer
+	refs    atomic.Int32
+	getBody func() (io.ReadCloser, error) // reader as a func value, made once
+}
+
+var requestBodies = sync.Pool{New: func() any {
+	b := new(requestBody)
+	b.getBody = func() (io.ReadCloser, error) { return b.reader(), nil }
+	return b
+}}
+
+// encodeRequest encodes in, compactly and without escaping HTML, into a
+// pooled body that the caller holds until it calls release.
+func encodeRequest(in any) (*requestBody, error) {
+	b := requestBodies.Get().(*requestBody)
+	b.refs.Store(1)
+	enc := json.NewEncoder(&b.buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(in); err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// reader returns a new reader over the body; closing it gives up its hold.
+func (b *requestBody) reader() io.ReadCloser {
+	b.refs.Add(1)
+	return &bodyReader{body: b}
+}
+
+func (b *requestBody) release() {
+	if b.refs.Add(-1) > 0 {
+		return
+	}
+	if b.buf.Cap() <= maxPooledBody {
+		all := b.buf.Bytes()
+		clear(all[:cap(all)])
+		b.buf.Reset()
+		requestBodies.Put(b)
+	}
+}
+
+// bodyReader reads a requestBody. Read and Close exclude each other, so once
+// Close returns nothing reads the buffer it gave back.
+type bodyReader struct {
+	mu   sync.Mutex
+	body *requestBody // nil once closed
+	off  int
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.body == nil {
+		return 0, errBodyClosed
+	}
+	rest := r.body.buf.Bytes()[r.off:]
+	if len(rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, rest)
+	r.off += n
+	return n, nil
+}
+
+func (r *bodyReader) Close() error {
+	r.mu.Lock()
+	b := r.body
+	r.body = nil
+	r.mu.Unlock()
+	if b != nil {
+		b.release()
+	}
+	return nil
+}
+
+var errBodyClosed = errors.New("serve: request body read after close")
+
 // maxPresizedBody caps the buffer readBody allocates on a Content-Length's
 // word alone; a longer body is read by growing.
 const maxPresizedBody = 64 << 20
@@ -134,7 +225,11 @@ func readBody(resp *http.Response, buf *bytes.Buffer) ([]byte, error) {
 // decodeResponse reads and closes the body: nil on 2xx (out filled), an
 // *APIError otherwise. A 2xx whose body cannot be read to its end or does not
 // decode is an error of kind "bad-response", never a silently zero out. The
-// body passes through a pooled buffer; what out keeps of it is copied.
+// body passes through a pooled buffer; what out keeps of it is copied. A body
+// that carries a compile's answer is read by the one-pass answerReader
+// (decode.go), because it is large and mostly escaped code text; every other
+// body (errors, status, events, tables, metrics, health) is small and goes
+// through encoding/json.
 func decodeResponse(resp *http.Response, out any) *APIError {
 	defer resp.Body.Close()
 	buf := wireBuf()
@@ -142,7 +237,14 @@ func decodeResponse(resp *http.Response, out any) *APIError {
 	raw, err := readBody(resp, buf)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if err == nil && out != nil {
-			err = json.Unmarshal(raw, out)
+			switch v := out.(type) {
+			case *CompileResponse:
+				err = decodeCompileResponse(raw, v)
+			case *SessionResponse:
+				err = decodeSessionResponse(raw, v)
+			default:
+				err = json.Unmarshal(raw, out)
+			}
 		}
 		if err != nil {
 			return &APIError{Status: resp.StatusCode, Kind: "bad-response", Message: err.Error()}

@@ -314,11 +314,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // writeJSON encodes the body compactly, newline-terminated, into one buffer
 // and sends it with its length, so the client can read it into a buffer of
-// exactly that size.
+// exactly that size. '<', '>' and '&' go out as themselves, not as \u003c
+// escapes: the body is application/json, and generated P4 code is full of
+// bit<N>.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	buf := wireBuf()
 	defer releaseWireBuf(buf)
-	if err := json.NewEncoder(buf).Encode(body); err != nil { // a response value that cannot be marshalled is a bug: 422/"internal", like a panic
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil { // a response value that cannot be marshalled is a bug: 422/"internal", like a panic
 		status = http.StatusUnprocessableEntity
 		buf.Reset()
 		buf.WriteString(`{"error":"encoding response","kind":"internal"}` + "\n")
